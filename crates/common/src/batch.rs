@@ -186,9 +186,19 @@ impl Batch {
     ///
     /// Returns [`Error::SchemaMismatch`] if any row violates the schema.
     pub fn from_rows(schema: &Schema, rows: Vec<Row>) -> Result<Batch> {
+        Batch::from_slice(schema, &rows)
+    }
+
+    /// [`Batch::from_rows`] over borrowed rows: the columns are the one
+    /// copy made.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::SchemaMismatch`] if any row violates the schema.
+    pub fn from_slice(schema: &Schema, rows: &[Row]) -> Result<Batch> {
         let mut batch = Batch::empty(schema.clone());
         for row in rows {
-            batch.push_row(&row)?;
+            batch.push_row(row)?;
         }
         Ok(batch)
     }
@@ -234,6 +244,16 @@ impl Batch {
     /// Panics if `c` is out of bounds.
     pub fn column(&self, c: usize) -> &Column {
         &self.columns[c]
+    }
+
+    /// Column `c`'s validity mask: entry `r` is false when row `r` is
+    /// NULL there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is out of bounds.
+    pub fn validity(&self, c: usize) -> &[bool] {
+        &self.validity[c]
     }
 
     /// The column named `name`.

@@ -46,7 +46,7 @@ pub use error::{Error, Result};
 pub use ids::{EngineId, TableRef};
 pub use model::{DataModel, EngineKind};
 pub use partition::{hash_grow_moved_fraction, PartitionLookup, PartitionSpec, ShardId};
-pub use predicate::Predicate;
+pub use predicate::{BoundPredicate, Predicate};
 pub use repartition::{CopyKey, MaterializedRepartitions, RepartitionStats};
 pub use rng::SplitMix64;
 pub use row::Row;

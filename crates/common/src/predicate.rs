@@ -1,8 +1,10 @@
 //! Scan predicates: a small expression tree evaluated against rows.
 
+use std::cmp::Ordering;
+
 use serde::{Deserialize, Serialize};
 
-use crate::{Result, Row, Schema, Value};
+use crate::{Error, Result, Row, Schema, Value};
 
 /// A boolean predicate over a row.
 ///
@@ -101,7 +103,9 @@ impl Predicate {
         Predicate::Not(Box::new(self))
     }
 
-    /// Evaluates against a row.
+    /// Evaluates against a row, resolving column names as it goes. A
+    /// scan or filter over many rows should [`Predicate::bind`] once
+    /// instead.
     ///
     /// NULL comparisons follow SQL three-valued logic collapsed to
     /// `false` (a NULL never satisfies a comparison except `IsNull`).
@@ -112,16 +116,16 @@ impl Predicate {
     pub fn eval(&self, schema: &Schema, row: &Row) -> Result<bool> {
         Ok(match self {
             Predicate::True => true,
-            Predicate::Eq(c, v) => Self::cmp_col(schema, row, c)?.is_some_and(|x| x == *v),
-            Predicate::Ne(c, v) => Self::cmp_col(schema, row, c)?.is_some_and(|x| x != *v),
-            Predicate::Lt(c, v) => Self::cmp_col(schema, row, c)?.is_some_and(|x| x < *v),
-            Predicate::Le(c, v) => Self::cmp_col(schema, row, c)?.is_some_and(|x| x <= *v),
-            Predicate::Gt(c, v) => Self::cmp_col(schema, row, c)?.is_some_and(|x| x > *v),
-            Predicate::Ge(c, v) => Self::cmp_col(schema, row, c)?.is_some_and(|x| x >= *v),
+            Predicate::Eq(c, v) => Self::cmp_col(schema, row, c)?.is_some_and(|x| x == v),
+            Predicate::Ne(c, v) => Self::cmp_col(schema, row, c)?.is_some_and(|x| x != v),
+            Predicate::Lt(c, v) => Self::cmp_col(schema, row, c)?.is_some_and(|x| x < v),
+            Predicate::Le(c, v) => Self::cmp_col(schema, row, c)?.is_some_and(|x| x <= v),
+            Predicate::Gt(c, v) => Self::cmp_col(schema, row, c)?.is_some_and(|x| x > v),
+            Predicate::Ge(c, v) => Self::cmp_col(schema, row, c)?.is_some_and(|x| x >= v),
             Predicate::Between(c, lo, hi) => {
-                Self::cmp_col(schema, row, c)?.is_some_and(|x| x >= *lo && x <= *hi)
+                Self::cmp_col(schema, row, c)?.is_some_and(|x| x >= lo && x <= hi)
             }
-            Predicate::In(c, vs) => Self::cmp_col(schema, row, c)?.is_some_and(|x| vs.contains(&x)),
+            Predicate::In(c, vs) => Self::cmp_col(schema, row, c)?.is_some_and(|x| vs.contains(x)),
             Predicate::IsNull(c) => row[schema.require(c)?].is_null(),
             Predicate::And(a, b) => a.eval(schema, row)? && b.eval(schema, row)?,
             Predicate::Or(a, b) => a.eval(schema, row)? || b.eval(schema, row)?,
@@ -129,10 +133,40 @@ impl Predicate {
         })
     }
 
-    fn cmp_col(schema: &Schema, row: &Row, column: &str) -> Result<Option<Value>> {
-        let idx = schema.require(column)?;
-        let v = &row[idx];
-        Ok(if v.is_null() { None } else { Some(v.clone()) })
+    fn cmp_col<'r>(schema: &Schema, row: &'r Row, column: &str) -> Result<Option<&'r Value>> {
+        let v = &row[schema.require(column)?];
+        Ok(if v.is_null() { None } else { Some(v) })
+    }
+
+    /// Resolves every column name against `schema` once, so evaluating
+    /// many rows costs no name lookups. Same results as
+    /// [`Predicate::eval`] row for row, errors included: an unknown
+    /// column is an error only when a row reaches the leaf that names
+    /// it (a short-circuited `And`/`Or` branch never does).
+    pub fn bind<'a>(&'a self, schema: &Schema) -> BoundPredicate<'a> {
+        use Ordering::{Equal, Greater, Less};
+        let col = |name: &'a str| match schema.index_of(name) {
+            Some(idx) => BoundColumn::At(idx),
+            None => BoundColumn::Unknown(name),
+        };
+        let cmp = |c: &'a str, v: &'a Value, accept| Bound::Cmp(col(c), v, accept);
+        let both =
+            |a: &'a Predicate, b: &'a Predicate| Box::new([a.bind(schema).0, b.bind(schema).0]);
+        BoundPredicate(match self {
+            Predicate::True => Bound::True,
+            Predicate::Eq(c, v) => cmp(c, v, [Equal, Equal]),
+            Predicate::Ne(c, v) => cmp(c, v, [Less, Greater]),
+            Predicate::Lt(c, v) => cmp(c, v, [Less, Less]),
+            Predicate::Le(c, v) => cmp(c, v, [Less, Equal]),
+            Predicate::Gt(c, v) => cmp(c, v, [Greater, Greater]),
+            Predicate::Ge(c, v) => cmp(c, v, [Greater, Equal]),
+            Predicate::Between(c, lo, hi) => Bound::Between(col(c), lo, hi),
+            Predicate::In(c, vs) => Bound::In(col(c), vs),
+            Predicate::IsNull(c) => Bound::IsNull(col(c)),
+            Predicate::And(a, b) => Bound::And(both(a, b)),
+            Predicate::Or(a, b) => Bound::Or(both(a, b)),
+            Predicate::Not(p) => Bound::Not(Box::new(p.bind(schema).0)),
+        })
     }
 
     /// If the predicate (or its leading conjunct) is a point/range lookup
@@ -164,6 +198,73 @@ impl Predicate {
             Predicate::Or(a, b) => (a.selectivity() + b.selectivity()).min(1.0),
             Predicate::Not(p) => 1.0 - p.selectivity(),
         }
+    }
+}
+
+/// A [`Predicate`] with its columns resolved to positions in one schema
+/// (see [`Predicate::bind`]); borrows the predicate's literals.
+#[derive(Debug, Clone)]
+pub struct BoundPredicate<'a>(Bound<'a>);
+
+/// A column reference resolved by [`Predicate::bind`].
+#[derive(Debug, Clone, Copy)]
+enum BoundColumn<'a> {
+    /// The column's position in the bound schema.
+    At(usize),
+    /// A name the schema does not have; evaluating it is the error.
+    Unknown(&'a str),
+}
+
+impl BoundColumn<'_> {
+    /// The column's value when it is not NULL.
+    fn non_null(self, row: &Row) -> Result<Option<&Value>> {
+        match self {
+            BoundColumn::At(idx) => Ok(Some(&row[idx]).filter(|v| !v.is_null())),
+            BoundColumn::Unknown(name) => Err(Error::ColumnNotFound(name.to_owned())),
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Bound<'a> {
+    True,
+    /// Column against literal: true when the column orders against the
+    /// literal as either of the two accepted orderings.
+    Cmp(BoundColumn<'a>, &'a Value, [Ordering; 2]),
+    Between(BoundColumn<'a>, &'a Value, &'a Value),
+    In(BoundColumn<'a>, &'a [Value]),
+    IsNull(BoundColumn<'a>),
+    And(Box<[Bound<'a>; 2]>),
+    Or(Box<[Bound<'a>; 2]>),
+    Not(Box<Bound<'a>>),
+}
+
+impl BoundPredicate<'_> {
+    /// Evaluates against a row of the bound schema.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ColumnNotFound`] when the row reaches a leaf
+    /// whose column the schema lacks.
+    pub fn eval(&self, row: &Row) -> Result<bool> {
+        self.0.eval(row)
+    }
+}
+
+impl Bound<'_> {
+    fn eval(&self, row: &Row) -> Result<bool> {
+        Ok(match self {
+            Bound::True => true,
+            Bound::Cmp(c, v, accept) => {
+                c.non_null(row)?.is_some_and(|x| accept.contains(&x.cmp(v)))
+            }
+            Bound::Between(c, lo, hi) => c.non_null(row)?.is_some_and(|x| x >= *lo && x <= *hi),
+            Bound::In(c, vs) => c.non_null(row)?.is_some_and(|x| vs.contains(x)),
+            Bound::IsNull(c) => c.non_null(row)?.is_none(),
+            Bound::And(p) => p[0].eval(row)? && p[1].eval(row)?,
+            Bound::Or(p) => p[0].eval(row)? || p[1].eval(row)?,
+            Bound::Not(p) => !p.eval(row)?,
+        })
     }
 }
 

@@ -2,12 +2,19 @@
 
 use std::fmt;
 use std::ops::Index;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::value::Value;
 
 /// A single record: an ordered list of [`Value`]s matching some schema.
+///
+/// The values live in one shared immutable allocation, so `clone` is a
+/// reference-count bump: an operator that passes a row through
+/// unchanged (scan, filter, sort, limit, shuffle routing) hands it on by
+/// pointer. Operators that change a row's shape ([`Row::project`],
+/// [`Row::concat`]) build a new one.
 ///
 /// # Examples
 ///
@@ -18,15 +25,16 @@ use crate::value::Value;
 /// assert_eq!(r.len(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
-pub struct Row(Vec<Value>);
+pub struct Row(Arc<[Value]>);
 
 impl Row {
     /// An empty row.
     pub fn new() -> Self {
-        Row(Vec::new())
+        Row::default()
     }
 
     /// Number of values.
+    #[inline]
     pub fn len(&self) -> usize {
         self.0.len()
     }
@@ -37,6 +45,7 @@ impl Row {
     }
 
     /// The values as a slice.
+    #[inline]
     pub fn values(&self) -> &[Value] {
         &self.0
     }
@@ -46,14 +55,15 @@ impl Row {
         self.0.get(idx)
     }
 
-    /// Appends a value in place.
-    pub fn push(&mut self, value: Value) {
-        self.0.push(value);
+    /// A copy of the values.
+    pub fn into_values(self) -> Vec<Value> {
+        self.0.to_vec()
     }
 
-    /// Consumes the row, returning its values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.0
+    /// Whether `self` and `other` are the same allocation (one is a
+    /// clone of the other), not merely equal.
+    pub fn ptr_eq(&self, other: &Row) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// A new row keeping only the columns at `indices`, in that order.
@@ -67,10 +77,15 @@ impl Row {
 
     /// Concatenates two rows (join output).
     pub fn concat(&self, right: &Row) -> Row {
-        let mut values = Vec::with_capacity(self.len() + right.len());
-        values.extend_from_slice(&self.0);
-        values.extend_from_slice(&right.0);
-        Row(values)
+        // An iterator of known length collects straight into the one
+        // allocation.
+        let (left, right) = (&*self.0, &*right.0);
+        let value = |i: usize| {
+            left.get(i)
+                .unwrap_or_else(|| &right[i - left.len()])
+                .clone()
+        };
+        (0..left.len() + right.len()).map(value).collect()
     }
 
     /// Total payload bytes (sum of [`Value::byte_size`]).
@@ -86,7 +101,7 @@ impl Row {
 
 impl From<Vec<Value>> for Row {
     fn from(values: Vec<Value>) -> Self {
-        Row(values)
+        Row(values.into())
     }
 }
 
@@ -99,6 +114,7 @@ impl FromIterator<Value> for Row {
 impl Index<usize> for Row {
     type Output = Value;
 
+    #[inline]
     fn index(&self, idx: usize) -> &Value {
         &self.0[idx]
     }
@@ -109,7 +125,7 @@ impl IntoIterator for Row {
     type IntoIter = std::vec::IntoIter<Value>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
+        self.into_values().into_iter()
     }
 }
 
@@ -119,12 +135,6 @@ impl<'a> IntoIterator for &'a Row {
 
     fn into_iter(self) -> Self::IntoIter {
         self.0.iter()
-    }
-}
-
-impl Extend<Value> for Row {
-    fn extend<T: IntoIterator<Item = Value>>(&mut self, iter: T) {
-        self.0.extend(iter);
     }
 }
 

@@ -122,6 +122,7 @@ impl Value {
     }
 
     /// Whether this is [`Value::Null`].
+    #[inline]
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
@@ -143,6 +144,7 @@ impl Value {
     }
 
     /// A numeric view: `Int`, `Float` and `Timestamp` cast to `f64`.
+    #[inline]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(v) | Value::Timestamp(v) => Some(*v as f64),
@@ -171,6 +173,7 @@ impl Value {
     ///
     /// Used by every cost model to account for bytes moved; must therefore
     /// stay cheap and deterministic.
+    #[inline]
     pub fn byte_size(&self) -> usize {
         match self {
             Value::Null => 1,
@@ -229,6 +232,7 @@ impl Value {
 }
 
 impl PartialEq for Value {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
@@ -237,12 +241,14 @@ impl PartialEq for Value {
 impl Eq for Value {}
 
 impl PartialOrd for Value {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         use Value::*;
         match (self, other) {
@@ -261,6 +267,7 @@ impl Ord for Value {
 }
 
 impl std::hash::Hash for Value {
+    #[inline]
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         std::mem::discriminant(self).hash(state);
         match self {

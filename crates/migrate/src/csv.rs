@@ -7,14 +7,12 @@ pub fn encode(batch: &Batch) -> String {
     let mut out = String::new();
     out.push_str(&batch.schema().names().join(","));
     out.push('\n');
-    for row in batch.to_rows() {
-        let mut first = true;
-        for v in row.values() {
-            if !first {
+    for r in 0..batch.num_rows() {
+        for c in 0..batch.schema().arity() {
+            if c > 0 {
                 out.push(',');
             }
-            first = false;
-            match v {
+            match batch.value(r, c) {
                 Value::Null => {}
                 Value::Str(s) => {
                     out.push('"');
@@ -105,7 +103,18 @@ fn parse_field(text: &str, quoted: bool, data_type: DataType) -> Result<Value> {
         DataType::Float => Value::Float(text.parse().map_err(|_| err("float"))?),
         DataType::Bool => Value::Bool(text.parse().map_err(|_| err("bool"))?),
         DataType::Str => Value::Str(text.to_owned()),
-        DataType::Bytes => Value::Bytes(text.as_bytes().to_vec()),
+        // `Value`'s display form: `0x` and two hex digits per byte.
+        DataType::Bytes => {
+            let hex = text.strip_prefix("0x").ok_or_else(|| err("bytes"))?;
+            let byte = |pair: &[u8]| {
+                let digits = std::str::from_utf8(pair).map_err(|_| err("bytes"))?;
+                u8::from_str_radix(digits, 16).map_err(|_| err("bytes"))
+            };
+            if hex.len() % 2 != 0 {
+                return Err(err("bytes"));
+            }
+            Value::Bytes(hex.as_bytes().chunks(2).map(byte).collect::<Result<_>>()?)
+        }
         DataType::Timestamp => Value::Timestamp(
             text.trim_start_matches('@')
                 .parse()

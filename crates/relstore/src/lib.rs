@@ -223,23 +223,41 @@ impl RelationalStore {
         projection: Option<&[&str]>,
     ) -> Result<Vec<Row>> {
         let t = self.table(table)?;
-        let (candidate_rows, index_used) = t.candidates(predicate)?;
-        let scanned = candidate_rows.len() as u64;
-        let mut out = Vec::new();
-        let mut scanned_bytes = 0u64;
-        for row in candidate_rows {
-            scanned_bytes += row.byte_size() as u64;
-            if predicate.eval(t.schema(), row)? {
-                out.push(row.clone());
+        let indexed = t.candidates(predicate);
+        let index_used = indexed.is_some();
+        let bound = predicate.bind(t.schema());
+        let mut kept: Vec<&Row> = Vec::new();
+        let mut visit = |row| -> Result<()> {
+            if bound.eval(row)? {
+                kept.push(row);
             }
-        }
-        if let Some(cols) = projection {
-            let idx: Vec<usize> = cols
-                .iter()
-                .map(|c| t.schema().require(c))
-                .collect::<Result<_>>()?;
-            out = out.iter().map(|r| r.project(&idx)).collect();
-        }
+            Ok(())
+        };
+        // A full scan reads the whole heap, whose size the table keeps.
+        let (scanned, scanned_bytes) = match indexed {
+            Some(candidates) => {
+                let bytes = candidates.iter().map(|r| r.byte_size() as u64).sum();
+                let scanned = candidates.len() as u64;
+                candidates.into_iter().try_for_each(&mut visit)?;
+                (scanned, bytes)
+            }
+            None => {
+                t.rows().iter().try_for_each(&mut visit)?;
+                (t.len() as u64, t.byte_size())
+            }
+        };
+        // A kept row is shared with the table; a projected one is the
+        // scan's only copy.
+        let out = match projection {
+            Some(cols) => {
+                let idx: Vec<usize> = cols
+                    .iter()
+                    .map(|c| t.schema().require(c))
+                    .collect::<Result<_>>()?;
+                kept.into_iter().map(|r| r.project(&idx)).collect()
+            }
+            None => kept.into_iter().cloned().collect(),
+        };
         let cycles = if index_used {
             // B-tree descent + candidate fetch.
             (scanned * 40).max(60)

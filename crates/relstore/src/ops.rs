@@ -96,16 +96,23 @@ impl AggregateSpec {
     }
 }
 
-/// Filters rows by a predicate.
+/// Filters rows by a predicate, bound to the schema once. Takes the
+/// rows owned or borrowed; a kept row is shared with the input, not
+/// copied.
 ///
 /// # Errors
 ///
 /// Propagates predicate evaluation errors (unknown columns).
-pub fn filter_rows(schema: &Schema, rows: Vec<Row>, predicate: &Predicate) -> Result<Vec<Row>> {
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        if predicate.eval(schema, &row)? {
-            out.push(row);
+pub fn filter_rows(
+    schema: &Schema,
+    rows: impl AsRef<[Row]>,
+    predicate: &Predicate,
+) -> Result<Vec<Row>> {
+    let bound = predicate.bind(schema);
+    let mut out = Vec::new();
+    for row in rows.as_ref() {
+        if bound.eval(row)? {
+            out.push(row.clone());
         }
     }
     Ok(out)
@@ -168,20 +175,32 @@ pub fn hash_join(
     let ri = right_schema.require(right_on)?;
     let out_schema = left_schema.join(right_schema);
 
-    // Build on the smaller side conceptually; here build on right.
-    let mut table: HashMap<&Value, Vec<&Row>> = HashMap::new();
-    for r in right {
+    // Build on the right side. Rows sharing a key form a chain through
+    // `next` in build order, so a probe walks its matches in the order
+    // they were inserted without a list allocated per key.
+    const END: usize = usize::MAX;
+    let mut next = vec![END; right.len()];
+    let mut chains: HashMap<&Value, (usize, usize)> = HashMap::with_capacity(right.len());
+    for (pos, r) in right.iter().enumerate() {
         if !r[ri].is_null() {
-            table.entry(&r[ri]).or_default().push(r);
+            chains
+                .entry(&r[ri])
+                .and_modify(|(_, last)| {
+                    next[*last] = pos;
+                    *last = pos;
+                })
+                .or_insert((pos, pos));
         }
     }
     let mut out = Vec::new();
     let null_right = Row::from(vec![Value::Null; right_schema.arity()]);
     for l in left {
-        match table.get(&l[li]) {
-            Some(matches) if !l[li].is_null() => {
-                for r in matches {
-                    out.push(l.concat(r));
+        match chains.get(&l[li]) {
+            Some(&(first, _)) if !l[li].is_null() => {
+                let mut pos = first;
+                while pos != END {
+                    out.push(l.concat(&right[pos]));
+                    pos = next[pos];
                 }
             }
             _ => {
@@ -214,7 +233,7 @@ pub fn hash_join_match_counts(
 ) -> Result<Vec<usize>> {
     let li = left_schema.require(left_on)?;
     let ri = right_schema.require(right_on)?;
-    let mut table: HashMap<&Value, usize> = HashMap::new();
+    let mut table: HashMap<&Value, usize> = HashMap::with_capacity(right.len());
     for r in right {
         if !r[ri].is_null() {
             *table.entry(&r[ri]).or_default() += 1;
@@ -230,6 +249,66 @@ pub fn hash_join_match_counts(
             }
         })
         .collect())
+}
+
+/// The key columns of one row, hashed and compared in place: grouping
+/// looks a row up by this view and builds nothing per row.
+#[derive(Clone, Copy)]
+struct GroupKey<'a> {
+    row: &'a Row,
+    columns: &'a [usize],
+}
+
+impl GroupKey<'_> {
+    fn values(&self) -> impl Iterator<Item = &Value> {
+        self.columns.iter().map(|&c| &self.row[c])
+    }
+}
+
+impl std::hash::Hash for GroupKey<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.values().for_each(|v| v.hash(state));
+    }
+}
+
+impl PartialEq for GroupKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.values().eq(other.values())
+    }
+}
+
+impl Eq for GroupKey<'_> {}
+
+/// Rows grouped by key columns, groups numbered in first-seen order.
+struct Groups<'a> {
+    columns: &'a [usize],
+    index: HashMap<GroupKey<'a>, usize>,
+    /// The first row seen of each group: its key columns are the
+    /// group's key.
+    firsts: Vec<&'a Row>,
+}
+
+impl<'a> Groups<'a> {
+    fn new(columns: &'a [usize]) -> Self {
+        Groups {
+            columns,
+            index: HashMap::new(),
+            firsts: Vec::new(),
+        }
+    }
+
+    /// The group `row` belongs to; a group not seen before gets the
+    /// next number (`firsts.len()` before the call).
+    fn group_of(&mut self, row: &'a Row) -> usize {
+        let key = GroupKey {
+            row,
+            columns: self.columns,
+        };
+        *self.index.entry(key).or_insert_with(|| {
+            self.firsts.push(row);
+            self.firsts.len() - 1
+        })
+    }
 }
 
 /// Merges per-shard partial-aggregation states back into the final
@@ -300,17 +379,18 @@ pub fn merge_group_partials(
             .ok_or_else(|| Error::SchemaMismatch(format!("expected numeric partial, got {v:?}")))
     };
 
-    let mut groups: HashMap<Vec<Value>, Vec<MergeAcc>> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
+    let key_columns: Vec<usize> = (0..key_count).collect();
+    let mut groups = Groups::new(&key_columns);
+    // One state per (group, aggregate), group-major.
+    let mut accs: Vec<MergeAcc> = Vec::new();
     for row in partial_rows {
-        let key: Vec<Value> = (0..key_count).map(|i| row[i].clone()).collect();
-        let accs = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key.clone());
-            aggs.iter().map(fresh).collect()
-        });
+        let g = groups.group_of(row);
+        if g * aggs.len() == accs.len() {
+            accs.extend(aggs.iter().map(fresh));
+        }
         let mut col = key_count;
-        for (a, spec) in aggs.iter().enumerate() {
-            match &mut accs[a] {
+        for (acc, spec) in accs[g * aggs.len()..].iter_mut().zip(aggs) {
+            match acc {
                 MergeAcc::Ints(n) => *n += int_state(&row[col])?,
                 MergeAcc::Floats(s) => *s += float_state(&row[col])?,
                 MergeAcc::Ratio(s, n) => {
@@ -335,21 +415,22 @@ pub fn merge_group_partials(
         }
     }
 
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        let accs = &groups[&key];
-        let mut row: Vec<Value> = key;
-        for acc in accs {
-            row.push(match acc {
-                MergeAcc::Ints(n) => Value::Int(*n),
-                MergeAcc::Floats(s) => Value::Float(*s),
+    let mut accs = accs.into_iter();
+    let out = groups
+        .firsts
+        .iter()
+        .map(|first| {
+            let keys = first.values()[..key_count].iter().cloned();
+            let finals = accs.by_ref().take(aggs.len()).map(|acc| match acc {
+                MergeAcc::Ints(n) => Value::Int(n),
+                MergeAcc::Floats(s) => Value::Float(s),
                 MergeAcc::Ratio(_, 0) => Value::Null,
-                MergeAcc::Ratio(s, n) => Value::Float(s / *n as f64),
-                MergeAcc::Extremum(m) => m.clone().unwrap_or(Value::Null),
+                MergeAcc::Ratio(s, n) => Value::Float(s / n as f64),
+                MergeAcc::Extremum(m) => m.unwrap_or(Value::Null),
             });
-        }
-        out.push(Row::from(row));
-    }
+            keys.chain(finals).collect()
+        })
+        .collect();
     Ok((out_schema, out))
 }
 
@@ -456,31 +537,30 @@ pub fn group_by(
     }
     let out_schema = Schema::from_fields(out_fields);
 
-    #[derive(Clone)]
+    /// One aggregate's running state within one group.
+    #[derive(Clone, Default)]
     struct Acc {
+        /// Sum of the non-null numeric values (`Sum`, `Avg`).
+        sum: f64,
+        /// Non-null values seen (`Avg`, `CountNonNull`).
         count: i64,
-        sums: Vec<f64>,
-        mins: Vec<Option<Value>>,
-        maxs: Vec<Option<Value>>,
-        counts: Vec<i64>,
+        /// Current minimum or maximum (`Min`, `Max`).
+        extremum: Option<Value>,
     }
-    let mut groups: HashMap<Vec<Value>, Acc> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
+    let mut groups = Groups::new(&key_idx);
+    let mut group_rows_seen: Vec<i64> = Vec::new();
+    // One state per (group, aggregate), group-major.
+    let mut accs: Vec<Acc> = Vec::new();
 
     for row in rows {
-        let key: Vec<Value> = key_idx.iter().map(|&i| row[i].clone()).collect();
-        let acc = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key.clone());
-            Acc {
-                count: 0,
-                sums: vec![0.0; aggs.len()],
-                mins: vec![None; aggs.len()],
-                maxs: vec![None; aggs.len()],
-                counts: vec![0; aggs.len()],
-            }
-        });
-        acc.count += 1;
-        for (a, (spec, idx)) in aggs.iter().zip(&agg_idx).enumerate() {
+        let g = groups.group_of(row);
+        if g == group_rows_seen.len() {
+            group_rows_seen.push(0);
+            accs.resize(accs.len() + aggs.len(), Acc::default());
+        }
+        group_rows_seen[g] += 1;
+        let group_accs = &mut accs[g * aggs.len()..];
+        for ((acc, spec), idx) in group_accs.iter_mut().zip(aggs).zip(&agg_idx) {
             let Some(idx) = idx else { continue };
             let v = &row[*idx];
             if v.is_null() {
@@ -491,55 +571,53 @@ pub fn group_by(
                     let x = v.as_f64().ok_or_else(|| {
                         Error::SchemaMismatch(format!("cannot aggregate {v:?} numerically"))
                     })?;
-                    acc.sums[a] += x;
-                    acc.counts[a] += 1;
+                    acc.sum += x;
+                    acc.count += 1;
                 }
                 Aggregate::Min => {
-                    if acc.mins[a].as_ref().is_none_or(|m| v < m) {
-                        acc.mins[a] = Some(v.clone());
+                    if acc.extremum.as_ref().is_none_or(|m| v < m) {
+                        acc.extremum = Some(v.clone());
                     }
                 }
                 Aggregate::Max => {
-                    if acc.maxs[a].as_ref().is_none_or(|m| v > m) {
-                        acc.maxs[a] = Some(v.clone());
+                    if acc.extremum.as_ref().is_none_or(|m| v > m) {
+                        acc.extremum = Some(v.clone());
                     }
                 }
-                Aggregate::CountNonNull => acc.counts[a] += 1,
+                Aggregate::CountNonNull => acc.count += 1,
                 Aggregate::Count => {}
             }
         }
     }
 
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        let acc = &groups[&key];
-        let mut row: Vec<Value> = key.clone();
-        for (a, spec) in aggs.iter().enumerate() {
-            row.push(match spec.agg {
-                Aggregate::Count => Value::Int(acc.count),
-                Aggregate::Sum => Value::Float(acc.sums[a]),
-                Aggregate::Avg => {
-                    if acc.counts[a] == 0 {
-                        Value::Null
-                    } else {
-                        Value::Float(acc.sums[a] / acc.counts[a] as f64)
-                    }
-                }
-                Aggregate::Min => acc.mins[a].clone().unwrap_or(Value::Null),
-                Aggregate::Max => acc.maxs[a].clone().unwrap_or(Value::Null),
-                Aggregate::CountNonNull => Value::Int(acc.counts[a]),
-            });
-        }
-        out.push(Row::from(row));
-    }
+    let mut accs = accs.into_iter();
+    let out = groups
+        .firsts
+        .iter()
+        .zip(group_rows_seen)
+        .map(|(first, seen)| {
+            let keys = key_idx.iter().map(|&i| first[i].clone());
+            let finals =
+                accs.by_ref()
+                    .take(aggs.len())
+                    .zip(aggs)
+                    .map(|(acc, spec)| match spec.agg {
+                        Aggregate::Count => Value::Int(seen),
+                        Aggregate::Sum => Value::Float(acc.sum),
+                        Aggregate::Avg if acc.count == 0 => Value::Null,
+                        Aggregate::Avg => Value::Float(acc.sum / acc.count as f64),
+                        Aggregate::Min | Aggregate::Max => acc.extremum.unwrap_or(Value::Null),
+                        Aggregate::CountNonNull => Value::Int(acc.count),
+                    });
+            keys.chain(finals).collect()
+        })
+        .collect();
     Ok((out_schema, out))
 }
 
-/// Limits rows to the first `n`.
-pub fn limit(rows: Vec<Row>, n: usize) -> Vec<Row> {
-    let mut rows = rows;
-    rows.truncate(n);
-    rows
+/// The first `n` rows (all of them when there are fewer).
+pub fn limit(rows: &[Row], n: usize) -> Vec<Row> {
+    rows[..n.min(rows.len())].to_vec()
 }
 
 #[cfg(test)]
@@ -732,7 +810,7 @@ mod tests {
         let (ps, p) = project(&s, &f, &["b"]).unwrap();
         assert_eq!(ps.arity(), 1);
         assert_eq!(p[0], row![25i64]);
-        assert_eq!(limit(p, 2).len(), 2);
+        assert_eq!(limit(&p, 2).len(), 2);
     }
 
     #[test]

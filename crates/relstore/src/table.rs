@@ -12,6 +12,9 @@ pub struct Table {
     name: String,
     schema: Schema,
     rows: Vec<Row>,
+    /// Payload bytes of `rows`, kept current by every write so a full
+    /// scan prices the heap without walking it.
+    byte_size: u64,
     /// column name -> (value -> row positions)
     indexes: BTreeMap<String, BTreeMap<Value, Vec<usize>>>,
 }
@@ -23,6 +26,7 @@ impl Table {
             name: name.into(),
             schema,
             rows: Vec::new(),
+            byte_size: 0,
             indexes: BTreeMap::new(),
         }
     }
@@ -64,6 +68,7 @@ impl Table {
             let idx = self.schema.require(col)?;
             index.entry(row[idx].clone()).or_default().push(pos);
         }
+        self.byte_size += row.byte_size() as u64;
         self.rows.push(row);
         Ok(())
     }
@@ -108,6 +113,7 @@ impl Table {
         for row in &rows {
             self.schema.check_row(row)?;
         }
+        self.byte_size = rows.iter().map(|r| r.byte_size() as u64).sum();
         self.rows = rows;
         let columns = self.indexed_columns();
         for col in columns {
@@ -116,41 +122,28 @@ impl Table {
         Ok(())
     }
 
-    /// Candidate rows for a predicate: the index-selected subset when the
-    /// predicate has usable bounds on an indexed column, otherwise every
-    /// row. The boolean reports whether an index was used.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`pspp_common::Error::ColumnNotFound`] if the predicate
-    /// references unknown columns at bound-extraction time.
-    pub fn candidates(&self, predicate: &Predicate) -> Result<(Vec<&Row>, bool)> {
-        if let Some((column, lo, hi)) = predicate.index_bounds() {
-            if let Some(index) = self.indexes.get(column) {
-                let range: Vec<&Row> = match (lo, hi) {
-                    (Some(lo), Some(hi)) => index
-                        .range(lo.clone()..=hi.clone())
-                        .flat_map(|(_, ps)| ps.iter().map(|&p| &self.rows[p]))
-                        .collect(),
-                    (Some(lo), None) => index
-                        .range(lo.clone()..)
-                        .flat_map(|(_, ps)| ps.iter().map(|&p| &self.rows[p]))
-                        .collect(),
-                    (None, Some(hi)) => index
-                        .range(..=hi.clone())
-                        .flat_map(|(_, ps)| ps.iter().map(|&p| &self.rows[p]))
-                        .collect(),
-                    (None, None) => self.rows.iter().collect(),
-                };
-                return Ok((range, true));
-            }
-        }
-        Ok((self.rows.iter().collect(), false))
+    /// The index-selected candidate rows for a predicate, when it has
+    /// usable bounds on an indexed column; `None` means no index
+    /// applies and the caller scans [`Table::rows`].
+    pub fn candidates(&self, predicate: &Predicate) -> Option<Vec<&Row>> {
+        let (column, lo, hi) = predicate.index_bounds()?;
+        let index = self.indexes.get(column)?;
+        let rows_at = |hits: &mut dyn Iterator<Item = (&Value, &Vec<usize>)>| {
+            hits.flat_map(|(_, positions)| positions)
+                .map(|&p| &self.rows[p])
+                .collect()
+        };
+        Some(match (lo, hi) {
+            (Some(lo), Some(hi)) => rows_at(&mut index.range(lo..=hi)),
+            (Some(lo), None) => rows_at(&mut index.range(lo..)),
+            (None, Some(hi)) => rows_at(&mut index.range(..=hi)),
+            (None, None) => self.rows.iter().collect(),
+        })
     }
 
     /// Total payload bytes.
     pub fn byte_size(&self) -> u64 {
-        self.rows.iter().map(|r| r.byte_size() as u64).sum()
+        self.byte_size
     }
 }
 
@@ -175,17 +168,14 @@ mod tests {
         let mut t = table();
         t.create_index("k").unwrap();
         let p = Predicate::between("k", 10i64, 19i64);
-        let (cands, used) = t.candidates(&p).unwrap();
-        assert!(used);
+        let cands = t.candidates(&p).expect("index used");
         assert_eq!(cands.len(), 10);
     }
 
     #[test]
     fn no_index_means_full_scan() {
         let t = table();
-        let (cands, used) = t.candidates(&Predicate::eq("k", 5i64)).unwrap();
-        assert!(!used);
-        assert_eq!(cands.len(), 100);
+        assert!(t.candidates(&Predicate::eq("k", 5i64)).is_none());
     }
 
     #[test]
@@ -193,8 +183,9 @@ mod tests {
         let mut t = table();
         t.create_index("k").unwrap();
         t.insert(row![100i64, "new"]).unwrap();
-        let (cands, used) = t.candidates(&Predicate::eq("k", 100i64)).unwrap();
-        assert!(used);
+        let cands = t
+            .candidates(&Predicate::eq("k", 100i64))
+            .expect("index used");
         assert_eq!(cands.len(), 1);
         assert_eq!(cands[0][1], Value::from("new"));
     }
@@ -203,9 +194,9 @@ mod tests {
     fn open_ranges() {
         let mut t = table();
         t.create_index("k").unwrap();
-        let (ge, _) = t.candidates(&Predicate::ge("k", 95i64)).unwrap();
+        let ge = t.candidates(&Predicate::ge("k", 95i64)).unwrap();
         assert_eq!(ge.len(), 5);
-        let (lt, _) = t.candidates(&Predicate::lt("k", 5i64)).unwrap();
+        let lt = t.candidates(&Predicate::lt("k", 5i64)).unwrap();
         // `Lt` bounds are inclusive at candidate level; the predicate
         // itself re-filters exactly.
         assert!(lt.len() >= 5 && lt.len() <= 6);
@@ -218,13 +209,26 @@ mod tests {
         t.replace_rows(vec![row![7i64, "seven"], row![8i64, "eight"]])
             .unwrap();
         assert_eq!(t.len(), 2);
-        let (cands, used) = t.candidates(&Predicate::eq("k", 8i64)).unwrap();
-        assert!(used);
+        let cands = t.candidates(&Predicate::eq("k", 8i64)).expect("index used");
         assert_eq!(cands.len(), 1);
         assert_eq!(cands[0][1], Value::from("eight"));
         // A bad row leaves the previous contents in place.
         assert!(t.replace_rows(vec![row!["oops", "v"]]).is_err());
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn byte_size_tracks_every_write() {
+        let walked = |t: &Table| t.rows().iter().map(|r| r.byte_size() as u64).sum::<u64>();
+        let mut t = table();
+        assert_eq!(t.byte_size(), walked(&t));
+        t.insert(row![100i64, "a longer value"]).unwrap();
+        assert_eq!(t.byte_size(), walked(&t));
+        t.replace_rows(vec![row![7i64, "seven"]]).unwrap();
+        assert_eq!(t.byte_size(), 8 + 5);
+        assert!(t.insert(row!["oops", "v"]).is_err());
+        assert!(t.replace_rows(vec![row!["oops", "v"]]).is_err());
+        assert_eq!(t.byte_size(), 8 + 5);
     }
 
     #[test]

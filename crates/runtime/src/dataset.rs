@@ -1,7 +1,85 @@
 //! Datasets: the values flowing along IR edges at runtime.
 
+use std::sync::{Arc, OnceLock};
+
 use pspp_common::{DataModel, EngineId, Error, Result, Row, Schema};
 use pspp_mlengine::Mlp;
+
+/// A dataset's rows: one immutable buffer shared by every clone.
+///
+/// Cloning is a reference-count bump, so a dataset handed to several
+/// consumers (task inputs, per-shard partials, forwards, report
+/// outputs) is never copied. Reading derefs to `[Row]`;
+/// [`RowBuf::make_mut`] is the one way to write, and copies the buffer
+/// first when anyone else still holds it.
+#[derive(Clone, Default)]
+pub struct RowBuf(Arc<Shared>);
+
+#[derive(Clone, Default)]
+struct Shared {
+    rows: Vec<Row>,
+    /// Payload bytes of `rows`, summed on first use: every clone of the
+    /// buffer prices the same rows, so they are walked once.
+    byte_size: OnceLock<u64>,
+}
+
+impl RowBuf {
+    /// Payload bytes (sum of [`Row::byte_size`]).
+    pub fn byte_size(&self) -> u64 {
+        let sum = || self.iter().map(|r| r.byte_size() as u64).sum();
+        *self.0.byte_size.get_or_init(sum)
+    }
+
+    /// The rows for writing. A buffer shared with other holders is
+    /// copied first (row pointers, not values), so they never see the
+    /// change.
+    pub fn make_mut(&mut self) -> &mut Vec<Row> {
+        let shared = Arc::make_mut(&mut self.0);
+        shared.byte_size = OnceLock::new();
+        &mut shared.rows
+    }
+
+    /// Whether `self` and `other` are one buffer (clones of each
+    /// other), not merely equal.
+    pub fn ptr_eq(&self, other: &RowBuf) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+/// Renders as the list of rows: result digests hash a dataset's debug
+/// form, which must not depend on who shares the buffer or on whether
+/// its size has been asked for yet.
+impl std::fmt::Debug for RowBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl std::ops::Deref for RowBuf {
+    type Target = [Row];
+
+    fn deref(&self) -> &[Row] {
+        &self.0.rows
+    }
+}
+
+impl From<Vec<Row>> for RowBuf {
+    fn from(rows: Vec<Row>) -> Self {
+        RowBuf(Arc::new(Shared {
+            rows,
+            byte_size: OnceLock::new(),
+        }))
+    }
+}
+
+impl<'a> IntoIterator for &'a RowBuf {
+    type Item = &'a Row;
+    type IntoIter = std::slice::Iter<'a, Row>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
 
 /// What a dataset holds.
 #[derive(Debug, Clone)]
@@ -11,7 +89,7 @@ pub enum Payload {
         /// Row schema.
         schema: Schema,
         /// The rows.
-        rows: Vec<Row>,
+        rows: RowBuf,
     },
     /// A trained model (output of `TrainMlp`).
     Model(Box<Mlp>),
@@ -33,7 +111,10 @@ impl Dataset {
     /// A relational rows dataset.
     pub fn rows(schema: Schema, rows: Vec<Row>, model: DataModel, location: EngineId) -> Self {
         Dataset {
-            payload: Payload::Rows { schema, rows },
+            payload: Payload::Rows {
+                schema,
+                rows: rows.into(),
+            },
             model,
             location,
         }
@@ -91,7 +172,7 @@ impl Dataset {
     /// Payload bytes.
     pub fn byte_size(&self) -> u64 {
         match &self.payload {
-            Payload::Rows { rows, .. } => rows.iter().map(|r| r.byte_size() as u64).sum(),
+            Payload::Rows { rows, .. } => rows.byte_size(),
             Payload::Model(m) => (m.parameter_count() * 8) as u64,
         }
     }

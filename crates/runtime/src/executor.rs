@@ -51,7 +51,7 @@ use pspp_migrate::{MigrationPath, Migrator};
 use pspp_relstore::ops as relops;
 use pspp_telemetry::{ExchangeTrace, MetricsRegistry, NodeTrace, TaskTrace};
 
-use crate::dataset::{Dataset, Payload};
+use crate::dataset::{Dataset, Payload, RowBuf};
 use crate::physical::{AdapterRegistry, Charger, ExecCtx, Placer};
 use crate::registry::EngineRegistry;
 
@@ -206,20 +206,23 @@ struct NodeRun {
 
 impl NodeRun {
     /// Folds the next shard's partial into this run (shard-ordered
-    /// gather): rows concatenate in shard order, simulated execution
-    /// and critical-path time are the slowest replica's (shards run on
-    /// distinct engine replicas in parallel, each migrating its own
-    /// partial), total migration work and cost events accumulate.
+    /// gather): rows concatenate in shard order, by pointer; simulated
+    /// execution and critical-path time are the slowest replica's
+    /// (shards run on distinct engine replicas in parallel, each
+    /// migrating its own partial), total migration work and cost events
+    /// accumulate.
     fn absorb(&mut self, next: NodeRun) -> Result<()> {
         let (Payload::Rows { rows, .. }, Payload::Rows { rows: more, .. }) =
-            (&mut self.output.payload, next.output.payload)
+            (&mut self.output.payload, &next.output.payload)
         else {
             return Err(Error::Execution(format!(
                 "sharded node {} produced a non-row partial",
                 self.id
             )));
         };
-        rows.extend(more);
+        // Copy-on-write: a partial some consumer still reads keeps its
+        // own buffer; the gathered copy shares the rows themselves.
+        rows.make_mut().extend_from_slice(more);
         self.exec_seconds = self.exec_seconds.max(next.exec_seconds);
         self.migration_seconds += next.migration_seconds;
         self.critical_seconds = self.critical_seconds.max(next.critical_seconds);
@@ -477,10 +480,10 @@ impl Executor {
         // tags: same indices as the plan's chains, members in chain
         // position order, savings summed from the charger's resident-
         // link discounts.
-        let mut executed_chains: std::collections::BTreeMap<
-            usize,
-            Vec<(usize, NodeId, ShardId, DeviceKind, f64)>,
-        > = std::collections::BTreeMap::new();
+        /// (chain position, node, shard, device, saved seconds).
+        type ChainMember = (usize, NodeId, ShardId, DeviceKind, f64);
+        let mut executed_chains: std::collections::BTreeMap<usize, Vec<ChainMember>> =
+            std::collections::BTreeMap::new();
         let mut queue_wait_seconds = 0.0f64;
         for trace in &traces {
             for task in &trace.tasks {
@@ -702,6 +705,7 @@ impl Executor {
                 ExchangeKind::ShuffleHash { key, width: w } => {
                     let schema = d.schema()?;
                     let rows = d.try_rows()?;
+                    let edge_bytes = d.byte_size();
                     let copy_key = if self.materialize {
                         pspp_ir::shuffle_copy_key(program, *input, key, *w)
                     } else {
@@ -717,16 +721,16 @@ impl Executor {
                     let buckets = match served {
                         Some(buckets) => {
                             served_rows += rows.len() as u64;
-                            served_bytes += d.byte_size();
+                            served_bytes += edge_bytes;
                             buckets
                         }
                         None => {
                             let target = Distribution::repartition(key.clone(), *w);
                             let buckets = target.route_indices(schema, rows)?;
-                            bytes += d.byte_size();
+                            bytes += edge_bytes;
                             routed_rows += rows.len() as u64;
                             if let Some(k) = copy_key {
-                                routed_copies.push((k, buckets.clone(), d.byte_size()));
+                                routed_copies.push((k, buckets.clone(), edge_bytes));
                             }
                             buckets
                         }
@@ -1011,18 +1015,24 @@ impl Executor {
         group: Vec<NodeRun>,
         barrier: &ShuffleBarrier,
     ) -> Result<NodeRun> {
-        let mut tagged: Vec<(usize, Vec<Row>)> = Vec::new();
+        // (global probe index, destination, offset, length) of every
+        // probe row's output chunk.
+        let mut chunks: Vec<(usize, usize, usize, usize)> = Vec::new();
+        let mut outputs: Vec<RowBuf> = Vec::with_capacity(group.len());
         let mut acc: Option<NodeRun> = None;
         for (d, mut run) in group.into_iter().enumerate() {
             let counts = run.probe_counts.take().ok_or_else(|| {
                 Error::Execution(format!("shuffled task of {id} reported no match counts"))
             })?;
-            let out_rows = run.output.try_rows()?;
+            let Payload::Rows { rows: out_rows, .. } = &run.output.payload else {
+                return Err(Error::Execution(format!(
+                    "shuffled node {id} produced a non-row output"
+                )));
+            };
             let mut offset = 0usize;
-            for (row_in_bucket, &origin) in barrier.probe_origins[d].iter().enumerate() {
-                let n = counts[row_in_bucket];
+            for (&origin, &n) in barrier.probe_origins[d].iter().zip(&counts) {
                 if n > 0 {
-                    tagged.push((origin, out_rows[offset..offset + n].to_vec()));
+                    chunks.push((origin, d, offset, n));
                     offset += n;
                 }
             }
@@ -1032,6 +1042,7 @@ impl Executor {
                     out_rows.len()
                 )));
             }
+            outputs.push(out_rows.clone());
             match &mut acc {
                 None => acc = Some(run),
                 Some(first) => {
@@ -1047,15 +1058,18 @@ impl Executor {
             }
         }
         let mut run = acc.expect("every shuffled node has at least one task");
-        // Splice in probe order: each origin index is unique, and a
-        // stable sort keeps its chunk contiguous.
-        tagged.sort_by_key(|(origin, _)| *origin);
-        let Payload::Rows { rows, .. } = &mut run.output.payload else {
-            return Err(Error::Execution(format!(
-                "shuffled node {id} produced a non-row output"
-            )));
-        };
-        *rows = tagged.into_iter().flat_map(|(_, chunk)| chunk).collect();
+        // Splice in probe order: each probe row sits in one bucket, so
+        // the origins are distinct. The spliced buffer is new (the
+        // per-destination outputs may be retained as partials) and
+        // shares their rows.
+        chunks.sort_unstable_by_key(|&(origin, ..)| origin);
+        let mut spliced = Vec::with_capacity(outputs.iter().map(|o| o.len()).sum());
+        for (_, d, offset, n) in chunks {
+            spliced.extend_from_slice(&outputs[d][offset..offset + n]);
+        }
+        if let Payload::Rows { rows, .. } = &mut run.output.payload {
+            *rows = spliced.into();
+        }
         // The exchange rides the node's critical path and charges its
         // rows as migration-class transfer work.
         run.migration_seconds += barrier.seconds + barrier.store_seconds;
@@ -1286,9 +1300,7 @@ impl Executor {
         } else {
             Charger::new(fleet)
                 .with_metrics(self.metrics.as_ref())
-                .with_resident_link(
-                    fused.filter(|tag| tag.pos > 0).map(|_| &resident_link),
-                )
+                .with_resident_link(fused.filter(|tag| tag.pos > 0).map(|_| &resident_link))
                 .charge_detailed(&scoped_ledger, op, device, work_rows as u64, work_bytes, id)
         };
         // A contended device serves this slot after its queue wait; the

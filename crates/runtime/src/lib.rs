@@ -24,7 +24,7 @@ pub mod executor;
 pub mod physical;
 pub mod registry;
 
-pub use dataset::{Dataset, Payload};
+pub use dataset::{Dataset, Payload, RowBuf};
 pub use executor::{ExecutionReport, Executor};
 pub use physical::{AdapterRegistry, Charger, EngineAdapter, ExecCtx, Placer};
 pub use registry::{EngineInstance, EngineRegistry, RebalanceReport, ShardedRegistry};

@@ -67,7 +67,7 @@ impl EngineAdapter for RelationalAdapter {
             }
             Operator::Filter { predicate } => {
                 let d = &inputs[0];
-                let rows = ops::filter_rows(d.schema()?, d.try_rows()?.to_vec(), predicate)?;
+                let rows = ops::filter_rows(d.schema()?, d.try_rows()?, predicate)?;
                 Ok(Dataset::rows(d.schema()?.clone(), rows, d.model, loc(d)))
             }
             Operator::Project { columns } => {
@@ -85,6 +85,7 @@ impl EngineAdapter for RelationalAdapter {
                         ascending: k.ascending,
                     })
                     .collect();
+                // The sort owns the one reordered copy (row pointers).
                 let rows = ops::sort_rows(d.schema()?, d.try_rows()?.to_vec(), &sort_keys)?;
                 Ok(Dataset::rows(d.schema()?.clone(), rows, d.model, loc(d)))
             }
@@ -127,8 +128,12 @@ impl EngineAdapter for RelationalAdapter {
             }
             Operator::Limit { n } => {
                 let d = &inputs[0];
-                let rows = ops::limit(d.try_rows()?.to_vec(), *n);
-                Ok(Dataset::rows(d.schema()?.clone(), rows, d.model, loc(d)))
+                let rows = d.try_rows()?;
+                Ok(if *n >= rows.len() {
+                    d.clone()
+                } else {
+                    Dataset::rows(d.schema()?.clone(), ops::limit(rows, *n), d.model, loc(d))
+                })
             }
             other => unsupported(self, other),
         }

@@ -303,7 +303,7 @@ impl Placer {
                         .get(target)
                         .map(|e| e.kind().native_model())
                         .unwrap_or(d.model);
-                    let batch = Batch::from_rows(schema, rows.clone()).map_err(|e| {
+                    let batch = Batch::from_slice(schema, rows).map_err(|e| {
                         Error::Migration(format!("cannot batch rows for migration: {e}"))
                     })?;
                     let (rows2, report) = self

@@ -1,0 +1,250 @@
+//! The relational data plane shares rows instead of copying them. These
+//! tests hold the two things sharing must never change: what a reader
+//! sees (copy-on-write is observable, aliasing is not) and what a query
+//! answers on any shard layout.
+
+use polystorepp::accel::CostLedger;
+use polystorepp::common::PartitionSpec;
+use polystorepp::ir::{NodeId, Operator, Program};
+use polystorepp::prelude::*;
+use polystorepp::relstore::{ops, RelationalStore};
+use polystorepp::runtime::{Dataset, EngineInstance, EngineRegistry, Executor, Payload, Placer};
+
+fn row_buf(d: &Dataset) -> &polystorepp::runtime::RowBuf {
+    match &d.payload {
+        Payload::Rows { rows, .. } => rows,
+        Payload::Model(_) => panic!("a rows dataset"),
+    }
+}
+
+fn sorted_rows(d: &Dataset) -> Vec<Row> {
+    let mut rows = d.try_rows().expect("a rows dataset").to_vec();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn cloned_dataset_shares_its_buffer_until_one_side_writes() {
+    let schema = Schema::new(vec![("k", DataType::Int), ("s", DataType::Str)]);
+    let rows: Vec<Row> = (0..8i64).map(|i| row![i, format!("r{i}")]).collect();
+    let original = Dataset::rows(
+        schema.clone(),
+        rows.clone(),
+        DataModel::Relational,
+        EngineId::new("db1"),
+    );
+    let mut copy = original.clone();
+    assert!(row_buf(&original).ptr_eq(row_buf(&copy)));
+    let bytes = original.byte_size();
+    assert_eq!(copy.byte_size(), bytes);
+
+    // Operators that keep a row hand it on by pointer.
+    let kept = ops::filter_rows(
+        &schema,
+        original.try_rows().unwrap(),
+        &Predicate::ge("k", 6i64),
+    )
+    .unwrap();
+    assert_eq!(kept.len(), 2);
+    assert!(kept[0].ptr_eq(&original.try_rows().unwrap()[6]));
+
+    // A write copies the buffer first: the other holder sees nothing.
+    let Payload::Rows { rows: buf, .. } = &mut copy.payload else {
+        unreachable!("a rows dataset");
+    };
+    buf.make_mut().push(row![8i64, "r8"]);
+    assert!(!row_buf(&original).ptr_eq(row_buf(&copy)));
+    assert_eq!(original.try_rows().unwrap(), rows.as_slice());
+    assert_eq!(original.byte_size(), bytes);
+    assert_eq!(copy.len(), 9);
+    assert_eq!(copy.byte_size(), bytes + 8 + 2);
+    // The rows themselves are still shared.
+    assert!(copy.try_rows().unwrap()[0].ptr_eq(&original.try_rows().unwrap()[0]));
+}
+
+/// `db1.admissions(pid, age)` and `db2.patients(pid, name)`, 200 rows
+/// each.
+fn two_engine_registry() -> EngineRegistry {
+    let mut r = EngineRegistry::new();
+    let mut db1 = RelationalStore::new("db1");
+    db1.create_table(
+        "admissions",
+        Schema::new(vec![("pid", DataType::Int), ("age", DataType::Int)]),
+    )
+    .unwrap();
+    db1.insert(
+        "admissions",
+        (0..200i64).map(|i| row![i, 20 + i % 60]).collect(),
+    )
+    .unwrap();
+    let mut db2 = RelationalStore::new("db2");
+    db2.create_table(
+        "patients",
+        Schema::new(vec![("pid", DataType::Int), ("name", DataType::Str)]),
+    )
+    .unwrap();
+    db2.insert(
+        "patients",
+        (0..200i64).map(|i| row![i, format!("p{i}")]).collect(),
+    )
+    .unwrap();
+    r.register(EngineId::new("db1"), EngineInstance::Relational(db1))
+        .unwrap();
+    r.register(EngineId::new("db2"), EngineInstance::Relational(db2))
+        .unwrap();
+    r
+}
+
+/// Both scans and their join, all three marked as outputs: the scans'
+/// gathered copies have a second reader besides the join.
+fn scans_and_join() -> (Program, [NodeId; 3]) {
+    let mut p = Program::new();
+    let a = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
+    let b = p.add_source(Operator::scan(TableRef::new("db2", "patients")), "sql");
+    let j = p.add_node(
+        Operator::HashJoin {
+            left_on: "pid".into(),
+            right_on: "pid".into(),
+        },
+        vec![a, b],
+        "sql",
+    );
+    for id in [a, b, j] {
+        p.mark_output(id);
+    }
+    (p, [a, b, j])
+}
+
+fn run(program: &Program, registry: &EngineRegistry) -> Vec<Dataset> {
+    Executor::new(AcceleratorFleet::workstation(), CostLedger::new())
+        .execute(program, registry)
+        .expect("program runs")
+        .outputs
+}
+
+#[test]
+fn gather_and_splice_leave_partials_and_other_readers_untouched() {
+    let (program, [a, b, j]) = scans_and_join();
+    let flat = run(&program, &two_engine_registry());
+
+    // Colocated: both tables hashed on the join key. The join's tasks
+    // read the scans' retained per-shard partials while the gather
+    // folds those same partials into the scans' full copies. Had the
+    // gather appended in place, shard 0's partial would hold every row
+    // and the join would answer with duplicates.
+    let mut colocated = two_engine_registry();
+    for (engine, table) in [("db1", "admissions"), ("db2", "patients")] {
+        colocated
+            .reshard(&TableRef::new(engine, table), PartitionSpec::hash("pid", 2))
+            .unwrap();
+    }
+    let plan = Placer::plan_distribution(&program, &colocated, &colocated).unwrap();
+    assert!(plan.node(a).partials_needed && plan.node(b).partials_needed);
+    assert!(plan.node(j).colocated);
+
+    // Shuffled: patients hashed on `name`, so both sides are routed by
+    // pointer into destination buckets and the barrier splices the
+    // per-destination outputs into a new buffer. (The planner gathers a
+    // shuffled join's output, so no consumer reads *its* partials; its
+    // inputs are the shared buffers here.)
+    let mut shuffled = two_engine_registry();
+    shuffled
+        .reshard(
+            &TableRef::new("db1", "admissions"),
+            PartitionSpec::hash("pid", 2),
+        )
+        .unwrap();
+    shuffled
+        .reshard(
+            &TableRef::new("db2", "patients"),
+            PartitionSpec::hash("name", 2),
+        )
+        .unwrap();
+    let plan = Placer::plan_distribution(&program, &shuffled, &shuffled).unwrap();
+    assert!(plan.node(j).shuffles());
+
+    for (layout, registry) in [("colocated", &colocated), ("shuffled", &shuffled)] {
+        let sharded = run(&program, registry);
+        assert_eq!(sharded.len(), flat.len());
+        for (node, (got, want)) in sharded.iter().zip(&flat).enumerate() {
+            assert_eq!(got.schema().unwrap(), want.schema().unwrap());
+            assert_eq!(
+                sorted_rows(got),
+                sorted_rows(want),
+                "{layout}: output {node}"
+            );
+        }
+    }
+}
+
+/// The clinical deployment at 2 000 patients: enough rows that a
+/// 2-shard group-by over all of them plans as partial aggregates +
+/// merge instead of a gather.
+fn clinical(sharded: bool) -> Polystore {
+    let mut builder = Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
+        patients: 2_000,
+        vitals_per_patient: 1,
+        seed: 2019,
+    }));
+    if sharded {
+        builder = builder.shards(2).partition(
+            TableRef::new("db2", "patients"),
+            PartitionSpec::hash("name", 2),
+        );
+    }
+    builder.build().expect("valid config")
+}
+
+/// polybench's six OLAP templates, one draw each, and a seventh query:
+/// `avg` over the float column `los` demotes the sharded group-by-age to
+/// a gathered aggregate (float sums must not reassociate), so an
+/// unfiltered `count` by age is what crosses the partial-aggregate merge.
+const OLAP_TEMPLATES: [&str; 7] = [
+    "SELECT pid, age, date FROM admissions WHERE date BETWEEN 1000 AND 1729 ORDER BY date",
+    "SELECT pid, los FROM admissions WHERE age BETWEEN 40 AND 70 ORDER BY los DESC, pid LIMIT 10",
+    "SELECT count(*) AS n FROM admissions WHERE date >= 1000 AND date < 1730",
+    "SELECT name FROM admissions JOIN db2.patients ON admissions.pid = patients.pid \
+     WHERE age BETWEEN 40 AND 55",
+    "SELECT pid, count(*) AS n FROM admissions WHERE date >= 500 AND date < 2325 GROUP BY pid",
+    "SELECT age, avg(los) AS m FROM admissions WHERE date >= 50 GROUP BY age",
+    "SELECT age, count(*) AS n FROM admissions GROUP BY age",
+];
+
+#[test]
+fn olap_templates_answer_alike_on_one_and_two_shards() {
+    let single = clinical(false);
+    let sharded = clinical(true);
+    for sql in OLAP_TEMPLATES {
+        let one = single.run_sql(sql).expect("1-shard run");
+        let two = sharded.run_sql(sql).expect("2-shard run");
+        // The join shuffles (mismatched keys) and the count by age
+        // merges partial aggregates; nothing else exchanges.
+        let exchanges: Vec<&str> = two
+            .execution
+            .traces
+            .iter()
+            .flat_map(|t| t.exchanges.iter().map(|e| e.kind))
+            .collect();
+        let expected: &[&str] = match sql {
+            s if s.contains("JOIN") => &["shuffle"],
+            s if s.contains("count(*) AS n") && s.contains("GROUP BY age") => &["merge"],
+            _ => &[],
+        };
+        assert_eq!(exchanges, expected, "{sql}");
+        assert_eq!(one.execution.outputs.len(), 1, "{sql}");
+        let (a, b) = (&one.execution.outputs[0], &two.execution.outputs[0]);
+        assert!(!a.is_empty(), "{sql}");
+        assert_eq!(a.schema().unwrap(), b.schema().unwrap(), "{sql}");
+        assert_eq!(sorted_rows(a), sorted_rows(b), "{sql}");
+
+        // The simulated clock repeats bit for bit on either layout.
+        for (system, first) in [(&single, &one), (&sharded, &two)] {
+            let again = system.run_sql(sql).expect("second run");
+            assert_eq!(
+                again.makespan().to_bits(),
+                first.makespan().to_bits(),
+                "{sql}"
+            );
+        }
+    }
+}

@@ -104,8 +104,7 @@ fn arb_fleet() -> impl Strategy<Value = AcceleratorFleet> {
                     link: Interconnect::pcie(),
                 });
             }
-            let mut fleet =
-                AcceleratorFleet::new(DeviceProfile::cpu(), devices).expect("cpu host");
+            let mut fleet = AcceleratorFleet::new(DeviceProfile::cpu(), devices).expect("cpu host");
             if cap > 0 {
                 for kind in [DeviceKind::Gpu, DeviceKind::Fpga, DeviceKind::Tpu] {
                     fleet = fleet.with_capacity(kind, cap);
@@ -645,6 +644,88 @@ proptest! {
             Predicate::ge("x", threshold).not(),
         ] {
             prop_assert!(p.eval(&schema, &row).is_ok());
+        }
+    }
+}
+
+/// Small values that collide often and mix types within a column: NULL,
+/// ints, halves (so `Int(1) == Float(1.0)` comes up) and short strings.
+fn arb_small_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (-2i64..3).prop_map(Value::Int),
+        (-4i64..5).prop_map(|h| Value::Float(h as f64 / 2.0)),
+        "[ab]{0,1}".prop_map(Value::from),
+    ]
+}
+
+/// A predicate tree from a postfix program: kinds 0–9 push a leaf over
+/// column `a`, `b`, `c` or the unknown `zzz`; 10–12 combine what is on
+/// the stack with `And`, `Or`, `Not`. Whatever is left is `And`ed.
+fn predicate_from(program: Vec<(u8, usize, Value, Value, Vec<Value>)>) -> Predicate {
+    let mut stack: Vec<Predicate> = Vec::new();
+    for (kind, column, v, w, set) in program {
+        let c = || ["a", "b", "c", "zzz"][column].to_owned();
+        let leaf = match kind {
+            10 | 11 if stack.len() >= 2 => {
+                let (right, left) = (stack.pop().unwrap(), stack.pop().unwrap());
+                if kind == 10 {
+                    left.and(right)
+                } else {
+                    left.or(right)
+                }
+            }
+            12 if !stack.is_empty() => stack.pop().unwrap().not(),
+            0 => Predicate::True,
+            1 => Predicate::Eq(c(), v),
+            2 => Predicate::Ne(c(), v),
+            3 => Predicate::Lt(c(), v),
+            4 => Predicate::Le(c(), v),
+            5 => Predicate::Gt(c(), v),
+            6 => Predicate::Ge(c(), v),
+            7 => Predicate::Between(c(), v, w),
+            8 => Predicate::In(c(), set),
+            _ => Predicate::IsNull(c()),
+        };
+        stack.push(leaf);
+    }
+    stack.into_iter().reduce(Predicate::and).unwrap_or_default()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A bound predicate is `Predicate::eval` with the name lookups
+    /// hoisted: same answer on every row, and the same
+    /// `ColumnNotFound` exactly when a row reaches a leaf naming an
+    /// unknown column (a short-circuited branch never does).
+    #[test]
+    fn bound_predicate_agrees_with_eval(
+        program in prop::collection::vec(
+            (
+                0u8..13,
+                0usize..4,
+                arb_small_value(),
+                arb_small_value(),
+                prop::collection::vec(arb_small_value(), 0..3),
+            ),
+            1..10,
+        ),
+        rows in prop::collection::vec(
+            (arb_small_value(), arb_small_value(), arb_small_value()),
+            1..6,
+        ),
+    ) {
+        let schema = Schema::new(vec![
+            ("a", DataType::Int),
+            ("b", DataType::Float),
+            ("c", DataType::Str),
+        ]);
+        let predicate = predicate_from(program);
+        let bound = predicate.bind(&schema);
+        for (a, b, c) in rows {
+            let row = Row::from(vec![a, b, c]);
+            prop_assert_eq!(bound.eval(&row), predicate.eval(&schema, &row));
         }
     }
 }

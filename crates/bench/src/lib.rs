@@ -1943,7 +1943,10 @@ pub fn e21_sessions() -> Result<String> {
             &format!("retry_goodput_qps_r{retry_max}"),
             storm.goodput_qps,
         );
-        bench_metric(&format!("retry_attempts_r{retry_max}"), storm.attempts as f64);
+        bench_metric(
+            &format!("retry_attempts_r{retry_max}"),
+            storm.attempts as f64,
+        );
         storm_goodput.push(storm.goodput_qps);
     }
     if storm_goodput[3] > storm_goodput[0] * 1.10 {
@@ -2283,10 +2286,7 @@ pub fn e22_rebalance() -> Result<String> {
 /// contend for one device under capacity limits).
 fn two_sort_program() -> Program {
     let mut p = Program::new();
-    let scan = p.add_source(
-        Operator::scan(TableRef::new("db1", "admissions")),
-        "sql",
-    );
+    let scan = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
     let by_age = p.add_node(
         Operator::Sort {
             keys: vec![SortSpec {
@@ -2313,10 +2313,7 @@ fn two_sort_program() -> Program {
 
 fn twin_train_program() -> Program {
     let mut p = Program::new();
-    let scan = p.add_source(
-        Operator::scan(TableRef::new("db1", "admissions")),
-        "sql",
-    );
+    let scan = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
     for _ in 0..2 {
         let t = p.add_node(
             Operator::TrainMlp {
@@ -2401,8 +2398,10 @@ pub fn e23_fusion() -> Result<String> {
         for r in &reports {
             point.sim_ms += r.makespan() * 1e3;
             point.queue_ms += r.execution.queue_wait_seconds * 1e3;
-            point.digest =
-                driver::fnv1a(format!("{:?}", r.execution.outputs).as_bytes(), point.digest);
+            point.digest = driver::fnv1a(
+                format!("{:?}", r.execution.outputs).as_bytes(),
+                point.digest,
+            );
             let planned = r.placement.as_ref().expect("L2 places");
             let plan_key: Vec<_> = planned
                 .fused_chains

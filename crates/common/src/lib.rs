@@ -50,7 +50,7 @@ pub use predicate::{BoundPredicate, Predicate};
 pub use repartition::{CopyKey, MaterializedRepartitions, RepartitionStats};
 pub use rng::SplitMix64;
 pub use row::Row;
-pub use schema::{Field, Schema};
+pub use schema::{Field, Schema, SchemaLookup};
 pub use value::{DataType, Value};
 
 /// Number of bytes in one mebibyte; used across cost models and reports.

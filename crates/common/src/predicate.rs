@@ -184,22 +184,114 @@ impl Predicate {
     }
 
     /// Rough selectivity estimate in (0, 1]; used by the optimizer's
-    /// cardinality model before execution.
+    /// cardinality model before execution. Never zero, however the
+    /// tree is built (`NOT TRUE`, an empty `IN`, a deep conjunction):
+    /// a zero would wipe out every byte estimate downstream of it.
     pub fn selectivity(&self) -> f64 {
-        match self {
+        let raw = match self {
             Predicate::True => 1.0,
             Predicate::Eq(..) => 0.05,
             Predicate::Ne(..) => 0.95,
             Predicate::Lt(..) | Predicate::Le(..) | Predicate::Gt(..) | Predicate::Ge(..) => 0.33,
             Predicate::Between(..) => 0.2,
-            Predicate::In(_, vs) => (0.05 * vs.len() as f64).min(1.0),
+            Predicate::In(_, vs) => 0.05 * vs.len() as f64,
             Predicate::IsNull(_) => 0.02,
             Predicate::And(a, b) => a.selectivity() * b.selectivity(),
-            Predicate::Or(a, b) => (a.selectivity() + b.selectivity()).min(1.0),
+            Predicate::Or(a, b) => a.selectivity() + b.selectivity(),
             Predicate::Not(p) => 1.0 - p.selectivity(),
+        };
+        raw.clamp(MIN_SELECTIVITY, 1.0)
+    }
+
+    /// The column names the predicate reads, leaf by leaf in evaluation
+    /// order (a name appears once per leaf that uses it).
+    pub fn columns(&self) -> Vec<&str> {
+        fn walk<'a>(p: &'a Predicate, out: &mut Vec<&'a str>) {
+            match p {
+                Predicate::True => {}
+                Predicate::Eq(c, _)
+                | Predicate::Ne(c, _)
+                | Predicate::Lt(c, _)
+                | Predicate::Le(c, _)
+                | Predicate::Gt(c, _)
+                | Predicate::Ge(c, _)
+                | Predicate::Between(c, _, _)
+                | Predicate::In(c, _)
+                | Predicate::IsNull(c) => out.push(c),
+                Predicate::And(a, b) | Predicate::Or(a, b) => {
+                    walk(a, out);
+                    walk(b, out);
+                }
+                Predicate::Not(p) => walk(p, out),
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+
+    /// The same predicate reading column `rename(c)` wherever this one
+    /// reads `c`.
+    pub fn rename_columns(self, rename: &impl Fn(&str) -> String) -> Predicate {
+        let both = |a: Box<Predicate>, b: Box<Predicate>| {
+            (
+                Box::new(a.rename_columns(rename)),
+                Box::new(b.rename_columns(rename)),
+            )
+        };
+        match self {
+            Predicate::True => Predicate::True,
+            Predicate::Eq(c, v) => Predicate::Eq(rename(&c), v),
+            Predicate::Ne(c, v) => Predicate::Ne(rename(&c), v),
+            Predicate::Lt(c, v) => Predicate::Lt(rename(&c), v),
+            Predicate::Le(c, v) => Predicate::Le(rename(&c), v),
+            Predicate::Gt(c, v) => Predicate::Gt(rename(&c), v),
+            Predicate::Ge(c, v) => Predicate::Ge(rename(&c), v),
+            Predicate::Between(c, lo, hi) => Predicate::Between(rename(&c), lo, hi),
+            Predicate::In(c, vs) => Predicate::In(rename(&c), vs),
+            Predicate::IsNull(c) => Predicate::IsNull(rename(&c)),
+            Predicate::And(a, b) => {
+                let (a, b) = both(a, b);
+                Predicate::And(a, b)
+            }
+            Predicate::Or(a, b) => {
+                let (a, b) = both(a, b);
+                Predicate::Or(a, b)
+            }
+            Predicate::Not(p) => Predicate::Not(Box::new(p.rename_columns(rename))),
         }
     }
+
+    /// The conjuncts of the predicate, in evaluation order: `a AND (b
+    /// AND c)` and `(a AND b) AND c` both split into `[a, b, c]`; any
+    /// other predicate is its own single conjunct.
+    pub fn into_conjuncts(self) -> Vec<Predicate> {
+        fn walk(p: Predicate, out: &mut Vec<Predicate>) {
+            match p {
+                Predicate::And(a, b) => {
+                    walk(*a, out);
+                    walk(*b, out);
+                }
+                other => out.push(other),
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+
+    /// The conjunction of `conjuncts` in order ([`Predicate::True`] for
+    /// none) — the inverse of [`Predicate::into_conjuncts`].
+    pub fn all(conjuncts: impl IntoIterator<Item = Predicate>) -> Predicate {
+        conjuncts
+            .into_iter()
+            .reduce(Predicate::and)
+            .unwrap_or(Predicate::True)
+    }
 }
+
+/// The floor of [`Predicate::selectivity`]: one row in a million.
+const MIN_SELECTIVITY: f64 = 1e-6;
 
 /// A [`Predicate`] with its columns resolved to positions in one schema
 /// (see [`Predicate::bind`]); borrows the predicate's literals.
@@ -319,6 +411,32 @@ mod tests {
     }
 
     #[test]
+    fn conjuncts_split_and_rejoin_in_evaluation_order() {
+        let (a, b, c) = (
+            Predicate::eq("a", 1i64),
+            Predicate::eq("s", "x").or(Predicate::eq("a", 2i64)),
+            Predicate::IsNull("s".into()),
+        );
+        let expect = vec![a.clone(), b.clone(), c.clone()];
+        let left_nested = a.clone().and(b.clone()).and(c.clone());
+        let right_nested = a.and(b.and(c));
+        assert_eq!(right_nested.into_conjuncts(), expect);
+        assert_eq!(left_nested.clone().into_conjuncts(), expect);
+        assert_eq!(Predicate::all(expect), left_nested);
+        assert_eq!(Predicate::all([]), Predicate::True);
+    }
+
+    #[test]
+    fn columns_and_renaming_cover_every_leaf() {
+        let p = Predicate::eq("a", 1i64)
+            .or(Predicate::between("s", "a", "b").not())
+            .and(Predicate::In("a".into(), vec![]));
+        assert_eq!(p.columns(), vec!["a", "s", "a"]);
+        let renamed = p.rename_columns(&|c: &str| format!("{c}_r"));
+        assert_eq!(renamed.columns(), vec!["a_r", "s_r", "a_r"]);
+    }
+
+    #[test]
     fn index_bounds_extraction() {
         let p = Predicate::eq("k", 5i64).and(Predicate::gt("v", 1i64));
         let (c, lo, hi) = p.index_bounds().unwrap();
@@ -333,10 +451,13 @@ mod tests {
         assert!(Predicate::True.selectivity() == 1.0);
         let and = Predicate::eq("a", 1i64).and(Predicate::eq("s", "x"));
         assert!(and.selectivity() < Predicate::eq("a", 1i64).selectivity());
+        // `NOT TRUE` and an empty `IN` used to come out as 0.
         for p in [
             Predicate::eq("a", 1i64),
             Predicate::between("a", 1i64, 2i64),
             Predicate::IsNull("a".into()),
+            Predicate::True.not(),
+            Predicate::In("a".into(), vec![]),
         ] {
             let s = p.selectivity();
             assert!(s > 0.0 && s <= 1.0);

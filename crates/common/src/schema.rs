@@ -1,11 +1,12 @@
 //! Column schemas shared by the relational model and the CAST layer.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::value::DataType;
-use crate::{Error, Result, Row};
+use crate::{Error, Result, Row, TableRef};
 
 /// A named, typed column.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -181,6 +182,21 @@ impl Schema {
             .iter()
             .map(|f| f.data_type.fixed_width().unwrap_or(24))
             .sum()
+    }
+}
+
+/// Anything that can answer "which columns does this stored table
+/// have?" — the frontend catalog in a deployed system, a plain map in
+/// tests. The optimizer's rewrites use it to tell which side of a join
+/// a filter's columns come from.
+pub trait SchemaLookup {
+    /// The schema of `table`, when known.
+    fn table_schema(&self, table: &TableRef) -> Option<&Schema>;
+}
+
+impl SchemaLookup for HashMap<TableRef, Schema> {
+    fn table_schema(&self, table: &TableRef) -> Option<&Schema> {
+        self.get(table)
     }
 }
 

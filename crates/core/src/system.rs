@@ -580,7 +580,7 @@ impl Polystore {
         level: OptLevel,
     ) -> Result<(RewriteReport, Option<PlacementPlan>)> {
         let rewrites = if level.rewrites() {
-            optimize_l1(program)
+            optimize_l1(program, &self.catalog)
         } else {
             RewriteReport::default()
         };
@@ -1092,10 +1092,7 @@ mod tests {
     fn two_sort_program() -> Program {
         use pspp_ir::{Operator, SortSpec};
         let mut p = Program::new();
-        let scan = p.add_source(
-            Operator::scan(TableRef::new("db1", "admissions")),
-            "sql",
-        );
+        let scan = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
         let by_age = p.add_node(
             Operator::Sort {
                 keys: vec![SortSpec {
@@ -1151,16 +1148,22 @@ mod tests {
         let on = build(true);
         // The pass moved the device-bearing fleet to the heavy shard.
         assert_eq!(
-            on.registry().fleet_at(ShardId(0)).map(|f| f.devices().len()),
+            on.registry()
+                .fleet_at(ShardId(0))
+                .map(|f| f.devices().len()),
             Some(AcceleratorFleet::workstation().devices().len()),
             "row-heavy shard carries the accelerators after the swap"
         );
         assert_eq!(
-            on.registry().fleet_at(ShardId(1)).map(|f| f.devices().len()),
+            on.registry()
+                .fleet_at(ShardId(1))
+                .map(|f| f.devices().len()),
             Some(0)
         );
         assert_eq!(
-            off.registry().fleet_at(ShardId(0)).map(|f| f.devices().len()),
+            off.registry()
+                .fleet_at(ShardId(0))
+                .map(|f| f.devices().len()),
             Some(0),
             "without the pass the declared (mis)placement stands"
         );
@@ -1227,7 +1230,11 @@ mod tests {
             );
         }
         assert!(
-            b.placement.as_ref().expect("L2 placed").fused_chains.is_empty()
+            b.placement
+                .as_ref()
+                .expect("L2 placed")
+                .fused_chains
+                .is_empty()
                 && b.execution.fused_chains.is_empty(),
             "fusion off plans and executes no chains"
         );
@@ -1253,10 +1260,7 @@ mod tests {
             .filter(|s| s.name == "pspp_fused_chains")
             .map(|s| s.value)
             .sum();
-        assert!(
-            fused_total >= 1.0,
-            "fused-chain counter exported: {text}"
-        );
+        assert!(fused_total >= 1.0, "fused-chain counter exported: {text}");
     }
 
     /// Contended-device queueing end-to-end: two same-stage training
@@ -1282,10 +1286,7 @@ mod tests {
         .build()
         .expect("valid config");
         let mut p = Program::new();
-        let scan = p.add_source(
-            Operator::scan(TableRef::new("db1", "admissions")),
-            "sql",
-        );
+        let scan = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
         let train = |p: &mut Program, input| {
             p.add_node(
                 Operator::TrainMlp {

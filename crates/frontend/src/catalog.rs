@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use pspp_common::{Error, PartitionLookup, PartitionSpec, Result, Schema, TableRef};
+use pspp_common::{Error, PartitionLookup, PartitionSpec, Result, Schema, SchemaLookup, TableRef};
 
 /// Name resolution and schema lookup for frontends and the optimizer.
 #[derive(Debug, Clone, Default)]
@@ -92,6 +92,16 @@ impl PartitionLookup for Catalog {
     }
 }
 
+impl SchemaLookup for Catalog {
+    fn table_schema(&self, table: &TableRef) -> Option<&Schema> {
+        // The qualified key: the unqualified one belongs to whichever
+        // engine registered the name last.
+        self.tables
+            .get(&format!("{}.{}", table.engine, table.name))
+            .map(|(_, schema)| schema)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,6 +118,24 @@ mod tests {
         assert_eq!(c.resolve("db1.t").unwrap().0.name, "t");
         assert!(c.resolve("zzz").is_err());
         assert_eq!(c.names(), vec!["t"]);
+    }
+
+    #[test]
+    fn schema_lookup_is_by_table_ref() {
+        let mut c = Catalog::new();
+        for (engine, col) in [("db1", "a"), ("db2", "b")] {
+            c.register(
+                TableRef::new(engine, "t"),
+                Schema::new(vec![(col, DataType::Int)]),
+            );
+        }
+        let names = |engine| {
+            c.table_schema(&TableRef::new(engine, "t"))
+                .map(Schema::names)
+        };
+        assert_eq!(names("db1"), Some(vec!["a"]));
+        assert_eq!(names("db2"), Some(vec!["b"]));
+        assert_eq!(names("db3"), None);
     }
 
     #[test]

@@ -6,20 +6,20 @@
 //! source of truth; prediction error then comes only from cardinality
 //! estimation (measured by experiment E15).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use pspp_accel::exchange::shuffle_bill;
 use pspp_accel::kernels::{BitonicSorter, Gemm, HashPartitioner, StreamFilter};
-use pspp_accel::{
-    AcceleratorFleet, DeploymentMode, Interconnect, KernelClass, LogCa, SimDuration,
-};
+use pspp_accel::{AcceleratorFleet, DeploymentMode, Interconnect, KernelClass, LogCa, SimDuration};
 use pspp_common::{
-    DataModel, DeviceKind, MaterializedRepartitions, PartitionSpec, Result, ShardId, TableRef,
+    DataModel, DeviceKind, EngineId, MaterializedRepartitions, PartitionSpec, Result, ShardId,
+    TableRef,
 };
 use pspp_ir::{
     ExchangeCounts, ExchangeKind, FusedChain, FusionTag, NodeId, Operator, PlanOptions, Program,
-    ShardPlan,
+    ProgramNode, ShardPlan,
 };
+pub use pspp_telemetry::JoinSite;
 
 use crate::rewrite::resolve_fused;
 
@@ -43,6 +43,17 @@ impl Default for TableStats {
             row_bytes: 64.0,
         }
     }
+}
+
+/// One input of a join, as the site rule sees it.
+#[derive(Debug, Clone)]
+struct JoinSide {
+    /// The engine the input's rows are on.
+    engine: Option<EngineId>,
+    /// Estimated bytes of the input.
+    bytes: f64,
+    /// Whether that engine was reached through a relational `Scan`.
+    relational: bool,
 }
 
 /// The outcome of placement: per-node device/cost plus plan totals.
@@ -86,9 +97,20 @@ pub struct PlacementPlan {
     /// Total planned device-queue wait across contended slots,
     /// included in the affected nodes' critical paths.
     pub queue_wait_seconds: f64,
+    /// Where each join over inputs on different engines runs, with the
+    /// two byte estimates that decided it and the migration it is
+    /// billed, in plan order.
+    pub join_sites: Vec<JoinSite>,
 }
 
 impl PlacementPlan {
+    /// Renders the plan alone (`EXPLAIN`, nothing executes): planned
+    /// seconds per node, each cross-engine join's site with the two
+    /// byte estimates compared, and the plan's totals.
+    pub fn explain(&self) -> String {
+        pspp_telemetry::explain_plan(&self.planned_costs())
+    }
+
     /// This plan's estimates in the shape `EXPLAIN ANALYZE` joins
     /// against executed traces (see
     /// [`pspp_telemetry::explain_analyze`]).
@@ -98,6 +120,8 @@ impl PlacementPlan {
             total_seconds: self.total_seconds,
             exchange_seconds: self.exchange_seconds,
             host_fallbacks: self.host_fallbacks,
+            migration_seconds: self.migration_seconds,
+            join_sites: self.join_sites.clone(),
         }
     }
 }
@@ -581,6 +605,10 @@ impl CostModel {
         let mut offloaded = 0usize;
         let mut total = 0.0f64;
         let mut exchange_seconds = 0.0f64;
+        // Nodes whose engine was reached through a relational `Scan`:
+        // the only engines that may host a join.
+        let mut relational_sites: HashSet<NodeId> = HashSet::new();
+        let mut join_sites: Vec<JoinSite> = Vec::new();
         for &id in &order {
             let node = program.node(id).clone();
             if node.annotations.fused_into_consumer {
@@ -739,19 +767,8 @@ impl CostModel {
             slot_secs.insert(id, per_slot);
             volumes.insert(id, (task_rows, task_bytes));
             gathers.insert(id, gather);
-            // Engine: sources stay with their table; transforms inherit
-            // the first input's engine (data gravity).
-            let ann = &mut program.node_mut(id).annotations;
-            if let Some(t) = node.op.source_table() {
-                ann.engine = Some(t.engine.clone());
-            } else if let Some(&first) = node.inputs.first() {
-                let inherited = program
-                    .node(resolve_fused(program, first))
-                    .annotations
-                    .engine
-                    .clone();
-                program.node_mut(id).annotations.engine = inherited;
-            }
+            let engine = Self::node_engine(program, &node, &mut relational_sites, &mut join_sites);
+            program.node_mut(id).annotations.engine = engine;
         }
         // Pipeline-granular adjustment passes over the per-slot picks:
         // device-resident kernel fusion, then contended-device
@@ -811,9 +828,7 @@ impl CostModel {
             ann.device = Some(critical.0);
             ann.shard_devices = if width > 1 { Some(picks) } else { None };
             ann.shard_fusion = fusion_tags.get(&id).cloned();
-            ann.shard_queue_waits = waits
-                .filter(|w| w.iter().any(|&x| x > 0.0))
-                .cloned();
+            ann.shard_queue_waits = waits.filter(|w| w.iter().any(|&x| x > 0.0)).cloned();
             ann.est_seconds = Some(seconds);
             node_seconds.insert(id, seconds);
             total += seconds;
@@ -824,15 +839,20 @@ impl CostModel {
             if n.annotations.fused_into_consumer {
                 continue;
             }
+            let mut staged = 0.0;
             for &i in &n.inputs {
                 let src = program.node(resolve_fused(program, i));
                 if src.annotations.engine != n.annotations.engine {
                     let bytes = src.annotations.est_bytes.unwrap_or(64_000.0);
-                    migration += self
+                    staged += self
                         .migration_cost(bytes, DataModel::Relational, DataModel::Relational)
                         .as_secs();
                 }
             }
+            if let Some(site) = join_sites.iter_mut().find(|s| s.node == n.id) {
+                site.migration_seconds = staged;
+            }
+            migration += staged;
         }
         total += migration + exchange_seconds;
         Ok(PlacementPlan {
@@ -847,7 +867,80 @@ impl CostModel {
             host_fallbacks,
             fused_chains,
             queue_wait_seconds,
+            join_sites,
         })
+    }
+
+    /// The engine `node` runs on. Sources stay with their table; a join
+    /// runs where its largest input already is ([`Self::join_site`]), so
+    /// the smaller side is what migrates; every other transform
+    /// inherits its first input's engine (data gravity). `relational`
+    /// collects the nodes whose engine a relational `Scan` reached;
+    /// `join_sites` gets a record per join whose inputs sit on
+    /// different engines.
+    fn node_engine(
+        program: &Program,
+        node: &ProgramNode,
+        relational: &mut HashSet<NodeId>,
+        join_sites: &mut Vec<JoinSite>,
+    ) -> Option<EngineId> {
+        if let Some(table) = node.op.source_table() {
+            if matches!(node.op, Operator::Scan { .. }) {
+                relational.insert(node.id);
+            }
+            return Some(table.engine.clone());
+        }
+        let sides: Vec<JoinSide> = node
+            .inputs
+            .iter()
+            .map(|&i| {
+                let producer = resolve_fused(program, i);
+                let ann = &program.node(producer).annotations;
+                JoinSide {
+                    engine: ann.engine.clone(),
+                    bytes: ann.est_bytes.unwrap_or(64_000.0),
+                    relational: relational.contains(&producer),
+                }
+            })
+            .collect();
+        let is_join = matches!(
+            node.op,
+            Operator::HashJoin { .. } | Operator::SortMergeJoin { .. }
+        );
+        let host = if is_join { Self::join_site(&sides) } else { 0 };
+        let site = sides.get(host)?;
+        if site.relational {
+            relational.insert(node.id);
+        }
+        if let (true, [left, right]) = (is_join, &sides[..]) {
+            if let (Some(l), Some(r)) = (&left.engine, &right.engine) {
+                if l != r {
+                    join_sites.push(JoinSite {
+                        node: node.id,
+                        site: [l, r][host].clone(),
+                        left: (l.clone(), left.bytes),
+                        right: (r.clone(), right.bytes),
+                        migration_seconds: 0.0,
+                    });
+                }
+            }
+        }
+        site.engine.clone()
+    }
+
+    /// The input whose engine hosts a join: the one with strictly the
+    /// most estimated bytes among those a relational `Scan` reaches — a
+    /// text, timeseries, key/value or graph connector never hosts a
+    /// join — so what migrates is the smaller side. Ties, and joins no
+    /// relational scan feeds, keep the first input.
+    fn join_site(sides: &[JoinSide]) -> usize {
+        let mut host: Option<usize> = None;
+        for (idx, side) in sides.iter().enumerate() {
+            if side.relational && host.is_none_or(|h| side.bytes > sides[h].bytes) {
+                host = Some(idx);
+            }
+        }
+        host.unwrap_or(0)
     }
 
     /// Kernel-fusion pass (§III–§IV: pipeline operators on the
@@ -882,9 +975,7 @@ impl CostModel {
                 continue;
             }
             for &i in &n.inputs {
-                *consumer_count
-                    .entry(resolve_fused(program, i))
-                    .or_insert(0) += 1;
+                *consumer_count.entry(resolve_fused(program, i)).or_insert(0) += 1;
             }
         }
         let outputs: Vec<NodeId> = program.outputs().to_vec();
@@ -931,15 +1022,13 @@ impl CostModel {
                 if plan.node(p).scatter != plan.node(id).scatter {
                     continue;
                 }
-                let divisor = if plan.node(id).colocated
-                    && plan.node(i).distribution.is_partitioned()
-                {
-                    plan.scatter_width(id) as f64
-                } else {
-                    1.0
-                };
-                let bytes =
-                    program.node(p).annotations.est_bytes.unwrap_or(64_000.0) / divisor;
+                let divisor =
+                    if plan.node(id).colocated && plan.node(i).distribution.is_partitioned() {
+                        plan.scatter_width(id) as f64
+                    } else {
+                        1.0
+                    };
+                let bytes = program.node(p).annotations.est_bytes.unwrap_or(64_000.0) / divisor;
                 if producer.is_none_or(|(_, b)| bytes > b) {
                     producer = Some((p, bytes));
                 }
@@ -950,8 +1039,7 @@ impl CostModel {
                 let fleet = self.shard_fleet(shard);
                 let solo_c = slot_secs[&id][k];
                 let host_c =
-                    match Self::node_cost_on(fleet, &node.op, DeviceKind::Cpu, c_rows, c_bytes)
-                    {
+                    match Self::node_cost_on(fleet, &node.op, DeviceKind::Cpu, c_rows, c_bytes) {
                         Some(t) => t.as_secs(),
                         None => continue,
                     };
@@ -964,12 +1052,7 @@ impl CostModel {
                     if pick == b.device || pick == DeviceKind::Cpu {
                         let (_, edge_bytes) = producer.unwrap();
                         if let Some(body) = self.fused_member_cost(
-                            fleet,
-                            &node.op,
-                            b.device,
-                            c_rows,
-                            c_bytes,
-                            edge_bytes,
+                            fleet, &node.op, b.device, c_rows, c_bytes, edge_bytes,
                         ) {
                             // Never extend past the point where the
                             // member itself regresses vs its solo cost.
@@ -1001,16 +1084,11 @@ impl CostModel {
                 let p_node = program.node(p);
                 let (p_rows, p_bytes) = volumes[&p];
                 let solo_p = slot_secs[&p][k];
-                let host_p = match Self::node_cost_on(
-                    fleet,
-                    &p_node.op,
-                    DeviceKind::Cpu,
-                    p_rows,
-                    p_bytes,
-                ) {
-                    Some(t) => t.as_secs(),
-                    None => continue,
-                };
+                let host_p =
+                    match Self::node_cost_on(fleet, &p_node.op, DeviceKind::Cpu, p_rows, p_bytes) {
+                        Some(t) => t.as_secs(),
+                        None => continue,
+                    };
                 let p_pick = device_picks[&(p, shard)];
                 let c_pick = device_picks[&(id, shard)];
                 let mut best: Option<(DeviceKind, f64, f64)> = None;
@@ -1035,9 +1113,9 @@ impl CostModel {
                     else {
                         continue;
                     };
-                    let Some(body) = self.fused_member_cost(
-                        fleet, &node.op, device, c_rows, c_bytes, edge_bytes,
-                    ) else {
+                    let Some(body) = self
+                        .fused_member_cost(fleet, &node.op, device, c_rows, c_bytes, edge_bytes)
+                    else {
                         continue;
                     };
                     let head = head.as_secs();
@@ -1103,9 +1181,7 @@ impl CostModel {
                 device_picks.insert((nid, b.shard), b.device);
                 slot_secs.get_mut(&nid).unwrap()[b.slot] = secs;
                 let width = plan.node(nid).scatter.len();
-                fusion_tags
-                    .entry(nid)
-                    .or_insert_with(|| vec![None; width])[b.slot] =
+                fusion_tags.entry(nid).or_insert_with(|| vec![None; width])[b.slot] =
                     Some(FusionTag { chain, pos, len });
             }
             chains.push(FusedChain {
@@ -1165,30 +1241,23 @@ impl CostModel {
                     let queue = servers
                         .entry(domain)
                         .or_insert_with(|| vec![0.0; cap.max(1)]);
-                    let (si, avail) = queue
-                        .iter()
-                        .enumerate()
-                        .fold((0usize, f64::INFINITY), |(bi, bt), (i, &t)| {
+                    let (si, avail) = queue.iter().enumerate().fold(
+                        (0usize, f64::INFINITY),
+                        |(bi, bt), (i, &t)| {
                             if t < bt {
                                 (i, t)
                             } else {
                                 (bi, bt)
                             }
-                        });
+                        },
+                    );
                     let secs = slot_secs[&id][k];
-                    let fused = fusion_tags
-                        .get(&id)
-                        .and_then(|v| v[k])
-                        .is_some();
+                    let fused = fusion_tags.get(&id).and_then(|v| v[k]).is_some();
                     if !fused && avail > 0.0 {
                         let (rows, bytes) = volumes[&id];
-                        if let Some(host) = Self::node_cost_on(
-                            fleet,
-                            &node.op,
-                            DeviceKind::Cpu,
-                            rows,
-                            bytes,
-                        ) {
+                        if let Some(host) =
+                            Self::node_cost_on(fleet, &node.op, DeviceKind::Cpu, rows, bytes)
+                        {
                             let host = host.as_secs();
                             if host < avail + secs {
                                 // Waiting beats the fiction of
@@ -1372,12 +1441,11 @@ mod tests {
         assert_eq!(p.node(t).annotations.device, Some(DeviceKind::Tpu));
     }
 
-    #[test]
-    fn cross_engine_edges_charge_migration() {
-        let m = model();
+    /// `left JOIN right ON k = k` over two sources; returns (program, join).
+    fn join_of(left: Operator, right: Operator) -> (Program, NodeId) {
         let mut p = Program::new();
-        let a = p.add_source(Operator::scan(TableRef::new("db1", "big")), "sql");
-        let b = p.add_source(Operator::scan(TableRef::new("db2", "small")), "sql");
+        let a = p.add_source(left, "sql");
+        let b = p.add_source(right, "sql");
         let j = p.add_node(
             Operator::HashJoin {
                 left_on: "k".into(),
@@ -1387,8 +1455,80 @@ mod tests {
             "sql",
         );
         p.mark_output(j);
-        let plan = m.place(&mut p).unwrap();
-        assert!(plan.migration_seconds > 0.0);
+        (p, j)
+    }
+
+    fn engine_of(p: &Program, id: NodeId) -> Option<&str> {
+        p.node(id).annotations.engine.as_ref().map(|e| e.as_str())
+    }
+
+    #[test]
+    fn cross_engine_edges_charge_migration() {
+        let m = model();
+        let big = || Operator::scan(TableRef::new("db1", "big"));
+        let small = || Operator::scan(TableRef::new("db2", "small"));
+        let small_bytes = 1_000.0 * 32.0;
+        let bill = m
+            .migration_cost(small_bytes, DataModel::Relational, DataModel::Relational)
+            .as_secs();
+        // Whichever side the big table is on, the join runs there and
+        // the small table is what the plan pays to move.
+        for (left, right) in [(big(), small()), (small(), big())] {
+            let (mut p, j) = join_of(left, right);
+            let plan = m.place(&mut p).unwrap();
+            assert_eq!(engine_of(&p, j), Some("db1"));
+            assert_eq!(plan.migration_seconds, bill);
+            let [site] = &plan.join_sites[..] else {
+                panic!("one cross-engine join, one site record");
+            };
+            assert_eq!((site.node, site.site.as_str()), (j, "db1"));
+            assert_eq!(site.left.1.min(site.right.1), small_bytes);
+            assert_eq!(site.migration_seconds, bill);
+        }
+    }
+
+    #[test]
+    fn join_site_ties_keep_the_first_input() {
+        let mut m = model();
+        m.set_stats(
+            TableRef::new("db2", "small"),
+            m.stats[&TableRef::new("db1", "big")],
+        );
+        let (mut p, j) = join_of(
+            Operator::scan(TableRef::new("db2", "small")),
+            Operator::scan(TableRef::new("db1", "big")),
+        );
+        m.place(&mut p).unwrap();
+        assert_eq!(engine_of(&p, j), Some("db2"));
+    }
+
+    #[test]
+    fn connectors_never_host_a_join() {
+        // The text search returns far more bytes than the 1000-row
+        // table, on either side; the join still runs on the database.
+        let m = model();
+        let search = || Operator::TextSearch {
+            table: TableRef::new("text", "notes"),
+            terms: vec!["icu".into()],
+            mode: pspp_ir::TextSearchMode::Any,
+        };
+        let small = || Operator::scan(TableRef::new("db2", "small"));
+        for (left, right) in [(search(), small()), (small(), search())] {
+            let (mut p, j) = join_of(left, right);
+            m.place(&mut p).unwrap();
+            assert_eq!(engine_of(&p, j), Some("db2"));
+        }
+        // With no relational side at all, first-input gravity stands.
+        let window = Operator::TsWindow {
+            table: TableRef::new("ts", "vitals"),
+            lo: 0,
+            hi: 1_000,
+            width: 10,
+            agg: pspp_ir::TsAgg::Mean,
+        };
+        let (mut p, j) = join_of(search(), window);
+        m.place(&mut p).unwrap();
+        assert_eq!(engine_of(&p, j), Some("text"));
     }
 
     #[test]
@@ -1999,8 +2139,10 @@ mod tests {
             (p, t1, t2)
         };
 
-        let contended =
-            CostModel::new(AcceleratorFleet::workstation().with_capacity(DeviceKind::Tpu, 1), stats.clone());
+        let contended = CostModel::new(
+            AcceleratorFleet::workstation().with_capacity(DeviceKind::Tpu, 1),
+            stats.clone(),
+        );
         let (mut p1, t1, t2) = program();
         let plan = contended.place(&mut p1).unwrap();
         // Training's device win is enormous, so the loser waits rather
@@ -2017,8 +2159,10 @@ mod tests {
         );
 
         // Two physical TPUs: no queue, identical estimates.
-        let wide =
-            CostModel::new(AcceleratorFleet::workstation().with_capacity(DeviceKind::Tpu, 2), stats.clone());
+        let wide = CostModel::new(
+            AcceleratorFleet::workstation().with_capacity(DeviceKind::Tpu, 2),
+            stats.clone(),
+        );
         let (mut p2, w1, w2) = program();
         let plan2 = wide.place(&mut p2).unwrap();
         assert_eq!(plan2.queue_wait_seconds, 0.0);
@@ -2075,5 +2219,3 @@ mod tests {
         assert_eq!(plan.queue_wait_seconds, 0.0, "a fallback never waits");
     }
 }
-
-

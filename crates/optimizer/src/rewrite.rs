@@ -12,17 +12,31 @@
 //! 4. **Join-algorithm selection** — `SortMergeJoin` is rewritten to
 //!    `HashJoin` unless an input is already sorted on the join key;
 //!    a `HashJoin` over two sorted inputs becomes a `SortMergeJoin`.
+//! 5. **Filter pushdown through joins** — a `Filter` above an inner
+//!    join is split into its conjuncts, and every conjunct whose
+//!    columns all come from one join input moves below the join onto
+//!    that input (rule 1 then folds it into the scan), so the join —
+//!    and the migration or shuffle feeding it — sees only the rows
+//!    that survive. Right-side columns the join renamed `x_r` go back
+//!    to `x`. Conjuncts that read both sides (a cross-side `OR`, say)
+//!    stay above; a filter naming a column the join output lacks is
+//!    left whole, so it fails exactly as the literal plan does. The
+//!    probe side stays the left input: output rows keep their order.
+//! 6. **Limit below projection** — `Project → Limit n` becomes
+//!    `Limit n → Project`, so only the `n` surviving rows are
+//!    projected (`ORDER BY .. LIMIT n` no longer projects every
+//!    sorted row).
 //!
 //! Fused nodes are *not* removed: they are marked
 //! [`fused_into_consumer`](pspp_ir::Annotations::fused_into_consumer)
 //! and forward their input unchanged, which keeps node ids stable for
-//! the later passes.
+//! the later passes. Rule 5 appends the filters it pushes as new nodes.
 
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use pspp_common::Predicate;
+use pspp_common::{Predicate, Schema, SchemaLookup};
 use pspp_ir::{NodeId, Operator, Program};
 
 /// How much of the optimizer to run — the Fig. 6 ablation axis.
@@ -83,6 +97,10 @@ pub struct RewriteReport {
     pub filter_fusions: usize,
     /// Join algorithms switched.
     pub join_rewrites: usize,
+    /// Filters split and pushed below a join.
+    pub join_pushdowns: usize,
+    /// Limits moved below a projection.
+    pub limit_pushdowns: usize,
 }
 
 impl RewriteReport {
@@ -92,18 +110,25 @@ impl RewriteReport {
             + self.projection_pushdowns
             + self.filter_fusions
             + self.join_rewrites
+            + self.join_pushdowns
+            + self.limit_pushdowns
     }
 }
 
-/// Runs the L1 rewrite suite in place.
-pub fn optimize_l1(program: &mut Program) -> RewriteReport {
+/// Runs the L1 rewrite suite in place. `schemas` names the columns of
+/// the stored tables, which is how a filter above a join finds the side
+/// each of its columns comes from; a table it does not know keeps its
+/// filters where they are.
+pub fn optimize_l1(program: &mut Program, schemas: &dyn SchemaLookup) -> RewriteReport {
     let mut report = RewriteReport::default();
     // Iterate to fixpoint: pushing one filter may expose another.
     loop {
         let before = report.total();
         fuse_filter_chains(program, &mut report);
+        push_filters_below_joins(program, schemas, &mut report);
         push_predicates(program, &mut report);
         push_projections(program, &mut report);
+        push_limits_below_projections(program, &mut report);
         select_join_algorithms(program, &mut report);
         if report.total() == before {
             break;
@@ -128,6 +153,208 @@ fn single_consumer_map(program: &Program) -> HashMap<NodeId, usize> {
         }
     }
     counts
+}
+
+/// The nodes a rule may rewrite: not fused away, operator accepted by
+/// `wanted`. Most programs have none for a given rule, which then
+/// skips building its consumer map.
+fn live_nodes(program: &Program, wanted: impl Fn(&Operator) -> bool) -> Vec<NodeId> {
+    program
+        .nodes()
+        .iter()
+        .filter(|n| !n.annotations.fused_into_consumer && wanted(&n.op))
+        .map(|n| n.id)
+        .collect()
+}
+
+/// The live producer behind `id` when its rows flow to one consumer
+/// only: every hop (fused aliases included) is read once and none is a
+/// program output, so changing what the producer emits changes nothing
+/// else.
+fn exclusive_producer(
+    program: &Program,
+    consumers: &HashMap<NodeId, usize>,
+    mut id: NodeId,
+) -> Option<NodeId> {
+    loop {
+        if consumers.get(&id).copied().unwrap_or(0) != 1 || program.outputs().contains(&id) {
+            return None;
+        }
+        if !program.node(id).annotations.fused_into_consumer {
+            return Some(id);
+        }
+        id = program.node(id).inputs[0];
+    }
+}
+
+/// The columns `id` emits, when they follow from the stored tables'
+/// schemas through row-shaped operators; `None` for anything else (an
+/// aggregate, a connector source, an unknown table).
+fn output_schema(program: &Program, schemas: &dyn SchemaLookup, id: NodeId) -> Option<Schema> {
+    let node = program.node(id);
+    let input = |idx: usize| output_schema(program, schemas, node.inputs[idx]);
+    let project = |schema: Schema, columns: &[String]| {
+        let names: Vec<&str> = columns.iter().map(String::as_str).collect();
+        schema.project(&names).ok()
+    };
+    if node.annotations.fused_into_consumer {
+        return input(0);
+    }
+    match &node.op {
+        Operator::Scan {
+            table, projection, ..
+        } => {
+            let schema = schemas.table_schema(table)?.clone();
+            match projection {
+                Some(columns) => project(schema, columns),
+                None => Some(schema),
+            }
+        }
+        Operator::Filter { .. } | Operator::Sort { .. } | Operator::Limit { .. } => input(0),
+        Operator::Project { columns } => project(input(0)?, columns),
+        Operator::HashJoin { .. } | Operator::SortMergeJoin { .. } => {
+            Some(input(0)?.join(&input(1)?))
+        }
+        _ => None,
+    }
+}
+
+/// The join input (0 = left, 1 = right) that holds every column
+/// `conjunct` reads; `None` when it reads both sides, no column at all,
+/// or a right column whose own name is ambiguous on the right input.
+fn conjunct_side(
+    conjunct: &Predicate,
+    left: &Schema,
+    right: &Schema,
+    joined: &Schema,
+) -> Option<usize> {
+    let split = left.arity();
+    let positions: Vec<usize> = conjunct
+        .columns()
+        .iter()
+        .filter_map(|c| joined.index_of(c))
+        .collect();
+    if positions.is_empty() {
+        None
+    } else if positions.iter().all(|&p| p < split) {
+        Some(0)
+    } else if positions
+        .iter()
+        .all(|&p| p >= split && right.index_of(&right.fields()[p - split].name) == Some(p - split))
+    {
+        Some(1)
+    } else {
+        None
+    }
+}
+
+fn push_filters_below_joins(
+    program: &mut Program,
+    schemas: &dyn SchemaLookup,
+    report: &mut RewriteReport,
+) {
+    let filters = live_nodes(program, |op| matches!(op, Operator::Filter { .. }));
+    if filters.is_empty() {
+        return;
+    }
+    let consumers = single_consumer_map(program);
+    for id in filters {
+        let Operator::Filter { predicate } = &program.node(id).op else {
+            continue;
+        };
+        let Some(join) = exclusive_producer(program, &consumers, program.node(id).inputs[0]) else {
+            continue; // the unfiltered join rows have another reader
+        };
+        if !matches!(
+            program.node(join).op,
+            Operator::HashJoin { .. } | Operator::SortMergeJoin { .. }
+        ) {
+            continue;
+        }
+        let sides = [program.node(join).inputs[0], program.node(join).inputs[1]];
+        let (Some(left), Some(right)) = (
+            output_schema(program, schemas, sides[0]),
+            output_schema(program, schemas, sides[1]),
+        ) else {
+            continue;
+        };
+        let joined = left.join(&right);
+        if predicate
+            .columns()
+            .iter()
+            .any(|c| joined.index_of(c).is_none())
+        {
+            continue; // fails on the first joined row, pushed or not
+        }
+        // The join suffixes a clashing right column with `_r`; below
+        // the join it has its own name again.
+        let own_name = |c: &str| {
+            let at = joined.index_of(c).expect("every column resolved above");
+            right.fields()[at - left.arity()].name.clone()
+        };
+        // A shared input keeps its rows: its other readers never asked
+        // for this filter.
+        let pushable = sides.map(|s| exclusive_producer(program, &consumers, s).is_some());
+        let mut above = Vec::new();
+        let mut below: [Vec<Predicate>; 2] = [Vec::new(), Vec::new()];
+        for conjunct in predicate.clone().into_conjuncts() {
+            match conjunct_side(&conjunct, &left, &right, &joined).filter(|&side| pushable[side]) {
+                Some(0) => below[0].push(conjunct),
+                Some(_) => below[1].push(conjunct.rename_columns(&own_name)),
+                None => above.push(conjunct),
+            }
+        }
+        if below.iter().all(Vec::is_empty) {
+            continue;
+        }
+        let subprogram = program.node(id).subprogram.clone();
+        for (side, conjuncts) in below.into_iter().enumerate() {
+            if conjuncts.is_empty() {
+                continue;
+            }
+            let pushed = program.add_node(
+                Operator::Filter {
+                    predicate: Predicate::all(conjuncts),
+                },
+                vec![sides[side]],
+                subprogram.clone(),
+            );
+            program.node_mut(join).inputs[side] = pushed;
+        }
+        if above.is_empty() {
+            program.node_mut(id).annotations.fused_into_consumer = true;
+        } else {
+            program.node_mut(id).op = Operator::Filter {
+                predicate: Predicate::all(above),
+            };
+        }
+        report.join_pushdowns += 1;
+    }
+}
+
+fn push_limits_below_projections(program: &mut Program, report: &mut RewriteReport) {
+    let limits = live_nodes(program, |op| matches!(op, Operator::Limit { .. }));
+    if limits.is_empty() {
+        return;
+    }
+    let consumers = single_consumer_map(program);
+    for id in limits {
+        let Operator::Limit { n } = program.node(id).op else {
+            continue;
+        };
+        let Some(project) = exclusive_producer(program, &consumers, program.node(id).inputs[0])
+        else {
+            continue;
+        };
+        let Operator::Project { columns } = program.node(project).op.clone() else {
+            continue;
+        };
+        // A projection maps rows one to one and in order, so the first
+        // `n` projected rows are the projection of the first `n` rows.
+        program.node_mut(project).op = Operator::Limit { n };
+        program.node_mut(id).op = Operator::Project { columns };
+        report.limit_pushdowns += 1;
+    }
 }
 
 fn push_predicates(program: &mut Program, report: &mut RewriteReport) {
@@ -271,11 +498,139 @@ fn select_join_algorithms(program: &mut Program, report: &mut RewriteReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pspp_common::TableRef;
+    use pspp_common::{DataType, TableRef};
     use pspp_ir::SortSpec;
 
     fn scan(p: &mut Program) -> NodeId {
         p.add_source(Operator::scan(TableRef::new("db", "t")), "sql")
+    }
+
+    fn no_schemas() -> HashMap<TableRef, Schema> {
+        HashMap::new()
+    }
+
+    /// `db1.l(k, a)` and `db2.r(k, b)`.
+    fn two_tables() -> HashMap<TableRef, Schema> {
+        let table = |engine, name, col| {
+            (
+                TableRef::new(engine, name),
+                Schema::new(vec![("k", DataType::Int), (col, DataType::Int)]),
+            )
+        };
+        HashMap::from([table("db1", "l", "a"), table("db2", "r", "b")])
+    }
+
+    /// `l JOIN r ON k = k`, then `WHERE predicate`; returns (program,
+    /// left scan, right scan, join, filter).
+    fn filtered_join(predicate: Predicate) -> (Program, [NodeId; 4]) {
+        let mut p = Program::new();
+        let l = p.add_source(Operator::scan(TableRef::new("db1", "l")), "sql");
+        let r = p.add_source(Operator::scan(TableRef::new("db2", "r")), "sql");
+        let j = p.add_node(
+            Operator::HashJoin {
+                left_on: "k".into(),
+                right_on: "k".into(),
+            },
+            vec![l, r],
+            "sql",
+        );
+        let f = p.add_node(Operator::Filter { predicate }, vec![j], "sql");
+        p.mark_output(f);
+        (p, [l, r, j, f])
+    }
+
+    fn scan_predicate(p: &Program, id: NodeId) -> Predicate {
+        match &p.node(id).op {
+            Operator::Scan { predicate, .. } => predicate.clone(),
+            other => panic!("{} is not a scan", other.name()),
+        }
+    }
+
+    #[test]
+    fn join_filter_splits_onto_both_sides() {
+        // `k_r` is the right table's `k` under the join's renaming.
+        let (mut p, [l, r, j, f]) = filtered_join(
+            Predicate::gt("a", 5i64)
+                .and(Predicate::lt("b", 9i64))
+                .and(Predicate::eq("k_r", 3i64)),
+        );
+        let report = optimize_l1(&mut p, &two_tables());
+        assert_eq!(report.join_pushdowns, 1);
+        assert_eq!(report.predicate_pushdowns, 2);
+        assert_eq!(scan_predicate(&p, l), Predicate::gt("a", 5i64));
+        assert_eq!(
+            scan_predicate(&p, r),
+            Predicate::lt("b", 9i64).and(Predicate::eq("k", 3i64))
+        );
+        // Nothing is left to check above the join; probe stays left.
+        assert!(p.node(f).annotations.fused_into_consumer);
+        assert_eq!(resolve_fused(&p, f), j);
+        assert_eq!(resolve_fused(&p, p.node(j).inputs[0]), l);
+        assert_eq!(resolve_fused(&p, p.node(j).inputs[1]), r);
+        p.validate().unwrap();
+    }
+
+    #[test]
+    fn cross_side_disjunction_stays_above_the_join() {
+        let cross = Predicate::gt("a", 5i64).or(Predicate::lt("b", 9i64));
+        let (mut p, [l, r, _, f]) = filtered_join(Predicate::eq("a", 1i64).and(cross.clone()));
+        let report = optimize_l1(&mut p, &two_tables());
+        assert_eq!(report.join_pushdowns, 1);
+        assert_eq!(scan_predicate(&p, l), Predicate::eq("a", 1i64));
+        assert_eq!(scan_predicate(&p, r), Predicate::True);
+        assert_eq!(p.node(f).op, Operator::Filter { predicate: cross });
+    }
+
+    #[test]
+    fn unresolvable_column_or_unknown_table_leaves_the_filter_whole() {
+        let predicate = Predicate::eq("a", 1i64).and(Predicate::eq("zzz", 1i64));
+        let (mut p, [l, .., f]) = filtered_join(predicate.clone());
+        assert_eq!(optimize_l1(&mut p, &two_tables()).join_pushdowns, 0);
+        assert_eq!(scan_predicate(&p, l), Predicate::True);
+        assert_eq!(p.node(f).op, Operator::Filter { predicate });
+
+        let (mut p, _) = filtered_join(Predicate::eq("a", 1i64));
+        assert_eq!(optimize_l1(&mut p, &no_schemas()).join_pushdowns, 0);
+    }
+
+    #[test]
+    fn shared_join_input_keeps_its_rows() {
+        let (mut p, [l, r, ..]) =
+            filtered_join(Predicate::eq("a", 1i64).and(Predicate::eq("b", 2i64)));
+        p.mark_output(l); // the unfiltered left rows are a result too
+        let report = optimize_l1(&mut p, &two_tables());
+        assert_eq!(report.join_pushdowns, 1);
+        assert_eq!(scan_predicate(&p, l), Predicate::True);
+        assert_eq!(scan_predicate(&p, r), Predicate::eq("b", 2i64));
+    }
+
+    #[test]
+    fn limit_moves_below_projection() {
+        let mut p = Program::new();
+        let s = scan(&mut p);
+        let sort = p.add_node(
+            Operator::Sort {
+                keys: vec![SortSpec {
+                    column: "a".into(),
+                    ascending: false,
+                }],
+            },
+            vec![s],
+            "sql",
+        );
+        let project = p.add_node(
+            Operator::Project {
+                columns: vec!["a".into()],
+            },
+            vec![sort],
+            "sql",
+        );
+        let limit = p.add_node(Operator::Limit { n: 10 }, vec![project], "sql");
+        p.mark_output(limit);
+        let report = optimize_l1(&mut p, &no_schemas());
+        assert_eq!(report.limit_pushdowns, 1);
+        assert_eq!(p.node(project).op, Operator::Limit { n: 10 });
+        assert_eq!(p.node(limit).op.name(), "project");
     }
 
     #[test]
@@ -290,7 +645,7 @@ mod tests {
             "sql",
         );
         p.mark_output(f);
-        let report = optimize_l1(&mut p);
+        let report = optimize_l1(&mut p, &no_schemas());
         assert_eq!(report.predicate_pushdowns, 1);
         assert!(p.node(f).annotations.fused_into_consumer);
         match &p.node(s).op {
@@ -319,7 +674,7 @@ mod tests {
             "sql",
         );
         p.mark_output(f2);
-        let report = optimize_l1(&mut p);
+        let report = optimize_l1(&mut p, &no_schemas());
         assert_eq!(report.filter_fusions, 1);
         assert_eq!(report.predicate_pushdowns, 1);
         // Both filters end up fused; the scan carries the conjunction.
@@ -343,7 +698,7 @@ mod tests {
             "sql",
         );
         p.mark_output(proj);
-        let report = optimize_l1(&mut p);
+        let report = optimize_l1(&mut p, &no_schemas());
         assert_eq!(report.projection_pushdowns, 1);
         match &p.node(s).op {
             Operator::Scan { projection, .. } => {
@@ -373,7 +728,7 @@ mod tests {
         );
         p.mark_output(f1);
         p.mark_output(f2);
-        let report = optimize_l1(&mut p);
+        let report = optimize_l1(&mut p, &no_schemas());
         assert_eq!(report.predicate_pushdowns, 0);
     }
 
@@ -391,7 +746,7 @@ mod tests {
             "sql",
         );
         p.mark_output(j);
-        let report = optimize_l1(&mut p);
+        let report = optimize_l1(&mut p, &no_schemas());
         assert_eq!(report.join_rewrites, 1);
         assert_eq!(p.node(j).op.name(), "hash_join");
     }
@@ -430,7 +785,7 @@ mod tests {
             "sql",
         );
         p.mark_output(j);
-        let report = optimize_l1(&mut p);
+        let report = optimize_l1(&mut p, &no_schemas());
         assert_eq!(report.join_rewrites, 1);
         assert_eq!(p.node(j).op.name(), "sort_merge_join");
     }

@@ -92,7 +92,8 @@ impl<'a> Charger<'a> {
         bytes: u64,
         node: NodeId,
     ) -> f64 {
-        self.charge_detailed(ledger, op, device, rows, bytes, node).0
+        self.charge_detailed(ledger, op, device, rows, bytes, node)
+            .0
     }
 
     /// [`Charger::charge`], additionally returning the transfer seconds

@@ -1,17 +1,51 @@
-//! `EXPLAIN ANALYZE`: planned cost next to executed cost, per node.
+//! `EXPLAIN` and `EXPLAIN ANALYZE`: planned cost, alone or next to
+//! executed cost, per node.
 //!
 //! The optimizer prices a plan before execution ([`PlannedCosts`], produced
 //! from `CostModel::place`'s `PlacementPlan`); the executor reports what
 //! actually ran ([`NodeTrace`]s on the simulated clock). [`explain_analyze`]
 //! joins the two into a text tree: one row per node with planned vs. executed
 //! critical-path seconds, one row per (shard) task with its device pick and
-//! any host fallback, and one row per exchange edge with routed rows/bytes.
+//! any host fallback, one row per exchange edge with routed rows/bytes, and
+//! under every cross-engine join its [`JoinSite`] — where it runs, the two
+//! byte estimates compared, planned vs. executed migration. [`explain_plan`]
+//! renders the plan's half alone, without running anything.
 
 use crate::trace::NodeTrace;
 use pspp_accel::SimDuration;
+use pspp_common::EngineId;
 use pspp_ir::NodeId;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+
+/// Where the planner runs one join whose inputs sit on different
+/// engines, and what it compared to decide: the input with more
+/// estimated bytes stays put and the other migrates to it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JoinSite {
+    /// The join.
+    pub node: NodeId,
+    /// The engine chosen to run it.
+    pub site: EngineId,
+    /// The left (probe) input's engine and estimated bytes.
+    pub left: (EngineId, f64),
+    /// The right (build) input's engine and estimated bytes.
+    pub right: (EngineId, f64),
+    /// Planned seconds migrating the inputs that are not at `site`.
+    pub migration_seconds: f64,
+}
+
+impl JoinSite {
+    fn describe(&self) -> String {
+        let side = |(engine, bytes): &(EngineId, f64)| format!("{engine} {bytes:.0}B");
+        format!(
+            "site={} (left {}, right {})",
+            self.site,
+            side(&self.left),
+            side(&self.right)
+        )
+    }
+}
 
 /// The optimizer's pre-execution cost estimates, keyed for the join
 /// against executed traces.
@@ -26,6 +60,10 @@ pub struct PlannedCosts {
     /// Planned number of host fallbacks (planned device missing from a
     /// shard's fleet).
     pub host_fallbacks: usize,
+    /// Planned cross-engine migration seconds (exchanges excluded).
+    pub migration_seconds: f64,
+    /// The site decision of every cross-engine join.
+    pub join_sites: Vec<JoinSite>,
 }
 
 fn dur(seconds: f64) -> String {
@@ -34,6 +72,34 @@ fn dur(seconds: f64) -> String {
 
 fn planned_cell(planned: Option<f64>) -> String {
     planned.map_or_else(|| "-".to_string(), dur)
+}
+
+/// Renders the plan alone (`EXPLAIN`): planned seconds per node in id
+/// order, each cross-engine join's site decision under it, and the
+/// plan's migration, exchange and end-to-end totals.
+pub fn explain_plan(planned: &PlannedCosts) -> String {
+    let mut nodes: Vec<(&NodeId, &f64)> = planned.node_seconds.iter().collect();
+    nodes.sort_by_key(|(id, _)| **id);
+    let mut rows: Vec<(String, String)> = Vec::new();
+    for (id, &seconds) in nodes {
+        rows.push((id.to_string(), dur(seconds)));
+        if let Some(site) = planned.join_sites.iter().find(|s| s.node == *id) {
+            rows.push((
+                format!("  {} migration", site.describe()),
+                dur(site.migration_seconds),
+            ));
+        }
+    }
+    rows.push(("migration".to_string(), dur(planned.migration_seconds)));
+    rows.push(("exchange".to_string(), dur(planned.exchange_seconds)));
+    rows.push(("total".to_string(), dur(planned.total_seconds)));
+    let name_w = rows.iter().map(|(n, _)| n.len()).max().unwrap_or(0).max(4);
+    let mut out = String::new();
+    let _ = writeln!(out, "{:<name_w$}  {:>10}", "node", "planned");
+    for (name, planned) in &rows {
+        let _ = writeln!(out, "{name:<name_w$}  {planned:>10}");
+    }
+    out
 }
 
 /// Renders the planned-vs-executed tree. `traces` must be in executor
@@ -55,6 +121,13 @@ pub fn explain_analyze(
             planned_cell(planned_node),
             dur(trace.critical_seconds),
         ));
+        if let Some(site) = planned.and_then(|p| p.join_sites.iter().find(|s| s.node == trace.id)) {
+            rows.push((
+                format!("  {} migration", site.describe()),
+                dur(site.migration_seconds),
+                dur(trace.migration_seconds),
+            ));
+        }
         for task in &trace.tasks {
             let fallback = if task.fallback() {
                 format!(" (planned {:?}, host fallback)", task.planned)
@@ -127,7 +200,7 @@ pub fn explain_analyze(
 mod tests {
     use super::*;
     use crate::trace::{ExchangeTrace, TaskTrace};
-    use pspp_common::{DeviceKind, ShardId};
+    use pspp_common::{DeviceKind, EngineId, ShardId};
 
     fn traces() -> Vec<NodeTrace> {
         vec![NodeTrace {
@@ -178,10 +251,63 @@ mod tests {
         );
         assert!(text.contains("600.000us"), "actual column rendered: {text}");
         assert!(text.contains("host fallback"));
-        assert!(text.contains("fused=#0[2/2]"), "fused chain rendered: {text}");
-        assert!(text.contains("queue=20.000us"), "queue wait rendered: {text}");
+        assert!(
+            text.contains("fused=#0[2/2]"),
+            "fused chain rendered: {text}"
+        );
+        assert!(
+            text.contains("queue=20.000us"),
+            "queue wait rendered: {text}"
+        );
         assert!(text.contains("exchange.shuffle rows=240"));
         assert!(text.contains("exchange_rows=240"));
+    }
+
+    fn site() -> JoinSite {
+        JoinSite {
+            node: NodeId(3),
+            site: EngineId::new("db2"),
+            left: (EngineId::new("db1"), 128_000.0),
+            right: (EngineId::new("db2"), 640_000.0),
+            migration_seconds: 1.5e-4,
+        }
+    }
+
+    #[test]
+    fn join_site_sits_beside_the_executed_migration() {
+        let planned = PlannedCosts {
+            join_sites: vec![site()],
+            ..Default::default()
+        };
+        let text = explain_analyze(&traces(), Some(&planned), 6e-4);
+        let line = text
+            .lines()
+            .find(|l| l.contains("site=db2"))
+            .expect("site row rendered");
+        assert!(
+            line.contains("left db1 128000B, right db2 640000B"),
+            "{line}"
+        );
+        assert!(line.contains("150.000us"), "planned migration: {line}");
+        assert!(line.contains("200.000us"), "executed migration: {line}");
+    }
+
+    #[test]
+    fn explain_renders_the_plan_without_traces() {
+        let mut planned = PlannedCosts {
+            join_sites: vec![site()],
+            migration_seconds: 1.5e-4,
+            total_seconds: 7e-4,
+            ..Default::default()
+        };
+        planned.node_seconds.insert(NodeId(3), 5.5e-4);
+        planned.node_seconds.insert(NodeId(0), 1e-4);
+        let text = explain_plan(&planned);
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[1].starts_with("n0"), "id order: {text}");
+        assert!(lines[2].starts_with("n3") && lines[2].contains("550.000us"));
+        assert!(lines[3].contains("site=db2") && lines[3].contains("150.000us"));
+        assert!(text.contains("total") && text.contains("700.000us"));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! - [`span`] — [`SpanTree`] folds traces into a per-query
 //!   tree with critical-path marking; renders as text or JSON.
 //! - [`explain`] — [`explain_analyze`] joins the
-//!   optimizer's planned costs against executed traces.
+//!   optimizer's planned costs against executed traces;
+//!   [`explain_plan`] renders the plan alone.
 //! - [`prom`] — Prometheus text exposition renderer plus a minimal parser
 //!   for round-trip tests.
 //! - [`json`] — the deterministic hand-rolled JSON document model the
@@ -31,7 +32,7 @@ pub mod prom;
 pub mod span;
 pub mod trace;
 
-pub use explain::{explain_analyze, PlannedCosts};
+pub use explain::{explain_analyze, explain_plan, JoinSite, PlannedCosts};
 pub use json::Json;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramData, MetricEntry, MetricKind, MetricValue,

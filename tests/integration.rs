@@ -39,6 +39,47 @@ fn federated_sql_matches_manual_join() {
     assert_eq!(report.execution.outputs[0].len(), expected);
 }
 
+/// The federated join ships the small side: the age filter runs in the
+/// `admissions` scan (L1), the join runs on db2 next to the unfiltered
+/// `patients` table (L2 site rule), and what crosses engines is the
+/// filtered `admissions` rows — the literal plan's rows, in its order,
+/// for less migration.
+#[test]
+fn federated_join_ships_the_filtered_side() {
+    let query = "SELECT name FROM admissions JOIN db2.patients ON admissions.pid = patients.pid \
+                 WHERE age BETWEEN 40 AND 55";
+    let literal = clinical_system(OptLevel::None)
+        .run_sql(query)
+        .expect("runs unoptimized");
+    let shipped = clinical_system(OptLevel::L3)
+        .run_sql(query)
+        .expect("runs optimized");
+    let rows = shipped.execution.outputs[0].try_rows().expect("rows");
+    assert!(!rows.is_empty());
+    assert_eq!(rows, literal.execution.outputs[0].try_rows().expect("rows"));
+    assert_eq!(shipped.rewrites.join_pushdowns, 1);
+    let placement = shipped.placement.as_ref().expect("L3 places");
+    let [site] = &placement.join_sites[..] else {
+        panic!("one cross-engine join: {:?}", placement.join_sites);
+    };
+    assert_eq!(site.site, EngineId::new("db2"));
+    assert!(
+        site.left.1 < site.right.1,
+        "filtered admissions are the small side"
+    );
+    assert!(
+        shipped.execution.migration_seconds < literal.execution.migration_seconds,
+        "{} vs {}",
+        shipped.execution.migration_seconds,
+        literal.execution.migration_seconds
+    );
+    // The decision is legible in the plan, and beside the executed
+    // migration once it ran.
+    for explain in [placement.explain(), shipped.explain_analyze()] {
+        assert!(explain.contains("site=db2 (left db1 "), "{explain}");
+    }
+}
+
 #[test]
 fn optimization_preserves_results() {
     let query = "SELECT pid, age FROM admissions WHERE age >= 40 AND age < 70 ORDER BY age, pid";

@@ -659,13 +659,35 @@ fn arb_small_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// One step of a postfix predicate program (see [`predicate_from`]):
+/// kind, column pick, two literals and an `IN` set.
+type PredicateStep = (u8, usize, Value, Value, Vec<Value>);
+
+/// Postfix programs of `steps` steps for [`predicate_from`], their
+/// literals drawn from `literal()`.
+fn arb_predicate_program<L: Strategy<Value = Value>>(
+    steps: std::ops::Range<usize>,
+    literal: fn() -> L,
+) -> impl Strategy<Value = Vec<PredicateStep>> {
+    prop::collection::vec(
+        (
+            0u8..13,
+            0usize..1000,
+            literal(),
+            literal(),
+            prop::collection::vec(literal(), 0..3),
+        ),
+        steps,
+    )
+}
+
 /// A predicate tree from a postfix program: kinds 0–9 push a leaf over
-/// column `a`, `b`, `c` or the unknown `zzz`; 10–12 combine what is on
-/// the stack with `And`, `Or`, `Not`. Whatever is left is `And`ed.
-fn predicate_from(program: Vec<(u8, usize, Value, Value, Vec<Value>)>) -> Predicate {
+/// one of `columns` (picked modulo their number); 10–12 combine what is
+/// on the stack with `And`, `Or`, `Not`. Whatever is left is `And`ed.
+fn predicate_from(columns: &[&str], program: Vec<PredicateStep>) -> Predicate {
     let mut stack: Vec<Predicate> = Vec::new();
     for (kind, column, v, w, set) in program {
-        let c = || ["a", "b", "c", "zzz"][column].to_owned();
+        let c = || columns[column % columns.len()].to_owned();
         let leaf = match kind {
             10 | 11 if stack.len() >= 2 => {
                 let (right, left) = (stack.pop().unwrap(), stack.pop().unwrap());
@@ -701,16 +723,7 @@ proptest! {
     /// unknown column (a short-circuited branch never does).
     #[test]
     fn bound_predicate_agrees_with_eval(
-        program in prop::collection::vec(
-            (
-                0u8..13,
-                0usize..4,
-                arb_small_value(),
-                arb_small_value(),
-                prop::collection::vec(arb_small_value(), 0..3),
-            ),
-            1..10,
-        ),
+        program in arb_predicate_program(1..10, arb_small_value),
         rows in prop::collection::vec(
             (arb_small_value(), arb_small_value(), arb_small_value()),
             1..6,
@@ -721,13 +734,232 @@ proptest! {
             ("b", DataType::Float),
             ("c", DataType::Str),
         ]);
-        let predicate = predicate_from(program);
+        let predicate = predicate_from(&["a", "b", "c", "zzz"], program);
         let bound = predicate.bind(&schema);
         for (a, b, c) in rows {
             let row = Row::from(vec![a, b, c]);
             prop_assert_eq!(bound.eval(&row), predicate.eval(&schema, &row));
         }
     }
+}
+
+/// `db1.l(k, a, b)` and `db2.r(k, c, b)`, unindexed, built at `level`.
+/// Joined on `k` the output is `k, a, b, k_r, c, b_r`.
+fn two_table_system(
+    left: &[[Option<i64>; 3]],
+    right: &[[Option<i64>; 3]],
+    level: OptLevel,
+) -> Polystore {
+    let mut registry = EngineRegistry::new();
+    let mut catalog = Catalog::new();
+    for (engine, table, third, rows) in [("db1", "l", "a", left), ("db2", "r", "c", right)] {
+        let schema = Schema::new(vec![
+            ("k", DataType::Int),
+            (third, DataType::Int),
+            ("b", DataType::Int),
+        ]);
+        let mut db = RelationalStore::new(engine);
+        db.create_table(table, schema.clone()).expect("fresh store");
+        let cell = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+        db.insert(
+            table,
+            rows.iter()
+                .map(|r| Row::from(r.map(cell).to_vec()))
+                .collect(),
+        )
+        .expect("rows match schema");
+        registry
+            .register(EngineId::new(engine), EngineInstance::Relational(db))
+            .expect("fresh engine id");
+        catalog.register(TableRef::new(engine, table), schema);
+    }
+    Polystore::from_deployment(Deployment {
+        registry,
+        catalog,
+        stats: std::collections::HashMap::new(),
+        clinical_names: Default::default(),
+    })
+    .opt_level(level)
+    .build()
+    .expect("valid config")
+}
+
+/// `l JOIN r ON k = k WHERE predicate`, as the SQL frontend lowers it.
+fn filtered_join_program(predicate: Predicate) -> Program {
+    let mut p = Program::new();
+    let l = p.add_source(Operator::scan(TableRef::new("db1", "l")), "sql");
+    let r = p.add_source(Operator::scan(TableRef::new("db2", "r")), "sql");
+    let join = p.add_node(
+        Operator::HashJoin {
+            left_on: "k".into(),
+            right_on: "k".into(),
+        },
+        vec![l, r],
+        "sql",
+    );
+    let filter = p.add_node(Operator::Filter { predicate }, vec![join], "sql");
+    p.mark_output(filter);
+    p
+}
+
+/// A nullable small int: join keys collide often, a quarter are NULL.
+fn arb_cell() -> impl Strategy<Value = Option<i64>> {
+    prop_oneof![
+        Just(None),
+        (-1i64..2).prop_map(Some),
+        (-1i64..2).prop_map(Some),
+        (-1i64..2).prop_map(Some),
+    ]
+}
+
+/// A literal that table cells often equal: mostly the cells' own
+/// domain, now and then NULL.
+fn arb_cell_literal() -> impl Strategy<Value = Value> {
+    arb_cell().prop_map(|v| v.map_or(Value::Null, Value::Int))
+}
+
+fn arb_table() -> impl Strategy<Value = Vec<[Option<i64>; 3]>> {
+    prop::collection::vec(
+        (arb_cell(), arb_cell(), arb_cell()).prop_map(|(k, x, b)| [k, x, b]),
+        0..16,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Predicate::selectivity` keeps to its documented range however
+    /// the tree is built — `NOT TRUE` and an empty `IN` included — so
+    /// no byte estimate downstream of a filter is ever zeroed.
+    #[test]
+    fn selectivity_is_finite_and_in_unit_range(
+        program in arb_predicate_program(1..24, arb_small_value),
+    ) {
+        let predicate = predicate_from(&["a", "b"], program);
+        for p in [predicate.clone(), predicate.not(), Predicate::True.not()] {
+            let s = p.selectivity();
+            prop_assert!(s.is_finite() && s > 0.0 && s <= 1.0, "{s} for {p:?}");
+        }
+    }
+
+    /// Pushing a filter's conjuncts below the join (L1) and then
+    /// choosing the join site by bytes (L3) never shows in the result:
+    /// the same rows in the same order as the literal plan, or the
+    /// same error — over NULL keys, either side's columns, the join's
+    /// `_r` names, cross-side `OR`s and a column nobody has.
+    #[test]
+    fn pushed_join_filters_match_the_literal_plan(
+        left in arb_table(),
+        right in arb_table(),
+        program in arb_predicate_program(1..6, arb_cell_literal),
+    ) {
+        let columns = ["a", "c", "k", "k_r", "b", "b_r", "a", "c", "zzz"];
+        let predicate = predicate_from(&columns, program);
+        let run = |level| {
+            two_table_system(&left, &right, level)
+                .run_program(filtered_join_program(predicate.clone()))
+                .map(|report| report.execution.outputs[0].try_rows().expect("rows").to_vec())
+        };
+        let literal = run(OptLevel::None);
+        for level in [OptLevel::L1, OptLevel::L3] {
+            prop_assert!(run(level) == literal, "{level} diverged on {predicate:?}");
+        }
+    }
+
+    /// The join site never costs more migration than running the join
+    /// at its first input would on the same estimates, and a tie stays
+    /// at the first input.
+    #[test]
+    fn join_site_never_prices_more_migration_than_first_input_gravity(
+        left_rows in 1.0f64..1e6,
+        right_rows in 1.0f64..1e6,
+        left_width in 8.0f64..256.0,
+        right_width in 8.0f64..256.0,
+        program in arb_predicate_program(1..6, arb_small_value),
+        tie in any::<bool>(),
+    ) {
+        let (l, r) = (TableRef::new("db1", "l"), TableRef::new("db2", "r"));
+        let left_stats = TableStats { rows: left_rows, row_bytes: left_width };
+        let right_stats = if tie {
+            left_stats
+        } else {
+            TableStats { rows: right_rows, row_bytes: right_width }
+        };
+        let model = CostModel::new(
+            AcceleratorFleet::cpu_only(),
+            [(l.clone(), left_stats), (r.clone(), right_stats)].into(),
+        );
+        let scan = |table: &TableRef, predicate| Operator::Scan {
+            table: table.clone(),
+            predicate,
+            projection: None,
+        };
+        // The filter sits on the left scan only, unless the sides tie.
+        let filter = if tie { Predicate::True } else { predicate_from(&["a"], program) };
+        let mut p = Program::new();
+        let a = p.add_source(scan(&l, filter), "sql");
+        let b = p.add_source(scan(&r, Predicate::True), "sql");
+        let join = p.add_node(
+            Operator::HashJoin { left_on: "k".into(), right_on: "k".into() },
+            vec![a, b],
+            "sql",
+        );
+        p.mark_output(join);
+        let plan = model.place(&mut p).expect("acyclic");
+        let bytes = |id| p.node(id).annotations.est_bytes.expect("estimated");
+        let bill = |bytes| {
+            model
+                .migration_cost(bytes, DataModel::Relational, DataModel::Relational)
+                .as_secs()
+        };
+        prop_assert!(plan.migration_seconds <= bill(bytes(b)));
+        prop_assert_eq!(plan.migration_seconds, bill(bytes(a).min(bytes(b))));
+        if tie {
+            prop_assert_eq!(&p.node(join).annotations.engine, &Some(EngineId::new("db1")));
+        }
+    }
+}
+
+/// The Fig. 2 program joins a relational scan to connector outputs
+/// (text search, timeseries windows): no join has two relational
+/// sides, so every transform still sits where its first input is.
+#[test]
+fn fig2_engine_annotations_keep_first_input_gravity() {
+    let system = Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
+        patients: 60,
+        vitals_per_patient: 4,
+        seed: 3,
+    }))
+    .accelerators(AcceleratorFleet::workstation())
+    .opt_level(OptLevel::L3)
+    .build()
+    .expect("valid config");
+    let mut program = system
+        .compile_nlq("Will patients have a long stay at the hospital or short?")
+        .expect("the Fig. 2 template");
+    let (_, placement) = system.optimize(&mut program).expect("plans");
+    let engine_of = |id: polystorepp::ir::NodeId| {
+        let mut id = id;
+        while program.node(id).annotations.fused_into_consumer {
+            id = program.node(id).inputs[0];
+        }
+        program.node(id).annotations.engine.clone()
+    };
+    let mut joins = 0;
+    for node in program.nodes() {
+        if node.annotations.fused_into_consumer {
+            continue;
+        }
+        if let Some(&first) = node.inputs.first() {
+            assert_eq!(node.annotations.engine, engine_of(first), "{}", node.id);
+        }
+        joins += usize::from(node.op.name() == "hash_join");
+    }
+    assert_eq!(joins, 2, "P ⋈ N ⋈ S");
+    // Both joins cross engines; both stay on the relational side.
+    let sites = &placement.expect("L3 places").join_sites;
+    assert_eq!(sites.len(), 2);
+    assert!(sites.iter().all(|s| s.site == EngineId::new("db1")));
 }
 
 proptest! {

@@ -36,6 +36,8 @@
 //! assert_eq!(best.kind(), DeviceKind::Tpu);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod device;
 pub mod exchange;

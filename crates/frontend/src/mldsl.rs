@@ -34,14 +34,14 @@ pub fn lower_into(
     if c.eat_kw("train") {
         c.expect_kw("mlp")?;
         c.expect_kw("hidden")?;
-        let mut hidden = vec![c.expect_int()? as usize];
+        let mut hidden = vec![expect_count(&mut c, "HIDDEN", 1)?];
         while c.eat_sym(",") {
-            hidden.push(c.expect_int()? as usize);
+            hidden.push(expect_count(&mut c, "HIDDEN", 1)?);
         }
         c.expect_kw("epochs")?;
-        let epochs = c.expect_int()? as usize;
+        let epochs = expect_count(&mut c, "EPOCHS", 0)?;
         c.expect_kw("batch")?;
-        let batch_size = c.expect_int()? as usize;
+        let batch_size = expect_count(&mut c, "BATCH", 1)?;
         c.expect_kw("lr")?;
         let learning_rate = c.expect_number()?;
         c.expect_kw("label")?;
@@ -62,9 +62,9 @@ pub fn lower_into(
     }
     if c.eat_kw("kmeans") {
         c.expect_kw("k")?;
-        let k = c.expect_int()? as usize;
+        let k = expect_count(&mut c, "K", 1)?;
         let max_iters = if c.eat_kw("iters") {
-            c.expect_int()? as usize
+            expect_count(&mut c, "ITERS", 0)?
         } else {
             50
         };
@@ -82,6 +82,17 @@ pub fn lower_into(
         return Ok(program.add_node(Operator::Predict, inputs.to_vec(), subprogram));
     }
     Err(Error::Parse(format!("unknown ML statement: {statement:?}")))
+}
+
+/// The integer after `clause`, as a count of at least `min`: the lexer
+/// reads `-1` as one token, which an `as usize` cast would turn into
+/// `usize::MAX` layers, epochs or clusters.
+fn expect_count(c: &mut Cursor, clause: &str, min: usize) -> Result<usize> {
+    let value = c.expect_int()?;
+    usize::try_from(value)
+        .ok()
+        .filter(|&count| count >= min)
+        .ok_or_else(|| Error::Parse(format!("{clause} must be at least {min}, got {value}")))
 }
 
 fn require_arity(inputs: &[NodeId], want: usize, what: &str) -> Result<()> {
@@ -154,6 +165,59 @@ mod tests {
         assert!(lower_into("PREDICT", &[s], &mut p, "ml").is_err());
         let m = source(&mut p);
         assert!(lower_into("PREDICT", &[s, m], &mut p, "ml").is_ok());
+    }
+
+    #[test]
+    fn negative_and_zero_counts_rejected_by_clause() {
+        for (statement, clause) in [
+            (
+                "TRAIN MLP HIDDEN -1 EPOCHS 5 BATCH 32 LR 0.3 LABEL y",
+                "HIDDEN",
+            ),
+            (
+                "TRAIN MLP HIDDEN 0 EPOCHS 5 BATCH 32 LR 0.3 LABEL y",
+                "HIDDEN",
+            ),
+            (
+                "TRAIN MLP HIDDEN 8,-4 EPOCHS 5 BATCH 32 LR 0.3 LABEL y",
+                "HIDDEN",
+            ),
+            (
+                "TRAIN MLP HIDDEN 8 EPOCHS -1 BATCH 32 LR 0.3 LABEL y",
+                "EPOCHS",
+            ),
+            (
+                "TRAIN MLP HIDDEN 8 EPOCHS 5 BATCH -1 LR 0.3 LABEL y",
+                "BATCH",
+            ),
+            (
+                "TRAIN MLP HIDDEN 8 EPOCHS 5 BATCH 0 LR 0.3 LABEL y",
+                "BATCH",
+            ),
+            ("KMEANS K -1", "K"),
+            ("KMEANS K 0", "K"),
+            ("KMEANS K 3 ITERS -1", "ITERS"),
+        ] {
+            let mut p = Program::new();
+            let s = source(&mut p);
+            match lower_into(statement, &[s], &mut p, "ml") {
+                Err(Error::Parse(message)) => {
+                    assert!(message.starts_with(clause), "{statement}: {message}");
+                }
+                other => panic!("{statement}: expected a parse error, got {other:?}"),
+            }
+        }
+        // Zero epochs and zero iterations are degenerate, not invalid.
+        let mut p = Program::new();
+        let s = source(&mut p);
+        assert!(lower_into(
+            "TRAIN MLP HIDDEN 8 EPOCHS 0 BATCH 32 LR 0.3 LABEL y",
+            &[s],
+            &mut p,
+            "ml"
+        )
+        .is_ok());
+        assert!(lower_into("KMEANS K 3 ITERS 0", &[s], &mut p, "ml").is_ok());
     }
 
     #[test]

@@ -123,18 +123,6 @@ impl Dataset {
         })
     }
 
-    /// Contiguous mini-batches of at most `batch_size` examples.
-    pub fn batches(&self, batch_size: usize) -> Vec<Dataset> {
-        assert!(batch_size > 0, "batch size must be positive");
-        (0..self.len())
-            .step_by(batch_size)
-            .map(|start| {
-                let idx: Vec<usize> = (start..(start + batch_size).min(self.len())).collect();
-                self.subset(&idx).expect("in-bounds batch")
-            })
-            .collect()
-    }
-
     /// A deterministic synthetic binary task: `y = 1` iff the first
     /// feature exceeds 0.5 (plus light noise on the other dims). Used by
     /// tests and benchmarks.
@@ -207,15 +195,6 @@ mod tests {
         let (a, _) = d.split(0.3, 5).unwrap();
         let (b, _) = d.split(0.3, 5).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn batches_cover_dataset() {
-        let d = Dataset::synthetic_threshold(25, 2, 1);
-        let batches = d.batches(8);
-        assert_eq!(batches.len(), 4);
-        assert_eq!(batches.iter().map(Dataset::len).sum::<usize>(), 25);
-        assert_eq!(batches[3].len(), 1);
     }
 
     #[test]

@@ -35,6 +35,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod kmeans;
 pub mod label_model;

@@ -1,9 +1,11 @@
 //! A multi-layer perceptron trained by mini-batch SGD.
 //!
 //! Training and inference lower to GEMM/GEMV exactly as §III-A.1
-//! describes, and every matrix multiply is routed through
-//! [`Gemm::run`], so the same training loop can be costed on the CPU
-//! model or offloaded to the TPU model — the paper's Fig. 3 scenario.
+//! describes, and every matrix multiply is the accelerator crate's
+//! [`Gemm`] kernel charged by shape, so the same training loop can be
+//! costed on the CPU model or offloaded to the TPU model — the paper's
+//! Fig. 3 scenario. One `Workspace` per run holds every intermediate;
+//! the loop itself allocates nothing.
 
 use pspp_accel::kernels::{Gemm, Matrix};
 use pspp_accel::{CostLedger, DeviceProfile};
@@ -119,60 +121,78 @@ impl Mlp {
         }
     }
 
-    /// Forward pass: returns per-layer pre-activations and activations.
+    /// Fails unless `width` is the feature width the first layer takes.
+    fn check_width(&self, width: usize) -> Result<()> {
+        if width == self.input_dim() {
+            Ok(())
+        } else {
+            Err(Error::Invalid(format!(
+                "model takes {} features, data has {width}",
+                self.input_dim()
+            )))
+        }
+    }
+
+    /// Forward pass over the `rows` examples of `x` (row-major,
+    /// `input_dim()` wide): fills `ws.zs` and `ws.acts` layer by layer,
+    /// one GEMM and one fused bias + activation sweep each.
     fn forward(
         &self,
         device: &DeviceProfile,
-        x: &Matrix,
+        x: &[f64],
+        rows: usize,
+        ws: &mut Workspace,
         ledger: Option<&CostLedger>,
-    ) -> Result<(Vec<Matrix>, Vec<Matrix>)> {
-        let mut activations = vec![x.clone()];
-        let mut zs = Vec::new();
+    ) {
+        let last = self.depth() - 1;
         for (l, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
-            let (mut z, _) = Gemm::run(
-                device,
-                activations.last().expect("seeded"),
-                w,
-                ledger,
-                "mlengine.forward",
-            )
-            .map_err(|e| Error::Execution(format!("forward gemm: {e}")))?;
-            for r in 0..z.rows() {
-                let row = z.row_mut(r);
-                for (c, bias) in b.iter().enumerate() {
-                    row[c] += bias;
+            let (in_w, out_w) = (w.rows(), w.cols());
+            let (below, at) = ws.acts.split_at_mut(l);
+            let input = below.last().map_or(x, |a| &a[..rows * in_w]);
+            let z = &mut ws.zs[l][..rows * out_w];
+            Gemm::multiply_into(input, w.as_slice(), z, rows, in_w, out_w);
+            Gemm::charge(device, rows, in_w, out_w, ledger, "mlengine.forward");
+            let act = &mut at[0][..rows * out_w];
+            for (z_row, a_row) in z.chunks_exact_mut(out_w).zip(act.chunks_exact_mut(out_w)) {
+                for ((zv, av), bias) in z_row.iter_mut().zip(a_row).zip(b) {
+                    *zv += bias;
+                    *av = if l == last { sigmoid(*zv) } else { zv.max(0.0) };
                 }
             }
-            zs.push(z.clone());
-            let last = l == self.weights.len() - 1;
-            z.map_inplace(|v| if last { sigmoid(v) } else { v.max(0.0) });
-            activations.push(z);
         }
-        Ok((zs, activations))
     }
 
     /// Predicted probability of the positive class per example.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Execution`] on dimension mismatch.
+    /// Returns [`Error::Invalid`] when `features` is not `input_dim()`
+    /// wide.
     pub fn predict_proba(
         &self,
         device: &DeviceProfile,
         features: &Matrix,
         ledger: Option<&CostLedger>,
     ) -> Result<Vec<f64>> {
+        self.check_width(features.cols())?;
         Self::charge_launch(device, ledger);
-        let queued = Self::queued(device);
-        let (_, acts) = self.forward(&queued, features, ledger)?;
-        Ok(acts.last().expect("nonempty").as_slice().to_vec())
+        let rows = features.rows();
+        let mut ws = Workspace::new(&self.weights, rows, false);
+        self.forward(
+            &Self::queued(device),
+            features.as_slice(),
+            rows,
+            &mut ws,
+            ledger,
+        );
+        Ok(ws.acts.pop().expect("at least one layer"))
     }
 
     /// Hard 0/1 predictions at threshold 0.5.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Execution`] on dimension mismatch.
+    /// As [`Mlp::predict_proba`].
     pub fn predict(
         &self,
         device: &DeviceProfile,
@@ -190,7 +210,7 @@ impl Mlp {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Execution`] on dimension mismatch.
+    /// As [`Mlp::predict_proba`].
     pub fn accuracy(
         &self,
         device: &DeviceProfile,
@@ -210,7 +230,7 @@ impl Mlp {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Execution`] on dimension mismatch.
+    /// As [`Mlp::predict_proba`].
     pub fn loss(
         &self,
         device: &DeviceProfile,
@@ -232,7 +252,7 @@ impl Mlp {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Execution`] on dimension mismatch.
+    /// Returns [`Error::Invalid`] when `batch` is not `input_dim()` wide.
     pub fn train_batch(
         &mut self,
         device: &DeviceProfile,
@@ -240,76 +260,102 @@ impl Mlp {
         learning_rate: f64,
         ledger: Option<&CostLedger>,
     ) -> Result<f64> {
-        let n = batch.len();
-        if n == 0 {
+        self.check_width(batch.dim())?;
+        if batch.is_empty() {
             return Ok(0.0);
         }
-        let (zs, acts) = self.forward(device, batch.features(), ledger)?;
-        let probs = acts.last().expect("nonempty");
+        let mut ws = Workspace::new(&self.weights, batch.len(), true);
+        let x = batch.features().as_slice();
+        Ok(self.step(device, x, batch.labels(), learning_rate, &mut ws, ledger))
+    }
 
-        // Batch loss (for reporting).
+    /// Forward, loss, backward and update on the examples `x` (row-major)
+    /// with targets `labels`; the batch loss is the one before the update.
+    fn step(
+        &mut self,
+        device: &DeviceProfile,
+        x: &[f64],
+        labels: &[f64],
+        learning_rate: f64,
+        ws: &mut Workspace,
+        ledger: Option<&CostLedger>,
+    ) -> f64 {
+        let rows = labels.len();
+        let n = rows as f64;
+        self.forward(device, x, rows, ws, ledger);
+        let probs = &ws.acts[self.depth() - 1][..rows];
+
         let eps = 1e-12;
-        let loss: f64 = probs
-            .as_slice()
+        let loss = probs
             .iter()
-            .zip(batch.labels())
+            .zip(labels)
             .map(|(p, y)| -(y * (p + eps).ln() + (1.0 - y) * (1.0 - p + eps).ln()))
             .sum::<f64>()
-            / n as f64;
+            / n;
 
         // Output delta for sigmoid + BCE: (p - y) / n.
-        let mut delta = probs.clone();
-        for (i, y) in batch.labels().iter().enumerate() {
-            let v = delta.get(i, 0) - y;
-            delta.set(i, 0, v / n as f64);
+        for ((d, p), y) in ws.delta.iter_mut().zip(probs).zip(labels) {
+            *d = (p - y) / n;
         }
 
-        for l in (0..self.weights.len()).rev() {
-            // dW = A_{l}ᵀ · delta ; db = column sums of delta.
-            let a_prev_t = acts[l].transpose();
-            let (dw, _) = Gemm::run(device, &a_prev_t, &delta, ledger, "mlengine.backward")
-                .map_err(|e| Error::Execution(format!("backward gemm: {e}")))?;
-            let mut db = vec![0.0; delta.cols()];
-            for r in 0..delta.rows() {
-                for (c, acc) in db.iter_mut().enumerate() {
-                    *acc += delta.get(r, c);
+        for l in (0..self.depth()).rev() {
+            let (in_w, out_w) = (self.weights[l].rows(), self.weights[l].cols());
+            let delta = &ws.delta[..rows * out_w];
+            // dW = A_prevᵀ · delta ; db = column sums of delta.
+            let a_prev = if l == 0 {
+                x
+            } else {
+                &ws.acts[l - 1][..rows * in_w]
+            };
+            let dw = &mut ws.dw[..in_w * out_w];
+            Gemm::multiply_at_into(a_prev, delta, dw, in_w, rows, out_w);
+            Gemm::charge(device, in_w, rows, out_w, ledger, "mlengine.backward");
+            let db = &mut ws.db[..out_w];
+            db.fill(0.0);
+            for d_row in delta.chunks_exact(out_w) {
+                for (acc, d) in db.iter_mut().zip(d_row) {
+                    *acc += d;
                 }
             }
             // Propagate before updating weights: dA = delta · W_lᵀ.
             if l > 0 {
-                let w_t = self.weights[l].transpose();
-                let (mut da, _) = Gemm::run(device, &delta, &w_t, ledger, "mlengine.backward")
-                    .map_err(|e| Error::Execution(format!("backward gemm: {e}")))?;
-                // ReLU gate from the saved pre-activations.
-                for r in 0..da.rows() {
-                    for c in 0..da.cols() {
-                        if zs[l - 1].get(r, c) <= 0.0 {
-                            da.set(r, c, 0.0);
-                        }
+                let w = self.weights[l].as_slice();
+                let w_t = &mut ws.w_t[..out_w * in_w];
+                for (r, w_row) in w.chunks_exact(out_w).enumerate() {
+                    for (c, &v) in w_row.iter().enumerate() {
+                        w_t[c * in_w + r] = v;
                     }
                 }
-                delta = da;
-            }
-            // SGD update.
-            let w = &mut self.weights[l];
-            for r in 0..w.rows() {
-                for c in 0..w.cols() {
-                    let v = w.get(r, c) - learning_rate * dw.get(r, c);
-                    w.set(r, c, v);
+                let da = &mut ws.delta_below[..rows * in_w];
+                Gemm::multiply_into(delta, w_t, da, rows, out_w, in_w);
+                Gemm::charge(device, rows, out_w, in_w, ledger, "mlengine.backward");
+                // ReLU gate from the saved pre-activations.
+                for (d, z) in da.iter_mut().zip(&ws.zs[l - 1]) {
+                    if *z <= 0.0 {
+                        *d = 0.0;
+                    }
                 }
             }
-            for (b, g) in self.biases[l].iter_mut().zip(&db) {
+            // SGD update.
+            for (w, g) in self.weights[l].as_mut_slice().iter_mut().zip(&*dw) {
+                *w -= learning_rate * g;
+            }
+            for (b, g) in self.biases[l].iter_mut().zip(&*db) {
                 *b -= learning_rate * g;
             }
+            std::mem::swap(&mut ws.delta, &mut ws.delta_below);
         }
-        Ok(loss)
+        loss
     }
 
     /// Full SGD training; returns the per-epoch mean batch loss.
+    /// Mini-batches are consecutive row ranges of `data`, the last one
+    /// shorter when `batch_size` does not divide the row count.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Execution`] on dimension mismatch.
+    /// Returns [`Error::Invalid`] for a zero `batch_size` or when `data`
+    /// is not `input_dim()` wide.
     pub fn train(
         &mut self,
         device: &DeviceProfile,
@@ -317,19 +363,75 @@ impl Mlp {
         config: &TrainConfig,
         ledger: Option<&CostLedger>,
     ) -> Result<Vec<f64>> {
+        if config.batch_size == 0 {
+            return Err(Error::Invalid("batch size must be positive".into()));
+        }
+        self.check_width(data.dim())?;
         Self::charge_launch(device, ledger);
         let queued = Self::queued(device);
-        let mut losses = Vec::with_capacity(config.epochs);
+        let (len, dim) = (data.len(), data.dim());
+        let batch = config.batch_size.min(len);
+        let mut ws = Workspace::new(&self.weights, batch, true);
+        let features = data.features().as_slice();
+        let mut losses = Vec::new();
         for _ in 0..config.epochs {
             let mut epoch_loss = 0.0;
-            let batches = data.batches(config.batch_size);
-            let n_batches = batches.len().max(1);
-            for batch in &batches {
-                epoch_loss += self.train_batch(&queued, batch, config.learning_rate, ledger)?;
+            let mut n_batches = 0usize;
+            for start in (0..len).step_by(batch.max(1)) {
+                let end = (start + batch).min(len);
+                epoch_loss += self.step(
+                    &queued,
+                    &features[start * dim..end * dim],
+                    &data.labels()[start..end],
+                    config.learning_rate,
+                    &mut ws,
+                    ledger,
+                );
+                n_batches += 1;
             }
-            losses.push(epoch_loss / n_batches as f64);
+            losses.push(epoch_loss / n_batches.max(1) as f64);
         }
         Ok(losses)
+    }
+}
+
+/// Every buffer one training or inference run needs, sized once for its
+/// largest batch; a shorter batch uses a prefix of each.
+struct Workspace {
+    /// Per-layer pre-activations, `rows × out`.
+    zs: Vec<Vec<f64>>,
+    /// Per-layer activations, `rows × out`; the last holds the output
+    /// probabilities.
+    acts: Vec<Vec<f64>>,
+    /// δ of the layer being updated, and of the layer below it.
+    delta: Vec<f64>,
+    delta_below: Vec<f64>,
+    /// Gradients and `Wᵀ` of the layer being updated.
+    dw: Vec<f64>,
+    db: Vec<f64>,
+    w_t: Vec<f64>,
+}
+
+impl Workspace {
+    /// Buffers for batches of up to `rows` examples; the backward ones
+    /// stay empty for inference.
+    fn new(weights: &[Matrix], rows: usize, backward: bool) -> Self {
+        let layer = |w: &Matrix| vec![0.0; rows * w.cols()];
+        let largest = |size: fn(&Matrix) -> usize| match backward {
+            true => weights.iter().map(size).max().unwrap_or(0),
+            false => 0,
+        };
+        let width = largest(Matrix::cols);
+        let params = largest(|w| w.rows() * w.cols());
+        Workspace {
+            zs: weights.iter().map(layer).collect(),
+            acts: weights.iter().map(layer).collect(),
+            delta: vec![0.0; rows * width],
+            delta_below: vec![0.0; rows * width],
+            dw: vec![0.0; params],
+            db: vec![0.0; width],
+            w_t: vec![0.0; params],
+        }
     }
 }
 
@@ -346,6 +448,55 @@ mod tests {
         assert!(Mlp::new(&[4], 1).is_err());
         assert!(Mlp::new(&[4, 2], 1).is_err());
         assert!(Mlp::new(&[4, 8, 1], 1).is_ok());
+    }
+
+    #[test]
+    fn zero_batch_and_wrong_width_are_typed_errors() {
+        let cpu = DeviceProfile::cpu();
+        let mut mlp = Mlp::new(&[4, 8, 1], 1).unwrap();
+        let ledger = CostLedger::new();
+        let zero_batch = TrainConfig {
+            batch_size: 0,
+            ..TrainConfig::default()
+        };
+        let data = Dataset::synthetic_threshold(10, 4, 3);
+        assert!(matches!(
+            mlp.train(&cpu, &data, &zero_batch, Some(&ledger)),
+            Err(Error::Invalid(_))
+        ));
+        let narrow = Dataset::synthetic_threshold(10, 3, 3);
+        let config = TrainConfig::default();
+        assert!(matches!(
+            mlp.train(&cpu, &narrow, &config, Some(&ledger)),
+            Err(Error::Invalid(_))
+        ));
+        assert!(matches!(
+            mlp.train_batch(&cpu, &narrow, 0.1, Some(&ledger)),
+            Err(Error::Invalid(_))
+        ));
+        assert!(matches!(
+            mlp.predict_proba(&cpu, narrow.features(), Some(&ledger)),
+            Err(Error::Invalid(_))
+        ));
+        // Rejected before anything ran or was charged.
+        assert!(ledger.is_empty());
+    }
+
+    #[test]
+    fn train_batch_is_one_step_of_train() {
+        let data = Dataset::synthetic_threshold(48, 4, 3);
+        let cpu = DeviceProfile::cpu();
+        let mut whole = Mlp::new(&[4, 8, 1], 5).unwrap();
+        let mut stepped = whole.clone();
+        let config = TrainConfig {
+            epochs: 1,
+            batch_size: 48,
+            learning_rate: 0.2,
+        };
+        let losses = whole.train(&cpu, &data, &config, None).unwrap();
+        let loss = stepped.train_batch(&cpu, &data, 0.2, None).unwrap();
+        assert_eq!(losses, vec![loss]);
+        assert_eq!(format!("{whole:?}"), format!("{stepped:?}"));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Adapter for the ML engine: training, scoring and clustering.
 
+use pspp_accel::kernels::Matrix;
 use pspp_common::{DataModel, DataType, EngineId, Error, Result, Row, Schema, Value};
 use pspp_ir::Operator;
 use pspp_mlengine::{Dataset as MlDataset, KMeans, KMeansConfig, Mlp, TrainConfig};
@@ -56,7 +57,7 @@ impl EngineAdapter for MlAdapter {
                     &data,
                     &TrainConfig {
                         epochs: *epochs,
-                        batch_size: (*batch_size).max(1),
+                        batch_size: *batch_size,
                         learning_rate: *learning_rate,
                     },
                     Some(ctx.ledger()),
@@ -161,18 +162,13 @@ fn to_ml_dataset_with_dim(
     if feature_cols.is_empty() {
         return Err(Error::Execution("no numeric feature columns".into()));
     }
-    let examples: Vec<(Vec<f64>, f64)> = rows
-        .iter()
-        .map(|r| {
-            let feats: Vec<f64> = feature_cols
-                .iter()
-                .map(|&c| r[c].as_f64().unwrap_or(0.0))
-                .collect();
-            let y = label_idx
-                .map(|i| r[i].as_f64().unwrap_or(0.0))
-                .unwrap_or(0.0);
-            (feats, y)
-        })
-        .collect();
-    Ok((MlDataset::from_examples(&examples)?, schema.clone()))
+    let width = feature_cols.len();
+    let mut features = Vec::with_capacity(rows.len() * width);
+    let mut labels = Vec::with_capacity(rows.len());
+    for r in rows.iter() {
+        features.extend(feature_cols.iter().map(|&c| r[c].as_f64().unwrap_or(0.0)));
+        labels.push(label_idx.map_or(0.0, |i| r[i].as_f64().unwrap_or(0.0)));
+    }
+    let features = Matrix::from_vec(rows.len(), width, features)?;
+    Ok((MlDataset::new(features, labels)?, schema.clone()))
 }

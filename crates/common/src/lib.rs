@@ -25,10 +25,13 @@
 //! assert_eq!(batch.to_rows(), rows);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod device;
 pub mod distribution;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod model;
 pub mod partition;
@@ -43,10 +46,11 @@ pub use batch::{Batch, Column};
 pub use device::DeviceKind;
 pub use distribution::{Distribution, JoinDistribution};
 pub use error::{Error, Result};
+pub use hash::{FxBuildHasher, FxHasher};
 pub use ids::{EngineId, TableRef};
 pub use model::{DataModel, EngineKind};
 pub use partition::{hash_grow_moved_fraction, PartitionLookup, PartitionSpec, ShardId};
-pub use predicate::{BoundPredicate, Predicate};
+pub use predicate::{BoundPredicate, ColumnSource, Predicate, TypedColumn};
 pub use repartition::{CopyKey, MaterializedRepartitions, RepartitionStats};
 pub use rng::SplitMix64;
 pub use row::Row;

@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Error, Result, Row, Schema, Value};
+use crate::{Column, Error, Result, Row, Schema, Value};
 
 /// A boolean predicate over a row.
 ///
@@ -331,6 +331,21 @@ enum Bound<'a> {
     Not(Box<Bound<'a>>),
 }
 
+/// One typed column of a [`ColumnSource`]: the values (a NULL holds the
+/// type's default) and, per row, whether the value is not NULL.
+pub type TypedColumn = (Column, Vec<bool>);
+
+/// What [`BoundPredicate::select`] reads: rows of the bound schema and,
+/// for the columns that have one, a typed image of the same rows.
+#[derive(Debug, Clone, Copy)]
+pub struct ColumnSource<'a> {
+    /// The rows, by position.
+    pub rows: &'a [Row],
+    /// One entry per schema column, `None` where the column has no
+    /// typed image (`Str`, `Bytes`); each image is `rows.len()` long.
+    pub typed: &'a [Option<TypedColumn>],
+}
+
 impl BoundPredicate<'_> {
     /// Evaluates against a row of the bound schema.
     ///
@@ -340,6 +355,37 @@ impl BoundPredicate<'_> {
     /// whose column the schema lacks.
     pub fn eval(&self, row: &Row) -> Result<bool> {
         self.0.eval(row)
+    }
+
+    /// The positions of `selection` (each at most once, any order)
+    /// whose row satisfies the predicate, in `selection`'s order: what
+    /// keeping the `p` with `self.eval(&source.rows[p])` gives, errors
+    /// included, evaluated a column at a time.
+    ///
+    /// A leaf over a typed column whose literals are of the column's
+    /// own variant loops over the typed values; any other leaf (a
+    /// `Str`/`Bytes` column, a literal of another variant such as an
+    /// `Int` column against `5.0`) reads its column through the rows.
+    /// `And` hands its right side only what its left side kept. A tree
+    /// that names an unknown column is evaluated row by row instead:
+    /// which row first reaches which unknown leaf decides the error,
+    /// and only row order reproduces that.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ColumnNotFound`] when a selected row reaches a
+    /// leaf whose column the schema lacks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is out of `source`'s bounds.
+    pub fn select(&self, source: ColumnSource<'_>, mut selection: Vec<u32>) -> Result<Vec<u32>> {
+        if self.0.names_unknown_column() {
+            self.0.retain_by_row(source.rows, &mut selection)?;
+            Ok(selection)
+        } else {
+            self.0.select(source, selection)
+        }
     }
 }
 
@@ -358,6 +404,158 @@ impl Bound<'_> {
             Bound::Not(p) => !p.eval(row)?,
         })
     }
+
+    fn names_unknown_column(&self) -> bool {
+        match self {
+            Bound::True => false,
+            Bound::Cmp(c, ..) | Bound::Between(c, ..) | Bound::In(c, _) | Bound::IsNull(c) => {
+                matches!(c, BoundColumn::Unknown(_))
+            }
+            Bound::And(p) | Bound::Or(p) => p.iter().any(Bound::names_unknown_column),
+            Bound::Not(p) => p.names_unknown_column(),
+        }
+    }
+
+    /// Keeps the positions whose row evaluates true, one row at a time.
+    fn retain_by_row(&self, rows: &[Row], selection: &mut Vec<u32>) -> Result<()> {
+        let mut kept = 0;
+        for i in 0..selection.len() {
+            let p = selection[i];
+            if self.eval(&rows[p as usize])? {
+                selection[kept] = p;
+                kept += 1;
+            }
+        }
+        selection.truncate(kept);
+        Ok(())
+    }
+
+    fn select(&self, source: ColumnSource<'_>, mut selection: Vec<u32>) -> Result<Vec<u32>> {
+        match self {
+            Bound::True => {}
+            Bound::And(p) => return p[1].select(source, p[0].select(source, selection)?),
+            Bound::Or(p) => {
+                // `b` sees only what `a` rejected; the result is the
+                // selection less what both rejected.
+                let left = p[0].select(source, selection.clone())?;
+                let rest = without(&selection, &left);
+                let right = p[1].select(source, rest.clone())?;
+                return Ok(without(&selection, &without(&rest, &right)));
+            }
+            Bound::Not(p) => {
+                let rejected = p.select(source, selection.clone())?;
+                return Ok(without(&selection, &rejected));
+            }
+            Bound::Cmp(c, ..) | Bound::Between(c, ..) | Bound::In(c, _) | Bound::IsNull(c) => {
+                let typed = match c {
+                    BoundColumn::At(idx) => source.typed[*idx].as_ref(),
+                    BoundColumn::Unknown(_) => None,
+                };
+                let narrowed = typed.is_some_and(|(column, validity)| {
+                    self.narrow_typed(column, validity, &mut selection)
+                });
+                if !narrowed {
+                    self.retain_by_row(source.rows, &mut selection)?;
+                }
+            }
+        }
+        Ok(selection)
+    }
+
+    /// Narrows `selection` by this leaf over a typed column; `false`
+    /// (and `selection` untouched) when the column's type or one of the
+    /// literals has no typed loop.
+    fn narrow_typed(&self, column: &Column, validity: &[bool], selection: &mut Vec<u32>) -> bool {
+        if matches!(self, Bound::IsNull(_)) {
+            retain(selection, |p| !validity[p]);
+            return true;
+        }
+        // Exactly the same-variant arms of `Value::cmp`.
+        match column {
+            Column::Int(xs) => self.narrow_as(xs, validity, selection, i64::cmp, |v| match v {
+                Value::Int(x) => Some(*x),
+                _ => None,
+            }),
+            Column::Timestamp(xs) => {
+                self.narrow_as(xs, validity, selection, i64::cmp, |v| match v {
+                    Value::Timestamp(x) => Some(*x),
+                    _ => None,
+                })
+            }
+            Column::Float(xs) => {
+                self.narrow_as(xs, validity, selection, f64::total_cmp, |v| match v {
+                    Value::Float(x) => Some(*x),
+                    _ => None,
+                })
+            }
+            Column::Bool(xs) => self.narrow_as(xs, validity, selection, bool::cmp, Value::as_bool),
+            Column::Str(_) | Column::Bytes(_) => false,
+        }
+    }
+
+    /// [`Bound::narrow_typed`] for one primitive type: `literal` takes
+    /// a literal of the column's variant apart, `cmp` orders two values
+    /// as `Value::cmp` orders that variant. A NULL never matches.
+    fn narrow_as<T: Copy>(
+        &self,
+        xs: &[T],
+        validity: &[bool],
+        selection: &mut Vec<u32>,
+        cmp: impl Fn(&T, &T) -> Ordering,
+        literal: impl Fn(&Value) -> Option<T>,
+    ) -> bool {
+        match self {
+            Bound::Cmp(_, v, accept) => {
+                let Some(v) = literal(v) else { return false };
+                retain(selection, |p| {
+                    validity[p] && accept.contains(&cmp(&xs[p], &v))
+                });
+            }
+            Bound::Between(_, lo, hi) => {
+                let (Some(lo), Some(hi)) = (literal(lo), literal(hi)) else {
+                    return false;
+                };
+                retain(selection, |p| {
+                    validity[p] && cmp(&xs[p], &lo).is_ge() && cmp(&xs[p], &hi).is_le()
+                });
+            }
+            Bound::In(_, vs) => {
+                let Some(vs) = vs.iter().map(&literal).collect::<Option<Vec<T>>>() else {
+                    return false;
+                };
+                retain(selection, |p| {
+                    validity[p] && vs.iter().any(|v| cmp(&xs[p], v).is_eq())
+                });
+            }
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// Keeps the positions `keep` accepts, in order, without a branch on
+/// the answer.
+fn retain(selection: &mut Vec<u32>, keep: impl Fn(usize) -> bool) {
+    let mut kept = 0;
+    for i in 0..selection.len() {
+        let p = selection[i];
+        selection[kept] = p;
+        kept += usize::from(keep(p as usize));
+    }
+    selection.truncate(kept);
+}
+
+/// `selection` less the positions of `removed`, which must be a
+/// subsequence of it.
+fn without(selection: &[u32], removed: &[u32]) -> Vec<u32> {
+    let mut removed = removed.iter().peekable();
+    let rest: Vec<u32> = selection
+        .iter()
+        .copied()
+        .filter(|p| removed.next_if_eq(&p).is_none())
+        .collect();
+    debug_assert!(removed.next().is_none(), "not a subsequence");
+    rest
 }
 
 #[cfg(test)]
@@ -408,6 +606,90 @@ mod tests {
         assert!(Predicate::eq("zzz", 1i64)
             .eval(&s, &row![1i64, "x"])
             .is_err());
+    }
+
+    /// Rows of [`schema`] with their typed image: `a` has one, `s`
+    /// (a string column) is read through the rows.
+    fn source(rows: &[Row]) -> Vec<Option<TypedColumn>> {
+        let ints = rows.iter().map(|r| r[0].as_i64().unwrap_or(0)).collect();
+        let valid = rows.iter().map(|r| !r[0].is_null()).collect();
+        vec![Some((Column::Int(ints), valid)), None]
+    }
+
+    #[test]
+    fn select_keeps_what_eval_keeps_in_selection_order() {
+        let s = schema();
+        let rows: Vec<Row> = [Some(3), None, Some(0), Some(5), Some(3), None]
+            .into_iter()
+            .zip(["x", "y", "x", "z", "y", "x"])
+            .map(|(a, t)| Row::from(vec![a.map_or(Value::Null, Value::Int), t.into()]))
+            .collect();
+        let typed = source(&rows);
+        let source = ColumnSource {
+            rows: &rows,
+            typed: &typed,
+        };
+        let in_set = |vs: Vec<Value>| Predicate::In("a".into(), vs);
+        let predicates = [
+            Predicate::True,
+            Predicate::ge("a", 3i64),
+            Predicate::ne("a", 3i64),
+            // NULL is stored as 0 and must match neither of these.
+            Predicate::eq("a", 0i64),
+            Predicate::between("a", -1i64, 3i64),
+            Predicate::between("a", 3i64, -1i64),
+            in_set(vec![]),
+            in_set(vec![5i64.into(), 0i64.into()]),
+            // Literals of another variant go through the row.
+            Predicate::eq("a", 3.0),
+            Predicate::gt("a", Value::Null),
+            in_set(vec![5i64.into(), 0.0.into()]),
+            Predicate::IsNull("a".into()),
+            Predicate::IsNull("s".into()),
+            Predicate::eq("s", "x"),
+            Predicate::ge("a", 3i64).and(Predicate::eq("s", "y")),
+            Predicate::ge("a", 4i64).or(Predicate::eq("s", "x")),
+            Predicate::ge("a", 3i64).not(),
+            Predicate::eq("s", "x")
+                .or(Predicate::lt("a", 1i64).not())
+                .and(Predicate::IsNull("a".into()).not()),
+        ];
+        // Ascending, and an index's order: any, each position once.
+        for selection in [vec![0, 1, 2, 3, 4, 5], vec![4, 2, 5, 0, 3], vec![]] {
+            for p in &predicates {
+                let want: Vec<u32> = selection
+                    .iter()
+                    .copied()
+                    .filter(|&i| p.eval(&s, &rows[i as usize]).unwrap())
+                    .collect();
+                let got = p.bind(&s).select(source, selection.clone()).unwrap();
+                assert_eq!(got, want, "{p:?} over {selection:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn select_raises_the_error_row_order_raises() {
+        let s = schema();
+        let rows = vec![row![1i64, "x"], row![2i64, "y"]];
+        let typed = source(&rows);
+        let source = ColumnSource {
+            rows: &rows,
+            typed: &typed,
+        };
+        let select = |p: &Predicate, selection| p.bind(&s).select(source, selection);
+        let missing = |name: &str| Err(Error::ColumnNotFound(name.to_owned()));
+        // Row 0 fails the left side and reaches `zzz`; evaluating the
+        // left column first for every row would reach `yyy` (row 1).
+        let p = Predicate::eq("a", 2i64)
+            .and(Predicate::eq("yyy", 1i64))
+            .or(Predicate::eq("zzz", 1i64));
+        assert_eq!(select(&p, vec![0, 1]), missing("zzz"));
+        assert_eq!(select(&p, vec![1, 0]), missing("yyy"));
+        // A leaf no row reaches raises nothing.
+        let p = Predicate::eq("a", 9i64).and(Predicate::eq("zzz", 1i64));
+        assert_eq!(select(&p, vec![0, 1]), Ok(vec![]));
+        assert_eq!(select(&Predicate::eq("zzz", 1i64), vec![]), Ok(vec![]));
     }
 
     #[test]

@@ -17,11 +17,14 @@
 //! let mut db = RelationalStore::new("db1");
 //! db.create_table("t", Schema::new(vec![("id", DataType::Int), ("v", DataType::Float)]))?;
 //! db.insert("t", vec![row![1i64, 0.5], row![2i64, 1.5]])?;
-//! let rows = db.scan("t", &Predicate::gt("v", 1.0), None)?;
-//! assert_eq!(rows.len(), 1);
+//! let scanned = db.scan("t", &Predicate::gt("v", 1.0), None)?;
+//! assert_eq!(scanned.rows.len(), 1);
+//! assert_eq!(scanned.byte_size, 16);
 //! # Ok(())
 //! # }
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod ops;
 
@@ -29,13 +32,23 @@ pub mod table;
 
 pub use ops::{Aggregate, AggregateSpec, JoinKind, SortKey};
 pub use pspp_common::Predicate;
-pub use table::Table;
+pub use table::{ColumnImage, Table};
 
 use std::collections::BTreeMap;
 
 use pspp_accel::kernels::KernelReport;
 use pspp_accel::{CostLedger, DeviceProfile, KernelClass};
 use pspp_common::{EngineId, Error, Result, Row, Schema, Value};
+
+/// What a [`RelationalStore::scan`] returns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scanned {
+    /// The kept rows, in scan order: shared with the table, or
+    /// projected copies.
+    pub rows: Vec<Row>,
+    /// Payload bytes of `rows` (the sum of [`Row::byte_size`]).
+    pub byte_size: u64,
+}
 
 /// The relational engine: a named collection of [`Table`]s.
 #[derive(Debug, Clone)]
@@ -211,7 +224,11 @@ impl RelationalStore {
     ///
     /// Uses an index scan when the predicate's leading conjunct is an
     /// equality or range on an indexed column, otherwise a sequential
-    /// scan. Costs are charged accordingly (§III-A.2).
+    /// scan. Costs are charged accordingly (§III-A.2). Either way the
+    /// predicate runs column-wise over the table's image
+    /// ([`pspp_common::BoundPredicate::select`]) and the output's
+    /// payload bytes come from the image's widths, not from a walk of
+    /// the output rows.
     ///
     /// # Errors
     ///
@@ -221,42 +238,50 @@ impl RelationalStore {
         table: &str,
         predicate: &Predicate,
         projection: Option<&[&str]>,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<Scanned> {
         let t = self.table(table)?;
-        let indexed = t.candidates(predicate);
-        let index_used = indexed.is_some();
-        let bound = predicate.bind(t.schema());
-        let mut kept: Vec<&Row> = Vec::new();
-        let mut visit = |row| -> Result<()> {
-            if bound.eval(row)? {
-                kept.push(row);
-            }
-            Ok(())
+        let widths = t.image().widths();
+        let bytes_at = |positions: &[u32]| -> u64 {
+            positions
+                .iter()
+                .map(|&p| u64::from(widths[p as usize]))
+                .sum()
         };
+        let candidates = t.candidates(predicate);
+        let index_used = candidates.is_some();
+        let selection = candidates.unwrap_or_else(|| (0..t.len() as u32).collect());
+        let scanned = selection.len() as u64;
         // A full scan reads the whole heap, whose size the table keeps.
-        let (scanned, scanned_bytes) = match indexed {
-            Some(candidates) => {
-                let bytes = candidates.iter().map(|r| r.byte_size() as u64).sum();
-                let scanned = candidates.len() as u64;
-                candidates.into_iter().try_for_each(&mut visit)?;
-                (scanned, bytes)
-            }
-            None => {
-                t.rows().iter().try_for_each(&mut visit)?;
-                (t.len() as u64, t.byte_size())
-            }
+        let scanned_bytes = if index_used {
+            bytes_at(&selection)
+        } else {
+            t.byte_size()
         };
+        let kept = predicate.bind(t.schema()).select(t.source(), selection)?;
         // A kept row is shared with the table; a projected one is the
-        // scan's only copy.
+        // scan's only copy, sized as it is built.
+        let rows = t.rows();
         let out = match projection {
             Some(cols) => {
                 let idx: Vec<usize> = cols
                     .iter()
                     .map(|c| t.schema().require(c))
                     .collect::<Result<_>>()?;
-                kept.into_iter().map(|r| r.project(&idx)).collect()
+                let mut byte_size = 0u64;
+                let rows = kept
+                    .iter()
+                    .map(|&p| {
+                        let row = rows[p as usize].project(&idx);
+                        byte_size += row.byte_size() as u64;
+                        row
+                    })
+                    .collect();
+                Scanned { rows, byte_size }
             }
-            None => kept.into_iter().cloned().collect(),
+            None => Scanned {
+                rows: kept.iter().map(|&p| rows[p as usize].clone()).collect(),
+                byte_size: bytes_at(&kept),
+            },
         };
         let cycles = if index_used {
             // B-tree descent + candidate fetch.
@@ -433,7 +458,8 @@ mod tests {
         let db = store_with_data();
         let rows = db
             .scan("patients", &Predicate::gt("age", 50i64), None)
-            .unwrap();
+            .unwrap()
+            .rows;
         assert_eq!(rows.len(), 2);
         assert!(db.ledger().len() >= 2); // insert + scan charged
     }
@@ -443,7 +469,8 @@ mod tests {
         let db = store_with_data();
         let rows = db
             .scan("patients", &Predicate::True, Some(&["name", "pid"]))
-            .unwrap();
+            .unwrap()
+            .rows;
         assert_eq!(rows[0], row!["ada", 1i64]);
     }
 
@@ -472,13 +499,13 @@ mod tests {
         db.ledger().reset();
 
         let hit = db.scan("t", &Predicate::eq("k", 5i64), None).unwrap();
-        assert_eq!(hit.len(), 1);
+        assert_eq!(hit.rows.len(), 1);
         let events = db.ledger().events();
         assert!(events.iter().any(|e| e.component == "relstore.index_scan"));
 
         db.ledger().reset();
         let all = db.scan("t", &Predicate::gt("v", -1i64), None).unwrap();
-        assert_eq!(all.len(), 10_000);
+        assert_eq!(all.rows.len(), 10_000);
         let events = db.ledger().events();
         assert!(events.iter().any(|e| e.component == "relstore.seq_scan"));
     }
@@ -510,7 +537,55 @@ mod tests {
         let hit = db
             .scan("patients", &Predicate::eq("pid", 2i64), None)
             .unwrap();
-        assert_eq!(hit.len(), 1);
+        assert_eq!(hit.rows.len(), 1);
+    }
+
+    #[test]
+    fn scans_arrive_sized_and_the_image_survives_a_rebalance() {
+        let mut db = store_with_data();
+        db.insert(
+            "patients",
+            vec![Row::from(vec![Value::Int(4), Value::Null, Value::Null])],
+        )
+        .unwrap();
+        let check = |db: &RelationalStore| {
+            let t = db.table("patients").unwrap();
+            assert_eq!(*t.image(), ColumnImage::of(t.schema(), t.rows()).unwrap());
+            // Sequential and (once `pid` is indexed) index scans,
+            // whole rows and projected ones.
+            for predicate in [
+                Predicate::True,
+                Predicate::gt("age", 50i64),
+                Predicate::ge("pid", 2i64),
+                Predicate::between("pid", 3i64, 2i64),
+            ] {
+                for projection in [None, Some(&["name", "age"][..])] {
+                    let scanned = db.scan("patients", &predicate, projection).unwrap();
+                    let walked: usize = scanned.rows.iter().map(Row::byte_size).sum();
+                    assert_eq!(scanned.byte_size, walked as u64, "{predicate:?}");
+                    let arity = projection.map_or(3, <[&str]>::len);
+                    assert!(scanned.rows.iter().all(|r| r.len() == arity));
+                }
+            }
+        };
+        check(&db);
+        db.create_index("patients", "pid").unwrap();
+        check(&db);
+        let mut rows = db.table("patients").unwrap().rows().to_vec();
+        rows.swap(0, 3);
+        rows.pop();
+        db.rebalance_table("patients", rows, 2).unwrap();
+        check(&db);
+        // A rebalance that fails leaves rows, image and size alone.
+        let before = db.table("patients").unwrap().clone();
+        assert!(db
+            .rebalance_table("patients", vec![row!["oops", 1i64, "x"]], 1)
+            .is_err());
+        let after = db.table("patients").unwrap();
+        assert_eq!(after.rows(), before.rows());
+        assert_eq!(after.image(), before.image());
+        assert_eq!(after.byte_size(), before.byte_size());
+        check(&db);
     }
 
     #[test]

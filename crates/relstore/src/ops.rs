@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use pspp_common::{Error, Result, Row, Schema, Value};
+use pspp_common::{Error, FxBuildHasher, FxHasher, Result, Row, Schema, Value};
 
 use pspp_common::Predicate;
 
@@ -180,7 +180,8 @@ pub fn hash_join(
     // they were inserted without a list allocated per key.
     const END: usize = usize::MAX;
     let mut next = vec![END; right.len()];
-    let mut chains: HashMap<&Value, (usize, usize)> = HashMap::with_capacity(right.len());
+    let mut chains: HashMap<&Value, (usize, usize), FxBuildHasher> =
+        HashMap::with_capacity_and_hasher(right.len(), FxBuildHasher::default());
     for (pos, r) in right.iter().enumerate() {
         if !r[ri].is_null() {
             chains
@@ -233,7 +234,8 @@ pub fn hash_join_match_counts(
 ) -> Result<Vec<usize>> {
     let li = left_schema.require(left_on)?;
     let ri = right_schema.require(right_on)?;
-    let mut table: HashMap<&Value, usize> = HashMap::with_capacity(right.len());
+    let mut table: HashMap<&Value, usize, FxBuildHasher> =
+        HashMap::with_capacity_and_hasher(right.len(), FxBuildHasher::default());
     for r in right {
         if !r[ri].is_null() {
             *table.entry(&r[ri]).or_default() += 1;
@@ -251,10 +253,13 @@ pub fn hash_join_match_counts(
         .collect())
 }
 
-/// The key columns of one row, hashed and compared in place: grouping
-/// looks a row up by this view and builds nothing per row.
+/// The key columns of one row, compared in place, beside their hash:
+/// grouping looks a row up by this view and builds nothing per row, and
+/// a growing map re-buckets its keys by the stored hash instead of
+/// reading every first row again.
 #[derive(Clone, Copy)]
 struct GroupKey<'a> {
+    hash: u64,
     row: &'a Row,
     columns: &'a [usize],
 }
@@ -267,13 +272,13 @@ impl GroupKey<'_> {
 
 impl std::hash::Hash for GroupKey<'_> {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.values().for_each(|v| v.hash(state));
+        state.write_u64(self.hash);
     }
 }
 
 impl PartialEq for GroupKey<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.values().eq(other.values())
+        self.hash == other.hash && self.values().eq(other.values())
     }
 }
 
@@ -282,7 +287,7 @@ impl Eq for GroupKey<'_> {}
 /// Rows grouped by key columns, groups numbered in first-seen order.
 struct Groups<'a> {
     columns: &'a [usize],
-    index: HashMap<GroupKey<'a>, usize>,
+    index: HashMap<GroupKey<'a>, usize, FxBuildHasher>,
     /// The first row seen of each group: its key columns are the
     /// group's key.
     firsts: Vec<&'a Row>,
@@ -292,7 +297,7 @@ impl<'a> Groups<'a> {
     fn new(columns: &'a [usize]) -> Self {
         Groups {
             columns,
-            index: HashMap::new(),
+            index: HashMap::default(),
             firsts: Vec::new(),
         }
     }
@@ -301,6 +306,7 @@ impl<'a> Groups<'a> {
     /// next number (`firsts.len()` before the call).
     fn group_of(&mut self, row: &'a Row) -> usize {
         let key = GroupKey {
+            hash: FxHasher::hash_all(self.columns.iter().map(|&c| &row[c])),
             row,
             columns: self.columns,
         };

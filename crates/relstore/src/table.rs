@@ -1,10 +1,84 @@
-//! Heap tables with secondary B-tree indexes.
+//! Heap tables with secondary B-tree indexes and a typed column image.
 
 use std::collections::BTreeMap;
 
-use pspp_common::{Result, Row, Schema, Value};
+use pspp_common::{
+    Column, ColumnSource, DataType, Error, Predicate, Result, Row, Schema, TypedColumn, Value,
+};
 
-use pspp_common::Predicate;
+/// A table's fixed-width columns as typed vectors, and every row's
+/// payload width: what a scan reads instead of chasing row pointers.
+///
+/// Row `p` of the table is entry `p` of every vector here. A
+/// `Bool`/`Int`/`Float`/`Timestamp` column has its values (a NULL holds
+/// the type's default) and a validity flag per row; `Str` and `Bytes`
+/// columns have no image and are read through the rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnImage {
+    columns: Vec<Option<TypedColumn>>,
+    widths: Vec<u32>,
+}
+
+impl ColumnImage {
+    /// The image of no rows.
+    fn empty(schema: &Schema) -> ColumnImage {
+        let typed = |t: DataType| t.fixed_width().map(|_| (Column::empty(t), Vec::new()));
+        ColumnImage {
+            columns: schema.fields().iter().map(|f| typed(f.data_type)).collect(),
+            widths: Vec::new(),
+        }
+    }
+
+    /// The image of `rows`, which must satisfy `schema`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::SchemaMismatch`] on a row that violates
+    /// `schema`, [`Error::Invalid`] on more rows or wider rows than a
+    /// `u32` counts.
+    pub fn of(schema: &Schema, rows: &[Row]) -> Result<ColumnImage> {
+        let mut image = ColumnImage::empty(schema);
+        as_u32(rows.len(), "row count")?;
+        for row in rows {
+            schema.check_row(row)?;
+            image.push(row, as_u32(row.byte_size(), "row payload bytes")?);
+        }
+        Ok(image)
+    }
+
+    /// Appends a row already checked against the schema.
+    fn push(&mut self, row: &Row, width: u32) {
+        for ((values, validity), value) in self
+            .columns
+            .iter_mut()
+            .zip(row.values())
+            .filter_map(|(c, v)| Some((c.as_mut()?, v)))
+        {
+            let pushed = values.push(value);
+            debug_assert!(pushed, "check_row admits only the column's variant");
+            validity.push(!value.is_null());
+        }
+        self.widths.push(width);
+    }
+
+    /// One entry per schema column: the typed image, `None` for `Str`
+    /// and `Bytes` columns.
+    pub fn columns(&self) -> &[Option<TypedColumn>] {
+        &self.columns
+    }
+
+    /// [`Row::byte_size`] of every row, by position.
+    pub fn widths(&self) -> &[u32] {
+        &self.widths
+    }
+}
+
+/// Row positions and payload widths are `u32`s, half the bytes a scan
+/// moves through its selection vector; a table refuses what would not
+/// fit.
+fn as_u32(n: usize, what: &str) -> Result<u32> {
+    u32::try_from(n).map_err(|_| Error::Invalid(format!("{what} {n} exceeds u32::MAX")))
+}
 
 /// A heap of rows plus secondary indexes.
 #[derive(Debug, Clone)]
@@ -12,11 +86,13 @@ pub struct Table {
     name: String,
     schema: Schema,
     rows: Vec<Row>,
-    /// Payload bytes of `rows`, kept current by every write so a full
-    /// scan prices the heap without walking it.
+    /// Kept current by every write, with `byte_size` and `indexes`.
+    image: ColumnImage,
+    /// Payload bytes of `rows` (the sum of the image's widths), so a
+    /// full scan prices the heap without walking it.
     byte_size: u64,
     /// column name -> (value -> row positions)
-    indexes: BTreeMap<String, BTreeMap<Value, Vec<usize>>>,
+    indexes: BTreeMap<String, BTreeMap<Value, Vec<u32>>>,
 }
 
 impl Table {
@@ -24,6 +100,7 @@ impl Table {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Table {
             name: name.into(),
+            image: ColumnImage::empty(&schema),
             schema,
             rows: Vec::new(),
             byte_size: 0,
@@ -46,6 +123,20 @@ impl Table {
         &self.rows
     }
 
+    /// The typed image of [`Table::rows`].
+    pub fn image(&self) -> &ColumnImage {
+        &self.image
+    }
+
+    /// What a column-wise predicate evaluation reads: the rows and
+    /// their image.
+    pub fn source(&self) -> ColumnSource<'_> {
+        ColumnSource {
+            rows: &self.rows,
+            typed: &self.image.columns,
+        }
+    }
+
     /// Row count.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -56,19 +147,23 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Inserts one row, maintaining all indexes.
+    /// Inserts one row, maintaining the image and all indexes.
     ///
     /// # Errors
     ///
-    /// Returns [`pspp_common::Error::SchemaMismatch`] on invalid rows.
+    /// Returns [`pspp_common::Error::SchemaMismatch`] on invalid rows,
+    /// [`pspp_common::Error::Invalid`] past `u32::MAX` rows or payload
+    /// bytes in the row; the table is unchanged on error.
     pub fn insert(&mut self, row: Row) -> Result<()> {
         self.schema.check_row(&row)?;
-        let pos = self.rows.len();
+        let width = as_u32(row.byte_size(), "row payload bytes")?;
+        let pos = as_u32(self.rows.len() + 1, "row count")? - 1;
         for (col, index) in &mut self.indexes {
             let idx = self.schema.require(col)?;
             index.entry(row[idx].clone()).or_default().push(pos);
         }
-        self.byte_size += row.byte_size() as u64;
+        self.image.push(&row, width);
+        self.byte_size += u64::from(width);
         self.rows.push(row);
         Ok(())
     }
@@ -80,8 +175,8 @@ impl Table {
     /// Returns [`pspp_common::Error::ColumnNotFound`] for unknown columns.
     pub fn create_index(&mut self, column: &str) -> Result<()> {
         let idx = self.schema.require(column)?;
-        let mut index: BTreeMap<Value, Vec<usize>> = BTreeMap::new();
-        for (pos, row) in self.rows.iter().enumerate() {
+        let mut index: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
+        for (pos, row) in (0u32..).zip(&self.rows) {
             index.entry(row[idx].clone()).or_default().push(pos);
         }
         self.indexes.insert(column.to_owned(), index);
@@ -99,21 +194,20 @@ impl Table {
     }
 
     /// Replaces the table's entire row set in one step, revalidating
-    /// every row and rebuilding existing indexes over the new
-    /// positions. This is the rebalance write path: the *physical*
+    /// every row and rebuilding the image and existing indexes over the
+    /// new positions. This is the rebalance write path: the *physical*
     /// rebuild is wholesale (row positions shift, so indexes must be
     /// re-pointed anyway), while the caller charges only the
     /// incremental cost of the rows that actually moved.
     ///
     /// # Errors
     ///
-    /// Returns [`pspp_common::Error::SchemaMismatch`] on invalid rows;
+    /// Returns [`pspp_common::Error::SchemaMismatch`] on invalid rows
+    /// (and [`pspp_common::Error::Invalid`] as [`Table::insert`] does);
     /// the table is unchanged on error.
     pub fn replace_rows(&mut self, rows: Vec<Row>) -> Result<()> {
-        for row in &rows {
-            self.schema.check_row(row)?;
-        }
-        self.byte_size = rows.iter().map(|r| r.byte_size() as u64).sum();
+        self.image = ColumnImage::of(&self.schema, &rows)?;
+        self.byte_size = self.image.widths.iter().map(|&w| u64::from(w)).sum();
         self.rows = rows;
         let columns = self.indexed_columns();
         for col in columns {
@@ -122,22 +216,24 @@ impl Table {
         Ok(())
     }
 
-    /// The index-selected candidate rows for a predicate, when it has
-    /// usable bounds on an indexed column; `None` means no index
-    /// applies and the caller scans [`Table::rows`].
-    pub fn candidates(&self, predicate: &Predicate) -> Option<Vec<&Row>> {
+    /// The positions of the index-selected candidate rows for a
+    /// predicate, when it has usable bounds on an indexed column, in
+    /// index order; `None` means no index applies and the caller scans
+    /// every position.
+    pub fn candidates(&self, predicate: &Predicate) -> Option<Vec<u32>> {
         let (column, lo, hi) = predicate.index_bounds()?;
         let index = self.indexes.get(column)?;
-        let rows_at = |hits: &mut dyn Iterator<Item = (&Value, &Vec<usize>)>| {
-            hits.flat_map(|(_, positions)| positions)
-                .map(|&p| &self.rows[p])
-                .collect()
+        let positions = |hits: &mut dyn Iterator<Item = (&Value, &Vec<u32>)>| {
+            hits.flat_map(|(_, positions)| positions).copied().collect()
         };
         Some(match (lo, hi) {
-            (Some(lo), Some(hi)) => rows_at(&mut index.range(lo..=hi)),
-            (Some(lo), None) => rows_at(&mut index.range(lo..)),
-            (None, Some(hi)) => rows_at(&mut index.range(..=hi)),
-            (None, None) => self.rows.iter().collect(),
+            // An inverted range (`BETWEEN 10 AND 5`, or bounds of two
+            // types) selects nothing; `BTreeMap::range` panics on one.
+            (Some(lo), Some(hi)) if lo > hi => Vec::new(),
+            (Some(lo), Some(hi)) => positions(&mut index.range(lo..=hi)),
+            (Some(lo), None) => positions(&mut index.range(lo..)),
+            (None, Some(hi)) => positions(&mut index.range(..=hi)),
+            (None, None) => (0..self.rows.len() as u32).collect(),
         })
     }
 
@@ -186,8 +282,8 @@ mod tests {
         let cands = t
             .candidates(&Predicate::eq("k", 100i64))
             .expect("index used");
-        assert_eq!(cands.len(), 1);
-        assert_eq!(cands[0][1], Value::from("new"));
+        assert_eq!(cands, vec![100]);
+        assert_eq!(t.rows()[100][1], Value::from("new"));
     }
 
     #[test]
@@ -203,6 +299,24 @@ mod tests {
     }
 
     #[test]
+    fn inverted_and_cross_type_ranges_select_nothing() {
+        // `BTreeMap::range` panics when start > end.
+        let mut t = table();
+        t.create_index("k").unwrap();
+        for p in [
+            Predicate::between("k", 10i64, 5i64),
+            Predicate::between("k", "a", 5i64),
+            Predicate::between("k", 10i64, 5i64).and(Predicate::eq("v", "v7")),
+        ] {
+            assert_eq!(t.candidates(&p), Some(vec![]), "{p:?}");
+        }
+        assert_eq!(
+            t.candidates(&Predicate::between("k", 5i64, 5i64)),
+            Some(vec![5])
+        );
+    }
+
+    #[test]
     fn replace_rows_rebuilds_indexes_or_leaves_table_untouched() {
         let mut t = table();
         t.create_index("k").unwrap();
@@ -210,8 +324,8 @@ mod tests {
             .unwrap();
         assert_eq!(t.len(), 2);
         let cands = t.candidates(&Predicate::eq("k", 8i64)).expect("index used");
-        assert_eq!(cands.len(), 1);
-        assert_eq!(cands[0][1], Value::from("eight"));
+        assert_eq!(cands, vec![1]);
+        assert_eq!(t.rows()[1][1], Value::from("eight"));
         // A bad row leaves the previous contents in place.
         assert!(t.replace_rows(vec![row!["oops", "v"]]).is_err());
         assert_eq!(t.len(), 2);
@@ -229,6 +343,57 @@ mod tests {
         assert!(t.insert(row!["oops", "v"]).is_err());
         assert!(t.replace_rows(vec![row!["oops", "v"]]).is_err());
         assert_eq!(t.byte_size(), 8 + 5);
+    }
+
+    #[test]
+    fn image_tracks_every_write() {
+        // Every fixed-width type, a string column, NULLs in each.
+        let schema = Schema::new(vec![
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("t", DataType::Timestamp),
+            ("b", DataType::Bool),
+            ("s", DataType::Str),
+        ]);
+        let full = |i: i64| row![i, i as f64 / 2.0, Value::Timestamp(i), i % 2 == 0, "abc"];
+        let nulls = || Row::from(vec![Value::Null; 5]);
+        let current = |t: &Table| {
+            assert_eq!(*t.image(), ColumnImage::of(t.schema(), t.rows()).unwrap());
+            let widths = t.image().widths();
+            assert_eq!(widths.len(), t.len());
+            assert_eq!(
+                widths.iter().map(|&w| u64::from(w)).sum::<u64>(),
+                t.byte_size()
+            );
+        };
+        let mut t = Table::new("t", schema);
+        t.create_index("i").unwrap();
+        current(&t);
+        for row in [full(1), nulls(), full(2)] {
+            t.insert(row).unwrap();
+            current(&t);
+        }
+        let (ints, valid) = t.image().columns()[0].as_ref().expect("Int has an image");
+        assert_eq!(ints.as_int().unwrap(), &[1, 0, 2]);
+        assert_eq!(valid, &[true, false, true]);
+        assert!(t.image().columns()[4].is_none(), "Str has none");
+        assert_eq!(t.image().widths(), &[8 + 8 + 8 + 1 + 3, 5, 28]);
+
+        let before = t.image().clone();
+        assert!(t
+            .insert(row!["oops", 0.5, Value::Timestamp(0), true, "s"])
+            .is_err());
+        assert!(t.insert(row![1i64]).is_err());
+        assert!(t.replace_rows(vec![full(9), row![1i64]]).is_err());
+        assert_eq!(*t.image(), before);
+        current(&t);
+
+        t.replace_rows(vec![nulls(), full(7)]).unwrap();
+        current(&t);
+        assert_eq!(t.image().widths(), &[5, 28]);
+        t.replace_rows(vec![]).unwrap();
+        current(&t);
+        assert!(t.image().widths().is_empty());
     }
 
     #[test]

@@ -24,6 +24,21 @@ struct Shared {
 }
 
 impl RowBuf {
+    /// A buffer whose payload bytes the producer already knows (a scan
+    /// sums them from the table's width vector): `byte_size` must be
+    /// the sum of [`Row::byte_size`] over `rows`, and is never walked
+    /// for.
+    pub fn pre_sized(rows: Vec<Row>, byte_size: u64) -> Self {
+        debug_assert_eq!(
+            byte_size,
+            rows.iter().map(|r| r.byte_size() as u64).sum::<u64>()
+        );
+        RowBuf(Arc::new(Shared {
+            rows,
+            byte_size: OnceLock::from(byte_size),
+        }))
+    }
+
     /// Payload bytes (sum of [`Row::byte_size`]).
     pub fn byte_size(&self) -> u64 {
         let sum = || self.iter().map(|r| r.byte_size() as u64).sum();

@@ -4,7 +4,7 @@ use pspp_common::{DataModel, EngineId, Result};
 use pspp_ir::{AggFn, Operator};
 use pspp_relstore::{ops, Aggregate, AggregateSpec, JoinKind, SortKey};
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, Payload, RowBuf};
 use crate::physical::{EngineAdapter, ExecCtx};
 use crate::registry::EngineRegistry;
 
@@ -56,14 +56,16 @@ impl EngineAdapter for RelationalAdapter {
                 let cols: Option<Vec<&str>> = projection
                     .as_ref()
                     .map(|p| p.iter().map(String::as_str).collect());
-                let rows = store.scan(&table.name, predicate, cols.as_deref())?;
+                let scanned = store.scan(&table.name, predicate, cols.as_deref())?;
                 let schema = store.scan_schema(&table.name, cols.as_deref())?;
-                Ok(Dataset::rows(
-                    schema,
-                    rows,
-                    DataModel::Relational,
-                    table.engine.clone(),
-                ))
+                Ok(Dataset {
+                    payload: Payload::Rows {
+                        schema,
+                        rows: RowBuf::pre_sized(scanned.rows, scanned.byte_size),
+                    },
+                    model: DataModel::Relational,
+                    location: table.engine.clone(),
+                })
             }
             Operator::Filter { predicate } => {
                 let d = &inputs[0];

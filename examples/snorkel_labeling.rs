@@ -22,7 +22,7 @@ fn main() -> Result<()> {
 
     // 1. Unlabeled data in the RDBMS (Fig. 3 step 1).
     let db1 = system.registry().relational(&EngineId::new("db1"))?;
-    let rows = db1.scan("admissions", &Predicate::True, None)?;
+    let rows = db1.scan("admissions", &Predicate::True, None)?.rows;
     println!("loaded {} unlabeled admissions from the RDBMS", rows.len());
 
     // 2. Labeling functions vote on "long stay" without ground truth.

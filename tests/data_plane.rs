@@ -248,3 +248,127 @@ fn olap_templates_answer_alike_on_one_and_two_shards() {
         }
     }
 }
+
+/// polybench's `olap_single` (`sharded = false`: 1 shard, L3,
+/// workstation fleet) and `olap_sharded` (2 shards, `patients` hashed
+/// on `name`, builder defaults) deployments: 10 000 patients.
+fn olap_deployment(sharded: bool) -> Polystore {
+    let builder = Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
+        patients: 10_000,
+        vitals_per_patient: 4,
+        seed: 2019,
+    }));
+    if sharded {
+        builder.shards(2).partition(
+            TableRef::new("db2", "patients"),
+            PartitionSpec::hash("name", 2),
+        )
+    } else {
+        builder
+            .accelerators(AcceleratorFleet::workstation())
+            .opt_level(OptLevel::L3)
+    }
+    .build()
+    .expect("valid config")
+}
+
+/// `(FNV of the output rows' Debug, makespan bits, energy_j bits)` of
+/// the six OLAP templates, in [`OLAP_TEMPLATES`] order, captured at the
+/// commit before scans went column-wise (PR 17's parent). polybench's
+/// warm pass only holds a run to itself; these pin every op's rows, in
+/// order, and both simulated figures across commits.
+const OLAP_GOLDEN_ONE_SHARD: [(u64, u64, u64); 6] = [
+    (0x085369d1f93a38fb, 0x3ec8727bb1904470, 0x3f403dc91ca25b6e),
+    (0x944467b49aa2f15e, 0x3edac14f430c1c1b, 0x3f5132d67a58efea),
+    (0x9aee0f6d21b56805, 0x3eb6f10286675d01, 0x3f25822ba22897b2),
+    (0xed323e43a041ab1e, 0x3f59a6a08204ec3b, 0x3f7db702fda7fda8),
+    (0xe37b33c8e3ce4707, 0x3eccfa925d95e307, 0x3f3b2af788c670f6),
+    (0xadbed23db4bd70aa, 0x3edcaa43c9ed5d7a, 0x3f4adfca806c4c03),
+];
+const OLAP_GOLDEN_TWO_SHARDS: [(u64, u64, u64); 6] = [
+    (0x085369d1f93a38fb, 0x3ed3282306e84eb1, 0x3f403dc91ca25b6e),
+    (0x944467b49aa2f15e, 0x3ee4653fa2b01b94, 0x3f5132b479e15f1d),
+    (0x9aee0f6d21b56805, 0x3eb2131c86e8dc6c, 0x3f25822ba22897b2),
+    (0xed323e43a041ab1e, 0x3f549c9043111276, 0x3f7db702fda7fda8),
+    (0xe37b33c8e3ce4707, 0x3ec26902c2719e9e, 0x3f3b2b7f8aa4b42b),
+    (0xadbed23db4bd70aa, 0x3ed66e036b9d34dc, 0x3f4adfca806c4c03),
+];
+
+#[test]
+fn olap_templates_keep_their_rows_and_simulated_bills() {
+    use polystorepp::common::partition::{fnv1a, FNV_OFFSET};
+    for (sharded, want) in [
+        (false, OLAP_GOLDEN_ONE_SHARD),
+        (true, OLAP_GOLDEN_TWO_SHARDS),
+    ] {
+        let system = olap_deployment(sharded);
+        let got: Vec<(u64, u64, u64)> = OLAP_TEMPLATES[..6]
+            .iter()
+            .map(|sql| {
+                let report = system.run_sql(sql).expect("template runs");
+                let rows = report.execution.outputs[0].try_rows().expect("rows");
+                (
+                    fnv1a(format!("{rows:?}").as_bytes(), FNV_OFFSET),
+                    report.makespan().to_bits(),
+                    report.costs.energy_j.to_bits(),
+                )
+            })
+            .collect();
+        assert_eq!(got, want, "sharded = {sharded}: got {got:#x?}");
+
+        // A scan that keeps whole rows still hands on the table's own.
+        let mut program = Program::new();
+        let scan = program.add_source(
+            Operator::Scan {
+                table: TableRef::new("db1", "admissions"),
+                predicate: Predicate::between("date", 1000i64, 1729i64),
+                projection: None,
+            },
+            "sql",
+        );
+        program.mark_output(scan);
+        let report = system.run_program(program).expect("scan runs");
+        let kept = report.execution.outputs[0].try_rows().expect("rows");
+        assert!(!kept.is_empty());
+        let shards = if sharded { 2 } else { 1 };
+        let stored: Vec<&Row> = (0..shards)
+            .flat_map(|s| {
+                let db1 = system
+                    .registry()
+                    .relational_shard(&EngineId::new("db1"), polystorepp::common::ShardId(s))
+                    .expect("db1 shard");
+                db1.table("admissions").expect("table").rows()
+            })
+            .collect();
+        for row in kept {
+            assert!(stored.iter().any(|s| s.ptr_eq(row)), "{row} was copied");
+        }
+    }
+}
+
+/// An inverted or cross-type `BETWEEN` on the indexed `pid` used to
+/// hand `BTreeMap::range` a start above its end and abort `run_sql`
+/// (inside the shard thread on a sharded deployment). It selects
+/// nothing.
+#[test]
+fn inverted_between_on_an_indexed_column_selects_nothing() {
+    for sharded in [false, true] {
+        let system = clinical(sharded);
+        for sql in [
+            "SELECT pid FROM admissions WHERE pid BETWEEN 10 AND 5",
+            "SELECT pid FROM admissions WHERE pid BETWEEN 'a' AND 5",
+            "SELECT name FROM admissions JOIN db2.patients ON admissions.pid = patients.pid \
+             WHERE pid BETWEEN 10 AND 5",
+        ] {
+            let report = system
+                .run_sql(sql)
+                .unwrap_or_else(|e| panic!("{sql} ({sharded}): {e}"));
+            assert_eq!(report.execution.outputs[0].len(), 0, "{sql}");
+        }
+        // The well-formed range next to it still answers.
+        let report = system
+            .run_sql("SELECT pid FROM admissions WHERE pid BETWEEN 5 AND 10")
+            .expect("runs");
+        assert_eq!(report.execution.outputs[0].len(), 6);
+    }
+}

@@ -35,6 +35,7 @@ fn federated_sql_matches_manual_join() {
     let expected = db1
         .scan("admissions", &Predicate::ge("age", 90i64), None)
         .expect("scan runs")
+        .rows
         .len();
     assert_eq!(report.execution.outputs[0].len(), expected);
 }

@@ -55,7 +55,6 @@ pub struct PolystoreBuilder {
     fleet: AcceleratorFleet,
     opt_level: OptLevel,
     migration_path: MigrationPath,
-    parallel: bool,
     colocated_joins: bool,
     exchange: bool,
     shards: usize,
@@ -112,14 +111,6 @@ impl PolystoreBuilder {
     /// Sets the cross-engine migration path (default: binary pipe).
     pub fn migration_path(mut self, path: MigrationPath) -> Self {
         self.migration_path = path;
-        self
-    }
-
-    /// Enables/disables parallel stage execution (default: on).
-    /// Sequential mode is bit-identical and exists for debugging and
-    /// determinism checks.
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.parallel = on;
         self
     }
 
@@ -326,7 +317,6 @@ impl PolystoreBuilder {
             cost_model,
             opt_level: self.opt_level,
             migration_path: self.migration_path,
-            parallel: self.parallel,
             colocated_joins: self.colocated_joins,
             exchange: self.exchange,
             result_cache: self.result_cache,
@@ -372,7 +362,6 @@ pub struct Polystore {
     cost_model: CostModel,
     opt_level: OptLevel,
     migration_path: MigrationPath,
-    parallel: bool,
     colocated_joins: bool,
     exchange: bool,
     result_cache: bool,
@@ -389,7 +378,6 @@ impl Polystore {
             fleet: AcceleratorFleet::cpu_only(),
             opt_level: OptLevel::L2,
             migration_path: MigrationPath::BinaryPipe,
-            parallel: true,
             colocated_joins: true,
             exchange: true,
             shards: 1,
@@ -619,7 +607,6 @@ impl Polystore {
         let executor = Executor::new(self.fleet.clone(), ledger)
             .offload(level.placement())
             .pipelined(level.pipelined())
-            .parallel(self.parallel)
             .colocated_joins(self.colocated_joins)
             .exchange(self.exchange)
             .materialize_repartitions(self.materialize_repartitions)

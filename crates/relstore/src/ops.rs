@@ -171,6 +171,66 @@ pub fn hash_join(
     right_on: &str,
     kind: JoinKind,
 ) -> Result<(Schema, Vec<Row>)> {
+    hash_join_with(
+        left_schema,
+        left,
+        right_schema,
+        right,
+        left_on,
+        right_on,
+        kind,
+        |_| {},
+    )
+}
+
+/// [`hash_join`], also returning how many output rows each `left`
+/// (probe) row produced, in probe order: the output rows of probe row
+/// `i` are the contiguous chunk of length `counts[i]` after those of
+/// the rows before it. A shuffled join's barrier splices its
+/// per-destination outputs back into the gathered probe order by these
+/// chunks, and takes them from the join it ran rather than from a
+/// second build of the same table.
+///
+/// # Errors
+///
+/// Returns [`Error::ColumnNotFound`] for unknown join columns.
+#[allow(clippy::too_many_arguments)]
+pub fn hash_join_counted(
+    left_schema: &Schema,
+    left: &[Row],
+    right_schema: &Schema,
+    right: &[Row],
+    left_on: &str,
+    right_on: &str,
+    kind: JoinKind,
+) -> Result<(Schema, Vec<Row>, Vec<usize>)> {
+    let mut counts = Vec::with_capacity(left.len());
+    let (schema, rows) = hash_join_with(
+        left_schema,
+        left,
+        right_schema,
+        right,
+        left_on,
+        right_on,
+        kind,
+        |n| counts.push(n),
+    )?;
+    Ok((schema, rows, counts))
+}
+
+/// The one join body: builds on `right`, probes with `left`, and tells
+/// `produced` after each probe row how many output rows it added.
+#[allow(clippy::too_many_arguments)]
+fn hash_join_with(
+    left_schema: &Schema,
+    left: &[Row],
+    right_schema: &Schema,
+    right: &[Row],
+    left_on: &str,
+    right_on: &str,
+    kind: JoinKind,
+    mut produced: impl FnMut(usize),
+) -> Result<(Schema, Vec<Row>)> {
     let li = left_schema.require(left_on)?;
     let ri = right_schema.require(right_on)?;
     let out_schema = left_schema.join(right_schema);
@@ -196,6 +256,7 @@ pub fn hash_join(
     let mut out = Vec::new();
     let null_right = Row::from(vec![Value::Null; right_schema.arity()]);
     for l in left {
+        let before = out.len();
         match chains.get(&l[li]) {
             Some(&(first, _)) if !l[li].is_null() => {
                 let mut pos = first;
@@ -210,47 +271,9 @@ pub fn hash_join(
                 }
             }
         }
+        produced(out.len() - before);
     }
     Ok((out_schema, out))
-}
-
-/// Number of inner-join matches each `left` (probe) row produces
-/// against `right`, in probe order — the bookkeeping a shuffled hash
-/// join's barrier uses to splice per-destination-shard outputs back
-/// into the gathered probe order (output rows of probe row `i` form a
-/// contiguous chunk of length `counts[i]`). Mirrors [`hash_join`]'s
-/// inner semantics exactly, including null keys matching nothing.
-///
-/// # Errors
-///
-/// Returns [`Error::ColumnNotFound`] for unknown join columns.
-pub fn hash_join_match_counts(
-    left_schema: &Schema,
-    left: &[Row],
-    right_schema: &Schema,
-    right: &[Row],
-    left_on: &str,
-    right_on: &str,
-) -> Result<Vec<usize>> {
-    let li = left_schema.require(left_on)?;
-    let ri = right_schema.require(right_on)?;
-    let mut table: HashMap<&Value, usize, FxBuildHasher> =
-        HashMap::with_capacity_and_hasher(right.len(), FxBuildHasher::default());
-    for r in right {
-        if !r[ri].is_null() {
-            *table.entry(&r[ri]).or_default() += 1;
-        }
-    }
-    Ok(left
-        .iter()
-        .map(|l| {
-            if l[li].is_null() {
-                0
-            } else {
-                table.get(&l[li]).copied().unwrap_or(0)
-            }
-        })
-        .collect())
 }
 
 /// The key columns of one row, compared in place, beside their hash:
@@ -713,18 +736,38 @@ mod tests {
     }
 
     #[test]
-    fn match_counts_mirror_the_join_exactly() {
+    fn counted_join_is_the_join_plus_per_probe_chunk_sizes() {
         let ls = Schema::new(vec![("k", DataType::Int)]);
         let rs = Schema::new(vec![("k", DataType::Int), ("v", DataType::Str)]);
         let left = vec![row![1i64], row![Value::Null], row![2i64], row![3i64]];
-        let right = vec![row![2i64, "a"], row![2i64, "b"], row![1i64, "c"]];
-        let counts = hash_join_match_counts(&ls, &left, &rs, &right, "k", "k").unwrap();
-        assert_eq!(counts, vec![1, 0, 2, 0]);
-        // The counts partition the join output into per-probe chunks.
-        let (_, out) = hash_join(&ls, &left, &rs, &right, "k", "k", JoinKind::Inner).unwrap();
-        assert_eq!(out.len(), counts.iter().sum::<usize>());
+        let right = vec![
+            row![2i64, "a"],
+            row![Value::Null, "n"],
+            row![2i64, "b"],
+            row![1i64, "c"],
+        ];
+        for (kind, expect) in [
+            (JoinKind::Inner, vec![1, 0, 2, 0]),
+            // An unmatched probe row still produces its padded row.
+            (JoinKind::LeftOuter, vec![1, 1, 2, 1]),
+        ] {
+            let (schema, rows, counts) =
+                hash_join_counted(&ls, &left, &rs, &right, "k", "k", kind).unwrap();
+            assert_eq!(counts, expect);
+            // Same body: the plain form returns the same schema and rows.
+            let (plain_schema, plain) = hash_join(&ls, &left, &rs, &right, "k", "k", kind).unwrap();
+            assert_eq!((schema, &rows), (plain_schema, &plain));
+            // The counts cut the output into per-probe-row chunks.
+            let mut chunks = rows.as_slice();
+            for (l, &n) in left.iter().zip(&counts) {
+                let (chunk, rest) = chunks.split_at(n);
+                assert!(chunk.iter().all(|r| r[0] == l[0]));
+                chunks = rest;
+            }
+            assert!(chunks.is_empty());
+        }
         assert!(matches!(
-            hash_join_match_counts(&ls, &left, &rs, &right, "nope", "k"),
+            hash_join_counted(&ls, &left, &rs, &right, "nope", "k", JoinKind::Inner),
             Err(Error::ColumnNotFound(_))
         ));
     }

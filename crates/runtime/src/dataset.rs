@@ -9,9 +9,10 @@ use pspp_mlengine::Mlp;
 ///
 /// Cloning is a reference-count bump, so a dataset handed to several
 /// consumers (task inputs, per-shard partials, forwards, report
-/// outputs) is never copied. Reading derefs to `[Row]`;
-/// [`RowBuf::make_mut`] is the one way to write, and copies the buffer
-/// first when anyone else still holds it.
+/// outputs) is never copied. Reading derefs to `[Row]`. There are two
+/// writers, and both copy the buffer first when anyone else still holds
+/// it: [`RowBuf::append`], which keeps a known byte size known, and
+/// [`RowBuf::make_mut`], which forgets it.
 #[derive(Clone, Default)]
 pub struct RowBuf(Arc<Shared>);
 
@@ -45,6 +46,21 @@ impl RowBuf {
         *self.0.byte_size.get_or_init(sum)
     }
 
+    /// Appends `more`'s rows, by pointer (a gather). When both buffers
+    /// already know their byte sizes the result knows the sum, so a
+    /// gather of sized partials is never walked; otherwise the size is
+    /// left to be summed on first use. A buffer shared with other
+    /// holders is copied first, as in [`RowBuf::make_mut`].
+    pub fn append(&mut self, more: &RowBuf) {
+        let known = match (self.0.byte_size.get(), more.0.byte_size.get()) {
+            (Some(a), Some(b)) => OnceLock::from(a + b),
+            _ => OnceLock::new(),
+        };
+        let shared = Arc::make_mut(&mut self.0);
+        shared.rows.extend_from_slice(more);
+        shared.byte_size = known;
+    }
+
     /// The rows for writing. A buffer shared with other holders is
     /// copied first (row pointers, not values), so they never see the
     /// change.
@@ -52,6 +68,13 @@ impl RowBuf {
         let shared = Arc::make_mut(&mut self.0);
         shared.byte_size = OnceLock::new();
         &mut shared.rows
+    }
+
+    /// The byte size if the buffer knows it without a walk — how tests
+    /// tell a carried size from one summed on demand.
+    #[cfg(test)]
+    pub(crate) fn known_byte_size(&self) -> Option<u64> {
+        self.0.byte_size.get().copied()
     }
 
     /// Whether `self` and `other` are one buffer (clones of each
@@ -221,5 +244,54 @@ mod tests {
         assert!(dm.try_model().is_ok());
         assert!(dm.is_empty());
         assert!(dm.byte_size() > 0);
+    }
+
+    fn walked(rows: &[Row]) -> u64 {
+        rows.iter().map(|r| r.byte_size() as u64).sum()
+    }
+
+    #[test]
+    fn append_keeps_a_known_size_and_make_mut_forgets_it() {
+        let a = vec![row![1i64, "ab"], row![2i64, "c"]];
+        let b = vec![row![3i64, "def"]];
+        let sized = |rows: &[Row]| RowBuf::pre_sized(rows.to_vec(), walked(rows));
+        let all = [a.clone(), b.clone()].concat();
+
+        // Known + known: the sum, without a walk.
+        let mut gathered = sized(&a);
+        gathered.append(&sized(&b));
+        assert_eq!(&gathered[..], &all[..]);
+        assert_eq!(gathered.known_byte_size(), Some(walked(&all)));
+
+        // Known + unknown (either way round): unknown until asked, then
+        // the walked sum.
+        for (mut first, second) in [
+            (sized(&a), RowBuf::from(b.clone())),
+            (RowBuf::from(a.clone()), sized(&b)),
+        ] {
+            first.append(&second);
+            assert_eq!(first.known_byte_size(), None);
+            assert_eq!(first.byte_size(), walked(&all));
+            assert_eq!(first.known_byte_size(), Some(walked(&all)));
+        }
+
+        // The other writer still forgets.
+        gathered.make_mut().pop();
+        assert_eq!(gathered.known_byte_size(), None);
+        assert_eq!(gathered.byte_size(), walked(&a));
+    }
+
+    #[test]
+    fn append_to_a_shared_buffer_leaves_the_other_holder_alone() {
+        let a = vec![row![1i64], row![2i64]];
+        let partial = RowBuf::pre_sized(a.clone(), 16);
+        let mut gathered = partial.clone();
+        gathered.append(&RowBuf::pre_sized(vec![row![3i64]], 8));
+        assert!(!gathered.ptr_eq(&partial));
+        assert_eq!(
+            (&partial[..], partial.known_byte_size()),
+            (&a[..], Some(16))
+        );
+        assert_eq!((gathered.len(), gathered.known_byte_size()), (3, Some(24)));
     }
 }

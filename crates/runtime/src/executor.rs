@@ -7,9 +7,16 @@
 //! each node runs and migrates foreign inputs there; the
 //! [`Charger`] posts simulated costs. The
 //! loop walks the program's topological stages and runs each stage's
-//! independent tasks concurrently (one `std::thread::scope` worker per
-//! task), so the pipelined makespan model is backed by real wall-clock
-//! parallelism.
+//! tasks on the calling thread, in task order. Shard parallelism lives
+//! where the paper puts it, on the simulated clock: a node's time is
+//! its slowest shard task's, as if each shard's replica ran its own.
+//! The wall clock gets its concurrency from the query service's
+//! workers, one query each. A stage's tasks here run for 45 µs to
+//! 0.8 ms; handing one to another thread cost more than it bought on
+//! every sharded polybench template (a thread per task: +12 % wall per
+//! op at two shards against this loop in the same build; persistent
+//! helper threads still lost 10 % to it), so there is one loop and it
+//! has no mode.
 //!
 //! Distribution is a *plan* property, not an execution-time discovery:
 //! [`Placer::plan_distribution`] annotates every node with its
@@ -36,12 +43,16 @@
 //!   gathered through explicit [`ExchangeKind::Gather`] edges.
 //!
 //! Exchange rows are charged to the ledger as migration-class transfer
-//! events on the node's critical path. Parallel and sequential modes
-//! are bit-identical: every task executes against a private scoped
-//! ledger, and the loop merges shard partials in shard order and node
-//! results in node-id order after each stage joins.
+//! events on the node's critical path. Every task executes against a
+//! private scoped ledger, and the loop merges shard partials in shard
+//! order and node results in node-id order after each stage, so a
+//! node's bill does not depend on what else shared its stage. Byte
+//! sizes travel with the rows: a gather of sized partials, a routed
+//! bucket and a spliced output all know their size when they are built,
+//! and the [`Charger`] never walks one to price it.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use pspp_accel::exchange::shuffle_bill;
 use pspp_accel::{AcceleratorFleet, CostEvent, CostLedger, EventKind, Interconnect, SimDuration};
@@ -113,8 +124,7 @@ impl ExecutionReport {
 }
 
 /// The orchestrator-side state of one shuffled node's exchange: where
-/// each probe row went, the routed inputs (for the barrier's match
-/// counts), and the exchange's simulated transfer bill.
+/// each probe row went and the exchange's simulated transfer bill.
 #[derive(Debug)]
 struct ShuffleBarrier {
     /// Global probe-row indices per destination bucket, in source
@@ -193,10 +203,9 @@ struct NodeRun {
     assignments: Vec<(ShardId, DeviceKind)>,
     /// Cost events from the task's scoped ledger, in posting order.
     events: Vec<pspp_accel::CostEvent>,
-    /// For shuffled join tasks: matches each probe-bucket row produced,
-    /// in bucket order — computed in the task so the work parallelizes
-    /// with the join itself; the barrier uses them as splice chunk
-    /// sizes.
+    /// For shuffled join tasks: output rows each probe-bucket row
+    /// produced, in bucket order, as reported by the join the task ran;
+    /// the barrier uses them as splice chunk sizes.
     probe_counts: Option<Vec<usize>>,
     /// Per-task traces folded into this run, in task (gather) order.
     tasks: Vec<TaskTrace>,
@@ -206,11 +215,9 @@ struct NodeRun {
 
 impl NodeRun {
     /// Folds the next shard's partial into this run (shard-ordered
-    /// gather): rows concatenate in shard order, by pointer; simulated
-    /// execution and critical-path time are the slowest replica's
-    /// (shards run on distinct engine replicas in parallel, each
-    /// migrating its own partial), total migration work and cost events
-    /// accumulate.
+    /// gather): rows concatenate in shard order, by pointer, and keep
+    /// their summed byte size; the accounts fold as in
+    /// [`NodeRun::fold_accounts`].
     fn absorb(&mut self, next: NodeRun) -> Result<()> {
         let (Payload::Rows { rows, .. }, Payload::Rows { rows: more, .. }) =
             (&mut self.output.payload, &next.output.payload)
@@ -222,7 +229,17 @@ impl NodeRun {
         };
         // Copy-on-write: a partial some consumer still reads keeps its
         // own buffer; the gathered copy shares the rows themselves.
-        rows.make_mut().extend_from_slice(more);
+        rows.append(more);
+        self.fold_accounts(next);
+        Ok(())
+    }
+
+    /// Folds the next shard task's accounts into this run: simulated
+    /// execution and critical-path time are the slowest replica's
+    /// (shards run on distinct engine replicas in parallel on the
+    /// simulated clock, each migrating its own partial), total
+    /// migration work, cost events and traces accumulate in task order.
+    fn fold_accounts(&mut self, next: NodeRun) {
         self.exec_seconds = self.exec_seconds.max(next.exec_seconds);
         self.migration_seconds += next.migration_seconds;
         self.critical_seconds = self.critical_seconds.max(next.critical_seconds);
@@ -231,7 +248,6 @@ impl NodeRun {
         self.events.extend(next.events);
         self.tasks.extend(next.tasks);
         self.exchanges.extend(next.exchanges);
-        Ok(())
     }
 }
 
@@ -246,8 +262,6 @@ pub struct Executor {
     offload: bool,
     /// Pipeline stages (L3).
     pipelined: bool,
-    /// Run each stage's independent nodes on separate threads.
-    parallel: bool,
     /// Execute compatibly-partitioned joins (and distribution-preserving
     /// filters/projections) per shard instead of gathering first.
     colocate: bool,
@@ -272,7 +286,6 @@ impl Executor {
             adapters: AdapterRegistry::standard(),
             offload: true,
             pipelined: false,
-            parallel: true,
             colocate: true,
             exchange: true,
             materialize: false,
@@ -283,7 +296,7 @@ impl Executor {
     /// Records executor, placer and charger instrumentation into
     /// `metrics`. All recorded values are integer counts or bucketed
     /// simulated durations, so observation never perturbs execution and
-    /// snapshots are deterministic at any parallelism.
+    /// snapshots are deterministic.
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
         self.metrics = Some(metrics);
         self
@@ -298,14 +311,6 @@ impl Executor {
     /// Enables/disables pipelined stage accounting (L3).
     pub fn pipelined(mut self, on: bool) -> Self {
         self.pipelined = on;
-        self
-    }
-
-    /// Enables/disables parallel stage execution (default: on).
-    /// Sequential mode produces bit-identical outputs and ledger
-    /// totals; it exists for debugging and determinism checks.
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.parallel = on;
         self
     }
 
@@ -431,9 +436,7 @@ impl Executor {
                     partials.insert(id, p.clone());
                 }
             }
-            // Run the stage's independent nodes (possibly on separate
-            // threads), then merge in node-id order so parallel and
-            // sequential schedules are indistinguishable downstream.
+            // Run the stage's tasks, then merge in node-id order.
             let (runs, shard_outputs) = self.run_stage(
                 program,
                 &stage.compute,
@@ -537,7 +540,7 @@ impl Executor {
     }
 
     /// Records one merged node run into the metrics registry (no-op when
-    /// unobserved). Runs on the orchestrator thread in merge order; every
+    /// unobserved). Runs in merge order; every
     /// recorded value is an integer count or a bucketed simulated
     /// duration, so snapshots are deterministic.
     fn observe_run(&self, trace: &NodeTrace, offloaded: bool) {
@@ -735,14 +738,14 @@ impl Executor {
                             buckets
                         }
                     };
-                    for (k, bucket) in buckets.iter().enumerate() {
-                        let routed: Vec<Row> = bucket.iter().map(|&i| rows[i].clone()).collect();
-                        dest_inputs[k].push(Dataset::rows(
-                            schema.clone(),
-                            routed,
-                            d.model,
-                            d.location.clone(),
-                        ));
+                    if buckets.len() != width {
+                        return Err(Error::Execution(format!(
+                            "shuffled node {id}: input {idx} routes to {} destinations, the plan has {width}",
+                            buckets.len()
+                        )));
+                    }
+                    for (inputs, routed) in dest_inputs.iter_mut().zip(Self::route(d, &buckets)?) {
+                        inputs.push(routed);
                     }
                     if idx == 0 {
                         probe_origins = buckets;
@@ -820,15 +823,44 @@ impl Executor {
         ))
     }
 
+    /// One dataset per destination of a routed input: `buckets[k]` lists
+    /// the rows of `d` bound for destination `k`, in source order. The
+    /// pass that clones a bucket's row pointers also sums its bytes, so
+    /// the destination task's charge never walks the bucket.
+    fn route(d: &Dataset, buckets: &[Vec<usize>]) -> Result<Vec<Dataset>> {
+        let (schema, rows) = (d.schema()?, d.try_rows()?);
+        Ok(buckets
+            .iter()
+            .map(|bucket| {
+                let mut byte_size = 0u64;
+                let routed: Vec<Row> = bucket
+                    .iter()
+                    .map(|&i| {
+                        byte_size += rows[i].byte_size() as u64;
+                        rows[i].clone()
+                    })
+                    .collect();
+                Dataset {
+                    payload: Payload::Rows {
+                        schema: schema.clone(),
+                        rows: RowBuf::pre_sized(routed, byte_size),
+                    },
+                    model: d.model,
+                    location: d.location.clone(),
+                }
+            })
+            .collect())
+    }
+
     /// Runs one stage's compute nodes as a scatter-gather task set: one
     /// task per (node, shard replica) for partitioned scans, colocated
-    /// nodes, shuffled joins and partial aggregations, in parallel when
-    /// enabled and the stage has at least two tasks. Per-shard results
-    /// merge back deterministically — shard-ordered splice for plain
-    /// gathers, probe-order splice for shuffle barriers, state merge
-    /// for partial aggregations — and nodes return in node-id order
-    /// with the first (by task order) error propagated, independent of
-    /// thread scheduling. The second return value holds the per-shard
+    /// nodes, shuffled joins and partial aggregations, run one after
+    /// another on the calling thread in task order (node-major,
+    /// shard-minor); the first task to fail ends the stage with its
+    /// error. Per-shard results merge back — shard-ordered splice for
+    /// plain gathers, probe-order splice for shuffle barriers, state
+    /// merge for partial aggregations — and nodes return in node-id
+    /// order. The second return value holds the per-shard
     /// outputs of nodes whose plan marks them `partials_needed` (a
     /// fanned-out consumer reads them).
     #[allow(clippy::type_complexity)]
@@ -859,14 +891,13 @@ impl Executor {
                 for (k, inputs) in dest_inputs.into_iter().enumerate() {
                     let mut task = Task::new(id, info.scatter[k], k, inputs);
                     // The barrier needs this bucket's per-probe-row
-                    // match counts; computing them in the task keeps
-                    // the work parallel with the join itself.
+                    // match counts; the task's join reports them.
                     task.count_matches = true;
                     tasks.push(task);
                 }
             } else if info.merges_partials() {
                 if Self::merge_would_reassociate_floats(program, id, partials, plan)? {
-                    // Bit-identity over parallelism: float sums demote
+                    // Bit-identity over shard counts: float sums demote
                     // to the gathered single-site aggregation.
                     demoted.insert(id);
                     let inputs = Self::task_inputs(program, id, None, results, partials, plan)?;
@@ -891,32 +922,12 @@ impl Executor {
                 tasks.push(Task::new(id, ShardId::ZERO, 0, inputs));
             }
         }
-        let runs: Vec<Result<NodeRun>> = if self.parallel && tasks.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = tasks
-                    .drain(..)
-                    .map(|task| scope.spawn(move || self.run_node(program, task, registry)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                    })
-                    .collect()
-            })
-        } else {
-            tasks
-                .drain(..)
-                .map(|task| self.run_node(program, task, registry))
-                .collect()
-        };
-        // Barrier: group each node's task runs (task order is
-        // node-major, shard-minor), surface the first error, then merge
-        // by the node's exchange kind.
+        // Run the tasks and group each node's runs (task order is
+        // node-major, shard-minor), then merge by the node's exchange
+        // kind.
         let mut groups: Vec<(NodeId, Vec<NodeRun>)> = Vec::new();
-        for run in runs {
-            let run = run?;
+        for task in tasks {
+            let run = self.run_node(program, task, registry)?;
             match groups.last_mut() {
                 Some((gid, g)) if *gid == run.id => g.push(run),
                 _ => groups.push((run.id, vec![run])),
@@ -937,16 +948,24 @@ impl Executor {
             } else if info.merges_partials() && !demoted.contains(&id) {
                 self.merge_partial_runs(program, id, group)?
             } else {
-                let mut it = group.into_iter();
-                let mut acc = it.next().expect("every group has a task");
-                for next in it {
-                    acc.absorb(next)?;
-                }
-                acc
+                Self::gather_runs(id, group)?
             };
             merged.push(run);
         }
         Ok((merged, shard_outputs))
+    }
+
+    /// The plain gather: folds one node's task runs into the first, in
+    /// task (shard) order.
+    fn gather_runs(id: NodeId, group: Vec<NodeRun>) -> Result<NodeRun> {
+        let mut it = group.into_iter();
+        let mut acc = it
+            .next()
+            .ok_or_else(|| Error::Execution(format!("node {id} has no task run to gather")))?;
+        for next in it {
+            acc.absorb(next)?;
+        }
+        Ok(acc)
     }
 
     /// The per-shard partial operator of a partial-aggregate + merge
@@ -1007,9 +1026,9 @@ impl Executor {
     /// The shuffle barrier: splices per-destination join outputs back
     /// into the gathered probe order. Each destination's output rows
     /// group into contiguous per-probe-row chunks (the hash join emits
-    /// matches in probe order), whose sizes the barrier re-derives from
-    /// the routed buckets; re-ordering the chunks by global probe index
-    /// reproduces the gathered plan's bytes exactly.
+    /// matches in probe order), whose sizes each task's join reported;
+    /// re-ordering the chunks by global probe index reproduces the
+    /// gathered plan's bytes exactly.
     fn splice_shuffle(
         id: NodeId,
         group: Vec<NodeRun>,
@@ -1029,8 +1048,16 @@ impl Executor {
                     "shuffled node {id} produced a non-row output"
                 )));
             };
+            let origins = barrier.probe_origins.get(d).map_or(&[][..], Vec::as_slice);
+            if counts.len() != origins.len() {
+                return Err(Error::Execution(format!(
+                    "shuffled node {id}, destination {d}: {} match counts for {} probe rows",
+                    counts.len(),
+                    origins.len()
+                )));
+            }
             let mut offset = 0usize;
-            for (&origin, &n) in barrier.probe_origins[d].iter().zip(&counts) {
+            for (&origin, &n) in origins.iter().zip(&counts) {
                 if n > 0 {
                     chunks.push((origin, d, offset, n));
                     offset += n;
@@ -1045,30 +1072,24 @@ impl Executor {
             outputs.push(out_rows.clone());
             match &mut acc {
                 None => acc = Some(run),
-                Some(first) => {
-                    first.exec_seconds = first.exec_seconds.max(run.exec_seconds);
-                    first.migration_seconds += run.migration_seconds;
-                    first.critical_seconds = first.critical_seconds.max(run.critical_seconds);
-                    first.offloaded |= run.offloaded;
-                    first.assignments.extend(run.assignments);
-                    first.events.extend(run.events);
-                    first.tasks.extend(run.tasks);
-                    first.exchanges.extend(run.exchanges);
-                }
+                Some(first) => first.fold_accounts(run),
             }
         }
-        let mut run = acc.expect("every shuffled node has at least one task");
+        let mut run =
+            acc.ok_or_else(|| Error::Execution(format!("shuffled node {id} has no task run")))?;
         // Splice in probe order: each probe row sits in one bucket, so
         // the origins are distinct. The spliced buffer is new (the
         // per-destination outputs may be retained as partials) and
-        // shares their rows.
+        // shares their rows — all of them, so its size is the sum of
+        // theirs, which the tasks' charges already asked for.
         chunks.sort_unstable_by_key(|&(origin, ..)| origin);
         let mut spliced = Vec::with_capacity(outputs.iter().map(|o| o.len()).sum());
         for (_, d, offset, n) in chunks {
             spliced.extend_from_slice(&outputs[d][offset..offset + n]);
         }
         if let Payload::Rows { rows, .. } = &mut run.output.payload {
-            *rows = spliced.into();
+            let byte_size = outputs.iter().map(RowBuf::byte_size).sum();
+            *rows = RowBuf::pre_sized(spliced, byte_size);
         }
         // The exchange rides the node's critical path and charges its
         // rows as migration-class transfer work.
@@ -1129,11 +1150,7 @@ impl Executor {
             )));
         };
         let width = group.len();
-        let mut it = group.into_iter();
-        let mut run = it.next().expect("every merged node has at least one task");
-        for next in it {
-            run.absorb(next)?;
-        }
+        let mut run = Self::gather_runs(id, group)?;
         let specs: Vec<pspp_relstore::AggregateSpec> = aggs
             .iter()
             .map(|a| {
@@ -1200,26 +1217,11 @@ impl Executor {
         } = task;
         let node = program.node(id);
         let op = op.as_ref().unwrap_or(&node.op);
-        // A shuffled-join bucket also reports its per-probe-row match
-        // counts — the barrier's splice chunk sizes — computed here so
-        // the counting runs in parallel with the other buckets' joins.
-        let probe_counts = if count_matches {
-            let Operator::HashJoin { left_on, right_on } = op else {
-                return Err(Error::Execution(format!(
-                    "shuffle planned for non-hash-join {id}"
-                )));
-            };
-            Some(relops::hash_join_match_counts(
-                inputs[0].schema()?,
-                inputs[0].try_rows()?,
-                inputs[1].schema()?,
-                inputs[1].try_rows()?,
-                left_on,
-                right_on,
-            )?)
-        } else {
-            None
-        };
+        if count_matches && !matches!(op, Operator::HashJoin { .. }) {
+            return Err(Error::Execution(format!(
+                "shuffle planned for non-hash-join {id}"
+            )));
+        }
         let scoped_ledger = CostLedger::new();
         let mut placer = self.placer.scoped(scoped_ledger.clone());
         if let Some(metrics) = &self.metrics {
@@ -1248,7 +1250,13 @@ impl Executor {
             } else {
                 DeviceKind::Cpu
             };
-        let ctx = ExecCtx::new(fleet, &scoped_ledger, self.offload).at_shard(shard);
+        // A shuffled-join bucket's join also reports its per-probe-row
+        // match counts — the barrier's splice chunk sizes.
+        let probe_counts = OnceLock::new();
+        let mut ctx = ExecCtx::new(fleet, &scoped_ledger, self.offload).at_shard(shard);
+        if count_matches {
+            ctx = ctx.counting_probe_matches(&probe_counts);
+        }
         let output = self
             .adapters
             .dispatch(op, &inputs, target.as_ref(), registry, &ctx)?;
@@ -1348,7 +1356,7 @@ impl Executor {
             offloaded: device != DeviceKind::Cpu && fleet.device(device).is_some(),
             assignments: vec![(shard, device)],
             events: scoped_ledger.events(),
-            probe_counts,
+            probe_counts: probe_counts.into_inner(),
             tasks: vec![task_trace],
             exchanges: Vec::new(),
         })
@@ -1611,95 +1619,85 @@ mod tests {
         ));
     }
 
-    /// Records which thread ran each `Custom { name: "probe" }` node —
-    /// the witness that parallel stages really fan out.
+    /// Records, per `Custom { name: "probe…" }` node it runs, the node's
+    /// name and the thread it ran on; a name ending in `!` fails.
     #[derive(Debug, Default)]
-    struct ThreadProbeAdapter {
-        seen: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    struct ProbeAdapter {
+        seen: std::sync::Mutex<Vec<(String, std::thread::ThreadId)>>,
     }
 
-    impl crate::physical::EngineAdapter for ThreadProbeAdapter {
+    impl crate::physical::EngineAdapter for ProbeAdapter {
         fn name(&self) -> &'static str {
-            "thread-probe"
+            "probe"
         }
 
         fn supports(&self, op: &Operator) -> bool {
-            matches!(op, Operator::Custom { name } if name == "probe")
+            matches!(op, Operator::Custom { name } if name.starts_with("probe"))
         }
 
         fn run(
             &self,
-            _op: &Operator,
+            op: &Operator,
             inputs: &[Dataset],
             _target: Option<&EngineId>,
             _registry: &EngineRegistry,
             _ctx: &ExecCtx<'_>,
         ) -> Result<Dataset> {
-            self.seen.lock().unwrap().push(std::thread::current().id());
+            let Operator::Custom { name } = op else {
+                unreachable!("supports() admits only custom ops");
+            };
+            let here = std::thread::current().id();
+            self.seen.lock().unwrap().push((name.clone(), here));
+            if name.ends_with('!') {
+                return Err(Error::Execution(format!("{name} failed")));
+            }
             Ok(inputs[0].clone())
         }
     }
 
-    /// One scan feeding two independent probe nodes: a single stage with
-    /// two compute nodes.
-    fn probe_program() -> Program {
+    /// One scan feeding two independent custom nodes: a single stage
+    /// with two compute nodes, added in the order given.
+    fn probe_program(names: [&str; 2]) -> Program {
         let mut p = Program::new();
         let s = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
-        let c1 = p.add_node(
-            Operator::Custom {
-                name: "probe".into(),
-            },
-            vec![s],
-            "x",
-        );
-        let c2 = p.add_node(
-            Operator::Custom {
-                name: "probe".into(),
-            },
-            vec![s],
-            "x",
-        );
-        p.mark_output(c1);
-        p.mark_output(c2);
+        for name in names {
+            let c = p.add_node(Operator::Custom { name: name.into() }, vec![s], "x");
+            p.mark_output(c);
+        }
         p
     }
 
     #[test]
-    fn parallel_stage_uses_separate_threads_with_identical_results() {
-        let p = probe_program();
+    fn stage_runs_its_nodes_on_the_calling_thread_in_node_id_order() {
         let r = registry();
+        let me = std::thread::current().id();
 
-        let probe = std::sync::Arc::new(ThreadProbeAdapter::default());
-        let parallel = exec().with_adapter(probe.clone());
-        let par_report = parallel.execute(&p, &r).unwrap();
-        {
-            let seen = probe.seen.lock().unwrap();
-            assert_eq!(seen.len(), 2);
-            assert_ne!(seen[0], seen[1], "stage nodes shared one thread");
-            assert!(
-                seen.iter().all(|&t| t != std::thread::current().id()),
-                "stage nodes ran on the orchestrator thread"
-            );
-        }
+        let probe = std::sync::Arc::new(ProbeAdapter::default());
+        let report = exec()
+            .with_adapter(probe.clone())
+            .execute(&probe_program(["probe_a", "probe_b"]), &r)
+            .unwrap();
+        assert_eq!(report.outputs.len(), 2);
+        assert_eq!(
+            *probe.seen.lock().unwrap(),
+            vec![("probe_a".to_string(), me), ("probe_b".to_string(), me)],
+            "both nodes of the stage run on the caller, lower node id first"
+        );
 
-        let probe_seq = std::sync::Arc::new(ThreadProbeAdapter::default());
-        let sequential = exec().with_adapter(probe_seq.clone()).parallel(false);
-        let seq_report = sequential.execute(&p, &r).unwrap();
-        {
-            let seen = probe_seq.seen.lock().unwrap();
-            assert_eq!(seen.len(), 2);
-            assert_eq!(seen[0], seen[1]);
-        }
-
-        for (a, b) in par_report.outputs.iter().zip(&seq_report.outputs) {
-            assert_eq!(a.try_rows().unwrap(), b.try_rows().unwrap());
+        // Two failing nodes in one stage: the first by task order ends
+        // the stage with its error, and the second never starts.
+        let probe = std::sync::Arc::new(ProbeAdapter::default());
+        let failed = exec()
+            .with_adapter(probe.clone())
+            .execute(&probe_program(["probe_a!", "probe_b!"]), &r);
+        match failed {
+            Err(Error::Execution(msg)) => assert!(msg.contains("probe_a!"), "got {msg}"),
+            other => panic!("expected execution error, got {other:?}"),
         }
         assert_eq!(
-            parallel.ledger().total(),
-            sequential.ledger().total(),
-            "parallel and sequential runs must charge identical totals"
+            *probe.seen.lock().unwrap(),
+            vec![("probe_a!".to_string(), me)]
         );
-        assert_eq!(parallel.ledger().events(), sequential.ledger().events());
     }
 
     #[test]
@@ -1733,12 +1731,11 @@ mod tests {
             base.node_seconds[&s]
         );
 
-        let seq = exec().parallel(false).execute(&p, &sharded).unwrap();
+        // The gather of sized scan partials carries its size.
         assert_eq!(
-            report.outputs[0].try_rows().unwrap(),
-            seq.outputs[0].try_rows().unwrap()
+            known_bytes(&report.outputs[0]),
+            Some(walked_bytes(&report.outputs[0]))
         );
-        assert_eq!(report.node_seconds, seq.node_seconds);
     }
 
     #[test]
@@ -1772,6 +1769,20 @@ mod tests {
         let report = exec().execute(&p, &sharded).unwrap();
         assert_eq!(report.outputs[0].len(), 200, "every pid still joins");
         assert!(report.migration_seconds > 0.0);
+    }
+
+    /// A dataset's payload bytes, walked row by row.
+    fn walked_bytes(d: &Dataset) -> u64 {
+        let rows = d.try_rows().unwrap();
+        rows.iter().map(|r| r.byte_size() as u64).sum()
+    }
+
+    /// The payload bytes a dataset knows without walking its rows.
+    fn known_bytes(d: &Dataset) -> Option<u64> {
+        match &d.payload {
+            Payload::Rows { rows, .. } => rows.known_byte_size(),
+            Payload::Model(_) => None,
+        }
     }
 
     /// Rows in a canonical order, for set-equality checks against
@@ -1836,14 +1847,6 @@ mod tests {
         // Per-shard migration accounting: every shard task staged its
         // foreign patients partial.
         assert!(colocated.migration_seconds > 0.0);
-
-        // Sequential colocated execution is bit-identical too.
-        let seq = exec().parallel(false).execute(&p, &sharded).unwrap();
-        assert_eq!(
-            colocated.outputs[0].try_rows().unwrap(),
-            seq.outputs[0].try_rows().unwrap()
-        );
-        assert_eq!(colocated.node_seconds, seq.node_seconds);
     }
 
     /// The mismatched-layout registry both shuffle tests use:
@@ -1911,13 +1914,11 @@ mod tests {
             assert!(!base_plan.node(j).shuffles());
             assert_eq!(base_plan.node(j).gathered_input_count(), 2);
 
-            // Sequential shuffle execution is bit-identical too.
-            let seq = exec().parallel(false).execute(&p, &sharded).unwrap();
+            // The spliced output's carried size is the walked one.
             assert_eq!(
-                shuffled.outputs[0].try_rows().unwrap(),
-                seq.outputs[0].try_rows().unwrap()
+                known_bytes(&shuffled.outputs[0]),
+                Some(walked_bytes(&shuffled.outputs[0]))
             );
-            assert_eq!(shuffled.node_seconds, seq.node_seconds);
         }
     }
 
@@ -2156,12 +2157,6 @@ mod tests {
             merged.node_seconds[&g],
             gathered.node_seconds[&g]
         );
-        // Sequential execution is bit-identical.
-        let seq = exec().parallel(false).execute(&p, &sharded).unwrap();
-        assert_eq!(
-            merged.outputs[0].try_rows().unwrap(),
-            seq.outputs[0].try_rows().unwrap()
-        );
     }
 
     #[test]
@@ -2338,33 +2333,217 @@ mod tests {
         assert_eq!(report.outputs[0].len(), 200, "no duplicate rows gathered");
     }
 
+    /// A hand-built task run of `id` over one `Int` column — a merge
+    /// path's input without a stage behind it.
+    fn run_of(id: NodeId, keys: &[i64], probe_counts: Option<Vec<usize>>) -> NodeRun {
+        NodeRun {
+            id,
+            output: Dataset::rows(
+                Schema::new(vec![("k", DataType::Int)]),
+                keys.iter().map(|&k| row![k]).collect(),
+                pspp_common::DataModel::Relational,
+                EngineId::new("db1"),
+            ),
+            exec_seconds: 0.0,
+            migration_seconds: 0.0,
+            critical_seconds: 0.0,
+            offloaded: false,
+            assignments: Vec::new(),
+            events: Vec::new(),
+            probe_counts,
+            tasks: Vec::new(),
+            exchanges: Vec::new(),
+        }
+    }
+
+    /// A free barrier over the given per-destination probe origins.
+    fn barrier_of(probe_origins: Vec<Vec<usize>>) -> ShuffleBarrier {
+        ShuffleBarrier {
+            probe_origins,
+            routed_rows: 0,
+            bytes: 0,
+            seconds: 0.0,
+            device: DeviceKind::Cpu,
+            served_rows: 0,
+            served_bytes: 0,
+            stored_bytes: 0,
+            store_seconds: 0.0,
+        }
+    }
+
+    fn execution_error(result: Result<NodeRun>) -> String {
+        match result {
+            Err(Error::Execution(msg)) => msg,
+            other => panic!("expected an execution error, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn parallel_stage_error_is_deterministic() {
-        // Two failing customs in one stage: the lower node id's error
-        // must win regardless of which thread finishes first.
+    fn merge_paths_turn_an_empty_task_group_into_a_typed_error() {
+        let id = NodeId(7);
+        assert!(execution_error(Executor::gather_runs(id, Vec::new())).contains("n7"));
+        let barrier = barrier_of(vec![Vec::new()]);
+        assert!(execution_error(Executor::splice_shuffle(id, Vec::new(), &barrier)).contains("n7"));
+
         let mut p = Program::new();
         let s = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
-        let c1 = p.add_node(
-            Operator::Custom {
-                name: "boom1".into(),
+        let g = p.add_node(
+            Operator::GroupBy {
+                keys: vec!["age".into()],
+                aggs: Vec::new(),
             },
             vec![s],
-            "x",
+            "sql",
         );
-        let c2 = p.add_node(
-            Operator::Custom {
-                name: "boom2".into(),
-            },
-            vec![s],
-            "x",
+        let msg = execution_error(exec().merge_partial_runs(&p, g, Vec::new()));
+        assert!(msg.contains(&g.to_string()), "got {msg}");
+    }
+
+    #[test]
+    fn splice_takes_chunk_sizes_from_the_tasks_and_rejects_a_short_count_vector() {
+        let id = NodeId(3);
+        // Probe rows 0 and 2 went to destination 0, row 1 to
+        // destination 1; row 0 matched twice, row 1 once, row 2 never.
+        let barrier = barrier_of(vec![vec![0, 2], vec![1]]);
+        let group = |counts0: Vec<usize>| {
+            vec![
+                run_of(id, &[10, 11], Some(counts0)),
+                run_of(id, &[20], Some(vec![1])),
+            ]
+        };
+        let spliced = Executor::splice_shuffle(id, group(vec![2, 0]), &barrier).unwrap();
+        assert_eq!(
+            spliced.output.try_rows().unwrap(),
+            [row![10i64], row![11i64], row![20i64]]
         );
-        p.mark_output(c1);
-        p.mark_output(c2);
-        for _ in 0..8 {
-            match exec().execute(&p, &registry()) {
-                Err(Error::Execution(msg)) => assert!(msg.contains("boom1"), "got {msg}"),
-                other => panic!("expected execution error, got {other:?}"),
+        assert_eq!(spliced.output.byte_size(), walked_bytes(&spliced.output));
+
+        // One count for two probe rows: `zip` would stop early and the
+        // offsets would still add up (2 of 2 rows), so the length is
+        // checked first and the error names the node and destination.
+        let msg = execution_error(Executor::splice_shuffle(id, group(vec![2]), &barrier));
+        assert!(
+            msg.contains("n3") && msg.contains("destination 0"),
+            "got {msg}"
+        );
+        // More runs than the barrier routed to is the same error.
+        let mut extra = group(vec![2, 0]);
+        extra.push(run_of(id, &[], Some(vec![0])));
+        let msg = execution_error(Executor::splice_shuffle(id, extra, &barrier));
+        assert!(msg.contains("destination 2"), "got {msg}");
+        // A task whose join reported nothing is typed too.
+        let mut silent = group(vec![2, 0]);
+        silent[1].probe_counts = None;
+        let msg = execution_error(Executor::splice_shuffle(id, silent, &barrier));
+        assert!(msg.contains("no match counts"), "got {msg}");
+    }
+
+    /// The nested-loop inner join on column 0 — NULL keys match
+    /// nothing — with each left row's match count: the reference the
+    /// shuffle oracle holds the hash join, its counts and the splice to.
+    fn reference_join(left: &[Row], right: &[Row]) -> (Vec<Row>, Vec<usize>) {
+        let mut out = Vec::new();
+        let counts = left
+            .iter()
+            .map(|l| {
+                let before = out.len();
+                for r in right {
+                    if !l[0].is_null() && l[0] == r[0] {
+                        out.push(l.concat(r));
+                    }
+                }
+                out.len() - before
+            })
+            .collect();
+        (out, counts)
+    }
+
+    /// One side of the oracle's join: `(key, payload length)` pairs
+    /// become `(k Int, s Str)` rows; key −1 is NULL, the others are
+    /// shifted by `offset` so each side holds keys the other lacks.
+    fn oracle_side(pairs: &[(i64, usize)], offset: i64) -> Dataset {
+        let rows = pairs
+            .iter()
+            .map(|&(k, n)| {
+                let key = if k < 0 {
+                    Value::Null
+                } else {
+                    Value::Int(k + offset)
+                };
+                Row::from(vec![key, Value::from("p".repeat(n))])
+            })
+            .collect();
+        Dataset::rows(
+            Schema::new(vec![("k", DataType::Int), ("s", DataType::Str)]),
+            rows,
+            pspp_common::DataModel::Relational,
+            EngineId::new("db1"),
+        )
+    }
+
+    proptest::proptest! {
+        /// The shuffle oracle: route both sides of a join into 1–4
+        /// destinations by the stable FNV rule, join each destination
+        /// with the counted join, splice — and get the gathered join,
+        /// row for row, with every size carried instead of walked.
+        #[test]
+        fn shuffle_splice_matches_the_gathered_join_and_carries_sizes(
+            left in proptest::prop::collection::vec((-1i64..8, 0usize..6), 0..40),
+            right in proptest::prop::collection::vec((-1i64..8, 0usize..6), 0..40),
+            width in 1u32..5,
+        ) {
+            use proptest::prop_assert_eq;
+            let (l, r) = (oracle_side(&left, 0), oracle_side(&right, 3));
+            let (ls, lrows) = (l.schema().unwrap(), l.try_rows().unwrap());
+            let (rs, rrows) = (r.schema().unwrap(), r.try_rows().unwrap());
+            let (expect, expect_counts) = reference_join(lrows, rrows);
+            let kind = pspp_relstore::JoinKind::Inner;
+
+            // The gathered join and its counts against the reference.
+            let (_, gathered, counts) =
+                relops::hash_join_counted(ls, lrows, rs, rrows, "k", "k", kind).unwrap();
+            prop_assert_eq!(&gathered, &expect);
+            prop_assert_eq!(&counts, &expect_counts);
+            prop_assert_eq!(counts.iter().sum::<usize>(), gathered.len());
+
+            // Route, join per destination, splice.
+            let target = Distribution::Hashed { column: "k".into(), shards: width };
+            let origins = target.route_indices(ls, lrows).unwrap();
+            let lb = Executor::route(&l, &origins).unwrap();
+            let rb = Executor::route(&r, &target.route_indices(rs, rrows).unwrap()).unwrap();
+            prop_assert_eq!(lb.len(), width as usize);
+            let id = NodeId(2);
+            let mut group = Vec::new();
+            for (d, (lk, rk)) in lb.iter().zip(&rb).enumerate() {
+                prop_assert_eq!(lk.byte_size(), walked_bytes(lk));
+                prop_assert_eq!(rk.byte_size(), walked_bytes(rk));
+                let (schema, rows, counts) = relops::hash_join_counted(
+                    ls, lk.try_rows().unwrap(), rs, rk.try_rows().unwrap(), "k", "k", kind,
+                )
+                .unwrap();
+                // Each count is that probe row's matches on the
+                // gathered build side: a key's rows all route together.
+                for (&origin, &n) in origins[d].iter().zip(&counts) {
+                    prop_assert_eq!(n, expect_counts[origin]);
+                }
+                prop_assert_eq!(counts.iter().sum::<usize>(), rows.len());
+                let mut run = run_of(id, &[], Some(counts));
+                run.output = Dataset::rows(schema, rows, l.model, l.location.clone());
+                group.push(run);
             }
+            let spliced = Executor::splice_shuffle(id, group, &barrier_of(origins)).unwrap();
+            prop_assert_eq!(spliced.output.try_rows().unwrap(), &expect[..]);
+            prop_assert_eq!(spliced.output.byte_size(), walked_bytes(&spliced.output));
+
+            // A gather of the sized buckets knows its size too.
+            let partials = lb.into_iter().map(|bucket| {
+                let mut run = run_of(id, &[], None);
+                run.output = bucket;
+                run
+            });
+            let regathered = Executor::gather_runs(id, partials.collect()).unwrap().output;
+            prop_assert_eq!(regathered.len(), lrows.len());
+            prop_assert_eq!(known_bytes(&regathered), Some(walked_bytes(&l)));
         }
     }
 }

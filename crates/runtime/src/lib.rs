@@ -13,11 +13,17 @@
 //!   [`physical::Charger`] (simulated cost attribution).
 //! * [`Executor`] — the orchestration loop: walks an annotated IR
 //!   program in topological stages, scatters each stage into (node,
-//!   shard) tasks run concurrently via scoped threads, gathers shard
-//!   partials in shard order, dispatches every operator through the
-//!   adapter registry, and accounts the simulated makespan both
+//!   shard) tasks run in task order on the calling thread, gathers
+//!   shard partials in shard order, dispatches every operator through
+//!   the adapter registry, and accounts the simulated makespan both
 //!   sequentially and pipelined (§IV-D: "the whole workload execution
-//!   can be perceived as a pipeline of the stages' execution").
+//!   can be perceived as a pipeline of the stages' execution"). Shards
+//!   run in parallel on the simulated clock (a node costs its slowest
+//!   shard task); concurrent queries, one per thread, are the query
+//!   service's business. A per-stage hand-off to other threads cost
+//!   more wall time than these sub-millisecond tasks take.
+
+#![forbid(unsafe_code)]
 
 pub mod dataset;
 pub mod executor;

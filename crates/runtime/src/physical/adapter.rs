@@ -15,8 +15,8 @@ use crate::registry::EngineRegistry;
 /// understands.
 ///
 /// Implementations must be stateless or internally synchronized
-/// (`Send + Sync`): the executor calls `run` from multiple scheduler
-/// threads at once when a stage has independent nodes.
+/// (`Send + Sync`): one adapter serves every query the service's
+/// workers run at the same time, each on its own thread.
 pub trait EngineAdapter: Send + Sync + fmt::Debug {
     /// Short adapter name for diagnostics (e.g. `"relational"`).
     fn name(&self) -> &'static str;

@@ -93,15 +93,24 @@ impl EngineAdapter for RelationalAdapter {
             }
             Operator::HashJoin { left_on, right_on } => {
                 let (l, r) = (&inputs[0], &inputs[1]);
-                let (schema, rows) = ops::hash_join(
-                    l.schema()?,
-                    l.try_rows()?,
-                    r.schema()?,
-                    r.try_rows()?,
-                    left_on,
-                    right_on,
-                    JoinKind::Inner,
-                )?;
+                let (ls, lrows, rs, rrows) =
+                    (l.schema()?, l.try_rows()?, r.schema()?, r.try_rows()?);
+                let kind = JoinKind::Inner;
+                let (schema, rows) = match ctx.probe_counts() {
+                    // A shuffled-join bucket: the barrier's splice
+                    // chunk sizes come out of the join itself.
+                    Some(slot) => {
+                        let (schema, rows, counts) =
+                            ops::hash_join_counted(ls, lrows, rs, rrows, left_on, right_on, kind)?;
+                        slot.set(counts).map_err(|_| {
+                            pspp_common::Error::Execution(
+                                "a task's match counts were reported twice".into(),
+                            )
+                        })?;
+                        (schema, rows)
+                    }
+                    None => ops::hash_join(ls, lrows, rs, rrows, left_on, right_on, kind)?,
+                };
                 let location = target.cloned().unwrap_or_else(|| loc(l));
                 Ok(Dataset::rows(schema, rows, l.model, location))
             }

@@ -17,16 +17,17 @@
 //! * [`Charger`] — *what* an operator costs. Posts simulated kernel
 //!   cycles, transfer charges and energy to the run's [`CostLedger`].
 //!
-//! All three are `Sync`-clean: the executor runs every independent node
-//! of a topological stage on its own thread (`std::thread::scope`),
-//! giving each node a private scoped ledger and merging events back in
-//! node order so parallel runs are bit-identical to sequential ones —
-//! outputs, makespans, and the executor's ledger all match exactly.
-//! The one deliberate exception: engine stores also post scan/operator
-//! events to their *own* private ledgers (attached at store
-//! construction, not managed by the executor); those logs stay
-//! thread-safe but their event order reflects actual interleaving when
-//! two nodes hit one store concurrently.
+//! All three are `Sync`-clean. One executor runs a query's tasks one
+//! after another on its caller's thread, giving each task a private
+//! scoped ledger and merging events back in node order, so outputs,
+//! makespans and the executor's ledger repeat exactly; the query
+//! service runs many such queries at once, one per worker thread, over
+//! shared adapters and a shared registry. The one deliberate exception
+//! to repeatability: engine stores also post scan/operator events to
+//! their *own* private ledgers (attached at store construction, not
+//! managed by the executor); those logs stay thread-safe but their
+//! event order reflects actual interleaving when two queries hit one
+//! store concurrently.
 
 pub mod adapter;
 pub mod adapters;
@@ -37,19 +38,23 @@ pub use adapter::{AdapterRegistry, EngineAdapter};
 pub use charger::Charger;
 pub use placer::Placer;
 
+use std::sync::OnceLock;
+
 use pspp_accel::{AcceleratorFleet, CostLedger, DeviceProfile, KernelClass};
 use pspp_common::ShardId;
 
 /// Everything an adapter may consult while running one operator: the
 /// accelerator fleet, the (task-scoped) cost ledger, whether device
-/// offload is enabled for this run, and which shard replica the task
-/// addresses.
+/// offload is enabled for this run, which shard replica the task
+/// addresses, and — for a shuffled-join bucket — where to leave the
+/// join's per-probe-row match counts.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecCtx<'a> {
     fleet: &'a AcceleratorFleet,
     ledger: &'a CostLedger,
     offload: bool,
     shard: ShardId,
+    probe_counts: Option<&'a OnceLock<Vec<usize>>>,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -60,6 +65,7 @@ impl<'a> ExecCtx<'a> {
             ledger,
             offload,
             shard: ShardId::ZERO,
+            probe_counts: None,
         }
     }
 
@@ -73,6 +79,21 @@ impl<'a> ExecCtx<'a> {
     /// The shard replica source operators should read from.
     pub fn shard(&self) -> ShardId {
         self.shard
+    }
+
+    /// This context asking the hash join it runs to leave in `slot`
+    /// how many output rows each probe row produced — the executor
+    /// builds one per shuffled-join bucket, whose barrier splices by
+    /// those counts.
+    pub fn counting_probe_matches(mut self, slot: &'a OnceLock<Vec<usize>>) -> Self {
+        self.probe_counts = Some(slot);
+        self
+    }
+
+    /// Where a hash join leaves its per-probe-row match counts, when
+    /// the task's barrier needs them.
+    pub fn probe_counts(&self) -> Option<&'a OnceLock<Vec<usize>>> {
+        self.probe_counts
     }
 
     /// The accelerator fleet.

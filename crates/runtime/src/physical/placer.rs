@@ -51,7 +51,7 @@ impl Placer {
 
     /// Records per-input migration counts and simulated durations into
     /// `metrics`. Histogram observations are commutative, so recording
-    /// from parallel executor workers stays deterministic.
+    /// from queries running at the same time stays deterministic.
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
         self.metrics = Some(metrics);
         self
@@ -68,9 +68,9 @@ impl Placer {
         self
     }
 
-    /// A copy of this placer posting migration costs to `ledger` —
-    /// executor workers scope one per node so parallel stages stay
-    /// deterministic.
+    /// A copy of this placer posting migration costs to `ledger` — the
+    /// executor scopes one per task, so a task's migration events merge
+    /// back with the rest of its bill, in node order.
     pub fn scoped(&self, ledger: CostLedger) -> Placer {
         Placer {
             migrator: self.migrator.clone().with_ledger(ledger),

@@ -8,13 +8,19 @@ use polystorepp::common::PartitionSpec;
 use polystorepp::ir::{NodeId, Operator, Program};
 use polystorepp::prelude::*;
 use polystorepp::relstore::{ops, RelationalStore};
-use polystorepp::runtime::{Dataset, EngineInstance, EngineRegistry, Executor, Payload, Placer};
+use polystorepp::runtime::{
+    Dataset, EngineInstance, EngineRegistry, Executor, Payload, Placer, RowBuf,
+};
 
-fn row_buf(d: &Dataset) -> &polystorepp::runtime::RowBuf {
+fn row_buf(d: &Dataset) -> &RowBuf {
     match &d.payload {
         Payload::Rows { rows, .. } => rows,
         Payload::Model(_) => panic!("a rows dataset"),
     }
+}
+
+fn walked_bytes(rows: &[Row]) -> u64 {
+    rows.iter().map(|r| r.byte_size() as u64).sum()
 }
 
 fn sorted_rows(d: &Dataset) -> Vec<Row> {
@@ -173,8 +179,26 @@ fn gather_and_splice_leave_partials_and_other_readers_untouched() {
                 sorted_rows(want),
                 "{layout}: output {node}"
             );
+            // Gathered and spliced buffers carry their size; it is the
+            // walked one.
+            assert_eq!(got.byte_size(), walked_bytes(got.try_rows().unwrap()));
         }
     }
+
+    // The gather's step by hand: appending to a partial another reader
+    // still holds copies the buffer first, and the reader keeps its rows
+    // and its size.
+    let rows = flat[0].try_rows().unwrap();
+    let (head, tail) = rows.split_at(rows.len() / 2);
+    let sized = |rows: &[Row]| RowBuf::pre_sized(rows.to_vec(), walked_bytes(rows));
+    let partial = sized(head);
+    let mut gathered = partial.clone();
+    gathered.append(&sized(tail));
+    assert!(!gathered.ptr_eq(&partial));
+    assert_eq!(&partial[..], head);
+    assert_eq!(partial.byte_size(), walked_bytes(head));
+    assert_eq!(&gathered[..], rows);
+    assert_eq!(gathered.byte_size(), walked_bytes(rows));
 }
 
 /// The clinical deployment at 2 000 patients: enough rows that a

@@ -1,14 +1,17 @@
-//! Parallel stage execution must be indistinguishable from sequential
-//! execution: byte-identical outputs and identical ledger totals on the
-//! clinical example program.
+//! A run must be indistinguishable from any other run of the same
+//! program on the same deployment: byte-identical outputs and identical
+//! ledger event streams across fresh systems (whose hash maps iterate
+//! in different orders), across threads running at the same time, and —
+//! for the rows — across shard counts.
 
+use polystorepp::accel::CostEvent;
 use polystorepp::prelude::*;
 
-fn clinical_system(parallel: bool) -> Polystore {
-    sharded_clinical_system(parallel, 1)
+fn clinical_system() -> Polystore {
+    sharded_clinical_system(1)
 }
 
-fn sharded_clinical_system(parallel: bool, shards: usize) -> Polystore {
+fn sharded_clinical_system(shards: usize) -> Polystore {
     Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
         patients: 150,
         vitals_per_patient: 8,
@@ -16,22 +19,25 @@ fn sharded_clinical_system(parallel: bool, shards: usize) -> Polystore {
     }))
     .accelerators(AcceleratorFleet::workstation())
     .opt_level(OptLevel::L3)
-    .parallel(parallel)
     .shards(shards)
     .build()
     .expect("valid config")
 }
 
 /// The clinical NLQ pipeline (Fig. 2): scans, a cross-engine join, and
-/// an MLP train — a program with genuinely concurrent stages.
+/// an MLP train — a program whose stages hold several nodes.
 const CLINICAL_NLQ: &str = "Will patients have a long stay at the hospital?";
 
+const FEDERATED_JOIN: &str =
+    "SELECT name FROM admissions JOIN db2.patients ON admissions.pid = patients.pid \
+     WHERE age >= 70";
+
 #[test]
-fn parallel_clinical_nlq_matches_sequential_bit_for_bit() {
-    let par = clinical_system(true);
-    let seq = clinical_system(false);
-    let a = par.run_nlq(CLINICAL_NLQ).expect("parallel run");
-    let b = seq.run_nlq(CLINICAL_NLQ).expect("sequential run");
+fn clinical_nlq_repeats_bit_for_bit_on_fresh_systems() {
+    let first = clinical_system();
+    let second = clinical_system();
+    let a = first.run_nlq(CLINICAL_NLQ).expect("first run");
+    let b = second.run_nlq(CLINICAL_NLQ).expect("second run");
 
     // Byte-identical outputs (covers model payloads too).
     assert_eq!(
@@ -51,52 +57,60 @@ fn parallel_clinical_nlq_matches_sequential_bit_for_bit() {
     );
     // Identical ledger totals — and in fact identical event streams.
     assert_eq!(a.costs, b.costs);
-    assert_eq!(par.ledger().events(), seq.ledger().events());
+    assert_eq!(first.ledger().events(), second.ledger().events());
 }
 
 #[test]
-fn parallel_federated_join_matches_sequential_bit_for_bit() {
-    let query = "SELECT name FROM admissions JOIN db2.patients ON admissions.pid = patients.pid \
-                 WHERE age >= 70";
-    let par = clinical_system(true);
-    let seq = clinical_system(false);
-    let a = par.run_sql(query).expect("parallel run");
-    let b = seq.run_sql(query).expect("sequential run");
+fn federated_join_repeats_bit_for_bit_and_answers_alike_on_two_shards() {
+    let flat = clinical_system();
+    let first = sharded_clinical_system(2);
+    let second = sharded_clinical_system(2);
+    let a = flat.run_sql(FEDERATED_JOIN).expect("one-shard run");
+    let b = first.run_sql(FEDERATED_JOIN).expect("two-shard run");
+    let c = second
+        .run_sql(FEDERATED_JOIN)
+        .expect("two-shard run, again");
     assert!(!a.execution.outputs[0].is_empty());
+    // One shard or two: the same rows in the same order.
     assert_eq!(
         a.execution.outputs[0].try_rows().expect("rows"),
         b.execution.outputs[0].try_rows().expect("rows"),
     );
-    assert_eq!(a.costs, b.costs);
-    assert_eq!(par.ledger().events(), seq.ledger().events());
+    // The two-shard stages (two tasks a node) repeat to the event.
+    assert_eq!(
+        format!("{:?}", b.execution.outputs),
+        format!("{:?}", c.execution.outputs),
+    );
+    assert_eq!(b.costs, c.costs);
+    assert_eq!(first.ledger().events(), second.ledger().events());
 }
 
 #[test]
-fn sharded_scatter_gather_matches_flat_and_sequential_bit_for_bit() {
-    let query = "SELECT name FROM admissions JOIN db2.patients ON admissions.pid = patients.pid \
-                 WHERE age >= 70";
-    let flat = clinical_system(true);
-    let sharded_par = sharded_clinical_system(true, 4);
-    let sharded_seq = sharded_clinical_system(false, 4);
+fn sharded_scatter_gather_matches_flat_and_repeats_bit_for_bit() {
+    let flat = clinical_system();
+    let sharded = sharded_clinical_system(4);
+    let sharded_again = sharded_clinical_system(4);
 
-    let a = flat.run_sql(query).expect("flat run");
-    let b = sharded_par.run_sql(query).expect("sharded parallel run");
-    let c = sharded_seq.run_sql(query).expect("sharded sequential run");
+    let a = flat.run_sql(FEDERATED_JOIN).expect("flat run");
+    let b = sharded.run_sql(FEDERATED_JOIN).expect("sharded run");
+    let c = sharded_again
+        .run_sql(FEDERATED_JOIN)
+        .expect("sharded run, again");
 
     // A 4-shard deployment returns the same bytes as the flat one…
     assert_eq!(
         a.execution.outputs[0].try_rows().expect("rows"),
         b.execution.outputs[0].try_rows().expect("rows"),
     );
-    // …and its parallel scatter-gather is bit-identical to sequential,
-    // down to the accounting.
+    // …and its scatter-gather repeats bit for bit, down to the
+    // accounting.
     assert_eq!(
         format!("{:?}", b.execution.outputs),
         format!("{:?}", c.execution.outputs),
     );
     assert_eq!(b.execution.node_seconds, c.execution.node_seconds);
     assert_eq!(b.costs, c.costs);
-    assert_eq!(sharded_par.ledger().events(), sharded_seq.ledger().events());
+    assert_eq!(sharded.ledger().events(), sharded_again.ledger().events());
     // Scatter-gather over 4 replicas must not cost more simulated time
     // than the flat scan path.
     assert!(b.makespan() <= a.makespan() + 1e-12);
@@ -104,18 +118,29 @@ fn sharded_scatter_gather_matches_flat_and_sequential_bit_for_bit() {
 
 #[test]
 fn repeated_parallel_runs_are_self_consistent() {
-    // Thread scheduling varies between runs; results must not.
-    let mut reference: Option<(String, CostLedger)> = None;
-    for _ in 0..3 {
-        let s = clinical_system(true);
-        let r = s.run_nlq(CLINICAL_NLQ).expect("runs");
-        let outputs = format!("{:?}", r.execution.outputs);
-        match &reference {
-            None => reference = Some((outputs, s.ledger().clone())),
-            Some((expect_out, expect_ledger)) => {
-                assert_eq!(&outputs, expect_out);
-                assert_eq!(s.ledger().events(), expect_ledger.events());
-            }
-        }
+    // The executor runs a query on its caller's thread; concurrency is
+    // one query per thread. Three queries running at the same time, each
+    // on its own system, must not see each other: the barrier makes them
+    // start together.
+    let start = std::sync::Barrier::new(3);
+    let runs: Vec<(String, Vec<CostEvent>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..3)
+            .map(|_| {
+                scope.spawn(|| {
+                    let s = clinical_system();
+                    start.wait();
+                    let r = s.run_nlq(CLINICAL_NLQ).expect("runs");
+                    (format!("{:?}", r.execution.outputs), s.ledger().events())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("run thread panicked"))
+            .collect()
+    });
+    for run in &runs[1..] {
+        assert_eq!(run.0, runs[0].0);
+        assert_eq!(run.1, runs[0].1);
     }
 }

@@ -199,7 +199,7 @@ impl DeviceProfile {
     ///
     /// Fixed-function devices only run their matched kernels; the CPU runs
     /// everything; reconfigurable fabrics run everything they have a
-    /// bitstream for (area permitting — see [`crate::area`]).
+    /// bitstream for.
     pub fn supports(&self, kernel: KernelClass) -> bool {
         match self.kind {
             DeviceKind::Cpu | DeviceKind::Fpga | DeviceKind::Cgra => true,

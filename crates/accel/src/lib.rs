@@ -22,7 +22,6 @@
 //! * [`kernels`] — accelerator kernel library: bitonic sort network,
 //!   streaming filter/project, systolic GEMM/GEMV, hash partition,
 //!   serialization engine (§III-A.1–§III-A.4).
-//! * [`area`] — the FPGA area-allocation problem (§IV-A.d).
 //! * [`AcceleratorFleet`] — the set of devices a deployment owns, with
 //!   deployment modes standalone / coprocessor / bump-in-the-wire.
 //!
@@ -38,7 +37,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod area;
 pub mod device;
 pub mod exchange;
 pub mod fleet;
@@ -48,7 +46,6 @@ pub mod link;
 pub mod logca;
 pub mod roofline;
 
-pub use area::{AreaAllocator, KernelFootprint};
 pub use device::{DeviceKind, DeviceProfile, KernelClass};
 pub use fleet::{AcceleratorFleet, DeploymentMode, Placement};
 pub use ledger::{CostEvent, CostLedger, CostSummary, EventKind, SimDuration};

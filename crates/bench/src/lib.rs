@@ -1364,7 +1364,10 @@ pub fn e18_join() -> Result<String> {
             pspp_common::PartitionSpec::hash("pid", 1),
         )
         .shards(shards)
-        .colocated_joins(colocate)
+        .plan_options(PlanOptions {
+            colocate,
+            ..PlanOptions::default()
+        })
         .build()
     };
     let mut speedup4 = 0.0;
@@ -1435,7 +1438,7 @@ pub fn e18_join() -> Result<String> {
 /// executed through cost-chosen `ShuffleHash` exchanges, and `GroupBy`
 /// split into per-shard stages (partition-wise on the partition key,
 /// partial + merge off it). Each shard count runs twice — exchange on
-/// and the gathered baseline (`exchange(false)`) — and every digest
+/// and the gathered baseline (`PlanOptions::gathered()`) — and every digest
 /// must be byte-identical across both modes *and* all shard counts:
 /// the shuffle barrier splices outputs back into gathered probe order,
 /// so the exchange is a pure performance transformation. Acceptance
@@ -1475,10 +1478,13 @@ pub fn e19_exchange() -> Result<String> {
         )
         .shards(shards)
         // The baseline is the fully gathered plan: partition-wise
-        // grouping rides the colocation toggle, the shuffle/merge
-        // exchanges ride the exchange toggle.
-        .colocated_joins(exchange)
-        .exchange(exchange)
+        // grouping rides the colocation switch, the shuffle/merge
+        // exchanges ride the exchange switch.
+        .plan_options(if exchange {
+            PlanOptions::default()
+        } else {
+            PlanOptions::gathered()
+        })
         .build()
     };
     // Simulated seconds of the first node matching `pick`.
@@ -1998,7 +2004,7 @@ pub fn e21_sessions() -> Result<String> {
 ///
 /// Part (a): materialized repartitions amortize the mismatched-key
 /// shuffle to zero. The same join runs twice with
-/// `materialize_repartitions` on: the first run pays the exchange and
+/// `PlanOptions::materialize` on: the first run pays the exchange and
 /// persists the shuffled layout, the second serves it from the copy
 /// and must be at least 2x faster. A materialize-off baseline proves
 /// the copies are invisible in bytes.
@@ -2040,7 +2046,10 @@ pub fn e22_rebalance() -> Result<String> {
             TableRef::new("db2", "patients"),
             pspp_common::PartitionSpec::hash("name", 16),
         )
-        .materialize_repartitions(materialize)
+        .plan_options(PlanOptions {
+            materialize,
+            ..PlanOptions::default()
+        })
         .build()
     };
     let mat = build_mat(true)?;
@@ -2367,7 +2376,10 @@ pub fn e23_fusion() -> Result<String> {
         }))
         .accelerators(fleet)
         .opt_level(OptLevel::L2)
-        .kernel_fusion(fusion)
+        .plan_options(PlanOptions {
+            fusion,
+            ..PlanOptions::default()
+        })
         .shards(shards)
         .build()
     };

@@ -42,7 +42,7 @@ pub mod prelude {
     pub use pspp_accel::{AcceleratorFleet, CostLedger, DeviceKind, DeviceProfile, KernelClass};
     pub use pspp_common::{PartitionSpec, ShardId, TableRef};
     pub use pspp_frontend::{Catalog, HeterogeneousProgram, Language};
-    pub use pspp_ir::{FusedChain, Operator, Program, SortSpec};
+    pub use pspp_ir::{FusedChain, Operator, PlanOptions, Program, SortSpec};
     pub use pspp_migrate::{MigrationPath, Migrator};
     pub use pspp_optimizer::{OptLevel, TableStats};
     pub use pspp_runtime::{Dataset, EngineInstance, EngineRegistry, Executor, ShardedRegistry};

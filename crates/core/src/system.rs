@@ -5,9 +5,9 @@ use pspp_accel::{AcceleratorFleet, CostLedger, CostSummary};
 use pspp_common::{PartitionSpec, Result, ShardId, TableRef, Value};
 use pspp_frontend::nlq::{self, ClinicalNames};
 use pspp_frontend::{sql, Catalog, HeterogeneousProgram};
-use pspp_ir::Program;
+use pspp_ir::{PlanOptions, Program};
 use pspp_migrate::MigrationPath;
-use pspp_optimizer::{optimize_l1, CostModel, OptLevel, PlacementPlan, RewriteReport};
+use pspp_optimizer::{optimize_l1, price, CostModel, OptLevel, PlacementPlan, RewriteReport};
 use pspp_runtime::{EngineRegistry, ExecutionReport, Executor};
 use pspp_telemetry::{explain_analyze, MetricsRegistry, SpanTree};
 
@@ -55,14 +55,11 @@ pub struct PolystoreBuilder {
     fleet: AcceleratorFleet,
     opt_level: OptLevel,
     migration_path: MigrationPath,
-    colocated_joins: bool,
-    exchange: bool,
+    plan_options: PlanOptions,
     shards: usize,
     partitions: Vec<(TableRef, PartitionSpec)>,
     shard_fleets: Vec<(ShardId, AcceleratorFleet)>,
     result_cache: bool,
-    materialize_repartitions: bool,
-    kernel_fusion: bool,
     fleet_aware_placement: bool,
 }
 
@@ -114,21 +111,31 @@ impl PolystoreBuilder {
         self
     }
 
-    /// Enables/disables colocated execution of compatibly-partitioned
-    /// joins (default: on). Off reverts to gather-before-join — the
-    /// bit-identical baseline E18 compares against.
-    pub fn colocated_joins(mut self, on: bool) -> Self {
-        self.colocated_joins = on;
-        self
-    }
-
-    /// Enables/disables the repartitioning exchanges (default: on):
-    /// shuffled joins on mismatched partition keys, partition-wise and
-    /// partial-aggregate + merge `GroupBy`s. Off reverts those nodes
-    /// to the gathered plan — the bit-identical baseline E19 compares
-    /// against.
-    pub fn exchange(mut self, on: bool) -> Self {
-        self.exchange = on;
+    /// Sets the plan switches (default: [`PlanOptions::default`]) — the
+    /// one value both the cost model and the executor run under, so the
+    /// priced plan is the executed plan:
+    ///
+    /// * `colocate` (on): compatibly-partitioned joins, partition-wise
+    ///   `GroupBy`s and distribution-preserving filters/projections run
+    ///   per shard. Off reverts to gather-before-join — the
+    ///   bit-identical baseline E18 compares against — and takes the
+    ///   exchanges with it.
+    /// * `exchange` (on): shuffled joins on mismatched partition keys
+    ///   and partial-aggregate + merge `GroupBy`s. Off reverts those
+    ///   nodes to the gathered plan — the baseline E19 compares against.
+    /// * `fusion` (on): adjacent plan nodes whose device picks land on
+    ///   the same coprocessor of the same shard run back-to-back on the
+    ///   device, paying the host↔device (PCIe) transfer once at the
+    ///   chain head instead of per node. Off restores strictly per-node
+    ///   offload pricing — the unfused baseline E23 compares against.
+    /// * `materialize` (off): the executor persists shuffled layouts
+    ///   whose cumulative exchange cost exceeds the one-time copy cost
+    ///   into the registry's copy store, later runs serve the same
+    ///   shuffle edges from the stored layouts (zero rows routed), and
+    ///   the cost model prices copy-served edges at zero. Any epoch
+    ///   bump (reshard, rebalance, DDL) invalidates every stored layout.
+    pub fn plan_options(mut self, options: PlanOptions) -> Self {
+        self.plan_options = options;
         self
     }
 
@@ -143,17 +150,6 @@ impl PolystoreBuilder {
         self
     }
 
-    /// Enables/disables device-resident kernel fusion in the planner
-    /// (default: on): adjacent plan nodes whose device picks land on
-    /// the same coprocessor of the same shard run back-to-back on the
-    /// device, paying the host↔device (PCIe) transfer once at the
-    /// chain head instead of per node. Off restores strictly per-node
-    /// offload pricing — the unfused baseline E23 compares against.
-    pub fn kernel_fusion(mut self, on: bool) -> Self {
-        self.kernel_fusion = on;
-        self
-    }
-
     /// Enables fleet-aware shard placement (default: off): a
     /// cost-ranked swap over the registry's replica map that reassigns
     /// the declared per-shard device fleets so kernel-heavy (row-heavy)
@@ -162,18 +158,6 @@ impl PolystoreBuilder {
     /// results are byte-identical with the pass off.
     pub fn fleet_aware_placement(mut self, on: bool) -> Self {
         self.fleet_aware_placement = on;
-        self
-    }
-
-    /// Enables/disables materialized repartitions (default: off): the
-    /// executor persists shuffled layouts whose cumulative exchange
-    /// cost exceeds the one-time copy cost into the registry's copy
-    /// store, later runs serve the same shuffle edges from the stored
-    /// layouts (zero rows routed), and the cost model prices
-    /// copy-served edges at zero. Any epoch bump (reshard, rebalance,
-    /// DDL) invalidates every stored layout.
-    pub fn materialize_repartitions(mut self, on: bool) -> Self {
-        self.materialize_repartitions = on;
         self
     }
 
@@ -291,7 +275,10 @@ impl PolystoreBuilder {
         // The cost model sees the materialized partition layout, so
         // L2 placement prices sharded scans and colocated joins at
         // their real scatter width.
-        let mut cost_model = CostModel::new(self.fleet.clone(), self.deployment.stats.clone())
+        // It consults the same live copy store the executor feeds, so
+        // with materialization on plans price the copy-served exchanges
+        // that run.
+        let cost_model = CostModel::new(self.fleet.clone(), self.deployment.stats.clone())
             .with_partitions(
                 self.deployment
                     .catalog
@@ -299,16 +286,9 @@ impl PolystoreBuilder {
                     .map(|(t, s)| (t.clone(), s.clone()))
                     .collect(),
             )
-            .with_colocation(self.colocated_joins)
-            .with_exchange(self.exchange)
-            .with_fusion(self.kernel_fusion)
-            .with_shard_fleets(shard_fleets);
-        if self.materialize_repartitions {
-            // The model consults the same live copy store the executor
-            // feeds, so plans price the copy-served exchanges that run.
-            cost_model =
-                cost_model.with_repartitions(self.deployment.registry.repartitions().clone());
-        }
+            .with_options(self.plan_options)
+            .with_shard_fleets(shard_fleets)
+            .with_repartitions(self.deployment.registry.repartitions().clone());
         Ok(Polystore {
             registry: self.deployment.registry,
             catalog: self.deployment.catalog,
@@ -317,10 +297,7 @@ impl PolystoreBuilder {
             cost_model,
             opt_level: self.opt_level,
             migration_path: self.migration_path,
-            colocated_joins: self.colocated_joins,
-            exchange: self.exchange,
             result_cache: self.result_cache,
-            materialize_repartitions: self.materialize_repartitions,
             ledger,
             metrics,
         })
@@ -362,10 +339,7 @@ pub struct Polystore {
     cost_model: CostModel,
     opt_level: OptLevel,
     migration_path: MigrationPath,
-    colocated_joins: bool,
-    exchange: bool,
     result_cache: bool,
-    materialize_repartitions: bool,
     ledger: CostLedger,
     metrics: MetricsRegistry,
 }
@@ -378,14 +352,11 @@ impl Polystore {
             fleet: AcceleratorFleet::cpu_only(),
             opt_level: OptLevel::L2,
             migration_path: MigrationPath::BinaryPipe,
-            colocated_joins: true,
-            exchange: true,
+            plan_options: PlanOptions::default(),
             shards: 1,
             partitions: Vec::new(),
             shard_fleets: Vec::new(),
             result_cache: false,
-            materialize_repartitions: false,
-            kernel_fusion: true,
             fleet_aware_placement: false,
         }
     }
@@ -492,7 +463,7 @@ impl Polystore {
             device: pspp_common::DeviceKind::Cpu,
             kind: pspp_accel::EventKind::Transfer,
             bytes: report.moved_bytes,
-            duration: pspp_accel::Interconnect::network_10g().transfer_time(report.moved_bytes),
+            duration: price::exchange_wire().transfer_time(report.moved_bytes),
             energy_j: 0.0,
         });
         Ok(report)
@@ -607,9 +578,8 @@ impl Polystore {
         let executor = Executor::new(self.fleet.clone(), ledger)
             .offload(level.placement())
             .pipelined(level.pipelined())
-            .colocated_joins(self.colocated_joins)
-            .exchange(self.exchange)
-            .materialize_repartitions(self.materialize_repartitions)
+            // The switches the plan was priced under.
+            .options(self.cost_model.options())
             .migration_path(self.migration_path)
             .with_metrics(self.metrics.clone());
         executor.execute(program, &self.registry)
@@ -926,7 +896,13 @@ mod tests {
                 PartitionSpec::hash("name", 2),
             )
         };
-        let s = build().materialize_repartitions(true).build().unwrap();
+        let s = build()
+            .plan_options(PlanOptions {
+                materialize: true,
+                ..PlanOptions::default()
+            })
+            .build()
+            .unwrap();
         let plain = build().build().unwrap();
         // Mismatched keys: the join shuffles both sides.
         let q = "SELECT name FROM admissions JOIN db2.patients ON admissions.pid = patients.pid \
@@ -1185,7 +1161,10 @@ mod tests {
             }))
             .accelerators(AcceleratorFleet::workstation())
             .opt_level(OptLevel::L2)
-            .kernel_fusion(fusion)
+            .plan_options(PlanOptions {
+                fusion,
+                ..PlanOptions::default()
+            })
             .build()
             .expect("valid config")
         };

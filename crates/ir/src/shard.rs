@@ -238,17 +238,33 @@ impl ExchangeCounts {
     }
 }
 
-/// Switches for the distribution-planning pass.
+/// The plan switches — the one options value the system builder, the
+/// cost model and the executor are each handed once. `colocate` and
+/// `exchange` are consumed here, by the distribution-planning pass;
+/// `materialize` gates the copy store that pass consults and the
+/// executor feeds; `fusion` is the cost model's chain pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanOptions {
     /// Execute compatibly-partitioned joins (and distribution-preserving
     /// filters/projections/aggregations) per shard. Off reverts every
-    /// non-source node to a gather — the PR-3 baseline plan.
+    /// non-source node to a gather — the PR-3 baseline plan E18
+    /// compares against — whatever `exchange` says.
     pub colocate: bool,
     /// Emit shuffle/merge-partials exchanges for mismatched-key joins
     /// and non-partition-wise `GroupBy`s. Off reverts those nodes to
     /// gathers — the gathered baseline E19 compares against.
     pub exchange: bool,
+    /// Run the device-resident kernel-fusion pass: adjacent same-device
+    /// coprocessor picks form chains that pay the host link once at the
+    /// head. Off prices every offloaded node alone — the unfused
+    /// baseline E23 compares against.
+    pub fusion: bool,
+    /// Materialized repartitions: the executor persists a shuffled
+    /// layout once its cumulative exchange cost exceeds the one-time
+    /// copy ([`repartition_pays`]), later plans mark the same edges
+    /// copy-served ([`NodeShard::is_copy_served`]: zero rows routed,
+    /// priced at zero), and any epoch bump invalidates every layout.
+    pub materialize: bool,
 }
 
 impl Default for PlanOptions {
@@ -256,6 +272,8 @@ impl Default for PlanOptions {
         PlanOptions {
             colocate: true,
             exchange: true,
+            fusion: true,
+            materialize: false,
         }
     }
 }
@@ -266,7 +284,15 @@ impl PlanOptions {
         PlanOptions {
             colocate: false,
             exchange: false,
+            ..PlanOptions::default()
         }
+    }
+
+    /// Whether the plan may re-lay rows out across shards: the
+    /// repartitioning exchanges are a refinement of colocated
+    /// execution, so `colocate: false` switches them off too.
+    fn repartitions(self) -> bool {
+        self.colocate && self.exchange
     }
 }
 
@@ -382,9 +408,9 @@ impl ShardPlan {
         Self::plan_with_copies(program, spec_of, |_| false, options)
     }
 
-    /// [`ShardPlan::plan`] consulting a materialized-repartition store:
-    /// `copy_of` answers whether a live persisted layout exists for a
-    /// [`CopyKey`]. Shuffle edges whose layout is stored are marked
+    /// [`ShardPlan::plan`] consulting a materialized-repartition store
+    /// when `options.materialize` is on: `copy_of` answers whether a
+    /// live persisted layout exists for a [`CopyKey`]. Shuffle edges whose layout is stored are marked
     /// [`NodeShard::is_copy_served`] — the executor serves them from
     /// the copy (zero rows routed) and the cost model prices them
     /// free — and a fully-served shuffle is planned even when
@@ -403,6 +429,7 @@ impl ShardPlan {
         F: Fn(&TableRef) -> Option<PartitionSpec>,
         C: Fn(&CopyKey) -> bool,
     {
+        let copy_of = |k: &CopyKey| options.materialize && copy_of(k);
         let order = program.topo_order()?;
         let mut nodes: Vec<NodeShard> = vec![NodeShard::single(); program.len()];
         for id in order {
@@ -549,7 +576,8 @@ impl ShardPlan {
                 let right_shuffles = r.distribution.is_partitioned();
                 let right_served = right_shuffles && width > 1 && served(inputs[1], right_on);
                 let all_served = left_served && (!right_shuffles || right_served);
-                if options.exchange && width > 1 && (all_served || exchange_pays(est, width)) {
+                if options.repartitions() && width > 1 && (all_served || exchange_pays(est, width))
+                {
                     NodeShard {
                         // The splice restores the gathered probe order,
                         // so the shuffled join's output is Single — a
@@ -617,7 +645,7 @@ impl ShardPlan {
         }
         let width = src.scatter.len();
         let est = Self::edge_rows(program, inputs.iter());
-        if options.exchange && exchange_pays(est, width) {
+        if options.repartitions() && exchange_pays(est, width) {
             NodeShard {
                 distribution: Distribution::Single,
                 scatter: src.scatter.clone(),
@@ -906,16 +934,19 @@ mod tests {
             &p,
             &specs,
             PlanOptions {
-                colocate: true,
                 exchange: false,
+                ..PlanOptions::default()
             },
         )
         .unwrap();
         let join = plan.node(j);
-        assert!(!join.shuffles(), "exchange(false) is the gathered baseline");
+        assert!(
+            !join.shuffles(),
+            "`exchange: false` is the gathered baseline"
+        );
         assert_eq!(join.gathered_input_count(), 2);
         assert_eq!(join.distribution, Distribution::Single);
-        // Compatible joins still colocate under exchange(false).
+        // Compatible joins still colocate under `exchange: false`.
         let specs = spec_map(vec![
             (TableRef::new("db1", "a"), PartitionSpec::hash("pid", 4)),
             (TableRef::new("db2", "b"), PartitionSpec::hash("pid", 4)),
@@ -924,8 +955,8 @@ mod tests {
             &p,
             &specs,
             PlanOptions {
-                colocate: true,
                 exchange: false,
+                ..PlanOptions::default()
             },
         )
         .unwrap();
@@ -965,14 +996,14 @@ mod tests {
         assert_eq!(group.exchanges, vec![ExchangeKind::Local]);
         assert!(plan.node(NodeId(0)).partials_needed);
         // Partition-wise grouping is a colocation feature, not an
-        // exchange: it survives exchange(false) like colocated joins
-        // do, and reverts only with colocate(false).
+        // exchange: it survives `exchange: false` like colocated joins
+        // do, and reverts only with `colocate: false`.
         let plan = ShardPlan::plan(
             &p,
             &specs,
             PlanOptions {
-                colocate: true,
                 exchange: false,
+                ..PlanOptions::default()
             },
         )
         .unwrap();
@@ -1006,13 +1037,44 @@ mod tests {
             &p,
             &specs,
             PlanOptions {
-                colocate: true,
                 exchange: false,
+                ..PlanOptions::default()
             },
         )
         .unwrap();
         assert!(!plan.node(g).merges_partials());
         assert_eq!(plan.node(g).gathered_input_count(), 1);
+    }
+
+    #[test]
+    fn exchange_without_colocation_is_the_gathered_plan() {
+        // A mismatched-key join and an off-key group-by: the two nodes
+        // the default plan repartitions.
+        let (mut p, j) = join_program(TableRef::new("db1", "a"), TableRef::new("db2", "b"), "pid");
+        let g = p.add_node(
+            Operator::GroupBy {
+                keys: vec!["age".into()],
+                aggs: vec![],
+            },
+            vec![NodeId(0)],
+            "sql",
+        );
+        p.mark_output(g);
+        let specs = spec_map(vec![
+            (TableRef::new("db1", "a"), PartitionSpec::hash("pid", 4)),
+            (TableRef::new("db2", "b"), PartitionSpec::hash("age", 4)),
+        ]);
+        let default = ShardPlan::plan(&p, &specs, PlanOptions::default()).unwrap();
+        assert!(default.node(j).shuffles() && default.node(g).merges_partials());
+        let off_on = PlanOptions {
+            colocate: false,
+            ..PlanOptions::default()
+        };
+        assert!(off_on.exchange && !off_on.repartitions());
+        assert_eq!(
+            ShardPlan::plan(&p, &specs, off_on).unwrap(),
+            ShardPlan::plan(&p, &specs, PlanOptions::gathered()).unwrap()
+        );
     }
 
     #[test]
@@ -1202,17 +1264,23 @@ mod tests {
             (TableRef::new("db1", "a"), PartitionSpec::hash("pid", 4)),
             (TableRef::new("db2", "b"), PartitionSpec::hash("age", 4)),
         ]);
-        // No copies: a plain shuffle.
-        let plan =
-            ShardPlan::plan_with_copies(&p, &specs, |_| false, PlanOptions::default()).unwrap();
+        let materialize = PlanOptions {
+            materialize: true,
+            ..PlanOptions::default()
+        };
+        // No copies — or a store nobody switched on: a plain shuffle.
+        let plan = ShardPlan::plan_with_copies(&p, &specs, |_| false, materialize).unwrap();
+        assert_eq!(
+            plan,
+            ShardPlan::plan_with_copies(&p, &specs, |_| true, PlanOptions::default()).unwrap()
+        );
         assert!(plan.node(j).shuffles());
         assert!(!plan.node(j).is_copy_served(0));
         assert_eq!(plan.exchange_counts().shuffles, 2);
         assert_eq!(plan.exchange_counts().materialized, 0);
 
         // Every layout materialized: both edges served, counted apart.
-        let plan =
-            ShardPlan::plan_with_copies(&p, &specs, |_| true, PlanOptions::default()).unwrap();
+        let plan = ShardPlan::plan_with_copies(&p, &specs, |_| true, materialize).unwrap();
         let join = plan.node(j);
         assert!(join.shuffles(), "the edge kind is still a shuffle");
         assert!(join.is_copy_served(0) && join.is_copy_served(1));
@@ -1223,8 +1291,7 @@ mod tests {
         let probe_key = shuffle_copy_key(&p, NodeId(0), "pid", 4).unwrap();
         assert_eq!(probe_key.table, TableRef::new("db1", "a"));
         let plan =
-            ShardPlan::plan_with_copies(&p, &specs, |k| *k == probe_key, PlanOptions::default())
-                .unwrap();
+            ShardPlan::plan_with_copies(&p, &specs, |k| *k == probe_key, materialize).unwrap();
         let join = plan.node(j);
         assert!(join.is_copy_served(0) && !join.is_copy_served(1));
         let counts = plan.exchange_counts();
@@ -1246,8 +1313,11 @@ mod tests {
         assert!(!plan.node(j).shuffles());
         // ...but with every layout persisted the shuffle is free, so
         // the planner keeps it.
-        let plan =
-            ShardPlan::plan_with_copies(&p, &specs, |_| true, PlanOptions::default()).unwrap();
+        let materialize = PlanOptions {
+            materialize: true,
+            ..PlanOptions::default()
+        };
+        let plan = ShardPlan::plan_with_copies(&p, &specs, |_| true, materialize).unwrap();
         assert!(plan.node(j).shuffles());
         assert!(plan.node(j).is_copy_served(0));
     }

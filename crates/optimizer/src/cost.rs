@@ -1,16 +1,15 @@
 //! Cardinality estimation, per-device operator costing, and placement
 //! (§IV-B.3: "the core must decide where each task should be assigned").
 //!
-//! The cost model reuses the accelerator kernel cycle models, so the
-//! optimizer's predictions and the executor's charges come from one
-//! source of truth; prediction error then comes only from cardinality
-//! estimation (measured by experiment E15).
+//! Every figure here is a [`crate::price`] formula evaluated on an
+//! estimated volume — the executor evaluates the same formulas on the
+//! actual counts — so prediction error comes from cardinality
+//! estimation (measured by experiment E15) and from the terms the price
+//! list marks as billed by one side only.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use pspp_accel::exchange::shuffle_bill;
-use pspp_accel::kernels::{BitonicSorter, Gemm, HashPartitioner, StreamFilter};
-use pspp_accel::{AcceleratorFleet, DeploymentMode, Interconnect, KernelClass, LogCa, SimDuration};
+use pspp_accel::{AcceleratorFleet, DeploymentMode, LogCa, SimDuration};
 use pspp_common::{
     DataModel, DeviceKind, EngineId, MaterializedRepartitions, PartitionSpec, Result, ShardId,
     TableRef,
@@ -21,11 +20,8 @@ use pspp_ir::{
 };
 pub use pspp_telemetry::JoinSite;
 
+use crate::price;
 use crate::rewrite::resolve_fused;
-
-/// Simulated per-shard bookkeeping cost of a shard-ordered gather
-/// (task join + result splice), charged once per gathered partial.
-const GATHER_OVERHEAD_S: f64 = 2e-6;
 
 /// Base statistics for one stored dataset.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,23 +135,13 @@ pub struct CostModel {
     /// catalog: the distribution plan prices sharded scans and
     /// colocated joins at `rows / shard_count` plus a gather term.
     partitions: HashMap<TableRef, PartitionSpec>,
-    /// Whether the executor will run compatibly-partitioned joins
-    /// colocated — must mirror the deployment's setting so the model
-    /// prices the plan that actually runs.
-    colocate: bool,
-    /// Whether the executor will emit repartitioning exchanges
-    /// (shuffled joins, partial-aggregate merges) — likewise mirrored.
-    exchange: bool,
-    /// The deployment's materialized-repartition store, when the
-    /// executor runs with materialization on: shuffle edges with a
-    /// live stored layout plan as copy-served and price at zero.
+    /// The plan switches — the value the executor is handed too, so the
+    /// model prices the plan that actually runs.
+    options: PlanOptions,
+    /// The deployment's materialized-repartition store, consulted when
+    /// `options.materialize` is on: shuffle edges with a live stored
+    /// layout plan as copy-served and price at zero.
     repartitions: Option<MaterializedRepartitions>,
-    /// Whether placement runs the device-resident kernel-fusion pass
-    /// (on by default): adjacent same-device coprocessor picks form
-    /// chains that pay the host link once at the head.
-    fusion: bool,
-    /// Cross-engine migration link.
-    pub migration_link: Interconnect,
 }
 
 impl CostModel {
@@ -166,19 +152,15 @@ impl CostModel {
             shard_fleets: BTreeMap::new(),
             stats,
             partitions: HashMap::new(),
-            colocate: true,
-            exchange: true,
+            options: PlanOptions::default(),
             repartitions: None,
-            fusion: true,
-            migration_link: Interconnect::network_10g(),
         }
     }
 
-    /// This model with the kernel-fusion pass on (default) or off —
-    /// off prices every offloaded node in isolation, paying the host
-    /// link per node (the pre-pipeline baseline E23 measures against).
-    pub fn with_fusion(mut self, on: bool) -> Self {
-        self.fusion = on;
+    /// This model planning under `options` — the same value the
+    /// executor runs with.
+    pub fn with_options(mut self, options: PlanOptions) -> Self {
+        self.options = options;
         self
     }
 
@@ -189,25 +171,9 @@ impl CostModel {
         self
     }
 
-    /// This model pricing colocated joins (default) or the gathered
-    /// baseline — must match the executor's `colocated_joins` setting.
-    pub fn with_colocation(mut self, on: bool) -> Self {
-        self.colocate = on;
-        self
-    }
-
-    /// This model pricing repartitioning exchanges (default) or the
-    /// gathered baseline — must match the executor's `exchange`
-    /// setting.
-    pub fn with_exchange(mut self, on: bool) -> Self {
-        self.exchange = on;
-        self
-    }
-
-    /// This model consulting the deployment's materialized-repartition
-    /// store — must mirror the executor's `materialize_repartitions`
-    /// setting so plans price the copy-served exchanges that actually
-    /// run.
+    /// This model consulting the deployment's live
+    /// materialized-repartition store (the one the executor feeds)
+    /// whenever its options switch materialization on.
     pub fn with_repartitions(mut self, repartitions: MaterializedRepartitions) -> Self {
         self.repartitions = Some(repartitions);
         self
@@ -219,6 +185,11 @@ impl CostModel {
     pub fn with_shard_fleets(mut self, fleets: BTreeMap<ShardId, AcceleratorFleet>) -> Self {
         self.shard_fleets = fleets;
         self
+    }
+
+    /// The plan switches this model plans under.
+    pub fn options(&self) -> PlanOptions {
+        self.options
     }
 
     /// The fleet used for estimates.
@@ -254,48 +225,18 @@ impl CostModel {
             program,
             |t| self.partitions.get(t).cloned(),
             |k| self.repartitions.as_ref().is_some_and(|r| r.contains(k)),
-            PlanOptions {
-                colocate: self.colocate,
-                exchange: self.colocate && self.exchange,
-            },
+            self.options,
         )
     }
 
     /// Estimated cost of the shard-ordered gather concatenating
-    /// `width` partials totaling `rows` output rows: the merge splices
-    /// row handles on the host (about a cycle per row across its
-    /// lanes — the payloads themselves never move), plus per-shard
-    /// task-join bookkeeping. Zero when nothing scatters.
+    /// `width` partials totaling `rows` output rows ([`price::splice`]).
+    /// Zero when nothing scatters.
     pub fn gather_cost(&self, width: usize, rows: f64) -> SimDuration {
         if width <= 1 {
-            return SimDuration::from_secs(0.0);
+            return SimDuration::ZERO;
         }
-        let host = self.fleet.host();
-        let splice = rows.max(0.0) / (host.clock_hz * host.lanes as f64);
-        SimDuration::from_secs(splice + width as f64 * GATHER_OVERHEAD_S)
-    }
-
-    /// Kernel class an operator maps to, when offloadable.
-    pub fn kernel_of(op: &Operator) -> Option<KernelClass> {
-        Some(match op {
-            Operator::Scan { .. } | Operator::Filter { .. } | Operator::KvPrefixScan { .. } => {
-                KernelClass::FilterProject
-            }
-            Operator::Project { .. } | Operator::Limit { .. } => KernelClass::FilterProject,
-            Operator::Sort { .. } => KernelClass::Sort,
-            Operator::HashJoin { .. } => KernelClass::HashPartition,
-            Operator::SortMergeJoin { .. } => KernelClass::Sort,
-            Operator::GroupBy { .. }
-            | Operator::TsWindow { .. }
-            | Operator::StreamWindow { .. } => KernelClass::Aggregate,
-            Operator::TsRange { .. } => KernelClass::FilterProject,
-            Operator::GraphMatch { .. } => KernelClass::GraphTraverse,
-            Operator::TextSearch { .. } => KernelClass::FilterProject,
-            Operator::TrainMlp { .. } => KernelClass::Gemm,
-            Operator::Predict => KernelClass::Gemv,
-            Operator::KMeansCluster { .. } => KernelClass::KMeans,
-            Operator::Custom { .. } => return None,
-        })
+        SimDuration::from_secs(price::splice(&self.fleet, width, rows.max(0.0)))
     }
 
     /// Fills `est_rows`/`est_bytes` annotations in topological order.
@@ -310,13 +251,7 @@ impl CostModel {
             let input_est: Vec<(f64, f64)> = node
                 .inputs
                 .iter()
-                .map(|&i| {
-                    let n = program.node(resolve_fused(program, i));
-                    (
-                        n.annotations.est_rows.unwrap_or(1_000.0),
-                        n.annotations.est_bytes.unwrap_or(64_000.0),
-                    )
-                })
+                .map(|&i| Self::estimate_of(program.node(resolve_fused(program, i))))
                 .collect();
             let (rows, bytes) = self.estimate_node(&node.op, &input_est);
             let ann = &mut program.node_mut(id).annotations;
@@ -411,21 +346,10 @@ impl CostModel {
         }
     }
 
-    /// Estimated execution seconds of `op` on `device`, including the
-    /// coprocessor transfer where applicable, on the default fleet.
-    pub fn node_cost(
-        &self,
-        op: &Operator,
-        device: DeviceKind,
-        est_rows: f64,
-        est_bytes: f64,
-    ) -> Option<SimDuration> {
-        Self::node_cost_on(&self.fleet, op, device, est_rows, est_bytes)
-    }
-
-    /// [`CostModel::node_cost`] against an explicit fleet — the form
-    /// per-shard placement uses, since each shard replica is priced on
-    /// its own devices.
+    /// Estimated execution seconds of `op` on `device` of `fleet` —
+    /// each shard replica is priced on its own devices — including the
+    /// coprocessor transfer where applicable; `None` when the fleet has
+    /// no such device or it cannot run the operator.
     pub fn node_cost_on(
         fleet: &AcceleratorFleet,
         op: &Operator,
@@ -433,78 +357,36 @@ impl CostModel {
         est_rows: f64,
         est_bytes: f64,
     ) -> Option<SimDuration> {
-        let kernel = Self::kernel_of(op)?;
-        let profile = fleet.profile(device)?;
-        if !profile.supports(kernel) || profile.efficiency(kernel) <= 0.0 {
-            return None;
-        }
-        let n = est_rows.max(1.0) as u64;
-        let cycles = match op {
-            Operator::Sort { .. } | Operator::SortMergeJoin { .. } => {
-                BitonicSorter::cycles(profile, n)
-            }
-            Operator::TrainMlp {
-                hidden,
-                epochs,
-                batch_size: _,
-                ..
-            } => {
-                // epochs × (forward + backward ≈ 6×) GEMM flops.
-                let dim = (est_bytes / est_rows.max(1.0) / 8.0).max(4.0);
-                let mut flops = 0.0;
-                let mut prev = dim;
-                for &h in hidden {
-                    flops += 2.0 * est_rows * prev * h as f64;
-                    prev = h as f64;
-                }
-                flops += 2.0 * est_rows * prev;
-                flops *= *epochs as f64 * 3.0;
-                let edge = (flops / 2.0).cbrt().max(8.0) as u64;
-                Gemm::cycles(profile, edge, edge, edge)
-            }
-            Operator::Predict => Gemm::cycles(profile, n, 32, 1),
-            Operator::KMeansCluster { k, max_iters } => {
-                let dim = (est_bytes / est_rows.max(1.0) / 8.0).max(2.0);
-                let flops = *max_iters as f64 * est_rows * *k as f64 * dim * 3.0;
-                let eff = profile.efficiency(KernelClass::KMeans).max(1e-3);
-                (flops / (profile.lanes as f64 * 2.0 * eff)).ceil() as u64
-            }
-            Operator::HashJoin { .. } | Operator::GroupBy { .. } => {
-                HashPartitioner::cycles(profile, n)
-            }
-            _ => StreamFilter::cycles(profile, n, est_bytes.max(1.0) as u64),
-        };
-        let mut t =
-            SimDuration::from_secs(profile.cycles_to_s(cycles + profile.launch_overhead_cycles));
-        if let Some(attached) = fleet.device(device) {
-            t += attached.transfer_cost(Self::transfer_bytes(op, est_rows, est_bytes));
-        }
-        Some(t)
+        let profile = price::planned_profile(fleet, op, device)?;
+        let kernel = price::training(profile, op, est_rows, est_bytes).unwrap_or_else(|| {
+            price::compute(
+                profile,
+                op,
+                est_rows.max(1.0) as u64,
+                est_bytes.max(1.0) as u64,
+            )
+        });
+        let moved = Self::transfer_bytes(op, est_rows, est_bytes);
+        Some(kernel + price::transfer(fleet, device, moved, false))
     }
 
-    /// Bytes `op` ships across the offload boundary at the given
-    /// volume: sorting offload ships keys + row ids (16 B/row), not
-    /// whole payloads (the host applies the returned permutation);
-    /// everything else ships its payload.
-    pub fn transfer_bytes(op: &Operator, est_rows: f64, est_bytes: f64) -> u64 {
-        match op {
-            Operator::Sort { .. } | Operator::SortMergeJoin { .. } => est_rows.max(0.0) as u64 * 16,
-            _ => est_bytes.max(0.0) as u64,
-        }
+    /// [`price::offload_bytes`] at an estimated volume.
+    fn transfer_bytes(op: &Operator, est_rows: f64, est_bytes: f64) -> u64 {
+        price::offload_bytes(op, est_rows.max(0.0) as u64, est_bytes.max(0.0) as u64)
     }
 
     /// The LogCA profitability model \[43\] for offloading `op` to
-    /// `device` at the given **per-task** cardinality, paired with the
-    /// granularity `g` (bytes crossing the offload boundary) it should
-    /// be evaluated at.
+    /// `device` of `fleet` at the given **per-task** cardinality, paired
+    /// with the granularity `g` (bytes crossing the offload boundary)
+    /// it should be evaluated at.
     ///
-    /// The model's parameters are derived from the same kernel cycle
-    /// models [`CostModel::node_cost`] prices with — `o` is the
-    /// device's launch overhead, `l` the attachment link's per-byte
-    /// time (zero for standalone / bump-in-the-wire devices), `c` the
-    /// host's per-byte compute time at this granularity (β = 1), and
-    /// `a` the kernel-only acceleration — so `speedup(g) ≥ 1` is
-    /// exactly the "does offload pay at this granularity" question.
+    /// The model's parameters are derived from the same price list
+    /// [`CostModel::node_cost_on`] prices with — `o` is the device's
+    /// launch overhead, `l` the attachment link's per-byte time (zero
+    /// for standalone / bump-in-the-wire devices), `c` the host's
+    /// per-byte compute time at this granularity (β = 1), and `a` the
+    /// kernel-only acceleration — so `speedup(g) ≥ 1` is exactly the
+    /// "does offload pay at this granularity" question.
     ///
     /// Placement evaluates it on **per-shard** volumes: a node the
     /// shard plan fans out over `w` replicas offloads `rows / w` per
@@ -513,18 +395,6 @@ impl CostModel {
     ///
     /// Returns `None` for the host itself and whenever either side
     /// cannot run the kernel (no host alternative means no gate).
-    pub fn offload_model(
-        &self,
-        op: &Operator,
-        device: DeviceKind,
-        est_rows: f64,
-        est_bytes: f64,
-    ) -> Option<(LogCa, u64)> {
-        Self::offload_model_on(&self.fleet, op, device, est_rows, est_bytes)
-    }
-
-    /// [`CostModel::offload_model`] against an explicit fleet — the
-    /// form per-shard placement uses.
     pub fn offload_model_on(
         fleet: &AcceleratorFleet,
         op: &Operator,
@@ -540,18 +410,10 @@ impl CostModel {
         if host_t <= 0.0 || accel_t <= 0.0 {
             return None;
         }
-        // Offload granularity = bytes crossing the boundary: sorts ship
-        // keys + row ids (16 B/row), everything else its payload.
-        let g = match op {
-            Operator::Sort { .. } | Operator::SortMergeJoin { .. } => est_rows.max(1.0) as u64 * 16,
-            _ => est_bytes.max(1.0) as u64,
-        }
-        .max(1);
-        let profile = fleet.profile(device)?;
-        let o = profile.cycles_to_s(profile.launch_overhead_cycles);
-        let link_t = fleet
-            .device(device)
-            .map_or(0.0, |d| d.transfer_cost(g).as_secs());
+        let g =
+            price::offload_bytes(op, est_rows.max(1.0) as u64, est_bytes.max(1.0) as u64).max(1);
+        let o = price::launch_seconds(fleet, device);
+        let link_t = price::transfer(fleet, device, g, false).as_secs();
         let l = link_t / g as f64;
         let kernel_t = (accel_t - o - link_t).max(1e-15);
         let a = (host_t / kernel_t).max(1e-6);
@@ -560,12 +422,9 @@ impl CostModel {
     }
 
     /// Estimated migration seconds for moving `bytes` between data
-    /// models over the migration link (remodeling factor included,
-    /// §IV-A.b).
+    /// models ([`price::migration_estimate`]).
     pub fn migration_cost(&self, bytes: f64, from: DataModel, to: DataModel) -> SimDuration {
-        let factor = DataModel::remodel_factor(from, to);
-        let t = self.migration_link.transfer_time(bytes.max(0.0) as u64);
-        SimDuration::from_secs(t.as_secs() * factor)
+        price::migration_estimate(bytes.max(0.0) as u64, from, to)
     }
 
     /// Cost-based placement: annotates every live node with the device
@@ -618,93 +477,43 @@ impl CostModel {
             // use their own output estimate), at per-task scale: a
             // node the plan fans out over w shards sees 1/w of each
             // partitioned input, while a broadcast (replicated or
-            // gathered) join side arrives whole at every task. Joins
-            // pay for build + probe (the sum of their sides);
-            // everything else pays for its largest pass.
+            // gathered) join side arrives whole at every task.
             let width = plan.scatter_width(id);
-            let is_join = matches!(
-                node.op,
-                Operator::HashJoin { .. } | Operator::SortMergeJoin { .. }
-            );
+            let (est_rows, est_bytes) = Self::estimate_of(&node);
             let (task_rows, task_bytes) = if node.inputs.is_empty() {
-                (
-                    node.annotations.est_rows.unwrap_or(1_000.0) / width as f64,
-                    node.annotations.est_bytes.unwrap_or(64_000.0) / width as f64,
-                )
+                (est_rows / width as f64, est_bytes / width as f64)
             } else {
-                let per_input: Vec<(f64, f64)> = node
-                    .inputs
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, &i)| {
-                        let n = program.node(resolve_fused(program, i));
-                        // Per-task volume by edge type: an aligned
-                        // partial, a shuffled bucket, or a partial-
-                        // aggregation shard sees 1/width of the input;
-                        // a broadcast or gathered side arrives whole.
-                        let divisor = match plan.node(id).exchange(idx) {
-                            ExchangeKind::ShuffleHash { width: w, .. } => f64::from(*w),
-                            ExchangeKind::MergePartials => width as f64,
-                            ExchangeKind::Local
-                                if plan.node(id).colocated
-                                    && plan.node(i).distribution.is_partitioned() =>
-                            {
-                                width as f64
-                            }
-                            _ => 1.0,
-                        };
-                        (
-                            n.annotations.est_rows.unwrap_or(1_000.0) / divisor,
-                            n.annotations.est_bytes.unwrap_or(64_000.0) / divisor,
-                        )
-                    })
-                    .collect();
-                if is_join {
-                    per_input
-                        .iter()
-                        .fold((0.0f64, 0.0f64), |(ar, ab), (r, b)| (ar + r, ab + b))
-                } else {
-                    per_input.iter().fold((0.0f64, 0.0f64), |(ar, ab), (r, b)| {
-                        (ar.max(*r), ab.max(*b))
-                    })
-                }
+                let per_input = node.inputs.iter().enumerate().map(|(idx, &i)| {
+                    let (rows, bytes) = Self::estimate_of(program.node(resolve_fused(program, i)));
+                    let tasks = Self::tasks_sharing(&plan, id, idx, i);
+                    (rows / tasks, bytes / tasks)
+                });
+                price::work_volume(&node.op, per_input)
             };
-            // Exchange edges are priced like migration: the rows moved
-            // cross the migration link, plus per-destination-shard
-            // overhead — the same model the executor's barrier charges.
+            // Exchange edges are priced like migration, by the prices
+            // the executor's barriers charge.
             let mut exchange = 0.0f64;
             for (idx, &i) in node.inputs.iter().enumerate() {
-                let src = program.node(resolve_fused(program, i));
-                let bytes = src.annotations.est_bytes.unwrap_or(64_000.0);
+                let (rows, bytes) = Self::estimate_of(program.node(resolve_fused(program, i)));
                 match plan.node(id).exchange(idx) {
                     // A copy-served shuffle replays a stored layout:
                     // nothing crosses the wire, nothing is priced.
                     ExchangeKind::ShuffleHash { .. } if plan.node(id).is_copy_served(idx) => {}
                     ExchangeKind::ShuffleHash { width: w, .. } => {
-                        // The shuffle's data plane is priced by the
-                        // shared accel exchange model — partition +
-                        // per-connection serialize streams + wire +
-                        // decode — the same bill the executor's
-                        // barrier charges, accelerated when the fleet
-                        // has a device that wins a stage.
-                        let rows = src.annotations.est_rows.unwrap_or(1_000.0);
-                        exchange += shuffle_bill(
+                        exchange += price::shuffle_barrier(
                             &self.fleet,
                             true,
                             rows.max(0.0) as u64,
                             bytes.max(0.0) as u64,
                             *w as usize,
-                            &self.migration_link,
                         )
-                        .seconds
-                            + f64::from(*w) * GATHER_OVERHEAD_S;
+                        .1;
                     }
                     ExchangeKind::MergePartials => {
                         // Partial states (one row per group per shard)
                         // cross shards and splice on the host.
-                        let groups = node.annotations.est_rows.unwrap_or(1_000.0);
                         exchange += self
-                            .gather_cost(width.max(2), groups * width as f64)
+                            .gather_cost(width.max(2), est_rows * width as f64)
                             .as_secs();
                     }
                     _ => {}
@@ -713,9 +522,7 @@ impl CostModel {
             // Like the executor's barrier, the exchange bill rides the
             // plan's data-movement account, not the node's kernel time.
             exchange_seconds += exchange;
-            let gather = self
-                .gather_cost(width, node.annotations.est_rows.unwrap_or(1_000.0))
-                .as_secs();
+            let gather = self.gather_cost(width, est_rows).as_secs();
             let best_on = |fleet: &AcceleratorFleet| -> Option<(DeviceKind, SimDuration)> {
                 let mut best: Option<(DeviceKind, SimDuration)> = None;
                 for device in DeviceKind::all() {
@@ -774,7 +581,7 @@ impl CostModel {
         // device-resident kernel fusion, then contended-device
         // queueing over the (possibly promoted) picks.
         let mut fusion_tags: HashMap<NodeId, Vec<Option<FusionTag>>> = HashMap::new();
-        let fused_chains = if self.fusion {
+        let fused_chains = if self.options.fusion {
             self.fuse_pass(
                 program,
                 &plan,
@@ -843,7 +650,7 @@ impl CostModel {
             for &i in &n.inputs {
                 let src = program.node(resolve_fused(program, i));
                 if src.annotations.engine != n.annotations.engine {
-                    let bytes = src.annotations.est_bytes.unwrap_or(64_000.0);
+                    let (_, bytes) = Self::estimate_of(src);
                     staged += self
                         .migration_cost(bytes, DataModel::Relational, DataModel::Relational)
                         .as_secs();
@@ -869,6 +676,34 @@ impl CostModel {
             queue_wait_seconds,
             join_sites,
         })
+    }
+
+    /// `node`'s estimated output (rows, bytes); a node nobody estimated
+    /// counts as 1 000 rows of 64 bytes.
+    fn estimate_of(node: &ProgramNode) -> (f64, f64) {
+        let ann = &node.annotations;
+        (
+            ann.est_rows.unwrap_or(1_000.0),
+            ann.est_bytes.unwrap_or(64_000.0),
+        )
+    }
+
+    /// How many of `id`'s tasks share input edge `idx` (from `input`)
+    /// between them: an aligned partial, a shuffled bucket or a
+    /// partial-aggregation shard is one task's 1/width of the input; a
+    /// broadcast or gathered side arrives whole at every task.
+    fn tasks_sharing(plan: &ShardPlan, id: NodeId, idx: usize, input: NodeId) -> f64 {
+        let node = plan.node(id);
+        match node.exchange(idx) {
+            ExchangeKind::ShuffleHash { width, .. } => f64::from(*width),
+            ExchangeKind::MergePartials => node.scatter_width() as f64,
+            ExchangeKind::Local
+                if node.colocated && plan.node(input).distribution.is_partitioned() =>
+            {
+                node.scatter_width() as f64
+            }
+            _ => 1.0,
+        }
     }
 
     /// The engine `node` runs on. Sources stay with their table; a join
@@ -898,15 +733,12 @@ impl CostModel {
                 let ann = &program.node(producer).annotations;
                 JoinSide {
                     engine: ann.engine.clone(),
-                    bytes: ann.est_bytes.unwrap_or(64_000.0),
+                    bytes: Self::estimate_of(program.node(producer)).1,
                     relational: relational.contains(&producer),
                 }
             })
             .collect();
-        let is_join = matches!(
-            node.op,
-            Operator::HashJoin { .. } | Operator::SortMergeJoin { .. }
-        );
+        let is_join = price::is_join(&node.op);
         let host = if is_join { Self::join_site(&sides) } else { 0 };
         let site = sides.get(host)?;
         if site.relational {
@@ -1022,13 +854,8 @@ impl CostModel {
                 if plan.node(p).scatter != plan.node(id).scatter {
                     continue;
                 }
-                let divisor =
-                    if plan.node(id).colocated && plan.node(i).distribution.is_partitioned() {
-                        plan.scatter_width(id) as f64
-                    } else {
-                        1.0
-                    };
-                let bytes = program.node(p).annotations.est_bytes.unwrap_or(64_000.0) / divisor;
+                let bytes =
+                    Self::estimate_of(program.node(p)).1 / Self::tasks_sharing(plan, id, idx, i);
                 if producer.is_none_or(|(_, b)| bytes > b) {
                     producer = Some((p, bytes));
                 }
@@ -1051,13 +878,13 @@ impl CostModel {
                     // breaks the chain; a host pick is promotable.
                     if pick == b.device || pick == DeviceKind::Cpu {
                         let (_, edge_bytes) = producer.unwrap();
-                        if let Some(body) = self.fused_member_cost(
+                        if let Some(body) = Self::fused_member_cost(
                             fleet, &node.op, b.device, c_rows, c_bytes, edge_bytes,
                         ) {
                             // Never extend past the point where the
                             // member itself regresses vs its solo cost.
                             if body <= solo_c {
-                                let launch = Self::launch_secs(fleet, b.device);
+                                let launch = price::launch_seconds(fleet, b.device);
                                 let b = &mut open[bi];
                                 let prev_tail = *b.nodes.last().unwrap();
                                 b.nodes.push(id);
@@ -1113,9 +940,9 @@ impl CostModel {
                     else {
                         continue;
                     };
-                    let Some(body) = self
-                        .fused_member_cost(fleet, &node.op, device, c_rows, c_bytes, edge_bytes)
-                    else {
+                    let Some(body) = Self::fused_member_cost(
+                        fleet, &node.op, device, c_rows, c_bytes, edge_bytes,
+                    ) else {
                         continue;
                     };
                     let head = head.as_secs();
@@ -1132,7 +959,7 @@ impl CostModel {
                     continue;
                 }
                 let head_g = Self::transfer_bytes(&p_node.op, p_rows, p_bytes).max(1);
-                let launch = Self::launch_secs(fleet, device);
+                let launch = price::launch_seconds(fleet, device);
                 let bi = open.len();
                 open.push(Build {
                     shard,
@@ -1158,12 +985,9 @@ impl CostModel {
                 continue;
             }
             let fleet = self.shard_fleet(b.shard);
-            let Some(attached) = fleet.device(b.device) else {
-                continue;
-            };
             let g = b.head_g;
             let gf = g as f64;
-            let link_t = attached.transfer_cost(g).as_secs();
+            let link_t = price::transfer(fleet, b.device, g, false).as_secs();
             let kernel_t = (b.fused - b.launch - link_t).max(1e-15);
             let logca = LogCa::new(
                 link_t / gf,
@@ -1281,12 +1105,13 @@ impl CostModel {
     }
 
     /// Cost of a non-head fused-chain member on `device` at one shard:
-    /// the standalone device cost with its host→device PCIe transfer
-    /// replaced by the device-local link moving the fused edge's
-    /// bytes. Requires a Coprocessor-mode attachment (other modes pay
-    /// no transfer, so fusion has nothing to save).
+    /// the standalone device cost with its host→device transfer
+    /// replaced by the resident-input price of the fused edge's bytes
+    /// (the same offload-bytes convention the executed charge uses, so
+    /// planned savings equal executed savings). Requires a
+    /// Coprocessor-mode attachment (other modes pay no transfer, so
+    /// fusion has nothing to save).
     fn fused_member_cost(
-        &self,
         fleet: &AcceleratorFleet,
         op: &Operator,
         device: DeviceKind,
@@ -1294,28 +1119,15 @@ impl CostModel {
         est_bytes: f64,
         edge_bytes: f64,
     ) -> Option<f64> {
-        let attached = fleet.device(device)?;
-        if attached.mode != DeploymentMode::Coprocessor {
+        if fleet.device(device)?.mode != DeploymentMode::Coprocessor {
             return None;
         }
         let full = Self::node_cost_on(fleet, op, device, est_rows, est_bytes)?.as_secs();
-        let tb = Self::transfer_bytes(op, est_rows, est_bytes);
-        let pcie = attached.transfer_cost(tb).as_secs();
-        // The resident edge bills the same transfer-bytes convention the
-        // charger uses (sorts ship key+payload pairs, not raw edge
-        // payload), so planned savings equal executed savings.
-        let local_tb = Self::transfer_bytes(op, est_rows, edge_bytes.max(0.0));
-        let local = Interconnect::local().transfer_time(local_tb).as_secs();
+        let moved = Self::transfer_bytes(op, est_rows, est_bytes);
+        let pcie = price::transfer(fleet, device, moved, false).as_secs();
+        let resident = Self::transfer_bytes(op, est_rows, edge_bytes);
+        let local = price::transfer(fleet, device, resident, true).as_secs();
         Some((full - pcie + local).max(0.0))
-    }
-
-    /// Kernel-launch overhead of `device` in seconds (zero for a fleet
-    /// without the device).
-    fn launch_secs(fleet: &AcceleratorFleet, device: DeviceKind) -> f64 {
-        fleet
-            .device(device)
-            .map(|a| a.profile.cycles_to_s(a.profile.launch_overhead_cycles))
-            .unwrap_or(0.0)
     }
 }
 
@@ -1323,7 +1135,7 @@ impl CostModel {
 mod tests {
     use super::*;
     use pspp_accel::fleet::AttachedDevice;
-    use pspp_accel::{DeploymentMode, DeviceProfile};
+    use pspp_accel::{DeviceProfile, Interconnect};
     use pspp_common::Predicate;
     use pspp_ir::SortSpec;
 
@@ -1586,15 +1398,15 @@ mod tests {
         let est_bytes = p_shard.node(s_shard).annotations.est_bytes.unwrap();
         let device = p_shard.node(s_shard).annotations.device.unwrap();
         let gather = sharded.gather_cost(4, est_rows).as_secs();
-        let quarter = sharded
-            .node_cost(
-                &p_shard.node(s_shard).op,
-                device,
-                est_rows / 4.0,
-                est_bytes / 4.0,
-            )
-            .unwrap()
-            .as_secs();
+        let quarter = CostModel::node_cost_on(
+            sharded.fleet(),
+            &p_shard.node(s_shard).op,
+            device,
+            est_rows / 4.0,
+            est_bytes / 4.0,
+        )
+        .unwrap()
+        .as_secs();
         let predicted = plan.node_seconds[&s_shard];
         assert!(
             (predicted - (quarter + gather)).abs() < 1e-12,
@@ -1825,13 +1637,13 @@ mod tests {
             left_on: "k".into(),
             right_on: "k".into(),
         };
-        let (whole, g_whole) = m
-            .offload_model(&op, DeviceKind::Fpga, 200_000.0, 200_000.0 * 64.0)
-            .unwrap();
+        let offload_model = |rows: f64| {
+            CostModel::offload_model_on(m.fleet(), &op, DeviceKind::Fpga, rows, rows * 64.0)
+                .unwrap()
+        };
+        let (whole, g_whole) = offload_model(200_000.0);
         assert!(whole.speedup(g_whole) > 1.0);
-        let (shard, g_shard) = m
-            .offload_model(&op, DeviceKind::Fpga, 50_000.0, 50_000.0 * 64.0)
-            .unwrap();
+        let (shard, g_shard) = offload_model(50_000.0);
         assert!(shard.speedup(g_shard) < 1.0);
         let crossover = whole.break_even(g_whole).expect("profitable at 200k rows");
         assert!(
@@ -1934,7 +1746,10 @@ mod tests {
         }
         let model = |exchange: bool| {
             let mut m = CostModel::new(AcceleratorFleet::workstation(), stats.clone())
-                .with_exchange(exchange);
+                .with_options(PlanOptions {
+                    exchange,
+                    ..PlanOptions::default()
+                });
             m.set_partition(
                 TableRef::new("db1", "t1"),
                 pspp_common::PartitionSpec::hash("k", 4),
@@ -2032,7 +1847,10 @@ mod tests {
         };
 
         // Unfused baseline: each sort judged alone stays on the host.
-        let off = CostModel::new(slow_fleet(), stats.clone()).with_fusion(false);
+        let off = CostModel::new(slow_fleet(), stats.clone()).with_options(PlanOptions {
+            fusion: false,
+            ..PlanOptions::default()
+        });
         let (mut p_off, s1_off, s2_off) = two_sorts();
         let plan_off = off.place(&mut p_off).unwrap();
         assert!(plan_off.fused_chains.is_empty());

@@ -1,15 +1,17 @@
 //! The Polystore++ optimizer (§IV-B.3, §IV-C).
 //!
-//! Three layers, matching Fig. 6:
+//! Three layers, matching Fig. 6, over one price list:
 //!
 //! * **L1 rewrites** ([`rewrite`]) — semantic, engine-agnostic IR
 //!   transformations: predicate/projection pushdown into scans, filter
 //!   fusion, join-algorithm selection.
 //! * **Cost model + placement** ([`cost`]) — cardinality estimation,
-//!   per-(operator, device) simulated-cost prediction from the
-//!   accelerator kernel models, migration-cost estimation from the
-//!   interconnect models, and a greedy HEFT-style placement pass that
-//!   assigns every node an engine and a device.
+//!   per-(operator, device) simulated-cost prediction, migration-cost
+//!   estimation, and a greedy HEFT-style placement pass that assigns
+//!   every node an engine and a device.
+//! * **The price list** ([`price`]) — the formulas behind every
+//!   simulated second, evaluated by the cost model on estimates and by
+//!   the runtime on actual counts.
 //! * **Design-space exploration** ([`dse`]) — the §IV-C black-box
 //!   multi-objective optimizer: categorical/ordinal design spaces,
 //!   random search, and **active learning** with a random-forest
@@ -31,6 +33,7 @@
 pub mod cost;
 pub mod dse;
 pub mod forest;
+pub mod price;
 pub mod rewrite;
 
 pub use cost::{CostModel, PlacementPlan, TableStats};

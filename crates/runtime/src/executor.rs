@@ -54,11 +54,11 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use pspp_accel::exchange::shuffle_bill;
-use pspp_accel::{AcceleratorFleet, CostEvent, CostLedger, EventKind, Interconnect, SimDuration};
+use pspp_accel::{AcceleratorFleet, CostEvent, CostLedger, EventKind, SimDuration};
 use pspp_common::{DeviceKind, Distribution, Error, Result, Row, ShardId};
 use pspp_ir::{ExchangeKind, NodeId, Operator, PlanOptions, Program, ShardPlan, Stage};
 use pspp_migrate::{MigrationPath, Migrator};
+use pspp_optimizer::price;
 use pspp_relstore::ops as relops;
 use pspp_telemetry::{ExchangeTrace, MetricsRegistry, NodeTrace, TaskTrace};
 
@@ -68,11 +68,6 @@ use crate::registry::EngineRegistry;
 
 /// Chunks used by the pipelined-stages model (§IV-D).
 const PIPELINE_CHUNKS: f64 = 8.0;
-
-/// Simulated per-destination-shard bookkeeping of an exchange barrier
-/// (bucket open + ordered splice), mirroring the optimizer's gather
-/// overhead so predictions and charges share one constant scale.
-const EXCHANGE_TASK_OVERHEAD_S: f64 = 2e-6;
 
 /// Execution accounting for one program run.
 #[derive(Debug, Clone)]
@@ -262,15 +257,8 @@ pub struct Executor {
     offload: bool,
     /// Pipeline stages (L3).
     pipelined: bool,
-    /// Execute compatibly-partitioned joins (and distribution-preserving
-    /// filters/projections) per shard instead of gathering first.
-    colocate: bool,
-    /// Emit shuffle/merge-partials exchanges for mismatched-key joins
-    /// and non-partition-wise aggregations instead of gathering.
-    exchange: bool,
-    /// Persist shuffled layouts into the registry's materialized-
-    /// repartition store and serve repeat shuffles from them.
-    materialize: bool,
+    /// The plan switches — the value the cost model planned under.
+    options: PlanOptions,
     /// Metrics sink for executor/placer/charger instrumentation
     /// (`None` runs unobserved).
     metrics: Option<MetricsRegistry>,
@@ -286,9 +274,7 @@ impl Executor {
             adapters: AdapterRegistry::standard(),
             offload: true,
             pipelined: false,
-            colocate: true,
-            exchange: true,
-            materialize: false,
+            options: PlanOptions::default(),
             metrics: None,
         }
     }
@@ -314,37 +300,21 @@ impl Executor {
         self
     }
 
-    /// Enables/disables colocated execution of compatibly-partitioned
-    /// joins (default: on). Off reverts to the gather-before-join plan,
-    /// which is bit-identical and exists for comparison (E18) and
-    /// debugging.
-    pub fn colocated_joins(mut self, on: bool) -> Self {
-        self.colocate = on;
-        self
-    }
-
-    /// Enables/disables the repartitioning exchanges (default: on):
-    /// shuffled joins on mismatched partition keys and
-    /// partial-aggregate + merge `GroupBy`s. Off reverts those nodes to
-    /// the gathered plan, which is bit-identical and exists for
-    /// comparison (E19) and debugging.
-    pub fn exchange(mut self, on: bool) -> Self {
-        self.exchange = on;
-        self
-    }
-
-    /// Enables/disables materialized repartitions (default: off): when
-    /// on, shuffle edges whose cumulative exchange cost exceeds the
-    /// one-time copy cost ([`pspp_ir::repartition_pays`]) persist their
-    /// routed layout into the registry's
+    /// Runs under `options` — the value the cost model planned under.
+    /// `colocate` and `exchange` select the distribution plan (off
+    /// reverts to the gathered plans E18 / E19 compare against, which
+    /// are bit-identical in output); with `materialize` on, shuffle
+    /// edges whose cumulative exchange cost exceeds the one-time copy
+    /// cost ([`pspp_ir::repartition_pays`]) persist their routed layout
+    /// into the registry's
     /// [`MaterializedRepartitions`](pspp_common::MaterializedRepartitions)
     /// store, and later executions of the same edge serve the stored
     /// buckets — zero rows routed, zero bytes billed. Serving replays
     /// the stored index lists against the live gathered input, so
     /// served and routed runs stay byte-identical; any registry epoch
     /// bump (reshard, rebalance, DDL) invalidates every stored layout.
-    pub fn materialize_repartitions(mut self, on: bool) -> Self {
-        self.materialize = on;
+    pub fn options(mut self, options: PlanOptions) -> Self {
+        self.options = options;
         self
     }
 
@@ -395,18 +365,11 @@ impl Executor {
         // repartitions on, the planner consults the registry's copy
         // store so edges with a live layout plan as copy-served
         // exchanges even where a fresh shuffle would not pay.
-        let options = PlanOptions {
-            colocate: self.colocate,
-            exchange: self.colocate && self.exchange,
-        };
-        let plan = if self.materialize {
-            let copies = registry.repartitions();
-            Placer::plan_distribution_copies(program, registry, registry, options, |k| {
+        let copies = registry.repartitions();
+        let plan =
+            Placer::plan_distribution_copies(program, registry, registry, self.options, |k| {
                 copies.contains(k)
-            })?
-        } else {
-            Placer::plan_distribution_opts(program, registry, registry, options)?
-        };
+            })?;
         let stages = program.execution_stages()?;
         let mut results: HashMap<NodeId, Dataset> = HashMap::new();
         // Per-shard partials of nodes feeding colocated consumers, in
@@ -709,7 +672,7 @@ impl Executor {
                     let schema = d.schema()?;
                     let rows = d.try_rows()?;
                     let edge_bytes = d.byte_size();
-                    let copy_key = if self.materialize {
+                    let copy_key = if self.options.materialize {
                         pspp_ir::shuffle_copy_key(program, *input, key, *w)
                     } else {
                         None
@@ -763,26 +726,15 @@ impl Executor {
                 "shuffled node {id} has no shuffled probe side"
             )));
         }
-        // The exchange's data plane is billed by the shared accel
-        // exchange model: hash-partition the routed rows, serialize one
-        // stream per destination shard, cross the 10GbE wire, decode on
-        // the receivers — each kernel stage on the fleet's best device
-        // when offload is enabled, the host otherwise. The 10GbE wire
-        // is a fixed modeling assumption shared with the cost model's
-        // *default* `migration_link` — a deployment that reconfigures
-        // the model's link (or the executor's migration path) changes
-        // only how staged inputs are billed, not this barrier charge.
-        // Row placement itself always uses the stable FNV rule above,
-        // so the device choice never moves a byte.
-        let bill = shuffle_bill(
-            &self.fleet,
-            self.offload,
-            routed_rows,
-            bytes,
-            width,
-            &Interconnect::network_10g(),
-        );
-        let seconds = bill.seconds + width as f64 * EXCHANGE_TASK_OVERHEAD_S;
+        // The barrier is billed by the price the planner estimated it
+        // with: hash-partition the routed rows, serialize one stream
+        // per destination shard, cross the exchange wire, decode on the
+        // receivers — each kernel stage on the fleet's best device when
+        // offload is enabled, the host otherwise. Row placement itself
+        // always uses the stable FNV rule above, so the device choice
+        // never moves a byte.
+        let (bill, seconds) =
+            price::shuffle_barrier(&self.fleet, self.offload, routed_rows, bytes, width);
         let device = if bill.serialize_device != DeviceKind::Cpu {
             bill.serialize_device
         } else {
@@ -1173,9 +1125,7 @@ impl Executor {
         run.output = Dataset::rows(schema, rows, run.output.model, run.output.location.clone());
         // The merge splices partial states on the host: charge it like
         // an exchange barrier on the critical path.
-        let host = self.fleet.host();
-        let seconds = run.output.len() as f64 / (host.clock_hz * host.lanes as f64)
-            + width as f64 * EXCHANGE_TASK_OVERHEAD_S;
+        let seconds = price::splice(&self.fleet, width, run.output.len() as f64);
         run.migration_seconds += seconds;
         run.critical_seconds += seconds;
         run.events.push(CostEvent {
@@ -1261,35 +1211,15 @@ impl Executor {
             .adapters
             .dispatch(op, &inputs, target.as_ref(), registry, &ctx)?;
 
-        // Charge the simulated clock with actual sizes. Joins pay for
-        // build + probe (the sum of their input sides — which is how a
-        // colocated task with a per-shard probe and a broadcast build
-        // side charges less than the gathered join); everything else
-        // pays for its largest pass.
-        let is_join = matches!(
-            op,
-            pspp_ir::Operator::HashJoin { .. } | pspp_ir::Operator::SortMergeJoin { .. }
-        );
-        let work_rows = if is_join {
-            inputs.iter().map(Dataset::len).sum::<usize>()
-        } else {
-            inputs
-                .iter()
-                .map(Dataset::len)
-                .max()
-                .unwrap_or(output.len())
-        }
-        .max(output.len());
-        let work_bytes = if is_join {
-            inputs.iter().map(Dataset::byte_size).sum::<u64>()
-        } else {
-            inputs
-                .iter()
-                .map(Dataset::byte_size)
-                .max()
-                .unwrap_or_else(|| output.byte_size())
-        }
-        .max(output.byte_size());
+        // Charge the simulated clock with actual sizes: the volume the
+        // inputs put through the kernel (a join's sides add up — which
+        // is how a colocated task with a per-shard probe and a
+        // broadcast build side charges less than the gathered join),
+        // and never less than the output.
+        let (in_rows, in_bytes) =
+            price::work_volume(op, inputs.iter().map(|d| (d.len() as u64, d.byte_size())));
+        let work_rows = in_rows.max(output.len() as u64);
+        let work_bytes = in_bytes.max(output.byte_size());
         // Fused-chain membership is honored only when the task actually
         // runs on the planned coprocessor: a host fallback drops the
         // tag (counted fission, never silent), and non-head members
@@ -1302,15 +1232,13 @@ impl Executor {
             .and_then(|tags| tags.get(slot).copied())
             .flatten()
             .filter(|_| device == planned && device != DeviceKind::Cpu);
-        let resident_link = pspp_accel::Interconnect::local();
-        let (exec_seconds, fused_saved_seconds) = if Charger::is_ml_op(op) {
-            (Charger::ml_seconds(&scoped_ledger), 0.0)
-        } else {
-            Charger::new(fleet)
-                .with_metrics(self.metrics.as_ref())
-                .with_resident_link(fused.filter(|tag| tag.pos > 0).map(|_| &resident_link))
-                .charge_detailed(&scoped_ledger, op, device, work_rows as u64, work_bytes, id)
-        };
+        let resident = fused.is_some_and(|tag| tag.pos > 0);
+        let (exec_seconds, fused_saved_seconds) = Charger::new(
+            fleet,
+            self.metrics.as_ref(),
+            resident,
+        )
+        .charge(&scoped_ledger, op, device, work_rows, work_bytes, id);
         // A contended device serves this slot after its queue wait; the
         // wait rides the critical path (and the ledger), but only when
         // the task really ran on the contended device.
@@ -1436,6 +1364,20 @@ mod tests {
 
     fn exec() -> Executor {
         Executor::new(AcceleratorFleet::workstation(), CostLedger::new())
+    }
+
+    fn no_exchange() -> PlanOptions {
+        PlanOptions {
+            exchange: false,
+            ..PlanOptions::default()
+        }
+    }
+
+    fn materializing() -> PlanOptions {
+        PlanOptions {
+            materialize: true,
+            ..PlanOptions::default()
+        }
     }
 
     #[test]
@@ -1826,7 +1768,10 @@ mod tests {
 
         let flat = exec().execute(&p, &registry()).unwrap();
         let colocated = exec().execute(&p, &sharded).unwrap();
-        let gathered = exec().colocated_joins(false).execute(&p, &sharded).unwrap();
+        let gathered = exec()
+            .options(PlanOptions::gathered())
+            .execute(&p, &sharded)
+            .unwrap();
 
         assert_eq!(
             colocated.outputs[0].try_rows().unwrap(),
@@ -1882,7 +1827,7 @@ mod tests {
             assert!(plan.node(j).shuffles(), "mismatched keys must shuffle");
             assert_eq!(plan.node(j).scatter_width(), shards as usize);
             let shuffled = exec().execute(&p, &sharded).unwrap();
-            let gathered = exec().exchange(false).execute(&p, &sharded).unwrap();
+            let gathered = exec().options(no_exchange()).execute(&p, &sharded).unwrap();
             let flat = exec().execute(&p, &registry()).unwrap();
             assert_eq!(
                 shuffled.outputs[0].try_rows().unwrap(),
@@ -1901,16 +1846,9 @@ mod tests {
                 gathered.node_seconds[&j]
             );
             // The gathered-baseline plan really gathers.
-            let base_plan = Placer::plan_distribution_opts(
-                &p,
-                &sharded,
-                &sharded,
-                pspp_ir::PlanOptions {
-                    colocate: true,
-                    exchange: false,
-                },
-            )
-            .unwrap();
+            let base_plan =
+                Placer::plan_distribution_copies(&p, &sharded, &sharded, no_exchange(), |_| false)
+                    .unwrap();
             assert!(!base_plan.node(j).shuffles());
             assert_eq!(base_plan.node(j).gathered_input_count(), 2);
 
@@ -1943,7 +1881,7 @@ mod tests {
     fn materialized_repartitions_serve_the_second_run_byte_identically() {
         let (p, j) = pid_join_program();
         let sharded = mismatched_registry(2);
-        let e = exec().materialize_repartitions(true);
+        let e = exec().options(materializing());
 
         let first = e.execute(&p, &sharded).unwrap();
         let stats = sharded.repartitions().stats();
@@ -1961,13 +1899,9 @@ mod tests {
 
         // The second plan consults the copies and serves both edges.
         let copies = sharded.repartitions();
-        let plan = Placer::plan_distribution_copies(
-            &p,
-            &sharded,
-            &sharded,
-            pspp_ir::PlanOptions::default(),
-            |k| copies.contains(k),
-        )
+        let plan = Placer::plan_distribution_copies(&p, &sharded, &sharded, materializing(), |k| {
+            copies.contains(k)
+        })
         .unwrap();
         assert!(plan.node(j).is_copy_served(0) && plan.node(j).is_copy_served(1));
         let counts = plan.exchange_counts();
@@ -2012,7 +1946,7 @@ mod tests {
     fn epoch_bump_invalidates_materialized_copies() {
         let (p, _) = pid_join_program();
         let sharded = mismatched_registry(2);
-        let e = exec().materialize_repartitions(true);
+        let e = exec().options(materializing());
         let first = e.execute(&p, &sharded).unwrap();
         assert!(sharded.repartitions().stats().stores >= 1);
 
@@ -2076,9 +2010,12 @@ mod tests {
         assert_eq!(plan.node(g).scatter_width(), 4);
         let partitioned = exec().execute(&p, &sharded).unwrap();
         // Partition-wise grouping is a colocation feature: the gathered
-        // baseline needs colocation off, exchange(false) alone keeps it.
-        let still_partitioned = exec().exchange(false).execute(&p, &sharded).unwrap();
-        let gathered = exec().colocated_joins(false).execute(&p, &sharded).unwrap();
+        // baseline needs colocation off, `exchange: false` alone keeps it.
+        let still_partitioned = exec().options(no_exchange()).execute(&p, &sharded).unwrap();
+        let gathered = exec()
+            .options(PlanOptions::gathered())
+            .execute(&p, &sharded)
+            .unwrap();
         assert_eq!(
             partitioned.outputs[0].try_rows().unwrap(),
             still_partitioned.outputs[0].try_rows().unwrap()
@@ -2145,7 +2082,7 @@ mod tests {
         assert!(plan.node(g).merges_partials());
         assert_eq!(plan.node(g).scatter_width(), 4);
         let merged = exec().execute(&p, &sharded).unwrap();
-        let gathered = exec().exchange(false).execute(&p, &sharded).unwrap();
+        let gathered = exec().options(no_exchange()).execute(&p, &sharded).unwrap();
         assert_eq!(
             merged.outputs[0].try_rows().unwrap(),
             gathered.outputs[0].try_rows().unwrap(),
@@ -2195,7 +2132,7 @@ mod tests {
         // …but execution demotes, and bytes match the gathered plan
         // and the flat deployment exactly.
         let merged = exec().execute(&p, &sharded).unwrap();
-        let gathered = exec().exchange(false).execute(&p, &sharded).unwrap();
+        let gathered = exec().options(no_exchange()).execute(&p, &sharded).unwrap();
         assert_eq!(
             merged.outputs[0].try_rows().unwrap(),
             gathered.outputs[0].try_rows().unwrap(),
@@ -2233,7 +2170,10 @@ mod tests {
 
         let flat = exec().execute(&p, &registry()).unwrap();
         let broadcast = exec().execute(&p, &sharded).unwrap();
-        let gathered = exec().colocated_joins(false).execute(&p, &sharded).unwrap();
+        let gathered = exec()
+            .options(PlanOptions::gathered())
+            .execute(&p, &sharded)
+            .unwrap();
         assert_eq!(
             broadcast.outputs[0].try_rows().unwrap(),
             gathered.outputs[0].try_rows().unwrap(),
@@ -2284,7 +2224,10 @@ mod tests {
         assert!(plan.node(f).colocated, "filter rides the shard layout");
         assert!(plan.node(j).colocated);
         let report = exec().execute(&p, &sharded).unwrap();
-        let gathered = exec().colocated_joins(false).execute(&p, &sharded).unwrap();
+        let gathered = exec()
+            .options(PlanOptions::gathered())
+            .execute(&p, &sharded)
+            .unwrap();
         let flat = exec().execute(&p, &registry()).unwrap();
         assert_eq!(
             report.outputs[0].try_rows().unwrap(),

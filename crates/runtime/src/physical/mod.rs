@@ -14,8 +14,9 @@
 //!   (optimizer annotation → source table → data gravity) and stages
 //!   the node's inputs there, invoking the data migrator once per
 //!   foreign input and accounting the migration cost.
-//! * [`Charger`] — *what* an operator costs. Posts simulated kernel
-//!   cycles, transfer charges and energy to the run's [`CostLedger`].
+//! * [`Charger`] — *what* an operator costs. Posts the price list's
+//!   bill for it ([`pspp_optimizer::price`], the formulas the planner
+//!   estimated with) and its energy to the run's [`CostLedger`].
 //!
 //! All three are `Sync`-clean. One executor runs a query's tasks one
 //! after another on its caller's thread, giving each task a private

@@ -129,31 +129,19 @@ impl Placer {
         catalog: &dyn PartitionLookup,
         registry: &EngineRegistry,
     ) -> Result<ShardPlan> {
-        Self::plan_distribution_opts(program, catalog, registry, PlanOptions::default())
+        Self::plan_distribution_copies(program, catalog, registry, PlanOptions::default(), |_| {
+            false
+        })
     }
 
-    /// [`Placer::plan_distribution`] with the planning switches
-    /// explicit: `PlanOptions::gathered()` reverts every non-source
-    /// node to a gather (the PR-3 baseline E18 compares against), and
-    /// `exchange: false` alone reverts only the shuffle/merge-partials
-    /// exchanges (the gathered baseline E19 compares against).
-    ///
-    /// # Errors
-    ///
-    /// See [`Placer::plan_distribution`].
-    pub fn plan_distribution_opts(
-        program: &Program,
-        catalog: &dyn PartitionLookup,
-        registry: &EngineRegistry,
-        options: PlanOptions,
-    ) -> Result<ShardPlan> {
-        Self::plan_distribution_copies(program, catalog, registry, options, |_| false)
-    }
-
-    /// [`Placer::plan_distribution_opts`] consulting `copy_of` for
-    /// materialized repartitions: a `ShuffleHash` edge whose
-    /// [`pspp_ir::shuffle_copy_key`] the predicate accepts plans as a
-    /// copy-served exchange (see [`ShardPlan::plan_with_copies`]).
+    /// [`Placer::plan_distribution`] with the plan switches explicit —
+    /// `PlanOptions::gathered()` reverts every non-source node to a
+    /// gather (the PR-3 baseline E18 compares against), `exchange:
+    /// false` alone only the shuffle/merge-partials exchanges (E19's
+    /// baseline) — and, when `options.materialize` is on, consulting
+    /// `copy_of` for materialized repartitions: a `ShuffleHash` edge
+    /// whose [`pspp_ir::shuffle_copy_key`] the predicate accepts plans
+    /// as a copy-served exchange (see [`ShardPlan::plan_with_copies`]).
     ///
     /// # Errors
     ///

@@ -283,7 +283,10 @@ proptest! {
         p.mark_output(j);
         let exchanged = executor().execute(&p, &registry).expect("exchange run");
         let gathered = executor()
-            .exchange(false)
+            .options(PlanOptions {
+                exchange: false,
+                ..PlanOptions::default()
+            })
             .execute(&p, &registry)
             .expect("gathered run");
         prop_assert_eq!(
@@ -374,7 +377,10 @@ proptest! {
             "sql",
         );
         p.mark_output(j);
-        let exec = executor().materialize_repartitions(true);
+        let exec = executor().options(PlanOptions {
+            materialize: true,
+            ..PlanOptions::default()
+        });
         let first = exec.execute(&p, &registry).expect("first materialized run");
         let second = exec.execute(&p, &registry).expect("second materialized run");
         let plain = executor().execute(&p, &registry).expect("plain run");
@@ -417,11 +423,11 @@ proptest! {
         );
         p.mark_output(g);
         let split = executor().execute(&p, &registry).expect("exchange run");
-        // colocated_joins(false) is the fully gathered plan — a true
-        // single-site aggregation (exchange(false) alone would keep a
+        // `PlanOptions::gathered()` is the fully gathered plan — a true
+        // single-site aggregation (`exchange: false` alone would keep a
         // partition-wise grouping when the layout matches the key).
         let single = executor()
-            .colocated_joins(false)
+            .options(PlanOptions::gathered())
             .execute(&p, &registry)
             .expect("gathered run");
         prop_assert_eq!(
@@ -538,7 +544,10 @@ proptest! {
             stats.insert(t, TableStats { rows: 500_000.0, row_bytes: 64.0 });
         }
         let model = |fusion: bool| {
-            let mut m = CostModel::new(fleet.clone(), stats.clone()).with_fusion(fusion);
+            let mut m = CostModel::new(fleet.clone(), stats.clone()).with_options(PlanOptions {
+                fusion,
+                ..PlanOptions::default()
+            });
             if let Some(spec) = left_spec.clone() {
                 m.set_partition(TableRef::new("db1", "left"), spec);
             }
@@ -603,14 +612,18 @@ proptest! {
             "sql",
         );
         p.mark_output(j);
+        let options = PlanOptions {
+            exchange,
+            ..PlanOptions::default()
+        };
         let plain = executor()
-            .exchange(exchange)
+            .options(options)
             .offload(offload)
             .execute(&p, &registry)
             .expect("plain run");
         let metrics = polystorepp::telemetry::MetricsRegistry::new();
         let traced = executor()
-            .exchange(exchange)
+            .options(options)
             .offload(offload)
             .with_metrics(metrics.clone())
             .execute(&p, &registry)
@@ -902,6 +915,190 @@ fn fig2_engine_annotations_keep_first_input_gravity() {
     let sites = &placement.expect("L3 places").join_sites;
     assert_eq!(sites.len(), 2);
     assert!(sites.iter().all(|s| s.site == EngineId::new("db1")));
+}
+
+/// One operator of every kind the price list maps.
+fn every_operator() -> Vec<Operator> {
+    let table = || TableRef::new("db1", "t");
+    vec![
+        Operator::scan(table()),
+        Operator::Filter {
+            predicate: Predicate::True,
+        },
+        Operator::Project {
+            columns: vec!["a".into()],
+        },
+        Operator::Sort { keys: vec![] },
+        Operator::HashJoin {
+            left_on: "k".into(),
+            right_on: "k".into(),
+        },
+        Operator::SortMergeJoin {
+            left_on: "k".into(),
+            right_on: "k".into(),
+        },
+        Operator::GroupBy {
+            keys: vec!["k".into()],
+            aggs: vec![],
+        },
+        Operator::Limit { n: 10 },
+        Operator::KvPrefixScan {
+            table: table(),
+            prefix: "p".into(),
+        },
+        Operator::TsRange {
+            table: table(),
+            lo: 0,
+            hi: 10,
+        },
+        Operator::TsWindow {
+            table: table(),
+            lo: 0,
+            hi: 10,
+            width: 2,
+            agg: polystorepp::ir::TsAgg::Mean,
+        },
+        Operator::GraphMatch {
+            table: table(),
+            start_label: "n".into(),
+            steps: vec![],
+        },
+        Operator::TextSearch {
+            table: table(),
+            terms: vec!["x".into()],
+            mode: polystorepp::ir::TextSearchMode::Any,
+        },
+        Operator::StreamWindow {
+            table: table(),
+            lo: 0,
+            hi: 10,
+            width: 2,
+            column: 0,
+            agg: polystorepp::ir::TsAgg::Sum,
+        },
+        Operator::TrainMlp {
+            label_column: "y".into(),
+            hidden: vec![16, 8],
+            epochs: 3,
+            batch_size: 32,
+            learning_rate: 0.1,
+        },
+        Operator::Predict,
+        Operator::KMeansCluster {
+            k: 4,
+            max_iters: 10,
+        },
+        Operator::Custom { name: "udf".into() },
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The price list's stated invariants, over every operator kind ×
+    /// every device kind of a fleet with accelerators and one without:
+    /// every price finite and non-negative and non-decreasing in rows
+    /// and in bytes; a device-resident input never bills more than the
+    /// attachment link; a (device, operator) pair the planner skips is
+    /// billed on execution at exactly the host's own price; a shuffle
+    /// barrier is the data plane's bill plus one task overhead per
+    /// destination.
+    #[test]
+    fn price_list_is_finite_monotone_and_falls_back_to_the_host(
+        rows in (0u64..2_000_000, 0u64..2_000_000),
+        bytes in (0u64..(1 << 28), 0u64..(1 << 28)),
+        width in 1usize..9,
+        resident in any::<bool>(),
+    ) {
+        use polystorepp::accel::exchange::shuffle_bill;
+        use polystorepp::optimizer::price;
+        let (rows, more_rows) = (rows.0.min(rows.1), rows.0.max(rows.1));
+        let (bytes, more_bytes) = (bytes.0.min(bytes.1), bytes.0.max(bytes.1));
+        let sound = |secs: f64| secs.is_finite() && secs >= 0.0;
+        for fleet in [AcceleratorFleet::workstation(), AcceleratorFleet::cpu_only()] {
+            for device in DeviceKind::all() {
+                let attached = price::transfer(&fleet, device, bytes, false);
+                let local = price::transfer(&fleet, device, bytes, true);
+                prop_assert!(sound(local.as_secs()) && local <= attached);
+                prop_assert!(attached <= price::transfer(&fleet, device, more_bytes, false));
+                for op in every_operator() {
+                    let bill = |rows, bytes| price::task(&fleet, &op, device, rows, bytes, resident);
+                    let base = bill(rows, bytes);
+                    prop_assert!(
+                        sound(base.duration.as_secs()) && sound(base.resident_saving),
+                        "{} on {device:?}: {base:?}", op.name()
+                    );
+                    prop_assert!(
+                        base.duration <= bill(more_rows, bytes).duration
+                            && base.duration <= bill(rows, more_bytes).duration,
+                        "{} on {device:?} is not monotone", op.name()
+                    );
+                    match price::planned_profile(&fleet, &op, device) {
+                        Some(profile) => {
+                            prop_assert_eq!(profile.kind(), device);
+                            prop_assert_eq!(base.profile.kind(), device);
+                        }
+                        // An opaque operator has no class to plan
+                        // with, on any device; executed, it bills as one
+                        // streaming pass.
+                        None if price::kernel_class(&op).is_none() => {
+                            let pass = Operator::Filter { predicate: Predicate::True };
+                            let pass = price::task(&fleet, &pass, device, rows, bytes, resident);
+                            prop_assert_eq!(
+                                base.duration.as_secs().to_bits(),
+                                pass.duration.as_secs().to_bits()
+                            );
+                        }
+                        // The planner skips the pair; executed anyway
+                        // (a shard fleet without the planned device), it
+                        // bills the host's price to the bit.
+                        None => {
+                            let host = price::task(&fleet, &op, DeviceKind::Cpu, rows, bytes, resident);
+                            prop_assert_eq!(base.profile.kind(), DeviceKind::Cpu);
+                            prop_assert_eq!(
+                                base.duration.as_secs().to_bits(),
+                                host.duration.as_secs().to_bits()
+                            );
+                            prop_assert_eq!(base.resident_saving, 0.0);
+                        }
+                    }
+                    let profile = price::serving_profile(&fleet, &op, device);
+                    let planned = |rows: u64, bytes: u64| {
+                        price::training(profile, &op, rows as f64, bytes as f64)
+                    };
+                    prop_assert_eq!(
+                        planned(rows, bytes).is_some(),
+                        matches!(op, Operator::TrainMlp { .. } | Operator::KMeansCluster { .. })
+                    );
+                    if let Some(t) = planned(rows, bytes) {
+                        prop_assert!(sound(t.as_secs()));
+                        prop_assert!(t <= planned(more_rows, bytes).expect("same op"));
+                        prop_assert!(t <= planned(rows, more_bytes).expect("same op"));
+                    }
+                }
+            }
+            for accelerate in [false, true] {
+                let barrier = |rows, bytes| price::shuffle_barrier(&fleet, accelerate, rows, bytes, width);
+                let (bill, seconds) = barrier(rows, bytes);
+                let data_plane =
+                    shuffle_bill(&fleet, accelerate, rows, bytes, width, &price::exchange_wire());
+                prop_assert_eq!(bill, data_plane);
+                prop_assert_eq!(
+                    seconds.to_bits(),
+                    (data_plane.seconds + width as f64 * price::TASK_OVERHEAD_S).to_bits()
+                );
+                prop_assert!(sound(seconds));
+                prop_assert!(seconds <= barrier(more_rows, bytes).1);
+                prop_assert!(seconds <= barrier(rows, more_bytes).1);
+            }
+            let splice = price::splice(&fleet, width, rows as f64);
+            prop_assert!(sound(splice) && splice <= price::splice(&fleet, width, more_rows as f64));
+            prop_assert!(splice >= width as f64 * price::TASK_OVERHEAD_S);
+        }
+        let moved = price::migration_estimate(bytes, DataModel::Relational, DataModel::Tensor);
+        prop_assert!(sound(moved.as_secs()));
+        prop_assert!(moved <= price::migration_estimate(more_bytes, DataModel::Relational, DataModel::Tensor));
+    }
 }
 
 proptest! {

@@ -49,7 +49,7 @@ pub use error::{Error, Result};
 pub use hash::{FxBuildHasher, FxHasher};
 pub use ids::{EngineId, TableRef};
 pub use model::{DataModel, EngineKind};
-pub use partition::{hash_grow_moved_fraction, PartitionLookup, PartitionSpec, ShardId};
+pub use partition::{hash_grow_moved_fraction, PartitionSpec, ShardId};
 pub use predicate::{BoundPredicate, ColumnSource, Predicate, TypedColumn};
 pub use repartition::{CopyKey, MaterializedRepartitions, RepartitionStats};
 pub use rng::SplitMix64;

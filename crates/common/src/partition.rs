@@ -235,15 +235,6 @@ pub fn hash_grow_moved_fraction(from: u32, to: u32) -> Option<f64> {
     Some(1.0 - f64::from(from) / f64::from(to))
 }
 
-/// Anything that can answer "how is this table partitioned?" — the
-/// frontend catalog (planning-time declarations) and the runtime's
-/// sharded registry (deployment truth) both implement it, so the
-/// distribution-planning pass accepts either.
-pub trait PartitionLookup {
-    /// The partition spec routing `table`, when it is partitioned.
-    fn partition_spec(&self, table: &crate::TableRef) -> Option<&PartitionSpec>;
-}
-
 impl fmt::Display for PartitionSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

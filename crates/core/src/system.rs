@@ -1,14 +1,14 @@
 //! The [`Polystore`] facade: EIDE configuration, compilation,
 //! optimization and execution in one object (Fig. 4).
 
-use pspp_accel::{AcceleratorFleet, CostLedger, CostSummary};
+use pspp_accel::{AcceleratorFleet, CostLedger, CostSummary, ShardFleets};
 use pspp_common::{PartitionSpec, Result, ShardId, TableRef, Value};
 use pspp_frontend::nlq::{self, ClinicalNames};
 use pspp_frontend::{sql, Catalog, HeterogeneousProgram};
 use pspp_ir::{PlanOptions, Program};
 use pspp_migrate::MigrationPath;
 use pspp_optimizer::{optimize_l1, price, CostModel, OptLevel, PlacementPlan, RewriteReport};
-use pspp_runtime::{EngineRegistry, ExecutionReport, Executor};
+use pspp_runtime::{EngineRegistry, ExecutionReport, Executor, Placer};
 use pspp_telemetry::{explain_analyze, MetricsRegistry, SpanTree};
 
 use crate::datagen::{self, Deployment};
@@ -52,13 +52,12 @@ impl RunReport {
 #[derive(Debug, Clone)]
 pub struct PolystoreBuilder {
     deployment: Deployment,
-    fleet: AcceleratorFleet,
+    fleets: ShardFleets,
     opt_level: OptLevel,
     migration_path: MigrationPath,
     plan_options: PlanOptions,
     shards: usize,
     partitions: Vec<(TableRef, PartitionSpec)>,
-    shard_fleets: Vec<(ShardId, AcceleratorFleet)>,
     result_cache: bool,
     fleet_aware_placement: bool,
 }
@@ -66,20 +65,21 @@ pub struct PolystoreBuilder {
 impl PolystoreBuilder {
     /// Attaches an accelerator fleet (default: CPU only).
     pub fn accelerators(mut self, fleet: AcceleratorFleet) -> Self {
-        self.fleet = fleet;
+        self.fleets.default = fleet;
         self
     }
 
     /// Attaches a shard-specific device fleet for heterogeneous
     /// clusters — shards without an override keep the
-    /// [`PolystoreBuilder::accelerators`] fleet. The override reaches
-    /// both sides of the plan/execute contract: `CostModel::place`
-    /// prices (and picks devices for) each shard replica against that
-    /// shard's fleet, and the executor resolves every task's device
-    /// against the fleet of the shard it runs at, falling back to the
-    /// host when the planned device is not attached there.
+    /// [`PolystoreBuilder::accelerators`] fleet. The registry owns the
+    /// fleets, and both sides of the plan/execute contract read them
+    /// there: `CostModel::place` prices (and picks devices for) each
+    /// shard replica against that shard's fleet, and the executor
+    /// resolves every task's device against the fleet of the shard it
+    /// runs at, falling back to the host when the planned device is
+    /// not attached there.
     pub fn fleet_at(mut self, shard: ShardId, fleet: AcceleratorFleet) -> Self {
-        self.shard_fleets.push((shard, fleet));
+        self.fleets.overrides.insert(shard, fleet);
         self
     }
 
@@ -207,7 +207,7 @@ impl PolystoreBuilder {
         // order), matched rank-for-rank. Only the fleet<->shard
         // assignment moves — rows stay put — so results are
         // byte-identical with the pass off.
-        if self.fleet_aware_placement && !self.shard_fleets.is_empty() {
+        if self.fleet_aware_placement && !self.fleets.overrides.is_empty() {
             let registry = &self.deployment.registry;
             let width = registry
                 .list()
@@ -216,9 +216,10 @@ impl PolystoreBuilder {
                 .max()
                 .unwrap_or(1)
                 .max(
-                    self.shard_fleets
-                        .iter()
-                        .map(|(s, _)| s.0 as usize + 1)
+                    self.fleets
+                        .overrides
+                        .keys()
+                        .map(|s| s.0 as usize + 1)
                         .max()
                         .unwrap_or(1),
                 );
@@ -235,15 +236,8 @@ impl PolystoreBuilder {
                 })
                 .collect();
             ranked_shards.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            let fleet_for = |shard: ShardId| {
-                self.shard_fleets
-                    .iter()
-                    .find(|(s, _)| *s == shard)
-                    .map(|(_, f)| f.clone())
-                    .unwrap_or_else(|| self.fleet.clone())
-            };
             let mut ranked_fleets: Vec<(ShardId, AcceleratorFleet)> = (0..width as u32)
-                .map(|raw| (ShardId(raw), fleet_for(ShardId(raw))))
+                .map(|raw| (ShardId(raw), self.fleets.at(ShardId(raw)).clone()))
                 .collect();
             ranked_fleets.sort_by(|a, b| {
                 b.1.devices()
@@ -251,7 +245,7 @@ impl PolystoreBuilder {
                     .cmp(&a.1.devices().len())
                     .then(a.0.cmp(&b.0))
             });
-            self.shard_fleets = ranked_shards
+            self.fleets.overrides = ranked_shards
                 .into_iter()
                 .zip(ranked_fleets)
                 .map(|((shard, _), (_, fleet))| (shard, fleet))
@@ -259,46 +253,23 @@ impl PolystoreBuilder {
         }
 
         // Device fleets ride the registry — the deployment-wide
-        // default plus any per-shard overrides — and are mirrored into
-        // the cost model, so planned and executed device picks come
-        // from the same fleets.
+        // default plus any per-shard overrides — where the planner and
+        // the executor both read them.
         self.deployment
             .registry
-            .set_default_fleet(self.fleet.clone());
-        let mut shard_fleets = std::collections::BTreeMap::new();
-        for (shard, fleet) in std::mem::take(&mut self.shard_fleets) {
-            self.deployment.registry.set_fleet_at(shard, fleet.clone());
-            shard_fleets.insert(shard, fleet);
+            .set_default_fleet(self.fleets.default);
+        for (shard, fleet) in self.fleets.overrides {
+            self.deployment.registry.set_fleet_at(shard, fleet);
         }
-
-        let ledger = CostLedger::new();
-        // The cost model sees the materialized partition layout, so
-        // L2 placement prices sharded scans and colocated joins at
-        // their real scatter width.
-        // It consults the same live copy store the executor feeds, so
-        // with materialization on plans price the copy-served exchanges
-        // that run.
-        let cost_model = CostModel::new(self.fleet.clone(), self.deployment.stats.clone())
-            .with_partitions(
-                self.deployment
-                    .catalog
-                    .partitions()
-                    .map(|(t, s)| (t.clone(), s.clone()))
-                    .collect(),
-            )
-            .with_options(self.plan_options)
-            .with_shard_fleets(shard_fleets)
-            .with_repartitions(self.deployment.registry.repartitions().clone());
         Ok(Polystore {
             registry: self.deployment.registry,
             catalog: self.deployment.catalog,
             clinical_names: self.deployment.clinical_names,
-            fleet: self.fleet,
-            cost_model,
+            cost_model: CostModel::new(self.deployment.stats).with_options(self.plan_options),
             opt_level: self.opt_level,
             migration_path: self.migration_path,
             result_cache: self.result_cache,
-            ledger,
+            ledger: CostLedger::new(),
             metrics,
         })
     }
@@ -335,7 +306,6 @@ pub struct Polystore {
     registry: EngineRegistry,
     catalog: Catalog,
     clinical_names: ClinicalNames,
-    fleet: AcceleratorFleet,
     cost_model: CostModel,
     opt_level: OptLevel,
     migration_path: MigrationPath,
@@ -349,13 +319,12 @@ impl Polystore {
     pub fn from_deployment(deployment: Deployment) -> PolystoreBuilder {
         PolystoreBuilder {
             deployment,
-            fleet: AcceleratorFleet::cpu_only(),
+            fleets: ShardFleets::default(),
             opt_level: OptLevel::L2,
             migration_path: MigrationPath::BinaryPipe,
             plan_options: PlanOptions::default(),
             shards: 1,
             partitions: Vec::new(),
-            shard_fleets: Vec::new(),
             result_cache: false,
             fleet_aware_placement: false,
         }
@@ -394,9 +363,10 @@ impl Polystore {
         &self.registry
     }
 
-    /// The accelerator fleet.
+    /// The deployment-wide accelerator fleet (the registry's default;
+    /// per-shard overrides are `registry().fleets()`).
     pub fn fleet(&self) -> &AcceleratorFleet {
-        &self.fleet
+        &self.registry.fleets().default
     }
 
     /// The engine-state invalidation epoch (see
@@ -413,10 +383,10 @@ impl Polystore {
         self.result_cache
     }
 
-    /// Re-partitions a table mid-run, keeping the registry, catalog and
-    /// cost model in agreement: rows move to their new shard replicas,
-    /// subsequent plans price and scatter against the new layout, and
-    /// the engine-state epoch bump orphans every cached plan and result
+    /// Re-partitions a table mid-run: rows move to their new shard
+    /// replicas in the registry — the one layout subsequent plans price
+    /// and scatter against — the catalog's declaration follows, and the
+    /// engine-state epoch bump orphans every cached plan and result
     /// derived under the old layout.
     ///
     /// Requires `&mut self`, so a shared service (`Arc<Polystore>`)
@@ -430,17 +400,15 @@ impl Polystore {
     /// counts) and catalog spec validation.
     pub fn reshard(&mut self, table: &TableRef, spec: PartitionSpec) -> Result<()> {
         self.registry.reshard(table, spec.clone())?;
-        self.catalog.set_partition(table.clone(), spec.clone())?;
-        self.cost_model.set_partition(table.clone(), spec);
-        Ok(())
+        self.catalog.set_partition(table.clone(), spec)
     }
 
     /// Incrementally rebalances a table to a new layout (the online
     /// elasticity path): only rows whose shard assignment changes
     /// under the new spec move — a hash grow from `w1` to `w2` shards
     /// (with `w1 | w2`) moves about `1 - w1/w2` of the rows, versus
-    /// [`Polystore::reshard`]'s full rewrite. Catalog and cost model
-    /// follow the registry, the moved bytes are charged to the system
+    /// [`Polystore::reshard`]'s full rewrite. The catalog's declaration
+    /// follows the registry, the moved bytes are charged to the system
     /// ledger as a `registry.rebalance` transfer over the shard
     /// interconnect, and the epoch bump orphans every cached plan,
     /// result and materialized repartition from the old layout.
@@ -456,8 +424,7 @@ impl Polystore {
         spec: PartitionSpec,
     ) -> Result<pspp_runtime::RebalanceReport> {
         let report = self.registry.rebalance(table, spec.clone())?;
-        self.catalog.set_partition(table.clone(), spec.clone())?;
-        self.cost_model.set_partition(table.clone(), spec);
+        self.catalog.set_partition(table.clone(), spec)?;
         self.ledger.post_event(pspp_accel::CostEvent {
             component: "registry.rebalance".into(),
             device: pspp_common::DeviceKind::Cpu,
@@ -529,10 +496,15 @@ impl Polystore {
     /// Optimizes a program in place at an explicit level, independent of
     /// the configured one. The service layer uses this to honor
     /// per-session optimization settings against a shared system.
+    /// Placement prices the distribution plan the executor will derive:
+    /// [`Placer::plan_distribution`] over this system's registry, on the
+    /// registry's fleets.
     ///
     /// # Errors
     ///
-    /// Propagates cost-model errors.
+    /// Propagates cost-model errors and, under L2+, the distribution
+    /// pass's deployment validation (a partitioned table that no longer
+    /// exists on its engine, an under-replicated engine).
     pub fn optimize_at(
         &self,
         program: &mut Program,
@@ -544,7 +516,12 @@ impl Polystore {
             RewriteReport::default()
         };
         let placement = if level.placement() {
-            Some(self.cost_model.place(program)?)
+            let options = self.cost_model.options();
+            Some(self.cost_model.place(
+                program,
+                |p| Placer::plan_distribution(p, &self.registry, options),
+                self.registry.fleets(),
+            )?)
         } else {
             None
         };
@@ -575,7 +552,7 @@ impl Polystore {
         level: OptLevel,
         ledger: CostLedger,
     ) -> Result<ExecutionReport> {
-        let executor = Executor::new(self.fleet.clone(), ledger)
+        let executor = Executor::new(ledger)
             .offload(level.placement())
             .pipelined(level.pipelined())
             // The switches the plan was priced under.
@@ -627,16 +604,37 @@ impl Polystore {
     /// Propagates optimization and execution errors.
     pub fn run_program(&self, mut program: Program) -> Result<RunReport> {
         let (rewrites, placement) = self.optimize(&mut program)?;
-        let run_ledger = CostLedger::new();
-        let execution = self.execute_at(&program, self.opt_level, run_ledger.clone())?;
-        let costs = run_ledger.total();
+        let (report, run_ledger) =
+            self.run_optimized(&program, self.opt_level, rewrites, placement)?;
         self.ledger.replace_events(run_ledger.events());
-        Ok(RunReport {
+        Ok(report)
+    }
+
+    /// Executes an already-optimized program at `level` on a private
+    /// ledger — so concurrent callers never interleave cost accounting —
+    /// and assembles the run's report around the plan summary
+    /// (`rewrites`, `placement`) the program was optimized with. Returns
+    /// the report and the ledger the run posted to.
+    ///
+    /// # Errors
+    ///
+    /// Propagates executor errors.
+    pub fn run_optimized(
+        &self,
+        program: &Program,
+        level: OptLevel,
+        rewrites: RewriteReport,
+        placement: Option<PlacementPlan>,
+    ) -> Result<(RunReport, CostLedger)> {
+        let ledger = CostLedger::new();
+        let execution = self.execute_at(program, level, ledger.clone())?;
+        let report = RunReport {
             execution,
             rewrites,
             placement,
-            costs,
-        })
+            costs: ledger.total(),
+        };
+        Ok((report, ledger))
     }
 }
 
@@ -1110,24 +1108,17 @@ mod tests {
         let off = build(false);
         let on = build(true);
         // The pass moved the device-bearing fleet to the heavy shard.
+        let devices_at =
+            |s: &Polystore, shard| s.registry().fleets().at(ShardId(shard)).devices().len();
         assert_eq!(
-            on.registry()
-                .fleet_at(ShardId(0))
-                .map(|f| f.devices().len()),
-            Some(AcceleratorFleet::workstation().devices().len()),
+            devices_at(&on, 0),
+            AcceleratorFleet::workstation().devices().len(),
             "row-heavy shard carries the accelerators after the swap"
         );
+        assert_eq!(devices_at(&on, 1), 0);
         assert_eq!(
-            on.registry()
-                .fleet_at(ShardId(1))
-                .map(|f| f.devices().len()),
-            Some(0)
-        );
-        assert_eq!(
-            off.registry()
-                .fleet_at(ShardId(0))
-                .map(|f| f.devices().len()),
-            Some(0),
+            devices_at(&off, 0),
+            0,
             "without the pass the declared (mis)placement stands"
         );
         let a = off.run_program(two_sort_program()).unwrap();

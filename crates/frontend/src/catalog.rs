@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use pspp_common::{Error, PartitionLookup, PartitionSpec, Result, Schema, SchemaLookup, TableRef};
+use pspp_common::{Error, PartitionSpec, Result, Schema, SchemaLookup, TableRef};
 
 /// Name resolution and schema lookup for frontends and the optimizer.
 #[derive(Debug, Clone, Default)]
@@ -49,12 +49,14 @@ impl Catalog {
         Ok(&self.resolve(name)?.1)
     }
 
-    /// Declares how `table` is partitioned across shard replicas. The
-    /// system builder materializes the spec at deployment time
-    /// (redistributing rows by partition key) and copies it into the
-    /// sharded registry, which is the runtime source of truth for
-    /// scatter-gather routing — a registry-level `reshard` after build
-    /// supersedes (and may diverge from) this declaration.
+    /// Declares how `table` is partitioned across shard replicas.
+    /// This is a declaration, not the layout: the system builder seeds
+    /// the deployment from it (redistributing rows by partition key
+    /// into the sharded registry), and from then on the registry alone
+    /// owns the layout — planning and execution both read the
+    /// registry's specs, never this one. `Polystore::reshard` /
+    /// `rebalance` keep the declaration current for readers of the
+    /// catalog; a registry-level `reshard` does not.
     ///
     /// # Errors
     ///
@@ -83,12 +85,6 @@ impl Catalog {
             .filter(|k| !k.contains('.'))
             .map(String::as_str)
             .collect()
-    }
-}
-
-impl PartitionLookup for Catalog {
-    fn partition_spec(&self, table: &TableRef) -> Option<&PartitionSpec> {
-        self.partition(table)
     }
 }
 

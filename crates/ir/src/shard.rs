@@ -489,25 +489,18 @@ impl ShardPlan {
         // fanned-out consumer reads — Local edges of colocated nodes
         // and every MergePartials edge — so the executor retains them
         // past the gather.
+        let mut plan = ShardPlan { nodes };
         for n in program.nodes() {
             if n.annotations.fused_into_consumer {
                 continue;
             }
-            let entry = nodes[n.id.0].clone();
             for (idx, &input) in n.inputs.iter().enumerate() {
-                let reads_partials = match entry.exchange(idx) {
-                    ExchangeKind::Local => {
-                        entry.colocated && nodes[input.0].distribution.is_partitioned()
-                    }
-                    ExchangeKind::MergePartials => true,
-                    _ => false,
-                };
-                if !reads_partials {
+                if !plan.reads_partial(n.id, idx, input) {
                     continue;
                 }
                 let mut p = input;
                 loop {
-                    nodes[p.0].partials_needed = true;
+                    plan.nodes[p.0].partials_needed = true;
                     if program.node(p).annotations.fused_into_consumer {
                         p = program.node(p).inputs[0];
                     } else {
@@ -516,7 +509,23 @@ impl ShardPlan {
                 }
             }
         }
-        Ok(ShardPlan { nodes })
+        Ok(plan)
+    }
+
+    /// Whether each task of `id` reads its own shard's partial of input
+    /// edge `idx` (produced by `input`) rather than the input's whole,
+    /// gathered output: an aligned [`ExchangeKind::Local`] edge of a
+    /// colocated node over a partitioned producer, or a
+    /// [`ExchangeKind::MergePartials`] edge. The one rule the planner
+    /// (retaining partials), the cost model (per-task volume) and the
+    /// executor (task inputs) share.
+    pub fn reads_partial(&self, id: NodeId, idx: usize, input: NodeId) -> bool {
+        let node = self.node(id);
+        match node.exchange(idx) {
+            ExchangeKind::Local => node.colocated && self.node(input).distribution.is_partitioned(),
+            ExchangeKind::MergePartials => true,
+            _ => false,
+        }
     }
 
     /// Plans a hash join: colocated when the layouts align, otherwise a

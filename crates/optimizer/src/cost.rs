@@ -7,13 +7,10 @@
 //! estimation (measured by experiment E15) and from the terms the price
 //! list marks as billed by one side only.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
-use pspp_accel::{AcceleratorFleet, DeploymentMode, LogCa, SimDuration};
-use pspp_common::{
-    DataModel, DeviceKind, EngineId, MaterializedRepartitions, PartitionSpec, Result, ShardId,
-    TableRef,
-};
+use pspp_accel::{AcceleratorFleet, DeploymentMode, LogCa, ShardFleets, SimDuration};
+use pspp_common::{DataModel, DeviceKind, EngineId, Error, Result, ShardId, TableRef};
 use pspp_ir::{
     ExchangeCounts, ExchangeKind, FusedChain, FusionTag, NodeId, Operator, PlanOptions, Program,
     ProgramNode, ShardPlan,
@@ -122,38 +119,24 @@ impl PlacementPlan {
     }
 }
 
-/// The optimizer cost model.
+/// The optimizer cost model: table statistics and the plan switches.
+/// The deployment's layout — partition specs, live repartition copies,
+/// device fleets — stays with its owner (the engine registry) and is
+/// handed to [`CostModel::place`] per call.
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    fleet: AcceleratorFleet,
-    /// Per-shard fleet overrides for heterogeneous clusters: a shard
-    /// replica is priced against its own devices, falling back to the
-    /// default `fleet` for shards without an override.
-    shard_fleets: BTreeMap<ShardId, AcceleratorFleet>,
     stats: HashMap<TableRef, TableStats>,
-    /// Partition specs of stored tables, mirroring the deployment
-    /// catalog: the distribution plan prices sharded scans and
-    /// colocated joins at `rows / shard_count` plus a gather term.
-    partitions: HashMap<TableRef, PartitionSpec>,
     /// The plan switches — the value the executor is handed too, so the
     /// model prices the plan that actually runs.
     options: PlanOptions,
-    /// The deployment's materialized-repartition store, consulted when
-    /// `options.materialize` is on: shuffle edges with a live stored
-    /// layout plan as copy-served and price at zero.
-    repartitions: Option<MaterializedRepartitions>,
 }
 
 impl CostModel {
-    /// Creates a model over a fleet and dataset statistics.
-    pub fn new(fleet: AcceleratorFleet, stats: HashMap<TableRef, TableStats>) -> Self {
+    /// Creates a model over dataset statistics.
+    pub fn new(stats: HashMap<TableRef, TableStats>) -> Self {
         CostModel {
-            fleet,
-            shard_fleets: BTreeMap::new(),
             stats,
-            partitions: HashMap::new(),
             options: PlanOptions::default(),
-            repartitions: None,
         }
     }
 
@@ -164,43 +147,9 @@ impl CostModel {
         self
     }
 
-    /// This model with the deployment's partition specs, enabling
-    /// shard-aware placement costing.
-    pub fn with_partitions(mut self, partitions: HashMap<TableRef, PartitionSpec>) -> Self {
-        self.partitions = partitions;
-        self
-    }
-
-    /// This model consulting the deployment's live
-    /// materialized-repartition store (the one the executor feeds)
-    /// whenever its options switch materialization on.
-    pub fn with_repartitions(mut self, repartitions: MaterializedRepartitions) -> Self {
-        self.repartitions = Some(repartitions);
-        self
-    }
-
-    /// This model with per-shard fleet overrides — placement prices
-    /// each shard replica against that shard's own devices, mirroring
-    /// `PolystoreBuilder::fleet_at`.
-    pub fn with_shard_fleets(mut self, fleets: BTreeMap<ShardId, AcceleratorFleet>) -> Self {
-        self.shard_fleets = fleets;
-        self
-    }
-
     /// The plan switches this model plans under.
     pub fn options(&self) -> PlanOptions {
         self.options
-    }
-
-    /// The fleet used for estimates.
-    pub fn fleet(&self) -> &AcceleratorFleet {
-        &self.fleet
-    }
-
-    /// The fleet pricing work placed at `shard`: its override when one
-    /// is registered, the default fleet otherwise.
-    pub fn shard_fleet(&self, shard: ShardId) -> &AcceleratorFleet {
-        self.shard_fleets.get(&shard).unwrap_or(&self.fleet)
     }
 
     /// Registers statistics for a dataset.
@@ -208,35 +157,14 @@ impl CostModel {
         self.stats.insert(table, stats);
     }
 
-    /// Registers (or overrides) a table's partition spec.
-    pub fn set_partition(&mut self, table: TableRef, spec: PartitionSpec) {
-        self.partitions.insert(table, spec);
-    }
-
-    /// The distribution plan placement prices against — the same
-    /// propagation pass the executor consumes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`pspp_common::Error::Semantic`] on cyclic programs and
-    /// spec-validation errors for invalid partition declarations.
-    pub fn shard_plan(&self, program: &Program) -> Result<ShardPlan> {
-        ShardPlan::plan_with_copies(
-            program,
-            |t| self.partitions.get(t).cloned(),
-            |k| self.repartitions.as_ref().is_some_and(|r| r.contains(k)),
-            self.options,
-        )
-    }
-
-    /// Estimated cost of the shard-ordered gather concatenating
-    /// `width` partials totaling `rows` output rows ([`price::splice`]).
-    /// Zero when nothing scatters.
-    pub fn gather_cost(&self, width: usize, rows: f64) -> SimDuration {
+    /// Estimated cost on `fleet`'s host of the shard-ordered gather
+    /// concatenating `width` partials totaling `rows` output rows
+    /// ([`price::splice`]). Zero when nothing scatters.
+    pub fn gather_cost(fleet: &AcceleratorFleet, width: usize, rows: f64) -> SimDuration {
         if width <= 1 {
             return SimDuration::ZERO;
         }
-        SimDuration::from_secs(price::splice(&self.fleet, width, rows.max(0.0)))
+        SimDuration::from_secs(price::splice(fleet, width, rows.max(0.0)))
     }
 
     /// Fills `est_rows`/`est_bytes` annotations in topological order.
@@ -447,12 +375,30 @@ impl CostModel {
     /// edge, evaluated inside the shared planning pass — which is why
     /// the crossover flips with the table statistics.
     ///
+    /// The layout is the caller's: `plan_of` derives the distribution
+    /// plan from the cardinality-annotated program and `fleets` prices
+    /// it — a deployment passes the pass its executor runs and its
+    /// registry's fleets, so the plan priced is the plan that executes.
+    ///
     /// # Errors
     ///
-    /// Returns [`pspp_common::Error::Semantic`] on cyclic programs.
-    pub fn place(&self, program: &mut Program) -> Result<PlacementPlan> {
+    /// Returns [`Error::Semantic`] on cyclic programs and on a plan
+    /// that does not cover this program; propagates `plan_of`'s errors.
+    pub fn place(
+        &self,
+        program: &mut Program,
+        plan_of: impl FnOnce(&Program) -> Result<ShardPlan>,
+        fleets: &ShardFleets,
+    ) -> Result<PlacementPlan> {
         self.estimate_cardinalities(program)?;
-        let plan = self.shard_plan(program)?;
+        let plan = plan_of(program)?;
+        if plan.len() != program.len() {
+            return Err(Error::Semantic(format!(
+                "distribution plan covers {} nodes, the program has {}",
+                plan.len(),
+                program.len()
+            )));
+        }
         let order = program.topo_order()?;
         let mut node_seconds = HashMap::new();
         let mut scatter_width = HashMap::new();
@@ -501,7 +447,7 @@ impl CostModel {
                     ExchangeKind::ShuffleHash { .. } if plan.node(id).is_copy_served(idx) => {}
                     ExchangeKind::ShuffleHash { width: w, .. } => {
                         exchange += price::shuffle_barrier(
-                            &self.fleet,
+                            &fleets.default,
                             true,
                             rows.max(0.0) as u64,
                             bytes.max(0.0) as u64,
@@ -512,9 +458,12 @@ impl CostModel {
                     ExchangeKind::MergePartials => {
                         // Partial states (one row per group per shard)
                         // cross shards and splice on the host.
-                        exchange += self
-                            .gather_cost(width.max(2), est_rows * width as f64)
-                            .as_secs();
+                        exchange += Self::gather_cost(
+                            &fleets.default,
+                            width.max(2),
+                            est_rows * width as f64,
+                        )
+                        .as_secs();
                     }
                     _ => {}
                 }
@@ -522,7 +471,7 @@ impl CostModel {
             // Like the executor's barrier, the exchange bill rides the
             // plan's data-movement account, not the node's kernel time.
             exchange_seconds += exchange;
-            let gather = self.gather_cost(width, est_rows).as_secs();
+            let gather = Self::gather_cost(&fleets.default, width, est_rows).as_secs();
             let best_on = |fleet: &AcceleratorFleet| -> Option<(DeviceKind, SimDuration)> {
                 let mut best: Option<(DeviceKind, SimDuration)> = None;
                 for device in DeviceKind::all() {
@@ -554,13 +503,13 @@ impl CostModel {
             // shard while another falls back to its host. The node's
             // estimate is the critical (slowest) slot, matching the
             // executor's max-over-shards accounting.
-            let base_pick = best_on(&self.fleet)
+            let base_pick = best_on(&fleets.default)
                 .map(|(d, _)| d)
                 .unwrap_or(DeviceKind::Cpu);
             let scatter = plan.node(id).scatter.clone();
             let mut per_slot = Vec::with_capacity(scatter.len());
             for &shard in &scatter {
-                let (device, secs) = match best_on(self.shard_fleet(shard)) {
+                let (device, secs) = match best_on(fleets.at(shard)) {
                     Some((d, t)) => (d, t.as_secs()),
                     None => (DeviceKind::Cpu, 0.0),
                 };
@@ -582,9 +531,10 @@ impl CostModel {
         // queueing over the (possibly promoted) picks.
         let mut fusion_tags: HashMap<NodeId, Vec<Option<FusionTag>>> = HashMap::new();
         let fused_chains = if self.options.fusion {
-            self.fuse_pass(
+            Self::fuse_pass(
                 program,
                 &plan,
+                fleets,
                 &order,
                 &mut device_picks,
                 &mut slot_secs,
@@ -594,9 +544,10 @@ impl CostModel {
         } else {
             Vec::new()
         };
-        let (queue_waits, queue_wait_seconds) = self.queue_pass(
+        let (queue_waits, queue_wait_seconds) = Self::queue_pass(
             program,
             &plan,
+            fleets,
             &mut device_picks,
             &mut slot_secs,
             &volumes,
@@ -696,12 +647,7 @@ impl CostModel {
         let node = plan.node(id);
         match node.exchange(idx) {
             ExchangeKind::ShuffleHash { width, .. } => f64::from(*width),
-            ExchangeKind::MergePartials => node.scatter_width() as f64,
-            ExchangeKind::Local
-                if node.colocated && plan.node(input).distribution.is_partitioned() =>
-            {
-                node.scatter_width() as f64
-            }
+            _ if plan.reads_partial(id, idx, input) => node.scatter_width() as f64,
             _ => 1.0,
         }
     }
@@ -788,9 +734,9 @@ impl CostModel {
     /// chain math doesn't carry.
     #[allow(clippy::too_many_arguments)]
     fn fuse_pass(
-        &self,
         program: &Program,
         plan: &ShardPlan,
+        fleets: &ShardFleets,
         order: &[NodeId],
         device_picks: &mut HashMap<(NodeId, ShardId), DeviceKind>,
         slot_secs: &mut HashMap<NodeId, Vec<f64>>,
@@ -863,7 +809,7 @@ impl CostModel {
             let scatter = plan.node(id).scatter.clone();
             let (c_rows, c_bytes) = volumes[&id];
             for (k, &shard) in scatter.iter().enumerate() {
-                let fleet = self.shard_fleet(shard);
+                let fleet = fleets.at(shard);
                 let solo_c = slot_secs[&id][k];
                 let host_c =
                     match Self::node_cost_on(fleet, &node.op, DeviceKind::Cpu, c_rows, c_bytes) {
@@ -984,7 +930,7 @@ impl CostModel {
             if b.nodes.len() < 2 || b.host <= 0.0 {
                 continue;
             }
-            let fleet = self.shard_fleet(b.shard);
+            let fleet = fleets.at(b.shard);
             let g = b.head_g;
             let gf = g as f64;
             let link_t = price::transfer(fleet, b.device, g, false).as_secs();
@@ -1027,9 +973,9 @@ impl CostModel {
     /// beats the exclusive-price fiction; fused members wait rather
     /// than fission their chain.
     fn queue_pass(
-        &self,
         program: &Program,
         plan: &ShardPlan,
+        fleets: &ShardFleets,
         device_picks: &mut HashMap<(NodeId, ShardId), DeviceKind>,
         slot_secs: &mut HashMap<NodeId, Vec<f64>>,
         volumes: &HashMap<NodeId, (f64, f64)>,
@@ -1050,16 +996,12 @@ impl CostModel {
                     if device == DeviceKind::Cpu {
                         continue;
                     }
-                    let fleet = self.shard_fleet(shard);
+                    let fleet = fleets.at(shard);
                     let Some(cap) = fleet.capacity(device) else {
                         continue;
                     };
                     let domain = (
-                        if self.shard_fleets.contains_key(&shard) {
-                            Some(shard)
-                        } else {
-                            None
-                        },
+                        fleets.overrides.contains_key(&shard).then_some(shard),
                         device,
                     );
                     let queue = servers
@@ -1136,8 +1078,48 @@ mod tests {
     use super::*;
     use pspp_accel::fleet::AttachedDevice;
     use pspp_accel::{DeviceProfile, Interconnect};
-    use pspp_common::Predicate;
+    use pspp_common::{PartitionSpec, Predicate};
     use pspp_ir::SortSpec;
+
+    /// The layout a deployment's registry would own — partition specs
+    /// and device fleets — built once per test and lent to `place`.
+    struct Layout {
+        specs: HashMap<TableRef, PartitionSpec>,
+        fleets: ShardFleets,
+    }
+
+    impl Layout {
+        fn on(fleet: AcceleratorFleet) -> Self {
+            Layout {
+                specs: HashMap::new(),
+                fleets: ShardFleets {
+                    default: fleet,
+                    ..ShardFleets::default()
+                },
+            }
+        }
+
+        fn hash(mut self, table: TableRef, column: &str, shards: u32) -> Self {
+            self.specs
+                .insert(table, PartitionSpec::hash(column, shards));
+            self
+        }
+
+        /// `m.place` over this layout: the distribution plan comes from
+        /// [`ShardPlan::plan`] over the local spec map.
+        fn place(&self, m: &CostModel, p: &mut Program) -> PlacementPlan {
+            m.place(
+                p,
+                |p| ShardPlan::plan(p, |t| self.specs.get(t).cloned(), m.options()),
+                &self.fleets,
+            )
+            .unwrap()
+        }
+    }
+
+    fn workstation() -> Layout {
+        Layout::on(AcceleratorFleet::workstation())
+    }
 
     fn model() -> CostModel {
         let mut stats = HashMap::new();
@@ -1155,7 +1137,7 @@ mod tests {
                 row_bytes: 32.0,
             },
         );
-        CostModel::new(AcceleratorFleet::workstation(), stats)
+        CostModel::new(stats)
     }
 
     fn sort_program() -> (Program, NodeId) {
@@ -1206,7 +1188,7 @@ mod tests {
     fn placement_offloads_big_sort_to_fpga() {
         let m = model();
         let (mut p, sort) = sort_program();
-        let plan = m.place(&mut p).unwrap();
+        let plan = workstation().place(&m, &mut p);
         assert_eq!(p.node(sort).annotations.device, Some(DeviceKind::Fpga));
         assert!(plan.offloaded >= 1);
         assert!(plan.total_seconds > 0.0);
@@ -1228,7 +1210,7 @@ mod tests {
             "sql",
         );
         p.mark_output(sort);
-        m.place(&mut p).unwrap();
+        workstation().place(&m, &mut p);
         assert_eq!(p.node(sort).annotations.device, Some(DeviceKind::Cpu));
     }
 
@@ -1249,7 +1231,7 @@ mod tests {
             "ml",
         );
         p.mark_output(t);
-        m.place(&mut p).unwrap();
+        workstation().place(&m, &mut p);
         assert_eq!(p.node(t).annotations.device, Some(DeviceKind::Tpu));
     }
 
@@ -1287,7 +1269,7 @@ mod tests {
         // the small table is what the plan pays to move.
         for (left, right) in [(big(), small()), (small(), big())] {
             let (mut p, j) = join_of(left, right);
-            let plan = m.place(&mut p).unwrap();
+            let plan = workstation().place(&m, &mut p);
             assert_eq!(engine_of(&p, j), Some("db1"));
             assert_eq!(plan.migration_seconds, bill);
             let [site] = &plan.join_sites[..] else {
@@ -1310,7 +1292,7 @@ mod tests {
             Operator::scan(TableRef::new("db2", "small")),
             Operator::scan(TableRef::new("db1", "big")),
         );
-        m.place(&mut p).unwrap();
+        workstation().place(&m, &mut p);
         assert_eq!(engine_of(&p, j), Some("db2"));
     }
 
@@ -1327,7 +1309,7 @@ mod tests {
         let small = || Operator::scan(TableRef::new("db2", "small"));
         for (left, right) in [(search(), small()), (small(), search())] {
             let (mut p, j) = join_of(left, right);
-            m.place(&mut p).unwrap();
+            workstation().place(&m, &mut p);
             assert_eq!(engine_of(&p, j), Some("db2"));
         }
         // With no relational side at all, first-input gravity stands.
@@ -1339,7 +1321,7 @@ mod tests {
             agg: pspp_ir::TsAgg::Mean,
         };
         let (mut p, j) = join_of(search(), window);
-        m.place(&mut p).unwrap();
+        workstation().place(&m, &mut p);
         assert_eq!(engine_of(&p, j), Some("text"));
     }
 
@@ -1363,8 +1345,21 @@ mod tests {
             "sql",
         );
         p.node_mut(f).annotations.fused_into_consumer = true;
-        let plan = m.place(&mut p).unwrap();
+        let plan = workstation().place(&m, &mut p);
         assert!(!plan.node_seconds.contains_key(&f));
+    }
+
+    #[test]
+    fn a_plan_for_another_program_is_a_typed_error() {
+        // A distribution plan shorter than the program would index out
+        // of bounds in `ShardPlan::node`; `place` refuses it instead.
+        let (other, _) = scan_program();
+        let foreign = ShardPlan::plan(&other, |_| None, PlanOptions::default()).unwrap();
+        let (mut p, _) = sort_program();
+        let err = model()
+            .place(&mut p, |_| Ok(foreign), &workstation().fleets)
+            .unwrap_err();
+        assert!(matches!(err, Error::Semantic(_)), "got {err:?}");
     }
 
     fn scan_program() -> (Program, NodeId) {
@@ -1379,17 +1374,13 @@ mod tests {
         // The acceptance identity: sharded estimate = unsharded
         // estimate over rows/4 + the gather term. Same device, same
         // kernel model — only the scatter width differs.
-        let unsharded = model();
-        let mut sharded = model();
-        sharded.set_partition(
-            TableRef::new("db1", "big"),
-            pspp_common::PartitionSpec::hash("k", 4),
-        );
+        let m = model();
+        let sharded = workstation().hash(TableRef::new("db1", "big"), "k", 4);
 
         let (mut p_flat, s_flat) = scan_program();
-        let flat = unsharded.place(&mut p_flat).unwrap();
+        let flat = workstation().place(&m, &mut p_flat);
         let (mut p_shard, s_shard) = scan_program();
-        let plan = sharded.place(&mut p_shard).unwrap();
+        let plan = sharded.place(&m, &mut p_shard);
 
         assert_eq!(plan.scatter_width[&s_shard], 4);
         assert_eq!(flat.scatter_width[&s_flat], 1);
@@ -1397,9 +1388,10 @@ mod tests {
         let est_rows = p_shard.node(s_shard).annotations.est_rows.unwrap();
         let est_bytes = p_shard.node(s_shard).annotations.est_bytes.unwrap();
         let device = p_shard.node(s_shard).annotations.device.unwrap();
-        let gather = sharded.gather_cost(4, est_rows).as_secs();
+        let fleet = &sharded.fleets.default;
+        let gather = CostModel::gather_cost(fleet, 4, est_rows).as_secs();
         let quarter = CostModel::node_cost_on(
-            sharded.fleet(),
+            fleet,
             &p_shard.node(s_shard).op,
             device,
             est_rows / 4.0,
@@ -1429,26 +1421,18 @@ mod tests {
 
     #[test]
     fn colocated_join_is_priced_at_per_shard_volume() {
-        let make = |sharded: bool| {
-            let mut m = model();
-            m.set_stats(
-                TableRef::new("db2", "big2"),
-                TableStats {
-                    rows: 2_000_000.0,
-                    row_bytes: 64.0,
-                },
-            );
-            if sharded {
-                m.set_partition(
-                    TableRef::new("db1", "big"),
-                    pspp_common::PartitionSpec::hash("k", 4),
-                );
-                m.set_partition(
-                    TableRef::new("db2", "big2"),
-                    pspp_common::PartitionSpec::hash("k", 4),
-                );
-            }
-            m
+        let mut m = model();
+        m.set_stats(
+            TableRef::new("db2", "big2"),
+            TableStats {
+                rows: 2_000_000.0,
+                row_bytes: 64.0,
+            },
+        );
+        let sharded_on = |right_key: &str| {
+            workstation()
+                .hash(TableRef::new("db1", "big"), "k", 4)
+                .hash(TableRef::new("db2", "big2"), right_key, 4)
         };
         let join_program = || {
             let mut p = Program::new();
@@ -1466,10 +1450,9 @@ mod tests {
             (p, j)
         };
         let (mut p_flat, j_flat) = join_program();
-        let flat = make(false).place(&mut p_flat).unwrap();
+        let flat = workstation().place(&m, &mut p_flat);
         let (mut p_shard, j_shard) = join_program();
-        let m = make(true);
-        let plan = m.place(&mut p_shard).unwrap();
+        let plan = sharded_on("k").place(&m, &mut p_shard);
         assert_eq!(plan.scatter_width[&j_shard], 4, "join priced colocated");
         assert!(
             plan.node_seconds[&j_shard] < flat.node_seconds[&j_flat],
@@ -1479,13 +1462,8 @@ mod tests {
         );
         // Mismatched keys at these (large) stats shuffle: the join is
         // still priced at the full scatter width.
-        let mut mismatched = make(true);
-        mismatched.set_partition(
-            TableRef::new("db2", "big2"),
-            pspp_common::PartitionSpec::hash("other", 4),
-        );
         let (mut p_mis, j_mis) = join_program();
-        let plan_mis = mismatched.place(&mut p_mis).unwrap();
+        let plan_mis = sharded_on("other").place(&m, &mut p_mis);
         assert_eq!(plan_mis.scatter_width[&j_mis], 4);
         assert_eq!(plan_mis.exchanges.shuffles, 2);
         assert!(plan_mis.exchange_seconds > 0.0);
@@ -1521,30 +1499,26 @@ mod tests {
                     },
                 );
             }
-            let mut m = CostModel::new(AcceleratorFleet::workstation(), stats);
-            // Mismatched partition keys: never colocated, so the plan
-            // is gather or shuffle by cost alone.
-            m.set_partition(
-                TableRef::new("db1", "t1"),
-                pspp_common::PartitionSpec::hash("k", 4),
-            );
-            m.set_partition(
-                TableRef::new("db2", "t2"),
-                pspp_common::PartitionSpec::hash("other", 4),
-            );
-            m
+            CostModel::new(stats)
         };
+        // Mismatched partition keys: never colocated, so the plan is
+        // gather or shuffle by cost alone.
+        let layout = workstation().hash(TableRef::new("db1", "t1"), "k", 4).hash(
+            TableRef::new("db2", "t2"),
+            "other",
+            4,
+        );
         // Below the crossover (see pspp_ir::exchange_pays at width 4:
         // total rows must exceed ~1365): gather.
         let (mut p_small, j_small) = join_program();
-        let small = model_with_rows(400.0).place(&mut p_small).unwrap();
+        let small = layout.place(&model_with_rows(400.0), &mut p_small);
         assert_eq!(small.scatter_width[&j_small], 1, "small joins gather");
         assert_eq!(small.exchanges.shuffles, 0);
         assert_eq!(small.exchanges.gathers, 2);
 
         // Above the crossover: shuffle, priced per shard.
         let (mut p_big, j_big) = join_program();
-        let big = model_with_rows(100_000.0).place(&mut p_big).unwrap();
+        let big = layout.place(&model_with_rows(100_000.0), &mut p_big);
         assert_eq!(big.scatter_width[&j_big], 4, "big joins shuffle");
         assert_eq!(big.exchanges.shuffles, 2);
         assert_eq!(big.exchanges.gathers, 0);
@@ -1573,25 +1547,17 @@ mod tests {
             )
             .expect("cpu host")
         };
-        let make = |sharded: bool| {
-            let mut stats = HashMap::new();
-            for t in [t1.clone(), t2.clone()] {
-                stats.insert(
-                    t,
-                    TableStats {
-                        rows: 100_000.0,
-                        row_bytes: 64.0,
-                    },
-                );
-            }
-            let mut m = CostModel::new(fleet(), stats);
-            if sharded {
-                // Matching keys: the join plans colocated at width 4.
-                m.set_partition(t1.clone(), pspp_common::PartitionSpec::hash("k", 4));
-                m.set_partition(t2.clone(), pspp_common::PartitionSpec::hash("k", 4));
-            }
-            m
-        };
+        let mut stats = HashMap::new();
+        for t in [t1.clone(), t2.clone()] {
+            stats.insert(
+                t,
+                TableStats {
+                    rows: 100_000.0,
+                    row_bytes: 64.0,
+                },
+            );
+        }
+        let m = CostModel::new(stats);
         let join_program = || {
             let mut p = Program::new();
             let a = p.add_source(Operator::scan(t1.clone()), "sql");
@@ -1610,7 +1576,7 @@ mod tests {
 
         // Gathered: build + probe = 200k rows per task — offload pays.
         let (mut p_flat, j_flat) = join_program();
-        let flat = make(false).place(&mut p_flat).unwrap();
+        let flat = Layout::on(fleet()).place(&m, &mut p_flat);
         assert_eq!(flat.scatter_width[&j_flat], 1);
         assert_eq!(
             p_flat.node(j_flat).annotations.device,
@@ -1621,7 +1587,11 @@ mod tests {
         // Colocated 4 ways: 50k rows per task — under the break-even,
         // every replica stays on its host.
         let (mut p_shard, j_shard) = join_program();
-        let plan = make(true).place(&mut p_shard).unwrap();
+        // Matching keys: the join plans colocated at width 4.
+        let plan = Layout::on(fleet())
+            .hash(t1.clone(), "k", 4)
+            .hash(t2.clone(), "k", 4)
+            .place(&m, &mut p_shard);
         assert_eq!(plan.scatter_width[&j_shard], 4, "join planned colocated");
         assert_eq!(
             p_shard.node(j_shard).annotations.device,
@@ -1632,14 +1602,12 @@ mod tests {
         // The LogCA model itself brackets the crossover: profitable at
         // the gathered granularity, unprofitable per shard, with the
         // break-even granularity strictly between the two.
-        let m = make(false);
         let op = Operator::HashJoin {
             left_on: "k".into(),
             right_on: "k".into(),
         };
         let offload_model = |rows: f64| {
-            CostModel::offload_model_on(m.fleet(), &op, DeviceKind::Fpga, rows, rows * 64.0)
-                .unwrap()
+            CostModel::offload_model_on(&fleet(), &op, DeviceKind::Fpga, rows, rows * 64.0).unwrap()
         };
         let (whole, g_whole) = offload_model(200_000.0);
         assert!(whole.speedup(g_whole) > 1.0);
@@ -1682,12 +1650,16 @@ mod tests {
         }
         // Shards 1..3 have no attached devices; shard 0 keeps the
         // default (accelerated) fleet.
-        let overrides: BTreeMap<ShardId, AcceleratorFleet> = (1..4)
-            .map(|s| (ShardId(s), AcceleratorFleet::cpu_only()))
-            .collect();
-        let mut m = CostModel::new(accel_fleet, stats).with_shard_fleets(overrides);
-        m.set_partition(t1.clone(), pspp_common::PartitionSpec::hash("k", 4));
-        m.set_partition(t2.clone(), pspp_common::PartitionSpec::hash("k", 4));
+        let mut layout = Layout::on(accel_fleet)
+            .hash(t1.clone(), "k", 4)
+            .hash(t2.clone(), "k", 4);
+        for s in 1..4 {
+            layout
+                .fleets
+                .overrides
+                .insert(ShardId(s), AcceleratorFleet::cpu_only());
+        }
+        let m = CostModel::new(stats);
 
         let mut p = Program::new();
         let a = p.add_source(Operator::scan(t1), "sql");
@@ -1701,7 +1673,7 @@ mod tests {
             "sql",
         );
         p.mark_output(j);
-        let plan = m.place(&mut p).unwrap();
+        let plan = layout.place(&m, &mut p);
 
         assert_eq!(plan.scatter_width[&j], 4, "join planned colocated");
         // 200k rows per task is over the BITW FPGA's break-even, so
@@ -1745,21 +1717,16 @@ mod tests {
             );
         }
         let model = |exchange: bool| {
-            let mut m = CostModel::new(AcceleratorFleet::workstation(), stats.clone())
-                .with_options(PlanOptions {
-                    exchange,
-                    ..PlanOptions::default()
-                });
-            m.set_partition(
-                TableRef::new("db1", "t1"),
-                pspp_common::PartitionSpec::hash("k", 4),
-            );
-            m.set_partition(
-                TableRef::new("db2", "t2"),
-                pspp_common::PartitionSpec::hash("other", 4),
-            );
-            m
+            CostModel::new(stats.clone()).with_options(PlanOptions {
+                exchange,
+                ..PlanOptions::default()
+            })
         };
+        let layout = workstation().hash(TableRef::new("db1", "t1"), "k", 4).hash(
+            TableRef::new("db2", "t2"),
+            "other",
+            4,
+        );
         let program = || {
             let mut p = Program::new();
             let a = p.add_source(Operator::scan(TableRef::new("db1", "t1")), "sql");
@@ -1776,9 +1743,9 @@ mod tests {
             (p, j)
         };
         let (mut p_ex, j_ex) = program();
-        let with = model(true).place(&mut p_ex).unwrap();
+        let with = layout.place(&model(true), &mut p_ex);
         let (mut p_base, j_base) = program();
-        let without = model(false).place(&mut p_base).unwrap();
+        let without = layout.place(&model(false), &mut p_base);
         assert_eq!(without.scatter_width[&j_base], 1);
         assert_eq!(without.exchanges.shuffles, 0);
         assert!(
@@ -1847,20 +1814,21 @@ mod tests {
         };
 
         // Unfused baseline: each sort judged alone stays on the host.
-        let off = CostModel::new(slow_fleet(), stats.clone()).with_options(PlanOptions {
+        let slow = Layout::on(slow_fleet());
+        let off = CostModel::new(stats.clone()).with_options(PlanOptions {
             fusion: false,
             ..PlanOptions::default()
         });
         let (mut p_off, s1_off, s2_off) = two_sorts();
-        let plan_off = off.place(&mut p_off).unwrap();
+        let plan_off = slow.place(&off, &mut p_off);
         assert!(plan_off.fused_chains.is_empty());
         assert_eq!(p_off.node(s1_off).annotations.device, Some(DeviceKind::Cpu));
         assert_eq!(p_off.node(s2_off).annotations.device, Some(DeviceKind::Cpu));
 
         // Fused: the sort->sort chain clears the chain-level gate.
-        let on = CostModel::new(slow_fleet(), stats);
+        let on = CostModel::new(stats);
         let (mut p_on, s1_on, s2_on) = two_sorts();
-        let plan_on = on.place(&mut p_on).unwrap();
+        let plan_on = slow.place(&on, &mut p_on);
         let chain = plan_on
             .fused_chains
             .iter()
@@ -1913,7 +1881,7 @@ mod tests {
             "ml",
         );
         p.mark_output(train);
-        let plan = m.place(&mut p).unwrap();
+        let plan = workstation().place(&m, &mut p);
         assert_eq!(p.node(sort).annotations.device, Some(DeviceKind::Fpga));
         assert_eq!(p.node(train).annotations.device, Some(DeviceKind::Tpu));
         assert!(
@@ -1957,12 +1925,11 @@ mod tests {
             (p, t1, t2)
         };
 
-        let contended = CostModel::new(
-            AcceleratorFleet::workstation().with_capacity(DeviceKind::Tpu, 1),
-            stats.clone(),
-        );
+        let m = CostModel::new(stats);
+        let tpus =
+            |n| Layout::on(AcceleratorFleet::workstation().with_capacity(DeviceKind::Tpu, n));
         let (mut p1, t1, t2) = program();
-        let plan = contended.place(&mut p1).unwrap();
+        let plan = tpus(1).place(&m, &mut p1);
         // Training's device win is enormous, so the loser waits rather
         // than falling back to the host.
         assert_eq!(p1.node(t1).annotations.device, Some(DeviceKind::Tpu));
@@ -1977,20 +1944,15 @@ mod tests {
         );
 
         // Two physical TPUs: no queue, identical estimates.
-        let wide = CostModel::new(
-            AcceleratorFleet::workstation().with_capacity(DeviceKind::Tpu, 2),
-            stats.clone(),
-        );
         let (mut p2, w1, w2) = program();
-        let plan2 = wide.place(&mut p2).unwrap();
+        let plan2 = tpus(2).place(&m, &mut p2);
         assert_eq!(plan2.queue_wait_seconds, 0.0);
         assert!((plan2.node_seconds[&w1] - plan2.node_seconds[&w2]).abs() < 1e-12);
 
         // Undeclared capacity keeps the historical exclusive-access
         // pricing bit-exact.
-        let fiction = CostModel::new(AcceleratorFleet::workstation(), stats);
         let (mut p3, f1, f2) = program();
-        let plan3 = fiction.place(&mut p3).unwrap();
+        let plan3 = workstation().place(&m, &mut p3);
         assert_eq!(plan3.queue_wait_seconds, 0.0);
         assert_eq!(plan3.node_seconds[&f1], plan2.node_seconds[&w1]);
         assert_eq!(plan3.node_seconds[&f2], plan2.node_seconds[&w2]);
@@ -2017,17 +1979,15 @@ mod tests {
                 ascending: true,
             }],
         };
-        let m = CostModel::new(
-            AcceleratorFleet::workstation().with_capacity(DeviceKind::Fpga, 1),
-            stats,
-        );
+        let m = CostModel::new(stats);
         let mut p = Program::new();
         let s = p.add_source(Operator::scan(TableRef::new("db1", "big")), "sql");
         let s1 = p.add_node(sort("a"), vec![s], "sql");
         let s2 = p.add_node(sort("b"), vec![s], "sql");
         p.mark_output(s1);
         p.mark_output(s2);
-        let plan = m.place(&mut p).unwrap();
+        let plan = Layout::on(AcceleratorFleet::workstation().with_capacity(DeviceKind::Fpga, 1))
+            .place(&m, &mut p);
         assert_eq!(p.node(s1).annotations.device, Some(DeviceKind::Fpga));
         assert_eq!(
             p.node(s2).annotations.device,

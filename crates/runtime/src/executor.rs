@@ -54,7 +54,7 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use pspp_accel::{AcceleratorFleet, CostEvent, CostLedger, EventKind, SimDuration};
+use pspp_accel::{CostEvent, CostLedger, EventKind, SimDuration};
 use pspp_common::{DeviceKind, Distribution, Error, Result, Row, ShardId};
 use pspp_ir::{ExchangeKind, NodeId, Operator, PlanOptions, Program, ShardPlan, Stage};
 use pspp_migrate::{MigrationPath, Migrator};
@@ -249,7 +249,6 @@ impl NodeRun {
 /// The middleware executor.
 #[derive(Debug, Clone)]
 pub struct Executor {
-    fleet: AcceleratorFleet,
     ledger: CostLedger,
     placer: Placer,
     adapters: AdapterRegistry,
@@ -265,10 +264,12 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// An executor over a fleet, posting to `ledger`.
-    pub fn new(fleet: AcceleratorFleet, ledger: CostLedger) -> Self {
+    /// An executor posting to `ledger`. Devices come from the registry
+    /// a program executes against ([`EngineRegistry::fleets`]): each
+    /// task runs on its shard's fleet, exchange barriers and partial
+    /// merges bill the deployment-wide one.
+    pub fn new(ledger: CostLedger) -> Self {
         Executor {
-            fleet,
             ledger,
             placer: Placer::default(),
             adapters: AdapterRegistry::standard(),
@@ -360,16 +361,13 @@ impl Executor {
     /// operator cannot run.
     pub fn execute(&self, program: &Program, registry: &EngineRegistry) -> Result<ExecutionReport> {
         program.validate()?;
-        // Distribution is planned once, up front: the stage loop never
-        // re-derives scatter sets from the registry. With materialized
-        // repartitions on, the planner consults the registry's copy
-        // store so edges with a live layout plan as copy-served
-        // exchanges even where a fresh shuffle would not pay.
-        let copies = registry.repartitions();
-        let plan =
-            Placer::plan_distribution_copies(program, registry, registry, self.options, |k| {
-                copies.contains(k)
-            })?;
+        // Distribution is planned once, up front — by the pass the
+        // optimizer priced, over the same registry: the stage loop
+        // never re-derives scatter sets. With materialized repartitions
+        // on, the pass consults the registry's copy store so edges with
+        // a live layout plan as copy-served exchanges even where a
+        // fresh shuffle would not pay.
+        let plan = Placer::plan_distribution(program, registry, self.options)?;
         let stages = program.execution_stages()?;
         let mut results: HashMap<NodeId, Dataset> = HashMap::new();
         // Per-shard partials of nodes feeding colocated consumers, in
@@ -591,9 +589,9 @@ impl Executor {
 
     /// Resolves one task's input datasets from its plan's typed
     /// exchange edges: a task at scatter slot `slot` reads per-shard
-    /// partials through aligned [`ExchangeKind::Local`] edges and
-    /// [`ExchangeKind::MergePartials`] edges (partial aggregation), and
-    /// the gathered full copy through everything else
+    /// partials where [`ShardPlan::reads_partial`] says so (aligned
+    /// [`ExchangeKind::Local`] edges, [`ExchangeKind::MergePartials`]
+    /// edges), and the gathered full copy through everything else
     /// ([`ExchangeKind::Broadcast`] build sides,
     /// [`ExchangeKind::Gather`]ed and unsharded inputs).
     fn task_inputs(
@@ -604,33 +602,23 @@ impl Executor {
         partials: &HashMap<NodeId, Vec<Dataset>>,
         plan: &ShardPlan,
     ) -> Result<Vec<Dataset>> {
-        let info = plan.node(id);
         program
             .node(id)
             .inputs
             .iter()
             .enumerate()
-            .map(|(idx, i)| {
-                let reads_partial = match info.exchange(idx) {
-                    ExchangeKind::Local => {
-                        info.colocated && plan.node(*i).distribution.is_partitioned()
-                    }
-                    ExchangeKind::MergePartials => true,
-                    _ => false,
-                };
-                match slot {
-                    Some(k) if reads_partial => partials
-                        .get(i)
-                        .and_then(|p| p.get(k))
-                        .cloned()
-                        .ok_or_else(|| {
-                            Error::Execution(format!("missing shard partial {k} of {i} for {id}"))
-                        }),
-                    _ => results
-                        .get(i)
-                        .cloned()
-                        .ok_or_else(|| Error::Execution(format!("missing input for {id}"))),
-                }
+            .map(|(idx, i)| match slot {
+                Some(k) if plan.reads_partial(id, idx, *i) => partials
+                    .get(i)
+                    .and_then(|p| p.get(k))
+                    .cloned()
+                    .ok_or_else(|| {
+                        Error::Execution(format!("missing shard partial {k} of {i} for {id}"))
+                    }),
+                _ => results
+                    .get(i)
+                    .cloned()
+                    .ok_or_else(|| Error::Execution(format!("missing input for {id}"))),
             })
             .collect()
     }
@@ -733,8 +721,13 @@ impl Executor {
         // offload is enabled, the host otherwise. Row placement itself
         // always uses the stable FNV rule above, so the device choice
         // never moves a byte.
-        let (bill, seconds) =
-            price::shuffle_barrier(&self.fleet, self.offload, routed_rows, bytes, width);
+        let (bill, seconds) = price::shuffle_barrier(
+            &registry.fleets().default,
+            self.offload,
+            routed_rows,
+            bytes,
+            width,
+        );
         let device = if bill.serialize_device != DeviceKind::Cpu {
             bill.serialize_device
         } else {
@@ -898,7 +891,7 @@ impl Executor {
                     .ok_or_else(|| Error::Execution(format!("missing shuffle barrier for {id}")))?;
                 Self::splice_shuffle(id, group, &barrier)?
             } else if info.merges_partials() && !demoted.contains(&id) {
-                self.merge_partial_runs(program, id, group)?
+                Self::merge_partial_runs(program, id, group, registry)?
             } else {
                 Self::gather_runs(id, group)?
             };
@@ -1091,10 +1084,10 @@ impl Executor {
     /// into the final aggregate rows (see
     /// [`pspp_relstore::ops::merge_group_partials`]).
     fn merge_partial_runs(
-        &self,
         program: &Program,
         id: NodeId,
         group: Vec<NodeRun>,
+        registry: &EngineRegistry,
     ) -> Result<NodeRun> {
         let Operator::GroupBy { keys, aggs } = &program.node(id).op else {
             return Err(Error::Execution(format!(
@@ -1125,7 +1118,7 @@ impl Executor {
         run.output = Dataset::rows(schema, rows, run.output.model, run.output.location.clone());
         // The merge splices partial states on the host: charge it like
         // an exchange barrier on the critical path.
-        let seconds = price::splice(&self.fleet, width, run.output.len() as f64);
+        let seconds = price::splice(&registry.fleets().default, width, run.output.len() as f64);
         run.migration_seconds += seconds;
         run.critical_seconds += seconds;
         run.events.push(CostEvent {
@@ -1186,7 +1179,7 @@ impl Executor {
         // pick — never re-derived here — falling back to the node-wide
         // annotation for unsharded plans, and to the host when this
         // shard's fleet has no such device attached.
-        let fleet = registry.fleet_at(shard).unwrap_or(&self.fleet);
+        let fleet = registry.fleets().at(shard);
         let planned = node
             .annotations
             .shard_devices
@@ -1359,11 +1352,12 @@ mod tests {
             .unwrap();
         r.register(EngineId::new("db2"), EngineInstance::Relational(db2))
             .unwrap();
+        r.set_default_fleet(pspp_accel::AcceleratorFleet::workstation());
         r
     }
 
     fn exec() -> Executor {
-        Executor::new(AcceleratorFleet::workstation(), CostLedger::new())
+        Executor::new(CostLedger::new())
     }
 
     fn no_exchange() -> PlanOptions {
@@ -1822,7 +1816,7 @@ mod tests {
         let (p, j) = pid_join_program();
         for shards in [2u32, 4] {
             let sharded = mismatched_registry(shards);
-            let plan = Placer::plan_distribution(&p, &sharded, &sharded).unwrap();
+            let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
             assert!(!plan.node(j).colocated);
             assert!(plan.node(j).shuffles(), "mismatched keys must shuffle");
             assert_eq!(plan.node(j).scatter_width(), shards as usize);
@@ -1846,9 +1840,7 @@ mod tests {
                 gathered.node_seconds[&j]
             );
             // The gathered-baseline plan really gathers.
-            let base_plan =
-                Placer::plan_distribution_copies(&p, &sharded, &sharded, no_exchange(), |_| false)
-                    .unwrap();
+            let base_plan = Placer::plan_distribution(&p, &sharded, no_exchange()).unwrap();
             assert!(!base_plan.node(j).shuffles());
             assert_eq!(base_plan.node(j).gathered_input_count(), 2);
 
@@ -1898,11 +1890,7 @@ mod tests {
         );
 
         // The second plan consults the copies and serves both edges.
-        let copies = sharded.repartitions();
-        let plan = Placer::plan_distribution_copies(&p, &sharded, &sharded, materializing(), |k| {
-            copies.contains(k)
-        })
-        .unwrap();
+        let plan = Placer::plan_distribution(&p, &sharded, materializing()).unwrap();
         assert!(plan.node(j).is_copy_served(0) && plan.node(j).is_copy_served(1));
         let counts = plan.exchange_counts();
         assert_eq!((counts.materialized, counts.shuffles), (2, 0));
@@ -2002,7 +1990,7 @@ mod tests {
             "sql",
         );
         p.mark_output(g);
-        let plan = Placer::plan_distribution(&p, &sharded, &sharded).unwrap();
+        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
         assert!(
             plan.node(g).colocated,
             "group keys contain the partition key"
@@ -2078,7 +2066,7 @@ mod tests {
             "sql",
         );
         p.mark_output(g);
-        let plan = Placer::plan_distribution(&p, &sharded, &sharded).unwrap();
+        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
         assert!(plan.node(g).merges_partials());
         assert_eq!(plan.node(g).scatter_width(), 4);
         let merged = exec().execute(&p, &sharded).unwrap();
@@ -2127,7 +2115,7 @@ mod tests {
         p.mark_output(g);
         // The plan still chooses merge-partials (no type info at plan
         // time)…
-        let plan = Placer::plan_distribution(&p, &sharded, &sharded).unwrap();
+        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
         assert!(plan.node(g).merges_partials());
         // …but execution demotes, and bytes match the gathered plan
         // and the flat deployment exactly.
@@ -2164,7 +2152,7 @@ mod tests {
             )
             .unwrap();
         let (p, j) = pid_join_program();
-        let plan = Placer::plan_distribution(&p, &sharded, &sharded).unwrap();
+        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
         assert!(plan.node(j).colocated, "broadcast join must colocate");
         assert_eq!(plan.node(j).scatter.len(), 4);
 
@@ -2220,7 +2208,7 @@ mod tests {
             "sql",
         );
         p.mark_output(j);
-        let plan = Placer::plan_distribution(&p, &sharded, &sharded).unwrap();
+        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
         assert!(plan.node(f).colocated, "filter rides the shard layout");
         assert!(plan.node(j).colocated);
         let report = exec().execute(&p, &sharded).unwrap();
@@ -2314,7 +2302,7 @@ mod tests {
         }
     }
 
-    fn execution_error(result: Result<NodeRun>) -> String {
+    fn execution_error<T: std::fmt::Debug>(result: Result<T>) -> String {
         match result {
             Err(Error::Execution(msg)) => msg,
             other => panic!("expected an execution error, got {other:?}"),
@@ -2338,8 +2326,26 @@ mod tests {
             vec![s],
             "sql",
         );
-        let msg = execution_error(exec().merge_partial_runs(&p, g, Vec::new()));
+        let msg = execution_error(Executor::merge_partial_runs(&p, g, Vec::new(), &registry()));
         assert!(msg.contains(&g.to_string()), "got {msg}");
+    }
+
+    #[test]
+    fn a_task_whose_input_never_ran_is_a_typed_error() {
+        let mut p = Program::new();
+        let s = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
+        let lim = p.add_node(Operator::Limit { n: 5 }, vec![s], "sql");
+        let plan = Placer::plan_distribution(&p, &registry(), PlanOptions::default()).unwrap();
+        // No results at all: the limit's input is unknown.
+        let msg = execution_error(Executor::task_inputs(
+            &p,
+            lim,
+            None,
+            &HashMap::new(),
+            &HashMap::new(),
+            &plan,
+        ));
+        assert!(msg.contains(&lim.to_string()), "got {msg}");
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! The placer: *where* each node executes, and what it costs to stage
 //! the node's inputs there.
 
-use std::collections::HashMap;
-
 use pspp_accel::CostLedger;
-use pspp_common::{Batch, EngineId, Error, PartitionLookup, PartitionSpec, Result, ShardId};
-use pspp_ir::{NodeId, PlanOptions, Program, ProgramNode, ShardPlan};
+use pspp_common::{Batch, EngineId, Error, PartitionSpec, Result, ShardId};
+use pspp_ir::{PlanOptions, Program, ProgramNode, ShardPlan};
 use pspp_migrate::{MigrationPath, Migrator};
 use pspp_telemetry::MetricsRegistry;
 
@@ -79,22 +77,8 @@ impl Placer {
         }
     }
 
-    /// The engine `node` executes on: its annotation, its source table's
-    /// engine, or the engine already holding its first input.
-    pub fn target_engine(
-        &self,
-        node: &ProgramNode,
-        results: &HashMap<NodeId, Dataset>,
-    ) -> Option<EngineId> {
-        match node.inputs.first().and_then(|i| results.get(i)) {
-            Some(d) => Self::target_engine_of(node, std::slice::from_ref(d)),
-            None => Self::target_engine_of(node, &[]),
-        }
-    }
-
-    /// [`Placer::target_engine`] over already-resolved input datasets —
-    /// the form the executor uses, where a colocated task's inputs are
-    /// per-shard partials rather than entries in the results map.
+    /// The engine `node` executes on, given its already-resolved input
+    /// datasets (a colocated task's inputs are per-shard partials).
     /// Priority: optimizer annotation, then the source table's engine,
     /// then data gravity (the engine already holding the first input,
     /// so cross-engine joins pay migration at every optimization
@@ -109,14 +93,26 @@ impl Placer {
         inputs.first().map(|d| d.location.clone())
     }
 
-    /// The planning-time distribution pass: annotates every node of
-    /// `program` with its output distribution and scatter set (see
-    /// [`ShardPlan::plan`] for the propagation lattice), validating
-    /// partitioned source tables against the deployed `registry`.
-    /// `catalog` supplies planning-time partition declarations (the
-    /// frontend `Catalog` implements [`PartitionLookup`]); the
-    /// registry's own specs — the runtime truth after any `reshard` —
-    /// take precedence.
+    /// The distribution pass — the one entry point the optimizer's
+    /// pricing (`Polystore::optimize_at`) and the executor both call,
+    /// over the same `registry`: annotates every node of `program` with
+    /// its output distribution, scatter set and exchange edges (see
+    /// [`ShardPlan::plan`] for the propagation lattice) from the
+    /// registry's partition specs, validating each partitioned source
+    /// table against the deployed replicas. `PlanOptions::gathered()`
+    /// reverts every non-source node to a gather (the PR-3 baseline E18
+    /// compares against), `exchange: false` alone only the
+    /// shuffle/merge-partials exchanges (E19's baseline); with
+    /// `options.materialize` on, a `ShuffleHash` edge whose
+    /// [`pspp_ir::shuffle_copy_key`] has a live layout in the registry's
+    /// copy store plans as a copy-served exchange (see
+    /// [`ShardPlan::plan_with_copies`]).
+    ///
+    /// The scatter decision follows a table's *physical* home — source
+    /// reads always hit `table.engine`'s replicas, so an optimizer
+    /// annotation diverting the node elsewhere changes cost attribution
+    /// and output routing, never the scatter width (reading one replica
+    /// of a distributed table would silently drop rows).
     ///
     /// # Errors
     ///
@@ -126,86 +122,28 @@ impl Placer {
     /// [`Error::EmptyShardSet`] for zero-shard specs.
     pub fn plan_distribution(
         program: &Program,
-        catalog: &dyn PartitionLookup,
-        registry: &EngineRegistry,
-    ) -> Result<ShardPlan> {
-        Self::plan_distribution_copies(program, catalog, registry, PlanOptions::default(), |_| {
-            false
-        })
-    }
-
-    /// [`Placer::plan_distribution`] with the plan switches explicit —
-    /// `PlanOptions::gathered()` reverts every non-source node to a
-    /// gather (the PR-3 baseline E18 compares against), `exchange:
-    /// false` alone only the shuffle/merge-partials exchanges (E19's
-    /// baseline) — and, when `options.materialize` is on, consulting
-    /// `copy_of` for materialized repartitions: a `ShuffleHash` edge
-    /// whose [`pspp_ir::shuffle_copy_key`] the predicate accepts plans
-    /// as a copy-served exchange (see [`ShardPlan::plan_with_copies`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Placer::plan_distribution`].
-    pub fn plan_distribution_copies(
-        program: &Program,
-        catalog: &dyn PartitionLookup,
         registry: &EngineRegistry,
         options: PlanOptions,
-        copy_of: impl Fn(&pspp_common::CopyKey) -> bool,
     ) -> Result<ShardPlan> {
-        let spec_of = |t: &pspp_common::TableRef| {
-            registry
-                .partition(t)
-                .or_else(|| catalog.partition_spec(t))
-                .cloned()
-        };
         // Deployment validation per partitioned source: the table must
         // still exist on a relational engine with enough replicas.
         for node in program.nodes() {
             let Some(table) = node.op.source_table() else {
                 continue;
             };
-            let Some(spec) = spec_of(table) else {
+            let Some(spec) = registry.partition(table) else {
                 continue;
             };
             registry.relational(&table.engine)?.table(&table.name)?;
-            Self::scatter_for(&spec, registry.shard_count(&table.engine))?;
+            Self::scatter_for(spec, registry.shard_count(&table.engine))?;
         }
-        ShardPlan::plan_with_copies(program, spec_of, copy_of, options)
-    }
-
-    /// The shard replicas `node` must visit: the partition spec's
-    /// scatter set for a partitioned source table, otherwise
-    /// `[ShardId::ZERO]` (unsharded work). The scatter decision follows
-    /// the table's *physical* home — source reads always hit
-    /// `table.engine`'s replicas, so an optimizer annotation diverting
-    /// the node elsewhere changes cost attribution and output routing,
-    /// never the scatter width (reading one replica of a distributed
-    /// table would silently drop rows). Filters fan out with their
-    /// scan via L1 predicate pushdown — a pushed-down predicate rides
-    /// inside the sharded `Scan`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TableNotFound`] when the partitioned table no
-    /// longer exists on its engine, [`Error::Invalid`] when the table's
-    /// engine is not relational (kind mismatch) or under-replicated,
-    /// and [`Error::EmptyShardSet`] when the spec yields zero shards.
-    pub fn scatter_shards(
-        &self,
-        node: &ProgramNode,
-        registry: &EngineRegistry,
-    ) -> Result<Vec<ShardId>> {
-        let Some(table) = node.op.source_table() else {
-            return Ok(vec![ShardId::ZERO]);
-        };
-        let Some(spec) = registry.partition(table) else {
-            return Ok(vec![ShardId::ZERO]);
-        };
-        // Partitioned tables must resolve on a relational engine and
-        // still exist there (typed kind-mismatch / unknown-table paths).
-        registry.relational(&table.engine)?.table(&table.name)?;
-        Self::scatter_for(spec, registry.shard_count(&table.engine))
+        let copies = registry.repartitions();
+        ShardPlan::plan_with_copies(
+            program,
+            |t| registry.partition(t).cloned(),
+            |k| copies.contains(k),
+            options,
+        )
     }
 
     /// The scatter set of `spec` against an engine deployed with
@@ -241,37 +179,11 @@ impl Placer {
         Ok(shards)
     }
 
-    /// Gathers `node`'s inputs from `results`, migrating every input
-    /// located on a different engine than `target` (exactly one
-    /// migrator invocation per foreign input).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Execution`] when an input is missing and
-    /// [`Error::Migration`] when the migrator fails.
-    pub fn stage_inputs(
-        &self,
-        node: &ProgramNode,
-        target: Option<&EngineId>,
-        results: &HashMap<NodeId, Dataset>,
-        registry: &EngineRegistry,
-    ) -> Result<(Vec<Dataset>, MigrationBill)> {
-        let inputs = node
-            .inputs
-            .iter()
-            .map(|i| {
-                results
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| Error::Execution(format!("missing input for {}", node.id)))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        self.stage_datasets(inputs, target, registry)
-    }
-
-    /// [`Placer::stage_inputs`] over already-resolved datasets: the
-    /// executor passes per-shard partials here for colocated tasks, so
-    /// each shard's foreign partial pays exactly one migrator trip.
+    /// Stages a task's resolved input datasets at `target`, migrating
+    /// every input located on a different engine (exactly one migrator
+    /// invocation per foreign input). The executor passes per-shard
+    /// partials here for colocated tasks, so each shard's foreign
+    /// partial pays exactly one migrator trip.
     ///
     /// # Errors
     ///
@@ -385,18 +297,15 @@ mod tests {
         let registry = two_engine_registry();
         let ledger = CostLedger::new();
         let placer = Placer::default().scoped(ledger.clone());
-
-        let mut results = HashMap::new();
-        results.insert(p.node(j).inputs[0], dataset_at("db1", 50));
-        results.insert(p.node(j).inputs[1], dataset_at("db2", 50));
+        let inputs = vec![dataset_at("db1", 50), dataset_at("db2", 50)];
 
         // Annotated target db1: only the db2 input is foreign.
         let mut node = p.node(j).clone();
         node.annotations.engine = Some(EngineId::new("db1"));
-        let target = placer.target_engine(&node, &results);
+        let target = Placer::target_engine_of(&node, &inputs);
         assert_eq!(target, Some(EngineId::new("db1")));
         let (inputs, bill) = placer
-            .stage_inputs(&node, target.as_ref(), &results, &registry)
+            .stage_datasets(inputs, target.as_ref(), &registry)
             .unwrap();
         assert_eq!(bill.migrated_inputs, 1, "exactly one foreign input");
         assert!(bill.seconds > 0.0);
@@ -414,18 +323,14 @@ mod tests {
         let (p, j) = join_program();
         let registry = two_engine_registry();
         let placer = Placer::default().scoped(CostLedger::new());
-
-        let mut results = HashMap::new();
-        results.insert(p.node(j).inputs[0], dataset_at("db1", 50));
-        results.insert(p.node(j).inputs[1], dataset_at("db2", 50));
+        let inputs = vec![dataset_at("db1", 50), dataset_at("db2", 50)];
 
         // No annotation: data gravity pulls the join to the first
         // input's engine, so the second input pays exactly one trip.
-        let node = p.node(j);
-        let target = placer.target_engine(node, &results);
+        let target = Placer::target_engine_of(p.node(j), &inputs);
         assert_eq!(target, Some(EngineId::new("db1")));
         let (_, bill) = placer
-            .stage_inputs(node, target.as_ref(), &results, &registry)
+            .stage_datasets(inputs, target.as_ref(), &registry)
             .unwrap();
         assert_eq!(bill.migrated_inputs, 1);
     }
@@ -436,30 +341,14 @@ mod tests {
         let registry = two_engine_registry();
         let ledger = CostLedger::new();
         let placer = Placer::default().scoped(ledger.clone());
+        let inputs = vec![dataset_at("db1", 50), dataset_at("db1", 50)];
 
-        let mut results = HashMap::new();
-        results.insert(p.node(j).inputs[0], dataset_at("db1", 50));
-        results.insert(p.node(j).inputs[1], dataset_at("db1", 50));
-
-        let node = p.node(j);
-        let target = placer.target_engine(node, &results);
+        let target = Placer::target_engine_of(p.node(j), &inputs);
         let (_, bill) = placer
-            .stage_inputs(node, target.as_ref(), &results, &registry)
+            .stage_datasets(inputs, target.as_ref(), &registry)
             .unwrap();
         assert_eq!(bill, MigrationBill::default());
         assert!(ledger.is_empty());
-    }
-
-    #[test]
-    fn stage_inputs_missing_input_is_typed_not_a_panic() {
-        let (p, j) = join_program();
-        let registry = two_engine_registry();
-        let placer = Placer::default();
-        // No results at all: the join's inputs are unknown.
-        let err = placer
-            .stage_inputs(p.node(j), None, &HashMap::new(), &registry)
-            .unwrap_err();
-        assert!(matches!(err, Error::Execution(_)), "got {err:?}");
     }
 
     #[test]
@@ -471,29 +360,25 @@ mod tests {
                 pspp_common::PartitionSpec::hash("k", 2),
             )
             .unwrap();
-        let placer = Placer::default();
         let mut p = Program::new();
         let s = p.add_source(Operator::scan(TableRef::new("db1", "t")), "sql");
-        assert_eq!(
-            placer.scatter_shards(p.node(s), &registry).unwrap(),
-            vec![pspp_common::ShardId(0), pspp_common::ShardId(1)]
-        );
         // Unpartitioned table: single-shard plan.
         let s2 = p.add_source(Operator::scan(TableRef::new("db2", "t")), "sql");
-        assert_eq!(
-            placer.scatter_shards(p.node(s2), &registry).unwrap(),
-            vec![pspp_common::ShardId::ZERO]
-        );
+        let scatter = |p: &Program, id| {
+            Placer::plan_distribution(p, &registry, PlanOptions::default())
+                .unwrap()
+                .node(id)
+                .scatter
+                .clone()
+        };
+        assert_eq!(scatter(&p, s), vec![ShardId(0), ShardId(1)]);
+        assert_eq!(scatter(&p, s2), vec![ShardId::ZERO]);
         // An annotation diverting the node elsewhere must NOT narrow
         // the scatter: the read still hits every replica of the
         // table's physical home (one replica holds a fraction of the
         // rows).
-        let mut diverted = p.node(s).clone();
-        diverted.annotations.engine = Some(EngineId::new("db2"));
-        assert_eq!(
-            placer.scatter_shards(&diverted, &registry).unwrap(),
-            vec![pspp_common::ShardId(0), pspp_common::ShardId(1)]
-        );
+        p.node_mut(s).annotations.engine = Some(EngineId::new("db2"));
+        assert_eq!(scatter(&p, s), vec![ShardId(0), ShardId(1)]);
     }
 
     #[test]
@@ -506,10 +391,8 @@ mod tests {
             )
             .unwrap();
         let mut p = Program::new();
-        let s = p.add_source(Operator::scan(TableRef::new("db1", "ghost")), "sql");
-        let err = Placer::default()
-            .scatter_shards(p.node(s), &registry)
-            .unwrap_err();
+        p.add_source(Operator::scan(TableRef::new("db1", "ghost")), "sql");
+        let err = Placer::plan_distribution(&p, &registry, PlanOptions::default()).unwrap_err();
         assert!(matches!(err, Error::TableNotFound(_)), "got {err:?}");
     }
 
@@ -529,10 +412,8 @@ mod tests {
             )
             .unwrap();
         let mut p = Program::new();
-        let s = p.add_source(Operator::scan(TableRef::new("kv", "t")), "sql");
-        let err = Placer::default()
-            .scatter_shards(p.node(s), &registry)
-            .unwrap_err();
+        p.add_source(Operator::scan(TableRef::new("kv", "t")), "sql");
+        let err = Placer::plan_distribution(&p, &registry, PlanOptions::default()).unwrap_err();
         assert!(matches!(err, Error::Invalid(_)), "got {err:?}");
     }
 
@@ -571,7 +452,7 @@ mod tests {
         let mut p = Program::new();
         let s = p.add_source(Operator::scan(TableRef::new("db1", "t")), "sql");
         p.mark_output(s);
-        let plan = Placer::plan_distribution(&p, &registry, &registry).unwrap();
+        let plan = Placer::plan_distribution(&p, &registry, PlanOptions::default()).unwrap();
         assert_eq!(plan.node(s).scatter_width(), 2);
         assert!(plan.node(s).distribution.is_partitioned());
 
@@ -585,7 +466,7 @@ mod tests {
         let mut p2 = Program::new();
         let g = p2.add_source(Operator::scan(TableRef::new("db1", "ghost")), "sql");
         p2.mark_output(g);
-        let err = Placer::plan_distribution(&p2, &registry, &registry).unwrap_err();
+        let err = Placer::plan_distribution(&p2, &registry, PlanOptions::default()).unwrap_err();
         assert!(matches!(err, Error::TableNotFound(_)), "got {err:?}");
     }
 
@@ -595,13 +476,13 @@ mod tests {
         let s = p.add_source(Operator::scan(TableRef::new("db1", "t")), "sql");
         let mut node = p.node(s).clone();
         assert_eq!(
-            Placer::default().target_engine(&node, &HashMap::new()),
+            Placer::target_engine_of(&node, &[]),
             Some(EngineId::new("db1")),
             "source table engine wins without an annotation"
         );
         node.annotations.engine = Some(EngineId::new("db2"));
         assert_eq!(
-            Placer::default().target_engine(&node, &HashMap::new()),
+            Placer::target_engine_of(&node, &[]),
             Some(EngineId::new("db2")),
             "optimizer annotation wins"
         );

@@ -13,11 +13,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pspp_accel::AcceleratorFleet;
+use pspp_accel::{AcceleratorFleet, ShardFleets};
 use pspp_arraystore::ArrayStore;
 use pspp_common::{
-    EngineId, EngineKind, Error, MaterializedRepartitions, PartitionLookup, PartitionSpec, Result,
-    Row, ShardId, TableRef,
+    EngineId, EngineKind, Error, MaterializedRepartitions, PartitionSpec, Result, Row, ShardId,
+    TableRef,
 };
 use pspp_graphstore::GraphStore;
 use pspp_kvstore::KvStore;
@@ -98,19 +98,18 @@ impl RebalanceReport {
     }
 }
 
-/// All engines of a deployment: shard replicas keyed by engine id,
-/// plus the partition specs routing tables to shards.
+/// All engines of a deployment: shard replicas keyed by engine id —
+/// and the deployment's layout, held here and nowhere else: the
+/// partition specs routing tables to shards, the device fleets and the
+/// materialized-repartition store. The planner and the executor both
+/// read it through [`crate::physical::Placer::plan_distribution`] and
+/// [`ShardedRegistry::fleets`], so a layout change is one write.
 #[derive(Debug, Clone)]
 pub struct ShardedRegistry {
     engines: BTreeMap<EngineId, Vec<EngineInstance>>,
     partitions: BTreeMap<TableRef, PartitionSpec>,
-    /// The device fleet every shard gets unless overridden — `None`
-    /// for pre-accelerator deployments, where the executor falls back
-    /// to its own global fleet.
-    default_fleet: Option<AcceleratorFleet>,
-    /// Per-shard fleet overrides for heterogeneous clusters (a GPU at
-    /// shard 0 only, a bare host at shard 3, ...).
-    shard_fleets: BTreeMap<ShardId, AcceleratorFleet>,
+    /// The deployment's device fleets: CPU-only until configured.
+    fleets: ShardFleets,
     /// Metrics sink for reshard instrumentation (`None` runs
     /// unobserved).
     metrics: Option<pspp_telemetry::MetricsRegistry>,
@@ -132,8 +131,7 @@ impl Default for ShardedRegistry {
         ShardedRegistry {
             engines: BTreeMap::new(),
             partitions: BTreeMap::new(),
-            default_fleet: None,
-            shard_fleets: BTreeMap::new(),
+            fleets: ShardFleets::default(),
             metrics: None,
             repartitions: MaterializedRepartitions::new(Arc::clone(&epoch)),
             epoch,
@@ -328,33 +326,23 @@ impl ShardedRegistry {
     /// Sets the fleet every shard runs unless overridden by
     /// [`ShardedRegistry::set_fleet_at`].
     pub fn set_default_fleet(&mut self, fleet: AcceleratorFleet) {
-        self.default_fleet = Some(fleet);
+        self.fleets.default = fleet;
         self.bump_epoch();
     }
 
     /// Attaches a shard-specific device fleet — heterogeneous
-    /// deployments give each shard replica its own accelerators, and
-    /// the executor resolves every task's device against the fleet of
-    /// the shard it runs at.
+    /// deployments give each shard replica its own accelerators.
     pub fn set_fleet_at(&mut self, shard: ShardId, fleet: AcceleratorFleet) {
-        self.shard_fleets.insert(shard, fleet);
+        self.fleets.overrides.insert(shard, fleet);
         self.bump_epoch();
     }
 
-    /// The device fleet serving `shard`: its override when one was
-    /// attached, the deployment default otherwise, `None` when neither
-    /// was configured (the executor then uses its own global fleet).
-    pub fn fleet_at(&self, shard: ShardId) -> Option<&AcceleratorFleet> {
-        self.shard_fleets
-            .get(&shard)
-            .or(self.default_fleet.as_ref())
-    }
-
-    /// The per-shard fleet overrides, in shard order — the map
-    /// `PolystoreBuilder` mirrors into the cost model so planned and
-    /// executed device picks come from the same fleets.
-    pub fn shard_fleet_overrides(&self) -> impl Iterator<Item = (&ShardId, &AcceleratorFleet)> {
-        self.shard_fleets.iter()
+    /// The deployment's device fleets. Placement prices each shard
+    /// replica against `fleets().at(shard)` and the executor resolves
+    /// every task's device against the same value, so planned and
+    /// executed device picks agree.
+    pub fn fleets(&self) -> &ShardFleets {
+        &self.fleets
     }
 
     /// The partition spec routing `table`, when it is partitioned.
@@ -683,12 +671,6 @@ impl ShardedRegistry {
     /// `metrics`.
     pub fn set_metrics(&mut self, metrics: pspp_telemetry::MetricsRegistry) {
         self.metrics = Some(metrics);
-    }
-}
-
-impl PartitionLookup for ShardedRegistry {
-    fn partition_spec(&self, table: &TableRef) -> Option<&PartitionSpec> {
-        self.partition(table)
     }
 }
 
@@ -1040,18 +1022,21 @@ mod tests {
     #[test]
     fn fleet_resolution_prefers_shard_override_then_default() {
         let mut r = ShardedRegistry::new();
-        assert!(r.fleet_at(ShardId(0)).is_none(), "unconfigured registry");
+        assert_eq!(
+            r.fleets().at(ShardId(0)),
+            &AcceleratorFleet::cpu_only(),
+            "an unconfigured registry is CPU-only"
+        );
         r.set_default_fleet(AcceleratorFleet::workstation());
         r.set_fleet_at(ShardId(1), AcceleratorFleet::cpu_only());
         assert!(
-            !r.fleet_at(ShardId(0)).unwrap().devices().is_empty(),
+            !r.fleets().at(ShardId(0)).devices().is_empty(),
             "shard 0 inherits the accelerated default"
         );
         assert!(
-            r.fleet_at(ShardId(1)).unwrap().devices().is_empty(),
+            r.fleets().at(ShardId(1)).devices().is_empty(),
             "shard 1 runs its bare override"
         );
-        assert_eq!(r.shard_fleet_overrides().count(), 1);
     }
 
     #[test]

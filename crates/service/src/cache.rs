@@ -25,10 +25,21 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pspp_common::partition::{fnv1a, FNV_OFFSET};
-use pspp_core::RunReport;
+use pspp_common::Result;
+use pspp_core::{Polystore, RunReport};
 use pspp_ir::Program;
 use pspp_optimizer::{OptLevel, PlacementPlan, RewriteReport};
 use pspp_telemetry::{Counter, Gauge, MetricsRegistry};
+
+use crate::service::Query;
+
+/// Simulated planning-cost model (§IV-A/§IV-B: the frontend and
+/// optimizer are middleware work the plan cache exists to avoid).
+/// Charged once per cache miss: a fixed parse/setup cost, a per-byte
+/// lexing cost and a per-IR-node rewrite/placement cost.
+const PLAN_BASE_SECONDS: f64 = 200e-6;
+const PLAN_PER_BYTE_SECONDS: f64 = 1.5e-6;
+const PLAN_PER_NODE_SECONDS: f64 = 80e-6;
 
 /// Which frontend produced the cached program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -91,6 +102,33 @@ pub struct CachedPlan {
     /// Simulated seconds the frontend + optimizer cost (charged to a
     /// query only on a cache miss).
     pub plan_seconds: f64,
+}
+
+impl CachedPlan {
+    /// Plans `query` on `system` for `key` — compile, optimize at the
+    /// key's level, bill the planning-cost model — the one plan build
+    /// behind every cache and memo miss in the service tier.
+    ///
+    /// # Errors
+    ///
+    /// Propagates compilation and optimization errors.
+    pub fn build(system: &Polystore, query: &Query, key: &PlanKey) -> Result<CachedPlan> {
+        let mut program = match query {
+            Query::Sql(text) => system.compile_sql(text)?,
+            Query::Nlq(text) => system.compile_nlq(text)?,
+            Query::Hetero(hetero) => system.compile(hetero)?,
+        };
+        let (rewrites, placement) = system.optimize_at(&mut program, key.opt_level)?;
+        let plan_seconds = PLAN_BASE_SECONDS
+            + PLAN_PER_BYTE_SECONDS * key.text.len() as f64
+            + PLAN_PER_NODE_SECONDS * program.nodes().len() as f64;
+        Ok(CachedPlan {
+            program,
+            rewrites,
+            placement,
+            plan_seconds,
+        })
+    }
 }
 
 /// Counters describing cache effectiveness.

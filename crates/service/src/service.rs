@@ -29,13 +29,6 @@ use crate::cache::{
 };
 use crate::stats::{ServiceReport, SessionReport};
 
-/// Simulated planning-cost model (§IV-A/§IV-B: the frontend and
-/// optimizer are middleware work the plan cache exists to avoid).
-/// Charged once per cache miss: a fixed parse/setup cost, a per-byte
-/// lexing cost and a per-IR-node rewrite/placement cost.
-pub(crate) const PLAN_BASE_SECONDS: f64 = 200e-6;
-pub(crate) const PLAN_PER_BYTE_SECONDS: f64 = 1.5e-6;
-pub(crate) const PLAN_PER_NODE_SECONDS: f64 = 80e-6;
 /// Simulated cost of a cache hit: one hash lookup.
 pub(crate) const CACHE_HIT_SECONDS: f64 = 2e-6;
 /// Simulated cost of a result-cache hit: one hash lookup plus cloning
@@ -239,21 +232,7 @@ impl ServiceInner {
         match self.cache.get(&key) {
             Some(plan) => Ok((plan, key, true)),
             None => {
-                let mut program = match query {
-                    Query::Sql(text) => self.system.compile_sql(text)?,
-                    Query::Nlq(text) => self.system.compile_nlq(text)?,
-                    Query::Hetero(hetero) => self.system.compile(hetero)?,
-                };
-                let (rewrites, placement) = self.system.optimize_at(&mut program, level)?;
-                let plan_seconds = PLAN_BASE_SECONDS
-                    + PLAN_PER_BYTE_SECONDS * key.text.len() as f64
-                    + PLAN_PER_NODE_SECONDS * program.nodes().len() as f64;
-                let plan = Arc::new(CachedPlan {
-                    program,
-                    rewrites,
-                    placement,
-                    plan_seconds,
-                });
+                let plan = Arc::new(CachedPlan::build(&self.system, query, &key)?);
                 self.cache.insert(key.clone(), Arc::clone(&plan));
                 Ok((plan, key, false))
             }
@@ -314,17 +293,12 @@ impl ServiceInner {
             }
         }
 
-        let run_ledger = CostLedger::new();
-        let execution = self
-            .system
-            .execute_at(&plan.program, level, run_ledger.clone())?;
-        let costs = run_ledger.total();
-        let report = RunReport {
-            execution,
-            rewrites: plan.rewrites.clone(),
-            placement: plan.placement.clone(),
-            costs,
-        };
+        let (report, _) = self.system.run_optimized(
+            &plan.program,
+            level,
+            plan.rewrites.clone(),
+            plan.placement.clone(),
+        )?;
         if let Some(results) = &self.results {
             let digest = pspp_common::partition::fnv1a(
                 format!("{:?}", report.execution.outputs).as_bytes(),

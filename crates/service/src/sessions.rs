@@ -46,10 +46,9 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use pspp_accel::CostLedger;
 use pspp_common::partition::{fnv1a, FNV_OFFSET};
 use pspp_common::{Error, PartitionSpec, Result, TableRef};
-use pspp_core::{Polystore, RunReport};
+use pspp_core::Polystore;
 use pspp_optimizer::OptLevel;
 use pspp_runtime::{ExecutionReport, Payload, RebalanceReport};
 
@@ -57,10 +56,7 @@ use crate::cache::{
     CacheStats, CachedPlan, CachedResult, PlanCache, PlanKey, ResultCache, ResultCacheStats,
     ResultKey,
 };
-use crate::service::{
-    Query, CACHE_HIT_SECONDS, PLAN_BASE_SECONDS, PLAN_PER_BYTE_SECONDS, PLAN_PER_NODE_SECONDS,
-    RESULT_HIT_SECONDS,
-};
+use crate::service::{Query, CACHE_HIT_SECONDS, RESULT_HIT_SECONDS};
 use crate::stats::LatencyHistogram;
 
 /// Stride-scheduler scale: pass advances by `STRIDE / weight` per
@@ -905,21 +901,7 @@ fn resolve_plan(
     if let Some(plan) = plan_memo.get(&memo_key) {
         return Ok(Arc::clone(plan));
     }
-    let mut program = match query {
-        Query::Sql(text) => system.compile_sql(text)?,
-        Query::Nlq(text) => system.compile_nlq(text)?,
-        Query::Hetero(hetero) => system.compile(hetero)?,
-    };
-    let (rewrites, placement) = system.optimize_at(&mut program, key.opt_level)?;
-    let plan_seconds = PLAN_BASE_SECONDS
-        + PLAN_PER_BYTE_SECONDS * key.text.len() as f64
-        + PLAN_PER_NODE_SECONDS * program.nodes().len() as f64;
-    let plan = Arc::new(CachedPlan {
-        program,
-        rewrites,
-        placement,
-        plan_seconds,
-    });
+    let plan = Arc::new(CachedPlan::build(system, query, key)?);
     plan_memo.insert(memo_key, Arc::clone(&plan));
     Ok(plan)
 }
@@ -942,15 +924,12 @@ fn execute_plan(
         }
     }
     *real_executions += 1;
-    let ledger = CostLedger::new();
-    let execution = system.execute_at(&plan.program, level, ledger.clone())?;
-    let costs = ledger.total();
-    let report = RunReport {
-        execution,
-        rewrites: plan.rewrites.clone(),
-        placement: plan.placement.clone(),
-        costs,
-    };
+    let (report, _) = system.run_optimized(
+        &plan.program,
+        level,
+        plan.rewrites.clone(),
+        plan.placement.clone(),
+    )?;
     let digest = output_digest(&report.execution);
     let cached = Arc::new(CachedResult {
         digest,

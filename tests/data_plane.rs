@@ -98,6 +98,7 @@ fn two_engine_registry() -> EngineRegistry {
         .unwrap();
     r.register(EngineId::new("db2"), EngineInstance::Relational(db2))
         .unwrap();
+    r.set_default_fleet(AcceleratorFleet::workstation());
     r
 }
 
@@ -122,7 +123,7 @@ fn scans_and_join() -> (Program, [NodeId; 3]) {
 }
 
 fn run(program: &Program, registry: &EngineRegistry) -> Vec<Dataset> {
-    Executor::new(AcceleratorFleet::workstation(), CostLedger::new())
+    Executor::new(CostLedger::new())
         .execute(program, registry)
         .expect("program runs")
         .outputs
@@ -144,7 +145,7 @@ fn gather_and_splice_leave_partials_and_other_readers_untouched() {
             .reshard(&TableRef::new(engine, table), PartitionSpec::hash("pid", 2))
             .unwrap();
     }
-    let plan = Placer::plan_distribution(&program, &colocated, &colocated).unwrap();
+    let plan = Placer::plan_distribution(&program, &colocated, PlanOptions::default()).unwrap();
     assert!(plan.node(a).partials_needed && plan.node(b).partials_needed);
     assert!(plan.node(j).colocated);
 
@@ -166,7 +167,7 @@ fn gather_and_splice_leave_partials_and_other_readers_untouched() {
             PartitionSpec::hash("name", 2),
         )
         .unwrap();
-    let plan = Placer::plan_distribution(&program, &shuffled, &shuffled).unwrap();
+    let plan = Placer::plan_distribution(&program, &shuffled, PlanOptions::default()).unwrap();
     assert!(plan.node(j).shuffles());
 
     for (layout, registry) in [("colocated", &colocated), ("shuffled", &shuffled)] {

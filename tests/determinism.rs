@@ -144,3 +144,153 @@ fn repeated_parallel_runs_are_self_consistent() {
         assert_eq!(run.1, runs[0].1);
     }
 }
+
+/// The registry is the layout: however a deployment arrives at
+/// `admissions` hashed on `pid` and `patients` on `name`, four shards
+/// each — declared to the builder, resharded on the deployment's
+/// registry before the builder saw it, or moved after `build` — the
+/// plan `optimize` prices is the plan `execute` runs.
+#[test]
+fn planned_layout_is_the_executed_layout_however_it_was_arrived_at() {
+    use polystorepp::common::{DeviceKind, PartitionSpec, ShardId};
+    use polystorepp::ir::NodeId;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    let admissions = || TableRef::new("db1", "admissions");
+    let patients = || TableRef::new("db2", "patients");
+    let by_pid = || PartitionSpec::hash("pid", 4);
+    let by_name = || PartitionSpec::hash("name", 4);
+    let deployment = || {
+        datagen::clinical(&ClinicalConfig {
+            patients: 2_000,
+            vitals_per_patient: 2,
+            seed: 99,
+        })
+    };
+    let accelerated = |builder: PolystoreBuilder| {
+        builder
+            .accelerators(AcceleratorFleet::workstation())
+            .opt_level(OptLevel::L3)
+    };
+
+    let through_the_builder = accelerated(Polystore::from_deployment(deployment()))
+        .shards(4)
+        .partition(admissions(), by_pid())
+        .partition(patients(), by_name())
+        .build()
+        .expect("valid config");
+    let resharded_before_the_builder = {
+        let mut deployment = deployment();
+        deployment
+            .registry
+            .reshard(&admissions(), by_pid())
+            .expect("reshards");
+        deployment
+            .registry
+            .reshard(&patients(), by_name())
+            .expect("reshards");
+        accelerated(Polystore::from_deployment(deployment))
+            .build()
+            .expect("valid config")
+    };
+    let moved_after_build = {
+        let mut system = accelerated(Polystore::from_deployment(deployment()))
+            .build()
+            .expect("valid config");
+        system.reshard(&admissions(), by_pid()).expect("reshards");
+        system
+            .rebalance(&patients(), by_name())
+            .expect("rebalances");
+        system
+    };
+
+    // A gathered sort over a scattered scan, and polybench's
+    // mismatched-key join (both sides shuffle), with the shuffle edges
+    // each must plan.
+    let queries = [
+        ("SELECT pid, los FROM admissions ORDER BY los DESC, pid", 0),
+        (
+            "SELECT name FROM admissions JOIN db2.patients ON admissions.pid = patients.pid \
+             WHERE age BETWEEN 40 AND 55",
+            2,
+        ),
+    ];
+    type Picks = BTreeMap<(NodeId, ShardId), DeviceKind>;
+    for (query, shuffle_edges) in queries {
+        let mut agreed = None;
+        for (how, system) in [
+            ("declared to the builder", &through_the_builder),
+            (
+                "resharded before the builder",
+                &resharded_before_the_builder,
+            ),
+            ("moved after build", &moved_after_build),
+        ] {
+            let report = system.run_sql(query).expect("runs");
+            let placement = report.placement.as_ref().expect("L3 places");
+            let execution = &report.execution;
+
+            let planned_widths: BTreeMap<NodeId, usize> = placement
+                .scatter_width
+                .iter()
+                .map(|(&id, &w)| (id, w))
+                .collect();
+            let executed_widths: BTreeMap<NodeId, usize> = execution
+                .traces
+                .iter()
+                .map(|t| (t.id, t.tasks.len()))
+                .collect();
+            assert_eq!(planned_widths, executed_widths, "{how}: {query}");
+            assert!(
+                planned_widths.values().any(|&w| w == 4),
+                "{how}: the layout must scatter something 4 ways"
+            );
+
+            let planned_picks: Picks = placement
+                .device_picks
+                .iter()
+                .map(|(&k, &d)| (k, d))
+                .collect();
+            let executed_picks: Picks = execution
+                .device_assignments
+                .iter()
+                .map(|(&k, &d)| (k, d))
+                .collect();
+            assert_eq!(planned_picks, executed_picks, "{how}: {query}");
+
+            assert_eq!(
+                placement.exchanges.shuffles, shuffle_edges,
+                "{how}: {query}"
+            );
+            let mut planned_kinds = BTreeSet::new();
+            for (kind, edges) in [
+                ("shuffle", placement.exchanges.shuffles),
+                ("merge", placement.exchanges.merge_partials),
+                ("materialized", placement.exchanges.materialized),
+            ] {
+                if edges > 0 {
+                    planned_kinds.insert(kind);
+                }
+            }
+            let executed_kinds: BTreeSet<&str> = execution
+                .traces
+                .iter()
+                .flat_map(|t| t.exchanges.iter().map(|e| e.kind))
+                .collect();
+            assert_eq!(planned_kinds, executed_kinds, "{how}: {query}");
+
+            let this = (
+                planned_widths,
+                planned_picks,
+                placement.exchanges,
+                placement.total_seconds.to_bits(),
+                execution.makespan().to_bits(),
+                execution.outputs[0].try_rows().expect("rows").to_vec(),
+            );
+            match &agreed {
+                None => agreed = Some(this),
+                Some(first) => assert!(*first == this, "{how} disagrees on {query}"),
+            }
+        }
+    }
+}

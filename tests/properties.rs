@@ -1,16 +1,16 @@
 //! Workspace-wide property-based tests on core invariants.
 
 use polystorepp::accel::kernels::{Gemm, HashPartitioner, Matrix};
-use polystorepp::accel::{AcceleratorFleet, CostLedger, DeviceProfile, LogCa};
+use polystorepp::accel::{AcceleratorFleet, CostLedger, DeviceProfile, LogCa, ShardFleets};
 use polystorepp::common::{DeviceKind, PartitionSpec, ShardId, SplitMix64};
-use polystorepp::ir::{AggFn, AggSpec, Operator, Program, SortSpec};
+use polystorepp::ir::{AggFn, AggSpec, Operator, Program, ShardPlan, SortSpec};
 use polystorepp::migrate::csv;
 use polystorepp::optimizer::dse::ParetoFront;
 use polystorepp::optimizer::{CostModel, TableStats};
 use polystorepp::prelude::*;
 use polystorepp::relstore::ops;
 use polystorepp::relstore::{JoinKind, RelationalStore, SortKey};
-use polystorepp::runtime::{EngineInstance, EngineRegistry, Executor};
+use polystorepp::runtime::{EngineInstance, EngineRegistry, Executor, Placer};
 use proptest::prelude::*;
 
 /// The predicate-tree generator lives with the relational store's scan
@@ -20,8 +20,10 @@ mod predicate_gen;
 use predicate_gen::{arb_predicate_program, predicate_from};
 
 /// A two-engine registry over integer-keyed tables `db1.left` /
-/// `db2.right` (columns `k`, `v`), partitioned per the given specs —
-/// the fixture of the exchange properties below.
+/// `db2.right` (columns `k`, `v`), partitioned per the given specs, on
+/// the workstation fleet — the fixture of the exchange properties
+/// below. The registry is the whole layout: placement and execution
+/// both read it.
 fn exchange_registry(
     left: &[(i64, i64)],
     right: &[(i64, i64)],
@@ -46,11 +48,29 @@ fn exchange_registry(
         r.reshard(&TableRef::new("db2", "right"), spec)
             .expect("reshards");
     }
+    r.set_default_fleet(AcceleratorFleet::workstation());
     r
 }
 
 fn executor() -> Executor {
-    Executor::new(AcceleratorFleet::workstation(), CostLedger::new())
+    Executor::new(CostLedger::new())
+}
+
+/// Prices `program` against `registry`'s layout, the way
+/// `Polystore::optimize_at` does: the executor's own distribution pass
+/// over the registry's specs, on the registry's fleets.
+fn place_on(
+    model: &CostModel,
+    program: &mut Program,
+    registry: &EngineRegistry,
+) -> polystorepp::optimizer::PlacementPlan {
+    model
+        .place(
+            program,
+            |p| Placer::plan_distribution(p, registry, model.options()),
+            registry.fleets(),
+        )
+        .expect("placement")
 }
 
 /// One of the mismatched layouts the shuffle property sweeps: hash or
@@ -460,7 +480,7 @@ proptest! {
         left_spec in arb_layout(),
         right_spec in arb_layout(),
     ) {
-        let registry = exchange_registry(&lk, &rk, left_spec.clone(), right_spec.clone());
+        let registry = exchange_registry(&lk, &rk, left_spec, right_spec);
         let mut p = Program::new();
         let a = p.add_source(Operator::scan(TableRef::new("db1", "left")), "sql");
         let b = p.add_source(Operator::scan(TableRef::new("db2", "right")), "sql");
@@ -482,14 +502,7 @@ proptest! {
         for t in [TableRef::new("db1", "left"), TableRef::new("db2", "right")] {
             stats.insert(t, TableStats { rows: 500_000.0, row_bytes: 64.0 });
         }
-        let mut model = CostModel::new(AcceleratorFleet::workstation(), stats);
-        if let Some(spec) = left_spec {
-            model.set_partition(TableRef::new("db1", "left"), spec);
-        }
-        if let Some(spec) = right_spec {
-            model.set_partition(TableRef::new("db2", "right"), spec);
-        }
-        model.place(&mut p).expect("placement");
+        place_on(&CostModel::new(stats), &mut p, &registry);
         prop_assert!(
             p.nodes().iter().any(|n| n.annotations.device.is_some_and(|d| d != DeviceKind::Cpu)),
             "inflated stats must offload something for the property to bite"
@@ -513,7 +526,8 @@ proptest! {
         right_spec in arb_layout(),
         fleet in arb_fleet(),
     ) {
-        let registry = exchange_registry(&lk, &rk, left_spec.clone(), right_spec.clone());
+        let mut registry = exchange_registry(&lk, &rk, left_spec, right_spec);
+        registry.set_default_fleet(fleet);
         let program = || {
             let mut p = Program::new();
             let a = p.add_source(Operator::scan(TableRef::new("db1", "left")), "sql");
@@ -544,26 +558,18 @@ proptest! {
             stats.insert(t, TableStats { rows: 500_000.0, row_bytes: 64.0 });
         }
         let model = |fusion: bool| {
-            let mut m = CostModel::new(fleet.clone(), stats.clone()).with_options(PlanOptions {
+            CostModel::new(stats.clone()).with_options(PlanOptions {
                 fusion,
                 ..PlanOptions::default()
-            });
-            if let Some(spec) = left_spec.clone() {
-                m.set_partition(TableRef::new("db1", "left"), spec);
-            }
-            if let Some(spec) = right_spec.clone() {
-                m.set_partition(TableRef::new("db2", "right"), spec);
-            }
-            m
+            })
         };
         let mut fused = program();
-        let plan = model(true).place(&mut fused).expect("fused placement");
+        let plan = place_on(&model(true), &mut fused, &registry);
         let mut unfused = program();
-        model(false).place(&mut unfused).expect("unfused placement");
-        let exec = || Executor::new(fleet.clone(), CostLedger::new());
-        let on = exec().execute(&fused, &registry).expect("fused run");
-        let off = exec().execute(&unfused, &registry).expect("unfused run");
-        let host = exec().offload(false).execute(&fused, &registry).expect("host run");
+        place_on(&model(false), &mut unfused, &registry);
+        let on = executor().execute(&fused, &registry).expect("fused run");
+        let off = executor().execute(&unfused, &registry).expect("unfused run");
+        let host = executor().offload(false).execute(&fused, &registry).expect("host run");
         prop_assert_eq!(format!("{:?}", on.outputs), format!("{:?}", off.outputs));
         prop_assert_eq!(format!("{:?}", on.outputs), format!("{:?}", host.outputs));
         // Planned chains execute exactly as planned: no silent fission.
@@ -840,10 +846,7 @@ proptest! {
         } else {
             TableStats { rows: right_rows, row_bytes: right_width }
         };
-        let model = CostModel::new(
-            AcceleratorFleet::cpu_only(),
-            [(l.clone(), left_stats), (r.clone(), right_stats)].into(),
-        );
+        let model = CostModel::new([(l.clone(), left_stats), (r.clone(), right_stats)].into());
         let scan = |table: &TableRef, predicate| Operator::Scan {
             table: table.clone(),
             predicate,
@@ -860,7 +863,14 @@ proptest! {
             "sql",
         );
         p.mark_output(join);
-        let plan = model.place(&mut p).expect("acyclic");
+        // An unsharded, CPU-only layout.
+        let plan = model
+            .place(
+                &mut p,
+                |p| ShardPlan::plan(p, |_| None, model.options()),
+                &ShardFleets::default(),
+            )
+            .expect("acyclic");
         let bytes = |id| p.node(id).annotations.est_bytes.expect("estimated");
         let bill = |bytes| {
             model

@@ -1,4 +1,5 @@
-//! Reproduces every experiment table (E1–E23) from DESIGN.md.
+//! Reproduces every experiment table (E1–E23); README's "Experiments
+//! and benchmarks" section holds the index and the methodology.
 //!
 //! ```text
 //! cargo run -p pspp-bench --bin repro --release            # all
@@ -23,173 +24,118 @@
 
 use std::time::Instant;
 
+use pspp_common::Result;
+use pspp_telemetry::Json;
+
+type Metrics = Vec<(String, f64)>;
+
 struct Outcome {
     name: String,
     pass: bool,
     wall_ms: f64,
-    metrics: Vec<(String, f64)>,
+    metrics: Metrics,
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn json_metrics(metrics: &[(String, f64)]) -> String {
-    let pairs: Vec<String> = metrics
-        .iter()
-        .map(|(k, v)| {
-            format!(
-                "\"{}\": {}",
-                json_escape(k),
-                if v.is_finite() {
-                    format!("{v}")
-                } else {
-                    "null".into()
-                }
-            )
-        })
-        .collect();
-    format!("{{{}}}", pairs.join(", "))
-}
-
-fn write_json(path: &str, outcomes: &[Outcome]) -> std::io::Result<()> {
-    let mut body = String::from("{\n  \"suite\": \"pspp-bench repro\",\n  \"experiments\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"name\": \"{}\", \"pass\": {}, \"wall_ms\": {:.3}, \"metrics\": {}}}{}\n",
-            json_escape(&o.name),
-            o.pass,
-            o.wall_ms,
-            json_metrics(&o.metrics),
-            if i + 1 < outcomes.len() { "," } else { "" }
-        ));
+/// One trial: time it, print its table or its error, return the record.
+fn trial(name: &str, run: impl FnOnce() -> Result<(String, Metrics)>) -> Outcome {
+    println!("==================================================================");
+    let start = Instant::now();
+    let result = run();
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let (pass, metrics) = match result {
+        Ok((table, metrics)) => {
+            println!("{table}");
+            (true, metrics)
+        }
+        Err(e) => {
+            eprintln!("{name} failed: {e}");
+            (false, Vec::new())
+        }
+    };
+    Outcome {
+        name: name.to_owned(),
+        pass,
+        wall_ms,
+        metrics,
     }
+}
+
+fn to_json(outcomes: &[Outcome]) -> Json {
+    let experiments = outcomes.iter().map(|o| {
+        let metrics = o.metrics.iter().map(|(k, v)| (k.clone(), Json::Num(*v)));
+        Json::obj(vec![
+            ("name", Json::str(&o.name)),
+            ("pass", Json::Bool(o.pass)),
+            ("wall_ms", Json::Num((o.wall_ms * 1e3).round() / 1e3)),
+            ("metrics", Json::Obj(metrics.collect())),
+        ])
+    });
     let failures = outcomes.iter().filter(|o| !o.pass).count();
-    body.push_str(&format!("  ],\n  \"failures\": {failures}\n}}\n"));
-    std::fs::write(path, body)
+    Json::obj(vec![
+        ("suite", Json::str("pspp-bench repro")),
+        ("experiments", Json::Arr(experiments.collect())),
+        ("failures", Json::Num(failures as f64)),
+    ])
+}
+
+/// The traced query's stdout; its span-tree JSON goes to `path`.
+fn traced_query_to(path: &str) -> Result<String> {
+    let traced = pspp_bench::traced_query()?;
+    std::fs::write(path, &traced.trace_json)
+        .map_err(|e| pspp_common::Error::Execution(format!("writing {path}: {e}")))?;
+    Ok(format!("{}\nwrote span-tree trace to {path}", traced.text))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut open_loop = false;
     let mut names: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        if arg == "--json" {
-            match it.next() {
-                Some(path) => json_path = Some(path),
-                None => {
-                    eprintln!("--json requires a path argument");
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--json" | "--trace" => {
+                let Some(path) = args.next() else {
+                    eprintln!("{arg} requires a path argument");
                     std::process::exit(2);
+                };
+                if arg == "--json" {
+                    json_path = Some(path);
+                } else {
+                    trace_path = Some(path);
                 }
             }
-        } else if arg == "--trace" {
-            match it.next() {
-                Some(path) => trace_path = Some(path),
-                None => {
-                    eprintln!("--trace requires a path argument");
-                    std::process::exit(2);
-                }
+            "--open-loop" => open_loop = true,
+            "--list" => {
+                print!("{}", pspp_bench::list_table());
+                return;
             }
-        } else if arg == "--open-loop" {
-            open_loop = true;
-        } else if arg == "--list" {
-            print!("{}", pspp_bench::list_table());
-            return;
-        } else {
-            names.push(arg);
+            _ => names.push(arg),
         }
     }
     let run_all = names.iter().any(|a| a == "all")
         || (names.is_empty() && !open_loop && trace_path.is_none());
-    let which: Vec<&str> = if run_all {
-        pspp_bench::ALL.to_vec()
-    } else {
-        names.iter().map(String::as_str).collect()
-    };
-    let mut outcomes = Vec::new();
-    for name in which {
-        println!("==================================================================");
-        let start = Instant::now();
-        let (pass, metrics) = match pspp_bench::run_with_metrics(name) {
-            Ok((table, metrics)) => {
-                println!("{table}");
-                (true, metrics)
-            }
-            Err(e) => {
-                eprintln!("{name} failed: {e}");
-                (false, Vec::new())
-            }
-        };
-        outcomes.push(Outcome {
-            name: name.to_owned(),
-            pass,
-            wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            metrics,
-        });
+    if run_all {
+        names = pspp_bench::EXPERIMENTS.map(|e| e.name.to_owned()).into();
     }
+
+    let mut outcomes: Vec<Outcome> = names
+        .iter()
+        .map(|name| trial(name, || pspp_bench::run_with_metrics(name)))
+        .collect();
     if open_loop {
-        println!("==================================================================");
-        let start = Instant::now();
-        let pass = match pspp_bench::open_loop_table() {
-            Ok(table) => {
-                println!("{table}");
-                true
-            }
-            Err(e) => {
-                eprintln!("open-loop failed: {e}");
-                false
-            }
-        };
-        outcomes.push(Outcome {
-            name: "open-loop".to_owned(),
-            pass,
-            wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            metrics: Vec::new(),
-        });
+        outcomes.push(trial("open-loop", || {
+            Ok((pspp_bench::open_loop_table()?, Vec::new()))
+        }));
     }
-    if let Some(path) = trace_path {
-        println!("==================================================================");
-        let start = Instant::now();
-        let pass = match pspp_bench::traced_query() {
-            Ok(traced) => match std::fs::write(&path, &traced.trace_json) {
-                Ok(()) => {
-                    println!("traced query: {}", traced.query);
-                    println!("{}", traced.span_text);
-                    println!("{}", traced.explain);
-                    println!("{}", traced.prometheus);
-                    println!("wrote span-tree trace to {path}");
-                    true
-                }
-                Err(e) => {
-                    eprintln!("writing {path}: {e}");
-                    false
-                }
-            },
-            Err(e) => {
-                eprintln!("traced query failed: {e}");
-                false
-            }
-        };
-        outcomes.push(Outcome {
-            name: "traced-query".to_owned(),
-            pass,
-            wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            metrics: Vec::new(),
-        });
+    if let Some(path) = &trace_path {
+        outcomes.push(trial("traced-query", || {
+            Ok((traced_query_to(path)?, Vec::new()))
+        }));
     }
+
     if let Some(path) = json_path {
-        if let Err(e) = write_json(&path, &outcomes) {
+        if let Err(e) = std::fs::write(&path, to_json(&outcomes).render()) {
             eprintln!("writing {path}: {e}");
             std::process::exit(1);
         }

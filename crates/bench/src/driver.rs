@@ -312,18 +312,6 @@ pub struct OpenLoopConfig {
     pub seed: u64,
 }
 
-impl Default for OpenLoopConfig {
-    fn default() -> Self {
-        OpenLoopConfig {
-            queries: 64,
-            arrival_qps: 50.0,
-            workers: 2,
-            queue_depth: 4,
-            seed: 2019,
-        }
-    }
-}
-
 /// What one open-loop run produced.
 #[derive(Debug, Clone)]
 pub struct OpenLoopReport {
@@ -352,45 +340,9 @@ pub struct OpenLoopReport {
     /// whether or not the replay sheds it).
     pub digest: u64,
     /// Recorded per-offered-query simulated service seconds, in
-    /// arrival order — the input for replay variants such as
-    /// [`retry_storm_schedule`].
+    /// arrival order — the input for further [`replay_arrivals`] runs
+    /// (E21's retry storm).
     pub service_seconds: Vec<f64>,
-}
-
-/// Deterministic open-loop replay: arrivals at `i / arrival_qps`, `workers`
-/// FIFO servers, at most `workers + queue_depth` queries in the system —
-/// later arrivals are shed, exactly like [`AdmissionPolicy::Reject`].
-/// Returns (admitted flags, makespan, mean wait of admitted).
-fn open_loop_schedule(
-    service_seconds: &[f64],
-    arrival_qps: f64,
-    workers: usize,
-    queue_depth: usize,
-) -> (Vec<bool>, f64, f64) {
-    let spacing = 1.0 / arrival_qps.max(f64::MIN_POSITIVE);
-    let capacity = workers.max(1) + queue_depth;
-    let mut worker_free = vec![0.0f64; workers.max(1)];
-    let mut in_system: Vec<f64> = Vec::new(); // finish times of admitted jobs
-    let mut admitted = vec![false; service_seconds.len()];
-    let mut makespan = 0.0f64;
-    let mut total_wait = 0.0f64;
-    for (i, &service) in service_seconds.iter().enumerate() {
-        let t = i as f64 * spacing;
-        in_system.retain(|&finish| finish > t);
-        if in_system.len() >= capacity {
-            continue; // shed: queue full at arrival, Reject semantics
-        }
-        let w = min_index(&worker_free);
-        let start = worker_free[w].max(t);
-        let finish = start + service;
-        total_wait += start - t;
-        worker_free[w] = finish;
-        in_system.push(finish);
-        admitted[i] = true;
-        makespan = makespan.max(finish);
-    }
-    let n_admitted = admitted.iter().filter(|&&a| a).count().max(1) as f64;
-    (admitted, makespan, total_wait / n_admitted)
 }
 
 /// Runs the mixed workload open-loop against a `Reject`-policy service
@@ -465,22 +417,23 @@ pub fn run_open_loop(system: &Arc<Polystore>, cfg: &OpenLoopConfig) -> Result<Op
         service_seconds.push(seconds);
     }
 
-    let (admitted_flags, sim_makespan_seconds, mean_wait_seconds) = open_loop_schedule(
+    // No retries: a rejected arrival is shed, `Reject` semantics.
+    let replay = replay_arrivals(
         &service_seconds,
         cfg.arrival_qps,
         cfg.workers,
         cfg.queue_depth,
+        0,
+        0.0,
     );
-    let admitted = admitted_flags.iter().filter(|&&a| a).count();
-    let shed = service_seconds.len() - admitted;
     Ok(OpenLoopReport {
-        offered: service_seconds.len(),
-        admitted,
-        shed,
-        shed_rate: shed as f64 / service_seconds.len().max(1) as f64,
-        sim_makespan_seconds,
-        mean_wait_seconds,
-        goodput_qps: admitted as f64 / sim_makespan_seconds.max(f64::MIN_POSITIVE),
+        offered: replay.offered,
+        admitted: replay.completed,
+        shed: replay.lost,
+        shed_rate: replay.lost as f64 / replay.offered.max(1) as f64,
+        sim_makespan_seconds: replay.sim_makespan_seconds,
+        mean_wait_seconds: replay.mean_wait_seconds,
+        goodput_qps: replay.goodput_qps,
         real_rejections,
         wall_millis,
         digest,
@@ -488,9 +441,9 @@ pub fn run_open_loop(system: &Arc<Polystore>, cfg: &OpenLoopConfig) -> Result<Op
     })
 }
 
-/// What one retry-storm replay produced.
+/// What one arrival replay produced.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RetryStormReport {
+pub struct ArrivalReplay {
     /// Retry budget per query (0 = shed permanently on first reject).
     pub retry_max: usize,
     /// Primary arrivals offered.
@@ -504,27 +457,33 @@ pub struct RetryStormReport {
     pub attempts: usize,
     /// Simulated completion time of the last admitted query.
     pub sim_makespan_seconds: f64,
+    /// Mean simulated seconds a completed query waited for a worker,
+    /// counted from the arrival that was admitted.
+    pub mean_wait_seconds: f64,
     /// Completed queries per simulated second.
     pub goodput_qps: f64,
 }
 
-/// Deterministic retry-storm replay over recorded service times: the
-/// open-loop arrival process of [`run_open_loop`], except a rejected
-/// arrival re-arrives `backoff_s` later, up to `retry_max` times,
-/// before it is lost. Arrivals (primary and retry) are processed in
-/// time order with ties broken by query index then attempt number, so
-/// the replay is bit-reproducible. Under sustained overload retries
-/// amplify attempts without creating capacity — goodput stays pinned
-/// at the service rate — which is exactly the regression the E21
-/// metrics guard watches for.
-pub fn retry_storm_schedule(
+/// Deterministic open-loop replay over recorded service times: primary
+/// arrivals at `i / arrival_qps`, `workers` FIFO servers, at most
+/// `workers + queue_depth` queries in the system. An arrival that finds
+/// the system full is rejected, exactly like
+/// [`AdmissionPolicy::Reject`]; it re-arrives `backoff_s` later, up to
+/// `retry_max` times, before it is lost (`retry_max = 0` sheds on the
+/// first reject — the `repro --open-loop` table). Arrivals (primary and
+/// retry) are processed in time order with ties broken by query index
+/// then attempt number, so the replay is bit-reproducible. Under
+/// sustained overload retries amplify attempts without creating
+/// capacity — goodput stays pinned at the service rate — which is
+/// exactly the regression E21's retry-storm rows watch for.
+pub fn replay_arrivals(
     service_seconds: &[f64],
     arrival_qps: f64,
     workers: usize,
     queue_depth: usize,
     retry_max: usize,
     backoff_s: f64,
-) -> RetryStormReport {
+) -> ArrivalReplay {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let spacing = 1.0 / arrival_qps.max(f64::MIN_POSITIVE);
@@ -541,6 +500,7 @@ pub fn retry_storm_schedule(
     let mut lost = 0usize;
     let mut attempts = 0usize;
     let mut makespan = 0.0f64;
+    let mut total_wait = 0.0f64;
     while let Some(Reverse((bits, i, attempt))) = arrivals.pop() {
         let t = f64::from_bits(bits);
         attempts += 1;
@@ -556,18 +516,20 @@ pub fn retry_storm_schedule(
         let w = min_index(&worker_free);
         let start = worker_free[w].max(t);
         let finish = start + service_seconds[i];
+        total_wait += start - t;
         worker_free[w] = finish;
         in_system.push(finish);
         completed += 1;
         makespan = makespan.max(finish);
     }
-    RetryStormReport {
+    ArrivalReplay {
         retry_max,
         offered: service_seconds.len(),
         completed,
         lost,
         attempts,
         sim_makespan_seconds: makespan,
+        mean_wait_seconds: total_wait / completed.max(1) as f64,
         goodput_qps: completed as f64 / makespan.max(f64::MIN_POSITIVE),
     }
 }
@@ -620,20 +582,26 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_schedule_sheds_only_under_overload() {
+    fn replay_without_retries_sheds_only_under_overload() {
         // Service 1s, arrivals every 0.1s, one worker, queue depth 1:
-        // capacity 2, so most arrivals find the system full.
+        // capacity 2, so most arrivals find the system full. Arrivals
+        // 0 and 1 are admitted at once; the next admission waits for
+        // the first finish at t=1.0 — 3 before the last arrival at 1.9.
         let times = vec![1.0; 20];
-        let (admitted, makespan, wait) = open_loop_schedule(&times, 10.0, 1, 1);
-        let n = admitted.iter().filter(|&&a| a).count();
-        assert!(n < 20, "overload must shed ({n} admitted)");
-        assert!(admitted[0], "an idle system admits the first arrival");
-        assert!(makespan > 0.0 && wait >= 0.0);
+        let r = replay_arrivals(&times, 10.0, 1, 1, 0, 0.0);
+        assert_eq!((r.completed, r.lost, r.attempts), (3, 17, 20));
+        assert!((r.sim_makespan_seconds - 3.0).abs() < 1e-12);
+        // Waits: 0, 0.9 (arrived 0.1, starts 1.0), 1.0 (arrived 1.0, starts 2.0).
+        assert!((r.mean_wait_seconds - 1.9 / 3.0).abs() < 1e-12);
+        assert!((r.goodput_qps - 1.0).abs() < 1e-12);
 
         // Arrivals every 2s against 1s service: nothing sheds.
-        let (admitted, _, wait) = open_loop_schedule(&times, 0.5, 1, 1);
-        assert!(admitted.iter().all(|&a| a));
-        assert!(wait.abs() < 1e-12, "no queueing at light load");
+        let r = replay_arrivals(&times, 0.5, 1, 1, 0, 0.0);
+        assert_eq!((r.completed, r.lost), (20, 0));
+        assert!(
+            r.mean_wait_seconds.abs() < 1e-12,
+            "no queueing at light load"
+        );
     }
 
     #[test]
@@ -641,11 +609,11 @@ mod tests {
         // Service 1s, arrivals every 0.1s, one worker, queue depth 1:
         // sustained overload, most primaries are rejected.
         let times = vec![1.0; 20];
-        let base = retry_storm_schedule(&times, 10.0, 1, 1, 0, 0.05);
+        let base = replay_arrivals(&times, 10.0, 1, 1, 0, 0.05);
         assert_eq!(base.offered, 20);
         assert_eq!(base.completed + base.lost, 20);
         assert_eq!(base.attempts, 20, "no retries at retry_max=0");
-        let stormy = retry_storm_schedule(&times, 10.0, 1, 1, 8, 0.05);
+        let stormy = replay_arrivals(&times, 10.0, 1, 1, 8, 0.05);
         assert!(
             stormy.attempts > base.attempts,
             "retries must amplify offered load ({} vs {})",
@@ -657,11 +625,11 @@ mod tests {
         assert!(stormy.goodput_qps <= 1.0 + 1e-9);
         assert!(base.goodput_qps <= 1.0 + 1e-9);
         // Deterministic: same inputs, same replay.
-        assert_eq!(stormy, retry_storm_schedule(&times, 10.0, 1, 1, 8, 0.05));
+        assert_eq!(stormy, replay_arrivals(&times, 10.0, 1, 1, 8, 0.05));
 
         // Light load: every query completes on its first attempt and
         // the retry budget is irrelevant.
-        let light = retry_storm_schedule(&times, 0.5, 1, 1, 8, 0.05);
+        let light = replay_arrivals(&times, 0.5, 1, 1, 8, 0.05);
         assert_eq!(light.completed, 20);
         assert_eq!(light.lost, 0);
         assert_eq!(light.attempts, 20);

@@ -1,10 +1,14 @@
-//! The experiment harness: one function per experiment in DESIGN.md's
-//! index (E1–E23), each returning the table it prints. The `repro`
-//! binary runs them (`repro --list` prints the index); the Criterion
-//! benches wrap their hot paths.
+//! The experiment harness: one function per experiment (E1–E23), each
+//! returning the table it prints, indexed once in [`EXPERIMENTS`]. The
+//! `repro` binary runs them (`repro --list` prints the index); its exit
+//! code is the verdict — every pass/fail expectation is stated here, in
+//! the experiment that measures it, through five small checks
+//! (`ensure`, `at_least`, `at_most`, `above`, `same_digest`).
 //!
-//! Every number is simulated and deterministic; see DESIGN.md §5 for
-//! the methodology (real data plane, simulated clock).
+//! Every number is simulated and deterministic (real data plane,
+//! simulated clock); README's "Experiments and benchmarks" section
+//! holds the index, the methodology and what stands in for the paper's
+//! data and hardware.
 
 pub mod driver;
 
@@ -15,7 +19,7 @@ use std::sync::Arc;
 use pspp_accel::kernels::serialize::{SerializerModel, WireFormat};
 use pspp_accel::kernels::{BitonicSorter, Gemm, StreamFilter};
 use pspp_accel::{AcceleratorFleet, DeviceProfile, Interconnect, LogCa, Roofline};
-use pspp_common::{Batch, DataModel, DeviceKind, EngineId, Result, SplitMix64};
+use pspp_common::{Batch, DataModel, DeviceKind, EngineId, Error, Result, SplitMix64};
 use pspp_core::prelude::*;
 use pspp_frontend::{HeterogeneousProgram, Language};
 use pspp_migrate::{MigrationPath, Migrator};
@@ -28,113 +32,145 @@ use pspp_service::{
 };
 use pspp_telemetry::NodeTrace;
 
-/// Names of all experiments, in order.
-pub const ALL: [&str; 23] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23",
-];
+/// One row of the experiment index.
+#[derive(Debug)]
+pub struct Experiment {
+    /// The name `repro` takes on its command line.
+    pub name: &'static str,
+    /// The one-line description `repro --list` prints, so nobody has to
+    /// read the source to find an experiment.
+    pub description: &'static str,
+    run: fn() -> Result<String>,
+}
 
-/// One-line description per experiment, in [`ALL`] order — what
-/// `repro --list` prints so nobody has to read the source to find an
-/// experiment.
-pub const DESCRIPTIONS: [(&str, &str); 23] = [
-    (
-        "e1",
-        "recommendation app: polystore federation vs one-size-fits-all (Fig. 1)",
-    ),
-    (
-        "e2",
-        "clinical pipeline end-to-end, CPU-only vs accelerated polystore (Fig. 2)",
-    ),
-    (
-        "e3",
-        "Snorkel loop: accelerated load_data + TPU SGD per epoch (Fig. 3)",
-    ),
-    (
-        "e4",
-        "heterogeneous program lowered to the annotated data-flow IR (Fig. 5)",
-    ),
-    (
-        "e5",
-        "optimization-level ablation None/L1/L2/L3 on a fixed query suite (Fig. 6)",
-    ),
-    (
-        "e6",
-        "k-means via parallel patterns on CPU/GPU/FPGA (Fig. 7)",
-    ),
-    (
-        "e7",
-        "design-space exploration: active learning vs random sampling (Fig. 8)",
-    ),
-    (
-        "e8",
-        "cross-engine migration paths vs the PipeGen claim (csv/binary/rdma)",
-    ),
-    (
-        "e9",
-        "admissions JOIN patients with FPGA sort offload and pipelined migration",
-    ),
-    (
-        "e10",
-        "LogCA offload-profitability curves and break-even granularities",
-    ),
-    ("e11", "bump-in-the-wire scan filtering in the data path"),
-    (
-        "e12",
-        "adapter IR->native rule-transform throughput, CPU vs FPGA",
-    ),
-    (
-        "e13",
-        "roofline model: attainable ops/s vs operational intensity per device",
-    ),
-    (
-        "e14",
-        "operator microbenchmarks: sort/GEMM sweeps with energy-delay gains",
-    ),
-    (
-        "e15",
-        "cost-model placement error and DSE surrogate accuracy",
-    ),
-    (
-        "e16",
-        "query-service throughput scaling under the closed-loop driver",
-    ),
-    (
-        "e17",
-        "sharded registry: scatter-gather scans at 1/2/4 replicas",
-    ),
-    (
-        "e18",
-        "colocated cross-shard joins vs the gathered baseline",
-    ),
-    (
-        "e19",
-        "exchange operator: shuffled mismatched-key joins + partition-wise aggregation",
-    ),
-    (
-        "e20",
-        "accelerator-aware distributed planning: offload x sharding vs each alone",
-    ),
-    (
-        "e21",
-        "session core: 10k/100k/1M sessions on 8 workers, result cache on/off",
-    ),
-    (
-        "e22",
-        "online elasticity: incremental rebalance under load + materialized repartitions",
-    ),
-    (
-        "e23",
-        "device-resident pipelines: kernel fusion x contended queueing x sharding",
-    ),
+/// Every experiment, in order: the one index `repro --list`, `repro
+/// all` and [`run`] read.
+pub const EXPERIMENTS: [Experiment; 23] = [
+    Experiment {
+        name: "e1",
+        description: "recommendation app: polystore federation vs one-size-fits-all (Fig. 1)",
+        run: e01_recommendation,
+    },
+    Experiment {
+        name: "e2",
+        description: "clinical pipeline end-to-end, CPU-only vs accelerated polystore (Fig. 2)",
+        run: e02_clinical,
+    },
+    Experiment {
+        name: "e3",
+        description: "Snorkel loop: accelerated load_data + TPU SGD per epoch (Fig. 3)",
+        run: e03_snorkel,
+    },
+    Experiment {
+        name: "e4",
+        description: "heterogeneous program lowered to the annotated data-flow IR (Fig. 5)",
+        run: e04_ir_stats,
+    },
+    Experiment {
+        name: "e5",
+        description: "optimization-level ablation None/L1/L2/L3 on a fixed query suite (Fig. 6)",
+        run: e05_opt_levels,
+    },
+    Experiment {
+        name: "e6",
+        description: "k-means via parallel patterns on CPU/GPU/FPGA (Fig. 7)",
+        run: e06_kmeans,
+    },
+    Experiment {
+        name: "e7",
+        description: "design-space exploration: active learning vs random sampling (Fig. 8)",
+        run: e07_active_learning,
+    },
+    Experiment {
+        name: "e8",
+        description: "cross-engine migration paths vs the PipeGen claim (csv/binary/rdma)",
+        run: e08_migration,
+    },
+    Experiment {
+        name: "e9",
+        description: "admissions JOIN patients with FPGA sort offload and pipelined migration",
+        run: e09_sort_merge,
+    },
+    Experiment {
+        name: "e10",
+        description: "LogCA offload-profitability curves and break-even granularities",
+        run: e10_logca,
+    },
+    Experiment {
+        name: "e11",
+        description: "bump-in-the-wire scan filtering in the data path",
+        run: e11_scan_offload,
+    },
+    Experiment {
+        name: "e12",
+        description: "adapter IR->native rule-transform throughput, CPU vs FPGA",
+        run: e12_adapter,
+    },
+    Experiment {
+        name: "e13",
+        description: "roofline model: attainable ops/s vs operational intensity per device",
+        run: e13_roofline,
+    },
+    Experiment {
+        name: "e14",
+        description: "operator microbenchmarks: sort/GEMM sweeps with energy-delay gains",
+        run: e14_operators,
+    },
+    Experiment {
+        name: "e15",
+        description: "cost-model placement error and DSE surrogate accuracy",
+        run: e15_cost_model,
+    },
+    Experiment {
+        name: "e16",
+        description: "query-service throughput scaling under the closed-loop driver",
+        run: e16_service,
+    },
+    Experiment {
+        name: "e17",
+        description: "sharded registry: scatter-gather scans at 1/2/4 replicas",
+        run: e17_sharding,
+    },
+    Experiment {
+        name: "e18",
+        description: "colocated cross-shard joins vs the gathered baseline",
+        run: e18_join,
+    },
+    Experiment {
+        name: "e19",
+        description:
+            "exchange operator: shuffled mismatched-key joins + partition-wise aggregation",
+        run: e19_exchange,
+    },
+    Experiment {
+        name: "e20",
+        description: "accelerator-aware distributed planning: offload x sharding vs each alone",
+        run: e20_accel,
+    },
+    Experiment {
+        name: "e21",
+        description: "session core: 10k/100k/1M sessions on 8 workers, result cache on/off",
+        run: e21_sessions,
+    },
+    Experiment {
+        name: "e22",
+        description:
+            "online elasticity: incremental rebalance under load + materialized repartitions",
+        run: e22_rebalance,
+    },
+    Experiment {
+        name: "e23",
+        description: "device-resident pipelines: kernel fusion x contended queueing x sharding",
+        run: e23_fusion,
+    },
 ];
 
 /// The `repro --list` table: every experiment name with its one-line
 /// description.
 pub fn list_table() -> String {
     let mut out = String::from("experiments (run with `repro <name> ...` or `repro all`):\n");
-    for (name, description) in DESCRIPTIONS {
-        writeln!(out, "  {name:<5} {description}").ok();
+    for e in &EXPERIMENTS {
+        writeln!(out, "  {:<5} {}", e.name, e.description).ok();
     }
     out
 }
@@ -177,36 +213,56 @@ pub fn run_with_metrics(name: &str) -> Result<(String, Vec<(String, f64)>)> {
 ///
 /// # Errors
 ///
-/// Propagates experiment failures; unknown names yield a config error.
+/// Propagates experiment failures; unknown names yield a config error
+/// listing the known ones.
 pub fn run(name: &str) -> Result<String> {
-    match name {
-        "e1" => e01_recommendation(),
-        "e2" => e02_clinical(),
-        "e3" => e03_snorkel(),
-        "e4" => e04_ir_stats(),
-        "e5" => e05_opt_levels(),
-        "e6" => e06_kmeans(),
-        "e7" => e07_active_learning(),
-        "e8" => e08_migration(),
-        "e9" => e09_sort_merge(),
-        "e10" => e10_logca(),
-        "e11" => e11_scan_offload(),
-        "e12" => e12_adapter(),
-        "e13" => e13_roofline(),
-        "e14" => e14_operators(),
-        "e15" => e15_cost_model(),
-        "e16" => e16_service(),
-        "e17" => e17_sharding(),
-        "e18" => e18_join(),
-        "e19" => e19_exchange(),
-        "e20" => e20_accel(),
-        "e21" => e21_sessions(),
-        "e22" => e22_rebalance(),
-        "e23" => e23_fusion(),
-        other => Err(pspp_common::Error::Config(format!(
-            "unknown experiment {other}; known: {ALL:?}"
+    match EXPERIMENTS.iter().find(|e| e.name == name) {
+        Some(experiment) => (experiment.run)(),
+        None => Err(Error::Config(format!(
+            "unknown experiment {name}; known: {:?}",
+            EXPERIMENTS.map(|e| e.name)
         ))),
     }
+}
+
+// The expectations. An experiment states each pass/fail condition once,
+// through one of these; a violated one is the `Err` that fails `repro`.
+
+/// A plain condition; `what` says what broke when it does not hold.
+fn ensure(holds: bool, what: impl FnOnce() -> String) -> Result<()> {
+    if holds {
+        Ok(())
+    } else {
+        Err(Error::Execution(what()))
+    }
+}
+
+/// `value` must reach `floor`.
+fn at_least(what: &str, value: f64, floor: f64) -> Result<()> {
+    ensure(value >= floor, || {
+        format!("{what} {value:.4} is below the {floor:.4} floor")
+    })
+}
+
+/// `value` must not pass `ceiling`.
+fn at_most(what: &str, value: f64, ceiling: f64) -> Result<()> {
+    ensure(value <= ceiling, || {
+        format!("{what} {value:.4} is above the {ceiling:.4} ceiling")
+    })
+}
+
+/// `value` must strictly beat `other`.
+fn above(what: &str, value: f64, other: f64) -> Result<()> {
+    ensure(value > other, || {
+        format!("{what}: {value:.4} does not beat {other:.4}")
+    })
+}
+
+/// Two runs that must agree byte for byte.
+fn same_digest(what: &str, got: u64, expected: u64) -> Result<()> {
+    ensure(got == expected, || {
+        format!("{what} changed bytes: {got:016x} vs {expected:016x}")
+    })
 }
 
 fn clinical_system(level: OptLevel, fleet: AcceleratorFleet, patients: usize) -> Result<Polystore> {
@@ -220,10 +276,85 @@ fn clinical_system(level: OptLevel, fleet: AcceleratorFleet, patients: usize) ->
     .build()
 }
 
+/// The 300-patient L2 workstation system the service and session
+/// experiments (E16, E21, `--open-loop`) run over.
+fn service_system() -> Result<Polystore> {
+    clinical_system(OptLevel::L2, AcceleratorFleet::workstation(), 300)
+}
+
+/// The deployment the distributed experiments (E17–E23, the traced
+/// query) share: the seed-2019 clinical dataset at L2 with `partitions`
+/// declared on top of the catalog's own specs and every partitioned
+/// table spread over `shards` replicas.
+fn sharded_clinical(
+    (patients, vitals_per_patient): (usize, usize),
+    fleet: AcceleratorFleet,
+    shards: usize,
+    options: PlanOptions,
+    partitions: &[(&str, &str, PartitionSpec)],
+) -> Result<Polystore> {
+    let mut builder = Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
+        patients,
+        vitals_per_patient,
+        seed: 2019,
+    }))
+    .accelerators(fleet)
+    .shards(shards)
+    .plan_options(options);
+    for (engine, table, spec) in partitions {
+        builder = builder.partition(TableRef::new(*engine, *table), spec.clone());
+    }
+    builder.build()
+}
+
+/// `patients` hashed on a column the pid join does not use, so the join
+/// is mismatched at every shard count and goes through the exchange.
+fn patients_by_name() -> [(&'static str, &'static str, PartitionSpec); 1] {
+    [("db2", "patients", PartitionSpec::hash("name", 1))]
+}
+
+/// The FNV digest of `outputs`' `Debug` bytes, chained onto `seed`.
+fn digest_of(outputs: &[Dataset], seed: u64) -> u64 {
+    driver::fnv1a(format!("{outputs:?}").as_bytes(), seed)
+}
+
+/// What a batch of runs added up to, folded in run order.
+#[derive(Debug, Clone, Copy, Default)]
+struct Measured {
+    sim_ms: f64,
+    queue_ms: f64,
+    offloaded: usize,
+    fallbacks: usize,
+    exchange_rows: usize,
+    digest: u64,
+}
+
+fn measure<'a>(reports: impl IntoIterator<Item = &'a RunReport>) -> Measured {
+    let mut m = Measured {
+        digest: driver::FNV_OFFSET,
+        ..Measured::default()
+    };
+    for r in reports {
+        let traces = &r.execution.traces;
+        m.sim_ms += r.makespan() * 1e3;
+        m.queue_ms += r.execution.queue_wait_seconds * 1e3;
+        m.offloaded += r.execution.offloaded;
+        m.fallbacks += traces.iter().map(NodeTrace::fallbacks).sum::<usize>();
+        m.exchange_rows += traces.iter().map(NodeTrace::exchange_rows).sum::<usize>();
+        m.digest = digest_of(&r.execution.outputs, m.digest);
+    }
+    m
+}
+
+/// Runs `queries` in order on `system`.
+fn run_sql_all(system: &Polystore, queries: &[&str]) -> Result<Vec<RunReport>> {
+    queries.iter().map(|q| system.run_sql(q)).collect()
+}
+
 /// E1 (Fig. 1): recommendation app across RDBMS + KV + TS — polystore
 /// federation vs one-size-fits-all (copy everything into one store
 /// first).
-pub fn e01_recommendation() -> Result<String> {
+fn e01_recommendation() -> Result<String> {
     let mut out = String::from(
         "E1 (Fig.1) recommendation app: federation vs one-size-fits-all\n\
          strategy              sim_ms   notes\n",
@@ -245,10 +376,7 @@ pub fn e01_recommendation() -> Result<String> {
         .accelerators(AcceleratorFleet::workstation())
         .opt_level(OptLevel::L3)
         .build()?;
-    let mut poly_ms = 0.0;
-    for q in queries {
-        poly_ms += system.run_sql(q)?.makespan() * 1e3;
-    }
+    let poly_ms = measure(&run_sql_all(&system, &queries)?).sim_ms;
     writeln!(
         out,
         "polystore++ (L3)    {poly_ms:>8.3}   native engines + accel"
@@ -297,31 +425,30 @@ pub fn e01_recommendation() -> Result<String> {
 }
 
 /// E2 (Fig. 2): the clinical pipeline, CPU-only vs Polystore++.
-pub fn e02_clinical() -> Result<String> {
+fn e02_clinical() -> Result<String> {
     let mut out = String::from(
         "E2 (Fig.2) clinical pipeline (rel+text+ts -> join -> MLP)\n\
          configuration          sim_ms   offloaded\n",
     );
     let question =
         "Will patients have a long stay at the hospital or short when they exit the ICU?";
-    let cpu = clinical_system(OptLevel::L1, AcceleratorFleet::cpu_only(), 2_000)?;
-    let r_cpu = cpu.run_nlq(question)?;
-    writeln!(
-        out,
-        "cpu polystore (L1)   {:>8.3}   {}",
-        r_cpu.makespan() * 1e3,
-        r_cpu.execution.offloaded
-    )
-    .ok();
-    let acc = clinical_system(OptLevel::L3, AcceleratorFleet::workstation(), 2_000)?;
-    let r_acc = acc.run_nlq(question)?;
-    writeln!(
-        out,
-        "polystore++ (L3)     {:>8.3}   {}",
-        r_acc.makespan() * 1e3,
-        r_acc.execution.offloaded
-    )
-    .ok();
+    let mut run = |label: &str, level: OptLevel, fleet: AcceleratorFleet| {
+        let system = clinical_system(level, fleet, 2_000)?;
+        let r = system.run_nlq(question)?;
+        let (sim_ms, offloaded) = (r.makespan() * 1e3, r.execution.offloaded);
+        writeln!(out, "{label:<20} {sim_ms:>8.3}   {offloaded}").ok();
+        Ok::<_, Error>((system, r))
+    };
+    let (_, r_cpu) = run(
+        "cpu polystore (L1)",
+        OptLevel::L1,
+        AcceleratorFleet::cpu_only(),
+    )?;
+    let (acc, r_acc) = run(
+        "polystore++ (L3)",
+        OptLevel::L3,
+        AcceleratorFleet::workstation(),
+    )?;
     writeln!(
         out,
         "speedup {:.2}x; breakdown (accelerated run): migration {:.3} ms, ml busy {:.3} ms",
@@ -335,7 +462,7 @@ pub fn e02_clinical() -> Result<String> {
 
 /// E3 (Fig. 3): Snorkel loop — per-epoch `load_data` + SGD, host vs
 /// accelerated load path.
-pub fn e03_snorkel() -> Result<String> {
+fn e03_snorkel() -> Result<String> {
     let mut out = String::from(
         "E3 (Fig.3) snorkel loop: load_data + SGD per epoch\n\
          configuration             load_ms  train_ms  epoch_ms\n",
@@ -347,28 +474,20 @@ pub fn e03_snorkel() -> Result<String> {
     let tpu = DeviceProfile::tpu();
 
     // load_data = scan + filter + serialize into tensors.
-    let load_host = cpu.cycles_to_s(StreamFilter::cycles(&cpu, rows, bytes))
-        + SerializerModel::encode_stream(
-            &cpu,
-            bytes,
-            WireFormat::BinaryColumnar,
-            false,
-            None,
-            "e3",
-        )
-        .duration
-        .as_secs();
-    let load_accel = fpga.cycles_to_s(StreamFilter::cycles(&fpga, rows, bytes))
-        + SerializerModel::encode_stream(
-            &fpga,
-            bytes,
-            WireFormat::BinaryColumnar,
-            false,
-            None,
-            "e3",
-        )
-        .duration
-        .as_secs();
+    let load = |p: &DeviceProfile| {
+        p.cycles_to_s(StreamFilter::cycles(p, rows, bytes))
+            + SerializerModel::encode_stream(
+                p,
+                bytes,
+                WireFormat::BinaryColumnar,
+                false,
+                None,
+                "e3",
+            )
+            .duration
+            .as_secs()
+    };
+    let (load_host, load_accel) = (load(&cpu), load(&fpga));
     // One epoch of GEMMs (batch 32, 3 layers) on CPU vs TPU.
     let train_cpu = cpu.cycles_to_s(Gemm::cycles(&cpu, rows, 64, 32)) * 3.0;
     let train_tpu = tpu.cycles_to_s(Gemm::cycles(&tpu, rows, 64, 32)) * 3.0;
@@ -399,7 +518,7 @@ pub fn e03_snorkel() -> Result<String> {
 }
 
 /// E4 (Fig. 5): heterogeneous program → hierarchical IR statistics.
-pub fn e04_ir_stats() -> Result<String> {
+fn e04_ir_stats() -> Result<String> {
     let system = clinical_system(OptLevel::None, AcceleratorFleet::cpu_only(), 50)?;
     let program = system.compile_nlq("Will patients have a long stay at the hospital?")?;
     let mut out = String::from("E4 (Fig.5) heterogeneous program as annotated data-flow graph\n");
@@ -425,7 +544,7 @@ pub fn e04_ir_stats() -> Result<String> {
 }
 
 /// E5 (Fig. 6): optimization-level ablation.
-pub fn e05_opt_levels() -> Result<String> {
+fn e05_opt_levels() -> Result<String> {
     let mut out = String::from(
         "E5 (Fig.6) optimization levels on a fixed query suite\n\
          level      sim_ms   rewrites  offloaded\n",
@@ -437,23 +556,23 @@ pub fn e05_opt_levels() -> Result<String> {
     ];
     for level in OptLevel::all() {
         let system = clinical_system(level, AcceleratorFleet::workstation(), 600)?;
-        let mut ms = 0.0;
-        let mut rewrites = 0;
-        let mut offloaded = 0;
-        for q in queries {
-            let r = system.run_sql(q)?;
-            ms += r.makespan() * 1e3;
-            rewrites += r.rewrites.total();
-            offloaded += r.execution.offloaded;
-        }
-        writeln!(out, "{level:<9} {ms:>8.3}   {rewrites:>7}  {offloaded:>9}").ok();
+        let reports = run_sql_all(&system, &queries)?;
+        let rewrites: usize = reports.iter().map(|r| r.rewrites.total()).sum();
+        let Measured {
+            sim_ms, offloaded, ..
+        } = measure(&reports);
+        writeln!(
+            out,
+            "{level:<9} {sim_ms:>8.3}   {rewrites:>7}  {offloaded:>9}"
+        )
+        .ok();
     }
     out.push_str("shape check: makespan is non-increasing None -> L1 -> L2 -> L3\n");
     Ok(out)
 }
 
 /// E6 (Fig. 7): k-means via parallel patterns on CPU/GPU/FPGA.
-pub fn e06_kmeans() -> Result<String> {
+fn e06_kmeans() -> Result<String> {
     let mut out = String::from(
         "E6 (Fig.7) k-means (OptiML parallel patterns), k=8, d=16, 20 iters\n\
          n          cpu_ms      gpu_ms     fpga_ms   gpu_x   fpga_x\n",
@@ -493,7 +612,7 @@ pub fn e06_kmeans() -> Result<String> {
 }
 
 /// E7 (Fig. 8): active-learning DSE vs random sampling.
-pub fn e07_active_learning() -> Result<String> {
+fn e07_active_learning() -> Result<String> {
     let mut out = String::from(
         "E7 (Fig.8) DSE: hypervolume vs evaluation budget (higher is better)\n\
          budget   random_hv   active_hv   al_wins(5 seeds)\n",
@@ -532,7 +651,7 @@ pub fn e07_active_learning() -> Result<String> {
 
 /// The E7/E15 design space: devices per kernel + batch size, scored by
 /// simulated (latency, energy).
-pub fn placement_space() -> (DesignSpace, impl Fn(&Vec<usize>) -> Vec<f64> + Clone) {
+fn placement_space() -> (DesignSpace, impl Fn(&Vec<usize>) -> Vec<f64> + Clone) {
     let space = DesignSpace::new(vec![
         Param::categorical("sort_device", &["cpu", "gpu", "fpga"]),
         Param::categorical("gemm_device", &["cpu", "gpu", "tpu"]),
@@ -564,7 +683,7 @@ pub fn placement_space() -> (DesignSpace, impl Fn(&Vec<usize>) -> Vec<f64> + Clo
 }
 
 /// E8 (§III-A.3): migration paths vs the PipeGen claim.
-pub fn e08_migration() -> Result<String> {
+fn e08_migration() -> Result<String> {
     let mut out = String::from(
         "E8 (PipeGen claim) migrating rows of (4 int, 3 double)\n\
          path                wire_MB  encode_ms  wire_ms  decode_ms  total_ms  xform%\n",
@@ -637,7 +756,7 @@ pub fn e08_migration() -> Result<String> {
 /// migration task from DB2 to DB1, pipelining it to reduce latency."
 /// Modeled at 5M admissions / 1M migrated patient rows; a real
 /// end-to-end run at small scale anchors correctness.
-pub fn e09_sort_merge() -> Result<String> {
+fn e09_sort_merge() -> Result<String> {
     let mut out = String::from(
         "E9 (SIII example) admissions JOIN patients sorted by date (DB1 <- DB2)\n\
          configuration            sort_ms  migrate_ms  merge_ms  total_ms\n",
@@ -655,14 +774,12 @@ pub fn e09_sort_merge() -> Result<String> {
     // Migration of DB2 rows (32 B each) over the network pipe.
     let bytes = migrated_rows as u64 * 32;
     let net = Interconnect::network_10g();
-    let enc =
-        SerializerModel::encode_stream(&cpu, bytes, WireFormat::BinaryColumnar, false, None, "e9")
+    let codec = |decode: bool| {
+        SerializerModel::encode_stream(&cpu, bytes, WireFormat::BinaryColumnar, decode, None, "e9")
             .duration
-            .as_secs();
-    let dec =
-        SerializerModel::encode_stream(&cpu, bytes, WireFormat::BinaryColumnar, true, None, "e9")
-            .duration
-            .as_secs();
+            .as_secs()
+    };
+    let (enc, dec) = (codec(false), codec(true));
     let wire = net.transfer_time(bytes).as_secs();
     let mig_seq = enc + wire + dec;
     // Pipelined: transform/transfer/compute overlap; bottleneck + fill.
@@ -710,7 +827,7 @@ pub fn e09_sort_merge() -> Result<String> {
     .ok();
 
     // Correctness anchor: the same plan end-to-end at small scale.
-    let system = clinical_system(OptLevel::L2, AcceleratorFleet::workstation(), 300)?;
+    let system = service_system()?;
     let program = HeterogeneousProgram::builder()
         .subprogram(
             "adm",
@@ -743,7 +860,7 @@ pub fn e09_sort_merge() -> Result<String> {
 }
 
 /// E10 (§II-B): LogCA speedup curves and break-even granularities.
-pub fn e10_logca() -> Result<String> {
+fn e10_logca() -> Result<String> {
     let mut out = String::from(
         "E10 (LogCA) offload profitability vs granularity\n\
          accelerator          A     break_even_bytes   speedup@1MB  speedup@1GB\n",
@@ -775,7 +892,7 @@ pub fn e10_logca() -> Result<String> {
 }
 
 /// E11 (§III-A.2): bump-in-the-wire scan filtering.
-pub fn e11_scan_offload() -> Result<String> {
+fn e11_scan_offload() -> Result<String> {
     let mut out = String::from(
         "E11 (SIII-A.2) scan filtering in the data path (64B rows, 4M rows)\n\
          selectivity  host_MB   cpu_ms   fpga_ms  reduction\n",
@@ -811,7 +928,7 @@ pub fn e11_scan_offload() -> Result<String> {
 }
 
 /// E12 (§III-A.4): adapter rule-engine throughput.
-pub fn e12_adapter() -> Result<String> {
+fn e12_adapter() -> Result<String> {
     let mut out = String::from(
         "E12 (SIII-A.4) adapter IR->native rule transform throughput\n\
          device   nodes/s          speedup\n",
@@ -842,7 +959,7 @@ pub fn e12_adapter() -> Result<String> {
 }
 
 /// E13 (§IV-B.4): rooflines for every device.
-pub fn e13_roofline() -> Result<String> {
+fn e13_roofline() -> Result<String> {
     let mut out = String::from(
         "E13 (Roofline) attainable Gops/s vs operational intensity\n\
          device  ridge_pt   oi=0.25      oi=4       oi=64     oi=1024\n",
@@ -869,69 +986,53 @@ pub fn e13_roofline() -> Result<String> {
 }
 
 /// E14 (§III-A.1): operator acceleration microbenchmarks.
-pub fn e14_operators() -> Result<String> {
+fn e14_operators() -> Result<String> {
     let mut out = String::from(
         "E14 operator microbenchmarks (simulated ms; EDP = energy*delay)\n\
          op            n        cpu_ms    best_ms  best_dev  speedup  edp_gain\n",
     );
     let fleet = AcceleratorFleet::workstation();
-    let cpu = fleet.host().clone();
-    // Sort sweep.
+    let cpu = fleet.host();
+    // One row: the host against the best of `devices`, each paying its
+    // attachment's transfer of `bytes` on top of the kernel.
+    let mut row = |op: &str,
+                   size: String,
+                   devices: [DeviceKind; 2],
+                   bytes: u64,
+                   cycles: &dyn Fn(&DeviceProfile) -> u64| {
+        let t_cpu = cpu.cycles_to_s(cycles(cpu));
+        let e_cpu = cpu.energy_j(t_cpu);
+        let mut best = (DeviceKind::Cpu, t_cpu, e_cpu);
+        for d in devices {
+            let p = fleet.profile(d).expect("device exists");
+            let attached = fleet.device(d).expect("attached");
+            let t = p.cycles_to_s(cycles(p)) + attached.transfer_cost(bytes).as_secs();
+            if t < best.1 {
+                best = (d, t, p.energy_j(t));
+            }
+        }
+        writeln!(
+            out,
+            "{op:<9} {size:>9} {:>9.3} {:>10.3}  {:<8} {:>6.2}x {:>8.2}x",
+            t_cpu * 1e3,
+            best.1 * 1e3,
+            best.0,
+            t_cpu / best.1,
+            (e_cpu * t_cpu) / (best.2 * best.1)
+        )
+        .ok();
+    };
     for n in [1u64 << 14, 1 << 20, 1 << 24] {
-        let t_cpu = cpu.cycles_to_s(BitonicSorter::cycles(&cpu, n));
-        let e_cpu = cpu.energy_j(t_cpu);
-        let mut best = (DeviceKind::Cpu, t_cpu, e_cpu);
-        for d in [DeviceKind::Gpu, DeviceKind::Fpga] {
-            let p = fleet.profile(d).expect("device exists");
-            let t = p.cycles_to_s(BitonicSorter::cycles(p, n))
-                + fleet
-                    .device(d)
-                    .expect("attached")
-                    .transfer_cost(n * 16)
-                    .as_secs();
-            if t < best.1 {
-                best = (d, t, p.energy_j(t));
-            }
-        }
-        writeln!(
-            out,
-            "sort      {n:>9} {:>9.3} {:>10.3}  {:<8} {:>6.2}x {:>8.2}x",
-            t_cpu * 1e3,
-            best.1 * 1e3,
-            best.0,
-            t_cpu / best.1,
-            (e_cpu * t_cpu) / (best.2 * best.1)
-        )
-        .ok();
+        let devices = [DeviceKind::Gpu, DeviceKind::Fpga];
+        row("sort", n.to_string(), devices, n * 16, &|p| {
+            BitonicSorter::cycles(p, n)
+        });
     }
-    // GEMM sweep.
     for m in [128u64, 512, 2048] {
-        let t_cpu = cpu.cycles_to_s(Gemm::cycles(&cpu, m, m, m));
-        let e_cpu = cpu.energy_j(t_cpu);
-        let mut best = (DeviceKind::Cpu, t_cpu, e_cpu);
-        for d in [DeviceKind::Gpu, DeviceKind::Tpu] {
-            let p = fleet.profile(d).expect("device exists");
-            let t = p.cycles_to_s(Gemm::cycles(p, m, m, m))
-                + fleet
-                    .device(d)
-                    .expect("attached")
-                    .transfer_cost(3 * m * m * 8)
-                    .as_secs();
-            if t < best.1 {
-                best = (d, t, p.energy_j(t));
-            }
-        }
-        writeln!(
-            out,
-            "gemm      {:>9} {:>9.3} {:>10.3}  {:<8} {:>6.2}x {:>8.2}x",
-            format!("{m}^3"),
-            t_cpu * 1e3,
-            best.1 * 1e3,
-            best.0,
-            t_cpu / best.1,
-            (e_cpu * t_cpu) / (best.2 * best.1)
-        )
-        .ok();
+        let devices = [DeviceKind::Gpu, DeviceKind::Tpu];
+        row("gemm", format!("{m}^3"), devices, 3 * m * m * 8, &|p| {
+            Gemm::cycles(p, m, m, m)
+        });
     }
     out.push_str(
         "shape check: CPU wins tiny sizes (launch+PCIe overhead); FPGA wins large sorts, \
@@ -941,7 +1042,7 @@ pub fn e14_operators() -> Result<String> {
 }
 
 /// E15 (§IV-C): cost-model / surrogate quality.
-pub fn e15_cost_model() -> Result<String> {
+fn e15_cost_model() -> Result<String> {
     let mut out = String::from("E15 cost-model and surrogate quality\n");
     // Part 1: optimizer placement estimate vs executed makespan.
     let queries = [
@@ -1018,17 +1119,15 @@ pub fn e15_cost_model() -> Result<String> {
 /// service's worker threads; the digest and summed ledger columns prove
 /// the results are byte-identical, and throughput/latency come from
 /// the deterministic closed-loop schedule over simulated service
-/// times (see [`driver`]).
-pub fn e16_service() -> Result<String> {
+/// times (see [`driver`]). Fails unless the results are byte-identical
+/// across concurrency and 8-worker throughput is >= 2x the 1-worker
+/// baseline.
+fn e16_service() -> Result<String> {
     let mut out = String::from(
         "E16 query service: closed-loop mixed workload, cache-warm, shared engines\n\
          workers  sim_makespan_ms  qps  p50_ms  p99_ms  hit%  queue_ms  digest\n",
     );
-    let system = Arc::new(clinical_system(
-        OptLevel::L2,
-        AcceleratorFleet::workstation(),
-        300,
-    )?);
+    let system = Arc::new(service_system()?);
     let base = driver::WorkloadConfig {
         queries: 64,
         seed: 2019,
@@ -1036,7 +1135,7 @@ pub fn e16_service() -> Result<String> {
         ..Default::default()
     };
     let mut baseline_qps = 0.0;
-    let mut reference: Option<(u64, usize, f64)> = None;
+    let mut reference = None;
     let mut speedup8 = 0.0;
     for workers in [1usize, 2, 4, 8] {
         let report = driver::run_driver(
@@ -1059,25 +1158,16 @@ pub fn e16_service() -> Result<String> {
             report.digest
         )
         .ok();
-        match &reference {
-            None => {
-                baseline_qps = report.throughput_qps;
-                reference = Some((report.digest, report.cost_events, report.cost_busy_seconds));
-            }
-            Some((digest, events, busy)) => {
-                if report.digest != *digest
-                    || report.cost_events != *events
-                    || report.cost_busy_seconds != *busy
-                {
-                    return Err(pspp_common::Error::Execution(format!(
-                        "results diverged at {workers} workers: digest {:016x} vs {digest:016x}",
-                        report.digest
-                    )));
-                }
-                if workers == 8 {
-                    speedup8 = report.throughput_qps / baseline_qps;
-                }
-            }
+        let ledger = (report.cost_events, report.cost_busy_seconds);
+        let (digest, ledger_1w) = *reference.get_or_insert((report.digest, ledger));
+        same_digest(&format!("{workers} workers"), report.digest, digest)?;
+        ensure(ledger == ledger_1w, || {
+            format!("ledger sums diverged at {workers} workers: {ledger:?} vs {ledger_1w:?}")
+        })?;
+        if workers == 1 {
+            baseline_qps = report.throughput_qps;
+        } else if workers == 8 {
+            speedup8 = report.throughput_qps / baseline_qps;
         }
     }
     bench_metric("qps_1w", baseline_qps);
@@ -1088,11 +1178,7 @@ pub fn e16_service() -> Result<String> {
          8-worker throughput {speedup8:.2}x the 1-worker baseline (target >= 2x)"
     )
     .ok();
-    if speedup8 < 2.0 {
-        return Err(pspp_common::Error::Execution(format!(
-            "8-worker speedup {speedup8:.2}x below the 2x acceptance floor"
-        )));
-    }
+    at_least("8-worker throughput speedup", speedup8, 2.0)?;
     Ok(out)
 }
 
@@ -1105,12 +1191,7 @@ pub fn open_loop_table() -> Result<String> {
         "open-loop driver: arrival-rate sweep, Reject admission (workers=2, depth=4)\n\
          arrival_qps  offered  admitted  shed  shed%  goodput_qps  mean_wait_ms\n",
     );
-    let system = Arc::new(clinical_system(
-        OptLevel::L2,
-        AcceleratorFleet::workstation(),
-        300,
-    )?);
-    let mut previous_shed = 0usize;
+    let system = Arc::new(service_system()?);
     let mut top_shed = 0usize;
     let mut reject_fired = false;
     for arrival_qps in [100.0, 1_000.0, 10_000.0, 100_000.0] {
@@ -1139,13 +1220,12 @@ pub fn open_loop_table() -> Result<String> {
             r.mean_wait_seconds * 1e3,
         )
         .ok();
-        if r.shed < previous_shed {
-            return Err(pspp_common::Error::Execution(format!(
-                "shed count fell from {previous_shed} to {} as offered load rose",
+        ensure(r.shed >= top_shed, || {
+            format!(
+                "shed count fell from {top_shed} to {} as offered load rose",
                 r.shed
-            )));
-        }
-        previous_shed = r.shed;
+            )
+        })?;
         top_shed = r.shed;
     }
     writeln!(
@@ -1156,60 +1236,45 @@ pub fn open_loop_table() -> Result<String> {
         if reject_fired { "yes" } else { "no" }
     )
     .ok();
-    if top_shed == 0 {
-        return Err(pspp_common::Error::Execution(
-            "saturating arrival rate shed nothing; Reject policy untested".into(),
-        ));
-    }
+    ensure(top_shed > 0, || {
+        "saturating arrival rate shed nothing; Reject policy untested".into()
+    })?;
     Ok(out)
 }
 
-/// The artifacts of one traced query: the span-tree JSON dump and text
-/// rendering, the `EXPLAIN ANALYZE` table, and the service's Prometheus
-/// export. Backs `repro --trace <path>` and the CI service smoke.
+/// The artifacts of one traced query. Backs `repro --trace <path>` and
+/// the CI smoke.
 #[derive(Debug, Clone)]
 pub struct TracedQuery {
-    /// The query that was traced.
-    pub query: String,
-    /// Span tree as pretty-printed JSON (byte-reproducible).
+    /// Span tree as pretty-printed JSON (byte-reproducible) — the file
+    /// `--trace` writes.
     pub trace_json: String,
-    /// Span tree as an indented text tree, critical path marked `*`.
-    pub span_text: String,
-    /// `EXPLAIN ANALYZE`: planned vs executed cost per node.
-    pub explain: String,
-    /// Prometheus text-format export of the service registry.
-    pub prometheus: String,
-    /// The run's simulated makespan (== the root span's duration).
-    pub makespan_seconds: f64,
+    /// What `--trace` prints: the query, its span tree as an indented
+    /// text tree (critical path marked `*`), `EXPLAIN ANALYZE` (planned
+    /// vs executed cost per node) and the Prometheus text-format export
+    /// of the service registry.
+    pub text: String,
 }
 
 /// Runs the E19 mismatched-key exchange join on a 4-shard accelerated
 /// system through the query service and returns every observability
 /// artifact: span tree (JSON + text), `EXPLAIN ANALYZE`, Prometheus
 /// export. Deterministic — two calls yield byte-identical artifacts
-/// (the wall-clock column never enters them).
+/// (the wall-clock column never enters them). The export round-trips
+/// through the telemetry crate's text-format parser (its `prom::`
+/// tests).
 ///
 /// # Errors
 ///
 /// Propagates build, compile and execution failures.
 pub fn traced_query() -> Result<TracedQuery> {
-    use pspp_common::TableRef;
-
-    let system = Arc::new(
-        Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
-            patients: 2_000,
-            vitals_per_patient: 4,
-            seed: 2019,
-        }))
-        .accelerators(AcceleratorFleet::workstation())
-        .opt_level(OptLevel::L2)
-        .partition(
-            TableRef::new("db2", "patients"),
-            pspp_common::PartitionSpec::hash("name", 1),
-        )
-        .shards(4)
-        .build()?,
-    );
+    let system = Arc::new(sharded_clinical(
+        (2_000, 4),
+        AcceleratorFleet::workstation(),
+        4,
+        PlanOptions::default(),
+        &patients_by_name(),
+    )?);
     let service = QueryService::new(Arc::clone(&system), ServiceConfig::default())?;
     let session = service.open_session();
     let query =
@@ -1217,12 +1282,13 @@ pub fn traced_query() -> Result<TracedQuery> {
     let resp = session.execute(&Query::sql(query))?;
     let tree = resp.report.span_tree(query);
     Ok(TracedQuery {
-        query: query.to_owned(),
         trace_json: tree.to_json().render(),
-        span_text: tree.render_text(),
-        explain: resp.report.explain_analyze(),
-        prometheus: service.report().prometheus(),
-        makespan_seconds: resp.report.makespan(),
+        text: format!(
+            "traced query: {query}\n{}\n{}\n{}",
+            tree.render_text(),
+            resp.report.explain_analyze(),
+            service.report().prometheus()
+        ),
     })
 }
 
@@ -1231,9 +1297,7 @@ pub fn traced_query() -> Result<TracedQuery> {
 /// scatter-gather reproduces the unsharded row order exactly) while
 /// the simulated scan throughput scales with the replica count
 /// (acceptance floor: >= 1.8x at 4 shards).
-pub fn e17_sharding() -> Result<String> {
-    use pspp_common::TableRef;
-
+fn e17_sharding() -> Result<String> {
     let mut out = String::from(
         "E17 sharded registry: scatter-gather scans over engine replicas\n\
          shards  scan_us  scan_Mrows/s  workload_ms  digest\n",
@@ -1252,18 +1316,16 @@ pub fn e17_sharding() -> Result<String> {
         "SELECT pid, los FROM admissions WHERE los >= 5.0 ORDER BY los DESC LIMIT 20",
     ];
     let patients = 2_000usize;
-    let mut reference: Option<u64> = None;
+    let mut reference = None;
     let mut scan_seconds_by_shards = Vec::new();
     for shards in [1usize, 2, 4] {
-        let system = Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
-            patients,
-            vitals_per_patient: 4,
-            seed: 2019,
-        }))
-        .accelerators(AcceleratorFleet::workstation())
-        .opt_level(OptLevel::L2)
-        .shards(shards)
-        .build()?;
+        let system = sharded_clinical(
+            (patients, 4),
+            AcceleratorFleet::workstation(),
+            shards,
+            PlanOptions::default(),
+            &[],
+        )?;
 
         // Scan time: the simulated seconds of the probe's scan nodes.
         let mut program = system.compile_sql(scan_query)?;
@@ -1277,38 +1339,26 @@ pub fn e17_sharding() -> Result<String> {
             .sum();
         scan_seconds_by_shards.push(scan_seconds);
 
-        let mut digest = driver::FNV_OFFSET;
-        let mut workload_ms = 0.0;
-        for q in workload {
-            let r = system.run_sql(q)?;
-            digest = driver::fnv1a(format!("{:?}", r.execution.outputs).as_bytes(), digest);
-            workload_ms += r.makespan() * 1e3;
-        }
+        let Measured { sim_ms, digest, .. } = measure(&run_sql_all(&system, &workload)?);
         let spec = system
             .registry()
             .partition(&TableRef::new("db1", "admissions"));
-        if shards > 1 && spec.map(pspp_common::PartitionSpec::shard_count) != Some(shards) {
-            return Err(pspp_common::Error::Execution(format!(
-                "admissions not partitioned {shards} ways: {spec:?}"
-            )));
-        }
+        ensure(
+            shards == 1 || spec.map(PartitionSpec::shard_count) == Some(shards),
+            || format!("admissions not partitioned {shards} ways: {spec:?}"),
+        )?;
         writeln!(
             out,
-            "{shards:<7} {:>8.3} {:>12.2} {:>12.3}  {digest:016x}",
+            "{shards:<7} {:>8.3} {:>12.2} {sim_ms:>12.3}  {digest:016x}",
             scan_seconds * 1e6,
             patients as f64 / scan_seconds.max(f64::MIN_POSITIVE) / 1e6,
-            workload_ms
         )
         .ok();
-        match reference {
-            None => reference = Some(digest),
-            Some(expected) if digest != expected => {
-                return Err(pspp_common::Error::Execution(format!(
-                    "digests diverged at {shards} shards: {digest:016x} vs {expected:016x}"
-                )));
-            }
-            Some(_) => {}
-        }
+        same_digest(
+            &format!("{shards} shards"),
+            digest,
+            *reference.get_or_insert(digest),
+        )?;
     }
     let speedup4 = scan_seconds_by_shards[0] / scan_seconds_by_shards[2].max(f64::MIN_POSITIVE);
     writeln!(
@@ -1317,11 +1367,7 @@ pub fn e17_sharding() -> Result<String> {
          throughput {speedup4:.2}x the single-shard baseline (target >= 1.8x)"
     )
     .ok();
-    if speedup4 < 1.8 {
-        return Err(pspp_common::Error::Execution(format!(
-            "4-shard scan speedup {speedup4:.2}x below the 1.8x acceptance floor"
-        )));
-    }
+    at_least("4-shard scan speedup", speedup4, 1.8)?;
     Ok(out)
 }
 
@@ -1335,9 +1381,7 @@ pub fn e17_sharding() -> Result<String> {
 /// least 1.5x at 4 shards). The colocated placement must also price
 /// the join at the full scatter width (satellite: `PlacementPlan`
 /// exposes per-node `scatter_width`).
-pub fn e18_join() -> Result<String> {
-    use pspp_common::TableRef;
-
+fn e18_join() -> Result<String> {
     let mut out = String::from(
         "E18 colocated cross-shard join: per-shard build+probe vs gathered\n\
          shards  colo_join_us  gath_join_us  speedup  scatter_w  digest\n",
@@ -1346,29 +1390,21 @@ pub fn e18_join() -> Result<String> {
                  ON admissions.pid = patients.pid WHERE age >= 40";
     let patients = 2_000usize;
     let build = |shards: usize, colocate: bool| {
-        Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
-            patients,
-            vitals_per_patient: 4,
-            seed: 2019,
-        }))
-        .accelerators(AcceleratorFleet::workstation())
-        .opt_level(OptLevel::L2)
-        // Hash-partition both join sides on the join key so the
-        // colocation rule (compatibly hashed, equal counts) applies.
-        .partition(
-            TableRef::new("db1", "admissions"),
-            pspp_common::PartitionSpec::hash("pid", 1),
+        sharded_clinical(
+            (patients, 4),
+            AcceleratorFleet::workstation(),
+            shards,
+            PlanOptions {
+                colocate,
+                ..PlanOptions::default()
+            },
+            // Hash-partition both join sides on the join key so the
+            // colocation rule (compatibly hashed, equal counts) applies.
+            &[
+                ("db1", "admissions", PartitionSpec::hash("pid", 1)),
+                ("db2", "patients", PartitionSpec::hash("pid", 1)),
+            ],
         )
-        .partition(
-            TableRef::new("db2", "patients"),
-            pspp_common::PartitionSpec::hash("pid", 1),
-        )
-        .shards(shards)
-        .plan_options(PlanOptions {
-            colocate,
-            ..PlanOptions::default()
-        })
-        .build()
     };
     let mut speedup4 = 0.0;
     for shards in [1usize, 2, 4] {
@@ -1388,26 +1424,19 @@ pub fn e18_join() -> Result<String> {
                 .id;
             if colocate {
                 width = placement.scatter_width[&join];
-                if width != shards {
-                    return Err(pspp_common::Error::Execution(format!(
-                        "join priced at scatter width {width}, expected {shards}"
-                    )));
-                }
+                ensure(width == shards, || {
+                    format!("join priced at scatter width {width}, expected {shards}")
+                })?;
             }
             let report = system.execute(&program)?;
             join_us[slot] = report.node_seconds[&join] * 1e6;
-            digests[slot] = driver::fnv1a(
-                format!("{:?}", report.outputs).as_bytes(),
-                driver::FNV_OFFSET,
-            );
+            digests[slot] = digest_of(&report.outputs, driver::FNV_OFFSET);
         }
-        if digests[0] != digests[1] {
-            return Err(pspp_common::Error::Execution(format!(
-                "colocated and gathered joins diverged at {shards} shards: \
-                 {:016x} vs {:016x}",
-                digests[0], digests[1]
-            )));
-        }
+        same_digest(
+            &format!("colocating the join at {shards} shards"),
+            digests[0],
+            digests[1],
+        )?;
         let speedup = join_us[1] / join_us[0].max(f64::MIN_POSITIVE);
         if shards == 4 {
             speedup4 = speedup;
@@ -1425,11 +1454,7 @@ pub fn e18_join() -> Result<String> {
          4-shard colocated join {speedup4:.2}x the gathered baseline (target >= 1.5x)"
     )
     .ok();
-    if speedup4 < 1.5 {
-        return Err(pspp_common::Error::Execution(format!(
-            "4-shard colocated join speedup {speedup4:.2}x below the 1.5x acceptance floor"
-        )));
-    }
+    at_least("4-shard colocated join speedup", speedup4, 1.5)?;
     Ok(out)
 }
 
@@ -1444,9 +1469,7 @@ pub fn e18_join() -> Result<String> {
 /// so the exchange is a pure performance transformation. Acceptance
 /// floors at 4 shards: the shuffled join and the partition-wise
 /// aggregation each >= 1.5x their gathered baselines.
-pub fn e19_exchange() -> Result<String> {
-    use pspp_common::TableRef;
-
+fn e19_exchange() -> Result<String> {
     let mut out = String::from(
         "E19 exchange operator: shuffled mismatched-key join + partition-wise aggregation\n\
          shards  shuf_join_us  gath_join_us  join_x  pw_agg_us  gath_agg_us  agg_x  shuffles  digest\n",
@@ -1463,29 +1486,20 @@ pub fn e19_exchange() -> Result<String> {
     let merge_agg_query = "SELECT age, count(*) AS n FROM admissions GROUP BY age";
     let patients = 2_000usize;
     let build = |shards: usize, exchange: bool| {
-        Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
-            patients,
-            vitals_per_patient: 4,
-            seed: 2019,
-        }))
-        .accelerators(AcceleratorFleet::workstation())
-        .opt_level(OptLevel::L2)
-        // Re-partition patients on a non-join key so the pid join is
-        // mismatched at every shard count.
-        .partition(
-            TableRef::new("db2", "patients"),
-            pspp_common::PartitionSpec::hash("name", 1),
+        sharded_clinical(
+            (patients, 4),
+            AcceleratorFleet::workstation(),
+            shards,
+            // The baseline is the fully gathered plan: partition-wise
+            // grouping rides the colocation switch, the shuffle/merge
+            // exchanges ride the exchange switch.
+            if exchange {
+                PlanOptions::default()
+            } else {
+                PlanOptions::gathered()
+            },
+            &patients_by_name(),
         )
-        .shards(shards)
-        // The baseline is the fully gathered plan: partition-wise
-        // grouping rides the colocation switch, the shuffle/merge
-        // exchanges ride the exchange switch.
-        .plan_options(if exchange {
-            PlanOptions::default()
-        } else {
-            PlanOptions::gathered()
-        })
-        .build()
     };
     // Simulated seconds of the first node matching `pick`.
     let probe_node = |system: &Polystore, query: &str, pick: &dyn Fn(&Operator) -> bool| {
@@ -1498,7 +1512,7 @@ pub fn e19_exchange() -> Result<String> {
             .expect("query contains the probed operator")
             .id;
         let report = system.execute(&program)?;
-        Ok::<(f64, pspp_optimizer::PlacementPlan), pspp_common::Error>((
+        Ok::<(f64, pspp_optimizer::PlacementPlan), Error>((
             report.node_seconds[&node],
             placement.expect("L2 places"),
         ))
@@ -1506,7 +1520,7 @@ pub fn e19_exchange() -> Result<String> {
     let is_join = |op: &Operator| matches!(op, Operator::HashJoin { .. });
     let is_group = |op: &Operator| matches!(op, Operator::GroupBy { .. });
 
-    let mut reference: Option<u64> = None;
+    let mut reference = None;
     let mut join_speedup4 = 0.0;
     let mut agg_speedup4 = 0.0;
     let mut exchange_rows = 0usize;
@@ -1526,49 +1540,29 @@ pub fn e19_exchange() -> Result<String> {
             }
             let (agg_s, _) = probe_node(&system, pw_agg_query, &is_group)?;
             agg_us[slot] = agg_s * 1e6;
-            let mut digest = driver::FNV_OFFSET;
-            for q in [join_query, pw_agg_query, merge_agg_query] {
-                let r = system.run_sql(q)?;
-                digest = driver::fnv1a(format!("{:?}", r.execution.outputs).as_bytes(), digest);
-                if exchange {
-                    exchange_rows += r
-                        .execution
-                        .traces
-                        .iter()
-                        .map(NodeTrace::exchange_rows)
-                        .sum::<usize>();
-                    host_fallbacks += r
-                        .execution
-                        .traces
-                        .iter()
-                        .map(NodeTrace::fallbacks)
-                        .sum::<usize>();
-                }
+            let measured = measure(&run_sql_all(
+                &system,
+                &[join_query, pw_agg_query, merge_agg_query],
+            )?);
+            if exchange {
+                exchange_rows += measured.exchange_rows;
+                host_fallbacks += measured.fallbacks;
             }
-            digests[slot] = digest;
+            digests[slot] = measured.digest;
         }
-        if digests[0] != digests[1] {
-            return Err(pspp_common::Error::Execution(format!(
-                "exchange and gathered plans diverged at {shards} shards: \
-                 {:016x} vs {:016x}",
-                digests[0], digests[1]
-            )));
-        }
-        match reference {
-            None => reference = Some(digests[0]),
-            Some(expected) if digests[0] != expected => {
-                return Err(pspp_common::Error::Execution(format!(
-                    "digests diverged at {shards} shards: {:016x} vs {expected:016x}",
-                    digests[0]
-                )));
-            }
-            Some(_) => {}
-        }
-        if shards > 1 && shuffles == 0 {
-            return Err(pspp_common::Error::Execution(format!(
-                "mismatched-key join planned no shuffle at {shards} shards"
-            )));
-        }
+        same_digest(
+            &format!("the exchange at {shards} shards"),
+            digests[0],
+            digests[1],
+        )?;
+        same_digest(
+            &format!("{shards} shards"),
+            digests[0],
+            *reference.get_or_insert(digests[0]),
+        )?;
+        ensure(shards == 1 || shuffles > 0, || {
+            format!("mismatched-key join planned no shuffle at {shards} shards")
+        })?;
         let join_x = join_us[1] / join_us[0].max(f64::MIN_POSITIVE);
         let agg_x = agg_us[1] / agg_us[0].max(f64::MIN_POSITIVE);
         if shards == 4 {
@@ -1593,12 +1587,12 @@ pub fn e19_exchange() -> Result<String> {
          {agg_speedup4:.2}x their gathered baselines (targets >= 1.5x)"
     )
     .ok();
-    if join_speedup4 < 1.5 || agg_speedup4 < 1.5 {
-        return Err(pspp_common::Error::Execution(format!(
-            "4-shard exchange speedups below the 1.5x floor: join {join_speedup4:.2}x, \
-             aggregation {agg_speedup4:.2}x"
-        )));
-    }
+    at_least("4-shard shuffled join speedup", join_speedup4, 1.5)?;
+    at_least(
+        "4-shard partition-wise aggregation speedup",
+        agg_speedup4,
+        1.5,
+    )?;
     Ok(out)
 }
 
@@ -1616,9 +1610,7 @@ pub fn e19_exchange() -> Result<String> {
 /// off, at every shard count. Acceptance floor: at 4 shards the
 /// combined configuration must beat offload-only AND sharding-only
 /// (the speedups compose, they don't cannibalize).
-pub fn e20_accel() -> Result<String> {
-    use pspp_common::TableRef;
-
+fn e20_accel() -> Result<String> {
     let mut out = String::from(
         "E20 accelerator-aware distributed planning: offload x sharding\n\
          config         shards  offloaded  sim_ms   speedup  digest\n",
@@ -1632,110 +1624,64 @@ pub fn e20_accel() -> Result<String> {
         "SELECT name, age FROM admissions JOIN db2.patients ON admissions.pid = patients.pid",
         "SELECT pid, count(*) AS n, avg(age) AS mean_age FROM admissions GROUP BY pid",
     ];
-    let patients = 2_000usize;
-    let build = |shards: usize, fleet: AcceleratorFleet| {
-        Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
-            patients,
-            vitals_per_patient: 4,
-            seed: 2019,
-        }))
-        .accelerators(fleet)
-        .opt_level(OptLevel::L2)
-        .partition(
-            TableRef::new("db2", "patients"),
-            pspp_common::PartitionSpec::hash("name", 1),
-        )
-        .shards(shards)
-        .build()
+    let run = |shards: usize, fleet: AcceleratorFleet| -> Result<Measured> {
+        let system = sharded_clinical(
+            (2_000, 4),
+            fleet,
+            shards,
+            PlanOptions::default(),
+            &patients_by_name(),
+        )?;
+        let mut reports = vec![system.run_nlq(question)?];
+        reports.extend(run_sql_all(&system, &queries)?);
+        Ok(measure(&reports))
     };
-    // Total simulated workload time, offloaded-task count, the byte
-    // digest of every output, and the host-fallback count.
-    let run = |system: &Polystore| -> Result<(f64, usize, u64, usize)> {
-        let mut ms = 0.0;
-        let mut offloaded = 0usize;
-        let mut fallbacks = 0usize;
-        let mut digest = driver::FNV_OFFSET;
-        let r = system.run_nlq(question)?;
-        ms += r.makespan() * 1e3;
-        offloaded += r.execution.offloaded;
-        fallbacks += r
-            .execution
-            .traces
-            .iter()
-            .map(NodeTrace::fallbacks)
-            .sum::<usize>();
-        digest = driver::fnv1a(format!("{:?}", r.execution.outputs).as_bytes(), digest);
-        for q in queries {
-            let r = system.run_sql(q)?;
-            ms += r.makespan() * 1e3;
-            offloaded += r.execution.offloaded;
-            fallbacks += r
-                .execution
-                .traces
-                .iter()
-                .map(NodeTrace::fallbacks)
-                .sum::<usize>();
-            digest = driver::fnv1a(format!("{:?}", r.execution.outputs).as_bytes(), digest);
-        }
-        Ok((ms, offloaded, digest, fallbacks))
-    };
-    let row = |out: &mut String,
-               config: &str,
-               shards: usize,
-               measured: (f64, usize, u64, usize),
-               base_ms: f64| {
+    let base = run(1, AcceleratorFleet::cpu_only())?;
+    let speedup = |m: Measured| base.sim_ms / m.sim_ms.max(f64::MIN_POSITIVE);
+    let row = |out: &mut String, config: &str, shards: usize, m: Measured| {
         writeln!(
             out,
             "{config:<14} {shards:<7} {:>9} {:>8.3} {:>7.2}x  {:016x}",
-            measured.1,
-            measured.0,
-            base_ms / measured.0.max(f64::MIN_POSITIVE),
-            measured.2
+            m.offloaded,
+            m.sim_ms,
+            speedup(m),
+            m.digest
         )
         .ok();
     };
 
-    let base = run(&build(1, AcceleratorFleet::cpu_only())?)?;
-    let offload = run(&build(1, AcceleratorFleet::workstation())?)?;
-    row(&mut out, "host baseline", 1, base, base.0);
-    row(&mut out, "offload-only", 1, offload, base.0);
-    if offload.2 != base.2 {
-        return Err(pspp_common::Error::Execution(format!(
-            "offload changed bytes at 1 shard: {:016x} vs {:016x}",
-            offload.2, base.2
-        )));
-    }
-    if offload.1 == 0 {
-        return Err(pspp_common::Error::Execution(
-            "offload-only configuration offloaded nothing".into(),
-        ));
-    }
-    let offload_x = base.0 / offload.0.max(f64::MIN_POSITIVE);
+    let offload = run(1, AcceleratorFleet::workstation())?;
+    row(&mut out, "host baseline", 1, base);
+    row(&mut out, "offload-only", 1, offload);
+    same_digest("offload at 1 shard", offload.digest, base.digest)?;
+    ensure(offload.offloaded > 0, || {
+        "offload-only configuration offloaded nothing".into()
+    })?;
+    let offload_x = speedup(offload);
     let mut sharding_x = 0.0;
     let mut combined_x = 0.0;
     let mut combined_fallbacks = 0usize;
     for shards in [2usize, 4] {
-        let sharded = run(&build(shards, AcceleratorFleet::cpu_only())?)?;
-        let combined = run(&build(shards, AcceleratorFleet::workstation())?)?;
-        row(&mut out, "sharding-only", shards, sharded, base.0);
-        row(&mut out, "combined", shards, combined, base.0);
+        let sharded = run(shards, AcceleratorFleet::cpu_only())?;
+        let combined = run(shards, AcceleratorFleet::workstation())?;
+        row(&mut out, "sharding-only", shards, sharded);
+        row(&mut out, "combined", shards, combined);
         // Offload on vs off at the same shard count, and every shard
         // count vs the single-shard reference: all byte-identical.
-        for (label, digest) in [("sharding-only", sharded.2), ("combined", combined.2)] {
-            if digest != base.2 {
-                return Err(pspp_common::Error::Execution(format!(
-                    "{label} diverged at {shards} shards: {digest:016x} vs {:016x}",
-                    base.2
-                )));
-            }
+        for (label, m) in [("sharding-only", sharded), ("combined", combined)] {
+            same_digest(
+                &format!("{label} at {shards} shards"),
+                m.digest,
+                base.digest,
+            )?;
         }
         if shards == 4 {
-            sharding_x = base.0 / sharded.0.max(f64::MIN_POSITIVE);
-            combined_x = base.0 / combined.0.max(f64::MIN_POSITIVE);
-            combined_fallbacks = combined.3;
+            sharding_x = speedup(sharded);
+            combined_x = speedup(combined);
+            combined_fallbacks = combined.fallbacks;
         }
     }
-    bench_metric("offloaded_tasks", offload.1 as f64);
+    bench_metric("offloaded_tasks", offload.offloaded as f64);
     bench_metric("host_fallbacks_combined_4s", combined_fallbacks as f64);
     bench_metric("offload_x", offload_x);
     bench_metric("sharding_x_4s", sharding_x);
@@ -1746,13 +1692,17 @@ pub fn e20_accel() -> Result<String> {
          offload_only={offload_x:.2}x sharding_only={sharding_x:.2}x combined={combined_x:.2}x"
     )
     .ok();
-    if combined_x <= offload_x || combined_x <= sharding_x {
-        return Err(pspp_common::Error::Execution(format!(
-            "offload x sharding does not compose: combined {combined_x:.2}x vs \
-             offload-only {offload_x:.2}x, sharding-only {sharding_x:.2}x"
-        )));
-    }
+    offload_and_sharding_compose(offload_x, sharding_x, combined_x)?;
     Ok(out)
+}
+
+/// E20's verdict: the combined configuration must beat offload alone
+/// *and* sharding alone. If it regresses below offload alone, per-shard
+/// device planning is mispricing the fleet and the combined
+/// configuration is wasting the accelerators it was given.
+fn offload_and_sharding_compose(offload_x: f64, sharding_x: f64, combined_x: f64) -> Result<()> {
+    above("combined vs offload-only speedup", combined_x, offload_x)?;
+    above("combined vs sharding-only speedup", combined_x, sharding_x)
 }
 
 /// The shared query pool for the session-core sweep: the same mixed
@@ -1789,6 +1739,29 @@ fn session_scripts(n: usize, qps: f64, pool: usize, seed: u64) -> Vec<SessionScr
         .collect()
 }
 
+/// A session core over `system` shaped the way E21 and E22 both run
+/// it: memoized execution, two tenants weighted 1:3.
+fn session_core(
+    system: Polystore,
+    workers: usize,
+    queue_depth: usize,
+    cache: bool,
+    retry_max: u32,
+) -> Result<SessionCore> {
+    SessionCore::new(
+        system,
+        SessionCoreConfig {
+            workers,
+            queue_depth,
+            result_cache: Some(cache),
+            memoize_execution: true,
+            tenant_weights: vec![1, 3],
+            retry_max,
+            ..Default::default()
+        },
+    )
+}
+
 /// E21: the session-core scale sweep — 10k/100k/1M open-loop sessions
 /// on a fixed 8-worker pool, result cache off vs on.
 ///
@@ -1799,7 +1772,7 @@ fn session_scripts(n: usize, qps: f64, pool: usize, seed: u64) -> Vec<SessionScr
 /// arrival rate), and a result-cache mean-service speedup > 1x.
 /// Arrival rate is calibrated deterministically to ~1.25x the
 /// cache-off drain capacity, so the admission queue genuinely sheds.
-pub fn e21_sessions() -> Result<String> {
+fn e21_sessions() -> Result<String> {
     const WORKERS: usize = 8;
     const SEED: u64 = 2019;
     let pool = session_pool();
@@ -1807,19 +1780,9 @@ pub fn e21_sessions() -> Result<String> {
     // Calibrate the steady-state mean service time on a small cold
     // fleet (big queue, nothing sheds), then offer 1.25x capacity.
     let calibration = {
-        let mut core = SessionCore::new(
-            clinical_system(OptLevel::L2, AcceleratorFleet::workstation(), 300)?,
-            SessionCoreConfig {
-                workers: WORKERS,
-                queue_depth: 4096,
-                result_cache: Some(false),
-                memoize_execution: true,
-                tenant_weights: vec![1, 3],
-                ..Default::default()
-            },
-        )?;
+        let system = service_system()?;
         let scripts = session_scripts(4096, 1e4, pool.len(), SEED);
-        core.run(&pool, &scripts)?
+        session_core(system, WORKERS, 4096, false, 0)?.run(&pool, &scripts)?
     };
     let mean_service = calibration.mean_latency_seconds().max(1e-9);
     let qps = 1.25 * WORKERS as f64 / mean_service;
@@ -1837,19 +1800,9 @@ pub fn e21_sessions() -> Result<String> {
         let mut digests = Vec::new();
         let mut mean_by_cache = [0.0f64; 2];
         for cache in [false, true] {
-            let mut core = SessionCore::new(
-                clinical_system(OptLevel::L2, AcceleratorFleet::workstation(), 300)?,
-                SessionCoreConfig {
-                    workers: WORKERS,
-                    queue_depth: 64,
-                    result_cache: Some(cache),
-                    memoize_execution: true,
-                    tenant_weights: vec![1, 3],
-                    ..Default::default()
-                },
-            )?;
+            let system = service_system()?;
             let scripts = session_scripts(n, qps, pool.len(), SEED);
-            let report = core.run(&pool, &scripts)?;
+            let report = session_core(system, WORKERS, 64, cache, 0)?.run(&pool, &scripts)?;
             let (p50, _, p99) = report.latency.quantiles();
             let mean = report.mean_latency_seconds();
             let rc = &report.result_cache;
@@ -1892,13 +1845,11 @@ pub fn e21_sessions() -> Result<String> {
                 }
             }
         }
-        if digests[0] != digests[1] {
-            return Err(pspp_common::Error::Execution(format!(
-                "result cache changed bytes at {n} sessions: \
-                 off {:016x} vs on {:016x}",
-                digests[0], digests[1]
-            )));
-        }
+        same_digest(
+            &format!("the result cache at {n} sessions"),
+            digests[1],
+            digests[0],
+        )?;
         if n == 100_000 {
             speedup = mean_by_cache[0] / mean_by_cache[1].max(1e-12);
         }
@@ -1908,11 +1859,7 @@ pub fn e21_sessions() -> Result<String> {
     // process with shed queries retrying after a mean-service backoff.
     // Retries amplify attempts but cannot create capacity — goodput
     // must stay pinned at the no-retry service rate.
-    let storm_system = Arc::new(clinical_system(
-        OptLevel::L2,
-        AcceleratorFleet::workstation(),
-        300,
-    )?);
+    let storm_system = Arc::new(service_system()?);
     let storm_base = driver::run_open_loop(
         &storm_system,
         &driver::OpenLoopConfig {
@@ -1931,7 +1878,7 @@ pub fn e21_sessions() -> Result<String> {
     .ok();
     let mut storm_goodput = Vec::new();
     for retry_max in [0usize, 1, 3, 8] {
-        let storm = driver::retry_storm_schedule(
+        let storm = driver::replay_arrivals(
             &storm_base.service_seconds,
             2.0 * WORKERS as f64 / mean_service,
             WORKERS,
@@ -1955,13 +1902,12 @@ pub fn e21_sessions() -> Result<String> {
         );
         storm_goodput.push(storm.goodput_qps);
     }
-    if storm_goodput[3] > storm_goodput[0] * 1.10 {
-        return Err(pspp_common::Error::Execution(format!(
-            "retry storm conjured capacity: goodput {:.1} qps at retry_max=8 \
-             vs {:.1} qps at retry_max=0",
-            storm_goodput[3], storm_goodput[0]
-        )));
-    }
+    // Retries cannot conjure capacity.
+    at_most(
+        "retry_max=8 goodput (qps) against 1.1x the no-retry goodput",
+        storm_goodput[3],
+        storm_goodput[0] * 1.10,
+    )?;
 
     let shed10k = shed_off[0].1;
     let shed100k = shed_off[1].1;
@@ -1973,31 +1919,28 @@ pub fn e21_sessions() -> Result<String> {
     bench_metric("sessions_per_worker_1m", 1_000_000.0 / WORKERS as f64);
     writeln!(
         out,
-        "session_guard: shed10k={shed10k:.4} shed100k={shed100k:.4} shed1m={shed1m:.4} \
-         speedup={speedup:.2}"
-    )
-    .ok();
-    writeln!(
-        out,
         "shape check: byte-identical digests cache on/off at every scale; shed rate does \
          not grow with session count (the small decrease from 10k is the cold-plan \
          startup transient amortizing away); result cache {speedup:.1}x on mean service"
     )
     .ok();
-    // One-sided, like the CI guard: more sessions must never mean more
-    // shedding at fixed offered load.
-    if shed100k > shed10k + 0.01 || shed1m > shed10k + 0.01 {
-        return Err(pspp_common::Error::Execution(format!(
-            "shed rate grows with session count: 10k {shed10k:.4}, \
-             100k {shed100k:.4}, 1M {shed1m:.4}"
-        )));
-    }
-    if speedup <= 1.0 {
-        return Err(pspp_common::Error::Execution(format!(
-            "result cache does not pay for itself: {speedup:.2}x"
-        )));
-    }
+    shed_rate_ignores_session_count(shed10k, "100k", shed100k)?;
+    shed_rate_ignores_session_count(shed10k, "1M", shed1m)?;
+    above("result-cache speedup on mean service", speedup, 1.0)?;
     Ok(out)
+}
+
+/// E21's verdict on shedding: the shed rate must be a function of
+/// offered load, not session count. One-sided — more sessions must
+/// never mean more shedding at fixed offered load; if 100k or 1M
+/// sessions shed more than 10k sessions by over one point, parked
+/// sessions are leaking cost into the admission path.
+fn shed_rate_ignores_session_count(shed10k: f64, scale: &str, shed: f64) -> Result<()> {
+    at_most(
+        &format!("shed rate at {scale} sessions against 10k's plus a point"),
+        shed,
+        shed10k + 0.01,
+    )
 }
 
 /// E22: online elasticity — the tentpole two-parter.
@@ -2017,9 +1960,7 @@ pub fn e21_sessions() -> Result<String> {
 /// within the analytic `1 - from/to` bound, and no shed-rate spike
 /// from the rebalances (one-sided, retries absorb the epoch-bump
 /// replanning transient).
-pub fn e22_rebalance() -> Result<String> {
-    use pspp_common::TableRef;
-
+fn e22_rebalance() -> Result<String> {
     let mut out = String::from(
         "E22 online elasticity: materialized repartitions + incremental rebalance under load\n",
     );
@@ -2031,26 +1972,19 @@ pub fn e22_rebalance() -> Result<String> {
     let join_query = "SELECT name, age FROM admissions \
                       JOIN db2.patients ON admissions.pid = patients.pid";
     let build_mat = |materialize: bool| {
-        Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
-            patients: 6_000,
-            vitals_per_patient: 4,
-            seed: 2019,
-        }))
-        .accelerators(AcceleratorFleet::workstation())
-        .opt_level(OptLevel::L2)
-        .partition(
-            TableRef::new("db1", "admissions"),
-            pspp_common::PartitionSpec::hash("date", 16),
+        sharded_clinical(
+            (6_000, 4),
+            AcceleratorFleet::workstation(),
+            1,
+            PlanOptions {
+                materialize,
+                ..PlanOptions::default()
+            },
+            &[
+                ("db1", "admissions", PartitionSpec::hash("date", 16)),
+                ("db2", "patients", PartitionSpec::hash("name", 16)),
+            ],
         )
-        .partition(
-            TableRef::new("db2", "patients"),
-            pspp_common::PartitionSpec::hash("name", 16),
-        )
-        .plan_options(PlanOptions {
-            materialize,
-            ..PlanOptions::default()
-        })
-        .build()
     };
     let mat = build_mat(true)?;
     let plain = build_mat(false)?;
@@ -2059,26 +1993,19 @@ pub fn e22_rebalance() -> Result<String> {
     // [mat first, mat second, plain first, plain second]
     for (slot, system) in [(0usize, &mat), (2, &plain)] {
         for second in [0usize, 1] {
-            let r = system.run_sql(join_query)?;
-            times_ms[slot + second] = r.makespan() * 1e3;
-            digests[slot + second] = driver::fnv1a(
-                format!("{:?}", r.execution.outputs).as_bytes(),
-                driver::FNV_OFFSET,
-            );
+            let run = measure(&[system.run_sql(join_query)?]);
+            times_ms[slot + second] = run.sim_ms;
+            digests[slot + second] = run.digest;
+            same_digest("materialized repartitions", run.digest, digests[0])?;
         }
     }
-    if digests.iter().any(|&d| d != digests[0]) {
-        return Err(pspp_common::Error::Execution(format!(
-            "materialized repartitions changed bytes: {digests:016x?}"
-        )));
-    }
     let stats = mat.registry().repartitions().stats();
-    if stats.stores == 0 || stats.hits == 0 {
-        return Err(pspp_common::Error::Execution(format!(
+    ensure(stats.stores > 0 && stats.hits > 0, || {
+        format!(
             "materialization never engaged: {} stores, {} hits",
             stats.stores, stats.hits
-        )));
-    }
+        )
+    })?;
     let speedup = times_ms[0] / times_ms[1].max(f64::MIN_POSITIVE);
     writeln!(
         out,
@@ -2120,30 +2047,14 @@ pub fn e22_rebalance() -> Result<String> {
         Query::sql("SELECT pid, count(*) AS n, avg(age) AS mean_age FROM admissions GROUP BY pid"),
     ];
     let build_core = |cache: bool, queue_depth: usize, retry_max: u32| -> Result<SessionCore> {
-        let system = Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
-            patients: 500,
-            vitals_per_patient: 4,
-            seed: 2019,
-        }))
-        .accelerators(AcceleratorFleet::workstation())
-        .opt_level(OptLevel::L2)
-        .partition(
-            TableRef::new("db1", "admissions"),
-            pspp_common::PartitionSpec::hash("pid", 1),
-        )
-        .build()?;
-        SessionCore::new(
-            system,
-            SessionCoreConfig {
-                workers: WORKERS,
-                queue_depth,
-                result_cache: Some(cache),
-                memoize_execution: true,
-                tenant_weights: vec![1, 3],
-                retry_max,
-                ..Default::default()
-            },
-        )
+        let system = sharded_clinical(
+            (500, 4),
+            AcceleratorFleet::workstation(),
+            1,
+            PlanOptions::default(),
+            &[("db1", "admissions", PartitionSpec::hash("pid", 1))],
+        )?;
+        session_core(system, WORKERS, queue_depth, cache, retry_max)
     };
     // Calibrate mean service on a big-queue burst, then offer exactly
     // capacity so the grow events land on a loaded core.
@@ -2157,12 +2068,12 @@ pub fn e22_rebalance() -> Result<String> {
         ReshardEvent {
             at: horizon / 3.0,
             table: TableRef::new("db1", "admissions"),
-            spec: pspp_common::PartitionSpec::hash("pid", 2),
+            spec: PartitionSpec::hash("pid", 2),
         },
         ReshardEvent {
             at: 2.0 * horizon / 3.0,
             table: TableRef::new("db1", "admissions"),
-            spec: pspp_common::PartitionSpec::hash("pid", 4),
+            spec: PartitionSpec::hash("pid", 4),
         },
     ];
     writeln!(
@@ -2199,22 +2110,18 @@ pub fn e22_rebalance() -> Result<String> {
         reports.push(report);
     }
     let (steady, grown, grown_nocache) = (&reports[0], &reports[1], &reports[2]);
-    if grown.digest != steady.digest || grown.digest != grown_nocache.digest {
-        return Err(pspp_common::Error::Execution(format!(
-            "online grow changed bytes: steady {:016x}, grown {:016x}, cache-off {:016x}",
-            steady.digest, grown.digest, grown_nocache.digest
-        )));
-    }
-    if grown.rebalances.len() != 2 {
-        return Err(pspp_common::Error::Execution(format!(
-            "expected 2 rebalances, saw {}",
-            grown.rebalances.len()
-        )));
-    }
+    same_digest("the online grow", grown.digest, steady.digest)?;
+    same_digest(
+        "the result cache under the grow",
+        grown_nocache.digest,
+        grown.digest,
+    )?;
+    ensure(grown.rebalances.len() == 2, || {
+        format!("expected 2 rebalances, saw {}", grown.rebalances.len())
+    })?;
     // Each grow step doubles the width, so the analytic expectation of
     // the moved fraction is 1 - from/to = 0.5; allow hash noise above.
     let bound = pspp_common::hash_grow_moved_fraction(1, 2).expect("1 -> 2 divides");
-    const FRAC_TOLERANCE: f64 = 0.08;
     let mut fracs = [0.0f64; 2];
     for (i, (diff, (from, to))) in grown
         .rebalances
@@ -2236,17 +2143,10 @@ pub fn e22_rebalance() -> Result<String> {
             diff.incremental
         )
         .ok();
-        if !diff.incremental || diff.total_rows == 0 {
-            return Err(pspp_common::Error::Execution(format!(
-                "grow {from}->{to} was not an incremental diff: {diff:?}"
-            )));
-        }
-        if fracs[i] > step_bound + FRAC_TOLERANCE {
-            return Err(pspp_common::Error::Execution(format!(
-                "grow {from}->{to} moved {:.3} of rows, above the {step_bound:.3} analytic bound",
-                fracs[i]
-            )));
-        }
+        ensure(diff.incremental && diff.total_rows > 0, || {
+            format!("grow {from}->{to} was not an incremental diff: {diff:?}")
+        })?;
+        grow_moves_its_analytic_share(&format!("{from}->{to}"), fracs[i], step_bound)?;
     }
     let shed_delta = grown.shed_rate() - steady.shed_rate();
     bench_metric("repartition_speedup", speedup);
@@ -2259,34 +2159,36 @@ pub fn e22_rebalance() -> Result<String> {
     bench_metric("grow_retries", grown.retries as f64);
     writeln!(
         out,
-        "rebalance_guard: moved_frac_1to2={:.4} moved_frac_2to4={:.4} bound={bound:.4} \
-         speedup={speedup:.2} shed_delta={shed_delta:.4}",
-        fracs[0], fracs[1]
-    )
-    .ok();
-    writeln!(
-        out,
         "shape check: byte-identical digests across steady/grown/cache-off; each grow step \
          moves ~half the rows (never more than {:.0}% + {:.0}% noise); \
          rebalancing adds no shed spike ({shed_delta:+.4}); the served repartition is \
          {speedup:.2}x (floor 2x)",
         bound * 100.0,
-        FRAC_TOLERANCE * 100.0
+        MOVED_FRACTION_NOISE * 100.0
     )
     .ok();
-    if speedup < 2.0 {
-        return Err(pspp_common::Error::Execution(format!(
-            "served repartition below the 2x floor: {speedup:.2}x"
-        )));
-    }
-    if shed_delta > 0.02 {
-        return Err(pspp_common::Error::Execution(format!(
-            "rebalance caused a shed spike: steady {:.4}, grown {:.4}",
-            steady.shed_rate(),
-            grown.shed_rate()
-        )));
-    }
+    at_least("served-repartition speedup", speedup, 2.0)?;
+    at_most(
+        "shed-rate rise from rebalancing under load",
+        shed_delta,
+        0.02,
+    )?;
     Ok(out)
+}
+
+/// Hash noise E22 allows a grow step's moved fraction above its
+/// analytic expectation.
+const MOVED_FRACTION_NOISE: f64 = 0.08;
+
+/// E22's verdict on one grow step: it may move at most the analytic
+/// `1 - from/to` of the rows (plus hash noise) — if it moves more, the
+/// rebalance diff is rebuilding shards it should have left alone.
+fn grow_moves_its_analytic_share(step: &str, moved_fraction: f64, analytic: f64) -> Result<()> {
+    at_most(
+        &format!("moved fraction of grow {step} against its analytic share plus noise"),
+        moved_fraction,
+        analytic + MOVED_FRACTION_NOISE,
+    )
 }
 
 /// The E23 IR workloads: a back-to-back big-sort pipeline (the fusion
@@ -2352,7 +2254,7 @@ fn twin_train_program() -> Program {
 /// executes exactly as planned (zero silent fission), and declared
 /// capacity surfaces a queue wait exactly where two same-stage tasks
 /// target the same physical device.
-pub fn e23_fusion() -> Result<String> {
+fn e23_fusion() -> Result<String> {
     let mut out = String::from(
         "E23 device-resident pipelines: fusion x contention x sharding\n\
          config               shards  chains  queue_ms  sim_ms   digest\n",
@@ -2362,78 +2264,39 @@ pub fn e23_fusion() -> Result<String> {
         "SELECT name, age FROM admissions JOIN db2.patients ON admissions.pid = patients.pid",
         "SELECT pid, count(*) AS n, avg(age) AS mean_age FROM admissions GROUP BY pid",
     ];
-    let build = |shards: usize, fusion: bool, contended: bool| {
+    // One grid point: run the mixed workload, add up simulated time,
+    // queue waits and the output digest, and prove every planned fused
+    // chain executed with exactly its planned membership. Returns the
+    // totals and the executed chain count.
+    let run = |shards: usize, fusion: bool, contended: bool| -> Result<(Measured, usize)> {
         let mut fleet = AcceleratorFleet::workstation();
         if contended {
             for kind in [DeviceKind::Gpu, DeviceKind::Fpga, DeviceKind::Tpu] {
                 fleet = fleet.with_capacity(kind, 1);
             }
         }
-        Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
-            patients: 60_000,
-            vitals_per_patient: 1,
-            seed: 2019,
-        }))
-        .accelerators(fleet)
-        .opt_level(OptLevel::L2)
-        .plan_options(PlanOptions {
+        let options = PlanOptions {
             fusion,
             ..PlanOptions::default()
-        })
-        .shards(shards)
-        .build()
-    };
-    // One grid point: run the mixed workload, accumulate simulated
-    // time, queue waits, the output digest, and prove every planned
-    // fused chain executed with exactly its planned membership.
-    struct Point {
-        sim_ms: f64,
-        queue_ms: f64,
-        chains: usize,
-        digest: u64,
-    }
-    let run = |system: &Polystore| -> Result<Point> {
-        let mut point = Point {
-            sim_ms: 0.0,
-            queue_ms: 0.0,
-            chains: 0,
-            digest: driver::FNV_OFFSET,
         };
-        let programs = [two_sort_program(), twin_train_program()];
-        let mut reports = Vec::new();
-        for p in programs {
-            reports.push(system.run_program(p)?);
-        }
-        for q in sql_queries {
-            reports.push(system.run_sql(q)?);
-        }
+        let system = sharded_clinical((60_000, 1), fleet, shards, options, &[])?;
+        let mut reports = vec![
+            system.run_program(two_sort_program())?,
+            system.run_program(twin_train_program())?,
+        ];
+        reports.extend(run_sql_all(&system, &sql_queries)?);
+        let mut chains = 0;
         for r in &reports {
-            point.sim_ms += r.makespan() * 1e3;
-            point.queue_ms += r.execution.queue_wait_seconds * 1e3;
-            point.digest = driver::fnv1a(
-                format!("{:?}", r.execution.outputs).as_bytes(),
-                point.digest,
-            );
+            let key = |c: &FusedChain| (c.shard, c.device, c.nodes.clone());
             let planned = r.placement.as_ref().expect("L2 places");
-            let plan_key: Vec<_> = planned
-                .fused_chains
-                .iter()
-                .map(|c| (c.shard, c.device, c.nodes.clone()))
-                .collect();
-            let exec_key: Vec<_> = r
-                .execution
-                .fused_chains
-                .iter()
-                .map(|c| (c.shard, c.device, c.nodes.clone()))
-                .collect();
-            if plan_key != exec_key {
-                return Err(pspp_common::Error::Execution(format!(
-                    "silent fission: planned chains {plan_key:?} executed as {exec_key:?}"
-                )));
-            }
-            point.chains += exec_key.len();
+            let plan_key: Vec<_> = planned.fused_chains.iter().map(key).collect();
+            let exec_key: Vec<_> = r.execution.fused_chains.iter().map(key).collect();
+            ensure(plan_key == exec_key, || {
+                format!("silent fission: planned chains {plan_key:?} executed as {exec_key:?}")
+            })?;
+            chains += exec_key.len();
         }
-        Ok(point)
+        Ok((measure(&reports), chains))
     };
 
     let mut baseline_digest = None;
@@ -2444,7 +2307,7 @@ pub fn e23_fusion() -> Result<String> {
         for contended in [false, true] {
             let mut sim_by_fusion = [0.0f64; 2];
             for fusion in [false, true] {
-                let point = run(&build(shards, fusion, contended)?)?;
+                let (point, chains) = run(shards, fusion, contended)?;
                 let config = format!(
                     "fusion={} queue={}",
                     if fusion { "on " } else { "off" },
@@ -2452,54 +2315,37 @@ pub fn e23_fusion() -> Result<String> {
                 );
                 writeln!(
                     out,
-                    "{config:<20} {shards:<7} {:>6} {:>9.3} {:>8.3}  {:016x}",
-                    point.chains, point.queue_ms, point.sim_ms, point.digest
+                    "{config:<20} {shards:<7} {chains:>6} {:>9.3} {:>8.3}  {:016x}",
+                    point.queue_ms, point.sim_ms, point.digest
                 )
                 .ok();
-                match baseline_digest {
-                    None => baseline_digest = Some(point.digest),
-                    Some(base) if base != point.digest => {
-                        return Err(pspp_common::Error::Execution(format!(
-                            "bytes diverged at fusion={fusion} contended={contended} \
-                             shards={shards}: {:016x} vs {base:016x}",
-                            point.digest
-                        )));
-                    }
-                    Some(_) => {}
-                }
-                if fusion && point.chains == 0 {
-                    return Err(pspp_common::Error::Execution(
-                        "fusion on but no chain formed".into(),
-                    ));
-                }
-                if !fusion && point.chains != 0 {
-                    return Err(pspp_common::Error::Execution(
-                        "fusion off but chains executed".into(),
-                    ));
-                }
-                if contended && point.queue_ms <= 0.0 {
-                    return Err(pspp_common::Error::Execution(
-                        "declared capacity produced no queue wait".into(),
-                    ));
-                }
-                if !contended && point.queue_ms != 0.0 {
-                    return Err(pspp_common::Error::Execution(
-                        "exclusive fleet should never queue".into(),
-                    ));
-                }
+                same_digest(
+                    &format!("fusion={fusion} contended={contended} shards={shards}"),
+                    point.digest,
+                    *baseline_digest.get_or_insert(point.digest),
+                )?;
+                ensure(fusion == (chains > 0), || {
+                    format!("fusion={fusion} but {chains} chains executed")
+                })?;
+                let queue_as_declared = if contended {
+                    point.queue_ms > 0.0
+                } else {
+                    point.queue_ms == 0.0
+                };
+                ensure(queue_as_declared, || {
+                    format!(
+                        "contended={contended} but {} ms of queue wait: waits appear \
+                         exactly under declared capacity",
+                        point.queue_ms
+                    )
+                })?;
                 sim_by_fusion[usize::from(fusion)] = point.sim_ms;
                 if contended && fusion {
                     queue_ms_contended = point.queue_ms;
                 }
             }
+            fused_beats_unfused(sim_by_fusion[0], sim_by_fusion[1])?;
             let fusion_x = sim_by_fusion[0] / sim_by_fusion[1].max(f64::MIN_POSITIVE);
-            if sim_by_fusion[1] >= sim_by_fusion[0] {
-                return Err(pspp_common::Error::Execution(format!(
-                    "fused does not beat unfused at shards={shards} \
-                     contended={contended}: {:.3}ms vs {:.3}ms",
-                    sim_by_fusion[1], sim_by_fusion[0]
-                )));
-            }
             if !contended {
                 if shards == 1 {
                     fusion_x_1s = fusion_x;
@@ -2514,12 +2360,6 @@ pub fn e23_fusion() -> Result<String> {
     bench_metric("queue_ms_contended", queue_ms_contended);
     writeln!(
         out,
-        "fusion_guard: fusion_x_1s={fusion_x_1s:.4} fusion_x_4s={fusion_x_4s:.4} \
-         queue_ms={queue_ms_contended:.3}"
-    )
-    .ok();
-    writeln!(
-        out,
         "shape check: byte-identical digests across the full grid; fused beats unfused \
          at every (contention, shards) point; planned chains == executed chains \
          everywhere (zero silent fission); queue waits appear exactly under declared \
@@ -2529,19 +2369,89 @@ pub fn e23_fusion() -> Result<String> {
     Ok(out)
 }
 
+/// E23's verdict at one (contention, shards) grid point: kernel fusion
+/// must never lose to the unfused plan — a fused run that is not
+/// faster means the device-resident chain is paying more than the
+/// per-node PCIe round trips it replaces.
+fn fused_beats_unfused(unfused_ms: f64, fused_ms: f64) -> Result<()> {
+    above("unfused vs fused simulated ms", unfused_ms, fused_ms)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn experiment_index_and_descriptions_stay_in_sync() {
-        // `repro --list` derives from DESCRIPTIONS, the runner from
-        // ALL: adding an experiment to one but not the other would
-        // re-create the exact discoverability gap --list fixes.
-        assert_eq!(ALL.len(), DESCRIPTIONS.len());
-        for (name, (described, text)) in ALL.iter().zip(DESCRIPTIONS.iter()) {
-            assert_eq!(name, described, "ALL and DESCRIPTIONS diverge");
-            assert!(!text.is_empty(), "{name} needs a description");
+    fn index_names_are_unique_and_unknown_names_list_them() {
+        for (i, e) in EXPERIMENTS.iter().enumerate() {
+            assert!(!e.name.is_empty() && !e.description.is_empty());
+            assert!(
+                EXPERIMENTS[..i]
+                    .iter()
+                    .all(|earlier| earlier.name != e.name),
+                "{} is indexed twice",
+                e.name
+            );
         }
+        match run("e99") {
+            Err(Error::Config(msg)) => {
+                assert!(msg.contains("unknown experiment e99"), "got {msg}");
+                for e in &EXPERIMENTS {
+                    assert!(
+                        msg.contains(&format!("{:?}", e.name)),
+                        "{msg} omits {}",
+                        e.name
+                    );
+                }
+            }
+            other => panic!("expected the typed config error, got {other:?}"),
+        }
+    }
+
+    // One test per guard `ci.yml` used to re-implement in sed/awk over
+    // stdout: the verdict the experiment itself calls rejects the
+    // violating value and accepts the boundary.
+
+    #[test]
+    fn e20_rejects_a_combined_speedup_below_offload_alone() {
+        assert!(offload_and_sharding_compose(1.25, 1.10, 1.20).is_err());
+        assert!(offload_and_sharding_compose(1.25, 1.30, 1.28).is_err());
+        // Stricter than CI was: a tie with either single is a failure.
+        assert!(offload_and_sharding_compose(1.25, 1.10, 1.25).is_err());
+        assert!(offload_and_sharding_compose(1.25, 1.10, 1.26).is_ok());
+    }
+
+    #[test]
+    fn e21_rejects_a_shed_rate_that_grows_with_session_count() {
+        assert!(shed_rate_ignores_session_count(0.20, "100k", 0.22).is_err());
+        assert!(shed_rate_ignores_session_count(0.20, "100k", 0.20 + 0.01).is_ok());
+        assert!(shed_rate_ignores_session_count(0.20, "1M", 0.18).is_ok());
+    }
+
+    #[test]
+    fn e22_rejects_a_grow_step_that_moves_more_than_its_share() {
+        assert!(grow_moves_its_analytic_share("1->2", 0.59, 0.5).is_err());
+        assert!(grow_moves_its_analytic_share("1->2", 0.5 + 0.08, 0.5).is_ok());
+        assert!(grow_moves_its_analytic_share("2->4", 0.5, 0.5).is_ok());
+    }
+
+    #[test]
+    fn e23_rejects_a_fused_run_that_is_not_faster() {
+        // Fusion ratio 0.999: unfused 9.99 ms against fused 10 ms.
+        assert!(fused_beats_unfused(9.99, 10.0).is_err());
+        // Stricter than CI was: a ratio of exactly 1.0 is a failure.
+        assert!(fused_beats_unfused(10.0, 10.0).is_err());
+        assert!(fused_beats_unfused(10.01, 10.0).is_ok());
+    }
+
+    #[test]
+    fn checks_name_what_failed() {
+        let err = at_least("4-shard scan speedup", 1.7, 1.8).unwrap_err();
+        assert!(matches!(&err, Error::Execution(m) if m.contains("4-shard scan speedup")));
+        assert!(at_least("x", 1.8, 1.8).is_ok());
+        assert!(at_most("x", 1.8, 1.8).is_ok());
+        assert!(same_digest("x", 7, 7).is_ok());
+        let err = same_digest("the exchange at 4 shards", 7, 8).unwrap_err();
+        assert!(matches!(&err, Error::Execution(m) if m.contains("the exchange at 4 shards")));
     }
 }

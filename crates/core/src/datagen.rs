@@ -1,10 +1,11 @@
 //! Deterministic synthetic deployments.
 //!
 //! MIMIC-III is credentialed-access, so the clinical deployment
-//! reproduces its *shape* instead (see DESIGN.md's substitution table):
-//! relational admissions, free-text notes, vital-sign timeseries, a
-//! patient/admission/ward graph, a key/value profile store and an ICU
-//! device stream — everything Fig. 2's heterogeneous program touches.
+//! reproduces its *shape* instead (see README's "What stands in for
+//! what" table): relational admissions, free-text notes, vital-sign
+//! timeseries, a patient/admission/ward graph, a key/value profile
+//! store and an ICU device stream — everything Fig. 2's heterogeneous
+//! program touches.
 
 use std::collections::HashMap;
 

@@ -192,14 +192,6 @@ pub enum ExchangeKind {
     MergePartials,
 }
 
-impl ExchangeKind {
-    /// Whether the edge physically moves rows between shards (priced
-    /// like migration by the cost model).
-    pub fn moves_rows(&self) -> bool {
-        !matches!(self, ExchangeKind::Local)
-    }
-}
-
 impl std::fmt::Display for ExchangeKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -753,15 +745,6 @@ impl ShardPlan {
         self.nodes.is_empty()
     }
 
-    /// The colocated nodes, in id order.
-    pub fn colocated_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.colocated)
-            .map(|(i, _)| NodeId(i))
-    }
-
     /// Exchange-edge totals across the plan, by kind.
     pub fn exchange_counts(&self) -> ExchangeCounts {
         let mut counts = ExchangeCounts::default();
@@ -868,7 +851,6 @@ mod tests {
         // Both scan producers must retain their per-shard partials.
         assert!(plan.node(NodeId(0)).partials_needed);
         assert!(plan.node(NodeId(1)).partials_needed);
-        assert_eq!(plan.colocated_nodes().collect::<Vec<_>>(), vec![j]);
     }
 
     #[test]

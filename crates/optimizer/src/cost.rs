@@ -152,11 +152,6 @@ impl CostModel {
         self.options
     }
 
-    /// Registers statistics for a dataset.
-    pub fn set_stats(&mut self, table: TableRef, stats: TableStats) {
-        self.stats.insert(table, stats);
-    }
-
     /// Estimated cost on `fleet`'s host of the shard-ordered gather
     /// concatenating `width` partials totaling `rows` output rows
     /// ([`price::splice`]). Zero when nothing scatters.
@@ -1122,6 +1117,10 @@ mod tests {
     }
 
     fn model() -> CostModel {
+        CostModel::new(stats())
+    }
+
+    fn stats() -> HashMap<TableRef, TableStats> {
         let mut stats = HashMap::new();
         stats.insert(
             TableRef::new("db1", "big"),
@@ -1137,7 +1136,7 @@ mod tests {
                 row_bytes: 32.0,
             },
         );
-        CostModel::new(stats)
+        stats
     }
 
     fn sort_program() -> (Program, NodeId) {
@@ -1283,11 +1282,12 @@ mod tests {
 
     #[test]
     fn join_site_ties_keep_the_first_input() {
-        let mut m = model();
-        m.set_stats(
+        let mut stats = stats();
+        stats.insert(
             TableRef::new("db2", "small"),
-            m.stats[&TableRef::new("db1", "big")],
+            stats[&TableRef::new("db1", "big")],
         );
+        let m = CostModel::new(stats);
         let (mut p, j) = join_of(
             Operator::scan(TableRef::new("db2", "small")),
             Operator::scan(TableRef::new("db1", "big")),
@@ -1421,14 +1421,15 @@ mod tests {
 
     #[test]
     fn colocated_join_is_priced_at_per_shard_volume() {
-        let mut m = model();
-        m.set_stats(
+        let mut stats = stats();
+        stats.insert(
             TableRef::new("db2", "big2"),
             TableStats {
                 rows: 2_000_000.0,
                 row_bytes: 64.0,
             },
         );
+        let m = CostModel::new(stats);
         let sharded_on = |right_key: &str| {
             workstation()
                 .hash(TableRef::new("db1", "big"), "k", 4)

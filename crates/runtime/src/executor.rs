@@ -57,7 +57,7 @@ use std::sync::OnceLock;
 use pspp_accel::{CostEvent, CostLedger, EventKind, SimDuration};
 use pspp_common::{DeviceKind, Distribution, Error, Result, Row, ShardId};
 use pspp_ir::{ExchangeKind, NodeId, Operator, PlanOptions, Program, ShardPlan, Stage};
-use pspp_migrate::{MigrationPath, Migrator};
+use pspp_migrate::MigrationPath;
 use pspp_optimizer::price;
 use pspp_relstore::ops as relops;
 use pspp_telemetry::{ExchangeTrace, MetricsRegistry, NodeTrace, TaskTrace};
@@ -322,24 +322,6 @@ impl Executor {
     /// Uses a specific migration path for cross-engine edges.
     pub fn migration_path(mut self, path: MigrationPath) -> Self {
         self.placer = self.placer.with_path(path);
-        self
-    }
-
-    /// Replaces the migrator (e.g. accelerated or pipelined). The
-    /// executor scopes a ledger onto it per node, so any ledger already
-    /// attached is superseded.
-    pub fn with_migrator(mut self, migrator: Migrator) -> Self {
-        self.placer = Placer::new(migrator, self.placer.path());
-        self
-    }
-
-    /// Installs an extra engine adapter with precedence over the
-    /// standard set — the extension point for new backends.
-    pub fn with_adapter(
-        mut self,
-        adapter: std::sync::Arc<dyn crate::physical::EngineAdapter>,
-    ) -> Self {
-        self.adapters.install(adapter);
         self
     }
 
@@ -1609,8 +1591,9 @@ mod tests {
         let me = std::thread::current().id();
 
         let probe = std::sync::Arc::new(ProbeAdapter::default());
-        let report = exec()
-            .with_adapter(probe.clone())
+        let mut probed = exec();
+        probed.adapters.install(probe.clone());
+        let report = probed
             .execute(&probe_program(["probe_a", "probe_b"]), &r)
             .unwrap();
         assert_eq!(report.outputs.len(), 2);
@@ -1623,9 +1606,9 @@ mod tests {
         // Two failing nodes in one stage: the first by task order ends
         // the stage with its error, and the second never starts.
         let probe = std::sync::Arc::new(ProbeAdapter::default());
-        let failed = exec()
-            .with_adapter(probe.clone())
-            .execute(&probe_program(["probe_a!", "probe_b!"]), &r);
+        let mut probed = exec();
+        probed.adapters.install(probe.clone());
+        let failed = probed.execute(&probe_program(["probe_a!", "probe_b!"]), &r);
         match failed {
             Err(Error::Execution(msg)) => assert!(msg.contains("probe_a!"), "got {msg}"),
             other => panic!("expected execution error, got {other:?}"),

@@ -38,26 +38,12 @@ pub struct Placer {
 }
 
 impl Placer {
-    /// A placer migrating over `path` with `migrator`.
-    pub fn new(migrator: Migrator, path: MigrationPath) -> Self {
-        Placer {
-            migrator,
-            path,
-            metrics: None,
-        }
-    }
-
     /// Records per-input migration counts and simulated durations into
     /// `metrics`. Histogram observations are commutative, so recording
     /// from queries running at the same time stays deterministic.
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
         self.metrics = Some(metrics);
         self
-    }
-
-    /// The migration path cross-engine edges use.
-    pub fn path(&self) -> MigrationPath {
-        self.path
     }
 
     /// This placer with a different migration path.
@@ -237,8 +223,13 @@ impl Placer {
 }
 
 impl Default for Placer {
+    /// A placer migrating over the binary pipe with a plain migrator.
     fn default() -> Self {
-        Placer::new(Migrator::new(), MigrationPath::BinaryPipe)
+        Placer {
+            migrator: Migrator::new(),
+            path: MigrationPath::BinaryPipe,
+            metrics: None,
+        }
     }
 }
 

@@ -350,11 +350,6 @@ impl ShardedRegistry {
         self.partitions.get(table)
     }
 
-    /// All partitioned tables with their specs, in table order.
-    pub fn partitions(&self) -> impl Iterator<Item = (&TableRef, &PartitionSpec)> {
-        self.partitions.iter()
-    }
-
     /// Records a partition spec without moving rows (used when shards
     /// were populated pre-distributed, e.g. by `datagen`).
     ///

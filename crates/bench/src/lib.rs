@@ -1753,11 +1753,10 @@ fn session_core(
         SessionCoreConfig {
             workers,
             queue_depth,
-            result_cache: Some(cache),
+            result_cache: cache,
             memoize_execution: true,
             tenant_weights: vec![1, 3],
             retry_max,
-            ..Default::default()
         },
     )
 }

@@ -58,7 +58,6 @@ pub struct PolystoreBuilder {
     plan_options: PlanOptions,
     shards: usize,
     partitions: Vec<(TableRef, PartitionSpec)>,
-    result_cache: bool,
     fleet_aware_placement: bool,
 }
 
@@ -136,17 +135,6 @@ impl PolystoreBuilder {
     ///   bump (reshard, rebalance, DDL) invalidates every stored layout.
     pub fn plan_options(mut self, options: PlanOptions) -> Self {
         self.plan_options = options;
-        self
-    }
-
-    /// Enables/disables the service tier's result cache by default
-    /// (default: off). The query service and session core inherit this
-    /// toggle unless their own config overrides it; when on, repeated
-    /// read-only queries whose `(plan digest, engine-state epoch)` key
-    /// matches a prior run skip the executor entirely and are billed at
-    /// lookup cost.
-    pub fn result_cache(mut self, on: bool) -> Self {
-        self.result_cache = on;
         self
     }
 
@@ -268,7 +256,6 @@ impl PolystoreBuilder {
             cost_model: CostModel::new(self.deployment.stats).with_options(self.plan_options),
             opt_level: self.opt_level,
             migration_path: self.migration_path,
-            result_cache: self.result_cache,
             ledger: CostLedger::new(),
             metrics,
         })
@@ -309,7 +296,6 @@ pub struct Polystore {
     cost_model: CostModel,
     opt_level: OptLevel,
     migration_path: MigrationPath,
-    result_cache: bool,
     ledger: CostLedger,
     metrics: MetricsRegistry,
 }
@@ -325,7 +311,6 @@ impl Polystore {
             plan_options: PlanOptions::default(),
             shards: 1,
             partitions: Vec::new(),
-            result_cache: false,
             fleet_aware_placement: false,
         }
     }
@@ -375,12 +360,6 @@ impl Polystore {
     /// mutation bumps it and orphans every older entry.
     pub fn epoch(&self) -> u64 {
         self.registry.epoch()
-    }
-
-    /// Whether the service tier should default its result cache on
-    /// (set via [`PolystoreBuilder::result_cache`]).
-    pub fn result_cache(&self) -> bool {
-        self.result_cache
     }
 
     /// Re-partitions a table mid-run: rows move to their new shard

@@ -113,11 +113,38 @@ struct State {
     blocked: u64,
     executed: u64,
     peak_queue: usize,
-    /// EWMA of reported job service times in simulated microseconds
-    /// (`0` until the first report) — the basis of the retry-after
-    /// hint handed to shed clients.
-    mean_service_micros: u64,
+    retry: RetryAfter,
     metrics: Option<PoolMetrics>,
+}
+
+/// The one retry-after rule, for the worker pool and the session core
+/// alike: an EWMA of reported service times in simulated microseconds
+/// (`0` until the first report) and the back-off hint derived from it.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RetryAfter {
+    mean_service_micros: u64,
+}
+
+impl RetryAfter {
+    /// Folds one completed job's service time into the EWMA
+    /// (`new = (7 * old + sample) / 8`).
+    pub(crate) fn record(&mut self, micros: u64) {
+        self.mean_service_micros = if self.mean_service_micros == 0 {
+            micros
+        } else {
+            (self.mean_service_micros.saturating_mul(7) + micros) / 8
+        };
+    }
+
+    /// The deterministic back-off hint, in simulated microseconds, for
+    /// a queue holding `queued` jobs: the time `workers` need to drain
+    /// one slot, `ceil((queued + 1) / workers)` service rounds at the
+    /// recent mean service time. `0` (no estimate) until a service time
+    /// is known.
+    pub(crate) fn hint(&self, queued: usize, workers: usize) -> u64 {
+        let rounds = (queued as u64 + 1).div_ceil(workers.max(1) as u64);
+        self.mean_service_micros.saturating_mul(rounds)
+    }
 }
 
 struct Shared {
@@ -132,15 +159,6 @@ struct Shared {
 impl Shared {
     fn guard(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The deterministic back-off hint for a queue currently holding
-    /// `queued` jobs: the time the pool needs to drain one slot,
-    /// `ceil((queued + 1) / workers)` service rounds at the recent mean
-    /// service time. `0` (no estimate) until a service time is known.
-    fn retry_after_micros(&self, state: &State, queued: usize) -> u64 {
-        let rounds = (queued as u64 + 1).div_ceil(self.workers.max(1) as u64);
-        state.mean_service_micros.saturating_mul(rounds)
     }
 }
 
@@ -192,12 +210,11 @@ impl PoolHandle {
                     if let Some(m) = &state.metrics {
                         m.rejected.inc();
                     }
-                    let retry = self
-                        .shared
-                        .retry_after_micros(&state, self.shared.queue_depth);
                     return Err(Error::overloaded(
                         format!("admission queue full ({} waiting)", self.shared.queue_depth),
-                        retry,
+                        state
+                            .retry
+                            .hint(self.shared.queue_depth, self.shared.workers),
                     ));
                 }
                 AdmissionPolicy::Block => {
@@ -221,27 +238,21 @@ impl PoolHandle {
 
     /// Reports one completed job's service time (simulated
     /// microseconds); the pool folds it into the EWMA behind the
-    /// retry-after hint (`new = (7 * old + sample) / 8`).
+    /// retry-after hint.
     pub fn record_service_micros(&self, micros: u64) {
-        let mut state = self.shared.guard();
-        state.mean_service_micros = if state.mean_service_micros == 0 {
-            micros
-        } else {
-            (state.mean_service_micros.saturating_mul(7) + micros) / 8
-        };
+        self.shared.guard().retry.record(micros);
     }
 
     /// Snapshot of the admission counters.
     pub fn stats(&self) -> AdmissionStats {
         let state = self.shared.guard();
-        let retry_after_micros = self.shared.retry_after_micros(&state, state.queue.len());
         AdmissionStats {
             admitted: state.admitted,
             rejected: state.rejected,
             blocked: state.blocked,
             executed: state.executed,
             peak_queue: state.peak_queue,
-            retry_after_micros,
+            retry_after_micros: state.retry.hint(state.queue.len(), self.shared.workers),
         }
     }
 }

@@ -1,5 +1,5 @@
 //! The service caches: plans and results memoized under epoch-guarded
-//! keys.
+//! keys, both held in one LRU.
 //!
 //! [`PlanCache`] memoizes compiled + optimized programs by query text,
 //! so repeat queries skip the frontend and the optimizer. The key
@@ -7,8 +7,7 @@
 //! ablation knob, exposed per-service by
 //! [`QueryService::set_opt_level`](crate::QueryService::set_opt_level))
 //! invalidates every plan cached at the old level simply by never
-//! matching it again. Eviction is least-recently-used under a fixed
-//! capacity.
+//! matching it again.
 //!
 //! [`ResultCache`] goes one step further for read-only repeats: it
 //! memoizes whole execution reports keyed by `(plan digest,
@@ -20,17 +19,26 @@
 //! again, and the cache's internal epoch advance garbage-collects (and counts)
 //! them as invalidations. Both caches key by epoch for the same reason
 //! — correctness by key construction, not by scanning.
+//!
+//! Both are thin wrappers over the same private `Lru` — a map, a
+//! recency tick, least-recently-used eviction at a fixed entry count
+//! and the effectiveness counters — and both tiers build them through
+//! one constructor at one capacity, `CACHE_CAPACITY` entries: no
+//! caller ever asked for another, so it is a constant, not a setting.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use pspp_common::partition::{fnv1a, FNV_OFFSET};
 use pspp_common::Result;
 use pspp_core::{Polystore, RunReport};
 use pspp_ir::Program;
 use pspp_optimizer::{OptLevel, PlacementPlan, RewriteReport};
-use pspp_telemetry::{Counter, Gauge, MetricsRegistry};
+use pspp_runtime::{ExecutionReport, Payload};
+use pspp_telemetry::{Counter, MetricsRegistry};
 
+use crate::lock;
 use crate::service::Query;
 
 /// Simulated planning-cost model (§IV-A/§IV-B: the frontend and
@@ -40,6 +48,9 @@ use crate::service::Query;
 const PLAN_BASE_SECONDS: f64 = 200e-6;
 const PLAN_PER_BYTE_SECONDS: f64 = 1.5e-6;
 const PLAN_PER_NODE_SECONDS: f64 = 80e-6;
+
+/// Entries every plan and result cache of either tier holds.
+const CACHE_CAPACITY: usize = 256;
 
 /// Which frontend produced the cached program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -131,20 +142,27 @@ impl CachedPlan {
     }
 }
 
-/// Counters describing cache effectiveness.
+/// Counters describing one cache's effectiveness. Plan and result
+/// caches report the same row; only a result cache ever invalidates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found a usable plan.
+    /// Lookups that found a usable entry.
     pub hits: u64,
-    /// Lookups that required planning.
+    /// Lookups that fell through (to planning, or to execution).
     pub misses: u64,
-    /// Plans inserted.
+    /// Entries inserted.
     pub insertions: u64,
-    /// Plans evicted by the LRU policy.
+    /// Entries evicted by the LRU policy.
     pub evictions: u64,
-    /// Plans currently resident.
+    /// Stale-epoch results garbage-collected after an engine mutation
+    /// (always zero for a plan cache, whose stale plans age out).
+    pub invalidations: u64,
+    /// Entries currently resident.
     pub len: usize,
 }
+
+/// A result cache's counters: the same row as a plan cache's.
+pub type ResultCacheStats = CacheStats;
 
 impl CacheStats {
     /// Hit fraction in `[0, 1]`; zero when no lookups happened.
@@ -156,75 +174,153 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
+
+    /// Folds another partition's counters into this one (per-tenant
+    /// cache partitions merge into one service-wide row).
+    pub fn absorb(&mut self, other: &CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.insertions += other.insertions;
+        self.evictions += other.evictions;
+        self.invalidations += other.invalidations;
+        self.len += other.len;
+    }
 }
 
-/// Registry mirrors of the cache counters, updated alongside
-/// [`Inner`]'s own fields so scrapes and [`CacheStats`] agree.
-#[derive(Debug, Clone)]
-struct CacheMetrics {
+/// Registry mirrors of an [`Lru`]'s counters, bumped beside the plain
+/// fields so scrapes and [`CacheStats`] agree. Only the plan cache
+/// exports insertion and eviction series.
+#[derive(Debug)]
+struct Mirror {
     hits: Counter,
     misses: Counter,
-    insertions: Counter,
-    evictions: Counter,
+    insertions: Option<Counter>,
+    evictions: Option<Counter>,
 }
 
-impl CacheMetrics {
-    fn new(registry: &MetricsRegistry) -> Self {
-        let counter = |outcome: &str| {
-            registry.counter(
-                "pspp_plan_cache_lookups_total",
-                "Plan-cache lookups by outcome.",
-                &[("outcome", outcome)],
-            )
-        };
-        CacheMetrics {
+impl Mirror {
+    /// The `hit` / `miss` pair of the lookup series `name`.
+    fn lookups(registry: &MetricsRegistry, name: &str, help: &str) -> Self {
+        let counter = |outcome: &str| registry.counter(name, help, &[("outcome", outcome)]);
+        Mirror {
             hits: counter("hit"),
             misses: counter("miss"),
-            insertions: registry.counter(
-                "pspp_plan_cache_insertions_total",
-                "Plans inserted into the cache.",
-                &[],
-            ),
-            evictions: registry.counter(
-                "pspp_plan_cache_evictions_total",
-                "Plans evicted by the LRU policy.",
-                &[],
-            ),
+            insertions: None,
+            evictions: None,
         }
     }
 }
 
+/// The one LRU under both caches: lookups and inserts advance a tick,
+/// every entry remembers the tick it was last touched at, and an insert
+/// into a full map first evicts the entry with the smallest one.
 #[derive(Debug)]
-struct Entry {
-    plan: Arc<CachedPlan>,
+struct Lru<K, V> {
+    map: HashMap<K, Slot<V>>,
+    tick: u64,
+    capacity: usize,
+    /// `len` is filled in by [`Lru::stats`].
+    stats: CacheStats,
+    mirror: Option<Mirror>,
+}
+
+#[derive(Debug)]
+struct Slot<V> {
+    value: V,
     last_used: u64,
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    map: HashMap<PlanKey, Entry>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    insertions: u64,
-    evictions: u64,
+impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
+    /// An LRU holding at most `capacity` entries (minimum 1).
+    fn new(capacity: usize) -> Self {
+        Lru {
+            map: HashMap::new(),
+            tick: 0,
+            capacity: capacity.max(1),
+            stats: CacheStats::default(),
+            mirror: None,
+        }
+    }
+
+    /// Looks up an entry, bumping its recency on a hit.
+    fn get(&mut self, key: &K) -> Option<V> {
+        self.tick += 1;
+        let tick = self.tick;
+        let found = self.map.get_mut(key).map(|slot| {
+            slot.last_used = tick;
+            slot.value.clone()
+        });
+        if found.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
+        if let Some(m) = &self.mirror {
+            if found.is_some() {
+                m.hits.inc();
+            } else {
+                m.misses.inc();
+            }
+        }
+        found
+    }
+
+    /// Inserts (or replaces) an entry, evicting the least-recently-used
+    /// one when full.
+    fn insert(&mut self, key: K, value: V) {
+        self.tick += 1;
+        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
+            let victim = self
+                .map
+                .iter()
+                .min_by_key(|(_, slot)| slot.last_used)
+                .map(|(k, _)| k.clone());
+            if let Some(victim) = victim {
+                self.map.remove(&victim);
+                self.stats.evictions += 1;
+                if let Some(evictions) = self.mirror.as_ref().and_then(|m| m.evictions.as_ref()) {
+                    evictions.inc();
+                }
+            }
+        }
+        self.stats.insertions += 1;
+        if let Some(insertions) = self.mirror.as_ref().and_then(|m| m.insertions.as_ref()) {
+            insertions.inc();
+        }
+        let last_used = self.tick;
+        self.map.insert(key, Slot { value, last_used });
+    }
+
+    /// Drops every entry and restarts the recency tick from zero, so
+    /// post-clear eviction order matches a fresh cache (leaving the
+    /// tick running was a latent bug: entries inserted after a clear
+    /// inherited a recency epoch that dwarfed any later tick comparison
+    /// against restored state). The effectiveness counters survive.
+    fn clear(&mut self) {
+        self.map.clear();
+        self.tick = 0;
+    }
+
+    /// Snapshot of the effectiveness counters.
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            len: self.map.len(),
+            ..self.stats
+        }
+    }
 }
 
 /// A thread-safe LRU plan cache.
 #[derive(Debug)]
 pub struct PlanCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
-    metrics: Option<CacheMetrics>,
+    lru: Mutex<Lru<PlanKey, Arc<CachedPlan>>>,
 }
 
 impl PlanCache {
     /// A cache holding at most `capacity` plans (minimum 1).
     pub fn new(capacity: usize) -> Self {
         PlanCache {
-            inner: Mutex::new(Inner::default()),
-            capacity: capacity.max(1),
-            metrics: None,
+            lru: Mutex::new(Lru::new(capacity)),
         }
     }
 
@@ -232,87 +328,47 @@ impl PlanCache {
     /// (series `pspp_plan_cache_*`).
     #[must_use]
     pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
-        self.metrics = Some(CacheMetrics::new(registry));
+        let lru = self.lru.get_mut().unwrap_or_else(PoisonError::into_inner);
+        lru.mirror = Some(Mirror {
+            insertions: Some(registry.counter(
+                "pspp_plan_cache_insertions_total",
+                "Plans inserted into the cache.",
+                &[],
+            )),
+            evictions: Some(registry.counter(
+                "pspp_plan_cache_evictions_total",
+                "Plans evicted by the LRU policy.",
+                &[],
+            )),
+            ..Mirror::lookups(
+                registry,
+                "pspp_plan_cache_lookups_total",
+                "Plan-cache lookups by outcome.",
+            )
+        });
         self
-    }
-
-    fn guard(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks up a plan, bumping its recency on a hit.
     pub fn get(&self, key: &PlanKey) -> Option<Arc<CachedPlan>> {
-        let mut inner = self.guard();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let plan = entry.plan.clone();
-                inner.hits += 1;
-                if let Some(m) = &self.metrics {
-                    m.hits.inc();
-                }
-                Some(plan)
-            }
-            None => {
-                inner.misses += 1;
-                if let Some(m) = &self.metrics {
-                    m.misses.inc();
-                }
-                None
-            }
-        }
+        lock(&self.lru).get(key)
     }
 
     /// Inserts (or replaces) a plan, evicting the least-recently-used
     /// entry when full.
     pub fn insert(&self, key: PlanKey, plan: Arc<CachedPlan>) {
-        let mut inner = self.guard();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            if let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&victim);
-                inner.evictions += 1;
-                if let Some(m) = &self.metrics {
-                    m.evictions.inc();
-                }
-            }
-        }
-        inner.insertions += 1;
-        if let Some(m) = &self.metrics {
-            m.insertions.inc();
-        }
-        inner.map.insert(
-            key,
-            Entry {
-                plan,
-                last_used: tick,
-            },
-        );
+        lock(&self.lru).insert(key, plan);
     }
 
-    /// Drops every cached plan and resets the LRU bookkeeping (the
-    /// recency tick restarts from zero so post-clear eviction order
-    /// matches a fresh cache; the effectiveness counters are
-    /// preserved). Leaving the tick running was a latent bug: entries
-    /// inserted after a clear inherited a recency epoch that dwarfed
-    /// any later tick comparison against restored state.
+    /// Drops every cached plan and restarts the LRU tick; the
+    /// effectiveness counters are preserved.
     pub fn clear(&self) {
-        let mut inner = self.guard();
-        inner.map.clear();
-        inner.tick = 0;
+        lock(&self.lru).clear();
     }
 
     /// Number of resident plans.
     pub fn len(&self) -> usize {
-        self.guard().map.len()
+        self.stats().len
     }
 
     /// Whether the cache is empty.
@@ -320,21 +376,9 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Snapshot of the effectiveness counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.guard();
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            insertions: inner.insertions,
-            evictions: inner.evictions,
-            len: inner.map.len(),
-        }
+        lock(&self.lru).stats()
     }
 }
 
@@ -351,319 +395,160 @@ pub struct ResultKey {
     pub epoch: u64,
 }
 
-/// A memoized execution: the full run report of the populating miss
-/// plus the two numbers a hit needs to bill itself honestly.
+/// A memoized execution: the full run report of the populating miss.
+/// What a miss would have cost — the number hit-rate speedups compare
+/// against — is the report's own makespan.
 #[derive(Debug, Clone)]
 pub struct CachedResult {
     /// The run report as executed on the populating miss (outputs,
     /// traces, rewrites, placement, real ledger totals).
     pub report: RunReport,
-    /// Order-sensitive FNV digest of the outputs — hits return the
-    /// byte-identical digest the real execution produced.
-    pub digest: u64,
-    /// The populating execution's simulated makespan: what a miss
-    /// would have cost, and the number hit-rate speedups compare
-    /// against.
-    pub exec_seconds: f64,
+    digest: OnceLock<u64>,
 }
 
 impl CachedResult {
-    /// Estimated resident payload bytes of this memoized execution:
-    /// the sum of its output datasets' payload bytes (rows × value
-    /// widths; models count their parameters). Empty results still
-    /// meter one byte so the budget sees every entry.
-    pub fn estimated_bytes(&self) -> u64 {
-        self.report
-            .execution
-            .outputs
-            .iter()
-            .map(pspp_runtime::Dataset::byte_size)
-            .sum::<u64>()
-            .max(1)
-    }
-}
-
-/// Counters describing result-cache effectiveness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResultCacheStats {
-    /// Lookups served from the cache (executor bypassed).
-    pub hits: u64,
-    /// Lookups that fell through to execution.
-    pub misses: u64,
-    /// Results inserted.
-    pub insertions: u64,
-    /// Results evicted by the LRU policy.
-    pub evictions: u64,
-    /// Stale-epoch entries garbage-collected after an engine mutation.
-    pub invalidations: u64,
-    /// Results currently resident.
-    pub len: usize,
-    /// Estimated payload bytes currently resident (what the byte
-    /// budget meters).
-    pub bytes: u64,
-}
-
-impl ResultCacheStats {
-    /// Hit fraction in `[0, 1]`; zero when no lookups happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
+    /// Wraps one execution's report.
+    pub fn new(report: RunReport) -> Self {
+        CachedResult {
+            report,
+            digest: OnceLock::new(),
         }
     }
 
-    /// Folds another partition's counters into this one (per-tenant
-    /// result-cache partitions merge into one service-wide row).
-    pub fn absorb(&mut self, other: &ResultCacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.insertions += other.insertions;
-        self.evictions += other.evictions;
-        self.invalidations += other.invalidations;
-        self.len += other.len;
-        self.bytes += other.bytes;
+    /// Canonical, layout-invariant digest of the outputs, computed on
+    /// first read and kept: each output contributes its schema and row
+    /// count order-sensitively plus a *commutative* fold over per-row
+    /// digests, so resharding — which may permute a scan's output
+    /// order but never its row multiset — leaves the digest unchanged.
+    /// Model payloads hash their debug rendering. This is what lets
+    /// cache-on and cache-off session runs that straddle a mid-run
+    /// reshard at different simulated instants still agree
+    /// byte-for-byte.
+    pub fn digest(&self) -> u64 {
+        *self
+            .digest
+            .get_or_init(|| output_digest(&self.report.execution))
     }
 }
 
-/// Registry mirrors of the result-cache counters.
-#[derive(Debug, Clone)]
-struct ResultCacheMetrics {
-    hits: Counter,
-    misses: Counter,
-    invalidations: Counter,
-    bytes: Gauge,
-}
-
-impl ResultCacheMetrics {
-    fn new(registry: &MetricsRegistry) -> Self {
-        let counter = |outcome: &str| {
-            registry.counter(
-                "pspp_result_cache_lookups_total",
-                "Result-cache lookups by outcome.",
-                &[("outcome", outcome)],
-            )
-        };
-        ResultCacheMetrics {
-            hits: counter("hit"),
-            misses: counter("miss"),
-            invalidations: registry.counter(
-                "pspp_result_cache_invalidations_total",
-                "Stale-epoch results garbage-collected after engine mutations.",
-                &[],
-            ),
-            bytes: registry.gauge(
-                "pspp_result_cache_bytes",
-                "High-water estimated payload bytes resident in result caches.",
-                &[],
-            ),
+fn output_digest(execution: &ExecutionReport) -> u64 {
+    let mut digest = FNV_OFFSET;
+    for output in &execution.outputs {
+        match &output.payload {
+            Payload::Rows { schema, rows } => {
+                digest = fnv1a(format!("{schema:?}").as_bytes(), digest);
+                let mut fold: u64 = 0;
+                for row in rows {
+                    fold = fold.wrapping_add(fnv1a(format!("{row:?}").as_bytes(), FNV_OFFSET));
+                }
+                digest = fnv1a(&fold.to_le_bytes(), digest);
+                digest = fnv1a(&(rows.len() as u64).to_le_bytes(), digest);
+            }
+            Payload::Model(_) => {
+                digest = fnv1a(format!("{:?}", output.payload).as_bytes(), digest);
+            }
         }
     }
+    digest
 }
 
-#[derive(Debug, Default)]
-struct ResultInner {
-    map: HashMap<ResultKey, ResultEntry>,
-    tick: u64,
+#[derive(Debug)]
+struct Epoched {
+    lru: Lru<ResultKey, Arc<CachedResult>>,
     /// Highest epoch observed; entries below it are unreachable and
     /// get garbage-collected (counted as invalidations).
     epoch: u64,
-    /// Estimated payload bytes across resident entries.
-    bytes: u64,
-    hits: u64,
-    misses: u64,
-    insertions: u64,
-    evictions: u64,
-    invalidations: u64,
-}
-
-#[derive(Debug)]
-struct ResultEntry {
-    result: Arc<CachedResult>,
-    last_used: u64,
-    /// [`CachedResult::estimated_bytes`] at insertion, so removal can
-    /// return exactly what was metered.
-    bytes: u64,
 }
 
 /// A thread-safe LRU result cache keyed by `(plan digest, epoch)` —
-/// the [`PlanCache`] LRU, holding whole execution reports. Besides the
-/// entry-count capacity it can carry a byte budget
-/// ([`ResultCache::with_byte_budget`]): inserts evict
-/// least-recently-used entries until the resident payload estimate
-/// fits, so memoizing a few huge results cannot pin unbounded memory.
+/// the [`PlanCache`] LRU holding whole execution reports, plus an
+/// epoch watermark. Entry count is the only bound.
 #[derive(Debug)]
 pub struct ResultCache {
-    inner: Mutex<ResultInner>,
-    capacity: usize,
-    budget_bytes: Option<u64>,
-    metrics: Option<ResultCacheMetrics>,
+    inner: Mutex<Epoched>,
+    invalidations: Option<Counter>,
 }
 
 impl ResultCache {
     /// A cache holding at most `capacity` results (minimum 1).
     pub fn new(capacity: usize) -> Self {
         ResultCache {
-            inner: Mutex::new(ResultInner::default()),
-            capacity: capacity.max(1),
-            budget_bytes: None,
-            metrics: None,
+            inner: Mutex::new(Epoched {
+                lru: Lru::new(capacity),
+                epoch: 0,
+            }),
+            invalidations: None,
         }
-    }
-
-    /// Caps resident payload bytes (estimated as rows × value widths):
-    /// an insert that would overflow the budget evicts
-    /// least-recently-used entries first. A single over-budget entry
-    /// still caches (the cache always admits the newest result) but
-    /// evicts everything else.
-    #[must_use]
-    pub fn with_byte_budget(mut self, bytes: u64) -> Self {
-        self.budget_bytes = Some(bytes.max(1));
-        self
     }
 
     /// Mirrors hit/miss/invalidation counters into `registry` (series
     /// `pspp_result_cache_*`).
     #[must_use]
     pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
-        self.metrics = Some(ResultCacheMetrics::new(registry));
+        let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
+        inner.lru.mirror = Some(Mirror::lookups(
+            registry,
+            "pspp_result_cache_lookups_total",
+            "Result-cache lookups by outcome.",
+        ));
+        self.invalidations = Some(registry.counter(
+            "pspp_result_cache_invalidations_total",
+            "Stale-epoch results garbage-collected after engine mutations.",
+            &[],
+        ));
         self
-    }
-
-    fn guard(&self) -> MutexGuard<'_, ResultInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Advances the cache to `epoch`, garbage-collecting every entry
     /// recorded under an older epoch. Stale entries are unreachable
     /// either way (the epoch is part of the key); this frees their
     /// memory and counts them as invalidations.
-    fn advance_epoch(&self, inner: &mut ResultInner, epoch: u64) {
+    fn advance_epoch(&self, inner: &mut Epoched, epoch: u64) {
         if epoch <= inner.epoch {
             return;
         }
         inner.epoch = epoch;
-        let before = inner.map.len();
-        let mut freed = 0u64;
-        inner.map.retain(|k, e| {
-            if k.epoch >= epoch {
-                true
-            } else {
-                freed += e.bytes;
-                false
-            }
-        });
-        inner.bytes -= freed;
-        let dropped = (before - inner.map.len()) as u64;
+        let before = inner.lru.map.len();
+        inner.lru.map.retain(|k, _| k.epoch >= epoch);
+        let dropped = (before - inner.lru.map.len()) as u64;
         if dropped > 0 {
-            inner.invalidations += dropped;
-            if let Some(m) = &self.metrics {
-                m.invalidations.add(dropped);
+            inner.lru.stats.invalidations += dropped;
+            if let Some(invalidations) = &self.invalidations {
+                invalidations.add(dropped);
             }
         }
-    }
-
-    /// Removes the least-recently-used entry, returning whether one
-    /// existed.
-    fn evict_lru(inner: &mut ResultInner) -> bool {
-        let Some(victim) = inner
-            .map
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| *k)
-        else {
-            return false;
-        };
-        if let Some(entry) = inner.map.remove(&victim) {
-            inner.bytes -= entry.bytes;
-        }
-        inner.evictions += 1;
-        true
     }
 
     /// Looks up a result, bumping its recency on a hit. The key's
     /// epoch also advances the cache's epoch watermark, invalidating
     /// older entries.
     pub fn get(&self, key: &ResultKey) -> Option<Arc<CachedResult>> {
-        let mut inner = self.guard();
+        let mut inner = lock(&self.inner);
         self.advance_epoch(&mut inner, key.epoch);
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let result = entry.result.clone();
-                inner.hits += 1;
-                if let Some(m) = &self.metrics {
-                    m.hits.inc();
-                }
-                Some(result)
-            }
-            None => {
-                inner.misses += 1;
-                if let Some(m) = &self.metrics {
-                    m.misses.inc();
-                }
-                None
-            }
-        }
+        inner.lru.get(key)
     }
 
-    /// Inserts (or replaces) a result, evicting least-recently-used
-    /// entries while over the entry capacity or the byte budget.
+    /// Inserts (or replaces) a result, evicting the least-recently-used
+    /// entry when full.
     pub fn insert(&self, key: ResultKey, result: Arc<CachedResult>) {
-        let mut inner = self.guard();
+        let mut inner = lock(&self.inner);
         self.advance_epoch(&mut inner, key.epoch);
-        if key.epoch < inner.epoch {
-            // A straggler computed under an old engine state: never
-            // cache it, it could only ever be a stale hit.
-            return;
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            Self::evict_lru(&mut inner);
-        }
-        let bytes = result.estimated_bytes();
-        if let Some(old) = inner.map.remove(&key) {
-            inner.bytes -= old.bytes;
-        }
-        inner.insertions += 1;
-        inner.bytes += bytes;
-        inner.map.insert(
-            key,
-            ResultEntry {
-                result,
-                last_used: tick,
-                bytes,
-            },
-        );
-        if let Some(budget) = self.budget_bytes {
-            // The fresh entry is the most recent, so it survives: the
-            // loop stops once it is the only resident entry even if it
-            // alone overflows the budget.
-            while inner.bytes > budget && inner.map.len() > 1 {
-                Self::evict_lru(&mut inner);
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.bytes.record_max(inner.bytes as i64);
+        // A straggler computed under an old engine state is never
+        // cached: it could only ever be a stale hit.
+        if key.epoch >= inner.epoch {
+            inner.lru.insert(key, result);
         }
     }
 
-    /// Drops every cached result and resets the LRU tick (counters and
-    /// the epoch watermark survive, mirroring [`PlanCache::clear`]).
+    /// Drops every cached result and restarts the LRU tick (counters
+    /// and the epoch watermark survive, mirroring [`PlanCache::clear`]).
     pub fn clear(&self) {
-        let mut inner = self.guard();
-        inner.map.clear();
-        inner.bytes = 0;
-        inner.tick = 0;
+        lock(&self.inner).lru.clear();
     }
 
     /// Number of resident results.
     pub fn len(&self) -> usize {
-        self.guard().map.len()
+        self.stats().len
     }
 
     /// Whether the cache is empty.
@@ -671,22 +556,36 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Snapshot of the effectiveness counters.
-    pub fn stats(&self) -> ResultCacheStats {
-        let inner = self.guard();
-        ResultCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            insertions: inner.insertions,
-            evictions: inner.evictions,
-            invalidations: inner.invalidations,
-            len: inner.map.len(),
-            bytes: inner.bytes,
+    pub fn stats(&self) -> CacheStats {
+        lock(&self.inner).lru.stats()
+    }
+}
+
+/// The caches one serving path looks plans and results up in: a
+/// service's own pair, or one tenant's billing partition.
+#[derive(Debug)]
+pub(crate) struct Caches {
+    pub(crate) plans: PlanCache,
+    /// `None` when the result cache is off.
+    pub(crate) results: Option<ResultCache>,
+}
+
+impl Caches {
+    /// The one constructor both tiers call: [`CACHE_CAPACITY`] entries
+    /// each, result-cache counters mirrored into `registry`. The session
+    /// core's per-tenant plan partitions pass `mirror_plans = false`:
+    /// its event loop looks a plan up per step and does not export
+    /// `pspp_plan_cache_*`.
+    pub(crate) fn new(registry: &MetricsRegistry, mirror_plans: bool, result_cache: bool) -> Self {
+        let plans = PlanCache::new(CACHE_CAPACITY);
+        Caches {
+            plans: if mirror_plans {
+                plans.with_metrics(registry)
+            } else {
+                plans
+            },
+            results: result_cache.then(|| ResultCache::new(CACHE_CAPACITY).with_metrics(registry)),
         }
     }
 }
@@ -711,6 +610,52 @@ mod tests {
             placement: None,
             plan_seconds: 1e-3,
         })
+    }
+
+    /// The shared LRU's whole contract, once, on the generic type:
+    /// hit/miss counting, the victim after a touch, replacement without
+    /// eviction, and `clear` restarting the tick so a cleared cache
+    /// evicts exactly like a fresh one (the regression both wrappers
+    /// inherit: the tick used to keep running).
+    #[test]
+    fn lru_counts_evicts_the_least_recently_touched_and_clear_restarts_the_tick() {
+        let run = |lru: &mut Lru<&'static str, u32>| {
+            let before = lru.stats();
+            assert!(lru.get(&"a").is_none());
+            lru.insert("a", 1);
+            lru.insert("b", 2);
+            assert_eq!(lru.get(&"a"), Some(1)); // b becomes the victim
+            lru.insert("a", 10); // replacing evicts nothing
+            lru.insert("c", 3);
+            let resident: Vec<&str> = ["a", "b", "c"]
+                .into_iter()
+                .filter(|k| lru.get(k).is_some())
+                .collect();
+            let after = lru.stats();
+            assert_eq!(after.hits - before.hits, 3);
+            assert_eq!(after.misses - before.misses, 2);
+            assert_eq!(after.insertions - before.insertions, 4);
+            assert_eq!(after.evictions - before.evictions, 1);
+            assert_eq!((after.len, after.invalidations), (2, 0));
+            assert_eq!(lru.get(&"a"), Some(10));
+            resident
+        };
+        let mut fresh = Lru::new(2);
+        let expected = run(&mut fresh);
+        assert_eq!(expected, vec!["a", "c"], "b is the LRU victim");
+        assert!((fresh.stats().hit_rate() - 4.0 / 6.0).abs() < 1e-12);
+
+        let mut cleared = Lru::new(2);
+        // Age the tick far past anything the post-clear inserts reach.
+        for _ in 0..64 {
+            cleared.insert("warm", 0);
+            cleared.get(&"warm");
+        }
+        cleared.clear();
+        assert_eq!(cleared.tick, 0, "clear() must reset the recency tick");
+        assert_eq!(cleared.stats().len, 0);
+        assert_eq!(cleared.stats().hits, 64, "clear() keeps the counters");
+        assert_eq!(run(&mut cleared), expected, "post-clear LRU = fresh LRU");
     }
 
     #[test]
@@ -757,62 +702,67 @@ mod tests {
         assert_eq!(cache.stats().hits, 1);
     }
 
-    #[test]
-    fn clear_resets_lru_bookkeeping() {
-        // Regression: eviction order after clear() must match a fresh
-        // cache — same inserts/gets, same victim.
-        let run = |cache: &PlanCache| {
-            cache.insert(key("a", OptLevel::L2), plan());
-            cache.insert(key("b", OptLevel::L2), plan());
-            assert!(cache.get(&key("a", OptLevel::L2)).is_some());
-            cache.insert(key("c", OptLevel::L2), plan());
-            let mut resident: Vec<&str> = ["a", "b", "c"]
-                .into_iter()
-                .filter(|q| cache.get(&key(q, OptLevel::L2)).is_some())
-                .collect();
-            resident.sort_unstable();
-            resident
-        };
-        let fresh = PlanCache::new(2);
-        let expected = run(&fresh);
-        assert_eq!(expected, vec!["a", "c"], "b is the LRU victim");
-
-        let cleared = PlanCache::new(2);
-        // Age the tick far past anything the post-clear inserts reach.
-        for i in 0..64 {
-            cleared.insert(key(&format!("warm{i}"), OptLevel::L2), plan());
-            cleared.get(&key(&format!("warm{i}"), OptLevel::L2));
-        }
-        cleared.clear();
-        let inner = cleared.guard();
-        assert_eq!(inner.tick, 0, "clear() must reset the recency tick");
-        drop(inner);
-        assert_eq!(run(&cleared), expected, "post-clear LRU = fresh LRU");
+    /// A memoized execution whose one output carries `rows`.
+    fn cached_result(rows: Vec<pspp_common::Row>) -> Arc<CachedResult> {
+        use pspp_common::{DataModel, DataType, EngineId, Schema};
+        Arc::new(CachedResult::new(RunReport {
+            execution: ExecutionReport {
+                outputs: vec![pspp_runtime::Dataset::rows(
+                    Schema::new(vec![("a", DataType::Int), ("b", DataType::Int)]),
+                    rows,
+                    DataModel::Relational,
+                    EngineId::new("db1"),
+                )],
+                node_seconds: HashMap::new(),
+                migration_seconds: 0.0,
+                makespan_sequential: 1e-3,
+                makespan_pipelined: 1e-3,
+                pipelined: false,
+                offloaded: 0,
+                device_assignments: HashMap::new(),
+                fused_chains: Vec::new(),
+                queue_wait_seconds: 0.0,
+                traces: Vec::new(),
+            },
+            rewrites: RewriteReport::default(),
+            placement: None,
+            costs: Default::default(),
+        }))
     }
 
-    fn cached_result() -> Arc<CachedResult> {
-        Arc::new(CachedResult {
-            report: RunReport {
-                execution: pspp_runtime::ExecutionReport {
-                    outputs: Vec::new(),
-                    node_seconds: HashMap::new(),
-                    migration_seconds: 0.0,
-                    makespan_sequential: 1e-3,
-                    makespan_pipelined: 1e-3,
-                    pipelined: false,
-                    offloaded: 0,
-                    device_assignments: HashMap::new(),
-                    fused_chains: Vec::new(),
-                    queue_wait_seconds: 0.0,
-                    traces: Vec::new(),
-                },
-                rewrites: RewriteReport::default(),
-                placement: None,
-                costs: Default::default(),
-            },
-            digest: 42,
-            exec_seconds: 1e-3,
-        })
+    fn rows(pairs: &[(i64, i64)]) -> Vec<pspp_common::Row> {
+        pairs
+            .iter()
+            .map(|&(a, b)| pspp_common::row![a, b])
+            .collect()
+    }
+
+    #[test]
+    fn cached_result_digest_is_the_row_multiset_digest() {
+        let ordered = cached_result(rows(&[(1, 10), (2, 20), (2, 20), (3, 30)]));
+        let permuted = cached_result(rows(&[(2, 20), (3, 30), (1, 10), (2, 20)]));
+        assert_eq!(
+            ordered.digest(),
+            output_digest(&ordered.report.execution),
+            "the kept digest is the multiset digest"
+        );
+        assert_eq!(ordered.digest(), ordered.digest(), "computed once, kept");
+        assert_eq!(
+            ordered.digest(),
+            permuted.digest(),
+            "a permuted row order is the same multiset"
+        );
+        // A different multiset (one duplicate fewer, one value changed)
+        // is a different digest; so is a clone's, read independently.
+        assert_ne!(
+            ordered.digest(),
+            cached_result(rows(&[(1, 10), (2, 20), (3, 30)])).digest()
+        );
+        assert_ne!(
+            ordered.digest(),
+            cached_result(rows(&[(1, 10), (2, 20), (2, 21), (3, 30)])).digest()
+        );
+        assert_eq!((*ordered).clone().digest(), ordered.digest());
     }
 
     #[test]
@@ -836,8 +786,9 @@ mod tests {
             epoch: 3,
         };
         assert!(cache.get(&k).is_none());
-        cache.insert(k, cached_result());
-        assert_eq!(cache.get(&k).unwrap().digest, 42);
+        let stored = cached_result(rows(&[(4, 2)]));
+        cache.insert(k, Arc::clone(&stored));
+        assert!(Arc::ptr_eq(&cache.get(&k).unwrap(), &stored));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.len, s.invalidations), (1, 1, 1, 0));
     }
@@ -849,7 +800,7 @@ mod tests {
             plan_digest: 1,
             epoch: 3,
         };
-        cache.insert(old, cached_result());
+        cache.insert(old, cached_result(Vec::new()));
         assert_eq!(cache.len(), 1);
         // Same plan, later engine state: miss, and the stale entry is
         // garbage-collected and counted.
@@ -862,90 +813,9 @@ mod tests {
         assert_eq!(s.invalidations, 1);
         assert_eq!(s.len, 0);
         // A straggler insert under the old epoch is refused.
-        cache.insert(old, cached_result());
+        cache.insert(old, cached_result(Vec::new()));
         assert!(cache.get(&old).is_none());
         assert_eq!(cache.stats().len, 0);
-    }
-
-    /// A memoized result carrying `rows` one-Int rows (8 payload bytes
-    /// each), so byte-budget tests can reason in exact sizes.
-    fn sized_result(rows: usize) -> Arc<CachedResult> {
-        use pspp_common::{row, DataType, EngineId, Schema};
-        let mut base = (*cached_result()).clone();
-        base.report.execution.outputs = vec![pspp_runtime::Dataset::rows(
-            Schema::new(vec![("a", DataType::Int)]),
-            (0..rows).map(|i| row![i as i64]).collect(),
-            pspp_common::DataModel::Relational,
-            EngineId::new("db1"),
-        )];
-        Arc::new(base)
-    }
-
-    #[test]
-    fn byte_budget_evicts_lru_under_pressure() {
-        // Three 10-row results at 80 bytes each against a 170-byte
-        // budget: the third insert evicts the least-recently-used.
-        let cache = ResultCache::new(64).with_byte_budget(170);
-        let k = |d: u64| ResultKey {
-            plan_digest: d,
-            epoch: 0,
-        };
-        assert_eq!(sized_result(10).estimated_bytes(), 80);
-        cache.insert(k(1), sized_result(10));
-        cache.insert(k(2), sized_result(10));
-        assert_eq!(cache.stats().bytes, 160);
-        assert!(cache.get(&k(1)).is_some()); // 2 becomes the victim
-        cache.insert(k(3), sized_result(10));
-        let s = cache.stats();
-        assert_eq!(s.bytes, 160, "budget holds: one entry evicted");
-        assert_eq!(s.evictions, 1);
-        assert!(cache.get(&k(2)).is_none());
-        assert!(cache.get(&k(1)).is_some());
-        assert!(cache.get(&k(3)).is_some());
-    }
-
-    #[test]
-    fn oversized_entry_still_caches_but_alone() {
-        let cache = ResultCache::new(64).with_byte_budget(100);
-        let k = |d: u64| ResultKey {
-            plan_digest: d,
-            epoch: 0,
-        };
-        cache.insert(k(1), sized_result(5)); // 40 bytes
-        cache.insert(k(2), sized_result(50)); // 400 bytes > budget
-        assert!(cache.get(&k(1)).is_none(), "evicted to make room");
-        assert!(cache.get(&k(2)).is_some(), "newest always admits");
-        assert_eq!(cache.stats().bytes, 400);
-    }
-
-    #[test]
-    fn bytes_track_invalidation_and_clear() {
-        let cache = ResultCache::new(64).with_byte_budget(1 << 20);
-        cache.insert(
-            ResultKey {
-                plan_digest: 1,
-                epoch: 0,
-            },
-            sized_result(10),
-        );
-        assert_eq!(cache.stats().bytes, 80);
-        // An epoch-1 lookup garbage-collects the stale entry's bytes.
-        assert!(cache
-            .get(&ResultKey {
-                plan_digest: 1,
-                epoch: 1,
-            })
-            .is_none());
-        assert_eq!(cache.stats().bytes, 0);
-        cache.insert(
-            ResultKey {
-                plan_digest: 2,
-                epoch: 1,
-            },
-            sized_result(10),
-        );
-        cache.clear();
-        assert_eq!(cache.stats().bytes, 0);
     }
 
     #[test]
@@ -955,13 +825,33 @@ mod tests {
             plan_digest: d,
             epoch: 0,
         };
-        cache.insert(k(1), cached_result());
-        cache.insert(k(2), cached_result());
+        cache.insert(k(1), cached_result(Vec::new()));
+        cache.insert(k(2), cached_result(Vec::new()));
         assert!(cache.get(&k(1)).is_some()); // 2 becomes the victim
-        cache.insert(k(3), cached_result());
+        cache.insert(k(3), cached_result(Vec::new()));
         assert!(cache.get(&k(2)).is_none());
         assert!(cache.get(&k(1)).is_some());
         assert!(cache.get(&k(3)).is_some());
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn result_cache_clear_restarts_the_tick_and_keeps_the_watermark() {
+        let cache = ResultCache::new(2);
+        let k = |d: u64, epoch: u64| ResultKey {
+            plan_digest: d,
+            epoch,
+        };
+        cache.insert(k(1, 5), cached_result(Vec::new()));
+        cache.get(&k(1, 5));
+        cache.clear();
+        assert!(cache.is_empty());
+        let inner = lock(&cache.inner);
+        assert_eq!((inner.lru.tick, inner.epoch), (0, 5));
+        drop(inner);
+        assert_eq!(cache.stats().hits, 1, "clear() keeps the counters");
+        // The watermark survived: a pre-clear-epoch straggler is refused.
+        cache.insert(k(2, 4), cached_result(Vec::new()));
+        assert!(cache.is_empty());
     }
 }

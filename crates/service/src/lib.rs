@@ -13,22 +13,38 @@
 //! - [`QueryService`] owns an `Arc`-shared [`pspp_core::Polystore`]
 //!   and a bounded worker pool; [`Session`]s submit [`Query`]s through
 //!   the admission controller and wait for [`QueryResponse`]s.
-//! - [`PlanCache`] memoizes compiled + optimized plans keyed by
-//!   (dialect, query text, optimization level, engine-state epoch);
-//!   cache hits skip the frontend and optimizer entirely.
-//! - [`ResultCache`] memoizes whole executions keyed by `(plan digest,
-//!   engine-state epoch)`; hits bypass the executor and are billed at
-//!   lookup cost. Every engine mutation bumps the epoch, so stale hits
-//!   are structurally impossible.
-//! - [`AdmissionConfig`] bounds concurrency and queue depth, with a
-//!   [`AdmissionPolicy`] of blocking backpressure or load shedding;
-//!   rejections carry a deterministic retry-after hint derived from
-//!   queue depth and the observed mean service time.
 //! - [`SessionCore`] scales session count past the worker pool: a
 //!   deterministic event loop holds 10k–1M parked sessions as state
 //!   machines (Parked → Queued → Running → Done) on the simulated
 //!   clock, with weighted fair queueing across tenants over the
 //!   bounded submission queue.
+//! - Both tiers serve a query down **one path**, written once (the
+//!   private `serve` module): build the key, ask the plan cache, plan
+//!   on a miss, ask the result cache, execute on a miss, memoize, bill
+//!   the lookup or the work. The tiers differ in what surrounds it
+//!   (threads and tickets; events and tenants) and in the physical
+//!   layer a miss falls through to — the service compiles and executes
+//!   directly, the session core behind its global `(plan digest,
+//!   epoch)` compile and execution memos — so the same query sequence
+//!   costs the same simulated seconds in either.
+//! - [`PlanCache`] memoizes compiled + optimized plans keyed by
+//!   (dialect, query text, optimization level, engine-state epoch);
+//!   cache hits skip the frontend and optimizer entirely.
+//!   [`ResultCache`] memoizes whole executions keyed by `(plan digest,
+//!   engine-state epoch)`; hits bypass the executor and are billed at
+//!   lookup cost. Every engine mutation bumps the epoch, so stale hits
+//!   are structurally impossible. Both are thin wrappers over **one
+//!   LRU** at one fixed capacity (256 entries — a constant, nobody
+//!   ever set another); the result cache adds an epoch watermark.
+//! - The result cache is switched where the tier is built —
+//!   [`ServiceConfig::result_cache`],
+//!   [`SessionCoreConfig::result_cache`], default off — and nowhere
+//!   else: `pspp_core` does not know it exists.
+//! - [`AdmissionConfig`] bounds concurrency and queue depth, with a
+//!   [`AdmissionPolicy`] of blocking backpressure or load shedding;
+//!   rejections carry a deterministic retry-after hint derived from
+//!   queue depth and the observed mean service time — one rule, which
+//!   the session core's back-off reads too.
 //! - Per-session statistics (latency histogram, cache hit rate,
 //!   rejection counts) merge into a [`ServiceReport`].
 //!
@@ -62,8 +78,16 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+// ROADMAP item 5: no panicking shortcut outside tests. The lock idiom
+// below recovers a poisoned guard instead of unwrapping it.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub mod admission;
 pub mod cache;
+mod serve;
 pub mod service;
 pub mod sessions;
 pub mod stats;
@@ -79,3 +103,11 @@ pub use sessions::{
     SessionStep, TenantReport,
 };
 pub use stats::{LatencyHistogram, ServiceReport, SessionReport};
+
+/// Locks `mutex`, recovering the guard if a holder panicked: every
+/// value this crate keeps under a mutex (counters, cache maps, the
+/// opt level) is valid after each single update, so a poisoned lock
+/// still guards usable data.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

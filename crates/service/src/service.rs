@@ -12,7 +12,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use pspp_accel::{CostLedger, DeviceKind, EventKind, SimDuration};
@@ -23,20 +23,14 @@ use pspp_optimizer::OptLevel;
 use pspp_telemetry::MetricsRegistry;
 
 use crate::admission::{AdmissionConfig, PoolHandle, Ticket, WorkerPool};
-use crate::cache::{
-    CacheStats, CachedPlan, CachedResult, Dialect, PlanCache, PlanKey, ResultCache,
-    ResultCacheStats, ResultKey,
-};
+use crate::cache::{CacheStats, Caches, Dialect, ResultCache, ResultCacheStats};
+use crate::lock;
+use crate::serve::{self, RESULT_HIT_SECONDS};
 use crate::stats::{ServiceReport, SessionReport};
 
-/// Simulated cost of a cache hit: one hash lookup.
-pub(crate) const CACHE_HIT_SECONDS: f64 = 2e-6;
-/// Simulated cost of a result-cache hit: one hash lookup plus cloning
-/// the memoized outputs (the executor is bypassed entirely).
-pub(crate) const RESULT_HIT_SECONDS: f64 = 2e-6;
 /// The ledger component a result-cache hit bills its lookup under, so
 /// traces and `EXPLAIN ANALYZE` show the hit instead of a free run.
-pub(crate) const RESULT_CACHE_COMPONENT: &str = "service.result_cache";
+const RESULT_CACHE_COMPONENT: &str = "service.result_cache";
 
 /// A query a session can submit.
 #[derive(Debug, Clone)]
@@ -117,79 +111,29 @@ pub struct QueryResponse {
     pub wall_micros: u64,
 }
 
-/// Query-service configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Query-service configuration. Cache capacities are not here: both
+/// caches hold a fixed 256 entries (see [`crate::cache`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Worker pool + queueing policy.
     pub admission: AdmissionConfig,
-    /// Plan-cache capacity, in plans.
-    pub plan_cache_capacity: usize,
-    /// Result-cache toggle: `None` inherits the system's
-    /// [`PolystoreBuilder::result_cache`](pspp_core::PolystoreBuilder::result_cache)
-    /// setting (default off), `Some` overrides it per service.
+    /// Result-cache switch: `Some(true)` turns this service's result
+    /// cache on; `None` (the default) and `Some(false)` leave it off.
+    /// The result cache is a service setting — the system underneath
+    /// does not know it exists.
     pub result_cache: Option<bool>,
-    /// Result-cache capacity, in memoized executions.
-    pub result_cache_capacity: usize,
-    /// Result-cache memory budget in estimated payload bytes (rows ×
-    /// value widths); `None` bounds by entry count only. Under a
-    /// budget, inserts evict least-recently-used results until the
-    /// resident estimate fits (`pspp_result_cache_bytes` tracks the
-    /// high-water mark).
-    pub result_cache_budget_bytes: Option<u64>,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            admission: AdmissionConfig::default(),
-            plan_cache_capacity: 256,
-            result_cache: None,
-            result_cache_capacity: 256,
-            result_cache_budget_bytes: None,
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct SessionCounters {
-    issued: u64,
-    completed: u64,
-    failed: u64,
-    rejected: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    result_hits: u64,
-    sim_seconds: f64,
-    wall_micros: u64,
-    latency: crate::stats::LatencyHistogram,
 }
 
 #[derive(Debug)]
 struct SessionShared {
     id: u64,
-    counters: Mutex<SessionCounters>,
+    /// This session's row, as [`Session::stats`] returns it.
+    report: Mutex<SessionReport>,
 }
 
 impl SessionShared {
-    fn guard(&self) -> MutexGuard<'_, SessionCounters> {
-        self.counters.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn report(&self) -> SessionReport {
-        let c = self.guard();
-        SessionReport {
-            session: self.id,
-            issued: c.issued,
-            completed: c.completed,
-            failed: c.failed,
-            rejected: c.rejected,
-            cache_hits: c.cache_hits,
-            cache_misses: c.cache_misses,
-            result_hits: c.result_hits,
-            sim_seconds: c.sim_seconds,
-            wall_micros: c.wall_micros,
-            latency: c.latency.clone(),
-        }
+    fn guard(&self) -> MutexGuard<'_, SessionReport> {
+        lock(&self.report)
     }
 }
 
@@ -199,10 +143,9 @@ struct ServiceInner {
     /// The system's registry (shared storage): service-side series
     /// land next to the executor/placer/charger ones.
     metrics: MetricsRegistry,
-    cache: PlanCache,
-    /// Epoch-keyed execution memo; `None` when the result cache is
-    /// off for this service.
-    results: Option<ResultCache>,
+    /// The plan cache and — when it is on for this service — the
+    /// epoch-keyed result cache.
+    caches: Caches,
     opt_level: Mutex<OptLevel>,
     sessions: Mutex<Vec<Arc<SessionShared>>>,
     /// Folded statistics of closed sessions, so the session list does
@@ -214,37 +157,16 @@ struct ServiceInner {
 
 impl ServiceInner {
     fn effective_opt_level(&self) -> OptLevel {
-        *self
-            .opt_level
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        *lock(&self.opt_level)
     }
 
-    /// Resolves a query to a cached plan, planning and inserting on a
-    /// miss. Returns the plan, its key and whether it was a cache hit.
-    fn plan(&self, query: &Query, level: OptLevel) -> Result<(Arc<CachedPlan>, PlanKey, bool)> {
-        let key = PlanKey {
-            dialect: query.dialect(),
-            text: query.key_text(),
-            opt_level: level,
-            epoch: self.system.epoch(),
-        };
-        match self.cache.get(&key) {
-            Some(plan) => Ok((plan, key, true)),
-            None => {
-                let plan = Arc::new(CachedPlan::build(&self.system, query, &key)?);
-                self.cache.insert(key.clone(), Arc::clone(&plan));
-                Ok((plan, key, false))
-            }
-        }
-    }
-
-    /// Plan (through the cache) and execute one query on a private
-    /// per-run ledger. With the result cache on, a `(plan digest,
-    /// epoch)` hit bypasses the executor entirely: the memoized report
-    /// is returned with its costs replaced by a single lookup event,
-    /// so the ledger (and everything built from it — traces, `EXPLAIN
-    /// ANALYZE`, the cost summary) reflects what actually ran.
+    /// Serves one query down [`serve::serve`] — plan through the
+    /// cache, execute on a private per-run ledger. With the result
+    /// cache on, a `(plan digest, epoch)` hit bypasses the executor
+    /// entirely: the memoized report is returned with its costs
+    /// replaced by a single lookup event, so the ledger (and
+    /// everything built from it — traces, `EXPLAIN ANALYZE`, the cost
+    /// summary) reflects what actually ran.
     fn run_query(&self, query: &Query) -> Result<QueryResponse> {
         // Write/DDL-shaped queries advance the engine-state epoch
         // before planning: the epoch is part of every plan- and
@@ -256,70 +178,29 @@ impl ServiceInner {
             self.system.bump_epoch();
         }
         let level = self.effective_opt_level();
-        let (plan, key, cache_hit) = self.plan(query, level)?;
-        let plan_seconds = if cache_hit {
-            CACHE_HIT_SECONDS
-        } else {
-            plan.plan_seconds
-        };
-
-        let result_key = ResultKey {
-            plan_digest: key.digest(),
-            epoch: key.epoch,
-        };
-        if let Some(results) = &self.results {
-            if let Some(cached) = results.get(&result_key) {
-                let hit_ledger = CostLedger::new();
-                hit_ledger.post(
-                    RESULT_CACHE_COMPONENT,
-                    DeviceKind::Cpu,
-                    EventKind::Compute,
-                    0,
-                    SimDuration::from_secs(RESULT_HIT_SECONDS),
-                    0.0,
-                );
-                let mut report = cached.report.clone();
-                report.costs = hit_ledger.total();
-                let service_seconds = plan_seconds + RESULT_HIT_SECONDS;
-                self.count_query(query, cache_hit, service_seconds);
-                return Ok(QueryResponse {
-                    report,
-                    cache_hit,
-                    result_cache_hit: true,
-                    plan_seconds,
-                    service_seconds,
-                    wall_micros: 0, // stamped by the session wrapper
-                });
-            }
-        }
-
-        let (report, _) = self.system.run_optimized(
-            &plan.program,
-            level,
-            plan.rewrites.clone(),
-            plan.placement.clone(),
-        )?;
-        if let Some(results) = &self.results {
-            let digest = pspp_common::partition::fnv1a(
-                format!("{:?}", report.execution.outputs).as_bytes(),
-                pspp_common::partition::FNV_OFFSET,
+        let served = serve::serve(&self.system, Some(&self.caches), None, level, query)?;
+        let service_seconds = served.service_seconds();
+        // The Arc is the cache's too when one holds it (a clone, as a
+        // hit always was), and this query's alone otherwise (a move).
+        let mut report = Arc::unwrap_or_clone(served.result).report;
+        if served.result_hit {
+            let hit_ledger = CostLedger::new();
+            hit_ledger.post(
+                RESULT_CACHE_COMPONENT,
+                DeviceKind::Cpu,
+                EventKind::Compute,
+                0,
+                SimDuration::from_secs(RESULT_HIT_SECONDS),
+                0.0,
             );
-            results.insert(
-                result_key,
-                Arc::new(CachedResult {
-                    report: report.clone(),
-                    digest,
-                    exec_seconds: report.makespan(),
-                }),
-            );
+            report.costs = hit_ledger.total();
         }
-        let service_seconds = plan_seconds + report.makespan();
-        self.count_query(query, cache_hit, service_seconds);
+        self.count_query(query, served.plan_hit, service_seconds);
         Ok(QueryResponse {
             report,
-            cache_hit,
-            result_cache_hit: false,
-            plan_seconds,
+            cache_hit: served.plan_hit,
+            result_cache_hit: served.result_hit,
+            plan_seconds: served.plan_seconds,
             service_seconds,
             wall_micros: 0, // stamped by the session wrapper
         })
@@ -364,21 +245,10 @@ impl QueryService {
         let metrics = system.metrics().clone();
         let pool = WorkerPool::new(config.admission)?;
         pool.set_metrics(&metrics);
-        let results = config
-            .result_cache
-            .unwrap_or_else(|| system.result_cache())
-            .then(|| {
-                let cache = ResultCache::new(config.result_cache_capacity).with_metrics(&metrics);
-                match config.result_cache_budget_bytes {
-                    Some(budget) => cache.with_byte_budget(budget),
-                    None => cache,
-                }
-            });
         Ok(QueryService {
             inner: Arc::new(ServiceInner {
                 system,
-                cache: PlanCache::new(config.plan_cache_capacity).with_metrics(&metrics),
-                results,
+                caches: Caches::new(&metrics, true, config.result_cache.unwrap_or(false)),
                 metrics,
                 opt_level: Mutex::new(opt_level),
                 sessions: Mutex::new(Vec::new()),
@@ -397,13 +267,12 @@ impl QueryService {
         let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::new(SessionShared {
             id,
-            counters: Mutex::new(SessionCounters::default()),
+            report: Mutex::new(SessionReport {
+                session: id,
+                ..Default::default()
+            }),
         });
-        self.inner
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(Arc::clone(&shared));
+        lock(&self.inner.sessions).push(Arc::clone(&shared));
         Session {
             close: Arc::new(SessionCloseGuard {
                 shared,
@@ -417,11 +286,7 @@ impl QueryService {
     /// cached at other levels stop matching (the level is part of the
     /// cache key), so this doubles as cache invalidation.
     pub fn set_opt_level(&self, level: OptLevel) {
-        *self
-            .inner
-            .opt_level
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = level;
+        *lock(&self.inner.opt_level) = level;
     }
 
     /// The level applied to queries submitted now.
@@ -436,33 +301,30 @@ impl QueryService {
 
     /// Plan-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache.stats()
+        self.inner.caches.plans.stats()
     }
 
     /// Result-cache counters (all zero when the result cache is off).
     pub fn result_cache_stats(&self) -> ResultCacheStats {
-        self.inner
-            .results
-            .as_ref()
-            .map(ResultCache::stats)
-            .unwrap_or_default()
+        let results = self.inner.caches.results.as_ref();
+        results.map(ResultCache::stats).unwrap_or_default()
     }
 
     /// Whether this service's result cache is on.
     pub fn result_cache_enabled(&self) -> bool {
-        self.inner.results.is_some()
+        self.inner.caches.results.is_some()
     }
 
     /// Drops every cached plan.
     pub fn clear_plan_cache(&self) {
-        self.inner.cache.clear();
+        self.inner.caches.plans.clear();
     }
 
     /// Drops every memoized result (a no-op with the result cache
     /// off). Epoch bumps make this unnecessary for correctness; it
     /// exists for memory pressure and benchmarking cold starts.
     pub fn clear_result_cache(&self) {
-        if let Some(results) = &self.inner.results {
+        if let Some(results) = &self.inner.caches.results {
             results.clear();
         }
     }
@@ -474,9 +336,10 @@ impl QueryService {
     ///
     /// Propagates compile and optimize errors.
     pub fn warm(&self, query: &Query) -> Result<bool> {
-        let level = self.inner.effective_opt_level();
-        let (_, _, hit) = self.inner.plan(query, level)?;
-        Ok(!hit)
+        let inner = &self.inner;
+        let level = inner.effective_opt_level();
+        let planned = serve::plan(&inner.system, Some(&inner.caches), None, level, query)?;
+        Ok(!planned.hit)
     }
 
     /// Number of worker threads executing queries.
@@ -491,18 +354,9 @@ impl QueryService {
         // Hold the sessions lock while reading the closed aggregate
         // (the same sessions → closed order SessionCloseGuard uses), so
         // a session closing mid-report cannot appear in both.
-        let live = self
-            .inner
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut sessions: Vec<SessionReport> = live.iter().map(|s| s.report()).collect();
-        let mut merged = self
-            .inner
-            .closed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
+        let live = lock(&self.inner.sessions);
+        let mut sessions: Vec<SessionReport> = live.iter().map(|s| s.guard().clone()).collect();
+        let mut merged = lock(&self.inner.closed).clone();
         drop(live);
         sessions.sort_by_key(|s| s.session);
         for s in &sessions {
@@ -512,7 +366,7 @@ impl QueryService {
         ServiceReport {
             sessions,
             merged,
-            cache: self.inner.cache.stats(),
+            cache: self.cache_stats(),
             results: self.result_cache_stats(),
             retry_after_seconds: admission.retry_after_micros as f64 * 1e-6,
             admission,
@@ -542,22 +396,14 @@ struct SessionCloseGuard {
 
 impl Drop for SessionCloseGuard {
     fn drop(&mut self) {
-        let report = self.shared.report();
+        let report = self.shared.guard().clone();
         // Hold the sessions lock across the fold (sessions → closed,
         // mirroring report()), so the row atomically moves from the
         // live list to the closed aggregate — a concurrent report()
         // sees it in exactly one of the two.
-        let mut sessions = self
-            .service
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut sessions = lock(&self.service.sessions);
         sessions.retain(|s| s.id != self.shared.id);
-        self.service
-            .closed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .absorb(&report);
+        lock(&self.service.closed).absorb(&report);
         drop(sessions);
     }
 }
@@ -651,6 +497,6 @@ impl Session {
 
     /// This session's statistics snapshot.
     pub fn stats(&self) -> SessionReport {
-        self.shared().report()
+        self.shared().guard().clone()
     }
 }

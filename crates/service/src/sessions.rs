@@ -28,10 +28,12 @@
 //! subqueue and a virtual-time pass; dispatch always picks the
 //! smallest pass (ties by tenant id) and advances it by
 //! `STRIDE / weight`, so long-run dispatch shares converge to the
-//! weights and no tenant starves. Plan and result caches are
+//! weights and no tenant starves. Every dispatch prices its step down
+//! the one serving path [`QueryService`](crate::QueryService) uses
+//! too (the crate-private `serve` module). Plan and result caches are
 //! partitioned per tenant: one tenant's repeats never warm another's
-//! billing, while the *physical* work is shared through a global
-//! execution memo (execution is bit-deterministic, so replaying a
+//! billing, while the *physical* work is shared through global compile
+//! and execution memos (execution is bit-deterministic, so replaying a
 //! recorded run is exact — [`SessionCoreConfig::memoize_execution`]).
 //!
 //! Following the repo-wide methodology (real data plane, simulated
@@ -43,20 +45,17 @@
 //! "result-cache on == off, byte-identical" a checkable claim.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::{BinaryHeap, VecDeque};
 
 use pspp_common::partition::{fnv1a, FNV_OFFSET};
 use pspp_common::{Error, PartitionSpec, Result, TableRef};
 use pspp_core::Polystore;
-use pspp_optimizer::OptLevel;
-use pspp_runtime::{ExecutionReport, Payload, RebalanceReport};
+use pspp_runtime::RebalanceReport;
 
-use crate::cache::{
-    CacheStats, CachedPlan, CachedResult, PlanCache, PlanKey, ResultCache, ResultCacheStats,
-    ResultKey,
-};
-use crate::service::{Query, CACHE_HIT_SECONDS, RESULT_HIT_SECONDS};
+use crate::admission::RetryAfter;
+use crate::cache::{CacheStats, Caches, ResultCacheStats};
+use crate::serve::{serve, Memos, Served};
+use crate::service::Query;
 use crate::stats::LatencyHistogram;
 
 /// Stride-scheduler scale: pass advances by `STRIDE / weight` per
@@ -118,7 +117,9 @@ pub struct ReshardEvent {
     pub spec: PartitionSpec,
 }
 
-/// Session-core configuration.
+/// Session-core configuration. Cache capacities are not here: every
+/// tenant's plan and result partition holds a fixed 256 entries (see
+/// [`crate::cache`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionCoreConfig {
     /// Worker slots draining the submission queue (>= 1).
@@ -126,14 +127,10 @@ pub struct SessionCoreConfig {
     /// Sessions that may wait queued beyond the running ones (>= 1);
     /// a wake finding the queue full is shed.
     pub queue_depth: usize,
-    /// Result-cache toggle: `None` inherits the system's
-    /// [`PolystoreBuilder::result_cache`](pspp_core::PolystoreBuilder::result_cache)
-    /// setting, `Some` overrides per core.
-    pub result_cache: Option<bool>,
-    /// Per-tenant result-cache capacity, in memoized executions.
-    pub result_cache_capacity: usize,
-    /// Per-tenant plan-cache capacity, in plans.
-    pub plan_cache_capacity: usize,
+    /// Whether tenants get a result-cache partition (default off). The
+    /// result cache is a service setting — the system underneath does
+    /// not know it exists.
+    pub result_cache: bool,
     /// Replay recorded executions instead of re-running the data plane
     /// for repeated `(plan digest, epoch)` keys. Exact by construction
     /// (execution is bit-deterministic — see the memo test in this
@@ -149,9 +146,6 @@ pub struct SessionCoreConfig {
     /// 1ms). `0` (the default) sheds immediately —
     /// the pre-retry behavior.
     pub retry_max: u32,
-    /// Per-tenant result-cache byte budget (estimated payload bytes);
-    /// `None` bounds each partition by entry count only.
-    pub result_cache_budget_bytes: Option<u64>,
 }
 
 impl Default for SessionCoreConfig {
@@ -159,13 +153,10 @@ impl Default for SessionCoreConfig {
         SessionCoreConfig {
             workers: 8,
             queue_depth: 64,
-            result_cache: None,
-            result_cache_capacity: 256,
-            plan_cache_capacity: 256,
+            result_cache: false,
             memoize_execution: false,
             tenant_weights: Vec::new(),
             retry_max: 0,
-            result_cache_budget_bytes: None,
         }
     }
 }
@@ -321,12 +312,19 @@ impl Ord for Event {
     }
 }
 
+/// An admitted step: in its tenant's subqueue, or on a worker.
+#[derive(Debug, Clone, Copy)]
+struct Job {
+    session: u32,
+    step: u32,
+    /// Simulated second the step woke.
+    woke: f64,
+}
+
 /// A dispatched job occupying a worker slot.
 #[derive(Debug, Clone, Copy)]
 struct RunningJob {
-    session: u32,
-    step: u32,
-    woke: f64,
+    job: Job,
     service_seconds: f64,
     digest: u64,
     result_hit: bool,
@@ -334,19 +332,314 @@ struct RunningJob {
 
 /// One tenant's runtime state: its WFQ subqueue and cache partitions.
 struct TenantRt {
-    queue: VecDeque<(u32, u32, f64)>, // (session, step, wake time)
+    queue: VecDeque<Job>,
     pass: u64,
     stride: u64,
-    plans: PlanCache,
-    results: Option<ResultCache>,
+    caches: Caches,
     report: TenantReport,
 }
 
-/// What dispatching one step costs and yields.
-struct StepMeasure {
-    service_seconds: f64,
-    digest: u64,
-    result_hit: bool,
+/// Everything one run's event loop reads and mutates, so its steps are
+/// methods instead of functions threading a dozen `&mut` locals.
+struct EventLoop<'a> {
+    config: &'a SessionCoreConfig,
+    queries: &'a [Query],
+    scripts: &'a [SessionScript],
+    tenants: Vec<TenantRt>,
+    /// The physical layer every tenant shares.
+    memos: Memos,
+    heap: BinaryHeap<Reverse<Event>>,
+    seq: u64,
+    clock: f64,
+    states: Vec<SessionState>,
+    parked: usize,
+    peak_parked: usize,
+    free_workers: BinaryHeap<Reverse<u32>>,
+    running: Vec<Option<RunningJob>>,
+    queued: usize,
+    peak_queue: usize,
+    retry: RetryAfter,
+    /// Where each session's steps start in `digests`.
+    step_offset: Vec<usize>,
+    /// Per-step output digests in (session, step) order.
+    digests: Vec<Option<u64>>,
+    shed_steps: Vec<(u32, u32)>,
+}
+
+impl<'a> EventLoop<'a> {
+    /// Cold caches, every session parked ahead of its first wake.
+    fn new(
+        system: &Polystore,
+        config: &'a SessionCoreConfig,
+        queries: &'a [Query],
+        scripts: &'a [SessionScript],
+    ) -> Self {
+        let tenant_count = scripts
+            .iter()
+            .map(|s| s.tenant as usize + 1)
+            .max()
+            .unwrap_or(0)
+            .max(config.tenant_weights.len());
+        let tenants = (0..tenant_count)
+            .map(|t| {
+                let weight = config.tenant_weights.get(t).copied().unwrap_or(1).max(1);
+                TenantRt {
+                    queue: VecDeque::new(),
+                    pass: 0,
+                    stride: STRIDE / u64::from(weight),
+                    caches: Caches::new(system.metrics(), false, config.result_cache),
+                    report: TenantReport {
+                        tenant: t as u32,
+                        weight,
+                        ..TenantReport::default()
+                    },
+                }
+            })
+            .collect();
+        let step_offset: Vec<usize> = scripts
+            .iter()
+            .scan(0usize, |acc, s| {
+                let here = *acc;
+                *acc += s.steps.len();
+                Some(here)
+            })
+            .collect();
+        let total_steps = scripts.iter().map(|s| s.steps.len()).sum();
+        let parked = scripts.iter().filter(|s| !s.steps.is_empty()).count();
+        let mut this = EventLoop {
+            config,
+            queries,
+            scripts,
+            tenants,
+            memos: Memos::new(config.memoize_execution),
+            heap: BinaryHeap::with_capacity(scripts.len() + config.workers + 1),
+            seq: 0,
+            clock: 0.0,
+            states: vec![SessionState::Parked; scripts.len()],
+            parked,
+            peak_parked: parked,
+            free_workers: (0..config.workers as u32).map(Reverse).collect(),
+            running: vec![None; config.workers],
+            queued: 0,
+            peak_queue: 0,
+            retry: RetryAfter::default(),
+            step_offset,
+            digests: vec![None; total_steps],
+            shed_steps: Vec::new(),
+        };
+        for (i, script) in scripts.iter().enumerate() {
+            if let Some(first) = script.steps.first() {
+                let (session, step) = (i as u32, 0);
+                this.push(first.at, EventKind::Wake { session, step });
+            }
+        }
+        this
+    }
+
+    /// Pushes one event with the next deterministic sequence number.
+    fn push(&mut self, time: f64, kind: EventKind) {
+        self.seq += 1;
+        let seq = self.seq;
+        self.heap.push(Reverse(Event { time, seq, kind }));
+    }
+
+    fn park(&mut self, session: u32) {
+        self.states[session as usize] = SessionState::Parked;
+        self.parked += 1;
+        self.peak_parked = self.peak_parked.max(self.parked);
+    }
+
+    /// Schedules a session's next step (or retires it): the next wake
+    /// is `max(step.at, now)` — a step can't start before its scripted
+    /// time nor before its predecessor finished.
+    fn advance_session(&mut self, session: u32, step: u32) {
+        let step = step + 1;
+        match self.scripts[session as usize].steps.get(step as usize) {
+            Some(next) => {
+                self.park(session);
+                self.push(next.at.max(self.clock), EventKind::Wake { session, step });
+            }
+            None => self.states[session as usize] = SessionState::Done,
+        }
+    }
+
+    fn tenant_of(&self, session: u32) -> usize {
+        self.scripts[session as usize].tenant as usize
+    }
+
+    fn query_of(&self, session: u32, step: u32) -> &'a Query {
+        let step = self.scripts[session as usize].steps[step as usize];
+        &self.queries[step.query as usize]
+    }
+
+    /// Prices one query for one tenant down the serving path: plan
+    /// cost against the tenant's plan partition, then a result-cache
+    /// hit (lookup cost, no execution) or an execution through the
+    /// shared physical layer, billed at its makespan.
+    fn measure(&mut self, system: &Polystore, tenant: usize, query: &Query) -> Result<Served> {
+        let caches = &self.tenants[tenant].caches;
+        let memos = Some(&mut self.memos);
+        serve(system, Some(caches), memos, system.opt_level(), query)
+    }
+
+    /// Seats `job` on `worker`: measure it, fold its service time into
+    /// the retry-after estimate, schedule the worker's finish. The one
+    /// dispatch, whether the job came straight from a wake or off its
+    /// tenant's subqueue — only the latter advances the tenant's stride
+    /// pass, which the caller does.
+    fn dispatch(&mut self, system: &Polystore, worker: u32, job: Job) -> Result<()> {
+        self.states[job.session as usize] = SessionState::Running;
+        let query = self.query_of(job.session, job.step);
+        let served = self.measure(system, self.tenant_of(job.session), query)?;
+        let service_seconds = served.service_seconds();
+        self.retry.record((service_seconds * 1e6) as u64);
+        self.running[worker as usize] = Some(RunningJob {
+            job,
+            service_seconds,
+            digest: served.result.digest(),
+            result_hit: served.result_hit,
+        });
+        self.push(self.clock + service_seconds, EventKind::Finish { worker });
+        Ok(())
+    }
+
+    /// A worker's job completes: account it, move its session on, and
+    /// let the freed worker pull the WFQ pick, if any.
+    fn finish(&mut self, system: &Polystore, worker: u32) -> Result<()> {
+        let done = self.running[worker as usize].take().ok_or_else(|| {
+            Error::Execution(format!(
+                "session core: finish event for idle worker {worker}"
+            ))
+        })?;
+        let Job {
+            session,
+            step,
+            woke,
+        } = done.job;
+        let tenant = self.tenant_of(session);
+        let report = &mut self.tenants[tenant].report;
+        report.completed += 1;
+        if done.result_hit {
+            report.result_hits += 1;
+        } else {
+            report.result_misses += 1;
+        }
+        report.sim_seconds += done.service_seconds;
+        report.latency.record(self.clock - woke);
+        self.digests[self.step_offset[session as usize] + step as usize] = Some(done.digest);
+        self.advance_session(session, step);
+
+        let pick = self
+            .tenants
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| !t.queue.is_empty())
+            .min_by_key(|(id, t)| (t.pass, *id))
+            .map(|(id, _)| id);
+        let Some(pick) = pick else {
+            self.free_workers.push(Reverse(worker));
+            return Ok(());
+        };
+        let tenant = &mut self.tenants[pick];
+        let job = tenant.queue.pop_front().ok_or_else(|| {
+            Error::Execution(format!(
+                "session core: tenant {pick} was picked with an empty subqueue"
+            ))
+        })?;
+        tenant.pass += tenant.stride;
+        self.queued -= 1;
+        self.dispatch(system, worker, job)
+    }
+
+    /// Admission (fresh wakes and retries alike): a free worker
+    /// dispatches immediately, a queue slot waits, and a full queue
+    /// backs off — or sheds once retries run out. Only a fresh wake
+    /// counts as offered; its retries are the same step still waiting
+    /// to be admitted.
+    fn admit(&mut self, system: &Polystore, session: u32, step: u32, attempt: u32) -> Result<()> {
+        let tenant = self.tenant_of(session);
+        let woke = self.clock;
+        let job = Job {
+            session,
+            step,
+            woke,
+        };
+        self.parked -= 1;
+        if attempt == 0 {
+            self.tenants[tenant].report.offered += 1;
+        }
+        if let Some(Reverse(worker)) = self.free_workers.pop() {
+            // Straight to a worker: Parked → Queued → Running at one
+            // instant.
+            self.dispatch(system, worker, job)?;
+        } else if self.queued < self.config.queue_depth {
+            self.states[session as usize] = SessionState::Queued;
+            self.tenants[tenant].queue.push_back(job);
+            self.queued += 1;
+            self.peak_queue = self.peak_queue.max(self.queued);
+        } else if attempt < self.config.retry_max {
+            // Admission-aware retry: park again and re-offer after the
+            // back-off hint a shed client would receive now.
+            self.tenants[tenant].report.retries += 1;
+            self.park(session);
+            let backoff = self.retry_after_seconds().max(MIN_RETRY_BACKOFF_S);
+            let attempt = attempt + 1;
+            self.push(
+                self.clock + backoff,
+                EventKind::Retry {
+                    session,
+                    step,
+                    attempt,
+                },
+            );
+        } else {
+            // Shed: the step is dropped, the session moves on to its
+            // next step (or retires).
+            self.tenants[tenant].report.shed += 1;
+            self.shed_steps.push((session, step));
+            self.advance_session(session, step);
+        }
+        Ok(())
+    }
+
+    /// The back-off hint a step refused at the full queue receives now.
+    fn retry_after_seconds(&self) -> f64 {
+        let (depth, workers) = (self.config.queue_depth, self.config.workers);
+        self.retry.hint(depth, workers) as f64 * 1e-6
+    }
+
+    /// Out-of-band backfill: every shed step's query executes once
+    /// against the final engine state — through the physical layer
+    /// only, no tenant cache touched and nothing billed, because the
+    /// step never ran — so the digest covers ALL offered work. Step
+    /// digests hash row *multisets* (see
+    /// [`CachedResult::digest`](crate::CachedResult::digest)), which
+    /// resharding preserves, so backfilling after any reshard yields
+    /// the same digest the step would have produced live — and the
+    /// digest becomes comparable across runs that shed differently
+    /// (cache on vs. off). Then the fold, in (session, step) order.
+    fn digest(&mut self, system: &Polystore) -> Result<u64> {
+        for (session, step) in std::mem::take(&mut self.shed_steps) {
+            let query = self.query_of(session, step);
+            let memos = Some(&mut self.memos);
+            let served = serve(system, None, memos, system.opt_level(), query)?;
+            let slot = self.step_offset[session as usize] + step as usize;
+            self.digests[slot] = Some(served.result.digest());
+        }
+        let mut digest = FNV_OFFSET;
+        let mut slots = self.digests.iter();
+        for (session, script) in self.scripts.iter().enumerate() {
+            for (step, slot) in (0..script.steps.len()).zip(&mut slots) {
+                let d = slot.ok_or_else(|| {
+                    Error::Execution(format!(
+                        "session core: step {step} of session {session} ended without a digest"
+                    ))
+                })?;
+                digest = fnv1a(&d.to_le_bytes(), digest);
+            }
+        }
+        Ok(digest)
+    }
 }
 
 /// The deterministic session event loop (see the module docs).
@@ -429,86 +722,8 @@ impl SessionCore {
             }
         }
 
-        let tenant_count = scripts
-            .iter()
-            .map(|s| s.tenant as usize + 1)
-            .max()
-            .unwrap_or(0)
-            .max(self.config.tenant_weights.len());
-        let result_cache_on = self
-            .config
-            .result_cache
-            .unwrap_or_else(|| self.system.result_cache());
-        let metrics = self.system.metrics().clone();
-        let mut tenants: Vec<TenantRt> = (0..tenant_count)
-            .map(|t| {
-                let weight = self
-                    .config
-                    .tenant_weights
-                    .get(t)
-                    .copied()
-                    .unwrap_or(1)
-                    .max(1);
-                TenantRt {
-                    queue: VecDeque::new(),
-                    pass: 0,
-                    stride: STRIDE / u64::from(weight),
-                    plans: PlanCache::new(self.config.plan_cache_capacity),
-                    results: result_cache_on.then(|| {
-                        let cache = ResultCache::new(self.config.result_cache_capacity)
-                            .with_metrics(&metrics);
-                        match self.config.result_cache_budget_bytes {
-                            Some(budget) => cache.with_byte_budget(budget),
-                            None => cache,
-                        }
-                    }),
-                    report: TenantReport {
-                        tenant: t as u32,
-                        weight,
-                        ..TenantReport::default()
-                    },
-                }
-            })
-            .collect();
-
-        // Shared physical layer: compile and execute each (plan
-        // digest, epoch) once, whatever tenant asks. Tenants bill
-        // against their own cache partitions above.
-        let mut plan_memo: HashMap<(u64, u64), Arc<CachedPlan>> = HashMap::new();
-        let mut exec_memo: HashMap<(u64, u64), Arc<CachedResult>> = HashMap::new();
-        let mut real_executions: u64 = 0;
-
-        // Per-step output-digest slots in (session, step) order.
-        let step_offset: Vec<usize> = scripts
-            .iter()
-            .scan(0usize, |acc, s| {
-                let here = *acc;
-                *acc += s.steps.len();
-                Some(here)
-            })
-            .collect();
-        let total_steps: usize = scripts.iter().map(|s| s.steps.len()).sum();
-        let mut slots: Vec<Option<u64>> = vec![None; total_steps];
-        let mut shed_steps: Vec<(u32, u32)> = Vec::new();
-
-        // Event heap, seeded with every session's first wake and the
-        // scripted mutations.
-        let mut heap: BinaryHeap<Reverse<Event>> =
-            BinaryHeap::with_capacity(scripts.len() + self.config.workers + reshards.len() + 1);
-        let mut seq: u64 = 0;
-        for (i, script) in scripts.iter().enumerate() {
-            if !script.steps.is_empty() {
-                push_event(
-                    &mut heap,
-                    &mut seq,
-                    script.steps[0].at,
-                    EventKind::Wake {
-                        session: i as u32,
-                        step: 0,
-                    },
-                );
-            }
-        }
+        // Every session's first wake, then the scripted mutations.
+        let mut run = EventLoop::new(&self.system, &self.config, queries, scripts);
         for (i, reshard) in reshards.iter().enumerate() {
             if !reshard.at.is_finite() || reshard.at < 0.0 {
                 return Err(Error::Config(format!(
@@ -516,528 +731,86 @@ impl SessionCore {
                     reshard.at
                 )));
             }
-            push_event(
-                &mut heap,
-                &mut seq,
-                reshard.at,
-                EventKind::Reshard { index: i as u32 },
-            );
+            run.push(reshard.at, EventKind::Reshard { index: i as u32 });
         }
 
-        let mut states: Vec<SessionState> = vec![SessionState::Parked; scripts.len()];
-        let mut free_workers: BinaryHeap<Reverse<u32>> =
-            (0..self.config.workers as u32).map(Reverse).collect();
-        let mut running: Vec<Option<RunningJob>> = vec![None; self.config.workers];
-        let mut parked = scripts.iter().filter(|s| !s.steps.is_empty()).count();
-        let mut peak_parked = parked;
-        let mut queued_total: usize = 0;
-        let mut peak_queue: usize = 0;
-        let mut ewma_service_micros: u64 = 0;
-        let mut clock: f64 = 0.0;
         let mut rebalances: Vec<RebalanceReport> = Vec::with_capacity(reshards.len());
-        let rounds = (self.config.queue_depth as u64 + 1).div_ceil(self.config.workers as u64);
-
-        while let Some(Reverse(event)) = heap.pop() {
-            clock = event.time;
-            // Wake and Retry share the admission path below; Reshard
-            // and Finish handle themselves and continue.
-            let (session, step, attempt) = match event.kind {
+        while let Some(Reverse(event)) = run.heap.pop() {
+            run.clock = event.time;
+            match event.kind {
                 EventKind::Reshard { index } => {
                     let r = &reshards[index as usize];
                     rebalances.push(self.system.rebalance(&r.table, r.spec.clone())?);
-                    continue;
                 }
-                EventKind::Wake { session, step } => (session, step, 0u32),
+                EventKind::Wake { session, step } => run.admit(&self.system, session, step, 0)?,
                 EventKind::Retry {
                     session,
                     step,
                     attempt,
-                } => (session, step, attempt),
-                EventKind::Finish { worker } => {
-                    let job = running[worker as usize]
-                        .take()
-                        .expect("finish event for an idle worker");
-                    let script = &scripts[job.session as usize];
-                    let tenant = &mut tenants[script.tenant as usize];
-                    tenant.report.completed += 1;
-                    if job.result_hit {
-                        tenant.report.result_hits += 1;
-                    } else {
-                        tenant.report.result_misses += 1;
-                    }
-                    tenant.report.sim_seconds += job.service_seconds;
-                    tenant.report.latency.record(clock - job.woke);
-                    slots[step_offset[job.session as usize] + job.step as usize] = Some(job.digest);
-                    advance_session(
-                        &mut heap,
-                        &mut seq,
-                        scripts,
-                        job.session,
-                        job.step,
-                        clock,
-                        &mut states,
-                        &mut parked,
-                    );
-                    peak_parked = peak_parked.max(parked);
-
-                    // The freed worker pulls the WFQ pick, if any.
-                    let pick = tenants
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, t)| !t.queue.is_empty())
-                        .min_by_key(|(id, t)| (t.pass, *id))
-                        .map(|(id, _)| id);
-                    match pick {
-                        Some(tid) => {
-                            let (session, step, woke) =
-                                tenants[tid].queue.pop_front().expect("non-empty pick");
-                            queued_total -= 1;
-                            tenants[tid].pass += tenants[tid].stride;
-                            states[session as usize] = SessionState::Running;
-                            let script = &scripts[session as usize];
-                            let measure = measure_step(
-                                &self.system,
-                                &mut tenants[tid],
-                                &mut plan_memo,
-                                &mut exec_memo,
-                                &mut real_executions,
-                                self.config.memoize_execution,
-                                &queries[script.steps[step as usize].query as usize],
-                            )?;
-                            ewma_service_micros =
-                                fold_ewma(ewma_service_micros, measure.service_seconds);
-                            running[worker as usize] = Some(RunningJob {
-                                session,
-                                step,
-                                woke,
-                                service_seconds: measure.service_seconds,
-                                digest: measure.digest,
-                                result_hit: measure.result_hit,
-                            });
-                            push_event(
-                                &mut heap,
-                                &mut seq,
-                                clock + measure.service_seconds,
-                                EventKind::Finish { worker },
-                            );
-                        }
-                        None => free_workers.push(Reverse(worker)),
-                    }
-                    continue;
-                }
-            };
-
-            // Admission (fresh wakes and retries alike): a free worker
-            // dispatches immediately, a queue slot waits, and a full
-            // queue backs off — or sheds once retries run out. Only a
-            // fresh wake counts as offered; its retries are the same
-            // step still waiting to be admitted.
-            let script = &scripts[session as usize];
-            let tenant = script.tenant as usize;
-            parked -= 1;
-            if attempt == 0 {
-                tenants[tenant].report.offered += 1;
+                } => run.admit(&self.system, session, step, attempt)?,
+                EventKind::Finish { worker } => run.finish(&self.system, worker)?,
             }
-            if let Some(Reverse(worker)) = free_workers.pop() {
-                // Straight to a worker: Parked → Queued → Running at
-                // one instant.
-                states[session as usize] = SessionState::Running;
-                let measure = measure_step(
-                    &self.system,
-                    &mut tenants[tenant],
-                    &mut plan_memo,
-                    &mut exec_memo,
-                    &mut real_executions,
-                    self.config.memoize_execution,
-                    &queries[script.steps[step as usize].query as usize],
-                )?;
-                ewma_service_micros = fold_ewma(ewma_service_micros, measure.service_seconds);
-                running[worker as usize] = Some(RunningJob {
-                    session,
-                    step,
-                    woke: clock,
-                    service_seconds: measure.service_seconds,
-                    digest: measure.digest,
-                    result_hit: measure.result_hit,
-                });
-                push_event(
-                    &mut heap,
-                    &mut seq,
-                    clock + measure.service_seconds,
-                    EventKind::Finish { worker },
-                );
-            } else if queued_total < self.config.queue_depth {
-                states[session as usize] = SessionState::Queued;
-                tenants[tenant].queue.push_back((session, step, clock));
-                queued_total += 1;
-                peak_queue = peak_queue.max(queued_total);
-            } else if attempt < self.config.retry_max {
-                // Admission-aware retry: park again and re-offer after
-                // the back-off hint a shed client would receive now.
-                tenants[tenant].report.retries += 1;
-                states[session as usize] = SessionState::Parked;
-                parked += 1;
-                let backoff = ((ewma_service_micros.saturating_mul(rounds)) as f64 * 1e-6)
-                    .max(MIN_RETRY_BACKOFF_S);
-                push_event(
-                    &mut heap,
-                    &mut seq,
-                    clock + backoff,
-                    EventKind::Retry {
-                        session,
-                        step,
-                        attempt: attempt + 1,
-                    },
-                );
-            } else {
-                // Shed: the step is dropped, the session moves on to
-                // its next step (or retires).
-                tenants[tenant].report.shed += 1;
-                shed_steps.push((session, step));
-                advance_session(
-                    &mut heap,
-                    &mut seq,
-                    scripts,
-                    session,
-                    step,
-                    clock,
-                    &mut states,
-                    &mut parked,
-                );
-            }
-            peak_parked = peak_parked.max(parked);
         }
 
         debug_assert!(
-            states
+            run.states
                 .iter()
                 .zip(scripts)
                 .all(|(s, sc)| *s == SessionState::Done || sc.steps.is_empty()),
             "event loop drained with undone sessions"
         );
 
-        // Out-of-band backfill: every shed step's query executes once
-        // against the final engine state so the digest covers ALL
-        // offered work. Step digests hash row *multisets* (see
-        // [`output_digest`]), which resharding preserves, so
-        // backfilling after any reshard yields the same digest the
-        // step would have produced live —
-        // and the digest becomes comparable across runs that shed
-        // differently (cache on vs. off).
-        for &(session, step) in &shed_steps {
-            let script = &scripts[session as usize];
-            let query = &queries[script.steps[step as usize].query as usize];
-            let digest = backfill_digest(
-                &self.system,
-                &mut plan_memo,
-                &mut exec_memo,
-                &mut real_executions,
-                self.config.memoize_execution,
-                query,
-            )?;
-            slots[step_offset[session as usize] + step as usize] = Some(digest);
-        }
+        let digest = run.digest(&self.system)?;
 
-        let mut digest = FNV_OFFSET;
-        for slot in &slots {
-            let d = slot.expect("every offered step has a digest");
-            digest = fnv1a(&d.to_le_bytes(), digest);
-        }
-
+        let metrics = self.system.metrics();
         metrics
             .gauge(
                 "pspp_sessions_parked",
                 "Peak simultaneously parked sessions in the session core.",
                 &[],
             )
-            .record_max(peak_parked as i64);
+            .record_max(run.peak_parked as i64);
         metrics
             .gauge(
                 "pspp_sessions_queue_peak",
                 "Peak submission-queue length in the session core.",
                 &[],
             )
-            .record_max(peak_queue as i64);
+            .record_max(run.peak_queue as i64);
 
-        let mut latency = LatencyHistogram::new();
-        let mut plan_cache = CacheStats::default();
-        let mut result_cache = ResultCacheStats::default();
-        let mut tenant_reports = Vec::with_capacity(tenants.len());
-        let mut offered = 0;
-        let mut completed = 0;
-        let mut shed = 0;
-        let mut retries = 0;
-        for t in tenants {
-            latency.merge(&t.report.latency);
-            let p = t.plans.stats();
-            plan_cache.hits += p.hits;
-            plan_cache.misses += p.misses;
-            plan_cache.insertions += p.insertions;
-            plan_cache.evictions += p.evictions;
-            plan_cache.len += p.len;
-            if let Some(r) = &t.results {
-                result_cache.absorb(&r.stats());
-            }
-            offered += t.report.offered;
-            completed += t.report.completed;
-            shed += t.report.shed;
-            retries += t.report.retries;
-            tenant_reports.push(t.report);
-        }
-        Ok(SessionCoreReport {
+        let mut report = SessionCoreReport {
             sessions: scripts.len(),
             workers: self.config.workers,
-            offered,
-            completed,
-            shed,
-            retries,
-            makespan_seconds: clock,
+            offered: 0,
+            completed: 0,
+            shed: 0,
+            retries: 0,
+            makespan_seconds: run.clock,
             digest,
-            peak_parked,
-            peak_queue,
-            real_executions,
-            retry_after_seconds: (ewma_service_micros.saturating_mul(rounds)) as f64 * 1e-6,
-            latency,
-            plan_cache,
-            result_cache,
-            tenants: tenant_reports,
+            peak_parked: run.peak_parked,
+            peak_queue: run.peak_queue,
+            real_executions: run.memos.real_executions,
+            retry_after_seconds: run.retry_after_seconds(),
+            latency: LatencyHistogram::new(),
+            plan_cache: CacheStats::default(),
+            result_cache: ResultCacheStats::default(),
+            tenants: Vec::with_capacity(run.tenants.len()),
             rebalances,
-        })
-    }
-}
-
-/// Folds one service time into the retry-after EWMA (same rule as the
-/// worker pool's: `new = (7 * old + sample) / 8`).
-fn fold_ewma(old: u64, service_seconds: f64) -> u64 {
-    let sample = (service_seconds * 1e6) as u64;
-    if old == 0 {
-        sample
-    } else {
-        (old.saturating_mul(7) + sample) / 8
-    }
-}
-
-/// Pushes one event with the next deterministic sequence number.
-fn push_event(heap: &mut BinaryHeap<Reverse<Event>>, seq: &mut u64, time: f64, kind: EventKind) {
-    *seq += 1;
-    heap.push(Reverse(Event {
-        time,
-        seq: *seq,
-        kind,
-    }));
-}
-
-/// Schedules a session's next step (or retires it): the next wake is
-/// `max(step.at, now)` — a step can't start before its scripted time
-/// nor before its predecessor finished.
-#[allow(clippy::too_many_arguments)]
-fn advance_session(
-    heap: &mut BinaryHeap<Reverse<Event>>,
-    seq: &mut u64,
-    scripts: &[SessionScript],
-    session: u32,
-    step: u32,
-    now: f64,
-    states: &mut [SessionState],
-    parked: &mut usize,
-) {
-    let script = &scripts[session as usize];
-    let next = step as usize + 1;
-    if next < script.steps.len() {
-        states[session as usize] = SessionState::Parked;
-        *parked += 1;
-        push_event(
-            heap,
-            seq,
-            script.steps[next].at.max(now),
-            EventKind::Wake {
-                session,
-                step: next as u32,
-            },
-        );
-    } else {
-        states[session as usize] = SessionState::Done;
-    }
-}
-
-/// Canonical, layout-invariant digest of an execution's outputs: each
-/// output contributes its schema and row count order-sensitively plus
-/// a *commutative* fold over per-row digests, so resharding — which
-/// may permute a scan's output order but never its row multiset —
-/// leaves the digest unchanged. Model payloads hash their debug
-/// rendering. This is what lets cache-on and cache-off runs that
-/// straddle a mid-run reshard at different simulated instants still
-/// agree byte-for-byte.
-fn output_digest(execution: &ExecutionReport) -> u64 {
-    let mut digest = FNV_OFFSET;
-    for output in &execution.outputs {
-        match &output.payload {
-            Payload::Rows { schema, rows } => {
-                digest = fnv1a(format!("{schema:?}").as_bytes(), digest);
-                let mut fold: u64 = 0;
-                for row in rows {
-                    fold = fold.wrapping_add(fnv1a(format!("{row:?}").as_bytes(), FNV_OFFSET));
-                }
-                digest = fnv1a(&fold.to_le_bytes(), digest);
-                digest = fnv1a(&(rows.len() as u64).to_le_bytes(), digest);
+        };
+        for t in run.tenants {
+            report.latency.merge(&t.report.latency);
+            report.plan_cache.absorb(&t.caches.plans.stats());
+            if let Some(results) = &t.caches.results {
+                report.result_cache.absorb(&results.stats());
             }
-            Payload::Model(_) => {
-                digest = fnv1a(format!("{:?}", output.payload).as_bytes(), digest);
-            }
+            report.offered += t.report.offered;
+            report.completed += t.report.completed;
+            report.shed += t.report.shed;
+            report.retries += t.report.retries;
+            report.tenants.push(t.report);
         }
+        Ok(report)
     }
-    digest
-}
-
-/// Resolves a plan through the global compile memo (compile once per
-/// (digest, epoch), whoever asks).
-fn resolve_plan(
-    system: &Polystore,
-    plan_memo: &mut HashMap<(u64, u64), Arc<CachedPlan>>,
-    query: &Query,
-    key: &PlanKey,
-) -> Result<Arc<CachedPlan>> {
-    let memo_key = (key.digest(), key.epoch);
-    if let Some(plan) = plan_memo.get(&memo_key) {
-        return Ok(Arc::clone(plan));
-    }
-    let plan = Arc::new(CachedPlan::build(system, query, key)?);
-    plan_memo.insert(memo_key, Arc::clone(&plan));
-    Ok(plan)
-}
-
-/// Executes a plan through the global execution memo: a recorded
-/// `(exec_seconds, digest, report)` replays bit-for-bit when
-/// memoization is on; otherwise the data plane runs for real.
-fn execute_plan(
-    system: &Polystore,
-    exec_memo: &mut HashMap<(u64, u64), Arc<CachedResult>>,
-    real_executions: &mut u64,
-    memoize: bool,
-    memo_key: (u64, u64),
-    level: OptLevel,
-    plan: &CachedPlan,
-) -> Result<Arc<CachedResult>> {
-    if memoize {
-        if let Some(cached) = exec_memo.get(&memo_key) {
-            return Ok(Arc::clone(cached));
-        }
-    }
-    *real_executions += 1;
-    let (report, _) = system.run_optimized(
-        &plan.program,
-        level,
-        plan.rewrites.clone(),
-        plan.placement.clone(),
-    )?;
-    let digest = output_digest(&report.execution);
-    let cached = Arc::new(CachedResult {
-        digest,
-        exec_seconds: report.makespan(),
-        report,
-    });
-    if memoize {
-        exec_memo.insert(memo_key, Arc::clone(&cached));
-    }
-    Ok(cached)
-}
-
-/// Prices one step for one tenant: plan cost against the tenant's plan
-/// cache partition, then either a result-cache hit (lookup cost, no
-/// execution) or a full execution billed at its makespan.
-fn measure_step(
-    system: &Polystore,
-    tenant: &mut TenantRt,
-    plan_memo: &mut HashMap<(u64, u64), Arc<CachedPlan>>,
-    exec_memo: &mut HashMap<(u64, u64), Arc<CachedResult>>,
-    real_executions: &mut u64,
-    memoize: bool,
-    query: &Query,
-) -> Result<StepMeasure> {
-    let level = system.opt_level();
-    let key = PlanKey {
-        dialect: query.dialect(),
-        text: query.key_text(),
-        opt_level: level,
-        epoch: system.epoch(),
-    };
-    let (plan, plan_hit) = match tenant.plans.get(&key) {
-        Some(plan) => (plan, true),
-        None => {
-            let plan = resolve_plan(system, plan_memo, query, &key)?;
-            tenant.plans.insert(key.clone(), Arc::clone(&plan));
-            (plan, false)
-        }
-    };
-    let plan_seconds = if plan_hit {
-        CACHE_HIT_SECONDS
-    } else {
-        plan.plan_seconds
-    };
-    let memo_key = (key.digest(), key.epoch);
-    let result_key = ResultKey {
-        plan_digest: memo_key.0,
-        epoch: memo_key.1,
-    };
-    if let Some(results) = &tenant.results {
-        if let Some(cached) = results.get(&result_key) {
-            return Ok(StepMeasure {
-                service_seconds: plan_seconds + RESULT_HIT_SECONDS,
-                digest: cached.digest,
-                result_hit: true,
-            });
-        }
-    }
-    let cached = execute_plan(
-        system,
-        exec_memo,
-        real_executions,
-        memoize,
-        memo_key,
-        level,
-        &plan,
-    )?;
-    if let Some(results) = &tenant.results {
-        results.insert(result_key, Arc::clone(&cached));
-    }
-    Ok(StepMeasure {
-        service_seconds: plan_seconds + cached.exec_seconds,
-        digest: cached.digest,
-        result_hit: false,
-    })
-}
-
-/// Resolves a shed step's output digest against the physical layer
-/// only — no tenant cache is touched and nothing is billed, because
-/// the step never ran; it exists so the run digest covers all offered
-/// work.
-fn backfill_digest(
-    system: &Polystore,
-    plan_memo: &mut HashMap<(u64, u64), Arc<CachedPlan>>,
-    exec_memo: &mut HashMap<(u64, u64), Arc<CachedResult>>,
-    real_executions: &mut u64,
-    memoize: bool,
-    query: &Query,
-) -> Result<u64> {
-    let level = system.opt_level();
-    let key = PlanKey {
-        dialect: query.dialect(),
-        text: query.key_text(),
-        opt_level: level,
-        epoch: system.epoch(),
-    };
-    let plan = resolve_plan(system, plan_memo, query, &key)?;
-    let memo_key = (key.digest(), key.epoch);
-    let cached = execute_plan(
-        system,
-        exec_memo,
-        real_executions,
-        memoize,
-        memo_key,
-        level,
-        &plan,
-    )?;
-    Ok(cached.digest)
 }
 
 #[cfg(test)]
@@ -1056,13 +829,12 @@ mod tests {
         POOL.iter().map(|q| Query::sql(*q)).collect()
     }
 
-    fn small_system(result_cache: bool) -> Polystore {
+    fn small_system() -> Polystore {
         Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
             patients: 400,
             vitals_per_patient: 4,
             seed: 7,
         }))
-        .result_cache(result_cache)
         .build()
         .expect("valid config")
     }
@@ -1088,14 +860,14 @@ mod tests {
             workers: 0,
             ..SessionCoreConfig::default()
         };
-        assert!(SessionCore::new(small_system(false), bad).is_err());
+        assert!(SessionCore::new(small_system(), bad).is_err());
         let bad = SessionCoreConfig {
             queue_depth: 0,
             ..SessionCoreConfig::default()
         };
-        assert!(SessionCore::new(small_system(false), bad).is_err());
+        assert!(SessionCore::new(small_system(), bad).is_err());
 
-        let mut core = SessionCore::new(small_system(false), SessionCoreConfig::default()).unwrap();
+        let mut core = SessionCore::new(small_system(), SessionCoreConfig::default()).unwrap();
         let oob = vec![SessionScript {
             tenant: 0,
             steps: vec![SessionStep { at: 0.0, query: 99 }],
@@ -1108,12 +880,88 @@ mod tests {
         assert!(core.run(&queries(), &bad_time).is_err());
     }
 
+    /// The claim the one serving path exists for: a query sequence
+    /// costs the same simulated seconds, and hits and misses the same
+    /// caches, whichever tier serves it — a one-worker `QueryService`,
+    /// or a one-worker, one-tenant session core behind its memos.
+    /// `SessionCore`'s scripted API can neither clear a cache nor bump
+    /// the epoch without moving rows, so its side is driven through
+    /// the step its event loop prices every dispatch with.
+    #[test]
+    fn both_tiers_bill_the_same_sequence_alike() {
+        use crate::{AdmissionConfig, QueryService, ServiceConfig};
+        use std::sync::Arc;
+
+        let queries = queries();
+        let query = &queries[3];
+        // Cold, repeat, repeat after the result cache is cleared, after
+        // an epoch bump: (service seconds, plan hit, result hit) each.
+        for cache in [false, true] {
+            let system = Arc::new(small_system());
+            let config = ServiceConfig {
+                admission: AdmissionConfig {
+                    workers: 1,
+                    ..Default::default()
+                },
+                result_cache: Some(cache),
+            };
+            let service = QueryService::new(Arc::clone(&system), config).unwrap();
+            let session = service.open_session();
+            let mut through_service = Vec::new();
+            for step in 0..4 {
+                match step {
+                    2 => service.clear_result_cache(),
+                    3 => system.bump_epoch(),
+                    _ => {}
+                }
+                let r = session.execute(query).unwrap();
+                through_service.push((
+                    r.service_seconds.to_bits(),
+                    r.cache_hit,
+                    r.result_cache_hit,
+                ));
+            }
+
+            let system = small_system();
+            let config = SessionCoreConfig {
+                workers: 1,
+                result_cache: cache,
+                memoize_execution: true,
+                ..SessionCoreConfig::default()
+            };
+            let one_tenant = [SessionScript {
+                tenant: 0,
+                steps: Vec::new(),
+            }];
+            let mut run = EventLoop::new(&system, &config, &queries, &one_tenant);
+            let mut through_core = Vec::new();
+            for step in 0..4 {
+                match (step, &run.tenants[0].caches.results) {
+                    (2, Some(results)) => results.clear(),
+                    (3, _) => system.bump_epoch(),
+                    _ => {}
+                }
+                let s = run.measure(&system, 0, query).unwrap();
+                through_core.push((s.service_seconds().to_bits(), s.plan_hit, s.result_hit));
+            }
+
+            assert_eq!(through_service, through_core, "result cache {cache}");
+            let flags: Vec<(bool, bool)> = through_core.iter().map(|s| (s.1, s.2)).collect();
+            let repeat = (true, cache);
+            let expected = [(false, false), repeat, (true, false), (false, false)];
+            assert_eq!(flags, expected, "result cache {cache}");
+            // The memos under the core changed nothing in the bill, only
+            // how often the data plane ran: once per epoch.
+            assert_eq!(run.memos.real_executions, 2);
+        }
+    }
+
     #[test]
     fn digest_is_independent_of_worker_count() {
         let scripts = scripts(24, 2);
         let queries = queries();
         let mut narrow = SessionCore::new(
-            small_system(false),
+            small_system(),
             SessionCoreConfig {
                 workers: 1,
                 queue_depth: 64,
@@ -1123,7 +971,7 @@ mod tests {
         )
         .unwrap();
         let mut wide = SessionCore::new(
-            small_system(false),
+            small_system(),
             SessionCoreConfig {
                 workers: 8,
                 queue_depth: 64,
@@ -1161,16 +1009,16 @@ mod tests {
             memoize_execution: true,
             ..SessionCoreConfig::default()
         };
-        let mut off = SessionCore::new(
-            small_system(false),
+        let mut off = SessionCore::new(small_system(), config.clone()).unwrap();
+        // The cache is switched where the core is built.
+        let mut on = SessionCore::new(
+            small_system(),
             SessionCoreConfig {
-                result_cache: Some(false),
-                ..config.clone()
+                result_cache: true,
+                ..config
             },
         )
         .unwrap();
-        // `None` inherits the system toggle — build the system with it on.
-        let mut on = SessionCore::new(small_system(true), config).unwrap();
         let cold = off.run(&queries, &scripts).unwrap();
         let warm = on.run(&queries, &scripts).unwrap();
         assert_eq!(cold.digest, warm.digest, "cache must be invisible in bytes");
@@ -1199,7 +1047,7 @@ mod tests {
             .collect();
         let queries = queries();
         let mut tight = SessionCore::new(
-            small_system(false),
+            small_system(),
             SessionCoreConfig {
                 workers: 1,
                 queue_depth: 1,
@@ -1209,7 +1057,7 @@ mod tests {
         )
         .unwrap();
         let mut roomy = SessionCore::new(
-            small_system(false),
+            small_system(),
             SessionCoreConfig {
                 workers: 1,
                 queue_depth: 64,
@@ -1243,7 +1091,7 @@ mod tests {
             })
             .collect();
         let mut core = SessionCore::new(
-            small_system(false),
+            small_system(),
             SessionCoreConfig {
                 workers: 1,
                 queue_depth: 64,
@@ -1273,12 +1121,12 @@ mod tests {
         let config = SessionCoreConfig {
             workers: 2,
             queue_depth: 64,
-            result_cache: Some(true),
+            result_cache: true,
             memoize_execution: true,
             ..SessionCoreConfig::default()
         };
-        let mut plain = SessionCore::new(small_system(false), config.clone()).unwrap();
-        let mut resharded = SessionCore::new(small_system(false), config).unwrap();
+        let mut plain = SessionCore::new(small_system(), config.clone()).unwrap();
+        let mut resharded = SessionCore::new(small_system(), config).unwrap();
         let baseline = plain.run(&queries, &scripts).unwrap();
         let epoch_before = resharded.system().epoch();
         let events = [ReshardEvent {
@@ -1331,9 +1179,9 @@ mod tests {
             memoize_execution: true,
             ..SessionCoreConfig::default()
         };
-        let mut bare = SessionCore::new(small_system(false), config.clone()).unwrap();
+        let mut bare = SessionCore::new(small_system(), config.clone()).unwrap();
         let mut patient = SessionCore::new(
-            small_system(false),
+            small_system(),
             SessionCoreConfig {
                 retry_max: 64,
                 ..config

@@ -436,15 +436,17 @@ fn reshard_epoch_invalidates_cached_results() {
         vitals_per_patient: 8,
         seed: 99,
     }))
-    .result_cache(true)
     .build()
     .expect("valid config");
     // Warm through a service, then mutate the engine state and verify
     // the old entry can never match again.
+    let cached = ServiceConfig {
+        result_cache: Some(true),
+        ..Default::default()
+    };
     let epoch_before = system.epoch();
     let arc = Arc::new(system);
-    let service = QueryService::new(Arc::clone(&arc), ServiceConfig::default())
-        .expect("valid service config");
+    let service = QueryService::new(Arc::clone(&arc), cached).expect("valid service config");
     let session = service.open_session();
     session.execute(&Query::sql(SQL)).expect("cold run");
     assert!(
@@ -465,8 +467,7 @@ fn reshard_epoch_invalidates_cached_results() {
         .expect("reshard");
     assert!(system.epoch() > epoch_before, "mutation bumps the epoch");
 
-    let service = QueryService::new(Arc::new(system), ServiceConfig::default())
-        .expect("valid service config");
+    let service = QueryService::new(Arc::new(system), cached).expect("valid service config");
     let session = service.open_session();
     let after = session.execute(&Query::sql(SQL)).expect("post-reshard run");
     assert!(

@@ -1170,7 +1170,7 @@ proptest! {
             .into_iter()
             .collect();
 
-        let system = |cache: bool| {
+        let system = || {
             Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
                 patients: 40,
                 vitals_per_patient: 4,
@@ -1180,16 +1180,16 @@ proptest! {
                 TableRef::new("db1", "admissions"),
                 PartitionSpec::hash("pid", width),
             )
-            .result_cache(cache)
             .build()
             .expect("valid config")
         };
         let run = |cache: bool| {
             let mut core = SessionCore::new(
-                system(cache),
+                system(),
                 SessionCoreConfig {
                     workers: 2,
                     queue_depth: 2,
+                    result_cache: cache,
                     memoize_execution: false,
                     ..Default::default()
                 },

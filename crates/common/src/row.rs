@@ -79,13 +79,7 @@ impl Row {
     pub fn concat(&self, right: &Row) -> Row {
         // An iterator of known length collects straight into the one
         // allocation.
-        let (left, right) = (&*self.0, &*right.0);
-        let value = |i: usize| {
-            left.get(i)
-                .unwrap_or_else(|| &right[i - left.len()])
-                .clone()
-        };
-        (0..left.len() + right.len()).map(value).collect()
+        self.iter().chain(right.iter()).cloned().collect()
     }
 
     /// Total payload bytes (sum of [`Value::byte_size`]).

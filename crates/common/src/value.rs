@@ -269,14 +269,30 @@ impl Ord for Value {
 impl std::hash::Hash for Value {
     #[inline]
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        // Values that compare equal hash alike. Across variants that is
+        // `Int(1) == Float(1.0)`: `cmp` casts the int to `f64`, so an
+        // int hashes as the whole number its cast holds, and a float
+        // holding a whole number hashes as that int. (A float's bit
+        // pattern would serve as well, but the floats of small ints
+        // differ in a few high bits only, which a multiplicative hasher
+        // folds into few buckets.) Who relies on it: `relstore::ops`'
+        // join and grouping maps, which can meet both kinds under one
+        // key. Every other float hashes its bit pattern, as `eq`'s
+        // `total_cmp` compares it.
+        let whole = match self {
+            Value::Int(v) => Some((*v as f64) as i64),
+            Value::Float(x) if (*x as i64) as f64 == *x => Some(*x as i64),
+            _ => None,
+        };
+        if let Some(whole) = whole {
+            std::mem::discriminant(&Value::Int(0)).hash(state);
+            return whole.hash(state);
+        }
         std::mem::discriminant(self).hash(state);
         match self {
             Value::Null => {}
             Value::Bool(b) => b.hash(state),
             Value::Int(v) | Value::Timestamp(v) => v.hash(state),
-            // Hash the bit pattern; `eq` uses total_cmp so this is consistent
-            // for all values that compare equal except Int==Float pairs,
-            // which are never mixed inside one hashed column.
             Value::Float(v) => v.to_bits().hash(state),
             Value::Str(s) => s.hash(state),
             Value::Bytes(b) => b.hash(state),
@@ -382,6 +398,27 @@ mod tests {
         assert!(Value::Int(1) < Value::Float(1.5));
         assert!(Value::Float(2.5) > Value::Int(2));
         assert_eq!(Value::Int(2), Value::Float(2.0));
+    }
+
+    #[test]
+    fn equal_values_hash_alike_across_int_and_float() {
+        use std::hash::{Hash, Hasher};
+        let h = |v: &Value| {
+            let mut s = std::collections::hash_map::DefaultHasher::new();
+            v.hash(&mut s);
+            s.finish()
+        };
+        // Whole floats and the ints they equal, the ends of `i64` (whose
+        // casts round to ±2^63) and an int the cast rounds.
+        let big = (1i64 << 53) + 1;
+        for v in [0, 1, -7, big, i64::MIN, i64::MAX] {
+            let (i, f) = (Value::Int(v), Value::Float(v as f64));
+            assert_eq!(i, f);
+            assert_eq!(h(&i), h(&f), "{v}");
+        }
+        assert_ne!(h(&Value::Float(0.5)), h(&Value::Float(1.5)));
+        assert_ne!(h(&Value::Float(f64::NAN)), h(&Value::Float(f64::INFINITY)));
+        assert_ne!(h(&Value::Int(1)), h(&Value::Timestamp(1)));
     }
 
     #[test]

@@ -5,9 +5,47 @@
 //! operators"). They are pure functions over `(Schema, rows)` so the
 //! runtime adapter can execute IR fragments on intermediate data, not
 //! just on stored tables.
+//!
+//! # Key words
+//!
+//! [`sort_rows`], [`group_by`] and [`hash_join`] read a key column out
+//! of the rows once, into a flat `Vec<u64>` — one *word* per row — and
+//! then compare, hash and sort words instead of `&Value`s behind a
+//! pointer per row. The encoding is a contract: for two values `a`, `b`
+//! of one typed column, `word(a).cmp(&word(b)) == a.cmp(b)` (unsigned
+//! order is [`Value`]'s order, so equal words are equal values):
+//!
+//! | column holds only  | word                                            |
+//! |--------------------|-------------------------------------------------|
+//! | `Bool(b)`          | `b as u64` (`false < true`)                     |
+//! | `Int(v)`           | `v as u64 ^ 1 << 63` (the sign bit flipped)     |
+//! | `Timestamp(v)`     | as `Int`                                        |
+//! | `Float(x)`, `x` ≥ +0.0 | `x.to_bits() ^ 1 << 63`                     |
+//! | `Float(x)`, sign bit set | `!x.to_bits()`                            |
+//!
+//! Flipping the sign bit maps two's-complement order onto unsigned
+//! order. The float rule is `f64::total_cmp`'s own key — the order
+//! `Value::cmp` uses — shifted to unsigned: negative floats order by
+//! descending magnitude, so all their bits are complemented; `-0.0` and
+//! `0.0` get different words, every NaN payload its own, negative NaNs
+//! below `-inf` and positive ones above `+inf`, as today. A descending
+//! sort key is the complement of the word.
+//!
+//! A column is **not typed** — and the call runs the generic body over
+//! `&Value`, which returns the same rows in the same order — when it
+//! holds a `Str`, `Bytes` or `NULL` anywhere, when it mixes kinds
+//! (`Int` beside `Float` included: the two compare numerically and no
+//! one word serves both), or when there are no rows. Beyond that,
+//! `sort_rows` takes one to three keys over words, `group_by` one key
+//! column (several take the generic body; none at all is one group and
+//! needs no map), and `hash_join` two typed columns of the same kind or
+//! one `Int` and one `Float` (the int side is re-keyed as the float it
+//! compares equal to). Which body runs depends on the key values in the
+//! input and on nothing else.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use serde::{Deserialize, Serialize};
 
@@ -133,6 +171,56 @@ pub fn project(schema: &Schema, rows: &[Row], columns: &[&str]) -> Result<(Schem
     Ok((out_schema, out))
 }
 
+/// The kind of value a typed key column holds (module docs, "Key
+/// words").
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum KeyKind {
+    Bool,
+    Int,
+    Float,
+    Timestamp,
+}
+
+const SIGN: u64 = 1 << 63;
+
+fn int_word(v: i64) -> u64 {
+    v as u64 ^ SIGN
+}
+
+fn float_word(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits & SIGN == 0 {
+        bits ^ SIGN
+    } else {
+        !bits
+    }
+}
+
+/// Column `column` of `rows` as one order-preserving word per row, or
+/// `None` when the column is not typed. The one place the encoding of
+/// the module docs is written.
+fn key_words(rows: &[Row], column: usize) -> Option<(KeyKind, Vec<u64>)> {
+    let kind = match rows.first()?[column] {
+        Value::Bool(_) => KeyKind::Bool,
+        Value::Int(_) => KeyKind::Int,
+        Value::Float(_) => KeyKind::Float,
+        Value::Timestamp(_) => KeyKind::Timestamp,
+        Value::Null | Value::Str(_) | Value::Bytes(_) => return None,
+    };
+    let mut words = Vec::with_capacity(rows.len());
+    for row in rows {
+        words.push(match (kind, &row[column]) {
+            (KeyKind::Bool, Value::Bool(b)) => u64::from(*b),
+            (KeyKind::Int, Value::Int(v)) | (KeyKind::Timestamp, Value::Timestamp(v)) => {
+                int_word(*v)
+            }
+            (KeyKind::Float, Value::Float(x)) => float_word(*x),
+            _ => return None,
+        });
+    }
+    Some((kind, words))
+}
+
 /// Stable multi-key sort.
 ///
 /// # Errors
@@ -143,6 +231,28 @@ pub fn sort_rows(schema: &Schema, mut rows: Vec<Row>, keys: &[SortKey]) -> Resul
         .iter()
         .map(|k| Ok((schema.require(&k.column)?, k.ascending)))
         .collect::<Result<_>>()?;
+    // A record is its key words and then the row's position, and its
+    // width is fixed at compile time: one to three keys sort as words,
+    // more (or none) take the generic body.
+    if (1..=3).contains(&resolved.len()) {
+        let words: Option<Vec<Vec<u64>>> = resolved
+            .iter()
+            .map(|&(idx, asc)| {
+                let (_, mut words) = key_words(&rows, idx)?;
+                if !asc {
+                    words.iter_mut().for_each(|w| *w = !*w);
+                }
+                Some(words)
+            })
+            .collect();
+        if let Some(words) = words {
+            return Ok(match words.len() {
+                1 => sort_by_words::<2>(rows, &words),
+                2 => sort_by_words::<3>(rows, &words),
+                _ => sort_by_words::<4>(rows, &words),
+            });
+        }
+    }
     rows.sort_by(|a, b| {
         for &(idx, asc) in &resolved {
             let ord = a[idx].cmp(&b[idx]);
@@ -154,6 +264,33 @@ pub fn sort_rows(schema: &Schema, mut rows: Vec<Row>, keys: &[SortKey]) -> Resul
         Ordering::Equal
     });
     Ok(rows)
+}
+
+/// [`sort_rows`] over typed keys: `words` holds the `N - 1` key columns
+/// (descending ones already complemented). Sorts `(words…, position)`
+/// records in one contiguous buffer and moves each row once. The
+/// position as the last word makes every record distinct, so the
+/// unstable sort leaves equal keys in input order — the stable order.
+fn sort_by_words<const N: usize>(rows: Vec<Row>, words: &[Vec<u64>]) -> Vec<Row> {
+    let mut records: Vec<[u64; N]> = (0..rows.len())
+        .map(|pos| {
+            let mut record = [pos as u64; N];
+            for (word, column) in record.iter_mut().zip(words) {
+                *word = column[pos];
+            }
+            record
+        })
+        .collect();
+    records.sort_unstable();
+    let mut rows: Vec<Option<Row>> = rows.into_iter().map(Some).collect();
+    records
+        .iter()
+        .map(|record| {
+            rows[record[N - 1] as usize]
+                .take()
+                .expect("a permutation names each row once")
+        })
+        .collect()
 }
 
 /// Hash join on single-column equality.
@@ -218,8 +355,9 @@ pub fn hash_join_counted(
     Ok((schema, rows, counts))
 }
 
-/// The one join body: builds on `right`, probes with `left`, and tells
-/// `produced` after each probe row how many output rows it added.
+/// The one join body: finds the matches over typed key words when both
+/// key columns have them and over `&Value` otherwise, then emits — and
+/// tells `produced` after each `left` row how many output rows it added.
 #[allow(clippy::too_many_arguments)]
 fn hash_join_with(
     left_schema: &Schema,
@@ -235,45 +373,149 @@ fn hash_join_with(
     let ri = right_schema.require(right_on)?;
     let out_schema = left_schema.join(right_schema);
 
-    // Build on the right side. Rows sharing a key form a chain through
-    // `next` in build order, so a probe walks its matches in the order
-    // they were inserted without a list allocated per key.
+    let matches = match join_words(left, li, right, ri) {
+        Some((lw, rw)) => join_matches(lw.into_iter().map(Some), rw.into_iter().map(Some)),
+        None => join_matches(value_keys(left, li), value_keys(right, ri)),
+    };
+
+    let padded = match kind {
+        JoinKind::Inner => 0,
+        JoinKind::LeftOuter => matches.counts.iter().filter(|&&n| n == 0).count(),
+    };
+    let mut out = Vec::with_capacity(matches.right.len() + padded);
+    let null_right = Row::from(vec![Value::Null; right_schema.arity()]);
+    let mut matched = matches.right.iter();
+    for (l, &n) in left.iter().zip(&matches.counts) {
+        let before = out.len();
+        out.extend(matched.by_ref().take(n).map(|&pos| l.concat(&right[pos])));
+        if n == 0 && kind == JoinKind::LeftOuter {
+            out.push(l.concat(&null_right));
+        }
+        produced(out.len() - before);
+    }
+    Ok((out_schema, out))
+}
+
+/// The key words of both sides of a join, comparable with each other:
+/// two typed columns of one kind as they are, an `Int` column against a
+/// `Float` one with each int re-keyed as `(v as f64)` — the comparison
+/// `Value::cmp` makes between the two. `None` when either column is not
+/// typed, or the kinds can hold no equal pair (the generic body finds
+/// no match there either).
+fn join_words(left: &[Row], li: usize, right: &[Row], ri: usize) -> Option<(Vec<u64>, Vec<u64>)> {
+    let (lk, mut lw) = key_words(left, li)?;
+    let (rk, mut rw) = key_words(right, ri)?;
+    let as_float = |words: &mut Vec<u64>| {
+        for w in words {
+            *w = float_word((*w ^ SIGN) as i64 as f64);
+        }
+    };
+    match (lk, rk) {
+        _ if lk == rk => {}
+        (KeyKind::Int, KeyKind::Float) => as_float(&mut lw),
+        (KeyKind::Float, KeyKind::Int) => as_float(&mut rw),
+        _ => return None,
+    }
+    Some((lw, rw))
+}
+
+/// The join keys of column `on` as values: `None` for NULL, which joins
+/// nothing.
+fn value_keys(rows: &[Row], on: usize) -> impl ExactSizeIterator<Item = Option<&Value>> {
+    rows.iter()
+        .map(move |row| Some(&row[on]).filter(|v| !v.is_null()))
+}
+
+/// The matches of an equi-join, left-major.
+struct Matches {
+    /// How many right rows each left row matched.
+    counts: Vec<usize>,
+    /// The matched right rows' positions: left row by left row, within
+    /// a left row in right order.
+    right: Vec<usize>,
+}
+
+/// Matches `left` keys to equal `right` keys (`None` matches nothing).
+/// The hash table is built over whichever side has fewer rows and
+/// probed with the other; the result is the same either way.
+fn join_matches<K: Hash + Eq>(
+    left: impl ExactSizeIterator<Item = Option<K>>,
+    right: impl ExactSizeIterator<Item = Option<K>>,
+) -> Matches {
     const END: usize = usize::MAX;
-    let mut next = vec![END; right.len()];
-    let mut chains: HashMap<&Value, (usize, usize), FxBuildHasher> =
-        HashMap::with_capacity_and_hasher(right.len(), FxBuildHasher::default());
-    for (pos, r) in right.iter().enumerate() {
-        if !r[ri].is_null() {
+    // Rows sharing a key form a chain through `next` in build order, so
+    // a probe walks its matches in the order they were inserted without
+    // a list allocated per key.
+    fn build<K: Hash + Eq>(
+        keys: impl ExactSizeIterator<Item = Option<K>>,
+    ) -> (HashMap<K, (usize, usize), FxBuildHasher>, Vec<usize>) {
+        let mut next = vec![END; keys.len()];
+        let mut chains = HashMap::with_capacity_and_hasher(keys.len(), FxBuildHasher::default());
+        for (pos, key) in keys.enumerate() {
+            let Some(key) = key else { continue };
             chains
-                .entry(&r[ri])
+                .entry(key)
                 .and_modify(|(_, last)| {
                     next[*last] = pos;
                     *last = pos;
                 })
                 .or_insert((pos, pos));
         }
+        (chains, next)
     }
-    let mut out = Vec::new();
-    let null_right = Row::from(vec![Value::Null; right_schema.arity()]);
-    for l in left {
-        let before = out.len();
-        match chains.get(&l[li]) {
-            Some(&(first, _)) if !l[li].is_null() => {
-                let mut pos = first;
-                while pos != END {
-                    out.push(l.concat(&right[pos]));
-                    pos = next[pos];
-                }
-            }
-            _ => {
-                if kind == JoinKind::LeftOuter {
-                    out.push(l.concat(&null_right));
-                }
-            }
+    /// The build positions `key` matches, in build order.
+    fn chain<'a, K: Hash + Eq>(
+        chains: &HashMap<K, (usize, usize), FxBuildHasher>,
+        next: &'a [usize],
+        key: Option<K>,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let first = key.and_then(|k| chains.get(&k)).map(|&(first, _)| first);
+        std::iter::successors(first, |&pos| Some(next[pos]).filter(|&pos| pos != END))
+    }
+
+    if right.len() <= left.len() {
+        let (chains, next) = build(right);
+        let mut counts = Vec::with_capacity(left.len());
+        let mut matched = Vec::with_capacity(left.len());
+        for key in left {
+            let before = matched.len();
+            matched.extend(chain(&chains, &next, key));
+            counts.push(matched.len() - before);
         }
-        produced(out.len() - before);
+        return Matches {
+            counts,
+            right: matched,
+        };
     }
-    Ok((out_schema, out))
+    // Built on the left, the probe finds the pairs right-major. Count
+    // each left row's matches, turn the counts into each row's first
+    // slot, and place the pairs: a left row's slots fill in the order
+    // its pairs were found — right order.
+    let mut counts = vec![0; left.len()];
+    let (chains, next) = build(left);
+    let mut pairs = Vec::new();
+    for (r, key) in right.enumerate() {
+        for l in chain(&chains, &next, key) {
+            counts[l] += 1;
+            pairs.push((l, r));
+        }
+    }
+    let mut slot: Vec<usize> = counts
+        .iter()
+        .scan(0, |end, &n| {
+            *end += n;
+            Some(*end - n)
+        })
+        .collect();
+    let mut matched = vec![0; pairs.len()];
+    for (l, r) in pairs {
+        matched[slot[l]] = r;
+        slot[l] += 1;
+    }
+    Matches {
+        counts,
+        right: matched,
+    }
 }
 
 /// The key columns of one row, compared in place, beside their hash:
@@ -307,6 +549,19 @@ impl PartialEq for GroupKey<'_> {
 
 impl Eq for GroupKey<'_> {}
 
+/// An empty grouping map with room reserved for `rows` input rows. A
+/// map that starts at nothing regrows, and rehashes, about a dozen times
+/// on its way to five thousand groups; reserved from the input length
+/// it never does, and an unfilled table costs only its control bytes.
+/// The reservation is bounded in bytes (a quarter of a megabyte of
+/// entries), so that a huge input of few groups does not ask for a
+/// table sized for a group per row.
+fn group_map<K>(rows: usize) -> HashMap<K, usize, FxBuildHasher> {
+    const RESERVE_BYTES: usize = 1 << 18;
+    let entries = RESERVE_BYTES / std::mem::size_of::<(K, usize)>();
+    HashMap::with_capacity_and_hasher(rows.min(entries), FxBuildHasher::default())
+}
+
 /// Rows grouped by key columns, groups numbered in first-seen order.
 struct Groups<'a> {
     columns: &'a [usize],
@@ -317,10 +572,11 @@ struct Groups<'a> {
 }
 
 impl<'a> Groups<'a> {
-    fn new(columns: &'a [usize]) -> Self {
+    /// An empty grouping, about to be fed `rows` rows.
+    fn new(columns: &'a [usize], rows: usize) -> Self {
         Groups {
             columns,
-            index: HashMap::default(),
+            index: group_map(rows),
             firsts: Vec::new(),
         }
     }
@@ -338,6 +594,36 @@ impl<'a> Groups<'a> {
             self.firsts.len() - 1
         })
     }
+}
+
+/// Phase 1 of [`group_by`]: the group of every row, groups numbered in
+/// first-seen order, and the first row of each group. One typed key
+/// column is grouped by its words, anything else by [`Groups`].
+fn number_groups<'a>(rows: &'a [Row], key_idx: &'a [usize]) -> (Vec<usize>, Vec<&'a Row>) {
+    let words = match key_idx {
+        // No key: every row is in the one group (no rows, no group).
+        [] => return (vec![0; rows.len()], rows.first().into_iter().collect()),
+        [column] => key_words(rows, *column),
+        _ => None,
+    };
+    let Some((_, words)) = words else {
+        let mut groups = Groups::new(key_idx, rows.len());
+        let ids = rows.iter().map(|row| groups.group_of(row)).collect();
+        return (ids, groups.firsts);
+    };
+    let mut index = group_map::<u64>(rows.len());
+    let mut firsts = Vec::new();
+    let ids = words
+        .iter()
+        .zip(rows)
+        .map(|(&word, row)| {
+            *index.entry(word).or_insert_with(|| {
+                firsts.push(row);
+                firsts.len() - 1
+            })
+        })
+        .collect();
+    (ids, firsts)
 }
 
 /// Merges per-shard partial-aggregation states back into the final
@@ -409,7 +695,7 @@ pub fn merge_group_partials(
     };
 
     let key_columns: Vec<usize> = (0..key_count).collect();
-    let mut groups = Groups::new(&key_columns);
+    let mut groups = Groups::new(&key_columns, partial_rows.len());
     // One state per (group, aggregate), group-major.
     let mut accs: Vec<MergeAcc> = Vec::new();
     for row in partial_rows {
@@ -576,52 +862,52 @@ pub fn group_by(
         /// Current minimum or maximum (`Min`, `Max`).
         extremum: Option<Value>,
     }
-    let mut groups = Groups::new(&key_idx);
-    let mut group_rows_seen: Vec<i64> = Vec::new();
-    // One state per (group, aggregate), group-major.
-    let mut accs: Vec<Acc> = Vec::new();
-
-    for row in rows {
-        let g = groups.group_of(row);
-        if g == group_rows_seen.len() {
-            group_rows_seen.push(0);
-            accs.resize(accs.len() + aggs.len(), Acc::default());
-        }
+    let (ids, firsts) = number_groups(rows, &key_idx);
+    let mut group_rows_seen = vec![0i64; firsts.len()];
+    for &g in &ids {
         group_rows_seen[g] += 1;
-        let group_accs = &mut accs[g * aggs.len()..];
-        for ((acc, spec), idx) in group_accs.iter_mut().zip(aggs).zip(&agg_idx) {
-            let Some(idx) = idx else { continue };
-            let v = &row[*idx];
-            if v.is_null() {
-                continue;
-            }
-            match spec.agg {
-                Aggregate::Sum | Aggregate::Avg => {
+    }
+    // Phase 2. One state per (group, aggregate), group-major; one pass
+    // over the rows per aggregate, so a group's values still add up in
+    // row order.
+    let mut accs = vec![Acc::default(); firsts.len() * aggs.len()];
+    for (a, (spec, idx)) in aggs.iter().zip(&agg_idx).enumerate() {
+        let Some(idx) = *idx else { continue };
+        let cells = rows
+            .iter()
+            .zip(&ids)
+            .map(|(row, &g)| (&row[idx], g * aggs.len() + a))
+            .filter(|(v, _)| !v.is_null());
+        match spec.agg {
+            Aggregate::Sum | Aggregate::Avg => {
+                for (v, at) in cells {
                     let x = v.as_f64().ok_or_else(|| {
                         Error::SchemaMismatch(format!("cannot aggregate {v:?} numerically"))
                     })?;
-                    acc.sum += x;
-                    acc.count += 1;
+                    accs[at].sum += x;
+                    accs[at].count += 1;
                 }
-                Aggregate::Min => {
-                    if acc.extremum.as_ref().is_none_or(|m| v < m) {
-                        acc.extremum = Some(v.clone());
-                    }
-                }
-                Aggregate::Max => {
-                    if acc.extremum.as_ref().is_none_or(|m| v > m) {
-                        acc.extremum = Some(v.clone());
-                    }
-                }
-                Aggregate::CountNonNull => acc.count += 1,
-                Aggregate::Count => {}
             }
+            Aggregate::Min | Aggregate::Max => {
+                // Strictly better only: of equal values the first stays.
+                let better = match spec.agg {
+                    Aggregate::Min => Ordering::Less,
+                    _ => Ordering::Greater,
+                };
+                for (v, at) in cells {
+                    let extremum = &mut accs[at].extremum;
+                    if extremum.as_ref().is_none_or(|m| v.cmp(m) == better) {
+                        *extremum = Some(v.clone());
+                    }
+                }
+            }
+            Aggregate::CountNonNull => cells.for_each(|(_, at)| accs[at].count += 1),
+            Aggregate::Count => {}
         }
     }
 
     let mut accs = accs.into_iter();
-    let out = groups
-        .firsts
+    let out = firsts
         .iter()
         .zip(group_rows_seen)
         .map(|(first, seen)| {
@@ -676,6 +962,216 @@ mod tests {
         m.sort();
         assert_eq!(h, m);
         assert_eq!(h.len(), 3); // 2->1 match, 3->2 matches
+
+        // An `Int` key column against a `Float` one: `Value` compares
+        // the two numerically, and so must both joins — with the ints
+        // on either side, and with either side the smaller (build) one.
+        let ints = Schema::new(vec![("k", DataType::Int)]);
+        let floats = Schema::new(vec![("k", DataType::Float)]);
+        let i = vec![row![1i64], row![2i64]];
+        let f = vec![row![1.0], row![2.5], row![-0.0]];
+        for (ls, l, rs, r) in [(&ints, &i, &floats, &f), (&floats, &f, &ints, &i)] {
+            let (_, h) = hash_join(ls, l, rs, r, "k", "k", JoinKind::Inner).unwrap();
+            let (_, m) = sort_merge_join(ls, l.clone(), rs, r.clone(), "k", "k").unwrap();
+            assert_eq!(h, m);
+            assert_eq!(h.len(), 1, "1 joins 1.0 and nothing else: {h:?}");
+        }
+    }
+
+    /// Rows whose first three columns no kernel can read as words: a
+    /// string, an int column with a NULL, ints beside floats.
+    fn untyped() -> (Schema, Vec<Row>) {
+        let schema = Schema::new(vec![
+            ("s", DataType::Str),
+            ("n", DataType::Int),
+            ("m", DataType::Float),
+            ("v", DataType::Int),
+        ]);
+        let rows = vec![
+            row!["b", 2i64, 1i64, 10i64],
+            row!["a", Value::Null, 0.5, 20i64],
+            row!["b", 1i64, 1.5, 30i64],
+            row!["a", 2i64, 0i64, 40i64],
+        ];
+        for column in 0..3 {
+            assert!(key_words(&rows, column).is_none(), "column {column}");
+        }
+        assert!(key_words(&rows, 3).is_some());
+        assert!(key_words(&[], 3).is_none());
+        (schema, rows)
+    }
+
+    #[test]
+    fn untyped_sort_keys_take_the_generic_body() {
+        let (schema, rows) = untyped();
+        let sorted = |keys: &[SortKey]| -> Vec<i64> {
+            let out = sort_rows(&schema, rows.clone(), keys).unwrap();
+            out.iter().map(|r| r[3].as_i64().unwrap()).collect()
+        };
+        assert_eq!(sorted(&[SortKey::asc("s")]), [20, 40, 10, 30]);
+        assert_eq!(sorted(&[SortKey::asc("n")]), [20, 30, 10, 40], "NULL first");
+        assert_eq!(sorted(&[SortKey::desc("m")]), [30, 10, 20, 40]);
+        // One untyped key sends the whole call there, typed keys and all.
+        assert_eq!(
+            sorted(&[SortKey::desc("v"), SortKey::asc("s")]),
+            [40, 30, 20, 10]
+        );
+        assert_eq!(
+            sorted(&[SortKey::asc("s"), SortKey::desc("v")]),
+            [40, 20, 30, 10]
+        );
+        // As do more keys than a record has words for.
+        let v = SortKey::asc("v");
+        assert_eq!(
+            sorted(&[v.clone(), v.clone(), v.clone(), SortKey::desc("v")]),
+            [10, 20, 30, 40]
+        );
+    }
+
+    #[test]
+    fn untyped_group_keys_take_the_generic_body() {
+        let (schema, rows) = untyped();
+        let aggs = [
+            AggregateSpec::count("n_rows"),
+            AggregateSpec::new(Aggregate::Sum, "v", "sum"),
+        ];
+        let grouped = |keys: &[&str]| group_by(&schema, &rows, keys, &aggs).unwrap().1;
+        assert_eq!(
+            grouped(&["s"]),
+            vec![row!["b", 2i64, 40.0], row!["a", 2i64, 60.0]]
+        );
+        assert_eq!(
+            grouped(&["n"]),
+            vec![
+                row![2i64, 2i64, 50.0],
+                row![Value::Null, 1i64, 20.0],
+                row![1i64, 1i64, 30.0]
+            ],
+            "NULLs are one group"
+        );
+        assert_eq!(grouped(&["m"]).len(), 4);
+        // Two typed key columns are still more than one word.
+        assert_eq!(grouped(&["v", "v"]).len(), 4);
+        // A typed single key agrees with the same key through the
+        // generic body (`["v", "s"]` has a distinct `v` per row too).
+        let typed: Vec<Value> = grouped(&["v"]).iter().map(|r| r[0].clone()).collect();
+        let generic: Vec<Value> = grouped(&["v", "s"]).iter().map(|r| r[0].clone()).collect();
+        assert_eq!(typed, generic);
+    }
+
+    #[test]
+    fn untyped_join_keys_take_the_generic_body() {
+        let (schema, rows) = untyped();
+        let tags = Schema::new(vec![
+            ("s", DataType::Str),
+            ("n", DataType::Int),
+            ("m", DataType::Float),
+        ]);
+        let right = vec![row!["a", 2i64, 1.0], row!["c", Value::Null, 0i64]];
+        let joined = |on: &str, kind| -> Vec<(i64, Value)> {
+            let (_, out) = hash_join(&schema, &rows, &tags, &right, on, on, kind).unwrap();
+            let at = 4 + tags.index_of(on).unwrap();
+            out.iter()
+                .map(|r| (r[3].as_i64().unwrap(), r[at].clone()))
+                .collect()
+        };
+        let a = Value::from("a");
+        assert_eq!(
+            joined("s", JoinKind::Inner),
+            [(20, a.clone()), (40, a.clone())]
+        );
+        assert_eq!(
+            joined("s", JoinKind::LeftOuter),
+            [
+                (10, Value::Null),
+                (20, a.clone()),
+                (30, Value::Null),
+                (40, a)
+            ]
+        );
+        // NULL joins nothing, not even NULL.
+        assert_eq!(
+            joined("n", JoinKind::Inner),
+            [(10, Value::Int(2)), (40, Value::Int(2))]
+        );
+        // Mixed kinds compare numerically: Int(1) = 1.0, Int(0) = Int(0).
+        assert_eq!(
+            joined("m", JoinKind::Inner),
+            [(10, Value::Float(1.0)), (40, Value::Int(0))]
+        );
+        // Typed columns of kinds that never compare equal.
+        let stamps = Schema::new(vec![("v", DataType::Timestamp)]);
+        let stamp = vec![row![Value::Timestamp(10)]];
+        let (_, none) =
+            hash_join(&schema, &rows, &stamps, &stamp, "v", "v", JoinKind::Inner).unwrap();
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn an_int_groups_with_the_float_it_equals() {
+        let s = Schema::new(vec![("k", DataType::Float)]);
+        let rows = vec![row![1i64], row![0.0], row![1.0], row![-0.0], row![0i64]];
+        let (_, out) = group_by(&s, &rows, &["k"], &[AggregateSpec::count("n")]).unwrap();
+        assert_eq!(
+            out,
+            vec![row![1i64, 2i64], row![0.0, 2i64], row![-0.0, 1i64]],
+            "groups are `Value`'s equality classes, named by their first row"
+        );
+    }
+
+    #[test]
+    fn join_builds_on_the_smaller_side_and_keeps_probe_order() {
+        let ls = Schema::new(vec![("k", DataType::Int), ("l", DataType::Int)]);
+        let rs = Schema::new(vec![("k", DataType::Int), ("r", DataType::Int)]);
+        let small = vec![row![2i64, 0i64], row![1i64, 1i64], row![2i64, 2i64]];
+        let large = vec![
+            row![1i64, 0i64],
+            row![2i64, 1i64],
+            row![3i64, 2i64],
+            row![2i64, 3i64],
+            row![1i64, 4i64],
+        ];
+        let pairs = |l: &[Row], r: &[Row], kind| -> (Vec<(i64, Value)>, Vec<usize>) {
+            let (_, out, counts) = hash_join_counted(&ls, l, &rs, r, "k", "k", kind).unwrap();
+            let pairs = out
+                .iter()
+                .map(|row| (row[1].as_i64().unwrap(), row[3].clone()))
+                .collect();
+            (pairs, counts)
+        };
+        let int = Value::Int;
+        // Fewer left rows: the table is built on them, and the output is
+        // still left-major with each left row's matches in right order.
+        assert_eq!(
+            pairs(&small, &large, JoinKind::Inner),
+            (
+                vec![
+                    (0, int(1)),
+                    (0, int(3)),
+                    (1, int(0)),
+                    (1, int(4)),
+                    (2, int(1)),
+                    (2, int(3))
+                ],
+                vec![2, 2, 2]
+            )
+        );
+        // Fewer right rows: built on the right, as ever.
+        assert_eq!(
+            pairs(&large, &small, JoinKind::LeftOuter),
+            (
+                vec![
+                    (0, int(1)),
+                    (1, int(0)),
+                    (1, int(2)),
+                    (2, Value::Null),
+                    (3, int(0)),
+                    (3, int(2)),
+                    (4, int(1))
+                ],
+                vec![1, 2, 1, 2, 1]
+            )
+        );
     }
 
     #[test]

@@ -5,71 +5,15 @@
 //! time and knows nothing of images, selections or indexes.
 
 use proptest::prelude::*;
-use pspp_common::{DataType, Predicate, Result, Row, Schema, Value};
+use pspp_common::{DataType, Predicate, Result, Row, Value};
 use pspp_relstore::RelationalStore;
 
 mod predicate_gen;
+mod row_gen;
 use predicate_gen::{arb_predicate_program, predicate_from};
-
-fn schema() -> Schema {
-    Schema::new(vec![
-        ("i", DataType::Int),
-        ("f", DataType::Float),
-        ("t", DataType::Timestamp),
-        ("b", DataType::Bool),
-        ("s", DataType::Str),
-    ])
-}
-
-/// NULL a quarter of the time, otherwise what `value` draws.
-fn nullable(value: impl Strategy<Value = Value>) -> impl Strategy<Value = Value> {
-    (0u8..4, value).prop_map(|(n, v)| if n == 0 { Value::Null } else { v })
-}
-
-/// Small domains, so literals hit cells often: ints, halves (so
-/// `Int(1)` meets `Float(1.0)`), a `-0.0` beside `0.0`, short strings.
-fn arb_int() -> impl Strategy<Value = Value> {
-    (-2i64..3).prop_map(Value::Int)
-}
-fn arb_float() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        (-4i64..5).prop_map(|h| Value::Float(h as f64 / 2.0)),
-        Just(Value::Float(-0.0)),
-    ]
-}
-fn arb_timestamp() -> impl Strategy<Value = Value> {
-    (0i64..4).prop_map(Value::Timestamp)
-}
-fn arb_bool() -> impl Strategy<Value = Value> {
-    any::<bool>().prop_map(Value::Bool)
-}
-fn arb_str() -> impl Strategy<Value = Value> {
-    "[ab]{0,1}".prop_map(Value::from)
-}
-
-/// A row of [`schema`], NULLs in every column.
-fn arb_row() -> impl Strategy<Value = Row> {
-    (
-        nullable(arb_int()),
-        nullable(arb_float()),
-        nullable(arb_timestamp()),
-        nullable(arb_bool()),
-        nullable(arb_str()),
-    )
-        .prop_map(|(i, f, t, b, s)| Row::from(vec![i, f, t, b, s]))
-}
-
-/// A literal of any variant, whichever column it ends up against.
-fn arb_literal() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        arb_int(),
-        arb_float(),
-        arb_timestamp(),
-        arb_bool(),
-        arb_str(),
-    ]
-}
+// A literal is a value of any variant, whichever column it ends up
+// against.
+use row_gen::{arb_any as arb_literal, arb_row, schema};
 
 /// Leaves mostly over real columns; one in eight names a column the
 /// schema lacks. Two such names: with one, every error reads alike and

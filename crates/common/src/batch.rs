@@ -7,7 +7,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::value::{DataType, Value};
-use crate::{Error, Result, Row, Schema};
+use crate::{Error, Field, Result, Row, Schema};
 
 /// A typed column of values with an optional validity (non-null) mask.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -196,11 +196,60 @@ impl Batch {
     ///
     /// Returns [`Error::SchemaMismatch`] if any row violates the schema.
     pub fn from_slice(schema: &Schema, rows: &[Row]) -> Result<Batch> {
-        let mut batch = Batch::empty(schema.clone());
+        let every: Vec<usize> = (0..schema.arity()).collect();
+        Batch::from_columns(schema, rows, &every)
+    }
+
+    /// A batch of the columns of `rows` at positions `keep` (in that
+    /// order, under `schema`'s fields there): the columns a migration
+    /// ships when its consumers read only some. Every row's arity and
+    /// every kept value's type and nullability are checked as
+    /// [`Batch::from_slice`] checks them; a column left out is never
+    /// read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::SchemaMismatch`] if a row's arity is not
+    /// `schema`'s or a kept value violates its field.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position in `keep` is out of `schema`'s bounds.
+    pub fn from_columns(schema: &Schema, rows: &[Row], keep: &[usize]) -> Result<Batch> {
+        let fields: Vec<Field> = keep.iter().map(|&c| schema.fields()[c].clone()).collect();
+        let mut columns: Vec<Column> = fields.iter().map(|f| Column::empty(f.data_type)).collect();
+        let mut validity = vec![Vec::with_capacity(rows.len()); keep.len()];
         for row in rows {
-            batch.push_row(row)?;
+            if row.len() != schema.arity() {
+                return Err(Error::SchemaMismatch(format!(
+                    "expected {} columns, got {}",
+                    schema.arity(),
+                    row.len()
+                )));
+            }
+            for (k, (&c, field)) in keep.iter().zip(&fields).enumerate() {
+                let value = &row[c];
+                if value.is_null() && !field.nullable {
+                    return Err(Error::SchemaMismatch(format!(
+                        "null in not-null column {}",
+                        field.name
+                    )));
+                }
+                if !columns[k].push(value) {
+                    return Err(Error::SchemaMismatch(format!(
+                        "column {} expects {}, got {value:?}",
+                        field.name, field.data_type
+                    )));
+                }
+                validity[k].push(!value.is_null());
+            }
         }
-        Ok(batch)
+        Ok(Batch {
+            schema: Schema::from_fields(fields),
+            columns,
+            validity,
+            num_rows: rows.len(),
+        })
     }
 
     /// Appends one row.
@@ -330,6 +379,33 @@ mod tests {
     fn byte_size_counts_payload() {
         let b = Batch::from_rows(&schema(), vec![row![1i64, "abc", 0.5]]).unwrap();
         assert_eq!(b.byte_size(), 8 + 3 + 8);
+    }
+
+    #[test]
+    fn column_subset_checks_what_it_ships_and_every_rows_arity() {
+        let rows = vec![
+            row![1i64, "a", 0.5],
+            Row::from(vec![Value::Int(2), Value::Null, Value::Float(1.5)]),
+        ];
+        let b = Batch::from_columns(&schema(), &rows, &[2, 0]).unwrap();
+        assert_eq!(b.schema().names(), vec!["w", "id"]);
+        assert_eq!(b.to_rows(), vec![row![0.5, 1i64], row![1.5, 2i64]]);
+        assert_eq!(b.byte_size(), 32);
+        // All columns, in order, is `from_slice`.
+        assert_eq!(
+            Batch::from_columns(&schema(), &rows, &[0, 1, 2]).unwrap(),
+            Batch::from_slice(&schema(), &rows).unwrap()
+        );
+        // A wrong type in a shipped column and a short row are refused;
+        // a wrong type in a column left behind is never looked at.
+        let bad = vec![row![1i64, 7i64, 0.5]];
+        assert!(Batch::from_columns(&schema(), &bad, &[1]).is_err());
+        assert!(Batch::from_columns(&schema(), &bad, &[0, 2]).is_ok());
+        assert!(Batch::from_columns(&schema(), &[row![1i64, "a"]], &[0]).is_err());
+        let strict = Schema::from_fields(vec![Field::required("id", DataType::Int)]);
+        let null = vec![Row::from(vec![Value::Null])];
+        assert!(Batch::from_columns(&strict, &null, &[0]).is_err());
+        assert!(Batch::from_columns(&strict, &null, &[]).is_ok());
     }
 
     #[test]

@@ -127,8 +127,20 @@ impl Schema {
         Ok(Schema { fields })
     }
 
+    /// Whether two columns share a name — [`Schema::join`] can produce
+    /// that (see there), and [`Schema::index_of`] then answers the first.
+    pub fn repeats_a_name(&self) -> bool {
+        let repeated = |(at, field): (usize, &Field)| {
+            let earlier = &self.fields[..at];
+            earlier.iter().any(|f| f.name == field.name)
+        };
+        self.fields.iter().enumerate().any(repeated)
+    }
+
     /// Concatenates two schemas (e.g. for join output). Duplicate names on
-    /// the right side are suffixed with `_r`.
+    /// the right side are suffixed with `_r` — without checking that the
+    /// suffixed name is free, so a second join over the same name yields
+    /// it twice (`pid, pid_r, pid_r`).
     pub fn join(&self, right: &Schema) -> Schema {
         let mut fields = self.fields.clone();
         for f in &right.fields {
@@ -255,6 +267,22 @@ mod tests {
         let right = Schema::new(vec![("id", DataType::Int), ("city", DataType::Str)]);
         let j = left.join(&right);
         assert_eq!(j.names(), vec!["id", "name", "score", "id_r", "city"]);
+    }
+
+    /// Pins the naming of chained joins: `(a ⋈ b) ⋈ c` over three
+    /// `pid`s names the second and the third alike, and a lookup finds
+    /// the second. Renaming the third would move every digest over such
+    /// a join's rows, so it is not done in passing (ROADMAP item 5).
+    #[test]
+    fn a_second_join_over_the_same_name_repeats_the_suffixed_one() {
+        let pid = |other: &str| Schema::new(vec![("pid", DataType::Int), (other, DataType::Int)]);
+        let once = pid("a").join(&pid("b"));
+        assert_eq!(once.names(), vec!["pid", "a", "pid_r", "b"]);
+        assert!(!once.repeats_a_name());
+        let twice = once.join(&pid("c"));
+        assert_eq!(twice.names(), vec!["pid", "a", "pid_r", "b", "pid_r", "c"]);
+        assert!(twice.repeats_a_name());
+        assert_eq!(twice.index_of("pid_r"), Some(2));
     }
 
     #[test]

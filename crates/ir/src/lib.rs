@@ -36,6 +36,8 @@ pub use shard::{
     REPARTITION_COPY_BPS,
 };
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use pspp_common::{DeviceKind, EngineId, ShardId};
@@ -68,6 +70,37 @@ pub struct FusedChain {
     pub nodes: Vec<NodeId>,
     /// Intermediate-transfer seconds saved vs unfused per-node offload.
     pub saved_seconds: f64,
+}
+
+/// Which of a node's output columns any consumer reads, recorded by the
+/// L1 demand pass (rewrite rule 7) when that is a strict subset. The
+/// migration codec ships a producer's demanded columns only, a join
+/// builds only its own, the planner prices `columns.len() / of` of the
+/// producer's bytes, and `EXPLAIN` prints the list.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ColumnDemand {
+    /// The demanded columns, named as the node's full output schema
+    /// names them (a join's `x_r` included) and in that schema's order.
+    /// Shared: a plan's join-site records carry the list too, and every
+    /// served query clones its plan summary.
+    pub columns: Arc<[String]>,
+    /// How many columns the full output schema has.
+    pub of: usize,
+}
+
+impl ColumnDemand {
+    /// The demanded share of the columns — of the bytes too, as the
+    /// planner prices a migration that ships these columns alone.
+    pub fn share(&self) -> f64 {
+        self.columns.len() as f64 / self.of as f64
+    }
+}
+
+impl std::fmt::Display for ColumnDemand {
+    /// `[pid, name] of 5 cols`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "[{}] of {} cols", self.columns.join(", "), self.of)
+    }
 }
 
 /// Per-node plan annotations filled in by the optimizer (§IV-B.3:
@@ -103,4 +136,8 @@ pub struct Annotations {
     pub est_seconds: Option<f64>,
     /// Whether this node was fused into its consumer by L1 rewrites.
     pub fused_into_consumer: bool,
+    /// The output columns some consumer reads; `None` means every
+    /// column (the literal plan).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub demand: Option<ColumnDemand>,
 }

@@ -53,6 +53,10 @@ pub struct MigrationReport {
     pub payload_bytes: u64,
     /// Bytes on the wire (CSV inflates).
     pub wire_bytes: u64,
+    /// Payload bytes of the rows as decoded at the destination (the sum
+    /// of their [`Row::byte_size`], where a NULL is one byte), added up
+    /// while they were built.
+    pub row_bytes: u64,
     /// Simulated serialization time.
     pub encode: SimDuration,
     /// Simulated wire time.
@@ -166,15 +170,17 @@ impl Migrator {
         to: DataModel,
     ) -> Result<(Vec<Row>, MigrationReport)> {
         // ---- real data plane ----
-        let rows = match path {
+        let (rows, row_bytes) = match path {
             MigrationPath::CsvFile => {
                 let text = csv::encode(batch);
-                csv::decode(batch.schema(), &text)
-                    .map_err(|e| Error::Migration(format!("csv roundtrip: {e}")))?
+                let rows = csv::decode(batch.schema(), &text)
+                    .map_err(|e| Error::Migration(format!("csv roundtrip: {e}")))?;
+                let row_bytes = rows.iter().map(|r| r.byte_size() as u64).sum();
+                (rows, row_bytes)
             }
             MigrationPath::BinaryPipe | MigrationPath::Rdma => {
                 let bytes = binary_encode(batch);
-                binary_decode(batch.schema(), &bytes)
+                decode_sized(batch.schema(), &bytes)
                     .map_err(|e| Error::Migration(format!("binary roundtrip: {e}")))?
             }
         };
@@ -260,6 +266,7 @@ impl Migrator {
             path,
             payload_bytes: payload,
             wire_bytes,
+            row_bytes,
             encode: encode_t,
             transfer,
             decode: decode_t,
@@ -358,6 +365,12 @@ impl ColumnReader<'_> {
 ///
 /// Returns [`Error::Migration`] on truncated or malformed buffers.
 pub fn binary_decode(schema: &Schema, bytes: &[u8]) -> Result<Vec<Row>> {
+    decode_sized(schema, bytes).map(|(rows, _)| rows)
+}
+
+/// [`binary_decode`], also returning the sum of the rows'
+/// [`Row::byte_size`], added up value by value as the rows are built.
+fn decode_sized(schema: &Schema, bytes: &[u8]) -> Result<(Vec<Row>, u64)> {
     use pspp_common::{DataType, Value};
     let mut pos = 0usize;
     let mut take = |n: usize| -> Result<&[u8]> {
@@ -409,9 +422,18 @@ pub fn binary_decode(schema: &Schema, bytes: &[u8]) -> Result<Vec<Row>> {
             }
         });
     }
-    Ok((0..n_rows)
-        .map(|r| columns.iter_mut().map(|column| column.value(r)).collect())
-        .collect())
+    let mut row_bytes = 0u64;
+    let rows = (0..n_rows)
+        .map(|r| {
+            let values = columns.iter_mut().map(|column| {
+                let value = column.value(r);
+                row_bytes += value.byte_size() as u64;
+                value
+            });
+            values.collect()
+        })
+        .collect();
+    Ok((rows, row_bytes))
 }
 
 #[cfg(test)]

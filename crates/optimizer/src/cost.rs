@@ -12,8 +12,8 @@ use std::collections::{HashMap, HashSet};
 use pspp_accel::{AcceleratorFleet, DeploymentMode, LogCa, ShardFleets, SimDuration};
 use pspp_common::{DataModel, DeviceKind, EngineId, Error, Result, ShardId, TableRef};
 use pspp_ir::{
-    ExchangeCounts, ExchangeKind, FusedChain, FusionTag, NodeId, Operator, PlanOptions, Program,
-    ProgramNode, ShardPlan,
+    ColumnDemand, ExchangeCounts, ExchangeKind, FusedChain, FusionTag, NodeId, Operator,
+    PlanOptions, Program, ProgramNode, ShardPlan,
 };
 pub use pspp_telemetry::JoinSite;
 
@@ -45,6 +45,9 @@ struct JoinSide {
     engine: Option<EngineId>,
     /// Estimated bytes of the input.
     bytes: f64,
+    /// The columns of it somebody reads — what a migration would ship —
+    /// when they are not all of them.
+    kept: Option<ColumnDemand>,
     /// Whether that engine was reached through a relational `Scan`.
     relational: bool,
 }
@@ -596,7 +599,7 @@ impl CostModel {
             for &i in &n.inputs {
                 let src = program.node(resolve_fused(program, i));
                 if src.annotations.engine != n.annotations.engine {
-                    let (_, bytes) = Self::estimate_of(src);
+                    let bytes = Self::demanded_bytes(src);
                     staged += self
                         .migration_cost(bytes, DataModel::Relational, DataModel::Relational)
                         .as_secs();
@@ -632,6 +635,17 @@ impl CostModel {
             ann.est_rows.unwrap_or(1_000.0),
             ann.est_bytes.unwrap_or(64_000.0),
         )
+    }
+
+    /// The estimated bytes of `node`'s output that some consumer reads:
+    /// what a migration of it ships — the codec leaves the other columns
+    /// behind — priced as the demanded columns' share of all of them.
+    fn demanded_bytes(node: &ProgramNode) -> f64 {
+        let (_, bytes) = Self::estimate_of(node);
+        match &node.annotations.demand {
+            Some(demand) => bytes * demand.share(),
+            None => bytes,
+        }
     }
 
     /// How many of `id`'s tasks share input edge `idx` (from `input`)
@@ -675,6 +689,7 @@ impl CostModel {
                 JoinSide {
                     engine: ann.engine.clone(),
                     bytes: Self::estimate_of(program.node(producer)).1,
+                    kept: ann.demand.clone(),
                     relational: relational.contains(&producer),
                 }
             })
@@ -693,6 +708,7 @@ impl CostModel {
                         site: [l, r][host].clone(),
                         left: (l.clone(), left.bytes),
                         right: (r.clone(), right.bytes),
+                        kept: [left.kept.clone(), right.kept.clone()],
                         migration_seconds: 0.0,
                     });
                 }
@@ -705,7 +721,12 @@ impl CostModel {
     /// most estimated bytes among those a relational `Scan` reaches — a
     /// text, timeseries, key/value or graph connector never hosts a
     /// join — so what migrates is the smaller side. Ties, and joins no
-    /// relational scan feeds, keep the first input.
+    /// relational scan feeds, keep the first input. The sides are
+    /// weighed whole, as they were before migrations shipped only the
+    /// demanded columns: weighing what would ship moves the unfiltered
+    /// `SELECT name, age` join of E19 / E20 / E22 / E23 from db1 to db2
+    /// and with it the `location` their `Debug` digests hash, so that
+    /// is a change of its own (ROADMAP item 2).
     fn join_site(sides: &[JoinSide]) -> usize {
         let mut host: Option<usize> = None;
         for (idx, side) in sides.iter().enumerate() {
@@ -1278,6 +1299,54 @@ mod tests {
             assert_eq!(site.left.1.min(site.right.1), small_bytes);
             assert_eq!(site.migration_seconds, bill);
         }
+    }
+
+    /// A side whose consumers read a quarter of its columns is billed a
+    /// quarter of its bytes to migrate; the site is still chosen on the
+    /// whole rows, and the record holds both.
+    #[test]
+    fn migration_prices_the_demanded_columns_and_the_site_weighs_whole_rows() {
+        let m = model();
+        let small_bytes = 1_000.0 * 32.0;
+        let (mut p, j) = join_of(
+            Operator::scan(TableRef::new("db2", "small")),
+            Operator::scan(TableRef::new("db1", "big")),
+        );
+        let kept = |of| ColumnDemand {
+            columns: ["k".to_string()].into(),
+            of,
+        };
+        p.node_mut(NodeId(0)).annotations.demand = Some(kept(4));
+        // The big side read down to less than the small one ships:
+        // it still hosts.
+        let big = workstation().place(&m, &mut p.clone()).join_sites[0]
+            .right
+            .1;
+        let sliver = (big / 1_000.0) as usize;
+        p.node_mut(NodeId(1)).annotations.demand = Some(kept(sliver));
+        let plan = workstation().place(&m, &mut p);
+        let bill = m
+            .migration_cost(
+                small_bytes / 4.0,
+                DataModel::Relational,
+                DataModel::Relational,
+            )
+            .as_secs();
+        let [site] = &plan.join_sites[..] else {
+            panic!("one cross-engine join, one site record");
+        };
+        assert_eq!(engine_of(&p, j), Some("db1"));
+        assert_eq!((site.site.as_str(), site.left.1), ("db1", small_bytes));
+        assert_eq!(site.kept, [Some(kept(4)), Some(kept(sliver))]);
+        assert_eq!(
+            (plan.migration_seconds, site.migration_seconds),
+            (bill, bill)
+        );
+        let explain = plan.explain();
+        assert!(
+            explain.contains("site=db1 (left db2 32000B -> 8000B [k] of 4 cols, right db1 "),
+            "{explain}"
+        );
     }
 
     #[test]

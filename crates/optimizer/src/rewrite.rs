@@ -26,6 +26,29 @@
 //!    `Limit n → Project`, so only the `n` surviving rows are
 //!    projected (`ORDER BY .. LIMIT n` no longer projects every
 //!    sorted row).
+//! 7. **Column demand** — run once, after the fixpoint: walking from
+//!    the outputs down, every node is annotated with the columns of its
+//!    output that some consumer reads
+//!    ([`demand`](pspp_ir::Annotations::demand), recorded when that is a
+//!    strict subset). A `Project` demands its list, a `Filter` or `Sort`
+//!    what its consumers demand plus the columns it names, a `Limit` and
+//!    a fused forward pass their consumers' demand through, a `GroupBy`
+//!    demands its keys and aggregate inputs, a join splits its
+//!    consumers' demand by side and adds its two keys, and several
+//!    consumers union. **Everything** is demanded — the node runs as the
+//!    literal plan runs it, so every error surfaces where it did — by a
+//!    program output, by a node nobody reads, by an ML, connector or
+//!    `Custom` consumer, of a node whose schema `output_schema` cannot
+//!    derive or whose schema repeats a name (`(a ⋈ b) ⋈ c` over three
+//!    `pid`s is `pid, pid_r, pid_r`), and by a consumer naming a column
+//!    the producer lacks. Nothing narrows at a scan, which keeps handing
+//!    out shared row pointers; the annotation is applied where rows are
+//!    rebuilt anyway: the migration codec ships a producer's demanded
+//!    columns, a join builds its own. **Naming contract:** a demand
+//!    names columns as the node's *unpruned* schema does — a right `age`
+//!    that [`Schema::join`] calls `age_r` stays `age_r` when the left
+//!    `age` was never shipped — and lists them in that schema's order.
+//!    A program without a join has no such place and is left as it is.
 //!
 //! Fused nodes are *not* removed: they are marked
 //! [`fused_into_consumer`](pspp_ir::Annotations::fused_into_consumer)
@@ -33,11 +56,12 @@
 //! the later passes. Rule 5 appends the filters it pushes as new nodes.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
 use pspp_common::{Predicate, Schema, SchemaLookup};
-use pspp_ir::{NodeId, Operator, Program};
+use pspp_ir::{AggFn, ColumnDemand, NodeId, Operator, Program};
 
 /// How much of the optimizer to run — the Fig. 6 ablation axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -101,6 +125,10 @@ pub struct RewriteReport {
     pub join_pushdowns: usize,
     /// Limits moved below a projection.
     pub limit_pushdowns: usize,
+    /// Nodes whose consumers read a strict subset of their columns
+    /// (rule 7).
+    #[serde(default)]
+    pub column_prunings: usize,
 }
 
 impl RewriteReport {
@@ -112,6 +140,7 @@ impl RewriteReport {
             + self.join_rewrites
             + self.join_pushdowns
             + self.limit_pushdowns
+            + self.column_prunings
     }
 }
 
@@ -134,6 +163,9 @@ pub fn optimize_l1(program: &mut Program, schemas: &dyn SchemaLookup) -> Rewrite
             break;
         }
     }
+    // Demand is a property of the rewritten program, not a rewrite of
+    // it: computed once, from scratch, it never re-enters the loop.
+    report.column_prunings = annotate_demand(program, schemas);
     report
 }
 
@@ -190,12 +222,26 @@ fn exclusive_producer(
 /// The columns `id` emits, when they follow from the stored tables'
 /// schemas through row-shaped operators; `None` for anything else (an
 /// aggregate, a connector source, an unknown table).
-fn output_schema(program: &Program, schemas: &dyn SchemaLookup, id: NodeId) -> Option<Schema> {
+fn output_schema(program: &Program, schemas: &dyn SchemaLookup, id: NodeId) -> Option<Rc<Schema>> {
+    derive_schema(program, schemas, id, &|input| {
+        output_schema(program, schemas, input)
+    })
+}
+
+/// One step of [`output_schema`]: `id`'s columns from its inputs'
+/// (`input(node)`), however the caller came by those. A node that hands
+/// its input's rows on shares its input's schema.
+fn derive_schema(
+    program: &Program,
+    schemas: &dyn SchemaLookup,
+    id: NodeId,
+    input: &dyn Fn(NodeId) -> Option<Rc<Schema>>,
+) -> Option<Rc<Schema>> {
     let node = program.node(id);
-    let input = |idx: usize| output_schema(program, schemas, node.inputs[idx]);
-    let project = |schema: Schema, columns: &[String]| {
+    let input = |idx: usize| input(node.inputs[idx]);
+    let project = |schema: &Schema, columns: &[String]| {
         let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-        schema.project(&names).ok()
+        schema.project(&names).ok().map(Rc::new)
     };
     if node.annotations.fused_into_consumer {
         return input(0);
@@ -204,19 +250,179 @@ fn output_schema(program: &Program, schemas: &dyn SchemaLookup, id: NodeId) -> O
         Operator::Scan {
             table, projection, ..
         } => {
-            let schema = schemas.table_schema(table)?.clone();
+            let schema = schemas.table_schema(table)?;
             match projection {
                 Some(columns) => project(schema, columns),
-                None => Some(schema),
+                None => Some(Rc::new(schema.clone())),
             }
         }
         Operator::Filter { .. } | Operator::Sort { .. } | Operator::Limit { .. } => input(0),
-        Operator::Project { columns } => project(input(0)?, columns),
+        Operator::Project { columns } => project(input(0)?.as_ref(), columns),
         Operator::HashJoin { .. } | Operator::SortMergeJoin { .. } => {
-            Some(input(0)?.join(&input(1)?))
+            Some(Rc::new(input(0)?.join(input(1)?.as_ref())))
         }
         _ => None,
     }
+}
+
+/// What a node's consumers read of it, as a short list without
+/// repeats; `None` is everything.
+type Need<'a> = Option<Vec<&'a str>>;
+
+/// `names` as a demand on a producer with `schema`, or everything when
+/// the schema is unknown or repeats a name, or a name is not in it (the
+/// consumer then fails on the producer's full rows, as it does in the
+/// literal plan).
+fn demand_of<'a>(names: impl IntoIterator<Item = &'a str>, schema: Option<&Schema>) -> Need<'a> {
+    let schema = schema.filter(|s| !s.repeats_a_name())?;
+    let mut demand = Vec::new();
+    for name in names {
+        schema.index_of(name)?;
+        add_name(&mut demand, name);
+    }
+    Some(demand)
+}
+
+/// `name` into a list without repeats.
+fn add_name<'a>(names: &mut Vec<&'a str>, name: &'a str) {
+    if !names.contains(&name) {
+        names.push(name);
+    }
+}
+
+/// What `id` reads of each of its inputs, given what its own consumers
+/// read of it (`need`) and every node's schema.
+fn input_demands<'a>(
+    program: &'a Program,
+    id: NodeId,
+    need: &Need<'a>,
+    known: &'a [Option<Rc<Schema>>],
+) -> Vec<Need<'a>> {
+    let node = program.node(id);
+    let schema = |idx: usize| known[node.inputs[idx].0].as_deref();
+    // The node's own reads on top of what is read of it.
+    let with = |own: Vec<&'a str>| {
+        let need = need.as_ref()?;
+        demand_of(need.iter().copied().chain(own), schema(0))
+    };
+    match &node.op {
+        Operator::Project { columns } => {
+            vec![demand_of(columns.iter().map(String::as_str), schema(0))]
+        }
+        Operator::Filter { predicate } => vec![with(predicate.columns())],
+        Operator::Sort { keys } => vec![with(keys.iter().map(|k| k.column.as_str()).collect())],
+        Operator::Limit { .. } => vec![with(Vec::new())],
+        Operator::GroupBy { keys, aggs } => {
+            let inputs = aggs.iter().filter(|a| a.func != AggFn::Count);
+            let read = keys.iter().chain(inputs.map(|a| &a.column));
+            vec![demand_of(read.map(String::as_str), schema(0))]
+        }
+        Operator::HashJoin { left_on, right_on }
+        | Operator::SortMergeJoin { left_on, right_on } => {
+            let (Some(need), Some(left), Some(right), Some(joined)) =
+                (need, schema(0), schema(1), &known[id.0])
+            else {
+                return vec![None, None];
+            };
+            // A demanded name is one of `left ⋈ right`'s; below the
+            // join a right column has its own name again.
+            let mut sides = [vec![left_on.as_str()], vec![right_on.as_str()]];
+            for name in need {
+                match joined.index_of(name) {
+                    Some(at) if at < left.arity() => sides[0].push(name),
+                    Some(at) => sides[1].push(&right.fields()[at - left.arity()].name),
+                    None => return vec![None, None],
+                }
+            }
+            let [l, r] = sides;
+            vec![demand_of(l, Some(left)), demand_of(r, Some(right))]
+        }
+        _ => vec![None; node.inputs.len()],
+    }
+}
+
+/// Rule 7 (module docs): annotates every node with the columns of its
+/// output some consumer reads, when that is a strict subset, and returns
+/// how many nodes got one. Recomputed from scratch on every call, so a
+/// second call changes nothing. A program without a join is left as it
+/// is: the annotation is applied where a join builds rows and where a
+/// join's input crosses engines, and nowhere else.
+fn annotate_demand(program: &mut Program, schemas: &dyn SchemaLookup) -> usize {
+    let is_join = |op: &Operator| {
+        matches!(
+            op,
+            Operator::HashJoin { .. } | Operator::SortMergeJoin { .. }
+        )
+    };
+    if !program.nodes().iter().any(|n| is_join(&n.op)) {
+        return 0;
+    }
+    let Ok(order) = program.topo_order() else {
+        return 0; // `validate` reports the cycle
+    };
+    let mut known: Vec<Option<Rc<Schema>>> = vec![None; program.len()];
+    for &id in &order {
+        known[id.0] = derive_schema(program, schemas, id, &|input| known[input.0].clone());
+    }
+    let demands = column_demands(program, &order, &known);
+    let prunings = demands.iter().flatten().count();
+    for (id, demand) in demands.into_iter().enumerate() {
+        program.node_mut(NodeId(id)).annotations.demand = demand;
+    }
+    prunings
+}
+
+/// Every node's [`ColumnDemand`], by node id: `order` is topological,
+/// `known` every node's output schema where one follows.
+fn column_demands(
+    program: &Program,
+    order: &[NodeId],
+    known: &[Option<Rc<Schema>>],
+) -> Vec<Option<ColumnDemand>> {
+    // What the consumers seen so far read of each node; the outer
+    // `None` is "no consumer yet".
+    let mut needs: Vec<Option<Need<'_>>> = vec![None; program.len()];
+    for &id in program.outputs() {
+        needs[id.0] = Some(None);
+    }
+    let mut demands = vec![None; program.len()];
+    // Consumers before producers.
+    for &id in order.iter().rev() {
+        // A node nobody reads runs as written.
+        let need = needs[id.0].take().unwrap_or(None);
+        let node = program.node(id);
+        let forward = node.annotations.fused_into_consumer;
+        let reads = if forward {
+            vec![need.clone()]
+        } else {
+            input_demands(program, id, &need, known)
+        };
+        for (&input, read) in node.inputs.iter().zip(reads) {
+            match (&mut needs[input.0], read) {
+                (slot @ None, read) => *slot = Some(read),
+                (Some(None), _) => {}
+                (slot @ Some(Some(_)), None) => *slot = Some(None),
+                (Some(Some(have)), Some(more)) => {
+                    more.into_iter().for_each(|name| add_name(have, name));
+                }
+            }
+        }
+        // The consumers that named `need` checked it against this very
+        // schema; a forward carries no rows of its own.
+        if let (Some(need), Some(schema), false) = (need, &known[id.0], forward) {
+            if need.len() < schema.arity() {
+                let kept = schema
+                    .names()
+                    .into_iter()
+                    .filter(|name| need.contains(name));
+                demands[id.0] = Some(ColumnDemand {
+                    columns: kept.map(str::to_owned).collect(),
+                    of: schema.arity(),
+                });
+            }
+        }
+    }
+    demands
 }
 
 /// The join input (0 = left, 1 = right) that holds every column
@@ -602,6 +808,244 @@ mod tests {
         assert_eq!(report.join_pushdowns, 1);
         assert_eq!(scan_predicate(&p, l), Predicate::True);
         assert_eq!(scan_predicate(&p, r), Predicate::eq("b", 2i64));
+    }
+
+    /// The demand annotation of `id` as `(columns, of)`.
+    fn demand(p: &Program, id: NodeId) -> Option<(Vec<&str>, usize)> {
+        let demand = p.node(id).annotations.demand.as_ref()?;
+        Some((
+            demand.columns.iter().map(String::as_str).collect(),
+            demand.of,
+        ))
+    }
+
+    fn project(p: &mut Program, input: NodeId, columns: &[&str]) -> NodeId {
+        let columns = columns.iter().map(|c| c.to_string()).collect();
+        p.add_node(Operator::Project { columns }, vec![input], "sql")
+    }
+
+    /// `p`'s nodes with no output marked yet.
+    fn rerooted(p: &Program) -> Program {
+        let mut q = Program::new();
+        for node in p.nodes() {
+            q.add_node(
+                node.op.clone(),
+                node.inputs.clone(),
+                node.subprogram.clone(),
+            );
+        }
+        q
+    }
+
+    /// `SELECT columns FROM l JOIN r ON k = k WHERE predicate`; returns
+    /// (program, left scan, right scan, join, project).
+    fn projected_join(predicate: Predicate, columns: &[&str]) -> (Program, [NodeId; 4]) {
+        let (mut p, [l, r, j, f]) = filtered_join(predicate);
+        let out = project(&mut p, f, columns);
+        // The projection is the output, not the filter.
+        let mut p = rerooted(&p);
+        p.mark_output(out);
+        (p, [l, r, j, out])
+    }
+
+    #[test]
+    fn demand_splits_at_the_join_and_adds_its_keys() {
+        // The federated-join shape: the filter goes into the left scan,
+        // the projection reads one right column.
+        let (mut p, [l, r, j, out]) = projected_join(Predicate::gt("a", 5i64), &["b"]);
+        let report = optimize_l1(&mut p, &two_tables());
+        assert_eq!(demand(&p, j), Some((vec!["b"], 4)));
+        assert_eq!(demand(&p, l), Some((vec!["k"], 2)), "the key, and only it");
+        assert_eq!(demand(&p, r), None, "`k` and `b` are all it has");
+        assert_eq!(demand(&p, out), None, "an output");
+        assert_eq!(report.column_prunings, 2);
+        assert_eq!(
+            report.total(),
+            2 + report.join_pushdowns + report.predicate_pushdowns
+        );
+
+        // `k_r` is the join's name for the right `k`: the left ships its
+        // key although nobody reads the left `k` above the join.
+        let (mut p, [l, r, j, _]) = projected_join(Predicate::True, &["k_r"]);
+        optimize_l1(&mut p, &two_tables());
+        assert_eq!(demand(&p, j), Some((vec!["k_r"], 4)));
+        assert_eq!(demand(&p, l), Some((vec!["k"], 2)));
+        assert_eq!(demand(&p, r), Some((vec!["k"], 2)));
+
+        // A filter that stays above the join adds the columns it names,
+        // in the join schema's order.
+        let cross = Predicate::gt("a", 5i64).or(Predicate::lt("b", 9i64));
+        let (mut p, [l, r, j, _]) = projected_join(cross, &["k_r"]);
+        optimize_l1(&mut p, &two_tables());
+        assert_eq!(demand(&p, j), Some((vec!["a", "k_r", "b"], 4)));
+        assert_eq!((demand(&p, l), demand(&p, r)), (None, None));
+    }
+
+    #[test]
+    fn demand_is_idempotent_and_never_reenters_the_fixpoint() {
+        let (mut p, _) = projected_join(Predicate::gt("a", 5i64), &["b"]);
+        let first = optimize_l1(&mut p, &two_tables());
+        let once = p.clone();
+        let second = optimize_l1(&mut p, &two_tables());
+        assert_eq!(p, once);
+        assert_eq!(second.column_prunings, first.column_prunings);
+        assert_eq!(second.total(), second.column_prunings, "nothing else fired");
+    }
+
+    #[test]
+    fn several_consumers_union_and_an_output_demands_everything() {
+        // The left scan feeds the join (reads `k`) and a projection of
+        // its own (reads `a`): it ships both.
+        let wide = HashMap::from([
+            (
+                TableRef::new("db1", "l"),
+                Schema::new(vec![
+                    ("k", DataType::Int),
+                    ("a", DataType::Int),
+                    ("c", DataType::Int),
+                ]),
+            ),
+            two_tables()
+                .remove_entry(&TableRef::new("db2", "r"))
+                .unwrap(),
+        ]);
+        let (mut p, [l, _, j, _]) = projected_join(Predicate::True, &["b"]);
+        let side = project(&mut p, l, &["a"]);
+        let top = p.add_node(Operator::Limit { n: 3 }, vec![side], "sql");
+        p.mark_output(top);
+        optimize_l1(&mut p, &wide);
+        assert_eq!(demand(&p, l), Some((vec!["k", "a"], 3)));
+        assert_eq!(demand(&p, j), Some((vec!["b"], 5)));
+
+        // The same scan is itself a result: every column, whoever else
+        // reads less.
+        p.mark_output(l);
+        optimize_l1(&mut p, &wide);
+        assert_eq!(demand(&p, l), None);
+        // A join that is a program output is untouched, and so are its
+        // inputs.
+        let (mut p, [l, r, j, _]) = filtered_join(Predicate::True);
+        optimize_l1(&mut p, &two_tables());
+        assert_eq!(
+            [demand(&p, l), demand(&p, r), demand(&p, j)],
+            [None, None, None]
+        );
+    }
+
+    #[test]
+    fn group_by_sort_and_limit_demand_what_they_name() {
+        let (mut p, [l, r, j, f]) = filtered_join(Predicate::True);
+        let agg = p.add_node(
+            Operator::GroupBy {
+                keys: vec!["a".into()],
+                aggs: vec![
+                    pspp_ir::AggSpec {
+                        func: AggFn::Count,
+                        column: "*".into(),
+                        output: "n".into(),
+                    },
+                    pspp_ir::AggSpec {
+                        func: AggFn::Sum,
+                        column: "b".into(),
+                        output: "s".into(),
+                    },
+                ],
+            },
+            vec![f],
+            "sql",
+        );
+        let mut q = rerooted(&p);
+        q.mark_output(agg);
+        optimize_l1(&mut q, &two_tables());
+        assert_eq!(demand(&q, j), Some((vec!["a", "b"], 4)), "`*` is no column");
+        assert_eq!((demand(&q, l), demand(&q, r)), (None, None));
+
+        // ORDER BY b LIMIT 2 under SELECT a: rule 6 moves the limit
+        // below the projection, and both pass the demand through.
+        let (mut p, [_, _, j, f]) = filtered_join(Predicate::True);
+        let sort = p.add_node(
+            Operator::Sort {
+                keys: vec![SortSpec {
+                    column: "b".into(),
+                    ascending: true,
+                }],
+            },
+            vec![f],
+            "sql",
+        );
+        let projected = project(&mut p, sort, &["a"]);
+        let limit = p.add_node(Operator::Limit { n: 2 }, vec![projected], "sql");
+        let mut q = rerooted(&p);
+        q.mark_output(limit);
+        assert_eq!(optimize_l1(&mut q, &two_tables()).limit_pushdowns, 1);
+        assert_eq!(demand(&q, j), Some((vec!["a", "b"], 4)));
+        assert_eq!(demand(&q, sort), Some((vec!["a"], 4)), "what is read of it");
+        assert_eq!(demand(&q, projected), Some((vec!["a"], 4)), "now the limit");
+    }
+
+    #[test]
+    fn whatever_cannot_be_checked_means_everything() {
+        // An ML consumer reads every column it is handed.
+        let (mut p, [l, r, j, f]) = filtered_join(Predicate::True);
+        let train = p.add_node(
+            Operator::KMeansCluster { k: 2, max_iters: 3 },
+            vec![f],
+            "ml",
+        );
+        let mut q = rerooted(&p);
+        q.mark_output(train);
+        assert_eq!(optimize_l1(&mut q, &two_tables()).column_prunings, 0);
+        assert_eq!(
+            [demand(&q, l), demand(&q, r), demand(&q, j)],
+            [None, None, None]
+        );
+
+        // A projection of a column the join lacks fails on the join's
+        // full rows, as the literal plan does; so does one over a table
+        // the catalog does not know.
+        let (mut p, [_, _, j, _]) = projected_join(Predicate::True, &["zzz"]);
+        assert_eq!(optimize_l1(&mut p, &two_tables()).column_prunings, 0);
+        assert_eq!(demand(&p, j), None);
+        let (mut p, _) = projected_join(Predicate::True, &["b"]);
+        assert_eq!(optimize_l1(&mut p, &no_schemas()).column_prunings, 0);
+
+        // `(l ⋈ r) ⋈ r` is `k, a, k_r, b, k_r, b_r`: two columns answer
+        // to `k_r`, so nothing below the projection is narrowed.
+        let (mut p, [l, r, inner, f]) = filtered_join(Predicate::True);
+        let again = p.add_source(Operator::scan(TableRef::new("db2", "r")), "sql");
+        let outer = p.add_node(
+            Operator::HashJoin {
+                left_on: "k".into(),
+                right_on: "k".into(),
+            },
+            vec![f, again],
+            "sql",
+        );
+        let out = project(&mut p, outer, &["a", "k_r"]);
+        let mut q = rerooted(&p);
+        q.mark_output(out);
+        assert_eq!(optimize_l1(&mut q, &two_tables()).column_prunings, 0);
+        for id in [l, r, inner, again, outer] {
+            assert_eq!(demand(&q, id), None, "{id}");
+        }
+
+        // No join, no place to apply a demand: no annotation.
+        let mut p = Program::new();
+        let s = p.add_source(Operator::scan(TableRef::new("db1", "l")), "sql");
+        let sort = p.add_node(
+            Operator::Sort {
+                keys: vec![SortSpec {
+                    column: "a".into(),
+                    ascending: true,
+                }],
+            },
+            vec![s],
+            "sql",
+        );
+        let out = project(&mut p, sort, &["k"]);
+        p.mark_output(out);
+        assert_eq!(optimize_l1(&mut p, &two_tables()).column_prunings, 0);
+        assert_eq!(demand(&p, s), None);
     }
 
     #[test]

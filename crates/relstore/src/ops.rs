@@ -293,6 +293,72 @@ fn sort_by_words<const N: usize>(rows: Vec<Row>, words: &[Vec<u64>]) -> Vec<Row>
         .collect()
 }
 
+/// Which columns of a join's output get built, and what they are
+/// called: one `(from the right input?, position there)` pair per output
+/// column. Every join body emits through [`JoinEmit::row`].
+struct JoinEmit {
+    schema: Schema,
+    columns: Vec<(bool, usize)>,
+}
+
+impl JoinEmit {
+    /// The emit of `demand`, or of every column (`left` then `right`,
+    /// under [`Schema::join`]'s names) when there is none.
+    ///
+    /// A demanded name is a name of the join of the inputs' *full*
+    /// schemas, and `left` / `right` may be those schemas with columns
+    /// nobody reads left out (a migration ships only what is read). So
+    /// `x` is the left's `x` when `left` has one; else the right's own
+    /// `x`; else, for `x = y_r`, the right's `y` — renamed because the
+    /// full left schema had a `y`, shipped or not. The caller vouches
+    /// that the full join schema repeats no name (the demand pass does
+    /// not narrow a join whose schema does).
+    fn new(left: &Schema, right: &Schema, demand: Option<&[String]>) -> Result<JoinEmit> {
+        let Some(demand) = demand else {
+            let lefts = (0..left.arity()).map(|i| (false, i));
+            return Ok(JoinEmit {
+                schema: left.join(right),
+                columns: lefts.chain((0..right.arity()).map(|i| (true, i))).collect(),
+            });
+        };
+        let mut fields = Vec::with_capacity(demand.len());
+        let mut columns = Vec::with_capacity(demand.len());
+        for name in demand {
+            let (from_right, at) = if let Some(at) = left.index_of(name) {
+                (false, at)
+            } else if let Some(at) = right.index_of(name) {
+                (true, at)
+            } else {
+                let own = name.strip_suffix("_r").and_then(|own| right.index_of(own));
+                (
+                    true,
+                    own.ok_or_else(|| Error::ColumnNotFound(name.clone()))?,
+                )
+            };
+            let source = if from_right { right } else { left };
+            let mut field = source.fields()[at].clone();
+            field.name.clone_from(name);
+            fields.push(field);
+            columns.push((from_right, at));
+        }
+        Ok(JoinEmit {
+            schema: Schema::from_fields(fields),
+            columns,
+        })
+    }
+
+    /// The output row of the pair `(l, r)`, its payload bytes added to
+    /// `bytes` as its values are copied.
+    fn row(&self, l: &Row, r: &Row, bytes: &mut u64) -> Row {
+        let values = self.columns.iter().map(|&(from_right, at)| {
+            let value = if from_right { &r[at] } else { &l[at] };
+            *bytes += value.byte_size() as u64;
+            value.clone()
+        });
+        values.collect()
+    }
+}
+
 /// Hash join on single-column equality.
 ///
 /// # Errors
@@ -308,7 +374,7 @@ pub fn hash_join(
     right_on: &str,
     kind: JoinKind,
 ) -> Result<(Schema, Vec<Row>)> {
-    hash_join_with(
+    let (schema, rows, _) = hash_join_with(
         left_schema,
         left,
         right_schema,
@@ -316,8 +382,10 @@ pub fn hash_join(
         left_on,
         right_on,
         kind,
+        None,
         |_| {},
-    )
+    )?;
+    Ok((schema, rows))
 }
 
 /// [`hash_join`], also returning how many output rows each `left`
@@ -342,7 +410,7 @@ pub fn hash_join_counted(
     kind: JoinKind,
 ) -> Result<(Schema, Vec<Row>, Vec<usize>)> {
     let mut counts = Vec::with_capacity(left.len());
-    let (schema, rows) = hash_join_with(
+    let (schema, rows, _) = hash_join_with(
         left_schema,
         left,
         right_schema,
@@ -350,16 +418,27 @@ pub fn hash_join_counted(
         left_on,
         right_on,
         kind,
+        None,
         |n| counts.push(n),
     )?;
     Ok((schema, rows, counts))
 }
 
-/// The one join body: finds the matches over typed key words when both
-/// key columns have them and over `&Value` otherwise, then emits — and
-/// tells `produced` after each `left` row how many output rows it added.
+/// The one hash-join body: finds the matches over typed key words when
+/// both key columns have them and over `&Value` otherwise, then builds
+/// the output rows — only the columns `demand` names (names of the join
+/// of the inputs' full schemas, which `left_schema` / `right_schema` may
+/// be narrowed forms of; see the demand pass, rewrite rule 7), every
+/// column when it is `None` — and tells `produced` after each `left` row
+/// how many output rows it added. Returns the output schema, the rows
+/// and the sum of their [`Row::byte_size`], added up as they are built.
+///
+/// # Errors
+///
+/// Returns [`Error::ColumnNotFound`] for unknown join columns and for a
+/// demanded name neither input has.
 #[allow(clippy::too_many_arguments)]
-fn hash_join_with(
+pub fn hash_join_with(
     left_schema: &Schema,
     left: &[Row],
     right_schema: &Schema,
@@ -367,11 +446,12 @@ fn hash_join_with(
     left_on: &str,
     right_on: &str,
     kind: JoinKind,
+    demand: Option<&[String]>,
     mut produced: impl FnMut(usize),
-) -> Result<(Schema, Vec<Row>)> {
+) -> Result<(Schema, Vec<Row>, u64)> {
     let li = left_schema.require(left_on)?;
     let ri = right_schema.require(right_on)?;
-    let out_schema = left_schema.join(right_schema);
+    let emit = JoinEmit::new(left_schema, right_schema, demand)?;
 
     let matches = match join_words(left, li, right, ri) {
         Some((lw, rw)) => join_matches(lw.into_iter().map(Some), rw.into_iter().map(Some)),
@@ -383,17 +463,20 @@ fn hash_join_with(
         JoinKind::LeftOuter => matches.counts.iter().filter(|&&n| n == 0).count(),
     };
     let mut out = Vec::with_capacity(matches.right.len() + padded);
+    let mut bytes = 0u64;
     let null_right = Row::from(vec![Value::Null; right_schema.arity()]);
     let mut matched = matches.right.iter();
     for (l, &n) in left.iter().zip(&matches.counts) {
         let before = out.len();
-        out.extend(matched.by_ref().take(n).map(|&pos| l.concat(&right[pos])));
+        for &pos in matched.by_ref().take(n) {
+            out.push(emit.row(l, &right[pos], &mut bytes));
+        }
         if n == 0 && kind == JoinKind::LeftOuter {
-            out.push(l.concat(&null_right));
+            out.push(emit.row(l, &null_right, &mut bytes));
         }
         produced(out.len() - before);
     }
-    Ok((out_schema, out))
+    Ok((emit.schema, out, bytes))
 }
 
 /// The key words of both sides of a join, comparable with each other:
@@ -764,13 +847,42 @@ pub fn sort_merge_join(
     left_on: &str,
     right_on: &str,
 ) -> Result<(Schema, Vec<Row>)> {
+    let (schema, rows, _) = sort_merge_join_with(
+        left_schema,
+        left,
+        right_schema,
+        right,
+        left_on,
+        right_on,
+        None,
+    )?;
+    Ok((schema, rows))
+}
+
+/// [`sort_merge_join`] building only the columns `demand` names and
+/// returning the output's byte size with it, as [`hash_join_with`] does.
+///
+/// # Errors
+///
+/// Returns [`Error::ColumnNotFound`] for unknown join columns and for a
+/// demanded name neither input has.
+pub fn sort_merge_join_with(
+    left_schema: &Schema,
+    left: Vec<Row>,
+    right_schema: &Schema,
+    right: Vec<Row>,
+    left_on: &str,
+    right_on: &str,
+    demand: Option<&[String]>,
+) -> Result<(Schema, Vec<Row>, u64)> {
     let li = left_schema.require(left_on)?;
     let ri = right_schema.require(right_on)?;
+    let emit = JoinEmit::new(left_schema, right_schema, demand)?;
     let left = sort_rows(left_schema, left, &[SortKey::asc(left_on)])?;
     let right = sort_rows(right_schema, right, &[SortKey::asc(right_on)])?;
-    let out_schema = left_schema.join(right_schema);
 
     let mut out = Vec::new();
+    let mut bytes = 0u64;
     let (mut i, mut j) = (0usize, 0usize);
     while i < left.len() && j < right.len() {
         let lv = &left[i][li];
@@ -792,7 +904,7 @@ pub fn sort_merge_join(
                 while i < left.len() && left[i][li] == *rv {
                     let mut jj = run_start;
                     while jj < right.len() && right[jj][ri] == *rv {
-                        out.push(left[i].concat(&right[jj]));
+                        out.push(emit.row(&left[i], &right[jj], &mut bytes));
                         jj += 1;
                     }
                     i += 1;
@@ -804,7 +916,7 @@ pub fn sort_merge_join(
             }
         }
     }
-    Ok((out_schema, out))
+    Ok((emit.schema, out, bytes))
 }
 
 /// Group-by aggregation.
@@ -963,6 +1075,27 @@ mod tests {
         assert_eq!(h, m);
         assert_eq!(h.len(), 3); // 2->1 match, 3->2 matches
 
+        // A narrowed emit is the full one projected, in both joins, with
+        // the byte size of the rows it built.
+        let (ls, l, rs, r) = lr();
+        let demand = ["y".to_owned(), "id".to_owned()];
+        let (_, full) = hash_join(&ls, &l, &rs, &r, "id", "id", JoinKind::Inner).unwrap();
+        let narrowed: Vec<Row> = full.iter().map(|row| row.project(&[3, 0])).collect();
+        let walked: u64 = narrowed.iter().map(|row| row.byte_size() as u64).sum();
+        let kind = JoinKind::Inner;
+        let (hs, h, h_bytes) =
+            hash_join_with(&ls, &l, &rs, &r, "id", "id", kind, Some(&demand), |_| {}).unwrap();
+        let (ms, m, m_bytes) =
+            sort_merge_join_with(&ls, l, &rs, r, "id", "id", Some(&demand)).unwrap();
+        assert_eq!(
+            (hs.names(), &h, h_bytes),
+            (vec!["y", "id"], &narrowed, walked)
+        );
+        assert_eq!(
+            (ms.names(), &m, m_bytes),
+            (vec!["y", "id"], &narrowed, walked)
+        );
+
         // An `Int` key column against a `Float` one: `Value` compares
         // the two numerically, and so must both joins — with the ints
         // on either side, and with either side the smaller (build) one.
@@ -976,6 +1109,57 @@ mod tests {
             assert_eq!(h, m);
             assert_eq!(h.len(), 1, "1 joins 1.0 and nothing else: {h:?}");
         }
+    }
+
+    /// A demanded name is a name of the *full* join schema: the right
+    /// `id` is `id_r` whether or not the left `id` was shipped, a name
+    /// both sides have is the left's, and the padded row of a left outer
+    /// join is narrowed like any other.
+    #[test]
+    fn narrowed_emit_names_columns_as_the_full_join_does() {
+        let (ls, l, rs, r) = lr();
+        let names = |list: &[&str]| list.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        let join = |ls: &Schema, l: &[Row], demand: &[&str]| {
+            let demand = names(demand);
+            let kind = JoinKind::LeftOuter;
+            hash_join_with(ls, l, &rs, &r, "id", "id", kind, Some(&demand), |_| {})
+        };
+        let (schema, rows, _) = join(&ls, &l, &["id_r", "y", "id"]).unwrap();
+        assert_eq!(schema.names(), vec!["id_r", "y", "id"]);
+        assert_eq!(schema.fields()[1].data_type, DataType::Float);
+        assert_eq!(rows[0], row![Value::Null, Value::Null, 1i64], "padded");
+        assert_eq!(rows[1], row![2i64, 0.2, 2i64]);
+        // The left arrives without its `x`; `id` is still the left's and
+        // `id_r` the right's.
+        let (narrow_ls, narrow_l) = project(&ls, &l, &["id"]).unwrap();
+        let (schema, narrow_rows, _) = join(&narrow_ls, &narrow_l, &["id_r", "y", "id"]).unwrap();
+        assert_eq!(schema.names(), vec!["id_r", "y", "id"]);
+        assert_eq!(narrow_rows, rows);
+        // A left `(k, id)` shipped as `(k)`: `id_r` is still the right's
+        // `id`, under the name the full join gives it.
+        let keyed = Schema::new(vec![("k", DataType::Int)]);
+        let demand = names(&["id_r"]);
+        let kind = JoinKind::Inner;
+        let (schema, rows, bytes) = hash_join_with(
+            &keyed,
+            &narrow_l,
+            &rs,
+            &r,
+            "k",
+            "id",
+            kind,
+            Some(&demand),
+            |_| {},
+        )
+        .unwrap();
+        assert_eq!(schema.names(), vec!["id_r"]);
+        assert_eq!(rows, vec![row![2i64], row![3i64], row![3i64]]);
+        assert_eq!(bytes, 24);
+        // A name neither input has is refused.
+        assert!(matches!(
+            join(&ls, &l, &["x_r"]),
+            Err(Error::ColumnNotFound(name)) if name == "x_r"
+        ));
     }
 
     /// Rows whose first three columns no kernel can read as words: a

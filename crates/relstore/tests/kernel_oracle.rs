@@ -1,4 +1,5 @@
-//! `ops::sort_rows`, `ops::group_by` and `ops::hash_join` against their
+//! `ops::sort_rows`, `ops::group_by` and `ops::hash_join` (whole rows, and
+//! `hash_join_with` building a drawn subset of the columns) against their
 //! specifications, written here over `Value`'s own order and equality:
 //! a stable `sort_by`, a first-seen grouping by linear search, a nested
 //! loop. The kernels read typed key columns as flat words and fall back
@@ -291,6 +292,7 @@ proptest! {
         right in arb_rows(24),
         on in (0usize..5, 0usize..5, any::<bool>()),
         outer in any::<bool>(),
+        emit in prop::collection::vec(0usize..10, 0..6),
     ) {
         // Half the time the same column on both sides, otherwise any
         // pair: `Int` against `Float` among them, and pairs of kinds
@@ -321,5 +323,25 @@ proptest! {
                 .all(|row| same_values(&row.values()[..l.len()], l.values())));
             chunks = rest;
         }
+        // Building some of the ten output columns (any order, repeats
+        // too, none at all) is the nested loop and then a projection:
+        // the same pairs in the same order, so the same counts, under
+        // the full join's names, with the bytes of what was built.
+        let joined = s.join(&s);
+        let names: Vec<String> = emit.iter().map(|&c| joined.fields()[c].name.clone()).collect();
+        let projected: Vec<Row> = want.iter().map(|row| row.project(&emit)).collect();
+        let mut narrow_counts = Vec::new();
+        let (narrow_schema, narrow, bytes) = ops::hash_join_with(
+            &s, &left, &s, &right, COLUMNS[li], COLUMNS[ri], kind, Some(&names),
+            |n| narrow_counts.push(n),
+        )
+        .expect("known columns");
+        prop_assert!(
+            same_rows(&narrow, &projected),
+            "{li} = {ri} {kind:?} emitting {names:?}, {left:?} with {right:?}: got {narrow:?}, want {projected:?}"
+        );
+        prop_assert_eq!(narrow_schema.names(), names.iter().map(String::as_str).collect::<Vec<_>>());
+        prop_assert_eq!(&narrow_counts, &want_counts);
+        prop_assert_eq!(bytes, narrow.iter().map(|row| row.byte_size() as u64).sum::<u64>());
     }
 }

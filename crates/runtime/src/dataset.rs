@@ -158,6 +158,26 @@ impl Dataset {
         }
     }
 
+    /// A rows dataset whose producer already knows its payload bytes —
+    /// it summed them while it built, moved or decoded the rows — so
+    /// nobody walks them to price them (see [`RowBuf::pre_sized`]).
+    pub fn sized_rows(
+        schema: Schema,
+        rows: Vec<Row>,
+        byte_size: u64,
+        model: DataModel,
+        location: EngineId,
+    ) -> Self {
+        Dataset {
+            payload: Payload::Rows {
+                schema,
+                rows: RowBuf::pre_sized(rows, byte_size),
+            },
+            model,
+            location,
+        }
+    }
+
     /// The schema, when tabular.
     ///
     /// # Errors

@@ -56,9 +56,12 @@ use std::sync::OnceLock;
 
 use pspp_accel::{CostEvent, CostLedger, EventKind, SimDuration};
 use pspp_common::{DeviceKind, Distribution, Error, Result, Row, ShardId};
-use pspp_ir::{ExchangeKind, NodeId, Operator, PlanOptions, Program, ShardPlan, Stage};
+use pspp_ir::{
+    ColumnDemand, ExchangeKind, NodeId, Operator, PlanOptions, Program, ShardPlan, Stage,
+};
 use pspp_migrate::MigrationPath;
 use pspp_optimizer::price;
+use pspp_optimizer::rewrite::resolve_fused;
 use pspp_relstore::ops as relops;
 use pspp_telemetry::{ExchangeTrace, MetricsRegistry, NodeTrace, TaskTrace};
 
@@ -767,14 +770,13 @@ impl Executor {
                         rows[i].clone()
                     })
                     .collect();
-                Dataset {
-                    payload: Payload::Rows {
-                        schema: schema.clone(),
-                        rows: RowBuf::pre_sized(routed, byte_size),
-                    },
-                    model: d.model,
-                    location: d.location.clone(),
-                }
+                Dataset::sized_rows(
+                    schema.clone(),
+                    routed,
+                    byte_size,
+                    d.model,
+                    d.location.clone(),
+                )
             })
             .collect())
     }
@@ -1153,7 +1155,20 @@ impl Executor {
             placer = placer.with_metrics(metrics.clone());
         }
         let target = Placer::target_engine_of(node, &inputs);
-        let (inputs, bill) = placer.stage_datasets(inputs, target.as_ref(), registry)?;
+        // An input that crosses engines is rebuilt by the codec, from
+        // the columns its producer's consumers read and no others.
+        let demands: Vec<Option<&ColumnDemand>> = node
+            .inputs
+            .iter()
+            .map(|&i| {
+                program
+                    .node(resolve_fused(program, i))
+                    .annotations
+                    .demand
+                    .as_ref()
+            })
+            .collect();
+        let (inputs, bill) = placer.stage_datasets(inputs, &demands, target.as_ref(), registry)?;
 
         // The task runs against the fleet of the shard it executes at
         // (heterogeneous deployments attach different devices per
@@ -1178,7 +1193,9 @@ impl Executor {
         // A shuffled-join bucket's join also reports its per-probe-row
         // match counts — the barrier's splice chunk sizes.
         let probe_counts = OnceLock::new();
-        let mut ctx = ExecCtx::new(fleet, &scoped_ledger, self.offload).at_shard(shard);
+        let mut ctx = ExecCtx::new(fleet, &scoped_ledger, self.offload)
+            .at_shard(shard)
+            .demanding(node.annotations.demand.as_ref());
         if count_matches {
             ctx = ctx.counting_probe_matches(&probe_counts);
         }
@@ -1655,6 +1672,274 @@ mod tests {
             known_bytes(&report.outputs[0]),
             Some(walked_bytes(&report.outputs[0]))
         );
+    }
+
+    /// The test registry's two tables, as the catalog would publish them.
+    fn schemas() -> HashMap<TableRef, Schema> {
+        let registry = registry();
+        let schema_of = |engine: &str, table: &str| {
+            let store = registry.relational(&EngineId::new(engine)).unwrap();
+            (
+                TableRef::new(engine, table),
+                store.table(table).unwrap().schema().clone(),
+            )
+        };
+        HashMap::from([schema_of("db1", "admissions"), schema_of("db2", "patients")])
+    }
+
+    /// `SELECT name FROM admissions JOIN db2.patients ON pid = pid WHERE
+    /// predicate`, joined at db2 so the admissions rows migrate; returns
+    /// (program, admissions scan).
+    fn federated_name_query(predicate: Predicate) -> (Program, NodeId) {
+        let (mut p, j) = pid_join_program();
+        p.node_mut(j).annotations.engine = Some(EngineId::new("db2"));
+        let f = p.add_node(Operator::Filter { predicate }, vec![j], "sql");
+        let out = p.add_node(
+            Operator::Project {
+                columns: vec!["name".into()],
+            },
+            vec![f],
+            "sql",
+        );
+        let mut q = Program::new();
+        for node in p.nodes() {
+            let id = q.add_node(
+                node.op.clone(),
+                node.inputs.clone(),
+                node.subprogram.clone(),
+            );
+            q.node_mut(id).annotations = node.annotations.clone();
+        }
+        q.mark_output(out);
+        (q, p.node(j).inputs[0])
+    }
+
+    /// Bytes the run's migrations put on the wire.
+    fn shipped_bytes(e: &Executor) -> u64 {
+        let events = e.ledger().events();
+        let transfers = events
+            .iter()
+            .filter(|ev| ev.component == "migrate.transfer");
+        transfers.map(|ev| ev.bytes).sum()
+    }
+
+    #[test]
+    fn a_federated_join_ships_and_builds_only_the_columns_somebody_reads() {
+        let elderly = || Predicate::ge("age", 60i64);
+        let (literal, _) = federated_name_query(elderly());
+        let (mut pruned, scan) = federated_name_query(elderly());
+        let report = pspp_optimizer::optimize_l1(&mut pruned, &schemas());
+        assert_eq!(
+            report.column_prunings, 2,
+            "the join and the admissions scan"
+        );
+        let demand = pruned.node(scan).annotations.demand.as_ref().unwrap();
+        assert_eq!(demand.to_string(), "[pid] of 3 cols");
+
+        let (wide, narrow) = (exec(), exec());
+        let want = wide.execute(&literal, &registry()).unwrap();
+        let got = narrow.execute(&pruned, &registry()).unwrap();
+        let (want, got) = (&want.outputs[0], &got.outputs[0]);
+        assert_eq!(got.try_rows().unwrap(), want.try_rows().unwrap());
+        assert_eq!(got.schema().unwrap(), want.schema().unwrap());
+        assert!(!got.is_empty());
+        // 200 full rows of 24 bytes against the filtered rows' `pid`s:
+        // the batch the codec staged held exactly `[pid]`.
+        let filtered = registry()
+            .relational(&EngineId::new("db1"))
+            .unwrap()
+            .scan("admissions", &Predicate::ge("age", 60i64), None)
+            .unwrap();
+        assert_eq!(shipped_bytes(&wide), 200 * 24);
+        assert_eq!(shipped_bytes(&narrow), filtered.rows.len() as u64 * 8);
+
+        // A second reader of the admissions scan (which keeps the filter
+        // above the join, so it is one on the right side's rows): the
+        // one migration ships what either reads.
+        let (mut shared, scan) = federated_name_query(Predicate::lt("pid_r", 100i64));
+        let ages = shared.add_node(
+            Operator::Project {
+                columns: vec!["age".into()],
+            },
+            vec![scan],
+            "sql",
+        );
+        shared.mark_output(ages);
+        pspp_optimizer::optimize_l1(&mut shared, &schemas());
+        let demand = shared.node(scan).annotations.demand.as_ref().unwrap();
+        assert_eq!(demand.to_string(), "[pid, age] of 3 cols");
+        let both = exec();
+        let report = both.execute(&shared, &registry()).unwrap();
+        assert_eq!(shipped_bytes(&both), 200 * 16);
+        let names: Vec<Row> = (0..100).map(|i| row![format!("p{i}")]).collect();
+        assert_eq!(report.outputs[0].try_rows().unwrap(), names);
+    }
+
+    #[test]
+    fn a_three_way_join_under_a_projection_runs_as_the_literal_plan() {
+        // (admissions ⋈ patients) ⋈ patients is `pid, age, los, pid_r,
+        // name, pid_r, name_r`: two columns answer to `pid_r`, so the
+        // demand pass leaves every node as it is.
+        let (mut p, inner) = pid_join_program();
+        let again = p.add_source(Operator::scan(TableRef::new("db2", "patients")), "sql");
+        let outer = p.add_node(
+            Operator::HashJoin {
+                left_on: "pid".into(),
+                right_on: "pid".into(),
+            },
+            vec![inner, again],
+            "sql",
+        );
+        let out = p.add_node(
+            Operator::Project {
+                columns: vec!["name_r".into(), "pid_r".into()],
+            },
+            vec![outer],
+            "sql",
+        );
+        let mut literal = Program::new();
+        for node in p.nodes() {
+            literal.add_node(
+                node.op.clone(),
+                node.inputs.clone(),
+                node.subprogram.clone(),
+            );
+        }
+        literal.mark_output(out);
+        let mut optimized = literal.clone();
+        let report = pspp_optimizer::optimize_l1(&mut optimized, &schemas());
+        assert_eq!(report.column_prunings, 0);
+        let want = exec().execute(&literal, &registry()).unwrap();
+        let got = exec().execute(&optimized, &registry()).unwrap();
+        assert_eq!(got.outputs[0].len(), 200);
+        assert_eq!(
+            got.outputs[0].try_rows().unwrap(),
+            want.outputs[0].try_rows().unwrap()
+        );
+        assert_eq!(
+            got.outputs[0].schema().unwrap(),
+            want.outputs[0].schema().unwrap()
+        );
+    }
+
+    #[test]
+    fn an_empty_side_skips_the_codec_and_still_answers_under_the_literal_schema() {
+        // Nobody is 1000: the admissions side is empty, so it is handed
+        // to the join as it came — all three columns — while the plan
+        // says `[pid]`. The join resolves what it builds by name.
+        let nobody = || Predicate::ge("age", 1000i64);
+        let (literal, _) = federated_name_query(nobody());
+        let (mut pruned, scan) = federated_name_query(nobody());
+        pspp_optimizer::optimize_l1(&mut pruned, &schemas());
+        assert!(pruned.node(scan).annotations.demand.is_some());
+        let e = exec();
+        let want = exec().execute(&literal, &registry()).unwrap();
+        let got = e.execute(&pruned, &registry()).unwrap();
+        assert!(got.outputs[0].is_empty());
+        assert_eq!(
+            got.outputs[0].schema().unwrap(),
+            want.outputs[0].schema().unwrap()
+        );
+        assert_eq!(shipped_bytes(&e), 0);
+    }
+
+    /// `run_node` asks every output for its byte size, so what an
+    /// executed dataset knows proves nothing: ask the adapters and the
+    /// codec directly, before anyone else has.
+    #[test]
+    fn sorts_joins_and_decoded_rows_arrive_sized() {
+        let registry = registry();
+        let (fleet, ledger) = (registry.fleets().at(ShardId::ZERO), CostLedger::new());
+        let ctx = ExecCtx::new(fleet, &ledger, false);
+        let run = |op: &Operator, inputs: &[Dataset]| {
+            let out = AdapterRegistry::standard()
+                .dispatch(op, inputs, None, &registry, &ctx)
+                .unwrap();
+            assert_eq!(known_bytes(&out), Some(walked_bytes(&out)), "{}", op.name());
+            out
+        };
+        let admissions = run(&Operator::scan(TableRef::new("db1", "admissions")), &[]);
+        let patients = run(&Operator::scan(TableRef::new("db2", "patients")), &[]);
+        // A sort moves row pointers: its input's size is its own.
+        let by_age = Operator::Sort {
+            keys: vec![pspp_ir::SortSpec {
+                column: "age".into(),
+                ascending: false,
+            }],
+        };
+        run(&by_age, std::slice::from_ref(&admissions));
+        // Both joins sum the bytes of the rows they build.
+        let on = || ("pid".to_string(), "pid".to_string());
+        let (left_on, right_on) = on();
+        let sides = [admissions.clone(), patients];
+        assert_eq!(
+            run(&Operator::HashJoin { left_on, right_on }, &sides).len(),
+            200
+        );
+        let (left_on, right_on) = on();
+        run(&Operator::SortMergeJoin { left_on, right_on }, &sides);
+        // A limit that keeps every row is its input.
+        run(
+            &Operator::Limit { n: 200 },
+            std::slice::from_ref(&admissions),
+        );
+
+        // The codec sums the bytes of the rows it decodes.
+        let placer = Placer::default().scoped(CostLedger::new());
+        let target = EngineId::new("db2");
+        let (staged, _) = placer
+            .stage_datasets(vec![admissions], &[], Some(&target), &registry)
+            .unwrap();
+        assert_eq!(staged[0].location, target);
+        assert_eq!(known_bytes(&staged[0]), Some(walked_bytes(&staged[0])));
+    }
+
+    #[test]
+    fn a_projection_of_every_column_in_order_is_its_input() {
+        let registry = registry();
+        let (fleet, ledger) = (registry.fleets().at(ShardId::ZERO), CostLedger::new());
+        let ctx = ExecCtx::new(fleet, &ledger, false);
+        let project = |d: &Dataset, columns: &[&str]| {
+            let columns = columns.iter().map(|c| c.to_string()).collect();
+            let op = Operator::Project { columns };
+            let out = AdapterRegistry::standard()
+                .dispatch(&op, std::slice::from_ref(d), None, &registry, &ctx)
+                .unwrap();
+            let (Payload::Rows { rows: a, .. }, Payload::Rows { rows: b, .. }) =
+                (&d.payload, &out.payload)
+            else {
+                panic!("rows in, rows out");
+            };
+            (a.ptr_eq(b), out)
+        };
+        let schema = Schema::new(vec![("k", DataType::Int), ("v", DataType::Int)]);
+        let rows = vec![row![1i64, 10i64], row![2i64, 20i64]];
+        let d = Dataset::rows(
+            schema,
+            rows,
+            pspp_common::DataModel::Relational,
+            EngineId::new("db1"),
+        );
+        assert!(project(&d, &["k", "v"]).0);
+        assert!(!project(&d, &["v", "k"]).0);
+        assert!(!project(&d, &["k"]).0);
+        // Two columns answering to one name: the second `k_r` is not
+        // what a projection naming `k_r` twice returns.
+        let chained = Schema::new(vec![
+            ("k", DataType::Int),
+            ("k_r", DataType::Int),
+            ("k_r", DataType::Int),
+        ]);
+        let rows = vec![row![1i64, 2i64, 3i64]];
+        let d = Dataset::rows(
+            chained,
+            rows,
+            pspp_common::DataModel::Relational,
+            EngineId::new("db1"),
+        );
+        let (same, out) = project(&d, &["k", "k_r", "k_r"]);
+        assert!(!same);
+        assert_eq!(out.try_rows().unwrap(), [row![1i64, 2i64, 2i64]]);
     }
 
     #[test]

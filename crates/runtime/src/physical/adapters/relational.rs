@@ -4,7 +4,7 @@ use pspp_common::{DataModel, EngineId, Result};
 use pspp_ir::{AggFn, Operator};
 use pspp_relstore::{ops, Aggregate, AggregateSpec, JoinKind, SortKey};
 
-use crate::dataset::{Dataset, Payload, RowBuf};
+use crate::dataset::Dataset;
 use crate::physical::{EngineAdapter, ExecCtx};
 use crate::registry::EngineRegistry;
 
@@ -58,14 +58,13 @@ impl EngineAdapter for RelationalAdapter {
                     .map(|p| p.iter().map(String::as_str).collect());
                 let scanned = store.scan(&table.name, predicate, cols.as_deref())?;
                 let schema = store.scan_schema(&table.name, cols.as_deref())?;
-                Ok(Dataset {
-                    payload: Payload::Rows {
-                        schema,
-                        rows: RowBuf::pre_sized(scanned.rows, scanned.byte_size),
-                    },
-                    model: DataModel::Relational,
-                    location: table.engine.clone(),
-                })
+                Ok(Dataset::sized_rows(
+                    schema,
+                    scanned.rows,
+                    scanned.byte_size,
+                    DataModel::Relational,
+                    table.engine.clone(),
+                ))
             }
             Operator::Filter { predicate } => {
                 let d = &inputs[0];
@@ -74,8 +73,19 @@ impl EngineAdapter for RelationalAdapter {
             }
             Operator::Project { columns } => {
                 let d = &inputs[0];
+                let schema = d.schema()?;
+                // The input's own columns in its own order (a join that
+                // built only what this projection reads): the same rows.
+                let identity = columns.len() == schema.arity()
+                    && columns
+                        .iter()
+                        .enumerate()
+                        .all(|(at, column)| schema.index_of(column) == Some(at));
+                if identity {
+                    return Ok(d.clone());
+                }
                 let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-                let (schema, rows) = ops::project(d.schema()?, d.try_rows()?, &cols)?;
+                let (schema, rows) = ops::project(schema, d.try_rows()?, &cols)?;
                 Ok(Dataset::rows(schema, rows, d.model, loc(d)))
             }
             Operator::Sort { keys } => {
@@ -87,45 +97,65 @@ impl EngineAdapter for RelationalAdapter {
                         ascending: k.ascending,
                     })
                     .collect();
-                // The sort owns the one reordered copy (row pointers).
+                // The sort owns the one reordered copy (row pointers):
+                // the same rows, so the same bytes.
                 let rows = ops::sort_rows(d.schema()?, d.try_rows()?.to_vec(), &sort_keys)?;
-                Ok(Dataset::rows(d.schema()?.clone(), rows, d.model, loc(d)))
+                let schema = d.schema()?.clone();
+                Ok(Dataset::sized_rows(
+                    schema,
+                    rows,
+                    d.byte_size(),
+                    d.model,
+                    loc(d),
+                ))
             }
             Operator::HashJoin { left_on, right_on } => {
                 let (l, r) = (&inputs[0], &inputs[1]);
-                let (ls, lrows, rs, rrows) =
-                    (l.schema()?, l.try_rows()?, r.schema()?, r.try_rows()?);
-                let kind = JoinKind::Inner;
-                let (schema, rows) = match ctx.probe_counts() {
-                    // A shuffled-join bucket: the barrier's splice
-                    // chunk sizes come out of the join itself.
-                    Some(slot) => {
-                        let (schema, rows, counts) =
-                            ops::hash_join_counted(ls, lrows, rs, rrows, left_on, right_on, kind)?;
-                        slot.set(counts).map_err(|_| {
-                            pspp_common::Error::Execution(
-                                "a task's match counts were reported twice".into(),
-                            )
-                        })?;
-                        (schema, rows)
-                    }
-                    None => ops::hash_join(ls, lrows, rs, rrows, left_on, right_on, kind)?,
-                };
+                // A shuffled-join bucket's barrier takes its splice
+                // chunk sizes out of the join itself.
+                let mut counts = ctx.probe_counts().map(|_| Vec::with_capacity(l.len()));
+                let (schema, rows, byte_size) = ops::hash_join_with(
+                    l.schema()?,
+                    l.try_rows()?,
+                    r.schema()?,
+                    r.try_rows()?,
+                    left_on,
+                    right_on,
+                    JoinKind::Inner,
+                    ctx.demand(),
+                    |n| {
+                        if let Some(counts) = &mut counts {
+                            counts.push(n);
+                        }
+                    },
+                )?;
+                if let (Some(slot), Some(counts)) = (ctx.probe_counts(), counts) {
+                    slot.set(counts).map_err(|_| {
+                        pspp_common::Error::Execution(
+                            "a task's match counts were reported twice".into(),
+                        )
+                    })?;
+                }
                 let location = target.cloned().unwrap_or_else(|| loc(l));
-                Ok(Dataset::rows(schema, rows, l.model, location))
+                Ok(Dataset::sized_rows(
+                    schema, rows, byte_size, l.model, location,
+                ))
             }
             Operator::SortMergeJoin { left_on, right_on } => {
                 let (l, r) = (&inputs[0], &inputs[1]);
-                let (schema, rows) = ops::sort_merge_join(
+                let (schema, rows, byte_size) = ops::sort_merge_join_with(
                     l.schema()?,
                     l.try_rows()?.to_vec(),
                     r.schema()?,
                     r.try_rows()?.to_vec(),
                     left_on,
                     right_on,
+                    ctx.demand(),
                 )?;
                 let location = target.cloned().unwrap_or_else(|| loc(l));
-                Ok(Dataset::rows(schema, rows, l.model, location))
+                Ok(Dataset::sized_rows(
+                    schema, rows, byte_size, l.model, location,
+                ))
             }
             Operator::GroupBy { keys, aggs } => {
                 let d = &inputs[0];

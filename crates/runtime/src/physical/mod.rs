@@ -43,12 +43,14 @@ use std::sync::OnceLock;
 
 use pspp_accel::{AcceleratorFleet, CostLedger, DeviceProfile, KernelClass};
 use pspp_common::ShardId;
+use pspp_ir::ColumnDemand;
 
 /// Everything an adapter may consult while running one operator: the
 /// accelerator fleet, the (task-scoped) cost ledger, whether device
 /// offload is enabled for this run, which shard replica the task
-/// addresses, and — for a shuffled-join bucket — where to leave the
-/// join's per-probe-row match counts.
+/// addresses, which of the node's output columns its consumers read,
+/// and — for a shuffled-join bucket — where to leave the join's
+/// per-probe-row match counts.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecCtx<'a> {
     fleet: &'a AcceleratorFleet,
@@ -56,6 +58,7 @@ pub struct ExecCtx<'a> {
     offload: bool,
     shard: ShardId,
     probe_counts: Option<&'a OnceLock<Vec<usize>>>,
+    demand: Option<&'a ColumnDemand>,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -67,6 +70,7 @@ impl<'a> ExecCtx<'a> {
             offload,
             shard: ShardId::ZERO,
             probe_counts: None,
+            demand: None,
         }
     }
 
@@ -95,6 +99,20 @@ impl<'a> ExecCtx<'a> {
     /// the task's barrier needs them.
     pub fn probe_counts(&self) -> Option<&'a OnceLock<Vec<usize>>> {
         self.probe_counts
+    }
+
+    /// This context for a node whose consumers read only `demand` of
+    /// its output (the plan's [`pspp_ir::Annotations::demand`]; `None`
+    /// is every column). A join builds those columns and no others.
+    pub fn demanding(mut self, demand: Option<&'a ColumnDemand>) -> Self {
+        self.demand = demand;
+        self
+    }
+
+    /// The output columns the node's consumers read, named as its full
+    /// output schema names them; `None` is every column.
+    pub fn demand(&self) -> Option<&'a [String]> {
+        self.demand.map(|d| &d.columns[..])
     }
 
     /// The accelerator fleet.

@@ -3,7 +3,7 @@
 
 use pspp_accel::CostLedger;
 use pspp_common::{Batch, EngineId, Error, PartitionSpec, Result, ShardId};
-use pspp_ir::{PlanOptions, Program, ProgramNode, ShardPlan};
+use pspp_ir::{ColumnDemand, PlanOptions, Program, ProgramNode, ShardPlan};
 use pspp_migrate::{MigrationPath, Migrator};
 use pspp_telemetry::MetricsRegistry;
 
@@ -171,25 +171,44 @@ impl Placer {
     /// partials here for colocated tasks, so each shard's foreign
     /// partial pays exactly one migrator trip.
     ///
+    /// `demands[i]` names the columns of input `i` that its consumers
+    /// read (its producer's [`pspp_ir::Annotations::demand`]; `None` or
+    /// a missing entry is every column). The codec rebuilds every row it
+    /// moves, so a migrated input is rebuilt from those columns alone —
+    /// the others are never encoded, priced on the wire or decoded — and
+    /// arrives under the narrowed schema. An input that stays where it
+    /// is, or has no rows to move, is handed on as it came, by pointer.
+    ///
     /// # Errors
     ///
-    /// Returns [`Error::Migration`] when the migrator fails.
+    /// Returns [`Error::Migration`] when the migrator fails, and
+    /// [`Error::ColumnNotFound`] when a demand names a column the input
+    /// does not have.
     pub fn stage_datasets(
         &self,
         inputs: Vec<Dataset>,
+        demands: &[Option<&ColumnDemand>],
         target: Option<&EngineId>,
         registry: &EngineRegistry,
     ) -> Result<(Vec<Dataset>, MigrationBill)> {
         let mut staged = Vec::with_capacity(inputs.len());
         let mut bill = MigrationBill::default();
-        for mut d in inputs {
+        for (idx, mut d) in inputs.into_iter().enumerate() {
             if let (Some(target), Payload::Rows { schema, rows }) = (target, &d.payload) {
                 if d.location != *target && !rows.is_empty() {
                     let to_model = registry
                         .get(target)
                         .map(|e| e.kind().native_model())
                         .unwrap_or(d.model);
-                    let batch = Batch::from_slice(schema, rows).map_err(|e| {
+                    let keep: Vec<usize> = match demands.get(idx).copied().flatten() {
+                        Some(demand) => demand
+                            .columns
+                            .iter()
+                            .map(|column| schema.require(column))
+                            .collect::<Result<_>>()?,
+                        None => (0..schema.arity()).collect(),
+                    };
+                    let batch = Batch::from_columns(schema, rows, &keep).map_err(|e| {
                         Error::Migration(format!("cannot batch rows for migration: {e}"))
                     })?;
                     let (rows2, report) = self
@@ -213,7 +232,13 @@ impl Placer {
                             )
                             .observe_seconds(report.total.as_secs());
                     }
-                    d = Dataset::rows(schema.clone(), rows2, to_model, target.clone());
+                    d = Dataset::sized_rows(
+                        batch.schema().clone(),
+                        rows2,
+                        report.row_bytes,
+                        to_model,
+                        target.clone(),
+                    );
                 }
             }
             staged.push(d);
@@ -296,7 +321,7 @@ mod tests {
         let target = Placer::target_engine_of(&node, &inputs);
         assert_eq!(target, Some(EngineId::new("db1")));
         let (inputs, bill) = placer
-            .stage_datasets(inputs, target.as_ref(), &registry)
+            .stage_datasets(inputs, &[], target.as_ref(), &registry)
             .unwrap();
         assert_eq!(bill.migrated_inputs, 1, "exactly one foreign input");
         assert!(bill.seconds > 0.0);
@@ -307,6 +332,55 @@ mod tests {
             .filter(|e| e.component == "migrate.transfer")
             .count();
         assert_eq!(transfers, 1, "one migrator invocation per foreign input");
+    }
+
+    #[test]
+    fn a_demand_narrows_what_the_codec_ships_and_nothing_else() {
+        let registry = two_engine_registry();
+        let ledger = CostLedger::new();
+        let placer = Placer::default().scoped(ledger.clone());
+        let wide = |engine: &str| {
+            Dataset::rows(
+                Schema::new(vec![("k", DataType::Int), ("v", DataType::Int)]),
+                (0..50).map(|i| row![i, 2 * i]).collect(),
+                DataModel::Relational,
+                EngineId::new(engine),
+            )
+        };
+        let demand = |column: &str| ColumnDemand {
+            columns: [column.to_string()].into(),
+            of: 2,
+        };
+        let (v, target) = (demand("v"), EngineId::new("db1"));
+        // The foreign input arrives as `[v]`; the local one, under the
+        // same demand, is handed on as it came.
+        let inputs = vec![wide("db2"), wide("db1")];
+        let buffer = |d: &Dataset| match &d.payload {
+            Payload::Rows { rows, .. } => rows.clone(),
+            Payload::Model(_) => panic!("rows"),
+        };
+        let local = buffer(&inputs[1]);
+        let (staged, bill) = placer
+            .stage_datasets(inputs, &[Some(&v), Some(&v)], Some(&target), &registry)
+            .unwrap();
+        assert_eq!(bill.migrated_inputs, 1);
+        assert_eq!(staged[0].schema().unwrap().names(), vec!["v"]);
+        assert_eq!(staged[0].try_rows().unwrap()[3], row![6i64]);
+        assert_eq!(staged[0].location, target);
+        assert!(buffer(&staged[1]).ptr_eq(&local));
+        let shipped: Vec<u64> = ledger
+            .events()
+            .iter()
+            .filter(|e| e.component == "migrate.transfer")
+            .map(|e| e.bytes)
+            .collect();
+        assert_eq!(shipped, [50 * 8]);
+        // A demand the input cannot meet is a typed error, not a guess.
+        let lost = demand("zzz");
+        let err = placer
+            .stage_datasets(vec![wide("db2")], &[Some(&lost)], Some(&target), &registry)
+            .unwrap_err();
+        assert!(matches!(err, Error::ColumnNotFound(c) if c == "zzz"));
     }
 
     #[test]
@@ -321,7 +395,7 @@ mod tests {
         let target = Placer::target_engine_of(p.node(j), &inputs);
         assert_eq!(target, Some(EngineId::new("db1")));
         let (_, bill) = placer
-            .stage_datasets(inputs, target.as_ref(), &registry)
+            .stage_datasets(inputs, &[], target.as_ref(), &registry)
             .unwrap();
         assert_eq!(bill.migrated_inputs, 1);
     }
@@ -336,7 +410,7 @@ mod tests {
 
         let target = Placer::target_engine_of(p.node(j), &inputs);
         let (_, bill) = placer
-            .stage_datasets(inputs, target.as_ref(), &registry)
+            .stage_datasets(inputs, &[], target.as_ref(), &registry)
             .unwrap();
         assert_eq!(bill, MigrationBill::default());
         assert!(ledger.is_empty());

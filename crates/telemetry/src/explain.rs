@@ -14,13 +14,15 @@
 use crate::trace::NodeTrace;
 use pspp_accel::SimDuration;
 use pspp_common::EngineId;
-use pspp_ir::NodeId;
+use pspp_ir::{ColumnDemand, NodeId};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Where the planner runs one join whose inputs sit on different
 /// engines, and what it compared to decide: the input with more
-/// estimated bytes stays put and the other migrates to it.
+/// estimated bytes stays put and the other migrates to it — the columns
+/// of it somebody reads, that is (`kept`), which is what the migration
+/// is billed for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinSite {
     /// The join.
@@ -31,18 +33,29 @@ pub struct JoinSite {
     pub left: (EngineId, f64),
     /// The right (build) input's engine and estimated bytes.
     pub right: (EngineId, f64),
+    /// The columns of `[left, right]` somebody reads, where they are not
+    /// all of the input's: a migration ships these and is billed their
+    /// share of the bytes.
+    pub kept: [Option<ColumnDemand>; 2],
     /// Planned seconds migrating the inputs that are not at `site`.
     pub migration_seconds: f64,
 }
 
 impl JoinSite {
     fn describe(&self) -> String {
-        let side = |(engine, bytes): &(EngineId, f64)| format!("{engine} {bytes:.0}B");
+        // `80000B -> 16000B [pid] of 5 cols`: the bytes compared, then
+        // the bytes a migration of that side ships.
+        let side = |(engine, bytes): &(EngineId, f64), kept: &Option<ColumnDemand>| {
+            let kept = kept.as_ref().map_or_else(String::new, |k| {
+                format!(" -> {:.0}B {k}", bytes * k.share())
+            });
+            format!("{engine} {bytes:.0}B{kept}")
+        };
         format!(
             "site={} (left {}, right {})",
             self.site,
-            side(&self.left),
-            side(&self.right)
+            side(&self.left, &self.kept[0]),
+            side(&self.right, &self.kept[1])
         )
     }
 }
@@ -269,6 +282,13 @@ mod tests {
             site: EngineId::new("db2"),
             left: (EngineId::new("db1"), 128_000.0),
             right: (EngineId::new("db2"), 640_000.0),
+            kept: [
+                Some(ColumnDemand {
+                    columns: ["pid".to_string()].into(),
+                    of: 5,
+                }),
+                None,
+            ],
             migration_seconds: 1.5e-4,
         }
     }
@@ -285,7 +305,7 @@ mod tests {
             .find(|l| l.contains("site=db2"))
             .expect("site row rendered");
         assert!(
-            line.contains("left db1 128000B, right db2 640000B"),
+            line.contains("left db1 128000B -> 25600B [pid] of 5 cols, right db2 640000B)"),
             "{line}"
         );
         assert!(line.contains("150.000us"), "planned migration: {line}");

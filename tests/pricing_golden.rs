@@ -13,6 +13,14 @@
 //! the price list (`pspp_optimizer::price`), the cost model, the
 //! charger or an exchange barrier must keep it green **without editing
 //! the constants**.
+//!
+//! The ten `q3` records (the federated join, five switches × two shard
+//! counts) were re-captured at PR 24, which ships and builds only the
+//! columns somebody reads: `admissions` crosses engines as `[pid]`, one
+//! column of five, so the planned migration, the executed makespan and
+//! energy and the ledger's byte counts all fell (CHANGES.md lists each
+//! old → new pair); picks, chains and exchange seconds did not move.
+//! The other 57 records are PR 19's parent's.
 
 use polystorepp::common::partition::{fnv1a, FNV_OFFSET};
 use polystorepp::common::PartitionSpec;
@@ -263,61 +271,61 @@ const GOLDEN: &str = "\
 1 defaults q0 plan 3ed62c83de3820ca 0000000000000000 0000000000000000 0000000000000000 picks a987bc0a162d6662 chains 0:09612b07b5ecb5a5 exec 3ec8727bb1904470 3f403dc91ca25b6e ledger 3:d404316562b44160\n\
 1 defaults q1 plan 3ed633ac632e30f9 0000000000000000 0000000000000000 0000000000000000 picks b44823792e97e340 chains 0:09612b07b5ecb5a5 exec 3edac14f430c1c1b 3f5132d67a58efea ledger 4:1a8754d1299a9149\n\
 1 defaults q2 plan 3eaffa35299c4a68 0000000000000000 0000000000000000 0000000000000000 picks 95fe030635311973 chains 0:09612b07b5ecb5a5 exec 3eb6f10286675d01 3f25822ba22897b2 ledger 2:fb93d850a4a463de\n\
-1 defaults q3 plan 3f20323b4fa0654e 3f1a36e2eb1c432c 0000000000000000 0000000000000000 picks 6c65909312761c3e chains 0:09612b07b5ecb5a5 exec 3f59a6a08204ec3b 3f7db702fda7fda8 ledger 7:2402631305ef69cb\n\
+1 defaults q3 plan 3f0f3afdfd15ba21 3f02dfd694ccab3f 0000000000000000 0000000000000000 picks 6c65909312761c3e chains 0:09612b07b5ecb5a5 exec 3f374bcc0653563f 3f607041ce1d4b86 ledger 7:3be9545c084c19a0\n\
 1 defaults q4 plan 3eaffa35299c4a68 0000000000000000 0000000000000000 0000000000000000 picks 95fe030635311973 chains 0:09612b07b5ecb5a5 exec 3eccfa925d95e307 3f3b2af788c670f6 ledger 2:cf220f08f31e8fe7\n\
 1 defaults q5 plan 3ec8393789dfc2fa 0000000000000000 0000000000000000 0000000000000000 picks 95fe030635311973 chains 0:09612b07b5ecb5a5 exec 3edcaa43c9ed5d7a 3f4adfca806c4c03 ledger 2:7be3bea19d2453a2\n\
 1 exchange_off q0 plan 3ed62c83de3820ca 0000000000000000 0000000000000000 0000000000000000 picks a987bc0a162d6662 chains 0:09612b07b5ecb5a5 exec 3ec8727bb1904470 3f403dc91ca25b6e ledger 3:d404316562b44160\n\
 1 exchange_off q1 plan 3ed633ac632e30f9 0000000000000000 0000000000000000 0000000000000000 picks b44823792e97e340 chains 0:09612b07b5ecb5a5 exec 3edac14f430c1c1b 3f5132d67a58efea ledger 4:1a8754d1299a9149\n\
 1 exchange_off q2 plan 3eaffa35299c4a68 0000000000000000 0000000000000000 0000000000000000 picks 95fe030635311973 chains 0:09612b07b5ecb5a5 exec 3eb6f10286675d01 3f25822ba22897b2 ledger 2:fb93d850a4a463de\n\
-1 exchange_off q3 plan 3f20323b4fa0654e 3f1a36e2eb1c432c 0000000000000000 0000000000000000 picks 6c65909312761c3e chains 0:09612b07b5ecb5a5 exec 3f59a6a08204ec3b 3f7db702fda7fda8 ledger 7:2402631305ef69cb\n\
+1 exchange_off q3 plan 3f0f3afdfd15ba21 3f02dfd694ccab3f 0000000000000000 0000000000000000 picks 6c65909312761c3e chains 0:09612b07b5ecb5a5 exec 3f374bcc0653563f 3f607041ce1d4b86 ledger 7:3be9545c084c19a0\n\
 1 exchange_off q4 plan 3eaffa35299c4a68 0000000000000000 0000000000000000 0000000000000000 picks 95fe030635311973 chains 0:09612b07b5ecb5a5 exec 3eccfa925d95e307 3f3b2af788c670f6 ledger 2:cf220f08f31e8fe7\n\
 1 exchange_off q5 plan 3ec8393789dfc2fa 0000000000000000 0000000000000000 0000000000000000 picks 95fe030635311973 chains 0:09612b07b5ecb5a5 exec 3edcaa43c9ed5d7a 3f4adfca806c4c03 ledger 2:7be3bea19d2453a2\n\
 1 colocate_off q0 plan 3ed62c83de3820ca 0000000000000000 0000000000000000 0000000000000000 picks a987bc0a162d6662 chains 0:09612b07b5ecb5a5 exec 3ec8727bb1904470 3f403dc91ca25b6e ledger 3:d404316562b44160\n\
 1 colocate_off q1 plan 3ed633ac632e30f9 0000000000000000 0000000000000000 0000000000000000 picks b44823792e97e340 chains 0:09612b07b5ecb5a5 exec 3edac14f430c1c1b 3f5132d67a58efea ledger 4:1a8754d1299a9149\n\
 1 colocate_off q2 plan 3eaffa35299c4a68 0000000000000000 0000000000000000 0000000000000000 picks 95fe030635311973 chains 0:09612b07b5ecb5a5 exec 3eb6f10286675d01 3f25822ba22897b2 ledger 2:fb93d850a4a463de\n\
-1 colocate_off q3 plan 3f20323b4fa0654e 3f1a36e2eb1c432c 0000000000000000 0000000000000000 picks 6c65909312761c3e chains 0:09612b07b5ecb5a5 exec 3f59a6a08204ec3b 3f7db702fda7fda8 ledger 7:2402631305ef69cb\n\
+1 colocate_off q3 plan 3f0f3afdfd15ba21 3f02dfd694ccab3f 0000000000000000 0000000000000000 picks 6c65909312761c3e chains 0:09612b07b5ecb5a5 exec 3f374bcc0653563f 3f607041ce1d4b86 ledger 7:3be9545c084c19a0\n\
 1 colocate_off q4 plan 3eaffa35299c4a68 0000000000000000 0000000000000000 0000000000000000 picks 95fe030635311973 chains 0:09612b07b5ecb5a5 exec 3eccfa925d95e307 3f3b2af788c670f6 ledger 2:cf220f08f31e8fe7\n\
 1 colocate_off q5 plan 3ec8393789dfc2fa 0000000000000000 0000000000000000 0000000000000000 picks 95fe030635311973 chains 0:09612b07b5ecb5a5 exec 3edcaa43c9ed5d7a 3f4adfca806c4c03 ledger 2:7be3bea19d2453a2\n\
 1 fusion_off q0 plan 3ed62c83de3820ca 0000000000000000 0000000000000000 0000000000000000 picks a987bc0a162d6662 chains 0:09612b07b5ecb5a5 exec 3ec8727bb1904470 3f403dc91ca25b6e ledger 3:d404316562b44160\n\
 1 fusion_off q1 plan 3ed633ac632e30f9 0000000000000000 0000000000000000 0000000000000000 picks b44823792e97e340 chains 0:09612b07b5ecb5a5 exec 3edac14f430c1c1b 3f5132d67a58efea ledger 4:1a8754d1299a9149\n\
 1 fusion_off q2 plan 3eaffa35299c4a68 0000000000000000 0000000000000000 0000000000000000 picks 95fe030635311973 chains 0:09612b07b5ecb5a5 exec 3eb6f10286675d01 3f25822ba22897b2 ledger 2:fb93d850a4a463de\n\
-1 fusion_off q3 plan 3f20323b4fa0654e 3f1a36e2eb1c432c 0000000000000000 0000000000000000 picks 6c65909312761c3e chains 0:09612b07b5ecb5a5 exec 3f59a6a08204ec3b 3f7db702fda7fda8 ledger 7:2402631305ef69cb\n\
+1 fusion_off q3 plan 3f0f3afdfd15ba21 3f02dfd694ccab3f 0000000000000000 0000000000000000 picks 6c65909312761c3e chains 0:09612b07b5ecb5a5 exec 3f374bcc0653563f 3f607041ce1d4b86 ledger 7:3be9545c084c19a0\n\
 1 fusion_off q4 plan 3eaffa35299c4a68 0000000000000000 0000000000000000 0000000000000000 picks 95fe030635311973 chains 0:09612b07b5ecb5a5 exec 3eccfa925d95e307 3f3b2af788c670f6 ledger 2:cf220f08f31e8fe7\n\
 1 fusion_off q5 plan 3ec8393789dfc2fa 0000000000000000 0000000000000000 0000000000000000 picks 95fe030635311973 chains 0:09612b07b5ecb5a5 exec 3edcaa43c9ed5d7a 3f4adfca806c4c03 ledger 2:7be3bea19d2453a2\n\
 1 materialize_on q0 plan 3ed62c83de3820ca 0000000000000000 0000000000000000 0000000000000000 picks a987bc0a162d6662 chains 0:09612b07b5ecb5a5 exec 3ec8727bb1904470 3f403dc91ca25b6e ledger 3:d404316562b44160\n\
 1 materialize_on q1 plan 3ed633ac632e30f9 0000000000000000 0000000000000000 0000000000000000 picks b44823792e97e340 chains 0:09612b07b5ecb5a5 exec 3edac14f430c1c1b 3f5132d67a58efea ledger 4:1a8754d1299a9149\n\
 1 materialize_on q2 plan 3eaffa35299c4a68 0000000000000000 0000000000000000 0000000000000000 picks 95fe030635311973 chains 0:09612b07b5ecb5a5 exec 3eb6f10286675d01 3f25822ba22897b2 ledger 2:fb93d850a4a463de\n\
-1 materialize_on q3 plan 3f20323b4fa0654e 3f1a36e2eb1c432c 0000000000000000 0000000000000000 picks 6c65909312761c3e chains 0:09612b07b5ecb5a5 exec 3f59a6a08204ec3b 3f7db702fda7fda8 ledger 7:2402631305ef69cb\n\
+1 materialize_on q3 plan 3f0f3afdfd15ba21 3f02dfd694ccab3f 0000000000000000 0000000000000000 picks 6c65909312761c3e chains 0:09612b07b5ecb5a5 exec 3f374bcc0653563f 3f607041ce1d4b86 ledger 7:3be9545c084c19a0\n\
 1 materialize_on q4 plan 3eaffa35299c4a68 0000000000000000 0000000000000000 0000000000000000 picks 95fe030635311973 chains 0:09612b07b5ecb5a5 exec 3eccfa925d95e307 3f3b2af788c670f6 ledger 2:cf220f08f31e8fe7\n\
 1 materialize_on q5 plan 3ec8393789dfc2fa 0000000000000000 0000000000000000 0000000000000000 picks 95fe030635311973 chains 0:09612b07b5ecb5a5 exec 3edcaa43c9ed5d7a 3f4adfca806c4c03 ledger 2:7be3bea19d2453a2\n\
 2 defaults q0 plan 3ee2196b6f481aaf 0000000000000000 0000000000000000 0000000000000000 picks cde97fd22bce957d chains 0:09612b07b5ecb5a5 exec 3ec7c40008a279fc 3f403dc91ca25b6e ledger 4:c742b0dbdad43f38\n\
 2 defaults q1 plan 3ee21cffb1c322c6 0000000000000000 0000000000000000 0000000000000000 picks 32cfef21b48830ab chains 0:09612b07b5ecb5a5 exec 3eda0f8f83dada45 3f5132b479e15f1d ledger 5:603908a8a5d9a0e6\n\
 2 defaults q2 plan 3ed34690aa7f117a 0000000000000000 0000000000000000 0000000000000000 picks 2451a27c9b793070 chains 0:09612b07b5ecb5a5 exec 3ea8128fef156b96 3f25822ba22897b2 ledger 3:6ca6214eb0e58366\n\
-2 defaults q3 plan 3f474f81eda5afa1 3f1a36e2eb1c432c 3f4303af7ea4e849 0000000000000000 picks a2fc93333064c0da chains 0:09612b07b5ecb5a5 exec 3f54086a5057c17b 3f7db702fda7fda8 ledger 14:b672817fca3a3755\n\
+2 defaults q3 plan 3f4536a2f98ef1f0 3f02dfd694ccab3f 3f4303af7ea4e849 0000000000000000 picks a2fc93333064c0da chains 0:09612b07b5ecb5a5 exec 3f43faa5d1a5d605 3f607041ce1d4b87 ledger 14:74b3ee0be600bdce\n\
 2 defaults q4 plan 3ee1ca0bdf720959 0000000000000000 0000000000000000 0000000000000000 picks ee8ee0e4fe093a11 chains 0:09612b07b5ecb5a5 exec 3ebd25ca3389e4bb 3f3b2b7f8aa4b42b ledger 4:cdda8f962055df2d\n\
 2 defaults q5 plan 3eec3db0312d1604 0000000000000000 3ed0caa88544cde5 0000000000000000 picks ee8ee0e4fe093a11 chains 0:09612b07b5ecb5a5 exec 3ecdc5547a1c6d66 3f4adfca806c4c03 ledger 3:ecea7b8ddff801e5\n\
 2 exchange_off q0 plan 3ee2196b6f481aaf 0000000000000000 0000000000000000 0000000000000000 picks cde97fd22bce957d chains 0:09612b07b5ecb5a5 exec 3ec7c40008a279fc 3f403dc91ca25b6e ledger 4:c742b0dbdad43f38\n\
 2 exchange_off q1 plan 3ee21cffb1c322c6 0000000000000000 0000000000000000 0000000000000000 picks 32cfef21b48830ab chains 0:09612b07b5ecb5a5 exec 3eda0f8f83dada45 3f5132b479e15f1d ledger 5:603908a8a5d9a0e6\n\
 2 exchange_off q2 plan 3ed34690aa7f117a 0000000000000000 0000000000000000 0000000000000000 picks 2451a27c9b793070 chains 0:09612b07b5ecb5a5 exec 3ea8128fef156b96 3f25822ba22897b2 ledger 3:6ca6214eb0e58366\n\
-2 exchange_off q3 plan 3f20d0ea8b1b1e0a 3f1a36e2eb1c432c 0000000000000000 0000000000000000 picks e371c1b47ad7e1db chains 0:09612b07b5ecb5a5 exec 3f59a5b6e12b008b 3f7db702fda7fda8 ledger 9:8647150c0e972b2b\n\
+2 exchange_off q3 plan 3f10dadd75804e88 3f02dfd694ccab3f 0000000000000000 0000000000000000 picks e371c1b47ad7e1db chains 0:09612b07b5ecb5a5 exec 3f37482582eba77e 3f607041ce1d4b86 ledger 9:a27050983a9db280\n\
 2 exchange_off q4 plan 3ee1ca0bdf720959 0000000000000000 0000000000000000 0000000000000000 picks ee8ee0e4fe093a11 chains 0:09612b07b5ecb5a5 exec 3ebd25ca3389e4bb 3f3b2b7f8aa4b42b ledger 4:cdda8f962055df2d\n\
 2 exchange_off q5 plan 3ed858ea29d7c2a2 0000000000000000 0000000000000000 0000000000000000 picks 2451a27c9b793070 chains 0:09612b07b5ecb5a5 exec 3ecdc5547a1c6d66 3f4adfca806c4c03 ledger 3:ecea7b8ddff801e5\n\
 2 colocate_off q0 plan 3ee2196b6f481aaf 0000000000000000 0000000000000000 0000000000000000 picks cde97fd22bce957d chains 0:09612b07b5ecb5a5 exec 3ec7c40008a279fc 3f403dc91ca25b6e ledger 4:c742b0dbdad43f38\n\
 2 colocate_off q1 plan 3ee21cffb1c322c6 0000000000000000 0000000000000000 0000000000000000 picks 32cfef21b48830ab chains 0:09612b07b5ecb5a5 exec 3eda0f8f83dada45 3f5132b479e15f1d ledger 5:603908a8a5d9a0e6\n\
 2 colocate_off q2 plan 3ed34690aa7f117a 0000000000000000 0000000000000000 0000000000000000 picks 2451a27c9b793070 chains 0:09612b07b5ecb5a5 exec 3ea8128fef156b96 3f25822ba22897b2 ledger 3:6ca6214eb0e58366\n\
-2 colocate_off q3 plan 3f20d0ea8b1b1e0a 3f1a36e2eb1c432c 0000000000000000 0000000000000000 picks e371c1b47ad7e1db chains 0:09612b07b5ecb5a5 exec 3f59a5b6e12b008b 3f7db702fda7fda8 ledger 9:8647150c0e972b2b\n\
+2 colocate_off q3 plan 3f10dadd75804e88 3f02dfd694ccab3f 0000000000000000 0000000000000000 picks e371c1b47ad7e1db chains 0:09612b07b5ecb5a5 exec 3f37482582eba77e 3f607041ce1d4b86 ledger 9:a27050983a9db280\n\
 2 colocate_off q4 plan 3ed34690aa7f117a 0000000000000000 0000000000000000 0000000000000000 picks 2451a27c9b793070 chains 0:09612b07b5ecb5a5 exec 3ebe3afe83a91766 3f3b2af788c670f7 ledger 3:acd9c886504d4698\n\
 2 colocate_off q5 plan 3ed858ea29d7c2a2 0000000000000000 0000000000000000 0000000000000000 picks 2451a27c9b793070 chains 0:09612b07b5ecb5a5 exec 3ecdc5547a1c6d66 3f4adfca806c4c03 ledger 3:ecea7b8ddff801e5\n\
 2 fusion_off q0 plan 3ee2196b6f481aaf 0000000000000000 0000000000000000 0000000000000000 picks cde97fd22bce957d chains 0:09612b07b5ecb5a5 exec 3ec7c40008a279fc 3f403dc91ca25b6e ledger 4:c742b0dbdad43f38\n\
 2 fusion_off q1 plan 3ee21cffb1c322c6 0000000000000000 0000000000000000 0000000000000000 picks 32cfef21b48830ab chains 0:09612b07b5ecb5a5 exec 3eda0f8f83dada45 3f5132b479e15f1d ledger 5:603908a8a5d9a0e6\n\
 2 fusion_off q2 plan 3ed34690aa7f117a 0000000000000000 0000000000000000 0000000000000000 picks 2451a27c9b793070 chains 0:09612b07b5ecb5a5 exec 3ea8128fef156b96 3f25822ba22897b2 ledger 3:6ca6214eb0e58366\n\
-2 fusion_off q3 plan 3f474f81eda5afa1 3f1a36e2eb1c432c 3f4303af7ea4e849 0000000000000000 picks a2fc93333064c0da chains 0:09612b07b5ecb5a5 exec 3f54086a5057c17b 3f7db702fda7fda8 ledger 14:b672817fca3a3755\n\
+2 fusion_off q3 plan 3f4536a2f98ef1f0 3f02dfd694ccab3f 3f4303af7ea4e849 0000000000000000 picks a2fc93333064c0da chains 0:09612b07b5ecb5a5 exec 3f43faa5d1a5d605 3f607041ce1d4b87 ledger 14:74b3ee0be600bdce\n\
 2 fusion_off q4 plan 3ee1ca0bdf720959 0000000000000000 0000000000000000 0000000000000000 picks ee8ee0e4fe093a11 chains 0:09612b07b5ecb5a5 exec 3ebd25ca3389e4bb 3f3b2b7f8aa4b42b ledger 4:cdda8f962055df2d\n\
 2 fusion_off q5 plan 3eec3db0312d1604 0000000000000000 3ed0caa88544cde5 0000000000000000 picks ee8ee0e4fe093a11 chains 0:09612b07b5ecb5a5 exec 3ecdc5547a1c6d66 3f4adfca806c4c03 ledger 3:ecea7b8ddff801e5\n\
 2 materialize_on q0 plan 3ee2196b6f481aaf 0000000000000000 0000000000000000 0000000000000000 picks cde97fd22bce957d chains 0:09612b07b5ecb5a5 exec 3ec7c40008a279fc 3f403dc91ca25b6e ledger 4:c742b0dbdad43f38\n\
 2 materialize_on q1 plan 3ee21cffb1c322c6 0000000000000000 0000000000000000 0000000000000000 picks 32cfef21b48830ab chains 0:09612b07b5ecb5a5 exec 3eda0f8f83dada45 3f5132b479e15f1d ledger 5:603908a8a5d9a0e6\n\
 2 materialize_on q2 plan 3ed34690aa7f117a 0000000000000000 0000000000000000 0000000000000000 picks 2451a27c9b793070 chains 0:09612b07b5ecb5a5 exec 3ea8128fef156b96 3f25822ba22897b2 ledger 3:6ca6214eb0e58366\n\
-2 materialize_on q3 plan 3f212f49bc031d63 3f1a36e2eb1c432c 0000000000000000 0000000000000000 picks a2fc93333064c0da chains 0:09612b07b5ecb5a5 exec 3f4b94d15910710c 3f7db702fda7fda8 ledger 14:ded3c8881ec675d9\n\
+2 materialize_on q3 plan 3f11979bd7504d39 3f02dfd694ccab3f 0000000000000000 0000000000000000 picks a2fc93333064c0da chains 0:09612b07b5ecb5a5 exec 3f2dfa8a281b106b 3f607041ce1d4b87 ledger 14:fc88fb65796da7f2\n\
 2 materialize_on q4 plan 3ee1ca0bdf720959 0000000000000000 0000000000000000 0000000000000000 picks ee8ee0e4fe093a11 chains 0:09612b07b5ecb5a5 exec 3ebd25ca3389e4bb 3f3b2b7f8aa4b42b ledger 4:cdda8f962055df2d\n\
 2 materialize_on q5 plan 3eec3db0312d1604 0000000000000000 3ed0caa88544cde5 0000000000000000 picks ee8ee0e4fe093a11 chains 0:09612b07b5ecb5a5 exec 3ecdc5547a1c6d66 3f4adfca806c4c03 ledger 3:ecea7b8ddff801e5\n\
 1 cap1 two_sort plan 3f23f90918b052f2 0000000000000000 0000000000000000 0000000000000000 picks 95428a06ce22448c chains 1:ab0b314c106f8fe2 exec 3f23f90918b052f2 3f7b1298a59a757f ledger 3:b107a32b2420543c\n\

@@ -704,12 +704,29 @@ proptest! {
     }
 }
 
-/// `db1.l(k, a, b)` and `db2.r(k, c, b)`, unindexed, built at `level`.
-/// Joined on `k` the output is `k, a, b, k_r, c, b_r`.
+/// How the two tables of [`two_table_system`] are laid out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Layout {
+    /// One shard each.
+    Single,
+    /// Two shards each, both hashed on the join key: the join runs per
+    /// shard.
+    Colocated,
+    /// Two shards each, `l` hashed on `k` and `r` on `c`: the join
+    /// shuffles.
+    Shuffled,
+    /// [`Layout::Shuffled`] with `materialize` on: repeated runs persist
+    /// the routed layout and then serve it.
+    CopyServed,
+}
+
+/// `db1.l(k, a, b)` and `db2.r(k, c, b)`, unindexed, built at `level`
+/// over `layout`. Joined on `k` the output is `k, a, b, k_r, c, b_r`.
 fn two_table_system(
     left: &[[Option<i64>; 3]],
     right: &[[Option<i64>; 3]],
     level: OptLevel,
+    layout: Layout,
 ) -> Polystore {
     let mut registry = EngineRegistry::new();
     let mut catalog = Catalog::new();
@@ -734,19 +751,78 @@ fn two_table_system(
             .expect("fresh engine id");
         catalog.register(TableRef::new(engine, table), schema);
     }
-    Polystore::from_deployment(Deployment {
+    let mut builder = Polystore::from_deployment(Deployment {
         registry,
         catalog,
         stats: std::collections::HashMap::new(),
         clinical_names: Default::default(),
     })
-    .opt_level(level)
-    .build()
-    .expect("valid config")
+    .opt_level(level);
+    if layout != Layout::Single {
+        let right_key = if layout == Layout::Colocated {
+            "k"
+        } else {
+            "c"
+        };
+        builder = builder
+            .shards(2)
+            .partition(TableRef::new("db1", "l"), PartitionSpec::hash("k", 2))
+            .partition(TableRef::new("db2", "r"), PartitionSpec::hash(right_key, 2))
+            .plan_options(PlanOptions {
+                materialize: layout == Layout::CopyServed,
+                ..PlanOptions::default()
+            });
+    }
+    builder.build().expect("valid config")
 }
 
-/// `l JOIN r ON k = k WHERE predicate`, as the SQL frontend lowers it.
-fn filtered_join_program(predicate: Predicate) -> Program {
+/// What sits between the filtered join and the program's output.
+#[derive(Debug, Clone)]
+enum Top {
+    /// Nothing: the filter's rows are the result.
+    Rows,
+    /// `SELECT columns`.
+    Project(Vec<&'static str>),
+    /// `SELECT key, count(*), sum(of) .. GROUP BY key`.
+    GroupBy(&'static str, &'static str),
+    /// `ORDER BY column [DESC] LIMIT n`.
+    SortLimit(&'static str, bool, usize),
+}
+
+/// The joined columns, and one nobody has.
+const JOINED: [&str; 7] = ["k", "a", "b", "k_r", "c", "b_r", "zzz"];
+
+fn arb_top() -> impl Strategy<Value = Top> {
+    let column = || (0usize..JOINED.len()).prop_map(|c| JOINED[c]);
+    prop_oneof![
+        Just(Top::Rows),
+        // The hazards by name: the key alone, right columns alone, an
+        // `x_r` whose left twin is not kept, every column, a repeat.
+        Just(Top::Project(vec!["k"])),
+        Just(Top::Project(vec!["c"])),
+        Just(Top::Project(vec!["k_r"])),
+        Just(Top::Project(vec!["b_r", "a"])),
+        Just(Top::Project(JOINED[..6].to_vec())),
+        Just(Top::Project(vec!["a", "a"])),
+        prop::collection::vec(column(), 1..5).prop_map(Top::Project),
+        prop::collection::vec(column(), 1..5).prop_map(Top::Project),
+        (column(), column()).prop_map(|(key, of)| Top::GroupBy(key, of)),
+        (column(), any::<bool>(), 0usize..6).prop_map(|(c, asc, n)| Top::SortLimit(c, asc, n)),
+    ]
+}
+
+fn arb_join_layout() -> impl Strategy<Value = Layout> {
+    prop_oneof![
+        Just(Layout::Single),
+        Just(Layout::Colocated),
+        Just(Layout::Shuffled),
+        Just(Layout::CopyServed),
+    ]
+}
+
+/// `l JOIN r ON k = k WHERE predicate`, as the SQL frontend lowers it,
+/// with `top` above the filter.
+fn filtered_join_program(predicate: Predicate, top: &Top) -> Program {
     let mut p = Program::new();
     let l = p.add_source(Operator::scan(TableRef::new("db1", "l")), "sql");
     let r = p.add_source(Operator::scan(TableRef::new("db2", "r")), "sql");
@@ -758,8 +834,35 @@ fn filtered_join_program(predicate: Predicate) -> Program {
         vec![l, r],
         "sql",
     );
-    let filter = p.add_node(Operator::Filter { predicate }, vec![join], "sql");
-    p.mark_output(filter);
+    let mut out = p.add_node(Operator::Filter { predicate }, vec![join], "sql");
+    match top {
+        Top::Rows => {}
+        Top::Project(columns) => {
+            let columns = columns.iter().map(|c| c.to_string()).collect();
+            out = p.add_node(Operator::Project { columns }, vec![out], "sql");
+        }
+        Top::GroupBy(key, of) => {
+            let agg = |func, column: &str, output: &str| AggSpec {
+                func,
+                column: column.into(),
+                output: output.into(),
+            };
+            let op = Operator::GroupBy {
+                keys: vec![key.to_string()],
+                aggs: vec![agg(AggFn::Count, "*", "n"), agg(AggFn::Sum, of, "s")],
+            };
+            out = p.add_node(op, vec![out], "sql");
+        }
+        Top::SortLimit(column, ascending, n) => {
+            let keys = vec![SortSpec {
+                column: column.to_string(),
+                ascending: *ascending,
+            }];
+            out = p.add_node(Operator::Sort { keys }, vec![out], "sql");
+            out = p.add_node(Operator::Limit { n: *n }, vec![out], "sql");
+        }
+    }
+    p.mark_output(out);
     p
 }
 
@@ -803,27 +906,54 @@ proptest! {
         }
     }
 
-    /// Pushing a filter's conjuncts below the join (L1) and then
-    /// choosing the join site by bytes (L3) never shows in the result:
-    /// the same rows in the same order as the literal plan, or the
-    /// same error — over NULL keys, either side's columns, the join's
-    /// `_r` names, cross-side `OR`s and a column nobody has.
+    /// Pushing a filter's conjuncts below the join, shipping and
+    /// building only the columns somebody above it reads (L1) and then
+    /// choosing the join site by the bytes to ship (L3) never shows in
+    /// the result: the same rows in the same order under the same
+    /// schema as the literal plan, or the same error — over NULL keys,
+    /// either side's columns, the join's `_r` names, cross-side `OR`s
+    /// and a column nobody has; under a projection (the key alone,
+    /// right columns alone, an `x_r` whose left twin stays behind, every
+    /// column, a repeat), a group-by or a sort and limit; on one shard,
+    /// on two colocated, shuffled, and served from a materialized copy.
     #[test]
     fn pushed_join_filters_match_the_literal_plan(
         left in arb_table(),
         right in arb_table(),
         program in arb_predicate_program(1..6, arb_cell_literal),
+        top in arb_top(),
+        layout in arb_join_layout(),
+        unfiltered in any::<bool>(),
     ) {
         let columns = ["a", "c", "k", "k_r", "b", "b_r", "a", "c", "zzz"];
-        let predicate = predicate_from(&columns, program);
-        let run = |level| {
-            two_table_system(&left, &right, level)
-                .run_program(filtered_join_program(predicate.clone()))
-                .map(|report| report.execution.outputs[0].try_rows().expect("rows").to_vec())
+        // A drawn filter keeps few rows; every other case keeps them all,
+        // so what sits above the join has rows to get wrong.
+        let predicate = if unfiltered {
+            Predicate::True
+        } else {
+            predicate_from(&columns, program)
         };
-        let literal = run(OptLevel::None);
+        let answer = |system: &Polystore| {
+            system
+                .run_program(filtered_join_program(predicate.clone(), &top))
+                .map(|report| {
+                    let out = &report.execution.outputs[0];
+                    let schema = out.schema().expect("rows").clone();
+                    (schema, out.try_rows().expect("rows").to_vec())
+                })
+        };
+        let literal = answer(&two_table_system(&left, &right, OptLevel::None, layout));
         for level in [OptLevel::L1, OptLevel::L3] {
-            prop_assert!(run(level) == literal, "{level} diverged on {predicate:?}");
+            let system = two_table_system(&left, &right, level, layout);
+            // A copy-served shuffle persists its layout on a later run
+            // and serves it on the next: all of them answer alike.
+            let runs = if layout == Layout::CopyServed { 3 } else { 1 };
+            for run in 0..runs {
+                prop_assert!(
+                    answer(&system) == literal,
+                    "{level} run {run} diverged on {predicate:?} under {top:?} over {layout:?}"
+                );
+            }
         }
     }
 

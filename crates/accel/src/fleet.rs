@@ -266,11 +266,12 @@ impl AcceleratorFleet {
         let elems = reference_elems(kernel);
         let mut best: Option<(&DeviceProfile, SimDuration)> = None;
         for kind in DeviceKind::all() {
-            if let Some(t) = self.estimate(kind, kernel, elems) {
-                let profile = self.profile(kind).expect("estimate implies profile");
-                if best.as_ref().is_none_or(|(_, bt)| t < *bt) {
-                    best = Some((profile, t));
-                }
+            let (Some(profile), Some(t)) = (self.profile(kind), self.estimate(kind, kernel, elems))
+            else {
+                continue;
+            };
+            if best.as_ref().is_none_or(|(_, bt)| t < *bt) {
+                best = Some((profile, t));
             }
         }
         best.map(|(p, _)| p)

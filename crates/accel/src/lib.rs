@@ -36,6 +36,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// ROADMAP item 5: no panicking shortcut outside tests.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod device;
 pub mod exchange;

@@ -128,20 +128,17 @@ impl Dataset {
     /// tests and benchmarks.
     pub fn synthetic_threshold(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = SplitMix64::new(seed);
-        let mut data = Vec::with_capacity(n * dim);
+        let mut features = Matrix::zeros(n, dim);
         let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
+        for i in 0..n {
             let x0 = rng.next_f64();
-            data.push(x0);
-            for _ in 1..dim {
-                data.push(rng.next_f64());
+            if let Some((first, rest)) = features.row_mut(i).split_first_mut() {
+                *first = x0;
+                rest.fill_with(|| rng.next_f64());
             }
             labels.push(if x0 > 0.5 { 1.0 } else { 0.0 });
         }
-        Dataset {
-            features: Matrix::from_vec(n, dim, data).expect("consistent dims"),
-            labels,
-        }
+        Dataset { features, labels }
     }
 
     /// A deterministic two-Gaussian clustering task in `dim` dimensions;
@@ -151,19 +148,16 @@ impl Dataset {
         let centers: Vec<Vec<f64>> = (0..k)
             .map(|_| (0..dim).map(|_| rng.next_range(-5.0, 5.0)).collect())
             .collect();
-        let mut data = Vec::with_capacity(n * dim);
+        let mut features = Matrix::zeros(n, dim);
         let mut labels = Vec::with_capacity(n);
         for i in 0..n {
             let c = i % k;
-            for center_d in &centers[c] {
-                data.push(center_d + rng.next_gaussian() * 0.4);
+            for (v, center_d) in features.row_mut(i).iter_mut().zip(&centers[c]) {
+                *v = center_d + rng.next_gaussian() * 0.4;
             }
             labels.push(c as f64);
         }
-        Dataset {
-            features: Matrix::from_vec(n, dim, data).expect("consistent dims"),
-            labels,
-        }
+        Dataset { features, labels }
     }
 }
 

@@ -6,6 +6,36 @@
 //! costed on the CPU model or offloaded to the TPU model — the paper's
 //! Fig. 3 scenario. One `Workspace` per run holds every intermediate;
 //! the loop itself allocates nothing.
+//!
+//! # Which examples backward visits
+//!
+//! The forward pass, the loss and the output delta cover the whole
+//! batch. Backward then visits only the *live* examples: those whose
+//! output delta is nonzero, or whose input features or hidden
+//! activations hold a non-finite value. When any delta is exactly
+//! `0.0`, `Mlp::step` moves the live examples to the front of the
+//! workspace — their deltas, hidden activations and pre-activations in
+//! place, their input rows into a buffer sized with the workspace — in
+//! their original order, and the one backward loop runs over that
+//! prefix. A batch with no zero delta pays one scan of its deltas.
+//! Every [`Gemm::charge`] still bills the whole batch's shape, so the
+//! ledger, the simulated clock and the energy do not see the shortcut.
+//!
+//! The result is the full batch's, bit for bit, under the kernels' order
+//! contract:
+//! - a zero output delta makes every delta row below it `+0.0`: the
+//!   GEMM skips its zero left entries, so `δ · Wᵀ` leaves the row at
+//!   `+0.0` whatever `W` holds, and the ReLU gate writes `0.0`;
+//! - every `dW` and `db` accumulator starts at `+0.0`, and a sum of
+//!   nonzero terms rounds to `+0.0` on cancellation, so none is ever
+//!   `-0.0` — adding `finite × ±0.0` leaves it unchanged;
+//! - the live examples keep their order, so each accumulator sees the
+//!   same additions in the same order;
+//! - the one case that differs, `inf × 0 = NaN`, is why a non-finite
+//!   feature or activation keeps its example live: that `NaN` must still
+//!   reach `dW`. The check reads one pre-activation per layer, because a
+//!   non-finite entry in a layer's input row leaves no pre-activation of
+//!   that row finite.
 
 use pspp_accel::kernels::{Gemm, Matrix};
 use pspp_accel::{CostLedger, DeviceProfile};
@@ -58,7 +88,7 @@ impl Mlp {
                 "need at least input and output sizes".into(),
             ));
         }
-        if *sizes.last().expect("nonempty") != 1 {
+        if sizes.last() != Some(&1) {
             return Err(Error::Invalid(
                 "binary classifier needs output size 1".into(),
             ));
@@ -185,7 +215,7 @@ impl Mlp {
             &mut ws,
             ledger,
         );
-        Ok(ws.acts.pop().expect("at least one layer"))
+        Ok(ws.acts.pop().unwrap_or_default())
     }
 
     /// Hard 0/1 predictions at threshold 0.5.
@@ -298,17 +328,25 @@ impl Mlp {
             *d = (p - y) / n;
         }
 
+        // Backward visits the `live` examples only (see the module docs)
+        // and charges every GEMM at the whole batch's `rows`.
+        let live = ws.compact(&self.weights, x, rows);
+        let x = if live < rows {
+            &ws.inputs[..live * self.input_dim()]
+        } else {
+            x
+        };
         for l in (0..self.depth()).rev() {
             let (in_w, out_w) = (self.weights[l].rows(), self.weights[l].cols());
-            let delta = &ws.delta[..rows * out_w];
+            let delta = &ws.delta[..live * out_w];
             // dW = A_prevᵀ · delta ; db = column sums of delta.
             let a_prev = if l == 0 {
                 x
             } else {
-                &ws.acts[l - 1][..rows * in_w]
+                &ws.acts[l - 1][..live * in_w]
             };
             let dw = &mut ws.dw[..in_w * out_w];
-            Gemm::multiply_at_into(a_prev, delta, dw, in_w, rows, out_w);
+            Gemm::multiply_at_into(a_prev, delta, dw, in_w, live, out_w);
             Gemm::charge(device, in_w, rows, out_w, ledger, "mlengine.backward");
             let db = &mut ws.db[..out_w];
             db.fill(0.0);
@@ -326,8 +364,8 @@ impl Mlp {
                         w_t[c * in_w + r] = v;
                     }
                 }
-                let da = &mut ws.delta_below[..rows * in_w];
-                Gemm::multiply_into(delta, w_t, da, rows, out_w, in_w);
+                let da = &mut ws.delta_below[..live * in_w];
+                Gemm::multiply_into(delta, w_t, da, live, out_w, in_w);
                 Gemm::charge(device, rows, out_w, in_w, ledger, "mlengine.backward");
                 // ReLU gate from the saved pre-activations.
                 for (d, z) in da.iter_mut().zip(&ws.zs[l - 1]) {
@@ -410,6 +448,8 @@ struct Workspace {
     dw: Vec<f64>,
     db: Vec<f64>,
     w_t: Vec<f64>,
+    /// The input rows of a compacted batch's live examples.
+    inputs: Vec<f64>,
 }
 
 impl Workspace {
@@ -423,6 +463,10 @@ impl Workspace {
         };
         let width = largest(Matrix::cols);
         let params = largest(|w| w.rows() * w.cols());
+        let input_dim = match backward {
+            true => weights.first().map_or(0, Matrix::rows),
+            false => 0,
+        };
         Workspace {
             zs: weights.iter().map(layer).collect(),
             acts: weights.iter().map(layer).collect(),
@@ -431,7 +475,49 @@ impl Workspace {
             dw: vec![0.0; params],
             db: vec![0.0; width],
             w_t: vec![0.0; params],
+            inputs: vec![0.0; rows * input_dim],
         }
+    }
+
+    /// Moves the examples of the `rows`-example batch `x` that backward
+    /// must visit — a nonzero output delta, or a non-finite input feature
+    /// or hidden activation — to the front of `delta`, the hidden `acts`
+    /// and `zs`, and (copied from `x`) of `inputs`, in their order; returns
+    /// how many there are. A batch with no zero delta is left as it is.
+    ///
+    /// A non-finite entry in a layer's input row makes every
+    /// pre-activation of that row non-finite (the GEMM skips only zero
+    /// left entries, and `inf` or `NaN` times anything, plus anything, is
+    /// never finite), so the first pre-activation of each layer answers
+    /// for its whole input row. It may also keep an example whose finite
+    /// values overflowed, which is exact too: any example may be visited.
+    fn compact(&mut self, weights: &[Matrix], x: &[f64], rows: usize) -> usize {
+        if !self.delta[..rows].contains(&0.0) {
+            return rows;
+        }
+        let dim = weights.first().map_or(0, Matrix::rows);
+        let hidden = &weights[..weights.len() - 1];
+        let mut live = 0;
+        for r in 0..rows {
+            let carries = self.delta[r] != 0.0
+                || weights
+                    .iter()
+                    .zip(&self.zs)
+                    .any(|(w, z)| z.get(r * w.cols()).is_some_and(|v| !v.is_finite()));
+            if !carries {
+                continue;
+            }
+            let x_row = &x[r * dim..(r + 1) * dim];
+            self.delta[live] = self.delta[r];
+            self.inputs[live * dim..(live + 1) * dim].copy_from_slice(x_row);
+            for ((w, a), z) in hidden.iter().zip(&mut self.acts).zip(&mut self.zs) {
+                let row = r * w.cols()..(r + 1) * w.cols();
+                a.copy_within(row.clone(), live * w.cols());
+                z.copy_within(row, live * w.cols());
+            }
+            live += 1;
+        }
+        live
     }
 }
 

@@ -71,7 +71,8 @@ impl EngineAdapter for TimeseriesAdapter {
                 // `window_idx` (ordinal window number) is the join-friendly
                 // key: deployments that lay series out as
                 // `entity_id × width + offset` can join entities to their
-                // window aggregates directly.
+                // window aggregates directly. The floor, not truncation:
+                // `[-width, 0)` is window -1, not a second window 0.
                 let schema = Schema::new(vec![
                     ("window_idx", DataType::Int),
                     ("window_start", DataType::Int),
@@ -81,7 +82,7 @@ impl EngineAdapter for TimeseriesAdapter {
                     .into_iter()
                     .map(|(t, v)| {
                         Row::from(vec![
-                            Value::Int(t / width.max(&1)),
+                            Value::Int(t.div_euclid(*width.max(&1))),
                             Value::Int(t),
                             Value::Float(v),
                         ])
@@ -108,5 +109,54 @@ fn ts_agg(a: TsAgg) -> pspp_tsstore::WindowAgg {
         TsAgg::Sum => pspp_tsstore::WindowAgg::Sum,
         TsAgg::Count => pspp_tsstore::WindowAgg::Count,
         TsAgg::Last => pspp_tsstore::WindowAgg::Last,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pspp_accel::{AcceleratorFleet, CostLedger};
+    use pspp_common::TableRef;
+    use pspp_tsstore::TimeseriesStore;
+
+    #[test]
+    fn windows_either_side_of_zero_get_distinct_indices() {
+        let mut ts = TimeseriesStore::new("tsdb");
+        ts.append_many(
+            "s",
+            [(-150, 1.0), (-100, 2.0), (-1, 3.0), (0, 4.0), (99, 5.0)],
+        );
+        let mut registry = EngineRegistry::new();
+        registry
+            .register(EngineId::new("tsdb"), EngineInstance::Timeseries(ts))
+            .unwrap();
+        let (fleet, ledger) = (AcceleratorFleet::cpu_only(), CostLedger::new());
+        let op = Operator::TsWindow {
+            table: TableRef::new("tsdb", "s"),
+            lo: -200,
+            hi: 200,
+            width: 100,
+            agg: TsAgg::Count,
+        };
+        let out = TimeseriesAdapter
+            .run(
+                &op,
+                &[],
+                None,
+                &registry,
+                &ExecCtx::new(&fleet, &ledger, false),
+            )
+            .unwrap();
+        let rows: Vec<Vec<Value>> = out
+            .try_rows()
+            .unwrap()
+            .iter()
+            .map(|r| r.iter().cloned().collect())
+            .collect();
+        let row = |idx, start, n| vec![Value::Int(idx), Value::Int(start), Value::Float(n)];
+        assert_eq!(
+            rows,
+            vec![row(-2, -200, 1.0), row(-1, -100, 2.0), row(0, 0, 2.0)]
+        );
     }
 }

@@ -20,6 +20,10 @@
 //! assert_eq!(w[0].1, 81.0);
 //! ```
 
+#![forbid(unsafe_code)]
+// ROADMAP item 5: no panicking shortcut outside tests.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::BTreeMap;
 
 use pspp_accel::kernels::KernelReport;
@@ -48,9 +52,7 @@ pub enum WindowAgg {
 
 impl WindowAgg {
     fn apply(self, points: &[Point]) -> Option<f64> {
-        if points.is_empty() {
-            return None;
-        }
+        let &(_, last) = points.last()?;
         let vals = points.iter().map(|p| p.1);
         Some(match self {
             WindowAgg::Mean => vals.clone().sum::<f64>() / points.len() as f64,
@@ -58,7 +60,7 @@ impl WindowAgg {
             WindowAgg::Max => vals.fold(f64::NEG_INFINITY, f64::max),
             WindowAgg::Sum => vals.sum(),
             WindowAgg::Count => points.len() as f64,
-            WindowAgg::Last => points.last().expect("nonempty").1,
+            WindowAgg::Last => last,
         })
     }
 }
@@ -158,8 +160,11 @@ impl TimeseriesStore {
     }
 
     /// Tumbling-window aggregation over `[lo, hi)` with windows of
-    /// `width` time units; returns `(window_start, aggregate)` for
-    /// non-empty windows.
+    /// `width` time units starting at `lo + j·width` (the last one cut
+    /// at `hi`); returns `(window_start, aggregate)` for non-empty
+    /// windows. Only those are visited: past an empty window the scan
+    /// jumps straight to the next point's, so a sparse series over a wide
+    /// range costs its points, not its windows.
     ///
     /// # Errors
     ///
@@ -178,10 +183,16 @@ impl TimeseriesStore {
         }
         let points = self.range(series, lo, hi)?;
         let mut out = Vec::new();
+        let step = width.unsigned_abs();
         let mut w_start = lo;
         let mut i = 0usize;
-        while w_start < hi {
-            let w_end = (w_start + width).min(hi);
+        while let Some(&(t, _)) = points.get(i) {
+            let mut w_end = w_start.saturating_add(width).min(hi);
+            if t >= w_end {
+                // The grid window holding `t`: its start lies in `[lo, t]`.
+                w_start = lo.saturating_add_unsigned(t.abs_diff(lo) / step * step);
+                w_end = w_start.saturating_add(width).min(hi);
+            }
             let begin = i;
             while i < points.len() && points[i].0 < w_end {
                 i += 1;
@@ -350,6 +361,85 @@ mod tests {
             .unwrap();
         assert_eq!(w.len(), 2);
         assert_eq!(w[1].0, 90);
+    }
+
+    /// Every window of the `lo + j·width` grid in turn, empty ones too,
+    /// each looked up in the sorted `points` on its own: what
+    /// `window_aggregate` computed before it learned to jump.
+    fn every_window(
+        points: &[Point],
+        lo: i64,
+        hi: i64,
+        width: i64,
+        agg: WindowAgg,
+    ) -> Vec<(i64, f64)> {
+        let mut out = Vec::new();
+        let mut w_start = lo;
+        while w_start < hi {
+            let w_end = w_start.saturating_add(width).min(hi);
+            let begin = points.partition_point(|&(t, _)| t < w_start);
+            let end = points.partition_point(|&(t, _)| t < w_end);
+            if let Some(v) = agg.apply(&points[begin..end]) {
+                out.push((w_start, v));
+            }
+            w_start = w_end;
+        }
+        out
+    }
+
+    #[test]
+    fn sparse_points_over_a_wide_range_match_every_window() {
+        let mut rng = pspp_common::SplitMix64::new(41);
+        let mut ts = TimeseriesStore::new("ts");
+        let points: Vec<Point> = (0..300)
+            .map(|_| (rng.next_index(2_000_000) as i64 - 1_000_000, rng.next_f64()))
+            .collect();
+        ts.append_many("s", points.iter().copied());
+        // Clumps in one window, on a window's first and last unit.
+        ts.append_many("s", [(0, 1.0), (1, 2.0), (99, 3.0), (100, 4.0), (-1, 5.0)]);
+        let series = ts.range("s", i64::MIN, i64::MAX).unwrap().to_vec();
+        for (lo, hi, width) in [
+            (-1_000_000, 1_000_000, 100),
+            (-999_937, 999_999, 7),
+            (-1_000_050, 250_017, 1_000),
+            (0, 100, 1),
+            (5, 5, 10),
+            (-3, 1_000_000, 999_999),
+        ] {
+            for agg in [
+                WindowAgg::Count,
+                WindowAgg::Mean,
+                WindowAgg::Last,
+                WindowAgg::Min,
+            ] {
+                let got = ts.window_aggregate("s", lo, hi, width, agg).unwrap();
+                assert_eq!(
+                    got,
+                    every_window(&series, lo, hi, width, agg),
+                    "[{lo}, {hi}) width {width} {agg:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn window_ends_saturate_at_the_top_of_the_timeline() {
+        let mut ts = TimeseriesStore::new("ts");
+        ts.append_many(
+            "s",
+            [(i64::MIN, 1.0), (-1, 2.0), (0, 3.0), (i64::MAX - 1, 4.0)],
+        );
+        let counts = ts
+            .window_aggregate("s", i64::MIN, i64::MAX, i64::MAX, WindowAgg::Count)
+            .unwrap();
+        assert_eq!(
+            counts,
+            vec![(i64::MIN, 1.0), (-1, 2.0), (i64::MAX - 1, 1.0)]
+        );
+        let near_top = ts
+            .window_aggregate("s", i64::MAX - 250, i64::MAX, 100, WindowAgg::Last)
+            .unwrap();
+        assert_eq!(near_top, vec![(i64::MAX - 50, 4.0)]);
     }
 
     #[test]

@@ -133,7 +133,10 @@ fn shallow_mlp_is_bit_stable() {
 }
 
 /// The paper's Fig. 2 question on polybench's `hetero_ml` deployment:
-/// the trained model and both simulated totals are the parent's.
+/// the trained model, both simulated totals and the ledger's event list
+/// are the parent's — every GEMM charge keeps its batch's shape, event
+/// for event, not only in the totals (ledger constants captured at
+/// PR 25's parent).
 #[test]
 fn fig2_question_trains_the_same_model_at_the_same_simulated_cost() {
     let system = Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
@@ -151,18 +154,23 @@ fn fig2_question_trains_the_same_model_at_the_same_simulated_cost() {
     let model = report.execution.outputs[0]
         .try_model()
         .expect("model output");
+    let (events, ledger_fnv) = ledger_digest(system.ledger());
     assert_eq!(
         (
             model_digest(model),
             report.makespan().to_bits(),
-            report.costs.energy_j.to_bits()
+            report.costs.energy_j.to_bits(),
+            events,
+            ledger_fnv,
         ),
         (
             0xe43c_2dcc_038c_0d23,
             0x3f64_048b_2b33_6027,
-            0x3fc6_e660_b3a5_2110
+            0x3fc6_e660_b3a5_2110,
+            1_773,
+            0xe085_0ca9_8f37_9759,
         ),
-        "got model {:#018x}, makespan bits {:#018x}, energy bits {:#018x}",
+        "got model {:#018x}, makespan bits {:#018x}, energy bits {:#018x}, {events} events, ledger {ledger_fnv:#018x}",
         model_digest(model),
         report.makespan().to_bits(),
         report.costs.energy_j.to_bits(),

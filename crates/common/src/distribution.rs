@@ -36,7 +36,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::partition::{PartitionSpec, ShardId};
+use crate::partition::{HashRouter, PartitionSpec, RoutingRule, ShardId};
 use crate::{Result, Row, Schema, Value};
 
 /// How one plan node's output rows are distributed across shard
@@ -154,10 +154,12 @@ impl Distribution {
     /// [`Single`]: Distribution::Single
     /// [`Replicated`]: Distribution::Replicated
     pub fn route_indices(&self, schema: &Schema, rows: &[Row]) -> Result<Vec<Vec<usize>>> {
-        let spec = match self {
-            Distribution::Hashed { column, shards } => PartitionSpec::hash(column.clone(), *shards),
+        let (column, rule) = match self {
+            Distribution::Hashed { column, shards } => {
+                (column, RoutingRule::Hash(HashRouter::new(*shards)?))
+            }
             Distribution::Ranged { column, boundaries } => {
-                PartitionSpec::range(column.clone(), boundaries.clone())
+                (column, RoutingRule::range(boundaries)?)
             }
             other => {
                 return Err(crate::Error::Invalid(format!(
@@ -165,12 +167,10 @@ impl Distribution {
                 )))
             }
         };
-        spec.validate()?;
-        let idx = schema.require(spec.partition_column().expect("hash/range specs are keyed"))?;
-        let mut buckets: Vec<Vec<usize>> = (0..self.shard_count()).map(|_| Vec::new()).collect();
+        let idx = schema.require(column)?;
+        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); rule.width()];
         for (i, row) in rows.iter().enumerate() {
-            let shard = spec.shard_for_value(&row[idx])?;
-            buckets[shard.index()].push(i);
+            buckets[rule.shard(&row[idx])].push(i);
         }
         Ok(buckets)
     }

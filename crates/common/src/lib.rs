@@ -26,6 +26,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod batch;
 pub mod device;
@@ -49,7 +50,7 @@ pub use error::{Error, Result};
 pub use hash::{FxBuildHasher, FxHasher};
 pub use ids::{EngineId, TableRef};
 pub use model::{DataModel, EngineKind};
-pub use partition::{hash_grow_moved_fraction, PartitionSpec, ShardId};
+pub use partition::{hash_grow_moved_fraction, HashRouter, PartitionSpec, Routes, ShardId};
 pub use predicate::{BoundPredicate, ColumnSource, Predicate, TypedColumn};
 pub use repartition::{CopyKey, MaterializedRepartitions, RepartitionStats};
 pub use rng::SplitMix64;

@@ -12,7 +12,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Error, Result, Row, Schema, Value};
+use crate::{Column, Error, Result, Row, Schema, TypedColumn, Value};
 
 /// Identifies one shard replica of an engine (0-based, dense).
 #[derive(
@@ -134,11 +134,7 @@ impl PartitionSpec {
             )));
         }
         if let PartitionSpec::Range { boundaries, .. } = self {
-            if boundaries.windows(2).any(|w| w[0] > w[1]) {
-                return Err(Error::Config(
-                    "range partition boundaries must be ascending".into(),
-                ));
-            }
+            RoutingRule::range(boundaries)?;
         }
         Ok(())
     }
@@ -151,20 +147,25 @@ impl PartitionSpec {
     /// [`Error::Invalid`] for replicated specs (every shard holds the
     /// row; there is no single home).
     pub fn shard_for_value(&self, value: &Value) -> Result<ShardId> {
-        self.validate()?;
-        self.route(value)
+        let (_, rule) = self.keyed_rule()?;
+        Ok(ShardId(rule.shard(value) as u32))
     }
 
-    /// [`PartitionSpec::shard_for_value`] without re-validating —
-    /// bulk callers validate once up front.
-    fn route(&self, value: &Value) -> Result<ShardId> {
+    /// The key column and the routing rule of a hash or range spec,
+    /// validated once for every row routed after it.
+    ///
+    /// # Errors
+    ///
+    /// As [`PartitionSpec::validate`], and [`Error::Invalid`] for
+    /// replicated specs.
+    fn keyed_rule(&self) -> Result<(&str, RoutingRule<'_>)> {
+        self.validate()?;
         match self {
-            PartitionSpec::Hash { shards, .. } => {
-                Ok(ShardId((value_hash(value) % u64::from(*shards)) as u32))
+            PartitionSpec::Hash { column, shards } => {
+                Ok((column, RoutingRule::Hash(HashRouter::new(*shards)?)))
             }
-            PartitionSpec::Range { boundaries, .. } => {
-                let s = boundaries.partition_point(|b| b <= value);
-                Ok(ShardId(s as u32))
+            PartitionSpec::Range { column, boundaries } => {
+                Ok((column, RoutingRule::Range(boundaries)))
             }
             PartitionSpec::Replicated { .. } => Err(Error::Invalid(
                 "replicated tables have no single home shard".into(),
@@ -183,19 +184,15 @@ impl PartitionSpec {
     /// Returns [`Error::ColumnNotFound`] when the key column is missing
     /// from `schema` and [`Error::EmptyShardSet`] for zero shards.
     pub fn distribute(&self, schema: &Schema, rows: &[Row]) -> Result<Vec<Vec<Row>>> {
-        self.validate()?;
-        let n = self.shard_count();
         if let PartitionSpec::Replicated { .. } = self {
-            return Ok((0..n).map(|_| rows.to_vec()).collect());
+            self.validate()?;
+            return Ok((0..self.shard_count()).map(|_| rows.to_vec()).collect());
         }
-        let column = self
-            .partition_column()
-            .expect("hash/range specs always have a key column");
+        let (column, rule) = self.keyed_rule()?;
         let idx = schema.require(column)?;
-        let mut buckets: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
+        let mut buckets: Vec<Vec<Row>> = vec![Vec::new(); rule.width()];
         for row in rows {
-            let shard = self.route(&row[idx])?;
-            buckets[shard.index()].push(row.clone());
+            buckets[rule.shard(&row[idx])].push(row.clone());
         }
         Ok(buckets)
     }
@@ -212,12 +209,209 @@ impl PartitionSpec {
     /// shards and [`Error::Invalid`] for replicated specs (every
     /// shard holds every row; there is nothing to diff).
     pub fn route_rows(&self, schema: &Schema, rows: &[Row]) -> Result<Vec<ShardId>> {
-        self.validate()?;
-        let column = self
-            .partition_column()
-            .ok_or_else(|| Error::Invalid("replicated tables have no single home shard".into()))?;
+        let (column, rule) = self.keyed_rule()?;
         let idx = schema.require(column)?;
-        rows.iter().map(|row| self.route(&row[idx])).collect()
+        Ok(rows
+            .iter()
+            .map(|row| ShardId(rule.shard(&row[idx]) as u32))
+            .collect())
+    }
+}
+
+/// The row-routing rule of a hash or range layout, checked once: every
+/// row routed through it afterwards pays no check and no `Result`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RoutingRule<'a> {
+    /// The stable hash of the key.
+    Hash(HashRouter),
+    /// The key's slot among ascending split points: shard `s` holds
+    /// `[boundaries[s-1], boundaries[s])`.
+    Range(&'a [Value]),
+}
+
+impl<'a> RoutingRule<'a> {
+    /// A range rule over `boundaries`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Config`] for unsorted boundaries.
+    pub fn range(boundaries: &'a [Value]) -> Result<Self> {
+        if boundaries.windows(2).any(|w| w[0] > w[1]) {
+            return Err(Error::Config(
+                "range partition boundaries must be ascending".into(),
+            ));
+        }
+        Ok(RoutingRule::Range(boundaries))
+    }
+
+    /// Number of destinations.
+    pub fn width(&self) -> usize {
+        match self {
+            RoutingRule::Hash(router) => router.width(),
+            RoutingRule::Range(boundaries) => boundaries.len() + 1,
+        }
+    }
+
+    /// The destination of a row whose key is `value`.
+    #[inline]
+    pub fn shard(&self, value: &Value) -> usize {
+        match self {
+            RoutingRule::Hash(router) => router.route(value),
+            RoutingRule::Range(boundaries) => boundaries.partition_point(|b| b <= value),
+        }
+    }
+}
+
+/// Hash routing over a fixed number of destinations: the one rule that
+/// places stored rows on hash shards and routes every shuffle, whether
+/// it reads the key from a row or from a typed column.
+#[derive(Debug, Clone, Copy)]
+pub struct HashRouter {
+    width: u64,
+    /// `width - 1` when `width` is a power of two: the remainder is then
+    /// the low bits, and a mask gives it without a division.
+    mask: Option<u64>,
+}
+
+impl HashRouter {
+    /// A router over `width` destinations.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::EmptyShardSet`] for zero destinations.
+    pub fn new(width: u32) -> Result<Self> {
+        if width == 0 {
+            return Err(Error::EmptyShardSet(
+                "hash routing over zero destinations".into(),
+            ));
+        }
+        Ok(HashRouter {
+            width: u64::from(width),
+            mask: width.is_power_of_two().then(|| u64::from(width) - 1),
+        })
+    }
+
+    /// Number of destinations.
+    pub fn width(self) -> usize {
+        self.width as usize
+    }
+
+    /// The destination of a key whose routing hash is `hash`:
+    /// `hash % width`.
+    #[inline]
+    pub fn destination(self, hash: u64) -> usize {
+        (match self.mask {
+            Some(mask) => hash & mask,
+            None => hash % self.width,
+        }) as usize
+    }
+
+    /// The destination of a row whose key is `value`.
+    #[inline]
+    pub fn route(self, value: &Value) -> usize {
+        self.destination(value_hash(value))
+    }
+
+    /// The destination of the row at each of `positions` of a typed
+    /// column (values plus validity, as a table's column image holds
+    /// them): what [`HashRouter::route`] gives each position's value,
+    /// read without building it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a position is past the column's end.
+    pub fn route_column(self, (values, valid): &TypedColumn, positions: &[u32]) -> Vec<u32> {
+        match values {
+            Column::Int(v) => self.route_typed(v, valid, positions, |&x| int_hash(x)),
+            Column::Float(v) => self.route_typed(v, valid, positions, |&x| float_hash(x)),
+            Column::Timestamp(v) => self.route_typed(v, valid, positions, |&x| timestamp_hash(x)),
+            Column::Bool(v) => self.route_typed(v, valid, positions, |&x| bool_hash(x)),
+            Column::Str(v) => self.route_typed(v, valid, positions, |x| str_hash(x)),
+            Column::Bytes(v) => self.route_typed(v, valid, positions, |x| bytes_hash(x)),
+        }
+    }
+
+    fn route_typed<T>(
+        self,
+        values: &[T],
+        valid: &[bool],
+        positions: &[u32],
+        hash: impl Fn(&T) -> u64,
+    ) -> Vec<u32> {
+        positions
+            .iter()
+            .map(|&p| {
+                let p = p as usize;
+                let h = if valid[p] {
+                    hash(&values[p])
+                } else {
+                    NULL_HASH
+                };
+                self.destination(h) as u32
+            })
+            .collect()
+    }
+}
+
+/// Where each row of one producer's output goes under a shuffle: the
+/// destination of every row, in the output's own row order, and the
+/// payload bytes bound for each destination.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Routes {
+    /// `dests[i]` is row `i`'s destination.
+    pub dests: Vec<u32>,
+    /// `bytes[d]` sums [`Row::byte_size`] over the rows bound for `d`.
+    pub bytes: Vec<u64>,
+}
+
+impl Routes {
+    /// `rows` hash-routed on their column `key` over `width`
+    /// destinations — how an output no store routed for itself finds
+    /// its destinations.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ColumnNotFound`] when `schema` has no `key` and
+    /// [`Error::EmptyShardSet`] for zero destinations.
+    pub fn of_rows(schema: &Schema, rows: &[Row], key: &str, width: u32) -> Result<Routes> {
+        let router = HashRouter::new(width)?;
+        let idx = schema.require(key)?;
+        let mut bytes = vec![0; router.width()];
+        let dests = rows
+            .iter()
+            .map(|row| {
+                let d = router.route(&row[idx]);
+                bytes[d] += row.byte_size() as u64;
+                d as u32
+            })
+            .collect();
+        Ok(Routes { dests, bytes })
+    }
+
+    /// The routes a layout of `rows` stored as per-destination index
+    /// lists (what [`crate::Distribution::route_indices`] returns)
+    /// replays.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Invalid`] when the lists name a row `rows` lacks
+    /// or leave one out.
+    pub fn of_buckets(rows: &[Row], buckets: &[Vec<usize>]) -> Result<Routes> {
+        let mut dests = vec![u32::MAX; rows.len()];
+        let mut bytes = vec![0; buckets.len()];
+        for ((d, list), total) in (0u32..).zip(buckets).zip(&mut bytes) {
+            for &i in list {
+                let slot = dests.get_mut(i).ok_or_else(|| {
+                    Error::Invalid(format!("layout routes row {i} of {}", rows.len()))
+                })?;
+                *slot = d;
+                *total += rows[i].byte_size() as u64;
+            }
+        }
+        if dests.contains(&u32::MAX) {
+            return Err(Error::Invalid("layout leaves a row unrouted".into()));
+        }
+        Ok(Routes { dests, bytes })
     }
 }
 
@@ -254,47 +448,90 @@ pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 /// platforms and versions (never `std::hash`'s randomized state) —
 /// shard routing and benchmark digests both depend on this exact
 /// function, so there is exactly one copy of it in the workspace.
-pub fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
+pub const fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01B3;
-    for &b in bytes {
-        hash ^= u64::from(b);
+    let mut i = 0;
+    while i < bytes.len() {
+        hash ^= bytes[i] as u64;
         hash = hash.wrapping_mul(PRIME);
+        i += 1;
     }
     hash
 }
 
-/// A stable FNV-1a hash over a value's canonical bytes, seeding shard
-/// routing for hash partitions.
+/// The FNV-1a state after each kind's tag byte: a value's routing hash
+/// continues from its kind's seed over the value's bytes.
+const NULL_HASH: u64 = fnv1a(&[0], FNV_OFFSET);
+const BOOL_SEED: u64 = fnv1a(&[1], FNV_OFFSET);
+const INT_SEED: u64 = fnv1a(&[2], FNV_OFFSET);
+const FLOAT_SEED: u64 = fnv1a(&[3], FNV_OFFSET);
+const STR_SEED: u64 = fnv1a(&[4], FNV_OFFSET);
+const BYTES_SEED: u64 = fnv1a(&[5], FNV_OFFSET);
+const TIMESTAMP_SEED: u64 = fnv1a(&[6], FNV_OFFSET);
+
+/// The routing hash of a value: FNV-1a over a kind tag and the value's
+/// bytes, stable across runs, platforms and versions. Values that
+/// compare equal hash alike, so equal join keys meet on one shard: that
+/// is `Int(1) == Float(1.0)` across kinds, where `Value`'s order casts
+/// the int to `f64`. A float holding a whole number therefore hashes as
+/// the int it equals, and an int as the whole number its cast holds —
+/// the rule `Value`'s `Hash` follows. Every other float hashes its bit
+/// pattern.
 fn value_hash(value: &Value) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        h = fnv1a(bytes, h);
-    };
     match value {
-        Value::Null => eat(&[0]),
-        Value::Bool(b) => eat(&[1, u8::from(*b)]),
-        Value::Int(v) => {
-            eat(&[2]);
-            eat(&v.to_le_bytes());
-        }
-        Value::Float(v) => {
-            eat(&[3]);
-            eat(&v.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            eat(&[4]);
-            eat(s.as_bytes());
-        }
-        Value::Bytes(b) => {
-            eat(&[5]);
-            eat(b);
-        }
-        Value::Timestamp(v) => {
-            eat(&[6]);
-            eat(&v.to_le_bytes());
-        }
+        Value::Null => NULL_HASH,
+        Value::Bool(b) => bool_hash(*b),
+        Value::Int(v) => int_hash(*v),
+        Value::Float(v) => float_hash(*v),
+        Value::Str(s) => str_hash(s),
+        Value::Bytes(b) => bytes_hash(b),
+        Value::Timestamp(v) => timestamp_hash(*v),
     }
-    h
+}
+
+/// [`value_hash`] of `Value::Bool(b)`.
+fn bool_hash(b: bool) -> u64 {
+    fnv1a(&[u8::from(b)], BOOL_SEED)
+}
+
+/// [`value_hash`] of `Value::Str(s)`.
+fn str_hash(s: &str) -> u64 {
+    fnv1a(s.as_bytes(), STR_SEED)
+}
+
+/// [`value_hash`] of `Value::Bytes(b)`.
+fn bytes_hash(b: &[u8]) -> u64 {
+    fnv1a(b, BYTES_SEED)
+}
+
+/// [`value_hash`] of `Value::Timestamp(v)`.
+#[inline]
+fn timestamp_hash(v: i64) -> u64 {
+    fnv1a(&v.to_le_bytes(), TIMESTAMP_SEED)
+}
+
+/// [`value_hash`] of `Value::Int(v)`.
+#[inline]
+fn int_hash(v: i64) -> u64 {
+    // Within ±2^53 the cast is exact; past it, the whole number the
+    // cast rounds to is the one every equal float hashes as.
+    let whole = if v.unsigned_abs() <= 1 << 53 {
+        v
+    } else {
+        v as f64 as i64
+    };
+    fnv1a(&whole.to_le_bytes(), INT_SEED)
+}
+
+/// [`value_hash`] of `Value::Float(v)`.
+#[inline]
+fn float_hash(v: f64) -> u64 {
+    let whole = v as i64;
+    if whole as f64 == v {
+        int_hash(whole)
+    } else {
+        fnv1a(&v.to_bits().to_le_bytes(), FLOAT_SEED)
+    }
 }
 
 #[cfg(test)]
@@ -325,6 +562,73 @@ mod tests {
         assert_eq!(buckets.len(), 3);
         let gathered: Vec<Row> = buckets.into_iter().flatten().collect();
         assert_eq!(gathered, rows, "shard-ordered gather = original order");
+    }
+
+    #[test]
+    fn keys_that_compare_equal_route_alike_and_every_path_takes_the_remainder() {
+        // Whole floats and the ints they equal, the ends of `i64` (whose
+        // casts round to ±2^63) and an int the cast rounds.
+        for v in [0, 1, -7, (1i64 << 53) + 1, i64::MIN, i64::MAX] {
+            let (i, f) = (Value::Int(v), Value::Float(v as f64));
+            assert_eq!(i, f);
+            assert_eq!(value_hash(&i), value_hash(&f), "{v}");
+        }
+        assert_ne!(value_hash(&Value::Float(0.5)), value_hash(&Value::Int(0)));
+        assert_ne!(value_hash(&Value::Int(1)), value_hash(&Value::Timestamp(1)));
+        // A hash partition on a float column puts each row where the
+        // equal int goes.
+        let spec = PartitionSpec::hash("k", 3);
+        for v in -20..20i64 {
+            assert_eq!(
+                spec.shard_for_value(&Value::Float(v as f64)).unwrap(),
+                spec.shard_for_value(&Value::Int(v)).unwrap()
+            );
+        }
+
+        // Masked or divided, the destination is the remainder.
+        let hashes: Vec<u64> = (0..64u64)
+            .map(|i| fnv1a(&i.to_le_bytes(), FNV_OFFSET))
+            .chain([0, u64::MAX])
+            .collect();
+        for width in 1..=9u32 {
+            let router = HashRouter::new(width).unwrap();
+            for &h in &hashes {
+                assert_eq!(router.destination(h) as u64, h % u64::from(width));
+            }
+        }
+        assert!(matches!(HashRouter::new(0), Err(Error::EmptyShardSet(_))));
+
+        // A typed column routes every position, NULLs included, as the
+        // values it holds do.
+        let values = [
+            Value::Int(3),
+            Value::Null,
+            Value::Float(2.0),
+            Value::Float(2.5),
+            Value::Timestamp(3),
+            Value::Bool(true),
+            Value::from("abc"),
+            Value::Bytes(vec![1, 2]),
+        ];
+        for kind in DataType::all() {
+            let mut column = (crate::Column::empty(kind), Vec::new());
+            let kept: Vec<&Value> = values
+                .iter()
+                .filter(|v| v.is_null() || v.data_type() == Some(kind))
+                .collect();
+            for v in &kept {
+                assert!(column.0.push(v));
+                column.1.push(!v.is_null());
+            }
+            let positions: Vec<u32> = (0..kept.len() as u32).rev().collect();
+            let router = HashRouter::new(3).unwrap();
+            let typed = router.route_column(&column, &positions);
+            let by_value: Vec<u32> = positions
+                .iter()
+                .map(|&p| router.route(kept[p as usize]) as u32)
+                .collect();
+            assert_eq!(typed, by_value, "{kind}");
+        }
     }
 
     #[test]

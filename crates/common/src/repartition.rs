@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::TableRef;
 
@@ -102,11 +102,19 @@ impl MaterializedRepartitions {
         self.epoch.load(Ordering::SeqCst)
     }
 
+    /// The store's maps. A thread that panicked holding the lock left
+    /// them as its last completed insert or removal did — every update
+    /// is one map operation or one counter bump — so the guard is taken
+    /// back, not the panic passed on.
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Whether a live (current-epoch) layout exists for `key` — the
     /// planner's consultation; does not count as a hit.
     pub fn contains(&self, key: &CopyKey) -> bool {
         let epoch = self.current_epoch();
-        let inner = self.inner.lock().expect("repartition store poisoned");
+        let inner = self.inner();
         matches!(inner.copies.get(key), Some(e) if e.epoch == epoch)
     }
 
@@ -117,7 +125,7 @@ impl MaterializedRepartitions {
     /// rather than served wrong.
     pub fn lookup(&self, key: &CopyKey, rows: usize) -> Option<Vec<Vec<usize>>> {
         let epoch = self.current_epoch();
-        let mut inner = self.inner.lock().expect("repartition store poisoned");
+        let mut inner = self.inner();
         match inner.copies.get(key) {
             Some(e) if e.epoch == epoch && e.rows == rows => {
                 let buckets = e.buckets.clone();
@@ -138,7 +146,7 @@ impl MaterializedRepartitions {
     /// rule deciding whether persisting the layout now pays.
     pub fn observe(&self, key: &CopyKey, seconds: f64) -> f64 {
         let epoch = self.current_epoch();
-        let mut inner = self.inner.lock().expect("repartition store poisoned");
+        let mut inner = self.inner();
         if inner.pending_epoch != epoch {
             inner.pending_epoch = epoch;
             inner.pending_seconds.clear();
@@ -152,7 +160,7 @@ impl MaterializedRepartitions {
     pub fn store(&self, key: CopyKey, buckets: Vec<Vec<usize>>, bytes: u64) {
         let epoch = self.current_epoch();
         let rows = buckets.iter().map(Vec::len).sum();
-        let mut inner = self.inner.lock().expect("repartition store poisoned");
+        let mut inner = self.inner();
         inner.copies.insert(
             key,
             CopyEntry {
@@ -168,7 +176,7 @@ impl MaterializedRepartitions {
     /// Total bytes held by live layouts.
     pub fn bytes(&self) -> u64 {
         let epoch = self.current_epoch();
-        let inner = self.inner.lock().expect("repartition store poisoned");
+        let inner = self.inner();
         inner
             .copies
             .values()
@@ -180,7 +188,7 @@ impl MaterializedRepartitions {
     /// Lifetime counters plus the live entry count.
     pub fn stats(&self) -> RepartitionStats {
         let epoch = self.current_epoch();
-        let inner = self.inner.lock().expect("repartition store poisoned");
+        let inner = self.inner();
         RepartitionStats {
             hits: inner.hits,
             stores: inner.stores,

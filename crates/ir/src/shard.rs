@@ -162,6 +162,27 @@ pub fn shuffle_copy_key(
     })
 }
 
+/// The node that executes for `id`: `id` itself, or the producer a
+/// fused pass-through aliases.
+fn executing(program: &Program, mut id: NodeId) -> NodeId {
+    while program.node(id).annotations.fused_into_consumer {
+        id = program.node(id).inputs[0];
+    }
+    id
+}
+
+/// Whether exactly one input edge reads `producer`, seen through fused
+/// aliases, and no program output does.
+fn sole_reader(program: &Program, producer: NodeId) -> bool {
+    let reads = |&id: &NodeId| executing(program, id) == producer;
+    let edges = program
+        .nodes()
+        .iter()
+        .filter(|n| !n.annotations.fused_into_consumer)
+        .flat_map(|n| &n.inputs);
+    !program.outputs().iter().any(reads) && edges.filter(|id| reads(id)).count() == 1
+}
+
 /// How one input edge's rows reach the consuming node's tasks — the
 /// typed exchange vocabulary every re-layout goes through.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -311,6 +332,15 @@ pub struct NodeShard {
     /// is served.
     #[serde(default)]
     pub copy_served: Vec<bool>,
+    /// `Some((key, width))` marks a *routed* producer: its one reader,
+    /// seen through fused aliases, is a [`ExchangeKind::ShuffleHash`]
+    /// edge re-hashing on `key` over `width` destinations that no copy
+    /// serves, and no program output reads it. Its tasks route their
+    /// rows as they produce them and the shuffle takes each
+    /// destination's rows from there; nothing gathers them. A physical
+    /// annotation only: it changes no price.
+    #[serde(default)]
+    pub routed: Option<(String, u32)>,
 }
 
 impl NodeShard {
@@ -324,6 +354,7 @@ impl NodeShard {
             partials_needed: false,
             exchanges: Vec::new(),
             copy_served: Vec::new(),
+            routed: None,
         }
     }
 
@@ -451,6 +482,7 @@ impl ShardPlan {
                             partials_needed: false,
                             exchanges: Vec::new(),
                             copy_served: Vec::new(),
+                            routed: None,
                         }
                     }
                     None => NodeShard::single(),
@@ -480,13 +512,21 @@ impl ShardPlan {
         // aliases) of every input whose per-shard partials a
         // fanned-out consumer reads — Local edges of colocated nodes
         // and every MergePartials edge — so the executor retains them
-        // past the gather.
+        // past the gather. Collect the producers of unserved shuffle
+        // edges on the way: a plan without one allocates nothing more.
         let mut plan = ShardPlan { nodes };
+        let mut shuffled: Vec<(NodeId, String, u32)> = Vec::new();
         for n in program.nodes() {
             if n.annotations.fused_into_consumer {
                 continue;
             }
             for (idx, &input) in n.inputs.iter().enumerate() {
+                let entry = &plan.nodes[n.id.0];
+                if let ExchangeKind::ShuffleHash { key, width } = entry.exchange(idx) {
+                    if !entry.is_copy_served(idx) {
+                        shuffled.push((executing(program, input), key.clone(), *width));
+                    }
+                }
                 if !plan.reads_partial(n.id, idx, input) {
                     continue;
                 }
@@ -499,6 +539,15 @@ impl ShardPlan {
                         break;
                     }
                 }
+            }
+        }
+        for (producer, key, width) in shuffled {
+            let entry = &plan.nodes[producer.0];
+            // A producer gathered by a splice or a partial merge is not
+            // the concatenation of its tasks' rows, so its tasks cannot
+            // route for it.
+            if !entry.shuffles() && !entry.merges_partials() && sole_reader(program, producer) {
+                plan.nodes[producer.0].routed = Some((key, width));
             }
         }
         Ok(plan)
@@ -558,6 +607,7 @@ impl ShardPlan {
                     },
                 ],
                 copy_served: Vec::new(),
+                routed: None,
             },
             JoinDistribution::Gather => {
                 // Mismatched layouts: shuffle both sides to the join
@@ -603,6 +653,7 @@ impl ShardPlan {
                             },
                         ],
                         copy_served: vec![left_served, right_served],
+                        routed: None,
                     }
                 } else {
                     Self::gather_all(nodes, inputs.iter())
@@ -642,6 +693,7 @@ impl ShardPlan {
                 partials_needed: false,
                 exchanges: vec![ExchangeKind::Local],
                 copy_served: Vec::new(),
+                routed: None,
             };
         }
         let width = src.scatter.len();
@@ -654,6 +706,7 @@ impl ShardPlan {
                 partials_needed: false,
                 exchanges: vec![ExchangeKind::MergePartials],
                 copy_served: Vec::new(),
+                routed: None,
             }
         } else {
             Self::gather_all(nodes, inputs.iter())
@@ -688,6 +741,7 @@ impl ShardPlan {
                 partials_needed: false,
                 exchanges: vec![ExchangeKind::Local],
                 copy_served: Vec::new(),
+                routed: None,
             }
         } else if src.distribution.is_partitioned() {
             // Re-keyed projection: explicit gather of the input.

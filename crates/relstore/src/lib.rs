@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 
 use pspp_accel::kernels::KernelReport;
 use pspp_accel::{CostLedger, DeviceProfile, KernelClass};
-use pspp_common::{EngineId, Error, Result, Row, Schema, Value};
+use pspp_common::{EngineId, Error, HashRouter, Result, Routes, Row, Schema, Value};
 
 /// What a [`RelationalStore::scan`] returns.
 #[derive(Debug, Clone, PartialEq)]
@@ -239,6 +239,42 @@ impl RelationalStore {
         predicate: &Predicate,
         projection: Option<&[&str]>,
     ) -> Result<Scanned> {
+        Ok(self.scan_with(table, predicate, projection, None)?.0)
+    }
+
+    /// [`RelationalStore::scan`] for a shuffle that re-hashes the output
+    /// on its column `key` over `width` destinations: the same rows in
+    /// the same order, and where each goes. The destinations come from
+    /// one pass over the key's column image at the kept positions
+    /// ([`HashRouter::route_column`]; through the rows for a `Str` or
+    /// `Bytes` key), apart from the pass that clones the kept rows, and
+    /// each destination's bytes from the image's widths.
+    ///
+    /// # Errors
+    ///
+    /// As [`RelationalStore::scan`], plus [`Error::ColumnNotFound`] when
+    /// the output has no column `key` and [`Error::EmptyShardSet`] for
+    /// zero destinations.
+    pub fn scan_routed(
+        &self,
+        table: &str,
+        predicate: &Predicate,
+        projection: Option<&[&str]>,
+        key: &str,
+        width: u32,
+    ) -> Result<(Scanned, Routes)> {
+        self.scan_with(table, predicate, projection, Some((key, width)))
+    }
+
+    /// The scan, and the routes `route` asks for (none when it asks for
+    /// none).
+    fn scan_with(
+        &self,
+        table: &str,
+        predicate: &Predicate,
+        projection: Option<&[&str]>,
+        route: Option<(&str, u32)>,
+    ) -> Result<(Scanned, Routes)> {
         let t = self.table(table)?;
         let widths = t.image().widths();
         let bytes_at = |positions: &[u32]| -> u64 {
@@ -258,21 +294,52 @@ impl RelationalStore {
             t.byte_size()
         };
         let kept = predicate.bind(t.schema()).select(t.source(), selection)?;
+        let columns: Option<Vec<usize>> = projection
+            .map(|cols| cols.iter().map(|c| t.schema().require(c)).collect())
+            .transpose()?;
+        // The destination pass reads the key column alone; the clone
+        // pass below then touches each row once. (Fused, the clones'
+        // reference counts serialise the hashing.)
+        let rows = t.rows();
+        let mut routes = Routes::default();
+        if let Some((key, width)) = route {
+            let router = HashRouter::new(width)?;
+            // The key names an output column; read its table column.
+            let output_at = match projection {
+                Some(cols) => cols.iter().position(|c| *c == key),
+                None => t.schema().index_of(key),
+            }
+            .ok_or_else(|| Error::ColumnNotFound(key.to_owned()))?;
+            let at = columns.as_ref().map_or(output_at, |idx| idx[output_at]);
+            routes.dests = match &t.image().columns()[at] {
+                Some(typed) => router.route_column(typed, &kept),
+                None => kept
+                    .iter()
+                    .map(|&p| router.route(&rows[p as usize][at]) as u32)
+                    .collect(),
+            };
+            routes.bytes = vec![0; router.width()];
+            if columns.is_none() {
+                for (&d, &p) in routes.dests.iter().zip(&kept) {
+                    routes.bytes[d as usize] += u64::from(widths[p as usize]);
+                }
+            }
+        }
         // A kept row is shared with the table; a projected one is the
         // scan's only copy, sized as it is built.
-        let rows = t.rows();
-        let out = match projection {
-            Some(cols) => {
-                let idx: Vec<usize> = cols
-                    .iter()
-                    .map(|c| t.schema().require(c))
-                    .collect::<Result<_>>()?;
+        let out = match &columns {
+            Some(idx) => {
                 let mut byte_size = 0u64;
                 let rows = kept
                     .iter()
-                    .map(|&p| {
-                        let row = rows[p as usize].project(&idx);
-                        byte_size += row.byte_size() as u64;
+                    .enumerate()
+                    .map(|(i, &p)| {
+                        let row = rows[p as usize].project(idx);
+                        let width = row.byte_size() as u64;
+                        byte_size += width;
+                        if let Some(&d) = routes.dests.get(i) {
+                            routes.bytes[d as usize] += width;
+                        }
                         row
                     })
                     .collect();
@@ -304,7 +371,7 @@ impl RelationalStore {
             scanned_bytes,
             cycles,
         );
-        Ok(out)
+        Ok((out, routes))
     }
 
     /// The schema produced by scanning with `projection`.

@@ -2,7 +2,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use pspp_common::{DataModel, EngineId, Error, Result, Row, Schema};
+use pspp_common::{DataModel, EngineId, Error, Result, Routes, Row, Schema};
 use pspp_mlengine::Mlp;
 
 /// A dataset's rows: one immutable buffer shared by every clone.
@@ -12,7 +12,8 @@ use pspp_mlengine::Mlp;
 /// outputs) is never copied. Reading derefs to `[Row]`. There are two
 /// writers, and both copy the buffer first when anyone else still holds
 /// it: [`RowBuf::append`], which keeps a known byte size known, and
-/// [`RowBuf::make_mut`], which forgets it.
+/// [`RowBuf::make_mut`], which forgets it. Rows leave a buffer by move
+/// only when nobody else holds it.
 #[derive(Clone, Default)]
 pub struct RowBuf(Arc<Shared>);
 
@@ -52,13 +53,29 @@ impl RowBuf {
     /// left to be summed on first use. A buffer shared with other
     /// holders is copied first, as in [`RowBuf::make_mut`].
     pub fn append(&mut self, more: &RowBuf) {
+        self.append_owned(more.clone());
+    }
+
+    /// [`RowBuf::append`] taking `more` itself: its rows move over when
+    /// `more` is their buffer's only holder, and are copied (row
+    /// pointers) otherwise.
+    pub(crate) fn append_owned(&mut self, more: RowBuf) {
         let known = match (self.0.byte_size.get(), more.0.byte_size.get()) {
             (Some(a), Some(b)) => OnceLock::from(a + b),
             _ => OnceLock::new(),
         };
         let shared = Arc::make_mut(&mut self.0);
-        shared.rows.extend_from_slice(more);
+        match Arc::try_unwrap(more.0) {
+            Ok(more) => shared.rows.extend(more.rows),
+            Err(more) => shared.rows.extend_from_slice(&more.rows),
+        }
         shared.byte_size = known;
+    }
+
+    /// The rows: moved out when this is the buffer's only holder, a copy
+    /// of the row pointers otherwise.
+    pub(crate) fn into_rows(self) -> Vec<Row> {
+        Arc::unwrap_or_clone(self.0).rows
     }
 
     /// The rows for writing. A buffer shared with other holders is
@@ -233,6 +250,140 @@ impl Dataset {
             Payload::Rows { rows, .. } => rows.byte_size(),
             Payload::Model(m) => (m.parameter_count() * 8) as u64,
         }
+    }
+
+    /// Another holder of the rows' buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Execution`] for model payloads.
+    pub(crate) fn share_rows(&self) -> Result<RowBuf> {
+        match &self.payload {
+            Payload::Rows { rows, .. } => Ok(rows.clone()),
+            Payload::Model(_) => Err(Error::Execution("dataset holds a model, not rows".into())),
+        }
+    }
+
+    /// Takes the rows out, leaving none behind.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Execution`] for model payloads.
+    pub(crate) fn take_rows(&mut self) -> Result<RowBuf> {
+        match &mut self.payload {
+            Payload::Rows { rows, .. } => Ok(std::mem::take(rows)),
+            Payload::Model(_) => Err(Error::Execution("dataset holds a model, not rows".into())),
+        }
+    }
+}
+
+/// A producer's output split for a shuffle: each destination's rows in
+/// the order the gathered output would hold them, their payload bytes,
+/// and where each row sits in that gathered output. Partials are pushed
+/// in gather (shard) order, so destination `d` holds exactly the rows
+/// [`pspp_common::Distribution::route_indices`] picks out of the
+/// gathered rows for `d`, and its origins are that index list.
+#[derive(Debug)]
+pub(crate) struct Routed {
+    schema: Schema,
+    model: DataModel,
+    location: EngineId,
+    rows: Vec<Vec<Row>>,
+    bytes: Vec<u64>,
+    origins: Vec<Vec<usize>>,
+    /// Rows pushed so far: the next partial's offset in gather order.
+    len: usize,
+}
+
+impl Routed {
+    /// No rows yet: `width` destinations for rows shaped as `like`'s.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Execution`] when `like` holds a model.
+    pub(crate) fn new(like: &Dataset, width: usize) -> Result<Self> {
+        Ok(Routed {
+            schema: like.schema()?.clone(),
+            model: like.model,
+            location: like.location.clone(),
+            rows: vec![Vec::new(); width],
+            bytes: vec![0; width],
+            origins: vec![Vec::new(); width],
+            len: 0,
+        })
+    }
+
+    /// Appends the next partial in gather order, row `i` to destination
+    /// `routes.dests[i]`: by move when `rows` is its buffer's only
+    /// holder, as row pointers otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Execution`] when `routes` does not cover `rows`
+    /// or names another number of destinations.
+    pub(crate) fn push(&mut self, rows: RowBuf, routes: &Routes) -> Result<()> {
+        let width = self.rows.len();
+        let mismatch = || {
+            Error::Execution(format!(
+                "routes of {} rows over {} destinations for {} rows over {width}",
+                routes.dests.len(),
+                routes.bytes.len(),
+                rows.len()
+            ))
+        };
+        if routes.dests.len() != rows.len() || routes.bytes.len() != width {
+            return Err(mismatch());
+        }
+        let mut counts = vec![0usize; width];
+        for &d in &routes.dests {
+            *counts.get_mut(d as usize).ok_or_else(mismatch)? += 1;
+        }
+        for ((rows, origins), n) in self.rows.iter_mut().zip(&mut self.origins).zip(counts) {
+            rows.reserve(n);
+            origins.reserve(n);
+        }
+        let offset = self.len;
+        self.len += rows.len();
+        for (i, (row, &d)) in rows.into_rows().into_iter().zip(&routes.dests).enumerate() {
+            self.rows[d as usize].push(row);
+            self.origins[d as usize].push(offset + i);
+        }
+        for (total, bytes) in self.bytes.iter_mut().zip(&routes.bytes) {
+            *total += bytes;
+        }
+        Ok(())
+    }
+
+    /// Rows over every destination.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Payload bytes over every destination.
+    pub(crate) fn byte_size(&self) -> u64 {
+        self.bytes.iter().sum()
+    }
+
+    /// One sized dataset per destination, and each destination's
+    /// origins.
+    pub(crate) fn into_buckets(self) -> (Vec<Dataset>, Vec<Vec<usize>>) {
+        let Routed {
+            schema,
+            model,
+            location,
+            rows,
+            bytes,
+            origins,
+            ..
+        } = self;
+        let buckets = rows
+            .into_iter()
+            .zip(bytes)
+            .map(|(rows, bytes)| {
+                Dataset::sized_rows(schema.clone(), rows, bytes, model, location.clone())
+            })
+            .collect();
+        (buckets, origins)
     }
 }
 

@@ -31,11 +31,23 @@
 //!   partials — build + probe on that shard's rows — with a
 //!   [`ExchangeKind::Broadcast`] partner served from its full copy;
 //! * a *shuffled* `HashJoin` ([`ExchangeKind::ShuffleHash`] edges)
-//!   routes each side's rows into destination-shard buckets by the
+//!   takes each side's rows in destination-shard buckets, routed by the
 //!   stable FNV rule, runs one build+probe task per destination, and
 //!   its barrier splices the outputs back into the gathered probe
 //!   order (per-probe-row match counts), so shuffled and gathered
-//!   plans are byte-identical;
+//!   plans are byte-identical. The rows are routed where they are
+//!   produced: each task of a *routed* producer
+//!   ([`pspp_ir::NodeShard::routed`] — the shuffle is its one reader)
+//!   learns every row's destination as it runs (a relational scan
+//!   hashes the key out of the table's column image; any other operator
+//!   has its output rows hashed), and the producer's merge moves each
+//!   task's rows into the destination buckets in shard order instead of
+//!   gathering them — a bucket holds exactly what routing the gathered
+//!   rows would have put there, and each row's origin is its partial's
+//!   offset plus its position in the partial. A producer something else
+//!   also reads is gathered as usual and routed from that copy, and an
+//!   edge served by a materialized repartition replays the stored
+//!   layout against it;
 //! * a partial-aggregate `GroupBy` ([`ExchangeKind::MergePartials`])
 //!   runs one partial-aggregation task per input shard and merges the
 //!   partial states in shard order;
@@ -49,13 +61,16 @@
 //! node's bill does not depend on what else shared its stage. Byte
 //! sizes travel with the rows: a gather of sized partials, a routed
 //! bucket and a spliced output all know their size when they are built,
-//! and the [`Charger`] never walks one to price it.
+//! and the [`Charger`] never walks one to price it. Rows move rather
+//! than being copied wherever their holder is the only one: a gather
+//! takes each partial nobody retained, a routed merge each task's rows,
+//! and the splice each destination's output.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use pspp_accel::{CostEvent, CostLedger, EventKind, SimDuration};
-use pspp_common::{DeviceKind, Distribution, Error, Result, Row, ShardId};
+use pspp_common::{DeviceKind, Error, Result, Routes, ShardId};
 use pspp_ir::{
     ColumnDemand, ExchangeKind, NodeId, Operator, PlanOptions, Program, ShardPlan, Stage,
 };
@@ -65,8 +80,8 @@ use pspp_optimizer::rewrite::resolve_fused;
 use pspp_relstore::ops as relops;
 use pspp_telemetry::{ExchangeTrace, MetricsRegistry, NodeTrace, TaskTrace};
 
-use crate::dataset::{Dataset, Payload, RowBuf};
-use crate::physical::{AdapterRegistry, Charger, ExecCtx, Placer};
+use crate::dataset::{Dataset, Payload, Routed, RowBuf};
+use crate::physical::{AdapterRegistry, Charger, ExecCtx, Placer, RouteRequest};
 use crate::registry::EngineRegistry;
 
 /// Chunks used by the pipelined-stages model (§IV-D).
@@ -125,8 +140,8 @@ impl ExecutionReport {
 /// each probe row went and the exchange's simulated transfer bill.
 #[derive(Debug)]
 struct ShuffleBarrier {
-    /// Global probe-row indices per destination bucket, in source
-    /// order.
+    /// Per destination bucket, each probe row's index in the gathered
+    /// probe side, ascending: the keys the splice merges on.
     probe_origins: Vec<Vec<usize>>,
     /// Rows routed across shards.
     routed_rows: u64,
@@ -151,7 +166,7 @@ struct ShuffleBarrier {
 
 /// One (node, shard) unit of stage work, resolved and ready to run.
 #[derive(Debug)]
-struct Task {
+struct Task<'p> {
     id: NodeId,
     shard: ShardId,
     /// Scatter-slot index of this task in the node's gather order —
@@ -164,9 +179,11 @@ struct Task {
     /// Whether this is a shuffled-join bucket whose per-probe-row
     /// match counts the barrier needs for its splice.
     count_matches: bool,
+    /// For a task of a routed producer: the shuffle's key and width.
+    route: Option<(&'p str, u32)>,
 }
 
-impl Task {
+impl<'p> Task<'p> {
     fn new(id: NodeId, shard: ShardId, slot: usize, inputs: Vec<Dataset>) -> Self {
         Task {
             id,
@@ -175,6 +192,7 @@ impl Task {
             inputs,
             op: None,
             count_matches: false,
+            route: None,
         }
     }
 }
@@ -205,6 +223,11 @@ struct NodeRun {
     /// produced, in bucket order, as reported by the join the task ran;
     /// the barrier uses them as splice chunk sizes.
     probe_counts: Option<Vec<usize>>,
+    /// For a task of a routed producer: where each output row goes.
+    routes: Option<Routes>,
+    /// For a merged routed producer: its rows, split by destination
+    /// (`output` then holds none).
+    routed: Option<Routed>,
     /// Per-task traces folded into this run, in task (gather) order.
     tasks: Vec<TaskTrace>,
     /// Exchange edges charged while merging this run.
@@ -213,12 +236,11 @@ struct NodeRun {
 
 impl NodeRun {
     /// Folds the next shard's partial into this run (shard-ordered
-    /// gather): rows concatenate in shard order, by pointer, and keep
-    /// their summed byte size; the accounts fold as in
-    /// [`NodeRun::fold_accounts`].
-    fn absorb(&mut self, next: NodeRun) -> Result<()> {
-        let (Payload::Rows { rows, .. }, Payload::Rows { rows: more, .. }) =
-            (&mut self.output.payload, &next.output.payload)
+    /// gather): rows concatenate in shard order and keep their summed
+    /// byte size; the accounts fold as in [`NodeRun::fold_accounts`].
+    fn absorb(&mut self, mut next: NodeRun) -> Result<()> {
+        let (Payload::Rows { rows, .. }, Ok(more)) =
+            (&mut self.output.payload, next.output.take_rows())
         else {
             return Err(Error::Execution(format!(
                 "sharded node {} produced a non-row partial",
@@ -226,10 +248,18 @@ impl NodeRun {
             )));
         };
         // Copy-on-write: a partial some consumer still reads keeps its
-        // own buffer; the gathered copy shares the rows themselves.
-        rows.append(more);
+        // own buffer, and the gathered copy shares the rows themselves;
+        // one nobody else holds moves its rows over.
+        rows.append_owned(more);
         self.fold_accounts(next);
         Ok(())
+    }
+
+    /// Rows the merged node produced, however they are held.
+    fn rows(&self) -> usize {
+        self.routed
+            .as_ref()
+            .map_or_else(|| self.output.len(), Routed::len)
     }
 
     /// Folds the next shard task's accounts into this run: simulated
@@ -358,6 +388,9 @@ impl Executor {
         // Per-shard partials of nodes feeding colocated consumers, in
         // scatter (gather) order.
         let mut partials: HashMap<NodeId, Vec<Dataset>> = HashMap::new();
+        // Routed producers' rows, split by destination, until their
+        // shuffle takes them.
+        let mut routed: HashMap<NodeId, Routed> = HashMap::new();
         let mut node_seconds: HashMap<NodeId, f64> = HashMap::new();
         let mut node_total: HashMap<NodeId, f64> = HashMap::new();
         let mut migration_seconds = 0.0f64;
@@ -366,13 +399,18 @@ impl Executor {
         let mut traces: Vec<NodeTrace> = Vec::new();
 
         for (stage_idx, stage) in stages.iter().enumerate() {
-            // Fused nodes alias their input; resolve before compute.
+            // Fused nodes alias their input; resolve before compute. (A
+            // routed producer's rows wait for its shuffle, which looks
+            // through the aliases.)
             for &id in &stage.forwards {
                 let node = program.node(id);
                 let source = *node
                     .inputs
                     .first()
                     .ok_or_else(|| Error::Execution(format!("missing input for {id}")))?;
+                if routed.contains_key(&resolve_fused(program, source)) {
+                    continue;
+                }
                 let input = results
                     .get(&source)
                     .ok_or_else(|| Error::Execution(format!("missing input for {id}")))?
@@ -388,10 +426,12 @@ impl Executor {
                 &stage.compute,
                 &results,
                 &partials,
+                &mut routed,
                 &plan,
                 registry,
             )?;
             for run in runs {
+                let rows = run.rows();
                 for event in run.events {
                     self.ledger.post_event(event);
                 }
@@ -410,7 +450,7 @@ impl Executor {
                     id: run.id,
                     op: program.node(run.id).op.name().to_string(),
                     stage: stage_idx,
-                    rows: run.output.len(),
+                    rows,
                     exec_seconds: run.exec_seconds,
                     migration_seconds: run.migration_seconds,
                     critical_seconds: run.critical_seconds,
@@ -419,7 +459,11 @@ impl Executor {
                 };
                 self.observe_run(&trace, run.offloaded);
                 traces.push(trace);
-                results.insert(run.id, run.output);
+                if let Some(split) = run.routed {
+                    routed.insert(run.id, split);
+                } else {
+                    results.insert(run.id, run.output);
+                }
             }
             partials.extend(shard_outputs);
         }
@@ -608,19 +652,22 @@ impl Executor {
             .collect()
     }
 
-    /// Routes a shuffled node's inputs into destination-shard buckets:
-    /// [`ExchangeKind::ShuffleHash`] edges re-hash the input's gathered
-    /// rows by the stable FNV rule (bucket order = source order, so the
-    /// barrier's splice is deterministic); every other edge broadcasts
-    /// the full copy to each destination task. Returns the per-
-    /// destination input sets plus the barrier state (probe-row origins
-    /// and the exchange's simulated transfer bill).
+    /// Hands a shuffled node's inputs to its destination tasks:
+    /// [`ExchangeKind::ShuffleHash`] edges give each destination its
+    /// bucket of the input's rows, in gathered order (so the barrier's
+    /// splice is deterministic) — taken from a routed producer, replayed
+    /// from a materialized layout, or routed from the input's gathered
+    /// copy when something else reads it too — and every other edge
+    /// broadcasts the full copy to each destination task. Returns the
+    /// per-destination input sets plus the barrier state (probe-row
+    /// origins and the exchange's simulated transfer bill).
     fn shuffle_inputs(
         &self,
         program: &Program,
         id: NodeId,
         plan: &ShardPlan,
         results: &HashMap<NodeId, Dataset>,
+        routed: &mut HashMap<NodeId, Routed>,
         registry: &EngineRegistry,
     ) -> Result<(Vec<Vec<Dataset>>, ShuffleBarrier)> {
         let node = program.node(id);
@@ -636,62 +683,68 @@ impl Executor {
         // the exchange bill (their amortization evidence) is known.
         let mut routed_copies: Vec<(pspp_common::CopyKey, Vec<Vec<usize>>, u64)> = Vec::new();
         let repartitions = registry.repartitions();
-        for (idx, input) in node.inputs.iter().enumerate() {
-            let d = results
+        let gathered = |input: &NodeId| {
+            results
                 .get(input)
-                .ok_or_else(|| Error::Execution(format!("missing input for {id}")))?;
-            match info.exchange(idx) {
-                ExchangeKind::ShuffleHash { key, width: w } => {
-                    let schema = d.schema()?;
+                .ok_or_else(|| Error::Execution(format!("missing input for {id}")))
+        };
+        for (idx, input) in node.inputs.iter().enumerate() {
+            let ExchangeKind::ShuffleHash { key, width: w } = info.exchange(idx) else {
+                let d = gathered(input)?;
+                for inputs in &mut dest_inputs {
+                    inputs.push(d.clone());
+                }
+                continue;
+            };
+            let copy_key = if self.options.materialize {
+                pspp_ir::shuffle_copy_key(program, *input, key, *w)
+            } else {
+                None
+            };
+            // A live stored layout serves the edge: zero rows cross the
+            // wire. A stale or mismatched entry falls back to routing.
+            let lookup = |rows: usize| copy_key.as_ref().and_then(|k| repartitions.lookup(k, rows));
+            let (split, served) = match routed.remove(&resolve_fused(program, *input)) {
+                Some(split) => {
+                    let served = lookup(split.len()).is_some();
+                    (split, served)
+                }
+                None => {
+                    let d = gathered(input)?;
                     let rows = d.try_rows()?;
-                    let edge_bytes = d.byte_size();
-                    let copy_key = if self.options.materialize {
-                        pspp_ir::shuffle_copy_key(program, *input, key, *w)
-                    } else {
-                        None
+                    let stored = lookup(rows.len());
+                    let routes = match &stored {
+                        Some(buckets) => Routes::of_buckets(rows, buckets)?,
+                        None => Routes::of_rows(d.schema()?, rows, key, *w)?,
                     };
-                    // A live stored layout replays its index buckets
-                    // against the gathered input — byte-identical to
-                    // routing, with zero rows crossing the wire. A
-                    // stale or mismatched entry falls back to routing.
-                    let served = copy_key
-                        .as_ref()
-                        .and_then(|k| repartitions.lookup(k, rows.len()));
-                    let buckets = match served {
-                        Some(buckets) => {
-                            served_rows += rows.len() as u64;
-                            served_bytes += edge_bytes;
-                            buckets
-                        }
-                        None => {
-                            let target = Distribution::repartition(key.clone(), *w);
-                            let buckets = target.route_indices(schema, rows)?;
-                            bytes += edge_bytes;
-                            routed_rows += rows.len() as u64;
-                            if let Some(k) = copy_key {
-                                routed_copies.push((k, buckets.clone(), edge_bytes));
-                            }
-                            buckets
-                        }
-                    };
-                    if buckets.len() != width {
-                        return Err(Error::Execution(format!(
-                            "shuffled node {id}: input {idx} routes to {} destinations, the plan has {width}",
-                            buckets.len()
-                        )));
-                    }
-                    for (inputs, routed) in dest_inputs.iter_mut().zip(Self::route(d, &buckets)?) {
-                        inputs.push(routed);
-                    }
-                    if idx == 0 {
-                        probe_origins = buckets;
-                    }
+                    let mut split = Routed::new(d, routes.bytes.len())?;
+                    split.push(d.share_rows()?, &routes)?;
+                    (split, stored.is_some())
                 }
-                _ => {
-                    for inputs in &mut dest_inputs {
-                        inputs.push(d.clone());
-                    }
+            };
+            let (edge_rows, edge_bytes) = (split.len() as u64, split.byte_size());
+            let (buckets, origins) = split.into_buckets();
+            if buckets.len() != width {
+                return Err(Error::Execution(format!(
+                    "shuffled node {id}: input {idx} routes to {} destinations, the plan has {width}",
+                    buckets.len()
+                )));
+            }
+            if served {
+                served_rows += edge_rows;
+                served_bytes += edge_bytes;
+            } else {
+                bytes += edge_bytes;
+                routed_rows += edge_rows;
+                if let Some(k) = copy_key {
+                    routed_copies.push((k, origins.clone(), edge_bytes));
                 }
+            }
+            for (inputs, bucket) in dest_inputs.iter_mut().zip(buckets) {
+                inputs.push(bucket);
+            }
+            if idx == 0 {
+                probe_origins = origins;
             }
         }
         if probe_origins.is_empty() {
@@ -753,34 +806,6 @@ impl Executor {
         ))
     }
 
-    /// One dataset per destination of a routed input: `buckets[k]` lists
-    /// the rows of `d` bound for destination `k`, in source order. The
-    /// pass that clones a bucket's row pointers also sums its bytes, so
-    /// the destination task's charge never walks the bucket.
-    fn route(d: &Dataset, buckets: &[Vec<usize>]) -> Result<Vec<Dataset>> {
-        let (schema, rows) = (d.schema()?, d.try_rows()?);
-        Ok(buckets
-            .iter()
-            .map(|bucket| {
-                let mut byte_size = 0u64;
-                let routed: Vec<Row> = bucket
-                    .iter()
-                    .map(|&i| {
-                        byte_size += rows[i].byte_size() as u64;
-                        rows[i].clone()
-                    })
-                    .collect();
-                Dataset::sized_rows(
-                    schema.clone(),
-                    routed,
-                    byte_size,
-                    d.model,
-                    d.location.clone(),
-                )
-            })
-            .collect())
-    }
-
     /// Runs one stage's compute nodes as a scatter-gather task set: one
     /// task per (node, shard replica) for partitioned scans, colocated
     /// nodes, shuffled joins and partial aggregations, run one after
@@ -791,14 +816,16 @@ impl Executor {
     /// merge for partial aggregations — and nodes return in node-id
     /// order. The second return value holds the per-shard
     /// outputs of nodes whose plan marks them `partials_needed` (a
-    /// fanned-out consumer reads them).
-    #[allow(clippy::type_complexity)]
+    /// fanned-out consumer reads them). A shuffled node takes its routed
+    /// producers' rows out of `routed`.
+    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
     fn run_stage(
         &self,
         program: &Program,
         compute: &[NodeId],
         results: &HashMap<NodeId, Dataset>,
         partials: &HashMap<NodeId, Vec<Dataset>>,
+        routed: &mut HashMap<NodeId, Routed>,
         plan: &ShardPlan,
         registry: &EngineRegistry,
     ) -> Result<(Vec<NodeRun>, HashMap<NodeId, Vec<Dataset>>)> {
@@ -809,13 +836,14 @@ impl Executor {
         let mut demoted: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
         for &id in compute {
             let info = plan.node(id);
+            let first = tasks.len();
             if program.node(id).inputs.is_empty() {
                 for (k, &shard) in info.scatter.iter().enumerate() {
                     tasks.push(Task::new(id, shard, k, Vec::new()));
                 }
             } else if info.shuffles() {
                 let (dest_inputs, barrier) =
-                    self.shuffle_inputs(program, id, plan, results, registry)?;
+                    self.shuffle_inputs(program, id, plan, results, routed, registry)?;
                 barriers.insert(id, barrier);
                 for (k, inputs) in dest_inputs.into_iter().enumerate() {
                     let mut task = Task::new(id, info.scatter[k], k, inputs);
@@ -850,6 +878,11 @@ impl Executor {
                 let inputs = Self::task_inputs(program, id, None, results, partials, plan)?;
                 tasks.push(Task::new(id, ShardId::ZERO, 0, inputs));
             }
+            if let Some((key, width)) = &info.routed {
+                for task in &mut tasks[first..] {
+                    task.route = Some((key.as_str(), *width));
+                }
+            }
         }
         // Run the tasks and group each node's runs (task order is
         // node-major, shard-minor), then merge by the node's exchange
@@ -876,6 +909,8 @@ impl Executor {
                 Self::splice_shuffle(id, group, &barrier)?
             } else if info.merges_partials() && !demoted.contains(&id) {
                 Self::merge_partial_runs(program, id, group, registry)?
+            } else if let Some((_, width)) = info.routed {
+                Self::route_runs(id, group, width as usize)?
             } else {
                 Self::gather_runs(id, group)?
             };
@@ -895,6 +930,34 @@ impl Executor {
             acc.absorb(next)?;
         }
         Ok(acc)
+    }
+
+    /// The routed producer's merge: each task's rows move into their
+    /// destinations' buckets, task (shard) order kept within each, and
+    /// the accounts fold into the first run as a gather's would.
+    fn route_runs(id: NodeId, group: Vec<NodeRun>, width: usize) -> Result<NodeRun> {
+        let mut acc: Option<(NodeRun, Routed)> = None;
+        for mut run in group {
+            let routes = run.routes.take().ok_or_else(|| {
+                Error::Execution(format!("a task of routed node {id} reported no routes"))
+            })?;
+            let rows = run.output.take_rows()?;
+            match &mut acc {
+                None => {
+                    let mut split = Routed::new(&run.output, width)?;
+                    split.push(rows, &routes)?;
+                    acc = Some((run, split));
+                }
+                Some((first, split)) => {
+                    split.push(rows, &routes)?;
+                    first.fold_accounts(run);
+                }
+            }
+        }
+        let (mut run, split) =
+            acc.ok_or_else(|| Error::Execution(format!("node {id} has no task run to route")))?;
+        run.routed = Some(split);
+        Ok(run)
     }
 
     /// The per-shard partial operator of a partial-aggregate + merge
@@ -955,28 +1018,27 @@ impl Executor {
     /// The shuffle barrier: splices per-destination join outputs back
     /// into the gathered probe order. Each destination's output rows
     /// group into contiguous per-probe-row chunks (the hash join emits
-    /// matches in probe order), whose sizes each task's join reported;
-    /// re-ordering the chunks by global probe index reproduces the
-    /// gathered plan's bytes exactly.
+    /// matches in probe order), whose sizes each task's join reported,
+    /// and a destination's probe rows are in gathered order; merging the
+    /// destinations' chunk streams on their global probe index
+    /// reproduces the gathered plan's bytes exactly.
     fn splice_shuffle(
         id: NodeId,
         group: Vec<NodeRun>,
         barrier: &ShuffleBarrier,
     ) -> Result<NodeRun> {
-        // (global probe index, destination, offset, length) of every
-        // probe row's output chunk.
-        let mut chunks: Vec<(usize, usize, usize, usize)> = Vec::new();
-        let mut outputs: Vec<RowBuf> = Vec::with_capacity(group.len());
+        // Per destination, its (global probe index, length) chunks in
+        // order and the rows they cut its output into.
+        let mut streams = Vec::with_capacity(group.len());
+        let (mut total, mut byte_size) = (0usize, 0u64);
         let mut acc: Option<NodeRun> = None;
         for (d, mut run) in group.into_iter().enumerate() {
             let counts = run.probe_counts.take().ok_or_else(|| {
                 Error::Execution(format!("shuffled task of {id} reported no match counts"))
             })?;
-            let Payload::Rows { rows: out_rows, .. } = &run.output.payload else {
-                return Err(Error::Execution(format!(
-                    "shuffled node {id} produced a non-row output"
-                )));
-            };
+            let out_rows = run.output.take_rows().map_err(|_| {
+                Error::Execution(format!("shuffled node {id} produced a non-row output"))
+            })?;
             let origins = barrier.probe_origins.get(d).map_or(&[][..], Vec::as_slice);
             if counts.len() != origins.len() {
                 return Err(Error::Execution(format!(
@@ -985,20 +1047,17 @@ impl Executor {
                     origins.len()
                 )));
             }
-            let mut offset = 0usize;
-            for (&origin, &n) in origins.iter().zip(&counts) {
-                if n > 0 {
-                    chunks.push((origin, d, offset, n));
-                    offset += n;
-                }
-            }
-            if offset != out_rows.len() {
+            let matched = counts.iter().sum::<usize>();
+            if matched != out_rows.len() {
                 return Err(Error::Execution(format!(
-                    "shuffle barrier for {id} mis-spliced: {offset} of {} rows",
+                    "shuffle barrier for {id} mis-spliced: {matched} of {} rows",
                     out_rows.len()
                 )));
             }
-            outputs.push(out_rows.clone());
+            total += matched;
+            byte_size += out_rows.byte_size();
+            let chunks = origins.iter().copied().zip(counts).filter(|&(_, n)| n > 0);
+            streams.push((chunks.peekable(), out_rows.into_rows().into_iter()));
             match &mut acc {
                 None => acc = Some(run),
                 Some(first) => first.fold_accounts(run),
@@ -1007,17 +1066,22 @@ impl Executor {
         let mut run =
             acc.ok_or_else(|| Error::Execution(format!("shuffled node {id} has no task run")))?;
         // Splice in probe order: each probe row sits in one bucket, so
-        // the origins are distinct. The spliced buffer is new (the
-        // per-destination outputs may be retained as partials) and
-        // shares their rows — all of them, so its size is the sum of
-        // theirs, which the tasks' charges already asked for.
-        chunks.sort_unstable_by_key(|&(origin, ..)| origin);
-        let mut spliced = Vec::with_capacity(outputs.iter().map(|o| o.len()).sum());
-        for (_, d, offset, n) in chunks {
-            spliced.extend_from_slice(&outputs[d][offset..offset + n]);
+        // the origins are distinct, and the next chunk is the smallest
+        // origin at the head of a stream. The rows move; their size is
+        // the sum of the outputs', which the tasks' charges asked for.
+        let mut spliced = Vec::with_capacity(total);
+        while let Some((_, d)) = streams
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(d, (chunks, _))| Some((chunks.peek()?.0, d)))
+            .min()
+        {
+            let (chunks, rows) = &mut streams[d];
+            if let Some((_, n)) = chunks.next() {
+                spliced.extend(rows.by_ref().take(n));
+            }
         }
         if let Payload::Rows { rows, .. } = &mut run.output.payload {
-            let byte_size = outputs.iter().map(RowBuf::byte_size).sum();
             *rows = RowBuf::pre_sized(spliced, byte_size);
         }
         // The exchange rides the node's critical path and charges its
@@ -1141,6 +1205,7 @@ impl Executor {
             inputs,
             op,
             count_matches,
+            route,
         } = task;
         let node = program.node(id);
         let op = op.as_ref().unwrap_or(&node.op);
@@ -1199,9 +1264,29 @@ impl Executor {
         if count_matches {
             ctx = ctx.counting_probe_matches(&probe_counts);
         }
+        // A routed producer's task learns where each row goes from the
+        // operator when it can say (a relational scan), else from the
+        // rows it returned.
+        let routes = OnceLock::new();
+        if let Some((key, width)) = route {
+            ctx = ctx.routing(RouteRequest {
+                key,
+                width,
+                routes: &routes,
+            });
+        }
         let output = self
             .adapters
             .dispatch(op, &inputs, target.as_ref(), registry, &ctx)?;
+        let routes = match (routes.into_inner(), route) {
+            (None, Some((key, width))) => Some(Routes::of_rows(
+                output.schema()?,
+                output.try_rows()?,
+                key,
+                width,
+            )?),
+            (answered, _) => answered,
+        };
 
         // Charge the simulated clock with actual sizes: the volume the
         // inputs put through the kernel (a join's sides add up — which
@@ -1277,6 +1362,8 @@ impl Executor {
             assignments: vec![(shard, device)],
             events: scoped_ledger.events(),
             probe_counts: probe_counts.into_inner(),
+            routes,
+            routed: None,
             tasks: vec![task_trace],
             exchanges: Vec::new(),
         })
@@ -1309,9 +1396,12 @@ fn makespans(stages: &[Stage], node_total: &HashMap<NodeId, f64>) -> (f64, f64) 
 }
 
 #[cfg(test)]
+mod routing_oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use pspp_common::{row, DataType, EngineId, Predicate, Schema, TableRef, Value};
+    use pspp_common::{row, DataType, EngineId, Predicate, Row, Schema, TableRef, Value};
     use pspp_ir::{AggFn, Operator};
     use pspp_relstore::RelationalStore;
 
@@ -2121,6 +2211,46 @@ mod tests {
     }
 
     #[test]
+    fn int_and_float_keys_that_compare_equal_colocate() {
+        // `los` holds whole numbers as `Float`s, `pid` is an `Int`:
+        // hashed on either, equal keys share a shard, so the join on
+        // them colocates and still finds every match.
+        let mut sharded = registry();
+        for (engine, table, column) in [("db1", "admissions", "los"), ("db2", "patients", "pid")] {
+            sharded
+                .reshard(
+                    &TableRef::new(engine, table),
+                    pspp_common::PartitionSpec::hash(column, 2),
+                )
+                .unwrap();
+        }
+        let mut p = Program::new();
+        let a = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
+        let b = p.add_source(Operator::scan(TableRef::new("db2", "patients")), "sql");
+        let j = p.add_node(
+            Operator::HashJoin {
+                left_on: "los".into(),
+                right_on: "pid".into(),
+            },
+            vec![a, b],
+            "sql",
+        );
+        p.mark_output(j);
+        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
+        assert!(plan.node(j).colocated);
+        let colocated = exec().execute(&p, &sharded).unwrap();
+        let gathered = exec()
+            .options(PlanOptions::gathered())
+            .execute(&p, &sharded)
+            .unwrap();
+        assert_eq!(gathered.outputs[0].len(), 200, "every los is some pid");
+        assert_eq!(
+            colocated.outputs[0].try_rows().unwrap(),
+            gathered.outputs[0].try_rows().unwrap()
+        );
+    }
+
+    #[test]
     fn shuffle_charges_exchange_rows_as_migration() {
         let (p, _) = pid_join_program();
         let sharded = mismatched_registry(2);
@@ -2550,6 +2680,8 @@ mod tests {
             assignments: Vec::new(),
             events: Vec::new(),
             probe_counts,
+            routes: None,
+            routed: None,
             tasks: Vec::new(),
             exchanges: Vec::new(),
         }
@@ -2698,6 +2830,16 @@ mod tests {
         )
     }
 
+    /// `d` split over `width` destinations on its column `k`, as a
+    /// shuffle splits a gathered input: the buckets and their origins.
+    fn split(d: &Dataset, width: u32) -> (Vec<Dataset>, Vec<Vec<usize>>) {
+        let rows = d.try_rows().unwrap();
+        let routes = Routes::of_rows(d.schema().unwrap(), rows, "k", width).unwrap();
+        let mut split = Routed::new(d, width as usize).unwrap();
+        split.push(d.share_rows().unwrap(), &routes).unwrap();
+        split.into_buckets()
+    }
+
     proptest::proptest! {
         /// The shuffle oracle: route both sides of a join into 1–4
         /// destinations by the stable FNV rule, join each destination
@@ -2724,11 +2866,13 @@ mod tests {
             prop_assert_eq!(counts.iter().sum::<usize>(), gathered.len());
 
             // Route, join per destination, splice.
-            let target = Distribution::Hashed { column: "k".into(), shards: width };
-            let origins = target.route_indices(ls, lrows).unwrap();
-            let lb = Executor::route(&l, &origins).unwrap();
-            let rb = Executor::route(&r, &target.route_indices(rs, rrows).unwrap()).unwrap();
+            let target = pspp_common::Distribution::repartition("k", width);
+            let (lb, origins) = split(&l, width);
+            let (rb, _) = split(&r, width);
             prop_assert_eq!(lb.len(), width as usize);
+            if width > 1 {
+                prop_assert_eq!(&origins, &target.route_indices(ls, lrows).unwrap());
+            }
             let id = NodeId(2);
             let mut group = Vec::new();
             for (d, (lk, rk)) in lb.iter().zip(&rb).enumerate() {

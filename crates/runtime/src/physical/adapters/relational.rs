@@ -56,8 +56,21 @@ impl EngineAdapter for RelationalAdapter {
                 let cols: Option<Vec<&str>> = projection
                     .as_ref()
                     .map(|p| p.iter().map(String::as_str).collect());
-                let scanned = store.scan(&table.name, predicate, cols.as_deref())?;
-                let schema = store.scan_schema(&table.name, cols.as_deref())?;
+                let (name, cols) = (&table.name, cols.as_deref());
+                // A shuffle reads this task next: the scan hashes the
+                // key out of the table's column image as it scans.
+                let scanned = match ctx.route() {
+                    Some(request) => {
+                        let (scanned, routes) =
+                            store.scan_routed(name, predicate, cols, request.key, request.width)?;
+                        request.routes.set(routes).map_err(|_| {
+                            pspp_common::Error::Execution("a task's routes were set twice".into())
+                        })?;
+                        scanned
+                    }
+                    None => store.scan(name, predicate, cols)?,
+                };
+                let schema = store.scan_schema(name, cols)?;
                 Ok(Dataset::sized_rows(
                     schema,
                     scanned.rows,

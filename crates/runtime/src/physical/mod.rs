@@ -42,15 +42,16 @@ pub use placer::Placer;
 use std::sync::OnceLock;
 
 use pspp_accel::{AcceleratorFleet, CostLedger, DeviceProfile, KernelClass};
-use pspp_common::ShardId;
+use pspp_common::{Routes, ShardId};
 use pspp_ir::ColumnDemand;
 
 /// Everything an adapter may consult while running one operator: the
 /// accelerator fleet, the (task-scoped) cost ledger, whether device
 /// offload is enabled for this run, which shard replica the task
 /// addresses, which of the node's output columns its consumers read,
-/// and — for a shuffled-join bucket — where to leave the join's
-/// per-probe-row match counts.
+/// for a shuffled-join bucket where to leave the join's per-probe-row
+/// match counts, and for a task whose rows a shuffle reads next where
+/// to leave each row's destination.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecCtx<'a> {
     fleet: &'a AcceleratorFleet,
@@ -59,6 +60,22 @@ pub struct ExecCtx<'a> {
     shard: ShardId,
     probe_counts: Option<&'a OnceLock<Vec<usize>>>,
     demand: Option<&'a ColumnDemand>,
+    route: Option<RouteRequest<'a>>,
+}
+
+/// A shuffle's request to the task producing its input: hash-route the
+/// output rows on `key` over `width` destinations and leave the answer
+/// in `routes`. An operator that cannot answer leaves it empty, and the
+/// executor routes the rows the operator returned.
+#[derive(Debug, Clone, Copy)]
+pub struct RouteRequest<'a> {
+    /// The output column whose value routes each row.
+    pub key: &'a str,
+    /// Number of destinations.
+    pub width: u32,
+    /// Where the answer goes: each output row's destination, in output
+    /// order, and each destination's bytes.
+    pub routes: &'a OnceLock<Routes>,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -71,6 +88,7 @@ impl<'a> ExecCtx<'a> {
             shard: ShardId::ZERO,
             probe_counts: None,
             demand: None,
+            route: None,
         }
     }
 
@@ -99,6 +117,20 @@ impl<'a> ExecCtx<'a> {
     /// the task's barrier needs them.
     pub fn probe_counts(&self) -> Option<&'a OnceLock<Vec<usize>>> {
         self.probe_counts
+    }
+
+    /// This context asking the operator it runs to route its output
+    /// for a shuffle — the executor builds one per task of a node whose
+    /// only reader is that shuffle ([`pspp_ir::NodeShard::routed`]).
+    pub fn routing(mut self, request: RouteRequest<'a>) -> Self {
+        self.route = Some(request);
+        self
+    }
+
+    /// The shuffle's routing request, when a shuffle reads this task's
+    /// output next.
+    pub fn route(&self) -> Option<RouteRequest<'a>> {
+        self.route
     }
 
     /// This context for a node whose consumers read only `demand` of

@@ -220,6 +220,50 @@ fn clinical(sharded: bool) -> Polystore {
     builder.build().expect("valid config")
 }
 
+/// `admissions.los` is a `Float` holding whole days, `patients.pid` an
+/// `Int`, and `Value` calls `Float(3.0)` and `Int(3)` equal: a shuffle
+/// must send both kinds of an equal key to one shard, or the shuffled
+/// join loses the matches the gathered one finds.
+#[test]
+fn int_and_float_join_keys_that_compare_equal_meet_on_one_shard() {
+    let sql = "SELECT los, name FROM admissions JOIN db2.patients \
+               ON admissions.los = patients.pid";
+    for shards in [2, 4] {
+        let system = |options: PlanOptions| {
+            Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
+                patients: 2_000,
+                vitals_per_patient: 4,
+                seed: 2019,
+            }))
+            .shards(shards)
+            .partition(
+                TableRef::new("db2", "patients"),
+                PartitionSpec::hash("name", shards as u32),
+            )
+            .plan_options(options)
+            .build()
+            .expect("valid config")
+        };
+        let exchanged = system(PlanOptions::default()).run_sql(sql).expect("runs");
+        let gathered = system(PlanOptions::gathered()).run_sql(sql).expect("runs");
+        let shuffles = |report: &RunReport| {
+            report
+                .execution
+                .traces
+                .iter()
+                .flat_map(|t| &t.exchanges)
+                .any(|e| e.kind == "shuffle")
+        };
+        assert!(shuffles(&exchanged) && !shuffles(&gathered), "{shards}");
+        let (want, got) = (
+            gathered.execution.outputs[0].try_rows().unwrap(),
+            exchanged.execution.outputs[0].try_rows().unwrap(),
+        );
+        assert_eq!(want.len(), 207, "{shards}");
+        assert_eq!(got, want, "{shards} shards");
+    }
+}
+
 /// polybench's six OLAP templates, one draw each, and a seventh query:
 /// `avg` over the float column `los` demotes the sharded group-by-age to
 /// a gathered aggregate (float sums must not reassociate), so an

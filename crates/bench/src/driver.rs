@@ -87,8 +87,8 @@ pub struct DriverReport {
     /// Wall-clock milliseconds the real execution of the batch took
     /// (informational; machine-dependent).
     pub wall_millis: f64,
-    /// Order-sensitive FNV digest over every query's output bytes —
-    /// identical across runs and concurrency levels.
+    /// Every query's output digest, folded in batch order — identical
+    /// across runs and concurrency levels.
     pub digest: u64,
     /// Ledger events summed over per-query private ledgers, in batch
     /// order.
@@ -98,7 +98,14 @@ pub struct DriverReport {
     pub cost_busy_seconds: f64,
 }
 
-pub(crate) use pspp_common::partition::{fnv1a, FNV_OFFSET};
+pub(crate) use pspp_common::partition::FNV_OFFSET;
+
+/// Chains one query's output digest onto the digests before it: a
+/// batch's digest is order-sensitive across queries, each query's a
+/// row multiset.
+pub(crate) fn fold_digest(batch: u64, query: u64) -> u64 {
+    pspp_common::partition::fnv1a(&query.to_le_bytes(), batch)
+}
 
 /// The deterministic mixed workload: repeated SQL templates (so the
 /// plan cache has something to hit), one NLQ ML pipeline, and one
@@ -231,13 +238,9 @@ pub fn run_driver(system: &Arc<Polystore>, cfg: &WorkloadConfig) -> Result<Drive
                 }
                 match session.execute(&queries[i]) {
                     Ok(resp) => {
-                        let digest = fnv1a(
-                            format!("{:?}", resp.report.execution.outputs).as_bytes(),
-                            FNV_OFFSET,
-                        );
                         slots.lock().unwrap()[i] = Some(PerQuery {
                             service_seconds: resp.service_seconds,
-                            digest,
+                            digest: output_digest(&resp.report.execution.outputs),
                             cost_events: resp.report.costs.events,
                             cost_busy_seconds: resp.report.costs.busy.as_secs(),
                         });
@@ -269,7 +272,7 @@ pub fn run_driver(system: &Arc<Polystore>, cfg: &WorkloadConfig) -> Result<Drive
     let mut cost_busy_seconds = 0.0f64;
     let mut service_seconds = Vec::with_capacity(per_query.len());
     for pq in &per_query {
-        digest = fnv1a(&pq.digest.to_le_bytes(), digest);
+        digest = fold_digest(digest, pq.digest);
         cost_events += pq.cost_events;
         cost_busy_seconds += pq.cost_busy_seconds;
         service_seconds.push(pq.service_seconds);
@@ -335,7 +338,7 @@ pub struct OpenLoopReport {
     pub real_rejections: usize,
     /// Wall-clock milliseconds for the real execution phases.
     pub wall_millis: f64,
-    /// Order-sensitive FNV digest over every query's output bytes
+    /// Every offered query's output digest, folded in arrival order
     /// (every offered query executes exactly once for the digest,
     /// whether or not the replay sheds it).
     pub digest: u64,
@@ -413,7 +416,7 @@ pub fn run_open_loop(system: &Arc<Polystore>, cfg: &OpenLoopConfig) -> Result<Op
     let mut service_seconds = Vec::with_capacity(slots.len());
     for slot in &slots {
         let (seconds, d) = slot.expect("all queries executed in burst or backfill");
-        digest = fnv1a(&d.to_le_bytes(), digest);
+        digest = fold_digest(digest, d);
         service_seconds.push(seconds);
     }
 
@@ -536,11 +539,10 @@ pub fn replay_arrivals(
 
 /// (simulated service seconds, output digest) for one response.
 fn per_query_record(resp: &pspp_service::QueryResponse) -> (f64, u64) {
-    let digest = fnv1a(
-        format!("{:?}", resp.report.execution.outputs).as_bytes(),
-        FNV_OFFSET,
-    );
-    (resp.service_seconds, digest)
+    (
+        resp.service_seconds,
+        output_digest(&resp.report.execution.outputs),
+    )
 }
 
 #[cfg(test)]

@@ -258,7 +258,9 @@ fn above(what: &str, value: f64, other: f64) -> Result<()> {
     })
 }
 
-/// Two runs that must agree byte for byte.
+/// Two runs that must return the same thing: equal [`output_digest`]s
+/// (or folds of them) — the same row multisets, wherever and in
+/// whatever order the rows were produced.
 fn same_digest(what: &str, got: u64, expected: u64) -> Result<()> {
     ensure(got == expected, || {
         format!("{what} changed bytes: {got:016x} vs {expected:016x}")
@@ -313,11 +315,6 @@ fn patients_by_name() -> [(&'static str, &'static str, PartitionSpec); 1] {
     [("db2", "patients", PartitionSpec::hash("name", 1))]
 }
 
-/// The FNV digest of `outputs`' `Debug` bytes, chained onto `seed`.
-fn digest_of(outputs: &[Dataset], seed: u64) -> u64 {
-    driver::fnv1a(format!("{outputs:?}").as_bytes(), seed)
-}
-
 /// What a batch of runs added up to, folded in run order.
 #[derive(Debug, Clone, Copy, Default)]
 struct Measured {
@@ -341,7 +338,7 @@ fn measure<'a>(reports: impl IntoIterator<Item = &'a RunReport>) -> Measured {
         m.offloaded += r.execution.offloaded;
         m.fallbacks += traces.iter().map(NodeTrace::fallbacks).sum::<usize>();
         m.exchange_rows += traces.iter().map(NodeTrace::exchange_rows).sum::<usize>();
-        m.digest = digest_of(&r.execution.outputs, m.digest);
+        m.digest = driver::fold_digest(m.digest, output_digest(&r.execution.outputs));
     }
     m
 }
@@ -1293,9 +1290,8 @@ pub fn traced_query() -> Result<TracedQuery> {
 }
 
 /// E17: sharded engine registry — the partitioned-scan workload at
-/// 1/2/4 shard replicas must produce byte-identical digests (range
-/// scatter-gather reproduces the unsharded row order exactly) while
-/// the simulated scan throughput scales with the replica count
+/// 1/2/4 shard replicas must produce identical digests while the
+/// simulated scan throughput scales with the replica count
 /// (acceptance floor: >= 1.8x at 4 shards).
 fn e17_sharding() -> Result<String> {
     let mut out = String::from(
@@ -1375,7 +1371,7 @@ fn e17_sharding() -> Result<String> {
 /// at 1/2/4 shards, executed twice per shard count: colocated (one
 /// build+probe task per shard, the distribution-aware default) and
 /// gathered (the PR-3 baseline that merges both sides first). The
-/// digests must be byte-identical at every shard count — the colocated
+/// digests must be identical at every shard count — the colocated
 /// plan is a pure performance transformation — while the simulated
 /// join-stage time drops with the shard count (acceptance floor: at
 /// least 1.5x at 4 shards). The colocated placement must also price
@@ -1430,7 +1426,7 @@ fn e18_join() -> Result<String> {
             }
             let report = system.execute(&program)?;
             join_us[slot] = report.node_seconds[&join] * 1e6;
-            digests[slot] = digest_of(&report.outputs, driver::FNV_OFFSET);
+            digests[slot] = output_digest(&report.outputs);
         }
         same_digest(
             &format!("colocating the join at {shards} shards"),
@@ -1464,9 +1460,8 @@ fn e18_join() -> Result<String> {
 /// split into per-shard stages (partition-wise on the partition key,
 /// partial + merge off it). Each shard count runs twice — exchange on
 /// and the gathered baseline (`PlanOptions::gathered()`) — and every digest
-/// must be byte-identical across both modes *and* all shard counts:
-/// the shuffle barrier splices outputs back into gathered probe order,
-/// so the exchange is a pure performance transformation. Acceptance
+/// must be identical across both modes *and* all shard counts: the
+/// exchange is a pure performance transformation. Acceptance
 /// floors at 4 shards: the shuffled join and the partition-wise
 /// aggregation each >= 1.5x their gathered baselines.
 fn e19_exchange() -> Result<String> {

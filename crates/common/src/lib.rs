@@ -30,6 +30,7 @@
 
 pub mod batch;
 pub mod device;
+pub mod digest;
 pub mod distribution;
 pub mod error;
 pub mod hash;
@@ -45,6 +46,7 @@ pub mod value;
 
 pub use batch::{Batch, Column};
 pub use device::DeviceKind;
+pub use digest::OutputDigest;
 pub use distribution::{Distribution, JoinDistribution};
 pub use error::{Error, Result};
 pub use hash::{FxBuildHasher, FxHasher};

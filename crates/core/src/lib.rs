@@ -45,5 +45,7 @@ pub mod prelude {
     pub use pspp_ir::{FusedChain, Operator, PlanOptions, Program, SortSpec};
     pub use pspp_migrate::{MigrationPath, Migrator};
     pub use pspp_optimizer::{OptLevel, TableStats};
-    pub use pspp_runtime::{Dataset, EngineInstance, EngineRegistry, Executor, ShardedRegistry};
+    pub use pspp_runtime::{
+        output_digest, Dataset, EngineInstance, EngineRegistry, Executor, ShardedRegistry,
+    };
 }

@@ -118,6 +118,13 @@ impl Mlp {
         self.weights.first().map_or(0, Matrix::rows)
     }
 
+    /// Each layer's weight matrix and bias vector, input side first.
+    pub fn layers(&self) -> impl Iterator<Item = (&Matrix, &[f64])> {
+        self.weights
+            .iter()
+            .zip(self.biases.iter().map(Vec::as_slice))
+    }
+
     /// Total trainable parameters.
     pub fn parameter_count(&self) -> usize {
         self.weights

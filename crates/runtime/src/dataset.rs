@@ -2,7 +2,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use pspp_common::{DataModel, EngineId, Error, Result, Routes, Row, Schema};
+use pspp_common::{DataModel, EngineId, Error, OutputDigest, Result, Routes, Row, Schema};
 use pspp_mlengine::Mlp;
 
 /// A dataset's rows: one immutable buffer shared by every clone.
@@ -101,9 +101,9 @@ impl RowBuf {
     }
 }
 
-/// Renders as the list of rows: result digests hash a dataset's debug
-/// form, which must not depend on who shares the buffer or on whether
-/// its size has been asked for yet.
+/// Renders as the list of rows: what a reader of a report or a test
+/// failure needs, independent of who shares the buffer or whether its
+/// size has been asked for yet.
 impl std::fmt::Debug for RowBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
@@ -277,6 +277,26 @@ impl Dataset {
     }
 }
 
+/// What `outputs` returned, as [`OutputDigest`] defines it: each row
+/// set as its schema and row multiset, each model as its layers'
+/// weights and biases. Where an output sits and its rows' order are
+/// not part of it.
+pub fn output_digest(outputs: &[Dataset]) -> u64 {
+    let mut digest = OutputDigest::new();
+    for output in outputs {
+        match &output.payload {
+            Payload::Rows { schema, rows } => digest.rows(schema, rows),
+            Payload::Model(model) => {
+                for (weights, biases) in model.layers() {
+                    digest.tensor(&[weights.rows(), weights.cols()], weights.as_slice());
+                    digest.tensor(&[biases.len()], biases);
+                }
+            }
+        }
+    }
+    digest.finish()
+}
+
 /// A producer's output split for a shuffle: each destination's rows in
 /// the order the gathered output would hold them, their payload bytes,
 /// and where each row sits in that gathered output. Partials are pushed
@@ -415,6 +435,36 @@ mod tests {
         assert!(dm.try_model().is_ok());
         assert!(dm.is_empty());
         assert!(dm.byte_size() > 0);
+    }
+
+    #[test]
+    fn output_digest_ignores_location_and_order_and_covers_models() {
+        let schema = Schema::new(vec![("a", DataType::Int), ("s", DataType::Str)]);
+        let rows = vec![row![1i64, "x"], row![2i64, "y"], row![2i64, "y"]];
+        let at = |rows: Vec<Row>, engine: &str| {
+            Dataset::rows(
+                schema.clone(),
+                rows,
+                DataModel::Relational,
+                EngineId::new(engine),
+            )
+        };
+        let reversed = rows.iter().rev().cloned().collect();
+        let want = output_digest(&[at(rows.clone(), "db1")]);
+        assert_eq!(output_digest(&[at(reversed, "db2")]), want);
+        assert_ne!(output_digest(&[at(rows[..2].to_vec(), "db1")]), want);
+
+        let model = |seed| Dataset {
+            payload: Payload::Model(Box::new(Mlp::new(&[2, 3, 1], seed).unwrap())),
+            model: DataModel::Tensor,
+            location: EngineId::new("middleware"),
+        };
+        assert_eq!(output_digest(&[model(1)]), output_digest(&[model(1)]));
+        assert_ne!(output_digest(&[model(1)]), output_digest(&[model(2)]));
+        assert_ne!(
+            output_digest(&[model(1), at(rows.clone(), "db1")]),
+            output_digest(&[at(rows, "db1"), model(1)])
+        );
     }
 
     fn walked(rows: &[Row]) -> u64 {

@@ -1,7 +1,8 @@
 //! The Polystore++ middleware runtime (§III, §IV-D).
 //!
 //! * [`Dataset`] — data flowing between operators: rows plus their data
-//!   model and current engine location.
+//!   model and current engine location. [`output_digest`] is what a
+//!   run's outputs returned, whatever engine or layout produced them.
 //! * [`ShardedRegistry`] — the deployed engine instances (Fig. 4's
 //!   server pools), each an ordered list of shard replicas; partitioned
 //!   tables carry a [`pspp_common::PartitionSpec`] routing scans to
@@ -30,7 +31,7 @@ pub mod executor;
 pub mod physical;
 pub mod registry;
 
-pub use dataset::{Dataset, Payload, RowBuf};
+pub use dataset::{output_digest, Dataset, Payload, RowBuf};
 pub use executor::{ExecutionReport, Executor};
 pub use physical::{AdapterRegistry, Charger, EngineAdapter, ExecCtx, Placer};
 pub use registry::{EngineInstance, EngineRegistry, RebalanceReport, ShardedRegistry};

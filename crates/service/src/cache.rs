@@ -35,7 +35,7 @@ use pspp_common::Result;
 use pspp_core::{Polystore, RunReport};
 use pspp_ir::Program;
 use pspp_optimizer::{OptLevel, PlacementPlan, RewriteReport};
-use pspp_runtime::{ExecutionReport, Payload};
+use pspp_runtime::output_digest;
 use pspp_telemetry::{Counter, MetricsRegistry};
 
 use crate::lock;
@@ -415,41 +415,15 @@ impl CachedResult {
         }
     }
 
-    /// Canonical, layout-invariant digest of the outputs, computed on
-    /// first read and kept: each output contributes its schema and row
-    /// count order-sensitively plus a *commutative* fold over per-row
-    /// digests, so resharding — which may permute a scan's output
-    /// order but never its row multiset — leaves the digest unchanged.
-    /// Model payloads hash their debug rendering. This is what lets
-    /// cache-on and cache-off session runs that straddle a mid-run
-    /// reshard at different simulated instants still agree
-    /// byte-for-byte.
+    /// What the populating run returned ([`output_digest`]), computed
+    /// on first read and kept. Row order and location are not part of
+    /// it, so cache-on and cache-off session runs that straddle a
+    /// mid-run reshard at different simulated instants still agree.
     pub fn digest(&self) -> u64 {
         *self
             .digest
-            .get_or_init(|| output_digest(&self.report.execution))
+            .get_or_init(|| output_digest(&self.report.execution.outputs))
     }
-}
-
-fn output_digest(execution: &ExecutionReport) -> u64 {
-    let mut digest = FNV_OFFSET;
-    for output in &execution.outputs {
-        match &output.payload {
-            Payload::Rows { schema, rows } => {
-                digest = fnv1a(format!("{schema:?}").as_bytes(), digest);
-                let mut fold: u64 = 0;
-                for row in rows {
-                    fold = fold.wrapping_add(fnv1a(format!("{row:?}").as_bytes(), FNV_OFFSET));
-                }
-                digest = fnv1a(&fold.to_le_bytes(), digest);
-                digest = fnv1a(&(rows.len() as u64).to_le_bytes(), digest);
-            }
-            Payload::Model(_) => {
-                digest = fnv1a(format!("{:?}", output.payload).as_bytes(), digest);
-            }
-        }
-    }
-    digest
 }
 
 #[derive(Debug)]
@@ -593,6 +567,7 @@ impl Caches {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pspp_runtime::ExecutionReport;
 
     fn key(text: &str, level: OptLevel) -> PlanKey {
         PlanKey {
@@ -743,7 +718,7 @@ mod tests {
         let permuted = cached_result(rows(&[(2, 20), (3, 30), (1, 10), (2, 20)]));
         assert_eq!(
             ordered.digest(),
-            output_digest(&ordered.report.execution),
+            output_digest(&ordered.report.execution.outputs),
             "the kept digest is the multiset digest"
         );
         assert_eq!(ordered.digest(), ordered.digest(), "computed once, kept");

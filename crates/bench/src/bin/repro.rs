@@ -22,6 +22,8 @@
 //! ride along any experiment selection (and suppress the default
 //! run-everything when passed alone).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::time::Instant;
 
 use pspp_common::Result;

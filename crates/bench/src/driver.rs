@@ -23,7 +23,7 @@
 //! recorded simulated service times with a bounded queue.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use pspp_common::{Error, Result, SplitMix64};
@@ -218,52 +218,48 @@ pub fn run_driver(system: &Arc<Polystore>, cfg: &WorkloadConfig) -> Result<Drive
         cost_events: usize,
         cost_busy_seconds: f64,
     }
-    let slots: Mutex<Vec<Option<PerQuery>>> =
-        Mutex::new((0..queries.len()).map(|_| None).collect());
-    let errors: Mutex<Vec<(usize, Error)>> = Mutex::new(Vec::new());
     let next = AtomicUsize::new(0);
+    let (queries, next) = (&queries, &next);
 
     let wall_start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..cfg.clients.max(1) {
-            let session = service.open_session();
-            let queries = &queries;
-            let slots = &slots;
-            let errors = &errors;
-            let next = &next;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= queries.len() {
-                    return;
-                }
-                match session.execute(&queries[i]) {
-                    Ok(resp) => {
-                        slots.lock().unwrap()[i] = Some(PerQuery {
+    // Each client returns what it ran, by batch index.
+    let clients = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..cfg.clients.max(1))
+            .map(|_| {
+                let session = service.open_session();
+                scope.spawn(move || {
+                    let mut ran = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(query) = queries.get(i) else {
+                            return ran;
+                        };
+                        let run = session.execute(query).map(|resp| PerQuery {
                             service_seconds: resp.service_seconds,
                             digest: output_digest(&resp.report.execution.outputs),
                             cost_events: resp.report.costs.events,
                             cost_busy_seconds: resp.report.costs.busy.as_secs(),
                         });
+                        ran.push((i, run));
                     }
-                    Err(e) => errors.lock().unwrap().push((i, e)),
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join()).collect::<Vec<_>>()
     });
     let wall_millis = wall_start.elapsed().as_secs_f64() * 1e3;
 
-    let mut errors = errors.into_inner().unwrap();
-    if !errors.is_empty() {
-        errors.sort_by_key(|(i, _)| *i);
-        let (i, e) = errors.remove(0);
-        return Err(Error::Execution(format!("driver query {i} failed: {e}")));
+    let mut ran = Vec::with_capacity(queries.len());
+    for client in clients {
+        ran.extend(client.map_err(|_| Error::Execution("a driver client panicked".into()))?);
     }
-    let per_query: Vec<PerQuery> = slots
-        .into_inner()
-        .unwrap()
+    // Every index was handed out once; the first failure in batch
+    // order is the one reported.
+    ran.sort_by_key(|(i, _)| *i);
+    let per_query = ran
         .into_iter()
-        .map(|s| s.expect("no error recorded, so every slot is filled"))
-        .collect();
+        .map(|(i, run)| run.map_err(|e| Error::Execution(format!("driver query {i} failed: {e}"))))
+        .collect::<Result<Vec<PerQuery>>>()?;
 
     // Fold per-query numbers in batch order: the digest and cost sums
     // must not depend on completion order.
@@ -414,8 +410,9 @@ pub fn run_open_loop(system: &Arc<Polystore>, cfg: &OpenLoopConfig) -> Result<Op
 
     let mut digest = FNV_OFFSET;
     let mut service_seconds = Vec::with_capacity(slots.len());
-    for slot in &slots {
-        let (seconds, d) = slot.expect("all queries executed in burst or backfill");
+    for (i, slot) in slots.into_iter().enumerate() {
+        let (seconds, d) =
+            slot.ok_or_else(|| Error::Execution(format!("open-loop query {i} never ran")))?;
         digest = fold_digest(digest, d);
         service_seconds.push(seconds);
     }

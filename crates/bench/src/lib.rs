@@ -10,6 +10,8 @@
 //! holds the index, the methodology and what stands in for the paper's
 //! data and hardware.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod driver;
 
 use std::cell::RefCell;
@@ -265,6 +267,11 @@ fn same_digest(what: &str, got: u64, expected: u64) -> Result<()> {
     ensure(got == expected, || {
         format!("{what} changed bytes: {got:016x} vs {expected:016x}")
     })
+}
+
+/// The placement an optimizing level (L2 and up) always produces.
+fn placed<P>(placement: Option<P>) -> Result<P> {
+    placement.ok_or_else(|| Error::Optimizer("the optimizer placed nothing".into()))
 }
 
 fn clinical_system(level: OptLevel, fleet: AcceleratorFleet, patients: usize) -> Result<Polystore> {
@@ -996,13 +1003,16 @@ fn e14_operators() -> Result<String> {
                    size: String,
                    devices: [DeviceKind; 2],
                    bytes: u64,
-                   cycles: &dyn Fn(&DeviceProfile) -> u64| {
+                   cycles: &dyn Fn(&DeviceProfile) -> u64|
+     -> Result<()> {
         let t_cpu = cpu.cycles_to_s(cycles(cpu));
         let e_cpu = cpu.energy_j(t_cpu);
         let mut best = (DeviceKind::Cpu, t_cpu, e_cpu);
         for d in devices {
-            let p = fleet.profile(d).expect("device exists");
-            let attached = fleet.device(d).expect("attached");
+            let attached = fleet
+                .device(d)
+                .ok_or_else(|| Error::Accelerator(format!("the workstation fleet has no {d}")))?;
+            let p = &attached.profile;
             let t = p.cycles_to_s(cycles(p)) + attached.transfer_cost(bytes).as_secs();
             if t < best.1 {
                 best = (d, t, p.energy_j(t));
@@ -1018,18 +1028,19 @@ fn e14_operators() -> Result<String> {
             (e_cpu * t_cpu) / (best.2 * best.1)
         )
         .ok();
+        Ok(())
     };
     for n in [1u64 << 14, 1 << 20, 1 << 24] {
         let devices = [DeviceKind::Gpu, DeviceKind::Fpga];
         row("sort", n.to_string(), devices, n * 16, &|p| {
             BitonicSorter::cycles(p, n)
-        });
+        })?;
     }
     for m in [128u64, 512, 2048] {
         let devices = [DeviceKind::Gpu, DeviceKind::Tpu];
         row("gemm", format!("{m}^3"), devices, 3 * m * m * 8, &|p| {
             Gemm::cycles(p, m, m, m)
-        });
+        })?;
     }
     out.push_str(
         "shape check: CPU wins tiny sizes (launch+PCIe overhead); FPGA wins large sorts, \
@@ -1052,7 +1063,7 @@ fn e15_cost_model() -> Result<String> {
         let system = clinical_system(OptLevel::L2, AcceleratorFleet::workstation(), 400)?;
         let mut program = system.compile_sql(q)?;
         let (_, placement) = system.optimize(&mut program)?;
-        let placement = placement.expect("L2 places");
+        let placement = placed(placement)?;
         let predicted = placement.total_seconds;
         // Distribution attribution: a query whose error persists at
         // max_scatter 1 mispredicts cardinality; one that degrades
@@ -1411,12 +1422,12 @@ fn e18_join() -> Result<String> {
             let system = build(shards, colocate)?;
             let mut program = system.compile_sql(query)?;
             let (_, placement) = system.optimize(&mut program)?;
-            let placement = placement.expect("L2 places");
+            let placement = placed(placement)?;
             let join = program
                 .nodes()
                 .iter()
                 .find(|n| matches!(n.op, Operator::HashJoin { .. }))
-                .expect("query contains a hash join")
+                .ok_or_else(|| Error::Execution(format!("{query} has no hash join")))?
                 .id;
             if colocate {
                 width = placement.scatter_width[&join];
@@ -1504,12 +1515,12 @@ fn e19_exchange() -> Result<String> {
             .nodes()
             .iter()
             .find(|n| pick(&n.op))
-            .expect("query contains the probed operator")
+            .ok_or_else(|| Error::Execution(format!("{query} has no probed operator")))?
             .id;
         let report = system.execute(&program)?;
         Ok::<(f64, pspp_optimizer::PlacementPlan), Error>((
             report.node_seconds[&node],
-            placement.expect("L2 places"),
+            placed(placement)?,
         ))
     };
     let is_join = |op: &Operator| matches!(op, Operator::HashJoin { .. });
@@ -2115,7 +2126,7 @@ fn e22_rebalance() -> Result<String> {
     })?;
     // Each grow step doubles the width, so the analytic expectation of
     // the moved fraction is 1 - from/to = 0.5; allow hash noise above.
-    let bound = pspp_common::hash_grow_moved_fraction(1, 2).expect("1 -> 2 divides");
+    let bound = analytic_share(1, 2)?;
     let mut fracs = [0.0f64; 2];
     for (i, (diff, (from, to))) in grown
         .rebalances
@@ -2124,7 +2135,7 @@ fn e22_rebalance() -> Result<String> {
         .enumerate()
     {
         fracs[i] = diff.moved_fraction();
-        let step_bound = pspp_common::hash_grow_moved_fraction(from, to).expect("doubling divides");
+        let step_bound = analytic_share(from, to)?;
         writeln!(
             out,
             "grow {from}->{to}: moved {}/{} rows ({:.1}% vs {:.0}% analytic), \
@@ -2173,6 +2184,12 @@ fn e22_rebalance() -> Result<String> {
 /// Hash noise E22 allows a grow step's moved fraction above its
 /// analytic expectation.
 const MOVED_FRACTION_NOISE: f64 = 0.08;
+
+/// The share of rows a hash grow from `from` to `to` shards moves.
+fn analytic_share(from: u32, to: u32) -> Result<f64> {
+    pspp_common::hash_grow_moved_fraction(from, to)
+        .ok_or_else(|| Error::Config(format!("{from} -> {to} shards is not a doubling grow")))
+}
 
 /// E22's verdict on one grow step: it may move at most the analytic
 /// `1 - from/to` of the rows (plus hash noise) — if it moves more, the
@@ -2282,7 +2299,7 @@ fn e23_fusion() -> Result<String> {
         let mut chains = 0;
         for r in &reports {
             let key = |c: &FusedChain| (c.shard, c.device, c.nodes.clone());
-            let planned = r.placement.as_ref().expect("L2 places");
+            let planned = placed(r.placement.as_ref())?;
             let plan_key: Vec<_> = planned.fused_chains.iter().map(key).collect();
             let exec_key: Vec<_> = r.execution.fused_chains.iter().map(key).collect();
             ensure(plan_key == exec_key, || {

@@ -45,6 +45,9 @@ struct JoinSide {
     engine: Option<EngineId>,
     /// Estimated bytes of the input.
     bytes: f64,
+    /// The estimated bytes a migration of it ships
+    /// ([`CostModel::demanded_bytes`]).
+    shipped: f64,
     /// The columns of it somebody reads — what a migration would ship —
     /// when they are not all of them.
     kept: Option<ColumnDemand>,
@@ -662,8 +665,9 @@ impl CostModel {
     }
 
     /// The engine `node` runs on. Sources stay with their table; a join
-    /// runs where its largest input already is ([`Self::join_site`]), so
-    /// the smaller side is what migrates; every other transform
+    /// runs where the input that would ship the most already is
+    /// ([`Self::join_site`]), so the side that ships less is what
+    /// migrates; every other transform
     /// inherits its first input's engine (data gravity). `relational`
     /// collects the nodes whose engine a relational `Scan` reached;
     /// `join_sites` gets a record per join whose inputs sit on
@@ -685,12 +689,14 @@ impl CostModel {
             .iter()
             .map(|&i| {
                 let producer = resolve_fused(program, i);
-                let ann = &program.node(producer).annotations;
+                let producer = program.node(producer);
+                let ann = &producer.annotations;
                 JoinSide {
                     engine: ann.engine.clone(),
-                    bytes: Self::estimate_of(program.node(producer)).1,
+                    bytes: Self::estimate_of(producer).1,
+                    shipped: Self::demanded_bytes(producer),
                     kept: ann.demand.clone(),
-                    relational: relational.contains(&producer),
+                    relational: relational.contains(&producer.id),
                 }
             })
             .collect();
@@ -717,20 +723,16 @@ impl CostModel {
         site.engine.clone()
     }
 
-    /// The input whose engine hosts a join: the one with strictly the
-    /// most estimated bytes among those a relational `Scan` reaches — a
+    /// The input whose engine hosts a join: the one whose migration
+    /// would ship strictly the most estimated bytes (its demanded
+    /// columns' share) among those a relational `Scan` reaches — a
     /// text, timeseries, key/value or graph connector never hosts a
-    /// join — so what migrates is the smaller side. Ties, and joins no
-    /// relational scan feeds, keep the first input. The sides are
-    /// weighed whole, as they were before migrations shipped only the
-    /// demanded columns: weighing what would ship moves the unfiltered
-    /// `SELECT name, age` join of E19 / E20 / E22 / E23 from db1 to db2
-    /// and with it the `location` their `Debug` digests hash, so that
-    /// is a change of its own (ROADMAP item 2).
+    /// join — so what migrates is the side that ships less. Ties, and
+    /// joins no relational scan feeds, keep the first input.
     fn join_site(sides: &[JoinSide]) -> usize {
         let mut host: Option<usize> = None;
         for (idx, side) in sides.iter().enumerate() {
-            if side.relational && host.is_none_or(|h| side.bytes > sides[h].bytes) {
+            if side.relational && host.is_none_or(|h| side.shipped > sides[h].shipped) {
                 host = Some(idx);
             }
         }
@@ -1302,12 +1304,13 @@ mod tests {
     }
 
     /// A side whose consumers read a quarter of its columns is billed a
-    /// quarter of its bytes to migrate; the site is still chosen on the
-    /// whole rows, and the record holds both.
+    /// quarter of its bytes to migrate, and the site is chosen on those
+    /// shipped bytes: the big side read down to a sliver ships less
+    /// than the small one and migrates to it. The record holds both.
     #[test]
-    fn migration_prices_the_demanded_columns_and_the_site_weighs_whole_rows() {
+    fn migration_prices_the_demanded_columns_and_the_site_weighs_what_ships() {
         let m = model();
-        let small_bytes = 1_000.0 * 32.0;
+        let (small_bytes, big_bytes) = (1_000.0 * 32.0, 2_000_000.0 * 64.0);
         let (mut p, j) = join_of(
             Operator::scan(TableRef::new("db2", "small")),
             Operator::scan(TableRef::new("db1", "big")),
@@ -1316,35 +1319,34 @@ mod tests {
             columns: ["k".to_string()].into(),
             of,
         };
+        let bill = |bytes| {
+            m.migration_cost(bytes, DataModel::Relational, DataModel::Relational)
+                .as_secs()
+        };
         p.node_mut(NodeId(0)).annotations.demand = Some(kept(4));
-        // The big side read down to less than the small one ships:
-        // it still hosts.
-        let big = workstation().place(&m, &mut p.clone()).join_sites[0]
-            .right
-            .1;
-        let sliver = (big / 1_000.0) as usize;
+        let plan = workstation().place(&m, &mut p.clone());
+        assert_eq!(plan.join_sites[0].site.as_str(), "db1");
+        assert_eq!(plan.migration_seconds, bill(small_bytes / 4.0));
+        // 1 000 B of the big side ship against the small side's 8 000 B.
+        let sliver = (big_bytes / 1_000.0) as usize;
         p.node_mut(NodeId(1)).annotations.demand = Some(kept(sliver));
         let plan = workstation().place(&m, &mut p);
-        let bill = m
-            .migration_cost(
-                small_bytes / 4.0,
-                DataModel::Relational,
-                DataModel::Relational,
-            )
-            .as_secs();
         let [site] = &plan.join_sites[..] else {
             panic!("one cross-engine join, one site record");
         };
-        assert_eq!(engine_of(&p, j), Some("db1"));
-        assert_eq!((site.site.as_str(), site.left.1), ("db1", small_bytes));
+        assert_eq!(engine_of(&p, j), Some("db2"));
+        assert_eq!(
+            (site.site.as_str(), site.left.1, site.right.1),
+            ("db2", small_bytes, big_bytes)
+        );
         assert_eq!(site.kept, [Some(kept(4)), Some(kept(sliver))]);
         assert_eq!(
             (plan.migration_seconds, site.migration_seconds),
-            (bill, bill)
+            (bill(1_000.0), bill(1_000.0))
         );
         let explain = plan.explain();
         assert!(
-            explain.contains("site=db1 (left db2 32000B -> 8000B [k] of 4 cols, right db1 "),
+            explain.contains("site=db2 (left db2 32000B -> 8000B [k] of 4 cols, right db1 "),
             "{explain}"
         );
     }

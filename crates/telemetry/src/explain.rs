@@ -19,10 +19,10 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Where the planner runs one join whose inputs sit on different
-/// engines, and what it compared to decide: the input with more
-/// estimated bytes stays put and the other migrates to it — the columns
-/// of it somebody reads, that is (`kept`), which is what the migration
-/// is billed for.
+/// engines, and what it compared to decide: each input's estimated
+/// bytes scaled to the columns of it somebody reads (`kept`) — what a
+/// migration of it would ship and be billed for. The input that would
+/// ship more stays put and the other migrates to it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinSite {
     /// The join.
@@ -43,8 +43,8 @@ pub struct JoinSite {
 
 impl JoinSite {
     fn describe(&self) -> String {
-        // `80000B -> 16000B [pid] of 5 cols`: the bytes compared, then
-        // the bytes a migration of that side ships.
+        // `80000B -> 16000B [pid] of 5 cols`: the input's bytes, then
+        // the bytes a migration of it ships — the figure compared.
         let side = |(engine, bytes): &(EngineId, f64), kept: &Option<ColumnDemand>| {
             let kept = kept.as_ref().map_or_else(String::new, |k| {
                 format!(" -> {:.0}B {k}", bytes * k.share())

@@ -127,30 +127,38 @@ impl Schema {
         Ok(Schema { fields })
     }
 
-    /// Whether two columns share a name — [`Schema::join`] can produce
-    /// that (see there), and [`Schema::index_of`] then answers the first.
-    pub fn repeats_a_name(&self) -> bool {
-        let repeated = |(at, field): (usize, &Field)| {
-            let earlier = &self.fields[..at];
-            earlier.iter().any(|f| f.name == field.name)
-        };
-        self.fields.iter().enumerate().any(repeated)
-    }
-
-    /// Concatenates two schemas (e.g. for join output). Duplicate names on
-    /// the right side are suffixed with `_r` — without checking that the
-    /// suffixed name is free, so a second join over the same name yields
-    /// it twice (`pid, pid_r, pid_r`).
+    /// Concatenates two schemas (e.g. for join output). A right column
+    /// whose name is taken gets the first of `x_r`, `x_r2`, `x_r3`, …
+    /// that no left column, no right column and no earlier renamed one
+    /// has, so a join of schemas without repeated names repeats none:
+    /// `(a ⋈ b) ⋈ c` over three `pid`s is `pid, pid_r, pid_r2`.
+    /// [`Schema::unsuffixed`] undoes the renaming.
     pub fn join(&self, right: &Schema) -> Schema {
         let mut fields = self.fields.clone();
         for f in &right.fields {
             let mut f = f.clone();
-            if self.index_of(&f.name).is_some() {
-                f.name = format!("{}_r", f.name);
+            if fields.iter().any(|g| g.name == f.name) {
+                let taken = |name: &str| fields.iter().chain(&right.fields).any(|g| g.name == name);
+                let mut name = format!("{}_r", f.name);
+                for n in 2.. {
+                    if !taken(&name) {
+                        break;
+                    }
+                    name = format!("{}_r{n}", f.name);
+                }
+                f.name = name;
             }
             fields.push(f);
         }
         Schema { fields }
+    }
+
+    /// The right column's own name behind a name [`Schema::join`] gave
+    /// it (`x_r`, `x_r2`, … → `x`); `None` when `name` has no such
+    /// suffix.
+    pub fn unsuffixed(name: &str) -> Option<&str> {
+        name.trim_end_matches(|c: char| c.is_ascii_digit())
+            .strip_suffix("_r")
     }
 
     /// Validates `row` against this schema (arity, types, nullability).
@@ -269,20 +277,36 @@ mod tests {
         assert_eq!(j.names(), vec!["id", "name", "score", "id_r", "city"]);
     }
 
-    /// Pins the naming of chained joins: `(a ⋈ b) ⋈ c` over three
-    /// `pid`s names the second and the third alike, and a lookup finds
-    /// the second. Renaming the third would move every digest over such
-    /// a join's rows, so it is not done in passing (ROADMAP item 5).
+    /// Chained joins over one name number the suffix, and every given
+    /// name maps back to the right column's own.
     #[test]
-    fn a_second_join_over_the_same_name_repeats_the_suffixed_one() {
+    fn a_second_join_over_the_same_name_picks_a_free_one() {
         let pid = |other: &str| Schema::new(vec![("pid", DataType::Int), (other, DataType::Int)]);
         let once = pid("a").join(&pid("b"));
         assert_eq!(once.names(), vec!["pid", "a", "pid_r", "b"]);
-        assert!(!once.repeats_a_name());
         let twice = once.join(&pid("c"));
-        assert_eq!(twice.names(), vec!["pid", "a", "pid_r", "b", "pid_r", "c"]);
-        assert!(twice.repeats_a_name());
-        assert_eq!(twice.index_of("pid_r"), Some(2));
+        assert_eq!(twice.names(), vec!["pid", "a", "pid_r", "b", "pid_r2", "c"]);
+        let thrice = twice.join(&pid("d"));
+        assert_eq!(thrice.names()[6..], ["pid_r3", "d"]);
+        for name in ["pid_r", "pid_r2", "pid_r3"] {
+            assert_eq!(Schema::unsuffixed(name), Some("pid"));
+        }
+        assert_eq!(Schema::unsuffixed("pid"), None);
+    }
+
+    /// A suffixed name the right side already has is skipped, and so is
+    /// one the left side has.
+    #[test]
+    fn join_skips_suffixed_names_either_side_has() {
+        let x = Schema::new(vec![("x", DataType::Int)]);
+        let right = Schema::new(vec![("x", DataType::Int), ("x_r", DataType::Str)]);
+        assert_eq!(x.join(&right).names(), vec!["x", "x_r2", "x_r"]);
+        let left = Schema::new(vec![("x", DataType::Int), ("x_r", DataType::Str)]);
+        assert_eq!(left.join(&x).names(), vec!["x", "x_r", "x_r2"]);
+        let v2 = Schema::new(vec![("v2", DataType::Int)]);
+        assert_eq!(v2.join(&v2).names(), vec!["v2", "v2_r"]);
+        assert_eq!(Schema::unsuffixed("v2_r"), Some("v2"));
+        assert_eq!(Schema::unsuffixed("x_r_r2"), Some("x_r"));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!    columns all come from one join input moves below the join onto
 //!    that input (rule 1 then folds it into the scan), so the join —
 //!    and the migration or shuffle feeding it — sees only the rows
-//!    that survive. Right-side columns the join renamed `x_r` go back
-//!    to `x`. Conjuncts that read both sides (a cross-side `OR`, say)
+//!    that survive. Right-side columns the join renamed `x_r` (or
+//!    `x_r2`, …) go back to `x`. Conjuncts that read both sides (a cross-side `OR`, say)
 //!    stay above; a filter naming a column the join output lacks is
 //!    left whole, so it fails exactly as the literal plan does. The
 //!    probe side stays the left input: output rows keep their order.
@@ -39,9 +39,7 @@
 //!    literal plan runs it, so every error surfaces where it did — by a
 //!    program output, by a node nobody reads, by an ML, connector or
 //!    `Custom` consumer, of a node whose schema `output_schema` cannot
-//!    derive or whose schema repeats a name (`(a ⋈ b) ⋈ c` over three
-//!    `pid`s is `pid, pid_r, pid_r`), and by a consumer naming a column
-//!    the producer lacks. Nothing narrows at a scan, which keeps handing
+//!    derive, and by a consumer naming a column the producer lacks. Nothing narrows at a scan, which keeps handing
 //!    out shared row pointers; the annotation is applied where rows are
 //!    rebuilt anyway: the migration codec ships a producer's demanded
 //!    columns, a join builds its own. **Naming contract:** a demand
@@ -270,11 +268,10 @@ fn derive_schema(
 type Need<'a> = Option<Vec<&'a str>>;
 
 /// `names` as a demand on a producer with `schema`, or everything when
-/// the schema is unknown or repeats a name, or a name is not in it (the
-/// consumer then fails on the producer's full rows, as it does in the
-/// literal plan).
+/// the schema is unknown or a name is not in it (the consumer then
+/// fails on the producer's full rows, as it does in the literal plan).
 fn demand_of<'a>(names: impl IntoIterator<Item = &'a str>, schema: Option<&Schema>) -> Need<'a> {
-    let schema = schema.filter(|s| !s.repeats_a_name())?;
+    let schema = schema?;
     let mut demand = Vec::new();
     for name in names {
         schema.index_of(name)?;
@@ -492,8 +489,8 @@ fn push_filters_below_joins(
         {
             continue; // fails on the first joined row, pushed or not
         }
-        // The join suffixes a clashing right column with `_r`; below
-        // the join it has its own name again.
+        // The join suffixes a clashing right column (`_r`, `_r2`, …);
+        // below the join it has its own name again.
         let own_name = |c: &str| {
             let at = joined.index_of(c).expect("every column resolved above");
             right.fields()[at - left.arity()].name.clone()
@@ -1009,26 +1006,6 @@ mod tests {
         let (mut p, _) = projected_join(Predicate::True, &["b"]);
         assert_eq!(optimize_l1(&mut p, &no_schemas()).column_prunings, 0);
 
-        // `(l ⋈ r) ⋈ r` is `k, a, k_r, b, k_r, b_r`: two columns answer
-        // to `k_r`, so nothing below the projection is narrowed.
-        let (mut p, [l, r, inner, f]) = filtered_join(Predicate::True);
-        let again = p.add_source(Operator::scan(TableRef::new("db2", "r")), "sql");
-        let outer = p.add_node(
-            Operator::HashJoin {
-                left_on: "k".into(),
-                right_on: "k".into(),
-            },
-            vec![f, again],
-            "sql",
-        );
-        let out = project(&mut p, outer, &["a", "k_r"]);
-        let mut q = rerooted(&p);
-        q.mark_output(out);
-        assert_eq!(optimize_l1(&mut q, &two_tables()).column_prunings, 0);
-        for id in [l, r, inner, again, outer] {
-            assert_eq!(demand(&q, id), None, "{id}");
-        }
-
         // No join, no place to apply a demand: no annotation.
         let mut p = Program::new();
         let s = p.add_source(Operator::scan(TableRef::new("db1", "l")), "sql");
@@ -1046,6 +1023,31 @@ mod tests {
         p.mark_output(out);
         assert_eq!(optimize_l1(&mut p, &two_tables()).column_prunings, 0);
         assert_eq!(demand(&p, s), None);
+    }
+
+    #[test]
+    fn a_three_way_join_is_narrowed_through_its_numbered_names() {
+        // `(l ⋈ r) ⋈ r` is `k, a, k_r, b, k_r2, b_r`; `k_r2` is the
+        // second `r`'s `k`, its join key.
+        let (mut p, [l, r, inner, f]) = filtered_join(Predicate::True);
+        let again = p.add_source(Operator::scan(TableRef::new("db2", "r")), "sql");
+        let outer = p.add_node(
+            Operator::HashJoin {
+                left_on: "k".into(),
+                right_on: "k".into(),
+            },
+            vec![f, again],
+            "sql",
+        );
+        let out = project(&mut p, outer, &["a", "k_r2"]);
+        let mut q = rerooted(&p);
+        q.mark_output(out);
+        assert!(optimize_l1(&mut q, &two_tables()).column_prunings > 0);
+        assert_eq!(demand(&q, outer), Some((vec!["a", "k_r2"], 6)));
+        assert_eq!(demand(&q, again), Some((vec!["k"], 2)));
+        assert_eq!(demand(&q, inner), Some((vec!["k", "a"], 4)));
+        assert_eq!(demand(&q, r), Some((vec!["k"], 2)));
+        assert_eq!(demand(&q, l), None, "`k` and `a` are all it has");
     }
 
     #[test]

@@ -309,10 +309,9 @@ impl JoinEmit {
     /// schemas, and `left` / `right` may be those schemas with columns
     /// nobody reads left out (a migration ships only what is read). So
     /// `x` is the left's `x` when `left` has one; else the right's own
-    /// `x`; else, for `x = y_r`, the right's `y` — renamed because the
-    /// full left schema had a `y`, shipped or not. The caller vouches
-    /// that the full join schema repeats no name (the demand pass does
-    /// not narrow a join whose schema does).
+    /// `x`; else, for `x = y_r` (or `y_r2`, …), the right's `y` —
+    /// renamed because the full join schema already had a `y` (or a
+    /// `y_r`, …) where it went, shipped or not.
     fn new(left: &Schema, right: &Schema, demand: Option<&[String]>) -> Result<JoinEmit> {
         let Some(demand) = demand else {
             let lefts = (0..left.arity()).map(|i| (false, i));
@@ -329,7 +328,7 @@ impl JoinEmit {
             } else if let Some(at) = right.index_of(name) {
                 (true, at)
             } else {
-                let own = name.strip_suffix("_r").and_then(|own| right.index_of(own));
+                let own = Schema::unsuffixed(name).and_then(|own| right.index_of(own));
                 (
                     true,
                     own.ok_or_else(|| Error::ColumnNotFound(name.clone()))?,
@@ -1155,6 +1154,10 @@ mod tests {
         assert_eq!(schema.names(), vec!["id_r"]);
         assert_eq!(rows, vec![row![2i64], row![3i64], row![3i64]]);
         assert_eq!(bytes, 24);
+        // A chained join numbers the suffix: `id_r2` is the right's `id`.
+        let (_, suffixed, _) = join(&narrow_ls, &narrow_l, &["id_r"]).unwrap();
+        let (schema, numbered, _) = join(&narrow_ls, &narrow_l, &["id_r2"]).unwrap();
+        assert_eq!((schema.names(), numbered), (vec!["id_r2"], suffixed));
         // A name neither input has is refused.
         assert!(matches!(
             join(&ls, &l, &["x_r"]),

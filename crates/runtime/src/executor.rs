@@ -1866,10 +1866,10 @@ mod tests {
     }
 
     #[test]
-    fn a_three_way_join_under_a_projection_runs_as_the_literal_plan() {
+    fn a_three_way_join_under_a_projection_is_narrowed_to_the_literal_rows() {
         // (admissions ⋈ patients) ⋈ patients is `pid, age, los, pid_r,
-        // name, pid_r, name_r`: two columns answer to `pid_r`, so the
-        // demand pass leaves every node as it is.
+        // name, pid_r2, name_r`: every name is one column's, so the
+        // demand pass narrows both joins and the migrations feeding them.
         let (mut p, inner) = pid_join_program();
         let again = p.add_source(Operator::scan(TableRef::new("db2", "patients")), "sql");
         let outer = p.add_node(
@@ -1882,7 +1882,7 @@ mod tests {
         );
         let out = p.add_node(
             Operator::Project {
-                columns: vec!["name_r".into(), "pid_r".into()],
+                columns: vec!["name_r".into(), "pid_r2".into()],
             },
             vec![outer],
             "sql",
@@ -1898,7 +1898,9 @@ mod tests {
         literal.mark_output(out);
         let mut optimized = literal.clone();
         let report = pspp_optimizer::optimize_l1(&mut optimized, &schemas());
-        assert_eq!(report.column_prunings, 0);
+        assert!(report.column_prunings > 0);
+        let demand = optimized.node(outer).annotations.demand.as_ref().unwrap();
+        assert_eq!(demand.to_string(), "[pid_r2, name_r] of 7 cols");
         let want = exec().execute(&literal, &registry()).unwrap();
         let got = exec().execute(&optimized, &registry()).unwrap();
         assert_eq!(got.outputs[0].len(), 200);

@@ -717,6 +717,9 @@ fn number_groups<'a>(rows: &'a [Row], key_idx: &'a [usize]) -> (Vec<usize>, Vec<
 /// concatenated partials, which equals the first-seen order over the
 /// gathered input rows — so for exactly-representable sums (integer
 /// columns) the merge is byte-identical to a single-site [`group_by`].
+/// A keyless partial over no rows (counts `0`, sums NULL) adds nothing,
+/// and when every shard's was one the merge returns [`group_by`]'s row
+/// for no rows.
 ///
 /// # Errors
 ///
@@ -754,16 +757,20 @@ pub fn merge_group_partials(
     enum MergeAcc {
         /// Count / CountNonNull: running integer total.
         Ints(i64),
-        /// Sum: running float total.
-        Floats(f64),
+        /// Sum: running float total (None until a non-null partial —
+        /// a shard with no rows ships a NULL sum).
+        Floats(Option<f64>),
         /// Avg: (sum of partial sums, total non-null count).
         Ratio(f64, i64),
         /// Min/Max: current extremum (None until a non-null partial).
         Extremum(Option<Value>),
     }
+    if key_count == 0 && partial_rows.is_empty() {
+        return Ok((out_schema, vec![empty_aggregate(aggs)]));
+    }
     let fresh = |a: &AggregateSpec| match a.agg {
         Aggregate::Count | Aggregate::CountNonNull => MergeAcc::Ints(0),
-        Aggregate::Sum => MergeAcc::Floats(0.0),
+        Aggregate::Sum => MergeAcc::Floats(None),
         Aggregate::Avg => MergeAcc::Ratio(0.0, 0),
         Aggregate::Min | Aggregate::Max => MergeAcc::Extremum(None),
     };
@@ -789,11 +796,16 @@ pub fn merge_group_partials(
         for (acc, spec) in accs[g * aggs.len()..].iter_mut().zip(aggs) {
             match acc {
                 MergeAcc::Ints(n) => *n += int_state(&row[col])?,
-                MergeAcc::Floats(s) => *s += float_state(&row[col])?,
+                MergeAcc::Floats(s) if !row[col].is_null() => {
+                    *s = Some(s.unwrap_or(0.0) + float_state(&row[col])?);
+                }
                 MergeAcc::Ratio(s, n) => {
-                    *s += float_state(&row[col])?;
+                    if !row[col].is_null() {
+                        *s += float_state(&row[col])?;
+                    }
                     *n += int_state(&row[col + 1])?;
                 }
+                MergeAcc::Floats(_) => {}
                 MergeAcc::Extremum(m) => {
                     let v = &row[col];
                     if !v.is_null() {
@@ -820,7 +832,7 @@ pub fn merge_group_partials(
             let keys = first.values()[..key_count].iter().cloned();
             let finals = accs.by_ref().take(aggs.len()).map(|acc| match acc {
                 MergeAcc::Ints(n) => Value::Int(n),
-                MergeAcc::Floats(s) => Value::Float(s),
+                MergeAcc::Floats(s) => s.map_or(Value::Null, Value::Float),
                 MergeAcc::Ratio(_, 0) => Value::Null,
                 MergeAcc::Ratio(s, n) => Value::Float(s / n as f64),
                 MergeAcc::Extremum(m) => m.unwrap_or(Value::Null),
@@ -921,7 +933,8 @@ pub fn sort_merge_join_with(
 /// Group-by aggregation.
 ///
 /// Output schema is `keys ++ aggregate outputs`; `Count` yields `Int`,
-/// the numeric aggregates yield `Float`.
+/// the numeric aggregates yield `Float`. Without keys, no rows still
+/// make one group: counts `0`, every other aggregate NULL.
 ///
 /// # Errors
 ///
@@ -972,6 +985,9 @@ pub fn group_by(
         count: i64,
         /// Current minimum or maximum (`Min`, `Max`).
         extremum: Option<Value>,
+    }
+    if key_idx.is_empty() && rows.is_empty() {
+        return Ok((out_schema, vec![empty_aggregate(aggs)]));
     }
     let (ids, firsts) = number_groups(rows, &key_idx);
     let mut group_rows_seen = vec![0i64; firsts.len()];
@@ -1039,6 +1055,17 @@ pub fn group_by(
         })
         .collect();
     Ok((out_schema, out))
+}
+
+/// The one row an aggregate without keys returns over no rows, as SQL
+/// has it: every count `0`, every other aggregate NULL.
+fn empty_aggregate(aggs: &[AggregateSpec]) -> Row {
+    aggs.iter()
+        .map(|a| match a.agg {
+            Aggregate::Count | Aggregate::CountNonNull => Value::Int(0),
+            _ => Value::Null,
+        })
+        .collect()
 }
 
 /// The first `n` rows (all of them when there are fewer).

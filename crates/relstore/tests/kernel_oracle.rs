@@ -131,13 +131,17 @@ fn same_groups(got: &[Row], want: &[Row], keys: usize) -> bool {
 
 /// Groups in first-seen order, a group being the rows whose key columns
 /// are pairwise equal `Value`s; each aggregate folds the group's rows in
-/// row order.
+/// row order. Without keys there is one group, rows or none, and a sum
+/// over no rows is NULL.
 fn specified_group_by(
     rows: &[Row],
     keys: &[usize],
     aggs: &[(Aggregate, usize)],
 ) -> Result<Vec<Row>> {
     let mut groups: Vec<Vec<&Row>> = Vec::new();
+    if keys.is_empty() {
+        groups.push(Vec::new());
+    }
     for row in rows {
         let found = groups
             .iter_mut()
@@ -174,6 +178,7 @@ fn specified_group_by(
             values.push(match agg {
                 Aggregate::Count => Value::Int(members.len() as i64),
                 Aggregate::CountNonNull => Value::Int(present().count() as i64),
+                Aggregate::Sum if members.is_empty() => Value::Null,
                 Aggregate::Sum => Value::Float(total(&numbers()?)),
                 Aggregate::Avg => match numbers()? {
                     xs if xs.is_empty() => Value::Null,

@@ -264,6 +264,52 @@ fn int_and_float_join_keys_that_compare_equal_meet_on_one_shard() {
     }
 }
 
+/// An aggregate without `GROUP BY` over no rows returns one row, as SQL
+/// has it — counts `0`, every other aggregate NULL — on one shard and
+/// through the partial-aggregate + merge path at two and four, where
+/// every shard's partial is empty (20 000 patients: enough estimated
+/// rows that the merge pays).
+#[test]
+fn a_keyless_aggregate_over_no_rows_returns_one_row() {
+    let count = "SELECT count(*) AS n FROM admissions WHERE date >= 99999";
+    let all = "SELECT count(*) AS n, sum(age) AS s, avg(age) AS a, min(age) AS lo, \
+               max(age) AS hi FROM admissions WHERE date >= 99999";
+    for shards in [1, 2, 4] {
+        let system = Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
+            patients: 20_000,
+            vitals_per_patient: 1,
+            seed: 2019,
+        }))
+        .shards(shards)
+        .build()
+        .expect("valid config");
+        for (sql, want) in [
+            (count, row![0i64]),
+            (
+                all,
+                Row::from(vec![
+                    Value::Int(0),
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                ]),
+            ),
+        ] {
+            let report = system.run_sql(sql).expect("runs");
+            let merges = report
+                .execution
+                .traces
+                .iter()
+                .flat_map(|t| &t.exchanges)
+                .any(|e| e.kind == "merge");
+            assert_eq!(merges, shards > 1, "{sql} at {shards} shards");
+            let rows = report.execution.outputs[0].try_rows().expect("rows");
+            assert_eq!(rows, [want], "{sql} at {shards} shards");
+        }
+    }
+}
+
 /// polybench's six OLAP templates, one draw each, and a seventh query:
 /// `avg` over the float column `los` demotes the sharded group-by-age to
 /// a gathered aggregate (float sums must not reassociate), so an

@@ -265,7 +265,7 @@ fn above(what: &str, value: f64, other: f64) -> Result<()> {
 /// whatever order the rows were produced.
 fn same_digest(what: &str, got: u64, expected: u64) -> Result<()> {
     ensure(got == expected, || {
-        format!("{what} changed bytes: {got:016x} vs {expected:016x}")
+        format!("{what} changed the rows: {got:016x} vs {expected:016x}")
     })
 }
 

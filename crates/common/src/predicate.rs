@@ -343,6 +343,8 @@ pub struct ColumnSource<'a> {
     pub rows: &'a [Row],
     /// One entry per schema column, `None` where the column has no
     /// typed image (`Str`, `Bytes`); each image is `rows.len()` long.
+    /// A column past the end has none, so rows without any image have
+    /// `&[]` here.
     pub typed: &'a [Option<TypedColumn>],
 }
 
@@ -448,7 +450,7 @@ impl Bound<'_> {
             }
             Bound::Cmp(c, ..) | Bound::Between(c, ..) | Bound::In(c, _) | Bound::IsNull(c) => {
                 let typed = match c {
-                    BoundColumn::At(idx) => source.typed[*idx].as_ref(),
+                    BoundColumn::At(idx) => source.typed.get(*idx).and_then(Option::as_ref),
                     BoundColumn::Unknown(_) => None,
                 };
                 let narrowed = typed.is_some_and(|(column, validity)| {
@@ -625,10 +627,6 @@ mod tests {
             .map(|(a, t)| Row::from(vec![a.map_or(Value::Null, Value::Int), t.into()]))
             .collect();
         let typed = source(&rows);
-        let source = ColumnSource {
-            rows: &rows,
-            typed: &typed,
-        };
         let in_set = |vs: Vec<Value>| Predicate::In("a".into(), vs);
         let predicates = [
             Predicate::True,
@@ -654,16 +652,20 @@ mod tests {
                 .or(Predicate::lt("a", 1i64).not())
                 .and(Predicate::IsNull("a".into()).not()),
         ];
-        // Ascending, and an index's order: any, each position once.
-        for selection in [vec![0, 1, 2, 3, 4, 5], vec![4, 2, 5, 0, 3], vec![]] {
-            for p in &predicates {
-                let want: Vec<u32> = selection
-                    .iter()
-                    .copied()
-                    .filter(|&i| p.eval(&s, &rows[i as usize]).unwrap())
-                    .collect();
-                let got = p.bind(&s).select(source, selection.clone()).unwrap();
-                assert_eq!(got, want, "{p:?} over {selection:?}");
+        // Ascending, and an index's order: any, each position once. With
+        // the image, and with none at all (every leaf through the rows).
+        for typed in [&typed[..], &[]] {
+            let source = ColumnSource { rows: &rows, typed };
+            for selection in [vec![0, 1, 2, 3, 4, 5], vec![4, 2, 5, 0, 3], vec![]] {
+                for p in &predicates {
+                    let want: Vec<u32> = selection
+                        .iter()
+                        .copied()
+                        .filter(|&i| p.eval(&s, &rows[i as usize]).unwrap())
+                        .collect();
+                    let got = p.bind(&s).select(source, selection.clone()).unwrap();
+                    assert_eq!(got, want, "{p:?} over {selection:?}");
+                }
             }
         }
     }

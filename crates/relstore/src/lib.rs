@@ -30,9 +30,9 @@ pub mod ops;
 
 pub mod table;
 
-pub use ops::{Aggregate, AggregateSpec, JoinKind, SortKey};
+pub use ops::{Aggregate, AggregateSpec, JoinKind, Selected, SortKey};
 pub use pspp_common::Predicate;
-pub use table::{ColumnImage, Table};
+pub use table::{ColumnImage, Selection, Snapshot, Table};
 
 use std::collections::BTreeMap;
 
@@ -48,6 +48,16 @@ pub struct Scanned {
     pub rows: Vec<Row>,
     /// Payload bytes of `rows` (the sum of [`Row::byte_size`]).
     pub byte_size: u64,
+}
+
+/// What a [`RelationalStore::scan_kept`] hands on.
+#[derive(Debug, Clone)]
+pub enum Kept {
+    /// Whole rows: the kept positions over the table's snapshot. No row
+    /// is touched until somebody builds them.
+    Selection(Selection),
+    /// Projected rows: copies the scan built and sized.
+    Projected(Scanned),
 }
 
 /// The relational engine: a named collection of [`Table`]s.
@@ -239,57 +249,48 @@ impl RelationalStore {
         predicate: &Predicate,
         projection: Option<&[&str]>,
     ) -> Result<Scanned> {
-        Ok(self.scan_with(table, predicate, projection, None)?.0)
+        Ok(match self.scan_kept(table, predicate, projection, None)?.0 {
+            Kept::Selection(selection) => Scanned {
+                rows: selection.rows(),
+                byte_size: selection.byte_size(),
+            },
+            Kept::Projected(scanned) => scanned,
+        })
     }
 
-    /// [`RelationalStore::scan`] for a shuffle that re-hashes the output
-    /// on its column `key` over `width` destinations: the same rows in
-    /// the same order, and where each goes. The destinations come from
-    /// one pass over the key's column image at the kept positions
-    /// ([`HashRouter::route_column`]; through the rows for a `Str` or
-    /// `Bytes` key), apart from the pass that clones the kept rows, and
-    /// each destination's bytes from the image's widths.
+    /// [`RelationalStore::scan`] handing on what it kept without
+    /// building the rows — a [`Selection`] over the table's snapshot,
+    /// unless it projects — and, for a shuffle that re-hashes the output
+    /// on its column `key` over `width` destinations (`route`), where
+    /// each row goes. The destinations come from one pass over the key's
+    /// column image at the kept positions ([`HashRouter::route_column`];
+    /// through the rows for a `Str` or `Bytes` key), and each
+    /// destination's bytes from the image's widths.
     ///
     /// # Errors
     ///
     /// As [`RelationalStore::scan`], plus [`Error::ColumnNotFound`] when
     /// the output has no column `key` and [`Error::EmptyShardSet`] for
     /// zero destinations.
-    pub fn scan_routed(
-        &self,
-        table: &str,
-        predicate: &Predicate,
-        projection: Option<&[&str]>,
-        key: &str,
-        width: u32,
-    ) -> Result<(Scanned, Routes)> {
-        self.scan_with(table, predicate, projection, Some((key, width)))
-    }
-
-    /// The scan, and the routes `route` asks for (none when it asks for
-    /// none).
-    fn scan_with(
+    pub fn scan_kept(
         &self,
         table: &str,
         predicate: &Predicate,
         projection: Option<&[&str]>,
         route: Option<(&str, u32)>,
-    ) -> Result<(Scanned, Routes)> {
+    ) -> Result<(Kept, Routes)> {
         let t = self.table(table)?;
         let widths = t.image().widths();
-        let bytes_at = |positions: &[u32]| -> u64 {
-            positions
-                .iter()
-                .map(|&p| u64::from(widths[p as usize]))
-                .sum()
-        };
         let candidates = t.candidates(predicate);
         let index_used = candidates.is_some();
         let selection = candidates.unwrap_or_else(|| (0..t.len() as u32).collect());
         let scanned = selection.len() as u64;
         // A full scan reads the whole heap, whose size the table keeps.
         let scanned_bytes = if index_used {
-            bytes_at(&selection)
+            selection
+                .iter()
+                .map(|&p| u64::from(widths[p as usize]))
+                .sum()
         } else {
             t.byte_size()
         };
@@ -297,9 +298,7 @@ impl RelationalStore {
         let columns: Option<Vec<usize>> = projection
             .map(|cols| cols.iter().map(|c| t.schema().require(c)).collect())
             .transpose()?;
-        // The destination pass reads the key column alone; the clone
-        // pass below then touches each row once. (Fused, the clones'
-        // reference counts serialise the hashing.)
+        // The destination pass reads the key column alone.
         let rows = t.rows();
         let mut routes = Routes::default();
         if let Some((key, width)) = route {
@@ -325,8 +324,7 @@ impl RelationalStore {
                 }
             }
         }
-        // A kept row is shared with the table; a projected one is the
-        // scan's only copy, sized as it is built.
+        // A projected row is the scan's only copy, sized as it is built.
         let out = match &columns {
             Some(idx) => {
                 let mut byte_size = 0u64;
@@ -343,12 +341,9 @@ impl RelationalStore {
                         row
                     })
                     .collect();
-                Scanned { rows, byte_size }
+                Kept::Projected(Scanned { rows, byte_size })
             }
-            None => Scanned {
-                rows: kept.iter().map(|&p| rows[p as usize].clone()).collect(),
-                byte_size: bytes_at(&kept),
-            },
+            None => Kept::Selection(t.select(kept)),
         };
         let cycles = if index_used {
             // B-tree descent + candidate fetch.

@@ -6,6 +6,18 @@
 //! runtime adapter can execute IR fragments on intermediate data, not
 //! just on stored tables.
 //!
+//! # Selections
+//!
+//! Filtering, projection, sorting and grouping read their input as
+//! [`Selected`] rows: positions into a [`ColumnSource`] — a scan's kept
+//! positions over the table's rows and typed image — or every row of a
+//! slice. They read a key or a value out of the typed image where its
+//! column has one and through the row where it has none, and return
+//! positions of the source ([`filter_at`], [`sort_at`]) or the rows
+//! they build ([`project_at`], [`group_by_at`]). The entry points over
+//! `&[Row]` ([`filter_rows`], [`project`], [`sort_rows`], [`group_by`])
+//! are the same code over every row of the slice.
+//!
 //! # Key words
 //!
 //! [`sort_rows`], [`group_by`] and [`hash_join`] read a key column out
@@ -33,7 +45,8 @@
 //!
 //! A column is **not typed** — and the call runs the generic body over
 //! `&Value`, which returns the same rows in the same order — when it
-//! holds a `Str`, `Bytes` or `NULL` anywhere, when it mixes kinds
+//! holds a `Str`, `Bytes` or `NULL` anywhere among the rows read (a
+//! NULL in the typed image is a cleared validity flag), when it mixes kinds
 //! (`Int` beside `Float` included: the two compare numerically and no
 //! one word serves both), or when there are no rows. Beyond that,
 //! `sort_rows` takes one to three keys over words, `group_by` one key
@@ -43,15 +56,19 @@
 //! compares equal to). Which body runs depends on the key values in the
 //! input and on nothing else.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hash;
 
 use serde::{Deserialize, Serialize};
 
-use pspp_common::{Error, FxBuildHasher, FxHasher, Result, Row, Schema, Value};
+use pspp_common::{
+    Column, ColumnSource, Error, FxBuildHasher, FxHasher, Predicate, Result, Row, Schema,
+    TypedColumn, Value,
+};
 
-use pspp_common::Predicate;
+use crate::table::as_u32;
 
 /// Join flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -134,41 +151,154 @@ impl AggregateSpec {
     }
 }
 
+/// The rows an operator reads: the rows at some positions of a column
+/// source, in that order, or every row of a slice (module docs,
+/// "Selections").
+#[derive(Debug, Clone, Copy)]
+pub struct Selected<'a> {
+    source: ColumnSource<'a>,
+    /// `None`: every row of `source`, in order.
+    positions: Option<&'a [u32]>,
+}
+
+impl<'a> Selected<'a> {
+    /// Every row of `rows`, in order, read through the rows.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Invalid`] for more rows than a `u32` position
+    /// counts.
+    pub fn all(rows: &'a [Row]) -> Result<Self> {
+        as_u32(rows.len(), "row count")?;
+        Ok(Selected {
+            source: ColumnSource { rows, typed: &[] },
+            positions: None,
+        })
+    }
+
+    /// The rows at `positions` of `source`, in that order. A kernel
+    /// reading it panics at a position past `source`'s rows.
+    pub fn at(source: ColumnSource<'a>, positions: &'a [u32]) -> Self {
+        Selected {
+            source,
+            positions: Some(positions),
+        }
+    }
+
+    /// Number of rows read.
+    pub fn len(&self) -> usize {
+        self.positions.map_or(self.source.rows.len(), <[u32]>::len)
+    }
+
+    /// Whether no row is read.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The source position of the `i`-th row read.
+    fn position(&self, i: usize) -> u32 {
+        match self.positions {
+            Some(positions) => positions[i],
+            // `all` checked that every index fits.
+            None => i as u32,
+        }
+    }
+
+    /// The source positions of the rows read, in order.
+    fn positions(self) -> impl Iterator<Item = usize> + Clone + 'a {
+        (0..self.len()).map(move |i| self.position(i) as usize)
+    }
+
+    /// The `i`-th row read.
+    fn row(&self, i: usize) -> &'a Row {
+        &self.source.rows[self.position(i) as usize]
+    }
+
+    /// The typed image of `column`, when it has one.
+    fn typed(&self, column: usize) -> Option<&'a TypedColumn> {
+        self.source.typed.get(column).and_then(Option::as_ref)
+    }
+
+    /// Column `column` of each row read, in order: made from the typed
+    /// image where the column has one (NULL where the row's validity
+    /// flag is clear), borrowed from the row where it has none.
+    fn cells(self, column: usize) -> impl Iterator<Item = Cow<'a, Value>> + 'a {
+        let typed = self.typed(column);
+        let rows = self.source.rows;
+        self.positions().map(move |p| match typed {
+            Some((values, valid)) if valid[p] => Cow::Owned(values.value(p)),
+            Some(_) => Cow::Owned(Value::Null),
+            None => Cow::Borrowed(&rows[p][column]),
+        })
+    }
+}
+
 /// Filters rows by a predicate, bound to the schema once. Takes the
 /// rows owned or borrowed; a kept row is shared with the input, not
 /// copied.
 ///
 /// # Errors
 ///
-/// Propagates predicate evaluation errors (unknown columns).
+/// Propagates predicate evaluation errors (unknown columns), and
+/// returns [`Error::Invalid`] as [`Selected::all`] does.
 pub fn filter_rows(
     schema: &Schema,
     rows: impl AsRef<[Row]>,
     predicate: &Predicate,
 ) -> Result<Vec<Row>> {
-    let bound = predicate.bind(schema);
-    let mut out = Vec::new();
-    for row in rows.as_ref() {
-        if bound.eval(row)? {
-            out.push(row.clone());
-        }
-    }
-    Ok(out)
+    let rows = rows.as_ref();
+    let kept = filter_at(schema, Selected::all(rows)?, predicate)?;
+    Ok(kept.iter().map(|&p| rows[p as usize].clone()).collect())
+}
+
+/// The source positions of the rows `input` reads that satisfy
+/// `predicate`, in input order: [`pspp_common::BoundPredicate::select`]
+/// over the input's source, a column at a time.
+///
+/// # Errors
+///
+/// Propagates predicate evaluation errors (unknown columns).
+pub fn filter_at(schema: &Schema, input: Selected<'_>, predicate: &Predicate) -> Result<Vec<u32>> {
+    let positions = (0..input.len()).map(|i| input.position(i)).collect();
+    predicate.bind(schema).select(input.source, positions)
 }
 
 /// Projects rows onto named columns, returning the new schema.
 ///
 /// # Errors
 ///
-/// Returns [`Error::ColumnNotFound`] for unknown columns.
+/// Returns [`Error::ColumnNotFound`] for unknown columns, and
+/// [`Error::Invalid`] as [`Selected::all`] does.
 pub fn project(schema: &Schema, rows: &[Row], columns: &[&str]) -> Result<(Schema, Vec<Row>)> {
+    let (schema, rows, _) = project_at(schema, Selected::all(rows)?, columns)?;
+    Ok((schema, rows))
+}
+
+/// [`project`] over the rows `input` reads, also returning the output's
+/// payload bytes, summed as its rows are built.
+///
+/// # Errors
+///
+/// Returns [`Error::ColumnNotFound`] for unknown columns.
+pub fn project_at(
+    schema: &Schema,
+    input: Selected<'_>,
+    columns: &[&str],
+) -> Result<(Schema, Vec<Row>, u64)> {
     let out_schema = schema.project(columns)?;
     let idx: Vec<usize> = columns
         .iter()
         .map(|c| schema.require(c))
         .collect::<Result<_>>()?;
-    let out = rows.iter().map(|r| r.project(&idx)).collect();
-    Ok((out_schema, out))
+    let mut bytes = 0u64;
+    let out = (0..input.len())
+        .map(|i| {
+            let row = input.row(i).project(&idx);
+            bytes += row.byte_size() as u64;
+            row
+        })
+        .collect();
+    Ok((out_schema, out, bytes))
 }
 
 /// The kind of value a typed key column holds (module docs, "Key
@@ -196,20 +326,51 @@ fn float_word(x: f64) -> u64 {
     }
 }
 
-/// Column `column` of `rows` as one order-preserving word per row, or
-/// `None` when the column is not typed. The one place the encoding of
-/// the module docs is written.
-fn key_words(rows: &[Row], column: usize) -> Option<(KeyKind, Vec<u64>)> {
-    let kind = match rows.first()?[column] {
+/// Column `column` of the rows `input` reads as one order-preserving
+/// word per row, or `None` when the column is not typed over them: out
+/// of the typed image where the column has one, through the rows where
+/// it has none. The one place the encoding of the module docs is
+/// written.
+fn key_words(input: Selected<'_>, column: usize) -> Option<(KeyKind, Vec<u64>)> {
+    if input.is_empty() {
+        return None;
+    }
+    if let Some((values, valid)) = input.typed(column) {
+        // A cleared validity flag is a NULL.
+        fn words(
+            input: Selected<'_>,
+            valid: &[bool],
+            word: impl Fn(usize) -> u64,
+        ) -> Option<Vec<u64>> {
+            let mut words = Vec::with_capacity(input.len());
+            for p in input.positions() {
+                if !valid[p] {
+                    return None;
+                }
+                words.push(word(p));
+            }
+            Some(words)
+        }
+        return match values {
+            Column::Bool(v) => Some((KeyKind::Bool, words(input, valid, |p| u64::from(v[p]))?)),
+            Column::Int(v) => Some((KeyKind::Int, words(input, valid, |p| int_word(v[p]))?)),
+            Column::Timestamp(v) => {
+                Some((KeyKind::Timestamp, words(input, valid, |p| int_word(v[p]))?))
+            }
+            Column::Float(v) => Some((KeyKind::Float, words(input, valid, |p| float_word(v[p]))?)),
+            Column::Str(_) | Column::Bytes(_) => None,
+        };
+    }
+    let kind = match input.row(0)[column] {
         Value::Bool(_) => KeyKind::Bool,
         Value::Int(_) => KeyKind::Int,
         Value::Float(_) => KeyKind::Float,
         Value::Timestamp(_) => KeyKind::Timestamp,
         Value::Null | Value::Str(_) | Value::Bytes(_) => return None,
     };
-    let mut words = Vec::with_capacity(rows.len());
-    for row in rows {
-        words.push(match (kind, &row[column]) {
+    let mut words = Vec::with_capacity(input.len());
+    for i in 0..input.len() {
+        words.push(match (kind, &input.row(i)[column]) {
             (KeyKind::Bool, Value::Bool(b)) => u64::from(*b),
             (KeyKind::Int, Value::Int(v)) | (KeyKind::Timestamp, Value::Timestamp(v)) => {
                 int_word(*v)
@@ -225,20 +386,51 @@ fn key_words(rows: &[Row], column: usize) -> Option<(KeyKind, Vec<u64>)> {
 ///
 /// # Errors
 ///
+/// Returns [`Error::ColumnNotFound`] for unknown key columns, and
+/// [`Error::Invalid`] as [`Selected::all`] does.
+pub fn sort_rows(schema: &Schema, rows: Vec<Row>, keys: &[SortKey]) -> Result<Vec<Row>> {
+    let order = sort_at(schema, Selected::all(&rows)?, keys, None)?;
+    // Each row moves once: the order names every position once.
+    let mut slots: Vec<Option<Row>> = rows.into_iter().map(Some).collect();
+    Ok(order
+        .iter()
+        .filter_map(|&p| slots[p as usize].take())
+        .collect())
+}
+
+/// The source positions of the rows `input` reads, in the stable order
+/// of `keys`. With `top = Some(n)` only the first `n` are in that order
+/// and the rest follow them in none in particular: every position is
+/// there once either way, so the output holds the input's rows, and
+/// the `n` a `Limit n` keeps are the right ones in the right order.
+///
+/// One to three typed keys sort `(key words…, index)` records, the
+/// descending words complemented; any other keys sort the indices by
+/// `Value` order, the index as the last key. The index makes every
+/// record distinct, so an unstable sort — or a partial selection
+/// (`select_nth_unstable`) and then a sort of its prefix — leaves equal
+/// keys in input order: the stable order.
+///
+/// # Errors
+///
 /// Returns [`Error::ColumnNotFound`] for unknown key columns.
-pub fn sort_rows(schema: &Schema, mut rows: Vec<Row>, keys: &[SortKey]) -> Result<Vec<Row>> {
+pub fn sort_at(
+    schema: &Schema,
+    input: Selected<'_>,
+    keys: &[SortKey],
+    top: Option<usize>,
+) -> Result<Vec<u32>> {
     let resolved: Vec<(usize, bool)> = keys
         .iter()
         .map(|k| Ok((schema.require(&k.column)?, k.ascending)))
         .collect::<Result<_>>()?;
-    // A record is its key words and then the row's position, and its
-    // width is fixed at compile time: one to three keys sort as words,
-    // more (or none) take the generic body.
+    // A record's width is fixed at compile time: one to three keys sort
+    // as words, more (or none) take the generic body.
     if (1..=3).contains(&resolved.len()) {
         let words: Option<Vec<Vec<u64>>> = resolved
             .iter()
             .map(|&(idx, asc)| {
-                let (_, mut words) = key_words(&rows, idx)?;
+                let (_, mut words) = key_words(input, idx)?;
                 if !asc {
                     words.iter_mut().for_each(|w| *w = !*w);
                 }
@@ -247,50 +439,66 @@ pub fn sort_rows(schema: &Schema, mut rows: Vec<Row>, keys: &[SortKey]) -> Resul
             .collect();
         if let Some(words) = words {
             return Ok(match words.len() {
-                1 => sort_by_words::<2>(rows, &words),
-                2 => sort_by_words::<3>(rows, &words),
-                _ => sort_by_words::<4>(rows, &words),
+                1 => order_by_words::<2>(input, &words, top),
+                2 => order_by_words::<3>(input, &words, top),
+                _ => order_by_words::<4>(input, &words, top),
             });
         }
     }
-    rows.sort_by(|a, b| {
-        for &(idx, asc) in &resolved {
-            let ord = a[idx].cmp(&b[idx]);
-            let ord = if asc { ord } else { ord.reverse() };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        Ordering::Equal
+    let mut order: Vec<usize> = (0..input.len()).collect();
+    order_first(&mut order, top, |&a, &b| {
+        let (ra, rb) = (input.row(a), input.row(b));
+        resolved
+            .iter()
+            .map(|&(idx, asc)| {
+                let ord = ra[idx].cmp(&rb[idx]);
+                if asc {
+                    ord
+                } else {
+                    ord.reverse()
+                }
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or_else(|| a.cmp(&b))
     });
-    Ok(rows)
+    Ok(order.into_iter().map(|i| input.position(i)).collect())
 }
 
-/// [`sort_rows`] over typed keys: `words` holds the `N - 1` key columns
-/// (descending ones already complemented). Sorts `(words…, position)`
-/// records in one contiguous buffer and moves each row once. The
-/// position as the last word makes every record distinct, so the
-/// unstable sort leaves equal keys in input order — the stable order.
-fn sort_by_words<const N: usize>(rows: Vec<Row>, words: &[Vec<u64>]) -> Vec<Row> {
-    let mut records: Vec<[u64; N]> = (0..rows.len())
-        .map(|pos| {
-            let mut record = [pos as u64; N];
+/// [`sort_at`] over typed keys: `words` holds the `N - 1` key columns
+/// (descending ones already complemented), and a record ends in its
+/// row's index. The records sit in one contiguous buffer.
+fn order_by_words<const N: usize>(
+    input: Selected<'_>,
+    words: &[Vec<u64>],
+    top: Option<usize>,
+) -> Vec<u32> {
+    let mut records: Vec<[u64; N]> = (0..input.len())
+        .map(|i| {
+            let mut record = [i as u64; N];
             for (word, column) in record.iter_mut().zip(words) {
-                *word = column[pos];
+                *word = column[i];
             }
             record
         })
         .collect();
-    records.sort_unstable();
-    let mut rows: Vec<Option<Row>> = rows.into_iter().map(Some).collect();
+    order_first(&mut records, top, Ord::cmp);
     records
         .iter()
-        .map(|record| {
-            rows[record[N - 1] as usize]
-                .take()
-                .expect("a permutation names each row once")
-        })
+        .map(|record| input.position(record[N - 1] as usize))
         .collect()
+}
+
+/// Sorts `items`, no two of which are equal under `cmp`; with `top =
+/// Some(n)` short of their number, moves the `n` least to the front in
+/// order and leaves the rest after them in any order.
+fn order_first<T>(items: &mut [T], top: Option<usize>, mut cmp: impl FnMut(&T, &T) -> Ordering) {
+    match top {
+        Some(n) if n < items.len() => {
+            items.select_nth_unstable_by(n, &mut cmp);
+            items[..n].sort_unstable_by(cmp);
+        }
+        _ => items.sort_unstable_by(cmp),
+    }
 }
 
 /// Which columns of a join's output get built, and what they are
@@ -452,7 +660,7 @@ pub fn hash_join_with(
     let ri = right_schema.require(right_on)?;
     let emit = JoinEmit::new(left_schema, right_schema, demand)?;
 
-    let matches = match join_words(left, li, right, ri) {
+    let matches = match join_words(Selected::all(left)?, li, Selected::all(right)?, ri) {
         Some((lw, rw)) => join_matches(lw.into_iter().map(Some), rw.into_iter().map(Some)),
         None => join_matches(value_keys(left, li), value_keys(right, ri)),
     };
@@ -484,7 +692,12 @@ pub fn hash_join_with(
 /// `Value::cmp` makes between the two. `None` when either column is not
 /// typed, or the kinds can hold no equal pair (the generic body finds
 /// no match there either).
-fn join_words(left: &[Row], li: usize, right: &[Row], ri: usize) -> Option<(Vec<u64>, Vec<u64>)> {
+fn join_words(
+    left: Selected<'_>,
+    li: usize,
+    right: Selected<'_>,
+    ri: usize,
+) -> Option<(Vec<u64>, Vec<u64>)> {
     let (lk, mut lw) = key_words(left, li)?;
     let (rk, mut rw) = key_words(right, ri)?;
     let as_float = |words: &mut Vec<u64>| {
@@ -678,29 +891,35 @@ impl<'a> Groups<'a> {
     }
 }
 
-/// Phase 1 of [`group_by`]: the group of every row, groups numbered in
-/// first-seen order, and the first row of each group. One typed key
-/// column is grouped by its words, anything else by [`Groups`].
-fn number_groups<'a>(rows: &'a [Row], key_idx: &'a [usize]) -> (Vec<usize>, Vec<&'a Row>) {
+/// Phase 1 of [`group_by_at`]: the group of every row read, groups
+/// numbered in first-seen order, and the first row of each group. One
+/// typed key column is grouped by its words, anything else by
+/// [`Groups`] through the rows.
+fn number_groups<'a>(input: Selected<'a>, key_idx: &'a [usize]) -> (Vec<usize>, Vec<&'a Row>) {
     let words = match key_idx {
         // No key: every row is in the one group (no rows, no group).
-        [] => return (vec![0; rows.len()], rows.first().into_iter().collect()),
-        [column] => key_words(rows, *column),
+        [] => {
+            let first = (!input.is_empty()).then(|| input.row(0));
+            return (vec![0; input.len()], first.into_iter().collect());
+        }
+        [column] => key_words(input, *column),
         _ => None,
     };
     let Some((_, words)) = words else {
-        let mut groups = Groups::new(key_idx, rows.len());
-        let ids = rows.iter().map(|row| groups.group_of(row)).collect();
+        let mut groups = Groups::new(key_idx, input.len());
+        let ids = (0..input.len())
+            .map(|i| groups.group_of(input.row(i)))
+            .collect();
         return (ids, groups.firsts);
     };
-    let mut index = group_map::<u64>(rows.len());
+    let mut index = group_map::<u64>(input.len());
     let mut firsts = Vec::new();
     let ids = words
         .iter()
-        .zip(rows)
-        .map(|(&word, row)| {
+        .enumerate()
+        .map(|(i, &word)| {
             *index.entry(word).or_insert_with(|| {
-                firsts.push(row);
+                firsts.push(input.row(i));
                 firsts.len() - 1
             })
         })
@@ -938,14 +1157,33 @@ pub fn sort_merge_join_with(
 ///
 /// # Errors
 ///
-/// Returns [`Error::ColumnNotFound`] for unknown columns, or
-/// [`Error::SchemaMismatch`] when aggregating a non-numeric column.
+/// Returns [`Error::ColumnNotFound`] for unknown columns,
+/// [`Error::SchemaMismatch`] when aggregating a non-numeric column, and
+/// [`Error::Invalid`] as [`Selected::all`] does.
 pub fn group_by(
     schema: &Schema,
     rows: &[Row],
     keys: &[&str],
     aggs: &[AggregateSpec],
 ) -> Result<(Schema, Vec<Row>)> {
+    let (schema, rows, _) = group_by_at(schema, Selected::all(rows)?, keys, aggs)?;
+    Ok((schema, rows))
+}
+
+/// [`group_by`] over the rows `input` reads, also returning the
+/// output's payload bytes, summed as its rows are built. A keyless
+/// `COUNT(*)` reads no row at all.
+///
+/// # Errors
+///
+/// Returns [`Error::ColumnNotFound`] for unknown columns, or
+/// [`Error::SchemaMismatch`] when aggregating a non-numeric column.
+pub fn group_by_at(
+    schema: &Schema,
+    input: Selected<'_>,
+    keys: &[&str],
+    aggs: &[AggregateSpec],
+) -> Result<(Schema, Vec<Row>, u64)> {
     use pspp_common::{DataType, Field};
 
     let key_idx: Vec<usize> = keys
@@ -986,24 +1224,26 @@ pub fn group_by(
         /// Current minimum or maximum (`Min`, `Max`).
         extremum: Option<Value>,
     }
-    if key_idx.is_empty() && rows.is_empty() {
-        return Ok((out_schema, vec![empty_aggregate(aggs)]));
+    if key_idx.is_empty() && input.is_empty() {
+        let row = empty_aggregate(aggs);
+        let bytes = row.byte_size() as u64;
+        return Ok((out_schema, vec![row], bytes));
     }
-    let (ids, firsts) = number_groups(rows, &key_idx);
+    let (ids, firsts) = number_groups(input, &key_idx);
     let mut group_rows_seen = vec![0i64; firsts.len()];
     for &g in &ids {
         group_rows_seen[g] += 1;
     }
     // Phase 2. One state per (group, aggregate), group-major; one pass
-    // over the rows per aggregate, so a group's values still add up in
-    // row order.
+    // over the column per aggregate, so a group's values still add up
+    // in row order.
     let mut accs = vec![Acc::default(); firsts.len() * aggs.len()];
     for (a, (spec, idx)) in aggs.iter().zip(&agg_idx).enumerate() {
         let Some(idx) = *idx else { continue };
-        let cells = rows
-            .iter()
+        let cells = input
+            .cells(idx)
             .zip(&ids)
-            .map(|(row, &g)| (&row[idx], g * aggs.len() + a))
+            .map(|(v, &g)| (v, g * aggs.len() + a))
             .filter(|(v, _)| !v.is_null());
         match spec.agg {
             Aggregate::Sum | Aggregate::Avg => {
@@ -1023,8 +1263,8 @@ pub fn group_by(
                 };
                 for (v, at) in cells {
                     let extremum = &mut accs[at].extremum;
-                    if extremum.as_ref().is_none_or(|m| v.cmp(m) == better) {
-                        *extremum = Some(v.clone());
+                    if extremum.as_ref().is_none_or(|m| v.as_ref().cmp(m) == better) {
+                        *extremum = Some(v.into_owned());
                     }
                 }
             }
@@ -1034,6 +1274,7 @@ pub fn group_by(
     }
 
     let mut accs = accs.into_iter();
+    let mut bytes = 0u64;
     let out = firsts
         .iter()
         .zip(group_rows_seen)
@@ -1051,10 +1292,12 @@ pub fn group_by(
                         Aggregate::Min | Aggregate::Max => acc.extremum.unwrap_or(Value::Null),
                         Aggregate::CountNonNull => Value::Int(acc.count),
                     });
-            keys.chain(finals).collect()
+            let row: Row = keys.chain(finals).collect();
+            bytes += row.byte_size() as u64;
+            row
         })
         .collect();
-    Ok((out_schema, out))
+    Ok((out_schema, out, bytes))
 }
 
 /// The one row an aggregate without keys returns over no rows, as SQL
@@ -1068,8 +1311,9 @@ fn empty_aggregate(aggs: &[AggregateSpec]) -> Row {
         .collect()
 }
 
-/// The first `n` rows (all of them when there are fewer).
-pub fn limit(rows: &[Row], n: usize) -> Vec<Row> {
+/// The first `n` rows (all of them when there are fewer) — or the
+/// first `n` positions of a selection.
+pub fn limit<T: Clone>(rows: &[T], n: usize) -> Vec<T> {
     rows[..n.min(rows.len())].to_vec()
 }
 
@@ -1207,11 +1451,12 @@ mod tests {
             row!["b", 1i64, 1.5, 30i64],
             row!["a", 2i64, 0i64, 40i64],
         ];
+        let all = Selected::all(&rows).unwrap();
         for column in 0..3 {
-            assert!(key_words(&rows, column).is_none(), "column {column}");
+            assert!(key_words(all, column).is_none(), "column {column}");
         }
-        assert!(key_words(&rows, 3).is_some());
-        assert!(key_words(&[], 3).is_none());
+        assert!(key_words(all, 3).is_some());
+        assert!(key_words(Selected::all(&[]).unwrap(), 3).is_none());
         (schema, rows)
     }
 

@@ -1,10 +1,13 @@
 //! Heap tables with secondary B-tree indexes and a typed column image.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use pspp_common::{
     Column, ColumnSource, DataType, Error, Predicate, Result, Row, Schema, TypedColumn, Value,
 };
+
+use crate::ops::Selected;
 
 /// A table's fixed-width columns as typed vectors, and every row's
 /// payload width: what a scan reads instead of chasing row pointers.
@@ -76,8 +79,105 @@ impl ColumnImage {
 /// Row positions and payload widths are `u32`s, half the bytes a scan
 /// moves through its selection vector; a table refuses what would not
 /// fit.
-fn as_u32(n: usize, what: &str) -> Result<u32> {
+pub(crate) fn as_u32(n: usize, what: &str) -> Result<u32> {
     u32::try_from(n).map_err(|_| Error::Invalid(format!("{what} {n} exceeds u32::MAX")))
+}
+
+/// A table's rows and their typed image as of its last write. The table
+/// holds it behind an `Arc` and copies it before writing while anyone
+/// else still holds it, so a [`Selection`] keeps reading the rows it
+/// selected whatever the table does next.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Snapshot {
+    rows: Vec<Row>,
+    image: ColumnImage,
+}
+
+impl Snapshot {
+    /// What a column-wise read sees: the rows and their image.
+    pub fn source(&self) -> ColumnSource<'_> {
+        ColumnSource {
+            rows: &self.rows,
+            typed: &self.image.columns,
+        }
+    }
+}
+
+/// The rows a scan kept: their positions, in scan order, in a snapshot
+/// of the table. The relational kernels read keys and values at the
+/// positions ([`Selection::selected`]); [`Selection::rows`] builds the
+/// rows themselves, which are the table's own, shared.
+#[derive(Debug, Clone)]
+pub struct Selection {
+    snapshot: Arc<Snapshot>,
+    positions: Vec<u32>,
+}
+
+impl Selection {
+    /// The positions in the snapshot, in order.
+    pub fn positions(&self) -> &[u32] {
+        &self.positions
+    }
+
+    /// What the relational kernels read: the snapshot at the positions.
+    pub fn selected(&self) -> Selected<'_> {
+        Selected::at(self.snapshot.source(), &self.positions)
+    }
+
+    /// Number of rows selected.
+    pub fn len(&self) -> usize {
+        self.positions.len()
+    }
+
+    /// Whether no row is selected.
+    pub fn is_empty(&self) -> bool {
+        self.positions.is_empty()
+    }
+
+    /// Payload bytes of the selected rows, from the image's widths.
+    pub fn byte_size(&self) -> u64 {
+        let widths = &self.snapshot.image.widths;
+        self.positions
+            .iter()
+            .map(|&p| u64::from(widths[p as usize]))
+            .sum()
+    }
+
+    /// The selected rows, in order: the snapshot's rows, shared.
+    pub fn rows(&self) -> Vec<Row> {
+        let rows = &self.snapshot.rows;
+        self.positions
+            .iter()
+            .map(|&p| rows[p as usize].clone())
+            .collect()
+    }
+
+    /// The rows at `positions` of the same snapshot — what a kernel
+    /// returned from [`Selection::selected`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Invalid`] for a position past the snapshot.
+    pub fn with_positions(&self, positions: Vec<u32>) -> Result<Selection> {
+        let rows = self.snapshot.rows.len();
+        if let Some(&p) = positions.iter().find(|&&p| p as usize >= rows) {
+            return Err(Error::Invalid(format!(
+                "position {p} in a snapshot of {rows} rows"
+            )));
+        }
+        Ok(Selection {
+            snapshot: Arc::clone(&self.snapshot),
+            positions,
+        })
+    }
+
+    /// The first `n` rows (all of them when there are fewer).
+    pub fn prefix(&self, n: usize) -> Selection {
+        Selection {
+            snapshot: Arc::clone(&self.snapshot),
+            positions: crate::ops::limit(&self.positions, n),
+        }
+    }
 }
 
 /// A heap of rows plus secondary indexes.
@@ -85,10 +185,10 @@ fn as_u32(n: usize, what: &str) -> Result<u32> {
 pub struct Table {
     name: String,
     schema: Schema,
-    rows: Vec<Row>,
-    /// Kept current by every write, with `byte_size` and `indexes`.
-    image: ColumnImage,
-    /// Payload bytes of `rows` (the sum of the image's widths), so a
+    /// The rows and their image, kept current by every write with
+    /// `byte_size` and `indexes`.
+    data: Arc<Snapshot>,
+    /// Payload bytes of the rows (the sum of the image's widths), so a
     /// full scan prices the heap without walking it.
     byte_size: u64,
     /// column name -> (value -> row positions)
@@ -100,9 +200,11 @@ impl Table {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Table {
             name: name.into(),
-            image: ColumnImage::empty(&schema),
+            data: Arc::new(Snapshot {
+                rows: Vec::new(),
+                image: ColumnImage::empty(&schema),
+            }),
             schema,
-            rows: Vec::new(),
             byte_size: 0,
             indexes: BTreeMap::new(),
         }
@@ -120,31 +222,37 @@ impl Table {
 
     /// All rows, in insertion order.
     pub fn rows(&self) -> &[Row] {
-        &self.rows
+        &self.data.rows
     }
 
     /// The typed image of [`Table::rows`].
     pub fn image(&self) -> &ColumnImage {
-        &self.image
+        &self.data.image
     }
 
     /// What a column-wise predicate evaluation reads: the rows and
     /// their image.
     pub fn source(&self) -> ColumnSource<'_> {
-        ColumnSource {
-            rows: &self.rows,
-            typed: &self.image.columns,
+        self.data.source()
+    }
+
+    /// The rows at `positions` (each less than [`Table::len`]), as of
+    /// now: later writes leave the selection as it is.
+    pub(crate) fn select(&self, positions: Vec<u32>) -> Selection {
+        Selection {
+            snapshot: Arc::clone(&self.data),
+            positions,
         }
     }
 
     /// Row count.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.data.rows.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.data.rows.is_empty()
     }
 
     /// Inserts one row, maintaining the image and all indexes.
@@ -157,14 +265,15 @@ impl Table {
     pub fn insert(&mut self, row: Row) -> Result<()> {
         self.schema.check_row(&row)?;
         let width = as_u32(row.byte_size(), "row payload bytes")?;
-        let pos = as_u32(self.rows.len() + 1, "row count")? - 1;
+        let pos = as_u32(self.len() + 1, "row count")? - 1;
         for (col, index) in &mut self.indexes {
             let idx = self.schema.require(col)?;
             index.entry(row[idx].clone()).or_default().push(pos);
         }
-        self.image.push(&row, width);
+        let data = Arc::make_mut(&mut self.data);
+        data.image.push(&row, width);
+        data.rows.push(row);
         self.byte_size += u64::from(width);
-        self.rows.push(row);
         Ok(())
     }
 
@@ -176,7 +285,7 @@ impl Table {
     pub fn create_index(&mut self, column: &str) -> Result<()> {
         let idx = self.schema.require(column)?;
         let mut index: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
-        for (pos, row) in (0u32..).zip(&self.rows) {
+        for (pos, row) in (0u32..).zip(self.rows()) {
             index.entry(row[idx].clone()).or_default().push(pos);
         }
         self.indexes.insert(column.to_owned(), index);
@@ -206,9 +315,9 @@ impl Table {
     /// (and [`pspp_common::Error::Invalid`] as [`Table::insert`] does);
     /// the table is unchanged on error.
     pub fn replace_rows(&mut self, rows: Vec<Row>) -> Result<()> {
-        self.image = ColumnImage::of(&self.schema, &rows)?;
-        self.byte_size = self.image.widths.iter().map(|&w| u64::from(w)).sum();
-        self.rows = rows;
+        let image = ColumnImage::of(&self.schema, &rows)?;
+        self.byte_size = image.widths.iter().map(|&w| u64::from(w)).sum();
+        self.data = Arc::new(Snapshot { rows, image });
         let columns = self.indexed_columns();
         for col in columns {
             self.create_index(&col)?;
@@ -233,7 +342,7 @@ impl Table {
             (Some(lo), Some(hi)) => positions(&mut index.range(lo..=hi)),
             (Some(lo), None) => positions(&mut index.range(lo..)),
             (None, Some(hi)) => positions(&mut index.range(..=hi)),
-            (None, None) => (0..self.rows.len() as u32).collect(),
+            (None, None) => (0..self.len() as u32).collect(),
         })
     }
 
@@ -394,6 +503,25 @@ mod tests {
         t.replace_rows(vec![]).unwrap();
         current(&t);
         assert!(t.image().widths().is_empty());
+    }
+
+    #[test]
+    fn a_selection_keeps_its_snapshot_across_writes() {
+        let mut t = table();
+        let selection = t.select(vec![5, 2]);
+        let want = vec![t.rows()[5].clone(), t.rows()[2].clone()];
+        t.insert(row![100i64, "new"]).unwrap();
+        t.replace_rows(vec![row![1i64, "one"]]).unwrap();
+        assert_eq!(t.len(), 1);
+        assert_eq!(selection.rows(), want);
+        assert!(selection.rows()[0].ptr_eq(&want[0]));
+        assert_eq!(selection.byte_size(), 2 * (8 + 2));
+        assert_eq!(selection.prefix(1).rows(), want[..1]);
+        assert_eq!(selection.with_positions(vec![99]).unwrap().len(), 1);
+        assert!(matches!(
+            selection.with_positions(vec![0, 100]),
+            Err(Error::Invalid(_))
+        ));
     }
 
     #[test]

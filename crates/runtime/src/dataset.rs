@@ -4,6 +4,7 @@ use std::sync::{Arc, OnceLock};
 
 use pspp_common::{DataModel, EngineId, Error, OutputDigest, Result, Routes, Row, Schema};
 use pspp_mlengine::Mlp;
+use pspp_relstore::{Selected, Selection};
 
 /// A dataset's rows: one immutable buffer shared by every clone.
 ///
@@ -14,15 +15,41 @@ use pspp_mlengine::Mlp;
 /// it: [`RowBuf::append`], which keeps a known byte size known, and
 /// [`RowBuf::make_mut`], which forgets it. Rows leave a buffer by move
 /// only when nobody else holds it.
+///
+/// A relational scan's buffer holds a [`Selection`] — the kept
+/// positions over the table's snapshot — instead of rows. The
+/// relational kernels read it where it lies ([`RowBuf::selected`]),
+/// its length and byte size come from the positions and the table's
+/// widths, and its rows are built on the first deref, once for every
+/// holder. The executor builds every program output before it returns,
+/// so no selection outlives the run that made it.
 #[derive(Clone, Default)]
 pub struct RowBuf(Arc<Shared>);
 
 #[derive(Clone, Default)]
 struct Shared {
+    /// The rows; none while the buffer is a selection.
     rows: Vec<Row>,
-    /// Payload bytes of `rows`, summed on first use: every clone of the
-    /// buffer prices the same rows, so they are walked once.
+    /// A scan's selection, and its rows once somebody has read them.
+    selection: Option<(Selection, OnceLock<Vec<Row>>)>,
+    /// Payload bytes of the rows, summed on first use: every clone of
+    /// the buffer prices the same rows, so they are walked once.
     byte_size: OnceLock<u64>,
+}
+
+impl Shared {
+    fn rows(&self) -> &[Row] {
+        match &self.selection {
+            Some((selection, built)) => built.get_or_init(|| selection.rows()),
+            None => &self.rows,
+        }
+    }
+
+    /// The byte size, when known without walking rows.
+    fn known_byte_size(&self) -> Option<u64> {
+        let selected = || self.selection.as_ref().map(|(s, _)| s.byte_size());
+        self.byte_size.get().copied().or_else(selected)
+    }
 }
 
 impl RowBuf {
@@ -37,13 +64,98 @@ impl RowBuf {
         );
         RowBuf(Arc::new(Shared {
             rows,
+            selection: None,
             byte_size: OnceLock::from(byte_size),
         }))
     }
 
-    /// Payload bytes (sum of [`Row::byte_size`]).
+    /// The rows `selection` keeps, not yet built.
+    pub fn selection(selection: Selection) -> Self {
+        RowBuf(Arc::new(Shared {
+            rows: Vec::new(),
+            selection: Some((selection, OnceLock::new())),
+            byte_size: OnceLock::new(),
+        }))
+    }
+
+    /// The scan selection this buffer holds, if it holds one.
+    pub fn as_selection(&self) -> Option<&Selection> {
+        self.0.selection.as_ref().map(|(selection, _)| selection)
+    }
+
+    /// What the relational kernels read: a selection's positions over
+    /// its snapshot, or every row.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Invalid`] as [`Selected::all`] does.
+    pub fn selected(&self) -> Result<Selected<'_>> {
+        match self.as_selection() {
+            Some(selection) => Ok(selection.selected()),
+            None => Selected::all(&self.0.rows),
+        }
+    }
+
+    /// The rows at `positions` of [`RowBuf::selected`]'s source, in that
+    /// order — a kernel's answer over it: a selection of a selection,
+    /// copies of the row pointers otherwise. `byte_size` is their
+    /// payload bytes when the caller knows them; rows copied without it
+    /// are summed as they are copied.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Invalid`] for a position past the source.
+    pub fn pick(&self, positions: Vec<u32>, byte_size: Option<u64>) -> Result<RowBuf> {
+        if let Some(selection) = self.as_selection() {
+            let picked = RowBuf::selection(selection.with_positions(positions)?);
+            if let Some(bytes) = byte_size {
+                picked.0.byte_size.get_or_init(|| bytes);
+            }
+            return Ok(picked);
+        }
+        let mut bytes = 0u64;
+        let rows = positions
+            .iter()
+            .map(|&p| {
+                let row = self.0.rows.get(p as usize).ok_or_else(|| {
+                    Error::Invalid(format!("position {p} of {} rows", self.0.rows.len()))
+                })?;
+                if byte_size.is_none() {
+                    bytes += row.byte_size() as u64;
+                }
+                Ok(row.clone())
+            })
+            .collect::<Result<_>>()?;
+        Ok(RowBuf::pre_sized(rows, byte_size.unwrap_or(bytes)))
+    }
+
+    /// The first `n` rows (all of them when there are fewer), as
+    /// [`pspp_relstore::ops::limit`] takes them.
+    pub fn prefix(&self, n: usize) -> RowBuf {
+        match self.as_selection() {
+            Some(selection) => RowBuf::selection(selection.prefix(n)),
+            None => RowBuf::from(pspp_relstore::ops::limit(&self.0.rows, n)),
+        }
+    }
+
+    /// Number of rows, built or not.
+    pub fn len(&self) -> usize {
+        self.as_selection().map_or(self.0.rows.len(), Selection::len)
+    }
+
+    /// Whether the buffer holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Payload bytes (sum of [`Row::byte_size`]): a selection's from the
+    /// table's widths.
     pub fn byte_size(&self) -> u64 {
-        let sum = || self.iter().map(|r| r.byte_size() as u64).sum();
+        let sum = || {
+            self.0
+                .known_byte_size()
+                .unwrap_or_else(|| self.iter().map(|r| r.byte_size() as u64).sum())
+        };
         *self.0.byte_size.get_or_init(sum)
     }
 
@@ -60,29 +172,55 @@ impl RowBuf {
     /// `more` is their buffer's only holder, and are copied (row
     /// pointers) otherwise.
     pub(crate) fn append_owned(&mut self, more: RowBuf) {
-        let known = match (self.0.byte_size.get(), more.0.byte_size.get()) {
+        let known = match (self.0.known_byte_size(), more.0.known_byte_size()) {
             (Some(a), Some(b)) => OnceLock::from(a + b),
             _ => OnceLock::new(),
         };
-        let shared = Arc::make_mut(&mut self.0);
-        match Arc::try_unwrap(more.0) {
-            Ok(more) => shared.rows.extend(more.rows),
-            Err(more) => shared.rows.extend_from_slice(&more.rows),
-        }
+        let shared = self.shared_mut();
+        shared.rows.extend(more.into_rows());
         shared.byte_size = known;
     }
 
     /// The rows: moved out when this is the buffer's only holder, a copy
-    /// of the row pointers otherwise.
+    /// of the row pointers otherwise. A selection nobody has read yet is
+    /// built for the caller alone.
     pub(crate) fn into_rows(self) -> Vec<Row> {
-        Arc::unwrap_or_clone(self.0).rows
+        match Arc::try_unwrap(self.0) {
+            Ok(Shared {
+                selection: Some((selection, built)),
+                ..
+            }) => built.into_inner().unwrap_or_else(|| selection.rows()),
+            Ok(shared) => shared.rows,
+            Err(shared) => match &shared.selection {
+                Some((selection, built)) => built.get().cloned().unwrap_or_else(|| selection.rows()),
+                None => shared.rows.clone(),
+            },
+        }
+    }
+
+    /// This buffer with its rows built, and known to be: a selection
+    /// gives way to the rows it selects; rows stay as they are.
+    pub(crate) fn built(self) -> RowBuf {
+        if self.as_selection().is_none() {
+            return self;
+        }
+        let byte_size = self.byte_size();
+        RowBuf::pre_sized(self.into_rows(), byte_size)
+    }
+
+    /// The buffer for writing: its rows built and held by nobody else.
+    fn shared_mut(&mut self) -> &mut Shared {
+        if self.as_selection().is_some() {
+            *self = RowBuf::from(std::mem::take(self).into_rows());
+        }
+        Arc::make_mut(&mut self.0)
     }
 
     /// The rows for writing. A buffer shared with other holders is
     /// copied first (row pointers, not values), so they never see the
     /// change.
     pub fn make_mut(&mut self) -> &mut Vec<Row> {
-        let shared = Arc::make_mut(&mut self.0);
+        let shared = self.shared_mut();
         shared.byte_size = OnceLock::new();
         &mut shared.rows
     }
@@ -91,7 +229,7 @@ impl RowBuf {
     /// tell a carried size from one summed on demand.
     #[cfg(test)]
     pub(crate) fn known_byte_size(&self) -> Option<u64> {
-        self.0.byte_size.get().copied()
+        self.0.known_byte_size()
     }
 
     /// Whether `self` and `other` are one buffer (clones of each
@@ -114,7 +252,7 @@ impl std::ops::Deref for RowBuf {
     type Target = [Row];
 
     fn deref(&self) -> &[Row] {
-        &self.0.rows
+        self.0.rows()
     }
 }
 
@@ -122,6 +260,7 @@ impl From<Vec<Row>> for RowBuf {
     fn from(rows: Vec<Row>) -> Self {
         RowBuf(Arc::new(Shared {
             rows,
+            selection: None,
             byte_size: OnceLock::new(),
         }))
     }
@@ -165,11 +304,13 @@ pub struct Dataset {
 impl Dataset {
     /// A relational rows dataset.
     pub fn rows(schema: Schema, rows: Vec<Row>, model: DataModel, location: EngineId) -> Self {
+        Dataset::from_buf(schema, rows.into(), model, location)
+    }
+
+    /// A rows dataset over a buffer as it is (a scan's selection, say).
+    pub fn from_buf(schema: Schema, rows: RowBuf, model: DataModel, location: EngineId) -> Self {
         Dataset {
-            payload: Payload::Rows {
-                schema,
-                rows: rows.into(),
-            },
+            payload: Payload::Rows { schema, rows },
             model,
             location,
         }
@@ -185,14 +326,7 @@ impl Dataset {
         model: DataModel,
         location: EngineId,
     ) -> Self {
-        Dataset {
-            payload: Payload::Rows {
-                schema,
-                rows: RowBuf::pre_sized(rows, byte_size),
-            },
-            model,
-            location,
-        }
+        Dataset::from_buf(schema, RowBuf::pre_sized(rows, byte_size), model, location)
     }
 
     /// The schema, when tabular.
@@ -213,6 +347,15 @@ impl Dataset {
     ///
     /// Returns [`Error::Execution`] for model payloads.
     pub fn try_rows(&self) -> Result<&[Row]> {
+        Ok(self.row_buf()?)
+    }
+
+    /// The rows' buffer, when tabular.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Execution`] for model payloads.
+    pub fn row_buf(&self) -> Result<&RowBuf> {
         match &self.payload {
             Payload::Rows { rows, .. } => Ok(rows),
             Payload::Model(_) => Err(Error::Execution("dataset holds a model, not rows".into())),
@@ -252,16 +395,13 @@ impl Dataset {
         }
     }
 
-    /// Another holder of the rows' buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Execution`] for model payloads.
-    pub(crate) fn share_rows(&self) -> Result<RowBuf> {
-        match &self.payload {
-            Payload::Rows { rows, .. } => Ok(rows.clone()),
-            Payload::Model(_) => Err(Error::Execution("dataset holds a model, not rows".into())),
+    /// This dataset with its rows built (see [`RowBuf`]): what a report
+    /// may hold.
+    pub(crate) fn built(mut self) -> Dataset {
+        if let Payload::Rows { rows, .. } = &mut self.payload {
+            *rows = std::mem::take(rows).built();
         }
+        self
     }
 
     /// Takes the rows out, leaving none behind.

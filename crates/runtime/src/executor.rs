@@ -504,13 +504,16 @@ impl Executor {
                 }
             })
             .collect();
+        // Every output leaves with its rows built: a scan's selection
+        // must not hold the table's snapshot in a report or a cache,
+        // nor leave the building to a reader off the clock.
         let outputs = program
             .outputs()
             .iter()
             .map(|id| {
                 results
-                    .get(id)
-                    .cloned()
+                    .remove(id)
+                    .map(Dataset::built)
                     .ok_or_else(|| Error::Execution(format!("missing output {id}")))
             })
             .collect::<Result<_>>()?;
@@ -718,7 +721,7 @@ impl Executor {
                         None => Routes::of_rows(d.schema()?, rows, key, *w)?,
                     };
                     let mut split = Routed::new(d, routes.bytes.len())?;
-                    split.push(d.share_rows()?, &routes)?;
+                    split.push(d.row_buf()?.clone(), &routes)?;
                     (split, stored.is_some())
                 }
             };
@@ -2838,7 +2841,7 @@ mod tests {
         let rows = d.try_rows().unwrap();
         let routes = Routes::of_rows(d.schema().unwrap(), rows, "k", width).unwrap();
         let mut split = Routed::new(d, width as usize).unwrap();
-        split.push(d.share_rows().unwrap(), &routes).unwrap();
+        split.push(d.row_buf().unwrap().clone(), &routes).unwrap();
         split.into_buckets()
     }
 

@@ -2,9 +2,9 @@
 
 use pspp_common::{DataModel, EngineId, Result};
 use pspp_ir::{AggFn, Operator};
-use pspp_relstore::{ops, Aggregate, AggregateSpec, JoinKind, SortKey};
+use pspp_relstore::{ops, Aggregate, AggregateSpec, JoinKind, Kept, SortKey};
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, RowBuf};
 use crate::physical::{EngineAdapter, ExecCtx};
 use crate::registry::EngineRegistry;
 
@@ -59,30 +59,31 @@ impl EngineAdapter for RelationalAdapter {
                 let (name, cols) = (&table.name, cols.as_deref());
                 // A shuffle reads this task next: the scan hashes the
                 // key out of the table's column image as it scans.
-                let scanned = match ctx.route() {
-                    Some(request) => {
-                        let (scanned, routes) =
-                            store.scan_routed(name, predicate, cols, request.key, request.width)?;
-                        request.routes.set(routes).map_err(|_| {
-                            pspp_common::Error::Execution("a task's routes were set twice".into())
-                        })?;
-                        scanned
-                    }
-                    None => store.scan(name, predicate, cols)?,
+                let route = ctx.route();
+                let (kept, routes) =
+                    store.scan_kept(name, predicate, cols, route.map(|r| (r.key, r.width)))?;
+                if let Some(request) = route {
+                    request.routes.set(routes).map_err(|_| {
+                        pspp_common::Error::Execution("a task's routes were set twice".into())
+                    })?;
+                }
+                let rows = match kept {
+                    Kept::Selection(selection) => RowBuf::selection(selection),
+                    Kept::Projected(scanned) => RowBuf::pre_sized(scanned.rows, scanned.byte_size),
                 };
-                let schema = store.scan_schema(name, cols)?;
-                Ok(Dataset::sized_rows(
-                    schema,
-                    scanned.rows,
-                    scanned.byte_size,
+                Ok(Dataset::from_buf(
+                    store.scan_schema(name, cols)?,
+                    rows,
                     DataModel::Relational,
                     table.engine.clone(),
                 ))
             }
             Operator::Filter { predicate } => {
                 let d = &inputs[0];
-                let rows = ops::filter_rows(d.schema()?, d.try_rows()?, predicate)?;
-                Ok(Dataset::rows(d.schema()?.clone(), rows, d.model, loc(d)))
+                let rows = d.row_buf()?;
+                let kept = ops::filter_at(d.schema()?, rows.selected()?, predicate)?;
+                let schema = d.schema()?.clone();
+                Ok(Dataset::from_buf(schema, rows.pick(kept, None)?, d.model, loc(d)))
             }
             Operator::Project { columns } => {
                 let d = &inputs[0];
@@ -98,8 +99,9 @@ impl EngineAdapter for RelationalAdapter {
                     return Ok(d.clone());
                 }
                 let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-                let (schema, rows) = ops::project(schema, d.try_rows()?, &cols)?;
-                Ok(Dataset::rows(schema, rows, d.model, loc(d)))
+                let (schema, rows, byte_size) =
+                    ops::project_at(schema, d.row_buf()?.selected()?, &cols)?;
+                Ok(Dataset::sized_rows(schema, rows, byte_size, d.model, loc(d)))
             }
             Operator::Sort { keys } => {
                 let d = &inputs[0];
@@ -110,17 +112,11 @@ impl EngineAdapter for RelationalAdapter {
                         ascending: k.ascending,
                     })
                     .collect();
-                // The sort owns the one reordered copy (row pointers):
-                // the same rows, so the same bytes.
-                let rows = ops::sort_rows(d.schema()?, d.try_rows()?.to_vec(), &sort_keys)?;
-                let schema = d.schema()?.clone();
-                Ok(Dataset::sized_rows(
-                    schema,
-                    rows,
-                    d.byte_size(),
-                    d.model,
-                    loc(d),
-                ))
+                // The same rows reordered, so the same bytes.
+                let rows = d.row_buf()?;
+                let order = ops::sort_at(d.schema()?, rows.selected()?, &sort_keys, None)?;
+                let sorted = rows.pick(order, Some(d.byte_size()))?;
+                Ok(Dataset::from_buf(d.schema()?.clone(), sorted, d.model, loc(d)))
             }
             Operator::HashJoin { left_on, right_on } => {
                 let (l, r) = (&inputs[0], &inputs[1]);
@@ -177,16 +173,17 @@ impl EngineAdapter for RelationalAdapter {
                     .iter()
                     .map(|a| AggregateSpec::new(agg_fn(a.func), a.column.clone(), a.output.clone()))
                     .collect();
-                let (schema, rows) = ops::group_by(d.schema()?, d.try_rows()?, &key_refs, &specs)?;
-                Ok(Dataset::rows(schema, rows, d.model, loc(d)))
+                let (schema, rows, byte_size) =
+                    ops::group_by_at(d.schema()?, d.row_buf()?.selected()?, &key_refs, &specs)?;
+                Ok(Dataset::sized_rows(schema, rows, byte_size, d.model, loc(d)))
             }
             Operator::Limit { n } => {
                 let d = &inputs[0];
-                let rows = d.try_rows()?;
-                Ok(if *n >= rows.len() {
+                Ok(if *n >= d.len() {
                     d.clone()
                 } else {
-                    Dataset::rows(d.schema()?.clone(), ops::limit(rows, *n), d.model, loc(d))
+                    let rows = d.row_buf()?.prefix(*n);
+                    Dataset::from_buf(d.schema()?.clone(), rows, d.model, loc(d))
                 })
             }
             other => unsupported(self, other),

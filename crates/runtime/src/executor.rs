@@ -1267,6 +1267,9 @@ impl Executor {
         if count_matches {
             ctx = ctx.counting_probe_matches(&probe_counts);
         }
+        if let Some(n) = Self::kept_by_limit(program, id, op) {
+            ctx = ctx.ordering_only(n);
+        }
         // A routed producer's task learns where each row goes from the
         // operator when it can say (a relational scan), else from the
         // rows it returned.
@@ -1370,6 +1373,25 @@ impl Executor {
             tasks: vec![task_trace],
             exchanges: Vec::new(),
         })
+    }
+
+    /// `n` when `op` is node `id`'s `Sort`, no program output, whose one
+    /// reader is a `Limit n` that runs (a fused node would forward the
+    /// sort's every row): that sort need order only the first `n` rows.
+    fn kept_by_limit(program: &Program, id: NodeId, op: &Operator) -> Option<usize> {
+        if !matches!(op, Operator::Sort { .. }) || program.outputs().contains(&id) {
+            return None;
+        }
+        let mut readers = program.nodes().iter().filter(|n| n.inputs.contains(&id));
+        let reader = readers.next()?;
+        match reader.op {
+            Operator::Limit { n }
+                if readers.next().is_none() && !reader.annotations.fused_into_consumer =>
+            {
+                Some(n)
+            }
+            _ => None,
+        }
     }
 }
 
@@ -1558,6 +1580,52 @@ mod tests {
             let pr = r[schema.arity() - 1].as_f64().unwrap();
             assert!((0.0..=1.0).contains(&pr));
         }
+    }
+
+    #[test]
+    fn a_sort_read_by_a_limit_alone_orders_only_what_the_limit_keeps() {
+        let mut p = Program::new();
+        let s = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
+        let by_age = Operator::Sort {
+            keys: vec![pspp_ir::SortSpec {
+                column: "age".into(),
+                ascending: false,
+            }],
+        };
+        let sort = p.add_node(by_age.clone(), vec![s], "sql");
+        let lim = p.add_node(Operator::Limit { n: 7 }, vec![sort], "sql");
+        p.mark_output(lim);
+        assert_eq!(Executor::kept_by_limit(&p, sort, &by_age), Some(7));
+        assert_eq!(Executor::kept_by_limit(&p, lim, &Operator::Limit { n: 7 }), None);
+
+        // The first seven of the stable sort (ages repeat every 60 rows),
+        // from a sort that still counts, and bills, every row.
+        let registry = registry();
+        let table = registry
+            .relational(&EngineId::new("db1"))
+            .unwrap()
+            .table("admissions")
+            .unwrap();
+        let sorted = relops::sort_rows(
+            table.schema(),
+            table.rows().to_vec(),
+            &[pspp_relstore::SortKey::desc("age")],
+        )
+        .unwrap();
+        let report = exec().execute(&p, &registry).unwrap();
+        assert_eq!(report.outputs[0].try_rows().unwrap(), &sorted[..7]);
+        let rows_of = |id| report.traces.iter().find(|t| t.id == id).unwrap().rows;
+        assert_eq!(rows_of(sort), 200);
+
+        // A second reader, or the sort being an output, needs every row
+        // in order.
+        let mut shown = p.clone();
+        shown.mark_output(sort);
+        assert_eq!(Executor::kept_by_limit(&shown, sort, &by_age), None);
+        let mut shared = p.clone();
+        let again = shared.add_node(Operator::Limit { n: 7 }, vec![sort], "sql");
+        shared.mark_output(again);
+        assert_eq!(Executor::kept_by_limit(&shared, sort, &by_age), None);
     }
 
     #[test]

@@ -112,9 +112,11 @@ impl EngineAdapter for RelationalAdapter {
                         ascending: k.ascending,
                     })
                     .collect();
-                // The same rows reordered, so the same bytes.
+                // The same rows reordered, so the same bytes; read by a
+                // limit alone, only the rows it keeps are put in order.
                 let rows = d.row_buf()?;
-                let order = ops::sort_at(d.schema()?, rows.selected()?, &sort_keys, None)?;
+                let top = ctx.ordered_prefix();
+                let order = ops::sort_at(d.schema()?, rows.selected()?, &sort_keys, top)?;
                 let sorted = rows.pick(order, Some(d.byte_size()))?;
                 Ok(Dataset::from_buf(d.schema()?.clone(), sorted, d.model, loc(d)))
             }

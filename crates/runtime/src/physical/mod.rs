@@ -50,8 +50,9 @@ use pspp_ir::ColumnDemand;
 /// offload is enabled for this run, which shard replica the task
 /// addresses, which of the node's output columns its consumers read,
 /// for a shuffled-join bucket where to leave the join's per-probe-row
-/// match counts, and for a task whose rows a shuffle reads next where
-/// to leave each row's destination.
+/// match counts, for a task whose rows a shuffle reads next where to
+/// leave each row's destination, and for a sort read only by a limit
+/// how many rows the limit keeps.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecCtx<'a> {
     fleet: &'a AcceleratorFleet,
@@ -61,6 +62,7 @@ pub struct ExecCtx<'a> {
     probe_counts: Option<&'a OnceLock<Vec<usize>>>,
     demand: Option<&'a ColumnDemand>,
     route: Option<RouteRequest<'a>>,
+    ordered_prefix: Option<usize>,
 }
 
 /// A shuffle's request to the task producing its input: hash-route the
@@ -89,6 +91,7 @@ impl<'a> ExecCtx<'a> {
             probe_counts: None,
             demand: None,
             route: None,
+            ordered_prefix: None,
         }
     }
 
@@ -131,6 +134,20 @@ impl<'a> ExecCtx<'a> {
     /// output next.
     pub fn route(&self) -> Option<RouteRequest<'a>> {
         self.route
+    }
+
+    /// This context for a sort whose one reader is a `Limit n` and
+    /// which is no program output: only its first `n` rows need be in
+    /// order. It still returns every row, so its length, bytes and bill
+    /// are the full sort's.
+    pub fn ordering_only(mut self, n: usize) -> Self {
+        self.ordered_prefix = Some(n);
+        self
+    }
+
+    /// How many leading rows a sort must order, when not all of them.
+    pub fn ordered_prefix(&self) -> Option<usize> {
+        self.ordered_prefix
     }
 
     /// This context for a node whose consumers read only `demand` of

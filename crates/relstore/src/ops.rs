@@ -224,12 +224,23 @@ impl<'a> Selected<'a> {
     /// flag is clear), borrowed from the row where it has none.
     fn cells(self, column: usize) -> impl Iterator<Item = Cow<'a, Value>> + 'a {
         let typed = self.typed(column);
-        let rows = self.source.rows;
-        self.positions().map(move |p| match typed {
+        self.positions()
+            .map(move |p| self.value_at(typed, p, column))
+    }
+
+    /// Column `column` of the `i`-th row read, as [`Selected::cells`]
+    /// reads it.
+    fn cell(&self, i: usize, column: usize) -> Cow<'a, Value> {
+        self.value_at(self.typed(column), self.position(i) as usize, column)
+    }
+
+    /// Column `column` at source position `p`, `typed` being its image.
+    fn value_at(&self, typed: Option<&'a TypedColumn>, p: usize, column: usize) -> Cow<'a, Value> {
+        match typed {
             Some((values, valid)) if valid[p] => Cow::Owned(values.value(p)),
             Some(_) => Cow::Owned(Value::Null),
-            None => Cow::Borrowed(&rows[p][column]),
-        })
+            None => Cow::Borrowed(&self.source.rows[p][column]),
+        }
     }
 }
 
@@ -892,38 +903,42 @@ impl<'a> Groups<'a> {
 }
 
 /// Phase 1 of [`group_by_at`]: the group of every row read, groups
-/// numbered in first-seen order, and the first row of each group. One
-/// typed key column is grouped by its words, anything else by
+/// numbered in first-seen order, and the index of each group's first
+/// row. One typed key column is grouped by its words, anything else by
 /// [`Groups`] through the rows.
-fn number_groups<'a>(input: Selected<'a>, key_idx: &'a [usize]) -> (Vec<usize>, Vec<&'a Row>) {
+fn number_groups(input: Selected<'_>, key_idx: &[usize]) -> (Vec<usize>, Vec<usize>) {
     let words = match key_idx {
         // No key: every row is in the one group (no rows, no group).
-        [] => {
-            let first = (!input.is_empty()).then(|| input.row(0));
-            return (vec![0; input.len()], first.into_iter().collect());
-        }
+        [] => return (vec![0; input.len()], (0..input.len().min(1)).collect()),
         [column] => key_words(input, *column),
         _ => None,
     };
-    let Some((_, words)) = words else {
-        let mut groups = Groups::new(key_idx, input.len());
-        let ids = (0..input.len())
-            .map(|i| groups.group_of(input.row(i)))
-            .collect();
-        return (ids, groups.firsts);
-    };
-    let mut index = group_map::<u64>(input.len());
     let mut firsts = Vec::new();
-    let ids = words
-        .iter()
-        .enumerate()
-        .map(|(i, &word)| {
-            *index.entry(word).or_insert_with(|| {
-                firsts.push(input.row(i));
-                firsts.len() - 1
-            })
-        })
-        .collect();
+    let mut first_seen = |i: usize, group: usize| {
+        if group == firsts.len() {
+            firsts.push(i);
+        }
+        group
+    };
+    let ids = match words {
+        Some((_, words)) => {
+            let mut index = group_map::<u64>(input.len());
+            words
+                .iter()
+                .enumerate()
+                .map(|(i, &word)| {
+                    let fresh = index.len();
+                    first_seen(i, *index.entry(word).or_insert(fresh))
+                })
+                .collect()
+        }
+        None => {
+            let mut groups = Groups::new(key_idx, input.len());
+            (0..input.len())
+                .map(|i| first_seen(i, groups.group_of(input.row(i))))
+                .collect()
+        }
+    };
     (ids, firsts)
 }
 
@@ -1263,7 +1278,10 @@ pub fn group_by_at(
                 };
                 for (v, at) in cells {
                     let extremum = &mut accs[at].extremum;
-                    if extremum.as_ref().is_none_or(|m| v.as_ref().cmp(m) == better) {
+                    if extremum
+                        .as_ref()
+                        .is_none_or(|m| v.as_ref().cmp(m) == better)
+                    {
                         *extremum = Some(v.into_owned());
                     }
                 }
@@ -1278,8 +1296,9 @@ pub fn group_by_at(
     let out = firsts
         .iter()
         .zip(group_rows_seen)
-        .map(|(first, seen)| {
-            let keys = key_idx.iter().map(|&i| first[i].clone());
+        .map(|(&first, seen)| {
+            // A typed key is read out of the image: no row is touched.
+            let keys = key_idx.iter().map(|&c| input.cell(first, c).into_owned());
             let finals =
                 accs.by_ref()
                     .take(aggs.len())

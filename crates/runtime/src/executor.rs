@@ -1596,7 +1596,10 @@ mod tests {
         let lim = p.add_node(Operator::Limit { n: 7 }, vec![sort], "sql");
         p.mark_output(lim);
         assert_eq!(Executor::kept_by_limit(&p, sort, &by_age), Some(7));
-        assert_eq!(Executor::kept_by_limit(&p, lim, &Operator::Limit { n: 7 }), None);
+        assert_eq!(
+            Executor::kept_by_limit(&p, lim, &Operator::Limit { n: 7 }),
+            None
+        );
 
         // The first seven of the stable sort (ages repeat every 60 rows),
         // from a sort that still counts, and bills, every row.
@@ -2040,12 +2043,33 @@ mod tests {
             200
         );
         let (left_on, right_on) = on();
-        run(&Operator::SortMergeJoin { left_on, right_on }, &sides);
+        let joined = run(&Operator::SortMergeJoin { left_on, right_on }, &sides);
         // A limit that keeps every row is its input.
         run(
             &Operator::Limit { n: 200 },
             std::slice::from_ref(&admissions),
         );
+        // A filter, a projection and a group-by size what they build,
+        // over a scan's selection and over rows alike.
+        let elderly = Operator::Filter {
+            predicate: Predicate::ge("age", 60i64),
+        };
+        let two = Operator::Project {
+            columns: vec!["age".into(), "pid".into()],
+        };
+        let by_age = Operator::GroupBy {
+            keys: vec!["age".into()],
+            aggs: vec![pspp_ir::AggSpec {
+                func: AggFn::Avg,
+                column: "los".into(),
+                output: "m".into(),
+            }],
+        };
+        for input in [admissions.clone(), joined] {
+            for op in [&elderly, &two, &by_age] {
+                assert!(!run(op, std::slice::from_ref(&input)).is_empty());
+            }
+        }
 
         // The codec sums the bytes of the rows it decodes.
         let placer = Placer::default().scoped(CostLedger::new());

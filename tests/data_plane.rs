@@ -123,10 +123,25 @@ fn scans_and_join() -> (Program, [NodeId; 3]) {
 }
 
 fn run(program: &Program, registry: &EngineRegistry) -> Vec<Dataset> {
-    Executor::new(CostLedger::new())
+    let outputs = Executor::new(CostLedger::new())
         .execute(program, registry)
         .expect("program runs")
-        .outputs
+        .outputs;
+    assert_built(&outputs);
+    outputs
+}
+
+/// No output of a report is still a scan's selection: each holds its
+/// rows, and none holds a table's snapshot.
+fn assert_built(outputs: &[Dataset]) {
+    for output in outputs {
+        if let Payload::Rows { rows, .. } = &output.payload {
+            assert!(
+                rows.as_selection().is_none(),
+                "an output is still a selection"
+            );
+        }
+    }
 }
 
 #[test]
@@ -200,6 +215,159 @@ fn gather_and_splice_leave_partials_and_other_readers_untouched() {
     assert_eq!(partial.byte_size(), walked_bytes(head));
     assert_eq!(&gathered[..], rows);
     assert_eq!(gathered.byte_size(), walked_bytes(rows));
+}
+
+/// A scan that is the program's output — `SELECT *` under a pushed
+/// filter, and a bare scan — comes back as built rows: the table's own,
+/// shared, and the ones a row-at-a-time filter keeps.
+#[test]
+fn a_scan_that_is_the_output_returns_built_rows() {
+    for sharded in [false, true] {
+        let system = clinical(sharded);
+        let report = system
+            .run_sql("SELECT * FROM admissions WHERE date >= 100")
+            .expect("runs");
+        assert_built(&report.execution.outputs);
+        let got = report.execution.outputs[0].try_rows().expect("rows");
+        let date = Predicate::ge("date", 100i64);
+        let mut want = Vec::new();
+        for s in 0..if sharded { 2 } else { 1 } {
+            let db1 = system
+                .registry()
+                .relational_shard(&EngineId::new("db1"), polystorepp::common::ShardId(s))
+                .expect("db1 shard");
+            let table = db1.table("admissions").expect("table");
+            for row in table.rows() {
+                if date.eval(table.schema(), row).expect("known column") {
+                    want.push(row.clone());
+                }
+            }
+        }
+        assert!(!want.is_empty());
+        assert_eq!(got.len(), want.len(), "sharded = {sharded}");
+        assert!(got.iter().zip(&want).all(|(g, w)| g.ptr_eq(w)));
+    }
+}
+
+/// A report's rows are its own: an insert into the table it scanned, or
+/// a rebalance that rebuilds that table, leaves them as they were.
+#[test]
+fn a_report_keeps_its_rows_across_an_insert_and_a_rebalance() {
+    let mut registry = two_engine_registry();
+    let mut program = Program::new();
+    let scan = program.add_source(
+        Operator::Scan {
+            table: TableRef::new("db1", "admissions"),
+            predicate: Predicate::ge("age", 60i64),
+            projection: None,
+        },
+        "sql",
+    );
+    let sort = program.add_node(
+        Operator::Sort {
+            keys: vec![polystorepp::ir::SortSpec {
+                column: "pid".into(),
+                ascending: false,
+            }],
+        },
+        vec![scan],
+        "sql",
+    );
+    program.mark_output(scan);
+    program.mark_output(sort);
+    let report = Executor::new(CostLedger::new())
+        .execute(&program, &registry)
+        .expect("runs");
+    let before: Vec<Vec<Row>> = report
+        .outputs
+        .iter()
+        .map(|d| d.try_rows().expect("rows").to_vec())
+        .collect();
+    let ages = |rows: &[Row]| rows.iter().map(|r| r[1].clone()).collect::<Vec<_>>();
+
+    let table = TableRef::new("db1", "admissions");
+    registry
+        .relational_mut(&EngineId::new("db1"))
+        .expect("db1")
+        .insert("admissions", vec![row![500i64, 99i64], row![501i64, 98i64]])
+        .expect("valid rows");
+    registry
+        .rebalance(&table, PartitionSpec::hash("pid", 2))
+        .expect("rebalances");
+    for (output, rows) in report.outputs.iter().zip(&before) {
+        assert_eq!(output.try_rows().expect("rows"), rows.as_slice());
+        assert_eq!(output.byte_size(), walked_bytes(rows));
+        assert!(ages(rows)
+            .iter()
+            .all(|a| *a >= Value::Int(60) && *a < Value::Int(80)));
+    }
+    // The same program now sees the inserted rows.
+    let again = run(&program, &registry);
+    assert_eq!(again[0].len(), before[0].len() + 2);
+}
+
+/// A sort with a second reader, and a sort that is itself an output,
+/// come back fully ordered — the literal plan's stable sort of what the
+/// scan returned — beside a limit reading them, at one shard and two.
+/// (Only a sort whose one reader is a limit orders just its prefix.)
+#[test]
+fn sorts_read_beyond_a_limit_come_back_fully_ordered() {
+    let by_age = || Operator::Sort {
+        keys: vec![polystorepp::ir::SortSpec {
+            column: "age".into(),
+            ascending: false,
+        }],
+    };
+    // scan → sort → {limit, projection}, and scan → sort (output) → limit.
+    let mut shared = Program::new();
+    let scan = shared.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
+    let sort = shared.add_node(by_age(), vec![scan], "sql");
+    let first = shared.add_node(Operator::Limit { n: 5 }, vec![sort], "sql");
+    let all = shared.add_node(
+        Operator::Project {
+            columns: vec!["age".into(), "pid".into()],
+        },
+        vec![sort],
+        "sql",
+    );
+    for id in [scan, first, all] {
+        shared.mark_output(id);
+    }
+    let mut shown = Program::new();
+    let scan = shown.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
+    let sort = shown.add_node(by_age(), vec![scan], "sql");
+    let first = shown.add_node(Operator::Limit { n: 5 }, vec![sort], "sql");
+    for id in [scan, sort, first] {
+        shown.mark_output(id);
+    }
+
+    let mut two = two_engine_registry();
+    two.reshard(
+        &TableRef::new("db1", "admissions"),
+        PartitionSpec::hash("pid", 2),
+    )
+    .unwrap();
+    for (shards, registry) in [(1, two_engine_registry()), (2, two)] {
+        let stable_sort = |scanned: &Dataset| {
+            let schema = scanned.schema().unwrap();
+            let rows = scanned.try_rows().unwrap().to_vec();
+            ops::sort_rows(schema, rows, &[ops::SortKey::desc("age")]).unwrap()
+        };
+        let [scanned, limited, projected] = &run(&shared, &registry)[..] else {
+            panic!("three outputs");
+        };
+        let sorted = stable_sort(scanned);
+        let (_, want) = ops::project(scanned.schema().unwrap(), &sorted, &["age", "pid"]).unwrap();
+        assert_eq!(projected.try_rows().unwrap(), want, "{shards} shards");
+        assert_eq!(limited.try_rows().unwrap(), &sorted[..5], "{shards} shards");
+
+        let [scanned, sort, limited] = &run(&shown, &registry)[..] else {
+            panic!("three outputs");
+        };
+        let sorted = stable_sort(scanned);
+        assert_eq!(sort.try_rows().unwrap(), sorted, "{shards} shards");
+        assert_eq!(limited.try_rows().unwrap(), &sorted[..5], "{shards} shards");
+    }
 }
 
 /// The clinical deployment at 2 000 patients: enough rows that a
@@ -347,6 +515,8 @@ fn olap_templates_answer_alike_on_one_and_two_shards() {
         };
         assert_eq!(exchanges, expected, "{sql}");
         assert_eq!(one.execution.outputs.len(), 1, "{sql}");
+        assert_built(&one.execution.outputs);
+        assert_built(&two.execution.outputs);
         let (a, b) = (&one.execution.outputs[0], &two.execution.outputs[0]);
         assert!(!a.is_empty(), "{sql}");
         assert_eq!(a.schema().unwrap(), b.schema().unwrap(), "{sql}");

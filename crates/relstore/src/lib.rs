@@ -25,6 +25,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod ops;
 
@@ -249,13 +250,15 @@ impl RelationalStore {
         predicate: &Predicate,
         projection: Option<&[&str]>,
     ) -> Result<Scanned> {
-        Ok(match self.scan_kept(table, predicate, projection, None)?.0 {
-            Kept::Selection(selection) => Scanned {
-                rows: selection.rows(),
-                byte_size: selection.byte_size(),
+        Ok(
+            match self.scan_kept(table, predicate, projection, None)?.0 {
+                Kept::Selection(selection) => Scanned {
+                    rows: selection.rows(),
+                    byte_size: selection.byte_size(),
+                },
+                Kept::Projected(scanned) => scanned,
             },
-            Kept::Projected(scanned) => scanned,
-        })
+        )
     }
 
     /// [`RelationalStore::scan`] handing on what it kept without

@@ -140,7 +140,8 @@ impl RowBuf {
 
     /// Number of rows, built or not.
     pub fn len(&self) -> usize {
-        self.as_selection().map_or(self.0.rows.len(), Selection::len)
+        self.as_selection()
+            .map_or(self.0.rows.len(), Selection::len)
     }
 
     /// Whether the buffer holds no rows.
@@ -192,7 +193,9 @@ impl RowBuf {
             }) => built.into_inner().unwrap_or_else(|| selection.rows()),
             Ok(shared) => shared.rows,
             Err(shared) => match &shared.selection {
-                Some((selection, built)) => built.get().cloned().unwrap_or_else(|| selection.rows()),
+                Some((selection, built)) => {
+                    built.get().cloned().unwrap_or_else(|| selection.rows())
+                }
                 None => shared.rows.clone(),
             },
         }

@@ -25,6 +25,7 @@
 //!   more wall time than these sub-millisecond tasks take.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod dataset;
 pub mod executor;

@@ -83,7 +83,12 @@ impl EngineAdapter for RelationalAdapter {
                 let rows = d.row_buf()?;
                 let kept = ops::filter_at(d.schema()?, rows.selected()?, predicate)?;
                 let schema = d.schema()?.clone();
-                Ok(Dataset::from_buf(schema, rows.pick(kept, None)?, d.model, loc(d)))
+                Ok(Dataset::from_buf(
+                    schema,
+                    rows.pick(kept, None)?,
+                    d.model,
+                    loc(d),
+                ))
             }
             Operator::Project { columns } => {
                 let d = &inputs[0];
@@ -101,7 +106,13 @@ impl EngineAdapter for RelationalAdapter {
                 let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
                 let (schema, rows, byte_size) =
                     ops::project_at(schema, d.row_buf()?.selected()?, &cols)?;
-                Ok(Dataset::sized_rows(schema, rows, byte_size, d.model, loc(d)))
+                Ok(Dataset::sized_rows(
+                    schema,
+                    rows,
+                    byte_size,
+                    d.model,
+                    loc(d),
+                ))
             }
             Operator::Sort { keys } => {
                 let d = &inputs[0];
@@ -118,7 +129,12 @@ impl EngineAdapter for RelationalAdapter {
                 let top = ctx.ordered_prefix();
                 let order = ops::sort_at(d.schema()?, rows.selected()?, &sort_keys, top)?;
                 let sorted = rows.pick(order, Some(d.byte_size()))?;
-                Ok(Dataset::from_buf(d.schema()?.clone(), sorted, d.model, loc(d)))
+                Ok(Dataset::from_buf(
+                    d.schema()?.clone(),
+                    sorted,
+                    d.model,
+                    loc(d),
+                ))
             }
             Operator::HashJoin { left_on, right_on } => {
                 let (l, r) = (&inputs[0], &inputs[1]);
@@ -177,7 +193,13 @@ impl EngineAdapter for RelationalAdapter {
                     .collect();
                 let (schema, rows, byte_size) =
                     ops::group_by_at(d.schema()?, d.row_buf()?.selected()?, &key_refs, &specs)?;
-                Ok(Dataset::sized_rows(schema, rows, byte_size, d.model, loc(d)))
+                Ok(Dataset::sized_rows(
+                    schema,
+                    rows,
+                    byte_size,
+                    d.model,
+                    loc(d),
+                ))
             }
             Operator::Limit { n } => {
                 let d = &inputs[0];

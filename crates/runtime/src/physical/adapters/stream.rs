@@ -73,6 +73,8 @@ impl EngineAdapter for StreamAdapter {
 }
 
 /// Maps IR window aggregates to fold functions over window payloads.
+/// The store folds only windows that hold a value; over none, `Last`
+/// is NaN, as `Mean` is.
 fn stream_agg(a: TsAgg) -> fn(&[f64]) -> f64 {
     match a {
         TsAgg::Mean => |v| v.iter().sum::<f64>() / v.len() as f64,
@@ -80,6 +82,6 @@ fn stream_agg(a: TsAgg) -> fn(&[f64]) -> f64 {
         TsAgg::Max => |v| v.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b)),
         TsAgg::Sum => |v| v.iter().sum(),
         TsAgg::Count => |v| v.len() as f64,
-        TsAgg::Last => |v| *v.last().expect("nonempty window"),
+        TsAgg::Last => |v| v.last().copied().unwrap_or(f64::NAN),
     }
 }

@@ -33,7 +33,7 @@ pub mod table;
 
 pub use ops::{Aggregate, AggregateSpec, JoinKind, Selected, SortKey};
 pub use pspp_common::Predicate;
-pub use table::{ColumnImage, Selection, Snapshot, Table};
+pub use table::{ColumnImage, Selection, Table};
 
 use std::collections::BTreeMap;
 

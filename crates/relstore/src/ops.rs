@@ -20,10 +20,11 @@
 //!
 //! # Key words
 //!
-//! [`sort_rows`], [`group_by`] and [`hash_join`] read a key column out
-//! of the rows once, into a flat `Vec<u64>` — one *word* per row — and
-//! then compare, hash and sort words instead of `&Value`s behind a
-//! pointer per row. The encoding is a contract: for two values `a`, `b`
+//! [`sort_rows`], [`group_by`] and [`hash_join`] (and [`sort_at`],
+//! [`group_by_at`]) read a key column once — out of the typed image
+//! over a selection, out of the rows otherwise — into a flat `Vec<u64>`,
+//! one *word* per row, and then compare, hash and sort words instead of
+//! `&Value`s behind a pointer per row. The encoding is a contract: for two values `a`, `b`
 //! of one typed column, `word(a).cmp(&word(b)) == a.cmp(b)` (unsigned
 //! order is [`Value`]'s order, so equal words are equal values):
 //!
@@ -45,10 +46,10 @@
 //!
 //! A column is **not typed** — and the call runs the generic body over
 //! `&Value`, which returns the same rows in the same order — when it
-//! holds a `Str`, `Bytes` or `NULL` anywhere among the rows read (a
-//! NULL in the typed image is a cleared validity flag), when it mixes kinds
-//! (`Int` beside `Float` included: the two compare numerically and no
-//! one word serves both), or when there are no rows. Beyond that,
+//! holds a `Str`, `Bytes` or `NULL` among the rows read (a NULL in the
+//! typed image is a cleared validity flag), when it mixes kinds (`Int`
+//! beside `Float` included: the two compare numerically and no one word
+//! serves both), or when there are no rows. Beyond that,
 //! `sort_rows` takes one to three keys over words, `group_by` one key
 //! column (several take the generic body; none at all is one group and
 //! needs no map), and `hash_join` two typed columns of the same kind or

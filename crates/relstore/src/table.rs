@@ -88,14 +88,14 @@ pub(crate) fn as_u32(n: usize, what: &str) -> Result<u32> {
 /// else still holds it, so a [`Selection`] keeps reading the rows it
 /// selected whatever the table does next.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot {
+pub(crate) struct Snapshot {
     rows: Vec<Row>,
     image: ColumnImage,
 }
 
 impl Snapshot {
     /// What a column-wise read sees: the rows and their image.
-    pub fn source(&self) -> ColumnSource<'_> {
+    fn source(&self) -> ColumnSource<'_> {
         ColumnSource {
             rows: &self.rows,
             typed: &self.image.columns,

@@ -53,8 +53,8 @@ impl Shared {
 }
 
 impl RowBuf {
-    /// A buffer whose payload bytes the producer already knows (a scan
-    /// sums them from the table's width vector): `byte_size` must be
+    /// A buffer whose payload bytes the producer already knows (a join
+    /// or a group-by sums them as it builds its rows): `byte_size` must be
     /// the sum of [`Row::byte_size`] over `rows`, and is never walked
     /// for.
     pub fn pre_sized(rows: Vec<Row>, byte_size: u64) -> Self {

@@ -3,8 +3,7 @@
 //! The paper's array store: "matrix operations in SciDB" (§I). Dense
 //! n-dimensional `f64` arrays with slicing, reshaping, elementwise ops,
 //! axis reductions, and 2-d matrix multiply routed through the
-//! accelerator GEMM kernel. Costs are posted to the shared
-//! [`CostLedger`].
+//! accelerator GEMM kernel.
 //!
 //! # Examples
 //!
@@ -20,10 +19,11 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::BTreeMap;
 
-use pspp_accel::kernels::{Gemm, KernelReport, Matrix};
-use pspp_accel::{CostLedger, DeviceProfile, KernelClass};
+use pspp_accel::kernels::{Gemm, Matrix};
 use pspp_common::{EngineId, Error, Result};
 
 /// A dense n-dimensional array of `f64` in row-major order.
@@ -259,8 +259,6 @@ impl NdArray {
 pub struct ArrayStore {
     id: EngineId,
     arrays: BTreeMap<String, NdArray>,
-    ledger: CostLedger,
-    cpu: DeviceProfile,
 }
 
 impl ArrayStore {
@@ -269,25 +267,12 @@ impl ArrayStore {
         ArrayStore {
             id: id.into(),
             arrays: BTreeMap::new(),
-            ledger: CostLedger::new(),
-            cpu: DeviceProfile::cpu(),
         }
-    }
-
-    /// Attaches a shared cost ledger.
-    pub fn with_ledger(mut self, ledger: CostLedger) -> Self {
-        self.ledger = ledger;
-        self
     }
 
     /// The engine id.
     pub fn id(&self) -> &EngineId {
         &self.id
-    }
-
-    /// The cost ledger.
-    pub fn ledger(&self) -> &CostLedger {
-        &self.ledger
     }
 
     /// Stores an array under `name` (replacing any previous).
@@ -296,9 +281,7 @@ impl ArrayStore {
     ///
     /// Currently infallible; reserved for quota enforcement.
     pub fn put(&mut self, name: impl Into<String>, array: NdArray) -> Result<()> {
-        let bytes = (array.len() * 8) as u64;
         self.arrays.insert(name.into(), array);
-        self.charge("arraystore.put", bytes / 8, bytes, bytes / 8);
         Ok(())
     }
 
@@ -325,14 +308,12 @@ impl ArrayStore {
     /// Propagates lookup and shape errors.
     pub fn add(&mut self, a: &str, b: &str, out: impl Into<String>) -> Result<()> {
         let r = self.get(a)?.zip_with(self.get(b)?, |x, y| x + y)?;
-        let n = r.len() as u64;
-        self.charge("arraystore.add", n, n * 8, n / 8);
         self.arrays.insert(out.into(), r);
         Ok(())
     }
 
-    /// 2-d matrix multiply `out = a · b` on the host CPU model, stored as
-    /// `out`.
+    /// 2-d matrix multiply `out = a · b` with the host GEMM kernel, stored
+    /// as `out`.
     ///
     /// # Errors
     ///
@@ -340,22 +321,10 @@ impl ArrayStore {
     pub fn matmul(&mut self, a: &str, b: &str, out: impl Into<String>) -> Result<()> {
         let ma = self.get(a)?.to_matrix()?;
         let mb = self.get(b)?.to_matrix()?;
-        let (mc, _report) = Gemm::run(&self.cpu, &ma, &mb, Some(&self.ledger), "arraystore.matmul")
-            .map_err(|e| Error::Invalid(format!("matmul: {e}")))?;
+        let mc =
+            Gemm::multiply_host(&ma, &mb).map_err(|e| Error::Invalid(format!("matmul: {e}")))?;
         self.arrays.insert(out.into(), NdArray::from_matrix(&mc));
         Ok(())
-    }
-
-    fn charge(&self, component: &str, elems: u64, bytes: u64, cycles: u64) {
-        KernelReport::charge(
-            &self.cpu,
-            KernelClass::Gemm,
-            elems,
-            bytes,
-            cycles,
-            Some(&self.ledger),
-            component,
-        );
     }
 }
 
@@ -443,12 +412,6 @@ mod tests {
         .unwrap();
         s.matmul("a", "i", "out").unwrap();
         assert_eq!(s.get("out").unwrap(), s.get("a").unwrap());
-        // GEMM cost was charged to the ledger.
-        assert!(s
-            .ledger()
-            .events()
-            .iter()
-            .any(|e| e.component == "arraystore.matmul"));
     }
 
     #[test]

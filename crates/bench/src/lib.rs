@@ -558,6 +558,7 @@ fn e05_opt_levels() -> Result<String> {
         "SELECT name FROM admissions JOIN db2.patients ON admissions.pid = patients.pid \
          WHERE age >= 65",
     ];
+    let mut makespans = Vec::new();
     for level in OptLevel::all() {
         let system = clinical_system(level, AcceleratorFleet::workstation(), 600)?;
         let reports = run_sql_all(&system, &queries)?;
@@ -570,9 +571,20 @@ fn e05_opt_levels() -> Result<String> {
             "{level:<9} {sim_ms:>8.3}   {rewrites:>7}  {offloaded:>9}"
         )
         .ok();
+        makespans.push((level, sim_ms));
     }
     out.push_str("shape check: makespan is non-increasing None -> L1 -> L2 -> L3\n");
+    makespan_never_rises(&makespans)?;
     Ok(out)
+}
+
+/// E5's verdict: each optimization level, in `OptLevel::all()` order,
+/// runs the suite in no more simulated time than the level before it.
+fn makespan_never_rises(makespans: &[(OptLevel, f64)]) -> Result<()> {
+    for pair in makespans.windows(2) {
+        at_most(&format!("{} sim_ms", pair[1].0), pair[1].1, pair[0].1)?;
+    }
+    Ok(())
 }
 
 /// E6 (Fig. 7): k-means via parallel patterns on CPU/GPU/FPGA.
@@ -888,11 +900,31 @@ fn e10_logca() -> Result<String> {
             m.speedup(1 << 30)
         )
         .ok();
+        // 1 KiB to 16 GiB, by fours.
+        let sweep: Vec<f64> = (10..=34).step_by(2).map(|e| m.speedup(1 << e)).collect();
+        speedup_rises_below_a(name, a, &sweep)?;
     }
     out.push_str(
-        "shape check: speedup grows with granularity toward A; weak accelerators never break even\n",
+        "shape check: speedup grows with granularity and stays below A; the weak accelerator \
+         breaks even only at megabytes, the others at kilobytes\n",
     );
     Ok(out)
+}
+
+/// E10's verdict for one accelerator: its speedups at rising
+/// granularities rise strictly and stay below its peak `a`.
+fn speedup_rises_below_a(name: &str, a: f64, speedups: &[f64]) -> Result<()> {
+    for pair in speedups.windows(2) {
+        above(
+            &format!("{name} speedup at the larger granularity"),
+            pair[1],
+            pair[0],
+        )?;
+    }
+    for &x in speedups {
+        above(&format!("{name} peak A against its speedup"), a, x)?;
+    }
+    Ok(())
 }
 
 /// E11 (§III-A.2): bump-in-the-wire scan filtering.
@@ -968,8 +1000,10 @@ fn e13_roofline() -> Result<String> {
         "E13 (Roofline) attainable Gops/s vs operational intensity\n\
          device  ridge_pt   oi=0.25      oi=4       oi=64     oi=1024\n",
     );
+    let mut ridges = Vec::new();
     for kind in DeviceKind::all() {
         let r = Roofline::for_device(&DeviceProfile::preset(kind));
+        ridges.push((kind, r.ridge_point()));
         let at = |oi: f64| r.attainable_ops_per_s(oi) / 1e9;
         writeln!(
             out,
@@ -986,7 +1020,21 @@ fn e13_roofline() -> Result<String> {
         "shape check: low-intensity kernels are bandwidth-bound everywhere; the TPU's ridge \
          point is far right (needs huge intensity to saturate)\n",
     );
+    tpu_ridge_is_highest(&ridges)?;
     Ok(out)
+}
+
+/// E13's verdict: no device's ridge point reaches the TPU's.
+fn tpu_ridge_is_highest(ridges: &[(DeviceKind, f64)]) -> Result<()> {
+    let tpu = ridges
+        .iter()
+        .find(|(kind, _)| *kind == DeviceKind::Tpu)
+        .map(|&(_, ridge)| ridge)
+        .ok_or_else(|| Error::Execution("no TPU roofline".into()))?;
+    for &(kind, ridge) in ridges.iter().filter(|(kind, _)| *kind != DeviceKind::Tpu) {
+        above(&format!("tpu ridge point vs {kind}'s"), tpu, ridge)?;
+    }
+    Ok(())
 }
 
 /// E14 (§III-A.1): operator acceleration microbenchmarks.
@@ -998,13 +1046,14 @@ fn e14_operators() -> Result<String> {
     let fleet = AcceleratorFleet::workstation();
     let cpu = fleet.host();
     // One row: the host against the best of `devices`, each paying its
-    // attachment's transfer of `bytes` on top of the kernel.
+    // attachment's transfer of `bytes` on top of the kernel. Returns the
+    // winner and its speedup.
     let mut row = |op: &str,
                    size: String,
                    devices: [DeviceKind; 2],
                    bytes: u64,
                    cycles: &dyn Fn(&DeviceProfile) -> u64|
-     -> Result<()> {
+     -> Result<(DeviceKind, f64)> {
         let t_cpu = cpu.cycles_to_s(cycles(cpu));
         let e_cpu = cpu.energy_j(t_cpu);
         let mut best = (DeviceKind::Cpu, t_cpu, e_cpu);
@@ -1028,25 +1077,58 @@ fn e14_operators() -> Result<String> {
             (e_cpu * t_cpu) / (best.2 * best.1)
         )
         .ok();
-        Ok(())
+        Ok((best.0, t_cpu / best.1))
     };
+    let mut sorts = Vec::new();
     for n in [1u64 << 14, 1 << 20, 1 << 24] {
         let devices = [DeviceKind::Gpu, DeviceKind::Fpga];
-        row("sort", n.to_string(), devices, n * 16, &|p| {
+        sorts.push(row("sort", n.to_string(), devices, n * 16, &|p| {
             BitonicSorter::cycles(p, n)
-        })?;
+        })?);
     }
+    let mut gemms = Vec::new();
     for m in [128u64, 512, 2048] {
         let devices = [DeviceKind::Gpu, DeviceKind::Tpu];
-        row("gemm", format!("{m}^3"), devices, 3 * m * m * 8, &|p| {
-            Gemm::cycles(p, m, m, m)
-        })?;
+        gemms.push(row(
+            "gemm",
+            format!("{m}^3"),
+            devices,
+            3 * m * m * 8,
+            &|p| Gemm::cycles(p, m, m, m),
+        )?);
     }
     out.push_str(
-        "shape check: CPU wins tiny sizes (launch+PCIe overhead); FPGA wins large sorts, \
-         TPU wins large GEMMs, with energy-delay gains exceeding time gains\n",
+        "shape check: the best speedup grows with size; FPGA wins every sort, TPU wins the \
+         large GEMMs; the smallest sizes barely pay for launch+PCIe, and the 128^3 GEMM's \
+         GPU win loses on energy-delay\n",
     );
+    best_speedup_grows_and_winner_holds("sort", &sorts, DeviceKind::Fpga, 0)?;
+    best_speedup_grows_and_winner_holds("gemm", &gemms, DeviceKind::Tpu, 1)?;
     Ok(out)
+}
+
+/// E14's verdict for one op swept over rising sizes, given each size's
+/// winner and best speedup: the speedup rises strictly with size, and
+/// `winner` wins every size from the `from`-th on.
+fn best_speedup_grows_and_winner_holds(
+    op: &str,
+    rows: &[(DeviceKind, f64)],
+    winner: DeviceKind,
+    from: usize,
+) -> Result<()> {
+    for pair in rows.windows(2) {
+        above(
+            &format!("{op} best speedup at the larger size"),
+            pair[1].1,
+            pair[0].1,
+        )?;
+    }
+    for (i, &(best, _)) in rows.iter().enumerate().skip(from) {
+        ensure(best == winner, || {
+            format!("{op} size #{i} is won by {best}, not {winner}")
+        })?;
+    }
+    Ok(())
 }
 
 /// E15 (§IV-C): cost-model / surrogate quality.
@@ -2430,6 +2512,54 @@ mod tests {
         // Stricter than CI was: a tie with either single is a failure.
         assert!(offload_and_sharding_compose(1.25, 1.10, 1.25).is_err());
         assert!(offload_and_sharding_compose(1.25, 1.10, 1.26).is_ok());
+    }
+
+    #[test]
+    fn e5_rejects_a_level_that_raises_the_makespan() {
+        let mut levels: Vec<(OptLevel, f64)> = OptLevel::all()
+            .into_iter()
+            .zip([0.277, 0.264, 0.088, 0.087])
+            .collect();
+        assert!(makespan_never_rises(&levels).is_ok());
+        levels[3].1 = 0.089;
+        assert!(makespan_never_rises(&levels).is_err());
+        levels[3].1 = 0.088;
+        assert!(makespan_never_rises(&levels).is_ok());
+    }
+
+    #[test]
+    fn e10_rejects_a_speedup_that_falls_or_reaches_a() {
+        assert!(speedup_rises_below_a("weak", 1.5, &[0.59, 1.33]).is_ok());
+        assert!(speedup_rises_below_a("weak", 1.5, &[0.59, 0.59]).is_err());
+        assert!(speedup_rises_below_a("weak", 1.5, &[1.33, 0.59]).is_err());
+        assert!(speedup_rises_below_a("weak", 1.5, &[0.59, 1.5]).is_err());
+    }
+
+    #[test]
+    fn e13_rejects_a_ridge_point_at_or_above_the_tpus() {
+        let mut ridges = vec![
+            (DeviceKind::Cpu, 6.4),
+            (DeviceKind::Gpu, 19.1),
+            (DeviceKind::Tpu, 305.8),
+        ];
+        assert!(tpu_ridge_is_highest(&ridges).is_ok());
+        ridges[1].1 = 305.8;
+        assert!(tpu_ridge_is_highest(&ridges).is_err());
+        assert!(tpu_ridge_is_highest(&ridges[..1]).is_err());
+    }
+
+    #[test]
+    fn e14_rejects_a_shrinking_speedup_or_another_winner() {
+        use DeviceKind::{Fpga, Gpu, Tpu};
+        let sorts = [(Fpga, 1.12), (Fpga, 1.71), (Fpga, 1.78)];
+        assert!(best_speedup_grows_and_winner_holds("sort", &sorts, Fpga, 0).is_ok());
+        let shrinking = [(Fpga, 1.12), (Fpga, 1.78), (Fpga, 1.71)];
+        assert!(best_speedup_grows_and_winner_holds("sort", &shrinking, Fpga, 0).is_err());
+        let gemms = [(Gpu, 1.06), (Tpu, 4.38), (Tpu, 17.24)];
+        assert!(best_speedup_grows_and_winner_holds("gemm", &gemms, Tpu, 1).is_ok());
+        assert!(best_speedup_grows_and_winner_holds("gemm", &gemms, Tpu, 0).is_err());
+        let gpu_large = [(Gpu, 1.06), (Tpu, 4.38), (Gpu, 17.24)];
+        assert!(best_speedup_grows_and_winner_holds("gemm", &gpu_large, Tpu, 1).is_err());
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! ("cipher") operators of §III-A.1 — "match, subtree, path, and join".
 //! A property graph with labeled vertices/edges and native operators:
 //! pattern match, BFS shortest path, Dijkstra weighted path, k-hop
-//! neighborhoods and PageRank. Costs are posted to the shared
-//! [`CostLedger`].
+//! neighborhoods and PageRank.
 //!
 //! # Examples
 //!
@@ -20,10 +19,10 @@
 //! assert_eq!(g.shortest_path(a, b).unwrap(), vec![a, b]);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-use pspp_accel::kernels::KernelReport;
-use pspp_accel::{CostLedger, DeviceProfile, KernelClass};
 use pspp_common::{EngineId, Error, Result, Value};
 
 /// A vertex id.
@@ -86,8 +85,6 @@ pub struct GraphStore {
     adjacency: HashMap<NodeId, Vec<Edge>>,
     reverse: HashMap<NodeId, Vec<NodeId>>,
     next_id: NodeId,
-    ledger: CostLedger,
-    cpu: DeviceProfile,
 }
 
 impl GraphStore {
@@ -99,25 +96,12 @@ impl GraphStore {
             adjacency: HashMap::new(),
             reverse: HashMap::new(),
             next_id: 0,
-            ledger: CostLedger::new(),
-            cpu: DeviceProfile::cpu(),
         }
-    }
-
-    /// Attaches a shared cost ledger.
-    pub fn with_ledger(mut self, ledger: CostLedger) -> Self {
-        self.ledger = ledger;
-        self
     }
 
     /// The engine id.
     pub fn id(&self) -> &EngineId {
         &self.id
-    }
-
-    /// The cost ledger.
-    pub fn ledger(&self) -> &CostLedger {
-        &self.ledger
     }
 
     /// Adds a vertex, returning its id.
@@ -132,7 +116,6 @@ impl GraphStore {
                 props: props.into_iter().collect(),
             },
         );
-        self.charge("graphstore.add_node", 1, 32, 40);
         id
     }
 
@@ -160,7 +143,6 @@ impl GraphStore {
             weight,
         });
         self.reverse.entry(to).or_default().push(from);
-        self.charge("graphstore.add_edge", 1, 32, 40);
         Ok(())
     }
 
@@ -183,12 +165,6 @@ impl GraphStore {
     pub fn nodes_with_label(&self, label: &str) -> Vec<&Node> {
         let mut out: Vec<&Node> = self.nodes.values().filter(|n| n.label == label).collect();
         out.sort_by_key(|n| n.id);
-        self.charge(
-            "graphstore.label_scan",
-            self.nodes.len() as u64,
-            0,
-            self.nodes.len() as u64 * 2,
-        );
         out
     }
 
@@ -206,13 +182,12 @@ impl GraphStore {
             .into_iter()
             .map(|n| vec![n.id])
             .collect();
-        let mut visited_edges = 0u64;
         for step in steps {
             let mut next = Vec::new();
             for path in &paths {
-                let tail = *path.last().expect("paths are nonempty");
+                // Every path holds at least its start node.
+                let Some(&tail) = path.last() else { continue };
                 for e in self.edges_from(tail) {
-                    visited_edges += 1;
                     if step.rel.as_ref().is_some_and(|r| *r != e.rel) {
                         continue;
                     }
@@ -228,12 +203,6 @@ impl GraphStore {
             paths = next;
         }
         paths.sort();
-        self.charge(
-            "graphstore.match",
-            visited_edges,
-            visited_edges * 16,
-            visited_edges * 8,
-        );
         paths
     }
 
@@ -250,20 +219,17 @@ impl GraphStore {
         let mut prev: HashMap<NodeId, NodeId> = HashMap::new();
         let mut queue = VecDeque::from([from]);
         let mut seen: std::collections::HashSet<NodeId> = [from].into();
-        let mut visited = 0u64;
         while let Some(cur) = queue.pop_front() {
             if cur == to {
                 break;
             }
             for e in self.edges_from(cur) {
-                visited += 1;
                 if seen.insert(e.to) {
                     prev.insert(e.to, cur);
                     queue.push_back(e.to);
                 }
             }
         }
-        self.charge("graphstore.bfs", visited, visited * 16, visited * 8);
         Ok(Self::reconstruct(from, to, &prev))
     }
 
@@ -294,7 +260,6 @@ impl GraphStore {
         let mut dist: HashMap<NodeId, f64> = HashMap::from([(from, 0.0)]);
         let mut prev: HashMap<NodeId, NodeId> = HashMap::new();
         let mut heap = BinaryHeap::from([Entry(0.0, from)]);
-        let mut visited = 0u64;
         while let Some(Entry(d, cur)) = heap.pop() {
             if cur == to {
                 break;
@@ -303,7 +268,6 @@ impl GraphStore {
                 continue;
             }
             for e in self.edges_from(cur) {
-                visited += 1;
                 if e.weight < 0.0 {
                     return Err(Error::Invalid("negative edge weight".into()));
                 }
@@ -315,7 +279,6 @@ impl GraphStore {
                 }
             }
         }
-        self.charge("graphstore.dijkstra", visited, visited * 16, visited * 12);
         let path = Self::reconstruct(from, to, &prev);
         let total = dist.get(&to).copied().unwrap_or(f64::INFINITY);
         Ok((path, total))
@@ -339,7 +302,6 @@ impl GraphStore {
             frontier = next;
         }
         out.sort_unstable();
-        self.charge("graphstore.khop", out.len() as u64, 0, out.len() as u64 * 8);
         out
     }
 
@@ -365,8 +327,12 @@ impl GraphStore {
                     dangling += r;
                 } else {
                     let share = damping * r / edges.len() as f64;
+                    // `add_edge` only links nodes that exist, and `next`
+                    // holds every node.
                     for e in edges {
-                        *next.get_mut(&e.to).expect("node exists") += share;
+                        if let Some(v) = next.get_mut(&e.to) {
+                            *v += share;
+                        }
                     }
                 }
             }
@@ -376,12 +342,6 @@ impl GraphStore {
             }
             rank = next;
         }
-        self.charge(
-            "graphstore.pagerank",
-            (n * iterations) as u64,
-            0,
-            (self.edge_count() * iterations) as u64 * 4,
-        );
         rank
     }
 
@@ -400,18 +360,6 @@ impl GraphStore {
             }
         }
         Vec::new()
-    }
-
-    fn charge(&self, component: &str, elems: u64, bytes: u64, cycles: u64) {
-        KernelReport::charge(
-            &self.cpu,
-            KernelClass::GraphTraverse,
-            elems,
-            bytes,
-            cycles,
-            Some(&self.ledger),
-            component,
-        );
     }
 }
 

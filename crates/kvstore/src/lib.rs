@@ -3,8 +3,7 @@
 //! One of the paper's heterogeneous data stores (Fig. 1 pairs an RDBMS
 //! with a key/value store and a timeseries store). Supports versioned
 //! puts, point gets, deletes, prefix and range scans, and TTL expiry
-//! against a logical clock. Every operation posts simulated CPU cost to
-//! the shared [`CostLedger`].
+//! against a logical clock.
 //!
 //! # Examples
 //!
@@ -18,10 +17,10 @@
 //! assert_eq!(kv.get("user:2"), None);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::BTreeMap;
 
-use pspp_accel::kernels::KernelReport;
-use pspp_accel::{CostLedger, DeviceProfile, KernelClass};
 use pspp_common::{EngineId, Row, Value};
 
 /// Maximum versions retained per key.
@@ -43,8 +42,6 @@ pub struct KvStore {
     id: EngineId,
     data: BTreeMap<String, Vec<Versioned>>,
     clock: u64,
-    ledger: CostLedger,
-    cpu: DeviceProfile,
 }
 
 impl KvStore {
@@ -54,25 +51,12 @@ impl KvStore {
             id: id.into(),
             data: BTreeMap::new(),
             clock: 0,
-            ledger: CostLedger::new(),
-            cpu: DeviceProfile::cpu(),
         }
-    }
-
-    /// Attaches a shared cost ledger.
-    pub fn with_ledger(mut self, ledger: CostLedger) -> Self {
-        self.ledger = ledger;
-        self
     }
 
     /// The engine id.
     pub fn id(&self) -> &EngineId {
         &self.id
-    }
-
-    /// The ledger this engine posts to.
-    pub fn ledger(&self) -> &CostLedger {
-        &self.ledger
     }
 
     /// Current logical time.
@@ -92,9 +76,7 @@ impl KvStore {
 
     /// Writes a version that expires `ttl` ticks from now.
     pub fn put_with_ttl(&mut self, key: impl Into<String>, value: Value, ttl: Option<u64>) {
-        let key = key.into();
-        let bytes = (key.len() + value.byte_size()) as u64;
-        let versions = self.data.entry(key).or_default();
+        let versions = self.data.entry(key.into()).or_default();
         versions.push(Versioned {
             value,
             written_at: self.clock,
@@ -103,12 +85,10 @@ impl KvStore {
         if versions.len() > MAX_VERSIONS {
             versions.remove(0);
         }
-        self.charge("kvstore.put", 1, bytes, 60);
     }
 
     /// The live value for `key`, if present and unexpired.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.charge("kvstore.get", 1, key.len() as u64, 50);
         let v = self.data.get(key)?.last()?;
         match v.expires_at {
             Some(t) if t <= self.clock => None,
@@ -118,7 +98,6 @@ impl KvStore {
 
     /// The value as of logical time `at` (time-travel read).
     pub fn get_at(&self, key: &str, at: u64) -> Option<&Value> {
-        self.charge("kvstore.get_at", 1, key.len() as u64, 80);
         let versions = self.data.get(key)?;
         versions
             .iter()
@@ -129,7 +108,6 @@ impl KvStore {
 
     /// Removes a key entirely. Returns whether it existed.
     pub fn delete(&mut self, key: &str) -> bool {
-        self.charge("kvstore.delete", 1, key.len() as u64, 60);
         self.data.remove(key).is_some()
     }
 
@@ -145,8 +123,7 @@ impl KvStore {
 
     /// All live `(key, value)` pairs with keys starting with `prefix`.
     pub fn scan_prefix(&self, prefix: &str) -> Vec<(&str, &Value)> {
-        let out: Vec<(&str, &Value)> = self
-            .data
+        self.data
             .range(prefix.to_owned()..)
             .take_while(|(k, _)| k.starts_with(prefix))
             .filter_map(|(k, vs)| {
@@ -156,24 +133,12 @@ impl KvStore {
                     _ => Some((k.as_str(), &v.value)),
                 }
             })
-            .collect();
-        let bytes: u64 = out
-            .iter()
-            .map(|(k, v)| (k.len() + v.byte_size()) as u64)
-            .sum();
-        self.charge(
-            "kvstore.scan",
-            out.len() as u64,
-            bytes,
-            40 + out.len() as u64 * 8,
-        );
-        out
+            .collect()
     }
 
     /// All live pairs in `[lo, hi)` key order.
     pub fn scan_range(&self, lo: &str, hi: &str) -> Vec<(&str, &Value)> {
-        let out: Vec<(&str, &Value)> = self
-            .data
+        self.data
             .range(lo.to_owned()..hi.to_owned())
             .filter_map(|(k, vs)| {
                 let v = vs.last()?;
@@ -182,18 +147,7 @@ impl KvStore {
                     _ => Some((k.as_str(), &v.value)),
                 }
             })
-            .collect();
-        let bytes: u64 = out
-            .iter()
-            .map(|(k, v)| (k.len() + v.byte_size()) as u64)
-            .sum();
-        self.charge(
-            "kvstore.scan",
-            out.len() as u64,
-            bytes,
-            40 + out.len() as u64 * 8,
-        );
-        out
+            .collect()
     }
 
     /// Drops expired versions and empty keys; returns reclaimed entries.
@@ -206,12 +160,6 @@ impl KvStore {
             reclaimed += before - vs.len();
             !vs.is_empty()
         });
-        self.charge(
-            "kvstore.compact",
-            reclaimed as u64,
-            0,
-            100 + reclaimed as u64 * 20,
-        );
         reclaimed
     }
 
@@ -228,18 +176,6 @@ impl KvStore {
                 }
             })
             .collect()
-    }
-
-    fn charge(&self, component: &str, elems: u64, bytes: u64, cycles: u64) {
-        KernelReport::charge(
-            &self.cpu,
-            KernelClass::FilterProject,
-            elems,
-            bytes,
-            cycles,
-            Some(&self.ledger),
-            component,
-        );
     }
 }
 
@@ -315,14 +251,6 @@ mod tests {
         kv.tick(2);
         assert_eq!(kv.scan_prefix("user:").len(), 1);
         assert_eq!(kv.to_rows().len(), 1);
-    }
-
-    #[test]
-    fn costs_are_charged() {
-        let mut kv = KvStore::new("kv");
-        kv.put("a", Value::Int(1));
-        kv.get("a");
-        assert!(kv.ledger().len() >= 2);
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //! | [`shuffle_barrier`] | `shuffle_bill` (partition + encode + wire + decode) + `width · overhead` | PipeGen over the exchange | both |
 //! | [`migration_estimate`] | wire time × remodel factor | §IV-A.b data-model change | plan only — the `Migrator` bills encode + wire + decode from the frame it actually builds |
 //!
-//! Billed by the stores alone (**execute** only, no planned
-//! counterpart): the scan / search / window events each engine posts
-//! for itself, and `exchange.materialize`'s one-time copy.
+//! Billed on the **execute** side alone, with no planned counterpart:
+//! `exchange.materialize`'s one-time copy. The engine stores post
+//! nothing; every operator they run is billed through [`task`].
 
 use pspp_accel::exchange::{shuffle_bill, ShuffleBill};
 use pspp_accel::kernels::{BitonicSorter, Gemm, HashPartitioner, StreamFilter};

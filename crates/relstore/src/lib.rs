@@ -4,8 +4,7 @@
 //! capability a polystore exploits by pushing relational operators here.
 //! The engine owns tables, secondary B-tree indexes, and native operators
 //! (sequential/index scan, filter, project, hash join, sort-merge join,
-//! group-by aggregation, order-by), and posts every operator's simulated
-//! CPU cost to a [`CostLedger`].
+//! group-by aggregation, order-by).
 //!
 //! # Examples
 //!
@@ -37,8 +36,6 @@ pub use table::{ColumnImage, Selection, Table};
 
 use std::collections::BTreeMap;
 
-use pspp_accel::kernels::KernelReport;
-use pspp_accel::{CostLedger, DeviceProfile, KernelClass};
 use pspp_common::{EngineId, Error, HashRouter, Result, Routes, Row, Schema, Value};
 
 /// What a [`RelationalStore::scan`] returns.
@@ -66,35 +63,20 @@ pub enum Kept {
 pub struct RelationalStore {
     id: EngineId,
     tables: BTreeMap<String, Table>,
-    ledger: CostLedger,
-    cpu: DeviceProfile,
 }
 
 impl RelationalStore {
-    /// Creates an empty store with a private cost ledger.
+    /// Creates an empty store.
     pub fn new(id: impl Into<EngineId>) -> Self {
         RelationalStore {
             id: id.into(),
             tables: BTreeMap::new(),
-            ledger: CostLedger::new(),
-            cpu: DeviceProfile::cpu(),
         }
-    }
-
-    /// Attaches a shared cost ledger (the middleware account).
-    pub fn with_ledger(mut self, ledger: CostLedger) -> Self {
-        self.ledger = ledger;
-        self
     }
 
     /// The engine id.
     pub fn id(&self) -> &EngineId {
         &self.id
-    }
-
-    /// The cost ledger this engine posts to.
-    pub fn ledger(&self) -> &CostLedger {
-        &self.ledger
     }
 
     /// Creates an empty table.
@@ -154,20 +136,9 @@ impl RelationalStore {
     pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<usize> {
         let t = self.table_mut(table)?;
         let n = rows.len();
-        let mut bytes = 0u64;
         for row in rows {
-            bytes += row.byte_size() as u64;
             t.insert(row)?;
         }
-        // ~20 cycles/row insert bookkeeping + 1 cycle per 8 bytes copied.
-        let cycles = n as u64 * 20 + bytes / 8;
-        self.charge(
-            "relstore.insert",
-            KernelClass::FilterProject,
-            n as u64,
-            bytes,
-            cycles,
-        );
         Ok(n)
     }
 
@@ -177,69 +148,31 @@ impl RelationalStore {
     ///
     /// Returns [`Error::TableNotFound`] / [`Error::ColumnNotFound`].
     pub fn create_index(&mut self, table: &str, column: &str) -> Result<()> {
-        let t = self.table_mut(table)?;
-        t.create_index(column)?;
-        let rows = t.len() as u64;
-        // Index build is a sort: n log n * ~6 cycles.
-        let cycles = (rows as f64 * (rows.max(2) as f64).log2() * 6.0).ceil() as u64;
-        self.charge(
-            "relstore.create_index",
-            KernelClass::Sort,
-            rows,
-            rows * 8,
-            cycles,
-        );
-        Ok(())
+        self.table_mut(table)?.create_index(column)
     }
 
-    /// Replaces `table`'s rows during an incremental rebalance,
-    /// charging only for the `moved` rows that actually changed shard
-    /// (row copy + per-row B-tree patch on each index) rather than
-    /// the full-rebuild price [`RelationalStore::insert`] +
-    /// [`RelationalStore::create_index`] would post. Physically the
-    /// heap and indexes are rebuilt (positions shift either way); the
-    /// ledger records the incremental work the diff saved.
+    /// Replaces `table`'s rows during a rebalance, rebuilding its image
+    /// and indexes over the new positions ([`Table::replace_rows`]), and
+    /// returns the new row count.
     ///
     /// # Errors
     ///
     /// Returns [`Error::TableNotFound`] or [`Error::SchemaMismatch`].
-    pub fn rebalance_table(&mut self, table: &str, rows: Vec<Row>, moved: usize) -> Result<usize> {
-        // Moved rows are scattered through the set; bill them at the
-        // mean row size.
-        let total_bytes: u64 = rows.iter().map(|r| r.byte_size() as u64).sum();
-        let moved_bytes = match rows.len() {
-            0 => 0,
-            len => total_bytes * moved as u64 / len as u64,
-        };
-        let t = self.table_mut(table)?;
+    pub fn rebalance_table(&mut self, table: &str, rows: Vec<Row>) -> Result<usize> {
         let total = rows.len();
-        let indexes = t.indexed_columns().len() as u64;
-        t.replace_rows(rows)?;
-        // Moved rows pay the insert bookkeeping + copy price; each
-        // index patches `moved` B-tree entries (log n descent each).
-        let n = moved as u64;
-        let log_n = (total.max(2) as f64).log2();
-        let patch = (n as f64 * log_n * 6.0).ceil() as u64 * indexes;
-        let cycles = n * 20 + moved_bytes / 8 + patch;
-        self.charge(
-            "relstore.rebalance",
-            KernelClass::HashPartition,
-            n,
-            moved_bytes,
-            cycles,
-        );
+        self.table_mut(table)?.replace_rows(rows)?;
         Ok(total)
     }
 
     /// Scans `table`, applying `predicate` and an optional projection.
     ///
     /// Uses an index scan when the predicate's leading conjunct is an
-    /// equality or range on an indexed column, otherwise a sequential
-    /// scan. Costs are charged accordingly (§III-A.2). Either way the
-    /// predicate runs column-wise over the table's image
-    /// ([`pspp_common::BoundPredicate::select`]) and the output's
-    /// payload bytes come from the image's widths, not from a walk of
-    /// the output rows.
+    /// equality or range on an indexed column — only the index's
+    /// candidate rows are tested then — otherwise a sequential scan over
+    /// every row. Either way the predicate runs column-wise over the
+    /// table's image ([`pspp_common::BoundPredicate::select`]) and the
+    /// output's payload bytes come from the image's widths, not from a
+    /// walk of the output rows.
     ///
     /// # Errors
     ///
@@ -283,20 +216,9 @@ impl RelationalStore {
         route: Option<(&str, u32)>,
     ) -> Result<(Kept, Routes)> {
         let t = self.table(table)?;
-        let widths = t.image().widths();
-        let candidates = t.candidates(predicate);
-        let index_used = candidates.is_some();
-        let selection = candidates.unwrap_or_else(|| (0..t.len() as u32).collect());
-        let scanned = selection.len() as u64;
-        // A full scan reads the whole heap, whose size the table keeps.
-        let scanned_bytes = if index_used {
-            selection
-                .iter()
-                .map(|&p| u64::from(widths[p as usize]))
-                .sum()
-        } else {
-            t.byte_size()
-        };
+        let selection = t
+            .candidates(predicate)
+            .unwrap_or_else(|| (0..t.len() as u32).collect());
         let kept = predicate.bind(t.schema()).select(t.source(), selection)?;
         let columns: Option<Vec<usize>> = projection
             .map(|cols| cols.iter().map(|c| t.schema().require(c)).collect())
@@ -322,6 +244,7 @@ impl RelationalStore {
             };
             routes.bytes = vec![0; router.width()];
             if columns.is_none() {
+                let widths = t.image().widths();
                 for (&d, &p) in routes.dests.iter().zip(&kept) {
                     routes.bytes[d as usize] += u64::from(widths[p as usize]);
                 }
@@ -348,27 +271,6 @@ impl RelationalStore {
             }
             None => Kept::Selection(t.select(kept)),
         };
-        let cycles = if index_used {
-            // B-tree descent + candidate fetch.
-            (scanned * 40).max(60)
-        } else {
-            // Sequential: predicate eval (3 cyc/row/core) or memory bound.
-            let compute = scanned as f64 * 3.0 / 16.0;
-            let mem = scanned_bytes as f64 / self.cpu.mem_bw_bps * self.cpu.clock_hz;
-            compute.max(mem).ceil() as u64
-        };
-        let component = if index_used {
-            "relstore.index_scan"
-        } else {
-            "relstore.seq_scan"
-        };
-        self.charge(
-            component,
-            KernelClass::FilterProject,
-            scanned,
-            scanned_bytes,
-            cycles,
-        );
         Ok((out, routes))
     }
 
@@ -385,97 +287,9 @@ impl RelationalStore {
         }
     }
 
-    /// Hash join two tables on equality columns, returning joined rows and
-    /// the output schema.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lookup and schema errors from the underlying tables.
-    pub fn join(
-        &self,
-        left: &str,
-        right: &str,
-        left_on: &str,
-        right_on: &str,
-    ) -> Result<(Schema, Vec<Row>)> {
-        let lt = self.table(left)?;
-        let rt = self.table(right)?;
-        let out = ops::hash_join(
-            lt.schema(),
-            lt.rows(),
-            rt.schema(),
-            rt.rows(),
-            left_on,
-            right_on,
-            JoinKind::Inner,
-        )?;
-        let n = (lt.len() + rt.len()) as u64;
-        // Build + probe ≈ 24 cycles/row over 16 cores.
-        let cycles = n * 24 / 16;
-        self.charge(
-            "relstore.hash_join",
-            KernelClass::HashPartition,
-            n,
-            n * 16,
-            cycles,
-        );
-        Ok(out)
-    }
-
-    /// Sorts a table's rows by `key` columns (ascending), charging the
-    /// native CPU sort model. The table itself is not mutated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TableNotFound`] / [`Error::ColumnNotFound`].
-    pub fn sort(&self, table: &str, keys: &[SortKey]) -> Result<Vec<Row>> {
-        let t = self.table(table)?;
-        let rows = ops::sort_rows(t.schema(), t.rows().to_vec(), keys)?;
-        let n = t.len() as u64;
-        let cycles = pspp_accel::kernels::BitonicSorter::cycles(&self.cpu, n);
-        self.charge("relstore.sort", KernelClass::Sort, n, n * 8, cycles);
-        Ok(rows)
-    }
-
-    /// Group-by aggregation over a whole table.
-    ///
-    /// # Errors
-    ///
-    /// Propagates schema errors.
-    pub fn group_by(
-        &self,
-        table: &str,
-        keys: &[&str],
-        aggs: &[AggregateSpec],
-    ) -> Result<(Schema, Vec<Row>)> {
-        let t = self.table(table)?;
-        let out = ops::group_by(t.schema(), t.rows(), keys, aggs)?;
-        let n = t.len() as u64;
-        self.charge(
-            "relstore.group_by",
-            KernelClass::Aggregate,
-            n,
-            n * 16,
-            n * 12 / 16,
-        );
-        Ok(out)
-    }
-
     /// Total rows across all tables.
     pub fn total_rows(&self) -> usize {
         self.tables.values().map(Table::len).sum()
-    }
-
-    fn charge(&self, component: &str, kernel: KernelClass, elems: u64, bytes: u64, cycles: u64) {
-        KernelReport::charge(
-            &self.cpu,
-            kernel,
-            elems,
-            bytes,
-            cycles,
-            Some(&self.ledger),
-            component,
-        );
     }
 }
 
@@ -526,7 +340,6 @@ mod tests {
             .unwrap()
             .rows;
         assert_eq!(rows.len(), 2);
-        assert!(db.ledger().len() >= 2); // insert + scan charged
     }
 
     #[test]
@@ -549,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn index_scan_is_used_and_cheaper() {
+    fn index_scan_is_used_only_where_an_index_answers() {
         let mut db = RelationalStore::new("db");
         db.create_table(
             "t",
@@ -561,48 +374,35 @@ mod tests {
             .collect();
         db.insert("t", rows).unwrap();
         db.create_index("t", "k").unwrap();
-        db.ledger().reset();
+        let t = db.table("t").unwrap();
 
-        let hit = db.scan("t", &Predicate::eq("k", 5i64), None).unwrap();
-        assert_eq!(hit.rows.len(), 1);
-        let events = db.ledger().events();
-        assert!(events.iter().any(|e| e.component == "relstore.index_scan"));
+        let point = Predicate::eq("k", 5i64);
+        assert_eq!(t.candidates(&point), Some(vec![5]));
+        let hit = db.scan("t", &point, None).unwrap();
+        assert_eq!(hit.rows, vec![row![5i64, 10i64]]);
 
-        db.ledger().reset();
-        let all = db.scan("t", &Predicate::gt("v", -1i64), None).unwrap();
-        assert_eq!(all.rows.len(), 10_000);
-        let events = db.ledger().events();
-        assert!(events.iter().any(|e| e.component == "relstore.seq_scan"));
+        // `v` has no index: every row is a candidate, and each is kept.
+        let all = Predicate::gt("v", -1i64);
+        assert_eq!(t.candidates(&all), None);
+        assert_eq!(db.scan("t", &all, None).unwrap().rows, t.rows());
     }
 
     #[test]
-    fn rebalance_table_charges_only_moved_rows() {
+    fn rebalance_table_rebuilds_the_index() {
         let mut db = store_with_data();
         db.create_index("patients", "pid").unwrap();
-        db.ledger().reset();
-        let rows = db.table("patients").unwrap().rows().to_vec();
-        let total = db.rebalance_table("patients", rows.clone(), 1).unwrap();
+        let mut rows = db.table("patients").unwrap().rows().to_vec();
+        rows.reverse();
+        let total = db.rebalance_table("patients", rows).unwrap();
         assert_eq!(total, 3);
-        let events = db.ledger().events();
-        let small = events
-            .iter()
-            .find(|e| e.component == "relstore.rebalance")
-            .expect("rebalance charged")
-            .duration;
-        db.ledger().reset();
-        db.rebalance_table("patients", rows, 3).unwrap();
-        let events = db.ledger().events();
-        let big = events
-            .iter()
-            .find(|e| e.component == "relstore.rebalance")
-            .unwrap()
-            .duration;
-        assert!(small < big, "1 moved row must cost less than 3");
-        // Index still answers after the rebuild.
-        let hit = db
-            .scan("patients", &Predicate::eq("pid", 2i64), None)
-            .unwrap();
-        assert_eq!(hit.rows.len(), 1);
+        // Index still answers after the rebuild, at the new position.
+        let pid3 = Predicate::eq("pid", 3i64);
+        assert_eq!(
+            db.table("patients").unwrap().candidates(&pid3),
+            Some(vec![0])
+        );
+        let hit = db.scan("patients", &pid3, None).unwrap();
+        assert_eq!(hit.rows, vec![row![3i64, 81i64, "edsger"]]);
     }
 
     #[test]
@@ -639,73 +439,18 @@ mod tests {
         let mut rows = db.table("patients").unwrap().rows().to_vec();
         rows.swap(0, 3);
         rows.pop();
-        db.rebalance_table("patients", rows, 2).unwrap();
+        db.rebalance_table("patients", rows).unwrap();
         check(&db);
         // A rebalance that fails leaves rows, image and size alone.
         let before = db.table("patients").unwrap().clone();
         assert!(db
-            .rebalance_table("patients", vec![row!["oops", 1i64, "x"]], 1)
+            .rebalance_table("patients", vec![row!["oops", 1i64, "x"]])
             .is_err());
         let after = db.table("patients").unwrap();
         assert_eq!(after.rows(), before.rows());
         assert_eq!(after.image(), before.image());
         assert_eq!(after.byte_size(), before.byte_size());
         check(&db);
-    }
-
-    #[test]
-    fn join_two_tables() {
-        let mut db = store_with_data();
-        db.create_table(
-            "admissions",
-            Schema::new(vec![("pid", DataType::Int), ("ward", DataType::Str)]),
-        )
-        .unwrap();
-        db.insert(
-            "admissions",
-            vec![row![1i64, "icu"], row![1i64, "general"], row![3i64, "icu"]],
-        )
-        .unwrap();
-        let (schema, rows) = db.join("patients", "admissions", "pid", "pid").unwrap();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(schema.arity(), 5);
-    }
-
-    #[test]
-    fn sort_by_key() {
-        let db = store_with_data();
-        let rows = db.sort("patients", &[SortKey::desc("age")]).unwrap();
-        assert_eq!(rows[0][1], Value::Int(81));
-        assert_eq!(rows[2][1], Value::Int(45));
-    }
-
-    #[test]
-    fn group_by_aggregates() {
-        let mut db = RelationalStore::new("db");
-        db.create_table(
-            "t",
-            Schema::new(vec![("g", DataType::Str), ("v", DataType::Int)]),
-        )
-        .unwrap();
-        db.insert(
-            "t",
-            vec![row!["a", 1i64], row!["a", 3i64], row!["b", 10i64]],
-        )
-        .unwrap();
-        let (schema, rows) = db
-            .group_by(
-                "t",
-                &["g"],
-                &[AggregateSpec::new(Aggregate::Sum, "v", "total")],
-            )
-            .unwrap();
-        assert_eq!(schema.names(), vec!["g", "total"]);
-        let mut sums: Vec<(String, f64)> = rows
-            .iter()
-            .map(|r| (r[0].as_str().unwrap().to_owned(), r[1].as_f64().unwrap()))
-            .collect();
-        sums.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(sums, vec![("a".into(), 4.0), ("b".into(), 10.0)]);
     }
 
     #[test]

@@ -304,10 +304,9 @@ impl Table {
 
     /// Replaces the table's entire row set in one step, revalidating
     /// every row and rebuilding the image and existing indexes over the
-    /// new positions. This is the rebalance write path: the *physical*
-    /// rebuild is wholesale (row positions shift, so indexes must be
-    /// re-pointed anyway), while the caller charges only the
-    /// incremental cost of the rows that actually moved.
+    /// new positions. This is the rebalance write path: the rebuild is
+    /// wholesale, since row positions shift and indexes must be
+    /// re-pointed anyway.
     ///
     /// # Errors
     ///

@@ -23,12 +23,7 @@
 //! scoped ledger and merging events back in node order, so outputs,
 //! makespans and the executor's ledger repeat exactly; the query
 //! service runs many such queries at once, one per worker thread, over
-//! shared adapters and a shared registry. The one deliberate exception
-//! to repeatability: engine stores also post scan/operator events to
-//! their *own* private ledgers (attached at store construction, not
-//! managed by the executor); those logs stay thread-safe but their
-//! event order reflects actual interleaving when two queries hit one
-//! store concurrently.
+//! shared adapters and a shared registry.
 
 pub mod adapter;
 pub mod adapters;

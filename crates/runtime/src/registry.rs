@@ -563,10 +563,9 @@ impl ShardedRegistry {
         let t0 = stores[0].table(&table.name)?;
         let schema = t0.schema().clone();
         let mut buckets: Vec<Vec<Row>> = (0..extent).map(|_| Vec::new()).collect();
-        // arrivals[d] counts rows landing on d from a *different*
-        // shard; departures[s] counts rows leaving s.
-        let mut arrivals = vec![0usize; extent];
-        let mut departures = vec![0usize; extent];
+        // changed[d]: a row lands on d from a *different* shard, or
+        // leaves d.
+        let mut changed = vec![false; extent];
         let mut total_rows = 0usize;
         let mut moved_rows = 0usize;
         let mut moved_bytes = 0u64;
@@ -580,8 +579,8 @@ impl ShardedRegistry {
                     if d != s {
                         moved_rows += 1;
                         moved_bytes += row.byte_size() as u64;
-                        arrivals[d] += 1;
-                        departures[s] += 1;
+                        changed[d] = true;
+                        changed[s] = true;
                     }
                     buckets[d].push(row.clone());
                 }
@@ -609,20 +608,14 @@ impl ShardedRegistry {
         }
         let mut rebuilt_shards = 0usize;
         for (d, bucket) in buckets.into_iter().enumerate() {
-            let unchanged =
-                incremental && d < old_width && d < n && arrivals[d] == 0 && departures[d] == 0;
+            let unchanged = incremental && d < old_width && d < n && !changed[d];
             if unchanged {
                 continue;
             }
-            let moved_here = if incremental {
-                arrivals[d] + departures[d]
-            } else {
-                bucket.len()
-            };
             let EngineInstance::Relational(store) = &mut shards[d] else {
                 unreachable!("kind checked above");
             };
-            store.rebalance_table(&table.name, bucket, moved_here)?;
+            store.rebalance_table(&table.name, bucket)?;
             rebuilt_shards += 1;
         }
 

@@ -3,8 +3,7 @@
 //! Append-only topics of timestamped events (the paper's ICU device feeds
 //! and CPT event streams, Fig. 2), with windowed operators in the style
 //! the paper attributes to Saber \[36\]: tumbling and sliding window
-//! aggregation and time-bounded stream-stream joins. Costs are posted to
-//! the shared [`CostLedger`].
+//! aggregation and time-bounded stream-stream joins.
 //!
 //! # Examples
 //!
@@ -18,10 +17,10 @@
 //! assert_eq!(s.read("hr", 0, 100).unwrap().len(), 2);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::BTreeMap;
 
-use pspp_accel::kernels::KernelReport;
-use pspp_accel::{CostLedger, DeviceProfile, KernelClass};
 use pspp_common::{EngineId, Error, Result, Row};
 
 /// A timestamped event carrying a row payload.
@@ -90,8 +89,6 @@ impl WindowSpec {
 pub struct StreamStore {
     id: EngineId,
     topics: BTreeMap<String, Vec<Event>>,
-    ledger: CostLedger,
-    cpu: DeviceProfile,
 }
 
 impl StreamStore {
@@ -100,15 +97,7 @@ impl StreamStore {
         StreamStore {
             id: id.into(),
             topics: BTreeMap::new(),
-            ledger: CostLedger::new(),
-            cpu: DeviceProfile::cpu(),
         }
-    }
-
-    /// Attaches a shared cost ledger.
-    pub fn with_ledger(mut self, ledger: CostLedger) -> Self {
-        self.ledger = ledger;
-        self
     }
 
     /// The engine id.
@@ -116,17 +105,10 @@ impl StreamStore {
         &self.id
     }
 
-    /// The cost ledger.
-    pub fn ledger(&self) -> &CostLedger {
-        &self.ledger
-    }
-
     /// Appends an event to a topic (events may arrive slightly out of
     /// order; the log keeps arrival order, readers see time order).
     pub fn publish(&mut self, topic: impl Into<String>, event: Event) {
-        let bytes = event.payload.byte_size() as u64 + 8;
         self.topics.entry(topic.into()).or_default().push(event);
-        self.charge("streamstore.publish", 1, bytes, 40);
     }
 
     /// Bulk publish.
@@ -163,13 +145,6 @@ impl StreamStore {
             .ok_or_else(|| Error::TableNotFound(format!("topic {topic}")))?;
         let mut out: Vec<&Event> = log.iter().filter(|e| e.ts >= lo && e.ts < hi).collect();
         out.sort_by_key(|e| e.ts);
-        let bytes: u64 = out.iter().map(|e| e.payload.byte_size() as u64).sum();
-        self.charge(
-            "streamstore.read",
-            out.len() as u64,
-            bytes,
-            50 + out.len() as u64 * 2,
-        );
         Ok(out)
     }
 
@@ -209,12 +184,6 @@ impl StreamStore {
                 out.push((w_lo, agg(&vals)));
             }
         }
-        self.charge(
-            "streamstore.window",
-            events.len() as u64,
-            events.len() as u64 * 16,
-            events.len() as u64 * 4,
-        );
         Ok(out)
     }
 
@@ -246,25 +215,7 @@ impl StreamStore {
                 j += 1;
             }
         }
-        self.charge(
-            "streamstore.join",
-            (l.len() + r.len()) as u64,
-            out.len() as u64 * 16,
-            (l.len() + r.len() + out.len()) as u64 * 6,
-        );
         Ok(out)
-    }
-
-    fn charge(&self, component: &str, elems: u64, bytes: u64, cycles: u64) {
-        KernelReport::charge(
-            &self.cpu,
-            KernelClass::Aggregate,
-            elems,
-            bytes,
-            cycles,
-            Some(&self.ledger),
-            component,
-        );
     }
 }
 
@@ -371,11 +322,5 @@ mod tests {
             assert_eq!(row.len(), 2);
             let _ = ts;
         }
-    }
-
-    #[test]
-    fn costs_charged() {
-        let s = store();
-        assert!(s.ledger().len() >= 10);
     }
 }

@@ -3,7 +3,7 @@
 //! Holds free-text documents (the paper's doctors'/nurses' notes in the
 //! MIMIC scenario, Fig. 2) with a tokenizer, an inverted index, boolean
 //! and TF-IDF ranked search, and bag-of-words feature extraction for the
-//! ML pipeline. Costs are posted to the shared [`CostLedger`].
+//! ML pipeline.
 //!
 //! # Examples
 //!
@@ -17,10 +17,10 @@
 //! assert_eq!(hits, vec![2]);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use pspp_accel::kernels::KernelReport;
-use pspp_accel::{CostLedger, DeviceProfile, KernelClass};
 use pspp_common::{EngineId, Error, Result};
 
 /// A document id.
@@ -35,8 +35,6 @@ pub struct TextStore {
     index: HashMap<String, BTreeMap<DocId, u32>>,
     /// doc -> token count
     doc_len: BTreeMap<DocId, u32>,
-    ledger: CostLedger,
-    cpu: DeviceProfile,
 }
 
 impl TextStore {
@@ -47,25 +45,12 @@ impl TextStore {
             docs: BTreeMap::new(),
             index: HashMap::new(),
             doc_len: BTreeMap::new(),
-            ledger: CostLedger::new(),
-            cpu: DeviceProfile::cpu(),
         }
-    }
-
-    /// Attaches a shared cost ledger.
-    pub fn with_ledger(mut self, ledger: CostLedger) -> Self {
-        self.ledger = ledger;
-        self
     }
 
     /// The engine id.
     pub fn id(&self) -> &EngineId {
         &self.id
-    }
-
-    /// The cost ledger.
-    pub fn ledger(&self) -> &CostLedger {
-        &self.ledger
     }
 
     /// Lowercased alphanumeric tokens of `text`.
@@ -92,10 +77,7 @@ impl TextStore {
                 .or_insert(0) += 1;
         }
         self.doc_len.insert(id, tokens.len() as u32);
-        let bytes = text.len() as u64;
         self.docs.insert(id, text);
-        // Tokenization ~6 cycles/byte on one core.
-        self.charge("textstore.index", tokens.len() as u64, bytes, bytes * 6);
     }
 
     /// Removes a document. Returns whether it existed.
@@ -132,7 +114,6 @@ impl TextStore {
 
     /// Documents containing **all** the given terms (boolean AND).
     pub fn search_all(&self, terms: &[&str]) -> Vec<DocId> {
-        let mut postings = 0u64;
         let mut result: Option<BTreeSet<DocId>> = None;
         for term in terms {
             let docs: BTreeSet<DocId> = self
@@ -140,37 +121,22 @@ impl TextStore {
                 .get(&term.to_lowercase())
                 .map(|p| p.keys().copied().collect())
                 .unwrap_or_default();
-            postings += docs.len() as u64;
             result = Some(match result {
                 None => docs,
                 Some(acc) => acc.intersection(&docs).copied().collect(),
             });
         }
-        self.charge(
-            "textstore.search",
-            postings,
-            postings * 8,
-            80 + postings * 4,
-        );
         result.unwrap_or_default().into_iter().collect()
     }
 
     /// Documents containing **any** of the given terms (boolean OR).
     pub fn search_any(&self, terms: &[&str]) -> Vec<DocId> {
         let mut out = BTreeSet::new();
-        let mut postings = 0u64;
         for term in terms {
             if let Some(p) = self.index.get(&term.to_lowercase()) {
-                postings += p.len() as u64;
                 out.extend(p.keys().copied());
             }
         }
-        self.charge(
-            "textstore.search",
-            postings,
-            postings * 8,
-            80 + postings * 4,
-        );
         out.into_iter().collect()
     }
 
@@ -178,12 +144,10 @@ impl TextStore {
     pub fn search_ranked(&self, query: &str, k: usize) -> Vec<(DocId, f64)> {
         let n_docs = self.docs.len() as f64;
         let mut scores: HashMap<DocId, f64> = HashMap::new();
-        let mut postings = 0u64;
         for term in Self::tokenize(query) {
             let Some(p) = self.index.get(&term) else {
                 continue;
             };
-            postings += p.len() as u64;
             let idf = (n_docs / p.len() as f64).ln().max(0.0) + 1.0;
             for (&doc, &tf) in p {
                 let dl = f64::from(self.doc_len[&doc]).max(1.0);
@@ -193,7 +157,6 @@ impl TextStore {
         let mut ranked: Vec<(DocId, f64)> = scores.into_iter().collect();
         ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         ranked.truncate(k);
-        self.charge("textstore.rank", postings, postings * 8, 120 + postings * 8);
         ranked
     }
 
@@ -230,18 +193,6 @@ impl TextStore {
         counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         counts.truncate(top);
         counts.into_iter().map(|(t, _)| t).collect()
-    }
-
-    fn charge(&self, component: &str, elems: u64, bytes: u64, cycles: u64) {
-        KernelReport::charge(
-            &self.cpu,
-            KernelClass::FilterProject,
-            elems,
-            bytes,
-            cycles,
-            Some(&self.ledger),
-            component,
-        );
     }
 }
 
@@ -326,12 +277,5 @@ mod tests {
         let top = s.top_terms(2);
         assert_eq!(top[0], "patient"); // appears in all three docs
         assert_eq!(top.len(), 2);
-    }
-
-    #[test]
-    fn costs_charged() {
-        let s = corpus();
-        s.search_all(&["patient"]);
-        assert!(s.ledger().len() >= 4);
     }
 }

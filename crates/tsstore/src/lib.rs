@@ -3,8 +3,7 @@
 //! Holds named series of `(timestamp, f64)` points (the paper's ICU
 //! bedside-device feeds and clickstreams, Fig. 1–2), with native
 //! operators: append, range query, tumbling-window aggregation,
-//! downsampling, linear gap-fill and rate-of-change. Costs are posted to
-//! the shared [`CostLedger`].
+//! downsampling, linear gap-fill and rate-of-change.
 //!
 //! # Examples
 //!
@@ -26,8 +25,6 @@
 
 use std::collections::BTreeMap;
 
-use pspp_accel::kernels::KernelReport;
-use pspp_accel::{CostLedger, DeviceProfile, KernelClass};
 use pspp_common::{row, EngineId, Error, Result, Row};
 
 /// A single observation.
@@ -70,8 +67,6 @@ impl WindowAgg {
 pub struct TimeseriesStore {
     id: EngineId,
     series: BTreeMap<String, Vec<Point>>,
-    ledger: CostLedger,
-    cpu: DeviceProfile,
 }
 
 impl TimeseriesStore {
@@ -80,25 +75,12 @@ impl TimeseriesStore {
         TimeseriesStore {
             id: id.into(),
             series: BTreeMap::new(),
-            ledger: CostLedger::new(),
-            cpu: DeviceProfile::cpu(),
         }
-    }
-
-    /// Attaches a shared cost ledger.
-    pub fn with_ledger(mut self, ledger: CostLedger) -> Self {
-        self.ledger = ledger;
-        self
     }
 
     /// The engine id.
     pub fn id(&self) -> &EngineId {
         &self.id
-    }
-
-    /// The cost ledger.
-    pub fn ledger(&self) -> &CostLedger {
-        &self.ledger
     }
 
     /// Appends one observation, keeping the series time-ordered (out of
@@ -112,7 +94,6 @@ impl TimeseriesStore {
             }
             _ => s.push((ts, value)),
         }
-        self.charge("tsstore.append", 1, 16, 30);
     }
 
     /// Bulk append.
@@ -149,14 +130,7 @@ impl TimeseriesStore {
             .ok_or_else(|| Error::TableNotFound(format!("series {series}")))?;
         let start = s.partition_point(|&(t, _)| t < lo);
         let end = s.partition_point(|&(t, _)| t < hi);
-        let out = &s[start..end];
-        self.charge(
-            "tsstore.range",
-            out.len() as u64,
-            out.len() as u64 * 16,
-            60 + out.len() as u64,
-        );
-        Ok(out)
+        Ok(&s[start..end])
     }
 
     /// Tumbling-window aggregation over `[lo, hi)` with windows of
@@ -202,12 +176,6 @@ impl TimeseriesStore {
             }
             w_start = w_end;
         }
-        self.charge(
-            "tsstore.window",
-            points.len() as u64,
-            points.len() as u64 * 16,
-            points.len() as u64 * 4,
-        );
         Ok(out)
     }
 
@@ -288,18 +256,6 @@ impl TimeseriesStore {
         Ok(s.iter()
             .map(|&(t, v)| row![pspp_common::Value::Timestamp(t), v])
             .collect())
-    }
-
-    fn charge(&self, component: &str, elems: u64, bytes: u64, cycles: u64) {
-        KernelReport::charge(
-            &self.cpu,
-            KernelClass::Aggregate,
-            elems,
-            bytes,
-            cycles,
-            Some(&self.ledger),
-            component,
-        );
     }
 }
 
@@ -476,11 +432,5 @@ mod tests {
         let rows = ts.to_rows("s").unwrap();
         assert_eq!(rows.len(), 10);
         assert_eq!(rows[3][0], pspp_common::Value::Timestamp(30));
-    }
-
-    #[test]
-    fn costs_charged() {
-        let ts = store();
-        assert!(ts.ledger().len() >= 10);
     }
 }

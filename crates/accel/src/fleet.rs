@@ -276,21 +276,6 @@ impl AcceleratorFleet {
         }
         best.map(|(p, _)| p)
     }
-
-    /// Like [`AcceleratorFleet::best_device`] but restricted to attached
-    /// accelerators (never returns the host).
-    pub fn best_accelerator(&self, kernel: KernelClass) -> Option<&AttachedDevice> {
-        let elems = reference_elems(kernel);
-        let mut best: Option<(&AttachedDevice, SimDuration)> = None;
-        for d in &self.devices {
-            if let Some(t) = self.estimate(d.kind(), kernel, elems) {
-                if best.as_ref().is_none_or(|(_, bt)| t < *bt) {
-                    best = Some((d, t));
-                }
-            }
-        }
-        best.map(|(d, _)| d)
-    }
 }
 
 /// The device fleets of a sharded deployment: a default plus per-shard
@@ -389,7 +374,6 @@ mod tests {
     fn cpu_only_fleet_has_no_accelerators() {
         let fleet = AcceleratorFleet::cpu_only();
         assert!(fleet.devices().is_empty());
-        assert!(fleet.best_accelerator(KernelClass::Sort).is_none());
         // Host still executes everything.
         assert_eq!(
             fleet.best_device(KernelClass::Sort).unwrap().kind(),
@@ -412,13 +396,6 @@ mod tests {
         // at line rate on the fabric and wins even across PCIe.
         assert_eq!(
             fleet.best_device(KernelClass::Serialize).unwrap().kind(),
-            DeviceKind::Fpga
-        );
-        assert_eq!(
-            fleet
-                .best_accelerator(KernelClass::Serialize)
-                .unwrap()
-                .kind(),
             DeviceKind::Fpga
         );
         let datacenter = AcceleratorFleet::datacenter();

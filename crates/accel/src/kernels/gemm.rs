@@ -153,13 +153,6 @@ impl Matrix {
     pub fn byte_size(&self) -> u64 {
         (self.data.len() * 8) as u64
     }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace<F: FnMut(f64) -> f64>(&mut self, mut f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
 }
 
 /// GEMM/GEMV kernel with per-device cost models.

@@ -78,21 +78,6 @@ impl KernelReport {
         }
         report
     }
-
-    /// Throughput in elements per simulated second.
-    pub fn elems_per_s(&self) -> f64 {
-        if self.duration.as_secs() == 0.0 {
-            0.0
-        } else {
-            self.elems as f64 / self.duration.as_secs()
-        }
-    }
-
-    /// Energy-delay product (J·s) — the paper's "high performance at low
-    /// power" is visible as accelerators minimizing this.
-    pub fn energy_delay(&self) -> f64 {
-        self.energy_j * self.duration.as_secs()
-    }
 }
 
 /// Number of host CPU cores implied by a profile (`lanes / simd_width`).
@@ -127,13 +112,5 @@ mod tests {
         );
         assert_eq!(ledger.len(), 1);
         assert_eq!(ledger.events()[0].component, "relstore.sort");
-    }
-
-    #[test]
-    fn throughput_and_edp() {
-        let cpu = DeviceProfile::cpu();
-        let r = KernelReport::charge(&cpu, KernelClass::Sort, 3_000, 0, 3_000_000_000, None, "t");
-        assert!((r.elems_per_s() - 3_000.0).abs() < 1e-6);
-        assert!(r.energy_delay() > 0.0);
     }
 }

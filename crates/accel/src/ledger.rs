@@ -1,9 +1,9 @@
 //! The simulated clock: a thread-safe ledger of cost events.
 //!
 //! Every engine operator, kernel launch, transfer and migration posts a
-//! [`CostEvent`]. Reports (EXPERIMENTS.md) aggregate the ledger by
-//! component and device. Simulated time never reads the wall clock, so all
-//! numbers are reproducible bit-for-bit.
+//! [`CostEvent`]. Reports aggregate the ledger in total, by event kind
+//! and by component prefix. Simulated time never reads the wall clock,
+//! so all numbers are reproducible bit-for-bit.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -305,25 +305,6 @@ impl CostLedger {
         s
     }
 
-    /// Aggregates grouped by device.
-    pub fn by_device(&self) -> BTreeMap<DeviceKind, CostSummary> {
-        let mut m: BTreeMap<DeviceKind, CostSummary> = BTreeMap::new();
-        for e in self.state_guard().events.iter() {
-            m.entry(e.device).or_default().absorb(e);
-        }
-        m
-    }
-
-    /// Aggregates grouped by component prefix (text before the first `.`).
-    pub fn by_component(&self) -> BTreeMap<String, CostSummary> {
-        let mut m: BTreeMap<String, CostSummary> = BTreeMap::new();
-        for e in self.state_guard().events.iter() {
-            let prefix = e.component.split('.').next().unwrap_or("").to_owned();
-            m.entry(prefix).or_default().absorb(e);
-        }
-        m
-    }
-
     /// Aggregates grouped by event kind — served from the incrementally
     /// maintained cache, not a log scan.
     pub fn by_kind(&self) -> BTreeMap<EventKind, CostSummary> {
@@ -379,8 +360,6 @@ mod tests {
     fn grouping() {
         let ledger = CostLedger::new();
         post_some(&ledger);
-        assert_eq!(ledger.by_device().len(), 2);
-        assert_eq!(ledger.by_component()["relstore"].events, 1);
         assert_eq!(ledger.by_kind()[&EventKind::Transfer].bytes, 50);
     }
 

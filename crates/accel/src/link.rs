@@ -112,23 +112,6 @@ impl Interconnect {
         let copies = bytes as f64 * self.host_copy_s_per_byte;
         SimDuration::from_secs(wire + copies)
     }
-
-    /// Effective bytes/second for a transfer of `bytes` (amortizing latency).
-    pub fn effective_bandwidth(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.transfer_time(bytes).as_secs()
-    }
-
-    /// Time to move `bytes` in `chunks` pipelined chunks: the first chunk
-    /// pays full latency, the rest stream behind it. Models the paper's
-    /// "pipelining it to reduce latency" (§III).
-    pub fn pipelined_transfer_time(&self, bytes: u64, chunks: u64) -> SimDuration {
-        if chunks <= 1 {
-            return self.transfer_time(bytes);
-        }
-        let per_chunk = bytes / chunks;
-        let stream = self.transfer_time(bytes) - SimDuration::from_secs(self.latency_s);
-        SimDuration::from_secs(self.latency_s) + self.transfer_time(per_chunk).max(stream)
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +139,8 @@ mod tests {
         let pcie = Interconnect::pcie();
         let t = pcie.transfer_time(64);
         assert!(t.as_secs() > 0.9e-6);
-        assert!(pcie.effective_bandwidth(64) < pcie.bandwidth_bps / 100.0);
+        let effective_bps = 64.0 / t.as_secs();
+        assert!(effective_bps < pcie.bandwidth_bps / 100.0);
     }
 
     #[test]
@@ -170,19 +154,6 @@ mod tests {
         assert!(
             (600.0..1500.0).contains(&t),
             "wire time should be minutes-scale, got {t}s"
-        );
-    }
-
-    #[test]
-    fn pipelining_hides_latency() {
-        let net = Interconnect::network();
-        let whole = net.transfer_time(1 << 26);
-        let piped = net.pipelined_transfer_time(1 << 26, 64);
-        assert!(piped <= whole);
-        // One chunk degenerates to the plain transfer.
-        assert_eq!(
-            net.pipelined_transfer_time(1 << 20, 1),
-            net.transfer_time(1 << 20)
         );
     }
 }

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::device::{DeviceProfile, KernelClass};
+use crate::device::DeviceProfile;
 
 /// A device roofline: peak compute and memory bandwidth ceilings.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -39,11 +39,6 @@ impl Roofline {
         self
     }
 
-    /// Builds the empirical roofline for `kernel` on `profile`.
-    pub fn for_kernel(profile: &DeviceProfile, kernel: KernelClass) -> Self {
-        Self::for_device(profile).with_efficiency(profile.efficiency(kernel).max(1e-6))
-    }
-
     /// Attainable throughput (ops/s) at operational intensity `oi`
     /// (ops per byte moved).
     pub fn attainable_ops_per_s(&self, oi: f64) -> f64 {
@@ -55,23 +50,12 @@ impl Roofline {
     pub fn ridge_point(&self) -> f64 {
         self.peak_ops_per_s / self.mem_bw_bps
     }
-
-    /// Whether a kernel at intensity `oi` is memory-bound on this device.
-    pub fn is_memory_bound(&self, oi: f64) -> bool {
-        oi < self.ridge_point()
-    }
-
-    /// Predicted execution time for `ops` total operations at intensity
-    /// `oi`, in seconds.
-    pub fn predict_time_s(&self, ops: f64, oi: f64) -> f64 {
-        ops / self.attainable_ops_per_s(oi)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::DeviceProfile;
+    use crate::device::KernelClass;
 
     #[test]
     fn ceilings_apply() {
@@ -85,8 +69,6 @@ mod tests {
         // Above it compute rules.
         assert_eq!(r.attainable_ops_per_s(100.0), 1e12);
         assert!((r.ridge_point() - 10.0).abs() < 1e-9);
-        assert!(r.is_memory_bound(5.0));
-        assert!(!r.is_memory_bound(50.0));
     }
 
     #[test]
@@ -102,17 +84,7 @@ mod tests {
     fn efficiency_scales_attainable() {
         let cpu = DeviceProfile::cpu();
         let full = Roofline::for_device(&cpu);
-        let eff = Roofline::for_kernel(&cpu, KernelClass::Gemm);
+        let eff = full.with_efficiency(cpu.efficiency(KernelClass::Gemm));
         assert!(eff.attainable_ops_per_s(100.0) < full.attainable_ops_per_s(100.0));
-    }
-
-    #[test]
-    fn predict_time_inverts_throughput() {
-        let r = Roofline {
-            peak_ops_per_s: 1e9,
-            mem_bw_bps: 1e9,
-            efficiency: 1.0,
-        };
-        assert!((r.predict_time_s(1e9, 100.0) - 1.0).abs() < 1e-9);
     }
 }

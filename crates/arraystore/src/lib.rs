@@ -1,9 +1,8 @@
 //! An array data-processing engine (SciDB-like substrate).
 //!
 //! The paper's array store: "matrix operations in SciDB" (§I). Dense
-//! n-dimensional `f64` arrays with slicing, reshaping, elementwise ops,
-//! axis reductions, and 2-d matrix multiply routed through the
-//! accelerator GEMM kernel.
+//! n-dimensional `f64` arrays with reshaping, elementwise ops and 2-d
+//! matrix multiply routed through the accelerator GEMM kernel.
 //!
 //! # Examples
 //!
@@ -138,25 +137,6 @@ impl NdArray {
         Ok(self)
     }
 
-    /// Slices `[lo, hi)` along the first axis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Invalid`] for bad bounds.
-    pub fn slice_axis0(&self, lo: usize, hi: usize) -> Result<NdArray> {
-        let d0 = *self
-            .shape
-            .first()
-            .ok_or_else(|| Error::Invalid("cannot slice 0-d array".into()))?;
-        if lo > hi || hi > d0 {
-            return Err(Error::Invalid(format!("slice {lo}..{hi} out of 0..{d0}")));
-        }
-        let stride: usize = self.shape[1..].iter().product::<usize>().max(1);
-        let mut shape = self.shape.clone();
-        shape[0] = hi - lo;
-        NdArray::from_vec(shape, self.data[lo * stride..hi * stride].to_vec())
-    }
-
     /// Elementwise combination with `other`.
     ///
     /// # Errors
@@ -189,45 +169,6 @@ impl NdArray {
     /// Sum of all elements.
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
-    }
-
-    /// Reduces along `axis` with a binary fold, producing an array with
-    /// that axis removed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Invalid`] for a bad axis.
-    pub fn reduce_axis<F: Fn(f64, f64) -> f64>(
-        &self,
-        axis: usize,
-        init: f64,
-        f: F,
-    ) -> Result<NdArray> {
-        if axis >= self.shape.len() {
-            return Err(Error::Invalid(format!("axis {axis} out of range")));
-        }
-        let out_shape: Vec<usize> = self
-            .shape
-            .iter()
-            .enumerate()
-            .filter(|&(d, _)| d != axis)
-            .map(|(_, &s)| s)
-            .collect();
-        let out_len: usize = out_shape.iter().product::<usize>().max(1);
-        let mut out = vec![init; out_len];
-        let inner: usize = self.shape[axis + 1..].iter().product::<usize>().max(1);
-        let axis_len = self.shape[axis];
-        let outer: usize = self.shape[..axis].iter().product::<usize>().max(1);
-        for o in 0..outer {
-            for a in 0..axis_len {
-                for i in 0..inner {
-                    let src = (o * axis_len + a) * inner + i;
-                    let dst = o * inner + i;
-                    out[dst] = f(out[dst], self.data[src]);
-                }
-            }
-        }
-        NdArray::from_vec(out_shape, out)
     }
 
     /// Converts a 2-d array into an accelerator [`Matrix`].
@@ -360,23 +301,10 @@ mod tests {
     }
 
     #[test]
-    fn slicing_axis0() {
-        let a = arr23().slice_axis0(1, 2).unwrap();
-        assert_eq!(a.shape(), &[1, 3]);
-        assert_eq!(a.as_slice(), &[3.0, 4.0, 5.0]);
-        assert!(arr23().slice_axis0(2, 1).is_err());
-    }
-
-    #[test]
-    fn elementwise_and_reduce() {
+    fn elementwise() {
         let a = arr23();
         let doubled = a.zip_with(&a, |x, y| x + y).unwrap();
         assert_eq!(doubled.sum(), 30.0);
-        let col_sums = a.reduce_axis(0, 0.0, |acc, x| acc + x).unwrap();
-        assert_eq!(col_sums.as_slice(), &[3.0, 5.0, 7.0]);
-        let row_sums = a.reduce_axis(1, 0.0, |acc, x| acc + x).unwrap();
-        assert_eq!(row_sums.as_slice(), &[3.0, 12.0]);
-        assert!(a.reduce_axis(5, 0.0, |acc, x| acc + x).is_err());
     }
 
     #[test]

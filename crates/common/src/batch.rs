@@ -252,25 +252,6 @@ impl Batch {
         })
     }
 
-    /// Appends one row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SchemaMismatch`] if the row violates the schema.
-    pub fn push_row(&mut self, row: &Row) -> Result<()> {
-        self.schema.check_row(row)?;
-        for (c, value) in row.values().iter().enumerate() {
-            if !self.columns[c].push(value) {
-                return Err(Error::SchemaMismatch(format!(
-                    "column {c} type mismatch for {value:?}"
-                )));
-            }
-            self.validity[c].push(!value.is_null());
-        }
-        self.num_rows += 1;
-        Ok(())
-    }
-
     /// The schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -303,11 +284,6 @@ impl Batch {
     /// Panics if `c` is out of bounds.
     pub fn validity(&self, c: usize) -> &[bool] {
         &self.validity[c]
-    }
-
-    /// The column named `name`.
-    pub fn column_by_name(&self, name: &str) -> Option<&Column> {
-        self.schema.index_of(name).map(|i| &self.columns[i])
     }
 
     /// Null-aware accessor for cell `(row, col)`.
@@ -372,7 +348,7 @@ mod tests {
         assert_eq!(b.column(0).as_int().unwrap(), &[1]);
         assert_eq!(b.column(2).as_float().unwrap(), &[0.5]);
         assert!(b.column(0).as_float().is_none());
-        assert_eq!(b.column_by_name("name").unwrap().as_str().unwrap()[0], "a");
+        assert_eq!(b.column(1).as_str().unwrap()[0], "a");
     }
 
     #[test]
@@ -402,7 +378,10 @@ mod tests {
         assert!(Batch::from_columns(&schema(), &bad, &[1]).is_err());
         assert!(Batch::from_columns(&schema(), &bad, &[0, 2]).is_ok());
         assert!(Batch::from_columns(&schema(), &[row![1i64, "a"]], &[0]).is_err());
-        let strict = Schema::from_fields(vec![Field::required("id", DataType::Int)]);
+        let strict = Schema::from_fields(vec![Field {
+            nullable: false,
+            ..Field::new("id", DataType::Int)
+        }]);
         let null = vec![Row::from(vec![Value::Null])];
         assert!(Batch::from_columns(&strict, &null, &[0]).is_err());
         assert!(Batch::from_columns(&strict, &null, &[]).is_ok());

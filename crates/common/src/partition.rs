@@ -110,16 +110,6 @@ impl PartitionSpec {
         crate::Distribution::from_spec(self).scatter()
     }
 
-    /// The partition key column, when the spec has one.
-    pub fn partition_column(&self) -> Option<&str> {
-        match self {
-            PartitionSpec::Hash { column, .. } | PartitionSpec::Range { column, .. } => {
-                Some(column)
-            }
-            PartitionSpec::Replicated { .. } => None,
-        }
-    }
-
     /// Checks internal consistency: a non-empty shard set and sorted
     /// range boundaries.
     ///
@@ -137,18 +127,6 @@ impl PartitionSpec {
             RoutingRule::range(boundaries)?;
         }
         Ok(())
-    }
-
-    /// The shard a row with key `value` lives on.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::EmptyShardSet`] for zero shards and
-    /// [`Error::Invalid`] for replicated specs (every shard holds the
-    /// row; there is no single home).
-    pub fn shard_for_value(&self, value: &Value) -> Result<ShardId> {
-        let (_, rule) = self.keyed_rule()?;
-        Ok(ShardId(rule.shard(value) as u32))
     }
 
     /// The key column and the routing rule of a hash or range spec,
@@ -580,8 +558,8 @@ mod tests {
         let spec = PartitionSpec::hash("k", 3);
         for v in -20..20i64 {
             assert_eq!(
-                spec.shard_for_value(&Value::Float(v as f64)).unwrap(),
-                spec.shard_for_value(&Value::Int(v)).unwrap()
+                home(&spec, &Value::Float(v as f64)).unwrap(),
+                home(&spec, &Value::Int(v)).unwrap()
             );
         }
 
@@ -631,11 +609,16 @@ mod tests {
         }
     }
 
+    /// The shard a row with key `value` lives on.
+    fn home(spec: &PartitionSpec, value: &Value) -> Result<usize> {
+        Ok(spec.keyed_rule()?.1.shard(value))
+    }
+
     #[test]
     fn range_boundary_is_exclusive_on_the_left_shard() {
         let spec = PartitionSpec::range("k", vec![Value::Int(10)]);
-        assert_eq!(spec.shard_for_value(&Value::Int(10)).unwrap(), ShardId(1));
-        assert_eq!(spec.shard_for_value(&Value::Int(9)).unwrap(), ShardId(0));
+        assert_eq!(home(&spec, &Value::Int(10)).unwrap(), 1);
+        assert_eq!(home(&spec, &Value::Int(9)).unwrap(), 0);
     }
 
     #[test]
@@ -645,7 +628,7 @@ mod tests {
         let buckets = spec.distribute(&schema(), &rows).unwrap();
         assert!(buckets.iter().all(|b| *b == rows));
         assert_eq!(spec.scatter_shards(), vec![ShardId::ZERO]);
-        assert!(spec.shard_for_value(&Value::Int(0)).is_err());
+        assert!(home(&spec, &Value::Int(0)).is_err());
     }
 
     #[test]

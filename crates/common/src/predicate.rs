@@ -56,11 +56,6 @@ impl Predicate {
         Predicate::Eq(column.into(), value.into())
     }
 
-    /// `column != value`.
-    pub fn ne(column: impl Into<String>, value: impl Into<Value>) -> Self {
-        Predicate::Ne(column.into(), value.into())
-    }
-
     /// `column < value`.
     pub fn lt(column: impl Into<String>, value: impl Into<Value>) -> Self {
         Predicate::Lt(column.into(), value.into())
@@ -574,7 +569,9 @@ mod tests {
         let s = schema();
         let r = row![5i64, "x"];
         assert!(Predicate::eq("a", 5i64).eval(&s, &r).unwrap());
-        assert!(Predicate::ne("a", 4i64).eval(&s, &r).unwrap());
+        assert!(Predicate::Ne("a".into(), Value::Int(4))
+            .eval(&s, &r)
+            .unwrap());
         assert!(Predicate::between("a", 1i64, 9i64).eval(&s, &r).unwrap());
         assert!(Predicate::In("s".into(), vec!["x".into(), "y".into()])
             .eval(&s, &r)
@@ -587,7 +584,9 @@ mod tests {
         let s = schema();
         let r = Row::from(vec![Value::Null, Value::from("x")]);
         assert!(!Predicate::eq("a", 5i64).eval(&s, &r).unwrap());
-        assert!(!Predicate::ne("a", 5i64).eval(&s, &r).unwrap());
+        assert!(!Predicate::Ne("a".into(), Value::Int(5))
+            .eval(&s, &r)
+            .unwrap());
         assert!(Predicate::IsNull("a".into()).eval(&s, &r).unwrap());
     }
 
@@ -631,7 +630,7 @@ mod tests {
         let predicates = [
             Predicate::True,
             Predicate::ge("a", 3i64),
-            Predicate::ne("a", 3i64),
+            Predicate::Ne("a".into(), Value::Int(3)),
             // NULL is stored as 0 and must match neither of these.
             Predicate::eq("a", 0i64),
             Predicate::between("a", -1i64, 3i64),

@@ -95,11 +95,6 @@ impl SplitMix64 {
             xs.swap(i, j);
         }
     }
-
-    /// Derives an independent child generator (for parallel streams).
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -152,13 +147,5 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn forks_diverge() {
-        let mut r = SplitMix64::new(5);
-        let mut a = r.fork();
-        let mut b = r.fork();
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 }

@@ -28,15 +28,6 @@ impl Field {
             nullable: true,
         }
     }
-
-    /// A NOT NULL field.
-    pub fn required(name: impl Into<String>, data_type: DataType) -> Self {
-        Field {
-            name: name.into(),
-            data_type,
-            nullable: false,
-        }
-    }
 }
 
 impl fmt::Display for Field {
@@ -193,16 +184,6 @@ impl Schema {
         }
         Ok(())
     }
-
-    /// Bytes per row for fixed-width columns, plus an estimate for varlen.
-    ///
-    /// Used by cost models before any data exists.
-    pub fn estimated_row_bytes(&self) -> usize {
-        self.fields
-            .iter()
-            .map(|f| f.data_type.fixed_width().unwrap_or(24))
-            .sum()
-    }
 }
 
 /// Anything that can answer "which columns does this stored table
@@ -312,7 +293,10 @@ mod tests {
     #[test]
     fn check_row_catches_violations() {
         let s = Schema::from_fields(vec![
-            Field::required("id", DataType::Int),
+            Field {
+                nullable: false,
+                ..Field::new("id", DataType::Int)
+            },
             Field::new("name", DataType::Str),
         ]);
         assert!(s
@@ -325,10 +309,5 @@ mod tests {
             .check_row(&Row::from(vec![Value::Int(1), Value::Int(2)]))
             .is_err());
         assert!(s.check_row(&Row::from(vec![Value::Int(1)])).is_err());
-    }
-
-    #[test]
-    fn row_bytes_estimate() {
-        assert_eq!(sample().estimated_row_bytes(), 8 + 24 + 8);
     }
 }

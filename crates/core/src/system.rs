@@ -144,6 +144,11 @@ impl PolystoreBuilder {
     /// shard replicas get the accelerator-bearing fleets. Only the
     /// fleet↔shard assignment moves — no rows are redistributed — so
     /// results are byte-identical with the pass off.
+    ///
+    /// This is not a [`PlanOptions`] switch: it rearranges the
+    /// deployment once, in [`build`](Self::build), before any plan
+    /// exists. Neither `CostModel` nor `Executor` reads it; both see
+    /// only the fleets it leaves in the registry.
     pub fn fleet_aware_placement(mut self, on: bool) -> Self {
         self.fleet_aware_placement = on;
         self
@@ -331,7 +336,7 @@ impl Polystore {
         &self.ledger
     }
 
-    /// The system-wide metrics registry: executor, placer, charger and
+    /// The system-wide metrics registry: executor, placer, kernel-charge and
     /// reshard instrumentation accumulates here (the service layer adds
     /// its own admission/cache/query series). Clones share storage.
     pub fn metrics(&self) -> &MetricsRegistry {

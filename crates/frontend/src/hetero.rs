@@ -120,9 +120,9 @@ impl HeterogeneousProgram {
     /// [`Error::Semantic`] for unknown input references and duplicate
     /// names.
     pub fn build(&self, catalog: &Catalog) -> Result<Program> {
-        if self.subprograms.is_empty() {
+        let Some(last) = self.subprograms.last() else {
             return Err(Error::Semantic("no subprograms".into()));
-        }
+        };
         let mut program = Program::new();
         let mut outputs: HashMap<&str, NodeId> = HashMap::new();
         for spec in &self.subprograms {
@@ -170,7 +170,6 @@ impl HeterogeneousProgram {
             };
             outputs.insert(&spec.name, out);
         }
-        let last = self.subprograms.last().expect("nonempty");
         program.mark_output(outputs[last.name.as_str()]);
         program.validate()?;
         Ok(program)

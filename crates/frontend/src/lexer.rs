@@ -22,14 +22,6 @@ impl Token {
     pub fn is_kw(&self, kw: &str) -> bool {
         matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
-
-    /// The identifier payload, if any.
-    pub fn ident(&self) -> Option<&str> {
-        match self {
-            Token::Ident(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 /// Splits `input` into tokens.

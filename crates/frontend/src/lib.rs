@@ -39,6 +39,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod catalog;
 pub mod cypher;
 pub mod hetero;

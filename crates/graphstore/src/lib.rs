@@ -3,8 +3,7 @@
 //! The paper's graph store: "path-finding in Neo4j" (§I) and the Cypher
 //! ("cipher") operators of §III-A.1 — "match, subtree, path, and join".
 //! A property graph with labeled vertices/edges and native operators:
-//! pattern match, BFS shortest path, Dijkstra weighted path, k-hop
-//! neighborhoods and PageRank.
+//! pattern match and BFS shortest path.
 //!
 //! # Examples
 //!
@@ -21,7 +20,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use pspp_common::{EngineId, Error, Result, Value};
 
@@ -83,7 +82,6 @@ pub struct GraphStore {
     id: EngineId,
     nodes: HashMap<NodeId, Node>,
     adjacency: HashMap<NodeId, Vec<Edge>>,
-    reverse: HashMap<NodeId, Vec<NodeId>>,
     next_id: NodeId,
 }
 
@@ -94,7 +92,6 @@ impl GraphStore {
             id: id.into(),
             nodes: HashMap::new(),
             adjacency: HashMap::new(),
-            reverse: HashMap::new(),
             next_id: 0,
         }
     }
@@ -142,7 +139,6 @@ impl GraphStore {
             rel: rel.into(),
             weight,
         });
-        self.reverse.entry(to).or_default().push(from);
         Ok(())
     }
 
@@ -154,11 +150,6 @@ impl GraphStore {
     /// Number of vertices.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.adjacency.values().map(Vec::len).sum()
     }
 
     /// All vertices with `label`.
@@ -233,118 +224,6 @@ impl GraphStore {
         Ok(Self::reconstruct(from, to, &prev))
     }
 
-    /// Weighted shortest path (Dijkstra): `(path, total_weight)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Invalid`] for unknown endpoints or negative
-    /// weights; `Ok((vec![], inf))` when unreachable.
-    pub fn dijkstra(&self, from: NodeId, to: NodeId) -> Result<(Vec<NodeId>, f64)> {
-        if !self.nodes.contains_key(&from) || !self.nodes.contains_key(&to) {
-            return Err(Error::Invalid("unknown endpoint".into()));
-        }
-        #[derive(PartialEq)]
-        struct Entry(f64, NodeId);
-        impl Eq for Entry {}
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                other.0.total_cmp(&self.0) // min-heap
-            }
-        }
-
-        let mut dist: HashMap<NodeId, f64> = HashMap::from([(from, 0.0)]);
-        let mut prev: HashMap<NodeId, NodeId> = HashMap::new();
-        let mut heap = BinaryHeap::from([Entry(0.0, from)]);
-        while let Some(Entry(d, cur)) = heap.pop() {
-            if cur == to {
-                break;
-            }
-            if d > dist.get(&cur).copied().unwrap_or(f64::INFINITY) {
-                continue;
-            }
-            for e in self.edges_from(cur) {
-                if e.weight < 0.0 {
-                    return Err(Error::Invalid("negative edge weight".into()));
-                }
-                let nd = d + e.weight;
-                if nd < dist.get(&e.to).copied().unwrap_or(f64::INFINITY) {
-                    dist.insert(e.to, nd);
-                    prev.insert(e.to, cur);
-                    heap.push(Entry(nd, e.to));
-                }
-            }
-        }
-        let path = Self::reconstruct(from, to, &prev);
-        let total = dist.get(&to).copied().unwrap_or(f64::INFINITY);
-        Ok((path, total))
-    }
-
-    /// All vertices within `k` hops of `from` (excluding `from`).
-    pub fn k_hop(&self, from: NodeId, k: usize) -> Vec<NodeId> {
-        let mut frontier = vec![from];
-        let mut seen: std::collections::HashSet<NodeId> = [from].into();
-        let mut out = Vec::new();
-        for _ in 0..k {
-            let mut next = Vec::new();
-            for n in frontier {
-                for e in self.edges_from(n) {
-                    if seen.insert(e.to) {
-                        next.push(e.to);
-                        out.push(e.to);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// PageRank with damping 0.85; returns scores summing to ~1.
-    pub fn pagerank(&self, iterations: usize) -> HashMap<NodeId, f64> {
-        let n = self.nodes.len();
-        if n == 0 {
-            return HashMap::new();
-        }
-        let damping = 0.85;
-        let mut rank: HashMap<NodeId, f64> =
-            self.nodes.keys().map(|&id| (id, 1.0 / n as f64)).collect();
-        for _ in 0..iterations {
-            let mut next: HashMap<NodeId, f64> = self
-                .nodes
-                .keys()
-                .map(|&id| (id, (1.0 - damping) / n as f64))
-                .collect();
-            let mut dangling = 0.0;
-            for (&id, r) in &rank {
-                let edges = self.edges_from(id);
-                if edges.is_empty() {
-                    dangling += r;
-                } else {
-                    let share = damping * r / edges.len() as f64;
-                    // `add_edge` only links nodes that exist, and `next`
-                    // holds every node.
-                    for e in edges {
-                        if let Some(v) = next.get_mut(&e.to) {
-                            *v += share;
-                        }
-                    }
-                }
-            }
-            let redistribute = damping * dangling / n as f64;
-            for v in next.values_mut() {
-                *v += redistribute;
-            }
-            rank = next;
-        }
-        rank
-    }
-
     fn reconstruct(from: NodeId, to: NodeId, prev: &HashMap<NodeId, NodeId>) -> Vec<NodeId> {
         if from == to {
             return vec![from];
@@ -390,29 +269,18 @@ mod tests {
     }
 
     #[test]
-    fn dijkstra_prefers_light_weight() {
-        let (g, [a, b, c, _]) = diamond();
-        let (path, w) = g.dijkstra(a, c).unwrap();
-        assert_eq!(path, vec![a, b, c]); // 2.0 beats the 10.0 shortcut
-        assert!((w - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn unreachable_returns_empty() {
         let mut g = GraphStore::new("g");
         let a = g.add_node("P", vec![]);
         let b = g.add_node("P", vec![]);
         assert!(g.shortest_path(a, b).unwrap().is_empty());
-        let (p, w) = g.dijkstra(a, b).unwrap();
-        assert!(p.is_empty());
-        assert!(w.is_infinite());
     }
 
     #[test]
     fn unknown_endpoints_error() {
         let (g, [a, ..]) = diamond();
         assert!(g.shortest_path(a, 999).is_err());
-        assert!(g.dijkstra(999, a).is_err());
+        assert!(g.shortest_path(999, a).is_err());
     }
 
     #[test]
@@ -449,33 +317,6 @@ mod tests {
             ],
         );
         assert_eq!(all.len(), 2);
-    }
-
-    #[test]
-    fn k_hop_expansion() {
-        let (g, [a, b, c, d]) = diamond();
-        assert_eq!(g.k_hop(a, 1), vec![b, c]);
-        assert_eq!(g.k_hop(a, 2), vec![b, c, d]);
-        assert!(g.k_hop(d, 3).is_empty());
-    }
-
-    #[test]
-    fn pagerank_sums_to_one_and_ranks_sinks_high() {
-        let (g, [a, _, c, d]) = diamond();
-        let pr = g.pagerank(30);
-        let total: f64 = pr.values().sum();
-        assert!((total - 1.0).abs() < 1e-6);
-        assert!(pr[&d] > pr[&a]); // d absorbs rank, a has no in-edges
-        assert!(pr[&c] > pr[&a]);
-    }
-
-    #[test]
-    fn negative_weights_rejected() {
-        let mut g = GraphStore::new("g");
-        let a = g.add_node("P", vec![]);
-        let b = g.add_node("P", vec![]);
-        g.add_edge(a, b, "E", -1.0).unwrap();
-        assert!(g.dijkstra(a, b).is_err());
     }
 
     #[test]

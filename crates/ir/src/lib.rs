@@ -24,6 +24,8 @@
 //! assert_eq!(p.topo_order().unwrap().len(), 2);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod graph;
 pub mod op;
 pub mod shard;

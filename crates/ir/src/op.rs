@@ -282,14 +282,6 @@ pub enum Operator {
         /// Maximum iterations.
         max_iters: usize,
     },
-
-    /// An opaque engine-specific operation carried through the IR
-    /// (escape hatch for extensions, §IV-B.1's "extensible to incorporate
-    /// semantics of new compute engines").
-    Custom {
-        /// Free-form operation name.
-        name: String,
-    },
 }
 
 impl Operator {
@@ -315,11 +307,6 @@ impl Operator {
             Operator::HashJoin { .. } | Operator::SortMergeJoin { .. } | Operator::Predict => 2,
             _ => 1,
         }
-    }
-
-    /// Whether this operator reads from a store (a source).
-    pub fn is_source(&self) -> bool {
-        self.arity() == 0
     }
 
     /// The table/engine a source reads from, if any.
@@ -356,7 +343,6 @@ impl Operator {
             Operator::TrainMlp { .. } => "train_mlp",
             Operator::Predict => "predict",
             Operator::KMeansCluster { .. } => "kmeans",
-            Operator::Custom { .. } => "custom",
         }
     }
 }
@@ -389,7 +375,6 @@ mod tests {
     #[test]
     fn source_table_only_for_sources() {
         let scan = Operator::scan(TableRef::new("db1", "t"));
-        assert!(scan.is_source());
         assert_eq!(scan.source_table().unwrap().name, "t");
         assert!(Operator::Predict.source_table().is_none());
     }
@@ -397,6 +382,5 @@ mod tests {
     #[test]
     fn names_are_nonempty() {
         assert_eq!(Operator::Predict.name(), "predict");
-        assert_eq!(Operator::Custom { name: "x".into() }.name(), "custom");
     }
 }

@@ -679,10 +679,9 @@ impl ShardPlan {
         if !src.distribution.is_partitioned() {
             return Self::gather_all(nodes, inputs.iter());
         }
-        let partition_key = src
-            .distribution
-            .key()
-            .expect("partitioned layouts are keyed");
+        let Some(partition_key) = src.distribution.key() else {
+            return Self::gather_all(nodes, inputs.iter());
+        };
         if keys.iter().any(|k| k == partition_key) {
             // Partition-wise: the group keys pin every group to one
             // shard, and the key column survives into the output.

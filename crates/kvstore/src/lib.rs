@@ -2,8 +2,8 @@
 //!
 //! One of the paper's heterogeneous data stores (Fig. 1 pairs an RDBMS
 //! with a key/value store and a timeseries store). Supports versioned
-//! puts, point gets, deletes, prefix and range scans, and TTL expiry
-//! against a logical clock.
+//! puts, point gets, prefix scans, and TTL expiry against a logical
+//! clock.
 //!
 //! # Examples
 //!
@@ -30,8 +30,6 @@ const MAX_VERSIONS: usize = 4;
 #[derive(Debug, Clone, PartialEq)]
 struct Versioned {
     value: Value,
-    /// Logical write time.
-    written_at: u64,
     /// Expiry tick (None = immortal).
     expires_at: Option<u64>,
 }
@@ -79,7 +77,6 @@ impl KvStore {
         let versions = self.data.entry(key.into()).or_default();
         versions.push(Versioned {
             value,
-            written_at: self.clock,
             expires_at: ttl.map(|t| self.clock + t),
         });
         if versions.len() > MAX_VERSIONS {
@@ -94,21 +91,6 @@ impl KvStore {
             Some(t) if t <= self.clock => None,
             _ => Some(&v.value),
         }
-    }
-
-    /// The value as of logical time `at` (time-travel read).
-    pub fn get_at(&self, key: &str, at: u64) -> Option<&Value> {
-        let versions = self.data.get(key)?;
-        versions
-            .iter()
-            .rev()
-            .find(|v| v.written_at <= at && v.expires_at.is_none_or(|t| t > at))
-            .map(|v| &v.value)
-    }
-
-    /// Removes a key entirely. Returns whether it existed.
-    pub fn delete(&mut self, key: &str) -> bool {
-        self.data.remove(key).is_some()
     }
 
     /// Number of live keys (expired keys included until compaction).
@@ -126,20 +108,6 @@ impl KvStore {
         self.data
             .range(prefix.to_owned()..)
             .take_while(|(k, _)| k.starts_with(prefix))
-            .filter_map(|(k, vs)| {
-                let v = vs.last()?;
-                match v.expires_at {
-                    Some(t) if t <= self.clock => None,
-                    _ => Some((k.as_str(), &v.value)),
-                }
-            })
-            .collect()
-    }
-
-    /// All live pairs in `[lo, hi)` key order.
-    pub fn scan_range(&self, lo: &str, hi: &str) -> Vec<(&str, &Value)> {
-        self.data
-            .range(lo.to_owned()..hi.to_owned())
             .filter_map(|(k, vs)| {
                 let v = vs.last()?;
                 match v.expires_at {
@@ -184,36 +152,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn put_get_delete() {
+    fn put_get() {
         let mut kv = KvStore::new("kv");
         kv.put("a", Value::Int(1));
         assert_eq!(kv.get("a"), Some(&Value::Int(1)));
-        assert!(kv.delete("a"));
-        assert!(!kv.delete("a"));
-        assert_eq!(kv.get("a"), None);
+        assert_eq!(kv.get("b"), None);
     }
 
     #[test]
-    fn versions_overwrite_and_time_travel() {
+    fn versions_overwrite() {
         let mut kv = KvStore::new("kv");
         kv.put("k", Value::Int(1));
         kv.tick(10);
         kv.put("k", Value::Int(2));
         assert_eq!(kv.get("k"), Some(&Value::Int(2)));
-        assert_eq!(kv.get_at("k", 5), Some(&Value::Int(1)));
-        assert_eq!(kv.get_at("k", 10), Some(&Value::Int(2)));
     }
 
     #[test]
     fn version_cap_enforced() {
         let mut kv = KvStore::new("kv");
         for i in 0..10 {
-            kv.tick(1);
-            kv.put("k", Value::Int(i));
+            kv.put_with_ttl("k", Value::Int(i), Some(1));
         }
-        // Oldest surviving version is 10 - MAX_VERSIONS.
-        assert_eq!(kv.get_at("k", 7), Some(&Value::Int(6)));
-        assert_eq!(kv.get_at("k", 5), None);
+        // Only the last MAX_VERSIONS writes were still held to expire.
+        kv.tick(1);
+        assert_eq!(kv.compact(), MAX_VERSIONS);
     }
 
     #[test]
@@ -231,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn prefix_and_range_scans() {
+    fn prefix_scans() {
         let mut kv = KvStore::new("kv");
         for (k, v) in [("user:1", 1i64), ("user:2", 2), ("item:9", 9)] {
             kv.put(k, Value::Int(v));
@@ -239,8 +202,6 @@ mod tests {
         let users = kv.scan_prefix("user:");
         assert_eq!(users.len(), 2);
         assert_eq!(users[0].0, "user:1");
-        let range = kv.scan_range("item:", "user:");
-        assert_eq!(range.len(), 1);
     }
 
     #[test]

@@ -86,12 +86,6 @@ impl MigrationReport {
             xform / self.total.as_secs().max(f64::MIN_POSITIVE)
         }
     }
-
-    /// Effective migration throughput in payload bytes per simulated
-    /// second.
-    pub fn throughput_bps(&self) -> f64 {
-        self.payload_bytes as f64 / self.total.as_secs().max(f64::MIN_POSITIVE)
-    }
 }
 
 /// The data migrator.
@@ -99,8 +93,6 @@ impl MigrationReport {
 pub struct Migrator {
     host: DeviceProfile,
     serializer: DeviceProfile,
-    network: Interconnect,
-    rdma: Interconnect,
     pipelined: bool,
     chunks: u64,
     ledger: Option<CostLedger>,
@@ -118,8 +110,6 @@ impl Migrator {
         Migrator {
             host: DeviceProfile::cpu(),
             serializer: DeviceProfile::cpu(),
-            network: Interconnect::network(),
-            rdma: Interconnect::rdma(),
             pipelined: false,
             chunks: 64,
             ledger: None,
@@ -130,12 +120,6 @@ impl Migrator {
     /// (bump-in-the-wire on the NIC path, so no PCIe charge).
     pub fn with_accelerator(mut self, device: DeviceProfile) -> Self {
         self.serializer = device;
-        self
-    }
-
-    /// Overrides the network link.
-    pub fn with_network(mut self, link: Interconnect) -> Self {
-        self.network = link;
         self
     }
 
@@ -216,8 +200,8 @@ impl Migrator {
             decode_t += disk;
         }
         let link = match path {
-            MigrationPath::Rdma => &self.rdma,
-            _ => &self.network,
+            MigrationPath::Rdma => Interconnect::rdma(),
+            _ => Interconnect::network(),
         };
         let transfer = link.transfer_time(wire_bytes);
 
@@ -586,7 +570,7 @@ mod tests {
     #[test]
     fn rdma_beats_tcp_pipe() {
         let b = pipegen_batch(10_000);
-        let m = Migrator::new().with_network(Interconnect::network_10g());
+        let m = Migrator::new();
         let (_, tcp) = m
             .migrate(
                 &b,

@@ -284,28 +284,6 @@ impl Mlp {
         Ok(total / data.len().max(1) as f64)
     }
 
-    /// One SGD step on a mini-batch; returns the batch loss before the
-    /// update.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Invalid`] when `batch` is not `input_dim()` wide.
-    pub fn train_batch(
-        &mut self,
-        device: &DeviceProfile,
-        batch: &Dataset,
-        learning_rate: f64,
-        ledger: Option<&CostLedger>,
-    ) -> Result<f64> {
-        self.check_width(batch.dim())?;
-        if batch.is_empty() {
-            return Ok(0.0);
-        }
-        let mut ws = Workspace::new(&self.weights, batch.len(), true);
-        let x = batch.features().as_slice();
-        Ok(self.step(device, x, batch.labels(), learning_rate, &mut ws, ledger))
-    }
-
     /// Forward, loss, backward and update on the examples `x` (row-major)
     /// with targets `labels`; the batch loss is the one before the update.
     fn step(
@@ -564,32 +542,11 @@ mod tests {
             Err(Error::Invalid(_))
         ));
         assert!(matches!(
-            mlp.train_batch(&cpu, &narrow, 0.1, Some(&ledger)),
-            Err(Error::Invalid(_))
-        ));
-        assert!(matches!(
             mlp.predict_proba(&cpu, narrow.features(), Some(&ledger)),
             Err(Error::Invalid(_))
         ));
         // Rejected before anything ran or was charged.
         assert!(ledger.is_empty());
-    }
-
-    #[test]
-    fn train_batch_is_one_step_of_train() {
-        let data = Dataset::synthetic_threshold(48, 4, 3);
-        let cpu = DeviceProfile::cpu();
-        let mut whole = Mlp::new(&[4, 8, 1], 5).unwrap();
-        let mut stepped = whole.clone();
-        let config = TrainConfig {
-            epochs: 1,
-            batch_size: 48,
-            learning_rate: 0.2,
-        };
-        let losses = whole.train(&cpu, &data, &config, None).unwrap();
-        let loss = stepped.train_batch(&cpu, &data, 0.2, None).unwrap();
-        assert_eq!(losses, vec![loss]);
-        assert_eq!(format!("{whole:?}"), format!("{stepped:?}"));
     }
 
     #[test]

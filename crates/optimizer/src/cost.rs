@@ -271,7 +271,6 @@ impl CostModel {
                 let (r, _) = inputs[0];
                 (r, r * 8.0 + *k as f64 * 64.0)
             }
-            Operator::Custom { .. } => inputs.first().copied().unwrap_or((1.0, 64.0)),
         }
     }
 
@@ -835,13 +834,14 @@ impl CostModel {
                         None => continue,
                     };
                 // Try to extend an open chain ending at our producer.
-                if let Some(&bi) = producer.and_then(|(p, _)| tails.get(&(p, shard))) {
+                let extended =
+                    producer.and_then(|(p, bytes)| Some((*tails.get(&(p, shard))?, bytes)));
+                if let Some((bi, edge_bytes)) = extended {
                     let b = &open[bi];
                     let pick = device_picks[&(id, shard)];
                     // A slot already committed to a *different* device
                     // breaks the chain; a host pick is promotable.
                     if pick == b.device || pick == DeviceKind::Cpu {
-                        let (_, edge_bytes) = producer.unwrap();
                         if let Some(body) = Self::fused_member_cost(
                             fleet, &node.op, b.device, c_rows, c_bytes, edge_bytes,
                         ) {
@@ -850,14 +850,15 @@ impl CostModel {
                             if body <= solo_c {
                                 let launch = price::launch_seconds(fleet, b.device);
                                 let b = &mut open[bi];
-                                let prev_tail = *b.nodes.last().unwrap();
+                                if let Some(&prev_tail) = b.nodes.last() {
+                                    tails.remove(&(prev_tail, shard));
+                                }
                                 b.nodes.push(id);
                                 b.member_secs.push(body);
                                 b.fused += body;
                                 b.solo += solo_c;
                                 b.host += host_c;
                                 b.launch += launch;
-                                tails.remove(&(prev_tail, shard));
                                 tails.insert((id, shard), bi);
                                 continue;
                             }
@@ -967,7 +968,9 @@ impl CostModel {
             let len = b.nodes.len();
             for (pos, (&nid, &secs)) in b.nodes.iter().zip(&b.member_secs).enumerate() {
                 device_picks.insert((nid, b.shard), b.device);
-                slot_secs.get_mut(&nid).unwrap()[b.slot] = secs;
+                if let Some(slots) = slot_secs.get_mut(&nid) {
+                    slots[b.slot] = secs;
+                }
                 let width = plan.node(nid).scatter.len();
                 fusion_tags.entry(nid).or_insert_with(|| vec![None; width])[b.slot] =
                     Some(FusionTag { chain, pos, len });
@@ -1048,7 +1051,9 @@ impl CostModel {
                                 // exclusive access: run on the host
                                 // instead, freeing the device.
                                 device_picks.insert((id, shard), DeviceKind::Cpu);
-                                slot_secs.get_mut(&id).unwrap()[k] = host;
+                                if let Some(slots) = slot_secs.get_mut(&id) {
+                                    slots[k] = host;
+                                }
                                 continue;
                             }
                         }

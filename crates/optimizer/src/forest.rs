@@ -98,7 +98,7 @@ impl RegressionTree {
                 }
                 let score = Self::variance(ys, &l) * l.len() as f64
                     + Self::variance(ys, &r) * r.len() as f64;
-                if best.is_none() || score < best.expect("checked").2 {
+                if best.is_none_or(|(_, _, s)| score < s) {
                     best = Some((f, threshold, score));
                 }
             }

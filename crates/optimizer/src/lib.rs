@@ -30,6 +30,8 @@
 //! assert_eq!(space.size(), 12);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod cost;
 pub mod dse;
 pub mod forest;

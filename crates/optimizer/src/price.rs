@@ -5,14 +5,14 @@
 //! from one model of what offload, transfer and movement cost.
 //! [`CostModel`](crate::CostModel) calls these functions on *estimated*
 //! volumes while placing, fusing and queueing; `pspp-runtime`'s
-//! `Charger` and exchange barriers call the same functions on the
+//! executor and exchange barriers call the same functions on the
 //! *actual* counts. Whatever separates a planned from an executed figure
 //! is therefore estimate error plus the terms marked **plan** or
 //! **execute** below — never two formulas drifting.
 //!
 //! | price | formula | stands for | billed by |
 //! |---|---|---|---|
-//! | [`kernel_class`] | operator → accelerator kernel class; `Custom` has none | §III-A kernel library | both |
+//! | [`kernel_class`] | operator → accelerator kernel class | §III-A kernel library | both |
 //! | [`planned_profile`] | the device's profile, if it runs the class at non-zero efficiency | §IV-B.3 device choice | plan (an unsupported device is skipped) |
 //! | [`serving_profile`] | the same, falling back to the host | §IV-D execution | execute (counted as a host fallback) |
 //! | [`compute`] | `cycles_to_s(kernel cycles(rows, bytes) + launch)` | LogCA `o + C(g)/A` | both |
@@ -55,10 +55,9 @@ pub fn is_join(op: &Operator) -> bool {
     )
 }
 
-/// The accelerator kernel class executing `op`; `None` for an opaque
-/// `Custom` operator, which the planner neither prices nor offloads.
-pub fn kernel_class(op: &Operator) -> Option<KernelClass> {
-    Some(match op {
+/// The accelerator kernel class executing `op`.
+pub fn kernel_class(op: &Operator) -> KernelClass {
+    match op {
         Operator::Scan { .. }
         | Operator::Filter { .. }
         | Operator::KvPrefixScan { .. }
@@ -75,8 +74,7 @@ pub fn kernel_class(op: &Operator) -> Option<KernelClass> {
         Operator::TrainMlp { .. } => KernelClass::Gemm,
         Operator::Predict => KernelClass::Gemv,
         Operator::KMeansCluster { .. } => KernelClass::KMeans,
-        Operator::Custom { .. } => return None,
-    })
+    }
 }
 
 fn serves(
@@ -96,19 +94,17 @@ pub fn planned_profile<'f>(
     op: &Operator,
     device: DeviceKind,
 ) -> Option<&'f DeviceProfile> {
-    serves(fleet, device, kernel_class(op)?)
+    serves(fleet, device, kernel_class(op))
 }
 
 /// The profile that actually serves `op` planned on `device`: the
-/// device's own when it runs the kernel class, the host's otherwise. An
-/// opaque operator bills as one streaming pass.
+/// device's own when it runs the kernel class, the host's otherwise.
 pub fn serving_profile<'f>(
     fleet: &'f AcceleratorFleet,
     op: &Operator,
     device: DeviceKind,
 ) -> &'f DeviceProfile {
-    let kernel = kernel_class(op).unwrap_or(KernelClass::FilterProject);
-    serves(fleet, device, kernel).unwrap_or_else(|| fleet.host())
+    serves(fleet, device, kernel_class(op)).unwrap_or_else(|| fleet.host())
 }
 
 fn launched(profile: &DeviceProfile, cycles: u64) -> SimDuration {

@@ -37,16 +37,17 @@
 //!    consumers' demand by side and adds its two keys, and several
 //!    consumers union. **Everything** is demanded — the node runs as the
 //!    literal plan runs it, so every error surfaces where it did — by a
-//!    program output, by a node nobody reads, by an ML, connector or
-//!    `Custom` consumer, of a node whose schema `output_schema` cannot
-//!    derive, and by a consumer naming a column the producer lacks. Nothing narrows at a scan, which keeps handing
-//!    out shared row pointers; the annotation is applied where rows are
-//!    rebuilt anyway: the migration codec ships a producer's demanded
-//!    columns, a join builds its own. **Naming contract:** a demand
-//!    names columns as the node's *unpruned* schema does — a right `age`
-//!    that [`Schema::join`] calls `age_r` stays `age_r` when the left
-//!    `age` was never shipped — and lists them in that schema's order.
-//!    A program without a join has no such place and is left as it is.
+//!    program output, by a node nobody reads, by an ML or connector
+//!    consumer, of a node whose schema `output_schema` cannot derive,
+//!    and by a consumer naming a column the producer lacks. Nothing
+//!    narrows at a scan, which keeps handing out shared row pointers;
+//!    the annotation is applied where rows are rebuilt anyway: the
+//!    migration codec ships a producer's demanded columns, a join builds
+//!    its own. **Naming contract:** a demand names columns as the node's
+//!    *unpruned* schema does — a right `age` that [`Schema::join`] calls
+//!    `age_r` stays `age_r` when the left `age` was never shipped — and
+//!    lists them in that schema's order. A program without a join has
+//!    no such place and is left as it is.
 //!
 //! Fused nodes are *not* removed: they are marked
 //! [`fused_into_consumer`](pspp_ir::Annotations::fused_into_consumer)
@@ -492,8 +493,10 @@ fn push_filters_below_joins(
         // The join suffixes a clashing right column (`_r`, `_r2`, …);
         // below the join it has its own name again.
         let own_name = |c: &str| {
-            let at = joined.index_of(c).expect("every column resolved above");
-            right.fields()[at - left.arity()].name.clone()
+            joined.index_of(c).map_or_else(
+                || c.to_string(),
+                |at| right.fields()[at - left.arity()].name.clone(),
+            )
         };
         // A shared input keeps its rows: its other readers never asked
         // for this filter.

@@ -36,7 +36,7 @@ pub use table::{ColumnImage, Selection, Table};
 
 use std::collections::BTreeMap;
 
-use pspp_common::{EngineId, Error, HashRouter, Result, Routes, Row, Schema, Value};
+use pspp_common::{EngineId, Error, HashRouter, Result, Routes, Row, Schema};
 
 /// What a [`RelationalStore::scan`] returns.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,11 +103,6 @@ impl RelationalStore {
             .remove(name)
             .map(|_| ())
             .ok_or_else(|| Error::TableNotFound(name.to_owned()))
-    }
-
-    /// Table names in this store.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
     }
 
     /// Borrow a table.
@@ -293,21 +288,10 @@ impl RelationalStore {
     }
 }
 
-/// Convenience: the list of distinct values in a column (used by tests and
-/// feature extraction).
-pub fn distinct_values(schema: &Schema, rows: &[Row], column: &str) -> Result<Vec<Value>> {
-    let idx = schema.require(column)?;
-    let mut seen = std::collections::BTreeSet::new();
-    for r in rows {
-        seen.insert(r[idx].clone());
-    }
-    Ok(seen.into_iter().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pspp_common::{row, DataType};
+    use pspp_common::{row, DataType, Value};
 
     fn store_with_data() -> RelationalStore {
         let mut db = RelationalStore::new("db1");
@@ -460,13 +444,5 @@ mod tests {
             db.scan("nope", &Predicate::True, None),
             Err(Error::TableNotFound(_))
         ));
-    }
-
-    #[test]
-    fn distinct() {
-        let db = store_with_data();
-        let t = db.table("patients").unwrap();
-        let vals = distinct_values(t.schema(), t.rows(), "age").unwrap();
-        assert_eq!(vals.len(), 3);
     }
 }

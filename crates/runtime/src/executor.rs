@@ -1,22 +1,20 @@
 //! The executor: an orchestration loop over the physical execution
 //! layer (§IV-D).
 //!
-//! All operator execution flows through the
-//! [`EngineAdapter`](crate::physical::EngineAdapter) implementations
-//! installed in the [`AdapterRegistry`]; the [`Placer`] resolves where
-//! each node runs and migrates foreign inputs there; the
-//! [`Charger`] posts simulated costs. The
-//! loop walks the program's topological stages and runs each stage's
-//! tasks on the calling thread, in task order. Shard parallelism lives
-//! where the paper puts it, on the simulated clock: a node's time is
-//! its slowest shard task's, as if each shard's replica ran its own.
-//! The wall clock gets its concurrency from the query service's
-//! workers, one query each. A stage's tasks here run for 45 µs to
-//! 0.8 ms; handing one to another thread cost more than it bought on
-//! every sharded polybench template (a thread per task: +12 % wall per
-//! op at two shards against this loop in the same build; persistent
-//! helper threads still lost 10 % to it), so there is one loop and it
-//! has no mode.
+//! Every operator runs through [`physical::run`]; the [`Placer`]
+//! resolves where each node runs and migrates foreign inputs there;
+//! each task's bill is the price list's ([`price::task`]), posted to
+//! the task's ledger. The loop walks the program's topological stages
+//! and runs each stage's tasks on the calling thread, in task order.
+//! Shard parallelism lives where the paper puts it, on the simulated
+//! clock: a node's time is its slowest shard task's, as if each shard's
+//! replica ran its own. The wall clock gets its concurrency from the
+//! query service's workers, one query each. A stage's tasks here run
+//! for 45 µs to 0.8 ms; handing one to another thread cost more than it
+//! bought on every sharded polybench template (a thread per task: +12 %
+//! wall per op at two shards against this loop in the same build;
+//! persistent helper threads still lost 10 % to it), so there is one
+//! loop and it has no mode.
 //!
 //! Distribution is a *plan* property, not an execution-time discovery:
 //! [`Placer::plan_distribution`] annotates every node with its
@@ -61,7 +59,7 @@
 //! node's bill does not depend on what else shared its stage. Byte
 //! sizes travel with the rows: a gather of sized partials, a routed
 //! bucket and a spliced output all know their size when they are built,
-//! and the [`Charger`] never walks one to price it. Rows move rather
+//! and the charge never walks one to price it. Rows move rather
 //! than being copied wherever their holder is the only one: a gather
 //! takes each partial nobody retained, a routed merge each task's rows,
 //! and the splice each destination's output.
@@ -69,7 +67,7 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use pspp_accel::{CostEvent, CostLedger, EventKind, SimDuration};
+use pspp_accel::{AcceleratorFleet, CostEvent, CostLedger, EventKind, SimDuration};
 use pspp_common::{DeviceKind, Error, Result, Routes, ShardId};
 use pspp_ir::{
     ColumnDemand, ExchangeKind, NodeId, Operator, PlanOptions, Program, ShardPlan, Stage,
@@ -81,7 +79,7 @@ use pspp_relstore::ops as relops;
 use pspp_telemetry::{ExchangeTrace, MetricsRegistry, NodeTrace, TaskTrace};
 
 use crate::dataset::{Dataset, Payload, Routed, RowBuf};
-use crate::physical::{AdapterRegistry, Charger, ExecCtx, Placer, RouteRequest};
+use crate::physical::{self, ExecCtx, Placer, RouteRequest};
 use crate::registry::EngineRegistry;
 
 /// Chunks used by the pipelined-stages model (§IV-D).
@@ -284,14 +282,13 @@ impl NodeRun {
 pub struct Executor {
     ledger: CostLedger,
     placer: Placer,
-    adapters: AdapterRegistry,
     /// Honor device annotations (L2+); otherwise everything runs on CPU.
     offload: bool,
     /// Pipeline stages (L3).
     pipelined: bool,
     /// The plan switches — the value the cost model planned under.
     options: PlanOptions,
-    /// Metrics sink for executor/placer/charger instrumentation
+    /// Metrics sink for executor, placer and kernel-charge instrumentation
     /// (`None` runs unobserved).
     metrics: Option<MetricsRegistry>,
 }
@@ -305,7 +302,6 @@ impl Executor {
         Executor {
             ledger,
             placer: Placer::default(),
-            adapters: AdapterRegistry::standard(),
             offload: true,
             pipelined: false,
             options: PlanOptions::default(),
@@ -313,7 +309,7 @@ impl Executor {
         }
     }
 
-    /// Records executor, placer and charger instrumentation into
+    /// Records executor, placer and kernel-charge instrumentation into
     /// `metrics`. All recorded values are integer counts or bucketed
     /// simulated durations, so observation never perturbs execution and
     /// snapshots are deterministic.
@@ -356,11 +352,6 @@ impl Executor {
     pub fn migration_path(mut self, path: MigrationPath) -> Self {
         self.placer = self.placer.with_path(path);
         self
-    }
-
-    /// The installed adapter registry.
-    pub fn adapters(&self) -> &AdapterRegistry {
-        &self.adapters
     }
 
     /// The shared ledger.
@@ -471,7 +462,7 @@ impl Executor {
         let (makespan_sequential, makespan_pipelined) = makespans(&stages, &node_total);
         // Rebuild the executed fused chains from the honored per-task
         // tags: same indices as the plan's chains, members in chain
-        // position order, savings summed from the charger's resident-
+        // position order, savings summed from the charges' resident-
         // link discounts.
         /// (chain position, node, shard, device, saved seconds).
         type ChainMember = (usize, NodeId, ShardId, DeviceKind, f64);
@@ -1151,7 +1142,7 @@ impl Executor {
             .iter()
             .map(|a| {
                 pspp_relstore::AggregateSpec::new(
-                    crate::physical::adapters::relational::agg_fn(a.func),
+                    physical::agg_fn(a.func),
                     a.column.clone(),
                     a.output.clone(),
                 )
@@ -1191,7 +1182,7 @@ impl Executor {
     }
 
     /// Executes one (node, shard) task against a private scoped ledger:
-    /// placement, input migration, adapter dispatch, and cost
+    /// placement, input migration, the operator's run, and cost
     /// attribution — migration and kernel charges post per shard task.
     /// `op` overrides the node's operator (the per-shard partial of a
     /// merged aggregation); `None` runs the node's own.
@@ -1281,9 +1272,7 @@ impl Executor {
                 routes: &routes,
             });
         }
-        let output = self
-            .adapters
-            .dispatch(op, &inputs, target.as_ref(), registry, &ctx)?;
+        let output = physical::run(op, &inputs, target.as_ref(), registry, &ctx)?;
         let routes = match (routes.into_inner(), route) {
             (None, Some((key, width))) => Some(Routes::of_rows(
                 output.schema()?,
@@ -1316,12 +1305,15 @@ impl Executor {
             .flatten()
             .filter(|_| device == planned && device != DeviceKind::Cpu);
         let resident = fused.is_some_and(|tag| tag.pos > 0);
-        let (exec_seconds, fused_saved_seconds) = Charger::new(
+        let (exec_seconds, fused_saved_seconds) = self.charge(
             fleet,
-            self.metrics.as_ref(),
+            &scoped_ledger,
+            op,
+            id,
+            device,
+            (work_rows, work_bytes),
             resident,
-        )
-        .charge(&scoped_ledger, op, device, work_rows, work_bytes, id);
+        );
         // A contended device serves this slot after its queue wait; the
         // wait rides the critical path (and the ledger), but only when
         // the task really ran on the contended device.
@@ -1373,6 +1365,59 @@ impl Executor {
             tasks: vec![task_trace],
             exchanges: Vec::new(),
         })
+    }
+
+    /// Posts the executed `op`'s [`price::task`] — planned on `device`
+    /// of `fleet`, over `work` (rows, bytes) — to the task's `ledger` as
+    /// `executor.{op}@{node}` and counts the charge per serving device;
+    /// returns its seconds and the transfer seconds a device-resident
+    /// input saved (zero unless `resident`: a fused-chain member after
+    /// the head reads its input where its producer left it).
+    ///
+    /// The price falls back to the host profile when `device` does not
+    /// run (or has zero efficiency for) the operator's kernel class;
+    /// attached accelerators also pay their transfer. An ML operator is
+    /// accounted by the ML engine itself — its kernels posted their own
+    /// `mlengine.*` events to the task's ledger while running — so its
+    /// cost is their busy seconds and nothing is posted.
+    #[allow(clippy::too_many_arguments)]
+    fn charge(
+        &self,
+        fleet: &AcceleratorFleet,
+        ledger: &CostLedger,
+        op: &Operator,
+        node: NodeId,
+        device: DeviceKind,
+        (rows, bytes): (u64, u64),
+        resident: bool,
+    ) -> (f64, f64) {
+        if matches!(
+            op,
+            Operator::TrainMlp { .. } | Operator::Predict | Operator::KMeansCluster { .. }
+        ) {
+            return (ledger.busy_for("mlengine").as_secs(), 0.0);
+        }
+        let price = price::task(fleet, op, device, rows, bytes, resident);
+        let served_by = price.profile.kind();
+        ledger.post(
+            format!("executor.{}@{node}", op.name()),
+            served_by,
+            EventKind::Compute,
+            bytes,
+            price.duration,
+            price.profile.energy_j(price.duration.as_secs()),
+        );
+        if let Some(metrics) = &self.metrics {
+            let device = format!("{served_by:?}");
+            metrics
+                .counter(
+                    "pspp_kernel_charges_total",
+                    "Operator kernel charges by serving device",
+                    &[("device", &device)],
+                )
+                .inc();
+        }
+        (price.duration.as_secs(), price.resident_saving)
     }
 
     /// `n` when `op` is node `id`'s `Sort`, no program output, whose one
@@ -1700,104 +1745,42 @@ mod tests {
         assert_eq!(report.offloaded, 0);
     }
 
-    #[test]
-    fn custom_op_fails_cleanly() {
-        let mut p = Program::new();
-        let a = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
-        let c = p.add_node(
-            Operator::Custom {
-                name: "mystery".into(),
-            },
-            vec![a],
-            "x",
-        );
-        p.mark_output(c);
-        assert!(matches!(
-            exec().execute(&p, &registry()),
-            Err(Error::Execution(_))
-        ));
-    }
-
-    /// Records, per `Custom { name: "probe…" }` node it runs, the node's
-    /// name and the thread it ran on; a name ending in `!` fails.
-    #[derive(Debug, Default)]
-    struct ProbeAdapter {
-        seen: std::sync::Mutex<Vec<(String, std::thread::ThreadId)>>,
-    }
-
-    impl crate::physical::EngineAdapter for ProbeAdapter {
-        fn name(&self) -> &'static str {
-            "probe"
-        }
-
-        fn supports(&self, op: &Operator) -> bool {
-            matches!(op, Operator::Custom { name } if name.starts_with("probe"))
-        }
-
-        fn run(
-            &self,
-            op: &Operator,
-            inputs: &[Dataset],
-            _target: Option<&EngineId>,
-            _registry: &EngineRegistry,
-            _ctx: &ExecCtx<'_>,
-        ) -> Result<Dataset> {
-            let Operator::Custom { name } = op else {
-                unreachable!("supports() admits only custom ops");
-            };
-            let here = std::thread::current().id();
-            self.seen.lock().unwrap().push((name.clone(), here));
-            if name.ends_with('!') {
-                return Err(Error::Execution(format!("{name} failed")));
-            }
-            Ok(inputs[0].clone())
-        }
-    }
-
-    /// One scan feeding two independent custom nodes: a single stage
+    /// One scan feeding a filter on each of `columns`: a single stage
     /// with two compute nodes, added in the order given.
-    fn probe_program(names: [&str; 2]) -> Program {
+    fn two_filters(columns: [&str; 2]) -> (Program, [NodeId; 2]) {
         let mut p = Program::new();
         let s = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
-        for name in names {
-            let c = p.add_node(Operator::Custom { name: name.into() }, vec![s], "x");
-            p.mark_output(c);
-        }
-        p
+        let filters = columns.map(|column| {
+            let predicate = Predicate::ge(column, 30i64);
+            let f = p.add_node(Operator::Filter { predicate }, vec![s], "sql");
+            p.mark_output(f);
+            f
+        });
+        (p, filters)
     }
 
     #[test]
-    fn stage_runs_its_nodes_on_the_calling_thread_in_node_id_order() {
+    fn stage_runs_its_nodes_in_node_id_order() {
         let r = registry();
-        let me = std::thread::current().id();
-
-        let probe = std::sync::Arc::new(ProbeAdapter::default());
-        let mut probed = exec();
-        probed.adapters.install(probe.clone());
-        let report = probed
-            .execute(&probe_program(["probe_a", "probe_b"]), &r)
-            .unwrap();
-        assert_eq!(report.outputs.len(), 2);
+        let (p, [by_age, by_pid]) = two_filters(["age", "pid"]);
         assert_eq!(
-            *probe.seen.lock().unwrap(),
-            vec![("probe_a".to_string(), me), ("probe_b".to_string(), me)],
-            "both nodes of the stage run on the caller, lower node id first"
+            p.execution_stages().unwrap()[1].compute,
+            vec![by_age, by_pid]
         );
+        let report = exec().execute(&p, &r).unwrap();
+        assert_eq!(report.outputs.len(), 2);
+        let order: Vec<NodeId> = report.traces.iter().map(|t| t.id).skip(1).collect();
+        assert_eq!(order, vec![by_age, by_pid], "lower node id first");
 
         // Two failing nodes in one stage: the first by task order ends
-        // the stage with its error, and the second never starts.
-        let probe = std::sync::Arc::new(ProbeAdapter::default());
-        let mut probed = exec();
-        probed.adapters.install(probe.clone());
-        let failed = probed.execute(&probe_program(["probe_a!", "probe_b!"]), &r);
-        match failed {
-            Err(Error::Execution(msg)) => assert!(msg.contains("probe_a!"), "got {msg}"),
-            other => panic!("expected execution error, got {other:?}"),
+        // the stage with its error, on every run.
+        let (p, _) = two_filters(["nope_a", "nope_b"]);
+        for _ in 0..4 {
+            match exec().execute(&p, &r) {
+                Err(Error::ColumnNotFound(column)) => assert_eq!(column, "nope_a"),
+                other => panic!("expected the first filter's error, got {other:?}"),
+            }
         }
-        assert_eq!(
-            *probe.seen.lock().unwrap(),
-            vec![("probe_a!".to_string(), me)]
-        );
     }
 
     #[test]
@@ -2010,7 +1993,7 @@ mod tests {
     }
 
     /// `run_node` asks every output for its byte size, so what an
-    /// executed dataset knows proves nothing: ask the adapters and the
+    /// executed dataset knows proves nothing: ask the operators and the
     /// codec directly, before anyone else has.
     #[test]
     fn sorts_joins_and_decoded_rows_arrive_sized() {
@@ -2018,9 +2001,7 @@ mod tests {
         let (fleet, ledger) = (registry.fleets().at(ShardId::ZERO), CostLedger::new());
         let ctx = ExecCtx::new(fleet, &ledger, false);
         let run = |op: &Operator, inputs: &[Dataset]| {
-            let out = AdapterRegistry::standard()
-                .dispatch(op, inputs, None, &registry, &ctx)
-                .unwrap();
+            let out = physical::run(op, inputs, None, &registry, &ctx).unwrap();
             assert_eq!(known_bytes(&out), Some(walked_bytes(&out)), "{}", op.name());
             out
         };
@@ -2089,9 +2070,7 @@ mod tests {
         let project = |d: &Dataset, columns: &[&str]| {
             let columns = columns.iter().map(|c| c.to_string()).collect();
             let op = Operator::Project { columns };
-            let out = AdapterRegistry::standard()
-                .dispatch(&op, std::slice::from_ref(d), None, &registry, &ctx)
-                .unwrap();
+            let out = physical::run(&op, std::slice::from_ref(d), None, &registry, &ctx).unwrap();
             let (Payload::Rows { rows: a, .. }, Payload::Rows { rows: b, .. }) =
                 (&d.payload, &out.payload)
             else {

@@ -1,61 +1,37 @@
-//! Adapter for key/value stores.
+//! Key/value stores.
 
-use pspp_common::{DataModel, DataType, EngineId, Error, Result, Row, Schema, Value};
-use pspp_ir::Operator;
+use pspp_common::{DataModel, DataType, Error, Result, Row, Schema, TableRef, Value};
 
 use crate::dataset::Dataset;
-use crate::physical::adapters::relational::unsupported;
-use crate::physical::{EngineAdapter, ExecCtx};
 use crate::registry::{EngineInstance, EngineRegistry};
 
-/// Executes prefix scans against a key/value store, materializing the
-/// hits as `(key, value)` rows.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KvAdapter;
-
-impl EngineAdapter for KvAdapter {
-    fn name(&self) -> &'static str {
-        "kv"
-    }
-
-    fn supports(&self, op: &Operator) -> bool {
-        matches!(op, Operator::KvPrefixScan { .. })
-    }
-
-    fn run(
-        &self,
-        op: &Operator,
-        _inputs: &[Dataset],
-        _target: Option<&EngineId>,
-        registry: &EngineRegistry,
-        _ctx: &ExecCtx<'_>,
-    ) -> Result<Dataset> {
-        match op {
-            Operator::KvPrefixScan { table, prefix } => {
-                let EngineInstance::KeyValue(kv) = registry.get(&table.engine)? else {
-                    return Err(Error::Invalid(format!(
-                        "{} is not a kv store",
-                        table.engine
-                    )));
-                };
-                let pairs = kv.scan_prefix(prefix);
-                let value_type = pairs
-                    .iter()
-                    .find_map(|(_, v)| v.data_type())
-                    .unwrap_or(DataType::Str);
-                let schema = Schema::new(vec![("key", DataType::Str), ("value", value_type)]);
-                let rows = pairs
-                    .into_iter()
-                    .map(|(k, v)| Row::from(vec![Value::from(k.to_owned()), v.clone()]))
-                    .collect();
-                Ok(Dataset::rows(
-                    schema,
-                    rows,
-                    DataModel::KeyValue,
-                    table.engine.clone(),
-                ))
-            }
-            other => unsupported(self, other),
-        }
-    }
+/// Scans the keys under `prefix` of the key/value store `table` names,
+/// materializing the hits as `(key, value)` rows.
+pub(crate) fn prefix_scan(
+    registry: &EngineRegistry,
+    table: &TableRef,
+    prefix: &str,
+) -> Result<Dataset> {
+    let EngineInstance::KeyValue(kv) = registry.get(&table.engine)? else {
+        return Err(Error::Invalid(format!(
+            "{} is not a kv store",
+            table.engine
+        )));
+    };
+    let pairs = kv.scan_prefix(prefix);
+    let value_type = pairs
+        .iter()
+        .find_map(|(_, v)| v.data_type())
+        .unwrap_or(DataType::Str);
+    let schema = Schema::new(vec![("key", DataType::Str), ("value", value_type)]);
+    let rows = pairs
+        .into_iter()
+        .map(|(k, v)| Row::from(vec![Value::from(k.to_owned()), v.clone()]))
+        .collect();
+    Ok(Dataset::rows(
+        schema,
+        rows,
+        DataModel::KeyValue,
+        table.engine.clone(),
+    ))
 }

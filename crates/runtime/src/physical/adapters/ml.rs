@@ -1,127 +1,106 @@
-//! Adapter for the ML engine: training, scoring and clustering.
+//! The ML engine: training, scoring and clustering (Figs. 2, 3, 7).
+//!
+//! Kernels run on the fleet's best matrix engine when offload is
+//! enabled (via [`ExecCtx::training_profile`]), posting their cycles to
+//! the task's ledger under the `mlengine` component.
 
 use pspp_accel::kernels::Matrix;
 use pspp_common::{DataModel, DataType, EngineId, Error, Result, Row, Schema, Value};
-use pspp_ir::Operator;
 use pspp_mlengine::{Dataset as MlDataset, KMeans, KMeansConfig, Mlp, TrainConfig};
 
 use crate::dataset::{Dataset, Payload};
-use crate::physical::adapters::relational::unsupported;
-use crate::physical::{EngineAdapter, ExecCtx};
-use crate::registry::EngineRegistry;
+use crate::physical::ExecCtx;
 
-/// Executes the ML patterns (Figs. 2, 3, 7): MLP training, model
-/// scoring, and k-means clustering. Kernels run on the fleet's best
-/// matrix engine when offload is enabled (via
-/// [`ExecCtx::training_profile`]), posting their cycles to the node's
-/// ledger under the `mlengine` component.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MlAdapter;
+/// Trains an MLP with `hidden` layers on the numeric columns of `d`,
+/// `label_column` its target; the output is the model.
+pub(crate) fn train_mlp(
+    d: &Dataset,
+    label_column: &str,
+    hidden: &[usize],
+    epochs: usize,
+    batch_size: usize,
+    learning_rate: f64,
+    ctx: &ExecCtx<'_>,
+) -> Result<Dataset> {
+    let (data, _) = to_ml_dataset(d, Some(label_column))?;
+    let mut sizes = vec![data.dim()];
+    sizes.extend(hidden.iter().copied());
+    sizes.push(1);
+    let mut mlp = Mlp::new(&sizes, 42)?;
+    mlp.train(
+        ctx.training_profile(),
+        &data,
+        &TrainConfig {
+            epochs,
+            batch_size,
+            learning_rate,
+        },
+        Some(ctx.ledger()),
+    )?;
+    Ok(Dataset {
+        payload: Payload::Model(Box::new(mlp)),
+        model: DataModel::Tensor,
+        location: EngineId::new("middleware"),
+    })
+}
 
-impl EngineAdapter for MlAdapter {
-    fn name(&self) -> &'static str {
-        "ml"
-    }
+/// Scores the rows of `d` with the model `model` holds, appending a
+/// `prediction` column.
+pub(crate) fn predict(d: &Dataset, model: &Dataset, ctx: &ExecCtx<'_>) -> Result<Dataset> {
+    let mlp = model.try_model()?;
+    // Score with the first `input_dim` numeric columns — the convention
+    // `TrainMlp` used (features in schema order).
+    let (data, schema) = to_ml_dataset_with_dim(d, None, Some(mlp.input_dim()))?;
+    let probs = mlp.predict_proba(ctx.training_profile(), data.features(), Some(ctx.ledger()))?;
+    let mut fields: Vec<pspp_common::Field> = schema.fields().to_vec();
+    fields.push(pspp_common::Field::new("prediction", DataType::Float));
+    let out_schema = Schema::from_fields(fields);
+    let rows: Vec<Row> = d
+        .try_rows()?
+        .iter()
+        .zip(&probs)
+        .map(|(r, p)| {
+            let mut vals = r.values().to_vec();
+            vals.push(Value::Float(*p));
+            Row::from(vals)
+        })
+        .collect();
+    Ok(Dataset::rows(out_schema, rows, d.model, d.location.clone()))
+}
 
-    fn supports(&self, op: &Operator) -> bool {
-        matches!(
-            op,
-            Operator::TrainMlp { .. } | Operator::Predict | Operator::KMeansCluster { .. }
-        )
-    }
-
-    fn run(
-        &self,
-        op: &Operator,
-        inputs: &[Dataset],
-        _target: Option<&EngineId>,
-        _registry: &EngineRegistry,
-        ctx: &ExecCtx<'_>,
-    ) -> Result<Dataset> {
-        match op {
-            Operator::TrainMlp {
-                label_column,
-                hidden,
-                epochs,
-                batch_size,
-                learning_rate,
-            } => {
-                let d = &inputs[0];
-                let (data, _) = to_ml_dataset(d, Some(label_column))?;
-                let mut sizes = vec![data.dim()];
-                sizes.extend(hidden.iter().copied());
-                sizes.push(1);
-                let mut mlp = Mlp::new(&sizes, 42)?;
-                mlp.train(
-                    ctx.training_profile(),
-                    &data,
-                    &TrainConfig {
-                        epochs: *epochs,
-                        batch_size: *batch_size,
-                        learning_rate: *learning_rate,
-                    },
-                    Some(ctx.ledger()),
-                )?;
-                Ok(Dataset {
-                    payload: Payload::Model(Box::new(mlp)),
-                    model: DataModel::Tensor,
-                    location: EngineId::new("middleware"),
-                })
-            }
-            Operator::Predict => {
-                let d = &inputs[0];
-                let mlp = inputs[1].try_model()?;
-                // Score with the first `input_dim` numeric columns — the
-                // convention `TrainMlp` used (features in schema order).
-                let (data, schema) = to_ml_dataset_with_dim(d, None, Some(mlp.input_dim()))?;
-                let probs =
-                    mlp.predict_proba(ctx.training_profile(), data.features(), Some(ctx.ledger()))?;
-                let mut fields: Vec<pspp_common::Field> = schema.fields().to_vec();
-                fields.push(pspp_common::Field::new("prediction", DataType::Float));
-                let out_schema = Schema::from_fields(fields);
-                let rows: Vec<Row> = d
-                    .try_rows()?
-                    .iter()
-                    .zip(&probs)
-                    .map(|(r, p)| {
-                        let mut vals = r.values().to_vec();
-                        vals.push(Value::Float(*p));
-                        Row::from(vals)
-                    })
-                    .collect();
-                Ok(Dataset::rows(out_schema, rows, d.model, d.location.clone()))
-            }
-            Operator::KMeansCluster { k, max_iters } => {
-                let d = &inputs[0];
-                let (data, schema) = to_ml_dataset(d, None)?;
-                let result = KMeans::run(
-                    ctx.training_profile(),
-                    data.features(),
-                    &KMeansConfig {
-                        k: *k,
-                        max_iters: *max_iters,
-                        ..KMeansConfig::default()
-                    },
-                    Some(ctx.ledger()),
-                )?;
-                let mut fields: Vec<pspp_common::Field> = schema.fields().to_vec();
-                fields.push(pspp_common::Field::new("cluster", DataType::Int));
-                let out_schema = Schema::from_fields(fields);
-                let rows: Vec<Row> = d
-                    .try_rows()?
-                    .iter()
-                    .zip(&result.assignments)
-                    .map(|(r, &c)| {
-                        let mut vals = r.values().to_vec();
-                        vals.push(Value::Int(c as i64));
-                        Row::from(vals)
-                    })
-                    .collect();
-                Ok(Dataset::rows(out_schema, rows, d.model, d.location.clone()))
-            }
-            other => unsupported(self, other),
-        }
-    }
+/// Clusters the numeric columns of `d` into `k` groups, appending a
+/// `cluster` column.
+pub(crate) fn kmeans(
+    d: &Dataset,
+    k: usize,
+    max_iters: usize,
+    ctx: &ExecCtx<'_>,
+) -> Result<Dataset> {
+    let (data, schema) = to_ml_dataset(d, None)?;
+    let result = KMeans::run(
+        ctx.training_profile(),
+        data.features(),
+        &KMeansConfig {
+            k,
+            max_iters,
+            ..KMeansConfig::default()
+        },
+        Some(ctx.ledger()),
+    )?;
+    let mut fields: Vec<pspp_common::Field> = schema.fields().to_vec();
+    fields.push(pspp_common::Field::new("cluster", DataType::Int));
+    let out_schema = Schema::from_fields(fields);
+    let rows: Vec<Row> = d
+        .try_rows()?
+        .iter()
+        .zip(&result.assignments)
+        .map(|(r, &c)| {
+            let mut vals = r.values().to_vec();
+            vals.push(Value::Int(c as i64));
+            Row::from(vals)
+        })
+        .collect();
+    Ok(Dataset::rows(out_schema, rows, d.model, d.location.clone()))
 }
 
 /// Converts a tabular dataset into an ML dataset; numeric columns become

@@ -1,20 +1,10 @@
-//! The standard adapter set: one [`super::EngineAdapter`] per engine
-//! kind, plus the ML adapter.
+//! The per-engine adapters: what each engine kind runs of the IR, one
+//! function per operator, called from [`super::run`].
 
-pub mod array;
-pub mod graph;
-pub mod kv;
-pub mod ml;
-pub mod relational;
-pub mod stream;
-pub mod text;
-pub mod timeseries;
-
-pub use array::ArrayAdapter;
-pub use graph::GraphAdapter;
-pub use kv::KvAdapter;
-pub use ml::MlAdapter;
-pub use relational::RelationalAdapter;
-pub use stream::StreamAdapter;
-pub use text::TextAdapter;
-pub use timeseries::TimeseriesAdapter;
+pub(crate) mod graph;
+pub(crate) mod kv;
+pub(crate) mod ml;
+pub(crate) mod relational;
+pub(crate) mod stream;
+pub(crate) mod text;
+pub(crate) mod timeseries;

@@ -1,75 +1,50 @@
-//! Adapter for event-stream stores.
+//! Event-stream stores.
 
-use pspp_common::{DataModel, DataType, EngineId, Error, Result, Row, Schema, Value};
-use pspp_ir::{Operator, TsAgg};
+use pspp_common::{DataModel, DataType, Error, Result, Row, Schema, TableRef, Value};
+use pspp_ir::TsAgg;
 
 use crate::dataset::Dataset;
-use crate::physical::adapters::relational::unsupported;
-use crate::physical::{EngineAdapter, ExecCtx};
 use crate::registry::{EngineInstance, EngineRegistry};
 
-/// Executes tumbling-window aggregates against a stream store.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreamAdapter;
-
-impl EngineAdapter for StreamAdapter {
-    fn name(&self) -> &'static str {
-        "stream"
-    }
-
-    fn supports(&self, op: &Operator) -> bool {
-        matches!(op, Operator::StreamWindow { .. })
-    }
-
-    fn run(
-        &self,
-        op: &Operator,
-        _inputs: &[Dataset],
-        _target: Option<&EngineId>,
-        registry: &EngineRegistry,
-        _ctx: &ExecCtx<'_>,
-    ) -> Result<Dataset> {
-        match op {
-            Operator::StreamWindow {
-                table,
-                lo,
-                hi,
-                width,
-                column,
-                agg,
-            } => {
-                let EngineInstance::Stream(s) = registry.get(&table.engine)? else {
-                    return Err(Error::Invalid(format!(
-                        "{} is not a stream store",
-                        table.engine
-                    )));
-                };
-                let windows = s.window_aggregate(
-                    &table.name,
-                    *lo,
-                    *hi,
-                    pspp_streamstore::WindowSpec::Tumbling { width: *width },
-                    *column,
-                    stream_agg(*agg),
-                )?;
-                let schema = Schema::new(vec![
-                    ("window_start", DataType::Int),
-                    ("value", DataType::Float),
-                ]);
-                let rows = windows
-                    .into_iter()
-                    .map(|(t, v)| Row::from(vec![Value::Int(t), Value::Float(v)]))
-                    .collect();
-                Ok(Dataset::rows(
-                    schema,
-                    rows,
-                    DataModel::Stream,
-                    table.engine.clone(),
-                ))
-            }
-            other => unsupported(self, other),
-        }
-    }
+/// Aggregates payload `column` of the stream `table` names over
+/// tumbling windows of `width` in `[lo, hi)`.
+pub(crate) fn window(
+    registry: &EngineRegistry,
+    table: &TableRef,
+    lo: i64,
+    hi: i64,
+    width: i64,
+    column: usize,
+    agg: TsAgg,
+) -> Result<Dataset> {
+    let EngineInstance::Stream(s) = registry.get(&table.engine)? else {
+        return Err(Error::Invalid(format!(
+            "{} is not a stream store",
+            table.engine
+        )));
+    };
+    let windows = s.window_aggregate(
+        &table.name,
+        lo,
+        hi,
+        pspp_streamstore::WindowSpec::Tumbling { width },
+        column,
+        stream_agg(agg),
+    )?;
+    let schema = Schema::new(vec![
+        ("window_start", DataType::Int),
+        ("value", DataType::Float),
+    ]);
+    let rows = windows
+        .into_iter()
+        .map(|(t, v)| Row::from(vec![Value::Int(t), Value::Float(v)]))
+        .collect();
+    Ok(Dataset::rows(
+        schema,
+        rows,
+        DataModel::Stream,
+        table.engine.clone(),
+    ))
 }
 
 /// Maps IR window aggregates to fold functions over window payloads.

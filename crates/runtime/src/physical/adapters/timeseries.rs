@@ -1,103 +1,84 @@
-//! Adapter for timeseries stores.
+//! Timeseries stores.
 
-use pspp_common::{DataModel, DataType, EngineId, Error, Result, Row, Schema, Value};
-use pspp_ir::{Operator, TsAgg};
+use pspp_common::{DataModel, DataType, Error, Result, Row, Schema, TableRef, Value};
+use pspp_ir::TsAgg;
+use pspp_tsstore::TimeseriesStore;
 
 use crate::dataset::Dataset;
-use crate::physical::adapters::relational::unsupported;
-use crate::physical::{EngineAdapter, ExecCtx};
 use crate::registry::{EngineInstance, EngineRegistry};
 
-/// Executes range reads and tumbling-window aggregates against a
-/// timeseries store.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TimeseriesAdapter;
-
-impl EngineAdapter for TimeseriesAdapter {
-    fn name(&self) -> &'static str {
-        "timeseries"
+/// The timeseries store `table` names.
+fn store<'r>(registry: &'r EngineRegistry, table: &TableRef) -> Result<&'r TimeseriesStore> {
+    match registry.get(&table.engine)? {
+        EngineInstance::Timeseries(ts) => Ok(ts),
+        _ => Err(Error::Invalid(format!(
+            "{} is not a ts store",
+            table.engine
+        ))),
     }
+}
 
-    fn supports(&self, op: &Operator) -> bool {
-        matches!(op, Operator::TsRange { .. } | Operator::TsWindow { .. })
-    }
+/// Reads the points of series `table` in `[lo, hi)`.
+pub(crate) fn range(
+    registry: &EngineRegistry,
+    table: &TableRef,
+    lo: i64,
+    hi: i64,
+) -> Result<Dataset> {
+    let pts = store(registry, table)?.range(&table.name, lo, hi)?;
+    let schema = Schema::new(vec![
+        ("ts", DataType::Timestamp),
+        ("value", DataType::Float),
+    ]);
+    let rows = pts
+        .iter()
+        .map(|&(t, v)| Row::from(vec![Value::Timestamp(t), Value::Float(v)]))
+        .collect();
+    Ok(Dataset::rows(
+        schema,
+        rows,
+        DataModel::Timeseries,
+        table.engine.clone(),
+    ))
+}
 
-    fn run(
-        &self,
-        op: &Operator,
-        _inputs: &[Dataset],
-        _target: Option<&EngineId>,
-        registry: &EngineRegistry,
-        _ctx: &ExecCtx<'_>,
-    ) -> Result<Dataset> {
-        match op {
-            Operator::TsRange { table, lo, hi } => {
-                let EngineInstance::Timeseries(ts) = registry.get(&table.engine)? else {
-                    return Err(Error::Invalid(format!(
-                        "{} is not a ts store",
-                        table.engine
-                    )));
-                };
-                let pts = ts.range(&table.name, *lo, *hi)?;
-                let schema = Schema::new(vec![
-                    ("ts", DataType::Timestamp),
-                    ("value", DataType::Float),
-                ]);
-                let rows = pts
-                    .iter()
-                    .map(|&(t, v)| Row::from(vec![Value::Timestamp(t), Value::Float(v)]))
-                    .collect();
-                Ok(Dataset::rows(
-                    schema,
-                    rows,
-                    DataModel::Timeseries,
-                    table.engine.clone(),
-                ))
-            }
-            Operator::TsWindow {
-                table,
-                lo,
-                hi,
-                width,
-                agg,
-            } => {
-                let EngineInstance::Timeseries(ts) = registry.get(&table.engine)? else {
-                    return Err(Error::Invalid(format!(
-                        "{} is not a ts store",
-                        table.engine
-                    )));
-                };
-                let windows = ts.window_aggregate(&table.name, *lo, *hi, *width, ts_agg(*agg))?;
-                // `window_idx` (ordinal window number) is the join-friendly
-                // key: deployments that lay series out as
-                // `entity_id × width + offset` can join entities to their
-                // window aggregates directly. The floor, not truncation:
-                // `[-width, 0)` is window -1, not a second window 0.
-                let schema = Schema::new(vec![
-                    ("window_idx", DataType::Int),
-                    ("window_start", DataType::Int),
-                    ("value", DataType::Float),
-                ]);
-                let rows = windows
-                    .into_iter()
-                    .map(|(t, v)| {
-                        Row::from(vec![
-                            Value::Int(t.div_euclid(*width.max(&1))),
-                            Value::Int(t),
-                            Value::Float(v),
-                        ])
-                    })
-                    .collect();
-                Ok(Dataset::rows(
-                    schema,
-                    rows,
-                    DataModel::Timeseries,
-                    table.engine.clone(),
-                ))
-            }
-            other => unsupported(self, other),
-        }
-    }
+/// Aggregates series `table` over tumbling windows of `width` in
+/// `[lo, hi)`.
+pub(crate) fn window(
+    registry: &EngineRegistry,
+    table: &TableRef,
+    lo: i64,
+    hi: i64,
+    width: i64,
+    agg: TsAgg,
+) -> Result<Dataset> {
+    let windows =
+        store(registry, table)?.window_aggregate(&table.name, lo, hi, width, ts_agg(agg))?;
+    // `window_idx` (ordinal window number) is the join-friendly key:
+    // deployments that lay series out as `entity_id × width + offset`
+    // can join entities to their window aggregates directly. The floor,
+    // not truncation: `[-width, 0)` is window -1, not a second window 0.
+    let schema = Schema::new(vec![
+        ("window_idx", DataType::Int),
+        ("window_start", DataType::Int),
+        ("value", DataType::Float),
+    ]);
+    let rows = windows
+        .into_iter()
+        .map(|(t, v)| {
+            Row::from(vec![
+                Value::Int(t.div_euclid(width.max(1))),
+                Value::Int(t),
+                Value::Float(v),
+            ])
+        })
+        .collect();
+    Ok(Dataset::rows(
+        schema,
+        rows,
+        DataModel::Timeseries,
+        table.engine.clone(),
+    ))
 }
 
 /// Maps IR window aggregates to the timeseries store's natives.
@@ -115,38 +96,29 @@ fn ts_agg(a: TsAgg) -> pspp_tsstore::WindowAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pspp_accel::{AcceleratorFleet, CostLedger};
-    use pspp_common::TableRef;
-    use pspp_tsstore::TimeseriesStore;
 
     #[test]
     fn windows_either_side_of_zero_get_distinct_indices() {
         let mut ts = TimeseriesStore::new("tsdb");
-        ts.append_many(
-            "s",
-            [(-150, 1.0), (-100, 2.0), (-1, 3.0), (0, 4.0), (99, 5.0)],
-        );
+        for (t, v) in [(-150, 1.0), (-100, 2.0), (-1, 3.0), (0, 4.0), (99, 5.0)] {
+            ts.append("s", t, v);
+        }
         let mut registry = EngineRegistry::new();
         registry
-            .register(EngineId::new("tsdb"), EngineInstance::Timeseries(ts))
-            .unwrap();
-        let (fleet, ledger) = (AcceleratorFleet::cpu_only(), CostLedger::new());
-        let op = Operator::TsWindow {
-            table: TableRef::new("tsdb", "s"),
-            lo: -200,
-            hi: 200,
-            width: 100,
-            agg: TsAgg::Count,
-        };
-        let out = TimeseriesAdapter
-            .run(
-                &op,
-                &[],
-                None,
-                &registry,
-                &ExecCtx::new(&fleet, &ledger, false),
+            .register(
+                pspp_common::EngineId::new("tsdb"),
+                EngineInstance::Timeseries(ts),
             )
             .unwrap();
+        let out = window(
+            &registry,
+            &TableRef::new("tsdb", "s"),
+            -200,
+            200,
+            100,
+            TsAgg::Count,
+        )
+        .unwrap();
         let rows: Vec<Vec<Value>> = out
             .try_rows()
             .unwrap()

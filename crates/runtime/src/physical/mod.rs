@@ -1,46 +1,136 @@
-//! The physical execution layer: engines and accelerators as
-//! interchangeable execution substrates behind one interface (§IV).
+//! The physical execution layer: engines and accelerators as execution
+//! substrates behind one entry point (§IV).
 //!
-//! The layer splits operator execution into three orthogonal concerns,
-//! each owned by one component:
+//! The layer splits operator execution into three concerns:
 //!
-//! * [`EngineAdapter`] — *how* an operator runs. One adapter per engine
-//!   kind (relational, key/value, timeseries, graph, array, text,
-//!   stream) plus [`adapters::MlAdapter`] for the ML patterns; the
-//!   [`AdapterRegistry`] dispatches each IR operator to the first
-//!   adapter claiming it. Adding a backend is "implement one trait" —
-//!   the executor never names a concrete engine.
+//! * [`run`] — *how* an operator runs. Its one exhaustive `match` hands
+//!   every IR operator, with its fields, to the function that executes
+//!   it in its engine's adapter module (relational, key/value,
+//!   timeseries, graph, text, stream, and the ML patterns) — BigDAWG's
+//!   per-engine shims. An operator the IR gains without an arm here is a
+//!   compile error.
 //! * [`Placer`] — *where* an operator runs. Resolves the target engine
 //!   (optimizer annotation → source table → data gravity) and stages
 //!   the node's inputs there, invoking the data migrator once per
 //!   foreign input and accounting the migration cost.
-//! * [`Charger`] — *what* an operator costs. Posts the price list's
-//!   bill for it ([`pspp_optimizer::price`], the formulas the planner
-//!   estimated with) and its energy to the run's [`CostLedger`].
+//! * The executor's charge — *what* an operator costs. It posts the
+//!   price list's bill for the task ([`pspp_optimizer::price`], the
+//!   formulas the planner estimated with) and its energy to the task's
+//!   [`CostLedger`].
 //!
-//! All three are `Sync`-clean. One executor runs a query's tasks one
-//! after another on its caller's thread, giving each task a private
-//! scoped ledger and merging events back in node order, so outputs,
-//! makespans and the executor's ledger repeat exactly; the query
-//! service runs many such queries at once, one per worker thread, over
-//! shared adapters and a shared registry.
+//! One executor runs a query's tasks one after another on its caller's
+//! thread, giving each task a private scoped ledger and merging events
+//! back in node order, so outputs, makespans and the executor's ledger
+//! repeat exactly; the query service runs many such queries at once,
+//! one per worker thread, over a shared registry.
 
-pub mod adapter;
-pub mod adapters;
-pub mod charger;
+mod adapters;
 pub mod placer;
 
-pub use adapter::{AdapterRegistry, EngineAdapter};
-pub use charger::Charger;
+pub(crate) use adapters::relational::agg_fn;
 pub use placer::Placer;
 
 use std::sync::OnceLock;
 
 use pspp_accel::{AcceleratorFleet, CostLedger, DeviceProfile, KernelClass};
-use pspp_common::{Routes, ShardId};
-use pspp_ir::ColumnDemand;
+use pspp_common::{EngineId, Error, Result, Routes, ShardId};
+use pspp_ir::{ColumnDemand, Operator};
 
-/// Everything an adapter may consult while running one operator: the
+use crate::dataset::Dataset;
+use crate::registry::EngineRegistry;
+use adapters::{graph, kv, ml, relational, stream, text, timeseries};
+
+/// Runs `op` over `inputs`, `op.arity()` datasets.
+///
+/// `target` is the engine the [`Placer`] resolved for the node (inputs
+/// have already been migrated there); `registry` resolves engine ids to
+/// live instances; `ctx` carries the fleet, the task's ledger and what
+/// the executor asks of this task.
+///
+/// # Errors
+///
+/// Returns [`Error::Execution`] when `inputs` is short, and
+/// [`pspp_common::Error`] when the operator cannot run: an engine,
+/// table or column that is not there, an input of the wrong kind, or a
+/// failure inside the engine.
+pub fn run(
+    op: &Operator,
+    inputs: &[Dataset],
+    target: Option<&EngineId>,
+    registry: &EngineRegistry,
+    ctx: &ExecCtx<'_>,
+) -> Result<Dataset> {
+    let input = |i: usize| {
+        inputs.get(i).ok_or_else(|| {
+            Error::Execution(format!(
+                "{} takes {} inputs, got {}",
+                op.name(),
+                op.arity(),
+                inputs.len()
+            ))
+        })
+    };
+    match op {
+        Operator::Scan {
+            table,
+            predicate,
+            projection,
+        } => relational::scan(registry, table, predicate, projection.as_deref(), ctx),
+        Operator::Filter { predicate } => relational::filter(input(0)?, predicate),
+        Operator::Project { columns } => relational::project(input(0)?, columns),
+        Operator::Sort { keys } => relational::sort(input(0)?, keys, ctx),
+        Operator::HashJoin { left_on, right_on } => {
+            relational::hash_join(input(0)?, input(1)?, left_on, right_on, target, ctx)
+        }
+        Operator::SortMergeJoin { left_on, right_on } => {
+            relational::sort_merge_join(input(0)?, input(1)?, left_on, right_on, target, ctx)
+        }
+        Operator::GroupBy { keys, aggs } => relational::group_by(input(0)?, keys, aggs),
+        Operator::Limit { n } => relational::limit(input(0)?, *n),
+        Operator::KvPrefixScan { table, prefix } => kv::prefix_scan(registry, table, prefix),
+        Operator::TsRange { table, lo, hi } => timeseries::range(registry, table, *lo, *hi),
+        Operator::TsWindow {
+            table,
+            lo,
+            hi,
+            width,
+            agg,
+        } => timeseries::window(registry, table, *lo, *hi, *width, *agg),
+        Operator::GraphMatch {
+            table,
+            start_label,
+            steps,
+        } => graph::match_pattern(registry, table, start_label, steps),
+        Operator::TextSearch { table, terms, mode } => text::search(registry, table, terms, *mode),
+        Operator::StreamWindow {
+            table,
+            lo,
+            hi,
+            width,
+            column,
+            agg,
+        } => stream::window(registry, table, *lo, *hi, *width, *column, *agg),
+        Operator::TrainMlp {
+            label_column,
+            hidden,
+            epochs,
+            batch_size,
+            learning_rate,
+        } => ml::train_mlp(
+            input(0)?,
+            label_column,
+            hidden,
+            *epochs,
+            *batch_size,
+            *learning_rate,
+            ctx,
+        ),
+        Operator::Predict => ml::predict(input(0)?, input(1)?, ctx),
+        Operator::KMeansCluster { k, max_iters } => ml::kmeans(input(0)?, *k, *max_iters, ctx),
+    }
+}
+
+/// Everything an operator may consult while it runs: the
 /// accelerator fleet, the (task-scoped) cost ledger, whether device
 /// offload is enabled for this run, which shard replica the task
 /// addresses, which of the node's output columns its consumers read,
@@ -183,6 +273,170 @@ impl<'a> ExecCtx<'a> {
                 .unwrap_or_else(|| self.fleet.host())
         } else {
             self.fleet.host()
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pspp_common::{row, DataModel, DataType, Predicate, Schema, TableRef};
+    use pspp_graphstore::GraphStore;
+    use pspp_ir::{AggFn, AggSpec, SortSpec, TextSearchMode, TsAgg};
+    use pspp_kvstore::KvStore;
+    use pspp_relstore::RelationalStore;
+    use pspp_streamstore::StreamStore;
+    use pspp_textstore::TextStore;
+    use pspp_tsstore::TimeseriesStore;
+
+    use crate::registry::EngineInstance;
+
+    /// One empty store of every kind an operator reads, so every source
+    /// names a table its engine does not hold.
+    fn empty_stores() -> EngineRegistry {
+        let mut registry = EngineRegistry::new();
+        for (id, instance) in [
+            (
+                "rel",
+                EngineInstance::Relational(RelationalStore::new("rel")),
+            ),
+            ("kv", EngineInstance::KeyValue(KvStore::new("kv"))),
+            ("ts", EngineInstance::Timeseries(TimeseriesStore::new("ts"))),
+            ("graph", EngineInstance::Graph(GraphStore::new("graph"))),
+            ("text", EngineInstance::Text(TextStore::new("text"))),
+            ("stream", EngineInstance::Stream(StreamStore::new("stream"))),
+        ] {
+            registry.register(EngineId::new(id), instance).unwrap();
+        }
+        registry
+    }
+
+    /// One instance of every operator variant.
+    fn every_operator() -> Vec<Operator> {
+        let t = |engine: &str| TableRef::new(engine, "t");
+        vec![
+            Operator::scan(t("rel")),
+            Operator::Filter {
+                predicate: Predicate::ge("a", 2i64),
+            },
+            Operator::Project {
+                columns: vec!["a".into()],
+            },
+            Operator::Sort {
+                keys: vec![SortSpec {
+                    column: "a".into(),
+                    ascending: false,
+                }],
+            },
+            Operator::HashJoin {
+                left_on: "a".into(),
+                right_on: "a".into(),
+            },
+            Operator::SortMergeJoin {
+                left_on: "a".into(),
+                right_on: "a".into(),
+            },
+            Operator::GroupBy {
+                keys: vec!["a".into()],
+                aggs: vec![AggSpec {
+                    func: AggFn::Avg,
+                    column: "y".into(),
+                    output: "m".into(),
+                }],
+            },
+            Operator::Limit { n: 1 },
+            Operator::KvPrefixScan {
+                table: t("kv"),
+                prefix: "k".into(),
+            },
+            Operator::TsRange {
+                table: t("ts"),
+                lo: 0,
+                hi: 10,
+            },
+            Operator::TsWindow {
+                table: t("ts"),
+                lo: 0,
+                hi: 10,
+                width: 2,
+                agg: TsAgg::Mean,
+            },
+            Operator::GraphMatch {
+                table: t("graph"),
+                start_label: "A".into(),
+                steps: vec![(None, None)],
+            },
+            Operator::TextSearch {
+                table: t("text"),
+                terms: vec!["x".into()],
+                mode: TextSearchMode::Ranked(3),
+            },
+            Operator::StreamWindow {
+                table: t("stream"),
+                lo: 0,
+                hi: 10,
+                width: 2,
+                column: 0,
+                agg: TsAgg::Sum,
+            },
+            Operator::TrainMlp {
+                label_column: "y".into(),
+                hidden: vec![4],
+                epochs: 1,
+                batch_size: 8,
+                learning_rate: 0.1,
+            },
+            Operator::Predict,
+            Operator::KMeansCluster { k: 2, max_iters: 5 },
+        ]
+    }
+
+    /// Whether `op` runs over [`every_operator`]'s inputs: a source over
+    /// a store that is not there fails, so does scoring with rows for a
+    /// model. No `_` arm, so a new operator has to say.
+    fn runs(op: &Operator) -> bool {
+        match op {
+            Operator::Scan { .. }
+            | Operator::TsRange { .. }
+            | Operator::TsWindow { .. }
+            | Operator::StreamWindow { .. }
+            | Operator::Predict => false,
+            Operator::Filter { .. }
+            | Operator::Project { .. }
+            | Operator::Sort { .. }
+            | Operator::HashJoin { .. }
+            | Operator::SortMergeJoin { .. }
+            | Operator::GroupBy { .. }
+            | Operator::Limit { .. }
+            | Operator::KvPrefixScan { .. }
+            | Operator::GraphMatch { .. }
+            | Operator::TextSearch { .. }
+            | Operator::TrainMlp { .. }
+            | Operator::KMeansCluster { .. } => true,
+        }
+    }
+
+    #[test]
+    fn every_operator_runs_or_fails_typed() {
+        let registry = empty_stores();
+        let (fleet, ledger) = (AcceleratorFleet::workstation(), CostLedger::new());
+        let schema = Schema::new(vec![("a", DataType::Int), ("y", DataType::Float)]);
+        let input = |rows| {
+            let location = EngineId::new("rel");
+            Dataset::rows(schema.clone(), rows, DataModel::Relational, location)
+        };
+        let three = input(vec![row![1i64, 0.0], row![2i64, 1.0], row![3i64, 1.0]]);
+        for offload in [false, true] {
+            let ctx = ExecCtx::new(&fleet, &ledger, offload);
+            for op in every_operator() {
+                let inputs = vec![three.clone(); op.arity()];
+                let got = run(&op, &inputs, None, &registry, &ctx);
+                assert_eq!(got.is_ok(), runs(&op), "{}: {got:?}", op.name());
+                if let Some(short) = op.arity().checked_sub(1) {
+                    let got = run(&op, &inputs[..short], None, &registry, &ctx);
+                    assert!(matches!(got, Err(Error::Execution(_))), "{}", op.name());
+                }
+            }
         }
     }
 }

@@ -141,7 +141,7 @@ impl SessionShared {
 struct ServiceInner {
     system: Arc<Polystore>,
     /// The system's registry (shared storage): service-side series
-    /// land next to the executor/placer/charger ones.
+    /// land next to the executor/placer/kernel-charge ones.
     metrics: MetricsRegistry,
     /// The plan cache and — when it is on for this service — the
     /// epoch-keyed result cache.
@@ -308,11 +308,6 @@ impl QueryService {
     pub fn result_cache_stats(&self) -> ResultCacheStats {
         let results = self.inner.caches.results.as_ref();
         results.map(ResultCache::stats).unwrap_or_default()
-    }
-
-    /// Whether this service's result cache is on.
-    pub fn result_cache_enabled(&self) -> bool {
-        self.inner.caches.results.is_some()
     }
 
     /// Drops every cached plan.

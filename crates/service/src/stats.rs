@@ -168,7 +168,7 @@ pub struct ServiceReport {
     /// Admission-controller counters.
     pub admission: AdmissionStats,
     /// Snapshot of the system-wide metrics registry at report time
-    /// (executor/placer/charger/reshard series plus the service's own).
+    /// (executor/placer/kernel-charge/reshard series plus the service's own).
     pub metrics: MetricsSnapshot,
 }
 

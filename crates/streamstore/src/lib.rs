@@ -3,7 +3,7 @@
 //! Append-only topics of timestamped events (the paper's ICU device feeds
 //! and CPT event streams, Fig. 2), with windowed operators in the style
 //! the paper attributes to Saber \[36\]: tumbling and sliding window
-//! aggregation and time-bounded stream-stream joins.
+//! aggregation.
 //!
 //! # Examples
 //!
@@ -111,13 +111,6 @@ impl StreamStore {
         self.topics.entry(topic.into()).or_default().push(event);
     }
 
-    /// Bulk publish.
-    pub fn publish_many(&mut self, topic: &str, events: impl IntoIterator<Item = Event>) {
-        for e in events {
-            self.publish(topic.to_owned(), e);
-        }
-    }
-
     /// Topic names.
     pub fn topics(&self) -> Vec<&str> {
         self.topics.keys().map(String::as_str).collect()
@@ -186,37 +179,6 @@ impl StreamStore {
         }
         Ok(out)
     }
-
-    /// Time-bounded stream-stream join: pairs of events from two topics
-    /// whose timestamps differ by at most `within`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TableNotFound`] for unknown topics.
-    pub fn join_streams(
-        &self,
-        left: &str,
-        right: &str,
-        lo: i64,
-        hi: i64,
-        within: i64,
-    ) -> Result<Vec<(i64, Row)>> {
-        let l = self.read(left, lo, hi)?;
-        let r = self.read(right, lo, hi)?;
-        let mut out = Vec::new();
-        let mut start = 0usize;
-        for le in &l {
-            while start < r.len() && r[start].ts < le.ts - within {
-                start += 1;
-            }
-            let mut j = start;
-            while j < r.len() && r[j].ts <= le.ts + within {
-                out.push((le.ts, le.payload.concat(&r[j].payload)));
-                j += 1;
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -226,10 +188,9 @@ mod tests {
 
     fn store() -> StreamStore {
         let mut s = StreamStore::new("s");
-        s.publish_many(
-            "hr",
-            (0..10).map(|i| Event::new(i * 10, row![(60 + i) as f64])),
-        );
+        for i in 0..10 {
+            s.publish("hr", Event::new(i * 10, row![(60 + i) as f64]));
+        }
         s
     }
 
@@ -304,23 +265,5 @@ mod tests {
         assert!(s
             .window_aggregate("t", 0, 10, WindowSpec::Tumbling { width: 5 }, 0, mean)
             .is_err());
-    }
-
-    #[test]
-    fn stream_join_within_bound() {
-        let mut s = store();
-        s.publish_many(
-            "bp",
-            (0..5).map(|i| Event::new(i * 25, row![(110 + i) as f64])),
-        );
-        let joined = s.join_streams("hr", "bp", 0, 100, 5).unwrap();
-        // hr ts: 0,10,..,90; bp ts: 0,25,50,75. Pairs within 5: (0,0),
-        // (30,25? diff 5 yes), (50,50), (70,75 diff 5), (80,75? diff 5)...
-        assert!(joined.iter().all(|(ts, _)| *ts % 10 == 0));
-        assert!(joined.len() >= 3);
-        for (ts, row) in &joined {
-            assert_eq!(row.len(), 2);
-            let _ = ts;
-        }
     }
 }

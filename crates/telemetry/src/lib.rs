@@ -25,6 +25,8 @@
 //! - [`json`] — the deterministic hand-rolled JSON document model the
 //!   exporters share (the workspace `serde` is a no-op stub).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod explain;
 pub mod json;
 pub mod metrics;

@@ -181,19 +181,6 @@ impl TextStore {
             .map(|v| f64::from(counts.get(&v.to_lowercase()).copied().unwrap_or(0)) / total)
             .collect())
     }
-
-    /// The `top` most frequent terms across the corpus (vocabulary
-    /// builder for feature extraction).
-    pub fn top_terms(&self, top: usize) -> Vec<String> {
-        let mut counts: Vec<(String, u64)> = self
-            .index
-            .iter()
-            .map(|(t, p)| (t.clone(), p.values().map(|&c| u64::from(c)).sum()))
-            .collect();
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        counts.truncate(top);
-        counts.into_iter().map(|(t, _)| t).collect()
-    }
 }
 
 #[cfg(test)]
@@ -269,13 +256,5 @@ mod tests {
         assert!(f[0] > 0.0 && f[1] > 0.0);
         assert_eq!(f[2], 0.0);
         assert!(s.features(99, &["x"]).is_err());
-    }
-
-    #[test]
-    fn top_terms_by_frequency() {
-        let s = corpus();
-        let top = s.top_terms(2);
-        assert_eq!(top[0], "patient"); // appears in all three docs
-        assert_eq!(top.len(), 2);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Holds named series of `(timestamp, f64)` points (the paper's ICU
 //! bedside-device feeds and clickstreams, Fig. 1–2), with native
-//! operators: append, range query, tumbling-window aggregation,
-//! downsampling, linear gap-fill and rate-of-change.
+//! operators: append, range query, tumbling-window aggregation and
+//! rate-of-change.
 //!
 //! # Examples
 //!
@@ -96,18 +96,6 @@ impl TimeseriesStore {
         }
     }
 
-    /// Bulk append.
-    pub fn append_many(&mut self, series: &str, points: impl IntoIterator<Item = Point>) {
-        for (ts, v) in points {
-            self.append(series.to_owned(), ts, v);
-        }
-    }
-
-    /// Names of all series.
-    pub fn series_names(&self) -> Vec<&str> {
-        self.series.keys().map(String::as_str).collect()
-    }
-
     /// Number of points in a series (0 if absent).
     pub fn len(&self, series: &str) -> usize {
         self.series.get(series).map_or(0, Vec::len)
@@ -179,53 +167,6 @@ impl TimeseriesStore {
         Ok(out)
     }
 
-    /// Downsamples a series to at most `target` points via window means.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TableNotFound`] for unknown series or
-    /// [`Error::Invalid`] for `target == 0`.
-    pub fn downsample(&self, series: &str, target: usize) -> Result<Vec<Point>> {
-        if target == 0 {
-            return Err(Error::Invalid("target must be positive".into()));
-        }
-        let s = self
-            .series
-            .get(series)
-            .ok_or_else(|| Error::TableNotFound(format!("series {series}")))?;
-        if s.len() <= target {
-            return Ok(s.clone());
-        }
-        let (lo, hi) = (s[0].0, s[s.len() - 1].0 + 1);
-        let width = ((hi - lo) as f64 / target as f64).ceil() as i64;
-        self.window_aggregate(series, lo, hi, width.max(1), WindowAgg::Mean)
-    }
-
-    /// Linear interpolation at timestamp `at`.
-    ///
-    /// Returns `None` outside the series' time span.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TableNotFound`] for unknown series.
-    pub fn interpolate(&self, series: &str, at: i64) -> Result<Option<f64>> {
-        let s = self
-            .series
-            .get(series)
-            .ok_or_else(|| Error::TableNotFound(format!("series {series}")))?;
-        if s.is_empty() || at < s[0].0 || at > s[s.len() - 1].0 {
-            return Ok(None);
-        }
-        let pos = s.partition_point(|&(t, _)| t < at);
-        if pos < s.len() && s[pos].0 == at {
-            return Ok(Some(s[pos].1));
-        }
-        let (t0, v0) = s[pos - 1];
-        let (t1, v1) = s[pos];
-        let frac = (at - t0) as f64 / (t1 - t0) as f64;
-        Ok(Some(v0 + frac * (v1 - v0)))
-    }
-
     /// Discrete rate of change between consecutive points (per time unit).
     ///
     /// # Errors
@@ -265,7 +206,9 @@ mod tests {
 
     fn store() -> TimeseriesStore {
         let mut ts = TimeseriesStore::new("ts");
-        ts.append_many("s", (0..10).map(|i| (i * 10, i as f64)));
+        for i in 0..10 {
+            ts.append("s", i * 10, i as f64);
+        }
         ts
     }
 
@@ -350,9 +293,11 @@ mod tests {
         let points: Vec<Point> = (0..300)
             .map(|_| (rng.next_index(2_000_000) as i64 - 1_000_000, rng.next_f64()))
             .collect();
-        ts.append_many("s", points.iter().copied());
         // Clumps in one window, on a window's first and last unit.
-        ts.append_many("s", [(0, 1.0), (1, 2.0), (99, 3.0), (100, 4.0), (-1, 5.0)]);
+        let clumps = [(0, 1.0), (1, 2.0), (99, 3.0), (100, 4.0), (-1, 5.0)];
+        for &(t, v) in points.iter().chain(&clumps) {
+            ts.append("s", t, v);
+        }
         let series = ts.range("s", i64::MIN, i64::MAX).unwrap().to_vec();
         for (lo, hi, width) in [
             (-1_000_000, 1_000_000, 100),
@@ -381,10 +326,9 @@ mod tests {
     #[test]
     fn window_ends_saturate_at_the_top_of_the_timeline() {
         let mut ts = TimeseriesStore::new("ts");
-        ts.append_many(
-            "s",
-            [(i64::MIN, 1.0), (-1, 2.0), (0, 3.0), (i64::MAX - 1, 4.0)],
-        );
+        for (t, v) in [(i64::MIN, 1.0), (-1, 2.0), (0, 3.0), (i64::MAX - 1, 4.0)] {
+            ts.append("s", t, v);
+        }
         let counts = ts
             .window_aggregate("s", i64::MIN, i64::MAX, i64::MAX, WindowAgg::Count)
             .unwrap();
@@ -396,26 +340,6 @@ mod tests {
             .window_aggregate("s", i64::MAX - 250, i64::MAX, 100, WindowAgg::Last)
             .unwrap();
         assert_eq!(near_top, vec![(i64::MAX - 50, 4.0)]);
-    }
-
-    #[test]
-    fn downsample_reduces_points() {
-        let mut ts = TimeseriesStore::new("ts");
-        ts.append_many("big", (0..1000).map(|i| (i, (i % 7) as f64)));
-        let small = ts.downsample("big", 100).unwrap();
-        assert!(small.len() <= 100);
-        assert!(small.len() >= 90);
-        // No-op when already small enough.
-        assert_eq!(ts.downsample("big", 5000).unwrap().len(), 1000);
-    }
-
-    #[test]
-    fn interpolation() {
-        let ts = store();
-        assert_eq!(ts.interpolate("s", 15).unwrap(), Some(1.5));
-        assert_eq!(ts.interpolate("s", 20).unwrap(), Some(2.0));
-        assert_eq!(ts.interpolate("s", -5).unwrap(), None);
-        assert_eq!(ts.interpolate("s", 1000).unwrap(), None);
     }
 
     #[test]

@@ -1128,7 +1128,6 @@ fn every_operator() -> Vec<Operator> {
             k: 4,
             max_iters: 10,
         },
-        Operator::Custom { name: "udf".into() },
     ]
 }
 
@@ -1177,17 +1176,6 @@ proptest! {
                         Some(profile) => {
                             prop_assert_eq!(profile.kind(), device);
                             prop_assert_eq!(base.profile.kind(), device);
-                        }
-                        // An opaque operator has no class to plan
-                        // with, on any device; executed, it bills as one
-                        // streaming pass.
-                        None if price::kernel_class(&op).is_none() => {
-                            let pass = Operator::Filter { predicate: Predicate::True };
-                            let pass = price::task(&fleet, &pass, device, rows, bytes, resident);
-                            prop_assert_eq!(
-                                base.duration.as_secs().to_bits(),
-                                pass.duration.as_secs().to_bits()
-                            );
                         }
                         // The planner skips the pair; executed anyway
                         // (a shard fleet without the planned device), it

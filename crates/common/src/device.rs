@@ -9,10 +9,14 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// The class of computing unit executing a kernel (§II-B of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+/// The class of computing unit executing a kernel (§II-B of the paper);
+/// the host CPU by default.
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub enum DeviceKind {
     /// General-purpose multicore host CPU.
+    #[default]
     Cpu,
     /// Wide-SIMD throughput device (hundreds of low-clocked cores).
     Gpu,

@@ -9,8 +9,9 @@
 //! join key consults the store ([`MaterializedRepartitions::contains`])
 //! and keeps the shuffle edge but serves it from the copy — zero rows
 //! routed, zero bytes billed. Copies are invalidated wholesale by the
-//! registry epoch: any reshard, rebalance or DDL bumps the epoch and
-//! every stored layout becomes stale on its next lookup.
+//! registry epoch: any reshard, rebalance or DDL bumps the epoch, and
+//! every stored layout is dropped as stale when it is next consulted or
+//! looked up.
 //!
 //! Entries store *index lists* (bucket -> input row positions), not
 //! row clones: the serving path replays the stored routing against the
@@ -111,11 +112,21 @@ impl MaterializedRepartitions {
     }
 
     /// Whether a live (current-epoch) layout exists for `key` — the
-    /// planner's consultation; does not count as a hit.
+    /// planner's consultation; does not count as a hit. A stale layout
+    /// is dropped here (counting an invalidation): the executor looks up
+    /// only the edges a plan marks served.
     pub fn contains(&self, key: &CopyKey) -> bool {
         let epoch = self.current_epoch();
-        let inner = self.inner();
-        matches!(inner.copies.get(key), Some(e) if e.epoch == epoch)
+        let mut inner = self.inner();
+        match inner.copies.get(key) {
+            Some(e) if e.epoch == epoch => true,
+            Some(_) => {
+                inner.copies.remove(key);
+                inner.invalidations += 1;
+                false
+            }
+            None => false,
+        }
     }
 
     /// The stored bucket assignment for `key` when live, dropping it

@@ -16,72 +16,79 @@
 //! persistent helper threads still lost 10 % to it), so there is one
 //! loop and it has no mode.
 //!
-//! Distribution is a *plan* property, not an execution-time discovery:
-//! [`Placer::plan_distribution`] annotates every node with its
-//! [`pspp_ir::ShardPlan`] entry once — including one typed
+//! Distribution is a *plan* property: [`Placer::plan_distribution`]
+//! gives every node its [`pspp_ir::ShardPlan`] entry once — one typed
 //! [`ExchangeKind`] per input edge — and the stage loop consumes it. A
-//! task is one (node, shard) pair:
+//! task is one (node, shard) pair. Each node's output is held once, in
+//! one map, as a `NodeOutput`:
 //!
-//! * a `Scan` over a partitioned table scatters into one task per shard
-//!   replica;
-//! * a *colocated* node (aligned [`ExchangeKind::Local`] edges) fans
-//!   out one task per shard, each consuming its inputs' per-shard
-//!   partials — build + probe on that shard's rows — with a
-//!   [`ExchangeKind::Broadcast`] partner served from its full copy;
-//! * a *shuffled* `HashJoin` ([`ExchangeKind::ShuffleHash`] edges)
-//!   takes each side's rows in destination-shard buckets, routed by the
-//!   stable FNV rule, runs one build+probe task per destination, and
-//!   its barrier splices the outputs back into the gathered probe
-//!   order (per-probe-row match counts), so shuffled and gathered
-//!   plans are byte-identical. The rows are routed where they are
-//!   produced: each task of a *routed* producer
-//!   ([`pspp_ir::NodeShard::routed`] — the shuffle is its one reader)
-//!   learns every row's destination as it runs (a relational scan
-//!   hashes the key out of the table's column image; any other operator
-//!   has its output rows hashed), and the producer's merge moves each
-//!   task's rows into the destination buckets in shard order instead of
-//!   gathering them — a bucket holds exactly what routing the gathered
-//!   rows would have put there, and each row's origin is its partial's
-//!   offset plus its position in the partial. A producer something else
-//!   also reads is gathered as usual and routed from that copy, and an
-//!   edge served by a materialized repartition replays the stored
-//!   layout against it;
-//! * a partial-aggregate `GroupBy` ([`ExchangeKind::MergePartials`])
-//!   runs one partial-aggregation task per input shard and merges the
-//!   partial states in shard order;
-//! * everything else runs as a single shard-0 task over inputs
-//!   gathered through explicit [`ExchangeKind::Gather`] edges.
+//! * `Gathered` — the whole output at one site;
+//! * `Partials` — a node whose plan has `partials_needed` (a fanned-out
+//!   reader reads it shard by shard): its per-shard outputs in scatter
+//!   order, beside the gathered copy every other reader takes, which
+//!   shares their rows;
+//! * `Routed` — a *routed* producer's rows ([`pspp_ir::NodeShard::routed`]:
+//!   a shuffle is its one reader), split by destination as its tasks
+//!   produce them — a relational scan hashes the key out of the table's
+//!   column image, any other operator has its output rows hashed — until
+//!   that shuffle takes them.
+//!
+//! A fused node aliases its producer's entry. Rows cross between the
+//! entries and the tasks at two exhaustive `match`es, neither with a `_`
+//! arm, so an exchange kind the executor has no arm for does not compile:
+//!
+//! * **The task boundary** (`Executor::edge_inputs`) turns an input
+//!   edge's ([`ExchangeKind`], producer's `NodeOutput`) into each task's
+//!   input. An aligned [`ExchangeKind::Local`] or an
+//!   [`ExchangeKind::MergePartials`] edge hands each task its own shard's
+//!   partial; [`ExchangeKind::Gather`], [`ExchangeKind::Broadcast`] and
+//!   an unsharded `Local` hand every task the gathered copy; an
+//!   [`ExchangeKind::ShuffleHash`] edge hands each destination task its
+//!   bucket, in gathered order — taken from a routed producer, replayed
+//!   from the stored layout where the plan marks the edge copy-served,
+//!   or routed from the gathered copy. A pair the plan cannot produce is
+//!   an [`Error::Execution`].
+//! * **The merge point** (`Executor::merge`) turns a node's task runs
+//!   into its `NodeOutput`: gathered in shard order (keeping the
+//!   partials where the plan needs them), moved into a routed
+//!   producer's destination buckets, spliced back into the gathered
+//!   probe order by each destination's per-probe-row match counts (a
+//!   shuffled `HashJoin`, so shuffled and gathered plans are
+//!   byte-identical), or merged from partial-aggregation states in shard
+//!   order. A merge-partials `GroupBy` that sums or averages a `Float`
+//!   column is *demoted* to one gathered task, since merging would
+//!   re-associate the additions.
 //!
 //! Exchange rows are charged to the ledger as migration-class transfer
 //! events on the node's critical path. Every task executes against a
-//! private scoped ledger, and the loop merges shard partials in shard
-//! order and node results in node-id order after each stage, so a
-//! node's bill does not depend on what else shared its stage. Byte
-//! sizes travel with the rows: a gather of sized partials, a routed
-//! bucket and a spliced output all know their size when they are built,
-//! and the charge never walks one to price it. Rows move rather
-//! than being copied wherever their holder is the only one: a gather
-//! takes each partial nobody retained, a routed merge each task's rows,
-//! and the splice each destination's output.
+//! private scoped ledger, and the loop merges shard runs in shard order
+//! and node results in node-id order after each stage, so a node's bill
+//! does not depend on what else shared its stage. Byte sizes travel with
+//! the rows: a gather of sized partials, a routed bucket and a spliced
+//! output all know their size when they are built, and the charge never
+//! walks one to price it. Rows move rather than being copied wherever
+//! their holder is the only one: a gather takes each partial nobody
+//! retained, a routed merge each task's rows, a shuffle its routed
+//! producer's buckets, and the splice each destination's output.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use pspp_accel::{AcceleratorFleet, CostEvent, CostLedger, EventKind, SimDuration};
-use pspp_common::{DeviceKind, Error, Result, Routes, ShardId};
+use pspp_common::{CopyKey, DataType, DeviceKind, Error, Result, Routes, ShardId};
 use pspp_ir::{
-    ColumnDemand, ExchangeKind, NodeId, Operator, PlanOptions, Program, ShardPlan, Stage,
+    AggFn, AggSpec, ColumnDemand, ExchangeKind, NodeId, Operator, PlanOptions, Program, ShardPlan,
+    Stage,
 };
 use pspp_migrate::MigrationPath;
 use pspp_optimizer::price;
 use pspp_optimizer::rewrite::resolve_fused;
-use pspp_relstore::ops as relops;
+use pspp_relstore::{ops as relops, AggregateSpec};
 use pspp_telemetry::{ExchangeTrace, MetricsRegistry, NodeTrace, TaskTrace};
 
 use crate::dataset::{Dataset, Payload, Routed, RowBuf};
 use crate::physical::{self, ExecCtx, Placer, RouteRequest};
 use crate::registry::EngineRegistry;
-
 /// Chunks used by the pipelined-stages model (§IV-D).
 const PIPELINE_CHUNKS: f64 = 8.0;
 
@@ -136,7 +143,7 @@ impl ExecutionReport {
 
 /// The orchestrator-side state of one shuffled node's exchange: where
 /// each probe row went and the exchange's simulated transfer bill.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ShuffleBarrier {
     /// Per destination bucket, each probe row's index in the gathered
     /// probe side, ascending: the keys the splice merges on.
@@ -156,10 +163,82 @@ struct ShuffleBarrier {
     served_rows: u64,
     /// Bytes those served rows would have routed.
     served_bytes: u64,
+    /// Freshly routed edges that may persist their layout, each with its
+    /// buckets' origins and bytes, until the exchange's bill is known.
+    copies: Vec<(CopyKey, Vec<Vec<usize>>, u64)>,
     /// Bytes persisted into the repartition store by this exchange.
     stored_bytes: u64,
     /// Simulated seconds of the one-time memory copy persisting them.
     store_seconds: f64,
+}
+
+/// One input edge as the task boundary reads it.
+#[derive(Debug)]
+struct Edge<'a> {
+    /// The consuming node.
+    id: NodeId,
+    /// The edge's position among the node's inputs.
+    idx: usize,
+    /// The node the edge reads (a fused alias reads its producer).
+    input: NodeId,
+    kind: &'a ExchangeKind,
+    /// Whether the plan serves this shuffle edge from a stored layout.
+    served: bool,
+    /// How many tasks the consuming node runs.
+    tasks: usize,
+}
+
+/// One node's output, held once however its readers take it.
+#[derive(Debug)]
+enum NodeOutput {
+    /// The whole output at one site.
+    Gathered(Dataset),
+    /// The per-shard outputs in scatter order, for a fanned-out reader,
+    /// and the gathered copy, sharing their rows, for every other one.
+    Partials {
+        shards: Vec<Dataset>,
+        gathered: Dataset,
+    },
+    /// A routed producer's rows, split by destination, until the one
+    /// shuffle that reads them takes them.
+    Routed(Routed),
+}
+
+impl NodeOutput {
+    /// The whole output, where one site holds it.
+    fn gathered(&self) -> Option<&Dataset> {
+        match self {
+            NodeOutput::Gathered(d) | NodeOutput::Partials { gathered: d, .. } => Some(d),
+            NodeOutput::Routed(_) => None,
+        }
+    }
+
+    /// Rows the node produced, however they are held.
+    fn rows(&self) -> usize {
+        match self {
+            NodeOutput::Gathered(d) | NodeOutput::Partials { gathered: d, .. } => d.len(),
+            NodeOutput::Routed(split) => split.len(),
+        }
+    }
+}
+
+/// How a node's task runs become its output: the merge point's cases.
+#[derive(Debug)]
+enum Merge {
+    /// Concatenate the runs in task (shard) order, keeping each run's
+    /// output too when a fanned-out reader reads them shard by shard.
+    Gather { keep_shards: bool },
+    /// A routed producer: move each run's rows into this many
+    /// destination buckets.
+    Route(usize),
+    /// A shuffled join: splice the destinations' outputs back into the
+    /// gathered probe order.
+    Splice(ShuffleBarrier),
+    /// A partial-aggregate `GroupBy`: merge the shards' partial states.
+    Partials,
+    /// A merge-partials `GroupBy` over a float sum, run as one gathered
+    /// task instead (see [`Executor::reassociates_floats`]).
+    Demoted,
 }
 
 /// One (node, shard) unit of stage work, resolved and ready to run.
@@ -171,36 +250,45 @@ struct Task<'p> {
     /// the key into the plan's per-slot device picks.
     slot: usize,
     inputs: Vec<Dataset>,
-    /// Operator override (the per-shard partial of a merged
-    /// aggregation); `None` runs the node's own.
-    op: Option<Operator>,
-    /// Whether this is a shuffled-join bucket whose per-probe-row
-    /// match counts the barrier needs for its splice.
-    count_matches: bool,
-    /// For a task of a routed producer: the shuffle's key and width.
-    route: Option<(&'p str, u32)>,
+    role: Role<'p>,
 }
 
-impl<'p> Task<'p> {
-    fn new(id: NodeId, shard: ShardId, slot: usize, inputs: Vec<Dataset>) -> Self {
-        Task {
-            id,
-            shard,
-            slot,
-            inputs,
-            op: None,
-            count_matches: false,
-            route: None,
-        }
-    }
+/// What a task is for, and so what it reports beside its rows.
+#[derive(Debug, Clone)]
+enum Role<'p> {
+    /// Runs the node's operator.
+    Run,
+    /// Runs the per-shard partial of a merged aggregation.
+    Partial(Operator),
+    /// A shuffled-join destination: its join also reports each probe
+    /// row's match count, the splice's chunk sizes.
+    Count,
+    /// A routed producer's task: it also reports where each output row
+    /// goes, hashed on the shuffle's key over its width.
+    Route(&'p str, u32),
 }
 
-/// Everything one (node, shard) task produced, staged for deterministic
-/// merging after its stage joins.
+/// What a task reported beside its rows, as its [`Role`] asked.
+#[derive(Debug)]
+enum Reported {
+    Nothing,
+    MatchCounts(Vec<usize>),
+    Routes(Routes),
+}
+
+/// One task's run — or a node's runs folded into one — staged for
+/// deterministic merging after its stage joins.
 #[derive(Debug)]
 struct NodeRun {
     id: NodeId,
     output: Dataset,
+    reported: Reported,
+    acc: Accounts,
+}
+
+/// What a run cost and did, folded across a node's tasks.
+#[derive(Debug, Default)]
+struct Accounts {
     /// Simulated execution seconds (excluding migration).
     exec_seconds: f64,
     /// Simulated seconds migrating this node's foreign inputs, summed
@@ -210,32 +298,59 @@ struct NodeRun {
     /// execution *plus its own* migration (per-shard migrations run
     /// concurrently with the other shards' tasks, so they overlap).
     critical_seconds: f64,
-    /// Whether the node ran on an attached accelerator.
-    offloaded: bool,
-    /// The (shard, device) assignment of each task folded into this
-    /// run, in task (gather) order.
-    assignments: Vec<(ShardId, DeviceKind)>,
-    /// Cost events from the task's scoped ledger, in posting order.
-    events: Vec<pspp_accel::CostEvent>,
-    /// For shuffled join tasks: output rows each probe-bucket row
-    /// produced, in bucket order, as reported by the join the task ran;
-    /// the barrier uses them as splice chunk sizes.
-    probe_counts: Option<Vec<usize>>,
-    /// For a task of a routed producer: where each output row goes.
-    routes: Option<Routes>,
-    /// For a merged routed producer: its rows, split by destination
-    /// (`output` then holds none).
-    routed: Option<Routed>,
+    /// Cost events from the tasks' scoped ledgers, in posting order.
+    events: Vec<CostEvent>,
     /// Per-task traces folded into this run, in task (gather) order.
     tasks: Vec<TaskTrace>,
     /// Exchange edges charged while merging this run.
     exchanges: Vec<ExchangeTrace>,
 }
 
+impl Accounts {
+    /// Folds the next shard task's accounts into these: simulated
+    /// execution and critical-path time are the slowest replica's
+    /// (shards run on distinct engine replicas in parallel on the
+    /// simulated clock, each migrating its own partial), total
+    /// migration work, cost events and traces accumulate in task order.
+    fn fold(&mut self, next: Accounts) {
+        self.exec_seconds = self.exec_seconds.max(next.exec_seconds);
+        self.migration_seconds += next.migration_seconds;
+        self.critical_seconds = self.critical_seconds.max(next.critical_seconds);
+        self.events.extend(next.events);
+        self.tasks.extend(next.tasks);
+        self.exchanges.extend(next.exchanges);
+    }
+
+    /// Posts a migration-class transfer event: `component` moved `bytes`
+    /// on `device` in `seconds`.
+    fn transfer(&mut self, component: &str, device: DeviceKind, bytes: u64, seconds: f64) {
+        self.events.push(CostEvent {
+            component: component.into(),
+            device,
+            kind: EventKind::Transfer,
+            bytes,
+            duration: SimDuration::from_secs(seconds),
+            energy_j: 0.0,
+        });
+    }
+
+    /// Traces an exchange edge of `kind` that moved `rows` (`bytes`) on
+    /// `device` in `secs` seconds.
+    fn trace(&mut self, kind: &'static str, device: DeviceKind, rows: u64, bytes: u64, secs: f64) {
+        self.exchanges.push(ExchangeTrace {
+            kind,
+            rows: rows as usize,
+            bytes: bytes as usize,
+            seconds: secs,
+            device,
+        });
+    }
+}
+
 impl NodeRun {
     /// Folds the next shard's partial into this run (shard-ordered
     /// gather): rows concatenate in shard order and keep their summed
-    /// byte size; the accounts fold as in [`NodeRun::fold_accounts`].
+    /// byte size; the accounts fold as in [`Accounts::fold`].
     fn absorb(&mut self, mut next: NodeRun) -> Result<()> {
         let (Payload::Rows { rows, .. }, Ok(more)) =
             (&mut self.output.payload, next.output.take_rows())
@@ -249,31 +364,8 @@ impl NodeRun {
         // own buffer, and the gathered copy shares the rows themselves;
         // one nobody else holds moves its rows over.
         rows.append_owned(more);
-        self.fold_accounts(next);
+        self.acc.fold(next.acc);
         Ok(())
-    }
-
-    /// Rows the merged node produced, however they are held.
-    fn rows(&self) -> usize {
-        self.routed
-            .as_ref()
-            .map_or_else(|| self.output.len(), Routed::len)
-    }
-
-    /// Folds the next shard task's accounts into this run: simulated
-    /// execution and critical-path time are the slowest replica's
-    /// (shards run on distinct engine replicas in parallel on the
-    /// simulated clock, each migrating its own partial), total
-    /// migration work, cost events and traces accumulate in task order.
-    fn fold_accounts(&mut self, next: NodeRun) {
-        self.exec_seconds = self.exec_seconds.max(next.exec_seconds);
-        self.migration_seconds += next.migration_seconds;
-        self.critical_seconds = self.critical_seconds.max(next.critical_seconds);
-        self.offloaded |= next.offloaded;
-        self.assignments.extend(next.assignments);
-        self.events.extend(next.events);
-        self.tasks.extend(next.tasks);
-        self.exchanges.extend(next.exchanges);
     }
 }
 
@@ -375,111 +467,51 @@ impl Executor {
         // fresh shuffle would not pay.
         let plan = Placer::plan_distribution(program, registry, self.options)?;
         let stages = program.execution_stages()?;
-        let mut results: HashMap<NodeId, Dataset> = HashMap::new();
-        // Per-shard partials of nodes feeding colocated consumers, in
-        // scatter (gather) order.
-        let mut partials: HashMap<NodeId, Vec<Dataset>> = HashMap::new();
-        // Routed producers' rows, split by destination, until their
-        // shuffle takes them.
-        let mut routed: HashMap<NodeId, Routed> = HashMap::new();
-        let mut node_seconds: HashMap<NodeId, f64> = HashMap::new();
-        let mut node_total: HashMap<NodeId, f64> = HashMap::new();
-        let mut migration_seconds = 0.0f64;
-        let mut offloaded = 0usize;
-        let mut device_assignments: HashMap<(NodeId, ShardId), DeviceKind> = HashMap::new();
+        let mut outputs: HashMap<NodeId, NodeOutput> = HashMap::new();
         let mut traces: Vec<NodeTrace> = Vec::new();
 
         for (stage_idx, stage) in stages.iter().enumerate() {
-            // Fused nodes alias their input; resolve before compute. (A
-            // routed producer's rows wait for its shuffle, which looks
-            // through the aliases.)
-            for &id in &stage.forwards {
-                let node = program.node(id);
-                let source = *node
-                    .inputs
-                    .first()
-                    .ok_or_else(|| Error::Execution(format!("missing input for {id}")))?;
-                if routed.contains_key(&resolve_fused(program, source)) {
-                    continue;
-                }
-                let input = results
-                    .get(&source)
-                    .ok_or_else(|| Error::Execution(format!("missing input for {id}")))?
-                    .clone();
-                results.insert(id, input);
-                if let Some(p) = partials.get(&source) {
-                    partials.insert(id, p.clone());
-                }
-            }
-            // Run the stage's tasks, then merge in node-id order.
-            let (runs, shard_outputs) = self.run_stage(
-                program,
-                &stage.compute,
-                &results,
-                &partials,
-                &mut routed,
-                &plan,
-                registry,
-            )?;
-            for run in runs {
-                let rows = run.rows();
+            let runs = self.run_stage(program, &stage.compute, &plan, registry, &mut outputs)?;
+            for (id, run) in runs {
                 for event in run.events {
                     self.ledger.post_event(event);
                 }
-                for &(shard, device) in &run.assignments {
-                    device_assignments.insert((run.id, shard), device);
-                }
-                node_seconds.insert(run.id, run.exec_seconds);
-                node_total.insert(run.id, run.critical_seconds);
-                migration_seconds += run.migration_seconds;
-                offloaded += usize::from(run.offloaded);
                 // Trace appended in merge order — the same order
                 // `makespans` sums node times, so a span tree built
                 // over these traces reproduces the sequential makespan
                 // exactly.
                 let trace = NodeTrace {
-                    id: run.id,
-                    op: program.node(run.id).op.name().to_string(),
+                    id,
+                    op: program.node(id).op.name().to_string(),
                     stage: stage_idx,
-                    rows,
+                    rows: outputs.get(&id).map_or(0, NodeOutput::rows),
                     exec_seconds: run.exec_seconds,
                     migration_seconds: run.migration_seconds,
                     critical_seconds: run.critical_seconds,
                     tasks: run.tasks,
                     exchanges: run.exchanges,
                 };
-                self.observe_run(&trace, run.offloaded);
+                self.observe_run(&trace);
                 traces.push(trace);
-                if let Some(split) = run.routed {
-                    routed.insert(run.id, split);
-                } else {
-                    results.insert(run.id, run.output);
-                }
             }
-            partials.extend(shard_outputs);
         }
 
+        let node_total = traces.iter().map(|t| (t.id, t.critical_seconds)).collect();
         let (makespan_sequential, makespan_pipelined) = makespans(&stages, &node_total);
         // Rebuild the executed fused chains from the honored per-task
         // tags: same indices as the plan's chains, members in chain
         // position order, savings summed from the charges' resident-
         // link discounts.
-        /// (chain position, node, shard, device, saved seconds).
-        type ChainMember = (usize, NodeId, ShardId, DeviceKind, f64);
-        let mut executed_chains: std::collections::BTreeMap<usize, Vec<ChainMember>> =
-            std::collections::BTreeMap::new();
+        let mut executed_chains = std::collections::BTreeMap::<_, Vec<_>>::new();
         let mut queue_wait_seconds = 0.0f64;
+        let mut device_assignments = HashMap::new();
         for trace in &traces {
             for task in &trace.tasks {
+                device_assignments.insert((trace.id, task.shard), task.device);
                 queue_wait_seconds += task.queue_seconds;
                 if let Some(tag) = task.fused {
-                    executed_chains.entry(tag.chain).or_default().push((
-                        tag.pos,
-                        trace.id,
-                        task.shard,
-                        task.device,
-                        task.fused_saved_seconds,
-                    ));
+                    let member = (tag.pos, trace.id, task);
+                    executed_chains.entry(tag.chain).or_default().push(member);
                 }
             }
         }
@@ -488,10 +520,10 @@ impl Executor {
             .map(|mut members| {
                 members.sort_by_key(|&(pos, ..)| pos);
                 pspp_ir::FusedChain {
-                    shard: members[0].2,
-                    device: members[0].3,
-                    nodes: members.iter().map(|&(_, id, ..)| id).collect(),
-                    saved_seconds: members.iter().map(|&(.., s)| s).sum(),
+                    shard: members[0].2.shard,
+                    device: members[0].2.device,
+                    nodes: members.iter().map(|&(_, id, _)| id).collect(),
+                    saved_seconds: members.iter().map(|(.., t)| t.fused_saved_seconds).sum(),
                 }
             })
             .collect();
@@ -501,21 +533,21 @@ impl Executor {
         let outputs = program
             .outputs()
             .iter()
-            .map(|id| {
-                results
-                    .remove(id)
+            .map(|&id| {
+                let output = outputs.get(&resolve_fused(program, id));
+                (output.and_then(NodeOutput::gathered).cloned())
                     .map(Dataset::built)
                     .ok_or_else(|| Error::Execution(format!("missing output {id}")))
             })
             .collect::<Result<_>>()?;
         Ok(ExecutionReport {
             outputs,
-            node_seconds,
-            migration_seconds,
+            node_seconds: traces.iter().map(|t| (t.id, t.exec_seconds)).collect(),
+            migration_seconds: traces.iter().fold(0.0, |s, t| s + t.migration_seconds),
             makespan_sequential,
             makespan_pipelined,
             pipelined: self.pipelined,
-            offloaded,
+            offloaded: traces.iter().filter(|t| offloaded(t)).count(),
             device_assignments,
             traces,
             fused_chains,
@@ -527,390 +559,339 @@ impl Executor {
     /// unobserved). Runs in merge order; every
     /// recorded value is an integer count or a bucketed simulated
     /// duration, so snapshots are deterministic.
-    fn observe_run(&self, trace: &NodeTrace, offloaded: bool) {
+    fn observe_run(&self, trace: &NodeTrace) {
         let Some(metrics) = &self.metrics else {
             return;
         };
-        metrics
-            .counter(
-                "pspp_executor_nodes_total",
-                "Plan nodes executed",
-                &[("op", &trace.op)],
-            )
-            .inc();
-        if offloaded {
-            metrics
-                .counter(
-                    "pspp_executor_offloaded_nodes_total",
-                    "Plan nodes that ran on an accelerator",
-                    &[],
-                )
-                .inc();
+        let count =
+            |name: &str, help: &str, labels: &[(&str, &str)]| metrics.counter(name, help, labels);
+        let time =
+            |name: &str, help: &str, labels: &[(&str, &str)]| metrics.histogram(name, help, labels);
+        let op = [("op", trace.op.as_str())];
+        count("pspp_executor_nodes_total", "Plan nodes executed", &op).inc();
+        if offloaded(trace) {
+            let help = "Plan nodes that ran on an accelerator";
+            count("pspp_executor_offloaded_nodes_total", help, &[]).inc();
         }
-        metrics
-            .histogram(
-                "pspp_node_critical_seconds",
-                "Simulated critical-path seconds per plan node",
-                &[],
-            )
-            .observe_seconds(trace.critical_seconds);
+        let help = "Simulated critical-path seconds per plan node";
+        time("pspp_node_critical_seconds", help, &[]).observe_seconds(trace.critical_seconds);
         for task in &trace.tasks {
             let device = format!("{:?}", task.device);
-            metrics
-                .counter(
-                    "pspp_executor_tasks_total",
-                    "Per-shard tasks executed",
-                    &[("device", &device)],
-                )
-                .inc();
+            let on_device = [("device", device.as_str())];
+            count(
+                "pspp_executor_tasks_total",
+                "Per-shard tasks executed",
+                &on_device,
+            )
+            .inc();
             if task.fallback() {
-                metrics
-                    .counter(
-                        "pspp_host_fallbacks_total",
-                        "Tasks whose planned accelerator was unavailable",
-                        &[],
-                    )
-                    .inc();
+                let help = "Tasks whose planned accelerator was unavailable";
+                count("pspp_host_fallbacks_total", help, &[]).inc();
             }
             if task.queue_seconds > 0.0 {
-                metrics
-                    .histogram(
-                        "pspp_device_queue_seconds",
-                        "Simulated wait for a contended device per task",
-                        &[("device", &device)],
-                    )
-                    .observe_seconds(task.queue_seconds);
+                let help = "Simulated wait for a contended device per task";
+                let queue = time("pspp_device_queue_seconds", help, &on_device);
+                queue.observe_seconds(task.queue_seconds);
             }
             // Count each chain once, at its head.
             if task.fused.is_some_and(|tag| tag.pos == 0) {
-                metrics
-                    .counter(
-                        "pspp_fused_chains",
-                        "Device-resident fused chains executed",
-                        &[("device", &device)],
-                    )
-                    .inc();
+                let help = "Device-resident fused chains executed";
+                count("pspp_fused_chains", help, &on_device).inc();
             }
         }
         for exchange in &trace.exchanges {
-            metrics
-                .counter(
-                    "pspp_exchange_rows_total",
-                    "Rows routed through exchange edges",
-                    &[("kind", exchange.kind)],
-                )
-                .add(exchange.rows as u64);
-            metrics
-                .counter(
-                    "pspp_exchange_bytes_total",
-                    "Bytes moved through exchange edges",
-                    &[("kind", exchange.kind)],
-                )
-                .add(exchange.bytes as u64);
+            let of_kind = [("kind", exchange.kind)];
+            let help = "Rows routed through exchange edges";
+            count("pspp_exchange_rows_total", help, &of_kind).add(exchange.rows as u64);
+            let help = "Bytes moved through exchange edges";
+            count("pspp_exchange_bytes_total", help, &of_kind).add(exchange.bytes as u64);
         }
     }
 
-    /// Resolves one task's input datasets from its plan's typed
-    /// exchange edges: a task at scatter slot `slot` reads per-shard
-    /// partials where [`ShardPlan::reads_partial`] says so (aligned
-    /// [`ExchangeKind::Local`] edges, [`ExchangeKind::MergePartials`]
-    /// edges), and the gathered full copy through everything else
-    /// ([`ExchangeKind::Broadcast`] build sides,
-    /// [`ExchangeKind::Gather`]ed and unsharded inputs).
-    fn task_inputs(
-        program: &Program,
-        id: NodeId,
-        slot: Option<usize>,
-        results: &HashMap<NodeId, Dataset>,
-        partials: &HashMap<NodeId, Vec<Dataset>>,
-        plan: &ShardPlan,
-    ) -> Result<Vec<Dataset>> {
-        program
-            .node(id)
-            .inputs
-            .iter()
-            .enumerate()
-            .map(|(idx, i)| match slot {
-                Some(k) if plan.reads_partial(id, idx, *i) => partials
-                    .get(i)
-                    .and_then(|p| p.get(k))
-                    .cloned()
-                    .ok_or_else(|| {
-                        Error::Execution(format!("missing shard partial {k} of {i} for {id}"))
-                    }),
-                _ => results
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| Error::Execution(format!("missing input for {id}"))),
-            })
-            .collect()
-    }
-
-    /// Hands a shuffled node's inputs to its destination tasks:
-    /// [`ExchangeKind::ShuffleHash`] edges give each destination its
-    /// bucket of the input's rows, in gathered order (so the barrier's
-    /// splice is deterministic) — taken from a routed producer, replayed
-    /// from a materialized layout, or routed from the input's gathered
-    /// copy when something else reads it too — and every other edge
-    /// broadcasts the full copy to each destination task. Returns the
-    /// per-destination input sets plus the barrier state (probe-row
-    /// origins and the exchange's simulated transfer bill).
-    fn shuffle_inputs(
-        &self,
-        program: &Program,
-        id: NodeId,
-        plan: &ShardPlan,
-        results: &HashMap<NodeId, Dataset>,
-        routed: &mut HashMap<NodeId, Routed>,
-        registry: &EngineRegistry,
-    ) -> Result<(Vec<Vec<Dataset>>, ShuffleBarrier)> {
-        let node = program.node(id);
-        let info = plan.node(id);
-        let width = info.scatter_width();
-        let mut dest_inputs: Vec<Vec<Dataset>> = vec![Vec::new(); width];
-        let mut probe_origins: Vec<Vec<usize>> = Vec::new();
-        let mut bytes = 0u64;
-        let mut routed_rows = 0u64;
-        let mut served_rows = 0u64;
-        let mut served_bytes = 0u64;
-        // Freshly routed edges eligible for persistence, deferred until
-        // the exchange bill (their amortization evidence) is known.
-        let mut routed_copies: Vec<(pspp_common::CopyKey, Vec<Vec<usize>>, u64)> = Vec::new();
-        let repartitions = registry.repartitions();
-        let gathered = |input: &NodeId| {
-            results
-                .get(input)
-                .ok_or_else(|| Error::Execution(format!("missing input for {id}")))
-        };
-        for (idx, input) in node.inputs.iter().enumerate() {
-            let ExchangeKind::ShuffleHash { key, width: w } = info.exchange(idx) else {
-                let d = gathered(input)?;
-                for inputs in &mut dest_inputs {
-                    inputs.push(d.clone());
-                }
-                continue;
-            };
-            let copy_key = if self.options.materialize {
-                pspp_ir::shuffle_copy_key(program, *input, key, *w)
-            } else {
-                None
-            };
-            // A live stored layout serves the edge: zero rows cross the
-            // wire. A stale or mismatched entry falls back to routing.
-            let lookup = |rows: usize| copy_key.as_ref().and_then(|k| repartitions.lookup(k, rows));
-            let (split, served) = match routed.remove(&resolve_fused(program, *input)) {
-                Some(split) => {
-                    let served = lookup(split.len()).is_some();
-                    (split, served)
-                }
-                None => {
-                    let d = gathered(input)?;
-                    let rows = d.try_rows()?;
-                    let stored = lookup(rows.len());
-                    let routes = match &stored {
-                        Some(buckets) => Routes::of_buckets(rows, buckets)?,
-                        None => Routes::of_rows(d.schema()?, rows, key, *w)?,
-                    };
-                    let mut split = Routed::new(d, routes.bytes.len())?;
-                    split.push(d.row_buf()?.clone(), &routes)?;
-                    (split, stored.is_some())
-                }
-            };
-            let (edge_rows, edge_bytes) = (split.len() as u64, split.byte_size());
-            let (buckets, origins) = split.into_buckets();
-            if buckets.len() != width {
-                return Err(Error::Execution(format!(
-                    "shuffled node {id}: input {idx} routes to {} destinations, the plan has {width}",
-                    buckets.len()
-                )));
-            }
-            if served {
-                served_rows += edge_rows;
-                served_bytes += edge_bytes;
-            } else {
-                bytes += edge_bytes;
-                routed_rows += edge_rows;
-                if let Some(k) = copy_key {
-                    routed_copies.push((k, origins.clone(), edge_bytes));
-                }
-            }
-            for (inputs, bucket) in dest_inputs.iter_mut().zip(buckets) {
-                inputs.push(bucket);
-            }
-            if idx == 0 {
-                probe_origins = origins;
-            }
-        }
-        if probe_origins.is_empty() {
-            return Err(Error::Execution(format!(
-                "shuffled node {id} has no shuffled probe side"
-            )));
-        }
-        // The barrier is billed by the price the planner estimated it
-        // with: hash-partition the routed rows, serialize one stream
-        // per destination shard, cross the exchange wire, decode on the
-        // receivers — each kernel stage on the fleet's best device when
-        // offload is enabled, the host otherwise. Row placement itself
-        // always uses the stable FNV rule above, so the device choice
-        // never moves a byte.
-        let (bill, seconds) = price::shuffle_barrier(
-            &registry.fleets().default,
-            self.offload,
-            routed_rows,
-            bytes,
-            width,
-        );
-        let device = if bill.serialize_device != DeviceKind::Cpu {
-            bill.serialize_device
-        } else {
-            bill.partition_device
-        };
-        // Amortization bookkeeping: each freshly routed edge records
-        // its share of this exchange's bill; once the cumulative
-        // shuffle spend on a key exceeds the one-time memory copy
-        // ([`pspp_ir::repartition_pays`]), the layout persists and a
-        // copy charge is added to the barrier.
-        let mut stored_bytes = 0u64;
-        for (key, buckets, edge_bytes) in routed_copies {
-            let share = if bytes > 0 {
-                edge_bytes as f64 / bytes as f64
-            } else {
-                0.0
-            };
-            let cumulative = repartitions.observe(&key, bill.seconds * share);
-            if pspp_ir::repartition_pays(cumulative, edge_bytes) {
-                stored_bytes += edge_bytes;
-                repartitions.store(key, buckets, edge_bytes);
-            }
-        }
-        let store_seconds = stored_bytes as f64 / pspp_ir::REPARTITION_COPY_BPS;
-        Ok((
-            dest_inputs,
-            ShuffleBarrier {
-                probe_origins,
-                routed_rows,
-                bytes,
-                seconds,
-                device,
-                served_rows,
-                served_bytes,
-                stored_bytes,
-                store_seconds,
-            },
-        ))
-    }
-
-    /// Runs one stage's compute nodes as a scatter-gather task set: one
-    /// task per (node, shard replica) for partitioned scans, colocated
-    /// nodes, shuffled joins and partial aggregations, run one after
-    /// another on the calling thread in task order (node-major,
-    /// shard-minor); the first task to fail ends the stage with its
-    /// error. Per-shard results merge back — shard-ordered splice for
-    /// plain gathers, probe-order splice for shuffle barriers, state
-    /// merge for partial aggregations — and nodes return in node-id
-    /// order. The second return value holds the per-shard
-    /// outputs of nodes whose plan marks them `partials_needed` (a
-    /// fanned-out consumer reads them). A shuffled node takes its routed
-    /// producers' rows out of `routed`.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    /// The stage step: builds every compute node's tasks at the task
+    /// boundary ([`Executor::node_tasks`]), runs them one after another
+    /// on the calling thread in task order (node-major, shard-minor) —
+    /// the first task to fail ends the stage with its error — and merges
+    /// each node's runs at the merge point ([`Executor::merge`]) into its
+    /// entry of `outputs`. Returns each node's accounts in node-id order.
     fn run_stage(
         &self,
         program: &Program,
         compute: &[NodeId],
-        results: &HashMap<NodeId, Dataset>,
-        partials: &HashMap<NodeId, Vec<Dataset>>,
-        routed: &mut HashMap<NodeId, Routed>,
         plan: &ShardPlan,
         registry: &EngineRegistry,
-    ) -> Result<(Vec<NodeRun>, HashMap<NodeId, Vec<Dataset>>)> {
-        // The scatter plan, derived from each node's exchange edges.
-        let mut tasks: Vec<Task> = Vec::new();
-        let mut barriers: HashMap<NodeId, ShuffleBarrier> = HashMap::new();
-        // Merge-partials nodes demoted to a gathered task (float sums).
-        let mut demoted: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
+        outputs: &mut HashMap<NodeId, NodeOutput>,
+    ) -> Result<Vec<(NodeId, Accounts)>> {
+        let mut tasks = Vec::new();
+        let mut merges = Vec::with_capacity(compute.len());
         for &id in compute {
-            let info = plan.node(id);
-            let first = tasks.len();
-            if program.node(id).inputs.is_empty() {
-                for (k, &shard) in info.scatter.iter().enumerate() {
-                    tasks.push(Task::new(id, shard, k, Vec::new()));
-                }
-            } else if info.shuffles() {
-                let (dest_inputs, barrier) =
-                    self.shuffle_inputs(program, id, plan, results, routed, registry)?;
-                barriers.insert(id, barrier);
-                for (k, inputs) in dest_inputs.into_iter().enumerate() {
-                    let mut task = Task::new(id, info.scatter[k], k, inputs);
-                    // The barrier needs this bucket's per-probe-row
-                    // match counts; the task's join reports them.
-                    task.count_matches = true;
-                    tasks.push(task);
-                }
-            } else if info.merges_partials() {
-                if Self::merge_would_reassociate_floats(program, id, partials, plan)? {
-                    // Bit-identity over shard counts: float sums demote
-                    // to the gathered single-site aggregation.
-                    demoted.insert(id);
-                    let inputs = Self::task_inputs(program, id, None, results, partials, plan)?;
-                    tasks.push(Task::new(id, ShardId::ZERO, 0, inputs));
-                } else {
-                    let partial_op = Self::partial_op(program, id)?;
-                    for (k, &shard) in info.scatter.iter().enumerate() {
-                        let inputs =
-                            Self::task_inputs(program, id, Some(k), results, partials, plan)?;
-                        let mut task = Task::new(id, shard, k, inputs);
-                        task.op = Some(partial_op.clone());
-                        tasks.push(task);
-                    }
-                }
-            } else if info.colocated {
-                for (k, &shard) in info.scatter.iter().enumerate() {
-                    let inputs = Self::task_inputs(program, id, Some(k), results, partials, plan)?;
-                    tasks.push(Task::new(id, shard, k, inputs));
-                }
-            } else {
-                let inputs = Self::task_inputs(program, id, None, results, partials, plan)?;
-                tasks.push(Task::new(id, ShardId::ZERO, 0, inputs));
-            }
-            if let Some((key, width)) = &info.routed {
-                for task in &mut tasks[first..] {
-                    task.route = Some((key.as_str(), *width));
-                }
-            }
+            let (node_tasks, merge) = self.node_tasks(program, id, plan, registry, outputs)?;
+            merges.push((id, merge, node_tasks.len()));
+            tasks.extend(node_tasks);
         }
-        // Run the tasks and group each node's runs (task order is
-        // node-major, shard-minor), then merge by the node's exchange
-        // kind.
-        let mut groups: Vec<(NodeId, Vec<NodeRun>)> = Vec::new();
-        for task in tasks {
-            let run = self.run_node(program, task, registry)?;
-            match groups.last_mut() {
-                Some((gid, g)) if *gid == run.id => g.push(run),
-                _ => groups.push((run.id, vec![run])),
-            }
-        }
-        let mut merged: Vec<NodeRun> = Vec::with_capacity(groups.len());
-        let mut shard_outputs: HashMap<NodeId, Vec<Dataset>> = HashMap::new();
-        for (id, group) in groups {
-            let info = plan.node(id);
-            if info.partials_needed {
-                shard_outputs.insert(id, group.iter().map(|r| r.output.clone()).collect());
-            }
-            let run = if info.shuffles() {
-                let barrier = barriers
-                    .remove(&id)
-                    .ok_or_else(|| Error::Execution(format!("missing shuffle barrier for {id}")))?;
-                Self::splice_shuffle(id, group, &barrier)?
-            } else if info.merges_partials() && !demoted.contains(&id) {
-                Self::merge_partial_runs(program, id, group, registry)?
-            } else if let Some((_, width)) = info.routed {
-                Self::route_runs(id, group, width as usize)?
-            } else {
-                Self::gather_runs(id, group)?
+        let runs = tasks
+            .into_iter()
+            .map(|task| self.run_node(program, task, registry));
+        let mut runs = runs.collect::<Result<Vec<_>>>()?.into_iter();
+        merges
+            .into_iter()
+            .map(|(id, merge, n)| {
+                let group = runs.by_ref().take(n).collect();
+                let (acc, output) = Self::merge(program, id, merge, group, registry)?;
+                outputs.insert(id, output);
+                Ok((id, acc))
+            })
+            .collect()
+    }
+
+    /// The task boundary: node `id`'s tasks — one per scatter slot for a
+    /// source, a colocated node, a shuffled join or a partial
+    /// aggregation, one shard-0 task otherwise — each input edge handed
+    /// out by [`Executor::edge_inputs`], and how their runs merge. A
+    /// shuffled node's exchange is billed here, before any task runs.
+    fn node_tasks<'p>(
+        &self,
+        program: &Program,
+        id: NodeId,
+        plan: &'p ShardPlan,
+        registry: &EngineRegistry,
+        outputs: &mut HashMap<NodeId, NodeOutput>,
+    ) -> Result<(Vec<Task<'p>>, Merge)> {
+        let (node, info) = (program.node(id), plan.node(id));
+        let output_of = |i: &NodeId| outputs.get(&resolve_fused(program, *i));
+        let demoted = info.merges_partials()
+            && Self::reassociates_floats(&node.op, node.inputs.first().and_then(output_of))?;
+        let fans_out = node.inputs.is_empty()
+            || info.colocated
+            || info.shuffles()
+            || (info.merges_partials() && !demoted);
+        let (zero, gather) = ([ShardId::ZERO], ExchangeKind::Gather);
+        let shards = if fans_out { &info.scatter[..] } else { &zero };
+        let mut inputs = vec![Vec::with_capacity(node.inputs.len()); shards.len()];
+        let mut barrier = ShuffleBarrier::default();
+        for (idx, &input) in node.inputs.iter().enumerate() {
+            let edge = Edge {
+                id,
+                idx,
+                input,
+                // A demoted merge reads its input gathered.
+                kind: if demoted { &gather } else { info.exchange(idx) },
+                served: info.is_copy_served(idx),
+                tasks: shards.len(),
             };
-            merged.push(run);
+            let datasets = self.edge_inputs(program, registry, edge, outputs, &mut barrier)?;
+            for (task_inputs, d) in inputs.iter_mut().zip(datasets) {
+                task_inputs.push(d);
+            }
         }
-        Ok((merged, shard_outputs))
+        let (merge, role) = if info.shuffles() {
+            self.bill_shuffle(id, &mut barrier, registry, shards.len())?;
+            (Merge::Splice(barrier), Role::Count)
+        } else if demoted {
+            (Merge::Demoted, Role::Run)
+        } else if info.merges_partials() {
+            (Merge::Partials, Role::Partial(Self::partial_op(&node.op)?))
+        } else if let Some((key, width)) = &info.routed {
+            (Merge::Route(*width as usize), Role::Route(key, *width))
+        } else {
+            let keep_shards = info.partials_needed;
+            (Merge::Gather { keep_shards }, Role::Run)
+        };
+        let tasks = (shards.iter().zip(inputs).enumerate())
+            .map(|(slot, (&shard, inputs))| Task {
+                id,
+                shard,
+                slot,
+                inputs,
+                role: role.clone(),
+            })
+            .collect();
+        Ok((tasks, merge))
+    }
+
+    /// The task boundary's one dispatch: hands `edge`'s producer output
+    /// to each of the consuming node's tasks, by the edge's exchange
+    /// kind. A shuffle edge takes a routed producer's buckets out of
+    /// `outputs`, and tallies its rows, bytes and probe origins into
+    /// `barrier`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Execution`] for a producer that has not run, a pair the
+    /// plan cannot produce, or partials or buckets other than one per
+    /// task.
+    fn edge_inputs(
+        &self,
+        program: &Program,
+        registry: &EngineRegistry,
+        edge: Edge<'_>,
+        outputs: &mut HashMap<NodeId, NodeOutput>,
+        barrier: &mut ShuffleBarrier,
+    ) -> Result<Vec<Dataset>> {
+        let (id, idx, input, kind, tasks) = (edge.id, edge.idx, edge.input, edge.kind, edge.tasks);
+        let source = resolve_fused(program, input);
+        let missing = || Error::Execution(format!("missing input {input} for {id}"));
+        let copy_key = |key: &str, width: u32| {
+            let key = || pspp_ir::shuffle_copy_key(program, input, key, width);
+            self.options.materialize.then(key).flatten()
+        };
+        let (split, served, copy) = match (kind, outputs.get(&source).ok_or_else(missing)?) {
+            (
+                ExchangeKind::Local | ExchangeKind::MergePartials,
+                NodeOutput::Partials { shards, .. },
+            ) => {
+                if shards.len() != tasks {
+                    return Err(Error::Execution(format!(
+                        "{} partials of {source} for the {tasks} tasks of {id}",
+                        shards.len()
+                    )));
+                }
+                return Ok(shards.clone());
+            }
+            (
+                ExchangeKind::Local | ExchangeKind::Gather | ExchangeKind::Broadcast,
+                NodeOutput::Gathered(d),
+            )
+            | (
+                ExchangeKind::Gather | ExchangeKind::Broadcast,
+                NodeOutput::Partials { gathered: d, .. },
+            ) => return Ok(vec![d.clone(); tasks]),
+            (
+                ExchangeKind::ShuffleHash { key, width },
+                NodeOutput::Gathered(d) | NodeOutput::Partials { gathered: d, .. },
+            ) => {
+                // A served edge replays its stored layout: zero rows
+                // cross the wire. A stale or mismatched entry falls back
+                // to routing.
+                let copy = copy_key(key, *width);
+                let rows = d.try_rows()?;
+                let lookup = |k: &CopyKey| registry.repartitions().lookup(k, rows.len());
+                let stored = copy.as_ref().filter(|_| edge.served).and_then(lookup);
+                let routes = match &stored {
+                    Some(buckets) => Routes::of_buckets(rows, buckets)?,
+                    None => Routes::of_rows(d.schema()?, rows, key, *width)?,
+                };
+                let mut split = Routed::new(d, routes.bytes.len())?;
+                split.push(d.row_buf()?.clone(), &routes)?;
+                (split, stored.is_some(), copy)
+            }
+            // The plan routes a producer only where no copy serves its
+            // edge.
+            (ExchangeKind::ShuffleHash { key, width }, NodeOutput::Routed(_)) => {
+                match outputs.remove(&source) {
+                    Some(NodeOutput::Routed(split)) => (split, false, copy_key(key, *width)),
+                    _ => return Err(missing()),
+                }
+            }
+            (ExchangeKind::MergePartials, NodeOutput::Gathered(_))
+            | (
+                ExchangeKind::Local
+                | ExchangeKind::Gather
+                | ExchangeKind::Broadcast
+                | ExchangeKind::MergePartials,
+                NodeOutput::Routed(_),
+            ) => {
+                return Err(Error::Execution(format!(
+                    "{kind} input {idx} of {id} cannot read how {source} holds its output"
+                )))
+            }
+        };
+        let (rows, bytes) = (split.len() as u64, split.byte_size());
+        let (buckets, origins) = split.into_buckets();
+        if buckets.len() != tasks {
+            return Err(Error::Execution(format!(
+                "shuffled node {id}: input {idx} routes to {} destinations, the plan has {tasks}",
+                buckets.len()
+            )));
+        }
+        if served {
+            barrier.served_rows += rows;
+            barrier.served_bytes += bytes;
+        } else {
+            barrier.routed_rows += rows;
+            barrier.bytes += bytes;
+            if let Some(k) = copy {
+                barrier.copies.push((k, origins.clone(), bytes));
+            }
+        }
+        if idx == 0 {
+            barrier.probe_origins = origins;
+        }
+        Ok(buckets)
+    }
+
+    /// Bills shuffled node `id`'s exchange by the price the planner
+    /// estimated it with: hash-partition the routed rows, serialize one
+    /// stream per destination shard, cross the exchange wire, decode on
+    /// the receivers — each kernel stage on the fleet's best device when
+    /// offload is enabled, the host otherwise. Row placement itself
+    /// always uses the stable FNV rule, so the device choice never moves
+    /// a byte. Each freshly routed edge then records its share of the
+    /// bill; once the cumulative shuffle spend on its key exceeds the
+    /// one-time memory copy ([`pspp_ir::repartition_pays`]), the layout
+    /// persists and the copy is charged to the barrier.
+    fn bill_shuffle(
+        &self,
+        id: NodeId,
+        barrier: &mut ShuffleBarrier,
+        registry: &EngineRegistry,
+        width: usize,
+    ) -> Result<()> {
+        if barrier.probe_origins.is_empty() {
+            return Err(Error::Execution(format!(
+                "shuffled node {id} has no shuffled probe side"
+            )));
+        }
+        let fleet = &registry.fleets().default;
+        let (rows, bytes) = (barrier.routed_rows, barrier.bytes);
+        let (bill, seconds) = price::shuffle_barrier(fleet, self.offload, rows, bytes, width);
+        barrier.seconds = seconds;
+        barrier.device = if bill.serialize_device != DeviceKind::Cpu {
+            bill.serialize_device
+        } else {
+            bill.partition_device
+        };
+        let repartitions = registry.repartitions();
+        for (key, buckets, edge_bytes) in std::mem::take(&mut barrier.copies) {
+            // No edge routes bytes when the exchange routes none.
+            let share = edge_bytes as f64 / bytes.max(1) as f64;
+            let cumulative = repartitions.observe(&key, bill.seconds * share);
+            if pspp_ir::repartition_pays(cumulative, edge_bytes) {
+                barrier.stored_bytes += edge_bytes;
+                repartitions.store(key, buckets, edge_bytes);
+            }
+        }
+        barrier.store_seconds = barrier.stored_bytes as f64 / pspp_ir::REPARTITION_COPY_BPS;
+        Ok(())
+    }
+
+    /// The merge point's one dispatch: node `id`'s task runs, in task
+    /// order, become its accounts and its output.
+    fn merge(
+        program: &Program,
+        id: NodeId,
+        merge: Merge,
+        group: Vec<NodeRun>,
+        registry: &EngineRegistry,
+    ) -> Result<(Accounts, NodeOutput)> {
+        let gathered = |run: NodeRun| (run.acc, NodeOutput::Gathered(run.output));
+        Ok(match merge {
+            Merge::Gather { keep_shards: false } | Merge::Demoted => {
+                gathered(Self::gather_runs(id, group)?)
+            }
+            Merge::Gather { keep_shards: true } => {
+                let shards = group.iter().map(|run| run.output.clone()).collect();
+                let run = Self::gather_runs(id, group)?;
+                let gathered = run.output;
+                (run.acc, NodeOutput::Partials { shards, gathered })
+            }
+            Merge::Route(width) => {
+                let (acc, split) = Self::route_runs(id, group, width)?;
+                (acc, NodeOutput::Routed(split))
+            }
+            Merge::Splice(barrier) => gathered(Self::splice_shuffle(id, group, &barrier)?),
+            Merge::Partials => gathered(Self::merge_partial_runs(program, id, group, registry)?),
+        })
     }
 
     /// The plain gather: folds one node's task runs into the first, in
@@ -928,36 +909,33 @@ impl Executor {
 
     /// The routed producer's merge: each task's rows move into their
     /// destinations' buckets, task (shard) order kept within each, and
-    /// the accounts fold into the first run as a gather's would.
-    fn route_runs(id: NodeId, group: Vec<NodeRun>, width: usize) -> Result<NodeRun> {
-        let mut acc: Option<(NodeRun, Routed)> = None;
+    /// the accounts fold into the first run's as a gather's would.
+    fn route_runs(id: NodeId, group: Vec<NodeRun>, width: usize) -> Result<(Accounts, Routed)> {
+        let mut routed: Option<(Accounts, Routed)> = None;
         for mut run in group {
-            let routes = run.routes.take().ok_or_else(|| {
-                Error::Execution(format!("a task of routed node {id} reported no routes"))
-            })?;
+            let Reported::Routes(routes) = run.reported else {
+                return Err(Error::Execution(format!(
+                    "a task of routed node {id} reported no routes"
+                )));
+            };
             let rows = run.output.take_rows()?;
-            match &mut acc {
-                None => {
-                    let mut split = Routed::new(&run.output, width)?;
-                    split.push(rows, &routes)?;
-                    acc = Some((run, split));
+            let (acc, mut split) = match routed.take() {
+                Some((mut first, split)) => {
+                    first.fold(run.acc);
+                    (first, split)
                 }
-                Some((first, split)) => {
-                    split.push(rows, &routes)?;
-                    first.fold_accounts(run);
-                }
-            }
+                None => (run.acc, Routed::new(&run.output, width)?),
+            };
+            split.push(rows, &routes)?;
+            routed = Some((acc, split));
         }
-        let (mut run, split) =
-            acc.ok_or_else(|| Error::Execution(format!("node {id} has no task run to route")))?;
-        run.routed = Some(split);
-        Ok(run)
+        routed.ok_or_else(|| Error::Execution(format!("node {id} has no task run to route")))
     }
 
     /// The per-shard partial operator of a partial-aggregate + merge
     /// `GroupBy` (see [`pspp_ir::partial_agg_specs`]).
-    fn partial_op(program: &Program, id: NodeId) -> Result<Operator> {
-        match &program.node(id).op {
+    fn partial_op(op: &Operator) -> Result<Operator> {
+        match op {
             Operator::GroupBy { keys, aggs } => Ok(Operator::GroupBy {
                 keys: keys.clone(),
                 aggs: pspp_ir::partial_agg_specs(aggs),
@@ -969,44 +947,23 @@ impl Executor {
         }
     }
 
-    /// Whether a partial-aggregate + merge `GroupBy` must fall back to
-    /// the gathered plan to stay bit-identical: float addition is not
-    /// associative, so a `Sum`/`Avg` over a `Float` column would merge
-    /// to different low bits than the single-site left-to-right fold.
-    /// Integer columns (and `Count`/`Min`/`Max` over anything) are
-    /// exact, so they keep the per-shard split. The check reads the
-    /// input's schema from its first shard partial.
-    fn merge_would_reassociate_floats(
-        program: &Program,
-        id: NodeId,
-        partials: &HashMap<NodeId, Vec<Dataset>>,
-        plan: &ShardPlan,
-    ) -> Result<bool> {
-        let Operator::GroupBy { aggs, .. } = &program.node(id).op else {
+    /// Whether a partial-aggregate + merge of `op` over `input` must
+    /// fall back to the gathered plan to stay bit-identical: float
+    /// addition is not associative, so a `Sum`/`Avg` over a `Float`
+    /// column would merge to different low bits than the single-site
+    /// left-to-right fold. Integer columns (and `Count`/`Min`/`Max` over
+    /// anything) are exact, so they keep the per-shard split.
+    fn reassociates_floats(op: &Operator, input: Option<&NodeOutput>) -> Result<bool> {
+        let (Operator::GroupBy { aggs, .. }, Some(NodeOutput::Partials { gathered, .. })) =
+            (op, input)
+        else {
             return Ok(false);
         };
-        let node = program.node(id);
-        for (idx, input) in node.inputs.iter().enumerate() {
-            if !matches!(plan.node(id).exchange(idx), ExchangeKind::MergePartials) {
-                continue;
-            }
-            let Some(partial) = partials.get(input).and_then(|p| p.first()) else {
-                continue;
-            };
-            let schema = partial.schema()?;
-            for a in aggs {
-                if !matches!(a.func, pspp_ir::AggFn::Sum | pspp_ir::AggFn::Avg) {
-                    continue;
-                }
-                if schema
-                    .field(&a.column)
-                    .is_some_and(|f| f.data_type == pspp_common::DataType::Float)
-                {
-                    return Ok(true);
-                }
-            }
-        }
-        Ok(false)
+        let schema = gathered.schema()?;
+        Ok(aggs.iter().any(|a| {
+            matches!(a.func, AggFn::Sum | AggFn::Avg)
+                && (schema.field(&a.column)).is_some_and(|f| f.data_type == DataType::Float)
+        }))
     }
 
     /// The shuffle barrier: splices per-destination join outputs back
@@ -1027,9 +984,13 @@ impl Executor {
         let (mut total, mut byte_size) = (0usize, 0u64);
         let mut acc: Option<NodeRun> = None;
         for (d, mut run) in group.into_iter().enumerate() {
-            let counts = run.probe_counts.take().ok_or_else(|| {
-                Error::Execution(format!("shuffled task of {id} reported no match counts"))
-            })?;
+            let Reported::MatchCounts(counts) =
+                std::mem::replace(&mut run.reported, Reported::Nothing)
+            else {
+                return Err(Error::Execution(format!(
+                    "shuffled task of {id} reported no match counts"
+                )));
+            };
             let out_rows = run.output.take_rows().map_err(|_| {
                 Error::Execution(format!("shuffled node {id} produced a non-row output"))
             })?;
@@ -1054,7 +1015,7 @@ impl Executor {
             streams.push((chunks.peekable(), out_rows.into_rows().into_iter()));
             match &mut acc {
                 None => acc = Some(run),
-                Some(first) => first.fold_accounts(run),
+                Some(first) => first.acc.fold(run.acc),
             }
         }
         let mut run =
@@ -1080,43 +1041,21 @@ impl Executor {
         }
         // The exchange rides the node's critical path and charges its
         // rows as migration-class transfer work.
-        run.migration_seconds += barrier.seconds + barrier.store_seconds;
-        run.critical_seconds += barrier.seconds + barrier.store_seconds;
-        run.events.push(CostEvent {
-            component: "exchange.shuffle".into(),
-            device: barrier.device,
-            kind: EventKind::Transfer,
-            bytes: barrier.bytes,
-            duration: SimDuration::from_secs(barrier.seconds),
-            energy_j: 0.0,
-        });
-        run.exchanges.push(ExchangeTrace {
-            kind: "shuffle",
-            rows: barrier.routed_rows as usize,
-            bytes: barrier.bytes as usize,
-            seconds: barrier.seconds,
-            device: barrier.device,
-        });
+        let acc = &mut run.acc;
+        acc.migration_seconds += barrier.seconds + barrier.store_seconds;
+        acc.critical_seconds += barrier.seconds + barrier.store_seconds;
+        let (device, rows, bytes) = (barrier.device, barrier.routed_rows, barrier.bytes);
+        acc.transfer("exchange.shuffle", device, bytes, barrier.seconds);
+        acc.trace("shuffle", device, rows, bytes, barrier.seconds);
         if barrier.stored_bytes > 0 {
-            run.events.push(CostEvent {
-                component: "exchange.materialize".into(),
-                device: DeviceKind::Cpu,
-                kind: EventKind::Transfer,
-                bytes: barrier.stored_bytes,
-                duration: SimDuration::from_secs(barrier.store_seconds),
-                energy_j: 0.0,
-            });
+            let (bytes, seconds) = (barrier.stored_bytes, barrier.store_seconds);
+            acc.transfer("exchange.materialize", DeviceKind::Cpu, bytes, seconds);
         }
         if barrier.served_rows > 0 {
             // Served edges replay stored buckets — no wire crossing, no
             // charge; the trace records the movement they avoided.
-            run.exchanges.push(ExchangeTrace {
-                kind: "materialized",
-                rows: barrier.served_rows as usize,
-                bytes: barrier.served_bytes as usize,
-                seconds: 0.0,
-                device: DeviceKind::Cpu,
-            });
+            let (rows, bytes) = (barrier.served_rows, barrier.served_bytes);
+            acc.trace("materialized", DeviceKind::Cpu, rows, bytes, 0.0);
         }
         Ok(run)
     }
@@ -1138,16 +1077,10 @@ impl Executor {
         };
         let width = group.len();
         let mut run = Self::gather_runs(id, group)?;
-        let specs: Vec<pspp_relstore::AggregateSpec> = aggs
-            .iter()
-            .map(|a| {
-                pspp_relstore::AggregateSpec::new(
-                    physical::agg_fn(a.func),
-                    a.column.clone(),
-                    a.output.clone(),
-                )
-            })
-            .collect();
+        let spec = |a: &AggSpec| {
+            AggregateSpec::new(physical::agg_fn(a.func), a.column.clone(), a.output.clone())
+        };
+        let specs: Vec<AggregateSpec> = aggs.iter().map(spec).collect();
         let partial_bytes = run.output.byte_size();
         let (schema, rows) = {
             let Payload::Rows { schema, rows } = &run.output.payload else {
@@ -1161,49 +1094,34 @@ impl Executor {
         // The merge splices partial states on the host: charge it like
         // an exchange barrier on the critical path.
         let seconds = price::splice(&registry.fleets().default, width, run.output.len() as f64);
-        run.migration_seconds += seconds;
-        run.critical_seconds += seconds;
-        run.events.push(CostEvent {
-            component: "exchange.merge".into(),
-            device: DeviceKind::Cpu,
-            kind: EventKind::Transfer,
-            bytes: partial_bytes,
-            duration: SimDuration::from_secs(seconds),
-            energy_j: 0.0,
-        });
-        run.exchanges.push(ExchangeTrace {
-            kind: "merge",
-            rows: run.output.len(),
-            bytes: partial_bytes as usize,
-            seconds,
-            device: DeviceKind::Cpu,
-        });
+        let acc = &mut run.acc;
+        acc.migration_seconds += seconds;
+        acc.critical_seconds += seconds;
+        acc.transfer("exchange.merge", DeviceKind::Cpu, partial_bytes, seconds);
+        let rows = run.output.len() as u64;
+        acc.trace("merge", DeviceKind::Cpu, rows, partial_bytes, seconds);
         Ok(run)
     }
 
     /// Executes one (node, shard) task against a private scoped ledger:
     /// placement, input migration, the operator's run, and cost
     /// attribution — migration and kernel charges post per shard task.
-    /// `op` overrides the node's operator (the per-shard partial of a
-    /// merged aggregation); `None` runs the node's own.
+    /// The task's role picks the operator (the node's own, or the
+    /// per-shard partial of a merged aggregation) and what the task
+    /// reports beside its rows.
     fn run_node(
         &self,
         program: &Program,
         task: Task,
         registry: &EngineRegistry,
     ) -> Result<NodeRun> {
-        let Task {
-            id,
-            shard,
-            slot,
-            inputs,
-            op,
-            count_matches,
-            route,
-        } = task;
+        let (id, shard, slot, role) = (task.id, task.shard, task.slot, &task.role);
         let node = program.node(id);
-        let op = op.as_ref().unwrap_or(&node.op);
-        if count_matches && !matches!(op, Operator::HashJoin { .. }) {
+        let op = match role {
+            Role::Partial(op) => op,
+            Role::Run | Role::Count | Role::Route(..) => &node.op,
+        };
+        if matches!(role, Role::Count) && !matches!(op, Operator::HashJoin { .. }) {
             return Err(Error::Execution(format!(
                 "shuffle planned for non-hash-join {id}"
             )));
@@ -1213,21 +1131,19 @@ impl Executor {
         if let Some(metrics) = &self.metrics {
             placer = placer.with_metrics(metrics.clone());
         }
-        let target = Placer::target_engine_of(node, &inputs);
+        let target = Placer::target_engine_of(node, &task.inputs);
         // An input that crosses engines is rebuilt by the codec, from
         // the columns its producer's consumers read and no others.
-        let demands: Vec<Option<&ColumnDemand>> = node
-            .inputs
-            .iter()
-            .map(|&i| {
-                program
-                    .node(resolve_fused(program, i))
-                    .annotations
-                    .demand
-                    .as_ref()
-            })
-            .collect();
-        let (inputs, bill) = placer.stage_datasets(inputs, &demands, target.as_ref(), registry)?;
+        let demand = |&i: &NodeId| {
+            program
+                .node(resolve_fused(program, i))
+                .annotations
+                .demand
+                .as_ref()
+        };
+        let demands: Vec<Option<&ColumnDemand>> = node.inputs.iter().map(demand).collect();
+        let (inputs, bill) =
+            placer.stage_datasets(task.inputs, &demands, target.as_ref(), registry)?;
 
         // The task runs against the fleet of the shard it executes at
         // (heterogeneous deployments attach different devices per
@@ -1236,13 +1152,11 @@ impl Executor {
         // annotation for unsharded plans, and to the host when this
         // shard's fleet has no such device attached.
         let fleet = registry.fleets().at(shard);
-        let planned = node
-            .annotations
-            .shard_devices
-            .as_ref()
-            .and_then(|picks| picks.get(slot).copied())
-            .or(node.annotations.device)
-            .unwrap_or(DeviceKind::Cpu);
+        let annotations = &node.annotations;
+        let at_slot = |picks: &Vec<DeviceKind>| picks.get(slot).copied();
+        let planned = (annotations.shard_devices.as_ref().and_then(at_slot))
+            .or(annotations.device)
+            .unwrap_or_default();
         let device =
             if self.offload && (planned == DeviceKind::Cpu || fleet.device(planned).is_some()) {
                 planned
@@ -1250,37 +1164,39 @@ impl Executor {
                 DeviceKind::Cpu
             };
         // A shuffled-join bucket's join also reports its per-probe-row
-        // match counts — the barrier's splice chunk sizes.
-        let probe_counts = OnceLock::new();
-        let mut ctx = ExecCtx::new(fleet, &scoped_ledger, self.offload)
+        // match counts — the barrier's splice chunk sizes. A routed
+        // producer's task learns where each row goes from the operator
+        // when it can say (a relational scan), else from the rows it
+        // returned.
+        let (probe_counts, routes) = (OnceLock::new(), OnceLock::new());
+        let ctx = ExecCtx::new(fleet, &scoped_ledger, self.offload)
             .at_shard(shard)
             .demanding(node.annotations.demand.as_ref());
-        if count_matches {
-            ctx = ctx.counting_probe_matches(&probe_counts);
-        }
-        if let Some(n) = Self::kept_by_limit(program, id, op) {
-            ctx = ctx.ordering_only(n);
-        }
-        // A routed producer's task learns where each row goes from the
-        // operator when it can say (a relational scan), else from the
-        // rows it returned.
-        let routes = OnceLock::new();
-        if let Some((key, width)) = route {
-            ctx = ctx.routing(RouteRequest {
+        let mut ctx = match role {
+            Role::Count => ctx.counting_probe_matches(&probe_counts),
+            &Role::Route(key, width) => ctx.routing(RouteRequest {
                 key,
                 width,
                 routes: &routes,
-            });
+            }),
+            Role::Run | Role::Partial(_) => ctx,
+        };
+        if let Some(n) = Self::kept_by_limit(program, id, op) {
+            ctx = ctx.ordering_only(n);
         }
         let output = physical::run(op, &inputs, target.as_ref(), registry, &ctx)?;
-        let routes = match (routes.into_inner(), route) {
-            (None, Some((key, width))) => Some(Routes::of_rows(
+        let reported = match (role, routes.into_inner()) {
+            (Role::Count, _) => probe_counts
+                .into_inner()
+                .map_or(Reported::Nothing, Reported::MatchCounts),
+            (Role::Route(..), Some(answered)) => Reported::Routes(answered),
+            (&Role::Route(key, width), None) => Reported::Routes(Routes::of_rows(
                 output.schema()?,
                 output.try_rows()?,
                 key,
                 width,
             )?),
-            (answered, _) => answered,
+            (Role::Run | Role::Partial(_), _) => Reported::Nothing,
         };
 
         // Charge the simulated clock with actual sizes: the volume the
@@ -1297,13 +1213,10 @@ impl Executor {
         // tag (counted fission, never silent), and non-head members
         // read device-resident input over the local link instead of
         // paying the attachment's PCIe transfer.
-        let fused = node
-            .annotations
-            .shard_fusion
-            .as_ref()
-            .and_then(|tags| tags.get(slot).copied())
-            .flatten()
-            .filter(|_| device == planned && device != DeviceKind::Cpu);
+        let on_planned_device = device == planned && device != DeviceKind::Cpu;
+        let tags = annotations.shard_fusion.as_ref();
+        let fused = tags.and_then(|tags| tags.get(slot).copied().flatten());
+        let fused = fused.filter(|_| on_planned_device);
         let resident = fused.is_some_and(|tag| tag.pos > 0);
         let (exec_seconds, fused_saved_seconds) = self.charge(
             fleet,
@@ -1317,15 +1230,9 @@ impl Executor {
         // A contended device serves this slot after its queue wait; the
         // wait rides the critical path (and the ledger), but only when
         // the task really ran on the contended device.
-        let queue_seconds = if device != DeviceKind::Cpu && device == planned {
-            node.annotations
-                .shard_queue_waits
-                .as_ref()
-                .and_then(|w| w.get(slot).copied())
-                .unwrap_or(0.0)
-        } else {
-            0.0
-        };
+        let waits = annotations.shard_queue_waits.as_ref();
+        let wait = waits.and_then(|w| w.get(slot).copied()).unwrap_or(0.0);
+        let queue_seconds = if on_planned_device { wait } else { 0.0 };
         if queue_seconds > 0.0 {
             scoped_ledger.post(
                 format!("executor.queue_wait@{id}"),
@@ -1350,20 +1257,19 @@ impl Executor {
             fused,
             fused_saved_seconds,
         };
-        Ok(NodeRun {
-            id,
-            output,
+        let acc = Accounts {
             exec_seconds,
             migration_seconds: bill.seconds,
             critical_seconds,
-            offloaded: device != DeviceKind::Cpu && fleet.device(device).is_some(),
-            assignments: vec![(shard, device)],
             events: scoped_ledger.events(),
-            probe_counts: probe_counts.into_inner(),
-            routes,
-            routed: None,
             tasks: vec![task_trace],
             exchanges: Vec::new(),
+        };
+        Ok(NodeRun {
+            id,
+            output,
+            reported,
+            acc,
         })
     }
 
@@ -1438,6 +1344,15 @@ impl Executor {
             _ => None,
         }
     }
+}
+
+/// Whether a node ran on an attached accelerator: a task leaves the host
+/// only for a device its shard's fleet attaches.
+fn offloaded(trace: &NodeTrace) -> bool {
+    trace
+        .tasks
+        .iter()
+        .any(|task| task.device != DeviceKind::Cpu)
 }
 
 /// Sequential and pipelined makespans over live-node stage times.
@@ -2749,17 +2664,8 @@ mod tests {
                 pspp_common::DataModel::Relational,
                 EngineId::new("db1"),
             ),
-            exec_seconds: 0.0,
-            migration_seconds: 0.0,
-            critical_seconds: 0.0,
-            offloaded: false,
-            assignments: Vec::new(),
-            events: Vec::new(),
-            probe_counts,
-            routes: None,
-            routed: None,
-            tasks: Vec::new(),
-            exchanges: Vec::new(),
+            reported: probe_counts.map_or(Reported::Nothing, Reported::MatchCounts),
+            acc: Accounts::default(),
         }
     }
 
@@ -2767,14 +2673,7 @@ mod tests {
     fn barrier_of(probe_origins: Vec<Vec<usize>>) -> ShuffleBarrier {
         ShuffleBarrier {
             probe_origins,
-            routed_rows: 0,
-            bytes: 0,
-            seconds: 0.0,
-            device: DeviceKind::Cpu,
-            served_rows: 0,
-            served_bytes: 0,
-            stored_bytes: 0,
-            store_seconds: 0.0,
+            ..ShuffleBarrier::default()
         }
     }
 
@@ -2791,6 +2690,10 @@ mod tests {
         assert!(execution_error(Executor::gather_runs(id, Vec::new())).contains("n7"));
         let barrier = barrier_of(vec![Vec::new()]);
         assert!(execution_error(Executor::splice_shuffle(id, Vec::new(), &barrier)).contains("n7"));
+        assert!(execution_error(Executor::route_runs(id, Vec::new(), 2)).contains("n7"));
+        // A routed producer's task that reported no routes is typed too.
+        let silent = vec![run_of(id, &[1], None)];
+        assert!(execution_error(Executor::route_runs(id, silent, 2)).contains("no routes"));
 
         let mut p = Program::new();
         let s = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
@@ -2812,16 +2715,134 @@ mod tests {
         let s = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
         let lim = p.add_node(Operator::Limit { n: 5 }, vec![s], "sql");
         let plan = Placer::plan_distribution(&p, &registry(), PlanOptions::default()).unwrap();
-        // No results at all: the limit's input is unknown.
-        let msg = execution_error(Executor::task_inputs(
-            &p,
-            lim,
-            None,
-            &HashMap::new(),
-            &HashMap::new(),
-            &plan,
-        ));
+        // No outputs at all: the limit's input is unknown.
+        let got = exec().node_tasks(&p, lim, &plan, &registry(), &mut HashMap::new());
+        let msg = execution_error(got);
         assert!(msg.contains(&lim.to_string()), "got {msg}");
+    }
+
+    /// Every (exchange kind, producer output) pair through the task
+    /// boundary's dispatch, for a node of two tasks over three rows: a
+    /// pair the plan produces hands each task its shard, its bucket or
+    /// the whole copy; any other pair is a typed error, never a panic.
+    #[test]
+    fn every_exchange_reads_every_held_output_or_fails_typed() {
+        let registry = registry();
+        let mut p = Program::new();
+        let s = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
+        let on = || "k".to_string();
+        let join = Operator::HashJoin {
+            left_on: on(),
+            right_on: on(),
+        };
+        let j = p.add_node(join, vec![s, s], "sql");
+        let rows = |keys: &[i64]| run_of(s, keys, None).output;
+        let held = || {
+            let whole = rows(&[1, 2, 3]);
+            let routes =
+                Routes::of_rows(whole.schema().unwrap(), whole.try_rows().unwrap(), "k", 2);
+            let mut split = Routed::new(&whole, 2).unwrap();
+            split
+                .push(whole.row_buf().unwrap().clone(), &routes.unwrap())
+                .unwrap();
+            [
+                NodeOutput::Gathered(whole.clone()),
+                NodeOutput::Partials {
+                    shards: vec![rows(&[1]), rows(&[2, 3])],
+                    gathered: whole,
+                },
+                NodeOutput::Routed(split),
+            ]
+        };
+        let kinds = [
+            ExchangeKind::Local,
+            ExchangeKind::Gather,
+            ExchangeKind::Broadcast,
+            ExchangeKind::ShuffleHash {
+                key: on(),
+                width: 2,
+            },
+            ExchangeKind::MergePartials,
+        ];
+        for kind in &kinds {
+            for output in held() {
+                // Rows over both tasks: split three, copied six, or an
+                // error. No `_` arm, so a new kind or variant must say.
+                let want = match (kind, &output) {
+                    (
+                        ExchangeKind::Local | ExchangeKind::MergePartials,
+                        NodeOutput::Partials { .. },
+                    )
+                    | (
+                        ExchangeKind::ShuffleHash { .. },
+                        NodeOutput::Gathered(_)
+                        | NodeOutput::Partials { .. }
+                        | NodeOutput::Routed(_),
+                    ) => Some(3),
+                    (
+                        ExchangeKind::Local | ExchangeKind::Gather | ExchangeKind::Broadcast,
+                        NodeOutput::Gathered(_),
+                    )
+                    | (
+                        ExchangeKind::Gather | ExchangeKind::Broadcast,
+                        NodeOutput::Partials { .. },
+                    ) => Some(6),
+                    (ExchangeKind::MergePartials, NodeOutput::Gathered(_))
+                    | (
+                        ExchangeKind::Local
+                        | ExchangeKind::Gather
+                        | ExchangeKind::Broadcast
+                        | ExchangeKind::MergePartials,
+                        NodeOutput::Routed(_),
+                    ) => None,
+                };
+                let was_routed = matches!(output, NodeOutput::Routed(_));
+                let mut outputs = HashMap::from([(s, output)]);
+                let edge = Edge {
+                    id: j,
+                    idx: 0,
+                    input: s,
+                    kind,
+                    served: false,
+                    tasks: 2,
+                };
+                let mut barrier = ShuffleBarrier::default();
+                let got = exec().edge_inputs(&p, &registry, edge, &mut outputs, &mut barrier);
+                let Some(want) = want else {
+                    let msg = execution_error(got);
+                    assert!(msg.contains(&kind.to_string()), "{kind}: {msg}");
+                    continue;
+                };
+                let inputs = got.unwrap_or_else(|e| panic!("{kind}: {e}"));
+                assert_eq!(inputs.len(), 2, "{kind}");
+                assert_eq!(
+                    inputs.iter().map(Dataset::len).sum::<usize>(),
+                    want,
+                    "{kind}"
+                );
+                // A shuffle takes a routed producer's rows; every other
+                // reader leaves the output where it was.
+                let shuffled = matches!(kind, ExchangeKind::ShuffleHash { .. });
+                assert_eq!(outputs.contains_key(&s), !(shuffled && was_routed));
+            }
+        }
+
+        // Partials or buckets other than one per task are typed too.
+        for kind in [&kinds[0], &kinds[3]] {
+            let [_, partials, _] = held();
+            let mut outputs = HashMap::from([(s, partials)]);
+            let edge = Edge {
+                id: j,
+                idx: 0,
+                input: s,
+                kind,
+                served: false,
+                tasks: 3,
+            };
+            let got =
+                exec().edge_inputs(&p, &registry, edge, &mut outputs, &mut Default::default());
+            execution_error(got);
+        }
     }
 
     #[test]
@@ -2858,7 +2879,7 @@ mod tests {
         assert!(msg.contains("destination 2"), "got {msg}");
         // A task whose join reported nothing is typed too.
         let mut silent = group(vec![2, 0]);
-        silent[1].probe_counts = None;
+        silent[1].reported = Reported::Nothing;
         let msg = execution_error(Executor::splice_shuffle(id, silent, &barrier));
         assert!(msg.contains("no match counts"), "got {msg}");
     }

@@ -195,7 +195,7 @@ fn program(filter: Filter, project: bool, sides_read: bool) -> (Program, Nodes) 
 }
 
 /// What the join's destination tasks are handed, and its barrier: the
-/// stage loop of [`Executor::execute`] up to the join.
+/// executor's own stage step up to the join, then its task boundary.
 fn shuffle_of(
     exec: &Executor,
     p: &Program,
@@ -203,37 +203,19 @@ fn shuffle_of(
     registry: &EngineRegistry,
     join: NodeId,
 ) -> (Vec<Vec<Dataset>>, ShuffleBarrier) {
-    let (mut results, mut partials, mut routed) = (HashMap::new(), HashMap::new(), HashMap::new());
+    let mut outputs = HashMap::new();
     for stage in p.execution_stages().unwrap() {
-        for &id in &stage.forwards {
-            if let Some(d) = results.get(&p.node(id).inputs[0]).cloned() {
-                results.insert(id, d);
-            }
-        }
         if stage.compute.contains(&join) {
-            return exec
-                .shuffle_inputs(p, join, plan, &results, &mut routed, registry)
+            let (tasks, merge) = exec
+                .node_tasks(p, join, plan, registry, &mut outputs)
                 .unwrap();
+            let Merge::Splice(barrier) = merge else {
+                panic!("a shuffled join merges by splicing, not by {merge:?}");
+            };
+            return (tasks.into_iter().map(|t| t.inputs).collect(), barrier);
         }
-        let (runs, retained) = exec
-            .run_stage(
-                p,
-                &stage.compute,
-                &results,
-                &partials,
-                &mut routed,
-                plan,
-                registry,
-            )
+        exec.run_stage(p, &stage.compute, plan, registry, &mut outputs)
             .unwrap();
-        for run in runs {
-            if let Some(split) = run.routed {
-                routed.insert(run.id, split);
-            } else {
-                results.insert(run.id, run.output);
-            }
-        }
-        partials.extend(retained);
     }
     unreachable!("the join runs in some stage")
 }

@@ -2,8 +2,7 @@
 //!
 //! Holds named series of `(timestamp, f64)` points (the paper's ICU
 //! bedside-device feeds and clickstreams, Fig. 1–2), with native
-//! operators: append, range query, tumbling-window aggregation and
-//! rate-of-change.
+//! operators: append, range query and tumbling-window aggregation.
 //!
 //! # Examples
 //!
@@ -167,22 +166,6 @@ impl TimeseriesStore {
         Ok(out)
     }
 
-    /// Discrete rate of change between consecutive points (per time unit).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TableNotFound`] for unknown series.
-    pub fn rate(&self, series: &str) -> Result<Vec<Point>> {
-        let s = self
-            .series
-            .get(series)
-            .ok_or_else(|| Error::TableNotFound(format!("series {series}")))?;
-        Ok(s.windows(2)
-            .filter(|w| w[1].0 > w[0].0)
-            .map(|w| (w[1].0, (w[1].1 - w[0].1) / (w[1].0 - w[0].0) as f64))
-            .collect())
-    }
-
     /// Exports a series as relational rows `(ts: Timestamp, value: Float)`
     /// — the CAST projection used by the data migrator.
     ///
@@ -340,14 +323,6 @@ mod tests {
             .window_aggregate("s", i64::MAX - 250, i64::MAX, 100, WindowAgg::Last)
             .unwrap();
         assert_eq!(near_top, vec![(i64::MAX - 50, 4.0)]);
-    }
-
-    #[test]
-    fn rate_of_change() {
-        let ts = store();
-        let r = ts.rate("s").unwrap();
-        assert_eq!(r.len(), 9);
-        assert!((r[0].1 - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::value::{DataType, Value};
-use crate::{Error, Field, Result, Row, Schema};
+use crate::{ColumnSource, Error, Field, Result, Row, Schema};
 
 /// A typed column of values with an optional validity (non-null) mask.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -82,6 +82,19 @@ impl Column {
             Column::Str(v) => Value::Str(v[idx].clone()),
             Column::Bytes(v) => Value::Bytes(v[idx].clone()),
             Column::Timestamp(v) => Value::Timestamp(v[idx]),
+        }
+    }
+
+    /// The entries at `at`, in that order; panics at an index out of
+    /// bounds.
+    fn gather(&self, at: impl Iterator<Item = usize>) -> Column {
+        match self {
+            Column::Bool(v) => Column::Bool(at.map(|p| v[p]).collect()),
+            Column::Int(v) => Column::Int(at.map(|p| v[p]).collect()),
+            Column::Float(v) => Column::Float(at.map(|p| v[p]).collect()),
+            Column::Str(v) => Column::Str(at.map(|p| v[p].clone()).collect()),
+            Column::Bytes(v) => Column::Bytes(at.map(|p| v[p].clone()).collect()),
+            Column::Timestamp(v) => Column::Timestamp(at.map(|p| v[p]).collect()),
         }
     }
 
@@ -205,7 +218,7 @@ impl Batch {
     /// ships when its consumers read only some. Every row's arity and
     /// every kept value's type and nullability are checked as
     /// [`Batch::from_slice`] checks them; a column left out is never
-    /// read.
+    /// read. [`Batch::from_source`] over every row of `rows`.
     ///
     /// # Errors
     ///
@@ -216,39 +229,93 @@ impl Batch {
     ///
     /// Panics if a position in `keep` is out of `schema`'s bounds.
     pub fn from_columns(schema: &Schema, rows: &[Row], keep: &[usize]) -> Result<Batch> {
-        let fields: Vec<Field> = keep.iter().map(|&c| schema.fields()[c].clone()).collect();
-        let mut columns: Vec<Column> = fields.iter().map(|f| Column::empty(f.data_type)).collect();
-        let mut validity = vec![Vec::with_capacity(rows.len()); keep.len()];
-        for row in rows {
-            if row.len() != schema.arity() {
+        Batch::from_source(schema, ColumnSource { rows, typed: &[] }, None, keep)
+    }
+
+    /// A batch of columns `keep` of the rows of `source` at `positions`
+    /// (every row, in order, when `None`), under `schema`'s fields
+    /// there: the batch [`Batch::from_columns`] makes of the rows read,
+    /// and an error where it makes none. A column at a time: one with a
+    /// typed image is copied out of the image at the positions, its
+    /// cleared validity flags the NULLs; one without is read through the
+    /// rows. An image with an entry per column of `schema` is of rows of
+    /// that arity (see [`ColumnSource`]); without one every row read is
+    /// checked.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::SchemaMismatch`] if a row's arity is not
+    /// `schema`'s or a kept value violates its field: a wrong arity
+    /// before any value, then the first violation of the first kept
+    /// column, in `keep` order, that has one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position in `keep` is out of `schema`'s bounds, or a
+    /// position in `positions` out of `source`'s.
+    pub fn from_source(
+        schema: &Schema,
+        source: ColumnSource<'_>,
+        positions: Option<&[u32]>,
+        keep: &[usize],
+    ) -> Result<Batch> {
+        let num_rows = positions.map_or(source.rows.len(), <[u32]>::len);
+        let at = |i: usize| positions.map_or(i, |p| p[i] as usize);
+        let vouched = !source.typed.is_empty() && source.typed.len() == schema.arity();
+        if !vouched {
+            let arity = |i| source.rows[at(i)].len();
+            if let Some(got) = (0..num_rows).map(arity).find(|&n| n != schema.arity()) {
                 return Err(Error::SchemaMismatch(format!(
-                    "expected {} columns, got {}",
-                    schema.arity(),
-                    row.len()
+                    "expected {} columns, got {got}",
+                    schema.arity()
                 )));
             }
-            for (k, (&c, field)) in keep.iter().zip(&fields).enumerate() {
-                let value = &row[c];
-                if value.is_null() && !field.nullable {
-                    return Err(Error::SchemaMismatch(format!(
-                        "null in not-null column {}",
-                        field.name
-                    )));
+        }
+        let fields: Vec<Field> = keep.iter().map(|&c| schema.fields()[c].clone()).collect();
+        let mut columns = Vec::with_capacity(keep.len());
+        let mut validity = Vec::with_capacity(keep.len());
+        for (&c, field) in keep.iter().zip(&fields) {
+            let null = || Error::SchemaMismatch(format!("null in not-null column {}", field.name));
+            let mismatch = |value: &Value| {
+                Error::SchemaMismatch(format!(
+                    "column {} expects {}, got {value:?}",
+                    field.name, field.data_type
+                ))
+            };
+            if let Some((values, valid)) = source.typed.get(c).and_then(Option::as_ref) {
+                let flags: Vec<bool> = (0..num_rows).map(|i| valid[at(i)]).collect();
+                if !field.nullable && flags.contains(&false) {
+                    return Err(null());
                 }
-                if !columns[k].push(value) {
-                    return Err(Error::SchemaMismatch(format!(
-                        "column {} expects {}, got {value:?}",
-                        field.name, field.data_type
-                    )));
+                if values.data_type() != field.data_type {
+                    if let Some(i) = flags.iter().position(|&v| v) {
+                        return Err(mismatch(&values.value(at(i))));
+                    }
                 }
-                validity[k].push(!value.is_null());
+                columns.push(values.gather((0..num_rows).map(at)));
+                validity.push(flags);
+                continue;
             }
+            let mut column = Column::empty(field.data_type);
+            let mut flags = Vec::with_capacity(num_rows);
+            for i in 0..num_rows {
+                let value = &source.rows[at(i)][c];
+                if value.is_null() && !field.nullable {
+                    return Err(null());
+                }
+                if !column.push(value) {
+                    return Err(mismatch(value));
+                }
+                flags.push(!value.is_null());
+            }
+            columns.push(column);
+            validity.push(flags);
         }
         Ok(Batch {
             schema: Schema::from_fields(fields),
             columns,
             validity,
-            num_rows: rows.len(),
+            num_rows,
         })
     }
 
@@ -385,6 +452,52 @@ mod tests {
         let null = vec![Row::from(vec![Value::Null])];
         assert!(Batch::from_columns(&strict, &null, &[0]).is_err());
         assert!(Batch::from_columns(&strict, &null, &[]).is_ok());
+    }
+
+    #[test]
+    fn a_source_with_an_image_batches_as_its_rows_do() {
+        let rows = vec![
+            row![1i64, "a", 0.5],
+            Row::from(vec![Value::Null, Value::from("b"), Value::Null]),
+            row![3i64, "c", 2.5],
+        ];
+        // `id` and `w` imaged (a NULL holds the default), `name` not.
+        let typed = vec![
+            Some((Column::Int(vec![1, 0, 3]), vec![true, false, true])),
+            None,
+            Some((Column::Float(vec![0.5, 0.0, 2.5]), vec![true, false, true])),
+        ];
+        let source = ColumnSource {
+            rows: &rows,
+            typed: &typed,
+        };
+        let positions = [2, 1, 2];
+        let picked: Vec<Row> = positions
+            .iter()
+            .map(|&p| rows[p as usize].clone())
+            .collect();
+        for keep in [&[2, 0, 1][..], &[1], &[], &[0, 0]] {
+            assert_eq!(
+                Batch::from_source(&schema(), source, Some(&positions), keep),
+                Batch::from_columns(&schema(), &picked, keep),
+                "{keep:?}"
+            );
+        }
+        // A NULL in a not-null field is read off the validity flag, and
+        // the first kept column with a violation is the one reported.
+        let strict = Schema::from_fields(
+            schema()
+                .fields()
+                .iter()
+                .map(|f| Field {
+                    nullable: false,
+                    ..f.clone()
+                })
+                .collect(),
+        );
+        let got = Batch::from_source(&strict, source, Some(&positions), &[1, 2, 0]);
+        assert_eq!(got, Batch::from_columns(&strict, &picked, &[1, 2, 0]));
+        assert!(matches!(got, Err(Error::SchemaMismatch(m)) if m == "null in not-null column w"));
     }
 
     #[test]

@@ -8,15 +8,19 @@
 //!
 //! # Selections
 //!
-//! Filtering, projection, sorting and grouping read their input as
-//! [`Selected`] rows: positions into a [`ColumnSource`] — a scan's kept
-//! positions over the table's rows and typed image — or every row of a
-//! slice. They read a key or a value out of the typed image where its
-//! column has one and through the row where it has none, and return
-//! positions of the source ([`filter_at`], [`sort_at`]) or the rows
-//! they build ([`project_at`], [`group_by_at`]). The entry points over
-//! `&[Row]` ([`filter_rows`], [`project`], [`sort_rows`], [`group_by`])
-//! are the same code over every row of the slice.
+//! Every kernel reads its input as [`Selected`] rows: positions into a
+//! [`ColumnSource`] — a scan's kept positions over the table's rows and
+//! typed image — or every row of a slice. It reads a key or a value out
+//! of the typed image where its column has one and through the row
+//! where it has none, and returns positions of the source
+//! ([`filter_at`], [`sort_at`]) or the rows it builds ([`project_at`],
+//! [`group_by_at`], and the joins, [`hash_join_with`] and
+//! [`sort_merge_join_with`], which build the matched pairs alone). A
+//! migration batches the rows read the same way
+//! ([`Selected::to_batch`]). The entry points over `&[Row]`
+//! ([`filter_rows`], [`project`], [`sort_rows`], [`group_by`],
+//! [`hash_join`], [`sort_merge_join`]) are the same code over every row
+//! of the slice.
 //!
 //! # Key words
 //!
@@ -65,7 +69,7 @@ use std::hash::Hash;
 use serde::{Deserialize, Serialize};
 
 use pspp_common::{
-    Column, ColumnSource, Error, FxBuildHasher, FxHasher, Predicate, Result, Row, Schema,
+    Batch, Column, ColumnSource, Error, FxBuildHasher, FxHasher, Predicate, Result, Row, Schema,
     TypedColumn, Value,
 };
 
@@ -197,6 +201,7 @@ impl<'a> Selected<'a> {
     }
 
     /// The source position of the `i`-th row read.
+    #[inline]
     fn position(&self, i: usize) -> u32 {
         match self.positions {
             Some(positions) => positions[i],
@@ -211,8 +216,22 @@ impl<'a> Selected<'a> {
     }
 
     /// The `i`-th row read.
+    #[inline]
     fn row(&self, i: usize) -> &'a Row {
         &self.source.rows[self.position(i) as usize]
+    }
+
+    /// Columns `keep` of the rows read, as a migration ships them:
+    /// [`Batch::from_source`] over the source at the positions, so a
+    /// column with a typed image is copied out of it and no row is
+    /// built.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::SchemaMismatch`] as [`Batch::from_columns`] does
+    /// over the rows read.
+    pub fn to_batch(&self, schema: &Schema, keep: &[usize]) -> Result<Batch> {
+        Batch::from_source(schema, self.source, self.positions, keep)
     }
 
     /// The typed image of `column`, when it has one.
@@ -595,9 +614,9 @@ pub fn hash_join(
 ) -> Result<(Schema, Vec<Row>)> {
     let (schema, rows, _) = hash_join_with(
         left_schema,
-        left,
+        Selected::all(left)?,
         right_schema,
-        right,
+        Selected::all(right)?,
         left_on,
         right_on,
         kind,
@@ -631,9 +650,9 @@ pub fn hash_join_counted(
     let mut counts = Vec::with_capacity(left.len());
     let (schema, rows, _) = hash_join_with(
         left_schema,
-        left,
+        Selected::all(left)?,
         right_schema,
-        right,
+        Selected::all(right)?,
         left_on,
         right_on,
         kind,
@@ -643,11 +662,13 @@ pub fn hash_join_counted(
     Ok((schema, rows, counts))
 }
 
-/// The one hash-join body: finds the matches over typed key words when
-/// both key columns have them and over `&Value` otherwise, then builds
-/// the output rows — only the columns `demand` names (names of the join
-/// of the inputs' full schemas, which `left_schema` / `right_schema` may
-/// be narrowed forms of; see the demand pass, rewrite rule 7), every
+/// The one hash-join body, over the rows `left` and `right` read: finds
+/// the matches over typed key words when both key columns have them —
+/// out of the typed image over a selection — and over `&Value` through
+/// the rows otherwise, then builds the output rows of the matched pairs
+/// alone — only the columns `demand` names (names of the join of the
+/// inputs' full schemas, which `left_schema` / `right_schema` may be
+/// narrowed forms of; see the demand pass, rewrite rule 7), every
 /// column when it is `None` — and tells `produced` after each `left` row
 /// how many output rows it added. Returns the output schema, the rows
 /// and the sum of their [`Row::byte_size`], added up as they are built.
@@ -659,9 +680,9 @@ pub fn hash_join_counted(
 #[allow(clippy::too_many_arguments)]
 pub fn hash_join_with(
     left_schema: &Schema,
-    left: &[Row],
+    left: Selected<'_>,
     right_schema: &Schema,
-    right: &[Row],
+    right: Selected<'_>,
     left_on: &str,
     right_on: &str,
     kind: JoinKind,
@@ -672,7 +693,7 @@ pub fn hash_join_with(
     let ri = right_schema.require(right_on)?;
     let emit = JoinEmit::new(left_schema, right_schema, demand)?;
 
-    let matches = match join_words(Selected::all(left)?, li, Selected::all(right)?, ri) {
+    let matches = match join_words(left, li, right, ri) {
         Some((lw, rw)) => join_matches(lw.into_iter().map(Some), rw.into_iter().map(Some)),
         None => join_matches(value_keys(left, li), value_keys(right, ri)),
     };
@@ -685,10 +706,11 @@ pub fn hash_join_with(
     let mut bytes = 0u64;
     let null_right = Row::from(vec![Value::Null; right_schema.arity()]);
     let mut matched = matches.right.iter();
-    for (l, &n) in left.iter().zip(&matches.counts) {
+    for (i, &n) in matches.counts.iter().enumerate() {
         let before = out.len();
+        let l = left.row(i);
         for &pos in matched.by_ref().take(n) {
-            out.push(emit.row(l, &right[pos], &mut bytes));
+            out.push(emit.row(l, right.row(pos), &mut bytes));
         }
         if n == 0 && kind == JoinKind::LeftOuter {
             out.push(emit.row(l, &null_right, &mut bytes));
@@ -726,11 +748,13 @@ fn join_words(
     Some((lw, rw))
 }
 
-/// The join keys of column `on` as values: `None` for NULL, which joins
-/// nothing.
-fn value_keys(rows: &[Row], on: usize) -> impl ExactSizeIterator<Item = Option<&Value>> {
-    rows.iter()
-        .map(move |row| Some(&row[on]).filter(|v| !v.is_null()))
+/// The join keys of column `on` of the rows `input` reads, as values
+/// read through the rows: `None` for NULL, which joins nothing.
+fn value_keys<'a>(
+    input: Selected<'a>,
+    on: usize,
+) -> impl ExactSizeIterator<Item = Option<&'a Value>> + 'a {
+    (0..input.len()).map(move |i| Some(&input.row(i)[on]).filter(|v| !v.is_null()))
 }
 
 /// The matches of an equi-join, left-major.
@@ -1095,9 +1119,9 @@ pub fn sort_merge_join(
 ) -> Result<(Schema, Vec<Row>)> {
     let (schema, rows, _) = sort_merge_join_with(
         left_schema,
-        left,
+        Selected::all(&left)?,
         right_schema,
-        right,
+        Selected::all(&right)?,
         left_on,
         right_on,
         None,
@@ -1105,8 +1129,11 @@ pub fn sort_merge_join(
     Ok((schema, rows))
 }
 
-/// [`sort_merge_join`] building only the columns `demand` names and
-/// returning the output's byte size with it, as [`hash_join_with`] does.
+/// [`sort_merge_join`] over the rows `left` and `right` read, building
+/// only the columns `demand` names and returning the output's byte size
+/// with it, as [`hash_join_with`] does. Each side is put in key order by
+/// [`sort_at`] — positions, not rows — and the merge reads the rows at
+/// them.
 ///
 /// # Errors
 ///
@@ -1114,9 +1141,9 @@ pub fn sort_merge_join(
 /// demanded name neither input has.
 pub fn sort_merge_join_with(
     left_schema: &Schema,
-    left: Vec<Row>,
+    left: Selected<'_>,
     right_schema: &Schema,
-    right: Vec<Row>,
+    right: Selected<'_>,
     left_on: &str,
     right_on: &str,
     demand: Option<&[String]>,
@@ -1124,8 +1151,15 @@ pub fn sort_merge_join_with(
     let li = left_schema.require(left_on)?;
     let ri = right_schema.require(right_on)?;
     let emit = JoinEmit::new(left_schema, right_schema, demand)?;
-    let left = sort_rows(left_schema, left, &[SortKey::asc(left_on)])?;
-    let right = sort_rows(right_schema, right, &[SortKey::asc(right_on)])?;
+    fn ordered<'a>(input: Selected<'a>, schema: &Schema, on: &str) -> Result<Vec<&'a Row>> {
+        let order = sort_at(schema, input, &[SortKey::asc(on)], None)?;
+        Ok(order
+            .iter()
+            .map(|&p| &input.source.rows[p as usize])
+            .collect())
+    }
+    let left = ordered(left, left_schema, left_on)?;
+    let right = ordered(right, right_schema, right_on)?;
 
     let mut out = Vec::new();
     let mut bytes = 0u64;
@@ -1150,7 +1184,7 @@ pub fn sort_merge_join_with(
                 while i < left.len() && left[i][li] == *rv {
                     let mut jj = run_start;
                     while jj < right.len() && right[jj][ri] == *rv {
-                        out.push(emit.row(&left[i], &right[jj], &mut bytes));
+                        out.push(emit.row(left[i], right[jj], &mut bytes));
                         jj += 1;
                     }
                     i += 1;
@@ -1373,8 +1407,9 @@ mod tests {
         let narrowed: Vec<Row> = full.iter().map(|row| row.project(&[3, 0])).collect();
         let walked: u64 = narrowed.iter().map(|row| row.byte_size() as u64).sum();
         let kind = JoinKind::Inner;
+        let (l, r) = (Selected::all(&l).unwrap(), Selected::all(&r).unwrap());
         let (hs, h, h_bytes) =
-            hash_join_with(&ls, &l, &rs, &r, "id", "id", kind, Some(&demand), |_| {}).unwrap();
+            hash_join_with(&ls, l, &rs, r, "id", "id", kind, Some(&demand), |_| {}).unwrap();
         let (ms, m, m_bytes) =
             sort_merge_join_with(&ls, l, &rs, r, "id", "id", Some(&demand)).unwrap();
         assert_eq!(
@@ -1412,7 +1447,8 @@ mod tests {
         let join = |ls: &Schema, l: &[Row], demand: &[&str]| {
             let demand = names(demand);
             let kind = JoinKind::LeftOuter;
-            hash_join_with(ls, l, &rs, &r, "id", "id", kind, Some(&demand), |_| {})
+            let (l, r) = (Selected::all(l)?, Selected::all(&r)?);
+            hash_join_with(ls, l, &rs, r, "id", "id", kind, Some(&demand), |_| {})
         };
         let (schema, rows, _) = join(&ls, &l, &["id_r", "y", "id"]).unwrap();
         assert_eq!(schema.names(), vec!["id_r", "y", "id"]);
@@ -1432,9 +1468,9 @@ mod tests {
         let kind = JoinKind::Inner;
         let (schema, rows, bytes) = hash_join_with(
             &keyed,
-            &narrow_l,
+            Selected::all(&narrow_l).unwrap(),
             &rs,
-            &r,
+            Selected::all(&r).unwrap(),
             "k",
             "id",
             kind,

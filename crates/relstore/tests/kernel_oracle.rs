@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use pspp_common::{Error, Result, Row, Value};
-use pspp_relstore::ops::{self, Aggregate, AggregateSpec, JoinKind, SortKey};
+use pspp_relstore::ops::{self, Aggregate, AggregateSpec, JoinKind, Selected, SortKey};
 
 mod row_gen;
 use row_gen::{arb_any, arb_bool, arb_float, arb_int, arb_str, arb_timestamp, schema};
@@ -336,8 +336,9 @@ proptest! {
         let names: Vec<String> = emit.iter().map(|&c| joined.fields()[c].name.clone()).collect();
         let projected: Vec<Row> = want.iter().map(|row| row.project(&emit)).collect();
         let mut narrow_counts = Vec::new();
+        let (l, r) = (Selected::all(&left).expect("few rows"), Selected::all(&right).expect("few rows"));
         let (narrow_schema, narrow, bytes) = ops::hash_join_with(
-            &s, &left, &s, &right, COLUMNS[li], COLUMNS[ri], kind, Some(&names),
+            &s, l, &s, r, COLUMNS[li], COLUMNS[ri], kind, Some(&names),
             |n| narrow_counts.push(n),
         )
         .expect("known columns");

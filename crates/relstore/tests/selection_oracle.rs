@@ -3,15 +3,17 @@
 //! has one and through the rows where it has none — against the rows
 //! the selection builds: the same kernels over those rows, and the
 //! specifications written here over `Value`'s own order (a stable
-//! `sort_by`, `Predicate::eval` a row at a time, a slice prefix). The
-//! selections come from sequential and index scans and are reordered at
-//! random, so their positions are rarely ascending.
+//! `sort_by`, `Predicate::eval` a row at a time, a slice prefix). Two
+//! selections are joined (hash and sort-merge, any demanded columns) as
+//! their rows join, and a selection batches for a migration as its rows
+//! do. The selections come from sequential and index scans and are
+//! reordered at random, so their positions are rarely ascending.
 
 use std::cmp::Ordering;
 
 use proptest::prelude::*;
-use pspp_common::{Error, Predicate, Result, Row, Schema, Value};
-use pspp_relstore::ops::{self, Aggregate, AggregateSpec, SortKey};
+use pspp_common::{Batch, Error, Field, Predicate, Result, Row, Schema, Value};
+use pspp_relstore::ops::{self, Aggregate, AggregateSpec, JoinKind, Selected, SortKey};
 use pspp_relstore::{Kept, RelationalStore, Selection};
 
 mod predicate_gen;
@@ -245,6 +247,80 @@ proptest! {
         prop_assert!(same_rows(&got, &want));
         prop_assert_eq!(bytes, walked(&want));
         prop_assert_eq!(sel.byte_size(), walked(&built));
+    }
+
+    #[test]
+    fn joins_and_batches_over_selections_are_those_over_their_rows(
+        tables in (arb_table(48), arb_table(48)),
+        scans in (arb_predicate_program(0..3, arb_int), arb_predicate_program(0..3, arb_int)),
+        (indexed, keep_order) in ((any::<bool>(), any::<bool>()), (any::<bool>(), any::<bool>())),
+        shuffle in prop::collection::vec(any::<u32>(), 1..17),
+        // Half the time the same column on both sides: `Str` keys among
+        // them; otherwise any pair, `Int` against `Float` among them.
+        on in (0usize..5, 0usize..5, any::<bool>()),
+        (outer, demanded) in (any::<bool>(), any::<bool>()),
+        emit in prop::collection::vec(0usize..10, 0..6),
+        keep in prop::collection::vec(0usize..5, 0..6),
+    ) {
+        let sides = [
+            selection(&tables.0, &predicate_from(&["i"], scans.0), indexed.0, keep_order.0, &shuffle),
+            selection(&tables.1, &predicate_from(&["i"], scans.1), indexed.1, keep_order.1, &shuffle),
+        ];
+        let [left, right] = &sides;
+        let (lbuilt, rbuilt) = (left.rows(), right.rows());
+        let s = schema();
+        let (li, ri) = if on.2 { (on.0, on.0) } else { (on.0, on.1) };
+        let (lon, ron) = (COLUMNS[li], COLUMNS[ri]);
+        let kind = if outer { JoinKind::LeftOuter } else { JoinKind::Inner };
+        let names: Vec<String> = {
+            let joined = s.join(&s);
+            emit.iter().map(|&c| joined.fields()[c].name.clone()).collect()
+        };
+        let demand = demanded.then_some(names.as_slice());
+        let all = |rows| Selected::all(rows).expect("few rows");
+
+        // The hash join: the same rows in the same order, the same count
+        // per probe row, the bytes of what was built.
+        let hash = |l, r| {
+            let mut counts = Vec::new();
+            let out = ops::hash_join_with(&s, l, &s, r, lon, ron, kind, demand, |n| counts.push(n));
+            out.map(|(schema, rows, bytes)| (schema, rows, bytes, counts))
+        };
+        let got = hash(left.selected(), right.selected()).expect("known columns");
+        let want = hash(all(&lbuilt), all(&rbuilt)).expect("known columns");
+        prop_assert_eq!(&got.0, &want.0);
+        prop_assert!(
+            same_rows(&got.1, &want.1),
+            "{lon} = {ron} {kind:?} emitting {demand:?}, {lbuilt:?} with {rbuilt:?}: got {:?}, want {:?}",
+            got.1, want.1
+        );
+        prop_assert_eq!(got.2, want.2);
+        prop_assert_eq!(got.2, walked(&got.1));
+        prop_assert_eq!(&got.3, &want.3);
+
+        // The sort-merge join likewise.
+        let merge = |l, r| ops::sort_merge_join_with(&s, l, &s, r, lon, ron, demand);
+        let got = merge(left.selected(), right.selected()).expect("known columns");
+        let want = merge(all(&lbuilt), all(&rbuilt)).expect("known columns");
+        prop_assert_eq!(&got.0, &want.0);
+        prop_assert!(
+            same_rows(&got.1, &want.1),
+            "merge {lon} = {ron} emitting {demand:?}, {lbuilt:?} with {rbuilt:?}: got {:?}, want {:?}",
+            got.1, want.1
+        );
+        prop_assert_eq!(got.2, want.2);
+
+        // The migration batch: the one the built rows make, or its error
+        // under a schema that forbids the NULLs the image flags. Debug
+        // text tells `-0.0` from `0.0`.
+        let strict = Schema::from_fields(
+            s.fields().iter().map(|f| Field { nullable: false, ..f.clone() }).collect(),
+        );
+        for (schema, sel, built) in [(&s, left, &lbuilt), (&strict, right, &rbuilt)] {
+            let got = format!("{:?}", sel.selected().to_batch(schema, &keep));
+            let want = format!("{:?}", Batch::from_columns(schema, built, &keep));
+            prop_assert!(got == want, "{keep:?} of {built:?}: got {got}, want {want}");
+        }
     }
 }
 

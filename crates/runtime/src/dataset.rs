@@ -18,11 +18,13 @@ use pspp_relstore::{Selected, Selection};
 ///
 /// A relational scan's buffer holds a [`Selection`] — the kept
 /// positions over the table's snapshot — instead of rows. The
-/// relational kernels read it where it lies ([`RowBuf::selected`]),
-/// its length and byte size come from the positions and the table's
-/// widths, and its rows are built on the first deref, once for every
-/// holder. The executor builds every program output before it returns,
-/// so no selection outlives the run that made it.
+/// relational kernels, the joins among them, and the migration codec
+/// read it where it lies ([`RowBuf::selected`]); its length and byte
+/// size come from the positions and the table's widths. Its rows are
+/// built on the first deref, once for every holder: by shuffle routing
+/// and gather, the ML, text and timeseries adapters, and the output.
+/// The executor builds every program output before it returns, so no
+/// selection outlives the run that made it.
 #[derive(Clone, Default)]
 pub struct RowBuf(Arc<Shared>);
 
@@ -233,6 +235,14 @@ impl RowBuf {
     #[cfg(test)]
     pub(crate) fn known_byte_size(&self) -> Option<u64> {
         self.0.known_byte_size()
+    }
+
+    /// Whether the buffer is a selection nobody has built rows of — how
+    /// tests tell a kernel that read it where it lies from one that
+    /// derefed it.
+    #[cfg(test)]
+    pub(crate) fn is_unbuilt_selection(&self) -> bool {
+        matches!(&self.0.selection, Some((_, built)) if built.get().is_none())
     }
 
     /// Whether `self` and `other` are one buffer (clones of each

@@ -107,8 +107,9 @@ pub(crate) fn sort(d: &Dataset, keys: &[SortSpec], ctx: &ExecCtx<'_>) -> Result<
     ))
 }
 
-/// Hash-joins `l` (probe) with `r` on `left_on = right_on`, building the
-/// demanded columns only.
+/// Hash-joins `l` (probe) with `r` on `left_on = right_on`, reading a
+/// scan's selection where it lies and building the demanded columns of
+/// the matched pairs only.
 pub(crate) fn hash_join(
     l: &Dataset,
     r: &Dataset,
@@ -122,9 +123,9 @@ pub(crate) fn hash_join(
     let mut counts = ctx.probe_counts().map(|_| Vec::with_capacity(l.len()));
     let (schema, rows, byte_size) = ops::hash_join_with(
         l.schema()?,
-        l.try_rows()?,
+        l.row_buf()?.selected()?,
         r.schema()?,
-        r.try_rows()?,
+        r.row_buf()?.selected()?,
         left_on,
         right_on,
         JoinKind::Inner,
@@ -145,8 +146,9 @@ pub(crate) fn hash_join(
     ))
 }
 
-/// Sort-merge-joins `l` with `r` on `left_on = right_on`, building the
-/// demanded columns only.
+/// Sort-merge-joins `l` with `r` on `left_on = right_on`, reading a
+/// scan's selection where it lies and building the demanded columns
+/// only.
 pub(crate) fn sort_merge_join(
     l: &Dataset,
     r: &Dataset,
@@ -157,9 +159,9 @@ pub(crate) fn sort_merge_join(
 ) -> Result<Dataset> {
     let (schema, rows, byte_size) = ops::sort_merge_join_with(
         l.schema()?,
-        l.try_rows()?.to_vec(),
+        l.row_buf()?.selected()?,
         r.schema()?,
-        r.try_rows()?.to_vec(),
+        r.row_buf()?.selected()?,
         left_on,
         right_on,
         ctx.demand(),

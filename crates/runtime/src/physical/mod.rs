@@ -280,7 +280,7 @@ impl<'a> ExecCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pspp_common::{row, DataModel, DataType, Predicate, Schema, TableRef};
+    use pspp_common::{row, DataModel, DataType, Predicate, Schema, TableRef, Value};
     use pspp_graphstore::GraphStore;
     use pspp_ir::{AggFn, AggSpec, SortSpec, TextSearchMode, TsAgg};
     use pspp_kvstore::KvStore;
@@ -414,6 +414,108 @@ mod tests {
             | Operator::TrainMlp { .. }
             | Operator::KMeansCluster { .. } => true,
         }
+    }
+
+    /// Both joins read two scans' selections where they lie, and a
+    /// migration batches one the same way: neither selection has built a
+    /// row afterwards, and every answer — rows in order, byte sizes, the
+    /// probe counts, the migration's bill — is the built rows' answer.
+    #[test]
+    fn joins_and_migrations_leave_scan_selections_unbuilt() {
+        let schema = Schema::new(vec![
+            ("k", DataType::Int),
+            ("s", DataType::Str),
+            ("w", DataType::Float),
+        ]);
+        let mut registry = EngineRegistry::new();
+        for (name, n) in [("db1", 40i64), ("db2", 30)] {
+            let mut db = RelationalStore::new(name);
+            db.create_table("t", schema.clone()).unwrap();
+            // NULL keys, and an index that hands the scan its positions
+            // in key order, not in table order.
+            let rows = (0..n).map(|i| {
+                let k = if i % 7 == 3 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 11)
+                };
+                row![k, format!("{name}-{i}"), i as f64 / 2.0]
+            });
+            db.insert("t", rows.collect()).unwrap();
+            db.create_index("t", "k").unwrap();
+            let instance = EngineInstance::Relational(db);
+            registry.register(EngineId::new(name), instance).unwrap();
+        }
+        let (fleet, ledger) = (AcceleratorFleet::workstation(), CostLedger::new());
+        let ctx = ExecCtx::new(&fleet, &ledger, false);
+        let scan = |engine: &str| {
+            let op = Operator::Scan {
+                table: TableRef::new(engine, "t"),
+                predicate: Predicate::ge("k", 2i64),
+                projection: None,
+            };
+            run(&op, &[], None, &registry, &ctx).unwrap()
+        };
+        let (l, r) = (scan("db1"), scan("db2"));
+        let unbuilt = |d: &Dataset| d.row_buf().unwrap().is_unbuilt_selection();
+        assert!(unbuilt(&l) && unbuilt(&r));
+        // The same rows built, as every input but a scan's arrives.
+        let built = |d: &Dataset| {
+            let rows = d.row_buf().unwrap().as_selection().unwrap().rows();
+            let schema = d.schema().unwrap().clone();
+            Dataset::rows(schema, rows, d.model, d.location.clone())
+        };
+        let answer = |d: &Dataset| {
+            let rows = d.try_rows().unwrap().to_vec();
+            (d.schema().unwrap().clone(), rows, d.byte_size())
+        };
+
+        let demand = |columns: &[&str], of| ColumnDemand {
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+            of,
+        };
+        let narrow = demand(&["s_r", "k", "w"], 6);
+        let (left_on, right_on) = ("k".to_string(), "k".to_string());
+        let joins = [
+            Operator::HashJoin {
+                left_on: left_on.clone(),
+                right_on: right_on.clone(),
+            },
+            Operator::SortMergeJoin { left_on, right_on },
+        ];
+        for op in &joins {
+            for demand in [None, Some(&narrow)] {
+                let (got_counts, want_counts) = (OnceLock::new(), OnceLock::new());
+                let join = |inputs: &[Dataset], counts| {
+                    let ctx = ctx.demanding(demand).counting_probe_matches(counts);
+                    run(op, inputs, None, &registry, &ctx).unwrap()
+                };
+                let got = join(&[l.clone(), r.clone()], &got_counts);
+                let want = join(&[built(&l), built(&r)], &want_counts);
+                assert!(!got.is_empty(), "{}", op.name());
+                assert_eq!(answer(&got), answer(&want), "{} {demand:?}", op.name());
+                assert_eq!(got_counts, want_counts);
+            }
+        }
+
+        let placer = Placer::default().scoped(CostLedger::new());
+        let target = EngineId::new("db1");
+        let shipped = demand(&["w", "k"], 3);
+        for demand in [None, Some(&shipped)] {
+            let stage = |d: Dataset| {
+                let (mut staged, bill) = placer
+                    .stage_datasets(vec![d], &[demand], Some(&target), &registry)
+                    .unwrap();
+                (answer(&staged.remove(0)), bill)
+            };
+            let (got, want) = (stage(r.clone()), stage(built(&r)));
+            assert_eq!(got.1.migrated_inputs, 1);
+            assert_eq!(got, want, "{demand:?}");
+        }
+        assert!(
+            unbuilt(&l) && unbuilt(&r),
+            "a join or the codec built a scan's rows"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the node's inputs there.
 
 use pspp_accel::CostLedger;
-use pspp_common::{Batch, EngineId, Error, PartitionSpec, Result, ShardId};
+use pspp_common::{EngineId, Error, PartitionSpec, Result, ShardId};
 use pspp_ir::{ColumnDemand, PlanOptions, Program, ProgramNode, ShardPlan};
 use pspp_migrate::{MigrationPath, Migrator};
 use pspp_telemetry::MetricsRegistry;
@@ -173,11 +173,14 @@ impl Placer {
     ///
     /// `demands[i]` names the columns of input `i` that its consumers
     /// read (its producer's [`pspp_ir::Annotations::demand`]; `None` or
-    /// a missing entry is every column). The codec rebuilds every row it
-    /// moves, so a migrated input is rebuilt from those columns alone —
-    /// the others are never encoded, priced on the wire or decoded — and
-    /// arrives under the narrowed schema. An input that stays where it
-    /// is, or has no rows to move, is handed on as it came, by pointer.
+    /// a missing entry is every column). The codec ships a `Batch` of
+    /// those columns alone — the others are never encoded, priced on the
+    /// wire or decoded — and the input arrives as the rows decoded from
+    /// it, under the narrowed schema. A scan's selection is batched
+    /// where it lies: a column with a typed image is copied out of the
+    /// image at the kept positions, and no row of it is built. An input
+    /// that stays where it is, or has no rows to move, is handed on as
+    /// it came, by pointer.
     ///
     /// # Errors
     ///
@@ -208,9 +211,12 @@ impl Placer {
                             .collect::<Result<_>>()?,
                         None => (0..schema.arity()).collect(),
                     };
-                    let batch = Batch::from_columns(schema, rows, &keep).map_err(|e| {
-                        Error::Migration(format!("cannot batch rows for migration: {e}"))
-                    })?;
+                    let batch = rows
+                        .selected()
+                        .and_then(|selected| selected.to_batch(schema, &keep))
+                        .map_err(|e| {
+                            Error::Migration(format!("cannot batch rows for migration: {e}"))
+                        })?;
                     let (rows2, report) = self
                         .migrator
                         .migrate(&batch, self.path, d.model, to_model)?;

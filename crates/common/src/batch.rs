@@ -98,6 +98,22 @@ impl Column {
         }
     }
 
+    /// Appends `more`'s entries; returns `false` (and appends nothing)
+    /// when it is of another type.
+    fn append(&mut self, more: Column) -> bool {
+        match (self, more) {
+            (Column::Bool(v), Column::Bool(m)) => v.extend(m),
+            (Column::Int(v), Column::Int(m)) | (Column::Timestamp(v), Column::Timestamp(m)) => {
+                v.extend(m);
+            }
+            (Column::Float(v), Column::Float(m)) => v.extend(m),
+            (Column::Str(v), Column::Str(m)) => v.extend(m),
+            (Column::Bytes(v), Column::Bytes(m)) => v.extend(m),
+            _ => return false,
+        }
+        true
+    }
+
     /// Appends `value`, coercing `Null` to the type's default.
     ///
     /// Returns `false` (and appends nothing) on a type mismatch.
@@ -319,6 +335,55 @@ impl Batch {
         })
     }
 
+    /// The rows of `parts`, one batch after another.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Invalid`] for no batch, and
+    /// [`Error::SchemaMismatch`] when two batches differ in schema or in
+    /// a column's type.
+    pub fn concat(parts: Vec<Batch>) -> Result<Batch> {
+        let mut parts = parts.into_iter();
+        let mut out = parts
+            .next()
+            .ok_or_else(|| Error::Invalid("a concatenation of no batches".into()))?;
+        for part in parts {
+            let mismatch = || Error::SchemaMismatch("batches of two shapes".into());
+            if part.schema != out.schema {
+                return Err(mismatch());
+            }
+            let columns = out.columns.iter_mut().zip(part.columns);
+            for ((column, more), (valid, more_valid)) in
+                columns.zip(out.validity.iter_mut().zip(part.validity))
+            {
+                if !column.append(more) {
+                    return Err(mismatch());
+                }
+                valid.extend(more_valid);
+            }
+            out.num_rows += part.num_rows;
+        }
+        Ok(out)
+    }
+
+    /// The rows at `order`, in that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index in `order` is out of bounds.
+    pub fn take(&self, order: &[usize]) -> Batch {
+        Batch {
+            schema: self.schema.clone(),
+            columns: (self.columns.iter())
+                .map(|c| c.gather(order.iter().copied()))
+                .collect(),
+            validity: (self.validity.iter())
+                .map(|v| order.iter().map(|&i| v[i]).collect())
+                .collect(),
+            num_rows: order.len(),
+        }
+    }
+
     /// The schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -498,6 +563,24 @@ mod tests {
         let got = Batch::from_source(&strict, source, Some(&positions), &[1, 2, 0]);
         assert_eq!(got, Batch::from_columns(&strict, &picked, &[1, 2, 0]));
         assert!(matches!(got, Err(Error::SchemaMismatch(m)) if m == "null in not-null column w"));
+    }
+
+    #[test]
+    fn concatenated_and_taken_rows_are_the_rows_batched_in_that_order() {
+        let rows = vec![
+            row![1i64, "a", 0.5],
+            Row::from(vec![Value::Null, Value::from("b"), Value::Null]),
+            row![3i64, "c", 2.5],
+        ];
+        let batch = |rows: &[Row]| Batch::from_slice(&schema(), rows).unwrap();
+        let joined = Batch::concat(vec![batch(&rows[..1]), batch(&rows[1..])]).unwrap();
+        assert_eq!(joined, batch(&rows));
+        let order = [2, 0, 2, 1];
+        let taken: Vec<Row> = order.iter().map(|&i| rows[i].clone()).collect();
+        assert_eq!(joined.take(&order), batch(&taken));
+        let other = Batch::from_slice(&Schema::new(vec![("id", DataType::Int)]), &[row![1i64]]);
+        assert!(Batch::concat(vec![batch(&rows), other.unwrap()]).is_err());
+        assert!(Batch::concat(vec![]).is_err());
     }
 
     #[test]

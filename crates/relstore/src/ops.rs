@@ -22,6 +22,17 @@
 //! [`hash_join`], [`sort_merge_join`]) are the same code over every row
 //! of the slice.
 //!
+//! A [`crate::Selection`] may span several snapshots — one per shard, in
+//! gather order, past an exchange that appended or split shards' scans
+//! ([`crate::Selection::concat`], [`crate::Selection::split`]). A
+//! position then carries its snapshot's index, its *part*, above 24 bits
+//! of its row there; a selection over one snapshot has part 0 and the
+//! row itself as its positions. Each kernel resolves a position's part
+//! where it reads a row, a key or a value; positions it returns stay
+//! tagged. [`filter_at`] and [`Selected::to_batch`] run their one-source
+//! body once per part and put the results back in input order, and the
+//! typed key words are read a run of one part at a time.
+//!
 //! # Key words
 //!
 //! [`sort_rows`], [`group_by`] and [`hash_join`] (and [`sort_at`],
@@ -65,6 +76,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -73,7 +85,7 @@ use pspp_common::{
     TypedColumn, Value,
 };
 
-use crate::table::as_u32;
+use crate::table::{as_u32, part_runs, split_position, Snapshot, LOCAL_MASK};
 
 /// Join flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -157,13 +169,23 @@ impl AggregateSpec {
 }
 
 /// The rows an operator reads: the rows at some positions of a column
-/// source, in that order, or every row of a slice (module docs,
-/// "Selections").
+/// source, in that order, or every row of a slice, or the rows at
+/// tagged positions of several snapshots (module docs, "Selections").
 #[derive(Debug, Clone, Copy)]
 pub struct Selected<'a> {
-    source: ColumnSource<'a>,
-    /// `None`: every row of `source`, in order.
+    parts: Parts<'a>,
+    /// `None`: every row of the one source, in order.
     positions: Option<&'a [u32]>,
+}
+
+/// What a [`Selected`]'s positions point into.
+#[derive(Debug, Clone, Copy)]
+enum Parts<'a> {
+    /// One source: a position is a row of it.
+    One(ColumnSource<'a>),
+    /// Two or more snapshots, in order: a position is a part tag above
+    /// the 24 bits of a row of that part's snapshot.
+    Many(&'a [Arc<Snapshot>]),
 }
 
 impl<'a> Selected<'a> {
@@ -176,7 +198,7 @@ impl<'a> Selected<'a> {
     pub fn all(rows: &'a [Row]) -> Result<Self> {
         as_u32(rows.len(), "row count")?;
         Ok(Selected {
-            source: ColumnSource { rows, typed: &[] },
+            parts: Parts::One(ColumnSource { rows, typed: &[] }),
             positions: None,
         })
     }
@@ -185,14 +207,27 @@ impl<'a> Selected<'a> {
     /// reading it panics at a position past `source`'s rows.
     pub fn at(source: ColumnSource<'a>, positions: &'a [u32]) -> Self {
         Selected {
-            source,
+            parts: Parts::One(source),
+            positions: Some(positions),
+        }
+    }
+
+    /// The rows at the tagged `positions` of `parts`, two or more
+    /// snapshots.
+    pub(crate) fn over(parts: &'a [Arc<Snapshot>], positions: &'a [u32]) -> Self {
+        Selected {
+            parts: Parts::Many(parts),
             positions: Some(positions),
         }
     }
 
     /// Number of rows read.
     pub fn len(&self) -> usize {
-        self.positions.map_or(self.source.rows.len(), <[u32]>::len)
+        match (self.positions, self.parts) {
+            (Some(positions), _) => positions.len(),
+            (None, Parts::One(source)) => source.rows.len(),
+            (None, Parts::Many(_)) => 0,
+        }
     }
 
     /// Whether no row is read.
@@ -200,7 +235,7 @@ impl<'a> Selected<'a> {
         self.len() == 0
     }
 
-    /// The source position of the `i`-th row read.
+    /// The (tagged) position of the `i`-th row read.
     #[inline]
     fn position(&self, i: usize) -> u32 {
         match self.positions {
@@ -210,57 +245,135 @@ impl<'a> Selected<'a> {
         }
     }
 
-    /// The source positions of the rows read, in order.
-    fn positions(self) -> impl Iterator<Item = usize> + Clone + 'a {
-        (0..self.len()).map(move |i| self.position(i) as usize)
+    /// Part `part`'s source.
+    fn part(&self, part: usize) -> ColumnSource<'a> {
+        match self.parts {
+            Parts::One(source) => source,
+            Parts::Many(parts) => parts[part].source(),
+        }
+    }
+
+    /// The source position `p` points into, and the row it names there.
+    #[inline]
+    fn locate(&self, p: u32) -> (ColumnSource<'a>, usize) {
+        match self.parts {
+            Parts::One(source) => (source, p as usize),
+            Parts::Many(parts) => {
+                let (part, row) = split_position(p);
+                (parts[part].source(), row)
+            }
+        }
+    }
+
+    /// The row at (tagged) position `p`.
+    #[inline]
+    fn row_at(&self, p: u32) -> &'a Row {
+        let (source, p) = self.locate(p);
+        &source.rows[p]
     }
 
     /// The `i`-th row read.
     #[inline]
     fn row(&self, i: usize) -> &'a Row {
-        &self.source.rows[self.position(i) as usize]
+        self.row_at(self.position(i))
     }
 
     /// Columns `keep` of the rows read, as a migration ships them:
-    /// [`Batch::from_source`] over the source at the positions, so a
-    /// column with a typed image is copied out of it and no row is
-    /// built.
+    /// [`Batch::from_source`] over each part's source at its positions,
+    /// so a column with a typed image is copied out of it and no row is
+    /// built; several parts' batches are stitched back into input order.
     ///
     /// # Errors
     ///
     /// Returns [`Error::SchemaMismatch`] as [`Batch::from_columns`] does
     /// over the rows read.
     pub fn to_batch(&self, schema: &Schema, keep: &[usize]) -> Result<Batch> {
-        Batch::from_source(schema, self.source, self.positions, keep)
-    }
-
-    /// The typed image of `column`, when it has one.
-    fn typed(&self, column: usize) -> Option<&'a TypedColumn> {
-        self.source.typed.get(column).and_then(Option::as_ref)
+        let (Parts::Many(parts), Some(positions)) = (self.parts, self.positions) else {
+            return Batch::from_source(schema, self.part(0), self.positions, keep);
+        };
+        let rows = rows_by_part(parts.len(), positions);
+        let batches = (parts.iter().zip(&rows))
+            .map(|(part, rows)| Batch::from_source(schema, part.source(), Some(rows), keep))
+            .collect::<Result<Vec<_>>>()
+            .and_then(Batch::concat);
+        let Ok(batch) = batches else {
+            // Which violation comes first is a matter of input order:
+            // the rows read, a row at a time, say.
+            let rows: Vec<Row> = (0..self.len()).map(|i| self.row(i).clone()).collect();
+            return Batch::from_columns(schema, &rows, keep);
+        };
+        if positions.is_sorted_by_key(|&p| split_position(p).0) {
+            return Ok(batch);
+        }
+        // Each row is its part's next: past the parts before, so many in.
+        let mut next: Vec<usize> = (rows.iter())
+            .scan(0, |start, rows| {
+                *start += rows.len();
+                Some(*start - rows.len())
+            })
+            .collect();
+        let order: Vec<usize> = (positions.iter())
+            .map(|&p| {
+                let slot = &mut next[split_position(p).0];
+                *slot += 1;
+                *slot - 1
+            })
+            .collect();
+        Ok(batch.take(&order))
     }
 
     /// Column `column` of each row read, in order: made from the typed
     /// image where the column has one (NULL where the row's validity
     /// flag is clear), borrowed from the row where it has none.
     fn cells(self, column: usize) -> impl Iterator<Item = Cow<'a, Value>> + 'a {
-        let typed = self.typed(column);
-        self.positions()
-            .map(move |p| self.value_at(typed, p, column))
+        // One source: its image is looked up once, not per cell.
+        let one = match self.parts {
+            Parts::One(source) => Some((source, typed(source, column))),
+            Parts::Many(_) => None,
+        };
+        (0..self.len()).map(move |i| match one {
+            Some((source, image)) => value_at(source, image, self.position(i) as usize, column),
+            None => self.cell(i, column),
+        })
     }
 
     /// Column `column` of the `i`-th row read, as [`Selected::cells`]
     /// reads it.
     fn cell(&self, i: usize, column: usize) -> Cow<'a, Value> {
-        self.value_at(self.typed(column), self.position(i) as usize, column)
+        let (source, p) = self.locate(self.position(i));
+        value_at(source, typed(source, column), p, column)
     }
+}
 
-    /// Column `column` at source position `p`, `typed` being its image.
-    fn value_at(&self, typed: Option<&'a TypedColumn>, p: usize, column: usize) -> Cow<'a, Value> {
-        match typed {
-            Some((values, valid)) if valid[p] => Cow::Owned(values.value(p)),
-            Some(_) => Cow::Owned(Value::Null),
-            None => Cow::Borrowed(&self.source.rows[p][column]),
-        }
+/// The rows of each of `parts` snapshots that `positions`, tagged
+/// positions over them, name, in input order.
+fn rows_by_part(parts: usize, positions: &[u32]) -> Vec<Vec<u32>> {
+    let mut rows = vec![Vec::new(); parts];
+    for &p in positions {
+        let (part, row) = split_position(p);
+        rows[part].push(row as u32);
+    }
+    rows
+}
+
+/// The typed image of `source`'s column `column`, when it has one.
+fn typed(source: ColumnSource<'_>, column: usize) -> Option<&TypedColumn> {
+    source.typed.get(column).and_then(Option::as_ref)
+}
+
+/// Column `column` of `source`'s row `p`, `image` being the column's
+/// typed image there.
+#[inline]
+fn value_at<'a>(
+    source: ColumnSource<'a>,
+    image: Option<&'a TypedColumn>,
+    p: usize,
+    column: usize,
+) -> Cow<'a, Value> {
+    match image {
+        Some((values, valid)) if valid[p] => Cow::Owned(values.value(p)),
+        Some(_) => Cow::Owned(Value::Null),
+        None => Cow::Borrowed(&source.rows[p][column]),
     }
 }
 
@@ -290,8 +403,31 @@ pub fn filter_rows(
 ///
 /// Propagates predicate evaluation errors (unknown columns).
 pub fn filter_at(schema: &Schema, input: Selected<'_>, predicate: &Predicate) -> Result<Vec<u32>> {
-    let positions = (0..input.len()).map(|i| input.position(i)).collect();
-    predicate.bind(schema).select(input.source, positions)
+    let bound = predicate.bind(schema);
+    let (Parts::Many(parts), Some(positions)) = (input.parts, input.positions) else {
+        let positions = (0..input.len()).map(|i| input.position(i)).collect();
+        return bound.select(input.part(0), positions);
+    };
+    // Each part's rows are selected over its own source, and the kept
+    // ones are taken back in input order.
+    let mut kept = Vec::with_capacity(parts.len());
+    for (part, rows) in parts.iter().zip(rows_by_part(parts.len(), positions)) {
+        match bound.select(part.source(), rows) {
+            Ok(rows) => kept.push(rows.into_iter().peekable()),
+            Err(e) => {
+                // The error a row at a time raises first, in input order.
+                for i in 0..input.len() {
+                    bound.eval(input.row(i))?;
+                }
+                return Err(e);
+            }
+        }
+    }
+    let mut keep = |&p: &u32| {
+        let (part, row) = split_position(p);
+        kept[part].next_if_eq(&(row as u32)).is_some()
+    };
+    Ok(positions.iter().copied().filter(|p| keep(p)).collect())
 }
 
 /// Projects rows onto named columns, returning the new schema.
@@ -357,6 +493,50 @@ fn float_word(x: f64) -> u64 {
     }
 }
 
+/// `words` followed by the words of `image`, one typed column of a
+/// source, at the rows `run`'s positions name (`MASK` turns a position
+/// into a row); `None` at a NULL, a cleared validity flag.
+fn image_words<const MASK: u32>(
+    words: Vec<u64>,
+    run: &[u32],
+    (values, valid): &TypedColumn,
+) -> Option<(KeyKind, Vec<u64>)> {
+    fn extend<const MASK: u32>(
+        mut words: Vec<u64>,
+        run: &[u32],
+        valid: &[bool],
+        word: impl Fn(usize) -> u64,
+    ) -> Option<Vec<u64>> {
+        for &p in run {
+            let p = (p & MASK) as usize;
+            if !valid[p] {
+                return None;
+            }
+            words.push(word(p));
+        }
+        Some(words)
+    }
+    Some(match values {
+        Column::Bool(v) => (
+            KeyKind::Bool,
+            extend::<MASK>(words, run, valid, |p| u64::from(v[p]))?,
+        ),
+        Column::Int(v) => (
+            KeyKind::Int,
+            extend::<MASK>(words, run, valid, |p| int_word(v[p]))?,
+        ),
+        Column::Timestamp(v) => (
+            KeyKind::Timestamp,
+            extend::<MASK>(words, run, valid, |p| int_word(v[p]))?,
+        ),
+        Column::Float(v) => (
+            KeyKind::Float,
+            extend::<MASK>(words, run, valid, |p| float_word(v[p]))?,
+        ),
+        Column::Str(_) | Column::Bytes(_) => return None,
+    })
+}
+
 /// Column `column` of the rows `input` reads as one order-preserving
 /// word per row, or `None` when the column is not typed over them: out
 /// of the typed image where the column has one, through the rows where
@@ -366,31 +546,30 @@ fn key_words(input: Selected<'_>, column: usize) -> Option<(KeyKind, Vec<u64>)> 
     if input.is_empty() {
         return None;
     }
-    if let Some((values, valid)) = input.typed(column) {
-        // A cleared validity flag is a NULL.
-        fn words(
-            input: Selected<'_>,
-            valid: &[bool],
-            word: impl Fn(usize) -> u64,
-        ) -> Option<Vec<u64>> {
-            let mut words = Vec::with_capacity(input.len());
-            for p in input.positions() {
-                if !valid[p] {
-                    return None;
+    if let Some(positions) = input.positions {
+        match input.parts {
+            Parts::One(source) => {
+                if let Some(image) = typed(source, column) {
+                    let words = Vec::with_capacity(positions.len());
+                    return image_words::<{ u32::MAX }>(words, positions, image);
                 }
-                words.push(word(p));
             }
-            Some(words)
+            Parts::Many(parts) if typed(parts[0].source(), column).is_some() => {
+                // A run at a time, each over its own snapshot's image.
+                let (mut words, mut kind) = (Vec::with_capacity(positions.len()), None);
+                for (part, run) in part_runs(positions) {
+                    let image = typed(parts[part].source(), column)?;
+                    let run_kind;
+                    (run_kind, words) = image_words::<LOCAL_MASK>(words, run, image)?;
+                    // The snapshots of one selection are of one table.
+                    if kind.replace(run_kind).is_some_and(|k| k != run_kind) {
+                        return None;
+                    }
+                }
+                return Some((kind?, words));
+            }
+            Parts::Many(_) => {}
         }
-        return match values {
-            Column::Bool(v) => Some((KeyKind::Bool, words(input, valid, |p| u64::from(v[p]))?)),
-            Column::Int(v) => Some((KeyKind::Int, words(input, valid, |p| int_word(v[p]))?)),
-            Column::Timestamp(v) => {
-                Some((KeyKind::Timestamp, words(input, valid, |p| int_word(v[p]))?))
-            }
-            Column::Float(v) => Some((KeyKind::Float, words(input, valid, |p| float_word(v[p]))?)),
-            Column::Str(_) | Column::Bytes(_) => None,
-        };
     }
     let kind = match input.row(0)[column] {
         Value::Bool(_) => KeyKind::Bool,
@@ -1153,10 +1332,7 @@ pub fn sort_merge_join_with(
     let emit = JoinEmit::new(left_schema, right_schema, demand)?;
     fn ordered<'a>(input: Selected<'a>, schema: &Schema, on: &str) -> Result<Vec<&'a Row>> {
         let order = sort_at(schema, input, &[SortKey::asc(on)], None)?;
-        Ok(order
-            .iter()
-            .map(|&p| &input.source.rows[p as usize])
-            .collect())
+        Ok(order.iter().map(|&p| input.row_at(p)).collect())
     }
     let left = ordered(left, left_schema, left_on)?;
     let right = ordered(right, right_schema, right_on)?;

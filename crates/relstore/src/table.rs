@@ -95,7 +95,7 @@ pub(crate) struct Snapshot {
 
 impl Snapshot {
     /// What a column-wise read sees: the rows and their image.
-    fn source(&self) -> ColumnSource<'_> {
+    pub(crate) fn source(&self) -> ColumnSource<'_> {
         ColumnSource {
             rows: &self.rows,
             typed: &self.image.columns,
@@ -103,25 +103,66 @@ impl Snapshot {
     }
 }
 
+/// The low bits of a position in a selection of several snapshots: the
+/// row within its snapshot. The bits above them are the snapshot's
+/// index, its *part* (module docs of [`crate::ops`], "Selections").
+const LOCAL_BITS: u32 = 24;
+
+/// The row bits of a position in a selection of several snapshots.
+pub(crate) const LOCAL_MASK: u32 = (1 << LOCAL_BITS) - 1;
+
+/// The most snapshots one selection spans.
+const MAX_PARTS: usize = 1 << (u32::BITS - LOCAL_BITS);
+
+/// The part and the row within its snapshot that position `p` of a
+/// selection over several snapshots names.
+#[inline]
+pub(crate) fn split_position(p: u32) -> (usize, usize) {
+    ((p >> LOCAL_BITS) as usize, (p & LOCAL_MASK) as usize)
+}
+
+/// Positions of a selection over several snapshots as the maximal runs
+/// that stay in one snapshot, each with its part.
+pub(crate) fn part_runs(positions: &[u32]) -> impl Iterator<Item = (usize, &[u32])> {
+    let runs = positions.chunk_by(|&a, &b| split_position(a).0 == split_position(b).0);
+    runs.map(|run| (run.first().map_or(0, |&p| split_position(p).0), run))
+}
+
 /// The rows a scan kept: their positions, in scan order, in a snapshot
-/// of the table. The relational kernels read keys and values at the
-/// positions ([`Selection::selected`]); [`Selection::rows`] builds the
-/// rows themselves, which are the table's own, shared.
+/// of the table — or, past a shuffle or a gather of several shards'
+/// scans, in an ordered list of snapshots, one per shard. The
+/// relational kernels read keys and values at the positions
+/// ([`Selection::selected`]); [`Selection::rows`] builds the rows
+/// themselves, which are the tables' own, shared.
+///
+/// Over one snapshot a position is the row's index in it. Over several,
+/// a position is the snapshot's index (its part) above
+/// 24 bits of the row's index in that snapshot.
 #[derive(Debug, Clone)]
 pub struct Selection {
-    snapshot: Arc<Snapshot>,
+    /// The snapshots, in order: at least one.
+    parts: Arc<[Arc<Snapshot>]>,
     positions: Vec<u32>,
 }
 
 impl Selection {
-    /// The positions in the snapshot, in order.
+    /// The positions, in order, each tagged with its part when the
+    /// selection spans several snapshots.
     pub fn positions(&self) -> &[u32] {
         &self.positions
     }
 
-    /// What the relational kernels read: the snapshot at the positions.
+    /// How many snapshots the selection spans.
+    pub fn part_count(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// What the relational kernels read: the snapshots at the positions.
     pub fn selected(&self) -> Selected<'_> {
-        Selected::at(self.snapshot.source(), &self.positions)
+        match &*self.parts {
+            [one] => Selected::at(one.source(), &self.positions),
+            parts => Selected::over(parts, &self.positions),
+        }
     }
 
     /// Number of rows selected.
@@ -134,39 +175,63 @@ impl Selection {
         self.positions.is_empty()
     }
 
-    /// Payload bytes of the selected rows, from the image's widths.
+    /// Payload bytes of the selected rows, from the images' widths.
     pub fn byte_size(&self) -> u64 {
-        let widths = &self.snapshot.image.widths;
-        self.positions
-            .iter()
-            .map(|&p| u64::from(widths[p as usize]))
-            .sum()
+        let bytes = |snapshot: &Snapshot, run: &[u32], mask: u32| {
+            let widths = &snapshot.image.widths;
+            run.iter()
+                .map(|&p| u64::from(widths[(p & mask) as usize]))
+                .sum::<u64>()
+        };
+        match &*self.parts {
+            [one] => bytes(one, &self.positions, u32::MAX),
+            parts => part_runs(&self.positions)
+                .map(|(part, run)| bytes(&parts[part], run, LOCAL_MASK))
+                .sum(),
+        }
     }
 
-    /// The selected rows, in order: the snapshot's rows, shared.
+    /// The selected rows, in order: the snapshots' rows, shared.
     pub fn rows(&self) -> Vec<Row> {
-        let rows = &self.snapshot.rows;
-        self.positions
-            .iter()
-            .map(|&p| rows[p as usize].clone())
-            .collect()
+        let rows = |snapshot: &Snapshot, run: &[u32], mask: u32, out: &mut Vec<Row>| {
+            let rows = &snapshot.rows;
+            out.extend(run.iter().map(|&p| rows[(p & mask) as usize].clone()));
+        };
+        let mut out = Vec::with_capacity(self.positions.len());
+        match &*self.parts {
+            [one] => rows(one, &self.positions, u32::MAX, &mut out),
+            parts => {
+                for (part, run) in part_runs(&self.positions) {
+                    rows(&parts[part], run, LOCAL_MASK, &mut out);
+                }
+            }
+        }
+        out
     }
 
-    /// The rows at `positions` of the same snapshot — what a kernel
+    /// The rows at `positions` of the same snapshots — what a kernel
     /// returned from [`Selection::selected`].
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Invalid`] for a position past the snapshot.
+    /// Returns [`Error::Invalid`] for a position past its snapshot, or
+    /// tagged with a part the selection does not have.
     pub fn with_positions(&self, positions: Vec<u32>) -> Result<Selection> {
-        let rows = self.snapshot.rows.len();
-        if let Some(&p) = positions.iter().find(|&&p| p as usize >= rows) {
+        let outside = |&p: &u32| {
+            let (part, row) = match *self.parts {
+                [_] => (0, p as usize),
+                _ => split_position(p),
+            };
+            (self.parts.get(part)).is_none_or(|s| row >= s.rows.len())
+        };
+        if let Some(&p) = positions.iter().find(|p| outside(p)) {
+            let rows: Vec<usize> = self.parts.iter().map(|s| s.rows.len()).collect();
             return Err(Error::Invalid(format!(
-                "position {p} in a snapshot of {rows} rows"
+                "position {p:#x} outside snapshots of {rows:?} rows"
             )));
         }
         Ok(Selection {
-            snapshot: Arc::clone(&self.snapshot),
+            parts: Arc::clone(&self.parts),
             positions,
         })
     }
@@ -174,9 +239,88 @@ impl Selection {
     /// The first `n` rows (all of them when there are fewer).
     pub fn prefix(&self, n: usize) -> Selection {
         Selection {
-            snapshot: Arc::clone(&self.snapshot),
+            parts: Arc::clone(&self.parts),
             positions: crate::ops::limit(&self.positions, n),
         }
+    }
+
+    /// This selection's rows, then `more`'s — the shards of one table,
+    /// say, in gather order: one selection over both lists of
+    /// snapshots, in order, `more`'s positions re-tagged past this one's
+    /// parts. An empty side adds nothing, snapshot included.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Invalid`] when the two span more than 256
+    /// snapshots, or when a snapshot of several holds more rows than 24
+    /// bits address.
+    pub fn concat(&self, more: &Selection) -> Result<Selection> {
+        if more.is_empty() {
+            return Ok(self.clone());
+        }
+        if self.is_empty() {
+            return Ok(more.clone());
+        }
+        let parts: Vec<Arc<Snapshot>> = self
+            .parts
+            .iter()
+            .chain(more.parts.iter())
+            .cloned()
+            .collect();
+        if parts.len() > MAX_PARTS {
+            return Err(Error::Invalid(format!(
+                "a selection over {} snapshots; a part tag counts {MAX_PARTS}",
+                parts.len()
+            )));
+        }
+        if let Some(big) = parts
+            .iter()
+            .find(|s| s.rows.len() > LOCAL_MASK as usize + 1)
+        {
+            return Err(Error::Invalid(format!(
+                "a snapshot of {} rows among several; a position addresses {}",
+                big.rows.len(),
+                LOCAL_MASK as usize + 1
+            )));
+        }
+        let offset = (self.parts.len() as u32) << LOCAL_BITS;
+        let mut positions = Vec::with_capacity(self.len() + more.len());
+        positions.extend_from_slice(&self.positions);
+        positions.extend(more.positions.iter().map(|&p| p + offset));
+        Ok(Selection {
+            parts: parts.into(),
+            positions,
+        })
+    }
+
+    /// The rows `dests` sends to each of `width` destinations — row `i`
+    /// to `dests[i]` — in order: one selection per destination, over
+    /// the same snapshots.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Invalid`] when `dests` has another length than
+    /// the selection or names a destination past `width`.
+    pub fn split(&self, dests: &[u32], width: usize) -> Result<Vec<Selection>> {
+        let invalid = || {
+            Error::Invalid(format!(
+                "{} destinations over {width} for a selection of {} rows",
+                dests.len(),
+                self.len()
+            ))
+        };
+        if dests.len() != self.len() {
+            return Err(invalid());
+        }
+        let mut split = vec![Vec::new(); width];
+        for (&p, &d) in self.positions.iter().zip(dests) {
+            split.get_mut(d as usize).ok_or_else(invalid)?.push(p);
+        }
+        let part = |positions| Selection {
+            parts: Arc::clone(&self.parts),
+            positions,
+        };
+        Ok(split.into_iter().map(part).collect())
     }
 }
 
@@ -240,7 +384,7 @@ impl Table {
     /// now: later writes leave the selection as it is.
     pub(crate) fn select(&self, positions: Vec<u32>) -> Selection {
         Selection {
-            snapshot: Arc::clone(&self.data),
+            parts: Arc::from([Arc::clone(&self.data)]),
             positions,
         }
     }

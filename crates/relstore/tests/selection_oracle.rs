@@ -8,6 +8,11 @@
 //! their rows join, and a selection batches for a migration as its rows
 //! do. The selections come from sequential and index scans and are
 //! reordered at random, so their positions are rarely ascending.
+//!
+//! The same checks hold a selection over several snapshots — two to
+//! four tables of one schema scanned and appended in turn, as a gather
+//! or a shuffle of shards' scans appends them — whose positions are then
+//! interleaved across the parts, and the split a shuffle routes it by.
 
 use std::cmp::Ordering;
 
@@ -18,7 +23,7 @@ use pspp_relstore::{Kept, RelationalStore, Selection};
 
 mod predicate_gen;
 mod row_gen;
-use predicate_gen::{arb_predicate_program, predicate_from};
+use predicate_gen::{arb_predicate_program, predicate_from, PredicateStep};
 use row_gen::{arb_any, arb_bool, arb_float, arb_int, arb_str, arb_timestamp, schema};
 
 const COLUMNS: [&str; 5] = ["i", "f", "t", "b", "s"];
@@ -92,6 +97,56 @@ fn selection(
         .expect("the scan's own positions")
 }
 
+/// What one table contributes to a selection over several: its rows,
+/// the scan's predicate program (over `i`, with int literals, so an
+/// index applies), and whether an index on `i` answers the scan.
+type Scan = (Vec<Row>, Vec<PredicateStep>, bool);
+
+/// Two to four tables' scans.
+fn arb_scans() -> impl Strategy<Value = Vec<Scan>> {
+    let scan = (
+        arb_table(24),
+        arb_predicate_program(0..3, arb_int),
+        any::<bool>(),
+    );
+    prop::collection::vec(scan, 2..5)
+}
+
+/// One selection over every scan's snapshot, in order: each scan's
+/// selection (its positions reordered unless `keep_order`) appended in
+/// turn, and then, unless `keep_order`, its positions reordered across
+/// the parts. Checked on the way: the appended selection's rows are the
+/// parts' rows in order, and an empty part takes up no part.
+fn spanning(
+    scans: &[Scan],
+    keep_order: bool,
+    shuffle: &[u32],
+) -> std::result::Result<Selection, TestCaseError> {
+    let parts: Vec<Selection> = scans
+        .iter()
+        .map(|(rows, scan, indexed)| {
+            let predicate = predicate_from(&["i"], scan.clone());
+            selection(rows, &predicate, *indexed, keep_order, shuffle)
+        })
+        .collect();
+    let mut joined = parts[0].clone();
+    for part in &parts[1..] {
+        joined = joined.concat(part).expect("small snapshots of one table");
+    }
+    let want: Vec<Row> = parts.iter().flat_map(Selection::rows).collect();
+    prop_assert!(identical(&joined.rows(), &want));
+    let filled = parts.iter().filter(|p| !p.is_empty()).count();
+    prop_assert_eq!(joined.part_count(), filled.max(1));
+    if keep_order {
+        return Ok(joined);
+    }
+    let mut positions = joined.positions().to_vec();
+    positions.sort_by_key(|&p| shuffle[p as usize % shuffle.len()] ^ p.rotate_left(7));
+    Ok(joined
+        .with_positions(positions)
+        .expect("the selection's own positions"))
+}
+
 /// Equal as `Value`s *and* of one variant; floats compare by bits.
 fn same_rows(got: &[Row], want: &[Row]) -> bool {
     let same = |a: &Value, b: &Value| a == b && a.data_type() == b.data_type();
@@ -125,6 +180,235 @@ fn agree<T: std::fmt::Debug>(
     }
 }
 
+/// Sort (whole and top-n), limit, filter, group-by (keyless count
+/// included), projection and the byte size over `sel`, against the
+/// specifications and the row kernels over the rows `sel` builds.
+fn kernels_agree(
+    sel: &Selection,
+    keys: &[(usize, bool)],
+    top: (bool, usize),
+    filter: Vec<PredicateStep>,
+    columns: &[usize],
+) -> std::result::Result<(), TestCaseError> {
+    let built = sel.rows();
+    let s = schema();
+    let n = top.1;
+
+    // Sort, whole and top-n, against the stable sort_by of the built
+    // rows.
+    let sort_keys: Vec<SortKey> = keys
+        .iter()
+        .map(|&(c, asc)| {
+            if asc {
+                SortKey::asc(COLUMNS[c])
+            } else {
+                SortKey::desc(COLUMNS[c])
+            }
+        })
+        .collect();
+    let mut want = built.clone();
+    want.sort_by(|a, b| {
+        keys.iter()
+            .map(|&(c, asc)| {
+                if asc {
+                    a[c].cmp(&b[c])
+                } else {
+                    b[c].cmp(&a[c])
+                }
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    let sorted = |top| -> Vec<Row> {
+        let order = ops::sort_at(&s, sel.selected(), &sort_keys, top).expect("known columns");
+        sel.with_positions(order).expect("its own positions").rows()
+    };
+    let full = sorted(None);
+    prop_assert!(
+        identical(&full, &want),
+        "{keys:?} over {built:?}: got {full:?}"
+    );
+    let by_rows = ops::sort_rows(&s, built.clone(), &sort_keys).expect("known columns");
+    prop_assert!(identical(&by_rows, &want));
+    if top.0 {
+        let got = sorted(Some(n));
+        let kept = n.min(want.len());
+        prop_assert!(
+            identical(&got[..kept], &want[..kept]),
+            "top {n} of {keys:?} over {built:?}: got {got:?}"
+        );
+        // Every row is still there, once.
+        let mut rest: Vec<*const Value> = got.iter().map(|r| r.values().as_ptr()).collect();
+        let mut all: Vec<*const Value> = built.iter().map(|r| r.values().as_ptr()).collect();
+        rest.sort();
+        all.sort();
+        prop_assert_eq!(rest, all);
+    }
+
+    // Limit: a prefix of the positions is a prefix of the rows.
+    prop_assert!(identical(&sel.prefix(n).rows(), &ops::limit(&built, n)));
+    prop_assert_eq!(ops::limit(&built, n).len(), n.min(built.len()));
+
+    // Filter: the built rows `Predicate::eval` keeps, or its first
+    // error, a row at a time.
+    let filter = predicate_from(&FILTER_COLUMNS, filter);
+    let got = ops::filter_at(&s, sel.selected(), &filter)
+        .map(|kept| sel.with_positions(kept).expect("its own positions").rows());
+    let want: Result<Vec<Row>> = built
+        .iter()
+        .filter_map(|row| match filter.eval(&s, row) {
+            Ok(true) => Some(Ok(row.clone())),
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
+        })
+        .collect();
+    prop_assert!(
+        agree(&got, &want, |g, w| identical(g, w)),
+        "{filter:?} over {built:?}: got {got:?}, want {want:?}"
+    );
+    let by_rows = ops::filter_rows(&s, &built, &filter);
+    prop_assert!(agree(&by_rows, &want, |g, w| identical(g, w)));
+
+    // Group-by, keyless count among its draws, and projection: the row
+    // kernels over the built rows, with the bytes of what was built.
+    let aggs: Vec<AggregateSpec> = [
+        Aggregate::Count,
+        Aggregate::Sum,
+        Aggregate::Avg,
+        Aggregate::Min,
+        Aggregate::Max,
+        Aggregate::CountNonNull,
+    ]
+    .into_iter()
+    .zip(columns)
+    .enumerate()
+    .map(|(k, (agg, &c))| AggregateSpec::new(agg, COLUMNS[c], format!("a{k}")))
+    .collect();
+    let group_keys: Vec<&str> = keys.iter().map(|&(c, _)| COLUMNS[c]).collect();
+    let got = ops::group_by_at(&s, sel.selected(), &group_keys, &aggs);
+    let want = ops::group_by(&s, &built, &group_keys, &aggs).map(|(schema, rows)| {
+        let bytes = walked(&rows);
+        (schema, rows, bytes)
+    });
+    prop_assert!(
+        agree(&got, &want, |g, w| g.0 == w.0
+            && same_rows(&g.1, &w.1)
+            && g.2 == w.2),
+        "{group_keys:?} {aggs:?} over {built:?}: got {got:?}"
+    );
+    let count = ops::group_by_at(&s, sel.selected(), &[], &[AggregateSpec::count("n")])
+        .expect("a count reads no column");
+    prop_assert_eq!(
+        count.1,
+        vec![Row::from(vec![Value::Int(built.len() as i64)])]
+    );
+
+    let projected: Vec<&str> = columns.iter().map(|&c| COLUMNS[c]).collect();
+    let (got_schema, got, bytes) =
+        ops::project_at(&s, sel.selected(), &projected).expect("known columns");
+    let (want_schema, want) = ops::project(&s, &built, &projected).expect("known columns");
+    prop_assert_eq!(got_schema, want_schema);
+    prop_assert!(same_rows(&got, &want));
+    prop_assert_eq!(bytes, walked(&want));
+    prop_assert_eq!(sel.byte_size(), walked(&built));
+    Ok(())
+}
+
+/// How two selections are joined: the key columns (`on.2`: the same
+/// column on both sides), a left outer join or an inner one, and the
+/// join's columns a demand names, if any.
+type JoinDraw = ((usize, usize, bool), (bool, bool), Vec<usize>);
+
+/// Both joins of `left` and `right`, and each side's migration batch of
+/// columns `keep`, against the same kernels over the rows they build.
+fn joins_agree(
+    left: &Selection,
+    right: &Selection,
+    (on, (outer, demanded), emit): JoinDraw,
+    keep: &[usize],
+) -> std::result::Result<(), TestCaseError> {
+    let (lbuilt, rbuilt) = (left.rows(), right.rows());
+    let s = schema();
+    let (li, ri) = if on.2 { (on.0, on.0) } else { (on.0, on.1) };
+    let (lon, ron) = (COLUMNS[li], COLUMNS[ri]);
+    let kind = if outer {
+        JoinKind::LeftOuter
+    } else {
+        JoinKind::Inner
+    };
+    let names: Vec<String> = {
+        let joined = s.join(&s);
+        emit.iter()
+            .map(|&c| joined.fields()[c].name.clone())
+            .collect()
+    };
+    let demand = demanded.then_some(names.as_slice());
+    let all = |rows| Selected::all(rows).expect("few rows");
+
+    // The hash join: the same rows in the same order, the same count
+    // per probe row, the bytes of what was built.
+    let hash = |l, r| {
+        let mut counts = Vec::new();
+        let out = ops::hash_join_with(&s, l, &s, r, lon, ron, kind, demand, |n| counts.push(n));
+        out.map(|(schema, rows, bytes)| (schema, rows, bytes, counts))
+    };
+    let got = hash(left.selected(), right.selected()).expect("known columns");
+    let want = hash(all(&lbuilt), all(&rbuilt)).expect("known columns");
+    prop_assert_eq!(&got.0, &want.0);
+    prop_assert!(
+        same_rows(&got.1, &want.1),
+        "{lon} = {ron} {kind:?} emitting {demand:?}, {lbuilt:?} with {rbuilt:?}: got {:?}, want {:?}",
+        got.1,
+        want.1
+    );
+    prop_assert_eq!(got.2, want.2);
+    prop_assert_eq!(got.2, walked(&got.1));
+    prop_assert_eq!(&got.3, &want.3);
+
+    // The sort-merge join likewise.
+    let merge = |l, r| ops::sort_merge_join_with(&s, l, &s, r, lon, ron, demand);
+    let got = merge(left.selected(), right.selected()).expect("known columns");
+    let want = merge(all(&lbuilt), all(&rbuilt)).expect("known columns");
+    prop_assert_eq!(&got.0, &want.0);
+    prop_assert!(
+        same_rows(&got.1, &want.1),
+        "merge {lon} = {ron} emitting {demand:?}, {lbuilt:?} with {rbuilt:?}: got {:?}, want {:?}",
+        got.1,
+        want.1
+    );
+    prop_assert_eq!(got.2, want.2);
+
+    // The migration batch: the one the built rows make, or its error
+    // under a schema that forbids the NULLs the image flags. Debug text
+    // tells `-0.0` from `0.0`.
+    let strict = Schema::from_fields(
+        s.fields()
+            .iter()
+            .map(|f| Field {
+                nullable: false,
+                ..f.clone()
+            })
+            .collect(),
+    );
+    for (schema, sel, built) in [(&s, left, &lbuilt), (&strict, right, &rbuilt)] {
+        let got = format!("{:?}", sel.selected().to_batch(schema, keep));
+        let want = format!("{:?}", Batch::from_columns(schema, built, keep));
+        prop_assert!(got == want, "{keep:?} of {built:?}: got {got}, want {want}");
+    }
+    Ok(())
+}
+
+/// Half the time the same column on both sides (`Str` keys among them),
+/// otherwise any pair (`Int` against `Float` among them); inner or left
+/// outer; a demand of up to five of the join's ten columns, or none.
+fn arb_join() -> impl Strategy<Value = JoinDraw> {
+    (
+        (0usize..5, 0usize..5, any::<bool>()),
+        (any::<bool>(), any::<bool>()),
+        prop::collection::vec(0usize..10, 0..6),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
@@ -145,108 +429,35 @@ proptest! {
         // The scan bounds `i` (so an index applies) with an int literal.
         let predicate = predicate_from(&["i"], scan);
         let sel = selection(&rows, &predicate, indexed, keep_order, &shuffle);
+        kernels_agree(&sel, &keys, top, filter, &columns)?;
+    }
+
+    #[test]
+    fn kernels_over_a_selection_of_several_snapshots_are_the_kernels_over_its_rows(
+        scans in arb_scans(),
+        keep_order in any::<bool>(),
+        shuffle in prop::collection::vec(any::<u32>(), 1..17),
+        keys in prop::collection::vec((0usize..5, any::<bool>()), 0..4),
+        top in (any::<bool>(), 0usize..100),
+        filter in arb_predicate_program(1..6, arb_any),
+        columns in prop::collection::vec(0usize..5, 6..7),
+        route in prop::collection::vec(0u32..3, 1..9),
+    ) {
+        let sel = spanning(&scans, keep_order, &shuffle)?;
+        kernels_agree(&sel, &keys, top, filter, &columns)?;
+        // A shuffle's split: destination `d` gets the rows routed to it,
+        // in order, over the same snapshots.
         let built = sel.rows();
-        let s = schema();
-        let n = top.1;
-
-        // Sort, whole and top-n, against the stable sort_by of the built
-        // rows.
-        let sort_keys: Vec<SortKey> = keys
-            .iter()
-            .map(|&(c, asc)| if asc { SortKey::asc(COLUMNS[c]) } else { SortKey::desc(COLUMNS[c]) })
-            .collect();
-        let mut want = built.clone();
-        want.sort_by(|a, b| {
-            keys.iter()
-                .map(|&(c, asc)| if asc { a[c].cmp(&b[c]) } else { b[c].cmp(&a[c]) })
-                .find(|ord| ord.is_ne())
-                .unwrap_or(Ordering::Equal)
-        });
-        let sorted = |top| -> Vec<Row> {
-            let order = ops::sort_at(&s, sel.selected(), &sort_keys, top).expect("known columns");
-            sel.with_positions(order).expect("its own positions").rows()
-        };
-        let full = sorted(None);
-        prop_assert!(identical(&full, &want), "{keys:?} over {built:?}: got {full:?}");
-        let by_rows = ops::sort_rows(&s, built.clone(), &sort_keys).expect("known columns");
-        prop_assert!(identical(&by_rows, &want));
-        if top.0 {
-            let got = sorted(Some(n));
-            let kept = n.min(want.len());
-            prop_assert!(
-                identical(&got[..kept], &want[..kept]),
-                "top {n} of {keys:?} over {built:?}: got {got:?}"
-            );
-            // Every row is still there, once.
-            let mut rest: Vec<*const Value> = got.iter().map(|r| r.values().as_ptr()).collect();
-            let mut all: Vec<*const Value> = built.iter().map(|r| r.values().as_ptr()).collect();
-            rest.sort();
-            all.sort();
-            prop_assert_eq!(rest, all);
+        let dests: Vec<u32> = (0..sel.len()).map(|i| route[i % route.len()]).collect();
+        let split = sel.split(&dests, 3).expect("destinations below the width");
+        for (d, part) in (0u32..).zip(&split) {
+            let want: Vec<Row> = (built.iter().zip(&dests))
+                .filter(|&(_, &to)| to == d)
+                .map(|(row, _)| row.clone())
+                .collect();
+            prop_assert!(identical(&part.rows(), &want));
+            prop_assert_eq!(part.byte_size(), walked(&want));
         }
-
-        // Limit: a prefix of the positions is a prefix of the rows.
-        prop_assert!(identical(&sel.prefix(n).rows(), &ops::limit(&built, n)));
-        prop_assert_eq!(ops::limit(&built, n).len(), n.min(built.len()));
-
-        // Filter: the built rows `Predicate::eval` keeps, or its first
-        // error, a row at a time.
-        let filter = predicate_from(&FILTER_COLUMNS, filter);
-        let got = ops::filter_at(&s, sel.selected(), &filter)
-            .map(|kept| sel.with_positions(kept).expect("its own positions").rows());
-        let want: Result<Vec<Row>> = built
-            .iter()
-            .filter_map(|row| match filter.eval(&s, row) {
-                Ok(true) => Some(Ok(row.clone())),
-                Ok(false) => None,
-                Err(e) => Some(Err(e)),
-            })
-            .collect();
-        prop_assert!(
-            agree(&got, &want, |g, w| identical(g, w)),
-            "{filter:?} over {built:?}: got {got:?}, want {want:?}"
-        );
-        let by_rows = ops::filter_rows(&s, &built, &filter);
-        prop_assert!(agree(&by_rows, &want, |g, w| identical(g, w)));
-
-        // Group-by, keyless count among its draws, and projection: the
-        // row kernels over the built rows, with the bytes of what was
-        // built.
-        let aggs: Vec<AggregateSpec> = [
-            Aggregate::Count,
-            Aggregate::Sum,
-            Aggregate::Avg,
-            Aggregate::Min,
-            Aggregate::Max,
-            Aggregate::CountNonNull,
-        ]
-        .into_iter()
-        .zip(&columns)
-        .enumerate()
-        .map(|(k, (agg, &c))| AggregateSpec::new(agg, COLUMNS[c], format!("a{k}")))
-        .collect();
-        let group_keys: Vec<&str> = keys.iter().map(|&(c, _)| COLUMNS[c]).collect();
-        let got = ops::group_by_at(&s, sel.selected(), &group_keys, &aggs);
-        let want = ops::group_by(&s, &built, &group_keys, &aggs);
-        prop_assert!(
-            agree(&got, &want.map(|(schema, rows)| {
-                let bytes = walked(&rows);
-                (schema, rows, bytes)
-            }), |g, w| g.0 == w.0 && same_rows(&g.1, &w.1) && g.2 == w.2),
-            "{group_keys:?} {aggs:?} over {built:?}: got {got:?}"
-        );
-        let count = ops::group_by_at(&s, sel.selected(), &[], &[AggregateSpec::count("n")])
-            .expect("a count reads no column");
-        prop_assert_eq!(count.1, vec![Row::from(vec![Value::Int(built.len() as i64)])]);
-
-        let projected: Vec<&str> = columns.iter().map(|&c| COLUMNS[c]).collect();
-        let (got_schema, got, bytes) =
-            ops::project_at(&s, sel.selected(), &projected).expect("known columns");
-        let (want_schema, want) = ops::project(&s, &built, &projected).expect("known columns");
-        prop_assert_eq!(got_schema, want_schema);
-        prop_assert!(same_rows(&got, &want));
-        prop_assert_eq!(bytes, walked(&want));
-        prop_assert_eq!(sel.byte_size(), walked(&built));
     }
 
     #[test]
@@ -255,72 +466,25 @@ proptest! {
         scans in (arb_predicate_program(0..3, arb_int), arb_predicate_program(0..3, arb_int)),
         (indexed, keep_order) in ((any::<bool>(), any::<bool>()), (any::<bool>(), any::<bool>())),
         shuffle in prop::collection::vec(any::<u32>(), 1..17),
-        // Half the time the same column on both sides: `Str` keys among
-        // them; otherwise any pair, `Int` against `Float` among them.
-        on in (0usize..5, 0usize..5, any::<bool>()),
-        (outer, demanded) in (any::<bool>(), any::<bool>()),
-        emit in prop::collection::vec(0usize..10, 0..6),
+        join in arb_join(),
         keep in prop::collection::vec(0usize..5, 0..6),
     ) {
-        let sides = [
-            selection(&tables.0, &predicate_from(&["i"], scans.0), indexed.0, keep_order.0, &shuffle),
-            selection(&tables.1, &predicate_from(&["i"], scans.1), indexed.1, keep_order.1, &shuffle),
-        ];
-        let [left, right] = &sides;
-        let (lbuilt, rbuilt) = (left.rows(), right.rows());
-        let s = schema();
-        let (li, ri) = if on.2 { (on.0, on.0) } else { (on.0, on.1) };
-        let (lon, ron) = (COLUMNS[li], COLUMNS[ri]);
-        let kind = if outer { JoinKind::LeftOuter } else { JoinKind::Inner };
-        let names: Vec<String> = {
-            let joined = s.join(&s);
-            emit.iter().map(|&c| joined.fields()[c].name.clone()).collect()
-        };
-        let demand = demanded.then_some(names.as_slice());
-        let all = |rows| Selected::all(rows).expect("few rows");
+        let left = selection(&tables.0, &predicate_from(&["i"], scans.0), indexed.0, keep_order.0, &shuffle);
+        let right = selection(&tables.1, &predicate_from(&["i"], scans.1), indexed.1, keep_order.1, &shuffle);
+        joins_agree(&left, &right, join, &keep)?;
+    }
 
-        // The hash join: the same rows in the same order, the same count
-        // per probe row, the bytes of what was built.
-        let hash = |l, r| {
-            let mut counts = Vec::new();
-            let out = ops::hash_join_with(&s, l, &s, r, lon, ron, kind, demand, |n| counts.push(n));
-            out.map(|(schema, rows, bytes)| (schema, rows, bytes, counts))
-        };
-        let got = hash(left.selected(), right.selected()).expect("known columns");
-        let want = hash(all(&lbuilt), all(&rbuilt)).expect("known columns");
-        prop_assert_eq!(&got.0, &want.0);
-        prop_assert!(
-            same_rows(&got.1, &want.1),
-            "{lon} = {ron} {kind:?} emitting {demand:?}, {lbuilt:?} with {rbuilt:?}: got {:?}, want {:?}",
-            got.1, want.1
-        );
-        prop_assert_eq!(got.2, want.2);
-        prop_assert_eq!(got.2, walked(&got.1));
-        prop_assert_eq!(&got.3, &want.3);
-
-        // The sort-merge join likewise.
-        let merge = |l, r| ops::sort_merge_join_with(&s, l, &s, r, lon, ron, demand);
-        let got = merge(left.selected(), right.selected()).expect("known columns");
-        let want = merge(all(&lbuilt), all(&rbuilt)).expect("known columns");
-        prop_assert_eq!(&got.0, &want.0);
-        prop_assert!(
-            same_rows(&got.1, &want.1),
-            "merge {lon} = {ron} emitting {demand:?}, {lbuilt:?} with {rbuilt:?}: got {:?}, want {:?}",
-            got.1, want.1
-        );
-        prop_assert_eq!(got.2, want.2);
-
-        // The migration batch: the one the built rows make, or its error
-        // under a schema that forbids the NULLs the image flags. Debug
-        // text tells `-0.0` from `0.0`.
-        let strict = Schema::from_fields(
-            s.fields().iter().map(|f| Field { nullable: false, ..f.clone() }).collect(),
-        );
-        for (schema, sel, built) in [(&s, left, &lbuilt), (&strict, right, &rbuilt)] {
-            let got = format!("{:?}", sel.selected().to_batch(schema, &keep));
-            let want = format!("{:?}", Batch::from_columns(schema, built, &keep));
-            prop_assert!(got == want, "{keep:?} of {built:?}: got {got}, want {want}");
-        }
+    #[test]
+    fn joins_and_batches_over_selections_of_several_snapshots_are_those_over_their_rows(
+        scans in (arb_scans(), arb_scans()),
+        keep_order in (any::<bool>(), any::<bool>()),
+        shuffle in prop::collection::vec(any::<u32>(), 1..17),
+        join in arb_join(),
+        keep in prop::collection::vec(0usize..5, 0..6),
+    ) {
+        let left = spanning(&scans.0, keep_order.0, &shuffle)?;
+        let right = spanning(&scans.1, keep_order.1, &shuffle)?;
+        joins_agree(&left, &right, join, &keep)?;
     }
 }
 
@@ -365,4 +529,82 @@ fn a_null_in_the_image_is_no_default() {
         ),
         Err(Error::SchemaMismatch(_))
     ));
+}
+
+/// A filter over several snapshots runs part by part, but its error is
+/// the one a row at a time raises first in input order: here the row of
+/// the second snapshot, read first, reaches `zzz` before the first
+/// snapshot's row reaches `yyy`.
+#[test]
+fn a_filter_over_several_snapshots_fails_in_input_order() {
+    let row = |i: i64| {
+        Row::from(vec![
+            Value::Int(i),
+            0.5.into(),
+            Value::Timestamp(i),
+            true.into(),
+            "x".into(),
+        ])
+    };
+    let first = selection(&[row(1)], &Predicate::True, false, true, &[0]);
+    let second = selection(&[row(2)], &Predicate::True, false, true, &[0]);
+    let both = first.concat(&second).expect("one table's shape");
+    let reordered = both
+        .with_positions(vec![1 << 24, 0])
+        .expect("both rows, second first");
+    let unknown = |c: &str| Predicate::Eq(c.into(), Value::Int(0));
+    let filter = Predicate::eq("i", 1i64)
+        .and(unknown("yyy"))
+        .or(unknown("zzz"));
+    let s = schema();
+    let want = |sel: &Selection| {
+        let rows = sel.rows();
+        rows.iter()
+            .map(|r| filter.eval(&s, r))
+            .find_map(Result::err)
+            .expect("both rows fail")
+    };
+    for sel in [&both, &reordered] {
+        let got = ops::filter_at(&s, sel.selected(), &filter);
+        assert_eq!(got, Err(want(sel)), "{:?}", sel.positions());
+    }
+    assert_eq!(want(&reordered), Error::ColumnNotFound("zzz".into()));
+}
+
+/// A position of a selection over several snapshots is its part above
+/// 24 bits of its row: one naming a part the selection lacks, or a row
+/// past its part's snapshot, is refused, as is a split to a destination
+/// past the width. A single snapshot's positions stay plain rows.
+#[test]
+fn tagged_positions_outside_the_parts_are_refused() {
+    let row = |i: i64| {
+        Row::from(vec![
+            Value::Int(i),
+            0.5.into(),
+            Value::Timestamp(i),
+            true.into(),
+            "x".into(),
+        ])
+    };
+    let three = selection(
+        &[row(0), row(1), row(2)],
+        &Predicate::True,
+        false,
+        true,
+        &[0],
+    );
+    let two = selection(&[row(3), row(4)], &Predicate::True, false, true, &[0]);
+    assert_eq!(three.positions(), [0, 1, 2]);
+    let both = three.concat(&two).expect("one table's shape");
+    assert_eq!(both.positions(), [0, 1, 2, 1 << 24, (1 << 24) + 1]);
+    assert_eq!(both.concat(&three).unwrap().part_count(), 3);
+    let refused =
+        |positions: Vec<u32>| matches!(both.with_positions(positions), Err(Error::Invalid(_)));
+    assert!(!refused(vec![(1 << 24) + 1, 2]));
+    assert!(refused(vec![1 << 24 | 2]), "past the second snapshot");
+    assert!(refused(vec![2 << 24]), "a third part");
+    assert!(refused(vec![3]));
+
+    assert!(matches!(three.split(&[0, 1], 2), Err(Error::Invalid(_))));
+    assert!(matches!(three.split(&[0, 1, 2], 2), Err(Error::Invalid(_))));
 }

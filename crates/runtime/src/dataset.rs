@@ -17,14 +17,18 @@ use pspp_relstore::{Selected, Selection};
 /// only when nobody else holds it.
 ///
 /// A relational scan's buffer holds a [`Selection`] — the kept
-/// positions over the table's snapshot — instead of rows. The
-/// relational kernels, the joins among them, and the migration codec
-/// read it where it lies ([`RowBuf::selected`]); its length and byte
-/// size come from the positions and the table's widths. Its rows are
-/// built on the first deref, once for every holder: by shuffle routing
-/// and gather, the ML, text and timeseries adapters, and the output.
-/// The executor builds every program output before it returns, so no
-/// selection outlives the run that made it.
+/// positions over the table's snapshot — instead of rows, and an
+/// exchange of scans keeps it one: a gather appends the shards'
+/// selections into one over every shard's snapshot, and a shuffle
+/// splits each shard's positions by destination into the buckets it
+/// hands on. The relational kernels, the joins among them, and the
+/// migration codec read it where it lies ([`RowBuf::selected`]); its
+/// length and byte size come from the positions and the tables' widths.
+/// Its rows are built on the first deref, once for every holder: by the
+/// ML, text and timeseries adapters, by the routing of a shuffle
+/// producer that is not a scan, and for the output. The executor builds
+/// every program output before it returns, so no selection outlives the
+/// run that made it.
 #[derive(Clone, Default)]
 pub struct RowBuf(Arc<Shared>);
 
@@ -60,15 +64,23 @@ impl RowBuf {
     /// the sum of [`Row::byte_size`] over `rows`, and is never walked
     /// for.
     pub fn pre_sized(rows: Vec<Row>, byte_size: u64) -> Self {
+        RowBuf::from(rows).sized(byte_size)
+    }
+
+    /// This buffer, known to hold `byte_size` payload bytes: the sum of
+    /// [`Row::byte_size`] over its rows, or a selection's
+    /// [`Selection::byte_size`], checked in debug builds and never
+    /// walked for.
+    fn sized(mut self, byte_size: u64) -> Self {
         debug_assert_eq!(
             byte_size,
-            rows.iter().map(|r| r.byte_size() as u64).sum::<u64>()
+            match self.as_selection() {
+                Some(selection) => selection.byte_size(),
+                None => self.0.rows.iter().map(|r| r.byte_size() as u64).sum(),
+            }
         );
-        RowBuf(Arc::new(Shared {
-            rows,
-            selection: None,
-            byte_size: OnceLock::from(byte_size),
-        }))
+        Arc::make_mut(&mut self.0).byte_size = OnceLock::from(byte_size);
+        self
     }
 
     /// The rows `selection` keeps, not yet built.
@@ -165,20 +177,41 @@ impl RowBuf {
     /// Appends `more`'s rows, by pointer (a gather). When both buffers
     /// already know their byte sizes the result knows the sum, so a
     /// gather of sized partials is never walked; otherwise the size is
-    /// left to be summed on first use. A buffer shared with other
-    /// holders is copied first, as in [`RowBuf::make_mut`].
+    /// left to be summed on first use. Two selections append into one
+    /// over both's snapshots ([`Selection::concat`]), and nothing is
+    /// built; any other pair appends rows, and a buffer shared with
+    /// other holders is copied first, as in [`RowBuf::make_mut`].
     pub fn append(&mut self, more: &RowBuf) {
         self.append_owned(more.clone());
     }
 
     /// [`RowBuf::append`] taking `more` itself: its rows move over when
     /// `more` is their buffer's only holder, and are copied (row
-    /// pointers) otherwise.
+    /// pointers) otherwise. Appended to an empty buffer, `more` is the
+    /// result as it is.
     pub(crate) fn append_owned(&mut self, more: RowBuf) {
+        if self.is_empty() {
+            *self = more;
+            return;
+        }
         let known = match (self.0.known_byte_size(), more.0.known_byte_size()) {
             (Some(a), Some(b)) => OnceLock::from(a + b),
             _ => OnceLock::new(),
         };
+        // Two selections a position tag cannot address together (too
+        // many snapshots, or one too large) are appended as rows.
+        let joined = match (self.as_selection(), more.as_selection()) {
+            (Some(a), Some(b)) => a.concat(b).ok(),
+            _ => None,
+        };
+        if let Some(selection) = joined {
+            *self = RowBuf(Arc::new(Shared {
+                rows: Vec::new(),
+                selection: Some((selection, OnceLock::new())),
+                byte_size: known,
+            }));
+            return;
+        }
         let shared = self.shared_mut();
         shared.rows.extend(more.into_rows());
         shared.byte_size = known;
@@ -455,13 +488,17 @@ pub fn output_digest(outputs: &[Dataset]) -> u64 {
 /// and where each row sits in that gathered output. Partials are pushed
 /// in gather (shard) order, so destination `d` holds exactly the rows
 /// [`pspp_common::Distribution::route_indices`] picks out of the
-/// gathered rows for `d`, and its origins are that index list.
+/// gathered rows for `d`, and its origins are that index list. A
+/// destination pushed only scans' selections holds a selection over
+/// their snapshots, and no row is built; its bucket's known byte size is
+/// the routes' sum, which a debug build checks against the selection's.
 #[derive(Debug)]
 pub(crate) struct Routed {
     schema: Schema,
     model: DataModel,
     location: EngineId,
-    rows: Vec<Vec<Row>>,
+    /// Each destination's rows so far, appended partial by partial.
+    buckets: Vec<RowBuf>,
     bytes: Vec<u64>,
     origins: Vec<Vec<usize>>,
     /// Rows pushed so far: the next partial's offset in gather order.
@@ -479,7 +516,7 @@ impl Routed {
             schema: like.schema()?.clone(),
             model: like.model,
             location: like.location.clone(),
-            rows: vec![Vec::new(); width],
+            buckets: vec![RowBuf::default(); width],
             bytes: vec![0; width],
             origins: vec![Vec::new(); width],
             len: 0,
@@ -487,15 +524,17 @@ impl Routed {
     }
 
     /// Appends the next partial in gather order, row `i` to destination
-    /// `routes.dests[i]`: by move when `rows` is its buffer's only
-    /// holder, as row pointers otherwise.
+    /// `routes.dests[i]`: a selection's positions split into one
+    /// selection per destination ([`pspp_relstore::Selection::split`]),
+    /// rows by move when `rows` is their buffer's only holder and as row
+    /// pointers otherwise.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Execution`] when `routes` does not cover `rows`
     /// or names another number of destinations.
     pub(crate) fn push(&mut self, rows: RowBuf, routes: &Routes) -> Result<()> {
-        let width = self.rows.len();
+        let width = self.buckets.len();
         let mismatch = || {
             Error::Execution(format!(
                 "routes of {} rows over {} destinations for {} rows over {width}",
@@ -511,15 +550,28 @@ impl Routed {
         for &d in &routes.dests {
             *counts.get_mut(d as usize).ok_or_else(mismatch)? += 1;
         }
-        for ((rows, origins), n) in self.rows.iter_mut().zip(&mut self.origins).zip(counts) {
-            rows.reserve(n);
-            origins.reserve(n);
-        }
         let offset = self.len;
         self.len += rows.len();
-        for (i, (row, &d)) in rows.into_rows().into_iter().zip(&routes.dests).enumerate() {
-            self.rows[d as usize].push(row);
+        for (origins, &n) in self.origins.iter_mut().zip(&counts) {
+            origins.reserve(n);
+        }
+        for (i, &d) in routes.dests.iter().enumerate() {
             self.origins[d as usize].push(offset + i);
+        }
+        let parts: Vec<RowBuf> = match rows.as_selection() {
+            Some(selection) => (selection.split(&routes.dests, width)?.into_iter())
+                .map(RowBuf::selection)
+                .collect(),
+            None => {
+                let mut split: Vec<Vec<Row>> = counts.into_iter().map(Vec::with_capacity).collect();
+                for (row, &d) in rows.into_rows().into_iter().zip(&routes.dests) {
+                    split[d as usize].push(row);
+                }
+                split.into_iter().map(RowBuf::from).collect()
+            }
+        };
+        for (bucket, part) in self.buckets.iter_mut().zip(parts) {
+            bucket.append_owned(part);
         }
         for (total, bytes) in self.bytes.iter_mut().zip(&routes.bytes) {
             *total += bytes;
@@ -544,16 +596,16 @@ impl Routed {
             schema,
             model,
             location,
-            rows,
+            buckets,
             bytes,
             origins,
             ..
         } = self;
-        let buckets = rows
+        let buckets = buckets
             .into_iter()
             .zip(bytes)
             .map(|(rows, bytes)| {
-                Dataset::sized_rows(schema.clone(), rows, bytes, model, location.clone())
+                Dataset::from_buf(schema.clone(), rows.sized(bytes), model, location.clone())
             })
             .collect();
         (buckets, origins)

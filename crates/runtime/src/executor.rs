@@ -31,7 +31,9 @@
 //!   a shuffle is its one reader), split by destination as its tasks
 //!   produce them — a relational scan hashes the key out of the table's
 //!   column image, any other operator has its output rows hashed — until
-//!   that shuffle takes them.
+//!   that shuffle takes them. A scan's selection is split as positions:
+//!   each destination's bucket is a selection over the shards'
+//!   snapshots, and no row of it is built.
 //!
 //! A fused node aliases its producer's entry. Rows cross between the
 //! entries and the tasks at two exhaustive `match`es, neither with a `_`
@@ -69,7 +71,10 @@
 //! walks one to price it. Rows move rather than being copied wherever
 //! their holder is the only one: a gather takes each partial nobody
 //! retained, a routed merge each task's rows, a shuffle its routed
-//! producer's buckets, and the splice each destination's output.
+//! producer's buckets, and the splice each destination's output. Scans'
+//! selections are never rows at either match: a gather appends them into
+//! one selection over every shard's snapshot, and a routed merge splits
+//! their positions.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -349,8 +354,9 @@ impl Accounts {
 
 impl NodeRun {
     /// Folds the next shard's partial into this run (shard-ordered
-    /// gather): rows concatenate in shard order and keep their summed
-    /// byte size; the accounts fold as in [`Accounts::fold`].
+    /// gather): rows concatenate in shard order — scans' selections into
+    /// one selection ([`RowBuf::append`]) — and keep their summed byte
+    /// size; the accounts fold as in [`Accounts::fold`].
     fn absorb(&mut self, mut next: NodeRun) -> Result<()> {
         let (Payload::Rows { rows, .. }, Ok(more)) =
             (&mut self.output.payload, next.output.take_rows())
@@ -908,8 +914,9 @@ impl Executor {
     }
 
     /// The routed producer's merge: each task's rows move into their
-    /// destinations' buckets, task (shard) order kept within each, and
-    /// the accounts fold into the first run's as a gather's would.
+    /// destinations' buckets (a scan's selection as its positions),
+    /// task (shard) order kept within each, and the accounts fold into
+    /// the first run's as a gather's would.
     fn route_runs(id: NodeId, group: Vec<NodeRun>, width: usize) -> Result<(Accounts, Routed)> {
         let mut routed: Option<(Accounts, Routed)> = None;
         for mut run in group {
@@ -2199,6 +2206,152 @@ mod tests {
                 Some(walked_bytes(&shuffled.outputs[0]))
             );
         }
+    }
+
+    /// A shuffled join and a gathered sort over two shards' scans read
+    /// the scans' selections through the exchange: every routed bucket
+    /// and the gathered input are selections nobody has built, before
+    /// and after their tasks run, and the buckets' rows, bytes and
+    /// origins, the join's probe counts and both nodes' outputs are what
+    /// the same scans' built rows give.
+    #[test]
+    fn routed_and_gathered_scans_stay_unbuilt_selections() {
+        let sharded = mismatched_registry(2);
+        let e = exec();
+        let unbuilt = |d: &Dataset| d.row_buf().unwrap().is_unbuilt_selection();
+        let rows_of = |d: &Dataset| match d.row_buf().unwrap().as_selection() {
+            Some(selection) => selection.rows(),
+            None => d.try_rows().unwrap().to_vec(),
+        };
+        // Each task run twice: over its inputs as handed, and over the
+        // same rows built.
+        let run_both = |p: &Program, tasks: Vec<Task>, built: Vec<Task>| {
+            let held: Vec<Dataset> = tasks.iter().flat_map(|t| t.inputs.clone()).collect();
+            assert!(!held.is_empty() && held.iter().all(unbuilt));
+            let runs: Vec<NodeRun> = tasks
+                .into_iter()
+                .map(|t| e.run_node(p, t, &sharded).unwrap())
+                .collect();
+            let built: Vec<NodeRun> = built
+                .into_iter()
+                .map(|t| e.run_node(p, t, &sharded).unwrap())
+                .collect();
+            assert!(held.iter().all(unbuilt), "a task built its input's rows");
+            for (run, want) in runs.iter().zip(&built) {
+                assert_eq!(rows_of(&run.output), rows_of(&want.output));
+                assert_eq!(run.output.byte_size(), want.output.byte_size());
+                let counts = |r: &NodeRun| match &r.reported {
+                    Reported::MatchCounts(counts) => Some(counts.clone()),
+                    _ => None,
+                };
+                assert_eq!(counts(run), counts(want));
+            }
+            (runs, built)
+        };
+        let parts = |d: &Dataset| d.row_buf().unwrap().as_selection().unwrap().part_count();
+
+        // The join: both scans routed where they run, into two buckets.
+        let (p, j) = pid_join_program();
+        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
+        assert!(plan.node(j).shuffles());
+        let (mut routed, mut from_rows) = (HashMap::new(), HashMap::new());
+        for scan in p.node(j).inputs.clone() {
+            let (tasks, merge) = e
+                .node_tasks(&p, scan, &plan, &sharded, &mut routed)
+                .unwrap();
+            let Merge::Route(width) = merge else {
+                panic!("scan {scan} of a shuffled join merges by routing, not by {merge:?}");
+            };
+            let runs: Vec<NodeRun> = tasks
+                .into_iter()
+                .map(|t| e.run_node(&p, t, &sharded).unwrap())
+                .collect();
+            assert!(runs.iter().all(|run| unbuilt(&run.output)));
+            let built_runs = runs.iter().map(|run| NodeRun {
+                id: run.id,
+                output: run.output.clone().built(),
+                reported: match &run.reported {
+                    Reported::Routes(routes) => Reported::Routes(routes.clone()),
+                    _ => panic!("a routed scan reports its routes"),
+                },
+                acc: Accounts::default(),
+            });
+            let built_runs: Vec<NodeRun> = built_runs.collect();
+            let merged = |runs| Executor::merge(&p, scan, Merge::Route(width), runs, &sharded);
+            routed.insert(scan, merged(runs).unwrap().1);
+            from_rows.insert(scan, merged(built_runs).unwrap().1);
+        }
+        let (tasks, merge) = e.node_tasks(&p, j, &plan, &sharded, &mut routed).unwrap();
+        let (want_tasks, want_merge) = e
+            .node_tasks(&p, j, &plan, &sharded, &mut from_rows)
+            .unwrap();
+        let (Merge::Splice(barrier), Merge::Splice(want)) = (merge, want_merge) else {
+            panic!("a shuffled join merges by splicing");
+        };
+        assert_eq!(barrier.probe_origins, want.probe_origins);
+        assert_eq!(
+            (barrier.routed_rows, barrier.bytes),
+            (want.routed_rows, want.bytes)
+        );
+        for (task, want) in tasks.iter().zip(&want_tasks) {
+            // `admissions` is hashed on the join key already, so each of
+            // its buckets holds one shard's rows; `patients` is hashed on
+            // `name`, so each of its buckets mixes both shards'.
+            assert_eq!(task.inputs.iter().map(parts).collect::<Vec<_>>(), [1, 2]);
+            for (bucket, rows) in task.inputs.iter().zip(&want.inputs) {
+                assert_eq!(rows_of(bucket), rows_of(rows));
+                assert_eq!(known_bytes(bucket), Some(walked_bytes(rows)));
+            }
+        }
+        let (runs, built) = run_both(&p, tasks, want_tasks);
+        let spliced = |runs, barrier| Executor::splice_shuffle(j, runs, barrier).unwrap();
+        let (got, want) = (spliced(runs, &barrier), spliced(built, &want));
+        assert_eq!(
+            got.output.try_rows().unwrap(),
+            want.output.try_rows().unwrap()
+        );
+        let whole = e.execute(&p, &sharded).unwrap();
+        assert_eq!(
+            whole.outputs[0].try_rows().unwrap(),
+            got.output.try_rows().unwrap()
+        );
+
+        // The sort: the two shards' scans gathered into one selection.
+        let mut p = Program::new();
+        let scan = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
+        let keys = vec![
+            pspp_ir::SortSpec {
+                column: "age".into(),
+                ascending: false,
+            },
+            pspp_ir::SortSpec {
+                column: "pid".into(),
+                ascending: true,
+            },
+        ];
+        let sort = p.add_node(Operator::Sort { keys }, vec![scan], "sql");
+        p.mark_output(sort);
+        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
+        let mut outputs = HashMap::new();
+        e.run_stage(&p, &[scan], &plan, &sharded, &mut outputs)
+            .unwrap();
+        let (tasks, _) = e
+            .node_tasks(&p, sort, &plan, &sharded, &mut outputs)
+            .unwrap();
+        assert_eq!(parts(&tasks[0].inputs[0]), 2);
+        let want_tasks = (tasks.iter())
+            .map(|task| Task {
+                inputs: task.inputs.iter().map(|d| d.clone().built()).collect(),
+                role: task.role.clone(),
+                ..*task
+            })
+            .collect();
+        let (runs, _) = run_both(&p, tasks, want_tasks);
+        let whole = e.execute(&p, &sharded).unwrap();
+        assert_eq!(
+            rows_of(&runs[0].output),
+            whole.outputs[0].try_rows().unwrap()
+        );
     }
 
     #[test]

@@ -273,7 +273,9 @@ pub enum Operator {
         /// Learning rate.
         learning_rate: f64,
     },
-    /// Score input rows with the model produced by the second input.
+    /// Score input rows with the model produced by the second input:
+    /// every numeric column is a feature, so the rows must hold the
+    /// training features without the label.
     Predict,
     /// K-means clustering of the numeric input columns.
     KMeansCluster {

@@ -5,7 +5,25 @@
 //! [`Gemm`] kernel charged by shape, so the same training loop can be
 //! costed on the CPU model or offloaded to the TPU model — the paper's
 //! Fig. 3 scenario. One `Workspace` per run holds every intermediate;
-//! the loop itself allocates nothing.
+//! the loop itself allocates nothing. `Mlp::bill_step` is the one place
+//! a step's GEMM shapes are billed: the arithmetic charges nothing, so
+//! what the ledger sees does not depend on what the host computed.
+//!
+//! # Epochs that cannot change the model
+//!
+//! A step is a deterministic function of the parameters, the batch and
+//! the learning rate: every workspace buffer it reads, it first wrote in
+//! that step. An epoch runs the same batches in the same order, so it is
+//! a deterministic function of the parameters it starts from. When one
+//! epoch ends on the bits it started from, every later epoch starts
+//! there too and repeats it exactly, loss included. `Mlp::train` keeps
+//! each epoch's starting bits in the workspace; once an epoch returns
+//! them unchanged, the remaining epochs are billed batch by batch (the
+//! ragged last one included) and given that epoch's loss, without being
+//! computed. The test is on `to_bits()`, so `NaN` payloads and `±0.0`
+//! compare exactly; there is no tolerance. A saturated training (every
+//! output delta `0.0` once its first steps have moved the model)
+//! computes one epoch that changes nothing and bills the rest.
 //!
 //! # Which examples backward visits
 //!
@@ -18,8 +36,8 @@
 //! place, their input rows into a buffer sized with the workspace — in
 //! their original order, and the one backward loop runs over that
 //! prefix. A batch with no zero delta pays one scan of its deltas.
-//! Every [`Gemm::charge`] still bills the whole batch's shape, so the
-//! ledger, the simulated clock and the energy do not see the shortcut.
+//! `Mlp::bill_step` still bills the whole batch's shape, so the ledger,
+//! the simulated clock and the energy do not see the shortcut.
 //!
 //! The result is the full batch's, bit for bit, under the kernels' order
 //! contract:
@@ -170,17 +188,40 @@ impl Mlp {
         }
     }
 
+    /// Bills the forward pass over a `rows`-example batch: one GEMM per
+    /// layer at `(rows, in, out)`, input side first.
+    fn bill_forward(&self, device: &DeviceProfile, rows: usize, ledger: Option<&CostLedger>) {
+        for w in &self.weights {
+            Gemm::charge(device, rows, w.rows(), w.cols(), ledger, "mlengine.forward");
+        }
+    }
+
+    /// Bills one training step over a `rows`-example batch, in the order
+    /// the step runs its GEMMs: the forward pass, then from the top layer
+    /// down `dW` at `(in, rows, out)` and, below the first layer, `dA` at
+    /// `(rows, out, in)`. The one place a step's shapes are billed.
+    fn bill_step(&self, device: &DeviceProfile, rows: usize, ledger: Option<&CostLedger>) {
+        self.bill_forward(device, rows, ledger);
+        for (l, w) in self.weights.iter().enumerate().rev() {
+            let (in_w, out_w) = (w.rows(), w.cols());
+            Gemm::charge(device, in_w, rows, out_w, ledger, "mlengine.backward");
+            if l > 0 {
+                Gemm::charge(device, rows, out_w, in_w, ledger, "mlengine.backward");
+            }
+        }
+    }
+
+    /// Every parameter's bits, weights before biases layer by layer.
+    fn parameter_bits(&self) -> impl Iterator<Item = u64> + '_ {
+        self.layers()
+            .flat_map(|(w, b)| w.as_slice().iter().chain(b))
+            .map(|v| v.to_bits())
+    }
+
     /// Forward pass over the `rows` examples of `x` (row-major,
     /// `input_dim()` wide): fills `ws.zs` and `ws.acts` layer by layer,
     /// one GEMM and one fused bias + activation sweep each.
-    fn forward(
-        &self,
-        device: &DeviceProfile,
-        x: &[f64],
-        rows: usize,
-        ws: &mut Workspace,
-        ledger: Option<&CostLedger>,
-    ) {
+    fn forward(&self, x: &[f64], rows: usize, ws: &mut Workspace) {
         let last = self.depth() - 1;
         for (l, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
             let (in_w, out_w) = (w.rows(), w.cols());
@@ -188,7 +229,6 @@ impl Mlp {
             let input = below.last().map_or(x, |a| &a[..rows * in_w]);
             let z = &mut ws.zs[l][..rows * out_w];
             Gemm::multiply_into(input, w.as_slice(), z, rows, in_w, out_w);
-            Gemm::charge(device, rows, in_w, out_w, ledger, "mlengine.forward");
             let act = &mut at[0][..rows * out_w];
             for (z_row, a_row) in z.chunks_exact_mut(out_w).zip(act.chunks_exact_mut(out_w)) {
                 for ((zv, av), bias) in z_row.iter_mut().zip(a_row).zip(b) {
@@ -215,13 +255,8 @@ impl Mlp {
         Self::charge_launch(device, ledger);
         let rows = features.rows();
         let mut ws = Workspace::new(&self.weights, rows, false);
-        self.forward(
-            &Self::queued(device),
-            features.as_slice(),
-            rows,
-            &mut ws,
-            ledger,
-        );
+        self.forward(features.as_slice(), rows, &mut ws);
+        self.bill_forward(&Self::queued(device), rows, ledger);
         Ok(ws.acts.pop().unwrap_or_default())
     }
 
@@ -285,7 +320,8 @@ impl Mlp {
     }
 
     /// Forward, loss, backward and update on the examples `x` (row-major)
-    /// with targets `labels`; the batch loss is the one before the update.
+    /// with targets `labels`, billed by [`Mlp::bill_step`]; the batch
+    /// loss is the one before the update.
     fn step(
         &mut self,
         device: &DeviceProfile,
@@ -297,7 +333,8 @@ impl Mlp {
     ) -> f64 {
         let rows = labels.len();
         let n = rows as f64;
-        self.forward(device, x, rows, ws, ledger);
+        self.bill_step(device, rows, ledger);
+        self.forward(x, rows, ws);
         let probs = &ws.acts[self.depth() - 1][..rows];
 
         let eps = 1e-12;
@@ -313,8 +350,8 @@ impl Mlp {
             *d = (p - y) / n;
         }
 
-        // Backward visits the `live` examples only (see the module docs)
-        // and charges every GEMM at the whole batch's `rows`.
+        // Backward visits the `live` examples only (see the module docs);
+        // the bill above is the whole batch's.
         let live = ws.compact(&self.weights, x, rows);
         let x = if live < rows {
             &ws.inputs[..live * self.input_dim()]
@@ -332,7 +369,6 @@ impl Mlp {
             };
             let dw = &mut ws.dw[..in_w * out_w];
             Gemm::multiply_at_into(a_prev, delta, dw, in_w, live, out_w);
-            Gemm::charge(device, in_w, rows, out_w, ledger, "mlengine.backward");
             let db = &mut ws.db[..out_w];
             db.fill(0.0);
             for d_row in delta.chunks_exact(out_w) {
@@ -351,7 +387,6 @@ impl Mlp {
                 }
                 let da = &mut ws.delta_below[..live * in_w];
                 Gemm::multiply_into(delta, w_t, da, live, out_w, in_w);
-                Gemm::charge(device, rows, out_w, in_w, ledger, "mlengine.backward");
                 // ReLU gate from the saved pre-activations.
                 for (d, z) in da.iter_mut().zip(&ws.zs[l - 1]) {
                     if *z <= 0.0 {
@@ -373,7 +408,9 @@ impl Mlp {
 
     /// Full SGD training; returns the per-epoch mean batch loss.
     /// Mini-batches are consecutive row ranges of `data`, the last one
-    /// shorter when `batch_size` does not divide the row count.
+    /// shorter when `batch_size` does not divide the row count. Once an
+    /// epoch leaves every parameter's bits as they were, the remaining
+    /// epochs are billed and not computed (see the module docs).
     ///
     /// # Errors
     ///
@@ -396,23 +433,40 @@ impl Mlp {
         let batch = config.batch_size.min(len);
         let mut ws = Workspace::new(&self.weights, batch, true);
         let features = data.features().as_slice();
+        let batches = move || {
+            (0..len)
+                .step_by(batch.max(1))
+                .map(move |s| s..(s + batch).min(len))
+        };
         let mut losses = Vec::new();
-        for _ in 0..config.epochs {
+        for epoch in 0..config.epochs {
+            for (saved, bits) in ws.start.iter_mut().zip(self.parameter_bits()) {
+                *saved = bits;
+            }
             let mut epoch_loss = 0.0;
             let mut n_batches = 0usize;
-            for start in (0..len).step_by(batch.max(1)) {
-                let end = (start + batch).min(len);
+            for rows in batches() {
                 epoch_loss += self.step(
                     &queued,
-                    &features[start * dim..end * dim],
-                    &data.labels()[start..end],
+                    &features[rows.start * dim..rows.end * dim],
+                    &data.labels()[rows],
                     config.learning_rate,
                     &mut ws,
                     ledger,
                 );
                 n_batches += 1;
             }
-            losses.push(epoch_loss / n_batches.max(1) as f64);
+            let loss = epoch_loss / n_batches.max(1) as f64;
+            losses.push(loss);
+            if self.parameter_bits().eq(ws.start.iter().copied()) {
+                for _ in epoch + 1..config.epochs {
+                    for rows in batches() {
+                        self.bill_step(&queued, rows.len(), ledger);
+                    }
+                    losses.push(loss);
+                }
+                break;
+            }
         }
         Ok(losses)
     }
@@ -435,23 +489,24 @@ struct Workspace {
     w_t: Vec<f64>,
     /// The input rows of a compacted batch's live examples.
     inputs: Vec<f64>,
+    /// Every parameter's bits as the current epoch started.
+    start: Vec<u64>,
 }
 
 impl Workspace {
-    /// Buffers for batches of up to `rows` examples; the backward ones
+    /// Buffers for batches of up to `rows` examples; the training ones
     /// stay empty for inference.
     fn new(weights: &[Matrix], rows: usize, backward: bool) -> Self {
         let layer = |w: &Matrix| vec![0.0; rows * w.cols()];
-        let largest = |size: fn(&Matrix) -> usize| match backward {
-            true => weights.iter().map(size).max().unwrap_or(0),
-            false => 0,
-        };
-        let width = largest(Matrix::cols);
-        let params = largest(|w| w.rows() * w.cols());
-        let input_dim = match backward {
-            true => weights.first().map_or(0, Matrix::rows),
-            false => 0,
-        };
+        let trained: &[Matrix] = if backward { weights } else { &[] };
+        let width = trained.iter().map(Matrix::cols).max().unwrap_or(0);
+        let params = trained
+            .iter()
+            .map(|w| w.rows() * w.cols())
+            .max()
+            .unwrap_or(0);
+        let input_dim = trained.first().map_or(0, Matrix::rows);
+        let all_params = trained.iter().map(|w| (w.rows() + 1) * w.cols()).sum();
         Workspace {
             zs: weights.iter().map(layer).collect(),
             acts: weights.iter().map(layer).collect(),
@@ -461,6 +516,7 @@ impl Workspace {
             db: vec![0.0; width],
             w_t: vec![0.0; params],
             inputs: vec![0.0; rows * input_dim],
+            start: vec![0; all_params],
         }
     }
 

@@ -2,20 +2,24 @@
 //!
 //! `Mlp::step` runs backward over the live examples of a batch only —
 //! nonzero output delta, or a non-finite feature or hidden activation —
-//! and still charges every GEMM at the whole batch's shape (see the
-//! `mlp` module docs). The reference below is the training loop before
-//! that change, written over the same public kernels
-//! ([`Gemm::multiply_into`], [`Gemm::multiply_at_into`],
-//! [`Gemm::charge`]) with fresh buffers and every example in every GEMM.
-//! The trained model's `Debug`, the per-epoch loss bits and the ledger's
-//! event list must be the reference's.
+//! and still charges every GEMM at the whole batch's shape, and
+//! `Mlp::train` bills without computing the epochs after one that left
+//! the parameters' bits unchanged (see the `mlp` module docs). The
+//! reference below is the training loop before either change, written
+//! over the same public kernels ([`Gemm::multiply_into`],
+//! [`Gemm::multiply_at_into`], [`Gemm::charge`]) with fresh buffers,
+//! every example in every GEMM and every epoch computed. The trained
+//! model's `Debug`, the per-epoch loss bits and the ledger's event list
+//! must be the reference's.
 //!
 //! The data is built to saturate (huge features, labels on the side the
 //! sigmoid already sits on, so most output deltas are exactly `0.0`)
 //! and to carry the hazards the compaction must not lose: a zero-delta
 //! example with an infinite or `NaN` feature, or with finite features
 //! whose hidden activations overflow — `inf × 0 = NaN` must still reach
-//! `dW` from those.
+//! `dW` from those. Driven data (and a learning rate of `0.0`) reaches
+//! an epoch that changes nothing, whose successors must be billed and
+//! given its loss.
 
 use proptest::prelude::*;
 use pspp_accel::kernels::{Gemm, Matrix};
@@ -44,6 +48,10 @@ mod reference {
         /// Of those, examples with finite features and a non-finite
         /// hidden activation.
         pub non_finite_activations: usize,
+        /// Epochs that ended on the parameter bits they started from,
+        /// with a later epoch after them: `Mlp::train` bills that later
+        /// epoch without computing it.
+        pub unchanged_epochs: usize,
     }
 
     fn sigmoid(x: f64) -> f64 {
@@ -180,6 +188,16 @@ mod reference {
             loss
         }
 
+        /// Every parameter's bits, weights before biases layer by layer.
+        fn bits(&self) -> Vec<u64> {
+            self.weights
+                .iter()
+                .zip(&self.biases)
+                .flat_map(|(w, b)| w.as_slice().iter().chain(b))
+                .map(|v| v.to_bits())
+                .collect()
+        }
+
         /// `Mlp::train`: one launch at `device`'s overhead, then
         /// consecutive mini-batches on the launch-free queue.
         pub fn train(
@@ -205,7 +223,8 @@ mod reference {
             let x = data.features().as_slice();
             let mut seen = Seen::default();
             let mut losses = Vec::new();
-            for _ in 0..config.epochs {
+            for epoch in 0..config.epochs {
+                let before = self.bits();
                 let (mut total, mut batches) = (0.0, 0usize);
                 for start in (0..len).step_by(batch.max(1)) {
                     let end = (start + batch).min(len);
@@ -220,6 +239,9 @@ mod reference {
                     batches += 1;
                 }
                 losses.push(total / batches.max(1) as f64);
+                if epoch + 1 < config.epochs && self.bits() == before {
+                    seen.unchanged_epochs += 1;
+                }
             }
             (losses, seen)
         }
@@ -238,6 +260,12 @@ enum Kind {
     NonFiniteFeature,
     /// Finite features near `f64::MAX`: hidden activations overflow.
     Overflowing,
+    /// Positive features of magnitude `1e3..1e6`, labelled `0`: the
+    /// first steps drive the sigmoid to exactly `0.0` on them.
+    Driven,
+    /// All-zero features and a random label: no ReLU ever opens, so only
+    /// the output bias learns.
+    Blank,
 }
 
 fn features(kind: Kind, dim: usize, rng: &mut SplitMix64) -> Vec<f64> {
@@ -253,6 +281,8 @@ fn features(kind: Kind, dim: usize, rng: &mut SplitMix64) -> Vec<f64> {
                 let v = f64::MAX / rng.next_range(1.0, 3.0);
                 signed(v, rng)
             }
+            Kind::Driven => rng.next_range(1e3, 1e6),
+            Kind::Blank => 0.0,
         })
         .collect();
     if let Kind::NonFiniteFeature = kind {
@@ -281,7 +311,8 @@ fn dataset(
         .iter()
         .zip(side)
         .map(|(k, s)| match k {
-            Kind::Plain => f64::from(u8::from(rng.next_bool(0.5))),
+            Kind::Plain | Kind::Blank => f64::from(u8::from(rng.next_bool(0.5))),
+            Kind::Driven => 0.0,
             _ => s,
         })
         .collect();
@@ -333,15 +364,17 @@ proptest! {
         dim in 1usize..5,
         rows in 1usize..90,
         batch in 1usize..40,
-        epochs in 1usize..4,
-        mix in 0u8..4,
+        epochs in 1usize..8,
+        mix in 0u8..6,
     ) {
         let sizes: Vec<usize> = std::iter::once(dim).chain(hidden).chain([1]).collect();
         let mut rng = SplitMix64::new(seed);
         let start = Mlp::new(&sizes, seed).expect("valid sizes");
         // 0: plain rows (the dense path); 1: saturated with plain ones
         // mixed in; 2: that plus the non-finite hazards; 3: saturated
-        // only (whole batches with nothing live).
+        // only (whole batches with nothing live); 4: driven only (the
+        // model moves, then often stops); 5: blank only (the weights
+        // stop, the output bias does not).
         let data = dataset(&start, rows, dim, &mut rng, |rng| {
             let u = rng.next_f64();
             match mix {
@@ -350,40 +383,48 @@ proptest! {
                 2 if u < 0.15 => Kind::Plain,
                 2 if u < 0.3 => Kind::NonFiniteFeature,
                 2 if u < 0.45 => Kind::Overflowing,
+                4 => Kind::Driven,
+                5 => Kind::Blank,
                 _ => Kind::Saturated,
             }
         });
         let config = TrainConfig {
             epochs,
             batch_size: batch,
-            learning_rate: [0.3, 0.05, 1.0][rng.next_index(3)],
+            learning_rate: [0.3, 0.05, 1.0, 0.0][rng.next_index(4)],
         };
         same_training(&sizes, seed, &data, &device(seed >> 7), &config)?;
     }
 }
 
-/// Trains `sizes` on saturated rows mixed with `kind` over 64 seeds,
+/// Two epochs in batches of 8, the last of a 24-row set full.
+const TWO_EPOCHS: TrainConfig = TrainConfig {
+    epochs: 2,
+    batch_size: 8,
+    learning_rate: 0.3,
+};
+
+/// Trains `sizes` on `around` rows mixed with `kind` over 64 seeds,
 /// holding the engine to the reference on each, and fails unless the
 /// reference met the hazard `hit` counts at least once.
-fn hazard(sizes: &[usize], kind: Kind, hit: fn(&reference::Seen) -> usize) {
-    let config = TrainConfig {
-        epochs: 2,
-        batch_size: 8,
-        learning_rate: 0.3,
-    };
+fn hazard(
+    sizes: &[usize],
+    (kind, around): (Kind, Kind),
+    config: &TrainConfig,
+    hit: fn(&reference::Seen) -> usize,
+) {
     let mut hits = 0;
     for seed in 0..64u64 {
         let mut rng = SplitMix64::new(seed);
         let start = Mlp::new(sizes, seed).expect("valid sizes");
-        // Saturated rows around the hazard keep the batch compacting.
         let data = dataset(&start, 24, sizes[0], &mut rng, |rng| {
             if rng.next_bool(0.3) {
                 kind
             } else {
-                Kind::Saturated
+                around
             }
         });
-        let seen = same_training(sizes, seed, &data, &DeviceProfile::tpu(), &config)
+        let seen = same_training(sizes, seed, &data, &DeviceProfile::tpu(), config)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         hits += hit(&seen);
     }
@@ -392,21 +433,42 @@ fn hazard(sizes: &[usize], kind: Kind, hit: fn(&reference::Seen) -> usize) {
 
 #[test]
 fn a_zero_delta_example_with_an_infinite_feature_still_reaches_dw() {
-    hazard(&[3, 1], Kind::NonFiniteFeature, |s| s.non_finite_features);
-    hazard(&[3, 4, 1], Kind::NonFiniteFeature, |s| {
-        s.non_finite_features
-    });
+    let hit = |s: &reference::Seen| s.non_finite_features;
+    // Saturated rows around the hazard keep the batch compacting.
+    let kinds = (Kind::NonFiniteFeature, Kind::Saturated);
+    hazard(&[3, 1], kinds, &TWO_EPOCHS, hit);
+    hazard(&[3, 4, 1], kinds, &TWO_EPOCHS, hit);
 }
 
 #[test]
 fn a_zero_delta_example_whose_activations_overflow_still_reaches_dw() {
-    hazard(&[2, 4, 1], Kind::Overflowing, |s| s.non_finite_activations);
-    hazard(&[2, 3, 3, 1], Kind::Overflowing, |s| {
-        s.non_finite_activations
-    });
+    let hit = |s: &reference::Seen| s.non_finite_activations;
+    let kinds = (Kind::Overflowing, Kind::Saturated);
+    hazard(&[2, 4, 1], kinds, &TWO_EPOCHS, hit);
+    hazard(&[2, 3, 3, 1], kinds, &TWO_EPOCHS, hit);
 }
 
 #[test]
 fn saturated_batches_train_as_the_full_batch_does() {
-    hazard(&[4, 8, 1], Kind::Saturated, |s| s.zero_deltas);
+    let kinds = (Kind::Saturated, Kind::Saturated);
+    hazard(&[4, 8, 1], kinds, &TWO_EPOCHS, |s| s.zero_deltas);
+}
+
+/// Driven rows only, five epochs in batches of 7 (a ragged last batch
+/// of 3). Once an epoch ends where it started, `Mlp::train` bills the
+/// rest without computing them; the model, every loss and every ledger
+/// event must still be the reference's, which computes each epoch. The
+/// hit is an epoch that moved the model followed by one that did not,
+/// with a later epoch after it (1 to 3 of the 4 that have one).
+#[test]
+fn an_epoch_that_changes_nothing_repeats_to_the_end() {
+    let config = TrainConfig {
+        epochs: 5,
+        batch_size: 7,
+        learning_rate: 0.3,
+    };
+    let kinds = (Kind::Driven, Kind::Driven);
+    let hit = |s: &reference::Seen| usize::from((1..4).contains(&s.unchanged_epochs));
+    hazard(&[3, 4, 1], kinds, &config, hit);
+    hazard(&[2, 3, 3, 1], kinds, &config, hit);
 }

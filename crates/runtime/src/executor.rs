@@ -1520,8 +1520,9 @@ mod tests {
         assert!(!report.node_seconds.contains_key(&f));
     }
 
-    #[test]
-    fn train_and_predict_end_to_end() {
+    /// Trains on `admissions` with `los` the label, then scores the
+    /// table's `projection`.
+    fn train_and_predict(projection: Option<Vec<String>>) -> Result<ExecutionReport> {
         let mut p = Program::new();
         let s1 = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
         let t = p.add_node(
@@ -1535,18 +1536,35 @@ mod tests {
             vec![s1],
             "ml",
         );
-        let s2 = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
+        let s2 = p.add_source(
+            Operator::Scan {
+                table: TableRef::new("db1", "admissions"),
+                predicate: Predicate::True,
+                projection,
+            },
+            "sql",
+        );
         let pred = p.add_node(Operator::Predict, vec![s2, t], "ml");
         p.mark_output(pred);
-        let report = exec().execute(&p, &registry()).unwrap();
+        exec().execute(&p, &registry())
+    }
+
+    #[test]
+    fn train_and_predict_end_to_end() {
+        let report = train_and_predict(Some(vec!["pid".into(), "age".into()])).unwrap();
         let out = &report.outputs[0];
         assert_eq!(out.len(), 200);
         let schema = out.schema().unwrap();
-        assert_eq!(schema.names().last().copied(), Some("prediction"));
+        assert_eq!(schema.names(), ["pid", "age", "prediction"]);
         for r in out.try_rows().unwrap().iter().take(5) {
             let pr = r[schema.arity() - 1].as_f64().unwrap();
             assert!((0.0..=1.0).contains(&pr));
         }
+    }
+
+    #[test]
+    fn scoring_a_table_that_still_holds_the_label_is_a_width_error() {
+        assert!(matches!(train_and_predict(None), Err(Error::Invalid(_))));
     }
 
     #[test]

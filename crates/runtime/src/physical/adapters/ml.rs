@@ -48,9 +48,9 @@ pub(crate) fn train_mlp(
 /// `prediction` column.
 pub(crate) fn predict(d: &Dataset, model: &Dataset, ctx: &ExecCtx<'_>) -> Result<Dataset> {
     let mlp = model.try_model()?;
-    // Score with the first `input_dim` numeric columns — the convention
-    // `TrainMlp` used (features in schema order).
-    let (data, schema) = to_ml_dataset_with_dim(d, None, Some(mlp.input_dim()))?;
+    // Every numeric column is a feature, in schema order, as `TrainMlp`
+    // took them: `d` must not hold the label.
+    let (data, schema) = to_ml_dataset(d, None)?;
     let probs = mlp.predict_proba(ctx.training_profile(), data.features(), Some(ctx.ledger()))?;
     let mut fields: Vec<pspp_common::Field> = schema.fields().to_vec();
     fields.push(pspp_common::Field::new("prediction", DataType::Float));
@@ -106,38 +106,19 @@ pub(crate) fn kmeans(
 /// Converts a tabular dataset into an ML dataset; numeric columns become
 /// features (the label column, when given, becomes the target).
 fn to_ml_dataset(d: &Dataset, label: Option<&str>) -> Result<(MlDataset, Schema)> {
-    to_ml_dataset_with_dim(d, label, None)
-}
-
-/// As [`to_ml_dataset`], optionally truncating to the first `dim`
-/// numeric columns (for scoring with an already-trained model).
-fn to_ml_dataset_with_dim(
-    d: &Dataset,
-    label: Option<&str>,
-    dim: Option<usize>,
-) -> Result<(MlDataset, Schema)> {
     let schema = d.schema()?;
     let rows = d.try_rows()?;
     let label_idx = match label {
         Some(l) => Some(schema.require(l)?),
         None => None,
     };
-    let mut feature_cols: Vec<usize> = schema
+    let feature_cols: Vec<usize> = schema
         .fields()
         .iter()
         .enumerate()
         .filter(|(i, f)| Some(*i) != label_idx && f.data_type.is_numeric())
         .map(|(i, _)| i)
         .collect();
-    if let Some(dim) = dim {
-        if feature_cols.len() < dim {
-            return Err(Error::Execution(format!(
-                "model expects {dim} features, dataset has {}",
-                feature_cols.len()
-            )));
-        }
-        feature_cols.truncate(dim);
-    }
     if feature_cols.is_empty() {
         return Err(Error::Execution("no numeric feature columns".into()));
     }

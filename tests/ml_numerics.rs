@@ -7,6 +7,7 @@
 //! scheduled. polybench's warm pass only holds a run to itself; this
 //! pins the values across commits.
 
+use polystorepp::accel::kernels::Matrix;
 use polystorepp::accel::{CostLedger, DeviceProfile};
 use polystorepp::common::partition::{fnv1a, FNV_OFFSET};
 use polystorepp::mlengine::{Dataset, Mlp, TrainConfig};
@@ -37,11 +38,26 @@ struct Golden {
 }
 
 fn check(sizes: &[usize], rows: usize, device: &DeviceProfile, config: TrainConfig, want: &Golden) {
-    let data = Dataset::synthetic_threshold(rows, sizes[0], 17);
+    check_on(
+        sizes,
+        &Dataset::synthetic_threshold(rows, sizes[0], 17),
+        device,
+        config,
+        want,
+    );
+}
+
+fn check_on(
+    sizes: &[usize],
+    data: &Dataset,
+    device: &DeviceProfile,
+    config: TrainConfig,
+    want: &Golden,
+) {
     let mut mlp = Mlp::new(sizes, 23).expect("valid sizes");
     let ledger = CostLedger::new();
     let losses = mlp
-        .train(device, &data, &config, Some(&ledger))
+        .train(device, data, &config, Some(&ledger))
         .expect("trains");
     let loss_bits: Vec<u64> = losses.iter().map(|l| l.to_bits()).collect();
     let (events, ledger_fnv) = ledger_digest(&ledger);
@@ -128,6 +144,68 @@ fn shallow_mlp_is_bit_stable() {
             ],
             events: 526,
             ledger: 0x6576_0a41_8734_6528,
+        },
+    );
+}
+
+/// The Fig. 2 shape on saturating data: the `[8, 64, 32, 1]` model of
+/// the deep golden, its features scaled by 1 000 and every label `0`.
+/// The first epoch moves the model; every later one maps it back to
+/// itself, bit for bit, as Fig. 2's training does, so 19 of the 20
+/// epochs are billed without changing anything. Constants captured at
+/// the commit before `Mlp::train` stopped computing such epochs, when
+/// every epoch still ran in full.
+#[test]
+fn saturated_training_bills_every_epoch_of_its_fixed_point() {
+    /// The loss of every epoch after the first: the BCE's `−1e-12`.
+    const SATURATED: u64 = 0xbd71_97ff_ffff_f651;
+    let threshold = Dataset::synthetic_threshold(1_316, 8, 17);
+    let scaled = threshold
+        .features()
+        .as_slice()
+        .iter()
+        .map(|v| v * 1e3)
+        .collect();
+    let data = Dataset::new(
+        Matrix::from_vec(1_316, 8, scaled).expect("1 316 × 8"),
+        vec![0.0; 1_316],
+    )
+    .expect("one label per row");
+    check_on(
+        &[8, 64, 32, 1],
+        &data,
+        &DeviceProfile::tpu(),
+        TrainConfig {
+            epochs: 20,
+            batch_size: 128,
+            learning_rate: 0.3,
+        },
+        &Golden {
+            model: 0x5157_949a_5e8c_0a53,
+            losses: &[
+                0x4003_9fd2_6ff9_2c19,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+                SATURATED,
+            ],
+            events: 1_761,
+            ledger: 0x9d22_2ed7_f2d4_da0a,
         },
     );
 }

@@ -98,6 +98,39 @@ impl Column {
         }
     }
 
+    /// Appends the entries at `at` to `out` as values, in that order:
+    /// NULL where `valid` is clear. The variant is matched once, and
+    /// then one loop runs over the positions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of bounds of the column or of `valid`.
+    pub fn values_at(&self, valid: &[bool], at: impl Iterator<Item = usize>, out: &mut Vec<Value>) {
+        fn extend<T>(
+            out: &mut Vec<Value>,
+            values: &[T],
+            valid: &[bool],
+            at: impl Iterator<Item = usize>,
+            value: impl Fn(&T) -> Value,
+        ) {
+            out.extend(at.map(|p| {
+                if valid[p] {
+                    value(&values[p])
+                } else {
+                    Value::Null
+                }
+            }));
+        }
+        match self {
+            Column::Bool(v) => extend(out, v, valid, at, |&b| Value::Bool(b)),
+            Column::Int(v) => extend(out, v, valid, at, |&x| Value::Int(x)),
+            Column::Float(v) => extend(out, v, valid, at, |&x| Value::Float(x)),
+            Column::Str(v) => extend(out, v, valid, at, |s| Value::Str(s.clone())),
+            Column::Bytes(v) => extend(out, v, valid, at, |b| Value::Bytes(b.clone())),
+            Column::Timestamp(v) => extend(out, v, valid, at, |&t| Value::Timestamp(t)),
+        }
+    }
+
     /// Appends `more`'s entries; returns `false` (and appends nothing)
     /// when it is of another type.
     fn append(&mut self, more: Column) -> bool {

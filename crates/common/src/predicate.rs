@@ -337,7 +337,7 @@ pub struct ColumnSource<'a> {
     /// The rows, by position.
     pub rows: &'a [Row],
     /// One entry per schema column, `None` where the column has no
-    /// typed image (`Str`, `Bytes`); each image is `rows.len()` long.
+    /// typed image; each image is `rows.len()` long.
     /// A column past the end has none, so rows without any image have
     /// `&[]` here.
     pub typed: &'a [Option<TypedColumn>],

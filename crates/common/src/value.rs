@@ -12,7 +12,6 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use pspp_common::{DataType, Value};
 /// assert_eq!(Value::Int(3).data_type(), Some(DataType::Int));
-/// assert_eq!(DataType::Float.fixed_width(), Some(8));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DataType {
@@ -31,15 +30,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// Width in bytes when the type is fixed-width, `None` for `Str`/`Bytes`.
-    pub fn fixed_width(self) -> Option<usize> {
-        match self {
-            DataType::Bool => Some(1),
-            DataType::Int | DataType::Float | DataType::Timestamp => Some(8),
-            DataType::Str | DataType::Bytes => None,
-        }
-    }
-
     /// Whether values of this type are numeric (castable to `f64`).
     pub fn is_numeric(self) -> bool {
         matches!(self, DataType::Int | DataType::Float | DataType::Timestamp)

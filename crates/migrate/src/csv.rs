@@ -28,29 +28,30 @@ pub fn encode(batch: &Batch) -> String {
 }
 
 /// Parses CSV text produced by [`encode`] back into rows, coercing each
-/// field to the schema's type.
+/// field to the schema's type. A newline ends a record only outside
+/// quotes: a quoted string keeps its line breaks.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Migration`] on header mismatch or unparseable
 /// fields.
 pub fn decode(schema: &Schema, text: &str) -> Result<Vec<Row>> {
-    let mut lines = text.lines();
-    let header = lines
+    let mut records = records(text);
+    let header = records
         .next()
         .ok_or_else(|| Error::Migration("empty csv".into()))?;
     if header != schema.names().join(",") {
         return Err(Error::Migration(format!("header mismatch: {header}")));
     }
     let mut rows = Vec::new();
-    for line in lines {
-        if line.is_empty() {
+    for record in records {
+        if record.is_empty() {
             continue;
         }
-        let fields = split_csv_line(line);
+        let fields = split_csv_line(record);
         if fields.len() != schema.arity() {
             return Err(Error::Migration(format!(
-                "expected {} fields, got {} in {line:?}",
+                "expected {} fields, got {} in {record:?}",
                 schema.arity(),
                 fields.len()
             )));
@@ -64,7 +65,21 @@ pub fn decode(schema: &Schema, text: &str) -> Result<Vec<Row>> {
     Ok(rows)
 }
 
-/// Splits one CSV line into `(content, was_quoted)` fields; quoting
+/// The records of `text`: what lies between newlines outside quotes, a
+/// `\r` before the newline dropped, as [`str::lines`] drops it.
+fn records(text: &str) -> impl Iterator<Item = &str> {
+    let mut in_quotes = false;
+    let records = text.split_inclusive(move |c| {
+        in_quotes ^= c == '"';
+        c == '\n' && !in_quotes
+    });
+    records.map(|record| match record.strip_suffix('\n') {
+        Some(record) => record.strip_suffix('\r').unwrap_or(record),
+        None => record,
+    })
+}
+
+/// Splits one CSV record into `(content, was_quoted)` fields; quoting
 /// distinguishes the empty string from an absent (NULL) value.
 fn split_csv_line(line: &str) -> Vec<(String, bool)> {
     let mut fields = Vec::new();
@@ -165,6 +180,39 @@ mod tests {
         .unwrap();
         let rows = decode(b.schema(), &encode(&b)).unwrap();
         assert_eq!(rows[0][0], Value::Null);
+    }
+
+    /// A newline ends a record only outside quotes: a string holding
+    /// `\n` or `\r\n` comes back whole, beside a comma, a doubled
+    /// quote, and the empty string, which is not NULL.
+    #[test]
+    fn quoted_line_breaks_stay_in_their_field() {
+        let schema = Schema::new(vec![("id", DataType::Int), ("s", DataType::Str)]);
+        let texts = [
+            Value::from("line one\nline two"),
+            Value::from("crlf\r\nend\n"),
+            Value::from("\n"),
+            Value::from("a,b"),
+            Value::from("say \"hi\""),
+            Value::from(""),
+            Value::Null,
+            Value::from("\"\n\""),
+        ];
+        let rows: Vec<Row> = (0i64..)
+            .zip(texts)
+            .map(|(i, s)| Row::from(vec![Value::Int(i), s]))
+            .collect();
+        let b = Batch::from_rows(&schema, rows.clone()).unwrap();
+        assert_eq!(decode(&schema, &encode(&b)).unwrap(), rows);
+        // A record may end in `\r\n` outside quotes, as before.
+        let text = "id,s\r\n1,\"a\r\nb\"\r\n2,\r\n";
+        assert_eq!(
+            decode(&schema, text).unwrap(),
+            vec![
+                row![1i64, "a\r\nb"],
+                Row::from(vec![Value::Int(2), Value::Null])
+            ]
+        );
     }
 
     #[test]

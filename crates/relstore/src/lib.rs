@@ -194,9 +194,8 @@ impl RelationalStore {
     /// unless it projects — and, for a shuffle that re-hashes the output
     /// on its column `key` over `width` destinations (`route`), where
     /// each row goes. The destinations come from one pass over the key's
-    /// column image at the kept positions ([`HashRouter::route_column`];
-    /// through the rows for a `Str` or `Bytes` key), and each
-    /// destination's bytes from the image's widths.
+    /// column image at the kept positions ([`HashRouter::route_column`]),
+    /// and each destination's bytes from the image's widths.
     ///
     /// # Errors
     ///
@@ -219,7 +218,6 @@ impl RelationalStore {
             .map(|cols| cols.iter().map(|c| t.schema().require(c)).collect())
             .transpose()?;
         // The destination pass reads the key column alone.
-        let rows = t.rows();
         let mut routes = Routes::default();
         if let Some((key, width)) = route {
             let router = HashRouter::new(width)?;
@@ -230,13 +228,10 @@ impl RelationalStore {
             }
             .ok_or_else(|| Error::ColumnNotFound(key.to_owned()))?;
             let at = columns.as_ref().map_or(output_at, |idx| idx[output_at]);
-            routes.dests = match &t.image().columns()[at] {
-                Some(typed) => router.route_column(typed, &kept),
-                None => kept
-                    .iter()
-                    .map(|&p| router.route(&rows[p as usize][at]) as u32)
-                    .collect(),
-            };
+            // Every column of a table has an image.
+            let typed = (t.image().columns()[at].as_ref())
+                .ok_or_else(|| Error::Invalid(format!("column {key} has no image")))?;
+            routes.dests = router.route_column(typed, &kept);
             routes.bytes = vec![0; router.width()];
             if columns.is_none() {
                 let widths = t.image().widths();
@@ -245,23 +240,18 @@ impl RelationalStore {
                 }
             }
         }
-        // A projected row is the scan's only copy, sized as it is built.
+        // A projected row is the scan's only copy, built a column at a
+        // time out of the image and sized as it is built.
         let out = match &columns {
             Some(idx) => {
                 let mut byte_size = 0u64;
-                let rows = kept
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &p)| {
-                        let row = rows[p as usize].project(idx);
-                        let width = row.byte_size() as u64;
-                        byte_size += width;
-                        if let Some(&d) = routes.dests.get(i) {
-                            routes.bytes[d as usize] += width;
-                        }
-                        row
-                    })
-                    .collect();
+                let mut dests = routes.dests.iter();
+                let rows = ops::build_rows(Selected::at(t.source(), &kept), idx, |width| {
+                    byte_size += width;
+                    if let Some(&d) = dests.next() {
+                        routes.bytes[d as usize] += width;
+                    }
+                });
                 Kept::Projected(Scanned { rows, byte_size })
             }
             None => Kept::Selection(t.select(kept)),

@@ -10,17 +10,28 @@
 //!
 //! Every kernel reads its input as [`Selected`] rows: positions into a
 //! [`ColumnSource`] — a scan's kept positions over the table's rows and
-//! typed image — or every row of a slice. It reads a key or a value out
-//! of the typed image where its column has one and through the row
-//! where it has none, and returns positions of the source
-//! ([`filter_at`], [`sort_at`]) or the rows it builds ([`project_at`],
-//! [`group_by_at`], and the joins, [`hash_join_with`] and
-//! [`sort_merge_join_with`], which build the matched pairs alone). A
-//! migration batches the rows read the same way
+//! typed image, which has every column — or every row of a slice, which
+//! has no image. It reads a key or a value out of the typed image where
+//! its column has one and through the row where it has none, and
+//! returns positions of the source ([`filter_at`], [`sort_at`]) or the
+//! rows it builds ([`project_at`], [`group_by_at`], and the joins,
+//! [`hash_join_with`] and [`sort_merge_join_with`], which build the
+//! matched pairs alone). A migration batches the rows read the same way
 //! ([`Selected::to_batch`]). The entry points over `&[Row]`
 //! ([`filter_rows`], [`project`], [`sort_rows`], [`group_by`],
 //! [`hash_join`], [`sort_merge_join`]) are the same code over every row
 //! of the slice.
+//!
+//! A kernel that builds rows out of the rows read — a projection, a
+//! join's matched pairs, a scan that projects — builds them a column at
+//! a time: it lists the indices of the rows read that each output row
+//! takes (a join: each left row once per match, beside the right rows
+//! it matched or, in a left outer join, a pad), copies each output
+//! column out of the image at those rows with one typed loop
+//! ([`pspp_common::Column::values_at`]; `Str` and `Bytes` included),
+//! and then moves each value once into its row, one allocation a row.
+//! Only a part without an image — rows a migration decoded or an
+//! operator built — is read through its rows.
 //!
 //! A [`crate::Selection`] may span several snapshots — one per shard, in
 //! gather order, past an exchange that appended or split shards' scans
@@ -31,7 +42,8 @@
 //! where it reads a row, a key or a value; positions it returns stay
 //! tagged. [`filter_at`] and [`Selected::to_batch`] run their one-source
 //! body once per part and put the results back in input order, and the
-//! typed key words are read a run of one part at a time.
+//! typed key words and the built columns are read a run of one part at
+//! a time.
 //!
 //! # Key words
 //!
@@ -265,17 +277,11 @@ impl<'a> Selected<'a> {
         }
     }
 
-    /// The row at (tagged) position `p`.
-    #[inline]
-    fn row_at(&self, p: u32) -> &'a Row {
-        let (source, p) = self.locate(p);
-        &source.rows[p]
-    }
-
     /// The `i`-th row read.
     #[inline]
     fn row(&self, i: usize) -> &'a Row {
-        self.row_at(self.position(i))
+        let (source, p) = self.locate(self.position(i));
+        &source.rows[p]
     }
 
     /// Columns `keep` of the rows read, as a migration ships them:
@@ -343,6 +349,79 @@ impl<'a> Selected<'a> {
         let (source, p) = self.locate(self.position(i));
         value_at(source, typed(source, column), p, column)
     }
+
+    /// Column `column` of the rows read at `reads` (indices into the
+    /// rows read, [`PAD`] for a NULL), in that order. A run of reads in
+    /// one part is copied out of that snapshot's image by
+    /// [`Column::values_at`], the column's variant matched once per run,
+    /// and read through the rows only where the part has no image.
+    fn gather(&self, column: usize, reads: &[u32]) -> Vec<Value> {
+        let mut out = Vec::with_capacity(reads.len());
+        let part = |&i: &u32| match (i, self.parts) {
+            (PAD, _) => None,
+            (_, Parts::One(_)) => Some(0),
+            (_, Parts::Many(_)) => Some(split_position(self.position(i as usize)).0),
+        };
+        // What turns a position into its row in its part's snapshot.
+        let mask = match self.parts {
+            Parts::One(_) => u32::MAX,
+            Parts::Many(_) => LOCAL_MASK,
+        };
+        for run in reads.chunk_by(|a, b| part(a) == part(b)) {
+            let Some(part) = part(&run[0]) else {
+                out.resize(out.len() + run.len(), Value::Null);
+                continue;
+            };
+            let source = self.part(part);
+            let rows = run
+                .iter()
+                .map(|&i| (self.position(i as usize) & mask) as usize);
+            match typed(source, column) {
+                Some((values, valid)) => values.values_at(valid, rows, &mut out),
+                None => out.extend(rows.map(|p| source.rows[p][column].clone())),
+            }
+        }
+        out
+    }
+}
+
+/// The read index [`Selected::gather`] reads as NULL: a left outer
+/// join's pad. No read index is `u32::MAX`: [`Selected::all`] refuses
+/// that many rows, and as many positions would take 16 GiB.
+const PAD: u32 = u32::MAX;
+
+/// The rows whose columns are `columns`, each `rows` values long: row
+/// `i` takes the `i`-th value of every column, moved, into one
+/// allocation. `sized` is told each row's payload bytes, in order.
+fn assemble(columns: Vec<Vec<Value>>, rows: usize, mut sized: impl FnMut(u64)) -> Vec<Row> {
+    let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
+    (0..rows)
+        .map(|_| {
+            let mut bytes = 0;
+            let row = (columns.iter_mut())
+                .map(|column| {
+                    let value = column.next().unwrap_or(Value::Null);
+                    bytes += value.byte_size() as u64;
+                    value
+                })
+                .collect();
+            sized(bytes);
+            row
+        })
+        .collect()
+}
+
+/// Columns `columns` of every row `input` reads, in order, built a
+/// column at a time ([`Selected::gather`], then [`assemble`]); `sized`
+/// is told each row's payload bytes.
+pub(crate) fn build_rows(
+    input: Selected<'_>,
+    columns: &[usize],
+    sized: impl FnMut(u64),
+) -> Vec<Row> {
+    let reads: Vec<u32> = (0..input.len() as u32).collect();
+    let gathered = columns.iter().map(|&c| input.gather(c, &reads)).collect();
+    assemble(gathered, reads.len(), sized)
 }
 
 /// The rows of each of `parts` snapshots that `positions`, tagged
@@ -458,13 +537,7 @@ pub fn project_at(
         .map(|c| schema.require(c))
         .collect::<Result<_>>()?;
     let mut bytes = 0u64;
-    let out = (0..input.len())
-        .map(|i| {
-            let row = input.row(i).project(&idx);
-            bytes += row.byte_size() as u64;
-            row
-        })
-        .collect();
+    let out = build_rows(input, &idx, |width| bytes += width);
     Ok((out_schema, out, bytes))
 }
 
@@ -630,6 +703,20 @@ pub fn sort_at(
     keys: &[SortKey],
     top: Option<usize>,
 ) -> Result<Vec<u32>> {
+    let mut order = sort_reads(schema, input, keys, top)?;
+    for i in &mut order {
+        *i = input.position(*i as usize);
+    }
+    Ok(order)
+}
+
+/// [`sort_at`]'s order as indices into the rows read, not positions.
+fn sort_reads(
+    schema: &Schema,
+    input: Selected<'_>,
+    keys: &[SortKey],
+    top: Option<usize>,
+) -> Result<Vec<u32>> {
     let resolved: Vec<(usize, bool)> = keys
         .iter()
         .map(|k| Ok((schema.require(&k.column)?, k.ascending)))
@@ -655,9 +742,9 @@ pub fn sort_at(
             });
         }
     }
-    let mut order: Vec<usize> = (0..input.len()).collect();
+    let mut order: Vec<u32> = (0..input.len() as u32).collect();
     order_first(&mut order, top, |&a, &b| {
-        let (ra, rb) = (input.row(a), input.row(b));
+        let (ra, rb) = (input.row(a as usize), input.row(b as usize));
         resolved
             .iter()
             .map(|&(idx, asc)| {
@@ -671,12 +758,12 @@ pub fn sort_at(
             .find(|ord| ord.is_ne())
             .unwrap_or_else(|| a.cmp(&b))
     });
-    Ok(order.into_iter().map(|i| input.position(i)).collect())
+    Ok(order)
 }
 
-/// [`sort_at`] over typed keys: `words` holds the `N - 1` key columns
-/// (descending ones already complemented), and a record ends in its
-/// row's index. The records sit in one contiguous buffer.
+/// [`sort_reads`] over typed keys: `words` holds the `N - 1` key
+/// columns (descending ones already complemented), and a record ends in
+/// its row's index. The records sit in one contiguous buffer.
 fn order_by_words<const N: usize>(
     input: Selected<'_>,
     words: &[Vec<u64>],
@@ -692,10 +779,7 @@ fn order_by_words<const N: usize>(
         })
         .collect();
     order_first(&mut records, top, Ord::cmp);
-    records
-        .iter()
-        .map(|record| input.position(record[N - 1] as usize))
-        .collect()
+    records.iter().map(|record| record[N - 1] as u32).collect()
 }
 
 /// Sorts `items`, no two of which are equal under `cmp`; with `top =
@@ -713,7 +797,7 @@ fn order_first<T>(items: &mut [T], top: Option<usize>, mut cmp: impl FnMut(&T, &
 
 /// Which columns of a join's output get built, and what they are
 /// called: one `(from the right input?, position there)` pair per output
-/// column. Every join body emits through [`JoinEmit::row`].
+/// column. Every join body emits through [`JoinEmit::rows`].
 struct JoinEmit {
     schema: Schema,
     columns: Vec<(bool, usize)>,
@@ -764,15 +848,24 @@ impl JoinEmit {
         })
     }
 
-    /// The output row of the pair `(l, r)`, its payload bytes added to
-    /// `bytes` as its values are copied.
-    fn row(&self, l: &Row, r: &Row, bytes: &mut u64) -> Row {
-        let values = self.columns.iter().map(|&(from_right, at)| {
-            let value = if from_right { &r[at] } else { &l[at] };
-            *bytes += value.byte_size() as u64;
-            value.clone()
+    /// The output rows of the pairs `(lefts[k], rights[k])` of read
+    /// indices into `left` and `right` (a right [`PAD`] reads NULL),
+    /// built a column at a time; their payload bytes are added to
+    /// `bytes`.
+    fn rows(
+        &self,
+        (left, lefts): (Selected<'_>, &[u32]),
+        (right, rights): (Selected<'_>, &[u32]),
+        bytes: &mut u64,
+    ) -> Vec<Row> {
+        let columns = self.columns.iter().map(|&(from_right, at)| {
+            if from_right {
+                right.gather(at, rights)
+            } else {
+                left.gather(at, lefts)
+            }
         });
-        values.collect()
+        assemble(columns.collect(), lefts.len(), |width| *bytes += width)
     }
 }
 
@@ -877,25 +970,28 @@ pub fn hash_join_with(
         None => join_matches(value_keys(left, li), value_keys(right, ri)),
     };
 
+    // The pairs' read indices: each left row once per match, beside
+    // its matches; an unmatched one of a left outer join beside a pad.
     let padded = match kind {
         JoinKind::Inner => 0,
         JoinKind::LeftOuter => matches.counts.iter().filter(|&&n| n == 0).count(),
     };
-    let mut out = Vec::with_capacity(matches.right.len() + padded);
-    let mut bytes = 0u64;
-    let null_right = Row::from(vec![Value::Null; right_schema.arity()]);
+    let mut lefts = Vec::with_capacity(matches.right.len() + padded);
+    let mut rights = Vec::with_capacity(matches.right.len() + padded);
     let mut matched = matches.right.iter();
-    for (i, &n) in matches.counts.iter().enumerate() {
-        let before = out.len();
-        let l = left.row(i);
-        for &pos in matched.by_ref().take(n) {
-            out.push(emit.row(l, right.row(pos), &mut bytes));
+    for (i, &n) in (0u32..).zip(&matches.counts) {
+        let pad = n == 0 && kind == JoinKind::LeftOuter;
+        let pairs = if pad { 1 } else { n };
+        lefts.resize(lefts.len() + pairs, i);
+        if pad {
+            rights.push(PAD);
+        } else {
+            rights.extend(matched.by_ref().take(n).map(|&r| r as u32));
         }
-        if n == 0 && kind == JoinKind::LeftOuter {
-            out.push(emit.row(l, &null_right, &mut bytes));
-        }
-        produced(out.len() - before);
+        produced(pairs);
     }
+    let mut bytes = 0u64;
+    let out = emit.rows((left, &lefts), (right, &rights), &mut bytes);
     Ok((emit.schema, out, bytes))
 }
 
@@ -1311,8 +1407,9 @@ pub fn sort_merge_join(
 /// [`sort_merge_join`] over the rows `left` and `right` read, building
 /// only the columns `demand` names and returning the output's byte size
 /// with it, as [`hash_join_with`] does. Each side is put in key order by
-/// [`sort_at`] — positions, not rows — and the merge reads the rows at
-/// them.
+/// [`sort_at`]'s sort — indices of the rows read, not rows — the merge
+/// compares the keys at them, and the matched pairs are built a column
+/// at a time.
 ///
 /// # Errors
 ///
@@ -1330,19 +1427,24 @@ pub fn sort_merge_join_with(
     let li = left_schema.require(left_on)?;
     let ri = right_schema.require(right_on)?;
     let emit = JoinEmit::new(left_schema, right_schema, demand)?;
-    fn ordered<'a>(input: Selected<'a>, schema: &Schema, on: &str) -> Result<Vec<&'a Row>> {
-        let order = sort_at(schema, input, &[SortKey::asc(on)], None)?;
-        Ok(order.iter().map(|&p| input.row_at(p)).collect())
+    /// The rows read in key order, with their keys.
+    fn ordered<'a>(
+        input: Selected<'a>,
+        schema: &Schema,
+        on: &str,
+        at: usize,
+    ) -> Result<(Vec<u32>, Vec<&'a Value>)> {
+        let order = sort_reads(schema, input, &[SortKey::asc(on)], None)?;
+        let keys = order.iter().map(|&i| &input.row(i as usize)[at]).collect();
+        Ok((order, keys))
     }
-    let left = ordered(left, left_schema, left_on)?;
-    let right = ordered(right, right_schema, right_on)?;
+    let (lorder, lkeys) = ordered(left, left_schema, left_on, li)?;
+    let (rorder, rkeys) = ordered(right, right_schema, right_on, ri)?;
 
-    let mut out = Vec::new();
-    let mut bytes = 0u64;
+    let (mut lefts, mut rights) = (Vec::new(), Vec::new());
     let (mut i, mut j) = (0usize, 0usize);
-    while i < left.len() && j < right.len() {
-        let lv = &left[i][li];
-        let rv = &right[j][ri];
+    while i < lkeys.len() && j < rkeys.len() {
+        let (lv, rv) = (lkeys[i], rkeys[j]);
         if lv.is_null() {
             i += 1;
             continue;
@@ -1355,23 +1457,19 @@ pub fn sort_merge_join_with(
             Ordering::Less => i += 1,
             Ordering::Greater => j += 1,
             Ordering::Equal => {
-                // Emit the cross product of the equal runs.
-                let run_start = j;
-                while i < left.len() && left[i][li] == *rv {
-                    let mut jj = run_start;
-                    while jj < right.len() && right[jj][ri] == *rv {
-                        out.push(emit.row(left[i], right[jj], &mut bytes));
-                        jj += 1;
-                    }
+                // Pair up the cross product of the equal runs.
+                let run = j..j + rkeys[j..].iter().take_while(|&&k| k == rv).count();
+                while i < lkeys.len() && lkeys[i] == rv {
+                    lefts.resize(lefts.len() + run.len(), lorder[i]);
+                    rights.extend_from_slice(&rorder[run.clone()]);
                     i += 1;
                 }
-                j = run_start;
-                while j < right.len() && right[j][ri] == *rv {
-                    j += 1;
-                }
+                j = run.end;
             }
         }
     }
+    let mut bytes = 0u64;
+    let out = emit.rows((left, &lefts), (right, &rights), &mut bytes);
     Ok((emit.schema, out, bytes))
 }
 

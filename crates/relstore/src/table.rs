@@ -9,13 +9,17 @@ use pspp_common::{
 
 use crate::ops::Selected;
 
-/// A table's fixed-width columns as typed vectors, and every row's
-/// payload width: what a scan reads instead of chasing row pointers.
+/// A table's columns as typed vectors, and every row's payload width:
+/// what a scan reads, and what output rows are built out of, instead of
+/// chasing row pointers.
 ///
-/// Row `p` of the table is entry `p` of every vector here. A
-/// `Bool`/`Int`/`Float`/`Timestamp` column has its values (a NULL holds
-/// the type's default) and a validity flag per row; `Str` and `Bytes`
-/// columns have no image and are read through the rows.
+/// Row `p` of the table is entry `p` of every vector here. Every column
+/// has its values (a NULL holds the type's default: `0`, `false`, the
+/// empty string or byte array) and a validity flag per row. A `Str` or
+/// `Bytes` column holds a copy of every value, so a kernel building
+/// rows copies a column out of one vector (see [`crate::ops`],
+/// "Selections"); the key words and the typed predicate loops still
+/// read those two kinds through the rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnImage {
     columns: Vec<Option<TypedColumn>>,
@@ -25,7 +29,7 @@ pub struct ColumnImage {
 impl ColumnImage {
     /// The image of no rows.
     fn empty(schema: &Schema) -> ColumnImage {
-        let typed = |t: DataType| t.fixed_width().map(|_| (Column::empty(t), Vec::new()));
+        let typed = |t: DataType| Some((Column::empty(t), Vec::new()));
         ColumnImage {
             columns: schema.fields().iter().map(|f| typed(f.data_type)).collect(),
             widths: Vec::new(),
@@ -64,8 +68,8 @@ impl ColumnImage {
         self.widths.push(width);
     }
 
-    /// One entry per schema column: the typed image, `None` for `Str`
-    /// and `Bytes` columns.
+    /// One entry per schema column, each `Some`: [`ColumnSource`] also
+    /// carries sources imaged in part or not at all.
     pub fn columns(&self) -> &[Option<TypedColumn>] {
         &self.columns
     }
@@ -599,16 +603,27 @@ mod tests {
 
     #[test]
     fn image_tracks_every_write() {
-        // Every fixed-width type, a string column, NULLs in each.
+        // Every type, NULLs in each.
         let schema = Schema::new(vec![
             ("i", DataType::Int),
             ("f", DataType::Float),
             ("t", DataType::Timestamp),
             ("b", DataType::Bool),
             ("s", DataType::Str),
+            ("y", DataType::Bytes),
         ]);
-        let full = |i: i64| row![i, i as f64 / 2.0, Value::Timestamp(i), i % 2 == 0, "abc"];
-        let nulls = || Row::from(vec![Value::Null; 5]);
+        let full = |i: i64| {
+            let bytes = Value::Bytes(vec![i as u8; 2]);
+            row![
+                i,
+                i as f64 / 2.0,
+                Value::Timestamp(i),
+                i % 2 == 0,
+                "abc",
+                bytes
+            ]
+        };
+        let nulls = || Row::from(vec![Value::Null; 6]);
         let current = |t: &Table| {
             assert_eq!(*t.image(), ColumnImage::of(t.schema(), t.rows()).unwrap());
             let widths = t.image().widths();
@@ -628,8 +643,12 @@ mod tests {
         let (ints, valid) = t.image().columns()[0].as_ref().expect("Int has an image");
         assert_eq!(ints.as_int().unwrap(), &[1, 0, 2]);
         assert_eq!(valid, &[true, false, true]);
-        assert!(t.image().columns()[4].is_none(), "Str has none");
-        assert_eq!(t.image().widths(), &[8 + 8 + 8 + 1 + 3, 5, 28]);
+        let (strs, valid) = t.image().columns()[4].as_ref().expect("Str has one too");
+        assert_eq!(strs.as_str().unwrap(), &["abc", "", "abc"]);
+        assert_eq!(valid, &[true, false, true]);
+        let (bytes, _) = t.image().columns()[5].as_ref().expect("Bytes has one");
+        assert_eq!(bytes, &Column::Bytes(vec![vec![1, 1], vec![], vec![2, 2]]));
+        assert_eq!(t.image().widths(), &[8 + 8 + 8 + 1 + 3 + 2, 6, 30]);
 
         let before = t.image().clone();
         assert!(t
@@ -642,7 +661,7 @@ mod tests {
 
         t.replace_rows(vec![nulls(), full(7)]).unwrap();
         current(&t);
-        assert_eq!(t.image().widths(), &[5, 28]);
+        assert_eq!(t.image().widths(), &[6, 30]);
         t.replace_rows(vec![]).unwrap();
         current(&t);
         assert!(t.image().widths().is_empty());

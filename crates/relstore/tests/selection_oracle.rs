@@ -1,13 +1,14 @@
 //! The relational kernels over a scan's selection — positions into the
-//! table's snapshot, read out of the typed column image where a column
-//! has one and through the rows where it has none — against the rows
-//! the selection builds: the same kernels over those rows, and the
-//! specifications written here over `Value`'s own order (a stable
+//! table's snapshot, whose typed column image has every column — against
+//! the rows the selection builds: the same kernels over those rows, and
+//! the specifications written here over `Value`'s own order (a stable
 //! `sort_by`, `Predicate::eval` a row at a time, a slice prefix). Two
-//! selections are joined (hash and sort-merge, any demanded columns) as
-//! their rows join, and a selection batches for a migration as its rows
-//! do. The selections come from sequential and index scans and are
-//! reordered at random, so their positions are rarely ascending.
+//! selections are joined (hash and sort-merge, inner and left outer, any
+//! demanded columns) as their rows join, and so are a selection and
+//! plain rows, which have no image, on either side; a selection batches
+//! for a migration as its rows do. The selections come from sequential
+//! and index scans and are reordered at random, so their positions are
+//! rarely ascending.
 //!
 //! The same checks hold a selection over several snapshots — two to
 //! four tables of one schema scanned and appended in turn, as a gather
@@ -17,7 +18,7 @@
 use std::cmp::Ordering;
 
 use proptest::prelude::*;
-use pspp_common::{Batch, Error, Field, Predicate, Result, Row, Schema, Value};
+use pspp_common::{Batch, DataType, Error, Field, Predicate, Result, Row, Schema, Value};
 use pspp_relstore::ops::{self, Aggregate, AggregateSpec, JoinKind, Selected, SortKey};
 use pspp_relstore::{Kept, RelationalStore, Selection};
 
@@ -36,7 +37,9 @@ const FILTER_COLUMNS: [&str; 12] = [
 /// Up to `max - 1` rows of [`schema`] over small domains (duplicate
 /// keys). Per table, each column either holds no NULL — a typed key, read
 /// as words out of the image — or a NULL a quarter of the time. The
-/// string column is always read through the rows.
+/// string column (`""` among its values) is imaged too: projections and
+/// joins copy it out of the image, while its keys and predicate leaves
+/// are read through the rows.
 fn arb_table(max: usize) -> impl Strategy<Value = Vec<Row>> {
     let cells = (
         arb_int(),
@@ -319,8 +322,9 @@ fn kernels_agree(
 /// join's columns a demand names, if any.
 type JoinDraw = ((usize, usize, bool), (bool, bool), Vec<usize>);
 
-/// Both joins of `left` and `right`, and each side's migration batch of
-/// columns `keep`, against the same kernels over the rows they build.
+/// Both joins of `left` and `right`, and of either one against the
+/// other's built rows, and each side's migration batch of columns
+/// `keep`, against the same kernels over the rows they build.
 fn joins_agree(
     left: &Selection,
     right: &Selection,
@@ -352,31 +356,41 @@ fn joins_agree(
         let out = ops::hash_join_with(&s, l, &s, r, lon, ron, kind, demand, |n| counts.push(n));
         out.map(|(schema, rows, bytes)| (schema, rows, bytes, counts))
     };
-    let got = hash(left.selected(), right.selected()).expect("known columns");
+    // Each side read as a selection, or as the plain rows it built.
+    let sides = [
+        (left.selected(), right.selected()),
+        (left.selected(), all(&rbuilt)),
+        (all(&lbuilt), right.selected()),
+    ];
     let want = hash(all(&lbuilt), all(&rbuilt)).expect("known columns");
-    prop_assert_eq!(&got.0, &want.0);
-    prop_assert!(
-        same_rows(&got.1, &want.1),
-        "{lon} = {ron} {kind:?} emitting {demand:?}, {lbuilt:?} with {rbuilt:?}: got {:?}, want {:?}",
-        got.1,
-        want.1
-    );
-    prop_assert_eq!(got.2, want.2);
-    prop_assert_eq!(got.2, walked(&got.1));
-    prop_assert_eq!(&got.3, &want.3);
+    for (l, r) in sides {
+        let got = hash(l, r).expect("known columns");
+        prop_assert_eq!(&got.0, &want.0);
+        prop_assert!(
+            same_rows(&got.1, &want.1),
+            "{lon} = {ron} {kind:?} emitting {demand:?}, {lbuilt:?} with {rbuilt:?}: got {:?}, want {:?}",
+            got.1,
+            want.1
+        );
+        prop_assert_eq!(got.2, want.2);
+        prop_assert_eq!(got.2, walked(&got.1));
+        prop_assert_eq!(&got.3, &want.3);
+    }
 
     // The sort-merge join likewise.
     let merge = |l, r| ops::sort_merge_join_with(&s, l, &s, r, lon, ron, demand);
-    let got = merge(left.selected(), right.selected()).expect("known columns");
     let want = merge(all(&lbuilt), all(&rbuilt)).expect("known columns");
-    prop_assert_eq!(&got.0, &want.0);
-    prop_assert!(
-        same_rows(&got.1, &want.1),
-        "merge {lon} = {ron} emitting {demand:?}, {lbuilt:?} with {rbuilt:?}: got {:?}, want {:?}",
-        got.1,
-        want.1
-    );
-    prop_assert_eq!(got.2, want.2);
+    for (l, r) in sides {
+        let got = merge(l, r).expect("known columns");
+        prop_assert_eq!(&got.0, &want.0);
+        prop_assert!(
+            same_rows(&got.1, &want.1),
+            "merge {lon} = {ron} emitting {demand:?}, {lbuilt:?} with {rbuilt:?}: got {:?}, want {:?}",
+            got.1,
+            want.1
+        );
+        prop_assert_eq!(got.2, want.2);
+    }
 
     // The migration batch: the one the built rows make, or its error
     // under a schema that forbids the NULLs the image flags. Debug text
@@ -529,6 +543,103 @@ fn a_null_in_the_image_is_no_default() {
         ),
         Err(Error::SchemaMismatch(_))
     ));
+
+    // A NULL string or byte array holds the empty value in the image,
+    // beside a real `""` and a real empty array: projected and joined,
+    // each must come back as what it is, a pad NULL included.
+    let tagged = Schema::new(vec![
+        ("k", DataType::Int),
+        ("s", DataType::Str),
+        ("y", DataType::Bytes),
+    ]);
+    let int = |k: Option<i64>| k.map_or(Value::Null, Value::Int);
+    let text = |s: Option<&str>| s.map_or(Value::Null, Value::from);
+    let bytes = |y: Option<&[u8]>| y.map_or(Value::Null, |y| Value::Bytes(y.to_vec()));
+    let rows = vec![
+        Row::from(vec![int(Some(0)), text(Some("")), bytes(Some(&[]))]),
+        Row::from(vec![int(Some(1)), text(None), bytes(None)]),
+        Row::from(vec![int(Some(2)), text(Some("x")), bytes(Some(&[7]))]),
+        Row::from(vec![int(None), text(Some("")), bytes(None)]),
+        Row::from(vec![int(Some(3)), text(None), bytes(Some(&[]))]),
+    ];
+    let mut db = RelationalStore::new("db");
+    db.create_table("t", tagged.clone()).expect("fresh store");
+    db.insert("t", rows.clone()).expect("rows match schema");
+    let scan = |predicate: &Predicate| match db.scan_kept("t", predicate, None, None) {
+        Ok((Kept::Selection(kept), _)) => kept,
+        _ => panic!("a scan without a projection keeps a selection"),
+    };
+    let all = scan(&Predicate::True);
+    let reversed = all
+        .with_positions(vec![4, 3, 2, 1, 0])
+        .expect("its own positions");
+    let (_, projected, size) =
+        ops::project_at(&tagged, reversed.selected(), &["y", "s"]).expect("known columns");
+    let want: Vec<Row> = rows
+        .iter()
+        .rev()
+        .map(|row| Row::from(vec![row[2].clone(), row[1].clone()]))
+        .collect();
+    assert!(same_rows(&projected, &want), "{projected:?}");
+    assert_eq!(size, walked(&want));
+
+    // `k` in 1..=3 on the right: the left's 0 and NULL are padded.
+    let right = scan(&Predicate::between("k", 1i64, 3i64));
+    let demand = ["s".to_owned(), "y_r".to_owned(), "s_r".to_owned()];
+    let (_, joined, _) = ops::hash_join_with(
+        &tagged,
+        reversed.selected(),
+        &tagged,
+        right.selected(),
+        "k",
+        "k",
+        JoinKind::LeftOuter,
+        Some(&demand),
+        |_| {},
+    )
+    .expect("known columns");
+    let want = vec![
+        Row::from(vec![text(None), bytes(Some(&[])), text(None)]),
+        Row::from(vec![text(Some("")), bytes(None), text(None)]),
+        Row::from(vec![text(Some("x")), bytes(Some(&[7])), text(Some("x"))]),
+        Row::from(vec![text(None), bytes(None), text(None)]),
+        Row::from(vec![text(Some("")), bytes(None), text(None)]),
+    ];
+    assert!(same_rows(&joined, &want), "{joined:?}");
+
+    // Keyed on `s`: each `""` meets both `""`s, `"x"` meets `"x"`, and
+    // NULL meets nothing.
+    let demand = ["k".to_owned(), "k_r".to_owned(), "y_r".to_owned()];
+    let mut want = vec![
+        Row::from(vec![int(None), int(Some(0)), bytes(Some(&[]))]),
+        Row::from(vec![int(None), int(None), bytes(None)]),
+        Row::from(vec![int(Some(0)), int(Some(0)), bytes(Some(&[]))]),
+        Row::from(vec![int(Some(0)), int(None), bytes(None)]),
+        Row::from(vec![int(Some(2)), int(Some(2)), bytes(Some(&[7]))]),
+    ];
+    want.sort();
+    for merge in [false, true] {
+        let (l, r) = (reversed.selected(), all.selected());
+        let (_, mut joined, _) = if merge {
+            ops::sort_merge_join_with(&tagged, l, &tagged, r, "s", "s", Some(&demand))
+        } else {
+            let kind = JoinKind::Inner;
+            ops::hash_join_with(
+                &tagged,
+                l,
+                &tagged,
+                r,
+                "s",
+                "s",
+                kind,
+                Some(&demand),
+                |_| {},
+            )
+        }
+        .expect("known columns");
+        joined.sort();
+        assert!(same_rows(&joined, &want), "merge {merge}: {joined:?}");
+    }
 }
 
 /// A filter over several snapshots runs part by part, but its error is

@@ -662,3 +662,189 @@ fn inverted_between_on_an_indexed_column_selects_nothing() {
         assert_eq!(report.execution.outputs[0].len(), 6);
     }
 }
+
+/// `db1.items(k, s, b)` and `db1.tags(k, t)`, and `db2.others(k, s, b)`:
+/// `Str` and `Bytes` columns holding NULL, the empty value and
+/// duplicates, and `Int` keys with NULLs and duplicates.
+fn string_deployment() -> (EngineRegistry, Catalog) {
+    let text = |i: i64| match i % 5 {
+        0 => Value::Null,
+        1 => Value::from(""),
+        _ => Value::from(format!("s{}", i % 6)),
+    };
+    let bytes = |i: i64| match i % 4 {
+        0 => Value::Null,
+        1 => Value::Bytes(Vec::new()),
+        _ => Value::Bytes(vec![i as u8; (i % 3) as usize + 1]),
+    };
+    let key = |i: i64, of: i64| {
+        if i % 11 == 3 {
+            Value::Null
+        } else {
+            Value::Int(i % of)
+        }
+    };
+    let wide = Schema::new(vec![
+        ("k", DataType::Int),
+        ("s", DataType::Str),
+        ("b", DataType::Bytes),
+    ]);
+    let tags = Schema::new(vec![("k", DataType::Int), ("t", DataType::Str)]);
+    let mut registry = EngineRegistry::new();
+    let mut catalog = Catalog::new();
+    let mut db1 = RelationalStore::new("db1");
+    db1.create_table("items", wide.clone()).unwrap();
+    db1.insert(
+        "items",
+        (0..40i64)
+            .map(|i| Row::from(vec![key(i, 7), text(i), bytes(i)]))
+            .collect(),
+    )
+    .unwrap();
+    db1.create_table("tags", tags.clone()).unwrap();
+    db1.insert(
+        "tags",
+        (0..12i64)
+            .map(|i| Row::from(vec![key(i + 1, 5), text(i + 2)]))
+            .collect(),
+    )
+    .unwrap();
+    let mut db2 = RelationalStore::new("db2");
+    db2.create_table("others", wide.clone()).unwrap();
+    db2.insert(
+        "others",
+        (0..30i64)
+            .map(|i| Row::from(vec![key(i, 9), text(i + 3), bytes(i + 1)]))
+            .collect(),
+    )
+    .unwrap();
+    for (engine, store, tables) in [
+        ("db1", db1, vec![("items", &wide), ("tags", &tags)]),
+        ("db2", db2, vec![("others", &wide)]),
+    ] {
+        for (table, schema) in tables {
+            catalog.register(TableRef::new(engine, table), schema.clone());
+        }
+        registry
+            .register(EngineId::new(engine), EngineInstance::Relational(store))
+            .unwrap();
+    }
+    registry.set_default_fleet(AcceleratorFleet::workstation());
+    (registry, catalog)
+}
+
+/// The programs of [`strings_join_and_project_as_they_did`]: both joins
+/// within one engine and across two, keyed on `Int` and on `Str`, a
+/// projection over a scan, and a scan that projects.
+fn string_programs() -> Vec<Program> {
+    let scan = |p: &mut Program, engine: &str, table: &str| {
+        p.add_source(Operator::scan(TableRef::new(engine, table)), "sql")
+    };
+    let join = |right: (&str, &str), on: &str, merge: bool, top: Option<&[&str]>| {
+        let mut p = Program::new();
+        let l = scan(&mut p, "db1", "items");
+        let r = scan(&mut p, right.0, right.1);
+        let (left_on, right_on) = (on.to_owned(), on.to_owned());
+        let op = if merge {
+            Operator::SortMergeJoin { left_on, right_on }
+        } else {
+            Operator::HashJoin { left_on, right_on }
+        };
+        let mut out = p.add_node(op, vec![l, r], "sql");
+        if let Some(columns) = top {
+            let columns = columns.iter().map(|c| c.to_string()).collect();
+            out = p.add_node(Operator::Project { columns }, vec![out], "sql");
+        }
+        p.mark_output(out);
+        p
+    };
+    let mut project = Program::new();
+    let items = scan(&mut project, "db1", "items");
+    let columns = vec!["b".to_owned(), "s".to_owned()];
+    let out = project.add_node(Operator::Project { columns }, vec![items], "sql");
+    project.mark_output(out);
+    let mut projecting = Program::new();
+    let out = projecting.add_source(
+        Operator::Scan {
+            table: TableRef::new("db1", "items"),
+            predicate: Predicate::True,
+            projection: Some(vec!["s".to_owned(), "b".to_owned()]),
+        },
+        "sql",
+    );
+    projecting.mark_output(out);
+    vec![
+        join(("db1", "tags"), "k", false, None),
+        join(("db1", "tags"), "k", false, Some(&["t", "b", "s"])),
+        join(("db2", "others"), "k", false, None),
+        join(("db2", "others"), "k", true, Some(&["s_r", "b"])),
+        join(("db2", "others"), "s", false, None),
+        join(("db2", "others"), "s", true, None),
+        join(("db1", "items"), "b", true, Some(&["k", "b_r"])),
+        project,
+        projecting,
+    ]
+}
+
+/// FNV of the schema names, the rows' `Debug` (in order) and the
+/// carried byte size of every program of [`string_programs`], run by
+/// the bare executor and then by the optimizer (L3: the demand pass
+/// narrows the joins' emit and the migrations), captured at the commit
+/// before `Str` and `Bytes` columns had a column image and output rows
+/// were built a column at a time out of it.
+const STRING_GOLDEN: [u64; 18] = [
+    0xdd991427a37cbc42,
+    0xc3a7a5e469bb5f13,
+    0x35400e8d8f863ddf,
+    0xa3aa51be23b9cf09,
+    0x2b9bea23ce430675,
+    0x0eda12ee943770a5,
+    0xebf97a13f31b9d1b,
+    0xb828631578c6876c,
+    0xa384130495c9c944,
+    0xdd991427a37cbc42,
+    0xc3a7a5e469bb5f13,
+    0x35400e8d8f863ddf,
+    0x84392808a1ccf8df,
+    0x2b9bea23ce430675,
+    0x2b9bea23ce430675,
+    0x7141a15ccbe73f9b,
+    0xb828631578c6876c,
+    0xa384130495c9c944,
+];
+
+#[test]
+fn strings_join_and_project_as_they_did() {
+    use polystorepp::common::partition::{fnv1a, FNV_OFFSET};
+    let digest = |d: &Dataset| {
+        let rows = d.try_rows().expect("rows");
+        assert!(!rows.is_empty());
+        assert_eq!(d.byte_size(), walked_bytes(rows));
+        let seen = format!(
+            "{:?} {rows:?} {}",
+            d.schema().unwrap().names(),
+            d.byte_size()
+        );
+        fnv1a(seen.as_bytes(), FNV_OFFSET)
+    };
+    let (registry, catalog) = string_deployment();
+    let system = Polystore::from_deployment(Deployment {
+        registry: registry.clone(),
+        catalog,
+        stats: std::collections::HashMap::new(),
+        clinical_names: Default::default(),
+    })
+    .opt_level(OptLevel::L3)
+    .build()
+    .expect("valid config");
+    let mut got = Vec::new();
+    for program in string_programs() {
+        got.push(digest(&run(&program, &registry)[0]));
+    }
+    for program in string_programs() {
+        let report = system.run_program(program).expect("program runs");
+        assert_built(&report.execution.outputs);
+        got.push(digest(&report.execution.outputs[0]));
+    }
+    assert_eq!(got, STRING_GOLDEN, "got {got:#x?}");
+}

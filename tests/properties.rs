@@ -183,10 +183,10 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// CSV round-trips arbitrary typed rows (including NULLs, commas and
-    /// quotes in strings).
+    /// CSV round-trips arbitrary typed rows (including NULLs, commas,
+    /// quotes and line breaks in strings).
     #[test]
-    fn csv_roundtrip(cells in prop::collection::vec((any::<i64>(), "[a-z,\"]{0,10}", any::<bool>()), 0..30)) {
+    fn csv_roundtrip(cells in prop::collection::vec((any::<i64>(), "[a-z,\"\r\n]{0,10}", any::<bool>()), 0..30)) {
         let schema = Schema::new(vec![
             ("i", DataType::Int),
             ("s", DataType::Str),

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 pub use pspp_common::DeviceKind;
 
 /// The classes of operators the paper identifies as offload candidates
 /// (§III-A.1–§III-A.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelClass {
     /// Sorting (bitonic network on FPGA \[45\]).
     Sort,
@@ -74,7 +72,7 @@ impl fmt::Display for KernelClass {
 /// so the model stays auditable: `time = cycles / clock_hz`,
 /// `energy = time × power_w`, and each kernel's cycle count comes from the
 /// throughput fields below (see [`crate::kernels`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Which class of device this is.
     pub kind: DeviceKind,

@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use pspp_common::{Error, Result, ShardId};
 
 use crate::device::{DeviceKind, DeviceProfile, KernelClass};
@@ -16,7 +14,7 @@ use crate::link::Interconnect;
 
 /// How an accelerator is deployed relative to the data path (§I: "deploy
 /// accelerators in standalone, coprocessor, or bump-in-the-wire modes").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DeploymentMode {
     /// Key functions run entirely on the device; data is resident there.
     Standalone,
@@ -40,7 +38,7 @@ impl std::fmt::Display for DeploymentMode {
 }
 
 /// One accelerator attached to the deployment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttachedDevice {
     /// Device model.
     pub profile: DeviceProfile,
@@ -69,7 +67,7 @@ impl AttachedDevice {
 
 /// A placement decision: which device runs a kernel and how data reaches
 /// it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Placement {
     /// The executing device.
     pub device: DeviceKind,
@@ -98,7 +96,7 @@ impl Placement {
 /// let sorted_on = fleet.best_device(KernelClass::Sort).unwrap().kind();
 /// assert_eq!(sorted_on, DeviceKind::Fpga);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorFleet {
     host: DeviceProfile,
     devices: Vec<AttachedDevice>,
@@ -106,7 +104,6 @@ pub struct AcceleratorFleet {
     /// the historical exclusive-access fiction (every slot prices the
     /// device as if alone); a declared capacity makes concurrent picks
     /// of the same device queue behind `capacity` servers.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     capacities: Vec<(DeviceKind, usize)>,
 }
 

@@ -21,8 +21,6 @@
 //! `NaN`, so a skipped entry keeps a non-finite right operand out of
 //! the sum (dead ReLU units make whole zero columns in training).
 
-use serde::{Deserialize, Serialize};
-
 use pspp_common::{Error, Result};
 
 use crate::device::{DeviceKind, DeviceProfile, KernelClass};
@@ -38,7 +36,7 @@ use crate::ledger::CostLedger;
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
 /// assert_eq!(a.get(1, 0), 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

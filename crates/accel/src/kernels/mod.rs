@@ -12,8 +12,6 @@ pub mod partition;
 pub mod serialize;
 pub mod sort;
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::{DeviceKind, DeviceProfile, KernelClass};
 use crate::ledger::{CostLedger, EventKind, SimDuration};
 
@@ -24,7 +22,7 @@ pub use serialize::SerializerModel;
 pub use sort::BitonicSorter;
 
 /// The outcome of one simulated kernel invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelReport {
     /// Device the kernel ran on.
     pub device: DeviceKind,

@@ -7,14 +7,12 @@
 //! columnar, and accelerator-pipelined binary — and provides a real
 //! columnar byte packer used by the binary pipe.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::{DeviceKind, DeviceProfile, KernelClass};
 use crate::kernels::{cpu_cores, KernelReport};
 use crate::ledger::CostLedger;
 
 /// The wire format a dataset is transformed into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireFormat {
     /// Comma-separated text: numeric values are formatted and reparsed.
     Csv,

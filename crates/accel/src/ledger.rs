@@ -9,8 +9,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::DeviceKind;
 
 /// A span of simulated time, in seconds.
@@ -22,7 +20,7 @@ use crate::device::DeviceKind;
 /// let d = SimDuration::from_secs(0.0032);
 /// assert_eq!(d.to_string(), "3.200ms");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimDuration(f64);
 
 impl SimDuration {
@@ -92,7 +90,7 @@ impl fmt::Display for SimDuration {
 }
 
 /// What kind of work a [`CostEvent`] represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EventKind {
     /// Arithmetic / operator execution.
     Compute,
@@ -123,7 +121,7 @@ impl fmt::Display for EventKind {
 }
 
 /// One unit of simulated work posted to the [`CostLedger`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostEvent {
     /// Logical component posting the event (e.g. `"relstore.sort"`).
     pub component: String,
@@ -140,7 +138,7 @@ pub struct CostEvent {
 }
 
 /// Aggregated view of a set of events.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostSummary {
     /// Number of events.
     pub events: usize,

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ledger::SimDuration;
 
 /// The class of link data moves over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
     /// Host ↔ accelerator over PCIe.
     Pcie,
@@ -38,7 +36,7 @@ impl fmt::Display for LinkKind {
 /// Transfer time follows the classic α+βn model: `latency + bytes/bw`,
 /// plus a per-byte CPU copy overhead for protocol stacks that touch host
 /// memory (zero for RDMA — that is exactly its advantage).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Interconnect {
     /// The link kind.
     pub kind: LinkKind,

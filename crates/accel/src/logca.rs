@@ -20,8 +20,6 @@
 //! asymptotic bound `S(∞) ≤ A` (interface costs keep real speedup below
 //! peak).
 
-use serde::{Deserialize, Serialize};
-
 /// LogCA model parameters for one (kernel, device, link) combination.
 ///
 /// # Examples
@@ -32,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(m.speedup(1 << 20) > 1.0);      // large offloads win
 /// assert!(m.speedup(64) < 1.0);           // tiny offloads lose
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogCa {
     /// Interface latency per byte (seconds/byte).
     pub l: f64,

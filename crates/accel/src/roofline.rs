@@ -3,23 +3,17 @@
 //! Attainable throughput of a kernel on a device is bounded by
 //! `min(peak_compute, operational_intensity × memory_bandwidth)`.
 //! The paper notes the Roofline model extends naturally to fixed hardware
-//! but is harder for reconfigurable fabrics; we expose an empirical
-//! correction hook ([`Roofline::with_efficiency`]) in the spirit of
-//! Koeplinger et al. \[54\]'s sampled models.
-
-use serde::{Deserialize, Serialize};
+//! but is harder for reconfigurable fabrics.
 
 use crate::device::DeviceProfile;
 
 /// A device roofline: peak compute and memory bandwidth ceilings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     /// Peak arithmetic throughput, ops/second.
     pub peak_ops_per_s: f64,
     /// Peak memory bandwidth, bytes/second.
     pub mem_bw_bps: f64,
-    /// Sustained-efficiency multiplier in (0, 1], defaults to 1.
-    pub efficiency: f64,
 }
 
 impl Roofline {
@@ -28,21 +22,13 @@ impl Roofline {
         Roofline {
             peak_ops_per_s: profile.peak_ops_per_s(),
             mem_bw_bps: profile.mem_bw_bps,
-            efficiency: 1.0,
         }
-    }
-
-    /// Applies a sustained-efficiency correction for a kernel class
-    /// (empirical roofline, per \[54\]).
-    pub fn with_efficiency(mut self, efficiency: f64) -> Self {
-        self.efficiency = efficiency.clamp(f64::MIN_POSITIVE, 1.0);
-        self
     }
 
     /// Attainable throughput (ops/s) at operational intensity `oi`
     /// (ops per byte moved).
     pub fn attainable_ops_per_s(&self, oi: f64) -> f64 {
-        (self.peak_ops_per_s.min(oi * self.mem_bw_bps)) * self.efficiency
+        self.peak_ops_per_s.min(oi * self.mem_bw_bps)
     }
 
     /// The ridge point: operational intensity where the kernel turns from
@@ -55,14 +41,12 @@ impl Roofline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::KernelClass;
 
     #[test]
     fn ceilings_apply() {
         let r = Roofline {
             peak_ops_per_s: 1e12,
             mem_bw_bps: 1e11,
-            efficiency: 1.0,
         };
         // Below the ridge (10 ops/byte) bandwidth rules.
         assert_eq!(r.attainable_ops_per_s(1.0), 1e11);
@@ -78,13 +62,5 @@ mod tests {
         let cpu = Roofline::for_device(&DeviceProfile::cpu());
         let tpu = Roofline::for_device(&DeviceProfile::tpu());
         assert!(tpu.ridge_point() > 30.0 * cpu.ridge_point());
-    }
-
-    #[test]
-    fn efficiency_scales_attainable() {
-        let cpu = DeviceProfile::cpu();
-        let full = Roofline::for_device(&cpu);
-        let eff = full.with_efficiency(cpu.efficiency(KernelClass::Gemm));
-        assert!(eff.attainable_ops_per_s(100.0) < full.attainable_ops_per_s(100.0));
     }
 }

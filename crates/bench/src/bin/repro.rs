@@ -1,5 +1,6 @@
-//! Reproduces every experiment table (E1–E23); README's "Experiments
-//! and benchmarks" section holds the index and the methodology.
+//! Reproduces every experiment table (E1–E23); `EXPERIMENTS` in the
+//! library is the index, and README's "From the paper to the code"
+//! table maps each experiment to its paper section and crate.
 //!
 //! ```text
 //! cargo run -p pspp-bench --bin repro --release            # all

@@ -6,9 +6,10 @@
 //! (`ensure`, `at_least`, `at_most`, `above`, `same_digest`).
 //!
 //! Every number is simulated and deterministic (real data plane,
-//! simulated clock); README's "Experiments and benchmarks" section
-//! holds the index, the methodology and what stands in for the paper's
-//! data and hardware.
+//! simulated clock). README's "From the paper to the code" table maps
+//! each experiment to its paper section and crate, and its "What stands
+//! in for what" table names the substitutes for the paper's data and
+//! hardware.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -2498,6 +2499,30 @@ mod tests {
                 }
             }
             other => panic!("expected the typed config error, got {other:?}"),
+        }
+    }
+
+    /// The README's paper → experiment table names every experiment in
+    /// the index, and nothing else, in its last column.
+    #[test]
+    fn the_readme_maps_every_experiment() {
+        let readme = include_str!("../../../README.md");
+        let named: Vec<&str> = readme
+            .lines()
+            .skip_while(|line| !line.starts_with("| Paper |"))
+            .skip(2)
+            .take_while(|line| line.starts_with('|'))
+            .filter_map(|row| row.trim_end_matches('|').rsplit('|').next())
+            .map(|cell| cell.trim().trim_matches('`'))
+            .collect();
+        for e in &EXPERIMENTS {
+            assert!(named.contains(&e.name), "README's table omits {}", e.name);
+        }
+        for name in &named {
+            assert!(
+                EXPERIMENTS.iter().any(|e| e.name == *name),
+                "README's table names {name}, which the index lacks"
+            );
         }
     }
 

@@ -4,13 +4,11 @@
 //! columnar buffers that can be memcpy-serialized. [`Batch`] is that format:
 //! one typed [`Column`] per field plus a validity mask for NULLs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::{DataType, Value};
 use crate::{ColumnSource, Error, Field, Result, Row, Schema};
 
 /// A typed column of values with an optional validity (non-null) mask.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// Booleans.
     Bool(Vec<bool>),
@@ -216,7 +214,7 @@ impl Column {
 /// let batch = Batch::from_rows(&schema, vec![row![1i64, 0.5], row![2i64, 1.5]]).unwrap();
 /// assert_eq!(batch.column(0).as_int().unwrap(), &[1, 2]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     schema: Schema,
     columns: Vec<Column>,

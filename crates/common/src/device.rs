@@ -7,13 +7,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The class of computing unit executing a kernel (§II-B of the paper);
 /// the host CPU by default.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DeviceKind {
     /// General-purpose multicore host CPU.
     #[default]

@@ -34,14 +34,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::partition::{HashRouter, PartitionSpec, RoutingRule, ShardId};
 use crate::{Result, Row, Schema, Value};
 
 /// How one plan node's output rows are distributed across shard
 /// replicas.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Distribution {
     /// All rows live at one site (unsharded data, or the result of an
     /// explicit gather).

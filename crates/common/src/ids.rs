@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::EngineKind;
 
 /// Identifies a registered engine instance within a Polystore++ deployment.
 ///
 /// Multiple instances of the same [`EngineKind`] may coexist (the paper's
 /// DB1/DB2 example in §III both speak relational).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EngineId(String);
 
 impl EngineId {
@@ -45,7 +43,7 @@ impl From<String> for EngineId {
 
 /// A fully qualified reference to a dataset: which engine holds it and its
 /// name inside that engine.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableRef {
     /// Hosting engine.
     pub engine: EngineId,
@@ -70,7 +68,7 @@ impl fmt::Display for TableRef {
 }
 
 /// A placement target: a kind of engine plus an instance id; used by plans.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EngineInstance {
     /// Instance id.
     pub id: EngineId,

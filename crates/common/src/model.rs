@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The logical data model a dataset is expressed in (§II-A of the paper).
 ///
 /// The data migrator's CAST layer converts between these models; the
 /// optimizer charges a remodeling cost whenever an edge of the program
 /// graph crosses models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataModel {
     /// Tables of rows with a fixed schema.
     Relational,
@@ -93,7 +91,7 @@ impl fmt::Display for DataModel {
 }
 
 /// The kind of data-processing engine hosting a dataset (Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// Relational store (Postgres-like).
     Relational,

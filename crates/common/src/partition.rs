@@ -10,14 +10,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Column, Error, Result, Row, Schema, TypedColumn, Value};
 
 /// Identifies one shard replica of an engine (0-based, dense).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ShardId(pub u32);
 
 impl ShardId {
@@ -37,7 +33,7 @@ impl fmt::Display for ShardId {
 }
 
 /// How a logical table's rows are distributed across shard replicas.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PartitionSpec {
     /// Rows route by a stable hash of the key column, modulo `shards`.
     Hash {

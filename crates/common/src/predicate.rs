@@ -2,8 +2,6 @@
 
 use std::cmp::Ordering;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Column, Error, Result, Row, Schema, Value};
 
 /// A boolean predicate over a row.
@@ -19,7 +17,7 @@ use crate::{Column, Error, Result, Row, Schema, Value};
 /// assert!(p.eval(&schema, &row![70i64]).unwrap());
 /// assert!(!p.eval(&schema, &row![30i64]).unwrap());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Predicate {
     /// Always true (full scan).
     #[default]

@@ -4,8 +4,6 @@ use std::fmt;
 use std::ops::Index;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::Value;
 
 /// A single record: an ordered list of [`Value`]s matching some schema.
@@ -24,7 +22,7 @@ use crate::value::Value;
 /// assert_eq!(r[0], Value::Int(7));
 /// assert_eq!(r.len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Row(Arc<[Value]>);
 
 impl Row {

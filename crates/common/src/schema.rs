@@ -3,13 +3,11 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::DataType;
 use crate::{Error, Result, Row, TableRef};
 
 /// A named, typed column.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Field {
     /// Column name, unique within a [`Schema`].
     pub name: String,
@@ -50,7 +48,7 @@ impl fmt::Display for Field {
 /// assert_eq!(s.index_of("name"), Some(1));
 /// assert_eq!(s.arity(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Schema {
     fields: Vec<Field>,
 }

@@ -3,8 +3,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The scalar type of a [`Value`] / a column in a [`crate::Schema`].
 ///
 /// # Examples
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// use pspp_common::{DataType, Value};
 /// assert_eq!(Value::Int(3).data_type(), Some(DataType::Int));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// Boolean.
     Bool,
@@ -78,7 +76,7 @@ impl fmt::Display for DataType {
 /// assert_eq!(v.as_f64(), Some(2.5));
 /// assert!(Value::Null < v);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub enum Value {
     /// Absent / SQL NULL.
     #[default]

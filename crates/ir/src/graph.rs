@@ -3,15 +3,13 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use pspp_common::{Error, Result};
 
 use crate::op::Operator;
 use crate::Annotations;
 
 /// Identifies a node inside a [`Program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 impl std::fmt::Display for NodeId {
@@ -22,7 +20,7 @@ impl std::fmt::Display for NodeId {
 
 /// One node: an operator, its data inputs, its subprogram tag (the
 /// control level of the hierarchical IR) and plan annotations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgramNode {
     /// Node id.
     pub id: NodeId,
@@ -41,7 +39,7 @@ pub struct ProgramNode {
 /// `compute` nodes are mutually independent and may execute
 /// concurrently; `forwards` are fused pass-through nodes resolved
 /// before the stage runs.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Stage {
     /// Fused nodes that alias their single input (in id order).
     pub forwards: Vec<NodeId>,
@@ -50,7 +48,7 @@ pub struct Stage {
 }
 
 /// A heterogeneous program as a data-flow DAG of typed operators.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
     nodes: Vec<ProgramNode>,
     outputs: Vec<NodeId>,

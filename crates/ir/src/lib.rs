@@ -40,15 +40,13 @@ pub use shard::{
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use pspp_common::{DeviceKind, EngineId, ShardId};
 
 /// One node's membership in a fused device-resident chain, attached to
 /// a scatter slot by the placement pass: the chain pays the host→device
 /// transfer once at the head (`pos == 0`) and intermediate edges move
 /// over the device-local link instead of PCIe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusionTag {
     /// Index of the chain in the placement plan's `fused_chains`.
     pub chain: usize,
@@ -62,7 +60,7 @@ pub struct FusionTag {
 /// whose picks landed on the same coprocessor, executed back-to-back
 /// without surfacing intermediates to the host (§III–§IV: pipeline the
 /// operators, pay PCIe once).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FusedChain {
     /// The shard replica the chain runs at.
     pub shard: ShardId,
@@ -79,7 +77,7 @@ pub struct FusedChain {
 /// migration codec ships a producer's demanded columns only, a join
 /// builds only its own, the planner prices `columns.len() / of` of the
 /// producer's bytes, and `EXPLAIN` prints the list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDemand {
     /// The demanded columns, named as the node's full output schema
     /// names them (a join's `x_r` included) and in that schema's order.
@@ -107,7 +105,7 @@ impl std::fmt::Display for ColumnDemand {
 
 /// Per-node plan annotations filled in by the optimizer (§IV-B.3:
 /// "the core must decide where each task should be assigned").
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Annotations {
     /// The engine instance that executes the node (None = middleware).
     pub engine: Option<EngineId>,
@@ -119,16 +117,13 @@ pub struct Annotations {
     /// deployments each shard replica may resolve to a different
     /// device (or fall back to its host). `None` means "use `device`
     /// everywhere".
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub shard_devices: Option<Vec<DeviceKind>>,
     /// Per scatter-slot fused-chain membership, aligned with the
     /// [`NodeShard::scatter`] order (index 0 for unsharded nodes).
     /// `None` (and `None` entries) mean the slot runs unfused.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub shard_fusion: Option<Vec<Option<FusionTag>>>,
     /// Per scatter-slot device queue wait (seconds) charged by the
     /// contended-device pass, aligned with the scatter order.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub shard_queue_waits: Option<Vec<f64>>,
     /// Estimated output rows.
     pub est_rows: Option<f64>,
@@ -140,6 +135,5 @@ pub struct Annotations {
     pub fused_into_consumer: bool,
     /// The output columns some consumer reads; `None` means every
     /// column (the literal plan).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub demand: Option<ColumnDemand>,
 }

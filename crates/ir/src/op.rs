@@ -1,13 +1,11 @@
 //! Typed data-flow operators: the vocabulary every frontend lowers into
 //! (§III-A.1 lists the operator families per engine).
 
-use serde::{Deserialize, Serialize};
-
 use pspp_common::{Predicate, TableRef};
 
 /// Aggregate functions at the IR level (mapped to engine-native
 /// aggregates by the adapters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFn {
     /// Row count.
     Count,
@@ -26,7 +24,7 @@ pub enum AggFn {
 }
 
 /// One aggregate column specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggSpec {
     /// Function.
     pub func: AggFn,
@@ -91,7 +89,7 @@ pub fn partial_agg_specs(aggs: &[AggSpec]) -> Vec<AggSpec> {
 }
 
 /// A sort key at the IR level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SortSpec {
     /// Column name.
     pub column: String,
@@ -100,7 +98,7 @@ pub struct SortSpec {
 }
 
 /// Timeseries window aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TsAgg {
     /// Mean of points in the window.
     Mean,
@@ -117,7 +115,7 @@ pub enum TsAgg {
 }
 
 /// Text search modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TextSearchMode {
     /// Documents containing all terms.
     All,
@@ -132,7 +130,7 @@ pub enum TextSearchMode {
 /// The variants cover the operator families of every native engine plus
 /// the ML patterns of Figs. 3 and 7. Arity convention: sources take no
 /// inputs, transforms take one, joins take two.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Operator {
     // ---- relational ----
     /// Table scan with pushed-down predicate and projection.

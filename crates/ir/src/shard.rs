@@ -43,8 +43,6 @@
 //! [`ShardPlan::plan`] on the same annotated program — always agree on
 //! the plan that runs.
 
-use serde::{Deserialize, Serialize};
-
 use pspp_common::partition::{fnv1a, FNV_OFFSET};
 use pspp_common::{
     CopyKey, Distribution, JoinDistribution, PartitionSpec, Result, ShardId, TableRef,
@@ -185,7 +183,7 @@ fn sole_reader(program: &Program, producer: NodeId) -> bool {
 
 /// How one input edge's rows reach the consuming node's tasks — the
 /// typed exchange vocabulary every re-layout goes through.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ExchangeKind {
     /// No data movement: a single-site consumer reads the input's
     /// gathered result in place, or an aligned colocated task reads its
@@ -227,7 +225,7 @@ impl std::fmt::Display for ExchangeKind {
 
 /// Exchange-edge totals over a plan, reported by the optimizer's
 /// placement summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExchangeCounts {
     /// [`ExchangeKind::Gather`] edges.
     pub gathers: usize,
@@ -239,7 +237,6 @@ pub struct ExchangeCounts {
     pub merge_partials: usize,
     /// [`ExchangeKind::ShuffleHash`] edges served from a materialized
     /// repartition: the layout is persisted, so no rows move.
-    #[serde(default)]
     pub materialized: usize,
 }
 
@@ -310,7 +307,7 @@ impl PlanOptions {
 }
 
 /// One node's slice of the shard plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeShard {
     /// How the node's output rows are distributed across shards.
     pub distribution: Distribution,
@@ -330,7 +327,6 @@ pub struct NodeShard {
     /// [`ExchangeKind::ShuffleHash`] edge whose routing is served from
     /// a materialized repartition (no rows move). Empty means no edge
     /// is served.
-    #[serde(default)]
     pub copy_served: Vec<bool>,
     /// `Some((key, width))` marks a *routed* producer: its one reader,
     /// seen through fused aliases, is a [`ExchangeKind::ShuffleHash`]
@@ -339,7 +335,6 @@ pub struct NodeShard {
     /// rows as they produce them and the shuffle takes each
     /// destination's rows from there; nothing gathers them. A physical
     /// annotation only: it changes no price.
-    #[serde(default)]
     pub routed: Option<(String, u32)>,
 }
 
@@ -406,7 +401,7 @@ impl Default for NodeShard {
 
 /// The physical distribution plan for one program: a [`NodeShard`] per
 /// IR node.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShardPlan {
     nodes: Vec<NodeShard>,
 }

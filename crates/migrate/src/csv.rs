@@ -45,9 +45,6 @@ pub fn decode(schema: &Schema, text: &str) -> Result<Vec<Row>> {
     }
     let mut rows = Vec::new();
     for record in records {
-        if record.is_empty() {
-            continue;
-        }
         let fields = split_csv_line(record);
         if fields.len() != schema.arity() {
             return Err(Error::Migration(format!(
@@ -180,6 +177,16 @@ mod tests {
         .unwrap();
         let rows = decode(b.schema(), &encode(&b)).unwrap();
         assert_eq!(rows[0][0], Value::Null);
+        // A one-column row holding NULL is an empty line, and that line
+        // is a row, the last one included.
+        let schema = Schema::new(vec![("x", DataType::Int)]);
+        let rows: Vec<Row> = [Value::Int(1), Value::Null, Value::Int(3), Value::Null]
+            .into_iter()
+            .map(|v| Row::from(vec![v]))
+            .collect();
+        let b = Batch::from_rows(&schema, rows.clone()).unwrap();
+        assert_eq!(encode(&b), "x\n1\n\n3\n\n");
+        assert_eq!(decode(&schema, &encode(&b)).unwrap(), rows);
     }
 
     /// A newline ends a record only outside quotes: a string holding

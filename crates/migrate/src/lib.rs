@@ -22,14 +22,12 @@
 
 pub mod csv;
 
-use serde::{Deserialize, Serialize};
-
 use pspp_accel::kernels::serialize::{SerializerModel, WireFormat};
 use pspp_accel::{CostLedger, DeviceProfile, EventKind, Interconnect, SimDuration};
 use pspp_common::{Batch, DataModel, DataType, Error, Result, Row, Schema, Value};
 
 /// Which wire path a migration takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MigrationPath {
     /// CSV text over the network, via staging files.
     CsvFile,
@@ -49,7 +47,7 @@ impl MigrationPath {
 }
 
 /// The cost breakdown of one migration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationReport {
     /// Path taken.
     pub path: MigrationPath,

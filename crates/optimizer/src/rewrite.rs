@@ -57,13 +57,11 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
-
 use pspp_common::{Predicate, Schema, SchemaLookup};
 use pspp_ir::{AggFn, ColumnDemand, NodeId, Operator, Program};
 
 /// How much of the optimizer to run — the Fig. 6 ablation axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OptLevel {
     /// No optimization: literal program, host CPU everywhere.
     None,
@@ -110,7 +108,7 @@ impl std::fmt::Display for OptLevel {
 }
 
 /// Which rules fired, and how often.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RewriteReport {
     /// Predicates merged into scans.
     pub predicate_pushdowns: usize,
@@ -126,7 +124,6 @@ pub struct RewriteReport {
     pub limit_pushdowns: usize,
     /// Nodes whose consumers read a strict subset of their columns
     /// (rule 7).
-    #[serde(default)]
     pub column_prunings: usize,
 }
 

@@ -90,8 +90,6 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use pspp_common::{
     Batch, Column, ColumnSource, Error, FxBuildHasher, FxHasher, Predicate, Result, Row, Schema,
     TypedColumn, Value,
@@ -100,7 +98,7 @@ use pspp_common::{
 use crate::table::{as_u32, part_runs, split_position, Snapshot, LOCAL_MASK};
 
 /// Join flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {
     /// Keep only matching pairs.
     Inner,
@@ -109,7 +107,7 @@ pub enum JoinKind {
 }
 
 /// A sort key: column plus direction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortKey {
     /// Column name.
     pub column: String,
@@ -136,7 +134,7 @@ impl SortKey {
 }
 
 /// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregate {
     /// Row count (column ignored).
     Count,
@@ -154,7 +152,7 @@ pub enum Aggregate {
 }
 
 /// An aggregate over one column with an output name.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregateSpec {
     /// Function.
     pub agg: Aggregate,

@@ -69,7 +69,7 @@ pub type EngineRegistry = ShardedRegistry;
 /// spec diff actually moved versus left in place, and how many shard
 /// replicas were rewritten. `moved_rows / total_rows` is the quantity
 /// E22's analytic-bound guard checks (≈ `1 - w1/w2` for a hash grow).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RebalanceReport {
     /// Rows of the table across all shards.
     pub total_rows: usize,

@@ -1,11 +1,11 @@
 //! Minimal deterministic JSON document model.
 //!
-//! The workspace's `serde` is an offline no-op stub, so every JSON artifact
-//! in the repo is rendered by hand. This module centralises that pattern for
-//! the telemetry exporters: a [`Json`] tree renders to a stable, pretty
-//! two-space-indented document whose byte content depends only on the value
-//! (object keys keep insertion order, numbers use Rust's shortest-round-trip
-//! `f64` formatting), so trace dumps diff cleanly across runs.
+//! Every JSON artifact the repo writes (traces, experiment results) is
+//! diffed across runs and commits, so its bytes must depend on the value
+//! alone. A [`Json`] tree renders to a deterministic, pretty
+//! two-space-indented document: object keys keep insertion order, and
+//! numbers use Rust's shortest-round-trip `f64` formatting, so a render is
+//! byte-stable and trace dumps diff cleanly.
 
 use std::fmt::Write as _;
 

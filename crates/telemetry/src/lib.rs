@@ -22,8 +22,8 @@
 //!   [`explain_plan`] renders the plan alone.
 //! - [`prom`] — Prometheus text exposition renderer plus a minimal parser
 //!   for round-trip tests.
-//! - [`json`] — the deterministic hand-rolled JSON document model the
-//!   exporters share (the workspace `serde` is a no-op stub).
+//! - [`json`] — the JSON document model the exporters share: insertion
+//!   ordered and deterministic, so renders are byte-stable and diffable.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

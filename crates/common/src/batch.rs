@@ -5,7 +5,7 @@
 //! one typed [`Column`] per field plus a validity mask for NULLs.
 
 use crate::value::{DataType, Value};
-use crate::{ColumnSource, Error, Field, Result, Row, Schema};
+use crate::{row_major, ColumnSource, Error, Field, Result, Row, Schema};
 
 /// A typed column of values with an optional validity (non-null) mask.
 #[derive(Debug, Clone, PartialEq)]
@@ -464,9 +464,8 @@ impl Batch {
 
     /// Converts back to row-major form.
     pub fn to_rows(&self) -> Vec<Row> {
-        (0..self.num_rows)
-            .map(|r| (0..self.schema.arity()).map(|c| self.value(r, c)).collect())
-            .collect()
+        let cells = row_major(self.num_rows, self.schema.arity(), |r, c| self.value(r, c));
+        Row::slab(self.num_rows, cells)
     }
 
     /// Total payload bytes across columns (excludes validity overhead).

@@ -56,7 +56,7 @@ pub use partition::{hash_grow_moved_fraction, HashRouter, PartitionSpec, Routes,
 pub use predicate::{BoundPredicate, ColumnSource, Predicate, TypedColumn};
 pub use repartition::{CopyKey, MaterializedRepartitions, RepartitionStats};
 pub use rng::SplitMix64;
-pub use row::Row;
+pub use row::{row_major, Row};
 pub use schema::{Field, Schema, SchemaLookup};
 pub use value::{DataType, Value};
 

@@ -1,6 +1,8 @@
 //! Row-major records: the native exchange unit of the executor.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Index;
 use std::sync::Arc;
 
@@ -8,11 +10,18 @@ use crate::value::Value;
 
 /// A single record: an ordered list of [`Value`]s matching some schema.
 ///
-/// The values live in one shared immutable allocation, so `clone` is a
-/// reference-count bump: an operator that passes a row through
+/// A row is a window onto a shared immutable slab of values, so `clone`
+/// is a reference-count bump: an operator that passes a row through
 /// unchanged (scan, filter, sort, limit, shuffle routing) hands it on by
-/// pointer. Operators that change a row's shape ([`Row::project`],
-/// [`Row::concat`]) build a new one.
+/// pointer. A kernel that builds many rows ([`Row::slab`]) cuts them out
+/// of one slab, one allocation for all of them; a row built on its own
+/// ([`Row::from`], `collect`, [`Row::project`], [`Row::concat`]) has a
+/// slab of its own. The slab lives while any of its rows does: a prefix
+/// or a filter of a kernel's output keeps the whole output's values
+/// alive.
+///
+/// Equality, hashing, order and `Debug` are the values' — where a row's
+/// slab starts and what else it holds are not part of it.
 ///
 /// # Examples
 ///
@@ -21,9 +30,16 @@ use crate::value::Value;
 /// let r = Row::from(vec![Value::Int(7), Value::from("x")]);
 /// assert_eq!(r[0], Value::Int(7));
 /// assert_eq!(r.len(), 2);
+///
+/// let rows = Row::slab(2, [0, 1, 2, 3].map(Value::Int));
+/// assert_eq!(rows[1], Row::from(vec![Value::Int(2), Value::Int(3)]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct Row(Arc<[Value]>);
+#[derive(Clone, Default)]
+pub struct Row {
+    slab: Arc<[Value]>,
+    start: u32,
+    len: u32,
+}
 
 impl Row {
     /// An empty row.
@@ -31,37 +47,83 @@ impl Row {
         Row::default()
     }
 
+    /// `rows` rows cut from one slab holding `values`, row after row:
+    /// each row takes the next `values.len() / rows` of them. The slab
+    /// is written in place when `values` is a `map` over a range or a
+    /// `Vec`'s `into_iter` (std's `FromIterator` for `Arc<[T]>` writes
+    /// an iterator of trusted length straight into the allocation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` does not divide the number of values, if there
+    /// are values but no rows, or if there are more than `u32::MAX`
+    /// values or rows.
+    pub fn slab<I>(rows: usize, values: I) -> Vec<Row>
+    where
+        I: IntoIterator<Item = Value>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let values = values.into_iter();
+        let total = values.len();
+        if rows == 0 {
+            assert_eq!(total, 0, "values but no rows");
+            return Vec::new();
+        }
+        let width = total / rows;
+        assert_eq!(width * rows, total, "{total} values in {rows} rows");
+        let (rows, width) = (window(rows), window(width));
+        window(total);
+        let slab: Arc<[Value]> = values.collect();
+        (0..rows)
+            .map(|r| Row {
+                slab: Arc::clone(&slab),
+                start: r * width,
+                len: width,
+            })
+            .collect()
+    }
+
+    /// The row that is all of `slab`.
+    fn whole(slab: Arc<[Value]>) -> Row {
+        let len = window(slab.len());
+        Row {
+            slab,
+            start: 0,
+            len,
+        }
+    }
+
     /// Number of values.
     #[inline]
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.len as usize
     }
 
     /// Whether the row has no values.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len == 0
     }
 
     /// The values as a slice.
     #[inline]
     pub fn values(&self) -> &[Value] {
-        &self.0
+        &self.slab[self.start as usize..][..self.len as usize]
     }
 
     /// The value at `idx`, if in bounds.
     pub fn get(&self, idx: usize) -> Option<&Value> {
-        self.0.get(idx)
+        self.values().get(idx)
     }
 
     /// A copy of the values.
     pub fn into_values(self) -> Vec<Value> {
-        self.0.to_vec()
+        self.values().to_vec()
     }
 
-    /// Whether `self` and `other` are the same allocation (one is a
-    /// clone of the other), not merely equal.
+    /// Whether `self` and `other` are the same window onto the same slab
+    /// (one is a clone of the other), not merely equal.
     pub fn ptr_eq(&self, other: &Row) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+        Arc::ptr_eq(&self.slab, &other.slab) && (self.start, self.len) == (other.start, other.len)
     }
 
     /// A new row keeping only the columns at `indices`, in that order.
@@ -70,7 +132,8 @@ impl Row {
     ///
     /// Panics if any index is out of bounds.
     pub fn project(&self, indices: &[usize]) -> Row {
-        Row(indices.iter().map(|&i| self.0[i].clone()).collect())
+        let values = self.values();
+        indices.iter().map(|&i| values[i].clone()).collect()
     }
 
     /// Concatenates two rows (join output).
@@ -82,24 +145,86 @@ impl Row {
 
     /// Total payload bytes (sum of [`Value::byte_size`]).
     pub fn byte_size(&self) -> usize {
-        self.0.iter().map(Value::byte_size).sum()
+        self.iter().map(Value::byte_size).sum()
     }
 
     /// Iterates over the values.
     pub fn iter(&self) -> std::slice::Iter<'_, Value> {
-        self.0.iter()
+        self.values().iter()
     }
+}
+
+/// The values `cell(r, c)` of a `rows` × `width` grid, row after row:
+/// what [`Row::slab`] writes in place.
+///
+/// ```
+/// use pspp_common::{row_major, Row, Value};
+/// let rows = Row::slab(2, row_major(2, 3, |r, c| Value::Int((10 * r + c) as i64)));
+/// assert_eq!(rows[1][2], Value::Int(12));
+/// ```
+pub fn row_major(
+    rows: usize,
+    width: usize,
+    mut cell: impl FnMut(usize, usize) -> Value,
+) -> impl ExactSizeIterator<Item = Value> {
+    let (mut r, mut c) = (0, 0);
+    (0..rows * width).map(move |_| {
+        let value = cell(r, c);
+        (r, c) = if c + 1 == width {
+            (r + 1, 0)
+        } else {
+            (r, c + 1)
+        };
+        value
+    })
+}
+
+/// `len` as a window's bound; panics past `u32::MAX`.
+fn window(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or_else(|_| panic!("a window of {len} values"))
 }
 
 impl From<Vec<Value>> for Row {
     fn from(values: Vec<Value>) -> Self {
-        Row(values.into())
+        Row::whole(values.into())
     }
 }
 
 impl FromIterator<Value> for Row {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
-        Row(iter.into_iter().collect())
+        Row::whole(iter.into_iter().collect())
+    }
+}
+
+impl PartialEq for Row {
+    fn eq(&self, other: &Row) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl Eq for Row {}
+
+impl Hash for Row {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().hash(state);
+    }
+}
+
+impl PartialOrd for Row {
+    fn partial_cmp(&self, other: &Row) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Row {
+    fn cmp(&self, other: &Row) -> Ordering {
+        self.values().cmp(other.values())
+    }
+}
+
+impl fmt::Debug for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Row").field(&self.values()).finish()
     }
 }
 
@@ -108,7 +233,7 @@ impl Index<usize> for Row {
 
     #[inline]
     fn index(&self, idx: usize) -> &Value {
-        &self.0[idx]
+        &self.values()[idx]
     }
 }
 
@@ -126,14 +251,14 @@ impl<'a> IntoIterator for &'a Row {
     type IntoIter = std::slice::Iter<'a, Value>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
+        self.iter()
     }
 }
 
 impl fmt::Display for Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("[")?;
-        for (i, v) in self.0.iter().enumerate() {
+        for (i, v) in self.iter().enumerate() {
             if i > 0 {
                 f.write_str(", ")?;
             }
@@ -180,6 +305,84 @@ mod tests {
     #[test]
     fn byte_size_sums_values() {
         assert_eq!(row![1i64, "abc"].byte_size(), 8 + 3);
+    }
+
+    fn hash_of(value: &impl Hash) -> u64 {
+        let mut hasher = std::hash::DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Three rows of two values cut from one slab, and each row's values.
+    fn slab_of_three() -> (Vec<Row>, Vec<Vec<Value>>) {
+        let values = vec![
+            vec![Value::Int(2), Value::from("b")],
+            vec![Value::Int(1), Value::Null],
+            vec![Value::Int(2), Value::from("a")],
+        ];
+        let rows = Row::slab(3, values.concat());
+        (rows, values)
+    }
+
+    #[test]
+    fn rows_cut_from_a_slab_are_rows_of_their_values() {
+        let (rows, values) = slab_of_three();
+        let own: Vec<Row> = values.iter().cloned().map(Row::from).collect();
+        assert_eq!(rows, own);
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row.values(), values[i]);
+            assert_eq!(row.len(), 2);
+            assert_eq!(hash_of(row), hash_of(&own[i]));
+            // What the derives over the old `Row(Arc<[Value]>)` gave.
+            let old: Arc<[Value]> = values[i].clone().into();
+            assert_eq!(hash_of(row), hash_of(&old));
+            assert_eq!(format!("{row:?}"), format!("Row({old:?})"));
+            assert_eq!(format!("{row:?}"), format!("{:?}", own[i]));
+            assert_eq!(format!("{row:#?}"), format!("{:#?}", own[i]));
+            for (j, other) in rows.iter().enumerate() {
+                assert_eq!(row.cmp(other), own[i].cmp(&own[j]));
+                assert_eq!(row.cmp(other), values[i].cmp(&values[j]));
+                assert_eq!(row == other, i == j);
+            }
+        }
+        assert_eq!(format!("{:?}", rows[1]), "Row([Int(1), Null])");
+        assert_eq!(rows[2].clone().into_values(), values[2]);
+        assert_eq!(rows[0].project(&[1]), row!["b"]);
+    }
+
+    #[test]
+    fn ptr_eq_is_the_same_window_of_the_same_slab() {
+        let (rows, values) = slab_of_three();
+        for (i, row) in rows.iter().enumerate() {
+            assert!(row.ptr_eq(&row.clone()));
+            assert!(!row.ptr_eq(&Row::from(values[i].clone())));
+            for (j, other) in rows.iter().enumerate() {
+                assert_eq!(row.ptr_eq(other), i == j, "{i} and {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_slab_of_no_rows_or_of_empty_rows() {
+        assert!(Row::slab(0, Vec::new()).is_empty());
+        let empty = Row::slab(3, Vec::new());
+        assert_eq!(empty, vec![Row::new(); 3]);
+        for row in &empty {
+            assert!(row.is_empty());
+            assert_eq!(hash_of(row), hash_of(&Row::new()));
+            assert_eq!(format!("{row:?}"), "Row([])");
+            assert_eq!(row.cmp(&Row::new()), Ordering::Equal);
+        }
+        let grid = Row::slab(0, row_major(0, 4, |_, _| Value::Null));
+        assert!(grid.is_empty());
+        let grid = Row::slab(2, row_major(2, 0, |_, _| Value::Null));
+        assert_eq!(grid, vec![Row::new(); 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "5 values in 2 rows")]
+    fn a_slab_cuts_whole_rows() {
+        Row::slab(2, vec![Value::Null; 5]);
     }
 
     #[test]

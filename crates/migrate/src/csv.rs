@@ -43,7 +43,8 @@ pub fn decode(schema: &Schema, text: &str) -> Result<Vec<Row>> {
     if header != schema.names().join(",") {
         return Err(Error::Migration(format!("header mismatch: {header}")));
     }
-    let mut rows = Vec::new();
+    // Every row's values, one after another, cut into rows at the end.
+    let (mut rows, mut values) = (0, Vec::new());
     for record in records {
         let fields = split_csv_line(record);
         if fields.len() != schema.arity() {
@@ -53,13 +54,12 @@ pub fn decode(schema: &Schema, text: &str) -> Result<Vec<Row>> {
                 fields.len()
             )));
         }
-        let mut row = Vec::with_capacity(fields.len());
         for ((field, quoted), spec) in fields.iter().zip(schema.fields()) {
-            row.push(parse_field(field, *quoted, spec.data_type)?);
+            values.push(parse_field(field, *quoted, spec.data_type)?);
         }
-        rows.push(Row::from(row));
+        rows += 1;
     }
-    Ok(rows)
+    Ok(Row::slab(rows, values))
 }
 
 /// The records of `text`: what lies between newlines outside quotes, a

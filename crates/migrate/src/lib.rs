@@ -24,7 +24,7 @@ pub mod csv;
 
 use pspp_accel::kernels::serialize::{SerializerModel, WireFormat};
 use pspp_accel::{CostLedger, DeviceProfile, EventKind, Interconnect, SimDuration};
-use pspp_common::{Batch, DataModel, DataType, Error, Result, Row, Schema, Value};
+use pspp_common::{row_major, Batch, DataModel, DataType, Error, Result, Row, Schema, Value};
 
 /// Which wire path a migration takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -410,16 +410,12 @@ fn decode_sized(schema: &Schema, bytes: &[u8]) -> Result<(Vec<Row>, u64)> {
         });
     }
     let mut row_bytes = 0u64;
-    let rows = (0..n_rows)
-        .map(|r| {
-            let values = columns.iter_mut().map(|column| {
-                let value = column.value(r);
-                row_bytes += value.byte_size() as u64;
-                value
-            });
-            values.collect()
-        })
-        .collect();
+    let cells = row_major(n_rows, columns.len(), |r, c| {
+        let value = columns[c].value(r);
+        row_bytes += value.byte_size() as u64;
+        value
+    });
+    let rows = Row::slab(n_rows, cells);
     Ok((rows, row_bytes))
 }
 

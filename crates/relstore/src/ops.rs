@@ -29,9 +29,13 @@
 //! it matched or, in a left outer join, a pad), copies each output
 //! column out of the image at those rows with one typed loop
 //! ([`pspp_common::Column::values_at`]; `Str` and `Bytes` included),
-//! and then moves each value once into its row, one allocation a row.
-//! Only a part without an image — rows a migration decoded or an
-//! operator built — is read through its rows.
+//! and then moves each value once into its row: every row of the output
+//! is a window onto one slab ([`Row::slab`]), one allocation for all of
+//! them. [`group_by_at`] emits its rows the same way, and keeps each
+//! aggregate's state in a vector a slot per group, `Sum` and `Avg` of an
+//! `Int`, `Float` or `Timestamp` column folded straight off the image a
+//! part's run at a time. Only a part without an image — rows a
+//! migration decoded or an operator built — is read through its rows.
 //!
 //! A [`crate::Selection`] may span several snapshots — one per shard, in
 //! gather order, past an exchange that appended or split shards' scans
@@ -87,12 +91,13 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::Hash;
 use std::sync::Arc;
 
 use pspp_common::{
-    Batch, Column, ColumnSource, Error, FxBuildHasher, FxHasher, Predicate, Result, Row, Schema,
-    TypedColumn, Value,
+    row_major, Batch, Column, ColumnSource, Error, FxBuildHasher, FxHasher, Predicate, Result, Row,
+    Schema, TypedColumn, Value,
 };
 
 use crate::table::{as_u32, part_runs, split_position, Snapshot, LOCAL_MASK};
@@ -326,22 +331,38 @@ impl<'a> Selected<'a> {
         Ok(batch.take(&order))
     }
 
-    /// Column `column` of each row read, in order: made from the typed
-    /// image where the column has one (NULL where the row's validity
-    /// flag is clear), borrowed from the row where it has none.
-    fn cells(self, column: usize) -> impl Iterator<Item = Cow<'a, Value>> + 'a {
-        // One source: its image is looked up once, not per cell.
-        let one = match self.parts {
-            Parts::One(source) => Some((source, typed(source, column))),
-            Parts::Many(_) => None,
-        };
-        (0..self.len()).map(move |i| match one {
-            Some((source, image)) => value_at(source, image, self.position(i) as usize, column),
-            None => self.cell(i, column),
-        })
+    /// Calls `f` with the index and column `column` of each row read, in
+    /// order, up to its first error: the value made from the typed image
+    /// where the column has one (NULL where the row's validity flag is
+    /// clear), borrowed from the row where it has none. A visitor, not an
+    /// iterator, so that each caller's loop compiles with `f` inlined.
+    #[inline]
+    fn try_cells<E>(
+        self,
+        column: usize,
+        mut f: impl FnMut(usize, Cow<'a, Value>) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        match self.parts {
+            // One source: its image is looked up once, not per cell.
+            Parts::One(source) => {
+                let image = typed(source, column);
+                for i in 0..self.len() {
+                    f(
+                        i,
+                        value_at(source, image, self.position(i) as usize, column),
+                    )?;
+                }
+            }
+            Parts::Many(_) => {
+                for i in 0..self.len() {
+                    f(i, self.cell(i, column))?;
+                }
+            }
+        }
+        Ok(())
     }
 
-    /// Column `column` of the `i`-th row read, as [`Selected::cells`]
+    /// Column `column` of the `i`-th row read, as [`Selected::try_cells`]
     /// reads it.
     fn cell(&self, i: usize, column: usize) -> Cow<'a, Value> {
         let (source, p) = self.locate(self.position(i));
@@ -389,24 +410,26 @@ impl<'a> Selected<'a> {
 const PAD: u32 = u32::MAX;
 
 /// The rows whose columns are `columns`, each `rows` values long: row
-/// `i` takes the `i`-th value of every column, moved, into one
-/// allocation. `sized` is told each row's payload bytes, in order.
+/// `i` takes the `i`-th value of every column, moved, and every row is
+/// cut from one slab ([`Row::slab`]). `sized` is told each row's
+/// payload bytes, in order (rows of no columns have none to tell).
 fn assemble(columns: Vec<Vec<Value>>, rows: usize, mut sized: impl FnMut(u64)) -> Vec<Row> {
+    debug_assert!(
+        columns.iter().all(|column| column.len() == rows),
+        "a column is not {rows} values long"
+    );
+    let width = columns.len();
     let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
-    (0..rows)
-        .map(|_| {
-            let mut bytes = 0;
-            let row = (columns.iter_mut())
-                .map(|column| {
-                    let value = column.next().unwrap_or(Value::Null);
-                    bytes += value.byte_size() as u64;
-                    value
-                })
-                .collect();
-            sized(bytes);
-            row
-        })
-        .collect()
+    let mut bytes = 0;
+    let cells = row_major(rows, width, |_, c| {
+        let value = columns[c].next().unwrap_or(Value::Null);
+        bytes += value.byte_size() as u64;
+        if c + 1 == width {
+            sized(std::mem::take(&mut bytes));
+        }
+        value
+    });
+    Row::slab(rows, cells)
 }
 
 /// Columns `columns` of every row `input` reads, in order, built a
@@ -440,7 +463,9 @@ fn typed(source: ColumnSource<'_>, column: usize) -> Option<&TypedColumn> {
 
 /// Column `column` of `source`'s row `p`, `image` being the column's
 /// typed image there.
-#[inline]
+// Left to itself the compiler calls this out of line from the group-by
+// loops, a call per cell that doubled their cost over plain rows.
+#[inline(always)]
 fn value_at<'a>(
     source: ColumnSource<'a>,
     image: Option<&'a TypedColumn>,
@@ -1275,12 +1300,16 @@ pub fn merge_group_partials(
         )));
     }
     let mut out_fields: Vec<Field> = partial_schema.fields()[..key_count].to_vec();
+    let mut col = key_count;
     for a in aggs {
         let dt = match a.agg {
             Aggregate::Count | Aggregate::CountNonNull => DataType::Int,
-            _ => DataType::Float,
+            // The extremum of the partial extrema, of their type.
+            Aggregate::Min | Aggregate::Max => partial_schema.fields()[col].data_type,
+            Aggregate::Sum | Aggregate::Avg => DataType::Float,
         };
         out_fields.push(Field::new(a.output.clone(), dt));
+        col += state_width(a);
     }
     let out_schema = Schema::from_fields(out_fields);
 
@@ -1356,22 +1385,20 @@ pub fn merge_group_partials(
         }
     }
 
-    let mut accs = accs.into_iter();
-    let out = groups
-        .firsts
-        .iter()
-        .map(|first| {
-            let keys = first.values()[..key_count].iter().cloned();
-            let finals = accs.by_ref().take(aggs.len()).map(|acc| match acc {
-                MergeAcc::Ints(n) => Value::Int(n),
+    let width = key_count + aggs.len();
+    let cells = row_major(groups.firsts.len(), width, |g, c| {
+        match c.checked_sub(key_count) {
+            None => groups.firsts[g][c].clone(),
+            Some(a) => match &mut accs[g * aggs.len() + a] {
+                MergeAcc::Ints(n) => Value::Int(*n),
                 MergeAcc::Floats(s) => s.map_or(Value::Null, Value::Float),
                 MergeAcc::Ratio(_, 0) => Value::Null,
-                MergeAcc::Ratio(s, n) => Value::Float(s / n as f64),
-                MergeAcc::Extremum(m) => m.unwrap_or(Value::Null),
-            });
-            keys.chain(finals).collect()
-        })
-        .collect();
+                MergeAcc::Ratio(s, n) => Value::Float(*s / *n as f64),
+                MergeAcc::Extremum(m) => m.take().unwrap_or(Value::Null),
+            },
+        }
+    });
+    let out = Row::slab(groups.firsts.len(), cells);
     Ok((out_schema, out))
 }
 
@@ -1473,9 +1500,11 @@ pub fn sort_merge_join_with(
 
 /// Group-by aggregation.
 ///
-/// Output schema is `keys ++ aggregate outputs`; `Count` yields `Int`,
-/// the numeric aggregates yield `Float`. Without keys, no rows still
-/// make one group: counts `0`, every other aggregate NULL.
+/// Output schema is `keys ++ aggregate outputs`; the counts yield
+/// `Int`, `Sum` and `Avg` `Float`, and `Min` and `Max` the type of the
+/// column they read. Over a group whose column holds only NULLs, `Sum`,
+/// `Avg`, `Min` and `Max` are NULL; without keys, no rows still make
+/// one group: counts `0`, every other aggregate NULL.
 ///
 /// # Errors
 ///
@@ -1527,103 +1556,246 @@ pub fn group_by_at(
         .iter()
         .map(|&i| schema.fields()[i].clone())
         .collect();
-    for a in aggs {
-        let dt = match a.agg {
-            Aggregate::Count | Aggregate::CountNonNull => DataType::Int,
+    for (a, idx) in aggs.iter().zip(&agg_idx) {
+        let dt = match (a.agg, idx) {
+            (Aggregate::Count | Aggregate::CountNonNull, _) => DataType::Int,
+            // The extremum is one of the column's values.
+            (Aggregate::Min | Aggregate::Max, Some(i)) => schema.fields()[*i].data_type,
             _ => DataType::Float,
         };
         out_fields.push(Field::new(a.output.clone(), dt));
     }
     let out_schema = Schema::from_fields(out_fields);
 
-    /// One aggregate's running state within one group.
-    #[derive(Clone, Default)]
-    struct Acc {
-        /// Sum of the non-null numeric values (`Sum`, `Avg`).
-        sum: f64,
-        /// Non-null values seen (`Avg`, `CountNonNull`).
-        count: i64,
-        /// Current minimum or maximum (`Min`, `Max`).
-        extremum: Option<Value>,
-    }
     if key_idx.is_empty() && input.is_empty() {
         let row = empty_aggregate(aggs);
         let bytes = row.byte_size() as u64;
         return Ok((out_schema, vec![row], bytes));
     }
     let (ids, firsts) = number_groups(input, &key_idx);
-    let mut group_rows_seen = vec![0i64; firsts.len()];
+    let groups = firsts.len();
+    let mut group_rows = vec![0i64; groups];
     for &g in &ids {
-        group_rows_seen[g] += 1;
+        group_rows[g] += 1;
     }
-    // Phase 2. One state per (group, aggregate), group-major; one pass
-    // over the column per aggregate, so a group's values still add up
-    // in row order.
-    let mut accs = vec![Acc::default(); firsts.len() * aggs.len()];
-    for (a, (spec, idx)) in aggs.iter().zip(&agg_idx).enumerate() {
-        let Some(idx) = *idx else { continue };
-        let cells = input
-            .cells(idx)
-            .zip(&ids)
-            .map(|(v, &g)| (v, g * aggs.len() + a))
-            .filter(|(v, _)| !v.is_null());
-        match spec.agg {
-            Aggregate::Sum | Aggregate::Avg => {
-                for (v, at) in cells {
-                    let x = v.as_f64().ok_or_else(|| {
-                        Error::SchemaMismatch(format!("cannot aggregate {v:?} numerically"))
-                    })?;
-                    accs[at].sum += x;
-                    accs[at].count += 1;
+    // Phase 2. One state per aggregate, a slot per group; one pass over
+    // the column per aggregate, so a group's values still add up in row
+    // order.
+    let mut states = (aggs.iter().zip(&agg_idx))
+        .map(|(spec, idx)| {
+            Ok(match (spec.agg, *idx) {
+                (Aggregate::Sum | Aggregate::Avg, Some(column)) => {
+                    let (sums, counts) = sums(input, column, &ids, groups)?;
+                    GroupState::Sums(sums, counts)
                 }
-            }
-            Aggregate::Min | Aggregate::Max => {
-                // Strictly better only: of equal values the first stays.
-                let better = match spec.agg {
-                    Aggregate::Min => Ordering::Less,
-                    _ => Ordering::Greater,
-                };
-                for (v, at) in cells {
-                    let extremum = &mut accs[at].extremum;
-                    if extremum
-                        .as_ref()
-                        .is_none_or(|m| v.as_ref().cmp(m) == better)
-                    {
-                        *extremum = Some(v.into_owned());
-                    }
+                (Aggregate::CountNonNull, Some(column)) => {
+                    GroupState::NonNull(non_null(input, column, &ids, groups))
                 }
-            }
-            Aggregate::CountNonNull => cells.for_each(|(_, at)| accs[at].count += 1),
-            Aggregate::Count => {}
+                (Aggregate::Min | Aggregate::Max, Some(column)) => {
+                    GroupState::Extrema(extrema(input, column, &ids, groups, spec.agg))
+                }
+                _ => GroupState::Count,
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+
+    // A typed key is read out of the image: no row is touched.
+    let firsts: Vec<u32> = firsts.iter().map(|&i| i as u32).collect();
+    let mut keys: Vec<_> = (key_idx.iter())
+        .map(|&c| input.gather(c, &firsts).into_iter())
+        .collect();
+    let mut bytes = 0u64;
+    let cells = row_major(groups, keys.len() + aggs.len(), |g, c| {
+        let value = match c.checked_sub(keys.len()) {
+            None => keys[c].next().unwrap_or(Value::Null),
+            Some(a) => states[a].finish(aggs[a].agg, g, group_rows[g]),
+        };
+        bytes += value.byte_size() as u64;
+        value
+    });
+    let out = Row::slab(groups, cells);
+    Ok((out_schema, out, bytes))
+}
+
+/// One aggregate's running state in [`group_by_at`], a slot per group.
+enum GroupState {
+    /// `Count`: the group's row count says it all.
+    Count,
+    /// `Sum`, `Avg`: the sum of the non-null values, and their count.
+    Sums(Vec<f64>, Vec<i64>),
+    /// `CountNonNull`: the non-null values seen.
+    NonNull(Vec<i64>),
+    /// `Min`, `Max`: the extremum so far.
+    Extrema(Vec<Option<Value>>),
+}
+
+impl GroupState {
+    /// Aggregate `agg`'s value for group `g` of `rows` rows; an
+    /// extremum is moved out.
+    fn finish(&mut self, agg: Aggregate, g: usize, rows: i64) -> Value {
+        match self {
+            GroupState::Count => Value::Int(rows),
+            // No value at all: SQL's NULL, as over no rows.
+            GroupState::Sums(_, counts) if counts[g] == 0 => Value::Null,
+            GroupState::Sums(sums, _) if agg == Aggregate::Sum => Value::Float(sums[g]),
+            GroupState::Sums(sums, counts) => Value::Float(sums[g] / counts[g] as f64),
+            GroupState::NonNull(counts) => Value::Int(counts[g]),
+            GroupState::Extrema(extrema) => extrema[g].take().unwrap_or(Value::Null),
         }
     }
+}
 
-    let mut accs = accs.into_iter();
-    let mut bytes = 0u64;
-    let out = firsts
-        .iter()
-        .zip(group_rows_seen)
-        .map(|(&first, seen)| {
-            // A typed key is read out of the image: no row is touched.
-            let keys = key_idx.iter().map(|&c| input.cell(first, c).into_owned());
-            let finals =
-                accs.by_ref()
-                    .take(aggs.len())
-                    .zip(aggs)
-                    .map(|(acc, spec)| match spec.agg {
-                        Aggregate::Count => Value::Int(seen),
-                        Aggregate::Sum => Value::Float(acc.sum),
-                        Aggregate::Avg if acc.count == 0 => Value::Null,
-                        Aggregate::Avg => Value::Float(acc.sum / acc.count as f64),
-                        Aggregate::Min | Aggregate::Max => acc.extremum.unwrap_or(Value::Null),
-                        Aggregate::CountNonNull => Value::Int(acc.count),
-                    });
-            let row: Row = keys.chain(finals).collect();
-            bytes += row.byte_size() as u64;
-            row
-        })
-        .collect();
-    Ok((out_schema, out, bytes))
+/// The rows `input` reads as runs in one part each, in input order:
+/// each run's positions, the mask that turns one into a row of its
+/// part's snapshot, and that snapshot's image of `column`. `None` when
+/// a part has no image of it, or the rows read are a slice's.
+fn image_runs<'a>(
+    input: Selected<'a>,
+    column: usize,
+) -> Option<Vec<(&'a [u32], u32, &'a TypedColumn)>> {
+    let positions = input.positions?;
+    match input.parts {
+        Parts::One(source) => Some(vec![(positions, u32::MAX, typed(source, column)?)]),
+        Parts::Many(parts) => part_runs(positions)
+            .map(|(part, run)| Some((run, LOCAL_MASK, typed(parts[part].source(), column)?)))
+            .collect(),
+    }
+}
+
+/// The numbers of an `Int`, `Timestamp` or `Float` image.
+enum Numbers<'a> {
+    /// `Int` or `Timestamp`.
+    Ints(&'a [i64]),
+    Floats(&'a [f64]),
+}
+
+impl<'a> Numbers<'a> {
+    /// `values`' numbers, when it holds numbers.
+    fn of(values: &'a Column) -> Option<Self> {
+        match values {
+            Column::Int(v) | Column::Timestamp(v) => Some(Numbers::Ints(v)),
+            Column::Float(v) => Some(Numbers::Floats(v)),
+            Column::Bool(_) | Column::Str(_) | Column::Bytes(_) => None,
+        }
+    }
+}
+
+/// `Sum` and `Avg`'s state over column `column` of the rows `input`
+/// reads, row `i` in group `ids[i]`: each group's sum of its non-null
+/// values, added in row order, and how many there were. An `Int`,
+/// `Timestamp` or `Float` image is folded a run of one part at a time;
+/// anything else is read through [`Selected::try_cells`].
+///
+/// # Errors
+///
+/// Returns [`Error::SchemaMismatch`] at the first non-null value that is
+/// not a number.
+fn sums(
+    input: Selected<'_>,
+    column: usize,
+    ids: &[usize],
+    groups: usize,
+) -> Result<(Vec<f64>, Vec<i64>)> {
+    let (mut sums, mut counts) = (vec![0.0; groups], vec![0i64; groups]);
+    let runs = image_runs(input, column).and_then(|runs| {
+        (runs.into_iter())
+            .map(|(run, mask, (values, valid))| Some((run, mask, Numbers::of(values)?, valid)))
+            .collect::<Option<Vec<_>>>()
+    });
+    let Some(runs) = runs else {
+        input.try_cells(column, |i, v| {
+            if !v.is_null() {
+                sums[ids[i]] += v.as_f64().ok_or_else(|| not_a_number(&v))?;
+                counts[ids[i]] += 1;
+            }
+            Ok(())
+        })?;
+        return Ok((sums, counts));
+    };
+    fn add(
+        rows: impl Iterator<Item = (usize, usize)>,
+        valid: &[bool],
+        (sums, counts): (&mut [f64], &mut [i64]),
+        number: impl Fn(usize) -> f64,
+    ) {
+        for (p, g) in rows {
+            if valid[p] {
+                sums[g] += number(p);
+                counts[g] += 1;
+            }
+        }
+    }
+    let mut rest = ids;
+    for (run, mask, numbers, valid) in runs {
+        let here;
+        (here, rest) = rest.split_at(run.len());
+        let rows = (run.iter().zip(here)).map(|(&p, &g)| ((p & mask) as usize, g));
+        let state = (sums.as_mut_slice(), counts.as_mut_slice());
+        match numbers {
+            Numbers::Ints(v) => add(rows, valid, state, |p| v[p] as f64),
+            Numbers::Floats(v) => add(rows, valid, state, |p| v[p]),
+        }
+    }
+    Ok((sums, counts))
+}
+
+/// The error a sum raises at `v`, a non-null value that is not a
+/// number; out of line, so that the loops summing stay small.
+#[cold]
+fn not_a_number(v: &Value) -> Error {
+    Error::SchemaMismatch(format!("cannot aggregate {v:?} numerically"))
+}
+
+/// `CountNonNull`'s state over column `column` of the rows `input`
+/// reads, row `i` in group `ids[i]`: read off the validity flags of the
+/// image where every part has one.
+fn non_null(input: Selected<'_>, column: usize, ids: &[usize], groups: usize) -> Vec<i64> {
+    let mut counts = vec![0i64; groups];
+    let Some(runs) = image_runs(input, column) else {
+        let Ok(()) = input.try_cells(column, |i, v| {
+            counts[ids[i]] += i64::from(!v.is_null());
+            Ok::<_, Infallible>(())
+        });
+        return counts;
+    };
+    let mut rest = ids;
+    for (run, mask, (_, valid)) in runs {
+        let here;
+        (here, rest) = rest.split_at(run.len());
+        for (&p, &g) in run.iter().zip(here) {
+            counts[g] += i64::from(valid[(p & mask) as usize]);
+        }
+    }
+    counts
+}
+
+/// `Min` or `Max`'s state over column `column` of the rows `input`
+/// reads, row `i` in group `ids[i]`. Only a strictly better value
+/// replaces the extremum: of equal values the first stays.
+fn extrema(
+    input: Selected<'_>,
+    column: usize,
+    ids: &[usize],
+    groups: usize,
+    agg: Aggregate,
+) -> Vec<Option<Value>> {
+    let better = match agg {
+        Aggregate::Min => Ordering::Less,
+        _ => Ordering::Greater,
+    };
+    let mut extrema: Vec<Option<Value>> = vec![None; groups];
+    let Ok(()) = input.try_cells(column, |i, v| {
+        let extremum = &mut extrema[ids[i]];
+        if !v.is_null()
+            && extremum
+                .as_ref()
+                .is_none_or(|m| v.as_ref().cmp(m) == better)
+        {
+            *extremum = Some(v.into_owned());
+        }
+        Ok::<_, Infallible>(())
+    });
+    extrema
 }
 
 /// The one row an aggregate without keys returns over no rows, as SQL
@@ -2016,6 +2188,70 @@ mod tests {
         assert_eq!(a[3], Value::Float(3.0));
         assert_eq!(a[4], Value::Int(1));
         assert_eq!(a[5], Value::Int(5));
+    }
+
+    /// `MIN` and `MAX` return one of the column's values, so their
+    /// output column has the column's type, single-site and merged: the
+    /// rows pass the schema's check and batch for a migration.
+    #[test]
+    fn an_extremum_has_its_column_type() {
+        let s = Schema::new(vec![
+            ("g", DataType::Str),
+            ("v", DataType::Int),
+            ("t", DataType::Timestamp),
+        ]);
+        let rows = vec![
+            row!["a", 1i64, Value::Timestamp(7)],
+            row!["a", 5i64, Value::Null],
+            row!["b", Value::Null, Value::Timestamp(3)],
+        ];
+        let aggs = [
+            AggregateSpec::new(Aggregate::Min, "v", "min"),
+            AggregateSpec::new(Aggregate::Max, "t", "max"),
+            AggregateSpec::new(Aggregate::Sum, "v", "sum"),
+        ];
+        let (schema, out) = group_by(&s, &rows, &["g"], &aggs).unwrap();
+        let types: Vec<DataType> = schema.fields().iter().map(|f| f.data_type).collect();
+        let want = [
+            DataType::Str,
+            DataType::Int,
+            DataType::Timestamp,
+            DataType::Float,
+        ];
+        assert_eq!(types, want);
+        for row in &out {
+            schema.check_row(row).unwrap();
+        }
+        Batch::from_columns(&schema, &out, &[0, 1, 2, 3]).unwrap();
+
+        let (merged_schema, merged) = merge_group_partials(&schema, &out, 1, &aggs).unwrap();
+        assert_eq!(merged_schema, schema);
+        assert_eq!(merged, out);
+    }
+
+    /// A group whose column holds only NULLs sums to NULL, as SQL has it
+    /// and as the same group's partial sums merge.
+    #[test]
+    fn a_sum_of_only_nulls_is_null() {
+        let s = Schema::new(vec![("g", DataType::Str), ("v", DataType::Float)]);
+        let rows = vec![
+            row!["a", Value::Null],
+            row!["b", 1.5],
+            row!["a", Value::Null],
+        ];
+        let aggs = [
+            AggregateSpec::new(Aggregate::Sum, "v", "sum"),
+            AggregateSpec::new(Aggregate::Avg, "v", "avg"),
+        ];
+        let (_, out) = group_by(&s, &rows, &["g"], &aggs).unwrap();
+        assert_eq!(
+            out,
+            [row!["a", Value::Null, Value::Null], row!["b", 1.5, 1.5]]
+        );
+        let sum = &aggs[..1];
+        let (ps, partials) = group_by(&s, &rows, &["g"], sum).unwrap();
+        let (_, merged) = merge_group_partials(&ps, &partials, 1, sum).unwrap();
+        assert_eq!(merged, [row!["a", Value::Null], row!["b", 1.5]]);
     }
 
     #[test]

@@ -178,10 +178,10 @@ fn specified_group_by(
             values.push(match agg {
                 Aggregate::Count => Value::Int(members.len() as i64),
                 Aggregate::CountNonNull => Value::Int(present().count() as i64),
-                Aggregate::Sum if members.is_empty() => Value::Null,
-                Aggregate::Sum => Value::Float(total(&numbers()?)),
-                Aggregate::Avg => match numbers()? {
+                // No value to add: NULL, as SQL has it.
+                Aggregate::Sum | Aggregate::Avg => match numbers()? {
                     xs if xs.is_empty() => Value::Null,
+                    xs if agg == Aggregate::Sum => Value::Float(total(&xs)),
                     xs => Value::Float(total(&xs) / xs.len() as f64),
                 },
                 Aggregate::Min => pick(|v, best| v < best),

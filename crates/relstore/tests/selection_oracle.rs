@@ -47,15 +47,24 @@ fn arb_table(max: usize) -> impl Strategy<Value = Vec<Row>> {
         arb_timestamp(),
         arb_bool(),
         arb_str(),
-        prop::collection::vec(0u8..4, 5..6),
     );
+    table_of(cells, max)
+}
+
+/// Up to `max - 1` rows of [`schema`] whose cells `cells` draws, each
+/// column holding NULLs a quarter of the time or never, per table.
+fn table_of(
+    cells: impl Strategy<Value = (Value, Value, Value, Value, Value)>,
+    max: usize,
+) -> impl Strategy<Value = Vec<Row>> {
+    let cells = (cells, prop::collection::vec(0u8..4, 5..6));
     (
         prop::collection::vec(any::<bool>(), 5..6),
         prop::collection::vec(cells, 0..max),
     )
         .prop_map(|(nullable, rows)| {
             rows.into_iter()
-                .map(|(i, f, t, b, s, draws)| {
+                .map(|((i, f, t, b, s), draws)| {
                     [i, f, t, b, s]
                         .into_iter()
                         .enumerate()
@@ -113,6 +122,124 @@ fn arb_scans() -> impl Strategy<Value = Vec<Scan>> {
         any::<bool>(),
     );
     prop::collection::vec(scan, 2..5)
+}
+
+/// Cells whose sums depend on the order they are added in: beside
+/// [`arb_table`]'s small domains, integers and timestamps past 2⁵³ (an
+/// `f64` rounds them) and floats that round when added (`0.1`, `1/3`,
+/// `±1e16`).
+fn arb_fold_table(max: usize) -> impl Strategy<Value = Vec<Row>> {
+    let int = prop_oneof![
+        arb_int(),
+        Just(Value::Int(1 << 53)),
+        Just(Value::Int(-(1 << 53) - 1)),
+        Just(Value::Int(i64::MAX)),
+    ];
+    let float = prop_oneof![
+        arb_float(),
+        Just(Value::Float(0.1)),
+        Just(Value::Float(1.0 / 3.0)),
+        Just(Value::Float(1e16)),
+        Just(Value::Float(-1e16)),
+    ];
+    let timestamp = prop_oneof![
+        arb_timestamp(),
+        Just(Value::Timestamp(1 << 53)),
+        Just(Value::Timestamp(i64::MIN)),
+    ];
+    table_of((int, float, timestamp, arb_bool(), arb_str()), max)
+}
+
+const AGGREGATES: [Aggregate; 6] = [
+    Aggregate::Count,
+    Aggregate::Sum,
+    Aggregate::Avg,
+    Aggregate::Min,
+    Aggregate::Max,
+    Aggregate::CountNonNull,
+];
+
+/// Group-by, a row at a time: groups on `keys` in first-seen order
+/// (keys equal as `Value`s; no key, one group even over no rows), each
+/// row's non-null values folded into its group's slots in row order —
+/// a running `f64` sum from `0.0`, a count, a strictly better extremum.
+/// What the row-major fold cannot see, it takes from the kernel's
+/// contract: the error is the first aggregate's, in aggregate order,
+/// at its first non-number summed.
+fn grouped_a_row_at_a_time(
+    rows: &[Row],
+    keys: &[usize],
+    aggs: &[(Aggregate, usize)],
+) -> Result<Vec<Row>> {
+    #[derive(Clone, Default)]
+    struct Slot {
+        sum: f64,
+        values: i64,
+        best: Option<Value>,
+    }
+    let fresh = || vec![Slot::default(); aggs.len()];
+    let mut groups: Vec<(Vec<Value>, i64, Vec<Slot>)> = Vec::new();
+    if keys.is_empty() {
+        groups.push((Vec::new(), 0, fresh()));
+    }
+    let mut errors: Vec<Option<Error>> = vec![None; aggs.len()];
+    for row in rows {
+        let key: Vec<Value> = keys.iter().map(|&k| row[k].clone()).collect();
+        let g = match groups.iter().position(|(k, _, _)| *k == key) {
+            Some(g) => g,
+            None => {
+                groups.push((key, 0, fresh()));
+                groups.len() - 1
+            }
+        };
+        let (_, count, slots) = &mut groups[g];
+        *count += 1;
+        for (a, (slot, &(agg, c))) in slots.iter_mut().zip(aggs).enumerate() {
+            let v = &row[c];
+            if v.is_null() {
+                continue;
+            }
+            slot.values += 1;
+            let better = match agg {
+                Aggregate::Sum | Aggregate::Avg => {
+                    match v.as_f64() {
+                        Some(x) => slot.sum += x,
+                        None => {
+                            let e = || {
+                                Error::SchemaMismatch(format!("cannot aggregate {v:?} numerically"))
+                            };
+                            errors[a].get_or_insert_with(e);
+                        }
+                    }
+                    continue;
+                }
+                Aggregate::Min => Ordering::Less,
+                Aggregate::Max => Ordering::Greater,
+                Aggregate::Count | Aggregate::CountNonNull => continue,
+            };
+            if slot.best.as_ref().is_none_or(|b| v.cmp(b) == better) {
+                slot.best = Some(v.clone());
+            }
+        }
+    }
+    if let Some(e) = errors.into_iter().flatten().next() {
+        return Err(e);
+    }
+    let finish = |(slot, &(agg, _)): (Slot, &(Aggregate, usize)), count: i64| match agg {
+        Aggregate::Count => Value::Int(count),
+        Aggregate::CountNonNull => Value::Int(slot.values),
+        Aggregate::Sum | Aggregate::Avg if slot.values == 0 => Value::Null,
+        Aggregate::Sum => Value::Float(slot.sum),
+        Aggregate::Avg => Value::Float(slot.sum / slot.values as f64),
+        Aggregate::Min | Aggregate::Max => slot.best.unwrap_or(Value::Null),
+    };
+    Ok(groups
+        .into_iter()
+        .map(|(key, count, slots)| {
+            let finals = slots.into_iter().zip(aggs).map(|s| finish(s, count));
+            key.into_iter().chain(finals).collect()
+        })
+        .collect())
 }
 
 /// One selection over every scan's snapshot, in order: each scan's
@@ -472,6 +599,69 @@ proptest! {
             prop_assert!(identical(&part.rows(), &want));
             prop_assert_eq!(part.byte_size(), walked(&want));
         }
+    }
+
+    /// `group_by_at` over a selection of one to four snapshots, its
+    /// positions interleaved across them unless `keep_order`, against
+    /// the fold a row at a time over the rows it builds: output types
+    /// (an extremum's is its column's), rows by variant and bit, and
+    /// bytes. A sum over `b` or `s` is drawn now and then (`errors`):
+    /// it must fail as the fold does.
+    #[test]
+    fn group_by_over_selections_is_the_fold_a_row_at_a_time(
+        scans in prop::collection::vec(
+            (arb_fold_table(24), arb_predicate_program(0..3, arb_int), any::<bool>()),
+            1..5,
+        ),
+        keep_order in any::<bool>(),
+        shuffle in prop::collection::vec(any::<u32>(), 1..17),
+        keys in prop::collection::vec(0usize..5, 0..3),
+        drawn in prop::collection::vec((0usize..6, 0usize..5), 1..7),
+        errors in 0u8..8,
+    ) {
+        let sel = spanning(&scans, keep_order, &shuffle)?;
+        let aggs: Vec<(Aggregate, usize)> = (drawn.iter())
+            .map(|&(a, c)| match AGGREGATES[a] {
+                sum @ (Aggregate::Sum | Aggregate::Avg) if c >= 3 && errors != 0 => (sum, c - 3),
+                agg => (agg, c),
+            })
+            .collect();
+        let specs: Vec<AggregateSpec> = (aggs.iter().enumerate())
+            .map(|(k, &(agg, c))| AggregateSpec::new(agg, COLUMNS[c], format!("a{k}")))
+            .collect();
+        let key_names: Vec<&str> = keys.iter().map(|&c| COLUMNS[c]).collect();
+        let s = schema();
+        let built = sel.rows();
+        let got = ops::group_by_at(&s, sel.selected(), &key_names, &specs);
+        let want = grouped_a_row_at_a_time(&built, &keys, &aggs);
+        let (schema, rows, bytes) = match (got, want) {
+            (Ok(got), Ok(want)) => {
+                prop_assert!(same_rows(&got.1, &want), "{key_names:?} {specs:?} over {built:?}: got {:?}, want {want:?}", got.1);
+                got
+            }
+            (Err(got), Err(want)) => {
+                prop_assert_eq!(got, want);
+                return Ok(());
+            }
+            (got, want) => {
+                return Err(TestCaseError::fail(format!("got {got:?}, want {want:?}")));
+            }
+        };
+        let types: Vec<DataType> = schema.fields().iter().map(|f| f.data_type).collect();
+        let want_types: Vec<DataType> = keys
+            .iter()
+            .map(|&c| s.fields()[c].data_type)
+            .chain(aggs.iter().map(|&(agg, c)| match agg {
+                Aggregate::Count | Aggregate::CountNonNull => DataType::Int,
+                Aggregate::Sum | Aggregate::Avg => DataType::Float,
+                Aggregate::Min | Aggregate::Max => s.fields()[c].data_type,
+            }))
+            .collect();
+        prop_assert_eq!(types, want_types);
+        for row in &rows {
+            prop_assert!(schema.check_row(row).is_ok(), "{row:?} under {schema:?}");
+        }
+        prop_assert_eq!(bytes, walked(&rows));
     }
 
     #[test]

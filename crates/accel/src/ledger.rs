@@ -261,6 +261,14 @@ impl CostLedger {
         self.state_guard().push(event);
     }
 
+    /// Posts prebuilt events, in order, under one lock acquisition.
+    pub fn post_events(&self, events: impl IntoIterator<Item = CostEvent>) {
+        let mut state = self.state_guard();
+        for event in events {
+            state.push(event);
+        }
+    }
+
     /// Number of events recorded.
     pub fn len(&self) -> usize {
         self.state_guard().events.len()
@@ -292,6 +300,16 @@ impl CostLedger {
     /// Snapshot of all events.
     pub fn events(&self) -> Vec<CostEvent> {
         self.state_guard().events.clone()
+    }
+
+    /// Moves every event out, leaving the ledger empty (per-kind totals
+    /// included): [`CostLedger::events`] then [`CostLedger::reset`] in
+    /// one lock acquisition, without a copy. How a run's scoped ledger
+    /// hands its events on once nobody reads it any more.
+    pub fn take_events(&self) -> Vec<CostEvent> {
+        let mut state = self.state_guard();
+        state.kind_totals.clear();
+        std::mem::take(&mut state.events)
     }
 
     /// Aggregate over all events.
@@ -417,6 +435,22 @@ mod tests {
         post_some(&ledger);
         assert_eq!(ledger.by_kind(), recomputed_by_kind(&ledger));
         assert_eq!(ledger.by_kind()[&EventKind::Transfer].events, 2);
+    }
+
+    #[test]
+    fn taken_events_move_out_and_posted_ones_go_in_in_order() {
+        let ledger = CostLedger::new();
+        post_some(&ledger);
+        let want = ledger.events();
+        let taken = ledger.take_events();
+        assert_eq!(taken, want);
+        assert!(ledger.is_empty() && ledger.by_kind().is_empty());
+
+        let other = CostLedger::new();
+        post_some(&other);
+        other.post_events(taken);
+        assert_eq!(other.events()[2..], want[..]);
+        assert_eq!(other.by_kind(), recomputed_by_kind(&other));
     }
 
     #[test]

@@ -276,7 +276,7 @@ impl Batch {
     ///
     /// Panics if a position in `keep` is out of `schema`'s bounds.
     pub fn from_columns(schema: &Schema, rows: &[Row], keep: &[usize]) -> Result<Batch> {
-        Batch::from_source(schema, ColumnSource { rows, typed: &[] }, None, keep)
+        Batch::from_source(schema, ColumnSource { rows, typed: &[] }, None, keep, None)
     }
 
     /// A batch of columns `keep` of the rows of `source` at `positions`
@@ -287,7 +287,10 @@ impl Batch {
     /// cleared validity flags the NULLs; one without is read through the
     /// rows. An image with an entry per column of `schema` is of rows of
     /// that arity (see [`ColumnSource`]); without one every row read is
-    /// checked.
+    /// checked. With `through`, the rows read are a projection of
+    /// `source`'s — `schema`'s column `c` is `source`'s column
+    /// `through[c]` — and the source, a table's snapshot, vouches for
+    /// its rows' arity.
     ///
     /// # Errors
     ///
@@ -298,17 +301,20 @@ impl Batch {
     ///
     /// # Panics
     ///
-    /// Panics if a position in `keep` is out of `schema`'s bounds, or a
-    /// position in `positions` out of `source`'s.
+    /// Panics if a position in `keep` is out of `schema`'s bounds, a
+    /// position in `positions` out of `source`'s, or a column `through`
+    /// names past `source`'s rows.
     pub fn from_source(
         schema: &Schema,
         source: ColumnSource<'_>,
         positions: Option<&[u32]>,
         keep: &[usize],
+        through: Option<&[usize]>,
     ) -> Result<Batch> {
         let num_rows = positions.map_or(source.rows.len(), <[u32]>::len);
         let at = |i: usize| positions.map_or(i, |p| p[i] as usize);
-        let vouched = !source.typed.is_empty() && source.typed.len() == schema.arity();
+        let vouched =
+            through.is_some() || (!source.typed.is_empty() && source.typed.len() == schema.arity());
         if !vouched {
             let arity = |i| source.rows[at(i)].len();
             if let Some(got) = (0..num_rows).map(arity).find(|&n| n != schema.arity()) {
@@ -322,6 +328,7 @@ impl Batch {
         let mut columns = Vec::with_capacity(keep.len());
         let mut validity = Vec::with_capacity(keep.len());
         for (&c, field) in keep.iter().zip(&fields) {
+            let c = through.map_or(c, |columns| columns[c]);
             let null = || Error::SchemaMismatch(format!("null in not-null column {}", field.name));
             let mismatch = |value: &Value| {
                 Error::SchemaMismatch(format!(
@@ -573,7 +580,7 @@ mod tests {
             .collect();
         for keep in [&[2, 0, 1][..], &[1], &[], &[0, 0]] {
             assert_eq!(
-                Batch::from_source(&schema(), source, Some(&positions), keep),
+                Batch::from_source(&schema(), source, Some(&positions), keep, None),
                 Batch::from_columns(&schema(), &picked, keep),
                 "{keep:?}"
             );
@@ -590,7 +597,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let got = Batch::from_source(&strict, source, Some(&positions), &[1, 2, 0]);
+        let got = Batch::from_source(&strict, source, Some(&positions), &[1, 2, 0], None);
         assert_eq!(got, Batch::from_columns(&strict, &picked, &[1, 2, 0]));
         assert!(matches!(got, Err(Error::SchemaMismatch(m)) if m == "null in not-null column w"));
     }

@@ -352,6 +352,17 @@ impl BoundPredicate<'_> {
         self.0.eval(row)
     }
 
+    /// The same predicate over rows whose column `columns[c]` is the
+    /// bound schema's column `c` — a projection's source read where it
+    /// lies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `columns` is shorter than the bound schema.
+    pub fn through(self, columns: &[usize]) -> Self {
+        BoundPredicate(self.0.through(columns))
+    }
+
     /// The positions of `selection` (each at most once, any order)
     /// whose row satisfies the predicate, in `selection`'s order: what
     /// keeping the `p` with `self.eval(&source.rows[p])` gives, errors
@@ -385,6 +396,25 @@ impl BoundPredicate<'_> {
 }
 
 impl Bound<'_> {
+    /// [`BoundPredicate::through`].
+    fn through(self, columns: &[usize]) -> Self {
+        let col = |c| match c {
+            BoundColumn::At(idx) => BoundColumn::At(columns[idx]),
+            unknown => unknown,
+        };
+        let both = |p: Box<[Self; 2]>| Box::new(p.map(|b| b.through(columns)));
+        match self {
+            Bound::True => Bound::True,
+            Bound::Cmp(c, v, accept) => Bound::Cmp(col(c), v, accept),
+            Bound::Between(c, lo, hi) => Bound::Between(col(c), lo, hi),
+            Bound::In(c, vs) => Bound::In(col(c), vs),
+            Bound::IsNull(c) => Bound::IsNull(col(c)),
+            Bound::And(p) => Bound::And(both(p)),
+            Bound::Or(p) => Bound::Or(both(p)),
+            Bound::Not(p) => Bound::Not(Box::new(p.through(columns))),
+        }
+    }
+
     fn eval(&self, row: &Row) -> Result<bool> {
         Ok(match self {
             Bound::True => true,

@@ -590,7 +590,7 @@ impl Polystore {
         let (rewrites, placement) = self.optimize(&mut program)?;
         let (report, run_ledger) =
             self.run_optimized(&program, self.opt_level, rewrites, placement)?;
-        self.ledger.replace_events(run_ledger.events());
+        self.ledger.replace_events(run_ledger.take_events());
         Ok(report)
     }
 

@@ -84,21 +84,11 @@ impl KMeans {
             iterations += 1;
             // Pattern 1 — map over samples: nearest-centroid assignment
             // (`kMeans.mapRows(mean => dist(sample, mean)).minIndex`).
-            for (i, slot) in assignments.iter_mut().enumerate() {
-                let row = samples.row(i);
-                let mut best = (0usize, f64::INFINITY);
-                for c in 0..k {
-                    let d2: f64 = centroids
-                        .row(c)
-                        .iter()
-                        .zip(row)
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum();
-                    if d2 < best.1 {
-                        best = (c, d2);
-                    }
-                }
-                *slot = best.0;
+            // A sample of no columns is nearest the first centroid,
+            // where `assignments` starts.
+            let rows = samples.as_slice().chunks_exact(dim.max(1));
+            for (slot, sample) in assignments.iter_mut().zip(rows) {
+                *slot = nearest(sample, centroids.as_slice());
             }
             // Pattern 2 — groupBy + average: new centroids
             // (`clusters.map(e => e.sum / e.length)`).
@@ -177,6 +167,26 @@ impl KMeans {
             }
         }
     }
+}
+
+/// The first of `centroids` — rows of `sample.len()` values, one after
+/// another — nearest `sample` by squared distance: each distance the sum
+/// of `(a - b) * (a - b)` in column order, and the minimum kept with a
+/// select, not a branch. Only a strictly smaller distance replaces it,
+/// so of equal ones the first wins and a NaN never does (none at all:
+/// the first centroid).
+#[inline]
+fn nearest(sample: &[f64], centroids: &[f64]) -> usize {
+    let (mut best, mut best_d2) = (0, f64::INFINITY);
+    for (c, centroid) in centroids.chunks_exact(sample.len()).enumerate() {
+        let d2: f64 = (centroid.iter().zip(sample))
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum();
+        let closer = d2 < best_d2;
+        best = if closer { c } else { best };
+        best_d2 = if closer { d2 } else { best_d2 };
+    }
+    best
 }
 
 #[cfg(test)]

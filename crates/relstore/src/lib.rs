@@ -48,16 +48,6 @@ pub struct Scanned {
     pub byte_size: u64,
 }
 
-/// What a [`RelationalStore::scan_kept`] hands on.
-#[derive(Debug, Clone)]
-pub enum Kept {
-    /// Whole rows: the kept positions over the table's snapshot. No row
-    /// is touched until somebody builds them.
-    Selection(Selection),
-    /// Projected rows: copies the scan built and sized.
-    Projected(Scanned),
-}
-
 /// The relational engine: a named collection of [`Table`]s.
 #[derive(Debug, Clone)]
 pub struct RelationalStore {
@@ -178,24 +168,21 @@ impl RelationalStore {
         predicate: &Predicate,
         projection: Option<&[&str]>,
     ) -> Result<Scanned> {
-        Ok(
-            match self.scan_kept(table, predicate, projection, None)?.0 {
-                Kept::Selection(selection) => Scanned {
-                    rows: selection.rows(),
-                    byte_size: selection.byte_size(),
-                },
-                Kept::Projected(scanned) => scanned,
-            },
-        )
+        let (selection, _) = self.scan_kept(table, predicate, projection, None)?;
+        Ok(Scanned {
+            rows: selection.rows(),
+            byte_size: selection.byte_size(),
+        })
     }
 
     /// [`RelationalStore::scan`] handing on what it kept without
     /// building the rows — a [`Selection`] over the table's snapshot,
-    /// unless it projects — and, for a shuffle that re-hashes the output
-    /// on its column `key` over `width` destinations (`route`), where
-    /// each row goes. The destinations come from one pass over the key's
-    /// column image at the kept positions ([`HashRouter::route_column`]),
-    /// and each destination's bytes from the image's widths.
+    /// exposing the projected columns when it projects — and, for a
+    /// shuffle that re-hashes the output on its column `key` over `width`
+    /// destinations (`route`), where each row goes. The destinations
+    /// come from one pass over the key's column image at the kept
+    /// positions ([`HashRouter::route_column`]), and each destination's
+    /// bytes from the image ([`Selection::byte_size`]'s widths).
     ///
     /// # Errors
     ///
@@ -208,15 +195,20 @@ impl RelationalStore {
         predicate: &Predicate,
         projection: Option<&[&str]>,
         route: Option<(&str, u32)>,
-    ) -> Result<(Kept, Routes)> {
+    ) -> Result<(Selection, Routes)> {
         let t = self.table(table)?;
-        let selection = t
+        let candidates = t
             .candidates(predicate)
             .unwrap_or_else(|| (0..t.len() as u32).collect());
-        let kept = predicate.bind(t.schema()).select(t.source(), selection)?;
+        let kept = predicate.bind(t.schema()).select(t.source(), candidates)?;
         let columns: Option<Vec<usize>> = projection
             .map(|cols| cols.iter().map(|c| t.schema().require(c)).collect())
             .transpose()?;
+        // A projection keeps the selection one: no row is built.
+        let mut selection = t.select(kept);
+        if let Some(columns) = &columns {
+            selection = selection.project(columns)?;
+        }
         // The destination pass reads the key column alone.
         let mut routes = Routes::default();
         if let Some((key, width)) = route {
@@ -231,32 +223,12 @@ impl RelationalStore {
             // Every column of a table has an image.
             let typed = (t.image().columns()[at].as_ref())
                 .ok_or_else(|| Error::Invalid(format!("column {key} has no image")))?;
-            routes.dests = router.route_column(typed, &kept);
-            routes.bytes = vec![0; router.width()];
-            if columns.is_none() {
-                let widths = t.image().widths();
-                for (&d, &p) in routes.dests.iter().zip(&kept) {
-                    routes.bytes[d as usize] += u64::from(widths[p as usize]);
-                }
-            }
+            routes.dests = router.route_column(typed, selection.positions());
+            let mut bytes = vec![0; router.width()];
+            selection.widths(|i, width| bytes[routes.dests[i] as usize] += width);
+            routes.bytes = bytes;
         }
-        // A projected row is the scan's only copy, built a column at a
-        // time out of the image and sized as it is built.
-        let out = match &columns {
-            Some(idx) => {
-                let mut byte_size = 0u64;
-                let mut dests = routes.dests.iter();
-                let rows = ops::build_rows(Selected::at(t.source(), &kept), idx, |width| {
-                    byte_size += width;
-                    if let Some(&d) = dests.next() {
-                        routes.bytes[d as usize] += width;
-                    }
-                });
-                Kept::Projected(Scanned { rows, byte_size })
-            }
-            None => Kept::Selection(t.select(kept)),
-        };
-        Ok((out, routes))
+        Ok((selection, routes))
     }
 
     /// The schema produced by scanning with `projection`.

@@ -49,6 +49,17 @@
 //! typed key words and the built columns are read a run of one part at
 //! a time.
 //!
+//! A selection may also expose only some of its snapshots' columns, in
+//! an order of its own: a projection ([`crate::Selection::project`]),
+//! which builds no row. Column `c` of the rows read is then snapshot
+//! column `columns[c]`, and each kernel translates a column it is given
+//! through that list once, where it starts — a key, an aggregate's
+//! column, a gathered column, a batch's kept columns, the predicate's
+//! bound columns ([`pspp_common::BoundPredicate::through`]) — never per
+//! cell. An ML operator reads its features the same way
+//! ([`Selected::numbers`]) and builds its output rows as the input's
+//! columns plus its answer ([`append_column`]).
+//!
 //! # Key words
 //!
 //! [`sort_rows`], [`group_by`] and [`hash_join`] (and [`sort_at`],
@@ -191,6 +202,10 @@ pub struct Selected<'a> {
     parts: Parts<'a>,
     /// `None`: every row of the one source, in order.
     positions: Option<&'a [u32]>,
+    /// The sources' columns a projection exposes, in order: column `c`
+    /// of the rows read is source column `columns[c]`. `None`: every
+    /// column as it is.
+    columns: Option<&'a [usize]>,
 }
 
 /// What a [`Selected`]'s positions point into.
@@ -215,6 +230,7 @@ impl<'a> Selected<'a> {
         Ok(Selected {
             parts: Parts::One(ColumnSource { rows, typed: &[] }),
             positions: None,
+            columns: None,
         })
     }
 
@@ -224,6 +240,7 @@ impl<'a> Selected<'a> {
         Selected {
             parts: Parts::One(source),
             positions: Some(positions),
+            columns: None,
         }
     }
 
@@ -233,7 +250,21 @@ impl<'a> Selected<'a> {
         Selected {
             parts: Parts::Many(parts),
             positions: Some(positions),
+            columns: None,
         }
+    }
+
+    /// The same rows read through a projection: column `c` is source
+    /// column `columns[c]` (every column as it is for `None`).
+    pub(crate) fn through(self, columns: Option<&'a [usize]>) -> Self {
+        Selected { columns, ..self }
+    }
+
+    /// The source column that column `column` of the rows read is: what
+    /// each kernel translates a column through once, at its entry.
+    #[inline]
+    fn source_column(&self, column: usize) -> usize {
+        self.columns.map_or(column, |columns| columns[column])
     }
 
     /// Number of rows read.
@@ -297,18 +328,26 @@ impl<'a> Selected<'a> {
     /// Returns [`Error::SchemaMismatch`] as [`Batch::from_columns`] does
     /// over the rows read.
     pub fn to_batch(&self, schema: &Schema, keep: &[usize]) -> Result<Batch> {
+        let batch =
+            |source, positions| Batch::from_source(schema, source, positions, keep, self.columns);
         let (Parts::Many(parts), Some(positions)) = (self.parts, self.positions) else {
-            return Batch::from_source(schema, self.part(0), self.positions, keep);
+            return batch(self.part(0), self.positions);
         };
         let rows = rows_by_part(parts.len(), positions);
         let batches = (parts.iter().zip(&rows))
-            .map(|(part, rows)| Batch::from_source(schema, part.source(), Some(rows), keep))
+            .map(|(part, rows)| batch(part.source(), Some(rows)))
             .collect::<Result<Vec<_>>>()
             .and_then(Batch::concat);
         let Ok(batch) = batches else {
             // Which violation comes first is a matter of input order:
             // the rows read, a row at a time, say.
-            let rows: Vec<Row> = (0..self.len()).map(|i| self.row(i).clone()).collect();
+            let rows: Vec<Row> = match self.columns {
+                None => (0..self.len()).map(|i| self.row(i).clone()).collect(),
+                Some(columns) => {
+                    let row = |i| columns.iter().map(|&c| self.row(i)[c].clone()).collect();
+                    (0..self.len()).map(row).collect()
+                }
+            };
             return Batch::from_columns(schema, &rows, keep);
         };
         if positions.is_sorted_by_key(|&p| split_position(p).0) {
@@ -342,6 +381,7 @@ impl<'a> Selected<'a> {
         column: usize,
         mut f: impl FnMut(usize, Cow<'a, Value>) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
+        let column = self.source_column(column);
         match self.parts {
             // One source: its image is looked up once, not per cell.
             Parts::One(source) => {
@@ -362,8 +402,44 @@ impl<'a> Selected<'a> {
         Ok(())
     }
 
-    /// Column `column` of the `i`-th row read, as [`Selected::try_cells`]
-    /// reads it.
+    /// Calls `put` with the index and column `column` of each row read
+    /// as an `f64`, in order: an `Int` or `Timestamp` cast with `as`, a
+    /// `Float` as it is, NULL and any other value `0.0`. Read off the
+    /// typed image a run of one part at a time where every part has
+    /// one, through the rows otherwise: a feature column of the ML
+    /// engine, and no row built.
+    pub fn numbers(self, column: usize, mut put: impl FnMut(usize, f64)) {
+        let Some(runs) = image_runs(self, column) else {
+            let Ok(()) = self.try_cells(column, |i, v| {
+                put(i, v.as_f64().unwrap_or(0.0));
+                Ok::<_, Infallible>(())
+            });
+            return;
+        };
+        fn each(
+            (start, run, mask, valid): (usize, &[u32], u32, &[bool]),
+            put: &mut impl FnMut(usize, f64),
+            number: impl Fn(usize) -> f64,
+        ) {
+            for (i, &p) in run.iter().enumerate() {
+                let p = (p & mask) as usize;
+                put(start + i, if valid[p] { number(p) } else { 0.0 });
+            }
+        }
+        let mut start = 0;
+        for (run, mask, (values, valid)) in runs {
+            let at = (start, run, mask, &valid[..]);
+            match Numbers::of(values) {
+                Some(Numbers::Ints(v)) => each(at, &mut put, |p| v[p] as f64),
+                Some(Numbers::Floats(v)) => each(at, &mut put, |p| v[p]),
+                None => each(at, &mut put, |_| 0.0),
+            }
+            start += run.len();
+        }
+    }
+
+    /// Source column `column` of the `i`-th row read, as
+    /// [`Selected::try_cells`] reads it.
     fn cell(&self, i: usize, column: usize) -> Cow<'a, Value> {
         let (source, p) = self.locate(self.position(i));
         value_at(source, typed(source, column), p, column)
@@ -375,6 +451,7 @@ impl<'a> Selected<'a> {
     /// [`Column::values_at`], the column's variant matched once per run,
     /// and read through the rows only where the part has no image.
     fn gather(&self, column: usize, reads: &[u32]) -> Vec<Value> {
+        let column = self.source_column(column);
         let mut out = Vec::with_capacity(reads.len());
         let part = |&i: &u32| match (i, self.parts) {
             (PAD, _) => None,
@@ -445,6 +522,35 @@ pub(crate) fn build_rows(
     assemble(gathered, reads.len(), sized)
 }
 
+/// Every row `input` reads — its `arity` columns — followed by its
+/// value of `appended`, built a column at a time into rows of one slab
+/// ([`Row::slab`]), and their payload bytes: an ML operator's input with
+/// its answer for each row.
+///
+/// # Errors
+///
+/// Returns [`Error::Invalid`] when `appended` has another length than
+/// the input.
+pub fn append_column(
+    input: Selected<'_>,
+    arity: usize,
+    appended: Vec<Value>,
+) -> Result<(Vec<Row>, u64)> {
+    if appended.len() != input.len() {
+        return Err(Error::Invalid(format!(
+            "{} values appended to {} rows",
+            appended.len(),
+            input.len()
+        )));
+    }
+    let reads: Vec<u32> = (0..input.len() as u32).collect();
+    let mut columns: Vec<Vec<Value>> = (0..arity).map(|c| input.gather(c, &reads)).collect();
+    columns.push(appended);
+    let mut bytes = 0;
+    let rows = assemble(columns, reads.len(), |width| bytes += width);
+    Ok((rows, bytes))
+}
+
 /// The rows of each of `parts` snapshots that `positions`, tagged
 /// positions over them, name, in input order.
 fn rows_by_part(parts: usize, positions: &[u32]) -> Vec<Vec<u32>> {
@@ -505,7 +611,10 @@ pub fn filter_rows(
 ///
 /// Propagates predicate evaluation errors (unknown columns).
 pub fn filter_at(schema: &Schema, input: Selected<'_>, predicate: &Predicate) -> Result<Vec<u32>> {
-    let bound = predicate.bind(schema);
+    let mut bound = predicate.bind(schema);
+    if let Some(columns) = input.columns {
+        bound = bound.through(columns);
+    }
     let (Parts::Many(parts), Some(positions)) = (input.parts, input.positions) else {
         let positions = (0..input.len()).map(|i| input.position(i)).collect();
         return bound.select(input.part(0), positions);
@@ -642,6 +751,7 @@ fn key_words(input: Selected<'_>, column: usize) -> Option<(KeyKind, Vec<u64>)> 
     if input.is_empty() {
         return None;
     }
+    let column = input.source_column(column);
     if let Some(positions) = input.positions {
         match input.parts {
             Parts::One(source) => {
@@ -765,6 +875,9 @@ fn sort_reads(
             });
         }
     }
+    let resolved: Vec<(usize, bool)> = (resolved.into_iter())
+        .map(|(idx, asc)| (input.source_column(idx), asc))
+        .collect();
     let mut order: Vec<u32> = (0..input.len() as u32).collect();
     order_first(&mut order, top, |&a, &b| {
         let (ra, rb) = (input.row(a as usize), input.row(b as usize));
@@ -1052,6 +1165,7 @@ fn value_keys<'a>(
     input: Selected<'a>,
     on: usize,
 ) -> impl ExactSizeIterator<Item = Option<&'a Value>> + 'a {
+    let on = input.source_column(on);
     (0..input.len()).map(move |i| Some(&input.row(i)[on]).filter(|v| !v.is_null()))
 }
 
@@ -1256,7 +1370,8 @@ fn number_groups(input: Selected<'_>, key_idx: &[usize]) -> (Vec<usize>, Vec<usi
                 .collect()
         }
         None => {
-            let mut groups = Groups::new(key_idx, input.len());
+            let at: Vec<usize> = key_idx.iter().map(|&c| input.source_column(c)).collect();
+            let mut groups = Groups::new(&at, input.len());
             (0..input.len())
                 .map(|i| first_seen(i, groups.group_of(input.row(i))))
                 .collect()
@@ -1460,6 +1575,7 @@ pub fn sort_merge_join_with(
         at: usize,
     ) -> Result<(Vec<u32>, Vec<&'a Value>)> {
         let order = sort_reads(schema, input, &[SortKey::asc(on)], None)?;
+        let at = input.source_column(at);
         let keys = order.iter().map(|&i| &input.row(i as usize)[at]).collect();
         Ok((order, keys))
     }
@@ -1654,6 +1770,7 @@ fn image_runs<'a>(
     column: usize,
 ) -> Option<Vec<(&'a [u32], u32, &'a TypedColumn)>> {
     let positions = input.positions?;
+    let column = input.source_column(column);
     match input.parts {
         Parts::One(source) => Some(vec![(positions, u32::MAX, typed(source, column)?)]),
         Parts::Many(parts) => part_runs(positions)

@@ -134,10 +134,13 @@ pub(crate) fn part_runs(positions: &[u32]) -> impl Iterator<Item = (usize, &[u32
 
 /// The rows a scan kept: their positions, in scan order, in a snapshot
 /// of the table — or, past a shuffle or a gather of several shards'
-/// scans, in an ordered list of snapshots, one per shard. The
-/// relational kernels read keys and values at the positions
+/// scans, in an ordered list of snapshots, one per shard — and which of
+/// the snapshots' columns they expose, in what order: all of them, or
+/// those a projection kept ([`Selection::project`]). The relational
+/// kernels read keys and values at the positions
 /// ([`Selection::selected`]); [`Selection::rows`] builds the rows
-/// themselves, which are the tables' own, shared.
+/// themselves, which are the tables' own, shared, unless the selection
+/// projects.
 ///
 /// Over one snapshot a position is the row's index in it. Over several,
 /// a position is the snapshot's index (its part) above
@@ -147,6 +150,42 @@ pub struct Selection {
     /// The snapshots, in order: at least one.
     parts: Arc<[Arc<Snapshot>]>,
     positions: Vec<u32>,
+    /// The snapshots' columns the selection exposes, in order; `None`:
+    /// every column, in the table's order.
+    columns: Option<Arc<[usize]>>,
+}
+
+/// Calls `add` with each position's index in `positions` and the
+/// payload bytes of column `(values, valid)` at that row of its
+/// snapshot (`mask` turns a position into the row): what
+/// [`Value::byte_size`] gives the value the image holds there.
+fn column_widths(
+    positions: &[u32],
+    mask: u32,
+    (values, valid): &TypedColumn,
+    mut add: impl FnMut(usize, u64),
+) {
+    fn each(
+        positions: &[u32],
+        mask: u32,
+        valid: &[bool],
+        add: &mut impl FnMut(usize, u64),
+        width: impl Fn(usize) -> u64,
+    ) {
+        for (i, &p) in positions.iter().enumerate() {
+            let p = (p & mask) as usize;
+            add(i, if valid[p] { width(p) } else { 1 });
+        }
+    }
+    let add = &mut add;
+    match values {
+        Column::Bool(_) => each(positions, mask, valid, add, |_| 1),
+        Column::Int(_) | Column::Float(_) | Column::Timestamp(_) => {
+            each(positions, mask, valid, add, |_| 8);
+        }
+        Column::Str(v) => each(positions, mask, valid, add, |p| v[p].len() as u64),
+        Column::Bytes(v) => each(positions, mask, valid, add, |p| v[p].len() as u64),
+    }
 }
 
 impl Selection {
@@ -161,11 +200,56 @@ impl Selection {
         self.parts.len()
     }
 
-    /// What the relational kernels read: the snapshots at the positions.
+    /// The snapshots' columns the selection exposes, in order, when it
+    /// projects; `None` when it exposes every column.
+    pub fn columns(&self) -> Option<&[usize]> {
+        self.columns.as_deref()
+    }
+
+    /// What the relational kernels read: the snapshots at the positions,
+    /// through the projection's columns.
     pub fn selected(&self) -> Selected<'_> {
-        match &*self.parts {
+        let selected = match &*self.parts {
             [one] => Selected::at(one.source(), &self.positions),
             parts => Selected::over(parts, &self.positions),
+        };
+        selected.through(self.columns())
+    }
+
+    /// The same rows exposing columns `columns` of this selection, in
+    /// that order: a projection, and no row is built.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Invalid`] for a column the selection does not
+    /// expose.
+    pub fn project(&self, columns: &[usize]) -> Result<Selection> {
+        let arity = self.parts[0].image.columns.len();
+        let exposed = self.columns().map_or(arity, <[usize]>::len);
+        if let Some(&c) = columns.iter().find(|&&c| c >= exposed) {
+            return Err(Error::Invalid(format!(
+                "column {c} of a selection of {exposed} columns"
+            )));
+        }
+        let composed: Vec<usize> = match self.columns() {
+            Some(mine) => columns.iter().map(|&c| mine[c]).collect(),
+            None => columns.to_vec(),
+        };
+        // Every column in order is no projection at all.
+        let every = composed.len() == arity && composed.iter().enumerate().all(|(i, &c)| i == c);
+        Ok(Selection {
+            parts: Arc::clone(&self.parts),
+            positions: self.positions.clone(),
+            columns: (!every).then(|| composed.into()),
+        })
+    }
+
+    /// This selection's snapshots and columns at `positions`.
+    fn at(&self, positions: Vec<u32>) -> Selection {
+        Selection {
+            parts: Arc::clone(&self.parts),
+            positions,
+            columns: self.columns.clone(),
         }
     }
 
@@ -179,24 +263,56 @@ impl Selection {
         self.positions.is_empty()
     }
 
-    /// Payload bytes of the selected rows, from the images' widths.
+    /// Payload bytes of the selected rows, from the images: each whole
+    /// row's width, or the projected columns' widths summed a column at
+    /// a time. The same sum as [`Row::byte_size`] over
+    /// [`Selection::rows`].
     pub fn byte_size(&self) -> u64 {
-        let bytes = |snapshot: &Snapshot, run: &[u32], mask: u32| {
-            let widths = &snapshot.image.widths;
-            run.iter()
-                .map(|&p| u64::from(widths[(p & mask) as usize]))
-                .sum::<u64>()
-        };
-        match &*self.parts {
-            [one] => bytes(one, &self.positions, u32::MAX),
+        let mut bytes = 0;
+        self.widths(|_, width| bytes += width);
+        bytes
+    }
+
+    /// Calls `add` with the index of each selected row and payload bytes
+    /// of it — a whole row's at once, or a projected row's a column at a
+    /// time, each column in turn.
+    pub(crate) fn widths(&self, mut add: impl FnMut(usize, u64)) {
+        let runs: Vec<(&Snapshot, &[u32], u32)> = match &*self.parts {
+            [one] => vec![(&**one, &self.positions[..], u32::MAX)],
             parts => part_runs(&self.positions)
-                .map(|(part, run)| bytes(&parts[part], run, LOCAL_MASK))
-                .sum(),
+                .map(|(part, run)| (&*parts[part], run, LOCAL_MASK))
+                .collect(),
+        };
+        let mut start = 0;
+        for (snapshot, run, mask) in runs {
+            let image = &snapshot.image;
+            let mut add = |i, width| add(start + i, width);
+            match self.columns() {
+                None => {
+                    for (i, &p) in run.iter().enumerate() {
+                        add(i, u64::from(image.widths[(p & mask) as usize]));
+                    }
+                }
+                Some(columns) => {
+                    for &c in columns {
+                        // Every column of a table has an image.
+                        if let Some(column) = &image.columns[c] {
+                            column_widths(run, mask, column, &mut add);
+                        }
+                    }
+                }
+            }
+            start += run.len();
         }
     }
 
-    /// The selected rows, in order: the snapshots' rows, shared.
+    /// The selected rows, in order: the snapshots' rows, shared — or,
+    /// when the selection projects, its columns built a column at a time
+    /// out of the images into rows of one slab.
     pub fn rows(&self) -> Vec<Row> {
+        if let Some(columns) = self.columns() {
+            return crate::ops::build_rows(self.selected().through(None), columns, |_| {});
+        }
         let rows = |snapshot: &Snapshot, run: &[u32], mask: u32, out: &mut Vec<Row>| {
             let rows = &snapshot.rows;
             out.extend(run.iter().map(|&p| rows[(p & mask) as usize].clone()));
@@ -234,18 +350,12 @@ impl Selection {
                 "position {p:#x} outside snapshots of {rows:?} rows"
             )));
         }
-        Ok(Selection {
-            parts: Arc::clone(&self.parts),
-            positions,
-        })
+        Ok(self.at(positions))
     }
 
     /// The first `n` rows (all of them when there are fewer).
     pub fn prefix(&self, n: usize) -> Selection {
-        Selection {
-            parts: Arc::clone(&self.parts),
-            positions: crate::ops::limit(&self.positions, n),
-        }
+        self.at(crate::ops::limit(&self.positions, n))
     }
 
     /// This selection's rows, then `more`'s — the shards of one table,
@@ -255,10 +365,17 @@ impl Selection {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Invalid`] when the two span more than 256
-    /// snapshots, or when a snapshot of several holds more rows than 24
-    /// bits address.
+    /// Returns [`Error::Invalid`] when the two expose different columns,
+    /// when they span more than 256 snapshots, or when a snapshot of
+    /// several holds more rows than 24 bits address.
     pub fn concat(&self, more: &Selection) -> Result<Selection> {
+        if self.columns != more.columns {
+            return Err(Error::Invalid(format!(
+                "a selection of columns {:?} and one of {:?}",
+                self.columns(),
+                more.columns()
+            )));
+        }
         if more.is_empty() {
             return Ok(self.clone());
         }
@@ -294,6 +411,7 @@ impl Selection {
         Ok(Selection {
             parts: parts.into(),
             positions,
+            columns: self.columns.clone(),
         })
     }
 
@@ -320,11 +438,10 @@ impl Selection {
         for (&p, &d) in self.positions.iter().zip(dests) {
             split.get_mut(d as usize).ok_or_else(invalid)?.push(p);
         }
-        let part = |positions| Selection {
-            parts: Arc::clone(&self.parts),
-            positions,
-        };
-        Ok(split.into_iter().map(part).collect())
+        Ok(split
+            .into_iter()
+            .map(|positions| self.at(positions))
+            .collect())
     }
 }
 
@@ -390,6 +507,7 @@ impl Table {
         Selection {
             parts: Arc::from([Arc::clone(&self.data)]),
             positions,
+            columns: None,
         }
     }
 
@@ -684,6 +802,22 @@ mod tests {
             selection.with_positions(vec![0, 100]),
             Err(Error::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn a_projection_composes_and_every_column_in_order_is_none() {
+        let t = table();
+        let selection = t.select(vec![3, 1]);
+        let swapped = selection.project(&[1, 0]).unwrap();
+        assert_eq!(swapped.columns(), Some(&[1, 0][..]));
+        assert_eq!(swapped.rows(), vec![row!["v3", 3i64], row!["v1", 1i64]]);
+        assert_eq!(swapped.byte_size(), 2 * (8 + 2));
+        // Swapped back is no projection at all; one column, twice, is.
+        assert_eq!(swapped.project(&[1, 0]).unwrap().columns(), None);
+        let twice = swapped.project(&[1, 1]).unwrap();
+        assert_eq!(twice.columns(), Some(&[0, 0][..]));
+        assert_eq!(twice.prefix(1).rows(), vec![row![3i64, 3i64]]);
+        assert!(matches!(swapped.project(&[2]), Err(Error::Invalid(_))));
     }
 
     #[test]

@@ -14,13 +14,19 @@
 //! four tables of one schema scanned and appended in turn, as a gather
 //! or a shuffle of shards' scans appends them — whose positions are then
 //! interleaved across the parts, and the split a shuffle routes it by.
+//!
+//! A projected selection — one exposing some of its snapshots' columns,
+//! in any order, repeats included, and perhaps projected again — is held
+//! to the same kernels over rows projected one at a time out of the rows
+//! the unprojected selection builds, its byte size included, over tables
+//! of every type (a `Bytes` column beside the others).
 
 use std::cmp::Ordering;
 
 use proptest::prelude::*;
 use pspp_common::{Batch, DataType, Error, Field, Predicate, Result, Row, Schema, Value};
 use pspp_relstore::ops::{self, Aggregate, AggregateSpec, JoinKind, Selected, SortKey};
-use pspp_relstore::{Kept, RelationalStore, Selection};
+use pspp_relstore::{RelationalStore, Selection};
 
 mod predicate_gen;
 mod row_gen;
@@ -81,6 +87,32 @@ fn table_of(
         })
 }
 
+/// [`schema`] and a `Bytes` column `y`: every type.
+fn wide_schema() -> Schema {
+    let mut fields = schema().fields().to_vec();
+    fields.push(Field::new("y", DataType::Bytes));
+    Schema::from_fields(fields)
+}
+
+/// Up to `max - 1` rows of [`wide_schema`]: [`arb_table`]'s, each with
+/// a byte array of up to two bytes (the empty one among them) or, a
+/// quarter of the time, NULL.
+fn arb_wide_table(max: usize) -> impl Strategy<Value = Vec<Row>> {
+    let bytes = (0u8..4, prop::collection::vec(0u8..3, 0..3)).prop_map(|(n, y)| {
+        if n == 0 {
+            Value::Null
+        } else {
+            Value::Bytes(y)
+        }
+    });
+    let column = prop::collection::vec(bytes, max..max + 1);
+    (arb_table(max), column).prop_map(|(rows, column)| {
+        (rows.into_iter().zip(column))
+            .map(|(row, y)| row.iter().cloned().chain([y]).collect())
+            .collect()
+    })
+}
+
 /// The selection a scan of `rows` keeps under `predicate` (through an
 /// index on `i` when `indexed`), its positions then ordered by `shuffle`
 /// unless `keep_order`.
@@ -91,15 +123,27 @@ fn selection(
     keep_order: bool,
     shuffle: &[u32],
 ) -> Selection {
+    selection_of(&schema(), rows, predicate, indexed, keep_order, shuffle)
+}
+
+/// [`selection`] over a table of `schema`.
+fn selection_of(
+    schema: &Schema,
+    rows: &[Row],
+    predicate: &Predicate,
+    indexed: bool,
+    keep_order: bool,
+    shuffle: &[u32],
+) -> Selection {
     let mut db = RelationalStore::new("db");
-    db.create_table("t", schema()).expect("fresh store");
+    db.create_table("t", schema.clone()).expect("fresh store");
     db.insert("t", rows.to_vec()).expect("rows match schema");
     if indexed {
         db.create_index("t", "i").expect("known column");
     }
-    let Ok((Kept::Selection(kept), _)) = db.scan_kept("t", predicate, None, None) else {
-        panic!("a scan without a projection over known columns keeps a selection");
-    };
+    let (kept, _) = db
+        .scan_kept("t", predicate, None, None)
+        .expect("a scan over known columns");
     if keep_order {
         return kept;
     }
@@ -252,11 +296,21 @@ fn spanning(
     keep_order: bool,
     shuffle: &[u32],
 ) -> std::result::Result<Selection, TestCaseError> {
+    spanning_of(&schema(), scans, keep_order, shuffle)
+}
+
+/// [`spanning`] over tables of `schema`.
+fn spanning_of(
+    schema: &Schema,
+    scans: &[Scan],
+    keep_order: bool,
+    shuffle: &[u32],
+) -> std::result::Result<Selection, TestCaseError> {
     let parts: Vec<Selection> = scans
         .iter()
         .map(|(rows, scan, indexed)| {
             let predicate = predicate_from(&["i"], scan.clone());
-            selection(rows, &predicate, *indexed, keep_order, shuffle)
+            selection_of(schema, rows, &predicate, *indexed, keep_order, shuffle)
         })
         .collect();
     let mut joined = parts[0].clone();
@@ -275,6 +329,38 @@ fn spanning(
     Ok(joined
         .with_positions(positions)
         .expect("the selection's own positions"))
+}
+
+/// `base` projected onto `projection` (columns of [`wide_schema`]) and,
+/// when `again` is drawn, that projected onto `again`'s columns (taken
+/// modulo its arity): the selection, its schema, and the rows it must
+/// read as — `base`'s rows projected one at a time. Checked on the way:
+/// the columns it exposes, composed, and `None` for every column in
+/// order.
+fn projected(
+    base: &Selection,
+    projection: &[usize],
+    again: (bool, &[usize]),
+) -> std::result::Result<(Selection, Schema, Vec<Row>), TestCaseError> {
+    let wide = wide_schema();
+    let mut sel = base.project(projection).expect("columns of the table");
+    let mut columns = projection.to_vec();
+    if again.0 {
+        let again: Vec<usize> = again.1.iter().map(|&c| c % columns.len()).collect();
+        sel = sel.project(&again).expect("columns of the projection");
+        columns = again.iter().map(|&c| columns[c]).collect();
+    }
+    let every = columns.iter().copied().eq(0..wide.arity());
+    prop_assert_eq!(sel.columns(), (!every).then_some(&columns[..]));
+    let names: Vec<&str> = columns
+        .iter()
+        .map(|&c| wide.fields()[c].name.as_str())
+        .collect();
+    let schema = wide.project(&names).expect("columns of the table");
+    let rows = (base.rows().iter())
+        .map(|row| columns.iter().map(|&c| row[c].clone()).collect())
+        .collect();
+    Ok((sel, schema, rows))
 }
 
 /// Equal as `Value`s *and* of one variant; floats compare by bits.
@@ -310,18 +396,58 @@ fn agree<T: std::fmt::Debug>(
     }
 }
 
+/// What the kernels over a selection are held to: the selection's
+/// schema, the rows it must read as — the rows it builds, or rows
+/// projected one at a time — and whether two lists of them are the
+/// same ([`identical`] rows, or [`same_rows`] of fresh ones).
+#[derive(Clone, Copy)]
+struct Reads<'a> {
+    schema: &'a Schema,
+    rows: &'a [Row],
+    same: fn(&[Row], &[Row]) -> bool,
+}
+
+impl<'a> Reads<'a> {
+    /// What `sel` reads under [`schema`]: the rows it builds, shared.
+    fn built(schema: &'a Schema, rows: &'a [Row]) -> Self {
+        Reads {
+            schema,
+            rows,
+            same: identical,
+        }
+    }
+
+    /// Rows under `schema` that a projection built one at a time.
+    fn projected(schema: &'a Schema, rows: &'a [Row]) -> Self {
+        Reads {
+            schema,
+            rows,
+            same: same_rows,
+        }
+    }
+
+    /// The name of column `c`, drawn from any range, of the schema.
+    fn name(&self, c: usize) -> &'a str {
+        &self.schema.fields()[c % self.schema.arity()].name
+    }
+}
+
 /// Sort (whole and top-n), limit, filter, group-by (keyless count
 /// included), projection and the byte size over `sel`, against the
-/// specifications and the row kernels over the rows `sel` builds.
+/// specifications and the row kernels over the rows `sel` reads as.
+/// Drawn columns are taken modulo the schema's arity.
 fn kernels_agree(
     sel: &Selection,
+    reads: Reads<'_>,
     keys: &[(usize, bool)],
     top: (bool, usize),
     filter: Vec<PredicateStep>,
     columns: &[usize],
 ) -> std::result::Result<(), TestCaseError> {
-    let built = sel.rows();
-    let s = schema();
+    let (s, built, same) = (reads.schema, reads.rows.to_vec(), reads.same);
+    let arity = s.arity();
+    let keys: Vec<(usize, bool)> = keys.iter().map(|&(c, asc)| (c % arity, asc)).collect();
+    let columns: Vec<usize> = columns.iter().map(|&c| c % arity).collect();
     let n = top.1;
 
     // Sort, whole and top-n, against the stable sort_by of the built
@@ -330,9 +456,9 @@ fn kernels_agree(
         .iter()
         .map(|&(c, asc)| {
             if asc {
-                SortKey::asc(COLUMNS[c])
+                SortKey::asc(reads.name(c))
             } else {
-                SortKey::desc(COLUMNS[c])
+                SortKey::desc(reads.name(c))
             }
         })
         .collect();
@@ -349,54 +475,53 @@ fn kernels_agree(
             .find(|ord| ord.is_ne())
             .unwrap_or(Ordering::Equal)
     });
-    let sorted = |top| -> Vec<Row> {
-        let order = ops::sort_at(&s, sel.selected(), &sort_keys, top).expect("known columns");
-        sel.with_positions(order).expect("its own positions").rows()
+    let sorted = |top| -> (Vec<u32>, Vec<Row>) {
+        let order = ops::sort_at(s, sel.selected(), &sort_keys, top).expect("known columns");
+        let rows = sel
+            .with_positions(order.clone())
+            .expect("its own positions");
+        (order, rows.rows())
     };
-    let full = sorted(None);
-    prop_assert!(
-        identical(&full, &want),
-        "{keys:?} over {built:?}: got {full:?}"
-    );
-    let by_rows = ops::sort_rows(&s, built.clone(), &sort_keys).expect("known columns");
+    let (_, full) = sorted(None);
+    prop_assert!(same(&full, &want), "{keys:?} over {built:?}: got {full:?}");
+    let by_rows = ops::sort_rows(s, built.clone(), &sort_keys).expect("known columns");
     prop_assert!(identical(&by_rows, &want));
     if top.0 {
-        let got = sorted(Some(n));
+        let (mut order, got) = sorted(Some(n));
         let kept = n.min(want.len());
         prop_assert!(
-            identical(&got[..kept], &want[..kept]),
+            same(&got[..kept], &want[..kept]),
             "top {n} of {keys:?} over {built:?}: got {got:?}"
         );
-        // Every row is still there, once.
-        let mut rest: Vec<*const Value> = got.iter().map(|r| r.values().as_ptr()).collect();
-        let mut all: Vec<*const Value> = built.iter().map(|r| r.values().as_ptr()).collect();
-        rest.sort();
+        // Every position is still there, once.
+        let mut all = sel.positions().to_vec();
+        order.sort();
         all.sort();
-        prop_assert_eq!(rest, all);
+        prop_assert_eq!(order, all);
     }
 
     // Limit: a prefix of the positions is a prefix of the rows.
-    prop_assert!(identical(&sel.prefix(n).rows(), &ops::limit(&built, n)));
+    prop_assert!(same(&sel.prefix(n).rows(), &ops::limit(&built, n)));
     prop_assert_eq!(ops::limit(&built, n).len(), n.min(built.len()));
 
     // Filter: the built rows `Predicate::eval` keeps, or its first
     // error, a row at a time.
     let filter = predicate_from(&FILTER_COLUMNS, filter);
-    let got = ops::filter_at(&s, sel.selected(), &filter)
+    let got = ops::filter_at(s, sel.selected(), &filter)
         .map(|kept| sel.with_positions(kept).expect("its own positions").rows());
     let want: Result<Vec<Row>> = built
         .iter()
-        .filter_map(|row| match filter.eval(&s, row) {
+        .filter_map(|row| match filter.eval(s, row) {
             Ok(true) => Some(Ok(row.clone())),
             Ok(false) => None,
             Err(e) => Some(Err(e)),
         })
         .collect();
     prop_assert!(
-        agree(&got, &want, |g, w| identical(g, w)),
+        agree(&got, &want, |g, w| same(g, w)),
         "{filter:?} over {built:?}: got {got:?}, want {want:?}"
     );
-    let by_rows = ops::filter_rows(&s, &built, &filter);
+    let by_rows = ops::filter_rows(s, &built, &filter);
     prop_assert!(agree(&by_rows, &want, |g, w| identical(g, w)));
 
     // Group-by, keyless count among its draws, and projection: the row
@@ -410,13 +535,13 @@ fn kernels_agree(
         Aggregate::CountNonNull,
     ]
     .into_iter()
-    .zip(columns)
+    .zip(&columns)
     .enumerate()
-    .map(|(k, (agg, &c))| AggregateSpec::new(agg, COLUMNS[c], format!("a{k}")))
+    .map(|(k, (agg, &c))| AggregateSpec::new(agg, reads.name(c), format!("a{k}")))
     .collect();
-    let group_keys: Vec<&str> = keys.iter().map(|&(c, _)| COLUMNS[c]).collect();
-    let got = ops::group_by_at(&s, sel.selected(), &group_keys, &aggs);
-    let want = ops::group_by(&s, &built, &group_keys, &aggs).map(|(schema, rows)| {
+    let group_keys: Vec<&str> = keys.iter().map(|&(c, _)| reads.name(c)).collect();
+    let got = ops::group_by_at(s, sel.selected(), &group_keys, &aggs);
+    let want = ops::group_by(s, &built, &group_keys, &aggs).map(|(schema, rows)| {
         let bytes = walked(&rows);
         (schema, rows, bytes)
     });
@@ -426,17 +551,17 @@ fn kernels_agree(
             && g.2 == w.2),
         "{group_keys:?} {aggs:?} over {built:?}: got {got:?}"
     );
-    let count = ops::group_by_at(&s, sel.selected(), &[], &[AggregateSpec::count("n")])
+    let count = ops::group_by_at(s, sel.selected(), &[], &[AggregateSpec::count("n")])
         .expect("a count reads no column");
     prop_assert_eq!(
         count.1,
         vec![Row::from(vec![Value::Int(built.len() as i64)])]
     );
 
-    let projected: Vec<&str> = columns.iter().map(|&c| COLUMNS[c]).collect();
+    let projected: Vec<&str> = columns.iter().map(|&c| reads.name(c)).collect();
     let (got_schema, got, bytes) =
-        ops::project_at(&s, sel.selected(), &projected).expect("known columns");
-    let (want_schema, want) = ops::project(&s, &built, &projected).expect("known columns");
+        ops::project_at(s, sel.selected(), &projected).expect("known columns");
+    let (want_schema, want) = ops::project(s, &built, &projected).expect("known columns");
     prop_assert_eq!(got_schema, want_schema);
     prop_assert!(same_rows(&got, &want));
     prop_assert_eq!(bytes, walked(&want));
@@ -450,27 +575,28 @@ fn kernels_agree(
 type JoinDraw = ((usize, usize, bool), (bool, bool), Vec<usize>);
 
 /// Both joins of `left` and `right`, and of either one against the
-/// other's built rows, and each side's migration batch of columns
-/// `keep`, against the same kernels over the rows they build.
+/// other's rows, and each side's migration batch of columns `keep`,
+/// against the same kernels over the rows they read as. Drawn columns
+/// are taken modulo the arities.
 fn joins_agree(
-    left: &Selection,
-    right: &Selection,
+    (left, lreads): (&Selection, Reads<'_>),
+    (right, rreads): (&Selection, Reads<'_>),
     (on, (outer, demanded), emit): JoinDraw,
     keep: &[usize],
 ) -> std::result::Result<(), TestCaseError> {
-    let (lbuilt, rbuilt) = (left.rows(), right.rows());
-    let s = schema();
+    let (lbuilt, rbuilt) = (lreads.rows.to_vec(), rreads.rows.to_vec());
+    let (ls, rs) = (lreads.schema, rreads.schema);
     let (li, ri) = if on.2 { (on.0, on.0) } else { (on.0, on.1) };
-    let (lon, ron) = (COLUMNS[li], COLUMNS[ri]);
+    let (lon, ron) = (lreads.name(li), rreads.name(ri));
     let kind = if outer {
         JoinKind::LeftOuter
     } else {
         JoinKind::Inner
     };
     let names: Vec<String> = {
-        let joined = s.join(&s);
+        let joined = ls.join(rs);
         emit.iter()
-            .map(|&c| joined.fields()[c].name.clone())
+            .map(|&c| joined.fields()[c % joined.arity()].name.clone())
             .collect()
     };
     let demand = demanded.then_some(names.as_slice());
@@ -480,7 +606,7 @@ fn joins_agree(
     // per probe row, the bytes of what was built.
     let hash = |l, r| {
         let mut counts = Vec::new();
-        let out = ops::hash_join_with(&s, l, &s, r, lon, ron, kind, demand, |n| counts.push(n));
+        let out = ops::hash_join_with(ls, l, rs, r, lon, ron, kind, demand, |n| counts.push(n));
         out.map(|(schema, rows, bytes)| (schema, rows, bytes, counts))
     };
     // Each side read as a selection, or as the plain rows it built.
@@ -505,7 +631,7 @@ fn joins_agree(
     }
 
     // The sort-merge join likewise.
-    let merge = |l, r| ops::sort_merge_join_with(&s, l, &s, r, lon, ron, demand);
+    let merge = |l, r| ops::sort_merge_join_with(ls, l, rs, r, lon, ron, demand);
     let want = merge(all(&lbuilt), all(&rbuilt)).expect("known columns");
     for (l, r) in sides {
         let got = merge(l, r).expect("known columns");
@@ -523,7 +649,7 @@ fn joins_agree(
     // under a schema that forbids the NULLs the image flags. Debug text
     // tells `-0.0` from `0.0`.
     let strict = Schema::from_fields(
-        s.fields()
+        rs.fields()
             .iter()
             .map(|f| Field {
                 nullable: false,
@@ -531,9 +657,10 @@ fn joins_agree(
             })
             .collect(),
     );
-    for (schema, sel, built) in [(&s, left, &lbuilt), (&strict, right, &rbuilt)] {
-        let got = format!("{:?}", sel.selected().to_batch(schema, keep));
-        let want = format!("{:?}", Batch::from_columns(schema, built, keep));
+    for (schema, sel, built) in [(ls, left, &lbuilt), (&strict, right, &rbuilt)] {
+        let keep: Vec<usize> = keep.iter().map(|&c| c % schema.arity()).collect();
+        let got = format!("{:?}", sel.selected().to_batch(schema, &keep));
+        let want = format!("{:?}", Batch::from_columns(schema, built, &keep));
         prop_assert!(got == want, "{keep:?} of {built:?}: got {got}, want {want}");
     }
     Ok(())
@@ -570,7 +697,8 @@ proptest! {
         // The scan bounds `i` (so an index applies) with an int literal.
         let predicate = predicate_from(&["i"], scan);
         let sel = selection(&rows, &predicate, indexed, keep_order, &shuffle);
-        kernels_agree(&sel, &keys, top, filter, &columns)?;
+        let (s, built) = (schema(), sel.rows());
+        kernels_agree(&sel, Reads::built(&s, &built), &keys, top, filter, &columns)?;
     }
 
     #[test]
@@ -585,10 +713,10 @@ proptest! {
         route in prop::collection::vec(0u32..3, 1..9),
     ) {
         let sel = spanning(&scans, keep_order, &shuffle)?;
-        kernels_agree(&sel, &keys, top, filter, &columns)?;
+        let (s, built) = (schema(), sel.rows());
+        kernels_agree(&sel, Reads::built(&s, &built), &keys, top, filter, &columns)?;
         // A shuffle's split: destination `d` gets the rows routed to it,
         // in order, over the same snapshots.
-        let built = sel.rows();
         let dests: Vec<u32> = (0..sel.len()).map(|i| route[i % route.len()]).collect();
         let split = sel.split(&dests, 3).expect("destinations below the width");
         for (d, part) in (0u32..).zip(&split) {
@@ -675,7 +803,9 @@ proptest! {
     ) {
         let left = selection(&tables.0, &predicate_from(&["i"], scans.0), indexed.0, keep_order.0, &shuffle);
         let right = selection(&tables.1, &predicate_from(&["i"], scans.1), indexed.1, keep_order.1, &shuffle);
-        joins_agree(&left, &right, join, &keep)?;
+        let (s, lbuilt, rbuilt) = (schema(), left.rows(), right.rows());
+        let sides = ((&left, Reads::built(&s, &lbuilt)), (&right, Reads::built(&s, &rbuilt)));
+        joins_agree(sides.0, sides.1, join, &keep)?;
     }
 
     #[test]
@@ -688,7 +818,132 @@ proptest! {
     ) {
         let left = spanning(&scans.0, keep_order.0, &shuffle)?;
         let right = spanning(&scans.1, keep_order.1, &shuffle)?;
-        joins_agree(&left, &right, join, &keep)?;
+        let (s, lbuilt, rbuilt) = (schema(), left.rows(), right.rows());
+        let sides = ((&left, Reads::built(&s, &lbuilt)), (&right, Reads::built(&s, &rbuilt)));
+        joins_agree(sides.0, sides.1, join, &keep)?;
+    }
+
+    /// A projection of a selection of one to four snapshots — tables of
+    /// every type, NULLs in each — and now and then a projection of
+    /// that, against rows projected one at a time out of the rows the
+    /// unprojected selection builds: its rows and byte size, every
+    /// kernel, a shuffle's split, and the selection appended to a prefix
+    /// of itself; appended to one exposing other columns, it is refused.
+    #[test]
+    fn kernels_over_a_projected_selection_are_the_kernels_over_its_projected_rows(
+        scans in prop::collection::vec(
+            (arb_wide_table(24), arb_predicate_program(0..3, arb_int), any::<bool>()),
+            1..5,
+        ),
+        keep_order in any::<bool>(),
+        shuffle in prop::collection::vec(any::<u32>(), 1..17),
+        projection in prop::collection::vec(0usize..6, 1..8),
+        again in (any::<bool>(), prop::collection::vec(0usize..8, 1..5)),
+        keys in prop::collection::vec((0usize..6, any::<bool>()), 0..4),
+        top in (any::<bool>(), 0usize..100),
+        filter in arb_predicate_program(1..6, arb_any),
+        columns in prop::collection::vec(0usize..6, 6..7),
+        route in prop::collection::vec(0u32..3, 1..9),
+    ) {
+        let base = spanning_of(&wide_schema(), &scans, keep_order, &shuffle)?;
+        let (sel, s, want) = projected(&base, &projection, (again.0, &again.1))?;
+        prop_assert!(same_rows(&sel.rows(), &want), "{:?}: {want:?}", sel.columns());
+        prop_assert_eq!(sel.byte_size(), walked(&want));
+        kernels_agree(&sel, Reads::projected(&s, &want), &keys, top, filter, &columns)?;
+
+        let dests: Vec<u32> = (0..sel.len()).map(|i| route[i % route.len()]).collect();
+        let split = sel.split(&dests, 3).expect("destinations below the width");
+        for (d, part) in (0u32..).zip(&split) {
+            let routed: Vec<Row> = (want.iter().zip(&dests))
+                .filter(|&(_, &to)| to == d)
+                .map(|(row, _)| row.clone())
+                .collect();
+            prop_assert!(same_rows(&part.rows(), &routed));
+            prop_assert_eq!(part.byte_size(), walked(&routed));
+        }
+        let n = top.1 % (sel.len() + 1);
+        let twice = sel.concat(&sel.prefix(n)).expect("few snapshots");
+        let both: Vec<Row> = want.iter().chain(&want[..n]).cloned().collect();
+        prop_assert!(same_rows(&twice.rows(), &both));
+        prop_assert_eq!(twice.byte_size(), walked(&both));
+        if sel.columns().is_some() {
+            prop_assert!(matches!(base.concat(&sel), Err(Error::Invalid(_))));
+            prop_assert!(matches!(sel.concat(&base), Err(Error::Invalid(_))));
+        }
+    }
+
+    /// Joins and migration batches of two selections, each projected or
+    /// not, against the same kernels over their projected rows.
+    #[test]
+    fn joins_and_batches_over_projected_selections_are_those_over_their_projected_rows(
+        scans in (
+            prop::collection::vec(
+                (arb_wide_table(24), arb_predicate_program(0..3, arb_int), any::<bool>()),
+                1..4,
+            ),
+            prop::collection::vec(
+                (arb_wide_table(24), arb_predicate_program(0..3, arb_int), any::<bool>()),
+                1..4,
+            ),
+        ),
+        keep_order in (any::<bool>(), any::<bool>()),
+        shuffle in prop::collection::vec(any::<u32>(), 1..17),
+        projections in (
+            prop::collection::vec(0usize..6, 1..8),
+            prop::collection::vec(0usize..6, 1..8),
+        ),
+        again in (any::<bool>(), any::<bool>(), prop::collection::vec(0usize..8, 1..5)),
+        join in arb_join(),
+        keep in prop::collection::vec(0usize..6, 0..6),
+    ) {
+        let wide = wide_schema();
+        let left = spanning_of(&wide, &scans.0, keep_order.0, &shuffle)?;
+        let right = spanning_of(&wide, &scans.1, keep_order.1, &shuffle)?;
+        let (left, ls, lwant) = projected(&left, &projections.0, (again.0, &again.2))?;
+        let (right, rs, rwant) = projected(&right, &projections.1, (again.1, &again.2))?;
+        let sides = (
+            (&left, Reads::projected(&ls, &lwant)),
+            (&right, Reads::projected(&rs, &rwant)),
+        );
+        joins_agree(sides.0, sides.1, join, &keep)?;
+    }
+
+    /// A scan that projects keeps a selection exposing the projected
+    /// columns, whose rows are the scan's rows projected; routed on a
+    /// projected column, each destination gets the rows the unprojected
+    /// scan sends there, and their projected bytes.
+    #[test]
+    fn a_projecting_scan_keeps_a_projected_selection_and_routes_its_widths(
+        rows in arb_wide_table(48),
+        scan in arb_predicate_program(0..3, arb_int),
+        projection in prop::collection::vec(0usize..6, 1..8),
+        (key, width) in (0usize..8, 1u32..4),
+    ) {
+        let wide = wide_schema();
+        let mut db = RelationalStore::new("db");
+        db.create_table("t", wide.clone()).expect("fresh store");
+        db.insert("t", rows).expect("rows match schema");
+        let predicate = predicate_from(&["i"], scan);
+        let names: Vec<&str> = projection.iter().map(|&c| wide.fields()[c].name.as_str()).collect();
+        let key = names[key % names.len()];
+        let (all, whole) = db
+            .scan_kept("t", &predicate, None, Some((key, width)))
+            .expect("known columns");
+        let (sel, routes) = db
+            .scan_kept("t", &predicate, Some(&names), Some((key, width)))
+            .expect("known columns");
+        let (want_sel, _, want) = projected(&all, &projection, (false, &[]))?;
+        prop_assert_eq!(sel.columns(), want_sel.columns());
+        prop_assert!(same_rows(&sel.rows(), &want));
+        prop_assert_eq!(&routes.dests, &whole.dests);
+        let mut bytes = vec![0u64; width as usize];
+        for (row, &d) in want.iter().zip(&routes.dests) {
+            bytes[d as usize] += row.byte_size() as u64;
+        }
+        prop_assert_eq!(routes.bytes, bytes);
+        let scanned = db.scan("t", &predicate, Some(&names)).expect("known columns");
+        prop_assert!(same_rows(&scanned.rows, &want));
+        prop_assert_eq!(scanned.byte_size, walked(&want));
     }
 }
 
@@ -755,9 +1010,9 @@ fn a_null_in_the_image_is_no_default() {
     let mut db = RelationalStore::new("db");
     db.create_table("t", tagged.clone()).expect("fresh store");
     db.insert("t", rows.clone()).expect("rows match schema");
-    let scan = |predicate: &Predicate| match db.scan_kept("t", predicate, None, None) {
-        Ok((Kept::Selection(kept), _)) => kept,
-        _ => panic!("a scan without a projection keeps a selection"),
+    let scan = |predicate: &Predicate| {
+        let (kept, _) = (db.scan_kept("t", predicate, None, None)).expect("known columns");
+        kept
     };
     let all = scan(&Predicate::True);
     let reversed = all

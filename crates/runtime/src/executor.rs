@@ -479,9 +479,7 @@ impl Executor {
         for (stage_idx, stage) in stages.iter().enumerate() {
             let runs = self.run_stage(program, &stage.compute, &plan, registry, &mut outputs)?;
             for (id, run) in runs {
-                for event in run.events {
-                    self.ledger.post_event(event);
-                }
+                self.ledger.post_events(run.events);
                 // Trace appended in merge order — the same order
                 // `makespans` sums node times, so a span tree built
                 // over these traces reproduces the sequential makespan
@@ -1268,7 +1266,7 @@ impl Executor {
             exec_seconds,
             migration_seconds: bill.seconds,
             critical_seconds,
-            events: scoped_ledger.events(),
+            events: scoped_ledger.take_events(),
             tasks: vec![task_trace],
             exchanges: Vec::new(),
         };

@@ -5,8 +5,9 @@
 //! the task's ledger under the `mlengine` component.
 
 use pspp_accel::kernels::Matrix;
-use pspp_common::{DataModel, DataType, EngineId, Error, Result, Row, Schema, Value};
+use pspp_common::{DataModel, DataType, EngineId, Error, Field, Result, Schema, Value};
 use pspp_mlengine::{Dataset as MlDataset, KMeans, KMeansConfig, Mlp, TrainConfig};
+use pspp_relstore::ops;
 
 use crate::dataset::{Dataset, Payload};
 use crate::physical::ExecCtx;
@@ -52,20 +53,8 @@ pub(crate) fn predict(d: &Dataset, model: &Dataset, ctx: &ExecCtx<'_>) -> Result
     // took them: `d` must not hold the label.
     let (data, schema) = to_ml_dataset(d, None)?;
     let probs = mlp.predict_proba(ctx.training_profile(), data.features(), Some(ctx.ledger()))?;
-    let mut fields: Vec<pspp_common::Field> = schema.fields().to_vec();
-    fields.push(pspp_common::Field::new("prediction", DataType::Float));
-    let out_schema = Schema::from_fields(fields);
-    let rows: Vec<Row> = d
-        .try_rows()?
-        .iter()
-        .zip(&probs)
-        .map(|(r, p)| {
-            let mut vals = r.values().to_vec();
-            vals.push(Value::Float(*p));
-            Row::from(vals)
-        })
-        .collect();
-    Ok(Dataset::rows(out_schema, rows, d.model, d.location.clone()))
+    let probs = probs.into_iter().map(Value::Float).collect();
+    appended(d, schema, ("prediction", DataType::Float), probs)
 }
 
 /// Clusters the numeric columns of `d` into `k` groups, appending a
@@ -87,29 +76,60 @@ pub(crate) fn kmeans(
         },
         Some(ctx.ledger()),
     )?;
-    let mut fields: Vec<pspp_common::Field> = schema.fields().to_vec();
-    fields.push(pspp_common::Field::new("cluster", DataType::Int));
-    let out_schema = Schema::from_fields(fields);
-    let rows: Vec<Row> = d
-        .try_rows()?
-        .iter()
-        .zip(&result.assignments)
-        .map(|(r, &c)| {
-            let mut vals = r.values().to_vec();
-            vals.push(Value::Int(c as i64));
-            Row::from(vals)
-        })
+    let clusters = (result.assignments.iter())
+        .map(|&c| Value::Int(c as i64))
         .collect();
-    Ok(Dataset::rows(out_schema, rows, d.model, d.location.clone()))
+    appended(d, schema, ("cluster", DataType::Int), clusters)
+}
+
+/// `d`'s rows, each followed by its value of `values`, under `schema`
+/// with the column `(name, data_type)` appended: built a column at a
+/// time out of `d`'s selection or rows into one slab, and sized as they
+/// are built.
+fn appended(
+    d: &Dataset,
+    schema: Schema,
+    (name, data_type): (&str, DataType),
+    values: Vec<Value>,
+) -> Result<Dataset> {
+    let mut fields = schema.fields().to_vec();
+    fields.push(Field::new(name, data_type));
+    let arity = schema.arity();
+    let (rows, byte_size) = ops::append_column(d.row_buf()?.selected()?, arity, values)?;
+    let schema = Schema::from_fields(fields);
+    Ok(Dataset::sized_rows(
+        schema,
+        rows,
+        byte_size,
+        d.model,
+        d.location.clone(),
+    ))
 }
 
 /// Converts a tabular dataset into an ML dataset; numeric columns become
-/// features (the label column, when given, becomes the target).
+/// features (the label column, when given, becomes the target). Each
+/// column is read where it lies — out of a selection's typed image, or
+/// through the rows ([`pspp_relstore::Selected::numbers`]) — a column at
+/// a time: an `Int` or `Timestamp` as `f64`, NULL as `0.0`.
+///
+/// # Errors
+///
+/// Returns [`Error::Invalid`] for a label column that is not numeric,
+/// and [`Error::Execution`] when no column is a feature.
 fn to_ml_dataset(d: &Dataset, label: Option<&str>) -> Result<(MlDataset, Schema)> {
     let schema = d.schema()?;
-    let rows = d.try_rows()?;
+    let rows = d.row_buf()?.selected()?;
     let label_idx = match label {
-        Some(l) => Some(schema.require(l)?),
+        Some(l) => {
+            let at = schema.require(l)?;
+            let data_type = schema.fields()[at].data_type;
+            if !data_type.is_numeric() {
+                return Err(Error::Invalid(format!(
+                    "label column {l} is {data_type}, not a number"
+                )));
+            }
+            Some(at)
+        }
         None => None,
     };
     let feature_cols: Vec<usize> = schema
@@ -122,13 +142,15 @@ fn to_ml_dataset(d: &Dataset, label: Option<&str>) -> Result<(MlDataset, Schema)
     if feature_cols.is_empty() {
         return Err(Error::Execution("no numeric feature columns".into()));
     }
-    let width = feature_cols.len();
-    let mut features = Vec::with_capacity(rows.len() * width);
-    let mut labels = Vec::with_capacity(rows.len());
-    for r in rows.iter() {
-        features.extend(feature_cols.iter().map(|&c| r[c].as_f64().unwrap_or(0.0)));
-        labels.push(label_idx.map_or(0.0, |i| r[i].as_f64().unwrap_or(0.0)));
+    let (n, width) = (rows.len(), feature_cols.len());
+    let mut features = vec![0.0; n * width];
+    for (j, &c) in feature_cols.iter().enumerate() {
+        rows.numbers(c, |i, x| features[i * width + j] = x);
     }
-    let features = Matrix::from_vec(rows.len(), width, features)?;
+    let mut labels = vec![0.0; n];
+    if let Some(at) = label_idx {
+        rows.numbers(at, |i, y| labels[i] = y);
+    }
+    let features = Matrix::from_vec(n, width, features)?;
     Ok((MlDataset::new(features, labels)?, schema.clone()))
 }

@@ -6,7 +6,7 @@
 
 use pspp_common::{DataModel, EngineId, Error, Predicate, Result, TableRef};
 use pspp_ir::{AggFn, AggSpec, SortSpec};
-use pspp_relstore::{ops, Aggregate, AggregateSpec, JoinKind, Kept, SortKey};
+use pspp_relstore::{ops, Aggregate, AggregateSpec, JoinKind, SortKey};
 
 use crate::dataset::{Dataset, RowBuf};
 use crate::physical::ExecCtx;
@@ -28,20 +28,17 @@ pub(crate) fn scan(
     // A shuffle reads this task next: the scan hashes the key out of
     // the table's column image as it scans.
     let route = ctx.route();
-    let (kept, routes) = store.scan_kept(name, predicate, cols, route.map(|r| (r.key, r.width)))?;
+    let (selection, routes) =
+        store.scan_kept(name, predicate, cols, route.map(|r| (r.key, r.width)))?;
     if let Some(request) = route {
         request
             .routes
             .set(routes)
             .map_err(|_| Error::Execution("a task's routes were set twice".into()))?;
     }
-    let rows = match kept {
-        Kept::Selection(selection) => RowBuf::selection(selection),
-        Kept::Projected(scanned) => RowBuf::pre_sized(scanned.rows, scanned.byte_size),
-    };
     Ok(Dataset::from_buf(
         store.scan_schema(name, cols)?,
-        rows,
+        RowBuf::selection(selection),
         DataModel::Relational,
         table.engine.clone(),
     ))
@@ -60,7 +57,8 @@ pub(crate) fn filter(d: &Dataset, predicate: &Predicate) -> Result<Dataset> {
     ))
 }
 
-/// Projects `d` onto `columns`, in their order.
+/// Projects `d` onto `columns`, in their order: a scan's selection stays
+/// one, exposing those columns, and no row is built.
 pub(crate) fn project(d: &Dataset, columns: &[String]) -> Result<Dataset> {
     let schema = d.schema()?;
     // The input's own columns in its own order (a join that built only
@@ -74,6 +72,19 @@ pub(crate) fn project(d: &Dataset, columns: &[String]) -> Result<Dataset> {
         return Ok(d.clone());
     }
     let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
+    if let Some(selection) = d.row_buf()?.as_selection() {
+        let at: Vec<usize> = (cols.iter())
+            .map(|c| schema.require(c))
+            .collect::<Result<_>>()?;
+        let projected = RowBuf::selection(selection.project(&at)?);
+        let schema = schema.project(&cols)?;
+        return Ok(Dataset::from_buf(
+            schema,
+            projected,
+            d.model,
+            d.location.clone(),
+        ));
+    }
     let (schema, rows, byte_size) = ops::project_at(schema, d.row_buf()?.selected()?, &cols)?;
     Ok(Dataset::sized_rows(
         schema,

@@ -289,6 +289,7 @@ mod tests {
     use pspp_textstore::TextStore;
     use pspp_tsstore::TimeseriesStore;
 
+    use crate::dataset::Payload;
     use crate::registry::EngineInstance;
 
     /// One empty store of every kind an operator reads, so every source
@@ -516,6 +517,150 @@ mod tests {
             unbuilt(&l) && unbuilt(&r),
             "a join or the codec built a scan's rows"
         );
+    }
+
+    /// A projection of a scan is the scan's selection exposing the
+    /// projected columns, and the ML operators read their features out
+    /// of a selection where it lies: none of them builds the scan's
+    /// rows, and each answer — rows, byte sizes, the model, the ledger —
+    /// is the one the built rows give.
+    #[test]
+    fn projections_and_ml_operators_leave_scan_selections_unbuilt() {
+        let schema = Schema::new(vec![
+            ("k", DataType::Int),
+            ("s", DataType::Str),
+            ("w", DataType::Float),
+            ("at", DataType::Timestamp),
+            ("y", DataType::Float),
+        ]);
+        let mut db = RelationalStore::new("db1");
+        db.create_table("t", schema).unwrap();
+        let rows = (0..60i64).map(|i| {
+            let w = if i % 9 == 4 {
+                Value::Null
+            } else {
+                Value::Float(i as f64 / 3.0)
+            };
+            let y = f64::from(i % 3 == 0);
+            row![i % 13, format!("s{i}"), w, Value::Timestamp(i * 7 - 90), y]
+        });
+        db.insert("t", rows.collect()).unwrap();
+        let mut registry = EngineRegistry::new();
+        let instance = EngineInstance::Relational(db);
+        registry.register(EngineId::new("db1"), instance).unwrap();
+        let fleet = AcceleratorFleet::workstation();
+        let scan = Operator::Scan {
+            table: TableRef::new("db1", "t"),
+            predicate: Predicate::ge("k", 2i64),
+            projection: None,
+        };
+        let project = |columns: &[&str]| Operator::Project {
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+        };
+        // Each operator over `inputs`, on a ledger of its own.
+        let run_on = |op: &Operator, inputs: &[&Dataset]| {
+            let ledger = CostLedger::new();
+            let ctx = ExecCtx::new(&fleet, &ledger, false);
+            let inputs: Vec<Dataset> = inputs.iter().map(|&d| d.clone()).collect();
+            let out = run(op, &inputs, None, &registry, &ctx).unwrap();
+            (out, ledger.events())
+        };
+        let unbuilt = |d: &Dataset| d.row_buf().unwrap().is_unbuilt_selection();
+        let built = |d: &Dataset| {
+            let rows = d.row_buf().unwrap().as_selection().unwrap().rows();
+            let schema = d.schema().unwrap().clone();
+            Dataset::rows(schema, rows, d.model, d.location.clone())
+        };
+        // A selection's answer is read off a copy of its rows, so that
+        // asking leaves it unbuilt.
+        let answer = |d: &Dataset| match &d.payload {
+            Payload::Rows { schema, rows } => {
+                let rows = rows
+                    .as_selection()
+                    .map_or_else(|| rows.to_vec(), |s| s.rows());
+                format!("{schema:?} {rows:?} {}", d.byte_size())
+            }
+            Payload::Model(model) => format!("{model:?}"),
+        };
+
+        let (scanned, _) = run_on(&scan, &[]);
+        // A projection, and a projection of it: selections still.
+        let (features, _) = run_on(&project(&["w", "at", "k", "y"]), &[&scanned]);
+        let (again, _) = run_on(&project(&["y", "w", "w"]), &[&features]);
+        assert!(unbuilt(&features) && unbuilt(&again));
+        let (want, _) = run_on(&project(&["w", "at", "k", "y"]), &[&built(&scanned)]);
+        assert_eq!(answer(&features), answer(&want));
+        let (want, _) = run_on(&project(&["y", "w", "w"]), &[&built(&features)]);
+        assert_eq!(answer(&again), answer(&want));
+
+        let train = Operator::TrainMlp {
+            label_column: "y".into(),
+            hidden: vec![4],
+            epochs: 3,
+            batch_size: 16,
+            learning_rate: 0.3,
+        };
+        let unlabelled = run_on(&project(&["w", "at", "k"]), &[&scanned]).0;
+        for input in [&scanned, &features] {
+            let (got, got_events) = run_on(&train, &[input]);
+            let (want, want_events) = run_on(&train, &[&built(input)]);
+            assert_eq!(answer(&got), answer(&want));
+            assert_eq!(got_events, want_events);
+
+            let kmeans = Operator::KMeansCluster { k: 3, max_iters: 6 };
+            let (got, got_events) = run_on(&kmeans, &[input]);
+            let (want, want_events) = run_on(&kmeans, &[&built(input)]);
+            assert_eq!(answer(&got), answer(&want));
+            assert_eq!(got_events, want_events);
+        }
+        let model = run_on(&train, &[&features]).0;
+        let (got, got_events) = run_on(&Operator::Predict, &[&unlabelled, &model]);
+        let (want, want_events) = run_on(&Operator::Predict, &[&built(&unlabelled), &model]);
+        assert_eq!(answer(&got), answer(&want));
+        assert_eq!(got_events, want_events);
+        assert!(
+            [&scanned, &features, &again, &unlabelled]
+                .into_iter()
+                .all(unbuilt),
+            "a projection or an ML operator built a scan's rows"
+        );
+    }
+
+    /// Training on a label that is no number is refused, naming the
+    /// column and its type, instead of learning all-zero targets.
+    #[test]
+    fn a_label_that_is_no_number_is_refused() {
+        let schema = Schema::new(vec![
+            ("x", DataType::Float),
+            ("name", DataType::Str),
+            ("flag", DataType::Bool),
+        ]);
+        let rows = (0..8).map(|i| row![f64::from(i), format!("n{i}"), i % 2 == 0]);
+        let input = [Dataset::rows(
+            schema,
+            rows.collect(),
+            DataModel::Relational,
+            EngineId::new("rel"),
+        )];
+        let (fleet, ledger) = (AcceleratorFleet::workstation(), CostLedger::new());
+        let ctx = ExecCtx::new(&fleet, &ledger, false);
+        for (label, data_type) in [("name", "str"), ("flag", "bool")] {
+            let train = Operator::TrainMlp {
+                label_column: label.into(),
+                hidden: vec![2],
+                epochs: 1,
+                batch_size: 4,
+                learning_rate: 0.1,
+            };
+            let got = run(&train, &input, None, &empty_stores(), &ctx);
+            match got {
+                Err(Error::Invalid(message)) => {
+                    assert!(message.contains(label), "{message}");
+                    assert!(message.contains(data_type), "{message}");
+                }
+                other => panic!("LABEL {label}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1891,7 +1891,8 @@ fn e21_sessions() -> Result<String> {
             let system = service_system()?;
             let scripts = session_scripts(n, qps, pool.len(), SEED);
             let report = session_core(system, WORKERS, 64, cache, 0)?.run(&pool, &scripts)?;
-            let (p50, _, p99) = report.latency.quantiles();
+            let quantile = |q| report.latency.quantile(q).unwrap_or(0.0);
+            let (p50, p99) = (quantile(0.50), quantile(0.99));
             let mean = report.mean_latency_seconds();
             let rc = &report.result_cache;
             let hit_rate = if rc.hits + rc.misses > 0 {

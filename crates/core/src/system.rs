@@ -6,7 +6,6 @@ use pspp_common::{PartitionSpec, Result, ShardId, TableRef, Value};
 use pspp_frontend::nlq::{self, ClinicalNames};
 use pspp_frontend::{sql, Catalog, HeterogeneousProgram};
 use pspp_ir::{PlanOptions, Program};
-use pspp_migrate::MigrationPath;
 use pspp_optimizer::{optimize_l1, price, CostModel, OptLevel, PlacementPlan, RewriteReport};
 use pspp_runtime::{EngineRegistry, ExecutionReport, Executor, Placer};
 use pspp_telemetry::{explain_analyze, MetricsRegistry, SpanTree};
@@ -54,7 +53,6 @@ pub struct PolystoreBuilder {
     deployment: Deployment,
     fleets: ShardFleets,
     opt_level: OptLevel,
-    migration_path: MigrationPath,
     plan_options: PlanOptions,
     shards: usize,
     partitions: Vec<(TableRef, PartitionSpec)>,
@@ -98,15 +96,12 @@ impl PolystoreBuilder {
         self
     }
 
-    /// Sets the optimization level (default: `L2`).
+    /// Sets the optimization level (default: `L2`) — the one level the
+    /// built system plans and executes at: L1 rewrites from L1 on,
+    /// cost-based placement and accelerator offload from L2 on,
+    /// pipelined stages at L3 (§IV-D).
     pub fn opt_level(mut self, level: OptLevel) -> Self {
         self.opt_level = level;
-        self
-    }
-
-    /// Sets the cross-engine migration path (default: binary pipe).
-    pub fn migration_path(mut self, path: MigrationPath) -> Self {
-        self.migration_path = path;
         self
     }
 
@@ -260,7 +255,6 @@ impl PolystoreBuilder {
             clinical_names: self.deployment.clinical_names,
             cost_model: CostModel::new(self.deployment.stats).with_options(self.plan_options),
             opt_level: self.opt_level,
-            migration_path: self.migration_path,
             ledger: CostLedger::new(),
             metrics,
         })
@@ -300,7 +294,6 @@ pub struct Polystore {
     clinical_names: ClinicalNames,
     cost_model: CostModel,
     opt_level: OptLevel,
-    migration_path: MigrationPath,
     ledger: CostLedger,
     metrics: MetricsRegistry,
 }
@@ -312,7 +305,6 @@ impl Polystore {
             deployment,
             fleets: ShardFleets::default(),
             opt_level: OptLevel::L2,
-            migration_path: MigrationPath::BinaryPipe,
             plan_options: PlanOptions::default(),
             shards: 1,
             partitions: Vec::new(),
@@ -428,14 +420,9 @@ impl Polystore {
         self.registry.bump_epoch();
     }
 
-    /// The active optimization level.
+    /// The optimization level this system was built at.
     pub fn opt_level(&self) -> OptLevel {
         self.opt_level
-    }
-
-    /// Changes the optimization level (used by the Fig. 6 ablation).
-    pub fn set_opt_level(&mut self, level: OptLevel) {
-        self.opt_level = level;
     }
 
     /// Compiles a SQL query into an (unoptimized) IR program.
@@ -478,8 +465,7 @@ impl Polystore {
     }
 
     /// Optimizes a program in place at an explicit level, independent of
-    /// the configured one. The service layer uses this to honor
-    /// per-session optimization settings against a shared system.
+    /// the configured one (`execute` still runs at the configured one).
     /// Placement prices the distribution plan the executor will derive:
     /// [`Placer::plan_distribution`] over this system's registry, on the
     /// registry's fleets.
@@ -519,29 +505,22 @@ impl Polystore {
     ///
     /// Propagates executor errors.
     pub fn execute(&self, program: &Program) -> Result<ExecutionReport> {
-        self.execute_at(program, self.opt_level, self.ledger.clone())
+        self.execute_at(program, self.ledger.clone())
     }
 
-    /// Executes an already-optimized program with an explicit level and
-    /// cost ledger. Concurrent callers (the `pspp-service` query
-    /// service) pass a private per-run ledger so simultaneous queries
-    /// never interleave cost accounting.
+    /// Executes an already-optimized program at the configured level,
+    /// posting costs to `ledger`. [`Polystore::run_optimized`] passes a
+    /// private per-run ledger, so simultaneous queries never interleave
+    /// cost accounting.
     ///
     /// # Errors
     ///
     /// Propagates executor errors.
-    pub fn execute_at(
-        &self,
-        program: &Program,
-        level: OptLevel,
-        ledger: CostLedger,
-    ) -> Result<ExecutionReport> {
+    pub fn execute_at(&self, program: &Program, ledger: CostLedger) -> Result<ExecutionReport> {
         let executor = Executor::new(ledger)
-            .offload(level.placement())
-            .pipelined(level.pipelined())
+            .level(self.opt_level)
             // The switches the plan was priced under.
             .options(self.cost_model.options())
-            .migration_path(self.migration_path)
             .with_metrics(self.metrics.clone());
         executor.execute(program, &self.registry)
     }
@@ -588,15 +567,14 @@ impl Polystore {
     /// Propagates optimization and execution errors.
     pub fn run_program(&self, mut program: Program) -> Result<RunReport> {
         let (rewrites, placement) = self.optimize(&mut program)?;
-        let (report, run_ledger) =
-            self.run_optimized(&program, self.opt_level, rewrites, placement)?;
+        let (report, run_ledger) = self.run_optimized(&program, rewrites, placement)?;
         self.ledger.replace_events(run_ledger.take_events());
         Ok(report)
     }
 
-    /// Executes an already-optimized program at `level` on a private
-    /// ledger — so concurrent callers never interleave cost accounting —
-    /// and assembles the run's report around the plan summary
+    /// Executes an already-optimized program on a private ledger — so
+    /// concurrent callers never interleave cost accounting — and
+    /// assembles the run's report around the plan summary
     /// (`rewrites`, `placement`) the program was optimized with. Returns
     /// the report and the ledger the run posted to.
     ///
@@ -606,12 +584,11 @@ impl Polystore {
     pub fn run_optimized(
         &self,
         program: &Program,
-        level: OptLevel,
         rewrites: RewriteReport,
         placement: Option<PlacementPlan>,
     ) -> Result<(RunReport, CostLedger)> {
         let ledger = CostLedger::new();
-        let execution = self.execute_at(program, level, ledger.clone())?;
+        let execution = self.execute_at(program, ledger.clone())?;
         let report = RunReport {
             execution,
             rewrites,

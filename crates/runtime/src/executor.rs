@@ -85,9 +85,8 @@ use pspp_ir::{
     AggFn, AggSpec, ColumnDemand, ExchangeKind, NodeId, Operator, PlanOptions, Program, ShardPlan,
     Stage,
 };
-use pspp_migrate::MigrationPath;
-use pspp_optimizer::price;
 use pspp_optimizer::rewrite::resolve_fused;
+use pspp_optimizer::{price, OptLevel};
 use pspp_relstore::{ops as relops, AggregateSpec};
 use pspp_telemetry::{ExchangeTrace, MetricsRegistry, NodeTrace, TaskTrace};
 
@@ -380,10 +379,9 @@ impl NodeRun {
 pub struct Executor {
     ledger: CostLedger,
     placer: Placer,
-    /// Honor device annotations (L2+); otherwise everything runs on CPU.
-    offload: bool,
-    /// Pipeline stages (L3).
-    pipelined: bool,
+    /// The optimization level: device annotations are honored from L2
+    /// on (below it everything runs on the host), stages pipeline at L3.
+    level: OptLevel,
     /// The plan switches — the value the cost model planned under.
     options: PlanOptions,
     /// Metrics sink for executor, placer and kernel-charge instrumentation
@@ -400,8 +398,7 @@ impl Executor {
         Executor {
             ledger,
             placer: Placer::default(),
-            offload: true,
-            pipelined: false,
+            level: OptLevel::L2,
             options: PlanOptions::default(),
             metrics: None,
         }
@@ -416,15 +413,11 @@ impl Executor {
         self
     }
 
-    /// Enables/disables accelerator offload (L2).
-    pub fn offload(mut self, on: bool) -> Self {
-        self.offload = on;
-        self
-    }
-
-    /// Enables/disables pipelined stage accounting (L3).
-    pub fn pipelined(mut self, on: bool) -> Self {
-        self.pipelined = on;
+    /// Executes at `level` (default [`OptLevel::L2`]): accelerator
+    /// offload from L2 on ([`OptLevel::placement`]), pipelined stage
+    /// accounting at L3 ([`OptLevel::pipelined`]).
+    pub fn level(mut self, level: OptLevel) -> Self {
+        self.level = level;
         self
     }
 
@@ -443,12 +436,6 @@ impl Executor {
     /// bump (reshard, rebalance, DDL) invalidates every stored layout.
     pub fn options(mut self, options: PlanOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Uses a specific migration path for cross-engine edges.
-    pub fn migration_path(mut self, path: MigrationPath) -> Self {
-        self.placer = self.placer.with_path(path);
         self
     }
 
@@ -550,7 +537,7 @@ impl Executor {
             migration_seconds: traces.iter().fold(0.0, |s, t| s + t.migration_seconds),
             makespan_sequential,
             makespan_pipelined,
-            pipelined: self.pipelined,
+            pipelined: self.level.pipelined(),
             offloaded: traces.iter().filter(|t| offloaded(t)).count(),
             device_assignments,
             traces,
@@ -848,7 +835,8 @@ impl Executor {
         }
         let fleet = &registry.fleets().default;
         let (rows, bytes) = (barrier.routed_rows, barrier.bytes);
-        let (bill, seconds) = price::shuffle_barrier(fleet, self.offload, rows, bytes, width);
+        let (bill, seconds) =
+            price::shuffle_barrier(fleet, self.level.placement(), rows, bytes, width);
         barrier.seconds = seconds;
         barrier.device = if bill.serialize_device != DeviceKind::Cpu {
             bill.serialize_device
@@ -1162,19 +1150,19 @@ impl Executor {
         let planned = (annotations.shard_devices.as_ref().and_then(at_slot))
             .or(annotations.device)
             .unwrap_or_default();
-        let device =
-            if self.offload && (planned == DeviceKind::Cpu || fleet.device(planned).is_some()) {
-                planned
-            } else {
-                DeviceKind::Cpu
-            };
+        let offload = self.level.placement();
+        let device = if offload && (planned == DeviceKind::Cpu || fleet.device(planned).is_some()) {
+            planned
+        } else {
+            DeviceKind::Cpu
+        };
         // A shuffled-join bucket's join also reports its per-probe-row
         // match counts — the barrier's splice chunk sizes. A routed
         // producer's task learns where each row goes from the operator
         // when it can say (a relational scan), else from the rows it
         // returned.
         let (probe_counts, routes) = (OnceLock::new(), OnceLock::new());
-        let ctx = ExecCtx::new(fleet, &scoped_ledger, self.offload)
+        let ctx = ExecCtx::new(fleet, &scoped_ledger, offload)
             .at_shard(shard)
             .demanding(node.annotations.demand.as_ref());
         let mut ctx = match role {
@@ -1657,7 +1645,7 @@ mod tests {
             "sql",
         );
         p.mark_output(sort);
-        let report = exec().pipelined(true).execute(&p, &registry()).unwrap();
+        let report = exec().level(OptLevel::L3).execute(&p, &registry()).unwrap();
         assert!(report.makespan_pipelined <= report.makespan_sequential + 1e-12);
         assert!(report.pipelined);
         assert!(report.makespan() <= report.makespan_sequential);
@@ -1679,7 +1667,7 @@ mod tests {
         );
         p.node_mut(sort).annotations.device = Some(DeviceKind::Fpga);
         p.mark_output(sort);
-        let report = exec().offload(false).execute(&p, &registry()).unwrap();
+        let report = exec().level(OptLevel::L1).execute(&p, &registry()).unwrap();
         assert_eq!(report.offloaded, 0);
     }
 

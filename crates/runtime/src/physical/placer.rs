@@ -29,11 +29,11 @@ pub struct MigrationBill {
 ///
 /// When a node's input lives on a different engine than the resolved
 /// target, the placer invokes the migrator exactly once for that input,
-/// charging the transfer to its ledger and rehoming the dataset.
-#[derive(Debug, Clone)]
+/// charging the transfer to its ledger and rehoming the dataset. Every
+/// migration runs over the binary pipe ([`MigrationPath::BinaryPipe`]).
+#[derive(Debug, Clone, Default)]
 pub struct Placer {
     migrator: Migrator,
-    path: MigrationPath,
     metrics: Option<MetricsRegistry>,
 }
 
@@ -46,19 +46,12 @@ impl Placer {
         self
     }
 
-    /// This placer with a different migration path.
-    pub fn with_path(mut self, path: MigrationPath) -> Self {
-        self.path = path;
-        self
-    }
-
     /// A copy of this placer posting migration costs to `ledger` — the
     /// executor scopes one per task, so a task's migration events merge
     /// back with the rest of its bill, in node order.
     pub fn scoped(&self, ledger: CostLedger) -> Placer {
         Placer {
             migrator: self.migrator.clone().with_ledger(ledger),
-            path: self.path,
             metrics: self.metrics.clone(),
         }
     }
@@ -217,9 +210,12 @@ impl Placer {
                         .map_err(|e| {
                             Error::Migration(format!("cannot batch rows for migration: {e}"))
                         })?;
-                    let (rows2, report) = self
-                        .migrator
-                        .migrate(&batch, self.path, d.model, to_model)?;
+                    let (rows2, report) = self.migrator.migrate(
+                        &batch,
+                        MigrationPath::BinaryPipe,
+                        d.model,
+                        to_model,
+                    )?;
                     bill.seconds += report.total.as_secs();
                     bill.migrated_inputs += 1;
                     if let Some(metrics) = &self.metrics {
@@ -250,17 +246,6 @@ impl Placer {
             staged.push(d);
         }
         Ok((staged, bill))
-    }
-}
-
-impl Default for Placer {
-    /// A placer migrating over the binary pipe with a plain migrator.
-    fn default() -> Self {
-        Placer {
-            migrator: Migrator::new(),
-            path: MigrationPath::BinaryPipe,
-            metrics: None,
-        }
     }
 }
 

@@ -2,12 +2,10 @@
 //! keys, both held in one LRU.
 //!
 //! [`PlanCache`] memoizes compiled + optimized programs by query text,
-//! so repeat queries skip the frontend and the optimizer. The key
-//! includes the optimization level: changing the level (the Fig. 6
-//! ablation knob, exposed per-service by
-//! [`QueryService::set_opt_level`](crate::QueryService::set_opt_level))
-//! invalidates every plan cached at the old level simply by never
-//! matching it again.
+//! so repeat queries skip the frontend and the optimizer. Every plan is
+//! built at the system's one optimization level
+//! ([`PolystoreBuilder::opt_level`](pspp_core::PolystoreBuilder::opt_level)),
+//! fixed when the system is built, so the level is not part of the key.
 //!
 //! [`ResultCache`] goes one step further for read-only repeats: it
 //! memoizes whole execution reports keyed by `(plan digest,
@@ -34,7 +32,7 @@ use pspp_common::partition::{fnv1a, FNV_OFFSET};
 use pspp_common::Result;
 use pspp_core::{Polystore, RunReport};
 use pspp_ir::Program;
-use pspp_optimizer::{OptLevel, PlacementPlan, RewriteReport};
+use pspp_optimizer::{PlacementPlan, RewriteReport};
 use pspp_runtime::output_digest;
 use pspp_telemetry::{Counter, MetricsRegistry};
 
@@ -73,16 +71,13 @@ impl std::fmt::Display for Dialect {
     }
 }
 
-/// Cache key: (dialect, normalized query text, optimization level,
-/// engine-state epoch).
+/// Cache key: (dialect, normalized query text, engine-state epoch).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// The frontend dialect.
     pub dialect: Dialect,
     /// The query text (hetero programs use their spec rendering).
     pub text: String,
-    /// The optimization level the plan was produced at.
-    pub opt_level: OptLevel,
     /// The engine-state epoch the plan was produced under. A reshard
     /// (or any other engine mutation) bumps the epoch, so plans derived
     /// from the old layout stop matching — the same
@@ -95,8 +90,7 @@ impl PlanKey {
     /// the epoch — the plan-identity half of a [`ResultKey`] (the
     /// epoch rides separately so invalidation can reason about it).
     pub fn digest(&self) -> u64 {
-        let mut h = fnv1a(self.dialect.to_string().as_bytes(), FNV_OFFSET);
-        h = fnv1a(format!("{:?}", self.opt_level).as_bytes(), h);
+        let h = fnv1a(self.dialect.to_string().as_bytes(), FNV_OFFSET);
         fnv1a(self.text.as_bytes(), h)
     }
 }
@@ -117,7 +111,7 @@ pub struct CachedPlan {
 
 impl CachedPlan {
     /// Plans `query` on `system` for `key` — compile, optimize at the
-    /// key's level, bill the planning-cost model — the one plan build
+    /// system's level, bill the planning-cost model — the one plan build
     /// behind every cache and memo miss in the service tier.
     ///
     /// # Errors
@@ -129,7 +123,7 @@ impl CachedPlan {
             Query::Nlq(text) => system.compile_nlq(text)?,
             Query::Hetero(hetero) => system.compile(hetero)?,
         };
-        let (rewrites, placement) = system.optimize_at(&mut program, key.opt_level)?;
+        let (rewrites, placement) = system.optimize(&mut program)?;
         let plan_seconds = PLAN_BASE_SECONDS
             + PLAN_PER_BYTE_SECONDS * key.text.len() as f64
             + PLAN_PER_NODE_SECONDS * program.nodes().len() as f64;
@@ -569,11 +563,10 @@ mod tests {
     use super::*;
     use pspp_runtime::ExecutionReport;
 
-    fn key(text: &str, level: OptLevel) -> PlanKey {
+    fn key(text: &str) -> PlanKey {
         PlanKey {
             dialect: Dialect::Sql,
             text: text.into(),
-            opt_level: level,
             epoch: 0,
         }
     }
@@ -636,33 +629,25 @@ mod tests {
     #[test]
     fn hit_and_miss_counting() {
         let cache = PlanCache::new(8);
-        assert!(cache.get(&key("q1", OptLevel::L2)).is_none());
-        cache.insert(key("q1", OptLevel::L2), plan());
-        assert!(cache.get(&key("q1", OptLevel::L2)).is_some());
+        assert!(cache.get(&key("q1")).is_none());
+        cache.insert(key("q1"), plan());
+        assert!(cache.get(&key("q1")).is_some());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn opt_level_partitions_the_key_space() {
-        let cache = PlanCache::new(8);
-        cache.insert(key("q", OptLevel::L2), plan());
-        assert!(cache.get(&key("q", OptLevel::L3)).is_none());
-        assert!(cache.get(&key("q", OptLevel::L2)).is_some());
-    }
-
-    #[test]
     fn lru_eviction_at_capacity() {
         let cache = PlanCache::new(2);
-        cache.insert(key("a", OptLevel::L2), plan());
-        cache.insert(key("b", OptLevel::L2), plan());
+        cache.insert(key("a"), plan());
+        cache.insert(key("b"), plan());
         // Touch `a`, making `b` the LRU victim.
-        assert!(cache.get(&key("a", OptLevel::L2)).is_some());
-        cache.insert(key("c", OptLevel::L2), plan());
-        assert!(cache.get(&key("b", OptLevel::L2)).is_none());
-        assert!(cache.get(&key("a", OptLevel::L2)).is_some());
-        assert!(cache.get(&key("c", OptLevel::L2)).is_some());
+        assert!(cache.get(&key("a")).is_some());
+        cache.insert(key("c"), plan());
+        assert!(cache.get(&key("b")).is_none());
+        assert!(cache.get(&key("a")).is_some());
+        assert!(cache.get(&key("c")).is_some());
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
     }
@@ -670,8 +655,8 @@ mod tests {
     #[test]
     fn clear_preserves_counters() {
         let cache = PlanCache::new(4);
-        cache.insert(key("a", OptLevel::L2), plan());
-        cache.get(&key("a", OptLevel::L2));
+        cache.insert(key("a"), plan());
+        cache.get(&key("a"));
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().hits, 1);
@@ -742,15 +727,13 @@ mod tests {
 
     #[test]
     fn plan_key_digest_ignores_epoch() {
-        let mut a = key("select * from t", OptLevel::L2);
+        let mut a = key("select * from t");
         let mut b = a.clone();
         a.epoch = 1;
         b.epoch = 7;
         assert_eq!(a.digest(), b.digest());
-        let c = key("select * from u", OptLevel::L2);
+        let c = key("select * from u");
         assert_ne!(a.digest(), c.digest());
-        let d = key("select * from t", OptLevel::L1);
-        assert_ne!(a.digest(), d.digest());
     }
 
     #[test]

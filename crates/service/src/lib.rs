@@ -28,8 +28,9 @@
 //!   epoch)` compile and execution memos — so the same query sequence
 //!   costs the same simulated seconds in either.
 //! - [`PlanCache`] memoizes compiled + optimized plans keyed by
-//!   (dialect, query text, optimization level, engine-state epoch);
-//!   cache hits skip the frontend and optimizer entirely.
+//!   (dialect, query text, engine-state epoch); every plan is built at
+//!   the system's one optimization level, and cache hits skip the
+//!   frontend and optimizer entirely.
 //!   [`ResultCache`] memoizes whole executions keyed by `(plan digest,
 //!   engine-state epoch)`; hits bypass the executor and are billed at
 //!   lookup cost. Every engine mutation bumps the epoch, so stale hits
@@ -102,12 +103,12 @@ pub use sessions::{
     ReshardEvent, SessionCore, SessionCoreConfig, SessionCoreReport, SessionScript, SessionState,
     SessionStep, TenantReport,
 };
-pub use stats::{LatencyHistogram, ServiceReport, SessionReport};
+pub use stats::{ServiceReport, SessionReport};
 
 /// Locks `mutex`, recovering the guard if a holder panicked: every
-/// value this crate keeps under a mutex (counters, cache maps, the
-/// opt level) is valid after each single update, so a poisoned lock
-/// still guards usable data.
+/// value this crate keeps under a mutex (counters, cache maps, session
+/// lists) is valid after each single update, so a poisoned lock still
+/// guards usable data.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }

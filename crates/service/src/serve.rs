@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use pspp_common::Result;
 use pspp_core::Polystore;
-use pspp_optimizer::OptLevel;
 
 use crate::cache::{CachedPlan, CachedResult, Caches, PlanKey, ResultKey};
 use crate::service::Query;
@@ -73,18 +72,13 @@ fn execute(
     system: &Polystore,
     memos: Option<&mut Memos>,
     plan: &CachedPlan,
-    level: OptLevel,
     id: ResultKey,
 ) -> Result<Arc<CachedResult>> {
     if let Some(cached) = memos.as_ref().and_then(|m| m.executions.get(&id)) {
         return Ok(Arc::clone(cached));
     }
-    let (report, _) = system.run_optimized(
-        &plan.program,
-        level,
-        plan.rewrites.clone(),
-        plan.placement.clone(),
-    )?;
+    let (report, _) =
+        system.run_optimized(&plan.program, plan.rewrites.clone(), plan.placement.clone())?;
     let cached = Arc::new(CachedResult::new(report));
     if let Some(m) = memos {
         m.real_executions += 1;
@@ -102,20 +96,18 @@ pub(crate) struct Planned {
     pub(crate) hit: bool,
 }
 
-/// Resolves `query` to a plan at `level` under the current epoch:
+/// Resolves `query` to a plan under the current epoch:
 /// `caches`' plan cache first, [`compile`] (then the insert) on a miss.
 /// `caches = None` goes straight to the physical layer.
 pub(crate) fn plan(
     system: &Polystore,
     caches: Option<&Caches>,
     memos: Option<&mut Memos>,
-    level: OptLevel,
     query: &Query,
 ) -> Result<Planned> {
     let key = PlanKey {
         dialect: query.dialect(),
         text: query.key_text(),
-        opt_level: level,
         epoch: system.epoch(),
     };
     let id = ResultKey {
@@ -169,10 +161,9 @@ pub(crate) fn serve(
     system: &Polystore,
     caches: Option<&Caches>,
     mut memos: Option<&mut Memos>,
-    level: OptLevel,
     query: &Query,
 ) -> Result<Served> {
-    let planned = plan(system, caches, memos.as_deref_mut(), level, query)?;
+    let planned = plan(system, caches, memos.as_deref_mut(), query)?;
     let plan_seconds = if planned.hit {
         CACHE_HIT_SECONDS
     } else {
@@ -184,7 +175,7 @@ pub(crate) fn serve(
     let result = match cached {
         Some(result) => result,
         None => {
-            let result = execute(system, memos, &planned.plan, level, planned.id)?;
+            let result = execute(system, memos, &planned.plan, planned.id)?;
             if let Some(r) = results {
                 r.insert(planned.id, Arc::clone(&result));
             }

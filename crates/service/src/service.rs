@@ -2,7 +2,7 @@
 //! query execution over one shared [`Polystore`].
 //!
 //! Every query runs against a private per-run cost ledger
-//! ([`Polystore::execute_at`]), so simultaneous queries never
+//! ([`Polystore::run_optimized`]), so simultaneous queries never
 //! interleave their simulated accounting — per-query results and cost
 //! totals are bit-identical at any worker count. Planning cost is
 //! charged in simulated time on cache misses only, which is what makes
@@ -19,7 +19,6 @@ use pspp_accel::{CostLedger, DeviceKind, EventKind, SimDuration};
 use pspp_common::{Error, Result};
 use pspp_core::{Polystore, RunReport};
 use pspp_frontend::HeterogeneousProgram;
-use pspp_optimizer::OptLevel;
 use pspp_telemetry::MetricsRegistry;
 
 use crate::admission::{AdmissionConfig, PoolHandle, Ticket, WorkerPool};
@@ -146,7 +145,6 @@ struct ServiceInner {
     /// The plan cache and — when it is on for this service — the
     /// epoch-keyed result cache.
     caches: Caches,
-    opt_level: Mutex<OptLevel>,
     sessions: Mutex<Vec<Arc<SessionShared>>>,
     /// Folded statistics of closed sessions, so the session list does
     /// not grow forever on a long-lived service and closed sessions
@@ -156,10 +154,6 @@ struct ServiceInner {
 }
 
 impl ServiceInner {
-    fn effective_opt_level(&self) -> OptLevel {
-        *lock(&self.opt_level)
-    }
-
     /// Serves one query down [`serve::serve`] — plan through the
     /// cache, execute on a private per-run ledger. With the result
     /// cache on, a `(plan digest, epoch)` hit bypasses the executor
@@ -177,8 +171,7 @@ impl ServiceInner {
         if query.mutates_state() {
             self.system.bump_epoch();
         }
-        let level = self.effective_opt_level();
-        let served = serve::serve(&self.system, Some(&self.caches), None, level, query)?;
+        let served = serve::serve(&self.system, Some(&self.caches), None, query)?;
         let service_seconds = served.service_seconds();
         // The Arc is the cache's too when one holds it (a clone, as a
         // hit always was), and this query's alone otherwise (a move).
@@ -241,7 +234,6 @@ impl QueryService {
     ///
     /// Returns [`Error::Config`] for an invalid admission config.
     pub fn new(system: Arc<Polystore>, config: ServiceConfig) -> Result<Self> {
-        let opt_level = system.opt_level();
         let metrics = system.metrics().clone();
         let pool = WorkerPool::new(config.admission)?;
         pool.set_metrics(&metrics);
@@ -250,7 +242,6 @@ impl QueryService {
                 system,
                 caches: Caches::new(&metrics, true, config.result_cache.unwrap_or(false)),
                 metrics,
-                opt_level: Mutex::new(opt_level),
                 sessions: Mutex::new(Vec::new()),
                 closed: Mutex::new(SessionReport {
                     session: u64::MAX,
@@ -280,18 +271,6 @@ impl QueryService {
             }),
             pool: self.pool.handle(),
         }
-    }
-
-    /// Changes the optimization level for subsequent queries. Plans
-    /// cached at other levels stop matching (the level is part of the
-    /// cache key), so this doubles as cache invalidation.
-    pub fn set_opt_level(&self, level: OptLevel) {
-        *lock(&self.inner.opt_level) = level;
-    }
-
-    /// The level applied to queries submitted now.
-    pub fn opt_level(&self) -> OptLevel {
-        self.inner.effective_opt_level()
     }
 
     /// The shared underlying system.
@@ -332,8 +311,7 @@ impl QueryService {
     /// Propagates compile and optimize errors.
     pub fn warm(&self, query: &Query) -> Result<bool> {
         let inner = &self.inner;
-        let level = inner.effective_opt_level();
-        let planned = serve::plan(&inner.system, Some(&inner.caches), None, level, query)?;
+        let planned = serve::plan(&inner.system, Some(&inner.caches), None, query)?;
         Ok(!planned.hit)
     }
 
@@ -457,7 +435,7 @@ impl Session {
                         counters.result_hits += 1;
                     }
                     counters.sim_seconds += resp.service_seconds;
-                    counters.latency.record(resp.service_seconds);
+                    counters.latency.observe_seconds(resp.service_seconds);
                     // Feed the retry-after EWMA: simulated service
                     // time is the deterministic drain-rate estimate.
                     pool.record_service_micros((resp.service_seconds * 1e6) as u64);

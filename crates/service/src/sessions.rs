@@ -51,12 +51,12 @@ use pspp_common::partition::{fnv1a, FNV_OFFSET};
 use pspp_common::{Error, PartitionSpec, Result, TableRef};
 use pspp_core::Polystore;
 use pspp_runtime::RebalanceReport;
+use pspp_telemetry::HistogramData;
 
 use crate::admission::RetryAfter;
 use crate::cache::{CacheStats, Caches, ResultCacheStats};
 use crate::serve::{serve, Memos, Served};
 use crate::service::Query;
-use crate::stats::LatencyHistogram;
 
 /// Stride-scheduler scale: pass advances by `STRIDE / weight` per
 /// dispatched job.
@@ -184,7 +184,7 @@ pub struct TenantReport {
     /// Sum of simulated service seconds (plan + execution or lookup).
     pub sim_seconds: f64,
     /// Simulated wake-to-finish latency histogram.
-    pub latency: LatencyHistogram,
+    pub latency: HistogramData,
 }
 
 impl TenantReport {
@@ -232,7 +232,7 @@ pub struct SessionCoreReport {
     /// the run, in simulated seconds.
     pub retry_after_seconds: f64,
     /// All tenants' latency histograms merged.
-    pub latency: LatencyHistogram,
+    pub latency: HistogramData,
     /// Per-tenant plan-cache partitions folded together.
     pub plan_cache: CacheStats,
     /// Per-tenant result-cache partitions folded together.
@@ -479,7 +479,7 @@ impl<'a> EventLoop<'a> {
     fn measure(&mut self, system: &Polystore, tenant: usize, query: &Query) -> Result<Served> {
         let caches = &self.tenants[tenant].caches;
         let memos = Some(&mut self.memos);
-        serve(system, Some(caches), memos, system.opt_level(), query)
+        serve(system, Some(caches), memos, query)
     }
 
     /// Seats `job` on `worker`: measure it, fold its service time into
@@ -525,7 +525,7 @@ impl<'a> EventLoop<'a> {
             report.result_misses += 1;
         }
         report.sim_seconds += done.service_seconds;
-        report.latency.record(self.clock - woke);
+        report.latency.observe_seconds(self.clock - woke);
         self.digests[self.step_offset[session as usize] + step as usize] = Some(done.digest);
         self.advance_session(session, step);
 
@@ -622,7 +622,7 @@ impl<'a> EventLoop<'a> {
         for (session, step) in std::mem::take(&mut self.shed_steps) {
             let query = self.query_of(session, step);
             let memos = Some(&mut self.memos);
-            let served = serve(system, None, memos, system.opt_level(), query)?;
+            let served = serve(system, None, memos, query)?;
             let slot = self.step_offset[session as usize] + step as usize;
             self.digests[slot] = Some(served.result.digest());
         }
@@ -791,7 +791,7 @@ impl SessionCore {
             peak_queue: run.peak_queue,
             real_executions: run.memos.real_executions,
             retry_after_seconds: run.retry_after_seconds(),
-            latency: LatencyHistogram::new(),
+            latency: HistogramData::default(),
             plan_cache: CacheStats::default(),
             result_cache: ResultCacheStats::default(),
             tenants: Vec::with_capacity(run.tenants.len()),

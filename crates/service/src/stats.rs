@@ -1,100 +1,16 @@
-//! Service statistics: latency histograms, per-session counters, and
-//! the merged service-wide report.
+//! Service statistics: per-session counters and the merged
+//! service-wide report.
 //!
 //! Latencies are *simulated* seconds (planning cost + execution
-//! makespan), keeping every reported number deterministic; wall-clock
-//! micros are tracked alongside as an informational column.
+//! makespan), kept in the metrics registry's log₂-µs
+//! [`HistogramData`], so every reported number is deterministic;
+//! wall-clock micros are tracked alongside as an informational column.
 
 use std::fmt;
 
 use crate::admission::AdmissionStats;
 use crate::cache::{CacheStats, ResultCacheStats};
-use pspp_telemetry::MetricsSnapshot;
-
-/// Log₂-bucketed latency histogram over microseconds.
-///
-/// Bucket `i` counts latencies in `[2^(i-1), 2^i)` µs (bucket 0 is
-/// `< 1 µs`); the top bucket absorbs everything larger. Merging is
-/// element-wise, so per-session histograms roll up exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    buckets: [u64; Self::BUCKETS],
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: [0; Self::BUCKETS],
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Number of buckets (top of range ≈ 2^30 µs ≈ 18 minutes).
-    pub const BUCKETS: usize = 32;
-
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram::default()
-    }
-
-    fn bucket_for(micros: u64) -> usize {
-        let bits = u64::BITS - micros.leading_zeros();
-        (bits as usize).min(Self::BUCKETS - 1)
-    }
-
-    /// Records one latency, given in seconds.
-    pub fn record(&mut self, seconds: f64) {
-        let micros = (seconds.max(0.0) * 1e6) as u64;
-        self.buckets[Self::bucket_for(micros)] += 1;
-    }
-
-    /// Element-wise merge of another histogram.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// The standard reporting quantiles `(p50, p95, p99)`, in seconds
-    /// (zeros when empty). Estimates follow the upper-bound-of-bucket
-    /// rule of [`LatencyHistogram::quantile`], so each is biased high
-    /// by at most one power of two.
-    pub fn quantiles(&self) -> (f64, f64, f64) {
-        (
-            self.quantile(0.50).unwrap_or(0.0),
-            self.quantile(0.95).unwrap_or(0.0),
-            self.quantile(0.99).unwrap_or(0.0),
-        )
-    }
-
-    /// Approximate quantile (`q` in `[0, 1]`), reported as the upper
-    /// bound in seconds of the bucket containing that rank — a
-    /// deliberate conservative bias: the true quantile lies somewhere
-    /// in the bucket, so the estimate overshoots by at most 2x (the
-    /// bucket's width). `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let count = self.count();
-        if count == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                // Upper bound of bucket i: 2^i µs (bucket 0: 1 µs).
-                return Some((1u64 << i) as f64 * 1e-6);
-            }
-        }
-        None
-    }
-}
+use pspp_telemetry::{HistogramData, MetricsSnapshot};
 
 /// One session's (or the whole service's) counters.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -120,7 +36,7 @@ pub struct SessionReport {
     /// Sum of wall-clock microseconds spent from admission to reply.
     pub wall_micros: u64,
     /// Simulated-latency histogram.
-    pub latency: LatencyHistogram,
+    pub latency: HistogramData,
 }
 
 impl SessionReport {
@@ -221,14 +137,15 @@ impl fmt::Display for ServiceReport {
             self.admission.peak_queue,
             self.retry_after_seconds * 1e3
         )?;
-        let (p50, p95, p99) = self.merged.latency.quantiles();
+        let latency = &self.merged.latency;
+        let ms = |q| latency.quantile(q).unwrap_or(0.0) * 1e3;
         write!(
             f,
             "sim latency: p50 <= {:.3} ms, p95 <= {:.3} ms, p99 <= {:.3} ms over {} queries",
-            p50 * 1e3,
-            p95 * 1e3,
-            p99 * 1e3,
-            self.merged.latency.count()
+            ms(0.50),
+            ms(0.95),
+            ms(0.99),
+            latency.count
         )
     }
 }
@@ -236,51 +153,6 @@ impl fmt::Display for ServiceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_records_and_quantiles() {
-        let mut h = LatencyHistogram::new();
-        for _ in 0..99 {
-            h.record(1e-3); // ~1 ms
-        }
-        h.record(1.0); // one 1 s outlier
-        assert_eq!(h.count(), 100);
-        let p50 = h.quantile(0.5).unwrap();
-        assert!(p50 <= 2.1e-3, "p50 {p50}");
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p99 <= 2.1e-3, "p99 {p99}");
-        let p100 = h.quantile(1.0).unwrap();
-        assert!(p100 >= 1.0, "max {p100}");
-    }
-
-    #[test]
-    fn quantiles_report_p50_p95_p99_upper_bounds() {
-        let mut h = LatencyHistogram::new();
-        for _ in 0..94 {
-            h.record(1e-3);
-        }
-        for _ in 0..6 {
-            h.record(0.5);
-        }
-        let (p50, p95, p99) = h.quantiles();
-        assert!(p50 <= 2.1e-3, "p50 {p50}");
-        // Rank 95 lands in the 0.5 s block: upper bound of its bucket.
-        assert!(p95 >= 0.5, "p95 {p95}");
-        assert!(p99 >= p95, "quantiles are monotone");
-        assert_eq!(LatencyHistogram::new().quantiles(), (0.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn histogram_merge_is_exact() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(5e-6);
-        b.record(5e-6);
-        b.record(3e-2);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.count(), 3);
-    }
 
     #[test]
     fn session_reports_absorb() {

@@ -13,7 +13,8 @@
 //!   values touched from multiple threads (plain [`Gauge::set`] is reserved
 //!   for single-threaded contexts such as end-of-run reports).
 //!
-//! Histograms reuse the service layer's log₂-microsecond bucketing so the
+//! Histograms bucket by log₂ microseconds. The service layer keeps its
+//! session and tenant latencies in the same [`HistogramData`], so the
 //! Prometheus export and the in-process quantile estimates agree.
 
 use std::collections::BTreeMap;
@@ -47,11 +48,13 @@ impl MetricKind {
 type Labels = Vec<(String, String)>;
 
 /// Bucketed latency distribution: log₂-microsecond buckets plus an exact
-/// observation count and nanosecond sum (integers, so merges commute).
+/// observation count and nanosecond sum (integers, so merges commute and
+/// [`HistogramData::merge`] rolls per-session histograms up exactly).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramData {
-    /// `buckets[i]` counts observations with `2^(i-1) < µs <= 2^i` (bucket 0
-    /// holds everything at or below 1 µs).
+    /// `buckets[i]` counts observations with `2^(i-1) <= µs < 2^i` (bucket 0
+    /// holds everything below 1 µs); the top bucket absorbs everything
+    /// larger.
     pub buckets: [u64; HISTOGRAM_BUCKETS],
     /// Total number of observations.
     pub count: u64,
@@ -81,6 +84,15 @@ impl HistogramData {
         self.buckets[Self::bucket_for(nanos / 1_000)] += 1;
         self.count += 1;
         self.sum_nanos += nanos;
+    }
+
+    /// Folds `other`'s observations into this histogram.
+    pub fn merge(&mut self, other: &HistogramData) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum_nanos += other.sum_nanos;
     }
 
     /// Sum of all observations in seconds.
@@ -407,13 +419,55 @@ mod tests {
     #[test]
     fn histogram_quantile_uses_upper_bound() {
         let mut h = HistogramData::default();
-        h.observe_seconds(3e-6); // bucket 2: (2, 4] µs
+        h.observe_seconds(3e-6); // bucket 2: [2, 4) µs
         h.observe_seconds(3e-6);
-        h.observe_seconds(100e-6); // bucket 7: (64, 128] µs
+        h.observe_seconds(100e-6); // bucket 7: [64, 128) µs
         assert_eq!(h.count, 3);
         assert_eq!(h.quantile(0.5), Some(4e-6));
         assert_eq!(h.quantile(1.0), Some(128e-6));
         assert!((h.sum_seconds() - 106e-6).abs() < 1e-12);
+    }
+
+    /// Bucket `i` is `[2^(i-1), 2^i)` µs — an observation on a power of
+    /// two opens the next bucket — and a quantile reports its bucket's
+    /// upper edge.
+    #[test]
+    fn histogram_buckets_are_closed_below_and_open_above() {
+        let bucket_of = |seconds: f64| {
+            let mut h = HistogramData::default();
+            h.observe_seconds(seconds);
+            let i = h.buckets.iter().position(|&n| n == 1).unwrap();
+            assert_eq!(
+                h.quantile(0.5),
+                Some(HistogramData::bucket_upper_seconds(i))
+            );
+            i
+        };
+        assert_eq!(bucket_of(0.0), 0);
+        assert_eq!(bucket_of(0.999e-6), 0);
+        assert_eq!(bucket_of(1e-6), 1);
+        assert_eq!(bucket_of(2e-6), 2);
+        assert_eq!(bucket_of(3e-6), 2);
+        assert_eq!(bucket_of(4e-6), 3);
+        assert_eq!(bucket_of(1e6), HISTOGRAM_BUCKETS - 1);
+        // So 3 µs reports 4 µs, and an empty histogram reports nothing.
+        assert_eq!(HistogramData::bucket_upper_seconds(2), 4e-6);
+        assert_eq!(HistogramData::default().quantile(0.5), None);
+    }
+
+    #[test]
+    fn histogram_merge_is_exact() {
+        let mut a = HistogramData::default();
+        let (mut b, mut both) = (a.clone(), a.clone());
+        a.observe_seconds(5e-6);
+        b.observe_seconds(5e-6);
+        b.observe_seconds(3e-2);
+        for seconds in [5e-6, 5e-6, 3e-2] {
+            both.observe_seconds(seconds);
+        }
+        a.merge(&b);
+        assert_eq!(a, both);
+        assert_eq!(a.count, 3);
     }
 
     #[test]

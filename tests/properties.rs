@@ -508,7 +508,7 @@ proptest! {
             "inflated stats must offload something for the property to bite"
         );
         let on = executor().execute(&p, &registry).expect("offload run");
-        let off = executor().offload(false).execute(&p, &registry).expect("host run");
+        let off = executor().level(OptLevel::L1).execute(&p, &registry).expect("host run");
         prop_assert_eq!(format!("{:?}", on.outputs), format!("{:?}", off.outputs));
     }
 
@@ -569,7 +569,7 @@ proptest! {
         place_on(&model(false), &mut unfused, &registry);
         let on = executor().execute(&fused, &registry).expect("fused run");
         let off = executor().execute(&unfused, &registry).expect("unfused run");
-        let host = executor().offload(false).execute(&fused, &registry).expect("host run");
+        let host = executor().level(OptLevel::L1).execute(&fused, &registry).expect("host run");
         prop_assert_eq!(format!("{:?}", on.outputs), format!("{:?}", off.outputs));
         prop_assert_eq!(format!("{:?}", on.outputs), format!("{:?}", host.outputs));
         // Planned chains execute exactly as planned: no silent fission.
@@ -622,15 +622,16 @@ proptest! {
             exchange,
             ..PlanOptions::default()
         };
+        let level = if offload { OptLevel::L2 } else { OptLevel::L1 };
         let plain = executor()
             .options(options)
-            .offload(offload)
+            .level(level)
             .execute(&p, &registry)
             .expect("plain run");
         let metrics = polystorepp::telemetry::MetricsRegistry::new();
         let traced = executor()
             .options(options)
-            .offload(offload)
+            .level(level)
             .with_metrics(metrics.clone())
             .execute(&p, &registry)
             .expect("traced run");

@@ -96,36 +96,40 @@ impl Column {
         }
     }
 
-    /// Appends the entries at `at` to `out` as values, in that order:
-    /// NULL where `valid` is clear. The variant is matched once, and
-    /// then one loop runs over the positions.
+    /// Writes the entries at `at` as values into `slots` (say
+    /// `slab.iter_mut().skip(c).step_by(width)`), in that order, leaving
+    /// a slot alone where `valid` is clear: the variant is matched once,
+    /// and then one typed loop writes the column.
     ///
     /// # Panics
     ///
     /// Panics if an index is out of bounds of the column or of `valid`.
-    pub fn values_at(&self, valid: &[bool], at: impl Iterator<Item = usize>, out: &mut Vec<Value>) {
-        fn extend<T>(
-            out: &mut Vec<Value>,
+    pub fn values_into<'s>(
+        &self,
+        valid: &[bool],
+        at: impl Iterator<Item = usize>,
+        slots: impl Iterator<Item = &'s mut Value>,
+    ) {
+        fn write<'s, T>(
             values: &[T],
             valid: &[bool],
-            at: impl Iterator<Item = usize>,
+            cells: impl Iterator<Item = (usize, &'s mut Value)>,
             value: impl Fn(&T) -> Value,
         ) {
-            out.extend(at.map(|p| {
+            for (p, slot) in cells {
                 if valid[p] {
-                    value(&values[p])
-                } else {
-                    Value::Null
+                    *slot = value(&values[p]);
                 }
-            }));
+            }
         }
+        let cells = at.zip(slots);
         match self {
-            Column::Bool(v) => extend(out, v, valid, at, |&b| Value::Bool(b)),
-            Column::Int(v) => extend(out, v, valid, at, |&x| Value::Int(x)),
-            Column::Float(v) => extend(out, v, valid, at, |&x| Value::Float(x)),
-            Column::Str(v) => extend(out, v, valid, at, |s| Value::Str(s.clone())),
-            Column::Bytes(v) => extend(out, v, valid, at, |b| Value::Bytes(b.clone())),
-            Column::Timestamp(v) => extend(out, v, valid, at, |&t| Value::Timestamp(t)),
+            Column::Bool(v) => write(v, valid, cells, |&b| Value::Bool(b)),
+            Column::Int(v) => write(v, valid, cells, |&x| Value::Int(x)),
+            Column::Float(v) => write(v, valid, cells, |&x| Value::Float(x)),
+            Column::Str(v) => write(v, valid, cells, |s| Value::Str(s.clone())),
+            Column::Bytes(v) => write(v, valid, cells, |b| Value::Bytes(b.clone())),
+            Column::Timestamp(v) => write(v, valid, cells, |&t| Value::Timestamp(t)),
         }
     }
 
@@ -492,6 +496,65 @@ mod tests {
             ("name", DataType::Str),
             ("w", DataType::Float),
         ])
+    }
+
+    /// A slab of two-wide rows, every slot `sentinel`; writes
+    /// `column`'s entries at `at` into slot 1 of each row and returns
+    /// the slab.
+    fn into_slot_one(column: &Column, valid: &[bool], at: &[usize]) -> Vec<Value> {
+        let sentinel = Value::from("untouched");
+        let mut slab = vec![sentinel; 2 * at.len()];
+        let slots = slab.iter_mut().skip(1).step_by(2);
+        column.values_into(valid, at.iter().copied(), slots);
+        slab
+    }
+
+    #[test]
+    fn values_into_writes_each_variant_a_stride_apart_and_skips_nulls() {
+        let untouched = Value::from("untouched");
+        let columns = [
+            Column::Bool(vec![true, false, true]),
+            Column::Int(vec![7, -1, i64::MIN]),
+            Column::Float(vec![-0.0, f64::INFINITY, 2.5]),
+            Column::Str(vec!["a".into(), String::new(), "ccc".into()]),
+            Column::Bytes(vec![vec![1], vec![], vec![2, 3]]),
+            Column::Timestamp(vec![0, 5, -9]),
+        ];
+        // Entry 1 is NULL; entry 2 is read twice, out of order.
+        let (valid, at) = ([true, false, true], [2, 1, 0, 2]);
+        for column in &columns {
+            let slab = into_slot_one(column, &valid, &at);
+            for (k, &p) in at.iter().enumerate() {
+                let want = if valid[p] {
+                    column.value(p)
+                } else {
+                    untouched.clone()
+                };
+                assert_eq!(slab[2 * k + 1], want, "{column:?} read {k}");
+                assert_eq!(slab[2 * k], untouched, "{column:?} slot 0 of row {k}");
+            }
+        }
+        // Bits, not only equality: `-0.0` stays `-0.0`.
+        let slab = into_slot_one(&columns[2], &valid, &[0]);
+        assert!(matches!(slab[1], Value::Float(x) if x.to_bits() == (-0.0f64).to_bits()));
+    }
+
+    #[test]
+    fn values_into_stops_at_the_shorter_of_positions_and_slots() {
+        let column = Column::Int(vec![10, 20, 30]);
+        let mut slab = vec![Value::Null; 4];
+        // Width 3, offset 2: one slot, at index 2.
+        column.values_into(
+            &[true; 3],
+            [1, 2].into_iter(),
+            slab.iter_mut().skip(2).step_by(3),
+        );
+        assert_eq!(
+            slab,
+            [Value::Null, Value::Null, Value::Int(20), Value::Null]
+        );
+        column.values_into(&[true; 3], std::iter::empty(), slab.iter_mut());
+        assert_eq!(slab[2], Value::Int(20));
     }
 
     #[test]

@@ -13,8 +13,10 @@ use crate::value::Value;
 /// A row is a window onto a shared immutable slab of values, so `clone`
 /// is a reference-count bump: an operator that passes a row through
 /// unchanged (scan, filter, sort, limit, shuffle routing) hands it on by
-/// pointer. A kernel that builds many rows ([`Row::slab`]) cuts them out
-/// of one slab, one allocation for all of them; a row built on its own
+/// pointer. A kernel that builds many rows cuts them out of one slab,
+/// one allocation for all of them: a row kernel fills the slab in place
+/// a column at a time ([`Row::slab_with`]), a decoder writes it row
+/// after row ([`Row::slab`]). A row built on its own
 /// ([`Row::from`], `collect`, [`Row::project`], [`Row::concat`]) has a
 /// slab of its own. The slab lives while any of its rows does: a prefix
 /// or a filter of a kernel's output keeps the whole output's values
@@ -71,9 +73,33 @@ impl Row {
         }
         let width = total / rows;
         assert_eq!(width * rows, total, "{total} values in {rows} rows");
-        let (rows, width) = (window(rows), window(width));
         window(total);
-        let slab: Arc<[Value]> = values.collect();
+        Row::cut(values.collect(), rows, width)
+    }
+
+    /// `rows` rows of `width` values cut from one slab that `fill` writes
+    /// in place: the slab, row after row, is collected as NULLs straight
+    /// into its allocation, handed to `fill` (a slot it leaves alone
+    /// stays NULL), and only then cut into rows. A kernel fills slot `c`
+    /// of every row a column at a time, staging no column anywhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than `u32::MAX` values or rows.
+    pub fn slab_with(rows: usize, width: usize, fill: impl FnOnce(&mut [Value])) -> Vec<Row> {
+        // A product that saturates is past any window too.
+        let total = window(rows.saturating_mul(width));
+        let mut slab: Arc<[Value]> = (0..total).map(|_| Value::Null).collect();
+        // The slab has no other owner yet, so this is the slab itself,
+        // not a copy.
+        fill(Arc::make_mut(&mut slab));
+        Row::cut(slab, rows, width)
+    }
+
+    /// `slab`, `rows × width` values checked to fit a window, cut into
+    /// `rows` rows of `width` values, row after row.
+    fn cut(slab: Arc<[Value]>, rows: usize, width: usize) -> Vec<Row> {
+        let (rows, width) = (window(rows), window(width));
         (0..rows)
             .map(|r| Row {
                 slab: Arc::clone(&slab),
@@ -377,6 +403,47 @@ mod tests {
         assert!(grid.is_empty());
         let grid = Row::slab(2, row_major(2, 0, |_, _| Value::Null));
         assert_eq!(grid, vec![Row::new(); 2]);
+    }
+
+    #[test]
+    fn a_filled_slab_is_one_slab_cut_into_windows() {
+        // Column 0 written, column 2 written a row short, column 1 never.
+        let rows = Row::slab_with(3, 3, |slab| {
+            assert_eq!(slab.len(), 9);
+            assert!(slab.iter().all(Value::is_null));
+            for (r, slot) in slab.iter_mut().step_by(3).enumerate() {
+                *slot = Value::Int(r as i64);
+            }
+            for (r, slot) in slab.iter_mut().skip(2).step_by(3).take(2).enumerate() {
+                *slot = Value::from(format!("s{r}"));
+            }
+        });
+        let own = vec![
+            row![0i64, Value::Null, "s0"],
+            row![1i64, Value::Null, "s1"],
+            row![2i64, Value::Null, Value::Null],
+        ];
+        assert_eq!(rows, own);
+        for (r, row) in rows.iter().enumerate() {
+            assert!(Arc::ptr_eq(&row.slab, &rows[0].slab), "row {r}");
+            assert_eq!((row.start, row.len), (3 * r as u32, 3));
+            assert_eq!(hash_of(row), hash_of(&own[r]));
+        }
+        assert_eq!(rows[0].slab.len(), 9);
+    }
+
+    #[test]
+    fn a_filled_slab_of_no_rows_or_of_empty_rows() {
+        let mut seen = None;
+        assert!(Row::slab_with(0, 4, |slab| seen = Some(slab.len())).is_empty());
+        assert_eq!(seen, Some(0));
+        let empty = Row::slab_with(3, 0, |slab| seen = Some(slab.len()));
+        assert_eq!(seen, Some(0));
+        assert_eq!(empty, vec![Row::new(); 3]);
+        for row in &empty {
+            assert!(row.is_empty());
+            assert_eq!(hash_of(row), hash_of(&Row::new()));
+        }
     }
 
     #[test]

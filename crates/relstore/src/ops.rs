@@ -23,15 +23,15 @@
 //! of the slice.
 //!
 //! A kernel that builds rows out of the rows read — a projection, a
-//! join's matched pairs, a scan that projects — builds them a column at
-//! a time: it lists the indices of the rows read that each output row
-//! takes (a join: each left row once per match, beside the right rows
-//! it matched or, in a left outer join, a pad), copies each output
-//! column out of the image at those rows with one typed loop
-//! ([`pspp_common::Column::values_at`]; `Str` and `Bytes` included),
-//! and then moves each value once into its row: every row of the output
-//! is a window onto one slab ([`Row::slab`]), one allocation for all of
-//! them. [`group_by_at`] emits its rows the same way, and keeps each
+//! join's matched pairs, a scan that projects — fills them in place a
+//! column at a time: it lists the indices of the rows read that each
+//! output row takes (a join: each left row once per match, beside the
+//! right rows it matched or, in a left outer join, a pad), and writes
+//! each output column out of the image into its slot of every row of
+//! one slab of NULLs ([`Row::slab_with`]) with one typed loop
+//! ([`pspp_common::Column::values_into`]; `Str` and `Bytes` included),
+//! staging no column on its own. [`group_by_at`] fills its rows the
+//! same way, and keeps each
 //! aggregate's state in a vector a slot per group, `Sum` and `Avg` of an
 //! `Int`, `Float` or `Timestamp` column folded straight off the image a
 //! part's run at a time. Only a part without an image — rows a
@@ -445,14 +445,15 @@ impl<'a> Selected<'a> {
         value_at(source, typed(source, column), p, column)
     }
 
-    /// Column `column` of the rows read at `reads` (indices into the
-    /// rows read, [`PAD`] for a NULL), in that order. A run of reads in
-    /// one part is copied out of that snapshot's image by
-    /// [`Column::values_at`], the column's variant matched once per run,
-    /// and read through the rows only where the part has no image.
-    fn gather(&self, column: usize, reads: &[u32]) -> Vec<Value> {
-        let column = self.source_column(column);
-        let mut out = Vec::with_capacity(reads.len());
+    /// Writes column `c` of the rows read at `reads` (indices into the
+    /// rows read, [`PAD`] for a NULL left as it is), in that order,
+    /// into slot `offset` of each `width`-wide row of `out`. A run of
+    /// reads in one part is written out of that snapshot's image by
+    /// [`Column::values_into`], and read through the rows only where the
+    /// part has no image.
+    fn gather_into(&self, c: usize, reads: &[u32], out: &mut [Value], width: usize, offset: usize) {
+        debug_assert_eq!(out.len(), reads.len() * width, "one row per read");
+        let column = self.source_column(c);
         let part = |&i: &u32| match (i, self.parts) {
             (PAD, _) => None,
             (_, Parts::One(_)) => Some(0),
@@ -463,9 +464,11 @@ impl<'a> Selected<'a> {
             Parts::One(_) => u32::MAX,
             Parts::Many(_) => LOCAL_MASK,
         };
+        let mut slots = out.iter_mut().skip(offset).step_by(width);
         for run in reads.chunk_by(|a, b| part(a) == part(b)) {
+            let run_slots = slots.by_ref().take(run.len());
             let Some(part) = part(&run[0]) else {
-                out.resize(out.len() + run.len(), Value::Null);
+                run_slots.for_each(drop);
                 continue;
             };
             let source = self.part(part);
@@ -473,59 +476,46 @@ impl<'a> Selected<'a> {
                 .iter()
                 .map(|&i| (self.position(i as usize) & mask) as usize);
             match typed(source, column) {
-                Some((values, valid)) => values.values_at(valid, rows, &mut out),
-                None => out.extend(rows.map(|p| source.rows[p][column].clone())),
+                Some((values, valid)) => values.values_into(valid, rows, run_slots),
+                None => rows
+                    .zip(run_slots)
+                    .for_each(|(p, v)| *v = source.rows[p][column].clone()),
             }
         }
-        out
     }
 }
 
-/// The read index [`Selected::gather`] reads as NULL: a left outer
+/// The read index [`Selected::gather_into`] leaves NULL: a left outer
 /// join's pad. No read index is `u32::MAX`: [`Selected::all`] refuses
 /// that many rows, and as many positions would take 16 GiB.
 const PAD: u32 = u32::MAX;
 
-/// The rows whose columns are `columns`, each `rows` values long: row
-/// `i` takes the `i`-th value of every column, moved, and every row is
-/// cut from one slab ([`Row::slab`]). `sized` is told each row's
-/// payload bytes, in order (rows of no columns have none to tell).
-fn assemble(columns: Vec<Vec<Value>>, rows: usize, mut sized: impl FnMut(u64)) -> Vec<Row> {
-    debug_assert!(
-        columns.iter().all(|column| column.len() == rows),
-        "a column is not {rows} values long"
-    );
-    let width = columns.len();
-    let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
+/// `rows` rows of `width` values cut from one slab that `fill` writes in
+/// place a column at a time ([`Row::slab_with`]), and their payload
+/// bytes, summed over the filled slab.
+fn filled(rows: usize, width: usize, fill: impl FnOnce(&mut [Value])) -> (Vec<Row>, u64) {
     let mut bytes = 0;
-    let cells = row_major(rows, width, |_, c| {
-        let value = columns[c].next().unwrap_or(Value::Null);
-        bytes += value.byte_size() as u64;
-        if c + 1 == width {
-            sized(std::mem::take(&mut bytes));
-        }
-        value
+    let out = Row::slab_with(rows, width, |slab| {
+        fill(slab);
+        bytes = slab.iter().map(|v| v.byte_size() as u64).sum();
     });
-    Row::slab(rows, cells)
+    (out, bytes)
 }
 
-/// Columns `columns` of every row `input` reads, in order, built a
-/// column at a time ([`Selected::gather`], then [`assemble`]); `sized`
-/// is told each row's payload bytes.
-pub(crate) fn build_rows(
-    input: Selected<'_>,
-    columns: &[usize],
-    sized: impl FnMut(u64),
-) -> Vec<Row> {
+/// Writes columns `columns` of every row `input` reads, in order, into
+/// the first slots of the `width`-wide rows of `out`, a column at a time
+/// ([`Selected::gather_into`]).
+pub(crate) fn gather_all(input: Selected<'_>, columns: &[usize], out: &mut [Value], width: usize) {
     let reads: Vec<u32> = (0..input.len() as u32).collect();
-    let gathered = columns.iter().map(|&c| input.gather(c, &reads)).collect();
-    assemble(gathered, reads.len(), sized)
+    for (offset, &c) in columns.iter().enumerate() {
+        input.gather_into(c, &reads, out, width, offset);
+    }
 }
 
 /// Every row `input` reads — its `arity` columns — followed by its
-/// value of `appended`, built a column at a time into rows of one slab
-/// ([`Row::slab`]), and their payload bytes: an ML operator's input with
-/// its answer for each row.
+/// value of `appended`, filled a column at a time into rows of one slab
+/// ([`Row::slab_with`]), and their payload bytes: an ML operator's input
+/// with its answer for each row.
 ///
 /// # Errors
 ///
@@ -543,12 +533,12 @@ pub fn append_column(
             input.len()
         )));
     }
-    let reads: Vec<u32> = (0..input.len() as u32).collect();
-    let mut columns: Vec<Vec<Value>> = (0..arity).map(|c| input.gather(c, &reads)).collect();
-    columns.push(appended);
-    let mut bytes = 0;
-    let rows = assemble(columns, reads.len(), |width| bytes += width);
-    Ok((rows, bytes))
+    let columns: Vec<usize> = (0..arity).collect();
+    Ok(filled(input.len(), arity + 1, |slab| {
+        gather_all(input, &columns, slab, arity + 1);
+        let slots = slab.iter_mut().skip(arity).step_by(arity + 1);
+        slots.zip(appended).for_each(|(slot, value)| *slot = value);
+    }))
 }
 
 /// The rows of each of `parts` snapshots that `positions`, tagged
@@ -668,8 +658,8 @@ pub fn project_at(
         .iter()
         .map(|c| schema.require(c))
         .collect::<Result<_>>()?;
-    let mut bytes = 0u64;
-    let out = build_rows(input, &idx, |width| bytes += width);
+    let fill = |slab: &mut _| gather_all(input, &idx, slab, idx.len());
+    let (out, bytes) = filled(input.len(), idx.len(), fill);
     Ok((out_schema, out, bytes))
 }
 
@@ -984,24 +974,26 @@ impl JoinEmit {
         })
     }
 
-    /// The output rows of the pairs `(lefts[k], rights[k])` of read
-    /// indices into `left` and `right` (a right [`PAD`] reads NULL),
-    /// built a column at a time; their payload bytes are added to
-    /// `bytes`.
+    /// The join's output: its schema, the rows of the pairs `(lefts[k],
+    /// rights[k])` of read indices into `left` and `right` (a right
+    /// [`PAD`] stays NULL), filled into one slab a column at a time, and
+    /// their payload bytes.
     fn rows(
-        &self,
+        self,
         (left, lefts): (Selected<'_>, &[u32]),
         (right, rights): (Selected<'_>, &[u32]),
-        bytes: &mut u64,
-    ) -> Vec<Row> {
-        let columns = self.columns.iter().map(|&(from_right, at)| {
-            if from_right {
-                right.gather(at, rights)
-            } else {
-                left.gather(at, lefts)
+    ) -> (Schema, Vec<Row>, u64) {
+        let width = self.columns.len();
+        let (out, bytes) = filled(lefts.len(), width, |slab| {
+            for (offset, &(from_right, at)) in self.columns.iter().enumerate() {
+                if from_right {
+                    right.gather_into(at, rights, slab, width, offset);
+                } else {
+                    left.gather_into(at, lefts, slab, width, offset);
+                }
             }
         });
-        assemble(columns.collect(), lefts.len(), |width| *bytes += width)
+        (self.schema, out, bytes)
     }
 }
 
@@ -1126,9 +1118,7 @@ pub fn hash_join_with(
         }
         produced(pairs);
     }
-    let mut bytes = 0u64;
-    let out = emit.rows((left, &lefts), (right, &rights), &mut bytes);
-    Ok((emit.schema, out, bytes))
+    Ok(emit.rows((left, &lefts), (right, &rights)))
 }
 
 /// The key words of both sides of a join, comparable with each other:
@@ -1609,9 +1599,7 @@ pub fn sort_merge_join_with(
             }
         }
     }
-    let mut bytes = 0u64;
-    let out = emit.rows((left, &lefts), (right, &rights), &mut bytes);
-    Ok((emit.schema, out, bytes))
+    Ok(emit.rows((left, &lefts), (right, &rights)))
 }
 
 /// Group-by aggregation.
@@ -1717,19 +1705,18 @@ pub fn group_by_at(
 
     // A typed key is read out of the image: no row is touched.
     let firsts: Vec<u32> = firsts.iter().map(|&i| i as u32).collect();
-    let mut keys: Vec<_> = (key_idx.iter())
-        .map(|&c| input.gather(c, &firsts).into_iter())
-        .collect();
-    let mut bytes = 0u64;
-    let cells = row_major(groups, keys.len() + aggs.len(), |g, c| {
-        let value = match c.checked_sub(keys.len()) {
-            None => keys[c].next().unwrap_or(Value::Null),
-            Some(a) => states[a].finish(aggs[a].agg, g, group_rows[g]),
-        };
-        bytes += value.byte_size() as u64;
-        value
+    let width = key_idx.len() + aggs.len();
+    let (out, bytes) = filled(groups, width, |slab| {
+        for (offset, &c) in key_idx.iter().enumerate() {
+            input.gather_into(c, &firsts, slab, width, offset);
+        }
+        for (a, state) in states.iter_mut().enumerate() {
+            let slots = slab.iter_mut().skip(key_idx.len() + a).step_by(width);
+            for (g, slot) in slots.enumerate() {
+                *slot = state.finish(aggs[a].agg, g, group_rows[g]);
+            }
+        }
     });
-    let out = Row::slab(groups, cells);
     Ok((out_schema, out, bytes))
 }
 

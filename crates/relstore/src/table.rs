@@ -307,11 +307,13 @@ impl Selection {
     }
 
     /// The selected rows, in order: the snapshots' rows, shared — or,
-    /// when the selection projects, its columns built a column at a time
-    /// out of the images into rows of one slab.
+    /// when the selection projects, its columns filled a column at a
+    /// time out of the images into rows of one slab.
     pub fn rows(&self) -> Vec<Row> {
         if let Some(columns) = self.columns() {
-            return crate::ops::build_rows(self.selected().through(None), columns, |_| {});
+            let input = self.selected().through(None);
+            let fill = |slab: &mut _| crate::ops::gather_all(input, columns, slab, columns.len());
+            return Row::slab_with(self.len(), columns.len(), fill);
         }
         let rows = |snapshot: &Snapshot, run: &[u32], mask: u32, out: &mut Vec<Row>| {
             let rows = &snapshot.rows;

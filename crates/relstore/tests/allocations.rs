@@ -1,0 +1,171 @@
+//! The row kernels fill their output in place: one slab for every row,
+//! written a column at a time, with no column staged on its own. Held
+//! here by counting heap allocations: a numeric projection, a hash
+//! join's emit and a group-by allocate a number of times that does not
+//! grow with the output's width W beyond the one name each output
+//! column has in the output schema (and a projection's count does not
+//! grow with its row count N either). A kernel that stages a column in
+//! a vector of its own allocates once more per column, and fails.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use pspp_common::{DataType, Predicate, Row, Schema, Value};
+use pspp_relstore::ops::{self, AggregateSpec, JoinKind};
+use pspp_relstore::{RelationalStore, Selection};
+
+/// The system allocator, counting the fresh allocations each thread
+/// makes (a vector growing in place or moving is not one). The test
+/// harness runs each test on a thread of its own, so one test's count is
+/// its own.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn counted() {
+    // Past the thread's end the count is gone; nothing reads it then.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees are this allocator's; the count is
+// a thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        counted();
+        // SAFETY: the caller's guarantees for `alloc` are passed on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        counted();
+        // SAFETY: the caller's guarantees for `alloc_zeroed` are passed on.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller's guarantees for `realloc` are passed on.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's guarantees for `dealloc` are passed on.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The allocations `f` makes on this thread; what it returns is dropped
+/// after the count is taken.
+fn allocations<T>(f: impl FnOnce() -> T) -> usize {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    let made = ALLOCATIONS.with(Cell::get) - before;
+    drop(out);
+    made
+}
+
+/// A store with table `t(c0 … c7)` of `rows` `Int` rows (every seventh
+/// value NULL), and a scan of `t` keeping every other row.
+fn scanned(rows: i64) -> (Schema, RelationalStore, Selection) {
+    let names: Vec<String> = (0..8).map(|c| format!("c{c}")).collect();
+    let schema = Schema::new(names.iter().map(|n| (n.as_str(), DataType::Int)).collect());
+    let mut store = RelationalStore::new("db");
+    store.create_table("t", schema.clone()).unwrap();
+    let row = |r: i64| {
+        let value = |c: i64| match (r * 8 + c) % 7 {
+            0 => Value::Null,
+            _ => Value::Int(r % 13 + c),
+        };
+        (0..8).map(value).collect::<Row>()
+    };
+    store.insert("t", (0..rows).map(row).collect()).unwrap();
+    let (selection, _) = store.scan_kept("t", &Predicate::True, None, None).unwrap();
+    let positions: Vec<u32> = selection.positions().iter().copied().step_by(2).collect();
+    let selection = selection.with_positions(positions).unwrap();
+    (schema, store, selection)
+}
+
+/// Asserts that `count(w)` less `w + extra` — an output of `w + extra`
+/// columns, each with one name — is the same at every width `w` of
+/// `widths`.
+fn flat_in_width(
+    kernel: &str,
+    widths: &[usize],
+    extra: usize,
+    mut count: impl FnMut(usize) -> usize,
+) {
+    let counts: Vec<(usize, usize)> = widths.iter().map(|&w| (w, count(w))).collect();
+    let beyond_names: Vec<usize> = counts.iter().map(|&(w, n)| n - (w + extra)).collect();
+    assert!(
+        beyond_names.windows(2).all(|pair| pair[0] == pair[1]),
+        "{kernel}: allocations by width {counts:?} grow beyond one name per output column"
+    );
+}
+
+#[test]
+fn a_numeric_projection_allocates_the_same_at_every_width_and_length() {
+    for rows in [64, 1024] {
+        let (schema, _store, selection) = scanned(rows);
+        let names = ["c3", "c0", "c7", "c1", "c5", "c2", "c6", "c4"];
+        flat_in_width("project_at", &[1, 2, 4, 8], 0, |w| {
+            let out = ops::project_at(&schema, selection.selected(), &names[..w]).unwrap();
+            assert_eq!(out.1.len(), selection.len());
+            allocations(|| ops::project_at(&schema, selection.selected(), &names[..w]))
+        });
+    }
+    let at = |rows| {
+        let (schema, _store, selection) = scanned(rows);
+        allocations(|| ops::project_at(&schema, selection.selected(), &["c2", "c5", "c1"]))
+    };
+    assert_eq!(at(64), at(1024), "project_at allocates per row");
+}
+
+#[test]
+fn a_hash_join_emit_allocates_the_same_at_every_width() {
+    let (schema, _store, selection) = scanned(512);
+    let (right_schema, _right_store, right) = scanned(96);
+    let names: Vec<String> = ["c1", "c2", "c3", "c4", "c5", "c6", "c7", "c0_r"]
+        .map(String::from)
+        .to_vec();
+    for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+        flat_in_width("hash_join_with", &[1, 2, 4, 8], 0, |w| {
+            let join = || {
+                let (left, right) = (selection.selected(), right.selected());
+                let (c0, demand) = ("c0", Some(&names[..w]));
+                ops::hash_join_with(
+                    &schema,
+                    left,
+                    &right_schema,
+                    right,
+                    c0,
+                    c0,
+                    kind,
+                    demand,
+                    |_| {},
+                )
+                .unwrap()
+            };
+            assert!(!join().1.is_empty());
+            allocations(join)
+        });
+    }
+}
+
+#[test]
+fn a_group_by_allocates_the_same_at_every_key_count() {
+    let (schema, _store, selection) = scanned(1024);
+    let keys = ["c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"];
+    let aggs = [AggregateSpec::count("n")];
+    // Two keys and more take the same generic grouping; one key, the
+    // typed one.
+    flat_in_width("group_by_at", &[2, 3, 5, 8], 1, |w| {
+        let group = || ops::group_by_at(&schema, selection.selected(), &keys[..w], &aggs);
+        assert!(group().unwrap().1.len() > 1);
+        allocations(group)
+    });
+}

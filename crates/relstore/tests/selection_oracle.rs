@@ -566,6 +566,16 @@ fn kernels_agree(
     prop_assert!(same_rows(&got, &want));
     prop_assert_eq!(bytes, walked(&want));
     prop_assert_eq!(sel.byte_size(), walked(&built));
+
+    // An ML operator's output: each row read, then its answer.
+    let answers: Vec<Value> = (0..built.len() as i64).map(Value::Int).collect();
+    let (got, bytes) =
+        ops::append_column(sel.selected(), arity, answers.clone()).expect("an answer a row");
+    let want: Vec<Row> = (built.iter().zip(answers))
+        .map(|(row, answer)| row.iter().cloned().chain([answer]).collect())
+        .collect();
+    prop_assert!(same_rows(&got, &want), "appended to {built:?}: got {got:?}");
+    prop_assert_eq!(bytes, walked(&want));
     Ok(())
 }
 

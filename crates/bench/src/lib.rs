@@ -356,7 +356,7 @@ fn run_sql_all(system: &Polystore, queries: &[&str]) -> Result<Vec<RunReport>> {
     queries.iter().map(|q| system.run_sql(q)).collect()
 }
 
-/// E1 (Fig. 1): recommendation app across RDBMS + KV + TS — polystore
+/// E1 (Fig. 1): recommendation app across RDBMS + TS — polystore
 /// federation vs one-size-fits-all (copy everything into one store
 /// first).
 fn e01_recommendation() -> Result<String> {

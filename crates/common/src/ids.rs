@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use crate::EngineKind;
-
 /// Identifies a registered engine instance within a Polystore++ deployment.
 ///
-/// Multiple instances of the same [`EngineKind`] may coexist (the paper's
-/// DB1/DB2 example in §III both speak relational).
+/// Multiple instances of the same [`crate::EngineKind`] may coexist (the
+/// paper's DB1/DB2 example in §III both speak relational).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EngineId(String);
 
@@ -64,21 +62,6 @@ impl TableRef {
 impl fmt::Display for TableRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}.{}", self.engine, self.name)
-    }
-}
-
-/// A placement target: a kind of engine plus an instance id; used by plans.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct EngineInstance {
-    /// Instance id.
-    pub id: EngineId,
-    /// Engine kind.
-    pub kind: EngineKind,
-}
-
-impl fmt::Display for EngineInstance {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}({})", self.id, self.kind)
     }
 }
 

@@ -1,10 +1,10 @@
 //! Common data model and utilities shared by every Polystore++ crate.
 //!
 //! A polystore federates engines with *different* data models (relational,
-//! key/value, timeseries, graph, array, text, stream, tensor — §II-A of the
-//! paper). This crate defines the lowest common denominator those engines
-//! exchange: dynamically typed [`Value`]s, [`Schema`]s, row-major [`Row`]s
-//! and column-major [`Batch`]es, plus the [`DataModel`]/[`EngineKind`] tags
+//! timeseries, graph, text, tensor — §II-A of the paper). This crate
+//! defines the lowest common denominator those engines exchange:
+//! dynamically typed [`Value`]s, [`Schema`]s, row-major [`Row`]s and
+//! column-major [`Batch`]es, plus the [`DataModel`]/[`EngineKind`] tags
 //! the middleware uses to reason about placement and migration.
 //!
 //! # Examples

@@ -3,9 +3,8 @@
 //! MIMIC-III is credentialed-access, so the clinical deployment
 //! reproduces its *shape* instead (see README's "What stands in for
 //! what" table): relational admissions, free-text notes, vital-sign
-//! timeseries, a patient/admission/ward graph, a key/value profile
-//! store and an ICU device stream — everything Fig. 2's heterogeneous
-//! program touches.
+//! timeseries and a patient/admission/ward graph — everything Fig. 2's
+//! heterogeneous program touches.
 
 // The builders return a `Deployment`, not a `Result` — the signature
 // polybench, the examples and the tests call — so a fixture that does
@@ -20,11 +19,9 @@ use pspp_common::{
 use pspp_frontend::nlq::ClinicalNames;
 use pspp_frontend::Catalog;
 use pspp_graphstore::GraphStore;
-use pspp_kvstore::KvStore;
 use pspp_optimizer::TableStats;
 use pspp_relstore::RelationalStore;
 use pspp_runtime::{EngineInstance, EngineRegistry};
-use pspp_streamstore::{Event, StreamStore};
 use pspp_textstore::TextStore;
 use pspp_tsstore::TimeseriesStore;
 
@@ -98,8 +95,6 @@ pub fn clinical(config: &ClinicalConfig) -> Deployment {
     let mut notes = TextStore::new("textdb");
     let mut vitals = TimeseriesStore::new("tsdb");
     let mut graph = GraphStore::new("graphdb");
-    let mut profiles = KvStore::new("kvdb");
-    let mut devices = StreamStore::new("streamdb");
 
     let mut admission_rows = Vec::with_capacity(n);
     let mut patient_rows = Vec::with_capacity(n);
@@ -144,7 +139,6 @@ pub fn clinical(config: &ClinicalConfig) -> Deployment {
             let t = pid as i64 * 100 + k as i64;
             let v = base + rng.next_gaussian() * 5.0;
             vitals.append("vitals", t, v);
-            devices.publish("icu_devices", Event::new(t, row![pid as i64, v]));
         }
 
         // Graph: Patient -> Admission -> Ward.
@@ -157,11 +151,6 @@ pub fn clinical(config: &ClinicalConfig) -> Deployment {
         graph
             .add_edge(a, ward, "IN_WARD", 1.0)
             .expect("nodes exist");
-
-        profiles.put(
-            format!("patient:{pid}"),
-            Value::Float((severity * 100.0).round() / 100.0),
-        );
     }
     db1.insert("admissions", admission_rows)
         .expect("valid rows");
@@ -224,15 +213,6 @@ pub fn clinical(config: &ClinicalConfig) -> Deployment {
             row_bytes: 24.0,
         },
     );
-    let stream_ref = TableRef::new("streamdb", "icu_devices");
-    catalog.register(stream_ref.clone(), Schema::empty());
-    stats.insert(
-        stream_ref,
-        TableStats {
-            rows: (n * config.vitals_per_patient) as f64,
-            row_bytes: 24.0,
-        },
-    );
 
     // Partition declarations: both relational tables key on `pid`.
     // Rows are generated in ascending pid order, so a range partition's
@@ -269,12 +249,6 @@ pub fn clinical(config: &ClinicalConfig) -> Deployment {
     registry
         .register(EngineId::new("graphdb"), EngineInstance::Graph(graph))
         .expect("unique id");
-    registry
-        .register(EngineId::new("kvdb"), EngineInstance::KeyValue(profiles))
-        .expect("unique id");
-    registry
-        .register(EngineId::new("streamdb"), EngineInstance::Stream(devices))
-        .expect("unique id");
 
     Deployment {
         registry,
@@ -306,8 +280,7 @@ impl Default for RecommendationConfig {
 }
 
 /// Builds the Fig. 1 enterprise deployment: customers + transactions in
-/// an RDBMS, per-customer profiles in a key/value store, clickstreams in
-/// a timeseries store.
+/// an RDBMS, clickstreams in a timeseries store.
 pub fn recommendation(config: &RecommendationConfig) -> Deployment {
     let mut rng = SplitMix64::new(config.seed);
     let n = config.customers;
@@ -334,7 +307,6 @@ pub fn recommendation(config: &RecommendationConfig) -> Deployment {
         )
         .expect("fresh store");
 
-    let mut kv = KvStore::new("kv");
     let mut clicks = TimeseriesStore::new("clicks");
 
     let mut customers = Vec::with_capacity(n);
@@ -354,7 +326,9 @@ pub fn recommendation(config: &RecommendationConfig) -> Deployment {
                 rng.next_i64(0, 365)
             ]);
         }
-        kv.put(format!("profile:{cid}"), Value::Float(rng.next_f64()));
+        // A draw no table keeps: without it every later customer,
+        // transaction and click moves (`recommendation_rows_are_pinned`).
+        rng.next_f64();
         for k in 0..config.clicks_per_customer {
             let t = (cid * config.clicks_per_customer + k) as i64;
             clicks.append("clickstream", t, rng.next_f64());
@@ -418,9 +392,6 @@ pub fn recommendation(config: &RecommendationConfig) -> Deployment {
         .register(EngineId::new("rdbms"), EngineInstance::Relational(rdbms))
         .expect("unique id");
     registry
-        .register(EngineId::new("kv"), EngineInstance::KeyValue(kv))
-        .expect("unique id");
-    registry
         .register(EngineId::new("clicks"), EngineInstance::Timeseries(clicks))
         .expect("unique id");
 
@@ -478,6 +449,7 @@ pub fn pipegen_rows(n: usize, seed: u64) -> Result<(Schema, Vec<Row>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pspp_common::OutputDigest;
 
     #[test]
     fn clinical_deployment_is_complete_and_deterministic() {
@@ -488,7 +460,7 @@ mod tests {
         };
         let a = clinical(&cfg);
         let b = clinical(&cfg);
-        assert_eq!(a.registry.len(), 7);
+        assert_eq!(a.registry.len(), 5);
         assert!(a.catalog.resolve("admissions").is_ok());
         assert!(a.catalog.resolve("vitals").is_ok());
         let ra = a.registry.relational(&EngineId::new("db1")).unwrap();
@@ -514,16 +486,48 @@ mod tests {
     }
 
     #[test]
-    fn recommendation_deployment_spans_three_engines() {
+    fn recommendation_deployment_spans_two_engines() {
         let d = recommendation(&RecommendationConfig {
             customers: 50,
             clicks_per_customer: 5,
             seed: 2,
         });
-        assert_eq!(d.registry.len(), 3);
+        assert_eq!(d.registry.len(), 2);
         assert!(d.catalog.resolve("customers").is_ok());
         assert!(d.catalog.resolve("clickstream").is_ok());
         assert!(d.stats.len() >= 3);
+    }
+
+    /// The recommendation deployment's customers, transactions and
+    /// clicks, pinned: a change to what the generator draws, or in what
+    /// order, moves every row after it.
+    #[test]
+    fn recommendation_rows_are_pinned() {
+        let d = recommendation(&RecommendationConfig::default());
+        let digest = |schema: &Schema, rows: &[Row]| {
+            let mut digest = OutputDigest::new();
+            digest.rows(schema, rows);
+            digest.finish()
+        };
+        let rdbms = d.registry.relational(&EngineId::new("rdbms")).unwrap();
+        let table = |name| {
+            let table = rdbms.table(name).unwrap();
+            digest(table.schema(), table.rows())
+        };
+        let Ok(EngineInstance::Timeseries(clicks)) = d.registry.get(&EngineId::new("clicks"))
+        else {
+            panic!("clicks is a timeseries store");
+        };
+        let series = Schema::new(vec![("t", DataType::Timestamp), ("v", DataType::Float)]);
+        let clickstream = digest(&series, &clicks.to_rows("clickstream").unwrap());
+        assert_eq!(
+            [table("customers"), table("transactions"), clickstream],
+            [
+                2_289_840_654_195_943_275,
+                12_215_980_474_447_349_290,
+                4_608_984_028_342_889_580
+            ]
+        );
     }
 
     #[test]

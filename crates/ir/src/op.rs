@@ -184,15 +184,6 @@ pub enum Operator {
         n: usize,
     },
 
-    // ---- key/value ----
-    /// Prefix scan over a KV store.
-    KvPrefixScan {
-        /// Which engine holds the keys.
-        table: TableRef,
-        /// Key prefix.
-        prefix: String,
-    },
-
     // ---- timeseries ----
     /// Raw range read of a series.
     TsRange {
@@ -239,23 +230,6 @@ pub enum Operator {
         mode: TextSearchMode,
     },
 
-    // ---- stream ----
-    /// Windowed aggregate over an event stream.
-    StreamWindow {
-        /// Which stream engine/topic.
-        table: TableRef,
-        /// Inclusive lower time bound.
-        lo: i64,
-        /// Exclusive upper time bound.
-        hi: i64,
-        /// Window width.
-        width: i64,
-        /// Payload column to aggregate.
-        column: usize,
-        /// Aggregate function.
-        agg: TsAgg,
-    },
-
     // ---- ML (Figs. 2, 3, 7) ----
     /// Train an MLP on the input rows: all columns except `label_column`
     /// are features.
@@ -298,12 +272,10 @@ impl Operator {
     pub fn arity(&self) -> usize {
         match self {
             Operator::Scan { .. }
-            | Operator::KvPrefixScan { .. }
             | Operator::TsRange { .. }
             | Operator::TsWindow { .. }
             | Operator::GraphMatch { .. }
-            | Operator::TextSearch { .. }
-            | Operator::StreamWindow { .. } => 0,
+            | Operator::TextSearch { .. } => 0,
             Operator::HashJoin { .. } | Operator::SortMergeJoin { .. } | Operator::Predict => 2,
             _ => 1,
         }
@@ -313,12 +285,10 @@ impl Operator {
     pub fn source_table(&self) -> Option<&TableRef> {
         match self {
             Operator::Scan { table, .. }
-            | Operator::KvPrefixScan { table, .. }
             | Operator::TsRange { table, .. }
             | Operator::TsWindow { table, .. }
             | Operator::GraphMatch { table, .. }
-            | Operator::TextSearch { table, .. }
-            | Operator::StreamWindow { table, .. } => Some(table),
+            | Operator::TextSearch { table, .. } => Some(table),
             _ => None,
         }
     }
@@ -334,12 +304,10 @@ impl Operator {
             Operator::SortMergeJoin { .. } => "sort_merge_join",
             Operator::GroupBy { .. } => "group_by",
             Operator::Limit { .. } => "limit",
-            Operator::KvPrefixScan { .. } => "kv_prefix_scan",
             Operator::TsRange { .. } => "ts_range",
             Operator::TsWindow { .. } => "ts_window",
             Operator::GraphMatch { .. } => "graph_match",
             Operator::TextSearch { .. } => "text_search",
-            Operator::StreamWindow { .. } => "stream_window",
             Operator::TrainMlp { .. } => "train_mlp",
             Operator::Predict => "predict",
             Operator::KMeansCluster { .. } => "kmeans",

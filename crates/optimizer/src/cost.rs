@@ -207,20 +207,12 @@ impl CostModel {
                 };
                 (rows, rows * width)
             }
-            Operator::KvPrefixScan { table, .. } => {
-                let s = stats_for(table);
-                (s.rows * 0.1, s.rows * 0.1 * s.row_bytes)
-            }
             Operator::TsRange { table, lo, hi } => {
                 let s = stats_for(table);
                 let frac = (((hi - lo) as f64) / 86_400.0).clamp(0.01, 1.0);
                 (s.rows * frac, s.rows * frac * 16.0)
             }
             Operator::TsWindow { lo, hi, width, .. } => {
-                let windows = (((hi - lo) / width.max(&1)) as f64).max(1.0);
-                (windows, windows * 16.0)
-            }
-            Operator::StreamWindow { lo, hi, width, .. } => {
                 let windows = (((hi - lo) / width.max(&1)) as f64).max(1.0);
                 (windows, windows * 16.0)
             }
@@ -725,9 +717,9 @@ impl CostModel {
     /// The input whose engine hosts a join: the one whose migration
     /// would ship strictly the most estimated bytes (its demanded
     /// columns' share) among those a relational `Scan` reaches — a
-    /// text, timeseries, key/value or graph connector never hosts a
-    /// join — so what migrates is the side that ships less. Ties, and
-    /// joins no relational scan feeds, keep the first input.
+    /// text, timeseries or graph connector never hosts a join — so what
+    /// migrates is the side that ships less. Ties, and joins no
+    /// relational scan feeds, keep the first input.
     fn join_site(sides: &[JoinSide]) -> usize {
         let mut host: Option<usize> = None;
         for (idx, side) in sides.iter().enumerate() {

@@ -60,16 +60,13 @@ pub fn kernel_class(op: &Operator) -> KernelClass {
     match op {
         Operator::Scan { .. }
         | Operator::Filter { .. }
-        | Operator::KvPrefixScan { .. }
         | Operator::Project { .. }
         | Operator::Limit { .. }
         | Operator::TsRange { .. }
         | Operator::TextSearch { .. } => KernelClass::FilterProject,
         Operator::Sort { .. } | Operator::SortMergeJoin { .. } => KernelClass::Sort,
         Operator::HashJoin { .. } => KernelClass::HashPartition,
-        Operator::GroupBy { .. } | Operator::TsWindow { .. } | Operator::StreamWindow { .. } => {
-            KernelClass::Aggregate
-        }
+        Operator::GroupBy { .. } | Operator::TsWindow { .. } => KernelClass::Aggregate,
         Operator::GraphMatch { .. } => KernelClass::GraphTraverse,
         Operator::TrainMlp { .. } => KernelClass::Gemm,
         Operator::Predict => KernelClass::Gemv,

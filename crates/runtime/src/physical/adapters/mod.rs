@@ -2,9 +2,7 @@
 //! function per operator, called from [`super::run`].
 
 pub(crate) mod graph;
-pub(crate) mod kv;
 pub(crate) mod ml;
 pub(crate) mod relational;
-pub(crate) mod stream;
 pub(crate) mod text;
 pub(crate) mod timeseries;

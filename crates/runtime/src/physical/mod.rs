@@ -5,10 +5,9 @@
 //!
 //! * [`run`] — *how* an operator runs. Its one exhaustive `match` hands
 //!   every IR operator, with its fields, to the function that executes
-//!   it in its engine's adapter module (relational, key/value,
-//!   timeseries, graph, text, stream, and the ML patterns) — BigDAWG's
-//!   per-engine shims. An operator the IR gains without an arm here is a
-//!   compile error.
+//!   it in its engine's adapter module (relational, timeseries, graph,
+//!   text, and the ML patterns) — BigDAWG's per-engine shims. An
+//!   operator the IR gains without an arm here is a compile error.
 //! * [`Placer`] — *where* an operator runs. Resolves the target engine
 //!   (optimizer annotation → source table → data gravity) and stages
 //!   the node's inputs there, invoking the data migrator once per
@@ -38,7 +37,7 @@ use pspp_ir::{ColumnDemand, Operator};
 
 use crate::dataset::Dataset;
 use crate::registry::EngineRegistry;
-use adapters::{graph, kv, ml, relational, stream, text, timeseries};
+use adapters::{graph, ml, relational, text, timeseries};
 
 /// Runs `op` over `inputs`, `op.arity()` datasets.
 ///
@@ -87,7 +86,6 @@ pub fn run(
         }
         Operator::GroupBy { keys, aggs } => relational::group_by(input(0)?, keys, aggs),
         Operator::Limit { n } => relational::limit(input(0)?, *n),
-        Operator::KvPrefixScan { table, prefix } => kv::prefix_scan(registry, table, prefix),
         Operator::TsRange { table, lo, hi } => timeseries::range(registry, table, *lo, *hi),
         Operator::TsWindow {
             table,
@@ -102,14 +100,6 @@ pub fn run(
             steps,
         } => graph::match_pattern(registry, table, start_label, steps),
         Operator::TextSearch { table, terms, mode } => text::search(registry, table, terms, *mode),
-        Operator::StreamWindow {
-            table,
-            lo,
-            hi,
-            width,
-            column,
-            agg,
-        } => stream::window(registry, table, *lo, *hi, *width, *column, *agg),
         Operator::TrainMlp {
             label_column,
             hidden,
@@ -283,9 +273,7 @@ mod tests {
     use pspp_common::{row, DataModel, DataType, Predicate, Schema, TableRef, Value};
     use pspp_graphstore::GraphStore;
     use pspp_ir::{AggFn, AggSpec, SortSpec, TextSearchMode, TsAgg};
-    use pspp_kvstore::KvStore;
     use pspp_relstore::RelationalStore;
-    use pspp_streamstore::StreamStore;
     use pspp_textstore::TextStore;
     use pspp_tsstore::TimeseriesStore;
 
@@ -301,11 +289,9 @@ mod tests {
                 "rel",
                 EngineInstance::Relational(RelationalStore::new("rel")),
             ),
-            ("kv", EngineInstance::KeyValue(KvStore::new("kv"))),
             ("ts", EngineInstance::Timeseries(TimeseriesStore::new("ts"))),
             ("graph", EngineInstance::Graph(GraphStore::new("graph"))),
             ("text", EngineInstance::Text(TextStore::new("text"))),
-            ("stream", EngineInstance::Stream(StreamStore::new("stream"))),
         ] {
             registry.register(EngineId::new(id), instance).unwrap();
         }
@@ -346,10 +332,6 @@ mod tests {
                 }],
             },
             Operator::Limit { n: 1 },
-            Operator::KvPrefixScan {
-                table: t("kv"),
-                prefix: "k".into(),
-            },
             Operator::TsRange {
                 table: t("ts"),
                 lo: 0,
@@ -372,14 +354,6 @@ mod tests {
                 terms: vec!["x".into()],
                 mode: TextSearchMode::Ranked(3),
             },
-            Operator::StreamWindow {
-                table: t("stream"),
-                lo: 0,
-                hi: 10,
-                width: 2,
-                column: 0,
-                agg: TsAgg::Sum,
-            },
             Operator::TrainMlp {
                 label_column: "y".into(),
                 hidden: vec![4],
@@ -400,7 +374,6 @@ mod tests {
             Operator::Scan { .. }
             | Operator::TsRange { .. }
             | Operator::TsWindow { .. }
-            | Operator::StreamWindow { .. }
             | Operator::Predict => false,
             Operator::Filter { .. }
             | Operator::Project { .. }
@@ -409,7 +382,6 @@ mod tests {
             | Operator::SortMergeJoin { .. }
             | Operator::GroupBy { .. }
             | Operator::Limit { .. }
-            | Operator::KvPrefixScan { .. }
             | Operator::GraphMatch { .. }
             | Operator::TextSearch { .. }
             | Operator::TrainMlp { .. }

@@ -457,18 +457,20 @@ mod tests {
         let mut registry = two_engine_registry();
         registry
             .register(
-                EngineId::new("kv"),
-                crate::registry::EngineInstance::KeyValue(pspp_kvstore::KvStore::new("kv")),
+                EngineId::new("ts"),
+                crate::registry::EngineInstance::Timeseries(pspp_tsstore::TimeseriesStore::new(
+                    "ts",
+                )),
             )
             .unwrap();
         registry
             .set_partition(
-                TableRef::new("kv", "t"),
+                TableRef::new("ts", "t"),
                 pspp_common::PartitionSpec::hash("k", 2),
             )
             .unwrap();
         let mut p = Program::new();
-        p.add_source(Operator::scan(TableRef::new("kv", "t")), "sql");
+        p.add_source(Operator::scan(TableRef::new("ts", "t")), "sql");
         let err = Placer::plan_distribution(&p, &registry, PlanOptions::default()).unwrap_err();
         assert!(matches!(err, Error::Invalid(_)), "got {err:?}");
     }

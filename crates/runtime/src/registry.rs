@@ -14,15 +14,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pspp_accel::{AcceleratorFleet, ShardFleets};
-use pspp_arraystore::ArrayStore;
 use pspp_common::{
     EngineId, EngineKind, Error, MaterializedRepartitions, PartitionSpec, Result, Row, ShardId,
     TableRef,
 };
 use pspp_graphstore::GraphStore;
-use pspp_kvstore::KvStore;
 use pspp_relstore::RelationalStore;
-use pspp_streamstore::StreamStore;
 use pspp_textstore::TextStore;
 use pspp_tsstore::TimeseriesStore;
 
@@ -31,18 +28,12 @@ use pspp_tsstore::TimeseriesStore;
 pub enum EngineInstance {
     /// Relational store.
     Relational(RelationalStore),
-    /// Key/value store.
-    KeyValue(KvStore),
     /// Timeseries store.
     Timeseries(TimeseriesStore),
     /// Graph store.
     Graph(GraphStore),
-    /// Array store.
-    Array(ArrayStore),
     /// Text store.
     Text(TextStore),
-    /// Stream store.
-    Stream(StreamStore),
 }
 
 impl EngineInstance {
@@ -50,12 +41,9 @@ impl EngineInstance {
     pub fn kind(&self) -> EngineKind {
         match self {
             EngineInstance::Relational(_) => EngineKind::Relational,
-            EngineInstance::KeyValue(_) => EngineKind::KeyValue,
             EngineInstance::Timeseries(_) => EngineKind::Timeseries,
             EngineInstance::Graph(_) => EngineKind::Graph,
-            EngineInstance::Array(_) => EngineKind::Array,
             EngineInstance::Text(_) => EngineKind::Text,
-            EngineInstance::Stream(_) => EngineKind::Stream,
         }
     }
 }
@@ -676,13 +664,13 @@ mod tests {
         )
         .unwrap();
         r.register(
-            EngineId::new("kv"),
-            EngineInstance::KeyValue(KvStore::new("kv")),
+            EngineId::new("ts"),
+            EngineInstance::Timeseries(TimeseriesStore::new("ts")),
         )
         .unwrap();
         assert_eq!(r.len(), 2);
         assert!(r.relational(&EngineId::new("db1")).is_ok());
-        assert!(r.relational(&EngineId::new("kv")).is_err());
+        assert!(r.relational(&EngineId::new("ts")).is_err());
         assert!(r.get(&EngineId::new("nope")).is_err());
         let err = r.register(
             EngineId::new("db1"),
@@ -728,7 +716,7 @@ mod tests {
                 EngineId::new("mixed"),
                 vec![
                     EngineInstance::Relational(RelationalStore::new("m")),
-                    EngineInstance::KeyValue(KvStore::new("m")),
+                    EngineInstance::Timeseries(TimeseriesStore::new("m")),
                 ],
             ),
             Err(Error::Invalid(_))
@@ -1050,14 +1038,14 @@ mod tests {
             r.reshard(&t, PartitionSpec::hash("k", 3)),
             Err(Error::Config(_)),
         ));
-        let mut kv = ShardedRegistry::new();
-        kv.register(
-            EngineId::new("kv"),
-            EngineInstance::KeyValue(KvStore::new("kv")),
+        let mut ts = ShardedRegistry::new();
+        ts.register(
+            EngineId::new("ts"),
+            EngineInstance::Timeseries(TimeseriesStore::new("ts")),
         )
         .unwrap();
         assert!(matches!(
-            kv.reshard(&TableRef::new("kv", "t"), PartitionSpec::hash("k", 2)),
+            ts.reshard(&TableRef::new("ts", "t"), PartitionSpec::hash("k", 2)),
             Err(Error::Invalid(_))
         ));
     }

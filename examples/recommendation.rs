@@ -1,6 +1,6 @@
 //! The paper's Fig. 1 enterprise scenario: a recommendation application
-//! spanning an RDBMS (customers, transactions), a key/value store
-//! (profiles) and a timeseries store (clickstreams).
+//! spanning an RDBMS (customers, transactions) and a timeseries store
+//! (clickstreams).
 //!
 //! ```text
 //! cargo run --example recommendation

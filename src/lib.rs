@@ -25,20 +25,17 @@
 //! ```
 
 pub use pspp_accel as accel;
-pub use pspp_arraystore as arraystore;
 pub use pspp_common as common;
 pub use pspp_core as core;
 pub use pspp_frontend as frontend;
 pub use pspp_graphstore as graphstore;
 pub use pspp_ir as ir;
-pub use pspp_kvstore as kvstore;
 pub use pspp_migrate as migrate;
 pub use pspp_mlengine as mlengine;
 pub use pspp_optimizer as optimizer;
 pub use pspp_relstore as relstore;
 pub use pspp_runtime as runtime;
 pub use pspp_service as service;
-pub use pspp_streamstore as streamstore;
 pub use pspp_telemetry as telemetry;
 pub use pspp_textstore as textstore;
 pub use pspp_tsstore as tsstore;

@@ -1083,10 +1083,6 @@ fn every_operator() -> Vec<Operator> {
             aggs: vec![],
         },
         Operator::Limit { n: 10 },
-        Operator::KvPrefixScan {
-            table: table(),
-            prefix: "p".into(),
-        },
         Operator::TsRange {
             table: table(),
             lo: 0,
@@ -1109,14 +1105,6 @@ fn every_operator() -> Vec<Operator> {
             terms: vec!["x".into()],
             mode: polystorepp::ir::TextSearchMode::Any,
         },
-        Operator::StreamWindow {
-            table: table(),
-            lo: 0,
-            hi: 10,
-            width: 2,
-            column: 0,
-            agg: polystorepp::ir::TsAgg::Sum,
-        },
         Operator::TrainMlp {
             label_column: "y".into(),
             hidden: vec![16, 8],
@@ -1130,6 +1118,138 @@ fn every_operator() -> Vec<Operator> {
             max_iters: 10,
         },
     ]
+}
+
+/// The frontend whose texts emit `op`. No `_` arm: a new operator has to
+/// name the language that reaches it, and
+/// `every_operator_is_emitted_by_its_frontend` then has to compile a
+/// text of that language that emits it.
+fn frontend_of(op: &Operator) -> &'static str {
+    match op {
+        Operator::Scan { .. }
+        | Operator::Filter { .. }
+        | Operator::Project { .. }
+        | Operator::Sort { .. }
+        | Operator::HashJoin { .. }
+        | Operator::GroupBy { .. }
+        | Operator::Limit { .. } => "sql",
+        Operator::GraphMatch { .. } => "cypher",
+        Operator::TsRange { .. } | Operator::TsWindow { .. } => "tsdsl",
+        Operator::TextSearch { .. } | Operator::SortMergeJoin { .. } => "hetero",
+        Operator::TrainMlp { .. } | Operator::Predict | Operator::KMeansCluster { .. } => "mldsl",
+    }
+}
+
+/// Every operator of [`every_operator`] is emitted from a text by the
+/// frontend [`frontend_of`] names, and the frontends — SQL, Cypher, NLQ,
+/// heterogeneous programs, the ML and timeseries DSLs — emit no other:
+/// the IR holds no operator a query cannot reach.
+#[test]
+fn every_operator_is_emitted_by_its_frontend() {
+    use polystorepp::frontend::{cypher, nlq, sql};
+    use std::collections::{BTreeMap, BTreeSet};
+    let d = datagen::clinical(&ClinicalConfig {
+        patients: 8,
+        vitals_per_patient: 2,
+        seed: 1,
+    });
+    let (catalog, names) = (&d.catalog, &d.clinical_names);
+    // Subprograms as (name, language, text, inputs), wired in order.
+    let hetero = |subprograms: &[(&str, Language, &str, &[&str])]| {
+        let mut program = HeterogeneousProgram::builder();
+        for (name, language, text, inputs) in subprograms {
+            program = program.subprogram(*name, language.clone(), *text, inputs);
+        }
+        program.build(catalog)
+    };
+    let features = (
+        "x",
+        Language::Sql,
+        "SELECT age, los FROM admissions",
+        &[][..],
+    );
+    let labelled = "SELECT age, los, long_stay FROM admissions";
+    let train = "TRAIN MLP HIDDEN 4 EPOCHS 1 BATCH 8 LR 0.1 LABEL long_stay";
+    let search = Language::TextSearch {
+        dataset: "notes".into(),
+    };
+    let joined = "SELECT name FROM admissions JOIN db2.patients \
+                  ON admissions.pid = patients.pid WHERE age >= 65 ORDER BY name LIMIT 5";
+    let grouped = "SELECT gender, count(*) AS n FROM patients GROUP BY gender";
+    let paths = "MATCH (p:Patient)-[:HAS_ADMISSION]->(a:Admission) RETURN PATHS LIMIT 3";
+    let stay = "Will patients have a long stay at the hospital?";
+    let programs = [
+        ("sql", sql::parse_to_program(joined, catalog)),
+        ("sql", sql::parse_to_program(grouped, catalog)),
+        (
+            "cypher",
+            cypher::parse_to_program(paths, "clinical", catalog),
+        ),
+        (
+            "tsdsl",
+            hetero(&[
+                ("r", Language::TsDsl, "RANGE vitals FROM 0 TO 500", &[]),
+                (
+                    "w",
+                    Language::TsDsl,
+                    "WINDOW vitals FROM 0 TO 500 WIDTH 100 AGG max",
+                    &[],
+                ),
+            ]),
+        ),
+        (
+            "hetero",
+            hetero(&[
+                ("p", Language::Sql, "SELECT pid, age FROM admissions", &[]),
+                ("n", search, "SEARCH sepsis MODE any", &[]),
+                (
+                    "pn",
+                    Language::Connector,
+                    "MERGEJOIN pid = doc_id",
+                    &["p", "n"],
+                ),
+            ]),
+        ),
+        (
+            "mldsl",
+            hetero(&[
+                features.clone(),
+                ("k", Language::MlDsl, "KMEANS K 3 ITERS 4", &["x"]),
+            ]),
+        ),
+        (
+            "mldsl",
+            hetero(&[
+                ("xy", Language::Sql, labelled, &[]),
+                ("model", Language::MlDsl, train, &["xy"]),
+                features,
+                ("scores", Language::MlDsl, "PREDICT", &["x", "model"]),
+            ]),
+        ),
+        ("nlq", nlq::compile(stay, catalog, names)),
+        (
+            "nlq",
+            nlq::compile("average age by gender in patients", catalog, names),
+        ),
+    ];
+    let mut emitted: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for (frontend, program) in programs {
+        let program = program.unwrap_or_else(|e| panic!("{frontend}: {e}"));
+        let ops = program.nodes().iter().map(|node| node.op.name());
+        emitted.entry(frontend).or_default().extend(ops);
+    }
+    for op in every_operator() {
+        let frontend = frontend_of(&op);
+        let reached = emitted.get(frontend);
+        assert!(
+            reached.is_some_and(|ops| ops.contains(op.name())),
+            "no {frontend} text emits {}",
+            op.name()
+        );
+    }
+    let every: BTreeSet<&str> = every_operator().iter().map(Operator::name).collect();
+    let reached: BTreeSet<&str> = emitted.into_values().flatten().collect();
+    assert_eq!(reached, every);
 }
 
 proptest! {

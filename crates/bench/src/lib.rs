@@ -395,7 +395,7 @@ fn e01_recommendation() -> Result<String> {
     let mut osfa_ms = poly_ms; // same compute once colocated
     for table in ["customers", "transactions"] {
         let t = rdbms.table(table)?;
-        let batch = Batch::from_rows(t.schema(), t.rows().to_vec())
+        let batch = Batch::from_rows(t.schema(), t.rows())
             .map_err(|e| pspp_common::Error::Migration(e.to_string()))?;
         let (_, r) = migrator.migrate(
             &batch,

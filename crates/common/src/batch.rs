@@ -4,8 +4,81 @@
 //! columnar buffers that can be memcpy-serialized. [`Batch`] is that format:
 //! one typed [`Column`] per field plus a validity mask for NULLs.
 
-use crate::value::{DataType, Value};
+use std::fmt;
+
+use crate::value::{DataType, Value, ValueRef};
 use crate::{row_major, ColumnSource, Error, Field, Result, Row, Schema};
+
+/// UTF-8 strings held end to end in one buffer, string `i` ending at
+/// byte `ends[i]` of it and starting where string `i - 1` ends: a
+/// column of strings is two allocations, however many rows it holds,
+/// and a string is read out of it in place.
+#[derive(Clone, Default, PartialEq)]
+pub struct StrColumn {
+    buf: String,
+    ends: Vec<usize>,
+}
+
+impl StrColumn {
+    /// Number of strings.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the column holds no string.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// String `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    #[inline]
+    pub fn get(&self, i: usize) -> &str {
+        let start = i.checked_sub(1).map_or(0, |before| self.ends[before]);
+        &self.buf[start..self.ends[i]]
+    }
+
+    /// Appends `s`.
+    #[inline]
+    pub fn push(&mut self, s: &str) {
+        self.buf.push_str(s);
+        self.ends.push(self.buf.len());
+    }
+
+    /// The strings, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Bytes of all the strings together.
+    pub fn byte_size(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Appends `more`'s strings.
+    fn append(&mut self, more: &StrColumn) {
+        let base = self.buf.len();
+        self.buf.push_str(&more.buf);
+        self.ends.extend(more.ends.iter().map(|end| base + end));
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for StrColumn {
+    fn from_iter<I: IntoIterator<Item = S>>(strings: I) -> Self {
+        let mut column = StrColumn::default();
+        strings.into_iter().for_each(|s| column.push(s.as_ref()));
+        column
+    }
+}
+
+impl fmt::Debug for StrColumn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// A typed column of values with an optional validity (non-null) mask.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,8 +89,8 @@ pub enum Column {
     Int(Vec<i64>),
     /// 64-bit floats.
     Float(Vec<f64>),
-    /// UTF-8 strings.
-    Str(Vec<String>),
+    /// UTF-8 strings, in one buffer.
+    Str(StrColumn),
     /// Byte arrays.
     Bytes(Vec<Vec<u8>>),
     /// Timestamps (µs since epoch).
@@ -31,7 +104,7 @@ impl Column {
             DataType::Bool => Column::Bool(vec![]),
             DataType::Int => Column::Int(vec![]),
             DataType::Float => Column::Float(vec![]),
-            DataType::Str => Column::Str(vec![]),
+            DataType::Str => Column::Str(StrColumn::default()),
             DataType::Bytes => Column::Bytes(vec![]),
             DataType::Timestamp => Column::Timestamp(vec![]),
         }
@@ -77,9 +150,26 @@ impl Column {
             Column::Bool(v) => Value::Bool(v[idx]),
             Column::Int(v) => Value::Int(v[idx]),
             Column::Float(v) => Value::Float(v[idx]),
-            Column::Str(v) => Value::Str(v[idx].clone()),
+            Column::Str(v) => Value::Str(v.get(idx).to_owned()),
             Column::Bytes(v) => Value::Bytes(v[idx].clone()),
             Column::Timestamp(v) => Value::Timestamp(v[idx]),
+        }
+    }
+
+    /// [`Column::value`] borrowed: a string or byte array read in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of bounds.
+    #[inline]
+    pub fn view(&self, idx: usize) -> ValueRef<'_> {
+        match self {
+            Column::Bool(v) => ValueRef::Bool(v[idx]),
+            Column::Int(v) => ValueRef::Int(v[idx]),
+            Column::Float(v) => ValueRef::Float(v[idx]),
+            Column::Str(v) => ValueRef::Str(v.get(idx)),
+            Column::Bytes(v) => ValueRef::Bytes(&v[idx]),
+            Column::Timestamp(v) => ValueRef::Timestamp(v[idx]),
         }
     }
 
@@ -90,7 +180,7 @@ impl Column {
             Column::Bool(v) => Column::Bool(at.map(|p| v[p]).collect()),
             Column::Int(v) => Column::Int(at.map(|p| v[p]).collect()),
             Column::Float(v) => Column::Float(at.map(|p| v[p]).collect()),
-            Column::Str(v) => Column::Str(at.map(|p| v[p].clone()).collect()),
+            Column::Str(v) => Column::Str(at.map(|p| v.get(p)).collect()),
             Column::Bytes(v) => Column::Bytes(at.map(|p| v[p].clone()).collect()),
             Column::Timestamp(v) => Column::Timestamp(at.map(|p| v[p]).collect()),
         }
@@ -110,26 +200,25 @@ impl Column {
         at: impl Iterator<Item = usize>,
         slots: impl Iterator<Item = &'s mut Value>,
     ) {
-        fn write<'s, T>(
-            values: &[T],
+        fn write<'s>(
             valid: &[bool],
             cells: impl Iterator<Item = (usize, &'s mut Value)>,
-            value: impl Fn(&T) -> Value,
+            value: impl Fn(usize) -> Value,
         ) {
             for (p, slot) in cells {
                 if valid[p] {
-                    *slot = value(&values[p]);
+                    *slot = value(p);
                 }
             }
         }
         let cells = at.zip(slots);
         match self {
-            Column::Bool(v) => write(v, valid, cells, |&b| Value::Bool(b)),
-            Column::Int(v) => write(v, valid, cells, |&x| Value::Int(x)),
-            Column::Float(v) => write(v, valid, cells, |&x| Value::Float(x)),
-            Column::Str(v) => write(v, valid, cells, |s| Value::Str(s.clone())),
-            Column::Bytes(v) => write(v, valid, cells, |b| Value::Bytes(b.clone())),
-            Column::Timestamp(v) => write(v, valid, cells, |&t| Value::Timestamp(t)),
+            Column::Bool(v) => write(valid, cells, |p| Value::Bool(v[p])),
+            Column::Int(v) => write(valid, cells, |p| Value::Int(v[p])),
+            Column::Float(v) => write(valid, cells, |p| Value::Float(v[p])),
+            Column::Str(v) => write(valid, cells, |p| Value::Str(v.get(p).to_owned())),
+            Column::Bytes(v) => write(valid, cells, |p| Value::Bytes(v[p].clone())),
+            Column::Timestamp(v) => write(valid, cells, |p| Value::Timestamp(v[p])),
         }
     }
 
@@ -142,7 +231,7 @@ impl Column {
                 v.extend(m);
             }
             (Column::Float(v), Column::Float(m)) => v.extend(m),
-            (Column::Str(v), Column::Str(m)) => v.extend(m),
+            (Column::Str(v), Column::Str(m)) => v.append(&m),
             (Column::Bytes(v), Column::Bytes(m)) => v.extend(m),
             _ => return false,
         }
@@ -160,8 +249,8 @@ impl Column {
             (Column::Int(v), Value::Null) => v.push(0),
             (Column::Float(v), Value::Float(x)) => v.push(*x),
             (Column::Float(v), Value::Null) => v.push(0.0),
-            (Column::Str(v), Value::Str(s)) => v.push(s.clone()),
-            (Column::Str(v), Value::Null) => v.push(String::new()),
+            (Column::Str(v), Value::Str(s)) => v.push(s),
+            (Column::Str(v), Value::Null) => v.push(""),
             (Column::Bytes(v), Value::Bytes(b)) => v.push(b.clone()),
             (Column::Bytes(v), Value::Null) => v.push(Vec::new()),
             (Column::Timestamp(v), Value::Timestamp(t)) => v.push(*t),
@@ -177,7 +266,7 @@ impl Column {
             Column::Bool(v) => v.len(),
             Column::Int(v) | Column::Timestamp(v) => v.len() * 8,
             Column::Float(v) => v.len() * 8,
-            Column::Str(v) => v.iter().map(String::len).sum(),
+            Column::Str(v) => v.byte_size(),
             Column::Bytes(v) => v.iter().map(Vec::len).sum(),
         }
     }
@@ -198,8 +287,8 @@ impl Column {
         }
     }
 
-    /// Borrow as `&[String]` when the column is `Str`.
-    pub fn as_str(&self) -> Option<&[String]> {
+    /// Borrow the strings when the column is `Str`.
+    pub fn as_str(&self) -> Option<&StrColumn> {
         match self {
             Column::Str(v) => Some(v),
             _ => None,
@@ -280,7 +369,7 @@ impl Batch {
     ///
     /// Panics if a position in `keep` is out of `schema`'s bounds.
     pub fn from_columns(schema: &Schema, rows: &[Row], keep: &[usize]) -> Result<Batch> {
-        Batch::from_source(schema, ColumnSource { rows, typed: &[] }, None, keep, None)
+        Batch::from_source(schema, ColumnSource::of_rows(rows), None, keep, None)
     }
 
     /// A batch of columns `keep` of the rows of `source` at `positions`
@@ -315,12 +404,12 @@ impl Batch {
         keep: &[usize],
         through: Option<&[usize]>,
     ) -> Result<Batch> {
-        let num_rows = positions.map_or(source.rows.len(), <[u32]>::len);
+        let num_rows = positions.map_or(source.len, <[u32]>::len);
         let at = |i: usize| positions.map_or(i, |p| p[i] as usize);
         let vouched =
             through.is_some() || (!source.typed.is_empty() && source.typed.len() == schema.arity());
         if !vouched {
-            let arity = |i| source.rows[at(i)].len();
+            let arity = |i| source.arity_of(at(i));
             if let Some(got) = (0..num_rows).map(arity).find(|&n| n != schema.arity()) {
                 return Err(Error::SchemaMismatch(format!(
                     "expected {} columns, got {got}",
@@ -516,7 +605,7 @@ mod tests {
             Column::Bool(vec![true, false, true]),
             Column::Int(vec![7, -1, i64::MIN]),
             Column::Float(vec![-0.0, f64::INFINITY, 2.5]),
-            Column::Str(vec!["a".into(), String::new(), "ccc".into()]),
+            Column::Str(["a", "", "ccc"].into_iter().collect()),
             Column::Bytes(vec![vec![1], vec![], vec![2, 3]]),
             Column::Timestamp(vec![0, 5, -9]),
         ];
@@ -558,6 +647,24 @@ mod tests {
     }
 
     #[test]
+    fn a_str_column_reads_each_string_back_out_of_its_one_buffer() {
+        let strings = ["", "é", "ab", "", "abé", "a"];
+        let column: StrColumn = strings.iter().collect();
+        assert_eq!(column.iter().collect::<Vec<_>>(), strings);
+        assert_eq!(column.byte_size(), 9);
+        // Appended, the second column's strings end past the first's.
+        let mut both = column.clone();
+        both.append(&strings[1..3].iter().collect());
+        assert_eq!(both.len(), 8);
+        assert_eq!(both.get(6), "é");
+        assert_eq!(both.get(7), "ab");
+        assert_eq!(
+            format!("{both:?}"),
+            format!("{:?}", [&strings[..], &strings[1..3]].concat())
+        );
+    }
+
+    #[test]
     fn roundtrip_with_nulls() {
         let rows = vec![
             row![1i64, "a", 0.5],
@@ -580,7 +687,7 @@ mod tests {
         assert_eq!(b.column(0).as_int().unwrap(), &[1]);
         assert_eq!(b.column(2).as_float().unwrap(), &[0.5]);
         assert!(b.column(0).as_float().is_none());
-        assert_eq!(b.column(1).as_str().unwrap()[0], "a");
+        assert_eq!(b.column(1).as_str().unwrap().get(0), "a");
     }
 
     #[test]
@@ -633,8 +740,8 @@ mod tests {
             Some((Column::Float(vec![0.5, 0.0, 2.5]), vec![true, false, true])),
         ];
         let source = ColumnSource {
-            rows: &rows,
             typed: &typed,
+            ..ColumnSource::of_rows(&rows)
         };
         let positions = [2, 1, 2];
         let picked: Vec<Row> = positions

@@ -44,7 +44,7 @@ pub mod row;
 pub mod schema;
 pub mod value;
 
-pub use batch::{Batch, Column};
+pub use batch::{Batch, Column, StrColumn};
 pub use device::DeviceKind;
 pub use digest::OutputDigest;
 pub use distribution::{Distribution, JoinDistribution};
@@ -58,7 +58,7 @@ pub use repartition::{CopyKey, MaterializedRepartitions, RepartitionStats};
 pub use rng::SplitMix64;
 pub use row::{row_major, Row};
 pub use schema::{Field, Schema, SchemaLookup};
-pub use value::{DataType, Value};
+pub use value::{DataType, Value, ValueRef};
 
 /// Number of bytes in one mebibyte; used across cost models and reports.
 pub const MIB: u64 = 1 << 20;

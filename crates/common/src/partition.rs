@@ -296,31 +296,28 @@ impl HashRouter {
     /// Panics when a position is past the column's end.
     pub fn route_column(self, (values, valid): &TypedColumn, positions: &[u32]) -> Vec<u32> {
         match values {
-            Column::Int(v) => self.route_typed(v, valid, positions, |&x| int_hash(x)),
-            Column::Float(v) => self.route_typed(v, valid, positions, |&x| float_hash(x)),
-            Column::Timestamp(v) => self.route_typed(v, valid, positions, |&x| timestamp_hash(x)),
-            Column::Bool(v) => self.route_typed(v, valid, positions, |&x| bool_hash(x)),
-            Column::Str(v) => self.route_typed(v, valid, positions, |x| str_hash(x)),
-            Column::Bytes(v) => self.route_typed(v, valid, positions, |x| bytes_hash(x)),
+            Column::Int(v) => self.route_typed(valid, positions, |p| int_hash(v[p])),
+            Column::Float(v) => self.route_typed(valid, positions, |p| float_hash(v[p])),
+            Column::Timestamp(v) => self.route_typed(valid, positions, |p| timestamp_hash(v[p])),
+            Column::Bool(v) => self.route_typed(valid, positions, |p| bool_hash(v[p])),
+            Column::Str(v) => self.route_typed(valid, positions, |p| str_hash(v.get(p))),
+            Column::Bytes(v) => self.route_typed(valid, positions, |p| bytes_hash(&v[p])),
         }
     }
 
-    fn route_typed<T>(
+    /// The destination of each of `positions`, `hash` hashing the value
+    /// at a row whose validity flag is set.
+    fn route_typed(
         self,
-        values: &[T],
         valid: &[bool],
         positions: &[u32],
-        hash: impl Fn(&T) -> u64,
+        hash: impl Fn(usize) -> u64,
     ) -> Vec<u32> {
         positions
             .iter()
             .map(|&p| {
                 let p = p as usize;
-                let h = if valid[p] {
-                    hash(&values[p])
-                } else {
-                    NULL_HASH
-                };
+                let h = if valid[p] { hash(p) } else { NULL_HASH };
                 self.destination(h) as u32
             })
             .collect()

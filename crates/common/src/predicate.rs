@@ -2,7 +2,7 @@
 
 use std::cmp::Ordering;
 
-use crate::{Column, Error, Result, Row, Schema, Value};
+use crate::{Column, Error, Result, Row, Schema, Value, ValueRef};
 
 /// A boolean predicate over a row.
 ///
@@ -301,10 +301,11 @@ enum BoundColumn<'a> {
 }
 
 impl BoundColumn<'_> {
-    /// The column's value when it is not NULL.
-    fn non_null(self, row: &Row) -> Result<Option<&Value>> {
+    /// The column's value when it is not NULL, `cell` reading a column
+    /// of the row.
+    fn non_null<'v>(self, cell: &impl Fn(usize) -> ValueRef<'v>) -> Result<Option<ValueRef<'v>>> {
         match self {
-            BoundColumn::At(idx) => Ok(Some(&row[idx]).filter(|v| !v.is_null())),
+            BoundColumn::At(idx) => Ok(Some(cell(idx)).filter(|v| !v.is_null())),
             BoundColumn::Unknown(name) => Err(Error::ColumnNotFound(name.to_owned())),
         }
     }
@@ -329,16 +330,58 @@ enum Bound<'a> {
 pub type TypedColumn = (Column, Vec<bool>);
 
 /// What [`BoundPredicate::select`] reads: rows of the bound schema and,
-/// for the columns that have one, a typed image of the same rows.
+/// for the columns that have one, a typed image of the same rows — or
+/// a table's column image alone, with no rows at all.
 #[derive(Debug, Clone, Copy)]
 pub struct ColumnSource<'a> {
-    /// The rows, by position.
+    /// The rows, by position; empty where the source is an image alone.
     pub rows: &'a [Row],
     /// One entry per schema column, `None` where the column has no
-    /// typed image; each image is `rows.len()` long.
-    /// A column past the end has none, so rows without any image have
-    /// `&[]` here.
+    /// typed image; each image is `len` long. A column past the end has
+    /// none, so rows without any image have `&[]` here. A source with
+    /// no rows has an image of every column.
     pub typed: &'a [Option<TypedColumn>],
+    /// How many rows the source holds.
+    pub len: usize,
+}
+
+impl<'a> ColumnSource<'a> {
+    /// Every row of `rows`, with no image.
+    pub fn of_rows(rows: &'a [Row]) -> Self {
+        ColumnSource {
+            rows,
+            typed: &[],
+            len: rows.len(),
+        }
+    }
+
+    /// Column `c`'s typed image, when it has one.
+    #[inline]
+    pub fn typed(&self, c: usize) -> Option<&'a TypedColumn> {
+        self.typed.get(c).and_then(Option::as_ref)
+    }
+
+    /// Column `c` of row `p`: read out of the image (NULL where the
+    /// validity flag is clear) where the column has one, borrowed from
+    /// the row where it has none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` or `c` is out of bounds.
+    #[inline]
+    pub fn cell(&self, p: usize, c: usize) -> ValueRef<'a> {
+        match self.typed(c) {
+            Some((values, valid)) if valid[p] => values.view(p),
+            Some(_) => ValueRef::Null,
+            None => self.rows[p][c].view(),
+        }
+    }
+
+    /// Row `p`'s arity: the row's own, or the image's where the source
+    /// has no rows.
+    pub fn arity_of(&self, p: usize) -> usize {
+        self.rows.get(p).map_or(self.typed.len(), Row::len)
+    }
 }
 
 impl BoundPredicate<'_> {
@@ -349,7 +392,20 @@ impl BoundPredicate<'_> {
     /// Returns [`Error::ColumnNotFound`] when the row reaches a leaf
     /// whose column the schema lacks.
     pub fn eval(&self, row: &Row) -> Result<bool> {
-        self.0.eval(row)
+        self.0.eval(&|c| row[c].view())
+    }
+
+    /// Evaluates against row `p` of `source`, read a cell at a time.
+    ///
+    /// # Errors
+    ///
+    /// As [`BoundPredicate::eval`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of `source`'s bounds.
+    pub fn eval_at(&self, source: ColumnSource<'_>, p: usize) -> Result<bool> {
+        self.0.eval(&|c| source.cell(p, c))
     }
 
     /// The same predicate over rows whose column `columns[c]` is the
@@ -365,13 +421,15 @@ impl BoundPredicate<'_> {
 
     /// The positions of `selection` (each at most once, any order)
     /// whose row satisfies the predicate, in `selection`'s order: what
-    /// keeping the `p` with `self.eval(&source.rows[p])` gives, errors
+    /// keeping the `p` with `self.eval_at(source, p)` gives, errors
     /// included, evaluated a column at a time.
     ///
     /// A leaf over a typed column whose literals are of the column's
-    /// own variant loops over the typed values; any other leaf (a
-    /// `Str`/`Bytes` column, a literal of another variant such as an
-    /// `Int` column against `5.0`) reads its column through the rows.
+    /// own variant loops over the typed values — a `Str` column over
+    /// the strings in its buffer; any other leaf (a `Bytes` column, a
+    /// literal of another variant such as an `Int` column against
+    /// `5.0`, a column without an image) reads its column a cell at a
+    /// time ([`ColumnSource::cell`]).
     /// `And` hands its right side only what its left side kept. A tree
     /// that names an unknown column is evaluated row by row instead:
     /// which row first reaches which unknown leaf decides the error,
@@ -387,7 +445,7 @@ impl BoundPredicate<'_> {
     /// Panics if a position is out of `source`'s bounds.
     pub fn select(&self, source: ColumnSource<'_>, mut selection: Vec<u32>) -> Result<Vec<u32>> {
         if self.0.names_unknown_column() {
-            self.0.retain_by_row(source.rows, &mut selection)?;
+            self.0.retain_by_cells(source, &mut selection)?;
             Ok(selection)
         } else {
             self.0.select(source, selection)
@@ -395,7 +453,7 @@ impl BoundPredicate<'_> {
     }
 }
 
-impl Bound<'_> {
+impl<'a> Bound<'a> {
     /// [`BoundPredicate::through`].
     fn through(self, columns: &[usize]) -> Self {
         let col = |c| match c {
@@ -415,18 +473,23 @@ impl Bound<'_> {
         }
     }
 
-    fn eval(&self, row: &Row) -> Result<bool> {
+    /// Evaluates against one row, `cell` reading its columns.
+    fn eval<'v>(&self, cell: &impl Fn(usize) -> ValueRef<'v>) -> Result<bool> {
         Ok(match self {
             Bound::True => true,
             Bound::Cmp(c, v, accept) => {
-                c.non_null(row)?.is_some_and(|x| accept.contains(&x.cmp(v)))
+                (c.non_null(cell)?).is_some_and(|x| accept.contains(&x.cmp(&v.view())))
             }
-            Bound::Between(c, lo, hi) => c.non_null(row)?.is_some_and(|x| x >= *lo && x <= *hi),
-            Bound::In(c, vs) => c.non_null(row)?.is_some_and(|x| vs.contains(x)),
-            Bound::IsNull(c) => c.non_null(row)?.is_none(),
-            Bound::And(p) => p[0].eval(row)? && p[1].eval(row)?,
-            Bound::Or(p) => p[0].eval(row)? || p[1].eval(row)?,
-            Bound::Not(p) => !p.eval(row)?,
+            Bound::Between(c, lo, hi) => {
+                (c.non_null(cell)?).is_some_and(|x| x >= lo.view() && x <= hi.view())
+            }
+            Bound::In(c, vs) => {
+                (c.non_null(cell)?).is_some_and(|x| vs.iter().any(|v| x == v.view()))
+            }
+            Bound::IsNull(c) => c.non_null(cell)?.is_none(),
+            Bound::And(p) => p[0].eval(cell)? && p[1].eval(cell)?,
+            Bound::Or(p) => p[0].eval(cell)? || p[1].eval(cell)?,
+            Bound::Not(p) => !p.eval(cell)?,
         })
     }
 
@@ -441,12 +504,13 @@ impl Bound<'_> {
         }
     }
 
-    /// Keeps the positions whose row evaluates true, one row at a time.
-    fn retain_by_row(&self, rows: &[Row], selection: &mut Vec<u32>) -> Result<()> {
+    /// Keeps the positions whose row of `source` evaluates true, one
+    /// row at a time, a cell at a time.
+    fn retain_by_cells(&self, source: ColumnSource<'_>, selection: &mut Vec<u32>) -> Result<()> {
         let mut kept = 0;
         for i in 0..selection.len() {
             let p = selection[i];
-            if self.eval(&rows[p as usize])? {
+            if self.eval(&|c| source.cell(p as usize, c))? {
                 selection[kept] = p;
                 kept += 1;
             }
@@ -473,14 +537,14 @@ impl Bound<'_> {
             }
             Bound::Cmp(c, ..) | Bound::Between(c, ..) | Bound::In(c, _) | Bound::IsNull(c) => {
                 let typed = match c {
-                    BoundColumn::At(idx) => source.typed.get(*idx).and_then(Option::as_ref),
+                    BoundColumn::At(idx) => source.typed(*idx),
                     BoundColumn::Unknown(_) => None,
                 };
                 let narrowed = typed.is_some_and(|(column, validity)| {
                     self.narrow_typed(column, validity, &mut selection)
                 });
                 if !narrowed {
-                    self.retain_by_row(source.rows, &mut selection)?;
+                    self.retain_by_cells(source, &mut selection)?;
                 }
             }
         }
@@ -496,44 +560,60 @@ impl Bound<'_> {
             return true;
         }
         // Exactly the same-variant arms of `Value::cmp`.
+        let rows = (validity, selection);
         match column {
-            Column::Int(xs) => self.narrow_as(xs, validity, selection, i64::cmp, |v| match v {
-                Value::Int(x) => Some(*x),
-                _ => None,
-            }),
-            Column::Timestamp(xs) => {
-                self.narrow_as(xs, validity, selection, i64::cmp, |v| match v {
+            Column::Int(xs) => self.narrow_as(
+                rows,
+                |p| xs[p],
+                i64::cmp,
+                |v| match v {
+                    Value::Int(x) => Some(*x),
+                    _ => None,
+                },
+            ),
+            Column::Timestamp(xs) => self.narrow_as(
+                rows,
+                |p| xs[p],
+                i64::cmp,
+                |v| match v {
                     Value::Timestamp(x) => Some(*x),
                     _ => None,
-                })
-            }
-            Column::Float(xs) => {
-                self.narrow_as(xs, validity, selection, f64::total_cmp, |v| match v {
+                },
+            ),
+            Column::Float(xs) => self.narrow_as(
+                rows,
+                |p| xs[p],
+                f64::total_cmp,
+                |v| match v {
                     Value::Float(x) => Some(*x),
                     _ => None,
-                })
+                },
+            ),
+            Column::Bool(xs) => self.narrow_as(rows, |p| xs[p], bool::cmp, Value::as_bool),
+            Column::Str(xs) => {
+                let cmp = |x: &&str, literal: &&str| (**x).cmp(*literal);
+                self.narrow_as(rows, |p| xs.get(p), cmp, Value::as_str)
             }
-            Column::Bool(xs) => self.narrow_as(xs, validity, selection, bool::cmp, Value::as_bool),
-            Column::Str(_) | Column::Bytes(_) => false,
+            Column::Bytes(_) => false,
         }
     }
 
-    /// [`Bound::narrow_typed`] for one primitive type: `literal` takes
-    /// a literal of the column's variant apart, `cmp` orders two values
-    /// as `Value::cmp` orders that variant. A NULL never matches.
-    fn narrow_as<T: Copy>(
+    /// [`Bound::narrow_typed`] for one type: `at` reads the column's
+    /// value at a row, `literal` takes a literal of the column's variant
+    /// apart, `cmp` orders a value against a literal as `Value::cmp`
+    /// orders that variant. A NULL never matches.
+    fn narrow_as<T, L>(
         &self,
-        xs: &[T],
-        validity: &[bool],
-        selection: &mut Vec<u32>,
-        cmp: impl Fn(&T, &T) -> Ordering,
-        literal: impl Fn(&Value) -> Option<T>,
+        (validity, selection): (&[bool], &mut Vec<u32>),
+        at: impl Fn(usize) -> T,
+        cmp: impl Fn(&T, &L) -> Ordering,
+        literal: impl Fn(&'a Value) -> Option<L>,
     ) -> bool {
         match self {
             Bound::Cmp(_, v, accept) => {
                 let Some(v) = literal(v) else { return false };
                 retain(selection, |p| {
-                    validity[p] && accept.contains(&cmp(&xs[p], &v))
+                    validity[p] && accept.contains(&cmp(&at(p), &v))
                 });
             }
             Bound::Between(_, lo, hi) => {
@@ -541,15 +621,21 @@ impl Bound<'_> {
                     return false;
                 };
                 retain(selection, |p| {
-                    validity[p] && cmp(&xs[p], &lo).is_ge() && cmp(&xs[p], &hi).is_le()
+                    validity[p] && {
+                        let x = at(p);
+                        cmp(&x, &lo).is_ge() && cmp(&x, &hi).is_le()
+                    }
                 });
             }
             Bound::In(_, vs) => {
-                let Some(vs) = vs.iter().map(&literal).collect::<Option<Vec<T>>>() else {
+                let Some(vs) = vs.iter().map(&literal).collect::<Option<Vec<L>>>() else {
                     return false;
                 };
                 retain(selection, |p| {
-                    validity[p] && vs.iter().any(|v| cmp(&xs[p], v).is_eq())
+                    validity[p] && {
+                        let x = at(p);
+                        vs.iter().any(|v| cmp(&x, v).is_eq())
+                    }
                 });
             }
             _ => return false,
@@ -637,7 +723,7 @@ mod tests {
             .is_err());
     }
 
-    /// Rows of [`schema`] with their typed image: `a` has one, `s`
+    /// Rows of [`schema`] with their typed image: `a` has one, and `s`
     /// (a string column) is read through the rows.
     fn source(rows: &[Row]) -> Vec<Option<TypedColumn>> {
         let ints = rows.iter().map(|r| r[0].as_i64().unwrap_or(0)).collect();
@@ -645,15 +731,24 @@ mod tests {
         vec![Some((Column::Int(ints), valid)), None]
     }
 
+    /// [`source`] with `s` imaged too, in one buffer.
+    fn imaged(rows: &[Row]) -> Vec<Option<TypedColumn>> {
+        let strs = rows.iter().map(|r| r[1].as_str().unwrap_or("")).collect();
+        let valid = rows.iter().map(|r| !r[1].is_null()).collect();
+        let mut typed = source(rows);
+        typed[1] = Some((Column::Str(strs), valid));
+        typed
+    }
+
     #[test]
     fn select_keeps_what_eval_keeps_in_selection_order() {
         let s = schema();
         let rows: Vec<Row> = [Some(3), None, Some(0), Some(5), Some(3), None]
             .into_iter()
-            .zip(["x", "y", "x", "z", "y", "x"])
+            .zip([Some("x"), Some("y"), None, Some("zé"), Some(""), Some("x")])
             .map(|(a, t)| Row::from(vec![a.map_or(Value::Null, Value::Int), t.into()]))
             .collect();
-        let typed = source(&rows);
+        let (typed, strings) = (source(&rows), imaged(&rows));
         let in_set = |vs: Vec<Value>| Predicate::In("a".into(), vs);
         let predicates = [
             Predicate::True,
@@ -672,6 +767,12 @@ mod tests {
             Predicate::IsNull("a".into()),
             Predicate::IsNull("s".into()),
             Predicate::eq("s", "x"),
+            // A NULL string is held as "" and must match none of these.
+            Predicate::eq("s", ""),
+            Predicate::lt("s", "y"),
+            Predicate::between("s", "", "x"),
+            Predicate::In("s".into(), vec!["zé".into(), "".into()]),
+            Predicate::gt("s", 1i64),
             Predicate::ge("a", 3i64).and(Predicate::eq("s", "y")),
             Predicate::ge("a", 4i64).or(Predicate::eq("s", "x")),
             Predicate::ge("a", 3i64).not(),
@@ -680,9 +781,21 @@ mod tests {
                 .and(Predicate::IsNull("a".into()).not()),
         ];
         // Ascending, and an index's order: any, each position once. With
-        // the image, and with none at all (every leaf through the rows).
-        for typed in [&typed[..], &[]] {
-            let source = ColumnSource { rows: &rows, typed };
+        // the image, with the strings imaged too, and with none at all
+        // (every leaf through the rows); and the full image without rows.
+        let image_alone = ColumnSource {
+            rows: &[],
+            typed: &strings,
+            len: rows.len(),
+        };
+        let sources = [&typed[..], &strings, &[]]
+            .map(|typed| ColumnSource {
+                typed,
+                ..ColumnSource::of_rows(&rows)
+            })
+            .into_iter()
+            .chain([image_alone]);
+        for source in sources {
             for selection in [vec![0, 1, 2, 3, 4, 5], vec![4, 2, 5, 0, 3], vec![]] {
                 for p in &predicates {
                     let want: Vec<u32> = selection
@@ -703,8 +816,8 @@ mod tests {
         let rows = vec![row![1i64, "x"], row![2i64, "y"]];
         let typed = source(&rows);
         let source = ColumnSource {
-            rows: &rows,
             typed: &typed,
+            ..ColumnSource::of_rows(&rows)
         };
         let select = |p: &Predicate, selection| p.bind(&s).select(source, selection);
         let missing = |name: &str| Err(Error::ColumnNotFound(name.to_owned()));

@@ -205,16 +205,152 @@ impl Value {
         }
     }
 
-    /// Rank used to order values of different types; nulls sort first.
-    fn type_rank(&self) -> u8 {
+    /// The value borrowed: what it orders, compares and hashes as.
+    #[inline]
+    pub fn view(&self) -> ValueRef<'_> {
         match self {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int(_) => 2,
-            Value::Float(_) => 2, // ints and floats compare numerically
-            Value::Timestamp(_) => 3,
-            Value::Str(_) => 4,
-            Value::Bytes(_) => 5,
+            Value::Null => ValueRef::Null,
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(v) => ValueRef::Int(*v),
+            Value::Float(x) => ValueRef::Float(*x),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Bytes(b) => ValueRef::Bytes(b),
+            Value::Timestamp(t) => ValueRef::Timestamp(*t),
+        }
+    }
+}
+
+/// A [`Value`] borrowed — a cell read out of a row, or out of a column
+/// image without building the value: a string or byte array by
+/// reference, anything else by copy. It orders, compares and hashes as
+/// the value it views; [`Value`]'s own `Ord` and `Hash` are these.
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    /// Absent / SQL NULL.
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// Signed 64-bit integer.
+    Int(i64),
+    /// IEEE-754 64-bit float.
+    Float(f64),
+    /// UTF-8 string.
+    Str(&'a str),
+    /// Raw bytes.
+    Bytes(&'a [u8]),
+    /// Microseconds since the Unix epoch.
+    Timestamp(i64),
+}
+
+impl ValueRef<'_> {
+    /// The value viewed, owned.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(v) => Value::Int(v),
+            ValueRef::Float(x) => Value::Float(x),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+            ValueRef::Bytes(b) => Value::Bytes(b.to_vec()),
+            ValueRef::Timestamp(t) => Value::Timestamp(t),
+        }
+    }
+
+    /// Whether this is NULL.
+    #[inline]
+    pub fn is_null(self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// [`Value::as_f64`].
+    #[inline]
+    pub fn as_f64(self) -> Option<f64> {
+        match self {
+            ValueRef::Int(v) | ValueRef::Timestamp(v) => Some(v as f64),
+            ValueRef::Float(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Rank used to order values of different types; nulls sort first.
+    fn type_rank(self) -> u8 {
+        match self {
+            ValueRef::Null => 0,
+            ValueRef::Bool(_) => 1,
+            ValueRef::Int(_) => 2,
+            ValueRef::Float(_) => 2, // ints and floats compare numerically
+            ValueRef::Timestamp(_) => 3,
+            ValueRef::Str(_) => 4,
+            ValueRef::Bytes(_) => 5,
+        }
+    }
+}
+
+impl PartialEq for ValueRef<'_> {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ValueRef<'_> {}
+
+impl PartialOrd for ValueRef<'_> {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ValueRef<'_> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        use ValueRef::*;
+        match (*self, *other) {
+            (Null, Null) => Ordering::Equal,
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Float(a), Float(b)) => a.total_cmp(&b),
+            (Int(a), Float(b)) => (a as f64).total_cmp(&b),
+            (Float(a), Int(b)) => a.total_cmp(&(b as f64)),
+            (Timestamp(a), Timestamp(b)) => a.cmp(&b),
+            (Str(a), Str(b)) => a.cmp(b),
+            (Bytes(a), Bytes(b)) => a.cmp(b),
+            (a, b) => a.type_rank().cmp(&b.type_rank()),
+        }
+    }
+}
+
+impl std::hash::Hash for ValueRef<'_> {
+    #[inline]
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        // Values that compare equal hash alike. Across variants that is
+        // `Int(1) == Float(1.0)`: `cmp` casts the int to `f64`, so an
+        // int hashes as the whole number its cast holds, and a float
+        // holding a whole number hashes as that int. (A float's bit
+        // pattern would serve as well, but the floats of small ints
+        // differ in a few high bits only, which a multiplicative hasher
+        // folds into few buckets.) Who relies on it: `relstore::ops`'
+        // join and grouping maps, which can meet both kinds under one
+        // key. Every other float hashes its bit pattern, as `eq`'s
+        // `total_cmp` compares it.
+        let whole = match *self {
+            ValueRef::Int(v) => Some((v as f64) as i64),
+            ValueRef::Float(x) if (x as i64) as f64 == x => Some(x as i64),
+            _ => None,
+        };
+        if let Some(whole) = whole {
+            std::mem::discriminant(&ValueRef::Int(0)).hash(state);
+            return whole.hash(state);
+        }
+        std::mem::discriminant(self).hash(state);
+        match self {
+            ValueRef::Null => {}
+            ValueRef::Bool(b) => b.hash(state),
+            ValueRef::Int(v) | ValueRef::Timestamp(v) => v.hash(state),
+            ValueRef::Float(v) => v.to_bits().hash(state),
+            ValueRef::Str(s) => s.hash(state),
+            ValueRef::Bytes(b) => b.hash(state),
         }
     }
 }
@@ -238,53 +374,14 @@ impl PartialOrd for Value {
 impl Ord for Value {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
-            (Timestamp(a), Timestamp(b)) => a.cmp(b),
-            (Str(a), Str(b)) => a.cmp(b),
-            (Bytes(a), Bytes(b)) => a.cmp(b),
-            (a, b) => a.type_rank().cmp(&b.type_rank()),
-        }
+        self.view().cmp(&other.view())
     }
 }
 
 impl std::hash::Hash for Value {
     #[inline]
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Values that compare equal hash alike. Across variants that is
-        // `Int(1) == Float(1.0)`: `cmp` casts the int to `f64`, so an
-        // int hashes as the whole number its cast holds, and a float
-        // holding a whole number hashes as that int. (A float's bit
-        // pattern would serve as well, but the floats of small ints
-        // differ in a few high bits only, which a multiplicative hasher
-        // folds into few buckets.) Who relies on it: `relstore::ops`'
-        // join and grouping maps, which can meet both kinds under one
-        // key. Every other float hashes its bit pattern, as `eq`'s
-        // `total_cmp` compares it.
-        let whole = match self {
-            Value::Int(v) => Some((*v as f64) as i64),
-            Value::Float(x) if (*x as i64) as f64 == *x => Some(*x as i64),
-            _ => None,
-        };
-        if let Some(whole) = whole {
-            std::mem::discriminant(&Value::Int(0)).hash(state);
-            return whole.hash(state);
-        }
-        std::mem::discriminant(self).hash(state);
-        match self {
-            Value::Null => {}
-            Value::Bool(b) => b.hash(state),
-            Value::Int(v) | Value::Timestamp(v) => v.hash(state),
-            Value::Float(v) => v.to_bits().hash(state),
-            Value::Str(s) => s.hash(state),
-            Value::Bytes(b) => b.hash(state),
-        }
+        self.view().hash(state);
     }
 }
 
@@ -407,6 +504,16 @@ mod tests {
         assert_ne!(h(&Value::Float(0.5)), h(&Value::Float(1.5)));
         assert_ne!(h(&Value::Float(f64::NAN)), h(&Value::Float(f64::INFINITY)));
         assert_ne!(h(&Value::Int(1)), h(&Value::Timestamp(1)));
+    }
+
+    #[test]
+    fn strings_order_by_their_bytes() {
+        // Not by length: a longer string can come first.
+        assert!(Value::from("aé") < Value::from("é"));
+        assert!(Value::from("aa") < Value::from("b"));
+        assert!(Value::from("") < Value::from("a"));
+        assert!(Value::from("a") < Value::from("ab"));
+        assert_eq!(Value::from("é").view(), ValueRef::Str("é"));
     }
 
     #[test]

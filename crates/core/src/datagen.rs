@@ -96,8 +96,6 @@ pub fn clinical(config: &ClinicalConfig) -> Deployment {
     let mut vitals = TimeseriesStore::new("tsdb");
     let mut graph = GraphStore::new("graphdb");
 
-    let mut admission_rows = Vec::with_capacity(n);
-    let mut patient_rows = Vec::with_capacity(n);
     let ward_icu = graph.add_node("Ward", vec![("name".into(), Value::from("icu"))]);
     let ward_gen = graph.add_node("Ward", vec![("name".into(), Value::from("general"))]);
 
@@ -107,18 +105,23 @@ pub fn clinical(config: &ClinicalConfig) -> Deployment {
         let los = 1.0 + severity * 9.0 + rng.next_gaussian().abs();
         let long_stay = f64::from(los > 5.0);
         let date = rng.next_i64(0, 3650);
-        admission_rows.push(row![
+        // Each row goes into its table as it is drawn: no table's rows
+        // are ever all held beside its image.
+        let admission = row![
             pid as i64,
             age,
             date,
             (los * 10.0).round() / 10.0,
             long_stay
-        ]);
-        patient_rows.push(row![
+        ];
+        db1.insert("admissions", vec![admission])
+            .expect("valid rows");
+        let patient = row![
             pid as i64,
             format!("patient_{pid}"),
             if rng.next_bool(0.5) { "f" } else { "m" }
-        ]);
+        ];
+        db2.insert("patients", vec![patient]).expect("valid rows");
 
         // Notes mention severity-correlated keywords.
         let mut text = format!("patient {pid} admitted. ");
@@ -152,11 +155,8 @@ pub fn clinical(config: &ClinicalConfig) -> Deployment {
             .add_edge(a, ward, "IN_WARD", 1.0)
             .expect("nodes exist");
     }
-    db1.insert("admissions", admission_rows)
-        .expect("valid rows");
     db1.create_index("admissions", "pid")
         .expect("column exists");
-    db2.insert("patients", patient_rows).expect("valid rows");
     db2.create_index("patients", "pid").expect("column exists");
 
     // ---- catalog + stats ----
@@ -309,8 +309,6 @@ pub fn recommendation(config: &RecommendationConfig) -> Deployment {
 
     let mut clicks = TimeseriesStore::new("clicks");
 
-    let mut customers = Vec::with_capacity(n);
-    let mut transactions = Vec::new();
     for cid in 0..n {
         let spend = rng.next_range(10.0, 5_000.0);
         let segment = if spend > 2_500.0 {
@@ -318,13 +316,19 @@ pub fn recommendation(config: &RecommendationConfig) -> Deployment {
         } else {
             "standard"
         };
-        customers.push(row![cid as i64, segment, (spend * 100.0).round() / 100.0]);
+        let customer = row![cid as i64, segment, (spend * 100.0).round() / 100.0];
+        rdbms
+            .insert("customers", vec![customer])
+            .expect("valid rows");
         for _ in 0..rng.next_index(5) + 1 {
-            transactions.push(row![
+            let transaction = row![
                 cid as i64,
                 (rng.next_range(1.0, 500.0) * 100.0).round() / 100.0,
                 rng.next_i64(0, 365)
-            ]);
+            ];
+            rdbms
+                .insert("transactions", vec![transaction])
+                .expect("valid rows");
         }
         // A draw no table keeps: without it every later customer,
         // transaction and click moves (`recommendation_rows_are_pinned`).
@@ -334,11 +338,7 @@ pub fn recommendation(config: &RecommendationConfig) -> Deployment {
             clicks.append("clickstream", t, rng.next_f64());
         }
     }
-    let tx_count = transactions.len();
-    rdbms.insert("customers", customers).expect("valid rows");
-    rdbms
-        .insert("transactions", transactions)
-        .expect("valid rows");
+    let tx_count = rdbms.table("transactions").expect("exists").len();
     rdbms
         .create_index("customers", "cid")
         .expect("column exists");
@@ -512,7 +512,7 @@ mod tests {
         let rdbms = d.registry.relational(&EngineId::new("rdbms")).unwrap();
         let table = |name| {
             let table = rdbms.table(name).unwrap();
-            digest(table.schema(), table.rows())
+            digest(table.schema(), &table.rows())
         };
         let Ok(EngineInstance::Timeseries(clicks)) = d.registry.get(&EngineId::new("clicks"))
         else {
@@ -526,6 +526,37 @@ mod tests {
                 2_289_840_654_195_943_275,
                 12_215_980_474_447_349_290,
                 4_608_984_028_342_889_580
+            ]
+        );
+    }
+
+    /// The clinical deployment's two relational tables, pinned at the
+    /// default size and at polybench's (10 000 patients × 4 vitals,
+    /// seed 2019): a change to what the generator draws, or in what
+    /// order, moves the rows after it.
+    #[test]
+    fn clinical_rows_are_pinned() {
+        let digests = |config: &ClinicalConfig| {
+            let d = clinical(config);
+            let table = |db: &str, name: &str| {
+                let store = d.registry.relational(&EngineId::new(db)).unwrap();
+                let table = store.table(name).unwrap();
+                let mut digest = OutputDigest::new();
+                digest.rows(table.schema(), &table.rows());
+                digest.finish()
+            };
+            [table("db1", "admissions"), table("db2", "patients")]
+        };
+        let polybench = ClinicalConfig {
+            patients: 10_000,
+            vitals_per_patient: 4,
+            seed: 2019,
+        };
+        assert_eq!(
+            [digests(&ClinicalConfig::default()), digests(&polybench)],
+            [
+                [15_456_357_859_864_711_918, 18_314_491_088_711_422_931],
+                [13_704_906_475_861_439_607, 12_854_422_009_724_103_013]
             ]
         );
     }

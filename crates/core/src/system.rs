@@ -279,7 +279,10 @@ fn scale_spec(
             let store = registry.relational(&table.engine)?;
             let t = store.table(&table.name)?;
             let idx = t.schema().require(&column)?;
-            let mut values: Vec<Value> = t.rows().iter().map(|r| r[idx].clone()).collect();
+            let source = t.source();
+            let mut values: Vec<Value> = (0..t.len())
+                .map(|p| source.cell(p, idx).to_value())
+                .collect();
             values.sort();
             PartitionSpec::range(column, datagen::range_split_points(&values, n))
         }

@@ -282,7 +282,7 @@ pub fn binary_encode(batch: &Batch) -> Vec<u8> {
             Column::Float(v) => SerializerModel::pack_f64s(v, &mut out),
             Column::Bool(v) => out.extend(v.iter().map(|&b| u8::from(b))),
             Column::Str(v) => {
-                for s in v {
+                for s in v.iter() {
                     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
                     out.extend_from_slice(s.as_bytes());
                 }

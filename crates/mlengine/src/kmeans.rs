@@ -175,8 +175,40 @@ impl KMeans {
 /// select, not a branch. Only a strictly smaller distance replaces it,
 /// so of equal ones the first wins and a NaN never does (none at all:
 /// the first centroid).
+///
+/// Samples of one to four columns take a body with the width fixed, so
+/// the distance is unrolled: the same additions in the same order, and
+/// none of the loop's overhead per column, which otherwise is most of a
+/// distance over a few columns (and most of `hetero_ml`'s k-means ops).
 #[inline]
 fn nearest(sample: &[f64], centroids: &[f64]) -> usize {
+    match sample.len() {
+        1 => nearest_of::<1>(sample, centroids),
+        2 => nearest_of::<2>(sample, centroids),
+        3 => nearest_of::<3>(sample, centroids),
+        4 => nearest_of::<4>(sample, centroids),
+        _ => nearest_of_any(sample, centroids),
+    }
+}
+
+/// [`nearest`] over samples of `D` columns.
+#[inline]
+fn nearest_of<const D: usize>(sample: &[f64], centroids: &[f64]) -> usize {
+    let (mut best, mut best_d2) = (0, f64::INFINITY);
+    for (c, centroid) in centroids.chunks_exact(D).enumerate() {
+        let mut d2 = 0.0;
+        for d in 0..D {
+            d2 += (centroid[d] - sample[d]) * (centroid[d] - sample[d]);
+        }
+        let closer = d2 < best_d2;
+        best = if closer { c } else { best };
+        best_d2 = if closer { d2 } else { best_d2 };
+    }
+    best
+}
+
+/// [`nearest`] over samples of any width.
+fn nearest_of_any(sample: &[f64], centroids: &[f64]) -> usize {
     let (mut best, mut best_d2) = (0, f64::INFINITY);
     for (c, centroid) in centroids.chunks_exact(sample.len()).enumerate() {
         let d2: f64 = (centroid.iter().zip(sample))
@@ -193,6 +225,19 @@ fn nearest(sample: &[f64], centroids: &[f64]) -> usize {
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
+
+    /// A distance adds its columns' squares in column order, in the
+    /// unrolled bodies and the generic one alike: `1 + 1 + 1e16` is
+    /// `1e16 + 2`, while `1e16 + 1 + 1` rounds to `1e16`, so the second
+    /// centroid is the nearer only when the sums run in that order.
+    #[test]
+    fn a_distance_adds_its_columns_in_order() {
+        for width in 3..=5 {
+            let pad = |row: [f64; 3]| row.into_iter().chain([0.0; 2]).take(width);
+            let centroids: Vec<f64> = pad([1.0, 1.0, 1e8]).chain(pad([1e8, 1.0, 1.0])).collect();
+            assert_eq!(nearest(&vec![0.0; width], &centroids), 1, "width {width}");
+        }
+    }
 
     #[test]
     fn recovers_well_separated_blobs() {

@@ -41,8 +41,8 @@ use pspp_common::{EngineId, Error, HashRouter, Result, Routes, Row, Schema};
 /// What a [`RelationalStore::scan`] returns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scanned {
-    /// The kept rows, in scan order: shared with the table, or
-    /// projected copies.
+    /// The kept rows, in scan order, built out of the table's image:
+    /// copies, whole or projected.
     pub rows: Vec<Row>,
     /// Payload bytes of `rows` (the sum of [`Row::byte_size`]).
     pub byte_size: u64,
@@ -113,18 +113,16 @@ impl RelationalStore {
     }
 
     /// Inserts rows, validating against the schema and maintaining
-    /// indexes.
+    /// indexes: all of them, or none ([`Table::insert_all`]).
     ///
     /// # Errors
     ///
-    /// Returns [`Error::TableNotFound`] or [`Error::SchemaMismatch`].
+    /// Returns [`Error::TableNotFound`] or [`Error::SchemaMismatch`]
+    /// (and [`Error::Invalid`] as [`Table::insert_all`] does); the table
+    /// is unchanged on error.
     pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<usize> {
-        let t = self.table_mut(table)?;
-        let n = rows.len();
-        for row in rows {
-            t.insert(row)?;
-        }
-        Ok(n)
+        self.table_mut(table)?.insert_all(&rows)?;
+        Ok(rows.len())
     }
 
     /// Builds a secondary B-tree index on `column`.
@@ -337,7 +335,7 @@ mod tests {
     fn rebalance_table_rebuilds_the_index() {
         let mut db = store_with_data();
         db.create_index("patients", "pid").unwrap();
-        let mut rows = db.table("patients").unwrap().rows().to_vec();
+        let mut rows = db.table("patients").unwrap().rows();
         rows.reverse();
         let total = db.rebalance_table("patients", rows).unwrap();
         assert_eq!(total, 3);
@@ -361,7 +359,7 @@ mod tests {
         .unwrap();
         let check = |db: &RelationalStore| {
             let t = db.table("patients").unwrap();
-            assert_eq!(*t.image(), ColumnImage::of(t.schema(), t.rows()).unwrap());
+            assert_eq!(*t.image(), ColumnImage::of(t.schema(), &t.rows()).unwrap());
             // Sequential and (once `pid` is indexed) index scans,
             // whole rows and projected ones.
             for predicate in [
@@ -382,7 +380,7 @@ mod tests {
         check(&db);
         db.create_index("patients", "pid").unwrap();
         check(&db);
-        let mut rows = db.table("patients").unwrap().rows().to_vec();
+        let mut rows = db.table("patients").unwrap().rows();
         rows.swap(0, 3);
         rows.pop();
         db.rebalance_table("patients", rows).unwrap();
@@ -397,6 +395,33 @@ mod tests {
         assert_eq!(after.image(), before.image());
         assert_eq!(after.byte_size(), before.byte_size());
         check(&db);
+    }
+
+    /// A batch with a bad row inserts nothing: not the rows before it,
+    /// not their index entries, not their bytes.
+    #[test]
+    fn an_insert_is_all_or_nothing() {
+        let mut db = store_with_data();
+        db.create_index("patients", "pid").unwrap();
+        let before = db.table("patients").unwrap().clone();
+        let batch = vec![
+            row![4i64, 30i64, "barbara"],
+            row![5i64, 40i64, "frances"],
+            row![6i64, "sixty", "kathleen"],
+            row![7i64, 50i64, "radia"],
+        ];
+        assert!(matches!(
+            db.insert("patients", batch),
+            Err(Error::SchemaMismatch(_))
+        ));
+        let after = db.table("patients").unwrap();
+        assert_eq!(after.len(), before.len());
+        assert_eq!(after.rows(), before.rows());
+        assert_eq!(after.image(), before.image());
+        assert_eq!(after.byte_size(), before.byte_size());
+        let pid4 = Predicate::eq("pid", 4i64);
+        assert_eq!(after.candidates(&pid4), Some(vec![]));
+        assert!(db.scan("patients", &pid4, None).unwrap().rows.is_empty());
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! # Selections
 //!
 //! Every kernel reads its input as [`Selected`] rows: positions into a
-//! [`ColumnSource`] — a scan's kept positions over the table's rows and
-//! typed image, which has every column — or every row of a slice, which
-//! has no image. It reads a key or a value out of the typed image where
-//! its column has one and through the row where it has none, and
-//! returns positions of the source ([`filter_at`], [`sort_at`]) or the
+//! [`ColumnSource`] — a scan's kept positions over the table's typed
+//! image, which has every column and is all the table stores — or
+//! every row of a slice, which has no image. It reads a key or a value
+//! out of the typed image where its column has one and through the row
+//! where it has none, and returns positions of the source
+//! ([`filter_at`], [`sort_at`]) or the
 //! rows it builds ([`project_at`], [`group_by_at`], and the joins,
 //! [`hash_join_with`] and [`sort_merge_join_with`], which build the
 //! matched pairs alone). A migration batches the rows read the same way
@@ -31,11 +32,15 @@
 //! one slab of NULLs ([`Row::slab_with`]) with one typed loop
 //! ([`pspp_common::Column::values_into`]; `Str` and `Bytes` included),
 //! staging no column on its own. [`group_by_at`] fills its rows the
-//! same way, and keeps each
-//! aggregate's state in a vector a slot per group, `Sum` and `Avg` of an
-//! `Int`, `Float` or `Timestamp` column folded straight off the image a
-//! part's run at a time. Only a part without an image — rows a
-//! migration decoded or an operator built — is read through its rows.
+//! same way, and keeps each aggregate's state in a vector a slot per
+//! group, `Sum` and `Avg` of an `Int`, `Float` or `Timestamp` column
+//! folded straight off the image a part's run at a time. Only a part
+//! without an image — rows a migration decoded or an operator built —
+//! is read through its rows. The generic bodies (keys that are not
+//! typed words; see "Key words") read cells ([`pspp_common::ValueRef`]):
+//! borrowed from a row, copied out of a fixed-width image, and a string
+//! or byte array read in place out of the image's buffer, so no value is
+//! built to be compared, hashed or sorted.
 //!
 //! A [`crate::Selection`] may span several snapshots — one per shard, in
 //! gather order, past an exchange that appended or split shards' scans
@@ -77,6 +82,7 @@
 //! | `Timestamp(v)`     | as `Int`                                        |
 //! | `Float(x)`, `x` ≥ +0.0 | `x.to_bits() ^ 1 << 63`                     |
 //! | `Float(x)`, sign bit set | `!x.to_bits()`                            |
+//! | `Str(s)`           | none: the generic body, over `&str` cells read out of the buffer |
 //!
 //! Flipping the sign bit maps two's-complement order onto unsigned
 //! order. The float rule is `f64::total_cmp`'s own key — the order
@@ -87,7 +93,8 @@
 //! sort key is the complement of the word.
 //!
 //! A column is **not typed** — and the call runs the generic body over
-//! `&Value`, which returns the same rows in the same order — when it
+//! cells ([`pspp_common::ValueRef`], which orders, compares and hashes as
+//! `Value` does), which returns the same rows in the same order — when it
 //! holds a `Str`, `Bytes` or `NULL` among the rows read (a NULL in the
 //! typed image is a cleared validity flag), when it mixes kinds (`Int`
 //! beside `Float` included: the two compare numerically and no one word
@@ -99,7 +106,6 @@
 //! compares equal to). Which body runs depends on the key values in the
 //! input and on nothing else.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -108,10 +114,10 @@ use std::sync::Arc;
 
 use pspp_common::{
     row_major, Batch, Column, ColumnSource, Error, FxBuildHasher, FxHasher, Predicate, Result, Row,
-    Schema, TypedColumn, Value,
+    Schema, TypedColumn, Value, ValueRef,
 };
 
-use crate::table::{as_u32, part_runs, split_position, Snapshot, LOCAL_MASK};
+use crate::table::{as_u32, part_runs, split_position, ColumnImage, LOCAL_MASK};
 
 /// Join flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,7 +221,7 @@ enum Parts<'a> {
     One(ColumnSource<'a>),
     /// Two or more snapshots, in order: a position is a part tag above
     /// the 24 bits of a row of that part's snapshot.
-    Many(&'a [Arc<Snapshot>]),
+    Many(&'a [Arc<ColumnImage>]),
 }
 
 impl<'a> Selected<'a> {
@@ -228,7 +234,7 @@ impl<'a> Selected<'a> {
     pub fn all(rows: &'a [Row]) -> Result<Self> {
         as_u32(rows.len(), "row count")?;
         Ok(Selected {
-            parts: Parts::One(ColumnSource { rows, typed: &[] }),
+            parts: Parts::One(ColumnSource::of_rows(rows)),
             positions: None,
             columns: None,
         })
@@ -246,7 +252,7 @@ impl<'a> Selected<'a> {
 
     /// The rows at the tagged `positions` of `parts`, two or more
     /// snapshots.
-    pub(crate) fn over(parts: &'a [Arc<Snapshot>], positions: &'a [u32]) -> Self {
+    pub(crate) fn over(parts: &'a [Arc<ColumnImage>], positions: &'a [u32]) -> Self {
         Selected {
             parts: Parts::Many(parts),
             positions: Some(positions),
@@ -271,7 +277,7 @@ impl<'a> Selected<'a> {
     pub fn len(&self) -> usize {
         match (self.positions, self.parts) {
             (Some(positions), _) => positions.len(),
-            (None, Parts::One(source)) => source.rows.len(),
+            (None, Parts::One(source)) => source.len,
             (None, Parts::Many(_)) => 0,
         }
     }
@@ -311,13 +317,6 @@ impl<'a> Selected<'a> {
         }
     }
 
-    /// The `i`-th row read.
-    #[inline]
-    fn row(&self, i: usize) -> &'a Row {
-        let (source, p) = self.locate(self.position(i));
-        &source.rows[p]
-    }
-
     /// Columns `keep` of the rows read, as a migration ships them:
     /// [`Batch::from_source`] over each part's source at its positions,
     /// so a column with a typed image is copied out of it and no row is
@@ -340,14 +339,14 @@ impl<'a> Selected<'a> {
             .and_then(Batch::concat);
         let Ok(batch) = batches else {
             // Which violation comes first is a matter of input order:
-            // the rows read, a row at a time, say.
-            let rows: Vec<Row> = match self.columns {
-                None => (0..self.len()).map(|i| self.row(i).clone()).collect(),
-                Some(columns) => {
-                    let row = |i| columns.iter().map(|&c| self.row(i)[c].clone()).collect();
-                    (0..self.len()).map(row).collect()
-                }
-            };
+            // the rows read, built, say.
+            let arity = self
+                .columns
+                .map_or(parts[0].columns().len(), <[usize]>::len);
+            let every: Vec<usize> = (0..arity).collect();
+            let rows = Row::slab_with(self.len(), arity, |slab| {
+                gather_all(*self, &every, slab, arity);
+            });
             return Batch::from_columns(schema, &rows, keep);
         };
         if positions.is_sorted_by_key(|&p| split_position(p).0) {
@@ -371,21 +370,22 @@ impl<'a> Selected<'a> {
     }
 
     /// Calls `f` with the index and column `column` of each row read, in
-    /// order, up to its first error: the value made from the typed image
-    /// where the column has one (NULL where the row's validity flag is
-    /// clear), borrowed from the row where it has none. A visitor, not an
-    /// iterator, so that each caller's loop compiles with `f` inlined.
+    /// order, up to its first error: read out of the typed image where
+    /// the column has one (NULL where the row's validity flag is clear),
+    /// borrowed from the row where it has none ([`ColumnSource::cell`]).
+    /// A visitor, not an iterator, so that each caller's loop compiles
+    /// with `f` inlined.
     #[inline]
     fn try_cells<E>(
         self,
         column: usize,
-        mut f: impl FnMut(usize, Cow<'a, Value>) -> std::result::Result<(), E>,
+        mut f: impl FnMut(usize, ValueRef<'a>) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
         let column = self.source_column(column);
         match self.parts {
             // One source: its image is looked up once, not per cell.
             Parts::One(source) => {
-                let image = typed(source, column);
+                let image = source.typed(column);
                 for i in 0..self.len() {
                     f(
                         i,
@@ -440,9 +440,26 @@ impl<'a> Selected<'a> {
 
     /// Source column `column` of the `i`-th row read, as
     /// [`Selected::try_cells`] reads it.
-    fn cell(&self, i: usize, column: usize) -> Cow<'a, Value> {
+    fn cell(&self, i: usize, column: usize) -> ValueRef<'a> {
         let (source, p) = self.locate(self.position(i));
-        value_at(source, typed(source, column), p, column)
+        source.cell(p, column)
+    }
+
+    /// Columns `columns` of every row read, a cell each, row-major in
+    /// one vector (row `i`'s are `cells[i * k..][..k]`, `k` columns):
+    /// what the generic bodies compare, hash and sort — a string read in
+    /// place out of its buffer.
+    fn cells(self, columns: &[usize]) -> Vec<ValueRef<'a>> {
+        let k = columns.len();
+        let mut cells = vec![ValueRef::Null; self.len() * k];
+        for (offset, &c) in columns.iter().enumerate() {
+            let mut slots = cells.iter_mut().skip(offset).step_by(k);
+            let Ok(()) = self.try_cells(c, |_, v| {
+                slots.next().into_iter().for_each(|slot| *slot = v);
+                Ok::<_, Infallible>(())
+            });
+        }
+        cells
     }
 
     /// Writes column `c` of the rows read at `reads` (indices into the
@@ -475,7 +492,7 @@ impl<'a> Selected<'a> {
             let rows = run
                 .iter()
                 .map(|&i| (self.position(i as usize) & mask) as usize);
-            match typed(source, column) {
+            match source.typed(column) {
                 Some((values, valid)) => values.values_into(valid, rows, run_slots),
                 None => rows
                     .zip(run_slots)
@@ -552,13 +569,8 @@ fn rows_by_part(parts: usize, positions: &[u32]) -> Vec<Vec<u32>> {
     rows
 }
 
-/// The typed image of `source`'s column `column`, when it has one.
-fn typed(source: ColumnSource<'_>, column: usize) -> Option<&TypedColumn> {
-    source.typed.get(column).and_then(Option::as_ref)
-}
-
 /// Column `column` of `source`'s row `p`, `image` being the column's
-/// typed image there.
+/// typed image there: [`ColumnSource::cell`] with the image looked up.
 // Left to itself the compiler calls this out of line from the group-by
 // loops, a call per cell that doubled their cost over plain rows.
 #[inline(always)]
@@ -567,11 +579,11 @@ fn value_at<'a>(
     image: Option<&'a TypedColumn>,
     p: usize,
     column: usize,
-) -> Cow<'a, Value> {
+) -> ValueRef<'a> {
     match image {
-        Some((values, valid)) if valid[p] => Cow::Owned(values.value(p)),
-        Some(_) => Cow::Owned(Value::Null),
-        None => Cow::Borrowed(&source.rows[p][column]),
+        Some((values, valid)) if valid[p] => values.view(p),
+        Some(_) => ValueRef::Null,
+        None => source.rows[p][column].view(),
     }
 }
 
@@ -618,7 +630,8 @@ pub fn filter_at(schema: &Schema, input: Selected<'_>, predicate: &Predicate) ->
             Err(e) => {
                 // The error a row at a time raises first, in input order.
                 for i in 0..input.len() {
-                    bound.eval(input.row(i))?;
+                    let (source, p) = input.locate(input.position(i));
+                    bound.eval_at(source, p)?;
                 }
                 return Err(e);
             }
@@ -734,27 +747,27 @@ fn image_words<const MASK: u32>(
 
 /// Column `column` of the rows `input` reads as one order-preserving
 /// word per row, or `None` when the column is not typed over them: out
-/// of the typed image where the column has one, through the rows where
+/// of the typed image where the column has one, a cell at a time where
 /// it has none. The one place the encoding of the module docs is
 /// written.
 fn key_words(input: Selected<'_>, column: usize) -> Option<(KeyKind, Vec<u64>)> {
     if input.is_empty() {
         return None;
     }
-    let column = input.source_column(column);
+    let at = input.source_column(column);
     if let Some(positions) = input.positions {
         match input.parts {
             Parts::One(source) => {
-                if let Some(image) = typed(source, column) {
+                if let Some(image) = source.typed(at) {
                     let words = Vec::with_capacity(positions.len());
                     return image_words::<{ u32::MAX }>(words, positions, image);
                 }
             }
-            Parts::Many(parts) if typed(parts[0].source(), column).is_some() => {
+            Parts::Many(parts) if parts[0].source().typed(at).is_some() => {
                 // A run at a time, each over its own snapshot's image.
                 let (mut words, mut kind) = (Vec::with_capacity(positions.len()), None);
                 for (part, run) in part_runs(positions) {
-                    let image = typed(parts[part].source(), column)?;
+                    let image = parts[part].source().typed(at)?;
                     let run_kind;
                     (run_kind, words) = image_words::<LOCAL_MASK>(words, run, image)?;
                     // The snapshots of one selection are of one table.
@@ -767,25 +780,24 @@ fn key_words(input: Selected<'_>, column: usize) -> Option<(KeyKind, Vec<u64>)> 
             Parts::Many(_) => {}
         }
     }
-    let kind = match input.row(0)[column] {
-        Value::Bool(_) => KeyKind::Bool,
-        Value::Int(_) => KeyKind::Int,
-        Value::Float(_) => KeyKind::Float,
-        Value::Timestamp(_) => KeyKind::Timestamp,
-        Value::Null | Value::Str(_) | Value::Bytes(_) => return None,
-    };
-    let mut words = Vec::with_capacity(input.len());
-    for i in 0..input.len() {
-        words.push(match (kind, &input.row(i)[column]) {
-            (KeyKind::Bool, Value::Bool(b)) => u64::from(*b),
-            (KeyKind::Int, Value::Int(v)) | (KeyKind::Timestamp, Value::Timestamp(v)) => {
-                int_word(*v)
-            }
-            (KeyKind::Float, Value::Float(x)) => float_word(*x),
-            _ => return None,
-        });
-    }
-    Some((kind, words))
+    // The first row's kind is the column's; a row of another ends it.
+    let (mut kind, mut words) = (None, Vec::with_capacity(input.len()));
+    let typed = input.try_cells(column, |_, v| {
+        let (k, word) = match v {
+            ValueRef::Bool(b) => (KeyKind::Bool, u64::from(b)),
+            ValueRef::Int(v) => (KeyKind::Int, int_word(v)),
+            ValueRef::Timestamp(v) => (KeyKind::Timestamp, int_word(v)),
+            ValueRef::Float(x) => (KeyKind::Float, float_word(x)),
+            ValueRef::Null | ValueRef::Str(_) | ValueRef::Bytes(_) => return Err(()),
+        };
+        if *kind.get_or_insert(k) != k {
+            return Err(());
+        }
+        words.push(word);
+        Ok(())
+    });
+    typed.ok()?;
+    Some((kind?, words))
 }
 
 /// Stable multi-key sort.
@@ -865,16 +877,14 @@ fn sort_reads(
             });
         }
     }
-    let resolved: Vec<(usize, bool)> = (resolved.into_iter())
-        .map(|(idx, asc)| (input.source_column(idx), asc))
-        .collect();
+    let columns: Vec<usize> = resolved.iter().map(|&(idx, _)| idx).collect();
+    let (cells, k) = (input.cells(&columns), columns.len());
     let mut order: Vec<u32> = (0..input.len() as u32).collect();
     order_first(&mut order, top, |&a, &b| {
-        let (ra, rb) = (input.row(a as usize), input.row(b as usize));
-        resolved
-            .iter()
-            .map(|&(idx, asc)| {
-                let ord = ra[idx].cmp(&rb[idx]);
+        let (ka, kb) = (&cells[a as usize * k..], &cells[b as usize * k..]);
+        (resolved.iter().zip(ka.iter().zip(kb)))
+            .map(|(&(_, asc), (x, y))| {
+                let ord = x.cmp(y);
                 if asc {
                     ord
                 } else {
@@ -1149,14 +1159,14 @@ fn join_words(
     Some((lw, rw))
 }
 
-/// The join keys of column `on` of the rows `input` reads, as values
-/// read through the rows: `None` for NULL, which joins nothing.
+/// The join keys of column `on` of the rows `input` reads, as cells (a
+/// string read in place): `None` for NULL, which joins nothing.
 fn value_keys<'a>(
     input: Selected<'a>,
     on: usize,
-) -> impl ExactSizeIterator<Item = Option<&'a Value>> + 'a {
-    let on = input.source_column(on);
-    (0..input.len()).map(move |i| Some(&input.row(i)[on]).filter(|v| !v.is_null()))
+) -> impl ExactSizeIterator<Item = Option<ValueRef<'a>>> + 'a {
+    let cells = input.cells(&[on]);
+    cells.into_iter().map(|v| Some(v).filter(|v| !v.is_null()))
 }
 
 /// The matches of an equi-join, left-major.
@@ -1251,36 +1261,29 @@ fn join_matches<K: Hash + Eq>(
     }
 }
 
-/// The key columns of one row, compared in place, beside their hash:
-/// grouping looks a row up by this view and builds nothing per row, and
-/// a growing map re-buckets its keys by the stored hash instead of
-/// reading every first row again.
+/// The key cells of one row read, compared in place, beside their
+/// hash: grouping looks a row up by this view and builds nothing per
+/// row, and a growing map re-buckets its keys by the stored hash instead
+/// of reading every first row again.
 #[derive(Clone, Copy)]
-struct GroupKey<'a> {
+struct GroupKey<'k, 'a> {
     hash: u64,
-    row: &'a Row,
-    columns: &'a [usize],
+    cells: &'k [ValueRef<'a>],
 }
 
-impl GroupKey<'_> {
-    fn values(&self) -> impl Iterator<Item = &Value> {
-        self.columns.iter().map(|&c| &self.row[c])
-    }
-}
-
-impl std::hash::Hash for GroupKey<'_> {
+impl std::hash::Hash for GroupKey<'_, '_> {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash);
     }
 }
 
-impl PartialEq for GroupKey<'_> {
+impl PartialEq for GroupKey<'_, '_> {
     fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.values().eq(other.values())
+        self.hash == other.hash && self.cells == other.cells
     }
 }
 
-impl Eq for GroupKey<'_> {}
+impl Eq for GroupKey<'_, '_> {}
 
 /// An empty grouping map with room reserved for `rows` input rows. A
 /// map that starts at nothing regrows, and rehashes, about a dozen times
@@ -1295,44 +1298,33 @@ fn group_map<K>(rows: usize) -> HashMap<K, usize, FxBuildHasher> {
     HashMap::with_capacity_and_hasher(rows.min(entries), FxBuildHasher::default())
 }
 
-/// Rows grouped by key columns, groups numbered in first-seen order.
-struct Groups<'a> {
-    columns: &'a [usize],
-    index: HashMap<GroupKey<'a>, usize, FxBuildHasher>,
-    /// The first row seen of each group: its key columns are the
-    /// group's key.
-    firsts: Vec<&'a Row>,
-}
-
-impl<'a> Groups<'a> {
-    /// An empty grouping, about to be fed `rows` rows.
-    fn new(columns: &'a [usize], rows: usize) -> Self {
-        Groups {
-            columns,
-            index: group_map(rows),
-            firsts: Vec::new(),
-        }
-    }
-
-    /// The group `row` belongs to; a group not seen before gets the
-    /// next number (`firsts.len()` before the call).
-    fn group_of(&mut self, row: &'a Row) -> usize {
-        let key = GroupKey {
-            hash: FxHasher::hash_all(self.columns.iter().map(|&c| &row[c])),
-            row,
-            columns: self.columns,
-        };
-        *self.index.entry(key).or_insert_with(|| {
-            self.firsts.push(row);
-            self.firsts.len() - 1
+/// The group of every row `input` reads, by key columns `columns`,
+/// groups numbered in first-seen order, and the index of each group's
+/// first row: the generic body, over the key cells.
+fn group_cells(input: Selected<'_>, columns: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let (cells, k) = (input.cells(columns), columns.len());
+    let mut index = group_map::<GroupKey>(input.len());
+    let mut firsts = Vec::new();
+    let ids = (0..input.len())
+        .map(|row| {
+            let cells = &cells[row * k..][..k];
+            let key = GroupKey {
+                hash: FxHasher::hash_all(cells),
+                cells,
+            };
+            *index.entry(key).or_insert_with(|| {
+                firsts.push(row);
+                firsts.len() - 1
+            })
         })
-    }
+        .collect();
+    (ids, firsts)
 }
 
 /// Phase 1 of [`group_by_at`]: the group of every row read, groups
 /// numbered in first-seen order, and the index of each group's first
 /// row. One typed key column is grouped by its words, anything else by
-/// [`Groups`] through the rows.
+/// [`group_cells`].
 fn number_groups(input: Selected<'_>, key_idx: &[usize]) -> (Vec<usize>, Vec<usize>) {
     let words = match key_idx {
         // No key: every row is in the one group (no rows, no group).
@@ -1340,33 +1332,21 @@ fn number_groups(input: Selected<'_>, key_idx: &[usize]) -> (Vec<usize>, Vec<usi
         [column] => key_words(input, *column),
         _ => None,
     };
+    let Some((_, words)) = words else {
+        return group_cells(input, key_idx);
+    };
     let mut firsts = Vec::new();
-    let mut first_seen = |i: usize, group: usize| {
-        if group == firsts.len() {
-            firsts.push(i);
-        }
-        group
-    };
-    let ids = match words {
-        Some((_, words)) => {
-            let mut index = group_map::<u64>(input.len());
-            words
-                .iter()
-                .enumerate()
-                .map(|(i, &word)| {
-                    let fresh = index.len();
-                    first_seen(i, *index.entry(word).or_insert(fresh))
-                })
-                .collect()
-        }
-        None => {
-            let at: Vec<usize> = key_idx.iter().map(|&c| input.source_column(c)).collect();
-            let mut groups = Groups::new(&at, input.len());
-            (0..input.len())
-                .map(|i| first_seen(i, groups.group_of(input.row(i))))
-                .collect()
-        }
-    };
+    let mut index = group_map::<u64>(input.len());
+    let ids = (words.iter().enumerate())
+        .map(|(i, &word)| {
+            let fresh = index.len();
+            let group = *index.entry(word).or_insert(fresh);
+            if group == fresh {
+                firsts.push(i);
+            }
+            group
+        })
+        .collect();
     (ids, firsts)
 }
 
@@ -1450,11 +1430,10 @@ pub fn merge_group_partials(
     };
 
     let key_columns: Vec<usize> = (0..key_count).collect();
-    let mut groups = Groups::new(&key_columns, partial_rows.len());
+    let (ids, firsts) = group_cells(Selected::all(partial_rows)?, &key_columns);
     // One state per (group, aggregate), group-major.
     let mut accs: Vec<MergeAcc> = Vec::new();
-    for row in partial_rows {
-        let g = groups.group_of(row);
+    for (row, g) in partial_rows.iter().zip(ids) {
         if g * aggs.len() == accs.len() {
             accs.extend(aggs.iter().map(fresh));
         }
@@ -1491,19 +1470,17 @@ pub fn merge_group_partials(
     }
 
     let width = key_count + aggs.len();
-    let cells = row_major(groups.firsts.len(), width, |g, c| {
-        match c.checked_sub(key_count) {
-            None => groups.firsts[g][c].clone(),
-            Some(a) => match &mut accs[g * aggs.len() + a] {
-                MergeAcc::Ints(n) => Value::Int(*n),
-                MergeAcc::Floats(s) => s.map_or(Value::Null, Value::Float),
-                MergeAcc::Ratio(_, 0) => Value::Null,
-                MergeAcc::Ratio(s, n) => Value::Float(*s / *n as f64),
-                MergeAcc::Extremum(m) => m.take().unwrap_or(Value::Null),
-            },
-        }
+    let cells = row_major(firsts.len(), width, |g, c| match c.checked_sub(key_count) {
+        None => partial_rows[firsts[g]][c].clone(),
+        Some(a) => match &mut accs[g * aggs.len() + a] {
+            MergeAcc::Ints(n) => Value::Int(*n),
+            MergeAcc::Floats(s) => s.map_or(Value::Null, Value::Float),
+            MergeAcc::Ratio(_, 0) => Value::Null,
+            MergeAcc::Ratio(s, n) => Value::Float(*s / *n as f64),
+            MergeAcc::Extremum(m) => m.take().unwrap_or(Value::Null),
+        },
     });
-    let out = Row::slab(groups.firsts.len(), cells);
+    let out = Row::slab(firsts.len(), cells);
     Ok((out_schema, out))
 }
 
@@ -1563,10 +1540,10 @@ pub fn sort_merge_join_with(
         schema: &Schema,
         on: &str,
         at: usize,
-    ) -> Result<(Vec<u32>, Vec<&'a Value>)> {
+    ) -> Result<(Vec<u32>, Vec<ValueRef<'a>>)> {
         let order = sort_reads(schema, input, &[SortKey::asc(on)], None)?;
         let at = input.source_column(at);
-        let keys = order.iter().map(|&i| &input.row(i as usize)[at]).collect();
+        let keys = order.iter().map(|&i| input.cell(i as usize, at)).collect();
         Ok((order, keys))
     }
     let (lorder, lkeys) = ordered(left, left_schema, left_on, li)?;
@@ -1584,7 +1561,7 @@ pub fn sort_merge_join_with(
             j += 1;
             continue;
         }
-        match lv.cmp(rv) {
+        match lv.cmp(&rv) {
             Ordering::Less => i += 1,
             Ordering::Greater => j += 1,
             Ordering::Equal => {
@@ -1759,9 +1736,9 @@ fn image_runs<'a>(
     let positions = input.positions?;
     let column = input.source_column(column);
     match input.parts {
-        Parts::One(source) => Some(vec![(positions, u32::MAX, typed(source, column)?)]),
+        Parts::One(source) => Some(vec![(positions, u32::MAX, source.typed(column)?)]),
         Parts::Many(parts) => part_runs(positions)
-            .map(|(part, run)| Some((run, LOCAL_MASK, typed(parts[part].source(), column)?)))
+            .map(|(part, run)| Some((run, LOCAL_MASK, parts[part].source().typed(column)?)))
             .collect(),
     }
 }
@@ -1809,7 +1786,7 @@ fn sums(
     let Some(runs) = runs else {
         input.try_cells(column, |i, v| {
             if !v.is_null() {
-                sums[ids[i]] += v.as_f64().ok_or_else(|| not_a_number(&v))?;
+                sums[ids[i]] += v.as_f64().ok_or_else(|| not_a_number(v))?;
                 counts[ids[i]] += 1;
             }
             Ok(())
@@ -1846,8 +1823,8 @@ fn sums(
 /// The error a sum raises at `v`, a non-null value that is not a
 /// number; out of line, so that the loops summing stay small.
 #[cold]
-fn not_a_number(v: &Value) -> Error {
-    Error::SchemaMismatch(format!("cannot aggregate {v:?} numerically"))
+fn not_a_number(v: ValueRef<'_>) -> Error {
+    Error::SchemaMismatch(format!("cannot aggregate {:?} numerically", v.to_value()))
 }
 
 /// `CountNonNull`'s state over column `column` of the rows `input`
@@ -1890,12 +1867,8 @@ fn extrema(
     let mut extrema: Vec<Option<Value>> = vec![None; groups];
     let Ok(()) = input.try_cells(column, |i, v| {
         let extremum = &mut extrema[ids[i]];
-        if !v.is_null()
-            && extremum
-                .as_ref()
-                .is_none_or(|m| v.as_ref().cmp(m) == better)
-        {
-            *extremum = Some(v.into_owned());
+        if !v.is_null() && extremum.as_ref().is_none_or(|m| v.cmp(&m.view()) == better) {
+            *extremum = Some(v.to_value());
         }
         Ok::<_, Infallible>(())
     });

@@ -1,4 +1,4 @@
-//! Heap tables with secondary B-tree indexes and a typed column image.
+//! Tables held as a typed column image, with secondary B-tree indexes.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -9,17 +9,17 @@ use pspp_common::{
 
 use crate::ops::Selected;
 
-/// A table's columns as typed vectors, and every row's payload width:
-/// what a scan reads, and what output rows are built out of, instead of
-/// chasing row pointers.
+/// A table's rows as typed columns, and every row's payload width: the
+/// one copy of the table's data. A scan reads it, and output rows are
+/// built out of it ([`crate::ops`], "Selections"); no row is stored.
 ///
 /// Row `p` of the table is entry `p` of every vector here. Every column
 /// has its values (a NULL holds the type's default: `0`, `false`, the
-/// empty string or byte array) and a validity flag per row. A `Str` or
-/// `Bytes` column holds a copy of every value, so a kernel building
-/// rows copies a column out of one vector (see [`crate::ops`],
-/// "Selections"); the key words and the typed predicate loops still
-/// read those two kinds through the rows.
+/// empty string or byte array) and a validity flag per row. A `Str`
+/// column is one buffer of its strings end to end
+/// ([`pspp_common::StrColumn`]): predicates, key words and the cells of
+/// the generic kernel bodies read a string in place, and only a row
+/// built for output copies it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnImage {
     columns: Vec<Option<TypedColumn>>,
@@ -78,6 +78,25 @@ impl ColumnImage {
     pub fn widths(&self) -> &[u32] {
         &self.widths
     }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.widths.len()
+    }
+
+    /// Whether the image holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.widths.is_empty()
+    }
+
+    /// What a column-wise read sees: the image, and no rows.
+    pub(crate) fn source(&self) -> ColumnSource<'_> {
+        ColumnSource {
+            rows: &[],
+            typed: &self.columns,
+            len: self.len(),
+        }
+    }
 }
 
 /// Row positions and payload widths are `u32`s, half the bytes a scan
@@ -85,26 +104,6 @@ impl ColumnImage {
 /// fit.
 pub(crate) fn as_u32(n: usize, what: &str) -> Result<u32> {
     u32::try_from(n).map_err(|_| Error::Invalid(format!("{what} {n} exceeds u32::MAX")))
-}
-
-/// A table's rows and their typed image as of its last write. The table
-/// holds it behind an `Arc` and copies it before writing while anyone
-/// else still holds it, so a [`Selection`] keeps reading the rows it
-/// selected whatever the table does next.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Snapshot {
-    rows: Vec<Row>,
-    image: ColumnImage,
-}
-
-impl Snapshot {
-    /// What a column-wise read sees: the rows and their image.
-    pub(crate) fn source(&self) -> ColumnSource<'_> {
-        ColumnSource {
-            rows: &self.rows,
-            typed: &self.image.columns,
-        }
-    }
 }
 
 /// The low bits of a position in a selection of several snapshots: the
@@ -133,14 +132,16 @@ pub(crate) fn part_runs(positions: &[u32]) -> impl Iterator<Item = (usize, &[u32
 }
 
 /// The rows a scan kept: their positions, in scan order, in a snapshot
-/// of the table — or, past a shuffle or a gather of several shards'
-/// scans, in an ordered list of snapshots, one per shard — and which of
-/// the snapshots' columns they expose, in what order: all of them, or
-/// those a projection kept ([`Selection::project`]). The relational
-/// kernels read keys and values at the positions
-/// ([`Selection::selected`]); [`Selection::rows`] builds the rows
-/// themselves, which are the tables' own, shared, unless the selection
-/// projects.
+/// of the table — its [`ColumnImage`] as of the scan: the table holds
+/// its image behind an `Arc` and copies it before writing while anyone
+/// else still holds it, so a selection keeps reading the rows it
+/// selected whatever the table does next — or, past a shuffle or a
+/// gather of several shards' scans, in an ordered list of snapshots,
+/// one per shard; and which of the snapshots' columns they expose, in
+/// what order: all of them, or those a projection kept
+/// ([`Selection::project`]). The relational kernels read keys and
+/// values at the positions ([`Selection::selected`]);
+/// [`Selection::rows`] builds the rows themselves, out of the images.
 ///
 /// Over one snapshot a position is the row's index in it. Over several,
 /// a position is the snapshot's index (its part) above
@@ -148,7 +149,7 @@ pub(crate) fn part_runs(positions: &[u32]) -> impl Iterator<Item = (usize, &[u32
 #[derive(Debug, Clone)]
 pub struct Selection {
     /// The snapshots, in order: at least one.
-    parts: Arc<[Arc<Snapshot>]>,
+    parts: Arc<[Arc<ColumnImage>]>,
     positions: Vec<u32>,
     /// The snapshots' columns the selection exposes, in order; `None`:
     /// every column, in the table's order.
@@ -183,7 +184,7 @@ fn column_widths(
         Column::Int(_) | Column::Float(_) | Column::Timestamp(_) => {
             each(positions, mask, valid, add, |_| 8);
         }
-        Column::Str(v) => each(positions, mask, valid, add, |p| v[p].len() as u64),
+        Column::Str(v) => each(positions, mask, valid, add, |p| v.get(p).len() as u64),
         Column::Bytes(v) => each(positions, mask, valid, add, |p| v[p].len() as u64),
     }
 }
@@ -224,7 +225,7 @@ impl Selection {
     /// Returns [`Error::Invalid`] for a column the selection does not
     /// expose.
     pub fn project(&self, columns: &[usize]) -> Result<Selection> {
-        let arity = self.parts[0].image.columns.len();
+        let arity = self.parts[0].columns.len();
         let exposed = self.columns().map_or(arity, <[usize]>::len);
         if let Some(&c) = columns.iter().find(|&&c| c >= exposed) {
             return Err(Error::Invalid(format!(
@@ -277,15 +278,14 @@ impl Selection {
     /// of it — a whole row's at once, or a projected row's a column at a
     /// time, each column in turn.
     pub(crate) fn widths(&self, mut add: impl FnMut(usize, u64)) {
-        let runs: Vec<(&Snapshot, &[u32], u32)> = match &*self.parts {
+        let runs: Vec<(&ColumnImage, &[u32], u32)> = match &*self.parts {
             [one] => vec![(&**one, &self.positions[..], u32::MAX)],
             parts => part_runs(&self.positions)
                 .map(|(part, run)| (&*parts[part], run, LOCAL_MASK))
                 .collect(),
         };
         let mut start = 0;
-        for (snapshot, run, mask) in runs {
-            let image = &snapshot.image;
+        for (image, run, mask) in runs {
             let mut add = |i, width| add(start + i, width);
             match self.columns() {
                 None => {
@@ -306,29 +306,20 @@ impl Selection {
         }
     }
 
-    /// The selected rows, in order: the snapshots' rows, shared — or,
-    /// when the selection projects, its columns filled a column at a
-    /// time out of the images into rows of one slab.
+    /// The selected rows, in order: the exposed columns filled a column
+    /// at a time out of the images into rows of one slab.
     pub fn rows(&self) -> Vec<Row> {
-        if let Some(columns) = self.columns() {
-            let input = self.selected().through(None);
-            let fill = |slab: &mut _| crate::ops::gather_all(input, columns, slab, columns.len());
-            return Row::slab_with(self.len(), columns.len(), fill);
-        }
-        let rows = |snapshot: &Snapshot, run: &[u32], mask: u32, out: &mut Vec<Row>| {
-            let rows = &snapshot.rows;
-            out.extend(run.iter().map(|&p| rows[(p & mask) as usize].clone()));
-        };
-        let mut out = Vec::with_capacity(self.positions.len());
-        match &*self.parts {
-            [one] => rows(one, &self.positions, u32::MAX, &mut out),
-            parts => {
-                for (part, run) in part_runs(&self.positions) {
-                    rows(&parts[part], run, LOCAL_MASK, &mut out);
-                }
+        let every: Vec<usize>;
+        let columns = match self.columns() {
+            Some(columns) => columns,
+            None => {
+                every = (0..self.parts[0].columns.len()).collect();
+                &every
             }
-        }
-        out
+        };
+        let input = self.selected().through(None);
+        let fill = |slab: &mut _| crate::ops::gather_all(input, columns, slab, columns.len());
+        Row::slab_with(self.len(), columns.len(), fill)
     }
 
     /// The rows at `positions` of the same snapshots — what a kernel
@@ -344,10 +335,10 @@ impl Selection {
                 [_] => (0, p as usize),
                 _ => split_position(p),
             };
-            (self.parts.get(part)).is_none_or(|s| row >= s.rows.len())
+            (self.parts.get(part)).is_none_or(|s| row >= s.len())
         };
         if let Some(&p) = positions.iter().find(|p| outside(p)) {
-            let rows: Vec<usize> = self.parts.iter().map(|s| s.rows.len()).collect();
+            let rows: Vec<usize> = self.parts.iter().map(|s| s.len()).collect();
             return Err(Error::Invalid(format!(
                 "position {p:#x} outside snapshots of {rows:?} rows"
             )));
@@ -384,7 +375,7 @@ impl Selection {
         if self.is_empty() {
             return Ok(more.clone());
         }
-        let parts: Vec<Arc<Snapshot>> = self
+        let parts: Vec<Arc<ColumnImage>> = self
             .parts
             .iter()
             .chain(more.parts.iter())
@@ -396,13 +387,10 @@ impl Selection {
                 parts.len()
             )));
         }
-        if let Some(big) = parts
-            .iter()
-            .find(|s| s.rows.len() > LOCAL_MASK as usize + 1)
-        {
+        if let Some(big) = parts.iter().find(|s| s.len() > LOCAL_MASK as usize + 1) {
             return Err(Error::Invalid(format!(
                 "a snapshot of {} rows among several; a position addresses {}",
-                big.rows.len(),
+                big.len(),
                 LOCAL_MASK as usize + 1
             )));
         }
@@ -447,14 +435,14 @@ impl Selection {
     }
 }
 
-/// A heap of rows plus secondary indexes.
+/// A table: its column image plus secondary indexes.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
-    /// The rows and their image, kept current by every write with
+    /// The rows, as their image, kept current by every write with
     /// `byte_size` and `indexes`.
-    data: Arc<Snapshot>,
+    data: Arc<ColumnImage>,
     /// Payload bytes of the rows (the sum of the image's widths), so a
     /// full scan prices the heap without walking it.
     byte_size: u64,
@@ -467,10 +455,7 @@ impl Table {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Table {
             name: name.into(),
-            data: Arc::new(Snapshot {
-                rows: Vec::new(),
-                image: ColumnImage::empty(&schema),
-            }),
+            data: Arc::new(ColumnImage::empty(&schema)),
             schema,
             byte_size: 0,
             indexes: BTreeMap::new(),
@@ -487,18 +472,19 @@ impl Table {
         &self.schema
     }
 
-    /// All rows, in insertion order.
-    pub fn rows(&self) -> &[Row] {
-        &self.data.rows
+    /// All rows, in insertion order, built out of the image: a copy,
+    /// which later writes leave as it is.
+    pub fn rows(&self) -> Vec<Row> {
+        // A table holds at most `u32::MAX` rows.
+        self.select((0..self.len() as u32).collect()).rows()
     }
 
-    /// The typed image of [`Table::rows`].
+    /// The table's data.
     pub fn image(&self) -> &ColumnImage {
-        &self.data.image
+        &self.data
     }
 
-    /// What a column-wise predicate evaluation reads: the rows and
-    /// their image.
+    /// What a column-wise predicate evaluation reads: the image.
     pub fn source(&self) -> ColumnSource<'_> {
         self.data.source()
     }
@@ -515,46 +501,70 @@ impl Table {
 
     /// Row count.
     pub fn len(&self) -> usize {
-        self.data.rows.len()
+        self.data.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.rows.is_empty()
+        self.data.is_empty()
     }
 
     /// Inserts one row, maintaining the image and all indexes.
     ///
     /// # Errors
     ///
+    /// As [`Table::insert_all`].
+    pub fn insert(&mut self, row: Row) -> Result<()> {
+        self.insert_all(std::slice::from_ref(&row))
+    }
+
+    /// Inserts `rows`, in order, maintaining the image and all indexes:
+    /// every row is checked before any is written.
+    ///
+    /// # Errors
+    ///
     /// Returns [`pspp_common::Error::SchemaMismatch`] on invalid rows,
     /// [`pspp_common::Error::Invalid`] past `u32::MAX` rows or payload
-    /// bytes in the row; the table is unchanged on error.
-    pub fn insert(&mut self, row: Row) -> Result<()> {
-        self.schema.check_row(&row)?;
-        let width = as_u32(row.byte_size(), "row payload bytes")?;
-        let pos = as_u32(self.len() + 1, "row count")? - 1;
-        for (col, index) in &mut self.indexes {
-            let idx = self.schema.require(col)?;
-            index.entry(row[idx].clone()).or_default().push(pos);
+    /// bytes in a row; the table is unchanged on error.
+    pub fn insert_all(&mut self, rows: &[Row]) -> Result<()> {
+        for row in rows {
+            self.schema.check_row(row)?;
+            as_u32(row.byte_size(), "row payload bytes")?;
+        }
+        let first = self.len();
+        as_u32(first + rows.len(), "row count")?;
+        let mut indexes = (self.indexes.iter_mut())
+            .map(|(col, index)| Ok((self.schema.require(col)?, index)))
+            .collect::<Result<Vec<_>>>()?;
+        for (pos, row) in (first as u32..).zip(rows) {
+            for (idx, index) in &mut indexes {
+                index.entry(row[*idx].clone()).or_default().push(pos);
+            }
         }
         let data = Arc::make_mut(&mut self.data);
-        data.image.push(&row, width);
-        data.rows.push(row);
-        self.byte_size += u64::from(width);
+        for row in rows {
+            // Checked above: the width fits.
+            let width = row.byte_size() as u32;
+            data.push(row, width);
+            self.byte_size += u64::from(width);
+        }
         Ok(())
     }
 
-    /// Builds (or rebuilds) a secondary index on `column`.
+    /// Builds (or rebuilds) a secondary index on `column`, out of its
+    /// image.
     ///
     /// # Errors
     ///
     /// Returns [`pspp_common::Error::ColumnNotFound`] for unknown columns.
     pub fn create_index(&mut self, column: &str) -> Result<()> {
         let idx = self.schema.require(column)?;
+        let source = self.source();
         let mut index: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
-        for (pos, row) in (0u32..).zip(self.rows()) {
-            index.entry(row[idx].clone()).or_default().push(pos);
+        for p in 0..self.len() {
+            // A table holds at most `u32::MAX` rows.
+            let value = source.cell(p, idx).to_value();
+            index.entry(value).or_default().push(p as u32);
         }
         self.indexes.insert(column.to_owned(), index);
         Ok(())
@@ -584,7 +594,7 @@ impl Table {
     pub fn replace_rows(&mut self, rows: Vec<Row>) -> Result<()> {
         let image = ColumnImage::of(&self.schema, &rows)?;
         self.byte_size = image.widths.iter().map(|&w| u64::from(w)).sum();
-        self.data = Arc::new(Snapshot { rows, image });
+        self.data = Arc::new(image);
         let columns = self.indexed_columns();
         for col in columns {
             self.create_index(&col)?;
@@ -745,7 +755,7 @@ mod tests {
         };
         let nulls = || Row::from(vec![Value::Null; 6]);
         let current = |t: &Table| {
-            assert_eq!(*t.image(), ColumnImage::of(t.schema(), t.rows()).unwrap());
+            assert_eq!(*t.image(), ColumnImage::of(t.schema(), &t.rows()).unwrap());
             let widths = t.image().widths();
             assert_eq!(widths.len(), t.len());
             assert_eq!(
@@ -764,7 +774,8 @@ mod tests {
         assert_eq!(ints.as_int().unwrap(), &[1, 0, 2]);
         assert_eq!(valid, &[true, false, true]);
         let (strs, valid) = t.image().columns()[4].as_ref().expect("Str has one too");
-        assert_eq!(strs.as_str().unwrap(), &["abc", "", "abc"]);
+        let strs: Vec<&str> = strs.as_str().unwrap().iter().collect();
+        assert_eq!(strs, ["abc", "", "abc"]);
         assert_eq!(valid, &[true, false, true]);
         let (bytes, _) = t.image().columns()[5].as_ref().expect("Bytes has one");
         assert_eq!(bytes, &Column::Bytes(vec![vec![1, 1], vec![], vec![2, 2]]));
@@ -795,8 +806,7 @@ mod tests {
         t.insert(row![100i64, "new"]).unwrap();
         t.replace_rows(vec![row![1i64, "one"]]).unwrap();
         assert_eq!(t.len(), 1);
-        assert_eq!(selection.rows(), want);
-        assert!(selection.rows()[0].ptr_eq(&want[0]));
+        assert_eq!(format!("{:?}", selection.rows()), format!("{want:?}"));
         assert_eq!(selection.byte_size(), 2 * (8 + 2));
         assert_eq!(selection.prefix(1).rows(), want[..1]);
         assert_eq!(selection.with_positions(vec![99]).unwrap().len(), 1);

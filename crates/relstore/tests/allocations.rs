@@ -6,13 +6,16 @@
 //! column has in the output schema (and a projection's count does not
 //! grow with its row count N either). A kernel that stages a column in
 //! a vector of its own allocates once more per column, and fails.
+//!
+//! A table stores a row as its image's entries alone, a string in its
+//! column's one buffer: an insert allocates nothing per row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pspp_common::{DataType, Predicate, Row, Schema, Value};
+use pspp_common::{row, DataType, Predicate, Row, Schema, Value};
 use pspp_relstore::ops::{self, AggregateSpec, JoinKind};
-use pspp_relstore::{RelationalStore, Selection};
+use pspp_relstore::{RelationalStore, Selection, Table};
 
 /// The system allocator, counting the fresh allocations each thread
 /// makes (a vector growing in place or moving is not one). The test
@@ -168,4 +171,40 @@ fn a_group_by_allocates_the_same_at_every_key_count() {
         assert!(group().unwrap().1.len() > 1);
         allocations(group)
     });
+}
+
+#[test]
+fn an_insert_allocates_nothing_per_row() {
+    // `(Int, Str, Str)` rows, as `patients` holds them.
+    let inserted = |rows: i64| {
+        let schema = Schema::new(vec![
+            ("pid", DataType::Int),
+            ("name", DataType::Str),
+            ("gender", DataType::Str),
+        ]);
+        let mut table = Table::new("t", schema);
+        let rows: Vec<Row> = (0..rows)
+            .map(|r| {
+                row![
+                    r,
+                    format!("patient_{r}"),
+                    if r % 2 == 0 { "f" } else { "m" }
+                ]
+            })
+            .collect();
+        let made = allocations(|| {
+            for row in rows {
+                table.insert(row).unwrap();
+            }
+        });
+        assert_eq!(table.len(), table.image().widths().len());
+        made
+    };
+    // The image's vectors grow by doubling, in place or moved: only the
+    // first allocation of each is counted, whatever the row count.
+    let (few, many) = (inserted(64), inserted(1024));
+    assert!(
+        many <= few + 4,
+        "Table::insert allocates per row: {few} allocations for 64 rows, {many} for 1024"
+    );
 }

@@ -25,7 +25,9 @@ pub fn nullable(value: impl Strategy<Value = Value>) -> impl Strategy<Value = Va
 }
 
 /// Small domains, so literals hit cells often: ints, halves (so
-/// `Int(1)` meets `Float(1.0)`), a `-0.0` beside `0.0`, short strings.
+/// `Int(1)` meets `Float(1.0)`), a `-0.0` beside `0.0`, short strings —
+/// `""`, strings that share a prefix, and a two-byte character, so that
+/// byte order is not length order (`"aé" < "é"`).
 pub fn arb_int() -> impl Strategy<Value = Value> {
     (-2i64..3).prop_map(Value::Int)
 }
@@ -42,7 +44,7 @@ pub fn arb_bool() -> impl Strategy<Value = Value> {
     any::<bool>().prop_map(Value::Bool)
 }
 pub fn arb_str() -> impl Strategy<Value = Value> {
-    "[ab]{0,1}".prop_map(Value::from)
+    "[aé]{0,2}".prop_map(Value::from)
 }
 
 /// A value of any variant, whichever column it ends up in.

@@ -20,8 +20,13 @@
 //! to the same kernels over rows projected one at a time out of the rows
 //! the unprojected selection builds, its byte size included, over tables
 //! of every type (a `Bytes` column beside the others).
+//!
+//! Every row stored carries a `rid` of its own in its last column, so
+//! that rows compared by value are told apart: two equal rows swapped
+//! (a lost tie-break) fail as any other wrong row does.
 
 use std::cmp::Ordering;
+use std::sync::atomic::{AtomicI64, Ordering as Atomic};
 
 use proptest::prelude::*;
 use pspp_common::{Batch, DataType, Error, Field, Predicate, Result, Row, Schema, Value};
@@ -31,7 +36,7 @@ use pspp_relstore::{RelationalStore, Selection};
 mod predicate_gen;
 mod row_gen;
 use predicate_gen::{arb_predicate_program, predicate_from, PredicateStep};
-use row_gen::{arb_any, arb_bool, arb_float, arb_int, arb_str, arb_timestamp, schema};
+use row_gen::{arb_any, arb_bool, arb_float, arb_int, arb_str, arb_timestamp};
 
 const COLUMNS: [&str; 5] = ["i", "f", "t", "b", "s"];
 /// A filter's leaves: real columns, and now and then two the schema
@@ -87,11 +92,33 @@ fn table_of(
         })
 }
 
-/// [`schema`] and a `Bytes` column `y`: every type.
-fn wide_schema() -> Schema {
-    let mut fields = schema().fields().to_vec();
-    fields.push(Field::new("y", DataType::Bytes));
+/// `fields` and then the row's `rid`.
+fn with_rid(mut fields: Vec<Field>) -> Schema {
+    fields.push(Field::new("rid", DataType::Int));
     Schema::from_fields(fields)
+}
+
+/// The generators' five columns, and the row's `rid`.
+fn schema() -> Schema {
+    with_rid(row_gen::schema().fields().to_vec())
+}
+
+/// The generators' five columns, a `Bytes` column `y` — every type —
+/// and the row's `rid`.
+fn wide_schema() -> Schema {
+    let mut fields = row_gen::schema().fields().to_vec();
+    fields.push(Field::new("y", DataType::Bytes));
+    with_rid(fields)
+}
+
+/// `rows`, each with a `rid` no other row stored in this test binary
+/// has.
+fn with_rids(rows: &[Row]) -> Vec<Row> {
+    static NEXT: AtomicI64 = AtomicI64::new(0);
+    let rid = || Value::Int(NEXT.fetch_add(1, Atomic::Relaxed));
+    (rows.iter())
+        .map(|row| row.iter().cloned().chain([rid()]).collect())
+        .collect()
 }
 
 /// Up to `max - 1` rows of [`wide_schema`]: [`arb_table`]'s, each with
@@ -113,9 +140,9 @@ fn arb_wide_table(max: usize) -> impl Strategy<Value = Vec<Row>> {
     })
 }
 
-/// The selection a scan of `rows` keeps under `predicate` (through an
-/// index on `i` when `indexed`), its positions then ordered by `shuffle`
-/// unless `keep_order`.
+/// The selection a scan of `rows`, each given its `rid`, keeps under
+/// `predicate` (through an index on `i` when `indexed`), its positions
+/// then ordered by `shuffle` unless `keep_order`.
 fn selection(
     rows: &[Row],
     predicate: &Predicate,
@@ -137,7 +164,7 @@ fn selection_of(
 ) -> Selection {
     let mut db = RelationalStore::new("db");
     db.create_table("t", schema.clone()).expect("fresh store");
-    db.insert("t", rows.to_vec()).expect("rows match schema");
+    db.insert("t", with_rids(rows)).expect("rows match schema");
     if indexed {
         db.create_index("t", "i").expect("known column");
     }
@@ -318,7 +345,7 @@ fn spanning_of(
         joined = joined.concat(part).expect("small snapshots of one table");
     }
     let want: Vec<Row> = parts.iter().flat_map(Selection::rows).collect();
-    prop_assert!(identical(&joined.rows(), &want));
+    prop_assert!(same_rows(&joined.rows(), &want));
     let filled = parts.iter().filter(|p| !p.is_empty()).count();
     prop_assert_eq!(joined.part_count(), filled.max(1));
     if keep_order {
@@ -363,7 +390,8 @@ fn projected(
     Ok((sel, schema, rows))
 }
 
-/// Equal as `Value`s *and* of one variant; floats compare by bits.
+/// Equal as `Value`s *and* of one variant; floats compare by bits. Rows
+/// a selection builds carry their `rid`: these are the very rows.
 fn same_rows(got: &[Row], want: &[Row]) -> bool {
     let same = |a: &Value, b: &Value| a == b && a.data_type() == b.data_type();
     got.len() == want.len()
@@ -371,12 +399,6 @@ fn same_rows(got: &[Row], want: &[Row]) -> bool {
             .iter()
             .zip(want)
             .all(|(g, w)| g.len() == w.len() && g.iter().zip(w.iter()).all(|(a, b)| same(a, b)))
-}
-
-/// The very rows, not equal ones: a built row shares the table's
-/// allocation, so this sees two equal rows swapped.
-fn identical(got: &[Row], want: &[Row]) -> bool {
-    got.len() == want.len() && got.iter().zip(want).all(|(g, w)| g.ptr_eq(w))
 }
 
 fn walked(rows: &[Row]) -> u64 {
@@ -397,35 +419,15 @@ fn agree<T: std::fmt::Debug>(
 }
 
 /// What the kernels over a selection are held to: the selection's
-/// schema, the rows it must read as — the rows it builds, or rows
-/// projected one at a time — and whether two lists of them are the
-/// same ([`identical`] rows, or [`same_rows`] of fresh ones).
+/// schema, and the rows it must read as — the rows it builds, or rows
+/// projected one at a time.
 #[derive(Clone, Copy)]
 struct Reads<'a> {
     schema: &'a Schema,
     rows: &'a [Row],
-    same: fn(&[Row], &[Row]) -> bool,
 }
 
 impl<'a> Reads<'a> {
-    /// What `sel` reads under [`schema`]: the rows it builds, shared.
-    fn built(schema: &'a Schema, rows: &'a [Row]) -> Self {
-        Reads {
-            schema,
-            rows,
-            same: identical,
-        }
-    }
-
-    /// Rows under `schema` that a projection built one at a time.
-    fn projected(schema: &'a Schema, rows: &'a [Row]) -> Self {
-        Reads {
-            schema,
-            rows,
-            same: same_rows,
-        }
-    }
-
     /// The name of column `c`, drawn from any range, of the schema.
     fn name(&self, c: usize) -> &'a str {
         &self.schema.fields()[c % self.schema.arity()].name
@@ -444,7 +446,7 @@ fn kernels_agree(
     filter: Vec<PredicateStep>,
     columns: &[usize],
 ) -> std::result::Result<(), TestCaseError> {
-    let (s, built, same) = (reads.schema, reads.rows.to_vec(), reads.same);
+    let (s, built) = (reads.schema, reads.rows.to_vec());
     let arity = s.arity();
     let keys: Vec<(usize, bool)> = keys.iter().map(|&(c, asc)| (c % arity, asc)).collect();
     let columns: Vec<usize> = columns.iter().map(|&c| c % arity).collect();
@@ -483,14 +485,17 @@ fn kernels_agree(
         (order, rows.rows())
     };
     let (_, full) = sorted(None);
-    prop_assert!(same(&full, &want), "{keys:?} over {built:?}: got {full:?}");
+    prop_assert!(
+        same_rows(&full, &want),
+        "{keys:?} over {built:?}: got {full:?}"
+    );
     let by_rows = ops::sort_rows(s, built.clone(), &sort_keys).expect("known columns");
-    prop_assert!(identical(&by_rows, &want));
+    prop_assert!(same_rows(&by_rows, &want));
     if top.0 {
         let (mut order, got) = sorted(Some(n));
         let kept = n.min(want.len());
         prop_assert!(
-            same(&got[..kept], &want[..kept]),
+            same_rows(&got[..kept], &want[..kept]),
             "top {n} of {keys:?} over {built:?}: got {got:?}"
         );
         // Every position is still there, once.
@@ -501,7 +506,7 @@ fn kernels_agree(
     }
 
     // Limit: a prefix of the positions is a prefix of the rows.
-    prop_assert!(same(&sel.prefix(n).rows(), &ops::limit(&built, n)));
+    prop_assert!(same_rows(&sel.prefix(n).rows(), &ops::limit(&built, n)));
     prop_assert_eq!(ops::limit(&built, n).len(), n.min(built.len()));
 
     // Filter: the built rows `Predicate::eval` keeps, or its first
@@ -518,11 +523,11 @@ fn kernels_agree(
         })
         .collect();
     prop_assert!(
-        agree(&got, &want, |g, w| same(g, w)),
+        agree(&got, &want, |g, w| same_rows(g, w)),
         "{filter:?} over {built:?}: got {got:?}, want {want:?}"
     );
     let by_rows = ops::filter_rows(s, &built, &filter);
-    prop_assert!(agree(&by_rows, &want, |g, w| identical(g, w)));
+    prop_assert!(agree(&by_rows, &want, |g, w| same_rows(g, w)));
 
     // Group-by, keyless count among its draws, and projection: the row
     // kernels over the built rows, with the bytes of what was built.
@@ -708,7 +713,7 @@ proptest! {
         let predicate = predicate_from(&["i"], scan);
         let sel = selection(&rows, &predicate, indexed, keep_order, &shuffle);
         let (s, built) = (schema(), sel.rows());
-        kernels_agree(&sel, Reads::built(&s, &built), &keys, top, filter, &columns)?;
+        kernels_agree(&sel, Reads { schema: &s, rows: &built }, &keys, top, filter, &columns)?;
     }
 
     #[test]
@@ -724,7 +729,7 @@ proptest! {
     ) {
         let sel = spanning(&scans, keep_order, &shuffle)?;
         let (s, built) = (schema(), sel.rows());
-        kernels_agree(&sel, Reads::built(&s, &built), &keys, top, filter, &columns)?;
+        kernels_agree(&sel, Reads { schema: &s, rows: &built }, &keys, top, filter, &columns)?;
         // A shuffle's split: destination `d` gets the rows routed to it,
         // in order, over the same snapshots.
         let dests: Vec<u32> = (0..sel.len()).map(|i| route[i % route.len()]).collect();
@@ -734,7 +739,7 @@ proptest! {
                 .filter(|&(_, &to)| to == d)
                 .map(|(row, _)| row.clone())
                 .collect();
-            prop_assert!(identical(&part.rows(), &want));
+            prop_assert!(same_rows(&part.rows(), &want));
             prop_assert_eq!(part.byte_size(), walked(&want));
         }
     }
@@ -814,7 +819,7 @@ proptest! {
         let left = selection(&tables.0, &predicate_from(&["i"], scans.0), indexed.0, keep_order.0, &shuffle);
         let right = selection(&tables.1, &predicate_from(&["i"], scans.1), indexed.1, keep_order.1, &shuffle);
         let (s, lbuilt, rbuilt) = (schema(), left.rows(), right.rows());
-        let sides = ((&left, Reads::built(&s, &lbuilt)), (&right, Reads::built(&s, &rbuilt)));
+        let sides = ((&left, Reads { schema: &s, rows: &lbuilt }), (&right, Reads { schema: &s, rows: &rbuilt }));
         joins_agree(sides.0, sides.1, join, &keep)?;
     }
 
@@ -829,7 +834,7 @@ proptest! {
         let left = spanning(&scans.0, keep_order.0, &shuffle)?;
         let right = spanning(&scans.1, keep_order.1, &shuffle)?;
         let (s, lbuilt, rbuilt) = (schema(), left.rows(), right.rows());
-        let sides = ((&left, Reads::built(&s, &lbuilt)), (&right, Reads::built(&s, &rbuilt)));
+        let sides = ((&left, Reads { schema: &s, rows: &lbuilt }), (&right, Reads { schema: &s, rows: &rbuilt }));
         joins_agree(sides.0, sides.1, join, &keep)?;
     }
 
@@ -859,7 +864,7 @@ proptest! {
         let (sel, s, want) = projected(&base, &projection, (again.0, &again.1))?;
         prop_assert!(same_rows(&sel.rows(), &want), "{:?}: {want:?}", sel.columns());
         prop_assert_eq!(sel.byte_size(), walked(&want));
-        kernels_agree(&sel, Reads::projected(&s, &want), &keys, top, filter, &columns)?;
+        kernels_agree(&sel, Reads { schema: &s, rows: &want }, &keys, top, filter, &columns)?;
 
         let dests: Vec<u32> = (0..sel.len()).map(|i| route[i % route.len()]).collect();
         let split = sel.split(&dests, 3).expect("destinations below the width");
@@ -912,8 +917,8 @@ proptest! {
         let (left, ls, lwant) = projected(&left, &projections.0, (again.0, &again.2))?;
         let (right, rs, rwant) = projected(&right, &projections.1, (again.1, &again.2))?;
         let sides = (
-            (&left, Reads::projected(&ls, &lwant)),
-            (&right, Reads::projected(&rs, &rwant)),
+            (&left, Reads { schema: &ls, rows: &lwant }),
+            (&right, Reads { schema: &rs, rows: &rwant }),
         );
         joins_agree(sides.0, sides.1, join, &keep)?;
     }
@@ -932,7 +937,7 @@ proptest! {
         let wide = wide_schema();
         let mut db = RelationalStore::new("db");
         db.create_table("t", wide.clone()).expect("fresh store");
-        db.insert("t", rows).expect("rows match schema");
+        db.insert("t", with_rids(&rows)).expect("rows match schema");
         let predicate = predicate_from(&["i"], scan);
         let names: Vec<&str> = projection.iter().map(|&c| wide.fields()[c].name.as_str()).collect();
         let key = names[key % names.len()];

@@ -17,18 +17,19 @@ use pspp_relstore::{Selected, Selection};
 /// only when nobody else holds it.
 ///
 /// A relational scan's buffer holds a [`Selection`] — the kept
-/// positions over the table's snapshot — instead of rows, and an
-/// exchange of scans keeps it one: a gather appends the shards'
-/// selections into one over every shard's snapshot, and a shuffle
-/// splits each shard's positions by destination into the buckets it
-/// hands on. A projection of a selection is one too, exposing the
-/// projected columns. The relational kernels, the joins among them, the
-/// migration codec and the ML adapters (features, and the rows they
-/// append a column to) read it where it lies ([`RowBuf::selected`]);
-/// its length and byte size come from the positions and the tables'
-/// images. Its rows are built on the first deref, once for every
-/// holder: by the text and timeseries adapters, by the routing of a
-/// shuffle producer that is not a scan, and for the output. The
+/// positions over the table's snapshot, its column image, the one copy
+/// of the table's data — instead of rows, and an exchange of scans
+/// keeps it one: a gather appends the shards' selections into one over
+/// every shard's snapshot, and a shuffle splits each shard's positions
+/// by destination into the buckets it hands on. A projection of a
+/// selection is one too, exposing the projected columns. The relational
+/// kernels, the joins among them, the migration codec and the ML
+/// adapters (features, and the rows they append a column to) read it
+/// where it lies ([`RowBuf::selected`]); its length and byte size come
+/// from the positions and the tables' images. Its rows are built out of
+/// the images on the first deref, once for every holder: by the text
+/// and timeseries adapters, by the routing of a shuffle producer that
+/// is not a scan, and for the output. The
 /// executor builds every program output before it returns, so no
 /// selection outlives the run that made it.
 #[derive(Clone, Default)]

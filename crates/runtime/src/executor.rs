@@ -1582,7 +1582,7 @@ mod tests {
             .unwrap();
         let sorted = relops::sort_rows(
             table.schema(),
-            table.rows().to_vec(),
+            table.rows(),
             &[pspp_relstore::SortKey::desc("age")],
         )
         .unwrap();

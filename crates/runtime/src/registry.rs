@@ -426,7 +426,7 @@ impl ShardedRegistry {
             } else {
                 &stores[..1]
             } {
-                rows.extend_from_slice(store.table(&table.name)?.rows());
+                rows.extend(store.table(&table.name)?.rows());
             }
             (schema, indexed, rows)
         };
@@ -560,9 +560,9 @@ impl ShardedRegistry {
         if incremental {
             for (s, store) in stores.iter().enumerate().take(old_width) {
                 let rows = store.table(&table.name)?.rows();
-                let routes = spec.route_rows(&schema, rows)?;
+                let routes = spec.route_rows(&schema, &rows)?;
                 total_rows += rows.len();
-                for (row, dest) in rows.iter().zip(routes) {
+                for (row, dest) in rows.into_iter().zip(routes) {
                     let d = dest.index();
                     if d != s {
                         moved_rows += 1;
@@ -570,14 +570,14 @@ impl ShardedRegistry {
                         changed[d] = true;
                         changed[s] = true;
                     }
-                    buckets[d].push(row.clone());
+                    buckets[d].push(row);
                 }
             }
         } else {
             // Fallback: gather shard 0's copy (never-distributed and
             // replicated tables hold full copies there) and run the
             // plain distribute — every row counts as moved.
-            let rows = t0.rows().to_vec();
+            let rows = t0.rows();
             total_rows = rows.len();
             moved_rows = total_rows;
             moved_bytes = rows.iter().map(|r| r.byte_size() as u64).sum();
@@ -789,7 +789,7 @@ mod tests {
         r.reshard(&t, spec).unwrap();
         let mut gathered = Vec::new();
         for s in 0..3 {
-            gathered.extend_from_slice(
+            gathered.extend(
                 r.relational_shard(&t.engine, ShardId(s))
                     .unwrap()
                     .table("t")
@@ -859,7 +859,6 @@ mod tests {
                     .table(&t.name)
                     .unwrap()
                     .rows()
-                    .to_vec()
             })
             .collect()
     }

@@ -1,9 +1,7 @@
 //! The accelerator fleet: which devices a deployment owns, how they are
 //! attached, and which device should run a given kernel (§III).
 
-use std::collections::BTreeMap;
-
-use pspp_common::{Error, Result, ShardId};
+use pspp_common::{Error, Result};
 
 use crate::device::{DeviceKind, DeviceProfile, KernelClass};
 use crate::kernels::{
@@ -275,40 +273,6 @@ impl AcceleratorFleet {
     }
 }
 
-/// The device fleets of a sharded deployment: a default plus per-shard
-/// overrides for heterogeneous clusters (a GPU at shard 0 only, a bare
-/// host at shard 3, ...). The engine registry owns the deployment's
-/// value and lends it to the planner, so planned and executed device
-/// picks resolve against the same fleets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardFleets {
-    /// The deployment-wide fleet: what every shard without an override
-    /// runs, and what unsharded work, exchange barriers and host
-    /// splices are priced on.
-    pub default: AcceleratorFleet,
-    /// Shards that own their physical devices instead of sharing the
-    /// default fleet's pool.
-    pub overrides: BTreeMap<ShardId, AcceleratorFleet>,
-}
-
-impl Default for ShardFleets {
-    /// CPU only, everywhere.
-    fn default() -> Self {
-        ShardFleets {
-            default: AcceleratorFleet::cpu_only(),
-            overrides: BTreeMap::new(),
-        }
-    }
-}
-
-impl ShardFleets {
-    /// The fleet serving `shard`: its override when one was set, the
-    /// default otherwise.
-    pub fn at(&self, shard: ShardId) -> &AcceleratorFleet {
-        self.overrides.get(&shard).unwrap_or(&self.default)
-    }
-}
-
 /// Representative problem size per kernel class for device selection.
 fn reference_elems(kernel: KernelClass) -> u64 {
     match kernel {
@@ -418,21 +382,6 @@ mod tests {
         let fleet = AcceleratorFleet::workstation();
         let gpu = fleet.device(DeviceKind::Gpu).unwrap();
         assert!(gpu.transfer_cost(1 << 30).as_secs() > 0.05);
-    }
-
-    #[test]
-    fn shard_fleets_resolve_override_then_default() {
-        let mut fleets = ShardFleets::default();
-        assert!(
-            fleets.at(ShardId(0)).devices().is_empty(),
-            "an unconfigured deployment is CPU-only"
-        );
-        fleets.default = AcceleratorFleet::workstation();
-        fleets
-            .overrides
-            .insert(ShardId(1), AcceleratorFleet::cpu_only());
-        assert!(!fleets.at(ShardId(0)).devices().is_empty());
-        assert!(fleets.at(ShardId(1)).devices().is_empty());
     }
 
     #[test]

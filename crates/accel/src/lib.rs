@@ -49,7 +49,7 @@ pub mod logca;
 pub mod roofline;
 
 pub use device::{DeviceKind, DeviceProfile, KernelClass};
-pub use fleet::{AcceleratorFleet, DeploymentMode, Placement, ShardFleets};
+pub use fleet::{AcceleratorFleet, DeploymentMode, Placement};
 pub use ledger::{CostEvent, CostLedger, CostSummary, EventKind, SimDuration};
 pub use link::{Interconnect, LinkKind};
 pub use logca::LogCa;

@@ -3,7 +3,7 @@
 //!
 //! The closed-loop driver replays a deterministic mixed
 //! SQL/NLQ/heterogeneous workload through
-//! [`pspp_service::QueryService`] at a configurable concurrency. Per
+//! [`pspp_service::QueryService`] at a given worker count. Per
 //! the repo-wide methodology (real data plane, simulated clock), every
 //! query really executes — on the service's worker threads, against
 //! the shared engines — and the *reported* throughput and latency come
@@ -24,54 +24,21 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use pspp_common::{Error, Result, SplitMix64};
 use pspp_core::prelude::*;
 use pspp_frontend::Language;
 use pspp_service::{AdmissionConfig, AdmissionPolicy, Query, QueryService, ServiceConfig};
 
-/// Workload + service shape for one driver run.
-#[derive(Debug, Clone)]
-pub struct WorkloadConfig {
-    /// Total queries in the batch.
-    pub queries: usize,
-    /// Closed-loop client sessions (each issues its next query when
-    /// the previous one completes).
-    pub clients: usize,
-    /// Service worker threads.
-    pub workers: usize,
-    /// Admission queue depth.
-    pub queue_depth: usize,
-    /// Workload-mix seed.
-    pub seed: u64,
-    /// Pre-plan every distinct query before the timed batch.
-    pub warm: bool,
-}
+/// Queries in one closed-loop batch; the admission queue holds them all.
+const DRIVER_QUERIES: usize = 64;
 
-impl Default for WorkloadConfig {
-    fn default() -> Self {
-        WorkloadConfig {
-            queries: 64,
-            clients: 8,
-            workers: 8,
-            queue_depth: 64,
-            seed: 2019,
-            warm: true,
-        }
-    }
-}
+/// The closed-loop workload's mix seed.
+const DRIVER_SEED: u64 = 2019;
 
 /// What one driver run produced.
 #[derive(Debug, Clone)]
 pub struct DriverReport {
-    /// Queries completed (always the full batch — the driver fails on
-    /// the first error).
-    pub completed: usize,
-    /// Closed-loop clients.
-    pub clients: usize,
-    /// Service workers.
-    pub workers: usize,
     /// Plan-cache hit rate over the timed batch.
     pub cache_hit_rate: f64,
     /// Simulated batch makespan under the closed-loop schedule.
@@ -84,9 +51,6 @@ pub struct DriverReport {
     pub p99_seconds: f64,
     /// Mean simulated seconds a query waited for a free worker.
     pub mean_queue_seconds: f64,
-    /// Wall-clock milliseconds the real execution of the batch took
-    /// (informational; machine-dependent).
-    pub wall_millis: f64,
     /// Every query's output digest, folded in batch order — identical
     /// across runs and concurrency levels.
     pub digest: u64,
@@ -188,28 +152,28 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// Runs the workload against a service built over `system`.
+/// Runs the mixed workload against a service over `system` with
+/// `workers` worker threads, one closed-loop client per worker, every
+/// plan warmed before the batch.
 ///
 /// # Errors
 ///
 /// Propagates the first query failure, in batch order.
-pub fn run_driver(system: &Arc<Polystore>, cfg: &WorkloadConfig) -> Result<DriverReport> {
+pub fn run_driver(system: &Arc<Polystore>, workers: usize) -> Result<DriverReport> {
     let service = QueryService::new(
         Arc::clone(system),
         ServiceConfig {
             admission: AdmissionConfig {
-                workers: cfg.workers,
-                queue_depth: cfg.queue_depth,
+                workers,
+                queue_depth: DRIVER_QUERIES,
                 policy: AdmissionPolicy::Block,
             },
             ..Default::default()
         },
     )?;
-    let queries = mixed_workload(cfg.queries, cfg.seed);
-    if cfg.warm {
-        for q in &queries {
-            service.warm(q)?;
-        }
+    let queries = mixed_workload(DRIVER_QUERIES, DRIVER_SEED);
+    for q in &queries {
+        service.warm(q)?;
     }
 
     struct PerQuery {
@@ -221,10 +185,9 @@ pub fn run_driver(system: &Arc<Polystore>, cfg: &WorkloadConfig) -> Result<Drive
     let next = AtomicUsize::new(0);
     let (queries, next) = (&queries, &next);
 
-    let wall_start = Instant::now();
     // Each client returns what it ran, by batch index.
     let clients = std::thread::scope(|scope| {
-        let clients: Vec<_> = (0..cfg.clients.max(1))
+        let clients: Vec<_> = (0..workers.max(1))
             .map(|_| {
                 let session = service.open_session();
                 scope.spawn(move || {
@@ -247,7 +210,6 @@ pub fn run_driver(system: &Arc<Polystore>, cfg: &WorkloadConfig) -> Result<Drive
             .collect();
         clients.into_iter().map(|c| c.join()).collect::<Vec<_>>()
     });
-    let wall_millis = wall_start.elapsed().as_secs_f64() * 1e3;
 
     let mut ran = Vec::with_capacity(queries.len());
     for client in clients {
@@ -275,21 +237,17 @@ pub fn run_driver(system: &Arc<Polystore>, cfg: &WorkloadConfig) -> Result<Drive
     }
 
     let (sim_makespan_seconds, mean_queue_seconds) =
-        closed_loop_schedule(&service_seconds, cfg.clients, cfg.workers);
+        closed_loop_schedule(&service_seconds, workers, workers);
     let mut sorted = service_seconds.clone();
     sorted.sort_by(f64::total_cmp);
     let report = service.report();
     Ok(DriverReport {
-        completed: per_query.len(),
-        clients: cfg.clients,
-        workers: cfg.workers,
         cache_hit_rate: report.merged.cache_hit_rate(),
         sim_makespan_seconds,
         throughput_qps: per_query.len() as f64 / sim_makespan_seconds.max(f64::MIN_POSITIVE),
         p50_seconds: quantile(&sorted, 0.50),
         p99_seconds: quantile(&sorted, 0.99),
         mean_queue_seconds,
-        wall_millis,
         digest,
         cost_events,
         cost_busy_seconds,
@@ -332,8 +290,6 @@ pub struct OpenLoopReport {
     /// the batch through a `Reject`-policy service (informational —
     /// depends on machine speed, unlike the replay's shed count).
     pub real_rejections: usize,
-    /// Wall-clock milliseconds for the real execution phases.
-    pub wall_millis: f64,
     /// Every offered query's output digest, folded in arrival order
     /// (every offered query executes exactly once for the digest,
     /// whether or not the replay sheds it).
@@ -373,7 +329,6 @@ pub fn run_open_loop(system: &Arc<Polystore>, cfg: &OpenLoopConfig) -> Result<Op
         service.warm(q)?;
     }
 
-    let wall_start = Instant::now();
     let session = service.open_session();
     let mut slots: Vec<Option<(f64, u64)>> = vec![None; queries.len()];
     let mut real_rejections = 0usize;
@@ -406,7 +361,6 @@ pub fn run_open_loop(system: &Arc<Polystore>, cfg: &OpenLoopConfig) -> Result<Op
             .map_err(|e| Error::Execution(format!("open-loop backfill {i} failed: {e}")))?;
         slots[i] = Some(per_query_record(&resp));
     }
-    let wall_millis = wall_start.elapsed().as_secs_f64() * 1e3;
 
     let mut digest = FNV_OFFSET;
     let mut service_seconds = Vec::with_capacity(slots.len());
@@ -435,7 +389,6 @@ pub fn run_open_loop(system: &Arc<Polystore>, cfg: &OpenLoopConfig) -> Result<Op
         mean_wait_seconds: replay.mean_wait_seconds,
         goodput_qps: replay.goodput_qps,
         real_rejections,
-        wall_millis,
         digest,
         service_seconds,
     })

@@ -370,11 +370,12 @@ fn e01_recommendation() -> Result<String> {
          JOIN rdbms.customers ON transactions.cid = customers.cid \
          WHERE amount >= 400 GROUP BY segment",
     ];
-    let deployment = datagen::recommendation(&RecommendationConfig {
+    let config = RecommendationConfig {
         customers: 2_000,
         clicks_per_customer: 16,
         seed: 7,
-    });
+    };
+    let deployment = datagen::recommendation(&config);
 
     // Polystore: queries run where the data lives.
     let system = Polystore::from_deployment(deployment.clone())
@@ -405,8 +406,8 @@ fn e01_recommendation() -> Result<String> {
         )?;
         osfa_ms += r.total.as_secs() * 1e3;
     }
-    // Clickstream remodels timeseries -> relational.
-    let clicks_bytes = 2_000.0 * 16.0 * 16.0;
+    // Clickstream remodels timeseries -> relational: 16 bytes a click.
+    let clicks_bytes = (config.customers * config.clicks_per_customer * 16) as f64;
     let remodel = DataModel::remodel_factor(DataModel::Timeseries, DataModel::Relational);
     let clicks_ms = Interconnect::network()
         .transfer_time(clicks_bytes as u64)
@@ -1219,24 +1220,11 @@ fn e16_service() -> Result<String> {
          workers  sim_makespan_ms  qps  p50_ms  p99_ms  hit%  queue_ms  digest\n",
     );
     let system = Arc::new(service_system()?);
-    let base = driver::WorkloadConfig {
-        queries: 64,
-        seed: 2019,
-        warm: true,
-        ..Default::default()
-    };
     let mut baseline_qps = 0.0;
     let mut reference = None;
     let mut speedup8 = 0.0;
     for workers in [1usize, 2, 4, 8] {
-        let report = driver::run_driver(
-            &system,
-            &driver::WorkloadConfig {
-                clients: workers,
-                workers,
-                ..base.clone()
-            },
-        )?;
+        let report = driver::run_driver(&system, workers)?;
         writeln!(
             out,
             "{workers:<8} {:>15.3} {:>5.0} {:>6.3} {:>7.3} {:>5.0} {:>8.3}  {:016x}",
@@ -1276,7 +1264,9 @@ fn e16_service() -> Result<String> {
 /// The `repro --open-loop` table: the open-loop (arrival-rate) driver
 /// over one shared system, sweeping offered load through saturation so
 /// the `Reject` admission policy sheds — the deterministic counterpart
-/// of E16's closed-loop scaling.
+/// of E16's closed-loop scaling. Shedding is a replay decision and
+/// every offered query executes once, so every rate returns the same
+/// rows.
 pub fn open_loop_table() -> Result<String> {
     let mut out = String::from(
         "open-loop driver: arrival-rate sweep, Reject admission (workers=2, depth=4)\n\
@@ -1285,6 +1275,7 @@ pub fn open_loop_table() -> Result<String> {
     let system = Arc::new(service_system()?);
     let mut top_shed = 0usize;
     let mut reject_fired = false;
+    let mut reference = None;
     for arrival_qps in [100.0, 1_000.0, 10_000.0, 100_000.0] {
         let r = driver::run_open_loop(
             &system,
@@ -1300,6 +1291,8 @@ pub fn open_loop_table() -> Result<String> {
         // timing), so the table only reports whether the path fired —
         // keeping `repro --open-loop` output diffable across runs.
         reject_fired |= r.real_rejections > 0;
+        let digest = *reference.get_or_insert(r.digest);
+        same_digest(&format!("arrival rate {arrival_qps}"), r.digest, digest)?;
         writeln!(
             out,
             "{arrival_qps:<12} {:>7} {:>9} {:>5} {:>5.0} {:>12.0} {:>13.3}",

@@ -1,8 +1,8 @@
 //! The [`Polystore`] facade: EIDE configuration, compilation,
 //! optimization and execution in one object (Fig. 4).
 
-use pspp_accel::{AcceleratorFleet, CostLedger, CostSummary, ShardFleets};
-use pspp_common::{PartitionSpec, Result, ShardId, TableRef, Value};
+use pspp_accel::{AcceleratorFleet, CostLedger, CostSummary};
+use pspp_common::{PartitionSpec, Result, TableRef, Value};
 use pspp_frontend::nlq::{self, ClinicalNames};
 use pspp_frontend::{sql, Catalog, HeterogeneousProgram};
 use pspp_ir::{PlanOptions, Program};
@@ -51,32 +51,18 @@ impl RunReport {
 #[derive(Debug, Clone)]
 pub struct PolystoreBuilder {
     deployment: Deployment,
-    fleets: ShardFleets,
+    fleet: AcceleratorFleet,
     opt_level: OptLevel,
     plan_options: PlanOptions,
     shards: usize,
     partitions: Vec<(TableRef, PartitionSpec)>,
-    fleet_aware_placement: bool,
 }
 
 impl PolystoreBuilder {
-    /// Attaches an accelerator fleet (default: CPU only).
+    /// Attaches the accelerator fleet every shard runs on (default:
+    /// CPU only).
     pub fn accelerators(mut self, fleet: AcceleratorFleet) -> Self {
-        self.fleets.default = fleet;
-        self
-    }
-
-    /// Attaches a shard-specific device fleet for heterogeneous
-    /// clusters — shards without an override keep the
-    /// [`PolystoreBuilder::accelerators`] fleet. The registry owns the
-    /// fleets, and both sides of the plan/execute contract read them
-    /// there: `CostModel::place` prices (and picks devices for) each
-    /// shard replica against that shard's fleet, and the executor
-    /// resolves every task's device against the fleet of the shard it
-    /// runs at, falling back to the host when the planned device is
-    /// not attached there.
-    pub fn fleet_at(mut self, shard: ShardId, fleet: AcceleratorFleet) -> Self {
-        self.fleets.overrides.insert(shard, fleet);
+        self.fleet = fleet;
         self
     }
 
@@ -133,22 +119,6 @@ impl PolystoreBuilder {
         self
     }
 
-    /// Enables fleet-aware shard placement (default: off): a
-    /// cost-ranked swap over the registry's replica map that reassigns
-    /// the declared per-shard device fleets so kernel-heavy (row-heavy)
-    /// shard replicas get the accelerator-bearing fleets. Only the
-    /// fleet↔shard assignment moves — no rows are redistributed — so
-    /// results are byte-identical with the pass off.
-    ///
-    /// This is not a [`PlanOptions`] switch: it rearranges the
-    /// deployment once, in [`build`](Self::build), before any plan
-    /// exists. Neither `CostModel` nor `Executor` reads it; both see
-    /// only the fleets it leaves in the registry.
-    pub fn fleet_aware_placement(mut self, on: bool) -> Self {
-        self.fleet_aware_placement = on;
-        self
-    }
-
     /// Finalizes the system, materializing partition specs: every
     /// declared partition with more than one shard redistributes its
     /// table's rows across engine replicas by partition key.
@@ -187,68 +157,9 @@ impl PolystoreBuilder {
             }
         }
 
-        // Fleet-aware shard placement (opt-in): reassign the declared
-        // device fleets across the replica map so kernel-heavy
-        // (row-heavy) shards get the accelerator-bearing fleets.
-        // Shards rank by resident rows (ties to the lower id), fleets
-        // by attached-device count (ties keep their original shard
-        // order), matched rank-for-rank. Only the fleet<->shard
-        // assignment moves — rows stay put — so results are
-        // byte-identical with the pass off.
-        if self.fleet_aware_placement && !self.fleets.overrides.is_empty() {
-            let registry = &self.deployment.registry;
-            let width = registry
-                .list()
-                .iter()
-                .map(|(id, _)| registry.shard_count(id))
-                .max()
-                .unwrap_or(1)
-                .max(
-                    self.fleets
-                        .overrides
-                        .keys()
-                        .map(|s| s.0 as usize + 1)
-                        .max()
-                        .unwrap_or(1),
-                );
-            let mut ranked_shards: Vec<(ShardId, usize)> = (0..width as u32)
-                .map(|raw| {
-                    let shard = ShardId(raw);
-                    let rows: usize = registry
-                        .list()
-                        .iter()
-                        .filter_map(|(id, _)| registry.relational_shard(id, shard).ok())
-                        .map(|store| store.total_rows())
-                        .sum();
-                    (shard, rows)
-                })
-                .collect();
-            ranked_shards.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            let mut ranked_fleets: Vec<(ShardId, AcceleratorFleet)> = (0..width as u32)
-                .map(|raw| (ShardId(raw), self.fleets.at(ShardId(raw)).clone()))
-                .collect();
-            ranked_fleets.sort_by(|a, b| {
-                b.1.devices()
-                    .len()
-                    .cmp(&a.1.devices().len())
-                    .then(a.0.cmp(&b.0))
-            });
-            self.fleets.overrides = ranked_shards
-                .into_iter()
-                .zip(ranked_fleets)
-                .map(|((shard, _), (_, fleet))| (shard, fleet))
-                .collect();
-        }
-
-        // Device fleets ride the registry — the deployment-wide
-        // default plus any per-shard overrides — where the planner and
-        // the executor both read them.
-        self.deployment
-            .registry
-            .set_default_fleet(self.fleets.default);
-        for (shard, fleet) in self.fleets.overrides {
-            self.deployment.registry.set_fleet_at(shard, fleet);
-        }
+        // The fleet rides the registry, where the planner and the
+        // executor both read it.
+        self.deployment.registry.set_fleet(self.fleet);
         Ok(Polystore {
             registry: self.deployment.registry,
             catalog: self.deployment.catalog,
@@ -306,12 +217,11 @@ impl Polystore {
     pub fn from_deployment(deployment: Deployment) -> PolystoreBuilder {
         PolystoreBuilder {
             deployment,
-            fleets: ShardFleets::default(),
+            fleet: AcceleratorFleet::cpu_only(),
             opt_level: OptLevel::L2,
             plan_options: PlanOptions::default(),
             shards: 1,
             partitions: Vec::new(),
-            fleet_aware_placement: false,
         }
     }
 
@@ -346,12 +256,6 @@ impl Polystore {
     /// The engine registry.
     pub fn registry(&self) -> &EngineRegistry {
         &self.registry
-    }
-
-    /// The deployment-wide accelerator fleet (the registry's default;
-    /// per-shard overrides are `registry().fleets()`).
-    pub fn fleet(&self) -> &AcceleratorFleet {
-        &self.registry.fleets().default
     }
 
     /// The engine-state invalidation epoch (see
@@ -471,7 +375,7 @@ impl Polystore {
     /// the configured one (`execute` still runs at the configured one).
     /// Placement prices the distribution plan the executor will derive:
     /// [`Placer::plan_distribution`] over this system's registry, on the
-    /// registry's fleets.
+    /// registry's fleet.
     ///
     /// # Errors
     ///
@@ -493,7 +397,7 @@ impl Polystore {
             Some(self.cost_model.place(
                 program,
                 |p| Placer::plan_distribution(p, &self.registry, options),
-                self.registry.fleets(),
+                self.registry.fleet(),
             )?)
         } else {
             None
@@ -952,46 +856,6 @@ mod tests {
         );
     }
 
-    /// Heterogeneous fleets (satellite: accelerator at some shards
-    /// only) compose with the sharded baselines: no panic when a shard
-    /// has no attached device, byte-identical results against the
-    /// homogeneous deployment, and planned picks still consumed as-is.
-    #[test]
-    fn heterogeneous_fleets_compose_with_sharded_baselines() {
-        let hetero = Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
-            patients: 120,
-            vitals_per_patient: 8,
-            seed: 11,
-        }))
-        .accelerators(AcceleratorFleet::workstation())
-        .opt_level(OptLevel::L2)
-        .shards(2)
-        .fleet_at(pspp_common::ShardId(1), AcceleratorFleet::cpu_only())
-        .build()
-        .expect("heterogeneous build");
-        let homo = sharded_system(2);
-        for q in [
-            "SELECT pid, age FROM admissions WHERE age >= 40 ORDER BY date",
-            "SELECT name FROM admissions JOIN db2.patients ON admissions.pid = patients.pid \
-             WHERE age >= 65",
-            "SELECT count(*) AS n FROM admissions",
-        ] {
-            let a = homo.run_sql(q).unwrap();
-            let b = hetero.run_sql(q).unwrap();
-            for (x, y) in a.execution.outputs.iter().zip(&b.execution.outputs) {
-                assert_eq!(
-                    x.try_rows().unwrap(),
-                    y.try_rows().unwrap(),
-                    "device heterogeneity changed the bytes of {q}"
-                );
-            }
-            let placement = b.placement.expect("L2 placed");
-            for (key, device) in &b.execution.device_assignments {
-                assert_eq!(placement.device_picks.get(key), Some(device));
-            }
-        }
-    }
-
     #[test]
     fn hetero_program_via_builder() {
         let s = system(OptLevel::L2);
@@ -1042,63 +906,61 @@ mod tests {
         p
     }
 
-    /// Fleet-aware shard placement, measured end-to-end: the workstation
-    /// fleet is declared at the row-light shard, so without the pass the
-    /// gathered big sort (which runs at the row-heavy shard 0) stays on
-    /// the host. The opt-in builder pass swaps the fleets rank-for-rank,
-    /// the heavy shard gains the accelerators, the sort offloads — and
-    /// because only the fleet assignment moves (rows stay put), results
-    /// are byte-identical with the pass off.
+    /// The executor's host-fallback guard: a plan optimized on the
+    /// workstation fleet (one fused FPGA chain over the two sorts) and
+    /// executed on a CPU-only deployment of the same data runs every
+    /// planned accelerator task on the host, counts one fallback per
+    /// such task, offloads nothing and returns the workstation run's
+    /// rows. At two shards the workstation run also executes exactly
+    /// the device picks it planned.
     #[test]
-    fn fleet_aware_placement_accelerates_the_heavy_shard() {
-        let build = |aware: bool| {
+    fn a_plan_naming_a_missing_device_runs_on_the_host() {
+        let build = |fleet: AcceleratorFleet, shards: usize| {
             Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
                 patients: 60_000,
                 vitals_per_patient: 1,
                 seed: 17,
             }))
-            .accelerators(AcceleratorFleet::cpu_only())
-            .partition(
-                TableRef::new("db1", "admissions"),
-                PartitionSpec::range("pid", vec![Value::Int(54_000)]),
-            )
-            .fleet_at(ShardId(0), AcceleratorFleet::cpu_only())
-            .fleet_at(ShardId(1), AcceleratorFleet::workstation())
+            .accelerators(fleet)
             .opt_level(OptLevel::L2)
-            .fleet_aware_placement(aware)
+            .shards(shards)
             .build()
             .expect("valid config")
         };
-        let off = build(false);
-        let on = build(true);
-        // The pass moved the device-bearing fleet to the heavy shard.
-        let devices_at =
-            |s: &Polystore, shard| s.registry().fleets().at(ShardId(shard)).devices().len();
-        assert_eq!(
-            devices_at(&on, 0),
-            AcceleratorFleet::workstation().devices().len(),
-            "row-heavy shard carries the accelerators after the swap"
-        );
-        assert_eq!(devices_at(&on, 1), 0);
-        assert_eq!(
-            devices_at(&off, 0),
-            0,
-            "without the pass the declared (mis)placement stands"
-        );
-        let a = off.run_program(two_sort_program()).unwrap();
-        let b = on.run_program(two_sort_program()).unwrap();
-        assert_eq!(
-            a.execution.outputs[0].try_rows().unwrap(),
-            b.execution.outputs[0].try_rows().unwrap(),
-            "fleet-aware placement must not change result bytes"
-        );
-        assert!(
-            b.makespan() < a.makespan(),
-            "accelerating the heavy shard improves the measured makespan \
-             ({} vs {})",
-            b.makespan(),
-            a.makespan()
-        );
+        for shards in [1, 2] {
+            let workstation = build(AcceleratorFleet::workstation(), shards);
+            let bare = build(AcceleratorFleet::cpu_only(), shards);
+            let mut program = two_sort_program();
+            let (_, placement) = workstation.optimize(&mut program).unwrap();
+            let placement = placement.expect("L2 placed");
+            assert_eq!(placement.fused_chains.len(), 1, "{shards} shards");
+            let planned_offloads = placement
+                .device_picks
+                .values()
+                .filter(|&&d| d != pspp_common::DeviceKind::Cpu)
+                .count();
+            assert_eq!(planned_offloads, 2, "{shards} shards");
+
+            let accelerated = workstation.execute(&program).unwrap();
+            let fallen_back = bare.execute(&program).unwrap();
+            let fallbacks: usize = fallen_back
+                .traces
+                .iter()
+                .map(pspp_telemetry::NodeTrace::fallbacks)
+                .sum();
+            assert_eq!(fallbacks, planned_offloads, "{shards} shards");
+            assert_eq!(fallen_back.offloaded, 0, "{shards} shards");
+            assert_eq!(
+                pspp_runtime::output_digest(&fallen_back.outputs),
+                pspp_runtime::output_digest(&accelerated.outputs),
+                "a host fallback must not change the rows at {shards} shards"
+            );
+            if shards == 2 {
+                for (key, device) in &accelerated.device_assignments {
+                    assert_eq!(placement.device_picks.get(key), Some(device));
+                }
+            }
+        }
     }
 
     /// Kernel fusion end-to-end: back-to-back big sorts fuse into one

@@ -113,10 +113,10 @@ pub struct Annotations {
     /// critical — slowest — scatter slot when the node fans out).
     pub device: Option<DeviceKind>,
     /// Per scatter-slot device picks for a fanned-out node, aligned
-    /// with its [`NodeShard::scatter`] order — on heterogeneous
-    /// deployments each shard replica may resolve to a different
-    /// device (or fall back to its host). `None` means "use `device`
-    /// everywhere".
+    /// with its [`NodeShard::scatter`] order — a fused chain or a
+    /// contended device may move single slots (a chain's members onto
+    /// its device, a queued slot back to its host). `None` means "use
+    /// `device` everywhere".
     pub shard_devices: Option<Vec<DeviceKind>>,
     /// Per scatter-slot fused-chain membership, aligned with the
     /// [`NodeShard::scatter`] order (index 0 for unsharded nodes).

@@ -9,7 +9,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use pspp_accel::{AcceleratorFleet, DeploymentMode, LogCa, ShardFleets, SimDuration};
+use pspp_accel::{AcceleratorFleet, DeploymentMode, LogCa, SimDuration};
 use pspp_common::{DataModel, DeviceKind, EngineId, Error, Result, ShardId, TableRef};
 use pspp_ir::{
     ColumnDemand, ExchangeCounts, ExchangeKind, FusedChain, FusionTag, NodeId, Operator,
@@ -79,15 +79,10 @@ pub struct PlacementPlan {
     pub exchange_seconds: f64,
     /// Per-(node, shard) device pick: which computing unit each shard
     /// replica of a fanned-out node runs on. The executor consumes
-    /// these — it never re-derives a device — so on heterogeneous
-    /// deployments the same node may run on a GPU at one shard and the
-    /// host at another, and planned and executed assignments agree by
-    /// construction.
+    /// these — it never re-derives a device — so planned and executed
+    /// assignments agree by construction. Slots of one node start on
+    /// one pick; the fusion and queue passes may move single slots.
     pub device_picks: HashMap<(NodeId, ShardId), DeviceKind>,
-    /// Shard tasks that fell back to their host because the shard's
-    /// fleet lacks the device the default fleet would have picked —
-    /// the price of heterogeneity, surfaced rather than panicked over.
-    pub host_fallbacks: usize,
     /// Device-resident fused chains formed by the fusion pass, in
     /// discovery order. [`pspp_ir::Annotations::shard_fusion`] tags
     /// index into this vector, so executed fusion (reported by the
@@ -118,7 +113,6 @@ impl PlacementPlan {
             node_seconds: self.node_seconds.clone(),
             total_seconds: self.total_seconds,
             exchange_seconds: self.exchange_seconds,
-            host_fallbacks: self.host_fallbacks,
             migration_seconds: self.migration_seconds,
             join_sites: self.join_sites.clone(),
         }
@@ -127,7 +121,7 @@ impl PlacementPlan {
 
 /// The optimizer cost model: table statistics and the plan switches.
 /// The deployment's layout — partition specs, live repartition copies,
-/// device fleets — stays with its owner (the engine registry) and is
+/// the device fleet — stays with its owner (the engine registry) and is
 /// handed to [`CostModel::place`] per call.
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -365,12 +359,14 @@ impl CostModel {
     /// movement. The gather-vs-shuffle choice itself is
     /// [`pspp_ir::exchange_pays`] over the estimated rows crossing the
     /// edge, evaluated inside the shared planning pass — which is why
-    /// the crossover flips with the table statistics.
+    /// the crossover flips with the table statistics. Each node is
+    /// priced once, and every scatter slot starts on that pick; the
+    /// fusion and queue passes may then move single slots.
     ///
     /// The layout is the caller's: `plan_of` derives the distribution
-    /// plan from the cardinality-annotated program and `fleets` prices
+    /// plan from the cardinality-annotated program and `fleet` prices
     /// it — a deployment passes the pass its executor runs and its
-    /// registry's fleets, so the plan priced is the plan that executes.
+    /// registry's fleet, so the plan priced is the plan that executes.
     ///
     /// # Errors
     ///
@@ -380,7 +376,7 @@ impl CostModel {
         &self,
         program: &mut Program,
         plan_of: impl FnOnce(&Program) -> Result<ShardPlan>,
-        fleets: &ShardFleets,
+        fleet: &AcceleratorFleet,
     ) -> Result<PlacementPlan> {
         self.estimate_cardinalities(program)?;
         let plan = plan_of(program)?;
@@ -398,7 +394,6 @@ impl CostModel {
         let mut slot_secs: HashMap<NodeId, Vec<f64>> = HashMap::new();
         let mut volumes: HashMap<NodeId, (f64, f64)> = HashMap::new();
         let mut gathers: HashMap<NodeId, f64> = HashMap::new();
-        let mut host_fallbacks = 0usize;
         let mut offloaded = 0usize;
         let mut total = 0.0f64;
         let mut exchange_seconds = 0.0f64;
@@ -439,7 +434,7 @@ impl CostModel {
                     ExchangeKind::ShuffleHash { .. } if plan.node(id).is_copy_served(idx) => {}
                     ExchangeKind::ShuffleHash { width: w, .. } => {
                         exchange += price::shuffle_barrier(
-                            &fleets.default,
+                            fleet,
                             true,
                             rows.max(0.0) as u64,
                             bytes.max(0.0) as u64,
@@ -450,12 +445,8 @@ impl CostModel {
                     ExchangeKind::MergePartials => {
                         // Partial states (one row per group per shard)
                         // cross shards and splice on the host.
-                        exchange += Self::gather_cost(
-                            &fleets.default,
-                            width.max(2),
-                            est_rows * width as f64,
-                        )
-                        .as_secs();
+                        exchange += Self::gather_cost(fleet, width.max(2), est_rows * width as f64)
+                            .as_secs();
                     }
                     _ => {}
                 }
@@ -463,54 +454,37 @@ impl CostModel {
             // Like the executor's barrier, the exchange bill rides the
             // plan's data-movement account, not the node's kernel time.
             exchange_seconds += exchange;
-            let gather = Self::gather_cost(&fleets.default, width, est_rows).as_secs();
-            let best_on = |fleet: &AcceleratorFleet| -> Option<(DeviceKind, SimDuration)> {
-                let mut best: Option<(DeviceKind, SimDuration)> = None;
-                for device in DeviceKind::all() {
-                    // LogCA profitability gate, evaluated at *per-shard*
-                    // granularity: an accelerator whose speedup at this
-                    // task's volume is under 1 never enters the running,
-                    // however the raw cycle estimates round.
-                    if device != DeviceKind::Cpu {
-                        if let Some((logca, g)) =
-                            Self::offload_model_on(fleet, &node.op, device, task_rows, task_bytes)
-                        {
-                            if logca.speedup(g) < 1.0 {
-                                continue;
-                            }
-                        }
-                    }
-                    if let Some(t) =
-                        Self::node_cost_on(fleet, &node.op, device, task_rows, task_bytes)
+            let gather = Self::gather_cost(fleet, width, est_rows).as_secs();
+            // The node is priced once, at per-task volume; every
+            // scatter slot starts on that pick.
+            let mut best: Option<(DeviceKind, SimDuration)> = None;
+            for device in DeviceKind::all() {
+                // LogCA profitability gate, evaluated at *per-shard*
+                // granularity: an accelerator whose speedup at this
+                // task's volume is under 1 never enters the running,
+                // however the raw cycle estimates round.
+                if device != DeviceKind::Cpu {
+                    if let Some((logca, g)) =
+                        Self::offload_model_on(fleet, &node.op, device, task_rows, task_bytes)
                     {
-                        if best.is_none_or(|(_, bt)| t < bt) {
-                            best = Some((device, t));
+                        if logca.speedup(g) < 1.0 {
+                            continue;
                         }
                     }
                 }
-                best
-            };
-            // Each scatter slot is priced on its own shard's fleet: a
-            // heterogeneous deployment may offload the replica at one
-            // shard while another falls back to its host. The node's
-            // estimate is the critical (slowest) slot, matching the
-            // executor's max-over-shards accounting.
-            let base_pick = best_on(&fleets.default)
-                .map(|(d, _)| d)
-                .unwrap_or(DeviceKind::Cpu);
-            let scatter = plan.node(id).scatter.clone();
-            let mut per_slot = Vec::with_capacity(scatter.len());
-            for &shard in &scatter {
-                let (device, secs) = match best_on(fleets.at(shard)) {
-                    Some((d, t)) => (d, t.as_secs()),
-                    None => (DeviceKind::Cpu, 0.0),
-                };
-                if device == DeviceKind::Cpu && base_pick != DeviceKind::Cpu {
-                    host_fallbacks += 1;
+                if let Some(t) = Self::node_cost_on(fleet, &node.op, device, task_rows, task_bytes)
+                {
+                    if best.is_none_or(|(_, bt)| t < bt) {
+                        best = Some((device, t));
+                    }
                 }
-                device_picks.insert((id, shard), device);
-                per_slot.push(secs);
             }
+            let (device, secs) = best.map_or((DeviceKind::Cpu, 0.0), |(d, t)| (d, t.as_secs()));
+            let scatter = &plan.node(id).scatter;
+            for &shard in scatter {
+                device_picks.insert((id, shard), device);
+            }
+            let per_slot = vec![secs; scatter.len()];
             scatter_width.insert(id, width);
             slot_secs.insert(id, per_slot);
             volumes.insert(id, (task_rows, task_bytes));
@@ -526,7 +500,7 @@ impl CostModel {
             Self::fuse_pass(
                 program,
                 &plan,
-                fleets,
+                fleet,
                 &order,
                 &mut device_picks,
                 &mut slot_secs,
@@ -539,7 +513,7 @@ impl CostModel {
         let (queue_waits, queue_wait_seconds) = Self::queue_pass(
             program,
             &plan,
-            fleets,
+            fleet,
             &mut device_picks,
             &mut slot_secs,
             &volumes,
@@ -572,9 +546,8 @@ impl CostModel {
                 offloaded += 1;
             }
             let ann = &mut program.node_mut(id).annotations;
-            // `device` carries the critical slot's pick (the single
-            // global answer pre-heterogeneity callers read);
-            // `shard_devices` the per-slot map the executor consumes.
+            // `device` carries the critical slot's pick; `shard_devices`
+            // the per-slot map the executor consumes.
             ann.device = Some(critical.0);
             ann.shard_devices = if width > 1 { Some(picks) } else { None };
             ann.shard_fusion = fusion_tags.get(&id).cloned();
@@ -614,7 +587,6 @@ impl CostModel {
             exchanges: plan.exchange_counts(),
             exchange_seconds,
             device_picks,
-            host_fallbacks,
             fused_chains,
             queue_wait_seconds,
             join_sites,
@@ -745,7 +717,7 @@ impl CostModel {
     fn fuse_pass(
         program: &Program,
         plan: &ShardPlan,
-        fleets: &ShardFleets,
+        fleet: &AcceleratorFleet,
         order: &[NodeId],
         device_picks: &mut HashMap<(NodeId, ShardId), DeviceKind>,
         slot_secs: &mut HashMap<NodeId, Vec<f64>>,
@@ -818,7 +790,6 @@ impl CostModel {
             let scatter = plan.node(id).scatter.clone();
             let (c_rows, c_bytes) = volumes[&id];
             for (k, &shard) in scatter.iter().enumerate() {
-                let fleet = fleets.at(shard);
                 let solo_c = slot_secs[&id][k];
                 let host_c =
                     match Self::node_cost_on(fleet, &node.op, DeviceKind::Cpu, c_rows, c_bytes) {
@@ -941,7 +912,6 @@ impl CostModel {
             if b.nodes.len() < 2 || b.host <= 0.0 {
                 continue;
             }
-            let fleet = fleets.at(b.shard);
             let g = b.head_g;
             let gf = g as f64;
             let link_t = price::transfer(fleet, b.device, g, false).as_secs();
@@ -979,7 +949,7 @@ impl CostModel {
 
     /// Contended-device queueing: when several (node, shard) slots of
     /// one execution stage pick the same *physical* device (a fleet
-    /// with declared capacity), serialize them on a deterministic queue
+    /// with declared capacity, shared by every shard), serialize them on a deterministic queue
     /// — stable stage order, earliest-available server, ties to the
     /// lowest server index — and put the wait on each slot's critical
     /// path. A non-fused slot falls back to its host when waiting
@@ -988,7 +958,7 @@ impl CostModel {
     fn queue_pass(
         program: &Program,
         plan: &ShardPlan,
-        fleets: &ShardFleets,
+        fleet: &AcceleratorFleet,
         device_picks: &mut HashMap<(NodeId, ShardId), DeviceKind>,
         slot_secs: &mut HashMap<NodeId, Vec<f64>>,
         volumes: &HashMap<NodeId, (f64, f64)>,
@@ -997,10 +967,9 @@ impl CostModel {
         let mut waits: HashMap<NodeId, Vec<f64>> = HashMap::new();
         let mut total = 0.0f64;
         for stage in program.execution_stages()? {
-            // One server vector per contention domain: shards with
-            // their own fleet own their physical devices; shards on
-            // the default fleet share one pool.
-            let mut servers: HashMap<(Option<ShardId>, DeviceKind), Vec<f64>> = HashMap::new();
+            // One server vector per device: every shard shares the
+            // fleet's pool.
+            let mut servers: HashMap<DeviceKind, Vec<f64>> = HashMap::new();
             for &id in &stage.compute {
                 let node = program.node(id);
                 let scatter = plan.node(id).scatter.clone();
@@ -1009,16 +978,11 @@ impl CostModel {
                     if device == DeviceKind::Cpu {
                         continue;
                     }
-                    let fleet = fleets.at(shard);
                     let Some(cap) = fleet.capacity(device) else {
                         continue;
                     };
-                    let domain = (
-                        fleets.overrides.contains_key(&shard).then_some(shard),
-                        device,
-                    );
                     let queue = servers
-                        .entry(domain)
+                        .entry(device)
                         .or_insert_with(|| vec![0.0; cap.max(1)]);
                     let (si, avail) = queue.iter().enumerate().fold(
                         (0usize, f64::INFINITY),
@@ -1097,20 +1061,17 @@ mod tests {
     use pspp_ir::SortSpec;
 
     /// The layout a deployment's registry would own — partition specs
-    /// and device fleets — built once per test and lent to `place`.
+    /// and the device fleet — built once per test and lent to `place`.
     struct Layout {
         specs: HashMap<TableRef, PartitionSpec>,
-        fleets: ShardFleets,
+        fleet: AcceleratorFleet,
     }
 
     impl Layout {
         fn on(fleet: AcceleratorFleet) -> Self {
             Layout {
                 specs: HashMap::new(),
-                fleets: ShardFleets {
-                    default: fleet,
-                    ..ShardFleets::default()
-                },
+                fleet,
             }
         }
 
@@ -1126,7 +1087,7 @@ mod tests {
             m.place(
                 p,
                 |p| ShardPlan::plan(p, |t| self.specs.get(t).cloned(), m.options()),
-                &self.fleets,
+                &self.fleet,
             )
             .unwrap()
         }
@@ -1425,7 +1386,7 @@ mod tests {
         let foreign = ShardPlan::plan(&other, |_| None, PlanOptions::default()).unwrap();
         let (mut p, _) = sort_program();
         let err = model()
-            .place(&mut p, |_| Ok(foreign), &workstation().fleets)
+            .place(&mut p, |_| Ok(foreign), &workstation().fleet)
             .unwrap_err();
         assert!(matches!(err, Error::Semantic(_)), "got {err:?}");
     }
@@ -1456,7 +1417,7 @@ mod tests {
         let est_rows = p_shard.node(s_shard).annotations.est_rows.unwrap();
         let est_bytes = p_shard.node(s_shard).annotations.est_bytes.unwrap();
         let device = p_shard.node(s_shard).annotations.device.unwrap();
-        let fleet = &sharded.fleets.default;
+        let fleet = &sharded.fleet;
         let gather = CostModel::gather_cost(fleet, 4, est_rows).as_secs();
         let quarter = CostModel::node_cost_on(
             fleet,
@@ -1687,90 +1648,6 @@ mod tests {
             g_shard < crossover && crossover <= g_whole,
             "break-even {crossover} B outside ({g_shard}, {g_whole}] B"
         );
-    }
-
-    /// A heterogeneous deployment (accelerator at shard 0 only) must
-    /// produce a *mixed* device-pick map: the replica at shard 0
-    /// offloads while the accelerator-less shards fall back to their
-    /// hosts — counted, not panicked over — and the executor-facing
-    /// annotations carry the per-slot picks.
-    #[test]
-    fn heterogeneous_fleet_produces_mixed_device_picks() {
-        let t1 = TableRef::new("db1", "t1");
-        let t2 = TableRef::new("db2", "t2");
-        let accel_fleet = AcceleratorFleet::new(
-            DeviceProfile::cpu(),
-            vec![AttachedDevice {
-                profile: DeviceProfile::fpga(),
-                mode: DeploymentMode::BumpInTheWire,
-                link: Interconnect::pcie(),
-            }],
-        )
-        .expect("cpu host");
-        let mut stats = HashMap::new();
-        for t in [t1.clone(), t2.clone()] {
-            stats.insert(
-                t,
-                TableStats {
-                    rows: 400_000.0,
-                    row_bytes: 64.0,
-                },
-            );
-        }
-        // Shards 1..3 have no attached devices; shard 0 keeps the
-        // default (accelerated) fleet.
-        let mut layout = Layout::on(accel_fleet)
-            .hash(t1.clone(), "k", 4)
-            .hash(t2.clone(), "k", 4);
-        for s in 1..4 {
-            layout
-                .fleets
-                .overrides
-                .insert(ShardId(s), AcceleratorFleet::cpu_only());
-        }
-        let m = CostModel::new(stats);
-
-        let mut p = Program::new();
-        let a = p.add_source(Operator::scan(t1), "sql");
-        let b = p.add_source(Operator::scan(t2), "sql");
-        let j = p.add_node(
-            Operator::HashJoin {
-                left_on: "k".into(),
-                right_on: "k".into(),
-            },
-            vec![a, b],
-            "sql",
-        );
-        p.mark_output(j);
-        let plan = layout.place(&m, &mut p);
-
-        assert_eq!(plan.scatter_width[&j], 4, "join planned colocated");
-        // 200k rows per task is over the BITW FPGA's break-even, so
-        // the shard-0 replica offloads; the bare shards cannot.
-        assert_eq!(plan.device_picks[&(j, ShardId(0))], DeviceKind::Fpga);
-        for s in 1..4 {
-            assert_eq!(plan.device_picks[&(j, ShardId(s))], DeviceKind::Cpu);
-        }
-        assert!(
-            plan.host_fallbacks >= 3,
-            "three bare shards fell back to their hosts, got {}",
-            plan.host_fallbacks
-        );
-        assert_eq!(
-            p.node(j).annotations.shard_devices,
-            Some(vec![
-                DeviceKind::Fpga,
-                DeviceKind::Cpu,
-                DeviceKind::Cpu,
-                DeviceKind::Cpu
-            ]),
-            "per-slot picks ride the annotations to the executor"
-        );
-        // The critical (slowest) slot is a host replica, so the scalar
-        // device annotation reports Cpu even though the node offloads
-        // at shard 0.
-        assert_eq!(p.node(j).annotations.device, Some(DeviceKind::Cpu));
-        assert!(plan.offloaded >= 1, "the node counts as offloaded");
     }
 
     #[test]

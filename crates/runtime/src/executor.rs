@@ -115,7 +115,7 @@ pub struct ExecutionReport {
     pub offloaded: usize,
     /// The device each (node, shard) task actually ran on — consumed
     /// from the plan's per-slot picks (never re-derived), with host
-    /// fallback where a shard's fleet lacks the planned device. The
+    /// fallback where the registry's fleet lacks the planned device. The
     /// acceptance check compares this map against
     /// `PlacementPlan::device_picks`.
     pub device_assignments: HashMap<(NodeId, ShardId), DeviceKind>,
@@ -391,9 +391,8 @@ pub struct Executor {
 
 impl Executor {
     /// An executor posting to `ledger`. Devices come from the registry
-    /// a program executes against ([`EngineRegistry::fleets`]): each
-    /// task runs on its shard's fleet, exchange barriers and partial
-    /// merges bill the deployment-wide one.
+    /// a program executes against ([`EngineRegistry::fleet`]): every
+    /// task, exchange barrier and partial merge runs and bills on it.
     pub fn new(ledger: CostLedger) -> Self {
         Executor {
             ledger,
@@ -833,7 +832,7 @@ impl Executor {
                 "shuffled node {id} has no shuffled probe side"
             )));
         }
-        let fleet = &registry.fleets().default;
+        let fleet = registry.fleet();
         let (rows, bytes) = (barrier.routed_rows, barrier.bytes);
         let (bill, seconds) =
             price::shuffle_barrier(fleet, self.level.placement(), rows, bytes, width);
@@ -1086,7 +1085,7 @@ impl Executor {
         run.output = Dataset::rows(schema, rows, run.output.model, run.output.location.clone());
         // The merge splices partial states on the host: charge it like
         // an exchange barrier on the critical path.
-        let seconds = price::splice(&registry.fleets().default, width, run.output.len() as f64);
+        let seconds = price::splice(registry.fleet(), width, run.output.len() as f64);
         let acc = &mut run.acc;
         acc.migration_seconds += seconds;
         acc.critical_seconds += seconds;
@@ -1138,13 +1137,12 @@ impl Executor {
         let (inputs, bill) =
             placer.stage_datasets(task.inputs, &demands, target.as_ref(), registry)?;
 
-        // The task runs against the fleet of the shard it executes at
-        // (heterogeneous deployments attach different devices per
-        // shard); the device is *consumed* from the plan's per-slot
-        // pick — never re-derived here — falling back to the node-wide
-        // annotation for unsharded plans, and to the host when this
-        // shard's fleet has no such device attached.
-        let fleet = registry.fleets().at(shard);
+        // The device is *consumed* from the plan's per-slot pick —
+        // never re-derived here — falling back to the node-wide
+        // annotation for unsharded plans, and to the host when the
+        // registry's fleet has no such device attached (a plan priced
+        // on another fleet).
+        let fleet = registry.fleet();
         let annotations = &node.annotations;
         let at_slot = |picks: &Vec<DeviceKind>| picks.get(slot).copied();
         let planned = (annotations.shard_devices.as_ref().and_then(at_slot))
@@ -1340,7 +1338,7 @@ impl Executor {
 }
 
 /// Whether a node ran on an attached accelerator: a task leaves the host
-/// only for a device its shard's fleet attaches.
+/// only for a device the registry's fleet attaches.
 fn offloaded(trace: &NodeTrace) -> bool {
     trace
         .tasks
@@ -1419,7 +1417,7 @@ mod tests {
             .unwrap();
         r.register(EngineId::new("db2"), EngineInstance::Relational(db2))
             .unwrap();
-        r.set_default_fleet(pspp_accel::AcceleratorFleet::workstation());
+        r.set_fleet(pspp_accel::AcceleratorFleet::workstation());
         r
     }
 
@@ -1924,7 +1922,7 @@ mod tests {
     #[test]
     fn sorts_joins_and_decoded_rows_arrive_sized() {
         let registry = registry();
-        let (fleet, ledger) = (registry.fleets().at(ShardId::ZERO), CostLedger::new());
+        let (fleet, ledger) = (registry.fleet(), CostLedger::new());
         let ctx = ExecCtx::new(fleet, &ledger, false);
         let run = |op: &Operator, inputs: &[Dataset]| {
             let out = physical::run(op, inputs, None, &registry, &ctx).unwrap();
@@ -1991,7 +1989,7 @@ mod tests {
     #[test]
     fn a_projection_of_every_column_in_order_is_its_input() {
         let registry = registry();
-        let (fleet, ledger) = (registry.fleets().at(ShardId::ZERO), CostLedger::new());
+        let (fleet, ledger) = (registry.fleet(), CostLedger::new());
         let ctx = ExecCtx::new(fleet, &ledger, false);
         let project = |d: &Dataset, columns: &[&str]| {
             let columns = columns.iter().map(|c| c.to_string()).collect();

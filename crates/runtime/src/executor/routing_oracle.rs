@@ -111,7 +111,7 @@ fn registry(
             .register(EngineId::new(engine), EngineInstance::Relational(store))
             .unwrap();
     }
-    registry.set_default_fleet(pspp_accel::AcceleratorFleet::workstation());
+    registry.set_fleet(pspp_accel::AcceleratorFleet::workstation());
     let [l, r] = layouts;
     registry
         .reshard(&TableRef::new("db1", "l"), layout(l, "k", "v"))

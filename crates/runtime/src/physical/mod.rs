@@ -239,11 +239,6 @@ impl<'a> ExecCtx<'a> {
         self.demand.map(|d| &d.columns[..])
     }
 
-    /// The accelerator fleet.
-    pub fn fleet(&self) -> &'a AcceleratorFleet {
-        self.fleet
-    }
-
     /// The ledger this node's costs post to.
     pub fn ledger(&self) -> &'a CostLedger {
         self.ledger

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pspp_accel::{AcceleratorFleet, ShardFleets};
+use pspp_accel::AcceleratorFleet;
 use pspp_common::{
     EngineId, EngineKind, Error, MaterializedRepartitions, PartitionSpec, Result, Row, ShardId,
     TableRef,
@@ -88,16 +88,16 @@ impl RebalanceReport {
 
 /// All engines of a deployment: shard replicas keyed by engine id —
 /// and the deployment's layout, held here and nowhere else: the
-/// partition specs routing tables to shards, the device fleets and the
+/// partition specs routing tables to shards, the device fleet and the
 /// materialized-repartition store. The planner and the executor both
 /// read it through [`crate::physical::Placer::plan_distribution`] and
-/// [`ShardedRegistry::fleets`], so a layout change is one write.
+/// [`ShardedRegistry::fleet`], so a layout change is one write.
 #[derive(Debug, Clone)]
 pub struct ShardedRegistry {
     engines: BTreeMap<EngineId, Vec<EngineInstance>>,
     partitions: BTreeMap<TableRef, PartitionSpec>,
-    /// The deployment's device fleets: CPU-only until configured.
-    fleets: ShardFleets,
+    /// The deployment's device fleet: CPU-only until set.
+    fleet: AcceleratorFleet,
     /// Metrics sink for reshard instrumentation (`None` runs
     /// unobserved).
     metrics: Option<pspp_telemetry::MetricsRegistry>,
@@ -119,7 +119,7 @@ impl Default for ShardedRegistry {
         ShardedRegistry {
             engines: BTreeMap::new(),
             partitions: BTreeMap::new(),
-            fleets: ShardFleets::default(),
+            fleet: AcceleratorFleet::cpu_only(),
             metrics: None,
             repartitions: MaterializedRepartitions::new(Arc::clone(&epoch)),
             epoch,
@@ -311,26 +311,17 @@ impl ShardedRegistry {
         self.engines.is_empty()
     }
 
-    /// Sets the fleet every shard runs unless overridden by
-    /// [`ShardedRegistry::set_fleet_at`].
-    pub fn set_default_fleet(&mut self, fleet: AcceleratorFleet) {
-        self.fleets.default = fleet;
+    /// Sets the device fleet every shard runs on.
+    pub fn set_fleet(&mut self, fleet: AcceleratorFleet) {
+        self.fleet = fleet;
         self.bump_epoch();
     }
 
-    /// Attaches a shard-specific device fleet — heterogeneous
-    /// deployments give each shard replica its own accelerators.
-    pub fn set_fleet_at(&mut self, shard: ShardId, fleet: AcceleratorFleet) {
-        self.fleets.overrides.insert(shard, fleet);
-        self.bump_epoch();
-    }
-
-    /// The deployment's device fleets. Placement prices each shard
-    /// replica against `fleets().at(shard)` and the executor resolves
-    /// every task's device against the same value, so planned and
-    /// executed device picks agree.
-    pub fn fleets(&self) -> &ShardFleets {
-        &self.fleets
+    /// The deployment's device fleet. Placement prices every task
+    /// against it and the executor resolves every task's device against
+    /// the same value, so planned and executed device picks agree.
+    pub fn fleet(&self) -> &AcceleratorFleet {
+        &self.fleet
     }
 
     /// The partition spec routing `table`, when it is partitioned.
@@ -750,10 +741,14 @@ mod tests {
         r.set_partition(t.clone(), PartitionSpec::hash("k", 2))
             .unwrap();
         assert!(r.epoch() > e1, "set_partition bumps the epoch");
+        assert_eq!(
+            r.fleet(),
+            &AcceleratorFleet::cpu_only(),
+            "an unconfigured registry is CPU-only"
+        );
         let before = r.epoch();
-        r.set_default_fleet(AcceleratorFleet::cpu_only());
-        r.set_fleet_at(ShardId(0), AcceleratorFleet::cpu_only());
-        assert_eq!(r.epoch(), before + 2, "fleet changes bump the epoch");
+        r.set_fleet(AcceleratorFleet::cpu_only());
+        assert_eq!(r.epoch(), before + 1, "a fleet change bumps the epoch");
         // Failed mutations leave the epoch untouched.
         let before = r.epoch();
         assert!(r
@@ -991,26 +986,6 @@ mod tests {
         assert!(
             !store.contains(&key),
             "a rebalance must invalidate persisted layouts"
-        );
-    }
-
-    #[test]
-    fn fleet_resolution_prefers_shard_override_then_default() {
-        let mut r = ShardedRegistry::new();
-        assert_eq!(
-            r.fleets().at(ShardId(0)),
-            &AcceleratorFleet::cpu_only(),
-            "an unconfigured registry is CPU-only"
-        );
-        r.set_default_fleet(AcceleratorFleet::workstation());
-        r.set_fleet_at(ShardId(1), AcceleratorFleet::cpu_only());
-        assert!(
-            !r.fleets().at(ShardId(0)).devices().is_empty(),
-            "shard 0 inherits the accelerated default"
-        );
-        assert!(
-            r.fleets().at(ShardId(1)).devices().is_empty(),
-            "shard 1 runs its bare override"
         );
     }
 

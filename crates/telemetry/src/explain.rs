@@ -70,9 +70,6 @@ pub struct PlannedCosts {
     pub total_seconds: f64,
     /// Planned exchange seconds across all edges.
     pub exchange_seconds: f64,
-    /// Planned number of host fallbacks (planned device missing from a
-    /// shard's fleet).
-    pub host_fallbacks: usize,
     /// Planned cross-engine migration seconds (exchanges excluded).
     pub migration_seconds: f64,
     /// The site decision of every cross-engine join.

@@ -98,7 +98,7 @@ fn two_engine_registry() -> EngineRegistry {
         .unwrap();
     r.register(EngineId::new("db2"), EngineInstance::Relational(db2))
         .unwrap();
-    r.set_default_fleet(AcceleratorFleet::workstation());
+    r.set_fleet(AcceleratorFleet::workstation());
     r
 }
 
@@ -735,7 +735,7 @@ fn string_deployment() -> (EngineRegistry, Catalog) {
             .register(EngineId::new(engine), EngineInstance::Relational(store))
             .unwrap();
     }
-    registry.set_default_fleet(AcceleratorFleet::workstation());
+    registry.set_fleet(AcceleratorFleet::workstation());
     (registry, catalog)
 }
 

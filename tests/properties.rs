@@ -1,7 +1,7 @@
 //! Workspace-wide property-based tests on core invariants.
 
 use polystorepp::accel::kernels::{Gemm, HashPartitioner, Matrix};
-use polystorepp::accel::{AcceleratorFleet, CostLedger, DeviceProfile, LogCa, ShardFleets};
+use polystorepp::accel::{AcceleratorFleet, CostLedger, DeviceProfile, LogCa};
 use polystorepp::common::{DeviceKind, PartitionSpec, ShardId, SplitMix64};
 use polystorepp::ir::{AggFn, AggSpec, Operator, Program, ShardPlan, SortSpec};
 use polystorepp::migrate::csv;
@@ -48,7 +48,7 @@ fn exchange_registry(
         r.reshard(&TableRef::new("db2", "right"), spec)
             .expect("reshards");
     }
-    r.set_default_fleet(AcceleratorFleet::workstation());
+    r.set_fleet(AcceleratorFleet::workstation());
     r
 }
 
@@ -58,7 +58,7 @@ fn executor() -> Executor {
 
 /// Prices `program` against `registry`'s layout, the way
 /// `Polystore::optimize_at` does: the executor's own distribution pass
-/// over the registry's specs, on the registry's fleets.
+/// over the registry's specs, on the registry's fleet.
 fn place_on(
     model: &CostModel,
     program: &mut Program,
@@ -68,7 +68,7 @@ fn place_on(
         .place(
             program,
             |p| Placer::plan_distribution(p, registry, model.options()),
-            registry.fleets(),
+            registry.fleet(),
         )
         .expect("placement")
 }
@@ -527,7 +527,7 @@ proptest! {
         fleet in arb_fleet(),
     ) {
         let mut registry = exchange_registry(&lk, &rk, left_spec, right_spec);
-        registry.set_default_fleet(fleet);
+        registry.set_fleet(fleet);
         let program = || {
             let mut p = Program::new();
             let a = p.add_source(Operator::scan(TableRef::new("db1", "left")), "sql");
@@ -999,7 +999,7 @@ proptest! {
             .place(
                 &mut p,
                 |p| ShardPlan::plan(p, |_| None, model.options()),
-                &ShardFleets::default(),
+                &AcceleratorFleet::cpu_only(),
             )
             .expect("acyclic");
         let bytes = |id| p.node(id).annotations.est_bytes.expect("estimated");

@@ -1,13 +1,16 @@
-//! Column-major batches: the exchange unit of the data migrator.
+//! Column-major batches: the data migrator's exchange unit and a
+//! relational table's data.
 //!
 //! PipeGen-style binary pipes (§III-A.3) get their speedup from typed,
 //! columnar buffers that can be memcpy-serialized. [`Batch`] is that format:
-//! one typed [`Column`] per field plus a validity mask for NULLs.
+//! one typed [`Column`] per field plus a validity mask for NULLs. The
+//! receiving engine keeps the decoded batch as it is: a table holds its
+//! rows as one, and a migrated input is read off one.
 
 use std::fmt;
 
 use crate::value::{DataType, Value, ValueRef};
-use crate::{row_major, ColumnSource, Error, Field, Result, Row, Schema};
+use crate::{ColumnSource, Error, Field, Result, Row, Schema};
 
 /// UTF-8 strings held end to end in one buffer, string `i` ending at
 /// byte `ends[i]` of it and starting where string `i - 1` ends: a
@@ -80,7 +83,8 @@ impl fmt::Debug for StrColumn {
     }
 }
 
-/// A typed column of values with an optional validity (non-null) mask.
+/// A typed column of values; [`TypedColumn`] pairs it with its validity
+/// flags.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// Booleans.
@@ -222,6 +226,35 @@ impl Column {
         }
     }
 
+    /// Adds each entry's [`Value::byte_size`] (1 where `valid` is clear:
+    /// a NULL) to its row's width; returns whether a width overflowed.
+    fn add_widths(&self, valid: &[bool], widths: &mut [u32]) -> bool {
+        fn add(widths: &mut [u32], bytes: impl Iterator<Item = usize>) -> bool {
+            let mut overflow = false;
+            for (w, bytes) in widths.iter_mut().zip(bytes) {
+                let (sum, over) = w.overflowing_add(bytes as u32);
+                overflow |= over | (bytes > u32::MAX as usize);
+                *w = sum;
+            }
+            overflow
+        }
+        let or_null = |width: usize, &v: &bool| if v { width } else { 1 };
+        match self {
+            Column::Bool(_) => add(widths, valid.iter().map(|_| 1)),
+            Column::Int(_) | Column::Float(_) | Column::Timestamp(_) => {
+                add(widths, valid.iter().map(|v| or_null(8, v)))
+            }
+            Column::Str(s) => add(
+                widths,
+                s.iter().zip(valid).map(|(s, v)| or_null(s.len(), v)),
+            ),
+            Column::Bytes(b) => add(
+                widths,
+                b.iter().zip(valid).map(|(b, v)| or_null(b.len(), v)),
+            ),
+        }
+    }
+
     /// Appends `more`'s entries; returns `false` (and appends nothing)
     /// when it is of another type.
     fn append(&mut self, more: Column) -> bool {
@@ -296,8 +329,15 @@ impl Column {
     }
 }
 
-/// A column-major slice of a table: a schema, typed columns and validity
-/// masks.
+/// One typed column: the values (a NULL holds the type's default: `0`,
+/// `false`, the empty string or byte array) and, per row, whether the
+/// value is not NULL.
+pub type TypedColumn = (Column, Vec<bool>);
+
+/// Rows held column-major: a schema, one [`TypedColumn`] per field, and
+/// every row's payload bytes; row `r` is entry `r` of each. The
+/// migrator's frame (§III-A.3) is encoded from one and decoded into one,
+/// and a relational table's data is one.
 ///
 /// # Examples
 ///
@@ -306,31 +346,78 @@ impl Column {
 /// let schema = Schema::new(vec![("a", DataType::Int), ("b", DataType::Float)]);
 /// let batch = Batch::from_rows(&schema, vec![row![1i64, 0.5], row![2i64, 1.5]]).unwrap();
 /// assert_eq!(batch.column(0).as_int().unwrap(), &[1, 2]);
+/// assert_eq!(batch.widths(), &[16, 16]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     schema: Schema,
-    columns: Vec<Column>,
-    /// `validity[c][r]` is false when row `r`, column `c` is NULL.
-    validity: Vec<Vec<bool>>,
-    num_rows: usize,
+    columns: Vec<TypedColumn>,
+    /// [`Row::byte_size`] of every row, by position.
+    widths: Vec<u32>,
 }
 
 impl Batch {
-    /// An empty batch with the given schema.
+    /// No rows of `schema` yet: what [`Batch::push_row`] appends to.
     pub fn empty(schema: Schema) -> Batch {
-        let columns = schema
-            .fields()
-            .iter()
-            .map(|f| Column::empty(f.data_type))
+        let columns = (schema.fields().iter())
+            .map(|f| (Column::empty(f.data_type), Vec::new()))
             .collect();
-        let validity = vec![Vec::new(); schema.arity()];
         Batch {
             schema,
             columns,
-            validity,
-            num_rows: 0,
+            widths: Vec::new(),
         }
+    }
+
+    /// Appends a row whose values satisfy the schema (see
+    /// [`Schema::check_row`]) and its [`Row::byte_size`], `width`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row's arity is not the schema's or a value is of
+    /// another type than its column.
+    pub fn push_row(&mut self, values: &[Value], width: u32) {
+        assert_eq!(values.len(), self.columns.len(), "a checked row");
+        for ((column, valid), value) in self.columns.iter_mut().zip(values) {
+            assert!(column.push(value), "a checked row holds its columns' types");
+            valid.push(!value.is_null());
+        }
+        self.widths.push(width);
+    }
+
+    /// `num_rows` rows of `columns` under `schema`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::SchemaMismatch`] when the columns are not one per
+    /// field, each of its field's type and `num_rows` long, and
+    /// [`Error::Invalid`] for a row of more payload bytes than a `u32`
+    /// counts.
+    pub fn from_typed(schema: Schema, num_rows: usize, columns: Vec<TypedColumn>) -> Result<Batch> {
+        let fits = |(field, (values, valid)): (&Field, &TypedColumn)| {
+            values.data_type() == field.data_type
+                && values.len() == num_rows
+                && valid.len() == num_rows
+        };
+        if columns.len() != schema.arity() || !schema.fields().iter().zip(&columns).all(fits) {
+            return Err(Error::SchemaMismatch(format!(
+                "{} columns of {num_rows} rows under {schema:?}",
+                columns.len()
+            )));
+        }
+        let mut widths = vec![0u32; num_rows];
+        let mut overflow = false;
+        for (values, valid) in &columns {
+            overflow |= values.add_widths(valid, &mut widths);
+        }
+        if overflow {
+            return Err(Error::Invalid("row payload bytes exceed u32::MAX".into()));
+        }
+        Ok(Batch {
+            schema,
+            columns,
+            widths,
+        })
     }
 
     /// Builds a batch from rows, validating each against `schema`.
@@ -339,25 +426,15 @@ impl Batch {
     ///
     /// Returns [`Error::SchemaMismatch`] if any row violates the schema.
     pub fn from_rows(schema: &Schema, rows: Vec<Row>) -> Result<Batch> {
-        Batch::from_slice(schema, &rows)
-    }
-
-    /// [`Batch::from_rows`] over borrowed rows: the columns are the one
-    /// copy made.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SchemaMismatch`] if any row violates the schema.
-    pub fn from_slice(schema: &Schema, rows: &[Row]) -> Result<Batch> {
         let every: Vec<usize> = (0..schema.arity()).collect();
-        Batch::from_columns(schema, rows, &every)
+        Batch::from_columns(schema, &rows, &every)
     }
 
     /// A batch of the columns of `rows` at positions `keep` (in that
     /// order, under `schema`'s fields there): the columns a migration
     /// ships when its consumers read only some. Every row's arity and
     /// every kept value's type and nullability are checked as
-    /// [`Batch::from_slice`] checks them; a column left out is never
+    /// [`Batch::from_rows`] checks them; a column left out is never
     /// read. [`Batch::from_source`] over every row of `rows`.
     ///
     /// # Errors
@@ -369,21 +446,18 @@ impl Batch {
     ///
     /// Panics if a position in `keep` is out of `schema`'s bounds.
     pub fn from_columns(schema: &Schema, rows: &[Row], keep: &[usize]) -> Result<Batch> {
-        Batch::from_source(schema, ColumnSource::of_rows(rows), None, keep, None)
+        Batch::from_source(schema, ColumnSource::Rows(rows), None, keep, None)
     }
 
     /// A batch of columns `keep` of the rows of `source` at `positions`
     /// (every row, in order, when `None`), under `schema`'s fields
     /// there: the batch [`Batch::from_columns`] makes of the rows read,
-    /// and an error where it makes none. A column at a time: one with a
-    /// typed image is copied out of the image at the positions, its
-    /// cleared validity flags the NULLs; one without is read through the
-    /// rows. An image with an entry per column of `schema` is of rows of
-    /// that arity (see [`ColumnSource`]); without one every row read is
-    /// checked. With `through`, the rows read are a projection of
-    /// `source`'s — `schema`'s column `c` is `source`'s column
-    /// `through[c]` — and the source, a table's snapshot, vouches for
-    /// its rows' arity.
+    /// and an error where it makes none. A column at a time: out of an
+    /// image, a column is copied at the positions, its cleared validity
+    /// flags the NULLs; out of rows, each row read is checked for
+    /// `schema`'s arity and read a value at a time. With `through`, the
+    /// rows read are a projection of `source`'s image — `schema`'s
+    /// column `c` is the image's column `through[c]`.
     ///
     /// # Errors
     ///
@@ -396,7 +470,7 @@ impl Batch {
     ///
     /// Panics if a position in `keep` is out of `schema`'s bounds, a
     /// position in `positions` out of `source`'s, or a column `through`
-    /// names past `source`'s rows.
+    /// names past `source`'s.
     pub fn from_source(
         schema: &Schema,
         source: ColumnSource<'_>,
@@ -404,12 +478,10 @@ impl Batch {
         keep: &[usize],
         through: Option<&[usize]>,
     ) -> Result<Batch> {
-        let num_rows = positions.map_or(source.len, <[u32]>::len);
+        let num_rows = positions.map_or(source.len(), <[u32]>::len);
         let at = |i: usize| positions.map_or(i, |p| p[i] as usize);
-        let vouched =
-            through.is_some() || (!source.typed.is_empty() && source.typed.len() == schema.arity());
-        if !vouched {
-            let arity = |i| source.arity_of(at(i));
+        if let ColumnSource::Rows(rows) = source {
+            let arity = |i: usize| rows[at(i)].len();
             if let Some(got) = (0..num_rows).map(arity).find(|&n| n != schema.arity()) {
                 return Err(Error::SchemaMismatch(format!(
                     "expected {} columns, got {got}",
@@ -419,7 +491,6 @@ impl Batch {
         }
         let fields: Vec<Field> = keep.iter().map(|&c| schema.fields()[c].clone()).collect();
         let mut columns = Vec::with_capacity(keep.len());
-        let mut validity = Vec::with_capacity(keep.len());
         for (&c, field) in keep.iter().zip(&fields) {
             let c = through.map_or(c, |columns| columns[c]);
             let null = || Error::SchemaMismatch(format!("null in not-null column {}", field.name));
@@ -429,24 +500,27 @@ impl Batch {
                     field.name, field.data_type
                 ))
             };
-            if let Some((values, valid)) = source.typed.get(c).and_then(Option::as_ref) {
-                let flags: Vec<bool> = (0..num_rows).map(|i| valid[at(i)]).collect();
-                if !field.nullable && flags.contains(&false) {
-                    return Err(null());
-                }
-                if values.data_type() != field.data_type {
-                    if let Some(i) = flags.iter().position(|&v| v) {
-                        return Err(mismatch(&values.value(at(i))));
+            let rows = match source {
+                ColumnSource::Image(image) => {
+                    let (values, valid) = &image.columns[c];
+                    let flags: Vec<bool> = (0..num_rows).map(|i| valid[at(i)]).collect();
+                    if !field.nullable && flags.contains(&false) {
+                        return Err(null());
                     }
+                    if values.data_type() != field.data_type {
+                        if let Some(i) = flags.iter().position(|&v| v) {
+                            return Err(mismatch(&values.value(at(i))));
+                        }
+                    }
+                    columns.push((values.gather((0..num_rows).map(at)), flags));
+                    continue;
                 }
-                columns.push(values.gather((0..num_rows).map(at)));
-                validity.push(flags);
-                continue;
-            }
+                ColumnSource::Rows(rows) => rows,
+            };
             let mut column = Column::empty(field.data_type);
             let mut flags = Vec::with_capacity(num_rows);
             for i in 0..num_rows {
-                let value = &source.rows[at(i)][c];
+                let value = &rows[at(i)][c];
                 if value.is_null() && !field.nullable {
                     return Err(null());
                 }
@@ -455,15 +529,9 @@ impl Batch {
                 }
                 flags.push(!value.is_null());
             }
-            columns.push(column);
-            validity.push(flags);
+            columns.push((column, flags));
         }
-        Ok(Batch {
-            schema: Schema::from_fields(fields),
-            columns,
-            validity,
-            num_rows,
-        })
+        Batch::from_typed(Schema::from_fields(fields), num_rows, columns)
     }
 
     /// The rows of `parts`, one batch after another.
@@ -483,16 +551,13 @@ impl Batch {
             if part.schema != out.schema {
                 return Err(mismatch());
             }
-            let columns = out.columns.iter_mut().zip(part.columns);
-            for ((column, more), (valid, more_valid)) in
-                columns.zip(out.validity.iter_mut().zip(part.validity))
-            {
+            for ((column, valid), (more, more_valid)) in out.columns.iter_mut().zip(part.columns) {
                 if !column.append(more) {
                     return Err(mismatch());
                 }
                 valid.extend(more_valid);
             }
-            out.num_rows += part.num_rows;
+            out.widths.extend(part.widths);
         }
         Ok(out)
     }
@@ -503,50 +568,54 @@ impl Batch {
     ///
     /// Panics if an index in `order` is out of bounds.
     pub fn take(&self, order: &[usize]) -> Batch {
+        let at = || order.iter().copied();
         Batch {
             schema: self.schema.clone(),
             columns: (self.columns.iter())
-                .map(|c| c.gather(order.iter().copied()))
+                .map(|(values, valid)| (values.gather(at()), at().map(|i| valid[i]).collect()))
                 .collect(),
-            validity: (self.validity.iter())
-                .map(|v| order.iter().map(|&i| v[i]).collect())
-                .collect(),
-            num_rows: order.len(),
+            widths: at().map(|i| self.widths[i]).collect(),
         }
     }
 
     /// The schema.
+    #[inline]
     pub fn schema(&self) -> &Schema {
         &self.schema
     }
 
     /// Number of rows.
+    #[inline]
     pub fn num_rows(&self) -> usize {
-        self.num_rows
+        self.widths.len()
     }
 
     /// Whether the batch holds no rows.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.num_rows == 0
+        self.widths.is_empty()
     }
 
-    /// The column at position `c`.
+    /// The columns, one per field.
+    #[inline]
+    pub fn columns(&self) -> &[TypedColumn] {
+        &self.columns
+    }
+
+    /// The values of the column at position `c`.
     ///
     /// # Panics
     ///
     /// Panics if `c` is out of bounds.
+    #[inline]
     pub fn column(&self, c: usize) -> &Column {
-        &self.columns[c]
+        &self.columns[c].0
     }
 
-    /// Column `c`'s validity mask: entry `r` is false when row `r` is
-    /// NULL there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of bounds.
-    pub fn validity(&self, c: usize) -> &[bool] {
-        &self.validity[c]
+    /// [`Row::byte_size`] of every row, by position.
+    #[inline]
+    pub fn widths(&self) -> &[u32] {
+        &self.widths
     }
 
     /// Null-aware accessor for cell `(row, col)`.
@@ -555,22 +624,33 @@ impl Batch {
     ///
     /// Panics if out of bounds.
     pub fn value(&self, row: usize, col: usize) -> Value {
-        if self.validity[col][row] {
-            self.columns[col].value(row)
+        let (values, valid) = &self.columns[col];
+        if valid[row] {
+            values.value(row)
         } else {
             Value::Null
         }
     }
 
-    /// Converts back to row-major form.
+    /// Converts back to row-major form: rows of one slab, filled a
+    /// column at a time.
     pub fn to_rows(&self) -> Vec<Row> {
-        let cells = row_major(self.num_rows, self.schema.arity(), |r, c| self.value(r, c));
-        Row::slab(self.num_rows, cells)
+        let (rows, width) = (self.num_rows(), self.columns.len());
+        Row::slab_with(rows, width, |slab| {
+            for (c, (values, valid)) in self.columns.iter().enumerate() {
+                let slots = slab.iter_mut().skip(c).step_by(width);
+                values.values_into(valid, 0..rows, slots);
+            }
+        })
     }
 
-    /// Total payload bytes across columns (excludes validity overhead).
+    /// Total payload bytes across columns (excludes validity overhead;
+    /// a NULL counts its default's bytes).
     pub fn byte_size(&self) -> usize {
-        self.columns.iter().map(Column::byte_size).sum()
+        self.columns
+            .iter()
+            .map(|(values, _)| values.byte_size())
+            .sum()
     }
 }
 
@@ -706,10 +786,10 @@ mod tests {
         assert_eq!(b.schema().names(), vec!["w", "id"]);
         assert_eq!(b.to_rows(), vec![row![0.5, 1i64], row![1.5, 2i64]]);
         assert_eq!(b.byte_size(), 32);
-        // All columns, in order, is `from_slice`.
+        // All columns, in order, is `from_rows`.
         assert_eq!(
             Batch::from_columns(&schema(), &rows, &[0, 1, 2]).unwrap(),
-            Batch::from_slice(&schema(), &rows).unwrap()
+            Batch::from_rows(&schema(), rows.clone()).unwrap()
         );
         // A wrong type in a shipped column and a short row are refused;
         // a wrong type in a column left behind is never looked at.
@@ -733,16 +813,8 @@ mod tests {
             Row::from(vec![Value::Null, Value::from("b"), Value::Null]),
             row![3i64, "c", 2.5],
         ];
-        // `id` and `w` imaged (a NULL holds the default), `name` not.
-        let typed = vec![
-            Some((Column::Int(vec![1, 0, 3]), vec![true, false, true])),
-            None,
-            Some((Column::Float(vec![0.5, 0.0, 2.5]), vec![true, false, true])),
-        ];
-        let source = ColumnSource {
-            typed: &typed,
-            ..ColumnSource::of_rows(&rows)
-        };
+        let image = Batch::from_rows(&schema(), rows.clone()).unwrap();
+        let source = ColumnSource::Image(&image);
         let positions = [2, 1, 2];
         let picked: Vec<Row> = positions
             .iter()
@@ -779,13 +851,13 @@ mod tests {
             Row::from(vec![Value::Null, Value::from("b"), Value::Null]),
             row![3i64, "c", 2.5],
         ];
-        let batch = |rows: &[Row]| Batch::from_slice(&schema(), rows).unwrap();
+        let batch = |rows: &[Row]| Batch::from_rows(&schema(), rows.to_vec()).unwrap();
         let joined = Batch::concat(vec![batch(&rows[..1]), batch(&rows[1..])]).unwrap();
         assert_eq!(joined, batch(&rows));
         let order = [2, 0, 2, 1];
         let taken: Vec<Row> = order.iter().map(|&i| rows[i].clone()).collect();
         assert_eq!(joined.take(&order), batch(&taken));
-        let other = Batch::from_slice(&Schema::new(vec![("id", DataType::Int)]), &[row![1i64]]);
+        let other = Batch::from_rows(&Schema::new(vec![("id", DataType::Int)]), vec![row![1i64]]);
         assert!(Batch::concat(vec![batch(&rows), other.unwrap()]).is_err());
         assert!(Batch::concat(vec![]).is_err());
     }
@@ -795,5 +867,41 @@ mod tests {
         let b = Batch::empty(schema());
         assert!(b.is_empty());
         assert_eq!(b.to_rows(), Vec::<Row>::new());
+    }
+
+    #[test]
+    fn widths_are_each_rows_byte_size_however_the_batch_was_made() {
+        let rows = vec![
+            row![1i64, "abc", 0.5],
+            Row::from(vec![Value::Null, Value::from("é"), Value::Null]),
+            Row::from(vec![Value::Int(3), Value::Null, Value::Float(-0.0)]),
+        ];
+        let walked: Vec<u32> = rows.iter().map(|r| r.byte_size() as u32).collect();
+        let batch = Batch::from_rows(&schema(), rows.clone()).unwrap();
+        assert_eq!(batch.widths(), walked);
+        // Pushed a checked row at a time, it is the same batch.
+        let mut pushed = Batch::empty(schema());
+        for (row, &width) in rows.iter().zip(&walked) {
+            pushed.push_row(row.values(), width);
+        }
+        assert_eq!(pushed, batch);
+        // Its own columns again are the same batch too.
+        let again = Batch::from_typed(schema(), 3, batch.columns().to_vec()).unwrap();
+        assert_eq!(again, batch);
+        // A subset's widths are the kept columns' bytes.
+        let name = Batch::from_columns(&schema(), &rows, &[1]).unwrap();
+        assert_eq!(name.widths(), &[3, 2, 1]);
+        assert_eq!(
+            Batch::from_columns(&schema(), &rows, &[]).unwrap().widths(),
+            &[0; 3]
+        );
+        // Columns that do not fit the schema or the row count are refused.
+        let mut short = batch.columns().to_vec();
+        short[2].1.pop();
+        assert!(Batch::from_typed(schema(), 3, short).is_err());
+        assert!(Batch::from_typed(schema(), 2, batch.columns().to_vec()).is_err());
+        let swapped = vec![batch.columns()[1].clone(), batch.columns()[0].clone()];
+        let two = Schema::new(vec![("id", DataType::Int), ("name", DataType::Str)]);
+        assert!(Batch::from_typed(two, 3, swapped).is_err());
     }
 }

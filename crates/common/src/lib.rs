@@ -44,7 +44,7 @@ pub mod row;
 pub mod schema;
 pub mod value;
 
-pub use batch::{Batch, Column, StrColumn};
+pub use batch::{Batch, Column, StrColumn, TypedColumn};
 pub use device::DeviceKind;
 pub use digest::OutputDigest;
 pub use distribution::{Distribution, JoinDistribution};
@@ -53,7 +53,7 @@ pub use hash::{FxBuildHasher, FxHasher};
 pub use ids::{EngineId, TableRef};
 pub use model::{DataModel, EngineKind};
 pub use partition::{hash_grow_moved_fraction, HashRouter, PartitionSpec, Routes, ShardId};
-pub use predicate::{BoundPredicate, ColumnSource, Predicate, TypedColumn};
+pub use predicate::{BoundPredicate, ColumnSource, Predicate};
 pub use repartition::{CopyKey, MaterializedRepartitions, RepartitionStats};
 pub use rng::SplitMix64;
 pub use row::{row_major, Row};

@@ -2,7 +2,7 @@
 
 use std::cmp::Ordering;
 
-use crate::{Column, Error, Result, Row, Schema, Value, ValueRef};
+use crate::{Batch, Column, Error, Result, Row, Schema, TypedColumn, Value, ValueRef};
 
 /// A boolean predicate over a row.
 ///
@@ -325,62 +325,59 @@ enum Bound<'a> {
     Not(Box<Bound<'a>>),
 }
 
-/// One typed column of a [`ColumnSource`]: the values (a NULL holds the
-/// type's default) and, per row, whether the value is not NULL.
-pub type TypedColumn = (Column, Vec<bool>);
-
-/// What [`BoundPredicate::select`] reads: rows of the bound schema and,
-/// for the columns that have one, a typed image of the same rows — or
-/// a table's column image alone, with no rows at all.
+/// What [`BoundPredicate::select`] reads: rows of the bound schema, or
+/// a batch of them, every column typed — a table's data, say.
 #[derive(Debug, Clone, Copy)]
-pub struct ColumnSource<'a> {
-    /// The rows, by position; empty where the source is an image alone.
-    pub rows: &'a [Row],
-    /// One entry per schema column, `None` where the column has no
-    /// typed image; each image is `len` long. A column past the end has
-    /// none, so rows without any image have `&[]` here. A source with
-    /// no rows has an image of every column.
-    pub typed: &'a [Option<TypedColumn>],
-    /// How many rows the source holds.
-    pub len: usize,
+pub enum ColumnSource<'a> {
+    /// Rows, read a cell at a time.
+    Rows(&'a [Row]),
+    /// A batch, read a column at a time.
+    Image(&'a Batch),
 }
 
 impl<'a> ColumnSource<'a> {
-    /// Every row of `rows`, with no image.
-    pub fn of_rows(rows: &'a [Row]) -> Self {
-        ColumnSource {
-            rows,
-            typed: &[],
-            len: rows.len(),
+    /// How many rows the source holds.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match self {
+            ColumnSource::Rows(rows) => rows.len(),
+            ColumnSource::Image(batch) => batch.num_rows(),
         }
     }
 
-    /// Column `c`'s typed image, when it has one.
-    #[inline]
-    pub fn typed(&self, c: usize) -> Option<&'a TypedColumn> {
-        self.typed.get(c).and_then(Option::as_ref)
+    /// Whether the source holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// Column `c` of row `p`: read out of the image (NULL where the
-    /// validity flag is clear) where the column has one, borrowed from
-    /// the row where it has none.
+    /// Column `c` typed, when the source is a batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source is a batch and `c` is out of its bounds.
+    #[inline]
+    pub fn typed(&self, c: usize) -> Option<&'a TypedColumn> {
+        match self {
+            ColumnSource::Rows(_) => None,
+            ColumnSource::Image(batch) => Some(&batch.columns()[c]),
+        }
+    }
+
+    /// Column `c` of row `p`: read out of the batch (NULL where the
+    /// validity flag is clear), or borrowed from the row.
     ///
     /// # Panics
     ///
     /// Panics if `p` or `c` is out of bounds.
     #[inline]
     pub fn cell(&self, p: usize, c: usize) -> ValueRef<'a> {
-        match self.typed(c) {
-            Some((values, valid)) if valid[p] => values.view(p),
-            Some(_) => ValueRef::Null,
-            None => self.rows[p][c].view(),
+        match self {
+            ColumnSource::Rows(rows) => rows[p][c].view(),
+            ColumnSource::Image(batch) => match &batch.columns()[c] {
+                (values, valid) if valid[p] => values.view(p),
+                _ => ValueRef::Null,
+            },
         }
-    }
-
-    /// Row `p`'s arity: the row's own, or the image's where the source
-    /// has no rows.
-    pub fn arity_of(&self, p: usize) -> usize {
-        self.rows.get(p).map_or(self.typed.len(), Row::len)
     }
 }
 
@@ -428,7 +425,7 @@ impl BoundPredicate<'_> {
     /// own variant loops over the typed values — a `Str` column over
     /// the strings in its buffer; any other leaf (a `Bytes` column, a
     /// literal of another variant such as an `Int` column against
-    /// `5.0`, a column without an image) reads its column a cell at a
+    /// `5.0`, any column of rows) reads its column a cell at a
     /// time ([`ColumnSource::cell`]).
     /// `And` hands its right side only what its left side kept. A tree
     /// that names an unknown column is evaluated row by row instead:
@@ -723,23 +720,6 @@ mod tests {
             .is_err());
     }
 
-    /// Rows of [`schema`] with their typed image: `a` has one, and `s`
-    /// (a string column) is read through the rows.
-    fn source(rows: &[Row]) -> Vec<Option<TypedColumn>> {
-        let ints = rows.iter().map(|r| r[0].as_i64().unwrap_or(0)).collect();
-        let valid = rows.iter().map(|r| !r[0].is_null()).collect();
-        vec![Some((Column::Int(ints), valid)), None]
-    }
-
-    /// [`source`] with `s` imaged too, in one buffer.
-    fn imaged(rows: &[Row]) -> Vec<Option<TypedColumn>> {
-        let strs = rows.iter().map(|r| r[1].as_str().unwrap_or("")).collect();
-        let valid = rows.iter().map(|r| !r[1].is_null()).collect();
-        let mut typed = source(rows);
-        typed[1] = Some((Column::Str(strs), valid));
-        typed
-    }
-
     #[test]
     fn select_keeps_what_eval_keeps_in_selection_order() {
         let s = schema();
@@ -748,7 +728,7 @@ mod tests {
             .zip([Some("x"), Some("y"), None, Some("zé"), Some(""), Some("x")])
             .map(|(a, t)| Row::from(vec![a.map_or(Value::Null, Value::Int), t.into()]))
             .collect();
-        let (typed, strings) = (source(&rows), imaged(&rows));
+        let image = Batch::from_rows(&s, rows.clone()).unwrap();
         let in_set = |vs: Vec<Value>| Predicate::In("a".into(), vs);
         let predicates = [
             Predicate::True,
@@ -780,22 +760,9 @@ mod tests {
                 .or(Predicate::lt("a", 1i64).not())
                 .and(Predicate::IsNull("a".into()).not()),
         ];
-        // Ascending, and an index's order: any, each position once. With
-        // the image, with the strings imaged too, and with none at all
-        // (every leaf through the rows); and the full image without rows.
-        let image_alone = ColumnSource {
-            rows: &[],
-            typed: &strings,
-            len: rows.len(),
-        };
-        let sources = [&typed[..], &strings, &[]]
-            .map(|typed| ColumnSource {
-                typed,
-                ..ColumnSource::of_rows(&rows)
-            })
-            .into_iter()
-            .chain([image_alone]);
-        for source in sources {
+        // Ascending, and an index's order: any, each position once. Over
+        // the rows (every leaf a cell at a time) and over their batch.
+        for source in [ColumnSource::Rows(&rows), ColumnSource::Image(&image)] {
             for selection in [vec![0, 1, 2, 3, 4, 5], vec![4, 2, 5, 0, 3], vec![]] {
                 for p in &predicates {
                     let want: Vec<u32> = selection
@@ -814,11 +781,8 @@ mod tests {
     fn select_raises_the_error_row_order_raises() {
         let s = schema();
         let rows = vec![row![1i64, "x"], row![2i64, "y"]];
-        let typed = source(&rows);
-        let source = ColumnSource {
-            typed: &typed,
-            ..ColumnSource::of_rows(&rows)
-        };
+        let image = Batch::from_rows(&s, rows.clone()).unwrap();
+        let source = ColumnSource::Image(&image);
         let select = |p: &Predicate, selection| p.bind(&s).select(source, selection);
         let missing = |name: &str| Err(Error::ColumnNotFound(name.to_owned()));
         // Row 0 fails the left side and reaches `zzz`; evaluating the

@@ -1,6 +1,6 @@
 //! A real CSV codec: the naive migration path's data plane.
 
-use pspp_common::{Batch, DataType, Error, Result, Row, Schema, Value};
+use pspp_common::{Batch, DataType, Error, Result, Schema, Value};
 
 /// Encodes a batch as CSV text (header + one line per row).
 pub fn encode(batch: &Batch) -> String {
@@ -27,15 +27,15 @@ pub fn encode(batch: &Batch) -> String {
     out
 }
 
-/// Parses CSV text produced by [`encode`] back into rows, coercing each
-/// field to the schema's type. A newline ends a record only outside
+/// Parses CSV text produced by [`encode`] back into a batch, coercing
+/// each field to the schema's type. A newline ends a record only outside
 /// quotes: a quoted string keeps its line breaks.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Migration`] on header mismatch or unparseable
 /// fields.
-pub fn decode(schema: &Schema, text: &str) -> Result<Vec<Row>> {
+pub fn decode(schema: &Schema, text: &str) -> Result<Batch> {
     let mut records = records(text);
     let header = records
         .next()
@@ -43,8 +43,8 @@ pub fn decode(schema: &Schema, text: &str) -> Result<Vec<Row>> {
     if header != schema.names().join(",") {
         return Err(Error::Migration(format!("header mismatch: {header}")));
     }
-    // Every row's values, one after another, cut into rows at the end.
-    let (mut rows, mut values) = (0, Vec::new());
+    let mut batch = Batch::empty(schema.clone());
+    let mut values = Vec::with_capacity(schema.arity());
     for record in records {
         let fields = split_csv_line(record);
         if fields.len() != schema.arity() {
@@ -54,12 +54,17 @@ pub fn decode(schema: &Schema, text: &str) -> Result<Vec<Row>> {
                 fields.len()
             )));
         }
+        values.clear();
         for ((field, quoted), spec) in fields.iter().zip(schema.fields()) {
             values.push(parse_field(field, *quoted, spec.data_type)?);
         }
-        rows += 1;
+        // Each value is of its field's type or NULL.
+        let width: usize = values.iter().map(Value::byte_size).sum();
+        let width = u32::try_from(width)
+            .map_err(|_| Error::Migration(format!("a record of {width} payload bytes")))?;
+        batch.push_row(&values, width);
     }
-    Ok(Row::slab(rows, values))
+    Ok(batch)
 }
 
 /// The records of `text`: what lies between newlines outside quotes, a
@@ -138,7 +143,7 @@ fn parse_field(text: &str, quoted: bool, data_type: DataType) -> Result<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pspp_common::row;
+    use pspp_common::{row, Row};
 
     fn batch() -> Batch {
         let schema = Schema::new(vec![
@@ -163,8 +168,9 @@ mod tests {
     fn roundtrip_with_commas_and_quotes() {
         let b = batch();
         let text = encode(&b);
-        let rows = decode(b.schema(), &text).unwrap();
-        assert_eq!(rows, b.to_rows());
+        let decoded = decode(b.schema(), &text).unwrap();
+        assert_eq!(decoded.to_rows(), b.to_rows());
+        assert_eq!(decoded, b);
     }
 
     #[test]
@@ -175,7 +181,7 @@ mod tests {
             vec![Row::from(vec![Value::Null, Value::from("x")])],
         )
         .unwrap();
-        let rows = decode(b.schema(), &encode(&b)).unwrap();
+        let rows = decode(b.schema(), &encode(&b)).unwrap().to_rows();
         assert_eq!(rows[0][0], Value::Null);
         // A one-column row holding NULL is an empty line, and that line
         // is a row, the last one included.
@@ -186,7 +192,7 @@ mod tests {
             .collect();
         let b = Batch::from_rows(&schema, rows.clone()).unwrap();
         assert_eq!(encode(&b), "x\n1\n\n3\n\n");
-        assert_eq!(decode(&schema, &encode(&b)).unwrap(), rows);
+        assert_eq!(decode(&schema, &encode(&b)).unwrap().to_rows(), rows);
     }
 
     /// A newline ends a record only outside quotes: a string holding
@@ -210,11 +216,11 @@ mod tests {
             .map(|(i, s)| Row::from(vec![Value::Int(i), s]))
             .collect();
         let b = Batch::from_rows(&schema, rows.clone()).unwrap();
-        assert_eq!(decode(&schema, &encode(&b)).unwrap(), rows);
+        assert_eq!(decode(&schema, &encode(&b)).unwrap().to_rows(), rows);
         // A record may end in `\r\n` outside quotes, as before.
         let text = "id,s\r\n1,\"a\r\nb\"\r\n2,\r\n";
         assert_eq!(
-            decode(&schema, text).unwrap(),
+            decode(&schema, text).unwrap().to_rows(),
             vec![
                 row![1i64, "a\r\nb"],
                 Row::from(vec![Value::Int(2), Value::Null])

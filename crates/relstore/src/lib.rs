@@ -32,7 +32,7 @@ pub mod table;
 
 pub use ops::{Aggregate, AggregateSpec, JoinKind, Selected, SortKey};
 pub use pspp_common::Predicate;
-pub use table::{ColumnImage, Selection, Table};
+pub use table::{Selection, Table};
 
 use std::collections::BTreeMap;
 
@@ -218,10 +218,7 @@ impl RelationalStore {
             }
             .ok_or_else(|| Error::ColumnNotFound(key.to_owned()))?;
             let at = columns.as_ref().map_or(output_at, |idx| idx[output_at]);
-            // Every column of a table has an image.
-            let typed = (t.image().columns()[at].as_ref())
-                .ok_or_else(|| Error::Invalid(format!("column {key} has no image")))?;
-            routes.dests = router.route_column(typed, selection.positions());
+            routes.dests = router.route_column(&t.image().columns()[at], selection.positions());
             let mut bytes = vec![0; router.width()];
             selection.widths(|i, width| bytes[routes.dests[i] as usize] += width);
             routes.bytes = bytes;
@@ -251,7 +248,7 @@ impl RelationalStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pspp_common::{row, DataType, Value};
+    use pspp_common::{row, Batch, DataType, Value};
 
     fn store_with_data() -> RelationalStore {
         let mut db = RelationalStore::new("db1");
@@ -359,7 +356,7 @@ mod tests {
         .unwrap();
         let check = |db: &RelationalStore| {
             let t = db.table("patients").unwrap();
-            assert_eq!(*t.image(), ColumnImage::of(t.schema(), &t.rows()).unwrap());
+            assert_eq!(*t.image(), Batch::from_rows(t.schema(), t.rows()).unwrap());
             // Sequential and (once `pid` is indexed) index scans,
             // whole rows and projected ones.
             for predicate in [

@@ -9,11 +9,11 @@
 //! # Selections
 //!
 //! Every kernel reads its input as [`Selected`] rows: positions into a
-//! [`ColumnSource`] — a scan's kept positions over the table's typed
-//! image, which has every column and is all the table stores — or
-//! every row of a slice, which has no image. It reads a key or a value
-//! out of the typed image where its column has one and through the row
-//! where it has none, and returns positions of the source
+//! [`ColumnSource`] — a scan's kept positions over the table's
+//! [`Batch`], which has every column typed and is all the table stores,
+//! or every row of a batch the migrator decoded — or every row of a
+//! slice. It reads a key or a value out of the batch's typed column, or
+//! through the row of a slice, and returns positions of the source
 //! ([`filter_at`], [`sort_at`]) or the
 //! rows it builds ([`project_at`], [`group_by_at`], and the joins,
 //! [`hash_join_with`] and [`sort_merge_join_with`], which build the
@@ -34,10 +34,10 @@
 //! staging no column on its own. [`group_by_at`] fills its rows the
 //! same way, and keeps each aggregate's state in a vector a slot per
 //! group, `Sum` and `Avg` of an `Int`, `Float` or `Timestamp` column
-//! folded straight off the image a part's run at a time. Only a part
-//! without an image — rows a migration decoded or an operator built —
-//! is read through its rows. The generic bodies (keys that are not
-//! typed words; see "Key words") read cells ([`pspp_common::ValueRef`]):
+//! folded straight off the image a part's run at a time. Only rows an
+//! operator built, read as a slice, are read through the rows. The
+//! generic bodies (keys that are not typed words; see "Key words") read
+//! cells ([`pspp_common::ValueRef`]):
 //! borrowed from a row, copied out of a fixed-width image, and a string
 //! or byte array read in place out of the image's buffer, so no value is
 //! built to be compared, hashed or sorted.
@@ -117,7 +117,7 @@ use pspp_common::{
     Schema, TypedColumn, Value, ValueRef,
 };
 
-use crate::table::{as_u32, part_runs, split_position, ColumnImage, LOCAL_MASK};
+use crate::table::{as_u32, part_runs, split_position, LOCAL_MASK};
 
 /// Join flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,7 +221,7 @@ enum Parts<'a> {
     One(ColumnSource<'a>),
     /// Two or more snapshots, in order: a position is a part tag above
     /// the 24 bits of a row of that part's snapshot.
-    Many(&'a [Arc<ColumnImage>]),
+    Many(&'a [Arc<Batch>]),
 }
 
 impl<'a> Selected<'a> {
@@ -234,7 +234,7 @@ impl<'a> Selected<'a> {
     pub fn all(rows: &'a [Row]) -> Result<Self> {
         as_u32(rows.len(), "row count")?;
         Ok(Selected {
-            parts: Parts::One(ColumnSource::of_rows(rows)),
+            parts: Parts::One(ColumnSource::Rows(rows)),
             positions: None,
             columns: None,
         })
@@ -252,7 +252,7 @@ impl<'a> Selected<'a> {
 
     /// The rows at the tagged `positions` of `parts`, two or more
     /// snapshots.
-    pub(crate) fn over(parts: &'a [Arc<ColumnImage>], positions: &'a [u32]) -> Self {
+    pub(crate) fn over(parts: &'a [Arc<Batch>], positions: &'a [u32]) -> Self {
         Selected {
             parts: Parts::Many(parts),
             positions: Some(positions),
@@ -277,7 +277,7 @@ impl<'a> Selected<'a> {
     pub fn len(&self) -> usize {
         match (self.positions, self.parts) {
             (Some(positions), _) => positions.len(),
-            (None, Parts::One(source)) => source.len,
+            (None, Parts::One(source)) => source.len(),
             (None, Parts::Many(_)) => 0,
         }
     }
@@ -301,7 +301,7 @@ impl<'a> Selected<'a> {
     fn part(&self, part: usize) -> ColumnSource<'a> {
         match self.parts {
             Parts::One(source) => source,
-            Parts::Many(parts) => parts[part].source(),
+            Parts::Many(parts) => ColumnSource::Image(&parts[part]),
         }
     }
 
@@ -312,15 +312,16 @@ impl<'a> Selected<'a> {
             Parts::One(source) => (source, p as usize),
             Parts::Many(parts) => {
                 let (part, row) = split_position(p);
-                (parts[part].source(), row)
+                (ColumnSource::Image(&parts[part]), row)
             }
         }
     }
 
     /// Columns `keep` of the rows read, as a migration ships them:
     /// [`Batch::from_source`] over each part's source at its positions,
-    /// so a column with a typed image is copied out of it and no row is
-    /// built; several parts' batches are stitched back into input order.
+    /// so a selection's columns are copied out of its snapshots and no
+    /// row is built; several parts' batches are stitched back into input
+    /// order.
     ///
     /// # Errors
     ///
@@ -334,7 +335,7 @@ impl<'a> Selected<'a> {
         };
         let rows = rows_by_part(parts.len(), positions);
         let batches = (parts.iter().zip(&rows))
-            .map(|(part, rows)| batch(part.source(), Some(rows)))
+            .map(|(part, rows)| batch(ColumnSource::Image(part), Some(rows)))
             .collect::<Result<Vec<_>>>()
             .and_then(Batch::concat);
         let Ok(batch) = batches else {
@@ -342,7 +343,7 @@ impl<'a> Selected<'a> {
             // the rows read, built, say.
             let arity = self
                 .columns
-                .map_or(parts[0].columns().len(), <[usize]>::len);
+                .map_or(parts[0].schema().arity(), <[usize]>::len);
             let every: Vec<usize> = (0..arity).collect();
             let rows = Row::slab_with(self.len(), arity, |slab| {
                 gather_all(*self, &every, slab, arity);
@@ -370,11 +371,10 @@ impl<'a> Selected<'a> {
     }
 
     /// Calls `f` with the index and column `column` of each row read, in
-    /// order, up to its first error: read out of the typed image where
-    /// the column has one (NULL where the row's validity flag is clear),
-    /// borrowed from the row where it has none ([`ColumnSource::cell`]).
-    /// A visitor, not an iterator, so that each caller's loop compiles
-    /// with `f` inlined.
+    /// order, up to its first error: read out of the image (NULL where
+    /// the row's validity flag is clear), or borrowed from the row
+    /// ([`ColumnSource::cell`]). A visitor, not an iterator, so that each
+    /// caller's loop compiles with `f` inlined.
     #[inline]
     fn try_cells<E>(
         self,
@@ -383,14 +383,24 @@ impl<'a> Selected<'a> {
     ) -> std::result::Result<(), E> {
         let column = self.source_column(column);
         match self.parts {
-            // One source: its image is looked up once, not per cell.
-            Parts::One(source) => {
-                let image = source.typed(column);
+            // One source: its column is looked up once, not per cell.
+            Parts::One(ColumnSource::Image(image)) => {
+                let (values, valid) = &image.columns()[column];
                 for i in 0..self.len() {
+                    let p = self.position(i) as usize;
                     f(
                         i,
-                        value_at(source, image, self.position(i) as usize, column),
+                        if valid[p] {
+                            values.view(p)
+                        } else {
+                            ValueRef::Null
+                        },
                     )?;
+                }
+            }
+            Parts::One(ColumnSource::Rows(rows)) => {
+                for i in 0..self.len() {
+                    f(i, rows[self.position(i) as usize][column].view())?;
                 }
             }
             Parts::Many(_) => {
@@ -405,9 +415,8 @@ impl<'a> Selected<'a> {
     /// Calls `put` with the index and column `column` of each row read
     /// as an `f64`, in order: an `Int` or `Timestamp` cast with `as`, a
     /// `Float` as it is, NULL and any other value `0.0`. Read off the
-    /// typed image a run of one part at a time where every part has
-    /// one, through the rows otherwise: a feature column of the ML
-    /// engine, and no row built.
+    /// images a run of one part at a time, or through the rows of a
+    /// slice: a feature column of the ML engine, and no row built.
     pub fn numbers(self, column: usize, mut put: impl FnMut(usize, f64)) {
         let Some(runs) = image_runs(self, column) else {
             let Ok(()) = self.try_cells(column, |i, v| {
@@ -465,9 +474,8 @@ impl<'a> Selected<'a> {
     /// Writes column `c` of the rows read at `reads` (indices into the
     /// rows read, [`PAD`] for a NULL left as it is), in that order,
     /// into slot `offset` of each `width`-wide row of `out`. A run of
-    /// reads in one part is written out of that snapshot's image by
-    /// [`Column::values_into`], and read through the rows only where the
-    /// part has no image.
+    /// reads in one part is written out of that snapshot by
+    /// [`Column::values_into`]; reads of a slice's rows are cloned.
     fn gather_into(&self, c: usize, reads: &[u32], out: &mut [Value], width: usize, offset: usize) {
         debug_assert_eq!(out.len(), reads.len() * width, "one row per read");
         let column = self.source_column(c);
@@ -492,11 +500,14 @@ impl<'a> Selected<'a> {
             let rows = run
                 .iter()
                 .map(|&i| (self.position(i as usize) & mask) as usize);
-            match source.typed(column) {
-                Some((values, valid)) => values.values_into(valid, rows, run_slots),
-                None => rows
+            match source {
+                ColumnSource::Image(image) => {
+                    let (values, valid) = &image.columns()[column];
+                    values.values_into(valid, rows, run_slots);
+                }
+                ColumnSource::Rows(source) => rows
                     .zip(run_slots)
-                    .for_each(|(p, v)| *v = source.rows[p][column].clone()),
+                    .for_each(|(p, v)| *v = source[p][column].clone()),
             }
         }
     }
@@ -569,24 +580,6 @@ fn rows_by_part(parts: usize, positions: &[u32]) -> Vec<Vec<u32>> {
     rows
 }
 
-/// Column `column` of `source`'s row `p`, `image` being the column's
-/// typed image there: [`ColumnSource::cell`] with the image looked up.
-// Left to itself the compiler calls this out of line from the group-by
-// loops, a call per cell that doubled their cost over plain rows.
-#[inline(always)]
-fn value_at<'a>(
-    source: ColumnSource<'a>,
-    image: Option<&'a TypedColumn>,
-    p: usize,
-    column: usize,
-) -> ValueRef<'a> {
-    match image {
-        Some((values, valid)) if valid[p] => values.view(p),
-        Some(_) => ValueRef::Null,
-        None => source.rows[p][column].view(),
-    }
-}
-
 /// Filters rows by a predicate, bound to the schema once. Takes the
 /// rows owned or borrowed; a kept row is shared with the input, not
 /// copied.
@@ -625,7 +618,7 @@ pub fn filter_at(schema: &Schema, input: Selected<'_>, predicate: &Predicate) ->
     // ones are taken back in input order.
     let mut kept = Vec::with_capacity(parts.len());
     for (part, rows) in parts.iter().zip(rows_by_part(parts.len(), positions)) {
-        match bound.select(part.source(), rows) {
+        match bound.select(ColumnSource::Image(part), rows) {
             Ok(rows) => kept.push(rows.into_iter().peekable()),
             Err(e) => {
                 // The error a row at a time raises first, in input order.
@@ -747,8 +740,8 @@ fn image_words<const MASK: u32>(
 
 /// Column `column` of the rows `input` reads as one order-preserving
 /// word per row, or `None` when the column is not typed over them: out
-/// of the typed image where the column has one, a cell at a time where
-/// it has none. The one place the encoding of the module docs is
+/// of the images over a selection, a cell at a time over a slice's
+/// rows. The one place the encoding of the module docs is
 /// written.
 fn key_words(input: Selected<'_>, column: usize) -> Option<(KeyKind, Vec<u64>)> {
     if input.is_empty() {
@@ -757,17 +750,16 @@ fn key_words(input: Selected<'_>, column: usize) -> Option<(KeyKind, Vec<u64>)> 
     let at = input.source_column(column);
     if let Some(positions) = input.positions {
         match input.parts {
-            Parts::One(source) => {
-                if let Some(image) = source.typed(at) {
-                    let words = Vec::with_capacity(positions.len());
-                    return image_words::<{ u32::MAX }>(words, positions, image);
-                }
+            Parts::One(ColumnSource::Image(image)) => {
+                let words = Vec::with_capacity(positions.len());
+                return image_words::<{ u32::MAX }>(words, positions, &image.columns()[at]);
             }
-            Parts::Many(parts) if parts[0].source().typed(at).is_some() => {
-                // A run at a time, each over its own snapshot's image.
+            Parts::One(ColumnSource::Rows(_)) => {}
+            Parts::Many(parts) => {
+                // A run at a time, each over its own snapshot.
                 let (mut words, mut kind) = (Vec::with_capacity(positions.len()), None);
                 for (part, run) in part_runs(positions) {
-                    let image = parts[part].source().typed(at)?;
+                    let image = &parts[part].columns()[at];
                     let run_kind;
                     (run_kind, words) = image_words::<LOCAL_MASK>(words, run, image)?;
                     // The snapshots of one selection are of one table.
@@ -777,7 +769,6 @@ fn key_words(input: Selected<'_>, column: usize) -> Option<(KeyKind, Vec<u64>)> 
                 }
                 return Some((kind?, words));
             }
-            Parts::Many(_) => {}
         }
     }
     // The first row's kind is the column's; a row of another ends it.
@@ -1727,8 +1718,8 @@ impl GroupState {
 
 /// The rows `input` reads as runs in one part each, in input order:
 /// each run's positions, the mask that turns one into a row of its
-/// part's snapshot, and that snapshot's image of `column`. `None` when
-/// a part has no image of it, or the rows read are a slice's.
+/// part's snapshot, and that snapshot's `column`. `None` when the rows
+/// read are a slice's.
 fn image_runs<'a>(
     input: Selected<'a>,
     column: usize,
@@ -1737,9 +1728,11 @@ fn image_runs<'a>(
     let column = input.source_column(column);
     match input.parts {
         Parts::One(source) => Some(vec![(positions, u32::MAX, source.typed(column)?)]),
-        Parts::Many(parts) => part_runs(positions)
-            .map(|(part, run)| Some((run, LOCAL_MASK, parts[part].source().typed(column)?)))
-            .collect(),
+        Parts::Many(parts) => Some(
+            part_runs(positions)
+                .map(|(part, run)| (run, LOCAL_MASK, &parts[part].columns()[column]))
+                .collect(),
+        ),
     }
 }
 

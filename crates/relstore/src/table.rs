@@ -1,103 +1,14 @@
-//! Tables held as a typed column image, with secondary B-tree indexes.
+//! Tables held as a typed column image — a [`Batch`] — with secondary
+//! B-tree indexes.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pspp_common::{
-    Column, ColumnSource, DataType, Error, Predicate, Result, Row, Schema, TypedColumn, Value,
+    Batch, Column, ColumnSource, Error, Predicate, Result, Row, Schema, TypedColumn, Value,
 };
 
 use crate::ops::Selected;
-
-/// A table's rows as typed columns, and every row's payload width: the
-/// one copy of the table's data. A scan reads it, and output rows are
-/// built out of it ([`crate::ops`], "Selections"); no row is stored.
-///
-/// Row `p` of the table is entry `p` of every vector here. Every column
-/// has its values (a NULL holds the type's default: `0`, `false`, the
-/// empty string or byte array) and a validity flag per row. A `Str`
-/// column is one buffer of its strings end to end
-/// ([`pspp_common::StrColumn`]): predicates, key words and the cells of
-/// the generic kernel bodies read a string in place, and only a row
-/// built for output copies it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnImage {
-    columns: Vec<Option<TypedColumn>>,
-    widths: Vec<u32>,
-}
-
-impl ColumnImage {
-    /// The image of no rows.
-    fn empty(schema: &Schema) -> ColumnImage {
-        let typed = |t: DataType| Some((Column::empty(t), Vec::new()));
-        ColumnImage {
-            columns: schema.fields().iter().map(|f| typed(f.data_type)).collect(),
-            widths: Vec::new(),
-        }
-    }
-
-    /// The image of `rows`, which must satisfy `schema`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SchemaMismatch`] on a row that violates
-    /// `schema`, [`Error::Invalid`] on more rows or wider rows than a
-    /// `u32` counts.
-    pub fn of(schema: &Schema, rows: &[Row]) -> Result<ColumnImage> {
-        let mut image = ColumnImage::empty(schema);
-        as_u32(rows.len(), "row count")?;
-        for row in rows {
-            schema.check_row(row)?;
-            image.push(row, as_u32(row.byte_size(), "row payload bytes")?);
-        }
-        Ok(image)
-    }
-
-    /// Appends a row already checked against the schema.
-    fn push(&mut self, row: &Row, width: u32) {
-        for ((values, validity), value) in self
-            .columns
-            .iter_mut()
-            .zip(row.values())
-            .filter_map(|(c, v)| Some((c.as_mut()?, v)))
-        {
-            let pushed = values.push(value);
-            debug_assert!(pushed, "check_row admits only the column's variant");
-            validity.push(!value.is_null());
-        }
-        self.widths.push(width);
-    }
-
-    /// One entry per schema column, each `Some`: [`ColumnSource`] also
-    /// carries sources imaged in part or not at all.
-    pub fn columns(&self) -> &[Option<TypedColumn>] {
-        &self.columns
-    }
-
-    /// [`Row::byte_size`] of every row, by position.
-    pub fn widths(&self) -> &[u32] {
-        &self.widths
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.widths.len()
-    }
-
-    /// Whether the image holds no row.
-    pub fn is_empty(&self) -> bool {
-        self.widths.is_empty()
-    }
-
-    /// What a column-wise read sees: the image, and no rows.
-    pub(crate) fn source(&self) -> ColumnSource<'_> {
-        ColumnSource {
-            rows: &[],
-            typed: &self.columns,
-            len: self.len(),
-        }
-    }
-}
 
 /// Row positions and payload widths are `u32`s, half the bytes a scan
 /// moves through its selection vector; a table refuses what would not
@@ -132,16 +43,18 @@ pub(crate) fn part_runs(positions: &[u32]) -> impl Iterator<Item = (usize, &[u32
 }
 
 /// The rows a scan kept: their positions, in scan order, in a snapshot
-/// of the table — its [`ColumnImage`] as of the scan: the table holds
-/// its image behind an `Arc` and copies it before writing while anyone
-/// else still holds it, so a selection keeps reading the rows it
-/// selected whatever the table does next — or, past a shuffle or a
-/// gather of several shards' scans, in an ordered list of snapshots,
-/// one per shard; and which of the snapshots' columns they expose, in
-/// what order: all of them, or those a projection kept
-/// ([`Selection::project`]). The relational kernels read keys and
-/// values at the positions ([`Selection::selected`]);
-/// [`Selection::rows`] builds the rows themselves, out of the images.
+/// of the table — its [`Batch`] as of the scan: the table holds its
+/// data behind an `Arc` and copies it before writing while anyone else
+/// still holds it, so a selection keeps reading the rows it selected
+/// whatever the table does next — or, past a shuffle or a gather of
+/// several shards' scans, in an ordered list of snapshots, one per
+/// shard; and which of the snapshots' columns they expose, in what
+/// order: all of them, or those a projection kept
+/// ([`Selection::project`]). A migrated input is a selection too, of
+/// every row of the batch the migrator decoded ([`Selection::all`]).
+/// The relational kernels read keys and values at the positions
+/// ([`Selection::selected`]); [`Selection::rows`] builds the rows
+/// themselves, out of the snapshots.
 ///
 /// Over one snapshot a position is the row's index in it. Over several,
 /// a position is the snapshot's index (its part) above
@@ -149,7 +62,7 @@ pub(crate) fn part_runs(positions: &[u32]) -> impl Iterator<Item = (usize, &[u32
 #[derive(Debug, Clone)]
 pub struct Selection {
     /// The snapshots, in order: at least one.
-    parts: Arc<[Arc<ColumnImage>]>,
+    parts: Arc<[Arc<Batch>]>,
     positions: Vec<u32>,
     /// The snapshots' columns the selection exposes, in order; `None`:
     /// every column, in the table's order.
@@ -159,7 +72,7 @@ pub struct Selection {
 /// Calls `add` with each position's index in `positions` and the
 /// payload bytes of column `(values, valid)` at that row of its
 /// snapshot (`mask` turns a position into the row): what
-/// [`Value::byte_size`] gives the value the image holds there.
+/// [`Value::byte_size`] gives the value the snapshot holds there.
 fn column_widths(
     positions: &[u32],
     mask: u32,
@@ -190,6 +103,22 @@ fn column_widths(
 }
 
 impl Selection {
+    /// Every row of `batch`, in order: a migrated input, read where the
+    /// migrator decoded it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Invalid`] for more rows than a `u32` position
+    /// counts.
+    pub fn all(batch: Batch) -> Result<Selection> {
+        let rows = as_u32(batch.num_rows(), "row count")?;
+        Ok(Selection {
+            parts: Arc::from([Arc::new(batch)]),
+            positions: (0..rows).collect(),
+            columns: None,
+        })
+    }
+
     /// The positions, in order, each tagged with its part when the
     /// selection spans several snapshots.
     pub fn positions(&self) -> &[u32] {
@@ -211,7 +140,7 @@ impl Selection {
     /// through the projection's columns.
     pub fn selected(&self) -> Selected<'_> {
         let selected = match &*self.parts {
-            [one] => Selected::at(one.source(), &self.positions),
+            [one] => Selected::at(ColumnSource::Image(one), &self.positions),
             parts => Selected::over(parts, &self.positions),
         };
         selected.through(self.columns())
@@ -225,7 +154,7 @@ impl Selection {
     /// Returns [`Error::Invalid`] for a column the selection does not
     /// expose.
     pub fn project(&self, columns: &[usize]) -> Result<Selection> {
-        let arity = self.parts[0].columns.len();
+        let arity = self.parts[0].schema().arity();
         let exposed = self.columns().map_or(arity, <[usize]>::len);
         if let Some(&c) = columns.iter().find(|&&c| c >= exposed) {
             return Err(Error::Invalid(format!(
@@ -278,7 +207,7 @@ impl Selection {
     /// of it — a whole row's at once, or a projected row's a column at a
     /// time, each column in turn.
     pub(crate) fn widths(&self, mut add: impl FnMut(usize, u64)) {
-        let runs: Vec<(&ColumnImage, &[u32], u32)> = match &*self.parts {
+        let runs: Vec<(&Batch, &[u32], u32)> = match &*self.parts {
             [one] => vec![(&**one, &self.positions[..], u32::MAX)],
             parts => part_runs(&self.positions)
                 .map(|(part, run)| (&*parts[part], run, LOCAL_MASK))
@@ -286,19 +215,17 @@ impl Selection {
         };
         let mut start = 0;
         for (image, run, mask) in runs {
-            let mut add = |i, width| add(start + i, width);
             match self.columns() {
                 None => {
+                    let widths = image.widths();
                     for (i, &p) in run.iter().enumerate() {
-                        add(i, u64::from(image.widths[(p & mask) as usize]));
+                        add(start + i, u64::from(widths[(p & mask) as usize]));
                     }
                 }
                 Some(columns) => {
                     for &c in columns {
-                        // Every column of a table has an image.
-                        if let Some(column) = &image.columns[c] {
-                            column_widths(run, mask, column, &mut add);
-                        }
+                        let add = |i, width| add(start + i, width);
+                        column_widths(run, mask, &image.columns()[c], add);
                     }
                 }
             }
@@ -313,7 +240,7 @@ impl Selection {
         let columns = match self.columns() {
             Some(columns) => columns,
             None => {
-                every = (0..self.parts[0].columns.len()).collect();
+                every = (0..self.parts[0].schema().arity()).collect();
                 &every
             }
         };
@@ -335,10 +262,10 @@ impl Selection {
                 [_] => (0, p as usize),
                 _ => split_position(p),
             };
-            (self.parts.get(part)).is_none_or(|s| row >= s.len())
+            (self.parts.get(part)).is_none_or(|s| row >= s.num_rows())
         };
         if let Some(&p) = positions.iter().find(|p| outside(p)) {
-            let rows: Vec<usize> = self.parts.iter().map(|s| s.len()).collect();
+            let rows: Vec<usize> = self.parts.iter().map(|s| s.num_rows()).collect();
             return Err(Error::Invalid(format!(
                 "position {p:#x} outside snapshots of {rows:?} rows"
             )));
@@ -375,7 +302,7 @@ impl Selection {
         if self.is_empty() {
             return Ok(more.clone());
         }
-        let parts: Vec<Arc<ColumnImage>> = self
+        let parts: Vec<Arc<Batch>> = self
             .parts
             .iter()
             .chain(more.parts.iter())
@@ -387,10 +314,13 @@ impl Selection {
                 parts.len()
             )));
         }
-        if let Some(big) = parts.iter().find(|s| s.len() > LOCAL_MASK as usize + 1) {
+        if let Some(big) = parts
+            .iter()
+            .find(|s| s.num_rows() > LOCAL_MASK as usize + 1)
+        {
             return Err(Error::Invalid(format!(
                 "a snapshot of {} rows among several; a position addresses {}",
-                big.len(),
+                big.num_rows(),
                 LOCAL_MASK as usize + 1
             )));
         }
@@ -435,14 +365,16 @@ impl Selection {
     }
 }
 
-/// A table: its column image plus secondary indexes.
+/// A table: its rows as one [`Batch`] — the one copy of the table's
+/// data, which a scan reads and output rows are built out of
+/// ([`crate::ops`], "Selections"); no row is stored — plus secondary
+/// indexes.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
-    schema: Schema,
-    /// The rows, as their image, kept current by every write with
+    /// The rows, and the schema, kept current by every write with
     /// `byte_size` and `indexes`.
-    data: Arc<ColumnImage>,
+    data: Arc<Batch>,
     /// Payload bytes of the rows (the sum of the image's widths), so a
     /// full scan prices the heap without walking it.
     byte_size: u64,
@@ -455,8 +387,7 @@ impl Table {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Table {
             name: name.into(),
-            data: Arc::new(ColumnImage::empty(&schema)),
-            schema,
+            data: Arc::new(Batch::empty(schema)),
             byte_size: 0,
             indexes: BTreeMap::new(),
         }
@@ -469,7 +400,7 @@ impl Table {
 
     /// Table schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.data.schema()
     }
 
     /// All rows, in insertion order, built out of the image: a copy,
@@ -480,13 +411,13 @@ impl Table {
     }
 
     /// The table's data.
-    pub fn image(&self) -> &ColumnImage {
+    pub fn image(&self) -> &Batch {
         &self.data
     }
 
     /// What a column-wise predicate evaluation reads: the image.
     pub fn source(&self) -> ColumnSource<'_> {
-        self.data.source()
+        ColumnSource::Image(&self.data)
     }
 
     /// The rows at `positions` (each less than [`Table::len`]), as of
@@ -501,7 +432,7 @@ impl Table {
 
     /// Row count.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data.num_rows()
     }
 
     /// Whether the table is empty.
@@ -527,14 +458,15 @@ impl Table {
     /// [`pspp_common::Error::Invalid`] past `u32::MAX` rows or payload
     /// bytes in a row; the table is unchanged on error.
     pub fn insert_all(&mut self, rows: &[Row]) -> Result<()> {
+        let schema = self.data.schema();
         for row in rows {
-            self.schema.check_row(row)?;
+            schema.check_row(row)?;
             as_u32(row.byte_size(), "row payload bytes")?;
         }
         let first = self.len();
         as_u32(first + rows.len(), "row count")?;
         let mut indexes = (self.indexes.iter_mut())
-            .map(|(col, index)| Ok((self.schema.require(col)?, index)))
+            .map(|(col, index)| Ok((schema.require(col)?, index)))
             .collect::<Result<Vec<_>>>()?;
         for (pos, row) in (first as u32..).zip(rows) {
             for (idx, index) in &mut indexes {
@@ -545,7 +477,7 @@ impl Table {
         for row in rows {
             // Checked above: the width fits.
             let width = row.byte_size() as u32;
-            data.push(row, width);
+            data.push_row(row.values(), width);
             self.byte_size += u64::from(width);
         }
         Ok(())
@@ -558,7 +490,7 @@ impl Table {
     ///
     /// Returns [`pspp_common::Error::ColumnNotFound`] for unknown columns.
     pub fn create_index(&mut self, column: &str) -> Result<()> {
-        let idx = self.schema.require(column)?;
+        let idx = self.schema().require(column)?;
         let source = self.source();
         let mut index: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
         for p in 0..self.len() {
@@ -592,8 +524,13 @@ impl Table {
     /// (and [`pspp_common::Error::Invalid`] as [`Table::insert`] does);
     /// the table is unchanged on error.
     pub fn replace_rows(&mut self, rows: Vec<Row>) -> Result<()> {
-        let image = ColumnImage::of(&self.schema, &rows)?;
-        self.byte_size = image.widths.iter().map(|&w| u64::from(w)).sum();
+        let mut image = Batch::empty(self.schema().clone());
+        as_u32(rows.len(), "row count")?;
+        for row in &rows {
+            image.schema().check_row(row)?;
+            image.push_row(row.values(), as_u32(row.byte_size(), "row payload bytes")?);
+        }
+        self.byte_size = image.widths().iter().map(|&w| u64::from(w)).sum();
         self.data = Arc::new(image);
         let columns = self.indexed_columns();
         for col in columns {
@@ -632,7 +569,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pspp_common::{row, DataType};
+    use pspp_common::{row, Column, DataType};
 
     fn table() -> Table {
         let mut t = Table::new(
@@ -755,7 +692,7 @@ mod tests {
         };
         let nulls = || Row::from(vec![Value::Null; 6]);
         let current = |t: &Table| {
-            assert_eq!(*t.image(), ColumnImage::of(t.schema(), &t.rows()).unwrap());
+            assert_eq!(*t.image(), Batch::from_rows(t.schema(), t.rows()).unwrap());
             let widths = t.image().widths();
             assert_eq!(widths.len(), t.len());
             assert_eq!(
@@ -770,14 +707,14 @@ mod tests {
             t.insert(row).unwrap();
             current(&t);
         }
-        let (ints, valid) = t.image().columns()[0].as_ref().expect("Int has an image");
+        let (ints, valid) = &t.image().columns()[0];
         assert_eq!(ints.as_int().unwrap(), &[1, 0, 2]);
         assert_eq!(valid, &[true, false, true]);
-        let (strs, valid) = t.image().columns()[4].as_ref().expect("Str has one too");
+        let (strs, valid) = &t.image().columns()[4];
         let strs: Vec<&str> = strs.as_str().unwrap().iter().collect();
         assert_eq!(strs, ["abc", "", "abc"]);
         assert_eq!(valid, &[true, false, true]);
-        let (bytes, _) = t.image().columns()[5].as_ref().expect("Bytes has one");
+        let (bytes, _) = &t.image().columns()[5];
         assert_eq!(bytes, &Column::Bytes(vec![vec![1, 1], vec![], vec![2, 2]]));
         assert_eq!(t.image().widths(), &[8 + 8 + 8 + 1 + 3 + 2, 6, 30]);
 

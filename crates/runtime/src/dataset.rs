@@ -18,16 +18,17 @@ use pspp_relstore::{Selected, Selection};
 ///
 /// A relational scan's buffer holds a [`Selection`] — the kept
 /// positions over the table's snapshot, its column image, the one copy
-/// of the table's data — instead of rows, and an exchange of scans
-/// keeps it one: a gather appends the shards' selections into one over
+/// of the table's data — instead of rows, and so does a migration's:
+/// every row of the batch the codec decoded. An exchange of selections
+/// keeps them one: a gather appends the shards' selections into one over
 /// every shard's snapshot, and a shuffle splits each shard's positions
 /// by destination into the buckets it hands on. A projection of a
 /// selection is one too, exposing the projected columns. The relational
 /// kernels, the joins among them, the migration codec and the ML
 /// adapters (features, and the rows they append a column to) read it
 /// where it lies ([`RowBuf::selected`]); its length and byte size come
-/// from the positions and the tables' images. Its rows are built out of
-/// the images on the first deref, once for every holder: by the text
+/// from the positions and the snapshots' widths. Its rows are built out
+/// of the snapshots on the first deref, once for every holder: by the text
 /// and timeseries adapters, by the routing of a shuffle producer that
 /// is not a scan, and for the output. The
 /// executor builds every program output before it returns, so no
@@ -39,7 +40,8 @@ pub struct RowBuf(Arc<Shared>);
 struct Shared {
     /// The rows; none while the buffer is a selection.
     rows: Vec<Row>,
-    /// A scan's selection, and its rows once somebody has read them.
+    /// A scan's or a migration's selection, and its rows once somebody
+    /// has read them.
     selection: Option<(Selection, OnceLock<Vec<Row>>)>,
     /// Payload bytes of the rows, summed on first use: every clone of
     /// the buffer prices the same rows, so they are walked once.
@@ -95,7 +97,7 @@ impl RowBuf {
         }))
     }
 
-    /// The scan selection this buffer holds, if it holds one.
+    /// The selection this buffer holds, if it holds one.
     pub fn as_selection(&self) -> Option<&Selection> {
         self.0.selection.as_ref().map(|(selection, _)| selection)
     }
@@ -366,8 +368,8 @@ impl Dataset {
     }
 
     /// A rows dataset whose producer already knows its payload bytes —
-    /// it summed them while it built, moved or decoded the rows — so
-    /// nobody walks them to price them (see [`RowBuf::pre_sized`]).
+    /// it summed them while it built or moved the rows — so nobody
+    /// walks them to price them (see [`RowBuf::pre_sized`]).
     pub fn sized_rows(
         schema: Schema,
         rows: Vec<Row>,

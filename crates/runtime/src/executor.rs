@@ -1124,8 +1124,9 @@ impl Executor {
             placer = placer.with_metrics(metrics.clone());
         }
         let target = Placer::target_engine_of(node, &task.inputs);
-        // An input that crosses engines is rebuilt by the codec, from
-        // the columns its producer's consumers read and no others.
+        // An input that crosses engines goes through the codec, the
+        // columns its producer's consumers read and no others, and
+        // arrives as a selection over the batch it decoded.
         let demand = |&i: &NodeId| {
             program
                 .node(resolve_fused(program, i))
@@ -1976,14 +1977,44 @@ mod tests {
             }
         }
 
-        // The codec sums the bytes of the rows it decodes.
+        // A migrated input arrives as a selection of every row the codec
+        // decoded, its bytes known from the batch's widths. Hash-joined
+        // at db2 (the federated join's shape), it is read where it lies:
+        // never built, and the join is the one over built rows.
         let placer = Placer::default().scoped(CostLedger::new());
         let target = EngineId::new("db2");
-        let (staged, _) = placer
-            .stage_datasets(vec![admissions], &[], Some(&target), &registry)
+        let (mut staged, _) = placer
+            .stage_datasets(vec![admissions.clone()], &[], Some(&target), &registry)
             .unwrap();
-        assert_eq!(staged[0].location, target);
-        assert_eq!(known_bytes(&staged[0]), Some(walked_bytes(&staged[0])));
+        let migrated = staged.remove(0);
+        assert_eq!(migrated.location, target);
+        let buf = migrated.row_buf().unwrap();
+        assert!(buf.as_selection().is_some() && buf.is_unbuilt_selection());
+        let known = known_bytes(&migrated);
+        let patients = &sides[1];
+        let (left_on, right_on) = on();
+        let join = Operator::HashJoin { left_on, right_on };
+        let got = run(&join, &[migrated.clone(), patients.clone()]);
+        assert!(
+            buf.is_unbuilt_selection(),
+            "the join built the migrated rows"
+        );
+        let built = |d: &Dataset| {
+            let rows = d.row_buf().unwrap().as_selection().unwrap().rows();
+            Dataset::rows(
+                d.schema().unwrap().clone(),
+                rows,
+                d.model,
+                d.location.clone(),
+            )
+        };
+        let want = run(&join, &[built(&migrated), built(patients)]);
+        assert_eq!(got.schema().unwrap(), want.schema().unwrap());
+        assert_eq!(got.try_rows().unwrap(), want.try_rows().unwrap());
+        assert_eq!(got.byte_size(), want.byte_size());
+        // Its rows are the source's, and its known bytes the walked ones.
+        assert_eq!(migrated.try_rows().unwrap(), admissions.try_rows().unwrap());
+        assert_eq!(known, Some(walked_bytes(&migrated)));
     }
 
     #[test]

@@ -5,9 +5,10 @@ use pspp_accel::CostLedger;
 use pspp_common::{EngineId, Error, PartitionSpec, Result, ShardId};
 use pspp_ir::{ColumnDemand, PlanOptions, Program, ProgramNode, ShardPlan};
 use pspp_migrate::{MigrationPath, Migrator};
+use pspp_relstore::Selection;
 use pspp_telemetry::MetricsRegistry;
 
-use crate::dataset::{Dataset, Payload};
+use crate::dataset::{Dataset, Payload, RowBuf};
 use crate::registry::EngineRegistry;
 
 /// What staging one node's inputs cost.
@@ -168,12 +169,14 @@ impl Placer {
     /// read (its producer's [`pspp_ir::Annotations::demand`]; `None` or
     /// a missing entry is every column). The codec ships a `Batch` of
     /// those columns alone — the others are never encoded, priced on the
-    /// wire or decoded — and the input arrives as the rows decoded from
-    /// it, under the narrowed schema. A scan's selection is batched
-    /// where it lies: a column with a typed image is copied out of the
-    /// image at the kept positions, and no row of it is built. An input
-    /// that stays where it is, or has no rows to move, is handed on as
-    /// it came, by pointer.
+    /// wire or decoded — and the input arrives as a selection of every
+    /// row of the batch the codec decoded ([`Selection::all`]), under the
+    /// narrowed schema: every kernel and ML adapter reads it where it
+    /// lies, and its rows are built only if a consumer derefs them. A
+    /// scan's selection is batched where it lies: its columns are copied
+    /// out of the table's snapshot at the kept positions, and no row of
+    /// it is built. An input that stays where it is, or has no rows to
+    /// move, is handed on as it came, by pointer.
     ///
     /// # Errors
     ///
@@ -210,7 +213,7 @@ impl Placer {
                         .map_err(|e| {
                             Error::Migration(format!("cannot batch rows for migration: {e}"))
                         })?;
-                    let (rows2, report) = self.migrator.migrate(
+                    let (decoded, report) = self.migrator.migrate(
                         &batch,
                         MigrationPath::BinaryPipe,
                         d.model,
@@ -234,13 +237,9 @@ impl Placer {
                             )
                             .observe_seconds(report.total.as_secs());
                     }
-                    d = Dataset::sized_rows(
-                        batch.schema().clone(),
-                        rows2,
-                        report.row_bytes,
-                        to_model,
-                        target.clone(),
-                    );
+                    let schema = decoded.schema().clone();
+                    let rows = RowBuf::selection(Selection::all(decoded)?);
+                    d = Dataset::from_buf(schema, rows, to_model, target.clone());
                 }
             }
             staged.push(d);

@@ -3,19 +3,23 @@
 //! `repro` binary runs them (`repro --list` prints the index); its exit
 //! code is the verdict — every pass/fail expectation is stated here, in
 //! the experiment that measures it, through five small checks
-//! (`ensure`, `at_least`, `at_most`, `above`, `same_digest`).
+//! (`ensure`, `at_least`, `at_most`, `above`, `same_digest`). An
+//! experiment that states no claim says "(table only)" in its
+//! description.
 //!
 //! Every number is simulated and deterministic (real data plane,
-//! simulated clock). README's "From the paper to the code" table maps
-//! each experiment to its paper section and crate, and its "What stands
-//! in for what" table names the substitutes for the paper's data and
-//! hardware.
+//! simulated clock), so the tables are the record: the output of
+//! `repro all --open-loop --trace` is committed under
+//! `crates/bench/golden/` (see the `repro` binary's docs for the
+//! command that regenerates it). README's "From the paper to the code"
+//! table maps each experiment to its paper section and crate, and its
+//! "What stands in for what" table names the substitutes for the
+//! paper's data and hardware.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod driver;
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -66,7 +70,8 @@ pub const EXPERIMENTS: [Experiment; 23] = [
     },
     Experiment {
         name: "e4",
-        description: "heterogeneous program lowered to the annotated data-flow IR (Fig. 5)",
+        description:
+            "heterogeneous program lowered to the annotated data-flow IR (Fig. 5) (table only)",
         run: e04_ir_stats,
     },
     Experiment {
@@ -121,7 +126,7 @@ pub const EXPERIMENTS: [Experiment; 23] = [
     },
     Experiment {
         name: "e15",
-        description: "cost-model placement error and DSE surrogate accuracy",
+        description: "cost-model placement error and DSE surrogate accuracy (table only)",
         run: e15_cost_model,
     },
     Experiment {
@@ -176,40 +181,6 @@ pub fn list_table() -> String {
         writeln!(out, "  {:<5} {}", e.name, e.description).ok();
     }
     out
-}
-
-thread_local! {
-    /// The per-experiment metrics bag [`run_with_metrics`] drains.
-    static METRICS: RefCell<Vec<(String, f64)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Records one named scalar for the experiment currently running on
-/// this thread. `repro --json` emits the bag as the experiment's
-/// `metrics` object; recording the same name twice keeps the latest
-/// value.
-pub fn bench_metric(name: &str, value: f64) {
-    METRICS.with(|bag| {
-        let mut bag = bag.borrow_mut();
-        match bag.iter_mut().find(|(n, _)| n == name) {
-            Some(slot) => slot.1 = value,
-            None => bag.push((name.to_owned(), value)),
-        }
-    });
-}
-
-/// Runs one experiment and returns its table together with the metrics
-/// it recorded via [`bench_metric`], in recording order.
-///
-/// # Errors
-///
-/// Propagates experiment failures; unknown names yield a config error.
-pub fn run_with_metrics(name: &str) -> Result<(String, Vec<(String, f64)>)> {
-    METRICS.with(|bag| bag.borrow_mut().clear());
-    let table = run(name)?;
-    Ok((
-        table,
-        METRICS.with(|bag| bag.borrow_mut().drain(..).collect()),
-    ))
 }
 
 /// Runs one experiment by name.
@@ -420,13 +391,14 @@ fn e01_recommendation() -> Result<String> {
         "one-size-fits-all   {osfa_ms:>8.3}   CSV export/import + remodeling first"
     )
     .ok();
+    let speedup = osfa_ms / poly_ms;
     writeln!(
         out,
-        "shape check: federation wins by {:.1}x (paper: polystores avoid \
-         'unnecessary movement and remodeling of data')",
-        osfa_ms / poly_ms
+        "shape check: federation wins by {speedup:.1}x (paper: polystores avoid \
+         'unnecessary movement and remodeling of data')"
     )
     .ok();
+    at_least("federation speedup", speedup, 10.0)?;
     Ok(out)
 }
 
@@ -463,6 +435,11 @@ fn e02_clinical() -> Result<String> {
         acc.ledger().busy_for("mlengine").as_secs() * 1e3
     )
     .ok();
+    above(
+        "host vs accelerated makespan (s)",
+        r_cpu.makespan(),
+        r_acc.makespan(),
+    )?;
     Ok(out)
 }
 
@@ -520,6 +497,11 @@ fn e03_snorkel() -> Result<String> {
         (load_host + train_cpu) / (load_accel + train_tpu)
     )
     .ok();
+    above(
+        "host vs accelerated epoch (s)",
+        load_host + train_cpu,
+        load_accel + train_tpu,
+    )?;
     Ok(out)
 }
 
@@ -553,7 +535,7 @@ fn e04_ir_stats() -> Result<String> {
 fn e05_opt_levels() -> Result<String> {
     let mut out = String::from(
         "E5 (Fig.6) optimization levels on a fixed query suite\n\
-         level      sim_ms   rewrites  offloaded\n",
+         level       sim_ms   rewrites  offloaded\n",
     );
     let queries = [
         "SELECT pid, age FROM admissions WHERE age >= 40 ORDER BY date",
@@ -608,6 +590,7 @@ fn e06_kmeans() -> Result<String> {
             c / f
         )
         .ok();
+        above(&format!("cpu vs gpu ms at n={n}"), c, g)?;
     }
     // Correctness anchor: a real clustered run at 4k points.
     let data = MlDataset::synthetic_blobs(4_000, 8, 5, 77);
@@ -637,6 +620,7 @@ fn e07_active_learning() -> Result<String> {
     );
     let (space, eval) = placement_space();
     let reference = [0.5, 150.0];
+    let mut total_wins = 0;
     for budget in [15usize, 30, 60] {
         let mut hv_r_total = 0.0;
         let mut hv_a_total = 0.0;
@@ -659,11 +643,17 @@ fn e07_active_learning() -> Result<String> {
             hv_a_total / 5.0
         )
         .ok();
+        total_wins += wins;
     }
     out.push_str(
         "shape check: active learning matches or beats random sampling on most \
          seed/budget combinations (paper Fig.8: guided search yields superior predictors)\n",
     );
+    at_least(
+        "active-learning wins of 15 seed/budget cells",
+        f64::from(total_wins),
+        8.0,
+    )?;
     Ok(out)
 }
 
@@ -704,7 +694,7 @@ fn placement_space() -> (DesignSpace, impl Fn(&Vec<usize>) -> Vec<f64> + Clone) 
 fn e08_migration() -> Result<String> {
     let mut out = String::from(
         "E8 (PipeGen claim) migrating rows of (4 int, 3 double)\n\
-         path                wire_MB  encode_ms  wire_ms  decode_ms  total_ms  xform%\n",
+         path                  wire_MB  encode_ms  wire_ms  decode_ms  total_ms  xform%\n",
     );
     let (schema, rows) = datagen::pipegen_rows(50_000, 8)?;
     let batch = Batch::from_rows(&schema, rows)
@@ -726,16 +716,14 @@ fn e08_migration() -> Result<String> {
         ),
         ("rdma", Migrator::new(), MigrationPath::Rdma),
     ];
-    let mut csv_total = 0.0;
+    let mut totals = Vec::new();
     for (name, migrator, path) in configs {
         let (_, r) =
             migrator.migrate(&batch, path, DataModel::Relational, DataModel::Relational)?;
-        if name == "csv file" {
-            csv_total = r.total.as_secs();
-        }
+        totals.push((name, r.total.as_secs()));
         writeln!(
             out,
-            "{name:<19} {:>7.2} {:>10.3} {:>8.3} {:>10.3} {:>9.3} {:>6.1}",
+            "{name:<21} {:>7.2} {:>10.3} {:>8.3} {:>10.3} {:>9.3} {:>6.1}",
             r.wire_bytes as f64 / 1e6,
             r.encode.as_secs() * 1e3,
             r.transfer.as_secs() * 1e3,
@@ -755,7 +743,7 @@ fn e08_migration() -> Result<String> {
     )?;
     let scale = 1e9 * 56.0 / batch.byte_size() as f64;
     let binary_full = r.total.as_secs() * scale / 60.0;
-    let csv_full = csv_total * scale / 60.0;
+    let csv_full = totals[0].1 * scale / 60.0;
     writeln!(
         out,
         "extrapolation to 1e9 elements (~52 GB payload): csv {:.0} min, binary pipe {:.0} min \
@@ -763,6 +751,17 @@ fn e08_migration() -> Result<String> {
         csv_full, binary_full
     )
     .ok();
+    // In `configs` order: csv, binary pipe, pipelined, csv + fpga, rdma.
+    let total = |i: usize| totals[i].1;
+    above("csv vs binary pipe total", total(0), total(1))?;
+    at_most(
+        "pipelined total against the binary pipe's",
+        total(2),
+        total(1),
+    )?;
+    for &(name, t) in &totals[..4] {
+        above(&format!("{name} vs rdma total"), t, total(4))?;
+    }
     Ok(out)
 }
 
@@ -867,13 +866,18 @@ fn e09_sort_merge() -> Result<String> {
         )
         .build(system.catalog())?;
     let r = system.run_program(program)?;
+    let joined = r.execution.outputs[0].len();
     writeln!(
         out,
-        "real run anchor (300 patients): {} joined rows, migration {:.3} ms",
-        r.execution.outputs[0].len(),
+        "real run anchor (300 patients): {joined} joined rows, migration {:.3} ms",
         r.execution.migration_seconds * 1e3
     )
     .ok();
+    above("offload vs pipelined total", accel, piped)?;
+    above("baseline vs offload total", base, accel)?;
+    ensure(joined == 300, || {
+        format!("the anchor joined {joined} rows, not 300")
+    })?;
     Ok(out)
 }
 
@@ -892,9 +896,8 @@ fn e10_logca() -> Result<String> {
     ];
     for (name, l, o, c, beta, a) in models {
         let m = LogCa::new(l, o, c, beta, a);
-        let be = m
-            .break_even(1 << 34)
-            .map_or("never".to_owned(), |g| format!("{g}"));
+        let break_even = m.break_even(1 << 34);
+        let be = break_even.map_or("never".to_owned(), |g| format!("{g}"));
         writeln!(
             out,
             "{name:<18} {a:>5.1} {be:>18} {:>12.2} {:>12.2}",
@@ -905,6 +908,11 @@ fn e10_logca() -> Result<String> {
         // 1 KiB to 16 GiB, by fours.
         let sweep: Vec<f64> = (10..=34).step_by(2).map(|e| m.speedup(1 << e)).collect();
         speedup_rises_below_a(name, a, &sweep)?;
+        // `None` (never) counts as past 1 MiB.
+        let past_1mib = break_even.is_none_or(|g| g >= 1 << 20);
+        ensure(past_1mib == (name == "weak accel"), || {
+            format!("{name} breaks even at {be} bytes, on the wrong side of 1 MiB")
+        })?;
     }
     out.push_str(
         "shape check: speedup grows with granularity and stays below A; the weak accelerator \
@@ -950,6 +958,11 @@ fn e11_scan_offload() -> Result<String> {
             (1.0 - sel) * 100.0
         )
         .ok();
+        above(
+            &format!("cpu vs fpga ms at selectivity {sel}"),
+            t_cpu,
+            t_fpga,
+        )?;
     }
     // Real correctness anchor.
     let mut rng = SplitMix64::new(4);
@@ -993,6 +1006,7 @@ fn e12_adapter() -> Result<String> {
         nodes / fpga_rate * 1e3
     )
     .ok();
+    above("fpga speedup", fpga_rate / cpu_rate, 1.0)?;
     Ok(out)
 }
 
@@ -1017,6 +1031,12 @@ fn e13_roofline() -> Result<String> {
             at(1024.0)
         )
         .ok();
+        // Right of the table's leftmost intensity: bandwidth-bound there.
+        above(
+            &format!("{kind} ridge point vs oi=0.25"),
+            r.ridge_point(),
+            0.25,
+        )?;
     }
     out.push_str(
         "shape check: low-intensity kernels are bandwidth-bound everywhere; the TPU's ridge \
@@ -1043,13 +1063,14 @@ fn tpu_ridge_is_highest(ridges: &[(DeviceKind, f64)]) -> Result<()> {
 fn e14_operators() -> Result<String> {
     let mut out = String::from(
         "E14 operator microbenchmarks (simulated ms; EDP = energy*delay)\n\
-         op            n        cpu_ms    best_ms  best_dev  speedup  edp_gain\n",
+         op            n        cpu_ms    best_ms  best_dev speedup  edp_gain\n",
     );
     let fleet = AcceleratorFleet::workstation();
     let cpu = fleet.host();
+    let mut edp_gains = Vec::new();
     // One row: the host against the best of `devices`, each paying its
     // attachment's transfer of `bytes` on top of the kernel. Returns the
-    // winner and its speedup.
+    // winner and its speedup, and keeps the row's EDP gain.
     let mut row = |op: &str,
                    size: String,
                    devices: [DeviceKind; 2],
@@ -1069,14 +1090,15 @@ fn e14_operators() -> Result<String> {
                 best = (d, t, p.energy_j(t));
             }
         }
+        let edp_gain = (e_cpu * t_cpu) / (best.2 * best.1);
+        edp_gains.push(edp_gain);
         writeln!(
             out,
-            "{op:<9} {size:>9} {:>9.3} {:>10.3}  {:<8} {:>6.2}x {:>8.2}x",
+            "{op:<9} {size:>9} {:>9.3} {:>10.3}  {:<8} {:>6.2}x {edp_gain:>8.2}x",
             t_cpu * 1e3,
             best.1 * 1e3,
             best.0,
             t_cpu / best.1,
-            (e_cpu * t_cpu) / (best.2 * best.1)
         )
         .ok();
         Ok((best.0, t_cpu / best.1))
@@ -1106,6 +1128,17 @@ fn e14_operators() -> Result<String> {
     );
     best_speedup_grows_and_winner_holds("sort", &sorts, DeviceKind::Fpga, 0)?;
     best_speedup_grows_and_winner_holds("gemm", &gemms, DeviceKind::Tpu, 1)?;
+    for (op, rows) in [("sort", &sorts), ("gemm", &gemms)] {
+        let smallest = rows[0].1;
+        ensure(smallest < 1.25, || {
+            format!("{op} at its smallest size speeds up {smallest:.2}x, not below 1.25x")
+        })?;
+    }
+    // The fourth row: the 128^3 GEMM.
+    let gemm128_edp = edp_gains[3];
+    ensure(gemm128_edp < 1.0, || {
+        format!("the 128^3 gemm's edp gain {gemm128_edp:.2}x is not below 1x")
+    })?;
     Ok(out)
 }
 
@@ -1249,8 +1282,6 @@ fn e16_service() -> Result<String> {
             speedup8 = report.throughput_qps / baseline_qps;
         }
     }
-    bench_metric("qps_1w", baseline_qps);
-    bench_metric("speedup_8w", speedup8);
     writeln!(
         out,
         "shape check: byte-identical outputs and ledger sums at every concurrency; \
@@ -1288,8 +1319,8 @@ pub fn open_loop_table() -> Result<String> {
             },
         )?;
         // The raw rejection count is machine-dependent (burst-phase
-        // timing), so the table only reports whether the path fired —
-        // keeping `repro --open-loop` output diffable across runs.
+        // timing), so only whether the path fired is checked — keeping
+        // `repro --open-loop` output diffable across runs.
         reject_fired |= r.real_rejections > 0;
         let digest = *reference.get_or_insert(r.digest);
         same_digest(&format!("arrival rate {arrival_qps}"), r.digest, digest)?;
@@ -1316,12 +1347,14 @@ pub fn open_loop_table() -> Result<String> {
         out,
         "shape check: shed rate is non-decreasing in offered load, the top rate \
          sheds ({top_shed}/64), and the burst phase observed genuine \
-         Error::Overloaded rejections: {}",
-        if reject_fired { "yes" } else { "no" }
+         Error::Overloaded rejections: yes"
     )
     .ok();
     ensure(top_shed > 0, || {
         "saturating arrival rate shed nothing; Reject policy untested".into()
+    })?;
+    ensure(reject_fired, || {
+        "no burst phase saw a genuine Error::Overloaded rejection".into()
     })?;
     Ok(out)
 }
@@ -1658,10 +1691,11 @@ fn e19_exchange() -> Result<String> {
         )
         .ok();
     }
-    bench_metric("exchange_rows", exchange_rows as f64);
-    bench_metric("host_fallbacks", host_fallbacks as f64);
-    bench_metric("join_speedup_4s", join_speedup4);
-    bench_metric("agg_speedup_4s", agg_speedup4);
+    writeln!(
+        out,
+        "exchange-on runs: {exchange_rows} rows through exchanges, {host_fallbacks} host fallbacks"
+    )
+    .ok();
     writeln!(
         out,
         "shape check: exchange == gathered byte-for-byte at every shard count; at 4 shards \
@@ -1763,11 +1797,11 @@ fn e20_accel() -> Result<String> {
             combined_fallbacks = combined.fallbacks;
         }
     }
-    bench_metric("offloaded_tasks", offload.offloaded as f64);
-    bench_metric("host_fallbacks_combined_4s", combined_fallbacks as f64);
-    bench_metric("offload_x", offload_x);
-    bench_metric("sharding_x_4s", sharding_x);
-    bench_metric("combined_x_4s", combined_x);
+    writeln!(
+        out,
+        "combined at 4 shards: {combined_fallbacks} host fallbacks"
+    )
+    .ok();
     writeln!(
         out,
         "shape check: byte-identical digests across all configurations; at 4 shards \
@@ -1974,14 +2008,6 @@ fn e21_sessions() -> Result<String> {
             storm.attempts, storm.completed, storm.lost, storm.goodput_qps
         )
         .ok();
-        bench_metric(
-            &format!("retry_goodput_qps_r{retry_max}"),
-            storm.goodput_qps,
-        );
-        bench_metric(
-            &format!("retry_attempts_r{retry_max}"),
-            storm.attempts as f64,
-        );
         storm_goodput.push(storm.goodput_qps);
     }
     // Retries cannot conjure capacity.
@@ -1994,11 +2020,6 @@ fn e21_sessions() -> Result<String> {
     let shed10k = shed_off[0].1;
     let shed100k = shed_off[1].1;
     let shed1m = shed_off[2].1;
-    bench_metric("shed_rate_10k", shed10k);
-    bench_metric("shed_rate_100k", shed100k);
-    bench_metric("shed_rate_1m", shed1m);
-    bench_metric("result_cache_speedup_100k", speedup);
-    bench_metric("sessions_per_worker_1m", 1_000_000.0 / WORKERS as f64);
     writeln!(
         out,
         "shape check: byte-identical digests cache on/off at every scale; shed rate does \
@@ -2204,14 +2225,8 @@ fn e22_rebalance() -> Result<String> {
     // Each grow step doubles the width, so the analytic expectation of
     // the moved fraction is 1 - from/to = 0.5; allow hash noise above.
     let bound = analytic_share(1, 2)?;
-    let mut fracs = [0.0f64; 2];
-    for (i, (diff, (from, to))) in grown
-        .rebalances
-        .iter()
-        .zip([(1u32, 2u32), (2, 4)])
-        .enumerate()
-    {
-        fracs[i] = diff.moved_fraction();
+    for (diff, (from, to)) in grown.rebalances.iter().zip([(1u32, 2u32), (2, 4)]) {
+        let moved_fraction = diff.moved_fraction();
         let step_bound = analytic_share(from, to)?;
         writeln!(
             out,
@@ -2219,7 +2234,7 @@ fn e22_rebalance() -> Result<String> {
              {} bytes, incremental={}",
             diff.moved_rows,
             diff.total_rows,
-            fracs[i] * 100.0,
+            moved_fraction * 100.0,
             step_bound * 100.0,
             diff.moved_bytes,
             diff.incremental
@@ -2228,17 +2243,9 @@ fn e22_rebalance() -> Result<String> {
         ensure(diff.incremental && diff.total_rows > 0, || {
             format!("grow {from}->{to} was not an incremental diff: {diff:?}")
         })?;
-        grow_moves_its_analytic_share(&format!("{from}->{to}"), fracs[i], step_bound)?;
+        grow_moves_its_analytic_share(&format!("{from}->{to}"), moved_fraction, step_bound)?;
     }
     let shed_delta = grown.shed_rate() - steady.shed_rate();
-    bench_metric("repartition_speedup", speedup);
-    bench_metric("repartition_stores", stats.stores as f64);
-    bench_metric("repartition_hits", stats.hits as f64);
-    bench_metric("moved_frac_1to2", fracs[0]);
-    bench_metric("moved_frac_2to4", fracs[1]);
-    bench_metric("shed_rate_steady", steady.shed_rate());
-    bench_metric("shed_rate_grow", grown.shed_rate());
-    bench_metric("grow_retries", grown.retries as f64);
     writeln!(
         out,
         "shape check: byte-identical digests across steady/grown/cache-off; each grow step \
@@ -2388,9 +2395,6 @@ fn e23_fusion() -> Result<String> {
     };
 
     let mut baseline_digest = None;
-    let mut fusion_x_1s = 0.0;
-    let mut fusion_x_4s = 0.0;
-    let mut queue_ms_contended = 0.0;
     for shards in [1usize, 2, 4] {
         for contended in [false, true] {
             let mut sim_by_fusion = [0.0f64; 2];
@@ -2428,24 +2432,10 @@ fn e23_fusion() -> Result<String> {
                     )
                 })?;
                 sim_by_fusion[usize::from(fusion)] = point.sim_ms;
-                if contended && fusion {
-                    queue_ms_contended = point.queue_ms;
-                }
             }
             fused_beats_unfused(sim_by_fusion[0], sim_by_fusion[1])?;
-            let fusion_x = sim_by_fusion[0] / sim_by_fusion[1].max(f64::MIN_POSITIVE);
-            if !contended {
-                if shards == 1 {
-                    fusion_x_1s = fusion_x;
-                } else if shards == 4 {
-                    fusion_x_4s = fusion_x;
-                }
-            }
         }
     }
-    bench_metric("fusion_x_1s", fusion_x_1s);
-    bench_metric("fusion_x_4s", fusion_x_4s);
-    bench_metric("queue_ms_contended", queue_ms_contended);
     writeln!(
         out,
         "shape check: byte-identical digests across the full grid; fused beats unfused \

@@ -47,7 +47,7 @@ impl fmt::Display for DeviceKind {
             DeviceKind::Cgra => "cgra",
             DeviceKind::Tpu => "tpu",
         };
-        f.write_str(s)
+        f.pad(s)
     }
 }
 
@@ -61,5 +61,11 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), 5);
+    }
+
+    #[test]
+    fn display_honours_width_and_alignment() {
+        assert_eq!(format!("{:<6}|", DeviceKind::Gpu), "gpu   |");
+        assert_eq!(format!("{:>5}", DeviceKind::Tpu), "  tpu");
     }
 }

@@ -103,7 +103,7 @@ impl std::fmt::Display for OptLevel {
             OptLevel::L2 => "L1+L2",
             OptLevel::L3 => "L1+L2+L3",
         };
-        f.write_str(s)
+        f.pad(s)
     }
 }
 
@@ -1243,5 +1243,11 @@ mod tests {
         assert!(OptLevel::L2.placement() && !OptLevel::L2.pipelined());
         assert!(OptLevel::L3.pipelined());
         assert_eq!(OptLevel::L3.to_string(), "L1+L2+L3");
+    }
+
+    #[test]
+    fn opt_level_display_honours_width_and_alignment() {
+        assert_eq!(format!("{:<6}|", OptLevel::L1), "L1    |");
+        assert_eq!(format!("{:>6}", OptLevel::None), "  none");
     }
 }

@@ -1185,7 +1185,9 @@ fn e15_cost_model() -> Result<String> {
         // Distribution attribution: a query whose error persists at
         // max_scatter 1 mispredicts cardinality; one that degrades
         // only when nodes scatter mispredicts distribution.
-        let max_scatter = placement.scatter_width.values().copied().max().unwrap_or(1);
+        let plan = program.shard_plan()?;
+        let widths = program.nodes().iter().map(|n| plan.scatter_width(n.id));
+        let max_scatter = widths.max().unwrap_or(1);
         let executed = system.execute(&program)?.makespan_sequential;
         let rel = (predicted - executed).abs() / executed.max(f64::MIN_POSITIVE);
         rel_errs.push(rel);
@@ -1495,8 +1497,8 @@ fn e17_sharding() -> Result<String> {
 /// plan is a pure performance transformation — while the simulated
 /// join-stage time drops with the shard count (acceptance floor: at
 /// least 1.5x at 4 shards). The colocated placement must also price
-/// the join at the full scatter width (satellite: `PlacementPlan`
-/// exposes per-node `scatter_width`).
+/// the join at the full scatter width, read off the plan the program
+/// carries.
 fn e18_join() -> Result<String> {
     let mut out = String::from(
         "E18 colocated cross-shard join: per-shard build+probe vs gathered\n\
@@ -1531,7 +1533,7 @@ fn e18_join() -> Result<String> {
             let system = build(shards, colocate)?;
             let mut program = system.compile_sql(query)?;
             let (_, placement) = system.optimize(&mut program)?;
-            let placement = placed(placement)?;
+            placed(placement)?;
             let join = program
                 .nodes()
                 .iter()
@@ -1539,7 +1541,7 @@ fn e18_join() -> Result<String> {
                 .ok_or_else(|| Error::Execution(format!("{query} has no hash join")))?
                 .id;
             if colocate {
-                width = placement.scatter_width[&join];
+                width = program.shard_plan()?.scatter_width(join);
                 ensure(width == shards, || {
                     format!("join priced at scatter width {width}, expected {shards}")
                 })?;

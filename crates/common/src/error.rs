@@ -47,6 +47,15 @@ pub enum Error {
     },
     /// A partition spec or shard route resolved to zero shards.
     EmptyShardSet(String),
+    /// A program's distribution plan was made at an engine-state epoch
+    /// the registry has since left: the layout it scatters against may
+    /// have moved, so the program must be optimized again.
+    StalePlan {
+        /// The epoch the plan was made at.
+        planned: u64,
+        /// The registry's epoch at execution.
+        current: u64,
+    },
 }
 
 impl fmt::Display for Error {
@@ -79,6 +88,10 @@ impl fmt::Display for Error {
                 }
             }
             Error::EmptyShardSet(m) => write!(f, "empty shard set: {m}"),
+            Error::StalePlan { planned, current } => write!(
+                f,
+                "stale plan: made at epoch {planned}, the registry is at epoch {current}"
+            ),
         }
     }
 }

@@ -92,8 +92,9 @@ impl PolystoreBuilder {
     }
 
     /// Sets the plan switches (default: [`PlanOptions::default`]) — the
-    /// one value both the cost model and the executor run under, so the
-    /// priced plan is the executed plan:
+    /// value the distribution pass runs under, once per optimization.
+    /// The plan keeps it, so the cost model and the executor read the
+    /// switches off the plan they price and run:
     ///
     /// * `colocate` (on): compatibly-partitioned joins, partition-wise
     ///   `GroupBy`s and distribution-preserving filters/projections run
@@ -110,10 +111,12 @@ impl PolystoreBuilder {
     ///   offload pricing — the unfused baseline E23 compares against.
     /// * `materialize` (off): the executor persists shuffled layouts
     ///   whose cumulative exchange cost exceeds the one-time copy cost
-    ///   into the registry's copy store, later runs serve the same
-    ///   shuffle edges from the stored layouts (zero rows routed), and
-    ///   the cost model prices copy-served edges at zero. Any epoch
-    ///   bump (reshard, rebalance, DDL) invalidates every stored layout.
+    ///   into the registry's copy store, plans made after that serve
+    ///   the same shuffle edges from the stored layouts (zero rows
+    ///   routed), and the cost model prices copy-served edges at zero.
+    ///   A program optimized before a layout was persisted runs the
+    ///   shuffle it was priced with. Any epoch bump (reshard,
+    ///   rebalance, DDL) invalidates every stored layout.
     pub fn plan_options(mut self, options: PlanOptions) -> Self {
         self.plan_options = options;
         self
@@ -164,8 +167,9 @@ impl PolystoreBuilder {
             registry: self.deployment.registry,
             catalog: self.deployment.catalog,
             clinical_names: self.deployment.clinical_names,
-            cost_model: CostModel::new(self.deployment.stats).with_options(self.plan_options),
+            cost_model: CostModel::new(self.deployment.stats),
             opt_level: self.opt_level,
+            plan_options: self.plan_options,
             ledger: CostLedger::new(),
             metrics,
         })
@@ -208,6 +212,7 @@ pub struct Polystore {
     clinical_names: ClinicalNames,
     cost_model: CostModel,
     opt_level: OptLevel,
+    plan_options: PlanOptions,
     ledger: CostLedger,
     metrics: MetricsRegistry,
 }
@@ -373,15 +378,18 @@ impl Polystore {
 
     /// Optimizes a program in place at an explicit level, independent of
     /// the configured one (`execute` still runs at the configured one).
-    /// Placement prices the distribution plan the executor will derive:
-    /// [`Placer::plan_distribution`] over this system's registry, on the
-    /// registry's fleet.
+    /// At every level this runs the one distribution pass,
+    /// [`Placer::plan_distribution`] over this system's registry under
+    /// its [`PlanOptions`], and the program carries the plan it made —
+    /// at L2+ after cardinality estimation, whose row estimates choose
+    /// between gathers and shuffles. L2+ placement then prices that plan
+    /// on the registry's fleet, and [`Polystore::execute`] runs it.
     ///
     /// # Errors
     ///
-    /// Propagates cost-model errors and, under L2+, the distribution
-    /// pass's deployment validation (a partitioned table that no longer
-    /// exists on its engine, an under-replicated engine).
+    /// Propagates cost-model errors and the distribution pass's
+    /// deployment validation (a partitioned table that no longer exists
+    /// on its engine, an under-replicated engine).
     pub fn optimize_at(
         &self,
         program: &mut Program,
@@ -392,25 +400,27 @@ impl Polystore {
         } else {
             RewriteReport::default()
         };
+        if level.placement() {
+            self.cost_model.estimate_cardinalities(program)?;
+        }
+        Placer::plan_distribution(program, &self.registry, self.plan_options)?;
         let placement = if level.placement() {
-            let options = self.cost_model.options();
-            Some(self.cost_model.place(
-                program,
-                |p| Placer::plan_distribution(p, &self.registry, options),
-                self.registry.fleet(),
-            )?)
+            Some(self.cost_model.place(program, self.registry.fleet())?)
         } else {
             None
         };
         Ok((rewrites, placement))
     }
 
-    /// Executes an already-optimized program, posting costs to the
-    /// system-wide ledger.
+    /// Executes an already-optimized program — the distribution plan it
+    /// carries — posting costs to the system-wide ledger.
     ///
     /// # Errors
     ///
-    /// Propagates executor errors.
+    /// Propagates executor errors: among them a program never optimized
+    /// here, and [`pspp_common::Error::StalePlan`] for one optimized
+    /// before the registry's epoch last moved (a reshard, a rebalance,
+    /// an epoch bump), which must be optimized again.
     pub fn execute(&self, program: &Program) -> Result<ExecutionReport> {
         self.execute_at(program, self.ledger.clone())
     }
@@ -426,8 +436,6 @@ impl Polystore {
     pub fn execute_at(&self, program: &Program, ledger: CostLedger) -> Result<ExecutionReport> {
         let executor = Executor::new(ledger)
             .level(self.opt_level)
-            // The switches the plan was priced under.
-            .options(self.cost_model.options())
             .with_metrics(self.metrics.clone());
         executor.execute(program, &self.registry)
     }
@@ -796,6 +804,137 @@ mod tests {
             second.makespan(),
             first.makespan()
         );
+    }
+
+    /// A program runs the plan it was optimized with, and only at the
+    /// epoch that plan was made at: optimized before a rebalance, it is
+    /// refused with both epochs named, never run against the moved
+    /// layout, and optimizing it again answers as before. A program
+    /// never optimized, or carrying another program's plan, is refused
+    /// too.
+    #[test]
+    fn a_stale_missing_or_foreign_plan_is_a_typed_error() {
+        let admissions = TableRef::new("db1", "admissions");
+        let mut s = Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
+            patients: 400,
+            vitals_per_patient: 4,
+            seed: 7,
+        }))
+        .partition(admissions.clone(), PartitionSpec::hash("pid", 2))
+        .partition(
+            TableRef::new("db2", "patients"),
+            PartitionSpec::hash("pid", 2),
+        )
+        .build()
+        .unwrap();
+        let q = "SELECT name, age FROM admissions JOIN db2.patients \
+                 ON admissions.pid = patients.pid WHERE age >= 40";
+        let compiled = s.compile_sql(q).unwrap();
+        let mut program = compiled.clone();
+        s.optimize(&mut program).unwrap();
+        let digest = |report: ExecutionReport| pspp_runtime::output_digest(&report.outputs);
+        let before = digest(s.execute(&program).unwrap());
+
+        let planned = s.epoch();
+        s.rebalance(&admissions, PartitionSpec::hash("pid", 4))
+            .unwrap();
+        let current = s.epoch();
+        assert!(current > planned);
+        let err = s.execute(&program).unwrap_err();
+        assert_eq!(err, pspp_common::Error::StalePlan { planned, current });
+        s.optimize(&mut program).unwrap();
+        assert_eq!(digest(s.execute(&program).unwrap()), before);
+
+        let err = s.execute(&compiled).unwrap_err();
+        assert!(
+            matches!(err, pspp_common::Error::Semantic(_)),
+            "got {err:?}"
+        );
+        let mut other = s.compile_sql("SELECT pid FROM admissions").unwrap();
+        s.optimize(&mut other).unwrap();
+        let mut foreign = compiled;
+        foreign.set_shard_plan(other.shard_plan().unwrap().as_ref().clone());
+        let err = s.execute(&foreign).unwrap_err();
+        assert!(
+            matches!(err, pspp_common::Error::Semantic(_)),
+            "got {err:?}"
+        );
+    }
+
+    /// Planned == executed under `materialize`: E22's mismatched-key
+    /// join, optimized once and executed twice, routes on its second run
+    /// the shuffles its placement counted — the layout its first run
+    /// persisted is neither served to a plan that never priced it nor
+    /// stored and billed again. A program optimized after the copy was
+    /// stored serves it.
+    #[test]
+    fn a_program_runs_the_shuffles_it_was_priced_with_after_its_layout_is_stored() {
+        let s = Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
+            patients: 2_000,
+            vitals_per_patient: 4,
+            seed: 2019,
+        }))
+        .accelerators(AcceleratorFleet::workstation())
+        .partition(
+            TableRef::new("db1", "admissions"),
+            PartitionSpec::hash("date", 4),
+        )
+        .partition(
+            TableRef::new("db2", "patients"),
+            PartitionSpec::hash("name", 4),
+        )
+        .plan_options(PlanOptions {
+            materialize: true,
+            ..PlanOptions::default()
+        })
+        .build()
+        .unwrap();
+        let q = "SELECT name, age FROM admissions JOIN db2.patients \
+                 ON admissions.pid = patients.pid";
+        // Rows per executed exchange kind, and the output's digest.
+        let ran = |report: &ExecutionReport| {
+            let mut kinds = std::collections::BTreeMap::new();
+            for x in report.traces.iter().flat_map(|t| &t.exchanges) {
+                *kinds.entry(x.kind).or_insert(0) += x.rows;
+            }
+            (kinds, pspp_runtime::output_digest(&report.outputs))
+        };
+        let mut program = s.compile_sql(q).unwrap();
+        let (_, placement) = s.optimize(&mut program).unwrap();
+        let counted = placement.expect("L2 places").exchanges;
+        assert_eq!((counted.shuffles, counted.materialized), (2, 0));
+
+        let copy_bills = || {
+            let events = s.ledger().events();
+            let bills = events
+                .iter()
+                .filter(|e| e.component == "exchange.materialize");
+            bills.count()
+        };
+        let (first, digest) = ran(&s.execute(&program).unwrap());
+        let stores = s.registry().repartitions().stats().stores;
+        assert!(stores >= 1, "the first run persists the routed layout");
+        assert_eq!(copy_bills(), 1);
+        s.ledger().reset();
+        let (second, second_digest) = ran(&s.execute(&program).unwrap());
+        assert_eq!(second.keys().copied().collect::<Vec<_>>(), ["shuffle"]);
+        assert!(second["shuffle"] > 0, "the priced shuffle routes rows");
+        assert_eq!(second, first);
+        assert_eq!(second_digest, digest);
+        assert_eq!(s.registry().repartitions().stats().stores, stores);
+        assert_eq!(copy_bills(), 0, "the stored copy is not billed again");
+
+        let mut replanned = s.compile_sql(q).unwrap();
+        let (_, placement) = s.optimize(&mut replanned).unwrap();
+        assert_eq!(placement.expect("L2 places").exchanges.materialized, 2);
+        let (served, served_digest) = ran(&s.execute(&replanned).unwrap());
+        assert_eq!(
+            served.get("shuffle").copied().unwrap_or(0),
+            0,
+            "0 routed rows"
+        );
+        assert!(served["materialized"] > 0);
+        assert_eq!(served_digest, digest);
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //! and DOT export.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 
 use pspp_common::{Error, Result};
 
 use crate::op::Operator;
+use crate::shard::ShardPlan;
 use crate::Annotations;
 
 /// Identifies a node inside a [`Program`].
@@ -52,6 +54,9 @@ pub struct Stage {
 pub struct Program {
     nodes: Vec<ProgramNode>,
     outputs: Vec<NodeId>,
+    /// The distribution plan the optimizer made for this program, shared
+    /// by its clones (a plan cache's entries, a served query's copy).
+    shard_plan: Option<Arc<ShardPlan>>,
 }
 
 impl Program {
@@ -124,6 +129,24 @@ impl Program {
     /// Panics on unknown id.
     pub fn node_mut(&mut self, id: NodeId) -> &mut ProgramNode {
         &mut self.nodes[id.0]
+    }
+
+    /// Stores `plan` as the distribution plan the cost model prices and
+    /// the executor runs, replacing any earlier one.
+    pub fn set_shard_plan(&mut self, plan: ShardPlan) {
+        self.shard_plan = Some(Arc::new(plan));
+    }
+
+    /// The stored distribution plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Semantic`] when none is stored, or when it covers
+    /// another number of nodes (another program's plan).
+    pub fn shard_plan(&self) -> Result<&Arc<ShardPlan>> {
+        let n = self.len();
+        let plan = self.shard_plan.as_ref().filter(|plan| plan.len() == n);
+        plan.ok_or_else(|| Error::Semantic(format!("no distribution plan of these {n} nodes")))
     }
 
     /// Number of nodes.

@@ -38,10 +38,10 @@
 //!   concatenation of per-shard merges would not reproduce.)
 //!
 //! The gather-vs-shuffle choice is a pure function of the program's
-//! cardinality annotations ([`exchange_pays`]), so the optimizer's
-//! pricing pass and the executor's planning pass — which both call
-//! [`ShardPlan::plan`] on the same annotated program — always agree on
-//! the plan that runs.
+//! cardinality annotations ([`exchange_pays`]). The plan is made once
+//! per optimization and the program carries it
+//! ([`Program::set_shard_plan`]): the cost model prices it and the
+//! executor runs it, so the plan that runs is the plan that was priced.
 
 use pspp_common::partition::{fnv1a, FNV_OFFSET};
 use pspp_common::{
@@ -248,11 +248,10 @@ impl ExchangeCounts {
     }
 }
 
-/// The plan switches — the one options value the system builder, the
-/// cost model and the executor are each handed once. `colocate` and
-/// `exchange` are consumed here, by the distribution-planning pass;
-/// `materialize` gates the copy store that pass consults and the
-/// executor feeds; `fusion` is the cost model's chain pass.
+/// The plan switches — one value, handed once, to the distribution
+/// pass, which keeps it on its plan ([`ShardPlan::options`]). The pass
+/// consumes `colocate` and `exchange`; the executor reads `materialize`
+/// off the plan, and the cost model's chain pass `fusion`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanOptions {
     /// Execute compatibly-partitioned joins (and distribution-preserving
@@ -273,7 +272,8 @@ pub struct PlanOptions {
     /// layout once its cumulative exchange cost exceeds the one-time
     /// copy ([`repartition_pays`]), later plans mark the same edges
     /// copy-served ([`NodeShard::is_copy_served`]: zero rows routed,
-    /// priced at zero), and any epoch bump invalidates every layout.
+    /// priced at zero; an earlier plan still routes), and any epoch
+    /// bump invalidates every layout.
     pub materialize: bool,
 }
 
@@ -401,9 +401,14 @@ impl Default for NodeShard {
 
 /// The physical distribution plan for one program: a [`NodeShard`] per
 /// IR node.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
     nodes: Vec<NodeShard>,
+    /// The switches the plan was made under.
+    pub options: PlanOptions,
+    /// The engine-state epoch of the layout the plan was made against
+    /// (0 until the planner stamps it).
+    pub epoch: u64,
 }
 
 impl ShardPlan {
@@ -411,8 +416,7 @@ impl ShardPlan {
     /// table's partition spec (`spec_of`) through the operator
     /// lattice, emitting one typed [`ExchangeKind`] per input edge.
     /// The gather-vs-shuffle choice reads the program's `est_rows`
-    /// annotations through [`exchange_pays`], so a costed program plans
-    /// identically under the optimizer and the executor.
+    /// annotations through [`exchange_pays`].
     ///
     /// # Errors
     ///
@@ -509,7 +513,11 @@ impl ShardPlan {
         // and every MergePartials edge — so the executor retains them
         // past the gather. Collect the producers of unserved shuffle
         // edges on the way: a plan without one allocates nothing more.
-        let mut plan = ShardPlan { nodes };
+        let mut plan = ShardPlan {
+            nodes,
+            options,
+            epoch: 0,
+        };
         let mut shuffled: Vec<(NodeId, String, u32)> = Vec::new();
         for n in program.nodes() {
             if n.annotations.fused_into_consumer {
@@ -831,6 +839,12 @@ mod tests {
         }
     }
 
+    /// A plan's node entries — what two plans made under different
+    /// switches can agree on; each keeps its own options.
+    fn entries(plan: &ShardPlan) -> Vec<NodeShard> {
+        plan.nodes.clone()
+    }
+
     fn join_program(left: TableRef, right: TableRef, on: &str) -> (Program, NodeId) {
         let mut p = Program::new();
         let a = p.add_source(Operator::scan(left), "sql");
@@ -1111,8 +1125,8 @@ mod tests {
         };
         assert!(off_on.exchange && !off_on.repartitions());
         assert_eq!(
-            ShardPlan::plan(&p, &specs, off_on).unwrap(),
-            ShardPlan::plan(&p, &specs, PlanOptions::gathered()).unwrap()
+            entries(&ShardPlan::plan(&p, &specs, off_on).unwrap()),
+            entries(&ShardPlan::plan(&p, &specs, PlanOptions::gathered()).unwrap())
         );
     }
 
@@ -1310,8 +1324,10 @@ mod tests {
         // No copies — or a store nobody switched on: a plain shuffle.
         let plan = ShardPlan::plan_with_copies(&p, &specs, |_| false, materialize).unwrap();
         assert_eq!(
-            plan,
-            ShardPlan::plan_with_copies(&p, &specs, |_| true, PlanOptions::default()).unwrap()
+            entries(&plan),
+            entries(
+                &ShardPlan::plan_with_copies(&p, &specs, |_| true, PlanOptions::default()).unwrap()
+            )
         );
         assert!(plan.node(j).shuffles());
         assert!(!plan.node(j).is_copy_served(0));

@@ -8,12 +8,13 @@
 //! list marks as billed by one side only.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use pspp_accel::{AcceleratorFleet, DeploymentMode, LogCa, SimDuration};
-use pspp_common::{DataModel, DeviceKind, EngineId, Error, Result, ShardId, TableRef};
+use pspp_common::{DataModel, DeviceKind, EngineId, Result, ShardId, TableRef};
 use pspp_ir::{
-    ColumnDemand, ExchangeCounts, ExchangeKind, FusedChain, FusionTag, NodeId, Operator,
-    PlanOptions, Program, ProgramNode, ShardPlan,
+    ColumnDemand, ExchangeCounts, ExchangeKind, FusedChain, FusionTag, NodeId, Operator, Program,
+    ProgramNode, ShardPlan,
 };
 pub use pspp_telemetry::JoinSite;
 
@@ -66,10 +67,6 @@ pub struct PlacementPlan {
     pub total_seconds: f64,
     /// Nodes offloaded to accelerators.
     pub offloaded: usize,
-    /// Per-node scatter width from the distribution plan (1 =
-    /// unsharded), so prediction-error analysis (E15) can attribute
-    /// error to cardinality estimation vs distribution modeling.
-    pub scatter_width: HashMap<NodeId, usize>,
     /// Exchange-edge totals of the priced plan, by kind — how many
     /// gathers, broadcasts, shuffles and partial merges the optimizer
     /// chose.
@@ -119,37 +116,20 @@ impl PlacementPlan {
     }
 }
 
-/// The optimizer cost model: table statistics and the plan switches.
-/// The deployment's layout — partition specs, live repartition copies,
-/// the device fleet — stays with its owner (the engine registry) and is
-/// handed to [`CostModel::place`] per call.
+/// The optimizer cost model: table statistics. The deployment's layout
+/// — partition specs, live repartition copies, the device fleet — stays
+/// with its owner (the engine registry): the distribution plan made
+/// from it rides the program, and the fleet is handed to
+/// [`CostModel::place`] per call.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     stats: HashMap<TableRef, TableStats>,
-    /// The plan switches — the value the executor is handed too, so the
-    /// model prices the plan that actually runs.
-    options: PlanOptions,
 }
 
 impl CostModel {
     /// Creates a model over dataset statistics.
     pub fn new(stats: HashMap<TableRef, TableStats>) -> Self {
-        CostModel {
-            stats,
-            options: PlanOptions::default(),
-        }
-    }
-
-    /// This model planning under `options` — the same value the
-    /// executor runs with.
-    pub fn with_options(mut self, options: PlanOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// The plan switches this model plans under.
-    pub fn options(&self) -> PlanOptions {
-        self.options
+        CostModel { stats }
     }
 
     /// Estimated cost on `fleet`'s host of the shard-ordered gather
@@ -343,8 +323,7 @@ impl CostModel {
 
     /// Cost-based placement: annotates every live node with the device
     /// minimizing its estimated cost, fills `est_seconds`, and returns
-    /// the plan summary. Cardinalities must be estimated first (done
-    /// internally).
+    /// the plan summary.
     ///
     /// Pricing is distribution-aware: a node the [`ShardPlan`] fans
     /// out over `w` shards (a partitioned scan, a colocated join, a
@@ -358,38 +337,27 @@ impl CostModel {
     /// splices), so L2 placement trades shard parallelism against data
     /// movement. The gather-vs-shuffle choice itself is
     /// [`pspp_ir::exchange_pays`] over the estimated rows crossing the
-    /// edge, evaluated inside the shared planning pass — which is why
-    /// the crossover flips with the table statistics. Each node is
-    /// priced once, and every scatter slot starts on that pick; the
-    /// fusion and queue passes may then move single slots.
+    /// edge, evaluated inside the distribution pass over the estimated
+    /// cardinalities — which is why the crossover flips with the table
+    /// statistics. Each node is priced once, and every scatter slot
+    /// starts on that pick; the fusion and queue passes may then move
+    /// single slots.
     ///
-    /// The layout is the caller's: `plan_of` derives the distribution
-    /// plan from the cardinality-annotated program and `fleet` prices
-    /// it — a deployment passes the pass its executor runs and its
-    /// registry's fleet, so the plan priced is the plan that executes.
+    /// The plan priced is the one the program carries
+    /// ([`Program::shard_plan`]), which the executor runs: the caller
+    /// estimates cardinalities ([`CostModel::estimate_cardinalities`]),
+    /// runs the deployment's distribution pass over them, and hands
+    /// `fleet`, the deployment's devices. The fusion pass runs when the
+    /// plan was made with [`pspp_ir::PlanOptions::fusion`] on.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Semantic`] on cyclic programs and on a plan
-    /// that does not cover this program; propagates `plan_of`'s errors.
-    pub fn place(
-        &self,
-        program: &mut Program,
-        plan_of: impl FnOnce(&Program) -> Result<ShardPlan>,
-        fleet: &AcceleratorFleet,
-    ) -> Result<PlacementPlan> {
-        self.estimate_cardinalities(program)?;
-        let plan = plan_of(program)?;
-        if plan.len() != program.len() {
-            return Err(Error::Semantic(format!(
-                "distribution plan covers {} nodes, the program has {}",
-                plan.len(),
-                program.len()
-            )));
-        }
+    /// Returns [`pspp_common::Error::Semantic`] on cyclic programs and
+    /// on a program with no plan or a plan of another length.
+    pub fn place(&self, program: &mut Program, fleet: &AcceleratorFleet) -> Result<PlacementPlan> {
+        let plan = Arc::clone(program.shard_plan()?);
         let order = program.topo_order()?;
         let mut node_seconds = HashMap::new();
-        let mut scatter_width = HashMap::new();
         let mut device_picks = HashMap::new();
         let mut slot_secs: HashMap<NodeId, Vec<f64>> = HashMap::new();
         let mut volumes: HashMap<NodeId, (f64, f64)> = HashMap::new();
@@ -485,7 +453,6 @@ impl CostModel {
                 device_picks.insert((id, shard), device);
             }
             let per_slot = vec![secs; scatter.len()];
-            scatter_width.insert(id, width);
             slot_secs.insert(id, per_slot);
             volumes.insert(id, (task_rows, task_bytes));
             gathers.insert(id, gather);
@@ -496,7 +463,7 @@ impl CostModel {
         // device-resident kernel fusion, then contended-device
         // queueing over the (possibly promoted) picks.
         let mut fusion_tags: HashMap<NodeId, Vec<Option<FusionTag>>> = HashMap::new();
-        let fused_chains = if self.options.fusion {
+        let fused_chains = if plan.options.fusion {
             Self::fuse_pass(
                 program,
                 &plan,
@@ -540,7 +507,6 @@ impl CostModel {
                     critical = (device, secs);
                 }
             }
-            let width = scatter_width[&id];
             let seconds = critical.1 + gathers[&id];
             if picks.iter().any(|&d| d != DeviceKind::Cpu) {
                 offloaded += 1;
@@ -549,7 +515,7 @@ impl CostModel {
             // `device` carries the critical slot's pick; `shard_devices`
             // the per-slot map the executor consumes.
             ann.device = Some(critical.0);
-            ann.shard_devices = if width > 1 { Some(picks) } else { None };
+            ann.shard_devices = if scatter.len() > 1 { Some(picks) } else { None };
             ann.shard_fusion = fusion_tags.get(&id).cloned();
             ann.shard_queue_waits = waits.filter(|w| w.iter().any(|&x| x > 0.0)).cloned();
             ann.est_seconds = Some(seconds);
@@ -583,7 +549,6 @@ impl CostModel {
             migration_seconds: migration,
             total_seconds: total,
             offloaded,
-            scatter_width,
             exchanges: plan.exchange_counts(),
             exchange_seconds,
             device_picks,
@@ -1057,14 +1022,16 @@ mod tests {
     use super::*;
     use pspp_accel::fleet::AttachedDevice;
     use pspp_accel::{DeviceProfile, Interconnect};
-    use pspp_common::{PartitionSpec, Predicate};
-    use pspp_ir::SortSpec;
+    use pspp_common::{Error, PartitionSpec, Predicate};
+    use pspp_ir::{PlanOptions, SortSpec};
 
     /// The layout a deployment's registry would own — partition specs
-    /// and the device fleet — built once per test and lent to `place`.
+    /// and the device fleet — and the switches its distribution pass
+    /// runs under, built once per test and lent to `place`.
     struct Layout {
         specs: HashMap<TableRef, PartitionSpec>,
         fleet: AcceleratorFleet,
+        options: PlanOptions,
     }
 
     impl Layout {
@@ -1072,7 +1039,13 @@ mod tests {
             Layout {
                 specs: HashMap::new(),
                 fleet,
+                options: PlanOptions::default(),
             }
+        }
+
+        fn options(mut self, options: PlanOptions) -> Self {
+            self.options = options;
+            self
         }
 
         fn hash(mut self, table: TableRef, column: &str, shards: u32) -> Self {
@@ -1081,16 +1054,20 @@ mod tests {
             self
         }
 
-        /// `m.place` over this layout: the distribution plan comes from
-        /// [`ShardPlan::plan`] over the local spec map.
+        /// `m.place` over this layout, the way a deployment optimizes:
+        /// cardinalities, then the distribution plan from
+        /// [`ShardPlan::plan`] over the local spec map, carried by `p`.
         fn place(&self, m: &CostModel, p: &mut Program) -> PlacementPlan {
-            m.place(
-                p,
-                |p| ShardPlan::plan(p, |t| self.specs.get(t).cloned(), m.options()),
-                &self.fleet,
-            )
-            .unwrap()
+            m.estimate_cardinalities(p).unwrap();
+            let plan = ShardPlan::plan(p, |t| self.specs.get(t).cloned(), self.options);
+            p.set_shard_plan(plan.unwrap());
+            m.place(p, &self.fleet).unwrap()
         }
+    }
+
+    /// The scatter width of `id` in the plan `p` carries.
+    fn width(p: &Program, id: NodeId) -> usize {
+        p.shard_plan().unwrap().scatter_width(id)
     }
 
     fn workstation() -> Layout {
@@ -1380,14 +1357,17 @@ mod tests {
 
     #[test]
     fn a_plan_for_another_program_is_a_typed_error() {
-        // A distribution plan shorter than the program would index out
-        // of bounds in `ShardPlan::node`; `place` refuses it instead.
+        // A program with no plan has nothing to price, and a plan
+        // shorter than the program would index out of bounds in
+        // `ShardPlan::node`: `place` refuses both. The executor refuses
+        // them through the same check, `Program::shard_plan`.
+        let (mut p, _) = sort_program();
+        let err = model().place(&mut p, &workstation().fleet).unwrap_err();
+        assert!(matches!(err, Error::Semantic(_)), "got {err:?}");
         let (other, _) = scan_program();
         let foreign = ShardPlan::plan(&other, |_| None, PlanOptions::default()).unwrap();
-        let (mut p, _) = sort_program();
-        let err = model()
-            .place(&mut p, |_| Ok(foreign), &workstation().fleet)
-            .unwrap_err();
+        p.set_shard_plan(foreign);
+        let err = model().place(&mut p, &workstation().fleet).unwrap_err();
         assert!(matches!(err, Error::Semantic(_)), "got {err:?}");
     }
 
@@ -1411,8 +1391,8 @@ mod tests {
         let (mut p_shard, s_shard) = scan_program();
         let plan = sharded.place(&m, &mut p_shard);
 
-        assert_eq!(plan.scatter_width[&s_shard], 4);
-        assert_eq!(flat.scatter_width[&s_flat], 1);
+        assert_eq!(width(&p_shard, s_shard), 4);
+        assert_eq!(width(&p_flat, s_flat), 1);
 
         let est_rows = p_shard.node(s_shard).annotations.est_rows.unwrap();
         let est_bytes = p_shard.node(s_shard).annotations.est_bytes.unwrap();
@@ -1483,7 +1463,7 @@ mod tests {
         let flat = workstation().place(&m, &mut p_flat);
         let (mut p_shard, j_shard) = join_program();
         let plan = sharded_on("k").place(&m, &mut p_shard);
-        assert_eq!(plan.scatter_width[&j_shard], 4, "join priced colocated");
+        assert_eq!(width(&p_shard, j_shard), 4, "join priced colocated");
         assert!(
             plan.node_seconds[&j_shard] < flat.node_seconds[&j_flat],
             "colocated join estimate must beat the gathered one ({} vs {})",
@@ -1494,7 +1474,7 @@ mod tests {
         // still priced at the full scatter width.
         let (mut p_mis, j_mis) = join_program();
         let plan_mis = sharded_on("other").place(&m, &mut p_mis);
-        assert_eq!(plan_mis.scatter_width[&j_mis], 4);
+        assert_eq!(width(&p_mis, j_mis), 4);
         assert_eq!(plan_mis.exchanges.shuffles, 2);
         assert!(plan_mis.exchange_seconds > 0.0);
     }
@@ -1542,14 +1522,14 @@ mod tests {
         // total rows must exceed ~1365): gather.
         let (mut p_small, j_small) = join_program();
         let small = layout.place(&model_with_rows(400.0), &mut p_small);
-        assert_eq!(small.scatter_width[&j_small], 1, "small joins gather");
+        assert_eq!(width(&p_small, j_small), 1, "small joins gather");
         assert_eq!(small.exchanges.shuffles, 0);
         assert_eq!(small.exchanges.gathers, 2);
 
         // Above the crossover: shuffle, priced per shard.
         let (mut p_big, j_big) = join_program();
         let big = layout.place(&model_with_rows(100_000.0), &mut p_big);
-        assert_eq!(big.scatter_width[&j_big], 4, "big joins shuffle");
+        assert_eq!(width(&p_big, j_big), 4, "big joins shuffle");
         assert_eq!(big.exchanges.shuffles, 2);
         assert_eq!(big.exchanges.gathers, 0);
         assert!(big.exchange_seconds > 0.0);
@@ -1606,8 +1586,8 @@ mod tests {
 
         // Gathered: build + probe = 200k rows per task — offload pays.
         let (mut p_flat, j_flat) = join_program();
-        let flat = Layout::on(fleet()).place(&m, &mut p_flat);
-        assert_eq!(flat.scatter_width[&j_flat], 1);
+        Layout::on(fleet()).place(&m, &mut p_flat);
+        assert_eq!(width(&p_flat, j_flat), 1);
         assert_eq!(
             p_flat.node(j_flat).annotations.device,
             Some(DeviceKind::Fpga),
@@ -1618,11 +1598,11 @@ mod tests {
         // every replica stays on its host.
         let (mut p_shard, j_shard) = join_program();
         // Matching keys: the join plans colocated at width 4.
-        let plan = Layout::on(fleet())
+        Layout::on(fleet())
             .hash(t1.clone(), "k", 4)
             .hash(t2.clone(), "k", 4)
             .place(&m, &mut p_shard);
-        assert_eq!(plan.scatter_width[&j_shard], 4, "join planned colocated");
+        assert_eq!(width(&p_shard, j_shard), 4, "join planned colocated");
         assert_eq!(
             p_shard.node(j_shard).annotations.device,
             Some(DeviceKind::Cpu),
@@ -1662,17 +1642,16 @@ mod tests {
                 },
             );
         }
-        let model = |exchange: bool| {
-            CostModel::new(stats.clone()).with_options(PlanOptions {
-                exchange,
-                ..PlanOptions::default()
-            })
+        let model = CostModel::new(stats);
+        let layout = |exchange: bool| {
+            let layout = workstation().hash(TableRef::new("db1", "t1"), "k", 4);
+            layout
+                .hash(TableRef::new("db2", "t2"), "other", 4)
+                .options(PlanOptions {
+                    exchange,
+                    ..PlanOptions::default()
+                })
         };
-        let layout = workstation().hash(TableRef::new("db1", "t1"), "k", 4).hash(
-            TableRef::new("db2", "t2"),
-            "other",
-            4,
-        );
         let program = || {
             let mut p = Program::new();
             let a = p.add_source(Operator::scan(TableRef::new("db1", "t1")), "sql");
@@ -1689,10 +1668,10 @@ mod tests {
             (p, j)
         };
         let (mut p_ex, j_ex) = program();
-        let with = layout.place(&model(true), &mut p_ex);
+        let with = layout(true).place(&model, &mut p_ex);
         let (mut p_base, j_base) = program();
-        let without = layout.place(&model(false), &mut p_base);
-        assert_eq!(without.scatter_width[&j_base], 1);
+        let without = layout(false).place(&model, &mut p_base);
+        assert_eq!(width(&p_base, j_base), 1);
         assert_eq!(without.exchanges.shuffles, 0);
         assert!(
             with.node_seconds[&j_ex] < without.node_seconds[&j_base],
@@ -1761,20 +1740,20 @@ mod tests {
 
         // Unfused baseline: each sort judged alone stays on the host.
         let slow = Layout::on(slow_fleet());
-        let off = CostModel::new(stats.clone()).with_options(PlanOptions {
+        let unfused = Layout::on(slow_fleet()).options(PlanOptions {
             fusion: false,
             ..PlanOptions::default()
         });
+        let m = CostModel::new(stats);
         let (mut p_off, s1_off, s2_off) = two_sorts();
-        let plan_off = slow.place(&off, &mut p_off);
+        let plan_off = unfused.place(&m, &mut p_off);
         assert!(plan_off.fused_chains.is_empty());
         assert_eq!(p_off.node(s1_off).annotations.device, Some(DeviceKind::Cpu));
         assert_eq!(p_off.node(s2_off).annotations.device, Some(DeviceKind::Cpu));
 
         // Fused: the sort->sort chain clears the chain-level gate.
-        let on = CostModel::new(stats);
         let (mut p_on, s1_on, s2_on) = two_sorts();
-        let plan_on = slow.place(&on, &mut p_on);
+        let plan_on = slow.place(&m, &mut p_on);
         let chain = plan_on
             .fused_chains
             .iter()

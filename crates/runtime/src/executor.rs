@@ -16,11 +16,14 @@
 //! persistent helper threads still lost 10 % to it), so there is one
 //! loop and it has no mode.
 //!
-//! Distribution is a *plan* property: [`Placer::plan_distribution`]
-//! gives every node its [`pspp_ir::ShardPlan`] entry once — one typed
-//! [`ExchangeKind`] per input edge — and the stage loop consumes it. A
-//! task is one (node, shard) pair. Each node's output is held once, in
-//! one map, as a `NodeOutput`:
+//! Distribution is a *plan* property: the optimizer's distribution pass
+//! ([`Placer::plan_distribution`]) gives every node its
+//! [`pspp_ir::ShardPlan`] entry — one typed [`ExchangeKind`] per input
+//! edge — and the program carries the plan. The stage loop runs it and
+//! never plans: a program with no plan, or one made at an epoch the
+//! registry has left ([`Error::StalePlan`]), is a typed error. A task is
+//! one (node, shard) pair. Each node's output is held once, in one map,
+//! as a `NodeOutput`:
 //!
 //! * `Gathered` — the whole output at one site;
 //! * `Partials` — a node whose plan has `partials_needed` (a fanned-out
@@ -82,8 +85,7 @@ use std::sync::OnceLock;
 use pspp_accel::{AcceleratorFleet, CostEvent, CostLedger, EventKind, SimDuration};
 use pspp_common::{CopyKey, DataType, DeviceKind, Error, Result, Routes, ShardId};
 use pspp_ir::{
-    AggFn, AggSpec, ColumnDemand, ExchangeKind, NodeId, Operator, PlanOptions, Program, ShardPlan,
-    Stage,
+    AggFn, AggSpec, ColumnDemand, ExchangeKind, NodeId, Operator, Program, ShardPlan, Stage,
 };
 use pspp_optimizer::rewrite::resolve_fused;
 use pspp_optimizer::{price, OptLevel};
@@ -188,6 +190,8 @@ struct Edge<'a> {
     kind: &'a ExchangeKind,
     /// Whether the plan serves this shuffle edge from a stored layout.
     served: bool,
+    /// The plan's [`pspp_ir::PlanOptions::materialize`].
+    materialize: bool,
     /// How many tasks the consuming node runs.
     tasks: usize,
 }
@@ -382,8 +386,6 @@ pub struct Executor {
     /// The optimization level: device annotations are honored from L2
     /// on (below it everything runs on the host), stages pipeline at L3.
     level: OptLevel,
-    /// The plan switches — the value the cost model planned under.
-    options: PlanOptions,
     /// Metrics sink for executor, placer and kernel-charge instrumentation
     /// (`None` runs unobserved).
     metrics: Option<MetricsRegistry>,
@@ -398,7 +400,6 @@ impl Executor {
             ledger,
             placer: Placer::default(),
             level: OptLevel::L2,
-            options: PlanOptions::default(),
             metrics: None,
         }
     }
@@ -420,50 +421,36 @@ impl Executor {
         self
     }
 
-    /// Runs under `options` — the value the cost model planned under.
-    /// `colocate` and `exchange` select the distribution plan (off
-    /// reverts to the gathered plans E18 / E19 compare against, which
-    /// are bit-identical in output); with `materialize` on, shuffle
-    /// edges whose cumulative exchange cost exceeds the one-time copy
-    /// cost ([`pspp_ir::repartition_pays`]) persist their routed layout
-    /// into the registry's
-    /// [`MaterializedRepartitions`](pspp_common::MaterializedRepartitions)
-    /// store, and later executions of the same edge serve the stored
-    /// buckets — zero rows routed, zero bytes billed. Serving replays
-    /// the stored index lists against the live gathered input, so
-    /// served and routed runs stay byte-identical; any registry epoch
-    /// bump (reshard, rebalance, DDL) invalidates every stored layout.
-    pub fn options(mut self, options: PlanOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// The shared ledger.
     pub fn ledger(&self) -> &CostLedger {
         &self.ledger
     }
 
-    /// Executes a validated program against the registry.
+    /// Executes a validated program against the registry: the
+    /// distribution plan the program carries, under the switches it was
+    /// made with ([`pspp_ir::PlanOptions::materialize`] persists hot
+    /// shuffle layouts and replays the edges the plan marks served).
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Execution`] (and engine-specific errors) when an
+    /// Returns [`Error::Semantic`] for a program with no distribution
+    /// plan or a plan of another length, [`Error::StalePlan`] when the
+    /// plan was made at an epoch other than the registry's, and
+    /// [`Error::Execution`] (and engine-specific errors) when an
     /// operator cannot run.
     pub fn execute(&self, program: &Program, registry: &EngineRegistry) -> Result<ExecutionReport> {
         program.validate()?;
-        // Distribution is planned once, up front — by the pass the
-        // optimizer priced, over the same registry: the stage loop
-        // never re-derives scatter sets. With materialized repartitions
-        // on, the pass consults the registry's copy store so edges with
-        // a live layout plan as copy-served exchanges even where a
-        // fresh shuffle would not pay.
-        let plan = Placer::plan_distribution(program, registry, self.options)?;
+        let plan = program.shard_plan()?;
+        let (planned, current) = (plan.epoch, registry.epoch());
+        if planned != current {
+            return Err(Error::StalePlan { planned, current });
+        }
         let stages = program.execution_stages()?;
         let mut outputs: HashMap<NodeId, NodeOutput> = HashMap::new();
         let mut traces: Vec<NodeTrace> = Vec::new();
 
         for (stage_idx, stage) in stages.iter().enumerate() {
-            let runs = self.run_stage(program, &stage.compute, &plan, registry, &mut outputs)?;
+            let runs = self.run_stage(program, &stage.compute, plan, registry, &mut outputs)?;
             for (id, run) in runs {
                 self.ledger.post_events(run.events);
                 // Trace appended in merge order — the same order
@@ -667,6 +654,7 @@ impl Executor {
                 // A demoted merge reads its input gathered.
                 kind: if demoted { &gather } else { info.exchange(idx) },
                 served: info.is_copy_served(idx),
+                materialize: plan.options.materialize,
                 tasks: shards.len(),
             };
             let datasets = self.edge_inputs(program, registry, edge, outputs, &mut barrier)?;
@@ -723,7 +711,7 @@ impl Executor {
         let missing = || Error::Execution(format!("missing input {input} for {id}"));
         let copy_key = |key: &str, width: u32| {
             let key = || pspp_ir::shuffle_copy_key(program, input, key, width);
-            self.options.materialize.then(key).flatten()
+            edge.materialize.then(key).flatten()
         };
         let (split, served, copy) = match (kind, outputs.get(&source).ok_or_else(missing)?) {
             (
@@ -843,7 +831,11 @@ impl Executor {
             bill.partition_device
         };
         let repartitions = registry.repartitions();
-        for (key, buckets, edge_bytes) in std::mem::take(&mut barrier.copies) {
+        // A plan made before its layout was persisted routes the edge
+        // again; the stored copy stays, and is not paid for twice.
+        let mut copies = std::mem::take(&mut barrier.copies);
+        copies.retain(|(key, ..)| !repartitions.contains(key));
+        for (key, buckets, edge_bytes) in copies {
             // No edge routes bytes when the exchange routes none.
             let share = edge_bytes as f64 / bytes.max(1) as f64;
             let cumulative = repartitions.observe(&key, bill.seconds * share);
@@ -1379,7 +1371,7 @@ mod routing_oracle;
 mod tests {
     use super::*;
     use pspp_common::{row, DataType, EngineId, Predicate, Row, Schema, TableRef, Value};
-    use pspp_ir::{AggFn, Operator};
+    use pspp_ir::{AggFn, Operator, PlanOptions};
     use pspp_relstore::RelationalStore;
 
     use crate::registry::EngineInstance;
@@ -1426,6 +1418,25 @@ mod tests {
         Executor::new(CostLedger::new())
     }
 
+    /// Plans `p` over `registry` under `options` — the distribution
+    /// pass `Polystore::optimize_at` runs — and executes the plan on
+    /// `e`.
+    fn run_with(
+        e: &Executor,
+        p: &Program,
+        registry: &EngineRegistry,
+        options: PlanOptions,
+    ) -> Result<ExecutionReport> {
+        let mut p = p.clone();
+        Placer::plan_distribution(&mut p, registry, options)?;
+        e.execute(&p, registry)
+    }
+
+    /// [`run_with`] under the default switches.
+    fn run(e: &Executor, p: &Program, registry: &EngineRegistry) -> Result<ExecutionReport> {
+        run_with(e, p, registry, PlanOptions::default())
+    }
+
     fn no_exchange() -> PlanOptions {
         PlanOptions {
             exchange: false,
@@ -1452,7 +1463,7 @@ mod tests {
             "sql",
         );
         p.mark_output(s);
-        let report = exec().execute(&p, &registry()).unwrap();
+        let report = run(&exec(), &p, &registry()).unwrap();
         let out = &report.outputs[0];
         assert!(!out.is_empty() && out.len() < 200);
         assert_eq!(out.schema().unwrap().arity(), 2);
@@ -1476,7 +1487,7 @@ mod tests {
         p.node_mut(j).annotations.engine = Some(EngineId::new("db1"));
         p.mark_output(j);
         let e = exec();
-        let report = e.execute(&p, &registry()).unwrap();
+        let report = run(&e, &p, &registry()).unwrap();
         assert_eq!(report.outputs[0].len(), 200);
         assert!(report.migration_seconds > 0.0);
         assert!(e
@@ -1500,7 +1511,7 @@ mod tests {
         p.node_mut(f).annotations.fused_into_consumer = true;
         let lim = p.add_node(Operator::Limit { n: 5 }, vec![f], "sql");
         p.mark_output(lim);
-        let report = exec().execute(&p, &registry()).unwrap();
+        let report = run(&exec(), &p, &registry()).unwrap();
         assert_eq!(report.outputs[0].len(), 5);
         assert!(!report.node_seconds.contains_key(&f));
     }
@@ -1531,7 +1542,7 @@ mod tests {
         );
         let pred = p.add_node(Operator::Predict, vec![s2, t], "ml");
         p.mark_output(pred);
-        exec().execute(&p, &registry())
+        run(&exec(), &p, &registry())
     }
 
     #[test]
@@ -1585,7 +1596,7 @@ mod tests {
             &[pspp_relstore::SortKey::desc("age")],
         )
         .unwrap();
-        let report = exec().execute(&p, &registry).unwrap();
+        let report = run(&exec(), &p, &registry).unwrap();
         assert_eq!(report.outputs[0].try_rows().unwrap(), &sorted[..7]);
         let rows_of = |id| report.traces.iter().find(|t| t.id == id).unwrap().rows;
         assert_eq!(rows_of(sort), 200);
@@ -1618,7 +1629,7 @@ mod tests {
             "sql",
         );
         p.mark_output(g);
-        let report = exec().execute(&p, &registry()).unwrap();
+        let report = run(&exec(), &p, &registry()).unwrap();
         assert_eq!(report.outputs[0].try_rows().unwrap()[0][0], Value::Int(200));
     }
 
@@ -1644,7 +1655,7 @@ mod tests {
             "sql",
         );
         p.mark_output(sort);
-        let report = exec().level(OptLevel::L3).execute(&p, &registry()).unwrap();
+        let report = run(&exec().level(OptLevel::L3), &p, &registry()).unwrap();
         assert!(report.makespan_pipelined <= report.makespan_sequential + 1e-12);
         assert!(report.pipelined);
         assert!(report.makespan() <= report.makespan_sequential);
@@ -1666,7 +1677,7 @@ mod tests {
         );
         p.node_mut(sort).annotations.device = Some(DeviceKind::Fpga);
         p.mark_output(sort);
-        let report = exec().level(OptLevel::L1).execute(&p, &registry()).unwrap();
+        let report = run(&exec().level(OptLevel::L1), &p, &registry()).unwrap();
         assert_eq!(report.offloaded, 0);
     }
 
@@ -1692,7 +1703,7 @@ mod tests {
             p.execution_stages().unwrap()[1].compute,
             vec![by_age, by_pid]
         );
-        let report = exec().execute(&p, &r).unwrap();
+        let report = run(&exec(), &p, &r).unwrap();
         assert_eq!(report.outputs.len(), 2);
         let order: Vec<NodeId> = report.traces.iter().map(|t| t.id).skip(1).collect();
         assert_eq!(order, vec![by_age, by_pid], "lower node id first");
@@ -1701,7 +1712,7 @@ mod tests {
         // the stage with its error, on every run.
         let (p, _) = two_filters(["nope_a", "nope_b"]);
         for _ in 0..4 {
-            match exec().execute(&p, &r) {
+            match run(&exec(), &p, &r) {
                 Err(Error::ColumnNotFound(column)) => assert_eq!(column, "nope_a"),
                 other => panic!("expected the first filter's error, got {other:?}"),
             }
@@ -1714,7 +1725,7 @@ mod tests {
         let s = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
         p.mark_output(s);
         let flat = registry();
-        let base = exec().execute(&p, &flat).unwrap();
+        let base = run(&exec(), &p, &flat).unwrap();
 
         let mut sharded = registry();
         sharded
@@ -1726,7 +1737,7 @@ mod tests {
                 ),
             )
             .unwrap();
-        let report = exec().execute(&p, &sharded).unwrap();
+        let report = run(&exec(), &p, &sharded).unwrap();
         assert_eq!(
             report.outputs[0].try_rows().unwrap(),
             base.outputs[0].try_rows().unwrap(),
@@ -1809,8 +1820,8 @@ mod tests {
         assert_eq!(demand.to_string(), "[pid] of 3 cols");
 
         let (wide, narrow) = (exec(), exec());
-        let want = wide.execute(&literal, &registry()).unwrap();
-        let got = narrow.execute(&pruned, &registry()).unwrap();
+        let want = run(&wide, &literal, &registry()).unwrap();
+        let got = run(&narrow, &pruned, &registry()).unwrap();
         let (want, got) = (&want.outputs[0], &got.outputs[0]);
         assert_eq!(got.try_rows().unwrap(), want.try_rows().unwrap());
         assert_eq!(got.schema().unwrap(), want.schema().unwrap());
@@ -1841,7 +1852,7 @@ mod tests {
         let demand = shared.node(scan).annotations.demand.as_ref().unwrap();
         assert_eq!(demand.to_string(), "[pid, age] of 3 cols");
         let both = exec();
-        let report = both.execute(&shared, &registry()).unwrap();
+        let report = run(&both, &shared, &registry()).unwrap();
         assert_eq!(shipped_bytes(&both), 200 * 16);
         let names: Vec<Row> = (0..100).map(|i| row![format!("p{i}")]).collect();
         assert_eq!(report.outputs[0].try_rows().unwrap(), names);
@@ -1883,8 +1894,8 @@ mod tests {
         assert!(report.column_prunings > 0);
         let demand = optimized.node(outer).annotations.demand.as_ref().unwrap();
         assert_eq!(demand.to_string(), "[pid_r2, name_r] of 7 cols");
-        let want = exec().execute(&literal, &registry()).unwrap();
-        let got = exec().execute(&optimized, &registry()).unwrap();
+        let want = run(&exec(), &literal, &registry()).unwrap();
+        let got = run(&exec(), &optimized, &registry()).unwrap();
         assert_eq!(got.outputs[0].len(), 200);
         assert_eq!(
             got.outputs[0].try_rows().unwrap(),
@@ -1907,8 +1918,8 @@ mod tests {
         pspp_optimizer::optimize_l1(&mut pruned, &schemas());
         assert!(pruned.node(scan).annotations.demand.is_some());
         let e = exec();
-        let want = exec().execute(&literal, &registry()).unwrap();
-        let got = e.execute(&pruned, &registry()).unwrap();
+        let want = run(&exec(), &literal, &registry()).unwrap();
+        let got = run(&e, &pruned, &registry()).unwrap();
         assert!(got.outputs[0].is_empty());
         assert_eq!(
             got.outputs[0].schema().unwrap(),
@@ -2091,7 +2102,7 @@ mod tests {
         );
         p.node_mut(j).annotations.engine = Some(EngineId::new("db1"));
         p.mark_output(j);
-        let report = exec().execute(&p, &sharded).unwrap();
+        let report = run(&exec(), &p, &sharded).unwrap();
         assert_eq!(report.outputs[0].len(), 200, "every pid still joins");
         assert!(report.migration_seconds > 0.0);
     }
@@ -2149,12 +2160,9 @@ mod tests {
         }
         let (p, j) = pid_join_program();
 
-        let flat = exec().execute(&p, &registry()).unwrap();
-        let colocated = exec().execute(&p, &sharded).unwrap();
-        let gathered = exec()
-            .options(PlanOptions::gathered())
-            .execute(&p, &sharded)
-            .unwrap();
+        let flat = run(&exec(), &p, &registry()).unwrap();
+        let colocated = run(&exec(), &p, &sharded).unwrap();
+        let gathered = run_with(&exec(), &p, &sharded, PlanOptions::gathered()).unwrap();
 
         assert_eq!(
             colocated.outputs[0].try_rows().unwrap(),
@@ -2205,13 +2213,14 @@ mod tests {
         let (p, j) = pid_join_program();
         for shards in [2u32, 4] {
             let sharded = mismatched_registry(shards);
-            let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
+            let plan = Placer::plan_distribution(&mut p.clone(), &sharded, PlanOptions::default())
+                .unwrap();
             assert!(!plan.node(j).colocated);
             assert!(plan.node(j).shuffles(), "mismatched keys must shuffle");
             assert_eq!(plan.node(j).scatter_width(), shards as usize);
-            let shuffled = exec().execute(&p, &sharded).unwrap();
-            let gathered = exec().options(no_exchange()).execute(&p, &sharded).unwrap();
-            let flat = exec().execute(&p, &registry()).unwrap();
+            let shuffled = run(&exec(), &p, &sharded).unwrap();
+            let gathered = run_with(&exec(), &p, &sharded, no_exchange()).unwrap();
+            let flat = run(&exec(), &p, &registry()).unwrap();
             assert_eq!(
                 shuffled.outputs[0].try_rows().unwrap(),
                 gathered.outputs[0].try_rows().unwrap(),
@@ -2229,7 +2238,8 @@ mod tests {
                 gathered.node_seconds[&j]
             );
             // The gathered-baseline plan really gathers.
-            let base_plan = Placer::plan_distribution(&p, &sharded, no_exchange()).unwrap();
+            let base_plan =
+                Placer::plan_distribution(&mut p.clone(), &sharded, no_exchange()).unwrap();
             assert!(!base_plan.node(j).shuffles());
             assert_eq!(base_plan.node(j).gathered_input_count(), 2);
 
@@ -2285,7 +2295,8 @@ mod tests {
 
         // The join: both scans routed where they run, into two buckets.
         let (p, j) = pid_join_program();
-        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
+        let plan =
+            Placer::plan_distribution(&mut p.clone(), &sharded, PlanOptions::default()).unwrap();
         assert!(plan.node(j).shuffles());
         let (mut routed, mut from_rows) = (HashMap::new(), HashMap::new());
         for scan in p.node(j).inputs.clone() {
@@ -2343,7 +2354,7 @@ mod tests {
             got.output.try_rows().unwrap(),
             want.output.try_rows().unwrap()
         );
-        let whole = e.execute(&p, &sharded).unwrap();
+        let whole = run(&e, &p, &sharded).unwrap();
         assert_eq!(
             whole.outputs[0].try_rows().unwrap(),
             got.output.try_rows().unwrap()
@@ -2364,7 +2375,8 @@ mod tests {
         ];
         let sort = p.add_node(Operator::Sort { keys }, vec![scan], "sql");
         p.mark_output(sort);
-        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
+        let plan =
+            Placer::plan_distribution(&mut p.clone(), &sharded, PlanOptions::default()).unwrap();
         let mut outputs = HashMap::new();
         e.run_stage(&p, &[scan], &plan, &sharded, &mut outputs)
             .unwrap();
@@ -2380,7 +2392,7 @@ mod tests {
             })
             .collect();
         let (runs, _) = run_both(&p, tasks, want_tasks);
-        let whole = e.execute(&p, &sharded).unwrap();
+        let whole = run(&e, &p, &sharded).unwrap();
         assert_eq!(
             rows_of(&runs[0].output),
             whole.outputs[0].try_rows().unwrap()
@@ -2413,13 +2425,11 @@ mod tests {
             "sql",
         );
         p.mark_output(j);
-        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
+        let plan =
+            Placer::plan_distribution(&mut p.clone(), &sharded, PlanOptions::default()).unwrap();
         assert!(plan.node(j).colocated);
-        let colocated = exec().execute(&p, &sharded).unwrap();
-        let gathered = exec()
-            .options(PlanOptions::gathered())
-            .execute(&p, &sharded)
-            .unwrap();
+        let colocated = run(&exec(), &p, &sharded).unwrap();
+        let gathered = run_with(&exec(), &p, &sharded, PlanOptions::gathered()).unwrap();
         assert_eq!(gathered.outputs[0].len(), 200, "every los is some pid");
         assert_eq!(
             colocated.outputs[0].try_rows().unwrap(),
@@ -2432,7 +2442,7 @@ mod tests {
         let (p, _) = pid_join_program();
         let sharded = mismatched_registry(2);
         let e = exec();
-        let report = e.execute(&p, &sharded).unwrap();
+        let report = run(&e, &p, &sharded).unwrap();
         let events = e.ledger().events();
         let shuffle_events: Vec<_> = events
             .iter()
@@ -2448,9 +2458,9 @@ mod tests {
     fn materialized_repartitions_serve_the_second_run_byte_identically() {
         let (p, j) = pid_join_program();
         let sharded = mismatched_registry(2);
-        let e = exec().options(materializing());
+        let e = exec();
 
-        let first = e.execute(&p, &sharded).unwrap();
+        let first = run_with(&e, &p, &sharded, materializing()).unwrap();
         let stats = sharded.repartitions().stats();
         assert!(
             stats.stores >= 1,
@@ -2465,19 +2475,19 @@ mod tests {
         );
 
         // The second plan consults the copies and serves both edges.
-        let plan = Placer::plan_distribution(&p, &sharded, materializing()).unwrap();
+        let plan = Placer::plan_distribution(&mut p.clone(), &sharded, materializing()).unwrap();
         assert!(plan.node(j).is_copy_served(0) && plan.node(j).is_copy_served(1));
         let counts = plan.exchange_counts();
         assert_eq!((counts.materialized, counts.shuffles), (2, 0));
 
-        let second = e.execute(&p, &sharded).unwrap();
+        let second = run_with(&e, &p, &sharded, materializing()).unwrap();
         assert!(sharded.repartitions().stats().hits >= 2);
         assert_eq!(
             first.outputs[0].try_rows().unwrap(),
             second.outputs[0].try_rows().unwrap(),
             "served and routed runs must agree bit-for-bit"
         );
-        let off = exec().execute(&p, &sharded).unwrap();
+        let off = run(&exec(), &p, &sharded).unwrap();
         assert_eq!(
             second.outputs[0].try_rows().unwrap(),
             off.outputs[0].try_rows().unwrap(),
@@ -2509,14 +2519,14 @@ mod tests {
     fn epoch_bump_invalidates_materialized_copies() {
         let (p, _) = pid_join_program();
         let sharded = mismatched_registry(2);
-        let e = exec().options(materializing());
-        let first = e.execute(&p, &sharded).unwrap();
+        let e = exec();
+        let first = run_with(&e, &p, &sharded, materializing()).unwrap();
         assert!(sharded.repartitions().stats().stores >= 1);
 
         // Any engine-state mutation bumps the epoch; stored layouts
         // must not serve across it.
         sharded.bump_epoch();
-        let third = e.execute(&p, &sharded).unwrap();
+        let third = run_with(&e, &p, &sharded, materializing()).unwrap();
         let routed: usize = third
             .traces
             .iter()
@@ -2565,20 +2575,18 @@ mod tests {
             "sql",
         );
         p.mark_output(g);
-        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
+        let plan =
+            Placer::plan_distribution(&mut p.clone(), &sharded, PlanOptions::default()).unwrap();
         assert!(
             plan.node(g).colocated,
             "group keys contain the partition key"
         );
         assert_eq!(plan.node(g).scatter_width(), 4);
-        let partitioned = exec().execute(&p, &sharded).unwrap();
+        let partitioned = run(&exec(), &p, &sharded).unwrap();
         // Partition-wise grouping is a colocation feature: the gathered
         // baseline needs colocation off, `exchange: false` alone keeps it.
-        let still_partitioned = exec().options(no_exchange()).execute(&p, &sharded).unwrap();
-        let gathered = exec()
-            .options(PlanOptions::gathered())
-            .execute(&p, &sharded)
-            .unwrap();
+        let still_partitioned = run_with(&exec(), &p, &sharded, no_exchange()).unwrap();
+        let gathered = run_with(&exec(), &p, &sharded, PlanOptions::gathered()).unwrap();
         assert_eq!(
             partitioned.outputs[0].try_rows().unwrap(),
             still_partitioned.outputs[0].try_rows().unwrap()
@@ -2641,11 +2649,12 @@ mod tests {
             "sql",
         );
         p.mark_output(g);
-        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
+        let plan =
+            Placer::plan_distribution(&mut p.clone(), &sharded, PlanOptions::default()).unwrap();
         assert!(plan.node(g).merges_partials());
         assert_eq!(plan.node(g).scatter_width(), 4);
-        let merged = exec().execute(&p, &sharded).unwrap();
-        let gathered = exec().options(no_exchange()).execute(&p, &sharded).unwrap();
+        let merged = run(&exec(), &p, &sharded).unwrap();
+        let gathered = run_with(&exec(), &p, &sharded, no_exchange()).unwrap();
         assert_eq!(
             merged.outputs[0].try_rows().unwrap(),
             gathered.outputs[0].try_rows().unwrap(),
@@ -2690,12 +2699,13 @@ mod tests {
         p.mark_output(g);
         // The plan still chooses merge-partials (no type info at plan
         // time)…
-        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
+        let plan =
+            Placer::plan_distribution(&mut p.clone(), &sharded, PlanOptions::default()).unwrap();
         assert!(plan.node(g).merges_partials());
         // …but execution demotes, and bytes match the gathered plan
         // and the flat deployment exactly.
-        let merged = exec().execute(&p, &sharded).unwrap();
-        let gathered = exec().options(no_exchange()).execute(&p, &sharded).unwrap();
+        let merged = run(&exec(), &p, &sharded).unwrap();
+        let gathered = run_with(&exec(), &p, &sharded, no_exchange()).unwrap();
         assert_eq!(
             merged.outputs[0].try_rows().unwrap(),
             gathered.outputs[0].try_rows().unwrap(),
@@ -2727,16 +2737,14 @@ mod tests {
             )
             .unwrap();
         let (p, j) = pid_join_program();
-        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
+        let plan =
+            Placer::plan_distribution(&mut p.clone(), &sharded, PlanOptions::default()).unwrap();
         assert!(plan.node(j).colocated, "broadcast join must colocate");
         assert_eq!(plan.node(j).scatter.len(), 4);
 
-        let flat = exec().execute(&p, &registry()).unwrap();
-        let broadcast = exec().execute(&p, &sharded).unwrap();
-        let gathered = exec()
-            .options(PlanOptions::gathered())
-            .execute(&p, &sharded)
-            .unwrap();
+        let flat = run(&exec(), &p, &registry()).unwrap();
+        let broadcast = run(&exec(), &p, &sharded).unwrap();
+        let gathered = run_with(&exec(), &p, &sharded, PlanOptions::gathered()).unwrap();
         assert_eq!(
             broadcast.outputs[0].try_rows().unwrap(),
             gathered.outputs[0].try_rows().unwrap(),
@@ -2783,15 +2791,13 @@ mod tests {
             "sql",
         );
         p.mark_output(j);
-        let plan = Placer::plan_distribution(&p, &sharded, PlanOptions::default()).unwrap();
+        let plan =
+            Placer::plan_distribution(&mut p.clone(), &sharded, PlanOptions::default()).unwrap();
         assert!(plan.node(f).colocated, "filter rides the shard layout");
         assert!(plan.node(j).colocated);
-        let report = exec().execute(&p, &sharded).unwrap();
-        let gathered = exec()
-            .options(PlanOptions::gathered())
-            .execute(&p, &sharded)
-            .unwrap();
-        let flat = exec().execute(&p, &registry()).unwrap();
+        let report = run(&exec(), &p, &sharded).unwrap();
+        let gathered = run_with(&exec(), &p, &sharded, PlanOptions::gathered()).unwrap();
+        let flat = run(&exec(), &p, &registry()).unwrap();
         assert_eq!(
             report.outputs[0].try_rows().unwrap(),
             gathered.outputs[0].try_rows().unwrap(),
@@ -2819,7 +2825,7 @@ mod tests {
         let s = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
         p.node_mut(s).annotations.engine = Some(EngineId::new("db2"));
         p.mark_output(s);
-        let report = exec().execute(&p, &sharded).unwrap();
+        let report = run(&exec(), &p, &sharded).unwrap();
         assert_eq!(report.outputs[0].len(), 200, "rows silently dropped");
     }
 
@@ -2835,7 +2841,7 @@ mod tests {
         let mut p = Program::new();
         let s = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
         p.mark_output(s);
-        let report = exec().execute(&p, &sharded).unwrap();
+        let report = run(&exec(), &p, &sharded).unwrap();
         assert_eq!(report.outputs[0].len(), 200, "no duplicate rows gathered");
     }
 
@@ -2900,7 +2906,8 @@ mod tests {
         let mut p = Program::new();
         let s = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
         let lim = p.add_node(Operator::Limit { n: 5 }, vec![s], "sql");
-        let plan = Placer::plan_distribution(&p, &registry(), PlanOptions::default()).unwrap();
+        let plan =
+            Placer::plan_distribution(&mut p.clone(), &registry(), PlanOptions::default()).unwrap();
         // No outputs at all: the limit's input is unknown.
         let got = exec().node_tasks(&p, lim, &plan, &registry(), &mut HashMap::new());
         let msg = execution_error(got);
@@ -2990,6 +2997,7 @@ mod tests {
                     input: s,
                     kind,
                     served: false,
+                    materialize: false,
                     tasks: 2,
                 };
                 let mut barrier = ShuffleBarrier::default();
@@ -3023,6 +3031,7 @@ mod tests {
                 input: s,
                 kind,
                 served: false,
+                materialize: false,
                 tasks: 3,
             };
             let got =

@@ -16,6 +16,7 @@
 use pspp_common::{
     DataType, Distribution, EngineId, PartitionSpec, Predicate, Row, Schema, TableRef, Value,
 };
+use pspp_ir::PlanOptions;
 use pspp_relstore::RelationalStore;
 
 use super::*;
@@ -239,14 +240,17 @@ proptest::proptest! {
         let registry = registry(KINDS[kinds], &left, &right, [layouts.0, layouts.1]);
         let filter = [Filter::None, Filter::Fused(sides.1), Filter::Run(sides.1)][sides.0 as usize];
         let project = sides.2;
-        let (p, nodes) = program(filter, project, false);
+        let (mut p, nodes) = program(filter, project, false);
         let exec = Executor::new(CostLedger::new());
+        // Each program carries the plan `Polystore::optimize_at` makes.
+        let planned = |p: &mut Program, options| Placer::plan_distribution(p, &registry, options);
 
         // The reference: the same join with both sides read by outputs
         // too, so the shuffle routes their gathered copies — the sides
         // whose nested-loop join, in probe order, is the answer, and
         // whose routing picks each destination's rows.
-        let (copies, _) = program(filter, project, true);
+        let (mut copies, _) = program(filter, project, true);
+        let copies_plan = planned(&mut copies, PlanOptions::default()).unwrap();
         let from_copies = exec.execute(&copies, &registry).unwrap();
         let sides = &from_copies.outputs[1..];
         let keys = [0, usize::from(project)];
@@ -260,13 +264,14 @@ proptest::proptest! {
             .collect();
         prop_assert_eq!(from_copies.outputs[0].try_rows().unwrap(), &expect[..]);
 
-        let report = exec.execute(&p, &registry).unwrap();
-        prop_assert_eq!(report.outputs[0].try_rows().unwrap(), &expect[..]);
-        let literal = Executor::new(CostLedger::new()).options(PlanOptions::gathered());
-        let literal = literal.execute(&p, &registry).unwrap();
+        let mut gathered = p.clone();
+        planned(&mut gathered, PlanOptions::gathered()).unwrap();
+        let literal = Executor::new(CostLedger::new()).execute(&gathered, &registry).unwrap();
         prop_assert_eq!(literal.outputs[0].try_rows().unwrap(), &expect[..]);
 
-        let plan = Placer::plan_distribution(&p, &registry, PlanOptions::default()).unwrap();
+        let plan = planned(&mut p, PlanOptions::default()).unwrap();
+        let report = exec.execute(&p, &registry).unwrap();
+        prop_assert_eq!(report.outputs[0].try_rows().unwrap(), &expect[..]);
         let join = plan.node(nodes.join);
         if !join.shuffles() {
             return Ok(());
@@ -310,8 +315,7 @@ proptest::proptest! {
         prop_assert_eq!(shuffled, vec![(rows as usize, bytes as usize)]);
 
         // Routing the gathered copies instead bills the same bits.
-        let plan = Placer::plan_distribution(&copies, &registry, PlanOptions::default()).unwrap();
-        prop_assert!(plan.node(nodes.left).routed.is_none());
+        prop_assert!(copies_plan.node(nodes.left).routed.is_none());
         prop_assert_eq!(from_copies.makespan().to_bits(), report.makespan().to_bits());
     }
 }

@@ -1,6 +1,8 @@
 //! The placer: *where* each node executes, and what it costs to stage
 //! the node's inputs there.
 
+use std::sync::Arc;
+
 use pspp_accel::CostLedger;
 use pspp_common::{EngineId, Error, PartitionSpec, Result, ShardId};
 use pspp_ir::{ColumnDemand, PlanOptions, Program, ProgramNode, ShardPlan};
@@ -73,26 +75,28 @@ impl Placer {
         inputs.first().map(|d| d.location.clone())
     }
 
-    /// The distribution pass — the one entry point the optimizer's
-    /// pricing (`Polystore::optimize_at`) and the executor both call,
-    /// over the same `registry`: annotates every node of `program` with
-    /// its output distribution, scatter set and exchange edges (see
-    /// [`ShardPlan::plan`] for the propagation lattice) from the
+    /// The distribution pass, run once per optimization by
+    /// `Polystore::optimize_at`: plans every node of `program` — its
+    /// output distribution, scatter set and exchange edges (see
+    /// [`ShardPlan::plan`] for the propagation lattice) — from the
     /// registry's partition specs, validating each partitioned source
-    /// table against the deployed replicas. `PlanOptions::gathered()`
-    /// reverts every non-source node to a gather (the PR-3 baseline E18
+    /// table against the deployed replicas, and stores the plan, stamped
+    /// with the registry's epoch, on the program for the cost model to
+    /// price and the executor to run. `PlanOptions::gathered()` reverts
+    /// every non-source node to a gather (the gathered baseline E18
     /// compares against), `exchange: false` alone only the
     /// shuffle/merge-partials exchanges (E19's baseline); with
     /// `options.materialize` on, a `ShuffleHash` edge whose
     /// [`pspp_ir::shuffle_copy_key`] has a live layout in the registry's
-    /// copy store plans as a copy-served exchange (see
+    /// copy store now plans as a copy-served exchange (see
     /// [`ShardPlan::plan_with_copies`]).
     ///
     /// The scatter decision follows a table's *physical* home — source
     /// reads always hit `table.engine`'s replicas, so an optimizer
     /// annotation diverting the node elsewhere changes cost attribution
     /// and output routing, never the scatter width (reading one replica
-    /// of a distributed table would silently drop rows).
+    /// of a distributed table would silently drop rows). Returns the
+    /// stored plan.
     ///
     /// # Errors
     ///
@@ -101,10 +105,13 @@ impl Placer {
     /// is not relational or under-replicated, and
     /// [`Error::EmptyShardSet`] for zero-shard specs.
     pub fn plan_distribution(
-        program: &Program,
+        program: &mut Program,
         registry: &EngineRegistry,
         options: PlanOptions,
-    ) -> Result<ShardPlan> {
+    ) -> Result<Arc<ShardPlan>> {
+        // Read before the specs: a plan is never stamped newer than the
+        // layout it read.
+        let epoch = registry.epoch();
         // Deployment validation per partitioned source: the table must
         // still exist on a relational engine with enough replicas.
         for node in program.nodes() {
@@ -118,12 +125,15 @@ impl Placer {
             Self::scatter_for(spec, registry.shard_count(&table.engine))?;
         }
         let copies = registry.repartitions();
-        ShardPlan::plan_with_copies(
+        let mut plan = ShardPlan::plan_with_copies(
             program,
             |t| registry.partition(t).cloned(),
             |k| copies.contains(k),
             options,
-        )
+        )?;
+        plan.epoch = epoch;
+        program.set_shard_plan(plan);
+        program.shard_plan().cloned()
     }
 
     /// The scatter set of `spec` against an engine deployed with
@@ -419,21 +429,21 @@ mod tests {
         let s = p.add_source(Operator::scan(TableRef::new("db1", "t")), "sql");
         // Unpartitioned table: single-shard plan.
         let s2 = p.add_source(Operator::scan(TableRef::new("db2", "t")), "sql");
-        let scatter = |p: &Program, id| {
+        let scatter = |p: &mut Program, id| {
             Placer::plan_distribution(p, &registry, PlanOptions::default())
                 .unwrap()
                 .node(id)
                 .scatter
                 .clone()
         };
-        assert_eq!(scatter(&p, s), vec![ShardId(0), ShardId(1)]);
-        assert_eq!(scatter(&p, s2), vec![ShardId::ZERO]);
+        assert_eq!(scatter(&mut p, s), vec![ShardId(0), ShardId(1)]);
+        assert_eq!(scatter(&mut p, s2), vec![ShardId::ZERO]);
         // An annotation diverting the node elsewhere must NOT narrow
         // the scatter: the read still hits every replica of the
         // table's physical home (one replica holds a fraction of the
         // rows).
         p.node_mut(s).annotations.engine = Some(EngineId::new("db2"));
-        assert_eq!(scatter(&p, s), vec![ShardId(0), ShardId(1)]);
+        assert_eq!(scatter(&mut p, s), vec![ShardId(0), ShardId(1)]);
     }
 
     #[test]
@@ -447,7 +457,7 @@ mod tests {
             .unwrap();
         let mut p = Program::new();
         p.add_source(Operator::scan(TableRef::new("db1", "ghost")), "sql");
-        let err = Placer::plan_distribution(&p, &registry, PlanOptions::default()).unwrap_err();
+        let err = Placer::plan_distribution(&mut p, &registry, PlanOptions::default()).unwrap_err();
         assert!(matches!(err, Error::TableNotFound(_)), "got {err:?}");
     }
 
@@ -470,7 +480,7 @@ mod tests {
             .unwrap();
         let mut p = Program::new();
         p.add_source(Operator::scan(TableRef::new("ts", "t")), "sql");
-        let err = Placer::plan_distribution(&p, &registry, PlanOptions::default()).unwrap_err();
+        let err = Placer::plan_distribution(&mut p, &registry, PlanOptions::default()).unwrap_err();
         assert!(matches!(err, Error::Invalid(_)), "got {err:?}");
     }
 
@@ -509,7 +519,7 @@ mod tests {
         let mut p = Program::new();
         let s = p.add_source(Operator::scan(TableRef::new("db1", "t")), "sql");
         p.mark_output(s);
-        let plan = Placer::plan_distribution(&p, &registry, PlanOptions::default()).unwrap();
+        let plan = Placer::plan_distribution(&mut p, &registry, PlanOptions::default()).unwrap();
         assert_eq!(plan.node(s).scatter_width(), 2);
         assert!(plan.node(s).distribution.is_partitioned());
 
@@ -523,7 +533,8 @@ mod tests {
         let mut p2 = Program::new();
         let g = p2.add_source(Operator::scan(TableRef::new("db1", "ghost")), "sql");
         p2.mark_output(g);
-        let err = Placer::plan_distribution(&p2, &registry, PlanOptions::default()).unwrap_err();
+        let err =
+            Placer::plan_distribution(&mut p2, &registry, PlanOptions::default()).unwrap_err();
         assert!(matches!(err, Error::TableNotFound(_)), "got {err:?}");
     }
 

@@ -89,9 +89,11 @@ impl RebalanceReport {
 /// All engines of a deployment: shard replicas keyed by engine id —
 /// and the deployment's layout, held here and nowhere else: the
 /// partition specs routing tables to shards, the device fleet and the
-/// materialized-repartition store. The planner and the executor both
-/// read it through [`crate::physical::Placer::plan_distribution`] and
-/// [`ShardedRegistry::fleet`], so a layout change is one write.
+/// materialized-repartition store. The distribution pass reads it
+/// through [`crate::physical::Placer::plan_distribution`], and the cost
+/// model and the executor read [`ShardedRegistry::fleet`], so a layout
+/// change is one write — and one epoch bump, which every plan made
+/// before it answers with [`pspp_common::Error::StalePlan`].
 #[derive(Debug, Clone)]
 pub struct ShardedRegistry {
     engines: BTreeMap<EngineId, Vec<EngineInstance>>,

@@ -122,9 +122,13 @@ fn scans_and_join() -> (Program, [NodeId; 3]) {
     (p, [a, b, j])
 }
 
+/// Plans `program` over `registry` — the distribution pass
+/// `Polystore::optimize_at` runs — and executes it.
 fn run(program: &Program, registry: &EngineRegistry) -> Vec<Dataset> {
+    let mut program = program.clone();
+    Placer::plan_distribution(&mut program, registry, PlanOptions::default()).expect("plans");
     let outputs = Executor::new(CostLedger::new())
-        .execute(program, registry)
+        .execute(&program, registry)
         .expect("program runs")
         .outputs;
     assert_built(&outputs);
@@ -160,7 +164,8 @@ fn gather_and_splice_leave_partials_and_other_readers_untouched() {
             .reshard(&TableRef::new(engine, table), PartitionSpec::hash("pid", 2))
             .unwrap();
     }
-    let plan = Placer::plan_distribution(&program, &colocated, PlanOptions::default()).unwrap();
+    let plan = Placer::plan_distribution(&mut program.clone(), &colocated, PlanOptions::default())
+        .unwrap();
     assert!(plan.node(a).partials_needed && plan.node(b).partials_needed);
     assert!(plan.node(j).colocated);
 
@@ -182,7 +187,8 @@ fn gather_and_splice_leave_partials_and_other_readers_untouched() {
             PartitionSpec::hash("name", 2),
         )
         .unwrap();
-    let plan = Placer::plan_distribution(&program, &shuffled, PlanOptions::default()).unwrap();
+    let plan =
+        Placer::plan_distribution(&mut program.clone(), &shuffled, PlanOptions::default()).unwrap();
     assert!(plan.node(j).shuffles());
 
     for (layout, registry) in [("colocated", &colocated), ("shuffled", &shuffled)] {
@@ -278,6 +284,7 @@ fn a_report_keeps_its_rows_across_an_insert_and_a_rebalance() {
     );
     program.mark_output(scan);
     program.mark_output(sort);
+    Placer::plan_distribution(&mut program, &registry, PlanOptions::default()).expect("plans");
     let report = Executor::new(CostLedger::new())
         .execute(&program, &registry)
         .expect("runs");

@@ -226,14 +226,17 @@ fn planned_layout_is_the_executed_layout_however_it_was_arrived_at() {
             ),
             ("moved after build", &moved_after_build),
         ] {
-            let report = system.run_sql(query).expect("runs");
+            let mut program = system.compile_sql(query).expect("compiles");
+            let (rewrites, placement) = system.optimize(&mut program).expect("optimizes");
+            let (report, _) = (system.run_optimized(&program, rewrites, placement)).expect("runs");
             let placement = report.placement.as_ref().expect("L3 places");
             let execution = &report.execution;
 
-            let planned_widths: BTreeMap<NodeId, usize> = placement
-                .scatter_width
-                .iter()
-                .map(|(&id, &w)| (id, w))
+            // Each node's width is the plan the program carries.
+            let plan = program.shard_plan().expect("planned");
+            let planned_widths: BTreeMap<NodeId, usize> = (program.nodes().iter())
+                .filter(|n| !n.annotations.fused_into_consumer)
+                .map(|n| (n.id, plan.scatter_width(n.id)))
                 .collect();
             let executed_widths: BTreeMap<NodeId, usize> = execution
                 .traces

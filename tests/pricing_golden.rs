@@ -2,7 +2,8 @@
 //! way `data_plane.rs` pins the executed side: every figure
 //! `CostModel::place` hands out and every bill the executor posts, on
 //! polybench's OLAP deployment under each plan switch, E23's fused and
-//! queued pipelines, and the paper's Fig. 2 question.
+//! queued pipelines, and the paper's Fig. 2 question. Beside it, one
+//! invariant of the queue pass is checked on that deployment.
 //!
 //! [`GOLDEN`] was captured at PR 19's parent (`1828cad`), where the
 //! switches were still four builder setters: this file, with
@@ -265,6 +266,76 @@ fn planned_and_executed_figures_are_the_parents() {
     for (got, want) in got.iter().zip(want) {
         assert_eq!(got, want);
     }
+}
+
+/// The queue pass's invariant: planned queue wait is zero in every
+/// stage where no device has more planned tasks than its capacity —
+/// over the six OLAP templates and E23's two pipelines at 1, 2 and 4
+/// shards, with every accelerator's capacity 1 to 4. Only plans are
+/// made, over the OLAP deployment's statistics scaled 100-fold, so that
+/// tasks offload; the twin trainings put two tasks on one TPU.
+#[test]
+fn no_stage_waits_where_no_device_is_over_capacity() {
+    let mut deployment = datagen::clinical(&ClinicalConfig {
+        patients: 10_000,
+        vitals_per_patient: 4,
+        seed: 2019,
+    });
+    for stats in deployment.stats.values_mut() {
+        stats.rows *= 100.0;
+    }
+    let devices = [DeviceKind::Gpu, DeviceKind::Fpga, DeviceKind::Tpu];
+    let (mut within, mut over) = (0, 0);
+    for shards in [1usize, 2, 4] {
+        for capacity in 1..=4 {
+            let fleet = (devices.iter()).fold(AcceleratorFleet::workstation(), |fleet, &kind| {
+                fleet.with_capacity(kind, capacity)
+            });
+            let system = Polystore::from_deployment(deployment.clone())
+                .accelerators(fleet)
+                .opt_level(OptLevel::L3)
+                .shards(shards)
+                .partition(
+                    TableRef::new("db2", "patients"),
+                    PartitionSpec::hash("name", shards as u32),
+                )
+                .build()
+                .expect("valid config");
+            let compiled = OLAP_TEMPLATES.map(|sql| system.compile_sql(sql).expect("compiles"));
+            let programs = compiled
+                .into_iter()
+                .chain([two_sort_program(), twin_train_program()]);
+            for (idx, mut program) in programs.enumerate() {
+                let (_, placement) = system.optimize(&mut program).expect("optimizes");
+                let picks = placement.expect("L3 places").device_picks;
+                for stage in program.execution_stages().expect("acyclic") {
+                    let mut tasks = std::collections::HashMap::<DeviceKind, usize>::new();
+                    for (&(id, _), &device) in &picks {
+                        if device != DeviceKind::Cpu && stage.compute.contains(&id) {
+                            *tasks.entry(device).or_default() += 1;
+                        }
+                    }
+                    if tasks.values().any(|&n| n > capacity) {
+                        over += 1;
+                        continue;
+                    }
+                    within += usize::from(!tasks.is_empty());
+                    let waits = (stage.compute.iter())
+                        .flat_map(|&id| program.node(id).annotations.shard_queue_waits.clone())
+                        .flatten();
+                    assert_eq!(
+                        waits.sum::<f64>(),
+                        0.0,
+                        "{shards} shards, capacity {capacity}, program {idx}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        within > 0 && over > 0,
+        "stages on devices within and over capacity"
+    );
 }
 
 const GOLDEN: &str = "\

@@ -56,21 +56,27 @@ fn executor() -> Executor {
     Executor::new(CostLedger::new())
 }
 
+/// `program` carrying the distribution plan `Polystore::optimize_at`
+/// makes over `registry` under `options` — the plan the executor runs.
+fn planned(program: &Program, registry: &EngineRegistry, options: PlanOptions) -> Program {
+    let mut program = program.clone();
+    Placer::plan_distribution(&mut program, registry, options).expect("plans");
+    program
+}
+
 /// Prices `program` against `registry`'s layout, the way
-/// `Polystore::optimize_at` does: the executor's own distribution pass
-/// over the registry's specs, on the registry's fleet.
+/// `Polystore::optimize_at` does: cardinalities, then the distribution
+/// pass over the registry's specs under `options`, priced on the
+/// registry's fleet.
 fn place_on(
     model: &CostModel,
     program: &mut Program,
     registry: &EngineRegistry,
+    options: PlanOptions,
 ) -> polystorepp::optimizer::PlacementPlan {
-    model
-        .place(
-            program,
-            |p| Placer::plan_distribution(p, registry, model.options()),
-            registry.fleet(),
-        )
-        .expect("placement")
+    model.estimate_cardinalities(program).expect("acyclic");
+    Placer::plan_distribution(program, registry, options).expect("plans");
+    model.place(program, registry.fleet()).expect("placement")
 }
 
 /// One of the mismatched layouts the shuffle property sweeps: hash or
@@ -301,13 +307,15 @@ proptest! {
             "sql",
         );
         p.mark_output(j);
-        let exchanged = executor().execute(&p, &registry).expect("exchange run");
+        let exchanged = executor()
+            .execute(&planned(&p, &registry, PlanOptions::default()), &registry)
+            .expect("exchange run");
+        let no_exchange = PlanOptions {
+            exchange: false,
+            ..PlanOptions::default()
+        };
         let gathered = executor()
-            .options(PlanOptions {
-                exchange: false,
-                ..PlanOptions::default()
-            })
-            .execute(&p, &registry)
+            .execute(&planned(&p, &registry, no_exchange), &registry)
             .expect("gathered run");
         prop_assert_eq!(
             format!("{:?}", exchanged.outputs),
@@ -397,13 +405,22 @@ proptest! {
             "sql",
         );
         p.mark_output(j);
-        let exec = executor().options(PlanOptions {
+        let materialize = PlanOptions {
             materialize: true,
             ..PlanOptions::default()
-        });
-        let first = exec.execute(&p, &registry).expect("first materialized run");
-        let second = exec.execute(&p, &registry).expect("second materialized run");
-        let plain = executor().execute(&p, &registry).expect("plain run");
+        };
+        // Each run is planned after the one before it, so the second
+        // plan sees what the first persisted.
+        let exec = executor();
+        let first = exec
+            .execute(&planned(&p, &registry, materialize), &registry)
+            .expect("first materialized run");
+        let second = exec
+            .execute(&planned(&p, &registry, materialize), &registry)
+            .expect("second materialized run");
+        let plain = executor()
+            .execute(&planned(&p, &registry, PlanOptions::default()), &registry)
+            .expect("plain run");
         prop_assert_eq!(
             format!("{:?}", first.outputs),
             format!("{:?}", plain.outputs)
@@ -442,13 +459,14 @@ proptest! {
             "sql",
         );
         p.mark_output(g);
-        let split = executor().execute(&p, &registry).expect("exchange run");
+        let split = executor()
+            .execute(&planned(&p, &registry, PlanOptions::default()), &registry)
+            .expect("exchange run");
         // `PlanOptions::gathered()` is the fully gathered plan — a true
         // single-site aggregation (`exchange: false` alone would keep a
         // partition-wise grouping when the layout matches the key).
         let single = executor()
-            .options(PlanOptions::gathered())
-            .execute(&p, &registry)
+            .execute(&planned(&p, &registry, PlanOptions::gathered()), &registry)
             .expect("gathered run");
         prop_assert_eq!(
             format!("{:?}", split.outputs),
@@ -457,7 +475,9 @@ proptest! {
         // And the group multiset matches a fully unsharded deployment
         // (gather order may differ between layouts; values must not).
         let flat_registry = exchange_registry(&rows, &[], None, None);
-        let flat = executor().execute(&p, &flat_registry).expect("flat run");
+        let flat = executor()
+            .execute(&planned(&p, &flat_registry, PlanOptions::default()), &flat_registry)
+            .expect("flat run");
         let canon = |r: &polystorepp::runtime::Dataset| {
             let mut rows: Vec<String> =
                 r.try_rows().expect("rows").iter().map(|x| format!("{x:?}")).collect();
@@ -502,7 +522,7 @@ proptest! {
         for t in [TableRef::new("db1", "left"), TableRef::new("db2", "right")] {
             stats.insert(t, TableStats { rows: 500_000.0, row_bytes: 64.0 });
         }
-        place_on(&CostModel::new(stats), &mut p, &registry);
+        place_on(&CostModel::new(stats), &mut p, &registry, PlanOptions::default());
         prop_assert!(
             p.nodes().iter().any(|n| n.annotations.device.is_some_and(|d| d != DeviceKind::Cpu)),
             "inflated stats must offload something for the property to bite"
@@ -557,16 +577,15 @@ proptest! {
         for t in [TableRef::new("db1", "left"), TableRef::new("db2", "right")] {
             stats.insert(t, TableStats { rows: 500_000.0, row_bytes: 64.0 });
         }
-        let model = |fusion: bool| {
-            CostModel::new(stats.clone()).with_options(PlanOptions {
-                fusion,
-                ..PlanOptions::default()
-            })
+        let model = CostModel::new(stats);
+        let fusion = |fusion: bool| PlanOptions {
+            fusion,
+            ..PlanOptions::default()
         };
         let mut fused = program();
-        let plan = place_on(&model(true), &mut fused, &registry);
+        let plan = place_on(&model, &mut fused, &registry, fusion(true));
         let mut unfused = program();
-        place_on(&model(false), &mut unfused, &registry);
+        place_on(&model, &mut unfused, &registry, fusion(false));
         let on = executor().execute(&fused, &registry).expect("fused run");
         let off = executor().execute(&unfused, &registry).expect("unfused run");
         let host = executor().level(OptLevel::L1).execute(&fused, &registry).expect("host run");
@@ -623,14 +642,13 @@ proptest! {
             ..PlanOptions::default()
         };
         let level = if offload { OptLevel::L2 } else { OptLevel::L1 };
+        let p = planned(&p, &registry, options);
         let plain = executor()
-            .options(options)
             .level(level)
             .execute(&p, &registry)
             .expect("plain run");
         let metrics = polystorepp::telemetry::MetricsRegistry::new();
         let traced = executor()
-            .options(options)
             .level(level)
             .with_metrics(metrics.clone())
             .execute(&p, &registry)
@@ -995,13 +1013,9 @@ proptest! {
         );
         p.mark_output(join);
         // An unsharded, CPU-only layout.
-        let plan = model
-            .place(
-                &mut p,
-                |p| ShardPlan::plan(p, |_| None, model.options()),
-                &AcceleratorFleet::cpu_only(),
-            )
-            .expect("acyclic");
+        model.estimate_cardinalities(&mut p).expect("acyclic");
+        p.set_shard_plan(ShardPlan::plan(&p, |_| None, PlanOptions::default()).expect("acyclic"));
+        let plan = model.place(&mut p, &AcceleratorFleet::cpu_only()).expect("acyclic");
         let bytes = |id| p.node(id).annotations.est_bytes.expect("estimated");
         let bill = |bytes| {
             model

@@ -6,11 +6,19 @@
 //! one typed [`Column`] per field plus a validity mask for NULLs. The
 //! receiving engine keeps the decoded batch as it is: a table holds its
 //! rows as one, and a migrated input is read off one.
+//!
+//! A table's batch also keeps a [`KeyIndex`] of each column a hash join
+//! has built on whole ([`Batch::key_index`]), so that the next join over
+//! the same snapshot probes it instead of hashing the column again; a
+//! write drops it.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
+use std::sync::OnceLock;
 
 use crate::value::{DataType, Value, ValueRef};
-use crate::{ColumnSource, Error, Field, Result, Row, Schema};
+use crate::{ColumnSource, Error, Field, FxBuildHasher, Result, Row, Schema};
 
 /// UTF-8 strings held end to end in one buffer, string `i` ending at
 /// byte `ends[i]` of it and starting where string `i - 1` ends: a
@@ -348,12 +356,107 @@ pub type TypedColumn = (Column, Vec<bool>);
 /// assert_eq!(batch.column(0).as_int().unwrap(), &[1, 2]);
 /// assert_eq!(batch.widths(), &[16, 16]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A batch made with [`Batch::keeping_key_indexes`] — a table's data —
+/// keeps the [`KeyIndex`] of a column once one is built
+/// ([`Batch::key_index`]), until the next write ([`Batch::push_row`]).
+/// A clone starts with none, and `==` and `Debug` read the rows alone.
 pub struct Batch {
     schema: Schema,
     columns: Vec<TypedColumn>,
     /// [`Row::byte_size`] of every row, by position.
     widths: Vec<u32>,
+    /// One slot per column for its key index, filled on first use and
+    /// emptied by every write; `None` for a batch that keeps none.
+    keys: Option<KeySlots>,
+}
+
+/// A batch's key-index slots, one per column: a filled slot holds the
+/// column's index, or `None` when the column cannot have one.
+type KeySlots = Box<[OnceLock<Option<KeyIndex>>]>;
+
+fn key_slots(columns: usize) -> KeySlots {
+    (0..columns).map(|_| OnceLock::new()).collect()
+}
+
+impl Clone for Batch {
+    /// The same rows, no key index built yet: the copy of a batch that
+    /// keeps key indexes keeps them too, built on its first use.
+    fn clone(&self) -> Batch {
+        Batch {
+            schema: self.schema.clone(),
+            columns: self.columns.clone(),
+            widths: self.widths.clone(),
+            keys: self.keys.as_ref().map(|slots| key_slots(slots.len())),
+        }
+    }
+}
+
+impl PartialEq for Batch {
+    fn eq(&self, other: &Batch) -> bool {
+        self.schema == other.schema && self.columns == other.columns && self.widths == other.widths
+    }
+}
+
+impl fmt::Debug for Batch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Batch")
+            .field("schema", &self.schema)
+            .field("columns", &self.columns)
+            .field("widths", &self.widths)
+            .finish()
+    }
+}
+
+/// Past the last row of a [`KeyIndex`] chain.
+const CHAIN_END: u32 = u32::MAX;
+
+/// A hash index of one key column: the first row holding each key, and
+/// for each row the next row holding its key, so that a key's rows form
+/// a chain in row order ([`KeyIndex::rows`]) and no list is allocated
+/// per key. Rows are `u32`s, as a selection's positions are. A hash join
+/// builds one over its build side's keys for one call; a table's
+/// snapshot keeps one per join column across calls
+/// ([`Batch::key_index`]).
+pub struct KeyIndex<K = u64> {
+    first: HashMap<K, u32, FxBuildHasher>,
+    next: Vec<u32>,
+}
+
+impl<K: Hash + Eq> KeyIndex<K> {
+    /// The index of `keys`, row `r`'s key the `r`-th; a `None` key (a
+    /// NULL) is in no chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds for `u32::MAX` keys or more.
+    pub fn build<I>(keys: I) -> KeyIndex<K>
+    where
+        I: IntoIterator<Item = Option<K>>,
+        I::IntoIter: DoubleEndedIterator + ExactSizeIterator,
+    {
+        let keys = keys.into_iter();
+        debug_assert!(keys.len() < CHAIN_END as usize, "a u32 row per key");
+        let mut next = vec![CHAIN_END; keys.len()];
+        let mut first = HashMap::with_capacity_and_hasher(keys.len(), FxBuildHasher::default());
+        // Last row first: each row becomes its key's first and points at
+        // the row that was, so every chain runs in row order.
+        for (row, key) in keys.enumerate().rev() {
+            let Some(key) = key else { continue };
+            if let Some(after) = first.insert(key, row as u32) {
+                next[row] = after;
+            }
+        }
+        KeyIndex { first, next }
+    }
+
+    /// The rows holding `key`, in row order.
+    pub fn rows(&self, key: &K) -> impl Iterator<Item = u32> + '_ {
+        let first = self.first.get(key).copied();
+        std::iter::successors(first, |&row| {
+            Some(self.next[row as usize]).filter(|&row| row != CHAIN_END)
+        })
+    }
 }
 
 impl Batch {
@@ -366,6 +469,57 @@ impl Batch {
             schema,
             columns,
             widths: Vec::new(),
+            keys: None,
+        }
+    }
+
+    /// This batch, keeping the key index of a column once one is built
+    /// ([`Batch::key_index`]): a table's data, which join after join
+    /// reads whole. A batch that lives for one query, such as a migrated
+    /// input, keeps none.
+    pub fn keeping_key_indexes(mut self) -> Batch {
+        self.keys = Some(key_slots(self.columns.len()));
+        self
+    }
+
+    /// Whether the batch keeps key indexes
+    /// ([`Batch::keeping_key_indexes`]).
+    pub fn keeps_key_indexes(&self) -> bool {
+        self.keys.is_some()
+    }
+
+    /// Column `c`'s key index: the one this batch keeps, or, on the first
+    /// call that asks for it, the one `build` makes out of the column,
+    /// then kept until the next write. `None` when the batch keeps no
+    /// index, or `build` made none for the column (that is kept too, so
+    /// it is not asked again). Concurrent first calls build it once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is out of bounds.
+    pub fn key_index(
+        &self,
+        c: usize,
+        build: impl FnOnce(&TypedColumn) -> Option<KeyIndex>,
+    ) -> Option<&KeyIndex> {
+        let slot = &self.keys.as_ref()?[c];
+        slot.get_or_init(|| build(&self.columns[c])).as_ref()
+    }
+
+    /// Whether column `c` has a key index now.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is out of bounds.
+    pub fn has_key_index(&self, c: usize) -> bool {
+        let slot = self.keys.as_ref().and_then(|slots| slots[c].get());
+        slot.is_some_and(Option::is_some)
+    }
+
+    /// Empties every key-index slot: the rows are about to change.
+    fn drop_key_indexes(&mut self) {
+        for slot in self.keys.iter_mut().flat_map(|slots| slots.iter_mut()) {
+            slot.take();
         }
     }
 
@@ -378,6 +532,7 @@ impl Batch {
     /// another type than its column.
     pub fn push_row(&mut self, values: &[Value], width: u32) {
         assert_eq!(values.len(), self.columns.len(), "a checked row");
+        self.drop_key_indexes();
         for ((column, valid), value) in self.columns.iter_mut().zip(values) {
             assert!(column.push(value), "a checked row holds its columns' types");
             valid.push(!value.is_null());
@@ -417,6 +572,7 @@ impl Batch {
             schema,
             columns,
             widths,
+            keys: None,
         })
     }
 
@@ -546,6 +702,8 @@ impl Batch {
         let mut out = parts
             .next()
             .ok_or_else(|| Error::Invalid("a concatenation of no batches".into()))?;
+        // A batch made of others keeps no index.
+        out.keys = None;
         for part in parts {
             let mismatch = || Error::SchemaMismatch("batches of two shapes".into());
             if part.schema != out.schema {
@@ -575,6 +733,7 @@ impl Batch {
                 .map(|(values, valid)| (values.gather(at()), at().map(|i| valid[i]).collect()))
                 .collect(),
             widths: at().map(|i| self.widths[i]).collect(),
+            keys: None,
         }
     }
 
@@ -903,5 +1062,56 @@ mod tests {
         let swapped = vec![batch.columns()[1].clone(), batch.columns()[0].clone()];
         let two = Schema::new(vec![("id", DataType::Int), ("name", DataType::Str)]);
         assert!(Batch::from_typed(two, 3, swapped).is_err());
+    }
+
+    #[test]
+    fn a_key_index_chains_each_keys_rows_in_row_order() {
+        let keys = [Some(3u64), None, Some(1), Some(3), Some(3), Some(1), None];
+        let index = KeyIndex::build(keys);
+        let rows = |key| index.rows(&key).collect::<Vec<u32>>();
+        assert_eq!(rows(3), [0, 3, 4]);
+        assert_eq!(rows(1), [2, 5]);
+        assert!(rows(2).is_empty(), "an absent key matches nothing");
+        assert!(KeyIndex::<u64>::build([]).rows(&0).next().is_none());
+    }
+
+    #[test]
+    fn a_batch_keeps_a_key_index_until_a_write_and_its_copy_starts_with_none() {
+        let words = |(values, _): &TypedColumn| {
+            let ids = values.as_int()?;
+            Some(KeyIndex::build(ids.iter().map(|&v| Some(v as u64))))
+        };
+        let rows = vec![row![1i64, "a", 0.5], row![2i64, "b", 1.5]];
+        let plain = Batch::from_rows(&schema(), rows).unwrap();
+        assert!(!plain.keeps_key_indexes());
+        assert!(
+            plain.key_index(0, words).is_none(),
+            "a batch that keeps none"
+        );
+
+        let mut kept = plain.clone().keeping_key_indexes();
+        assert!(!kept.has_key_index(0));
+        let index = kept.key_index(0, words).expect("an int column");
+        assert_eq!(index.rows(&2).collect::<Vec<_>>(), [1]);
+        assert!(kept.has_key_index(0) && !kept.has_key_index(1));
+        // A column the build makes nothing of is not asked again.
+        assert!(kept.key_index(1, words).is_none());
+        let built_again = kept.key_index(1, |_| panic!("asked twice"));
+        assert!(built_again.is_none() && !kept.has_key_index(1));
+        // `==` and `Debug` read the rows alone.
+        assert_eq!(kept, plain);
+        assert_eq!(format!("{kept:?}"), format!("{plain:?}"));
+
+        // A copy keeps indexes, none built; a write drops them.
+        let copy = kept.clone();
+        assert!(copy.keeps_key_indexes() && !copy.has_key_index(0));
+        kept.push_row(&[Value::Int(2), Value::from("c"), Value::Float(2.5)], 17);
+        assert!(!kept.has_key_index(0));
+        let index = kept.key_index(0, words).expect("built afresh");
+        assert_eq!(index.rows(&2).collect::<Vec<_>>(), [1, 2]);
+        // Batches made out of others keep none.
+        assert!(!kept.take(&[1, 0]).keeps_key_indexes());
+        let both = Batch::concat(vec![kept.clone(), plain]).unwrap();
+        assert!(!both.keeps_key_indexes());
     }
 }

@@ -44,7 +44,7 @@ pub mod row;
 pub mod schema;
 pub mod value;
 
-pub use batch::{Batch, Column, StrColumn, TypedColumn};
+pub use batch::{Batch, Column, KeyIndex, StrColumn, TypedColumn};
 pub use device::DeviceKind;
 pub use digest::OutputDigest;
 pub use distribution::{Distribution, JoinDistribution};

@@ -23,6 +23,21 @@
 //! [`hash_join`], [`sort_merge_join`]) are the same code over every row
 //! of the slice.
 //!
+//! A hash join finds its pairs through a hash index of one side's keys,
+//! probed with the other side's keys in order. Over a side that reads
+//! every row of one table snapshot, in order — a scan that keeps every
+//! row, projecting or not — the index is the snapshot's own
+//! ([`pspp_common::KeyIndex`], kept by [`Batch::key_index`]): built by
+//! the first join that reads the snapshot so, probed by every later one,
+//! and dropped by the table's next write, while a selection taken before
+//! that write keeps its snapshot and the index with it. Any other side
+//! — filtered, spanning several snapshots, a migrated batch (it lives
+//! for one query, and its batch keeps no index), plain rows — gets a
+//! table of its own, built for the call over whichever side has fewer
+//! rows. Either way the pairs come back left-major, each left row's
+//! matches in right order: an index on the left is probed a right row
+//! at a time and its pairs put back in left-major order.
+//!
 //! A kernel that builds rows out of the rows read — a projection, a
 //! join's matched pairs, a scan that projects — fills them in place a
 //! column at a time: it lists the indices of the rows read that each
@@ -105,6 +120,14 @@
 //! one `Int` and one `Float` (the int side is re-keyed as the float it
 //! compares equal to). Which body runs depends on the key values in the
 //! input and on nothing else.
+//!
+//! A table snapshot's key index (see "Selections") holds the words of
+//! its column's every row, read straight off the image, a chain of rows
+//! per word. A join probes it only when the column is typed over the
+//! whole snapshot and the other side's keys are typed words of the same
+//! kind; a NULL on either side, a string, or `Int` against `Float` takes
+//! the paths above. Equal words are equal values, so the index finds the
+//! pairs a table built for the call finds, in the same order.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -113,8 +136,8 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use pspp_common::{
-    row_major, Batch, Column, ColumnSource, Error, FxBuildHasher, FxHasher, Predicate, Result, Row,
-    Schema, TypedColumn, Value, ValueRef,
+    row_major, Batch, Column, ColumnSource, Error, FxBuildHasher, FxHasher, KeyIndex, Predicate,
+    Result, Row, Schema, TypedColumn, Value, ValueRef,
 };
 
 use crate::table::{as_u32, part_runs, split_position, LOCAL_MASK};
@@ -1094,10 +1117,12 @@ pub fn hash_join_with(
     let ri = right_schema.require(right_on)?;
     let emit = JoinEmit::new(left_schema, right_schema, demand)?;
 
-    let matches = match join_words(left, li, right, ri) {
-        Some((lw, rw)) => join_matches(lw.into_iter().map(Some), rw.into_iter().map(Some)),
-        None => join_matches(value_keys(left, li), value_keys(right, ri)),
-    };
+    let matches = indexed_matches(left, li, right, ri).unwrap_or_else(|| {
+        match join_words(left, li, right, ri) {
+            Some((lw, rw)) => join_matches(lw.into_iter().map(Some), rw.into_iter().map(Some)),
+            None => join_matches(value_keys(left, li), value_keys(right, ri)),
+        }
+    });
 
     // The pairs' read indices: each left row once per match, beside
     // its matches; an unmatched one of a left outer join beside a pad.
@@ -1115,7 +1140,7 @@ pub fn hash_join_with(
         if pad {
             rights.push(PAD);
         } else {
-            rights.extend(matched.by_ref().take(n).map(|&r| r as u32));
+            rights.extend(matched.by_ref().take(n));
         }
         produced(pairs);
     }
@@ -1155,82 +1180,122 @@ fn join_words(
 fn value_keys<'a>(
     input: Selected<'a>,
     on: usize,
-) -> impl ExactSizeIterator<Item = Option<ValueRef<'a>>> + 'a {
+) -> impl DoubleEndedIterator<Item = Option<ValueRef<'a>>> + ExactSizeIterator + 'a {
     let cells = input.cells(&[on]);
     cells.into_iter().map(|v| Some(v).filter(|v| !v.is_null()))
+}
+
+/// The key index of column `column` of the rows `input` reads, and the
+/// kind of its words, when `input` reads every row of one snapshot that
+/// keeps key indexes — a table's — in order: the one the snapshot keeps,
+/// or one built now and kept (module docs, "Key words"). `None` for any
+/// other input, and for a column that is not typed over the snapshot.
+fn snapshot_index<'a>(input: Selected<'a>, column: usize) -> Option<(KeyKind, &'a KeyIndex)> {
+    let (Parts::One(ColumnSource::Image(image)), Some(positions)) = (input.parts, input.positions)
+    else {
+        return None;
+    };
+    let every_row =
+        || positions.len() == image.num_rows() && (0u32..).zip(positions).all(|(r, &p)| r == p);
+    if !image.keeps_key_indexes() || !every_row() {
+        return None;
+    }
+    let at = input.source_column(column);
+    let kind = match image.column(at) {
+        Column::Bool(_) => KeyKind::Bool,
+        Column::Int(_) => KeyKind::Int,
+        Column::Timestamp(_) => KeyKind::Timestamp,
+        Column::Float(_) => KeyKind::Float,
+        Column::Str(_) | Column::Bytes(_) => return None,
+    };
+    Some((kind, image.key_index(at, column_index)?))
+}
+
+/// The key index of a whole column, a word per row (module docs, "Key
+/// words"), read straight off the image; `None` when the column is not
+/// typed — it holds strings or byte arrays, or a NULL.
+fn column_index((values, valid): &TypedColumn) -> Option<KeyIndex> {
+    fn of<T: Copy>(values: &[T], word: impl Fn(T) -> u64) -> KeyIndex {
+        KeyIndex::build(values.iter().map(|&v| Some(word(v))))
+    }
+    if valid.contains(&false) {
+        return None;
+    }
+    Some(match values {
+        Column::Bool(v) => of(v, u64::from),
+        Column::Int(v) | Column::Timestamp(v) => of(v, int_word),
+        Column::Float(v) => of(v, float_word),
+        Column::Str(_) | Column::Bytes(_) => return None,
+    })
+}
+
+/// The matches of a join with a key index on one side
+/// ([`snapshot_index`]; the right side's when both have one), probed
+/// with the other side's key words. `None` when neither side has one,
+/// or the probe keys are not typed words of the index's kind: the join
+/// then builds a table of its own.
+fn indexed_matches(
+    left: Selected<'_>,
+    li: usize,
+    right: Selected<'_>,
+    ri: usize,
+) -> Option<Matches> {
+    let probed = |probe, pi, indexed, ii| {
+        let (kind, index) = snapshot_index(indexed, ii)?;
+        let (probe_kind, words) = key_words(probe, pi)?;
+        (probe_kind == kind).then_some((index, words))
+    };
+    if let Some((index, words)) = probed(left, li, right, ri) {
+        return Some(probe_left(words.into_iter().map(Some), index));
+    }
+    let (index, words) = probed(right, ri, left, li)?;
+    Some(probe_right(left.len(), index, words.into_iter().map(Some)))
 }
 
 /// The matches of an equi-join, left-major.
 struct Matches {
     /// How many right rows each left row matched.
     counts: Vec<usize>,
-    /// The matched right rows' positions: left row by left row, within
-    /// a left row in right order.
-    right: Vec<usize>,
+    /// The matched right rows' read indices: left row by left row,
+    /// within a left row in right order.
+    right: Vec<u32>,
 }
 
-/// Matches `left` keys to equal `right` keys (`None` matches nothing).
-/// The hash table is built over whichever side has fewer rows and
-/// probed with the other; the result is the same either way.
-fn join_matches<K: Hash + Eq>(
+/// The matches of `left`'s keys, probed in order against `index`, a
+/// key index of the right side: left-major as they are found, each left
+/// row's in right order (`None` matches nothing).
+fn probe_left<K: Hash + Eq>(
     left: impl ExactSizeIterator<Item = Option<K>>,
-    right: impl ExactSizeIterator<Item = Option<K>>,
+    index: &KeyIndex<K>,
 ) -> Matches {
-    const END: usize = usize::MAX;
-    // Rows sharing a key form a chain through `next` in build order, so
-    // a probe walks its matches in the order they were inserted without
-    // a list allocated per key.
-    fn build<K: Hash + Eq>(
-        keys: impl ExactSizeIterator<Item = Option<K>>,
-    ) -> (HashMap<K, (usize, usize), FxBuildHasher>, Vec<usize>) {
-        let mut next = vec![END; keys.len()];
-        let mut chains = HashMap::with_capacity_and_hasher(keys.len(), FxBuildHasher::default());
-        for (pos, key) in keys.enumerate() {
-            let Some(key) = key else { continue };
-            chains
-                .entry(key)
-                .and_modify(|(_, last)| {
-                    next[*last] = pos;
-                    *last = pos;
-                })
-                .or_insert((pos, pos));
+    let mut counts = Vec::with_capacity(left.len());
+    let mut right = Vec::with_capacity(left.len());
+    for key in left {
+        let before = right.len();
+        if let Some(key) = key {
+            right.extend(index.rows(&key));
         }
-        (chains, next)
+        counts.push(right.len() - before);
     }
-    /// The build positions `key` matches, in build order.
-    fn chain<'a, K: Hash + Eq>(
-        chains: &HashMap<K, (usize, usize), FxBuildHasher>,
-        next: &'a [usize],
-        key: Option<K>,
-    ) -> impl Iterator<Item = usize> + 'a {
-        let first = key.and_then(|k| chains.get(&k)).map(|&(first, _)| first);
-        std::iter::successors(first, |&pos| Some(next[pos]).filter(|&pos| pos != END))
-    }
+    Matches { counts, right }
+}
 
-    if right.len() <= left.len() {
-        let (chains, next) = build(right);
-        let mut counts = Vec::with_capacity(left.len());
-        let mut matched = Vec::with_capacity(left.len());
-        for key in left {
-            let before = matched.len();
-            matched.extend(chain(&chains, &next, key));
-            counts.push(matched.len() - before);
-        }
-        return Matches {
-            counts,
-            right: matched,
-        };
-    }
-    // Built on the left, the probe finds the pairs right-major. Count
-    // each left row's matches, turn the counts into each row's first
-    // slot, and place the pairs: a left row's slots fill in the order
-    // its pairs were found — right order.
-    let mut counts = vec![0; left.len()];
-    let (chains, next) = build(left);
+/// The matches of `right`'s keys against `index`, a key index of the
+/// `left_rows` left rows, put in left-major order. Probed a right row at
+/// a time, the pairs are found right-major: count each left row's
+/// matches, turn the counts into each row's first slot, and place the
+/// pairs — a left row's slots fill in the order its pairs were found,
+/// right order.
+fn probe_right<K: Hash + Eq>(
+    left_rows: usize,
+    index: &KeyIndex<K>,
+    right: impl Iterator<Item = Option<K>>,
+) -> Matches {
+    let mut counts = vec![0; left_rows];
     let mut pairs = Vec::new();
-    for (r, key) in right.enumerate() {
-        for l in chain(&chains, &next, key) {
-            counts[l] += 1;
+    for (r, key) in (0u32..).zip(right) {
+        for l in key.iter().flat_map(|key| index.rows(key)) {
+            counts[l as usize] += 1;
             pairs.push((l, r));
         }
     }
@@ -1243,13 +1308,26 @@ fn join_matches<K: Hash + Eq>(
         .collect();
     let mut matched = vec![0; pairs.len()];
     for (l, r) in pairs {
-        matched[slot[l]] = r;
-        slot[l] += 1;
+        matched[slot[l as usize]] = r;
+        slot[l as usize] += 1;
     }
     Matches {
         counts,
         right: matched,
     }
+}
+
+/// Matches `left` keys to equal `right` keys (`None` matches nothing).
+/// The key index is built over whichever side has fewer rows and probed
+/// with the other; the result is the same either way.
+fn join_matches<K: Hash + Eq>(
+    left: impl DoubleEndedIterator<Item = Option<K>> + ExactSizeIterator,
+    right: impl DoubleEndedIterator<Item = Option<K>> + ExactSizeIterator,
+) -> Matches {
+    if right.len() <= left.len() {
+        return probe_left(left, &KeyIndex::build(right));
+    }
+    probe_right(left.len(), &KeyIndex::build(left), right)
 }
 
 /// The key cells of one row read, compared in place, beside their

@@ -368,7 +368,10 @@ impl Selection {
 /// A table: its rows as one [`Batch`] — the one copy of the table's
 /// data, which a scan reads and output rows are built out of
 /// ([`crate::ops`], "Selections"); no row is stored — plus secondary
-/// indexes.
+/// indexes. The batch keeps a hash index of each column a join has read
+/// whole ([`Batch::key_index`]); a write drops them, in place when no
+/// selection holds the snapshot, and otherwise in the copy it writes,
+/// which starts with none while the held snapshot keeps its own.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -387,7 +390,7 @@ impl Table {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Table {
             name: name.into(),
-            data: Arc::new(Batch::empty(schema)),
+            data: Arc::new(Batch::empty(schema).keeping_key_indexes()),
             byte_size: 0,
             indexes: BTreeMap::new(),
         }
@@ -524,7 +527,7 @@ impl Table {
     /// (and [`pspp_common::Error::Invalid`] as [`Table::insert`] does);
     /// the table is unchanged on error.
     pub fn replace_rows(&mut self, rows: Vec<Row>) -> Result<()> {
-        let mut image = Batch::empty(self.schema().clone());
+        let mut image = Batch::empty(self.schema().clone()).keeping_key_indexes();
         as_u32(rows.len(), "row count")?;
         for row in &rows {
             image.schema().check_row(row)?;
@@ -751,6 +754,76 @@ mod tests {
             selection.with_positions(vec![0, 100]),
             Err(Error::Invalid(_))
         ));
+    }
+
+    /// The `k` of each row a join of `probe` with `selection` (on `k`,
+    /// over [`table`]'s schema) returns, and its `v`.
+    fn joined(selection: &Selection, probe: &[Row]) -> Vec<(Value, Value)> {
+        let schema = Schema::new(vec![("k", DataType::Int)]);
+        let (_, rows, _) = crate::ops::hash_join_with(
+            &schema,
+            Selected::all(probe).unwrap(),
+            &table().schema().clone(),
+            selection.selected(),
+            "k",
+            "k",
+            crate::ops::JoinKind::Inner,
+            None,
+            |_| {},
+        )
+        .unwrap();
+        rows.iter().map(|r| (r[0].clone(), r[2].clone())).collect()
+    }
+
+    #[test]
+    fn a_whole_snapshot_keeps_its_key_index_until_a_write() {
+        let mut t = table();
+        let whole = |t: &Table| t.select((0..t.len() as u32).collect());
+        let probe = [row![5i64], row![100i64], row![7i64]];
+        let five_and_seven = vec![(Value::Int(5), "v5".into()), (Value::Int(7), "v7".into())];
+
+        // A join that reads part of the snapshot builds no index; one
+        // that reads all of it, in order, does, on its key column alone.
+        assert_eq!(joined(&t.select(vec![7, 5]), &probe), five_and_seven);
+        assert!(!t.image().has_key_index(0));
+        assert_eq!(joined(&whole(&t), &probe), five_and_seven);
+        assert!(t.image().has_key_index(0) && !t.image().has_key_index(1));
+        assert_eq!(joined(&whole(&t), &probe), five_and_seven);
+
+        // With no other holder the insert writes in place, and drops
+        // the index: the next join sees the new row.
+        let before = Arc::as_ptr(&t.data);
+        t.insert(row![100i64, "new"]).unwrap();
+        assert_eq!(Arc::as_ptr(&t.data), before, "written in place");
+        assert!(!t.image().has_key_index(0));
+        let with_new = joined(&whole(&t), &probe);
+        assert_eq!(with_new[1], (Value::Int(100), "new".into()));
+        assert_eq!(with_new.len(), 3);
+
+        // A selection taken before a write keeps answering from its own
+        // snapshot, and that snapshot keeps its index; the table's new
+        // one starts with none.
+        let held = whole(&t);
+        assert_eq!(joined(&held, &probe), with_new);
+        t.insert(row![5i64, "five again"]).unwrap();
+        assert!(held.parts[0].has_key_index(0));
+        assert!(!t.image().has_key_index(0));
+        assert_eq!(joined(&held, &probe), with_new);
+        assert_eq!(joined(&whole(&t), &probe).len(), 4);
+        t.replace_rows(vec![row![7i64, "seven"]]).unwrap();
+        assert_eq!(
+            joined(&whole(&t), &probe),
+            vec![(Value::Int(7), "seven".into())]
+        );
+        assert_eq!(joined(&held, &probe), with_new);
+
+        // A migrated input — every row of a batch the codec decoded —
+        // joins as the table does and never keeps an index.
+        let decoded = held.selected().to_batch(t.schema(), &[0, 1]).unwrap();
+        let migrated = Selection::all(decoded).unwrap();
+        assert_eq!(joined(&migrated, &probe), with_new);
+        assert!(!migrated.parts[0].keeps_key_indexes());
+        assert!(!migrated.parts[0].has_key_index(0));
     }
 
     #[test]

@@ -9,27 +9,37 @@
 //!
 //! A table stores a row as its image's entries alone, a string in its
 //! column's one buffer: an insert allocates nothing per row.
+//!
+//! A hash join that reads a table's snapshot whole probes the key index
+//! the snapshot keeps: once it is built, the bytes a join allocates do
+//! not grow with the indexed table's rows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use pspp_common::{row, DataType, Predicate, Row, Schema, Value};
-use pspp_relstore::ops::{self, AggregateSpec, JoinKind};
+use pspp_relstore::ops::{self, AggregateSpec, JoinKind, Selected};
 use pspp_relstore::{RelationalStore, Selection, Table};
 
 /// The system allocator, counting the fresh allocations each thread
-/// makes (a vector growing in place or moving is not one). The test
-/// harness runs each test on a thread of its own, so one test's count is
-/// its own.
+/// makes (a vector growing in place or moving is not one) and the bytes
+/// it asks for (a growth, by what it adds). The test harness runs each
+/// test on a thread of its own, so one test's count is its own.
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
-fn counted() {
+fn counted(bytes: usize) {
     // Past the thread's end the count is gone; nothing reads it then.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    grown(bytes);
+}
+
+fn grown(bytes: usize) {
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -37,18 +47,19 @@ fn counted() {
 // a thread-local `Cell` that never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        counted();
+        counted(layout.size());
         // SAFETY: the caller's guarantees for `alloc` are passed on.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        counted();
+        counted(layout.size());
         // SAFETY: the caller's guarantees for `alloc_zeroed` are passed on.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        grown(new_size.saturating_sub(layout.size()));
         // SAFETY: the caller's guarantees for `realloc` are passed on.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -68,6 +79,16 @@ fn allocations<T>(f: impl FnOnce() -> T) -> usize {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     let made = ALLOCATIONS.with(Cell::get) - before;
+    drop(out);
+    made
+}
+
+/// The bytes `f` asks the allocator for on this thread; what it returns
+/// is dropped after the count is taken.
+fn allocated_bytes<T>(f: impl FnOnce() -> T) -> usize {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    let made = BYTES.with(Cell::get) - before;
     drop(out);
     made
 }
@@ -206,5 +227,52 @@ fn an_insert_allocates_nothing_per_row() {
     assert!(
         many <= few + 4,
         "Table::insert allocates per row: {few} allocations for 64 rows, {many} for 1024"
+    );
+}
+
+#[test]
+fn a_join_over_a_kept_key_index_allocates_the_same_however_long_the_table() {
+    // `t(k, v)` holding keys `0..rows` once each, read whole, joined
+    // with the same 64 probe rows, the even ones of which match.
+    let second_join = |rows: i64| {
+        let schema = Schema::new(vec![("k", DataType::Int), ("v", DataType::Int)]);
+        let mut store = RelationalStore::new("db");
+        store.create_table("t", schema.clone()).unwrap();
+        store
+            .insert("t", (0..rows).map(|k| row![k, k * 3]).collect())
+            .unwrap();
+        let (whole, _) = store.scan_kept("t", &Predicate::True, None, None).unwrap();
+        let probe_schema = Schema::new(vec![("p", DataType::Int)]);
+        let key = |i: i64| if i % 2 == 0 { i * 15 } else { 50_000 + i };
+        let probe: Vec<Row> = (0..64).map(|i| row![key(i)]).collect();
+        let join = || {
+            let probe = Selected::all(&probe).unwrap();
+            (ops::hash_join_with(
+                &probe_schema,
+                probe,
+                &schema,
+                whole.selected(),
+                "p",
+                "k",
+                JoinKind::Inner,
+                None,
+                |_| {},
+            ))
+            .unwrap()
+        };
+        let first = allocated_bytes(join);
+        assert!(store.table("t").unwrap().image().has_key_index(0));
+        let (second, matched) = (allocated_bytes(join), join().1.len());
+        assert!(
+            second < first,
+            "the second join builds nothing: {second} bytes, {first} before"
+        );
+        (second, matched)
+    };
+    let (few, many) = (second_join(1_000), second_join(10_000));
+    assert_eq!(few.1, 32, "the even probe rows match at either length");
+    assert_eq!(
+        few, many,
+        "a join over the kept index allocates by the table's rows: {few:?} at 1 000, {many:?} at 10 000"
     );
 }

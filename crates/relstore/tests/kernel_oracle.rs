@@ -1,5 +1,7 @@
 //! `ops::sort_rows`, `ops::group_by` and `ops::hash_join` (whole rows, and
-//! `hash_join_with` building a drawn subset of the columns) against their
+//! `hash_join_with` building a drawn subset of the columns, and reading
+//! either side whole off a table's snapshot, which keeps a key index of
+//! its join column) against their
 //! specifications, written here over `Value`'s own order and equality:
 //! a stable `sort_by`, a first-seen grouping by linear search, a nested
 //! loop. The kernels read typed key columns as flat words and fall back
@@ -8,8 +10,9 @@
 //! case mixes columns from both sides of that choice.
 
 use proptest::prelude::*;
-use pspp_common::{Error, Result, Row, Value};
+use pspp_common::{Error, Predicate, Result, Row, Value};
 use pspp_relstore::ops::{self, Aggregate, AggregateSpec, JoinKind, Selected, SortKey};
+use pspp_relstore::{RelationalStore, Selection};
 
 mod row_gen;
 use row_gen::{arb_any, arb_bool, arb_float, arb_int, arb_str, arb_timestamp, schema};
@@ -220,6 +223,20 @@ fn specified_join(
     (out, counts)
 }
 
+/// `rows` stored in a table of [`schema`] and scanned whole: a selection
+/// of every row of the table's snapshot, in order, which a hash join
+/// keeps a key index of. `None` when a row does not fit the schema (a
+/// column of values of any kind).
+fn stored(rows: &[Row]) -> Option<Selection> {
+    let mut db = RelationalStore::new("db");
+    db.create_table("t", schema()).expect("fresh store");
+    db.insert("t", rows.to_vec()).ok()?;
+    let (whole, _) = db
+        .scan_kept("t", &Predicate::True, None, None)
+        .expect("known table");
+    Some(whole)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
@@ -349,5 +366,35 @@ proptest! {
         prop_assert_eq!(narrow_schema.names(), names.iter().map(String::as_str).collect::<Vec<_>>());
         prop_assert_eq!(&narrow_counts, &want_counts);
         prop_assert_eq!(bytes, narrow.iter().map(|row| row.byte_size() as u64).sum::<u64>());
+
+        // Either side, or both, read whole off a table: the first join
+        // that reads a side whole builds its key index, the next probe
+        // it; every one answers as the nested loop does.
+        let (lstored, rstored) = (stored(&left), stored(&right));
+        let (lrows, rrows) = (Selected::all(&left).expect("few rows"), Selected::all(&right).expect("few rows"));
+        let lwhole = lstored.as_ref().map(Selection::selected);
+        let rwhole = rstored.as_ref().map(Selection::selected);
+        let sides = [
+            (Some(lrows), rwhole),
+            (lwhole, Some(rrows)),
+            (lwhole, rwhole),
+            (Some(lrows), rwhole),
+            (lwhole, Some(rrows)),
+        ];
+        for (l, r) in sides {
+            let (Some(l), Some(r)) = (l, r) else { continue };
+            let mut got_counts = Vec::new();
+            let (_, got, bytes) = ops::hash_join_with(
+                &s, l, &s, r, COLUMNS[li], COLUMNS[ri], kind, None,
+                |n| got_counts.push(n),
+            )
+            .expect("known columns");
+            prop_assert!(
+                same_rows(&got, &want),
+                "{li} = {ri} {kind:?} read whole, {left:?} with {right:?}: got {got:?}, want {want:?}"
+            );
+            prop_assert_eq!(&got_counts, &want_counts);
+            prop_assert_eq!(bytes, got.iter().map(|row| row.byte_size() as u64).sum::<u64>());
+        }
     }
 }

@@ -21,6 +21,14 @@
 //! the unprojected selection builds, its byte size included, over tables
 //! of every type (a `Bytes` column beside the others).
 //!
+//! A join with a side that reads every row of a table's snapshot, in
+//! order, probes that snapshot's key index (module docs of `ops`, "Key
+//! words") instead of building a table of its own: each join also runs
+//! with either side, and both, read whole off a table of their own that
+//! holds the rows they read as — through a projection, the table's
+//! columns stored in reverse order — and must answer as the plain rows
+//! do.
+//!
 //! Every row stored carries a `rid` of its own in its last column, so
 //! that rows compared by value are told apart: two equal rows swapped
 //! (a lost tie-break) fail as any other wrong row does.
@@ -589,6 +597,38 @@ fn kernels_agree(
 /// join's columns a demand names, if any.
 type JoinDraw = ((usize, usize, bool), (bool, bool), Vec<usize>);
 
+/// The rows `reads` reads as, stored in a table of their own — one more
+/// column first, then theirs in reverse order — scanned whole and
+/// projected back to their order: a selection of every row of one table
+/// snapshot, in order, through a projection, which a hash join keeps a
+/// key index of.
+fn stored_whole(reads: Reads<'_>) -> Selection {
+    let arity = reads.schema.arity();
+    let fields = (reads.schema.fields().iter().rev().enumerate()).map(|(c, field)| Field {
+        name: format!("c{c}"),
+        ..field.clone()
+    });
+    let schema = Schema::from_fields(
+        std::iter::once(Field::new("first", DataType::Int))
+            .chain(fields)
+            .collect(),
+    );
+    let rows = (reads.rows.iter())
+        .map(|row| {
+            std::iter::once(Value::Int(0))
+                .chain(row.iter().rev().cloned())
+                .collect()
+        })
+        .collect();
+    let mut db = RelationalStore::new("db");
+    db.create_table("t", schema).expect("fresh store");
+    db.insert("t", rows)
+        .expect("rows a table of this schema held");
+    let (whole, _) = (db.scan_kept("t", &Predicate::True, None, None)).expect("known table");
+    let back: Vec<usize> = (1..=arity).rev().collect();
+    whole.project(&back).expect("columns of the table")
+}
+
 /// Both joins of `left` and `right`, and of either one against the
 /// other's rows, and each side's migration batch of columns `keep`,
 /// against the same kernels over the rows they read as. Drawn columns
@@ -624,11 +664,20 @@ fn joins_agree(
         let out = ops::hash_join_with(ls, l, rs, r, lon, ron, kind, demand, |n| counts.push(n));
         out.map(|(schema, rows, bytes)| (schema, rows, bytes, counts))
     };
-    // Each side read as a selection, or as the plain rows it built.
+    // Each side read as a selection, or as the plain rows it built, or
+    // whole off a table of its own: a key index on the right, on the
+    // left, on both — built by the first join that reads the side whole
+    // and probed by the next ones.
+    let (lwhole, rwhole) = (stored_whole(lreads), stored_whole(rreads));
     let sides = [
         (left.selected(), right.selected()),
         (left.selected(), all(&rbuilt)),
         (all(&lbuilt), right.selected()),
+        (all(&lbuilt), rwhole.selected()),
+        (lwhole.selected(), all(&rbuilt)),
+        (lwhole.selected(), rwhole.selected()),
+        (left.selected(), rwhole.selected()),
+        (lwhole.selected(), right.selected()),
     ];
     let want = hash(all(&lbuilt), all(&rbuilt)).expect("known columns");
     for (l, r) in sides {

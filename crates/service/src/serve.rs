@@ -1,5 +1,6 @@
 //! The one serving path both tiers run a query down: key → plan cache →
-//! plan on a miss → result cache → execute on a miss → memoize.
+//! plan on a miss → result cache → execute on a miss → memoize; a plan
+//! that an epoch bump left stale before it ran is planned again, once.
 //!
 //! [`QueryService`](crate::QueryService) and
 //! [`SessionCore`](crate::SessionCore) differ in what sits *around*
@@ -12,7 +13,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use pspp_common::Result;
+use pspp_common::{Error, Result};
 use pspp_core::Polystore;
 
 use crate::cache::{CachedPlan, CachedResult, Caches, PlanKey, ResultKey};
@@ -155,8 +156,7 @@ impl Served {
     }
 }
 
-/// Serves `query`: [`plan`], then `caches`' result cache (when it has
-/// one), then [`execute`] and the insert on a miss.
+/// Serves `query`: [`plan`], then [`serve_planned`].
 pub(crate) fn serve(
     system: &Polystore,
     caches: Option<&Caches>,
@@ -164,11 +164,52 @@ pub(crate) fn serve(
     query: &Query,
 ) -> Result<Served> {
     let planned = plan(system, caches, memos.as_deref_mut(), query)?;
-    let plan_seconds = if planned.hit {
+    serve_planned(system, caches, memos, query, planned)
+}
+
+/// Serves `query` with `planned`, its plan: `caches`' result cache
+/// (when it has one), then [`execute`] and the insert on a miss. A plan
+/// that another worker's epoch bump left stale between the two halves
+/// ([`Error::StalePlan`]) is planned again under the new epoch — a
+/// plan-cache miss — and served once more: the result goes in under the
+/// new key, never the stale one, and the trip bills both plans. A
+/// second stale plan is the caller's error.
+fn serve_planned(
+    system: &Polystore,
+    caches: Option<&Caches>,
+    mut memos: Option<&mut Memos>,
+    query: &Query,
+    planned: Planned,
+) -> Result<Served> {
+    match result_of(system, caches, memos.as_deref_mut(), &planned) {
+        Err(Error::StalePlan { .. }) => {
+            let fresh = plan(system, caches, memos.as_deref_mut(), query)?;
+            let mut served = result_of(system, caches, memos, &fresh)?;
+            served.plan_seconds += plan_seconds(&planned);
+            Ok(served)
+        }
+        served => served,
+    }
+}
+
+/// Simulated planning seconds of `planned`: the lookup on a hit, the
+/// frontend + optimizer bill on a miss.
+fn plan_seconds(planned: &Planned) -> f64 {
+    if planned.hit {
         CACHE_HIT_SECONDS
     } else {
         planned.plan.plan_seconds
-    };
+    }
+}
+
+/// The result of `planned`: `caches`' result cache (when it has one),
+/// then [`execute`] and the insert on a miss.
+fn result_of(
+    system: &Polystore,
+    caches: Option<&Caches>,
+    memos: Option<&mut Memos>,
+    planned: &Planned,
+) -> Result<Served> {
     let results = caches.and_then(|c| c.results.as_ref());
     let cached = results.and_then(|r| r.get(&planned.id));
     let result_hit = cached.is_some();
@@ -184,8 +225,63 @@ pub(crate) fn serve(
     };
     Ok(Served {
         plan_hit: planned.hit,
-        plan_seconds,
+        plan_seconds: plan_seconds(planned),
         result_hit,
         result,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use pspp_core::datagen::{self, ClinicalConfig};
+    use pspp_telemetry::MetricsRegistry;
+
+    use super::*;
+
+    #[test]
+    fn a_plan_left_stale_by_an_epoch_bump_is_planned_again_once() {
+        let system = Polystore::from_deployment(datagen::clinical(&ClinicalConfig {
+            patients: 200,
+            vitals_per_patient: 2,
+            seed: 7,
+        }))
+        .build()
+        .expect("valid config");
+        let query = Query::sql(
+            "SELECT name, age FROM admissions JOIN db2.patients ON admissions.pid = patients.pid",
+        );
+        let caches = Caches::new(&MetricsRegistry::new(), true, true);
+        // Planned under one epoch, served under the next: what a worker
+        // sees when another bumps the epoch between its two halves.
+        let stale = plan(&system, Some(&caches), None, &query).unwrap();
+        let stale_id = stale.id;
+        system.bump_epoch();
+        let served = serve_planned(&system, Some(&caches), None, &query, stale).unwrap();
+        assert!(!served.plan_hit, "the retry plans under the new epoch");
+        assert!(!served.result_hit);
+
+        // The fresh plan is cached now, and the result is under its key.
+        let fresh = plan(&system, Some(&caches), None, &query).unwrap();
+        assert!(fresh.hit);
+        assert_ne!(fresh.id, stale_id);
+        let results = caches.results.as_ref().unwrap();
+        let cached = results
+            .get(&fresh.id)
+            .expect("the result under the fresh key");
+        assert!(Arc::ptr_eq(&cached, &served.result));
+        assert_eq!(cached.digest(), served.result.digest());
+        assert!(
+            results.get(&stale_id).is_none(),
+            "nothing under the stale key"
+        );
+
+        // The same answer a query served from scratch gets, and the
+        // same retry with no cache at all.
+        let cold = serve(&system, None, None, &query).unwrap();
+        assert_eq!(served.result.digest(), cold.result.digest());
+        let stale = plan(&system, None, None, &query).unwrap();
+        system.bump_epoch();
+        let uncached = serve_planned(&system, None, None, &query, stale).unwrap();
+        assert_eq!(uncached.result.digest(), cold.result.digest());
+    }
 }

@@ -137,23 +137,22 @@ impl Predicate {
     /// column is an error only when a row reaches the leaf that names
     /// it (a short-circuited `And`/`Or` branch never does).
     pub fn bind<'a>(&'a self, schema: &Schema) -> BoundPredicate<'a> {
-        use Ordering::{Equal, Greater, Less};
         let col = |name: &'a str| match schema.index_of(name) {
             Some(idx) => BoundColumn::At(idx),
             None => BoundColumn::Unknown(name),
         };
-        let cmp = |c: &'a str, v: &'a Value, accept| Bound::Cmp(col(c), v, accept);
+        let range = |c: &'a str, lo, hi| Bound::Range(col(c), Interval { lo, hi });
         let both =
             |a: &'a Predicate, b: &'a Predicate| Box::new([a.bind(schema).0, b.bind(schema).0]);
         BoundPredicate(match self {
             Predicate::True => Bound::True,
-            Predicate::Eq(c, v) => cmp(c, v, [Equal, Equal]),
-            Predicate::Ne(c, v) => cmp(c, v, [Less, Greater]),
-            Predicate::Lt(c, v) => cmp(c, v, [Less, Less]),
-            Predicate::Le(c, v) => cmp(c, v, [Less, Equal]),
-            Predicate::Gt(c, v) => cmp(c, v, [Greater, Greater]),
-            Predicate::Ge(c, v) => cmp(c, v, [Greater, Equal]),
-            Predicate::Between(c, lo, hi) => Bound::Between(col(c), lo, hi),
+            Predicate::Eq(c, v) => range(c, Some((v, true)), Some((v, true))),
+            Predicate::Ne(c, v) => Bound::Ne(col(c), v),
+            Predicate::Lt(c, v) => range(c, None, Some((v, false))),
+            Predicate::Le(c, v) => range(c, None, Some((v, true))),
+            Predicate::Gt(c, v) => range(c, Some((v, false)), None),
+            Predicate::Ge(c, v) => range(c, Some((v, true)), None),
+            Predicate::Between(c, lo, hi) => range(c, Some((lo, true)), Some((hi, true))),
             Predicate::In(c, vs) => Bound::In(col(c), vs),
             Predicate::IsNull(c) => Bound::IsNull(col(c)),
             Predicate::And(a, b) => Bound::And(both(a, b)),
@@ -314,15 +313,72 @@ impl BoundColumn<'_> {
 #[derive(Debug, Clone)]
 enum Bound<'a> {
     True,
-    /// Column against literal: true when the column orders against the
-    /// literal as either of the two accepted orderings.
-    Cmp(BoundColumn<'a>, &'a Value, [Ordering; 2]),
-    Between(BoundColumn<'a>, &'a Value, &'a Value),
+    /// `Eq`, `Lt`, `Le`, `Gt`, `Ge` and `Between`: the column lies in an
+    /// interval.
+    Range(BoundColumn<'a>, Interval<&'a Value>),
+    Ne(BoundColumn<'a>, &'a Value),
     In(BoundColumn<'a>, &'a [Value]),
     IsNull(BoundColumn<'a>),
     And(Box<[Bound<'a>; 2]>),
     Or(Box<[Bound<'a>; 2]>),
     Not(Box<Bound<'a>>),
+}
+
+/// Where a range leaf, or a conjunction of them on one column, lets a
+/// value lie: each bound a literal and whether it is inclusive; `None`
+/// leaves that side open.
+#[derive(Debug, Clone, Copy)]
+struct Interval<L> {
+    lo: Option<(L, bool)>,
+    hi: Option<(L, bool)>,
+}
+
+impl<L: Copy> Interval<L> {
+    /// The same bounds, each literal taken through `f`; `None` when `f`
+    /// refuses one.
+    fn map<M>(self, f: impl Fn(L) -> Option<M>) -> Option<Interval<M>> {
+        let side = |bound: Option<(L, bool)>| match bound {
+            Some((v, inclusive)) => f(v).map(|v| Some((v, inclusive))),
+            None => Some(None),
+        };
+        Some(Interval {
+            lo: side(self.lo)?,
+            hi: side(self.hi)?,
+        })
+    }
+
+    /// The values both intervals hold, `cmp` ordering two literals (a
+    /// total order, or the meet is not exact): on each side the tighter
+    /// bound, the exclusive one where the two literals are equal.
+    fn meet(self, other: Self, cmp: impl Fn(&L, &L) -> Ordering) -> Self {
+        let tighter = |a, b, inward| match (a, b) {
+            (Some((x, x_inclusive)), Some((y, y_inclusive))) => Some(match cmp(&x, &y) {
+                Ordering::Equal => (x, x_inclusive && y_inclusive),
+                o if o == inward => (x, x_inclusive),
+                _ => (y, y_inclusive),
+            }),
+            (a, b) => a.or(b),
+        };
+        Interval {
+            lo: tighter(self.lo, other.lo, Ordering::Greater),
+            hi: tighter(self.hi, other.hi, Ordering::Less),
+        }
+    }
+}
+
+impl<L> Interval<L> {
+    /// Whether `x` lies inside, `cmp` ordering a value against a
+    /// literal.
+    #[inline]
+    fn holds<T>(&self, x: &T, cmp: impl Fn(&T, &L) -> Ordering) -> bool {
+        let inside = |bound: &Option<(L, bool)>, inward| {
+            bound.as_ref().is_none_or(|(v, inclusive)| match cmp(x, v) {
+                Ordering::Equal => *inclusive,
+                o => o == inward,
+            })
+        };
+        inside(&self.lo, Ordering::Greater) && inside(&self.hi, Ordering::Less)
+    }
 }
 
 /// What [`BoundPredicate::select`] reads: rows of the bound schema, or
@@ -416,21 +472,27 @@ impl BoundPredicate<'_> {
         BoundPredicate(self.0.through(columns))
     }
 
-    /// The positions of `selection` (each at most once, any order)
-    /// whose row satisfies the predicate, in `selection`'s order: what
-    /// keeping the `p` with `self.eval_at(source, p)` gives, errors
-    /// included, evaluated a column at a time.
+    /// The rows of `source` that satisfy the predicate, in order: of
+    /// the positions `rows` (each at most once, any order), or, for
+    /// `None`, of every row. What keeping the `p` with
+    /// `self.eval_at(source, p)` gives, errors included, evaluated a
+    /// column at a time.
     ///
-    /// A leaf over a typed column whose literals are of the column's
-    /// own variant loops over the typed values — a `Str` column over
-    /// the strings in its buffer; any other leaf (a `Bytes` column, a
-    /// literal of another variant such as an `Int` column against
-    /// `5.0`, any column of rows) reads its column a cell at a
-    /// time ([`ColumnSource::cell`]).
-    /// `And` hands its right side only what its left side kept. A tree
-    /// that names an unknown column is evaluated row by row instead:
-    /// which row first reaches which unknown leaf decides the error,
-    /// and only row order reproduces that.
+    /// A conjunction makes one pass per column, not one per leaf: its
+    /// `Eq`, `Lt`, `Le`, `Gt`, `Ge` and `Between` conjuncts on one typed
+    /// column, each with literals of the column's own variant, fold into
+    /// one interval, tested in one loop over the typed values — a `Str`
+    /// column over the strings in its buffer. `Ne`, `In` and `IsNull`
+    /// over such a column loop over the typed values as well. Any other
+    /// leaf (a `Bytes` column, a literal of another variant such as an
+    /// `Int` column against `5.0`, any column of rows) reads its column
+    /// a cell at a time ([`ColumnSource::cell`]). Each pass hands the
+    /// next only what it kept; the first pass of a full scan walks its
+    /// column and validity flags directly, with no positions to read.
+    /// A tree that names an unknown column is evaluated row by row
+    /// instead: which row first reaches which unknown leaf decides the
+    /// error, and only row order reproduces that. Without one nothing
+    /// can fail, so a conjunction may run its conjuncts in any order.
     ///
     /// # Errors
     ///
@@ -440,12 +502,13 @@ impl BoundPredicate<'_> {
     /// # Panics
     ///
     /// Panics if a position is out of `source`'s bounds.
-    pub fn select(&self, source: ColumnSource<'_>, mut selection: Vec<u32>) -> Result<Vec<u32>> {
+    pub fn select(&self, source: ColumnSource<'_>, rows: Option<Vec<u32>>) -> Result<Vec<u32>> {
         if self.0.names_unknown_column() {
+            let mut selection = rows.unwrap_or_else(|| every_row(source.len()));
             self.0.retain_by_cells(source, &mut selection)?;
             Ok(selection)
         } else {
-            self.0.select(source, selection)
+            self.0.select(source, rows)
         }
     }
 }
@@ -460,8 +523,8 @@ impl<'a> Bound<'a> {
         let both = |p: Box<[Self; 2]>| Box::new(p.map(|b| b.through(columns)));
         match self {
             Bound::True => Bound::True,
-            Bound::Cmp(c, v, accept) => Bound::Cmp(col(c), v, accept),
-            Bound::Between(c, lo, hi) => Bound::Between(col(c), lo, hi),
+            Bound::Range(c, range) => Bound::Range(col(c), range),
+            Bound::Ne(c, v) => Bound::Ne(col(c), v),
             Bound::In(c, vs) => Bound::In(col(c), vs),
             Bound::IsNull(c) => Bound::IsNull(col(c)),
             Bound::And(p) => Bound::And(both(p)),
@@ -474,12 +537,10 @@ impl<'a> Bound<'a> {
     fn eval<'v>(&self, cell: &impl Fn(usize) -> ValueRef<'v>) -> Result<bool> {
         Ok(match self {
             Bound::True => true,
-            Bound::Cmp(c, v, accept) => {
-                (c.non_null(cell)?).is_some_and(|x| accept.contains(&x.cmp(&v.view())))
+            Bound::Range(c, range) => {
+                (c.non_null(cell)?).is_some_and(|x| range.holds(&x, |x, v| x.cmp(&v.view())))
             }
-            Bound::Between(c, lo, hi) => {
-                (c.non_null(cell)?).is_some_and(|x| x >= lo.view() && x <= hi.view())
-            }
+            Bound::Ne(c, v) => (c.non_null(cell)?).is_some_and(|x| x != v.view()),
             Bound::In(c, vs) => {
                 (c.non_null(cell)?).is_some_and(|x| vs.iter().any(|v| x == v.view()))
             }
@@ -493,11 +554,20 @@ impl<'a> Bound<'a> {
     fn names_unknown_column(&self) -> bool {
         match self {
             Bound::True => false,
-            Bound::Cmp(c, ..) | Bound::Between(c, ..) | Bound::In(c, _) | Bound::IsNull(c) => {
+            Bound::Range(c, _) | Bound::Ne(c, _) | Bound::In(c, _) | Bound::IsNull(c) => {
                 matches!(c, BoundColumn::Unknown(_))
             }
             Bound::And(p) | Bound::Or(p) => p.iter().any(Bound::names_unknown_column),
             Bound::Not(p) => p.names_unknown_column(),
+        }
+    }
+
+    /// The conjuncts of a conjunction, in order; any other bound is its
+    /// own single conjunct.
+    fn conjuncts<'s>(&'s self, out: &mut Vec<&'s Bound<'a>>) {
+        match self {
+            Bound::And(p) => p.iter().for_each(|b| b.conjuncts(out)),
+            other => out.push(other),
         }
     }
 
@@ -516,48 +586,91 @@ impl<'a> Bound<'a> {
         Ok(())
     }
 
-    fn select(&self, source: ColumnSource<'_>, mut selection: Vec<u32>) -> Result<Vec<u32>> {
+    /// [`BoundPredicate::select`] for a tree that names no unknown
+    /// column.
+    fn select(&self, source: ColumnSource<'_>, rows: Option<Vec<u32>>) -> Result<Vec<u32>> {
+        let every = || every_row(source.len());
         match self {
-            Bound::True => {}
-            Bound::And(p) => return p[1].select(source, p[0].select(source, selection)?),
+            Bound::True => Ok(rows.unwrap_or_else(every)),
+            Bound::And(_) => {
+                let mut conjuncts = Vec::new();
+                self.conjuncts(&mut conjuncts);
+                // Range conjuncts on one typed column, literals of its
+                // own variant, fold into one interval.
+                let folds = |c: usize, range: &Interval<&Value>| {
+                    source.typed(c).is_some_and(|(column, _)| {
+                        let own = Some(column.data_type());
+                        range.map(|v| (v.data_type() == own).then_some(v)).is_some()
+                    })
+                };
+                let mut folded: Vec<(usize, Interval<&Value>)> = Vec::new();
+                let mut rest = Vec::new();
+                for conjunct in conjuncts {
+                    match conjunct {
+                        Bound::Range(BoundColumn::At(c), range) if folds(*c, range) => {
+                            match folded.iter_mut().find(|(at, _)| at == c) {
+                                Some((_, interval)) => *interval = interval.meet(*range, Ord::cmp),
+                                None => folded.push((*c, *range)),
+                            }
+                        }
+                        other => rest.push(other),
+                    }
+                }
+                let folded: Vec<Bound> = (folded.into_iter())
+                    .map(|(c, range)| Bound::Range(BoundColumn::At(c), range))
+                    .collect();
+                let mut rows = rows;
+                for conjunct in folded.iter().chain(rest) {
+                    rows = Some(conjunct.select(source, rows)?);
+                }
+                Ok(rows.unwrap_or_else(every))
+            }
             Bound::Or(p) => {
                 // `b` sees only what `a` rejected; the result is the
                 // selection less what both rejected.
-                let left = p[0].select(source, selection.clone())?;
+                let selection = rows.unwrap_or_else(every);
+                let left = p[0].select(source, Some(selection.clone()))?;
                 let rest = without(&selection, &left);
-                let right = p[1].select(source, rest.clone())?;
-                return Ok(without(&selection, &without(&rest, &right)));
+                let right = p[1].select(source, Some(rest.clone()))?;
+                Ok(without(&selection, &without(&rest, &right)))
             }
             Bound::Not(p) => {
-                let rejected = p.select(source, selection.clone())?;
-                return Ok(without(&selection, &rejected));
+                let selection = rows.unwrap_or_else(every);
+                let rejected = p.select(source, Some(selection.clone()))?;
+                Ok(without(&selection, &rejected))
             }
-            Bound::Cmp(c, ..) | Bound::Between(c, ..) | Bound::In(c, _) | Bound::IsNull(c) => {
+            Bound::Range(c, _) | Bound::Ne(c, _) | Bound::In(c, _) | Bound::IsNull(c) => {
                 let typed = match c {
                     BoundColumn::At(idx) => source.typed(*idx),
                     BoundColumn::Unknown(_) => None,
                 };
-                let narrowed = typed.is_some_and(|(column, validity)| {
-                    self.narrow_typed(column, validity, &mut selection)
-                });
-                if !narrowed {
-                    self.retain_by_cells(source, &mut selection)?;
+                let mut rows = rows;
+                let narrowed = typed
+                    .and_then(|(column, validity)| self.narrow_typed(column, validity, &mut rows));
+                if let Some(kept) = narrowed {
+                    return Ok(kept);
                 }
+                let mut selection = rows.unwrap_or_else(every);
+                self.retain_by_cells(source, &mut selection)?;
+                Ok(selection)
             }
         }
-        Ok(selection)
     }
 
-    /// Narrows `selection` by this leaf over a typed column; `false`
-    /// (and `selection` untouched) when the column's type or one of the
-    /// literals has no typed loop.
-    fn narrow_typed(&self, column: &Column, validity: &[bool], selection: &mut Vec<u32>) -> bool {
+    /// Narrows `rows` (as [`BoundPredicate::select`] takes them) by this
+    /// leaf over a typed column; `None` (and `rows` untouched) when the
+    /// column's type or one of the literals has no typed loop.
+    fn narrow_typed(
+        &self,
+        column: &Column,
+        validity: &[bool],
+        rows: &mut Option<Vec<u32>>,
+    ) -> Option<Vec<u32>> {
         if matches!(self, Bound::IsNull(_)) {
-            retain(selection, |p| !validity[p]);
-            return true;
+            return Some(narrow(rows.take(), validity.len(), |p| !validity[p]));
         }
         // Exactly the same-variant arms of `Value::cmp`.
-        let rows = (validity, selection);
+        let rows = (validity, rows);
         match column {
             Column::Int(xs) => self.narrow_as(
                 rows,
@@ -591,7 +704,7 @@ impl<'a> Bound<'a> {
                 let cmp = |x: &&str, literal: &&str| (**x).cmp(*literal);
                 self.narrow_as(rows, |p| xs.get(p), cmp, Value::as_str)
             }
-            Column::Bytes(_) => false,
+            Column::Bytes(_) => None,
         }
     }
 
@@ -601,56 +714,95 @@ impl<'a> Bound<'a> {
     /// orders that variant. A NULL never matches.
     fn narrow_as<T, L>(
         &self,
-        (validity, selection): (&[bool], &mut Vec<u32>),
+        (validity, rows): (&[bool], &mut Option<Vec<u32>>),
         at: impl Fn(usize) -> T,
         cmp: impl Fn(&T, &L) -> Ordering,
         literal: impl Fn(&'a Value) -> Option<L>,
-    ) -> bool {
-        match self {
-            Bound::Cmp(_, v, accept) => {
-                let Some(v) = literal(v) else { return false };
-                retain(selection, |p| {
-                    validity[p] && accept.contains(&cmp(&at(p), &v))
-                });
+    ) -> Option<Vec<u32>> {
+        let n = validity.len();
+        Some(match self {
+            Bound::Range(_, range) => {
+                let Interval { lo, hi } = range.map(&literal)?;
+                // A loop for each kind of lower bound (open, inclusive,
+                // exclusive), and within it of upper bound: no row asks
+                // which kind it meets.
+                let rows = (validity, rows.take());
+                match lo {
+                    None => narrow_below(rows, at, &cmp, hi, |_| true),
+                    Some((lo, true)) => narrow_below(rows, at, &cmp, hi, |x| cmp(x, &lo).is_ge()),
+                    Some((lo, false)) => narrow_below(rows, at, &cmp, hi, |x| cmp(x, &lo).is_gt()),
+                }
             }
-            Bound::Between(_, lo, hi) => {
-                let (Some(lo), Some(hi)) = (literal(lo), literal(hi)) else {
-                    return false;
-                };
-                retain(selection, |p| {
-                    validity[p] && {
-                        let x = at(p);
-                        cmp(&x, &lo).is_ge() && cmp(&x, &hi).is_le()
-                    }
-                });
+            Bound::Ne(_, v) => {
+                let v = literal(v)?;
+                narrow(rows.take(), n, |p| validity[p] && cmp(&at(p), &v).is_ne())
             }
             Bound::In(_, vs) => {
-                let Some(vs) = vs.iter().map(&literal).collect::<Option<Vec<L>>>() else {
-                    return false;
-                };
-                retain(selection, |p| {
+                let vs = vs.iter().map(&literal).collect::<Option<Vec<L>>>()?;
+                narrow(rows.take(), n, |p| {
                     validity[p] && {
                         let x = at(p);
                         vs.iter().any(|v| cmp(&x, v).is_eq())
                     }
-                });
+                })
             }
-            _ => return false,
-        }
-        true
+            _ => return None,
+        })
     }
 }
 
-/// Keeps the positions `keep` accepts, in order, without a branch on
-/// the answer.
-fn retain(selection: &mut Vec<u32>, keep: impl Fn(usize) -> bool) {
+/// The rows of `rows` (as [`narrow`] takes them) whose value `at` reads
+/// is valid, accepted by `above` and no greater than `hi`'s literal
+/// (less, if it is exclusive), `cmp` ordering a value against it.
+fn narrow_below<T, L>(
+    (validity, rows): (&[bool], Option<Vec<u32>>),
+    at: impl Fn(usize) -> T,
+    cmp: impl Fn(&T, &L) -> Ordering,
+    hi: Option<(L, bool)>,
+    above: impl Fn(&T) -> bool,
+) -> Vec<u32> {
+    let n = validity.len();
+    let inside = |p: usize, below: fn(Ordering) -> bool, hi: &L| {
+        let x = at(p);
+        validity[p] & above(&x) & below(cmp(&x, hi))
+    };
+    match hi {
+        None => narrow(rows, n, |p| validity[p] & above(&at(p))),
+        Some((hi, true)) => narrow(rows, n, |p| inside(p, Ordering::is_le, &hi)),
+        Some((hi, false)) => narrow(rows, n, |p| inside(p, Ordering::is_lt, &hi)),
+    }
+}
+
+/// Positions `0..n`: every row of a source of `n`.
+fn every_row(n: usize) -> Vec<u32> {
+    (0..n as u32).collect()
+}
+
+/// The rows `keep` accepts, in order: of the positions `rows`, or, for
+/// `None`, of every row of a source of `n`, counted rather than read.
+fn narrow(rows: Option<Vec<u32>>, n: usize, keep: impl Fn(usize) -> bool) -> Vec<u32> {
+    match rows {
+        Some(positions) => compact(positions, |i, positions| positions[i], keep),
+        None => compact(vec![0; n], |i, _| i as u32, keep),
+    }
+}
+
+/// The one narrowing loop: writes over `kept_rows` the positions, in
+/// order, of the rows `keep` accepts, the `i`-th read by
+/// `position(i, kept_rows)`, without a branch on the answer.
+fn compact(
+    mut kept_rows: Vec<u32>,
+    position: impl Fn(usize, &[u32]) -> u32,
+    keep: impl Fn(usize) -> bool,
+) -> Vec<u32> {
     let mut kept = 0;
-    for i in 0..selection.len() {
-        let p = selection[i];
-        selection[kept] = p;
+    for i in 0..kept_rows.len() {
+        let p = position(i, &kept_rows);
+        kept_rows[kept] = p;
         kept += usize::from(keep(p as usize));
     }
-    selection.truncate(kept);
+    kept_rows.truncate(kept);
+    kept_rows
 }
 
 /// `selection` less the positions of `removed`, which must be a
@@ -759,15 +911,30 @@ mod tests {
             Predicate::eq("s", "x")
                 .or(Predicate::lt("a", 1i64).not())
                 .and(Predicate::IsNull("a".into()).not()),
+            // Conjunctions that fold into one interval: a half-open one,
+            // one pinched to a point, an empty one; and one whose `Float`
+            // literal does not fold.
+            Predicate::ge("a", 0i64).and(Predicate::lt("a", 5i64)),
+            Predicate::gt("a", 0i64).and(Predicate::le("a", 3i64).and(Predicate::ge("a", 3i64))),
+            Predicate::gt("a", 3i64).and(Predicate::le("a", 3i64)),
+            Predicate::between("s", "", "x").and(Predicate::gt("s", "")),
+            Predicate::ge("a", 3i64).and(Predicate::lt("a", 5.0)),
         ];
-        // Ascending, and an index's order: any, each position once. Over
-        // the rows (every leaf a cell at a time) and over their batch.
+        // Every row; ascending, and an index's order: any, each position
+        // once. Over the rows (every leaf a cell at a time) and over their
+        // batch.
+        let selections = [
+            None,
+            Some(vec![0, 1, 2, 3, 4, 5]),
+            Some(vec![4, 2, 5, 0, 3]),
+            Some(vec![]),
+        ];
         for source in [ColumnSource::Rows(&rows), ColumnSource::Image(&image)] {
-            for selection in [vec![0, 1, 2, 3, 4, 5], vec![4, 2, 5, 0, 3], vec![]] {
+            for selection in &selections {
                 for p in &predicates {
-                    let want: Vec<u32> = selection
-                        .iter()
-                        .copied()
+                    let read = selection.clone().unwrap_or_else(|| (0..6).collect());
+                    let want: Vec<u32> = read
+                        .into_iter()
                         .filter(|&i| p.eval(&s, &rows[i as usize]).unwrap())
                         .collect();
                     let got = p.bind(&s).select(source, selection.clone()).unwrap();
@@ -783,7 +950,7 @@ mod tests {
         let rows = vec![row![1i64, "x"], row![2i64, "y"]];
         let image = Batch::from_rows(&s, rows.clone()).unwrap();
         let source = ColumnSource::Image(&image);
-        let select = |p: &Predicate, selection| p.bind(&s).select(source, selection);
+        let select = |p: &Predicate, selection| p.bind(&s).select(source, Some(selection));
         let missing = |name: &str| Err(Error::ColumnNotFound(name.to_owned()));
         // Row 0 fails the left side and reaches `zzz`; evaluating the
         // left column first for every row would reach `yyy` (row 1).

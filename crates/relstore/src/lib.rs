@@ -153,9 +153,11 @@ impl RelationalStore {
     /// equality or range on an indexed column — only the index's
     /// candidate rows are tested then — otherwise a sequential scan over
     /// every row. Either way the predicate runs column-wise over the
-    /// table's image ([`pspp_common::BoundPredicate::select`]) and the
-    /// output's payload bytes come from the image's widths, not from a
-    /// walk of the output rows.
+    /// table's image ([`pspp_common::BoundPredicate::select`]): one pass
+    /// per column, a conjunction's range leaves on a column folded into
+    /// one interval, and a sequential scan's first pass walks the column
+    /// itself, with no positions to read. The output's payload bytes
+    /// come from the image's widths, not from a walk of the output rows.
     ///
     /// # Errors
     ///
@@ -180,7 +182,9 @@ impl RelationalStore {
     /// destinations (`route`), where each row goes. The destinations
     /// come from one pass over the key's column image at the kept
     /// positions ([`HashRouter::route_column`]), and each destination's
-    /// bytes from the image ([`Selection::byte_size`]'s widths).
+    /// bytes from the image ([`Selection::byte_size`]'s widths). A
+    /// sequential scan hands the predicate no positions (`None`: every
+    /// row), so the only positions it makes are the ones it keeps.
     ///
     /// # Errors
     ///
@@ -195,10 +199,7 @@ impl RelationalStore {
         route: Option<(&str, u32)>,
     ) -> Result<(Selection, Routes)> {
         let t = self.table(table)?;
-        let candidates = t
-            .candidates(predicate)
-            .unwrap_or_else(|| (0..t.len() as u32).collect());
-        let kept = predicate.bind(t.schema()).select(t.source(), candidates)?;
+        let kept = (predicate.bind(t.schema())).select(t.source(), t.candidates(predicate))?;
         let columns: Option<Vec<usize>> = projection
             .map(|cols| cols.iter().map(|c| t.schema().require(c)).collect())
             .transpose()?;

@@ -634,14 +634,13 @@ pub fn filter_at(schema: &Schema, input: Selected<'_>, predicate: &Predicate) ->
         bound = bound.through(columns);
     }
     let (Parts::Many(parts), Some(positions)) = (input.parts, input.positions) else {
-        let positions = (0..input.len()).map(|i| input.position(i)).collect();
-        return bound.select(input.part(0), positions);
+        return bound.select(input.part(0), input.positions.map(<[u32]>::to_vec));
     };
     // Each part's rows are selected over its own source, and the kept
     // ones are taken back in input order.
     let mut kept = Vec::with_capacity(parts.len());
     for (part, rows) in parts.iter().zip(rows_by_part(parts.len(), positions)) {
-        match bound.select(ColumnSource::Image(part), rows) {
+        match bound.select(ColumnSource::Image(part), Some(rows)) {
             Ok(rows) => kept.push(rows.into_iter().peekable()),
             Err(e) => {
                 // The error a row at a time raises first, in input order.

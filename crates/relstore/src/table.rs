@@ -2,6 +2,7 @@
 //! B-tree indexes.
 
 use std::collections::BTreeMap;
+use std::ops::Bound::{Included, Unbounded};
 use std::sync::Arc;
 
 use pspp_common::{
@@ -544,23 +545,23 @@ impl Table {
 
     /// The positions of the index-selected candidate rows for a
     /// predicate, when it has usable bounds on an indexed column, in
-    /// index order; `None` means no index applies and the caller scans
-    /// every position.
+    /// index order; `None` means no index applies and the scan reads
+    /// every row, as [`pspp_common::BoundPredicate::select`] takes
+    /// `None`.
     pub fn candidates(&self, predicate: &Predicate) -> Option<Vec<u32>> {
         let (column, lo, hi) = predicate.index_bounds()?;
         let index = self.indexes.get(column)?;
-        let positions = |hits: &mut dyn Iterator<Item = (&Value, &Vec<u32>)>| {
-            hits.flat_map(|(_, positions)| positions).copied().collect()
-        };
-        Some(match (lo, hi) {
-            // An inverted range (`BETWEEN 10 AND 5`, or bounds of two
-            // types) selects nothing; `BTreeMap::range` panics on one.
-            (Some(lo), Some(hi)) if lo > hi => Vec::new(),
-            (Some(lo), Some(hi)) => positions(&mut index.range(lo..=hi)),
-            (Some(lo), None) => positions(&mut index.range(lo..)),
-            (None, Some(hi)) => positions(&mut index.range(..=hi)),
-            (None, None) => (0..self.len() as u32).collect(),
-        })
+        // An inverted range (`BETWEEN 10 AND 5`, or bounds of two types)
+        // selects nothing; `BTreeMap::range` panics on one.
+        if lo.zip(hi).is_some_and(|(lo, hi)| lo > hi) {
+            return Some(Vec::new());
+        }
+        let (lo, hi) = (
+            lo.map_or(Unbounded, Included),
+            hi.map_or(Unbounded, Included),
+        );
+        let hits = index.range::<Value, _>((lo, hi));
+        Some(hits.flat_map(|(_, positions)| positions).copied().collect())
     }
 
     /// Total payload bytes.

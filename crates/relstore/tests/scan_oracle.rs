@@ -2,18 +2,71 @@
 //! rows, in candidate order, that `Predicate::eval` keeps — or the
 //! first error it raises. The scan evaluates a column at a time over
 //! the table's typed image; the specification evaluates a row at a
-//! time and knows nothing of images, selections or indexes.
+//! time and knows nothing of images, selections or indexes. A
+//! conjunction of range leaves on one column, which the scan folds into
+//! one interval, is held to it as well through `ops::filter_at` over a
+//! partial selection.
 
 use proptest::prelude::*;
 use pspp_common::{DataType, Predicate, Result, Row, Value};
+use pspp_relstore::ops::{filter_at, Selected};
 use pspp_relstore::RelationalStore;
 
 mod predicate_gen;
 mod row_gen;
 use predicate_gen::{arb_predicate_program, predicate_from};
-// A literal is a value of any variant, whichever column it ends up
-// against.
-use row_gen::{arb_any as arb_literal, arb_row, schema};
+use row_gen::{arb_any, arb_bool, arb_float, arb_int, arb_row, arb_str, arb_timestamp, schema};
+
+/// The ends of the kinds' domains, which the rows never hold: the `Int`
+/// and `Timestamp` extremes, a NaN and both infinities. Against them a
+/// bound has nothing beyond it (`Lt(i, i64::MIN)`, `Gt(i, i64::MAX)`),
+/// or orders past every number (`NaN` under `total_cmp`).
+fn arb_edge() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Int(i64::MIN)),
+        Just(Value::Int(i64::MAX)),
+        Just(Value::Timestamp(i64::MIN)),
+        Just(Value::Timestamp(i64::MAX)),
+        Just(Value::Float(f64::NAN)),
+        Just(Value::Float(f64::INFINITY)),
+        Just(Value::Float(f64::NEG_INFINITY)),
+    ]
+}
+
+/// A literal is a value of any variant, whichever column it ends up
+/// against; one in four is an edge of a domain.
+fn arb_literal() -> impl Strategy<Value = Value> {
+    prop_oneof![arb_any(), arb_any(), arb_any(), arb_edge()]
+}
+
+/// A literal of each column's own variant, in schema order, the ends of
+/// each numeric domain among them.
+fn arb_own() -> impl Strategy<Value = Vec<Value>> {
+    (
+        prop_oneof![
+            arb_int(),
+            arb_int(),
+            Just(Value::Int(i64::MIN)),
+            Just(Value::Int(i64::MAX))
+        ],
+        prop_oneof![
+            arb_float(),
+            arb_float(),
+            Just(Value::Float(f64::NAN)),
+            Just(Value::Float(f64::INFINITY)),
+            Just(Value::Float(f64::NEG_INFINITY)),
+        ],
+        prop_oneof![
+            arb_timestamp(),
+            arb_timestamp(),
+            Just(Value::Timestamp(i64::MIN)),
+            Just(Value::Timestamp(i64::MAX)),
+        ],
+        arb_bool(),
+        arb_str(),
+    )
+        .prop_map(|(i, f, t, b, s)| vec![i, f, t, b, s])
+}
 
 /// Leaves mostly over real columns; one in eight names a column the
 /// schema lacks. Two such names: with one, every error reads alike and
@@ -134,5 +187,105 @@ proptest! {
                 ),
             }
         }
+    }
+}
+
+/// The range conjunct `kind` (`Eq`, `Lt`, `Le`, `Gt`, `Ge` or
+/// `Between`) over column `c`; only `Between` reads `hi`.
+fn range_leaf(kind: u8, c: &str, lo: Value, hi: Value) -> Predicate {
+    match kind {
+        0 => Predicate::eq(c, lo),
+        1 => Predicate::lt(c, lo),
+        2 => Predicate::le(c, lo),
+        3 => Predicate::gt(c, lo),
+        4 => Predicate::ge(c, lo),
+        _ => Predicate::between(c, lo, hi),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Two or three range conjuncts on one column, which the scan folds
+    /// into one interval when their literals are the column's own
+    /// variant, and at times an `Ne`, `In` or `IsNull` leaf among them:
+    /// what `Predicate::eval` keeps, on the full scan (no positions), on
+    /// an index's candidates and on a partial selection (explicit
+    /// positions).
+    #[test]
+    fn a_range_conjunction_keeps_what_eval_keeps(
+        rows in prop::collection::vec(arb_row(), 0..24),
+        column in 0usize..5,
+        ranges in prop::collection::vec(
+            (0u8..6, any::<bool>(), (arb_own(), arb_own()), (arb_literal(), arb_literal())),
+            2..4,
+        ),
+        other in (
+            0u8..6,
+            any::<bool>(),
+            arb_own(),
+            arb_literal(),
+            prop::collection::vec(arb_literal(), 0..3),
+        ),
+        shape in (0usize..4, any::<bool>(), prop::collection::vec(any::<bool>(), 24..25)),
+    ) {
+        let schema = schema();
+        let field = &schema.fields()[column];
+        let c = field.name.as_str();
+        // Each conjunct's literals of the column's own variant half the
+        // time, of any variant otherwise.
+        let mut conjuncts: Vec<Predicate> = (ranges.into_iter())
+            .map(|(kind, aligned, (own_lo, own_hi), (lo, hi))| {
+                if aligned {
+                    range_leaf(kind, c, own_lo[column].clone(), own_hi[column].clone())
+                } else {
+                    range_leaf(kind, c, lo, hi)
+                }
+            })
+            .collect();
+        // Half the time one leaf that does not fold, anywhere in line.
+        let (kind, aligned, own, any, set) = other;
+        let leaf = match kind {
+            3 if aligned => Some(Predicate::Ne(c.to_owned(), own[column].clone())),
+            3 => Some(Predicate::Ne(c.to_owned(), any)),
+            4 => {
+                let cast = |v: Value| v.cast(field.data_type).filter(|_| aligned).unwrap_or(v);
+                Some(Predicate::In(c.to_owned(), set.into_iter().map(cast).collect()))
+            }
+            5 => Some(Predicate::IsNull(c.to_owned())),
+            _ => None,
+        };
+        let (at, right_nested, picked) = shape;
+        if let Some(leaf) = leaf {
+            conjuncts.insert(at % (conjuncts.len() + 1), leaf);
+        }
+        let predicate = if right_nested {
+            conjuncts.into_iter().rev().reduce(|b, a| a.and(b)).expect("two or more")
+        } else {
+            Predicate::all(conjuncts)
+        };
+        let eval = |r: u32| predicate.eval(&schema, &rows[r as usize]).expect("known column");
+        // The full scan, and the scan of an index on the column, whose
+        // candidates the leading conjunct picks when it is a range.
+        for index in [None, Some(c)] {
+            let db = store(&rows, index);
+            let got = db.scan("t", &predicate, None).expect("known column").rows;
+            let want = specified(&rows, &predicate, index).expect("known column");
+            prop_assert!(
+                got == want,
+                "index {index:?}, {predicate:?} over {rows:?}: got {got:?}, want {want:?}"
+            );
+        }
+        // A partial selection, in descending order.
+        let db = store(&rows, None);
+        let table = db.table("t").expect("created");
+        let positions: Vec<u32> =
+            (0..rows.len() as u32).rev().filter(|&r| picked[r as usize]).collect();
+        let got = filter_at(&schema, Selected::at(table.source(), &positions), &predicate);
+        let want: Vec<u32> = positions.iter().copied().filter(|&r| eval(r)).collect();
+        prop_assert!(
+            got.as_ref() == Ok(&want),
+            "{predicate:?} over {rows:?} at {positions:?}: got {got:?}, want {want:?}"
+        );
     }
 }

@@ -7,18 +7,22 @@
 //! receiving engine keeps the decoded batch as it is: a table holds its
 //! rows as one, and a migrated input is read off one.
 //!
-//! A table's batch also keeps a [`KeyIndex`] of each column a hash join
-//! has built on whole ([`Batch::key_index`]), so that the next join over
-//! the same snapshot probes it instead of hashing the column again; a
-//! write drops it.
+//! A table's batch also keeps, per column, a [`KeyIndex`] once a hash
+//! join has built one on the whole column ([`Batch::key_index`]), and a
+//! [`HashLayout`] for each width a routed scan has asked for
+//! ([`Batch::hash_layout`]), so that the next join or shuffle over the
+//! same snapshot reads them instead of hashing the column again; a write
+//! drops them.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use crate::value::{DataType, Value, ValueRef};
-use crate::{ColumnSource, Error, Field, FxBuildHasher, Result, Row, Schema};
+use crate::{
+    ColumnSource, Error, Field, FxBuildHasher, HashLayout, HashRouter, Result, Row, Schema,
+};
 
 /// UTF-8 strings held end to end in one buffer, string `i` ending at
 /// byte `ends[i]` of it and starting where string `i - 1` ends: a
@@ -50,6 +54,16 @@ impl StrColumn {
     pub fn get(&self, i: usize) -> &str {
         let start = i.checked_sub(1).map_or(0, |before| self.ends[before]);
         &self.buf[start..self.ends[i]]
+    }
+
+    /// Byte length of string `i`, read off the offsets alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    #[inline]
+    pub fn byte_len(&self, i: usize) -> usize {
+        self.ends[i] - i.checked_sub(1).map_or(0, |before| self.ends[before])
     }
 
     /// Appends `s`.
@@ -358,36 +372,47 @@ pub type TypedColumn = (Column, Vec<bool>);
 /// ```
 ///
 /// A batch made with [`Batch::keeping_key_indexes`] — a table's data —
-/// keeps the [`KeyIndex`] of a column once one is built
-/// ([`Batch::key_index`]), until the next write ([`Batch::push_row`]).
-/// A clone starts with none, and `==` and `Debug` read the rows alone.
+/// keeps, per column, the [`KeyIndex`] once one is built
+/// ([`Batch::key_index`]) and the [`HashLayout`] of each width a routed
+/// scan asked for ([`Batch::hash_layout`]), until the next write
+/// ([`Batch::push_row`]). A clone starts with none, and `==` and `Debug`
+/// read the rows alone.
 pub struct Batch {
     schema: Schema,
     columns: Vec<TypedColumn>,
     /// [`Row::byte_size`] of every row, by position.
     widths: Vec<u32>,
-    /// One slot per column for its key index, filled on first use and
-    /// emptied by every write; `None` for a batch that keeps none.
-    keys: Option<KeySlots>,
+    /// One cache per column, filled on first use and emptied by every
+    /// write; `None` for a batch that keeps none. A thread that panics
+    /// holding a layout lock leaves the list whole (each update is one
+    /// push or one clear), so a poisoned lock is read through.
+    kept: Option<Box<[ColumnCache]>>,
 }
 
-/// A batch's key-index slots, one per column: a filled slot holds the
-/// column's index, or `None` when the column cannot have one.
-type KeySlots = Box<[OnceLock<Option<KeyIndex>>]>;
+/// What a batch keeps of one column until its next write.
+#[derive(Default)]
+struct ColumnCache {
+    /// The column's key index once built, or `None` when the column
+    /// cannot have one.
+    key_index: OnceLock<Option<KeyIndex>>,
+    /// The column's hash layouts, at most one per width, in the order
+    /// they were built.
+    layouts: RwLock<Vec<Arc<HashLayout>>>,
+}
 
-fn key_slots(columns: usize) -> KeySlots {
-    (0..columns).map(|_| OnceLock::new()).collect()
+fn caches(columns: usize) -> Box<[ColumnCache]> {
+    (0..columns).map(|_| ColumnCache::default()).collect()
 }
 
 impl Clone for Batch {
-    /// The same rows, no key index built yet: the copy of a batch that
-    /// keeps key indexes keeps them too, built on its first use.
+    /// The same rows, nothing kept yet: the copy of a batch that keeps
+    /// key indexes and layouts keeps them too, built on first use.
     fn clone(&self) -> Batch {
         Batch {
             schema: self.schema.clone(),
             columns: self.columns.clone(),
             widths: self.widths.clone(),
-            keys: self.keys.as_ref().map(|slots| key_slots(slots.len())),
+            kept: self.kept.as_ref().map(|kept| caches(kept.len())),
         }
     }
 }
@@ -469,23 +494,24 @@ impl Batch {
             schema,
             columns,
             widths: Vec::new(),
-            keys: None,
+            kept: None,
         }
     }
 
     /// This batch, keeping the key index of a column once one is built
-    /// ([`Batch::key_index`]): a table's data, which join after join
-    /// reads whole. A batch that lives for one query, such as a migrated
-    /// input, keeps none.
+    /// ([`Batch::key_index`]) and its hash layout at each width asked for
+    /// ([`Batch::hash_layout`]): a table's data, which join after join
+    /// and shuffle after shuffle read. A batch that lives for one query,
+    /// such as a migrated input, keeps none.
     pub fn keeping_key_indexes(mut self) -> Batch {
-        self.keys = Some(key_slots(self.columns.len()));
+        self.kept = Some(caches(self.columns.len()));
         self
     }
 
-    /// Whether the batch keeps key indexes
+    /// Whether the batch keeps key indexes and hash layouts
     /// ([`Batch::keeping_key_indexes`]).
     pub fn keeps_key_indexes(&self) -> bool {
-        self.keys.is_some()
+        self.kept.is_some()
     }
 
     /// Column `c`'s key index: the one this batch keeps, or, on the first
@@ -502,7 +528,7 @@ impl Batch {
         c: usize,
         build: impl FnOnce(&TypedColumn) -> Option<KeyIndex>,
     ) -> Option<&KeyIndex> {
-        let slot = &self.keys.as_ref()?[c];
+        let slot = &self.kept.as_ref()?[c].key_index;
         slot.get_or_init(|| build(&self.columns[c])).as_ref()
     }
 
@@ -512,14 +538,79 @@ impl Batch {
     ///
     /// Panics if `c` is out of bounds.
     pub fn has_key_index(&self, c: usize) -> bool {
-        let slot = self.keys.as_ref().and_then(|slots| slots[c].get());
+        let slot = self.kept.as_ref().and_then(|kept| kept[c].key_index.get());
         slot.is_some_and(Option::is_some)
     }
 
-    /// Empties every key-index slot: the rows are about to change.
-    fn drop_key_indexes(&mut self) {
-        for slot in self.keys.iter_mut().flat_map(|slots| slots.iter_mut()) {
-            slot.take();
+    /// Column `c`'s hash layout over `router`'s destinations: the one
+    /// this batch keeps at that width, or, on the first call that asks
+    /// for it, the one [`HashLayout::of`] makes out of the column, then
+    /// kept until the next write. A batch that keeps none makes one for
+    /// the call alone. Concurrent first calls may each make one; the
+    /// first kept is the one every later call gets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is out of bounds.
+    pub fn hash_layout(&self, c: usize, router: HashRouter) -> Arc<HashLayout> {
+        let Some(cache) = self.kept.as_ref().map(|kept| &kept[c]) else {
+            return Arc::new(HashLayout::of(router, &self.columns[c]));
+        };
+        let at_width = |layouts: &[Arc<HashLayout>]| {
+            let kept = layouts.iter().find(|l| l.width() == router.width());
+            kept.map(Arc::clone)
+        };
+        let read = cache.layouts.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(layout) = at_width(&read) {
+            return layout;
+        }
+        drop(read);
+        let layout = Arc::new(HashLayout::of(router, &self.columns[c]));
+        let mut layouts = cache
+            .layouts
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(first) = at_width(&layouts) {
+            return first;
+        }
+        layouts.push(Arc::clone(&layout));
+        layout
+    }
+
+    /// What `find` makes of the first of column `c`'s kept hash layouts
+    /// it makes something of, in the order they were built: `None` when
+    /// it makes nothing of any, or the batch keeps none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is out of bounds.
+    pub fn find_hash_layout<T>(
+        &self,
+        c: usize,
+        find: impl FnMut(&Arc<HashLayout>) -> Option<T>,
+    ) -> Option<T> {
+        let layouts = &self.kept.as_ref()?[c].layouts;
+        let layouts = layouts.read().unwrap_or_else(PoisonError::into_inner);
+        layouts.iter().find_map(find)
+    }
+
+    /// Whether column `c` has a hash layout over `width` destinations
+    /// now.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is out of bounds.
+    pub fn has_hash_layout(&self, c: usize, width: usize) -> bool {
+        let at_width = |layout: &Arc<HashLayout>| (layout.width() == width).then_some(());
+        self.find_hash_layout(c, at_width).is_some()
+    }
+
+    /// Empties every column's cache: the rows are about to change.
+    fn drop_kept(&mut self) {
+        for cache in self.kept.iter_mut().flat_map(|kept| kept.iter_mut()) {
+            cache.key_index.take();
+            let layouts = cache.layouts.get_mut();
+            layouts.unwrap_or_else(PoisonError::into_inner).clear();
         }
     }
 
@@ -532,7 +623,7 @@ impl Batch {
     /// another type than its column.
     pub fn push_row(&mut self, values: &[Value], width: u32) {
         assert_eq!(values.len(), self.columns.len(), "a checked row");
-        self.drop_key_indexes();
+        self.drop_kept();
         for ((column, valid), value) in self.columns.iter_mut().zip(values) {
             assert!(column.push(value), "a checked row holds its columns' types");
             valid.push(!value.is_null());
@@ -572,7 +663,7 @@ impl Batch {
             schema,
             columns,
             widths,
-            keys: None,
+            kept: None,
         })
     }
 
@@ -702,8 +793,8 @@ impl Batch {
         let mut out = parts
             .next()
             .ok_or_else(|| Error::Invalid("a concatenation of no batches".into()))?;
-        // A batch made of others keeps no index.
-        out.keys = None;
+        // A batch made of others keeps nothing.
+        out.kept = None;
         for part in parts {
             let mismatch = || Error::SchemaMismatch("batches of two shapes".into());
             if part.schema != out.schema {
@@ -733,7 +824,7 @@ impl Batch {
                 .map(|(values, valid)| (values.gather(at()), at().map(|i| valid[i]).collect()))
                 .collect(),
             widths: at().map(|i| self.widths[i]).collect(),
-            keys: None,
+            kept: None,
         }
     }
 
@@ -1113,5 +1204,53 @@ mod tests {
         assert!(!kept.take(&[1, 0]).keeps_key_indexes());
         let both = Batch::concat(vec![kept.clone(), plain]).unwrap();
         assert!(!both.keeps_key_indexes());
+
+        // Hash layouts live in the same cache, one per width.
+        let rows: Vec<Row> = (0..6).map(|i| row![i as i64 % 4, "a", 0.5]).collect();
+        let plain = Batch::from_rows(&schema(), rows).unwrap();
+        let (two, three) = (HashRouter::new(2).unwrap(), HashRouter::new(3).unwrap());
+        // A batch that keeps none makes a layout for the call alone.
+        assert_eq!(
+            *plain.hash_layout(0, two),
+            HashLayout::of(two, &plain.columns()[0])
+        );
+        assert!(!plain.has_hash_layout(0, 2));
+        assert!(plain.find_hash_layout(0, |_| Some(())).is_none());
+
+        // The first call builds it, later ones get the same one; another
+        // width gets one of its own, another column none of these.
+        let mut kept = plain.clone().keeping_key_indexes();
+        assert!(!kept.has_hash_layout(0, 2));
+        let first = kept.hash_layout(0, two);
+        assert_eq!(*first, HashLayout::of(two, &kept.columns()[0]));
+        assert!(kept.has_hash_layout(0, 2) && !kept.has_hash_layout(0, 3));
+        assert!(Arc::ptr_eq(&first, &kept.hash_layout(0, two)));
+        let other = kept.hash_layout(0, three);
+        assert_eq!(other.width(), 3);
+        assert!(kept.has_hash_layout(0, 2) && kept.has_hash_layout(0, 3));
+        assert!(!kept.has_hash_layout(1, 2));
+        let widths: Vec<usize> = (1..=2)
+            .filter_map(|n| kept.find_hash_layout(0, |l| (l.width() > n).then(|| l.width())))
+            .collect();
+        assert_eq!(widths, [2, 3], "the first match, in build order");
+
+        // A copy keeps layouts, none built; a write drops them, key index
+        // and layouts alike, and the next call sees the new row.
+        let copy = kept.clone();
+        assert!(copy.keeps_key_indexes() && !copy.has_hash_layout(0, 2));
+        kept.key_index(0, |_| Some(KeyIndex::build([Some(0u64)])));
+        kept.push_row(&[Value::Int(3), Value::from("c"), Value::Float(2.5)], 17);
+        assert!(!kept.has_hash_layout(0, 2) && !kept.has_hash_layout(0, 3));
+        assert!(!kept.has_key_index(0));
+        let again = kept.hash_layout(0, two);
+        assert_eq!(again.dests().len(), 7);
+        assert_eq!(*again, HashLayout::of(two, &kept.columns()[0]));
+        // Batches made out of others keep none.
+        let both = Batch::concat(vec![kept.clone(), plain]).unwrap();
+        both.hash_layout(0, two);
+        assert!(!both.has_hash_layout(0, 2));
+        let taken = kept.take(&[1, 0]);
+        taken.hash_layout(0, two);
+        assert!(!taken.has_hash_layout(0, 2));
     }
 }

@@ -52,7 +52,9 @@ pub use error::{Error, Result};
 pub use hash::{FxBuildHasher, FxHasher};
 pub use ids::{EngineId, TableRef};
 pub use model::{DataModel, EngineKind};
-pub use partition::{hash_grow_moved_fraction, HashRouter, PartitionSpec, Routes, ShardId};
+pub use partition::{
+    hash_grow_moved_fraction, HashLayout, HashRouter, PartitionSpec, Routes, ShardId,
+};
 pub use predicate::{BoundPredicate, ColumnSource, Predicate};
 pub use repartition::{CopyKey, MaterializedRepartitions, RepartitionStats};
 pub use rng::SplitMix64;

@@ -286,41 +286,121 @@ impl HashRouter {
         self.destination(value_hash(value))
     }
 
-    /// The destination of the row at each of `positions` of a typed
-    /// column (values plus validity, as a table's column image holds
-    /// them): what [`HashRouter::route`] gives each position's value,
-    /// read without building it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a position is past the column's end.
-    pub fn route_column(self, (values, valid): &TypedColumn, positions: &[u32]) -> Vec<u32> {
+    /// The destination of every row of a typed column (values plus
+    /// validity, as a table's column image holds them), in row order:
+    /// what [`HashRouter::route`] gives each row's value, read without
+    /// building it. A table snapshot routes a column through it once per
+    /// width and keeps the result ([`HashLayout`], [`crate::Batch::hash_layout`]).
+    pub fn route_column(self, (values, valid): &TypedColumn) -> Vec<u32> {
         match values {
-            Column::Int(v) => self.route_typed(valid, positions, |p| int_hash(v[p])),
-            Column::Float(v) => self.route_typed(valid, positions, |p| float_hash(v[p])),
-            Column::Timestamp(v) => self.route_typed(valid, positions, |p| timestamp_hash(v[p])),
-            Column::Bool(v) => self.route_typed(valid, positions, |p| bool_hash(v[p])),
-            Column::Str(v) => self.route_typed(valid, positions, |p| str_hash(v.get(p))),
-            Column::Bytes(v) => self.route_typed(valid, positions, |p| bytes_hash(&v[p])),
+            Column::Int(v) => self.route_typed(valid, |p| int_hash(v[p])),
+            Column::Float(v) => self.route_typed(valid, |p| float_hash(v[p])),
+            Column::Timestamp(v) => self.route_typed(valid, |p| timestamp_hash(v[p])),
+            Column::Bool(v) => self.route_typed(valid, |p| bool_hash(v[p])),
+            Column::Str(v) => self.route_typed(valid, |p| str_hash(v.get(p))),
+            Column::Bytes(v) => self.route_typed(valid, |p| bytes_hash(&v[p])),
         }
     }
 
-    /// The destination of each of `positions`, `hash` hashing the value
-    /// at a row whose validity flag is set.
-    fn route_typed(
-        self,
-        valid: &[bool],
-        positions: &[u32],
-        hash: impl Fn(usize) -> u64,
-    ) -> Vec<u32> {
-        positions
-            .iter()
-            .map(|&p| {
-                let p = p as usize;
-                let h = if valid[p] { hash(p) } else { NULL_HASH };
+    /// The destination of every row, `hash` hashing the value at a row
+    /// whose validity flag is set.
+    fn route_typed(self, valid: &[bool], hash: impl Fn(usize) -> u64) -> Vec<u32> {
+        (valid.iter().enumerate())
+            .map(|(p, &v)| {
+                let h = if v { hash(p) } else { NULL_HASH };
                 self.destination(h) as u32
             })
             .collect()
+    }
+}
+
+/// Where every row of one column goes under a hash shuffle over a fixed
+/// number of destinations ([`HashRouter`]): each row's destination, the
+/// row's *rank* among its destination's rows (how many rows before it go
+/// there too), and each destination's row count. A table snapshot keeps
+/// one per column and width a routed scan asked for
+/// ([`crate::Batch::hash_layout`]): a scan reads its kept rows'
+/// destinations out of it instead of hashing them, and a join over one
+/// whole destination reads each row's place in it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HashLayout {
+    dests: Vec<u32>,
+    ranks: Vec<u32>,
+    counts: Vec<u32>,
+}
+
+impl HashLayout {
+    /// The layout of `column` under `router`.
+    pub fn of(router: HashRouter, column: &TypedColumn) -> HashLayout {
+        let dests = router.route_column(column);
+        let mut counts = vec![0u32; router.width()];
+        let ranks = (dests.iter())
+            .map(|&d| {
+                let count = &mut counts[d as usize];
+                *count += 1;
+                *count - 1
+            })
+            .collect();
+        HashLayout {
+            dests,
+            ranks,
+            counts,
+        }
+    }
+
+    /// Number of destinations.
+    pub fn width(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Every row's destination, in row order.
+    pub fn dests(&self) -> &[u32] {
+        &self.dests
+    }
+
+    /// Row `row`'s destination.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    #[inline]
+    pub fn destination(&self, row: usize) -> u32 {
+        self.dests[row]
+    }
+
+    /// Row `row`'s rank: how many rows before it share its destination.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    #[inline]
+    pub fn rank(&self, row: usize) -> u32 {
+        self.ranks[row]
+    }
+
+    /// Each destination's row count.
+    pub fn counts(&self) -> &[u32] {
+        &self.counts
+    }
+
+    /// The destination `rows` is the whole of, in row order: `Some(d)`
+    /// exactly when `rows` holds destination `d`'s count of rows, each
+    /// routed to `d`, ascending — so the `i`-th of them is the row of
+    /// rank `i` there. `None` for any other rows, and for none.
+    pub fn whole_destination(&self, mut rows: impl ExactSizeIterator<Item = usize>) -> Option<u32> {
+        let n = rows.len();
+        let mut last = rows.next()?;
+        let d = *self.dests.get(last)?;
+        if self.counts[d as usize] as usize != n {
+            return None;
+        }
+        for row in rows {
+            if row <= last || self.dests.get(row) != Some(&d) {
+                return None;
+            }
+            last = row;
+        }
+        Some(d)
     }
 }
 
@@ -569,8 +649,8 @@ mod tests {
         }
         assert!(matches!(HashRouter::new(0), Err(Error::EmptyShardSet(_))));
 
-        // A typed column routes every position, NULLs included, as the
-        // values it holds do.
+        // A typed column routes every row, NULLs included, as the values
+        // it holds do.
         let values = [
             Value::Int(3),
             Value::Null,
@@ -591,14 +671,53 @@ mod tests {
                 assert!(column.0.push(v));
                 column.1.push(!v.is_null());
             }
-            let positions: Vec<u32> = (0..kept.len() as u32).rev().collect();
             let router = HashRouter::new(3).unwrap();
-            let typed = router.route_column(&column, &positions);
-            let by_value: Vec<u32> = positions
-                .iter()
-                .map(|&p| router.route(kept[p as usize]) as u32)
-                .collect();
+            let typed = router.route_column(&column);
+            let by_value: Vec<u32> = kept.iter().map(|v| router.route(v) as u32).collect();
             assert_eq!(typed, by_value, "{kind}");
+            assert_eq!(HashLayout::of(router, &column).dests(), by_value, "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_hash_layout_ranks_each_row_in_its_destination_and_knows_a_whole_one() {
+        let ints: Vec<i64> = vec![5, 1, 5, 9, 2, 1, 7, 3];
+        let valid = vec![true, true, true, false, true, true, true, true];
+        let column = (crate::Column::Int(ints.clone()), valid.clone());
+        for width in 1..=4u32 {
+            let router = HashRouter::new(width).unwrap();
+            let layout = HashLayout::of(router, &column);
+            assert_eq!(layout.width(), width as usize);
+            let mut rows_of: Vec<Vec<usize>> = vec![Vec::new(); width as usize];
+            for (r, (&v, &ok)) in ints.iter().zip(&valid).enumerate() {
+                let value = if ok { Value::Int(v) } else { Value::Null };
+                let d = router.route(&value);
+                assert_eq!(layout.destination(r), d as u32);
+                assert_eq!(layout.rank(r) as usize, rows_of[d].len());
+                rows_of[d].push(r);
+            }
+            let counts: Vec<u32> = rows_of.iter().map(|rows| rows.len() as u32).collect();
+            assert_eq!(layout.counts(), counts);
+            for (d, rows) in (0u32..).zip(&rows_of) {
+                let whole = layout.whole_destination(rows.iter().copied());
+                assert_eq!(whole, (!rows.is_empty()).then_some(d), "width {width}");
+                // One row short, reversed, or with a row of another
+                // destination in place of one of its own: not whole.
+                if rows.len() > 1 {
+                    let short = rows[1..].iter().copied();
+                    assert_eq!(layout.whole_destination(short), None);
+                    let reversed = rows.iter().rev().copied();
+                    assert_eq!(layout.whole_destination(reversed), None);
+                    if let Some(other) = (0..ints.len()).find(|&r| layout.destination(r) != d) {
+                        let mut foreign = rows[1..].to_vec();
+                        foreign.push(other);
+                        foreign.sort_unstable();
+                        assert_eq!(layout.whole_destination(foreign.into_iter()), None);
+                    }
+                }
+            }
+            assert_eq!(layout.whole_destination(std::iter::empty()), None);
+            assert_eq!(layout.whole_destination([ints.len()].into_iter()), None);
         }
     }
 

@@ -36,7 +36,9 @@ pub use table::{Selection, Table};
 
 use std::collections::BTreeMap;
 
-use pspp_common::{EngineId, Error, HashRouter, Result, Routes, Row, Schema};
+use pspp_common::{
+    Batch, Column, EngineId, Error, HashLayout, HashRouter, Result, Routes, Row, Schema,
+};
 
 /// What a [`RelationalStore::scan`] returns.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,12 +181,19 @@ impl RelationalStore {
     /// building the rows — a [`Selection`] over the table's snapshot,
     /// exposing the projected columns when it projects — and, for a
     /// shuffle that re-hashes the output on its column `key` over `width`
-    /// destinations (`route`), where each row goes. The destinations
-    /// come from one pass over the key's column image at the kept
-    /// positions ([`HashRouter::route_column`]), and each destination's
-    /// bytes from the image ([`Selection::byte_size`]'s widths). A
-    /// sequential scan hands the predicate no positions (`None`: every
-    /// row), so the only positions it makes are the ones it keeps.
+    /// destinations (`route`), where each row goes. Each kept row's
+    /// destination is read out of the snapshot's hash layout of the key's
+    /// column at that width ([`pspp_common::Batch::hash_layout`]: built
+    /// by the snapshot's first routed scan at that width, one
+    /// [`HashRouter::route_column`] pass, and kept until the table's next
+    /// write), and each destination's bytes are summed out of the image
+    /// in one loop over the kept rows' widths, or, when the scan
+    /// projects, an exposed column at a time: a fixed-width column's
+    /// from the destination's row count (the layout's own when the scan
+    /// keeps every row), a NULL weighing 1, a string or byte column's in
+    /// one loop. A sequential scan hands the predicate no positions
+    /// (`None`: every row), so the only positions it makes are the ones
+    /// it keeps.
     ///
     /// # Errors
     ///
@@ -208,7 +217,6 @@ impl RelationalStore {
         if let Some(columns) = &columns {
             selection = selection.project(columns)?;
         }
-        // The destination pass reads the key column alone.
         let mut routes = Routes::default();
         if let Some((key, width)) = route {
             let router = HashRouter::new(width)?;
@@ -219,10 +227,14 @@ impl RelationalStore {
             }
             .ok_or_else(|| Error::ColumnNotFound(key.to_owned()))?;
             let at = columns.as_ref().map_or(output_at, |idx| idx[output_at]);
-            routes.dests = router.route_column(&t.image().columns()[at], selection.positions());
-            let mut bytes = vec![0; router.width()];
-            selection.widths(|i, width| bytes[routes.dests[i] as usize] += width);
-            routes.bytes = bytes;
+            let layout = t.image().hash_layout(at, router);
+            let kept = selection.positions();
+            routes.dests = kept
+                .iter()
+                .map(|&p| layout.destination(p as usize))
+                .collect();
+            let read = (t.image(), kept, selection.columns());
+            routes.bytes = routed_bytes(read, &routes.dests, &layout);
         }
         Ok((selection, routes))
     }
@@ -246,10 +258,78 @@ impl RelationalStore {
     }
 }
 
+/// Payload bytes of the rows at `positions` of `image` (each kept once,
+/// as a scan keeps them), through its columns `columns` (every column
+/// when `None`), bound for each of `layout`'s destinations, row `i` to
+/// `dests[i]`: the sum [`Selection::byte_size`] gives each
+/// destination's rows. Whole rows add the image's row widths in one
+/// loop. A projection's rows add up a column at a time: a fixed-width
+/// column its width per row bound for a destination — the layout's
+/// counts when every row is kept — less the difference for each NULL,
+/// which weighs 1 as in [`pspp_common::Value::byte_size`]; a `Str` or
+/// `Bytes` column each row's length, in one loop.
+///
+/// # Panics
+///
+/// Panics when `dests` is shorter than `positions`, a destination is
+/// past the layout's, or a position or column is past `image`'s.
+fn routed_bytes(
+    (image, positions, columns): (&Batch, &[u32], Option<&[usize]>),
+    dests: &[u32],
+    layout: &HashLayout,
+) -> Vec<u64> {
+    let at = || positions.iter().map(|&p| p as usize).zip(dests);
+    let mut bytes = vec![0u64; layout.width()];
+    let Some(columns) = columns else {
+        let widths = image.widths();
+        for (p, &d) in at() {
+            bytes[d as usize] += u64::from(widths[p]);
+        }
+        return bytes;
+    };
+    let rows: Vec<u64> = if positions.len() == image.num_rows() {
+        layout.counts().iter().map(|&n| u64::from(n)).collect()
+    } else {
+        let mut rows = vec![0; layout.width()];
+        for &d in dests {
+            rows[d as usize] += 1;
+        }
+        rows
+    };
+    for &c in columns {
+        let (values, valid) = &image.columns()[c];
+        let fixed: u64 = match values {
+            Column::Bool(_) => 1,
+            Column::Int(_) | Column::Float(_) | Column::Timestamp(_) => 8,
+            Column::Str(v) => {
+                for (p, &d) in at() {
+                    bytes[d as usize] += if valid[p] { v.byte_len(p) as u64 } else { 1 };
+                }
+                continue;
+            }
+            Column::Bytes(v) => {
+                for (p, &d) in at() {
+                    bytes[d as usize] += if valid[p] { v[p].len() as u64 } else { 1 };
+                }
+                continue;
+            }
+        };
+        for (total, &n) in bytes.iter_mut().zip(&rows) {
+            *total += fixed * n;
+        }
+        if fixed > 1 && at().any(|(p, _)| !valid[p]) {
+            for (p, &d) in at() {
+                bytes[d as usize] -= u64::from(!valid[p]) * (fixed - 1);
+            }
+        }
+    }
+    bytes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pspp_common::{row, Batch, DataType, Value};
+    use pspp_common::{row, DataType, Value};
 
     fn store_with_data() -> RelationalStore {
         let mut db = RelationalStore::new("db1");

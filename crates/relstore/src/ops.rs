@@ -30,13 +30,22 @@
 //! ([`pspp_common::KeyIndex`], kept by [`Batch::key_index`]): built by
 //! the first join that reads the snapshot so, probed by every later one,
 //! and dropped by the table's next write, while a selection taken before
-//! that write keeps its snapshot and the index with it. Any other side
-//! — filtered, spanning several snapshots, a migrated batch (it lives
-//! for one query, and its batch keeps no index), plain rows — gets a
-//! table of its own, built for the call over whichever side has fewer
-//! rows. Either way the pairs come back left-major, each left row's
-//! matches in right order: an index on the left is probed a right row
-//! at a time and its pairs put back in left-major order.
+//! that write keeps its snapshot and the index with it. So is a side
+//! that reads, part by part, one whole destination of a hash layout each
+//! part's snapshot keeps of the join column — a shuffle's bucket of
+//! routed scans that keep every row ([`pspp_common::HashLayout`], kept
+//! by [`Batch::hash_layout`]): each part's run is probed in the part's
+//! whole-snapshot index, and a row found there is kept when the layout
+//! routes it to the run's destination and read at the run's offset plus
+//! its rank there. Any other side — filtered, out of row order, missing
+//! a row, a migrated batch (it lives for one query, and its batch keeps
+//! no index), plain rows — gets a table of its own, built for the call
+//! over whichever side has fewer rows. Every index is probed through the
+//! one loop, as runs in read order (a table built for the call, or a
+//! whole snapshot, is one run whose rows are their own read indices),
+//! and the pairs come back left-major, each left row's matches in right
+//! order: an index on the left is probed a right row at a time and its
+//! pairs put back in left-major order.
 //!
 //! A kernel that builds rows out of the rows read — a projection, a
 //! join's matched pairs, a scan that projects — fills them in place a
@@ -127,7 +136,13 @@
 //! whole snapshot and the other side's keys are typed words of the same
 //! kind; a NULL on either side, a string, or `Int` against `Float` takes
 //! the paths above. Equal words are equal values, so the index finds the
-//! pairs a table built for the call finds, in the same order.
+//! pairs a table built for the call finds, in the same order. A bucket
+//! of several snapshots is served only when every part's run is one
+//! whole destination — exactly that destination's count of rows, each
+//! routed there, ascending, so the row of rank `i` is the run's `i`-th —
+//! and every part's column is typed, of one kind; its chains hold rows
+//! of every destination, and the layout's destination test keeps the
+//! run's own, so the probe keys need not have been routed alike.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -136,8 +151,8 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use pspp_common::{
-    row_major, Batch, Column, ColumnSource, Error, FxBuildHasher, FxHasher, KeyIndex, Predicate,
-    Result, Row, Schema, TypedColumn, Value, ValueRef,
+    row_major, Batch, Column, ColumnSource, Error, FxBuildHasher, FxHasher, HashLayout, KeyIndex,
+    Predicate, Result, Row, Schema, TypedColumn, Value, ValueRef,
 };
 
 use crate::table::{as_u32, part_runs, split_position, LOCAL_MASK};
@@ -1184,30 +1199,114 @@ fn value_keys<'a>(
     cells.into_iter().map(|v| Some(v).filter(|v| !v.is_null()))
 }
 
-/// The key index of column `column` of the rows `input` reads, and the
-/// kind of its words, when `input` reads every row of one snapshot that
-/// keeps key indexes — a table's — in order: the one the snapshot keeps,
-/// or one built now and kept (module docs, "Key words"). `None` for any
-/// other input, and for a column that is not typed over the snapshot.
-fn snapshot_index<'a>(input: Selected<'a>, column: usize) -> Option<(KeyKind, &'a KeyIndex)> {
-    let (Parts::One(ColumnSource::Image(image)), Some(positions)) = (input.parts, input.positions)
-    else {
-        return None;
-    };
-    let every_row =
-        || positions.len() == image.num_rows() && (0u32..).zip(positions).all(|(r, &p)| r == p);
-    if !image.keeps_key_indexes() || !every_row() {
-        return None;
+/// One run of rows read that a kept key index serves: the index, built
+/// over every row of the run's snapshot, the read index of the run's
+/// first row, and — when the run is one whole destination of a hash
+/// layout the snapshot keeps, not every row of it — that layout and
+/// destination (module docs, "Key words").
+struct IndexedRun<'a, K = u64> {
+    index: &'a KeyIndex<K>,
+    offset: u32,
+    destination: Option<(Arc<HashLayout>, u32)>,
+}
+
+impl<'a, K: Hash + Eq> IndexedRun<'a, K> {
+    /// Every row of one snapshot, each read at its own index.
+    fn whole(index: &'a KeyIndex<K>) -> Self {
+        IndexedRun {
+            index,
+            offset: 0,
+            destination: None,
+        }
     }
+
+    /// The read indices of the run's rows holding `key`, in order: each
+    /// row of the snapshot's chain for `key` the run holds — every one,
+    /// or those routed to its destination — read at the run's offset
+    /// plus the row itself, or its rank there.
+    #[inline]
+    fn reads(&self, key: &K) -> impl Iterator<Item = u32> + '_ {
+        self.index
+            .rows(key)
+            .filter_map(move |row| match &self.destination {
+                None => Some(self.offset + row),
+                Some((layout, d)) => {
+                    let row = row as usize;
+                    (layout.destination(row) == *d).then(|| self.offset + layout.rank(row))
+                }
+            })
+    }
+}
+
+/// The kind of words a typed key column holds; `None` for strings and
+/// byte arrays.
+fn key_kind(values: &Column) -> Option<KeyKind> {
+    match values {
+        Column::Bool(_) => Some(KeyKind::Bool),
+        Column::Int(_) => Some(KeyKind::Int),
+        Column::Timestamp(_) => Some(KeyKind::Timestamp),
+        Column::Float(_) => Some(KeyKind::Float),
+        Column::Str(_) | Column::Bytes(_) => None,
+    }
+}
+
+/// The runs of column `column` of the rows `input` reads that kept key
+/// indexes serve, in read order, and the kind of their words (module
+/// docs, "Key words"): every row of one snapshot that keeps key indexes
+/// — a table's — in order, one run; or, a part's run at a time, the
+/// rows of one whole destination of a hash layout the part's snapshot
+/// keeps of the column, in order. Each snapshot's index is the one it
+/// keeps, or one built now and kept. `None` for any other input, and for
+/// a column that is not typed over a snapshot.
+fn indexed_runs(input: Selected<'_>, column: usize) -> Option<(KeyKind, Vec<IndexedRun<'_>>)> {
+    let positions = input.positions?;
     let at = input.source_column(column);
-    let kind = match image.column(at) {
-        Column::Bool(_) => KeyKind::Bool,
-        Column::Int(_) => KeyKind::Int,
-        Column::Timestamp(_) => KeyKind::Timestamp,
-        Column::Float(_) => KeyKind::Float,
-        Column::Str(_) | Column::Bytes(_) => return None,
+    let runs: Vec<(&Batch, &[u32], u32)> = match input.parts {
+        Parts::One(ColumnSource::Image(image)) => vec![(image, positions, u32::MAX)],
+        Parts::One(ColumnSource::Rows(_)) => return None,
+        Parts::Many(parts) => part_runs(positions)
+            .map(|(part, run)| (&*parts[part], run, LOCAL_MASK))
+            .collect(),
     };
-    Some((kind, image.key_index(at, column_index)?))
+    // Every run is served, or none is: check them all before building
+    // any snapshot's index.
+    let mut kind = None;
+    let mut served = Vec::with_capacity(runs.len());
+    for (image, run, mask) in runs {
+        if !image.keeps_key_indexes() {
+            return None;
+        }
+        let run_kind = key_kind(image.column(at))?;
+        // The snapshots of one selection are of one table.
+        if kind.replace(run_kind).is_some_and(|k| k != run_kind) {
+            return None;
+        }
+        let rows = || run.iter().map(|&p| (p & mask) as usize);
+        let every_row =
+            mask == u32::MAX && run.len() == image.num_rows() && rows().eq(0..run.len());
+        let destination = if every_row {
+            None
+        } else {
+            let whole = |layout: &Arc<HashLayout>| {
+                Some((Arc::clone(layout), layout.whole_destination(rows())?))
+            };
+            Some(image.find_hash_layout(at, whole)?)
+        };
+        served.push((image, run.len(), destination));
+    }
+    let mut offset = 0u32;
+    let indexed = (served.into_iter())
+        .map(|(image, rows, destination)| {
+            let run = IndexedRun {
+                index: image.key_index(at, column_index)?,
+                offset,
+                destination,
+            };
+            offset = offset.checked_add(u32::try_from(rows).ok()?)?;
+            Some(run)
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some((kind?, indexed))
 }
 
 /// The key index of a whole column, a word per row (module docs, "Key
@@ -1228,11 +1327,11 @@ fn column_index((values, valid): &TypedColumn) -> Option<KeyIndex> {
     })
 }
 
-/// The matches of a join with a key index on one side
-/// ([`snapshot_index`]; the right side's when both have one), probed
-/// with the other side's key words. `None` when neither side has one,
-/// or the probe keys are not typed words of the index's kind: the join
-/// then builds a table of its own.
+/// The matches of a join with one side served by kept key indexes
+/// ([`indexed_runs`]; the right side when both are), probed with the
+/// other side's key words. `None` when neither side is, or the probe
+/// keys are not typed words of the indexes' kind: the join then builds a
+/// table of its own.
 fn indexed_matches(
     left: Selected<'_>,
     li: usize,
@@ -1240,15 +1339,15 @@ fn indexed_matches(
     ri: usize,
 ) -> Option<Matches> {
     let probed = |probe, pi, indexed, ii| {
-        let (kind, index) = snapshot_index(indexed, ii)?;
+        let (kind, runs) = indexed_runs(indexed, ii)?;
         let (probe_kind, words) = key_words(probe, pi)?;
-        (probe_kind == kind).then_some((index, words))
+        (probe_kind == kind).then_some((runs, words))
     };
-    if let Some((index, words)) = probed(left, li, right, ri) {
-        return Some(probe_left(words.into_iter().map(Some), index));
+    if let Some((runs, words)) = probed(left, li, right, ri) {
+        return Some(probe_left(words.into_iter().map(Some), &runs));
     }
-    let (index, words) = probed(right, ri, left, li)?;
-    Some(probe_right(left.len(), index, words.into_iter().map(Some)))
+    let (runs, words) = probed(right, ri, left, li)?;
+    Some(probe_right(left.len(), &runs, words.into_iter().map(Some)))
 }
 
 /// The matches of an equi-join, left-major.
@@ -1260,40 +1359,43 @@ struct Matches {
     right: Vec<u32>,
 }
 
-/// The matches of `left`'s keys, probed in order against `index`, a
-/// key index of the right side: left-major as they are found, each left
-/// row's in right order (`None` matches nothing).
+/// The matches of `left`'s keys, probed in order against `runs`, the
+/// right side's key index runs in read order: left-major as they are
+/// found, each left row's in right order (`None` matches nothing).
 fn probe_left<K: Hash + Eq>(
     left: impl ExactSizeIterator<Item = Option<K>>,
-    index: &KeyIndex<K>,
+    runs: &[IndexedRun<'_, K>],
 ) -> Matches {
     let mut counts = Vec::with_capacity(left.len());
     let mut right = Vec::with_capacity(left.len());
     for key in left {
         let before = right.len();
         if let Some(key) = key {
-            right.extend(index.rows(&key));
+            for run in runs {
+                right.extend(run.reads(&key));
+            }
         }
         counts.push(right.len() - before);
     }
     Matches { counts, right }
 }
 
-/// The matches of `right`'s keys against `index`, a key index of the
-/// `left_rows` left rows, put in left-major order. Probed a right row at
-/// a time, the pairs are found right-major: count each left row's
+/// The matches of `right`'s keys against `runs`, the key index runs of
+/// the `left_rows` left rows, put in left-major order. Probed a right row
+/// at a time, the pairs are found right-major: count each left row's
 /// matches, turn the counts into each row's first slot, and place the
 /// pairs — a left row's slots fill in the order its pairs were found,
 /// right order.
 fn probe_right<K: Hash + Eq>(
     left_rows: usize,
-    index: &KeyIndex<K>,
+    runs: &[IndexedRun<'_, K>],
     right: impl Iterator<Item = Option<K>>,
 ) -> Matches {
     let mut counts = vec![0; left_rows];
     let mut pairs = Vec::new();
     for (r, key) in (0u32..).zip(right) {
-        for l in key.iter().flat_map(|key| index.rows(key)) {
+        let Some(key) = key else { continue };
+        for l in runs.iter().flat_map(|run| run.reads(&key)) {
             counts[l as usize] += 1;
             pairs.push((l, r));
         }
@@ -1324,9 +1426,12 @@ fn join_matches<K: Hash + Eq>(
     right: impl DoubleEndedIterator<Item = Option<K>> + ExactSizeIterator,
 ) -> Matches {
     if right.len() <= left.len() {
-        return probe_left(left, &KeyIndex::build(right));
+        let index = KeyIndex::build(right);
+        return probe_left(left, &[IndexedRun::whole(&index)]);
     }
-    probe_right(left.len(), &KeyIndex::build(left), right)
+    let left_rows = left.len();
+    let index = KeyIndex::build(left);
+    probe_right(left_rows, &[IndexedRun::whole(&index)], right)
 }
 
 /// The key cells of one row read, compared in place, beside their

@@ -70,36 +70,24 @@ pub struct Selection {
     columns: Option<Arc<[usize]>>,
 }
 
-/// Calls `add` with each position's index in `positions` and the
-/// payload bytes of column `(values, valid)` at that row of its
-/// snapshot (`mask` turns a position into the row): what
-/// [`Value::byte_size`] gives the value the snapshot holds there.
-fn column_widths(
-    positions: &[u32],
-    mask: u32,
-    (values, valid): &TypedColumn,
-    mut add: impl FnMut(usize, u64),
-) {
-    fn each(
-        positions: &[u32],
-        mask: u32,
-        valid: &[bool],
-        add: &mut impl FnMut(usize, u64),
-        width: impl Fn(usize) -> u64,
-    ) {
-        for (i, &p) in positions.iter().enumerate() {
-            let p = (p & mask) as usize;
-            add(i, if valid[p] { width(p) } else { 1 });
-        }
+/// Payload bytes of column `(values, valid)` at the rows of its
+/// snapshot that `positions` name (`mask` turns a position into the
+/// row): the sum of what [`Value::byte_size`] gives the values the
+/// snapshot holds there.
+fn column_bytes(positions: &[u32], mask: u32, (values, valid): &TypedColumn) -> u64 {
+    fn each(positions: &[u32], mask: u32, valid: &[bool], width: impl Fn(usize) -> u64) -> u64 {
+        (positions.iter())
+            .map(|&p| (p & mask) as usize)
+            .map(|p| if valid[p] { width(p) } else { 1 })
+            .sum()
     }
-    let add = &mut add;
     match values {
-        Column::Bool(_) => each(positions, mask, valid, add, |_| 1),
+        Column::Bool(_) => positions.len() as u64,
         Column::Int(_) | Column::Float(_) | Column::Timestamp(_) => {
-            each(positions, mask, valid, add, |_| 8);
+            each(positions, mask, valid, |_| 8)
         }
-        Column::Str(v) => each(positions, mask, valid, add, |p| v.get(p).len() as u64),
-        Column::Bytes(v) => each(positions, mask, valid, add, |p| v[p].len() as u64),
+        Column::Str(v) => each(positions, mask, valid, |p| v.byte_len(p) as u64),
+        Column::Bytes(v) => each(positions, mask, valid, |p| v[p].len() as u64),
     }
 }
 
@@ -199,39 +187,24 @@ impl Selection {
     /// a time. The same sum as [`Row::byte_size`] over
     /// [`Selection::rows`].
     pub fn byte_size(&self) -> u64 {
-        let mut bytes = 0;
-        self.widths(|_, width| bytes += width);
-        bytes
-    }
-
-    /// Calls `add` with the index of each selected row and payload bytes
-    /// of it — a whole row's at once, or a projected row's a column at a
-    /// time, each column in turn.
-    pub(crate) fn widths(&self, mut add: impl FnMut(usize, u64)) {
         let runs: Vec<(&Batch, &[u32], u32)> = match &*self.parts {
             [one] => vec![(&**one, &self.positions[..], u32::MAX)],
             parts => part_runs(&self.positions)
                 .map(|(part, run)| (&*parts[part], run, LOCAL_MASK))
                 .collect(),
         };
-        let mut start = 0;
-        for (image, run, mask) in runs {
-            match self.columns() {
-                None => {
-                    let widths = image.widths();
-                    for (i, &p) in run.iter().enumerate() {
-                        add(start + i, u64::from(widths[(p & mask) as usize]));
-                    }
-                }
-                Some(columns) => {
-                    for &c in columns {
-                        let add = |i, width| add(start + i, width);
-                        column_widths(run, mask, &image.columns()[c], add);
-                    }
-                }
+        let run_bytes = |(image, run, mask): (&Batch, &[u32], u32)| match self.columns() {
+            None => {
+                let widths = image.widths();
+                (run.iter())
+                    .map(|&p| u64::from(widths[(p & mask) as usize]))
+                    .sum::<u64>()
             }
-            start += run.len();
-        }
+            Some(columns) => (columns.iter())
+                .map(|&c| column_bytes(run, mask, &image.columns()[c]))
+                .sum(),
+        };
+        runs.into_iter().map(run_bytes).sum()
     }
 
     /// The selected rows, in order: the exposed columns filled a column
@@ -825,6 +798,62 @@ mod tests {
         assert_eq!(joined(&migrated, &probe), with_new);
         assert!(!migrated.parts[0].keeps_key_indexes());
         assert!(!migrated.parts[0].has_key_index(0));
+
+        // A routed scan keeps the hash layout of its key's column at its
+        // width in the same cache: the first builds it, a later one
+        // reads it, another width gets one of its own, and a write
+        // drops them, in place or in the copy it makes.
+        let mut db = crate::RelationalStore::new("db");
+        db.create_table("t", table().schema().clone()).unwrap();
+        db.insert("t", table().rows()).unwrap();
+        let routed = |db: &crate::RelationalStore, width| {
+            let route = Some(("k", width));
+            let scan = db.scan_kept("t", &Predicate::True, Some(&["v", "k"]), route);
+            scan.unwrap()
+        };
+        let image = |db: &crate::RelationalStore| Arc::clone(&db.table("t").unwrap().data);
+        let kept = |db: &crate::RelationalStore, width| {
+            let router = pspp_common::HashRouter::new(width).unwrap();
+            image(db).hash_layout(0, router)
+        };
+        assert!(!image(&db).has_hash_layout(0, 2));
+        let (first, routes) = routed(&db, 2);
+        assert!(image(&db).has_hash_layout(0, 2) && !image(&db).has_hash_layout(0, 3));
+        assert!(!image(&db).has_hash_layout(1, 2), "the key's column alone");
+        let layout = kept(&db, 2);
+        assert_eq!(routed(&db, 2).1, routes);
+        assert!(Arc::ptr_eq(&layout, &kept(&db, 2)), "read, not built again");
+        assert_eq!(routes.dests, layout.dests());
+        routed(&db, 3);
+        assert!(image(&db).has_hash_layout(0, 2) && image(&db).has_hash_layout(0, 3));
+        drop((first, layout));
+        let before = Arc::as_ptr(&db.table("t").unwrap().data);
+        db.insert("t", vec![row![100i64, "new"]]).unwrap();
+        assert_eq!(
+            Arc::as_ptr(&db.table("t").unwrap().data),
+            before,
+            "in place"
+        );
+        assert!(!image(&db).has_hash_layout(0, 2) && !image(&db).has_hash_layout(0, 3));
+        let (held, routes) = routed(&db, 2);
+        assert_eq!(routes.dests.len(), 101);
+        db.insert("t", vec![row![101i64, "newer"]]).unwrap();
+        assert!(held.parts[0].has_hash_layout(0, 2));
+        assert!(!image(&db).has_hash_layout(0, 2));
+        assert_eq!(routed(&db, 2).1.dests.len(), 102);
+
+        // A clone, a migrated batch and a concatenated one keep none.
+        let clone = held.parts[0].as_ref().clone();
+        assert!(!clone.has_hash_layout(0, 2));
+        let exposed = Schema::new(vec![("v", DataType::Str), ("k", DataType::Int)]);
+        let decoded = held.selected().to_batch(&exposed, &[0, 1]).unwrap();
+        let migrated = Selection::all(decoded).unwrap();
+        let router = pspp_common::HashRouter::new(2).unwrap();
+        migrated.parts[0].hash_layout(1, router);
+        assert!(!migrated.parts[0].has_hash_layout(1, 2));
+        let both = Batch::concat(vec![clone.clone(), clone]).unwrap();
+        both.hash_layout(0, router);
+        assert!(!both.has_hash_layout(0, 2));
     }
 
     #[test]

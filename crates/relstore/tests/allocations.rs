@@ -10,9 +10,10 @@
 //! A table stores a row as its image's entries alone, a string in its
 //! column's one buffer: an insert allocates nothing per row.
 //!
-//! A hash join that reads a table's snapshot whole probes the key index
-//! the snapshot keeps: once it is built, the bytes a join allocates do
-//! not grow with the indexed table's rows.
+//! A hash join that reads a table's snapshot whole, or a shuffle's bucket
+//! of whole routed destinations of several snapshots, probes the key
+//! index each snapshot keeps: once they are built, the bytes a join
+//! allocates do not grow with the indexed tables' rows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -274,5 +275,71 @@ fn a_join_over_a_kept_key_index_allocates_the_same_however_long_the_table() {
     assert_eq!(
         few, many,
         "a join over the kept index allocates by the table's rows: {few:?} at 1 000, {many:?} at 10 000"
+    );
+}
+
+#[test]
+fn a_bucket_join_over_kept_layouts_allocates_the_same_however_long_the_table() {
+    // `t(k, v)` stored as two shards, even keys on one and odd on the
+    // other, `0..rows` once each; each shard's scan routed on `k` over
+    // two destinations and split, and destination 0's bucket — its rows
+    // of both shards, appended — joined with the same 64 probe rows.
+    let second_join = |rows: i64| {
+        let schema = Schema::new(vec![("k", DataType::Int), ("v", DataType::Int)]);
+        let shards: Vec<RelationalStore> = (0..2)
+            .map(|shard| {
+                let mut store = RelationalStore::new("db");
+                store.create_table("t", schema.clone()).unwrap();
+                let keys = (0..rows).filter(|k| k % 2 == shard);
+                store
+                    .insert("t", keys.map(|k| row![k, k * 3]).collect())
+                    .unwrap();
+                store
+            })
+            .collect();
+        let bucket = (shards.iter())
+            .map(|store| {
+                let route = Some(("k", 2));
+                let (sel, routes) = store.scan_kept("t", &Predicate::True, None, route).unwrap();
+                sel.split(&routes.dests, 2).unwrap().swap_remove(0)
+            })
+            .reduce(|all, more| all.concat(&more).unwrap())
+            .unwrap();
+        assert_eq!(bucket.part_count(), 2);
+        let probe_schema = Schema::new(vec![("p", DataType::Int)]);
+        let key = |i: i64| if i % 2 == 0 { i * 15 } else { 50_000 + i };
+        let probe: Vec<Row> = (0..64).map(|i| row![key(i)]).collect();
+        let join = || {
+            let probe = Selected::all(&probe).unwrap();
+            (ops::hash_join_with(
+                &probe_schema,
+                probe,
+                &schema,
+                bucket.selected(),
+                "p",
+                "k",
+                JoinKind::Inner,
+                None,
+                |_| {},
+            ))
+            .unwrap()
+        };
+        let first = allocated_bytes(join);
+        for store in &shards {
+            let image = store.table("t").unwrap().image();
+            assert!(image.has_hash_layout(0, 2) && image.has_key_index(0));
+        }
+        let (second, matched) = (allocated_bytes(join), join().1.len());
+        assert!(
+            second < first,
+            "the second join builds nothing: {second} bytes, {first} before"
+        );
+        (second, matched)
+    };
+    let (few, many) = (second_join(1_000), second_join(10_000));
+    assert!(few.1 > 0, "some probe rows match in destination 0");
+    assert_eq!(
+        few, many,
+        "a bucket join over kept layouts allocates by the table's rows: {few:?} at 1 000, {many:?} at 10 000"
     );
 }

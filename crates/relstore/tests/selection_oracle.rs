@@ -29,6 +29,13 @@
 //! columns stored in reverse order — and must answer as the plain rows
 //! do.
 //!
+//! A shuffle's bucket — each of one to four tables, a shard each,
+//! scanned and routed on the join key, split by destination and appended
+//! in turn — reads one whole destination of each table's hash layout, in
+//! order, and a join with it probes each table's kept key index instead
+//! of building a table; it must answer as the join over the bucket's
+//! built rows does, and so must every bucket that falls back.
+//!
 //! Every row stored carries a `rid` of its own in its last column, so
 //! that rows compared by value are told apart: two equal rows swapped
 //! (a lost tie-break) fail as any other wrong row does.
@@ -37,7 +44,9 @@ use std::cmp::Ordering;
 use std::sync::atomic::{AtomicI64, Ordering as Atomic};
 
 use proptest::prelude::*;
-use pspp_common::{Batch, DataType, Error, Field, Predicate, Result, Row, Schema, Value};
+use pspp_common::{
+    Batch, DataType, Error, Field, HashRouter, Predicate, Result, Row, Schema, Value,
+};
 use pspp_relstore::ops::{self, Aggregate, AggregateSpec, JoinKind, Selected, SortKey};
 use pspp_relstore::{RelationalStore, Selection};
 
@@ -730,6 +739,65 @@ fn joins_agree(
     Ok(())
 }
 
+/// How a shuffle's bucket is read: as routed; or, so that it reads no
+/// whole destination any more, through a build scan filtered by a drawn
+/// predicate, with its positions reversed, or with one row left out.
+#[derive(Debug, Clone, Copy)]
+enum Bucket {
+    Routed,
+    Filtered,
+    Reversed,
+    LessOne,
+}
+
+/// `tables`, each stored as a table `t` of its own — a shard each —
+/// scanned under `predicate`, projected onto `names` and routed on
+/// `key` over `width` destinations, and each scan split by its routes:
+/// the stores, and each destination's bucket, the tables' splits
+/// appended in order. Checked on the way: each row's destination is
+/// the one [`HashRouter`] routes its key to, and each destination's
+/// bytes are its rows'.
+fn routed_buckets(
+    tables: &[Vec<Row>],
+    predicate: &Predicate,
+    names: &[&str],
+    (key, width): (&str, u32),
+) -> std::result::Result<(Vec<RelationalStore>, Vec<Selection>), TestCaseError> {
+    let router = HashRouter::new(width).expect("a destination or more");
+    let at = names
+        .iter()
+        .position(|&n| n == key)
+        .expect("the key is projected");
+    let mut stores = Vec::with_capacity(tables.len());
+    let mut buckets: Vec<Option<Selection>> = vec![None; width as usize];
+    for rows in tables {
+        let mut db = RelationalStore::new("db");
+        db.create_table("t", schema()).expect("fresh store");
+        db.insert("t", with_rids(rows)).expect("rows match schema");
+        let (sel, routes) =
+            (db.scan_kept("t", predicate, Some(names), Some((key, width)))).expect("known columns");
+        let built = sel.rows();
+        let dests: Vec<u32> = built.iter().map(|r| router.route(&r[at]) as u32).collect();
+        prop_assert_eq!(&routes.dests, &dests);
+        let mut bytes = vec![0u64; width as usize];
+        for (row, &d) in built.iter().zip(&dests) {
+            bytes[d as usize] += row.byte_size() as u64;
+        }
+        prop_assert_eq!(&routes.bytes, &bytes);
+        let split = sel
+            .split(&routes.dests, width as usize)
+            .expect("its own routes");
+        for (bucket, part) in buckets.iter_mut().zip(split) {
+            *bucket = Some(match bucket.take() {
+                None => part,
+                Some(before) => before.concat(&part).expect("few small snapshots"),
+            });
+        }
+        stores.push(db);
+    }
+    Ok((stores, buckets.into_iter().flatten().collect()))
+}
+
 /// Half the time the same column on both sides (`Str` keys among them),
 /// otherwise any pair (`Int` against `Float` among them); inner or left
 /// outer; a demand of up to five of the join's ten columns, or none.
@@ -975,7 +1043,11 @@ proptest! {
     /// A scan that projects keeps a selection exposing the projected
     /// columns, whose rows are the scan's rows projected; routed on a
     /// projected column, each destination gets the rows the unprojected
-    /// scan sends there, and their projected bytes.
+    /// scan sends there — each row where [`HashRouter`] routes its key,
+    /// a NULL included — and their projected bytes, a NULL cell weighing
+    /// 1. Each scan runs as drawn and filtered to the rows of even `rid`,
+    /// twice: the first routed scan of the snapshot builds its layout,
+    /// the next ones read it.
     #[test]
     fn a_projecting_scan_keeps_a_projected_selection_and_routes_its_widths(
         rows in arb_wide_table(48),
@@ -986,28 +1058,140 @@ proptest! {
         let wide = wide_schema();
         let mut db = RelationalStore::new("db");
         db.create_table("t", wide.clone()).expect("fresh store");
-        db.insert("t", with_rids(&rows)).expect("rows match schema");
-        let predicate = predicate_from(&["i"], scan);
+        let stored = with_rids(&rows);
+        db.insert("t", stored.clone()).expect("rows match schema");
+        let rid = wide.arity() - 1;
+        let even: Vec<Value> = (stored.iter())
+            .map(|row| row[rid].clone())
+            .filter(|v| matches!(v, Value::Int(r) if r % 2 == 0))
+            .collect();
+        let drawn = predicate_from(&["i"], scan);
+        let filtered = drawn.clone().and(Predicate::In("rid".into(), even));
         let names: Vec<&str> = projection.iter().map(|&c| wide.fields()[c].name.as_str()).collect();
         let key = names[key % names.len()];
-        let (all, whole) = db
-            .scan_kept("t", &predicate, None, Some((key, width)))
-            .expect("known columns");
-        let (sel, routes) = db
-            .scan_kept("t", &predicate, Some(&names), Some((key, width)))
-            .expect("known columns");
-        let (want_sel, _, want) = projected(&all, &projection, (false, &[]))?;
-        prop_assert_eq!(sel.columns(), want_sel.columns());
-        prop_assert!(same_rows(&sel.rows(), &want));
-        prop_assert_eq!(&routes.dests, &whole.dests);
-        let mut bytes = vec![0u64; width as usize];
-        for (row, &d) in want.iter().zip(&routes.dests) {
-            bytes[d as usize] += row.byte_size() as u64;
+        let router = HashRouter::new(width).expect("a destination or more");
+        let bytes_of = |rows: &[Row], dests: &[u32]| {
+            let mut bytes = vec![0u64; width as usize];
+            for (row, &d) in rows.iter().zip(dests) {
+                bytes[d as usize] += row.byte_size() as u64;
+            }
+            bytes
+        };
+        for predicate in [&drawn, &filtered, &drawn, &filtered] {
+            let (all, whole) = db
+                .scan_kept("t", predicate, None, Some((key, width)))
+                .expect("known columns");
+            let every = all.rows();
+            let at = wide.index_of(key).expect("a column of the table");
+            let dests: Vec<u32> = every.iter().map(|r| router.route(&r[at]) as u32).collect();
+            prop_assert_eq!(&whole.dests, &dests);
+            prop_assert_eq!(&whole.bytes, &bytes_of(&every, &dests));
+            let (sel, routes) = db
+                .scan_kept("t", predicate, Some(&names), Some((key, width)))
+                .expect("known columns");
+            let (want_sel, _, want) = projected(&all, &projection, (false, &[]))?;
+            prop_assert_eq!(sel.columns(), want_sel.columns());
+            prop_assert!(same_rows(&sel.rows(), &want));
+            prop_assert_eq!(&routes.dests, &dests);
+            prop_assert_eq!(routes.bytes, bytes_of(&want, &dests));
+            let scanned = db.scan("t", predicate, Some(&names)).expect("known columns");
+            prop_assert!(same_rows(&scanned.rows, &want));
+            prop_assert_eq!(scanned.byte_size, walked(&want));
         }
-        prop_assert_eq!(routes.bytes, bytes);
-        let scanned = db.scan("t", &predicate, Some(&names)).expect("known columns");
-        prop_assert!(same_rows(&scanned.rows, &want));
-        prop_assert_eq!(scanned.byte_size, walked(&want));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Buckets of one to four tables routed on `k` over one to four
+    /// destinations, their scans projected (the key kept), joined inner
+    /// or left outer with plain rows (keys on the same column or another:
+    /// `Int` against `Float` among them) on either side, against the same
+    /// join over the bucket's built rows: rows in order, bytes and
+    /// per-probe counts — twice, the second join probing the indexes
+    /// the first built. The keys hold duplicates and, half the time,
+    /// NULLs (a table with a NULL key has no index); a bucket filtered,
+    /// reversed or one row short reads no whole destination.
+    #[test]
+    fn a_join_over_whole_routed_destinations_is_the_join_built_on_its_own(
+        tables in prop::collection::vec(arb_table(24), 1..5),
+        probe in arb_table(24),
+        (key, probe_key, same_key) in (0usize..5, 0usize..5, any::<bool>()),
+        (width, projection) in (1u32..5, prop::collection::vec(0usize..6, 0..6)),
+        (nulls, outer, bucket_left) in (any::<bool>(), any::<bool>(), any::<bool>()),
+        (mode, drop_at, scan) in (0u8..4, any::<usize>(), arb_predicate_program(1..3, arb_any)),
+    ) {
+        let s = schema();
+        let name = |c: usize| s.fields()[c].name.as_str();
+        let (key, probe_key) = (COLUMNS[key], if same_key { COLUMNS[key] } else { COLUMNS[probe_key] });
+        // Without NULLs drawn, no key is NULL: every typed key column
+        // has an index.
+        let no_null = |rows: &[Row], c: &str| -> Vec<Row> {
+            let at = s.index_of(c).expect("a column of the schema");
+            rows.iter().filter(|r| nulls || !r[at].is_null()).cloned().collect()
+        };
+        let tables: Vec<Vec<Row>> = tables.iter().map(|rows| no_null(rows, key)).collect();
+        let probe = with_rids(&no_null(&probe, probe_key));
+        let mut names: Vec<&str> = projection.iter().map(|&c| name(c)).collect();
+        if !names.contains(&key) {
+            names.insert(drop_at % (names.len() + 1), key);
+        }
+        let mode = [Bucket::Routed, Bucket::Filtered, Bucket::Reversed, Bucket::LessOne][mode as usize];
+        let predicate = match mode {
+            Bucket::Filtered => predicate_from(&COLUMNS, scan),
+            _ => Predicate::True,
+        };
+        let (_stores, buckets) = routed_buckets(&tables, &predicate, &names, (key, width))?;
+        let bucket_schema = s.project(&names).expect("columns of the schema");
+        let kind = if outer { JoinKind::LeftOuter } else { JoinKind::Inner };
+        for bucket in &buckets {
+            let bucket = match mode {
+                Bucket::Reversed => {
+                    let reversed = bucket.positions().iter().rev().copied().collect();
+                    bucket.with_positions(reversed).expect("its own positions")
+                }
+                Bucket::LessOne if !bucket.is_empty() => {
+                    let mut fewer = bucket.positions().to_vec();
+                    fewer.remove(drop_at % fewer.len());
+                    bucket.with_positions(fewer).expect("its own positions")
+                }
+                _ => bucket.clone(),
+            };
+            let built = bucket.rows();
+            let all = |rows| Selected::all(rows).expect("few rows");
+            let join = |l, r| {
+                let mut counts = Vec::new();
+                let (ls, lon, rs, ron) = if bucket_left {
+                    (&bucket_schema, key, &s, probe_key)
+                } else {
+                    (&s, probe_key, &bucket_schema, key)
+                };
+                let out = ops::hash_join_with(ls, l, rs, r, lon, ron, kind, None, |n| counts.push(n));
+                out.map(|(schema, rows, bytes)| (schema, rows, bytes, counts)).expect("known columns")
+            };
+            let sides = |bucket_side| {
+                if bucket_left { (bucket_side, all(&probe)) } else { (all(&probe), bucket_side) }
+            };
+            let want = {
+                let (l, r) = sides(all(&built));
+                join(l, r)
+            };
+            for _ in 0..2 {
+                let (l, r) = sides(bucket.selected());
+                let got = join(l, r);
+                prop_assert_eq!(&got.0, &want.0);
+                prop_assert!(
+                    same_rows(&got.1, &want.1),
+                    "{mode:?} {key} = {probe_key} at width {width}, bucket {:?}: got {:?}, want {:?}",
+                    bucket.positions(),
+                    got.1,
+                    want.1
+                );
+                prop_assert_eq!(got.2, want.2);
+                prop_assert_eq!(&got.3, &want.3);
+            }
+        }
     }
 }
 

@@ -76,7 +76,7 @@ impl RowBuf {
     /// [`Row::byte_size`] over its rows, or a selection's
     /// [`Selection::byte_size`], checked in debug builds and never
     /// walked for.
-    fn sized(mut self, byte_size: u64) -> Self {
+    pub(crate) fn sized(mut self, byte_size: u64) -> Self {
         debug_assert_eq!(
             byte_size,
             match self.as_selection() {
@@ -565,7 +565,8 @@ impl Routed {
         }
         let parts: Vec<RowBuf> = match rows.as_selection() {
             Some(selection) => (selection.split(&routes.dests, width)?.into_iter())
-                .map(RowBuf::selection)
+                .zip(&routes.bytes)
+                .map(|(part, &bytes)| RowBuf::selection(part).sized(bytes))
                 .collect(),
             None => {
                 let mut split: Vec<Vec<Row>> = counts.into_iter().map(Vec::with_capacity).collect();

@@ -11,7 +11,11 @@
 //! Checked: each destination's input rows in order and their bytes, the
 //! probe origins, the exchange's rows and bytes, the output rows in
 //! order, and the makespan bits against the same join routed from
-//! gathered copies.
+//! gathered copies. Each case runs twice on one registry — the second
+//! run's scans read the hash layouts the first one's left on the tables'
+//! snapshots, and its joins the key indexes — and twice more after a
+//! row is inserted into the build table, whose shard's snapshot drops
+//! what it kept.
 
 use pspp_common::{
     DataType, Distribution, EngineId, PartitionSpec, Predicate, Row, Schema, TableRef, Value,
@@ -85,6 +89,11 @@ fn layout((mode, width): (u8, u32), key: &str, column: &str) -> PartitionSpec {
     }
 }
 
+/// A row of `db2.r` of key type `rk`.
+fn build_row(rk: DataType, (k, x, n): (i64, i64, usize)) -> Row {
+    Row::from(vec![key(rk, k), Value::Int(x), Value::from("w".repeat(n))])
+}
+
 /// `db1.l(k, v Int)` and `db2.r(k, x Int, w Str)` laid out as drawn.
 fn registry(
     (lk, rk): (DataType, DataType),
@@ -103,10 +112,8 @@ fn registry(
     let mut db2 = RelationalStore::new("db2");
     let schema = Schema::new(vec![("k", rk), ("x", DataType::Int), ("w", DataType::Str)]);
     db2.create_table("r", schema).unwrap();
-    let rows = right
-        .iter()
-        .map(|&(k, x, n)| Row::from(vec![key(rk, k), Value::Int(x), Value::from("w".repeat(n))]));
-    db2.insert("r", rows.collect()).unwrap();
+    db2.insert("r", right.iter().map(|&r| build_row(rk, r)).collect())
+        .unwrap();
     for (engine, store) in [("db1", db1), ("db2", db2)] {
         registry
             .register(EngineId::new(engine), EngineInstance::Relational(store))
@@ -225,6 +232,55 @@ fn walked(rows: &[Row]) -> u64 {
     rows.iter().map(|r| r.byte_size() as u64).sum()
 }
 
+/// The answer of `l ⋈ r` as drawn: the same join with both sides read
+/// by outputs too, so nothing routes them where they are produced and
+/// the shuffle routes their gathered copies — the sides whose
+/// nested-loop join, in probe order, is the answer — run, checked
+/// against that nested loop, and returned with its report.
+fn reference(
+    filter: Filter,
+    project: bool,
+    registry: &EngineRegistry,
+) -> std::result::Result<(ExecutionReport, Vec<Row>), proptest::test_runner::TestCaseError> {
+    let (mut copies, nodes) = program(filter, project, true);
+    let plan = Placer::plan_distribution(&mut copies, registry, PlanOptions::default()).unwrap();
+    proptest::prop_assert!(plan.node(nodes.left).routed.is_none());
+    let from_copies = Executor::new(CostLedger::new())
+        .execute(&copies, registry)
+        .unwrap();
+    let sides = &from_copies.outputs[1..];
+    let keys = [0, usize::from(project)];
+    let (l, r) = (sides[0].try_rows().unwrap(), sides[1].try_rows().unwrap());
+    let expect: Vec<Row> = l
+        .iter()
+        .flat_map(|a| {
+            let (ka, kb) = (&a[keys[0]], keys[1]);
+            r.iter()
+                .filter(move |b| !ka.is_null() && *ka == b[kb])
+                .map(|b| a.concat(b))
+        })
+        .collect();
+    proptest::prop_assert_eq!(from_copies.outputs[0].try_rows().unwrap(), &expect[..]);
+    Ok((from_copies, expect))
+}
+
+/// Inserts `row` into `db2.r` on the shard its layout homes it on, and
+/// moves the registry's epoch as an in-band write does.
+fn insert_build_row(registry: &mut EngineRegistry, row: Row) {
+    let table = TableRef::new("db2", "r");
+    let spec = registry.partition(&table).unwrap().clone();
+    let store = registry.relational(&table.engine).unwrap();
+    let schema = store.scan_schema("r", None).unwrap();
+    let shard = spec
+        .route_rows(&schema, std::slice::from_ref(&row))
+        .unwrap()[0];
+    match registry.shard_mut(&table.engine, shard).unwrap() {
+        EngineInstance::Relational(store) => store.insert("r", vec![row]).unwrap(),
+        other => panic!("db2 is relational, not {}", other.kind()),
+    };
+    registry.bump_epoch();
+}
+
 proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(192))]
 
@@ -235,87 +291,91 @@ proptest::proptest! {
         right in proptest::prop::collection::vec((-1i64..8, 0i64..20, 0usize..4), 0..40),
         layouts in ((0u8..3, 1u32..5), (0u8..3, 1u32..5)),
         sides in (0u8..3, 0i64..20, proptest::strategy::any::<bool>()),
+        inserted in (-1i64..8, 0i64..20, 0usize..4),
     ) {
         use proptest::{prop_assert, prop_assert_eq};
-        let registry = registry(KINDS[kinds], &left, &right, [layouts.0, layouts.1]);
+        let mut registry = registry(KINDS[kinds], &left, &right, [layouts.0, layouts.1]);
         let filter = [Filter::None, Filter::Fused(sides.1), Filter::Run(sides.1)][sides.0 as usize];
         let project = sides.2;
         let (mut p, nodes) = program(filter, project, false);
         let exec = Executor::new(CostLedger::new());
         // Each program carries the plan `Polystore::optimize_at` makes.
-        let planned = |p: &mut Program, options| Placer::plan_distribution(p, &registry, options);
+        let planned = |p: &mut Program, options, registry: &EngineRegistry| {
+            Placer::plan_distribution(p, registry, options)
+        };
 
-        // The reference: the same join with both sides read by outputs
-        // too, so the shuffle routes their gathered copies — the sides
-        // whose nested-loop join, in probe order, is the answer, and
-        // whose routing picks each destination's rows.
-        let (mut copies, _) = program(filter, project, true);
-        let copies_plan = planned(&mut copies, PlanOptions::default()).unwrap();
-        let from_copies = exec.execute(&copies, &registry).unwrap();
+        // The reference, whose sides' routing also picks each
+        // destination's rows below.
+        let (from_copies, expect) = reference(filter, project, &registry)?;
         let sides = &from_copies.outputs[1..];
         let keys = [0, usize::from(project)];
-        let (l, r) = (sides[0].try_rows().unwrap(), sides[1].try_rows().unwrap());
-        let expect: Vec<Row> = l
-            .iter()
-            .flat_map(|a| {
-                let (ka, kb) = (&a[keys[0]], keys[1]);
-                r.iter().filter(move |b| !ka.is_null() && *ka == b[kb]).map(|b| a.concat(b))
-            })
-            .collect();
-        prop_assert_eq!(from_copies.outputs[0].try_rows().unwrap(), &expect[..]);
 
         let mut gathered = p.clone();
-        planned(&mut gathered, PlanOptions::gathered()).unwrap();
+        planned(&mut gathered, PlanOptions::gathered(), &registry).unwrap();
         let literal = Executor::new(CostLedger::new()).execute(&gathered, &registry).unwrap();
         prop_assert_eq!(literal.outputs[0].try_rows().unwrap(), &expect[..]);
 
-        let plan = planned(&mut p, PlanOptions::default()).unwrap();
+        let plan = planned(&mut p, PlanOptions::default(), &registry).unwrap();
         let report = exec.execute(&p, &registry).unwrap();
         prop_assert_eq!(report.outputs[0].try_rows().unwrap(), &expect[..]);
+        // Again, over what the first run left on the snapshots.
+        let again = exec.execute(&p, &registry).unwrap();
+        prop_assert_eq!(again.outputs[0].try_rows().unwrap(), &expect[..]);
+        prop_assert_eq!(again.makespan().to_bits(), report.makespan().to_bits());
         let join = plan.node(nodes.join);
-        if !join.shuffles() {
-            return Ok(());
-        }
-        let width = join.scatter_width();
-        let (inputs, barrier) = shuffle_of(&exec, &p, &plan, &registry, nodes.join);
-        let (mut rows, mut bytes) = (0, 0);
-        for (idx, (scan, side)) in [nodes.left, nodes.right].into_iter().zip(sides).enumerate() {
-            if !matches!(join.exchange(idx), ExchangeKind::ShuffleHash { .. }) {
-                prop_assert!(plan.node(scan).routed.is_none());
-                continue;
-            }
-            prop_assert_eq!(&plan.node(scan).routed, &Some(("k".to_string(), width as u32)));
-            let gathered = side.try_rows().unwrap();
-            let target = Distribution::repartition("k", width as u32);
-            let picks = target.route_indices(side.schema().unwrap(), gathered).unwrap();
-            for (d, pick) in picks.iter().enumerate() {
-                for &i in pick {
-                    let hash = reference_hash(&gathered[i][keys[idx]]);
-                    prop_assert!(hash % width as u64 == d as u64, "{} to {d}", gathered[i]);
+        // A shuffled join's inputs, exchange and bill.
+        if join.shuffles() {
+            let width = join.scatter_width();
+            let (inputs, barrier) = shuffle_of(&exec, &p, &plan, &registry, nodes.join);
+            let (mut rows, mut bytes) = (0, 0);
+            for (idx, (scan, side)) in [nodes.left, nodes.right].into_iter().zip(sides).enumerate() {
+                if !matches!(join.exchange(idx), ExchangeKind::ShuffleHash { .. }) {
+                    prop_assert!(plan.node(scan).routed.is_none());
+                    continue;
                 }
-                let want: Vec<Row> = pick.iter().map(|&i| gathered[i].clone()).collect();
-                let got = &inputs[d][idx];
-                prop_assert_eq!(got.try_rows().unwrap(), &want[..]);
-                prop_assert_eq!(got.byte_size(), walked(&want));
+                prop_assert_eq!(&plan.node(scan).routed, &Some(("k".to_string(), width as u32)));
+                let gathered = side.try_rows().unwrap();
+                let target = Distribution::repartition("k", width as u32);
+                let picks = target.route_indices(side.schema().unwrap(), gathered).unwrap();
+                for (d, pick) in picks.iter().enumerate() {
+                    for &i in pick {
+                        let hash = reference_hash(&gathered[i][keys[idx]]);
+                        prop_assert!(hash % width as u64 == d as u64, "{} to {d}", gathered[i]);
+                    }
+                    let want: Vec<Row> = pick.iter().map(|&i| gathered[i].clone()).collect();
+                    let got = &inputs[d][idx];
+                    prop_assert_eq!(got.try_rows().unwrap(), &want[..]);
+                    prop_assert_eq!(got.byte_size(), walked(&want));
+                }
+                if idx == 0 {
+                    prop_assert_eq!(&barrier.probe_origins, &picks);
+                }
+                rows += gathered.len() as u64;
+                bytes += walked(gathered);
             }
-            if idx == 0 {
-                prop_assert_eq!(&barrier.probe_origins, &picks);
-            }
-            rows += gathered.len() as u64;
-            bytes += walked(gathered);
-        }
-        prop_assert_eq!((barrier.routed_rows, barrier.bytes), (rows, bytes));
-        let shuffled: Vec<(usize, usize)> = report
-            .traces
-            .iter()
-            .flat_map(|t| &t.exchanges)
-            .filter(|e| e.kind == "shuffle")
-            .map(|e| (e.rows, e.bytes))
-            .collect();
-        prop_assert_eq!(shuffled, vec![(rows as usize, bytes as usize)]);
+            prop_assert_eq!((barrier.routed_rows, barrier.bytes), (rows, bytes));
+            let shuffled: Vec<(usize, usize)> = report
+                .traces
+                .iter()
+                .flat_map(|t| &t.exchanges)
+                .filter(|e| e.kind == "shuffle")
+                .map(|e| (e.rows, e.bytes))
+                .collect();
+            prop_assert_eq!(shuffled, vec![(rows as usize, bytes as usize)]);
 
-        // Routing the gathered copies instead bills the same bits.
-        prop_assert!(copies_plan.node(nodes.left).routed.is_none());
-        prop_assert_eq!(from_copies.makespan().to_bits(), report.makespan().to_bits());
+            // Routing the gathered copies instead bills the same bits.
+            prop_assert_eq!(from_copies.makespan().to_bits(), report.makespan().to_bits());
+        }
+
+        // A row inserted into the build table drops what its shard's
+        // snapshot kept: the next runs answer as the reference over the
+        // new rows.
+        insert_build_row(&mut registry, build_row(KINDS[kinds].1, inserted));
+        let (_, expect) = reference(filter, project, &registry)?;
+        planned(&mut p, PlanOptions::default(), &registry).unwrap();
+        for _ in 0..2 {
+            let report = exec.execute(&p, &registry).unwrap();
+            prop_assert_eq!(report.outputs[0].try_rows().unwrap(), &expect[..]);
+        }
     }
 }

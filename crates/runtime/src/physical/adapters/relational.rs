@@ -30,7 +30,10 @@ pub(crate) fn scan(
     let route = ctx.route();
     let (selection, routes) =
         store.scan_kept(name, predicate, cols, route.map(|r| (r.key, r.width)))?;
+    let mut rows = RowBuf::selection(selection);
     if let Some(request) = route {
+        // The destinations' bytes add up to the scan's.
+        rows = rows.sized(routes.bytes.iter().sum());
         request
             .routes
             .set(routes)
@@ -38,7 +41,7 @@ pub(crate) fn scan(
     }
     Ok(Dataset::from_buf(
         store.scan_schema(name, cols)?,
-        RowBuf::selection(selection),
+        rows,
         DataModel::Relational,
         table.engine.clone(),
     ))

@@ -141,8 +141,10 @@ impl Dataset {
         Dataset { features, labels }
     }
 
-    /// A deterministic two-Gaussian clustering task in `dim` dimensions;
-    /// labels are the generating cluster (used to sanity-check k-means).
+    /// A deterministic clustering task of `k` Gaussians in `dim`
+    /// dimensions (centers drawn between -5 and 5, spread 0.4, sample `i`
+    /// drawn from Gaussian `i % k`); labels are the generating cluster
+    /// (used to sanity-check k-means).
     pub fn synthetic_blobs(n: usize, dim: usize, k: usize, seed: u64) -> Dataset {
         let mut rng = SplitMix64::new(seed);
         let centers: Vec<Vec<f64>> = (0..k)

@@ -2,9 +2,33 @@
 //!
 //! The paper's Fig. 7 shows a Tensorflow k-means translated into OptiML's
 //! `untilconverged { samples.groupRowsBy { minIndex(dist) } .map(mean) }`.
-//! The implementation below keeps exactly that structure — a `map` over
-//! samples (assignment) and a `groupBy`-average (update) — because those
-//! are the parallel patterns a CGRA/FPGA backend would map to hardware.
+//! The implementation below keeps that structure — a `map` over samples
+//! (assignment: each sample's nearest centroid) and a `groupBy`-average
+//! (update: each cluster's mean) — because those are the parallel
+//! patterns a CGRA/FPGA backend would map to hardware, and it lays the
+//! data out the way such a backend streams it:
+//!
+//! - The `n × dim` samples are transposed once per run into one column
+//!   per feature, each cut into blocks of four samples (two pairs of
+//!   lanes, one 128-bit vector register each).
+//! - The `map` takes a block at a time. For each centroid it sums each
+//!   sample's `(c - x)²` over the columns in column order, from `0.0`,
+//!   and keeps the arg-min with a select on a strictly smaller distance,
+//!   the index held as an `f64` lane beside the distance. Samples of one
+//!   to four columns take a body with the width fixed; any other width
+//!   takes one generic body.
+//! - The `groupBy`'s sums and counts are folded into the same pass: once
+//!   a block's nearest centroids are known, its samples are counted and
+//!   added into their clusters, block after block in sample order.
+//!
+//! Every accumulator therefore sees the same additions in the same order
+//! as a row-at-a-time assignment followed by a separate groupBy loop, so
+//! assignments, centroids and inertia are those of that loop bit for bit
+//! (`tests/kmeans_oracle.rs` holds them to it). A centroid coordinate
+//! that comes out NaN is stored as the one NaN, [`f64::NAN`]: the sign
+//! and payload of a NaN sum depend on which operand code generation
+//! puts first, and would otherwise differ between two compilations of
+//! the same fold.
 
 use pspp_accel::kernels::{KernelReport, Matrix};
 use pspp_accel::{CostLedger, DeviceKind, DeviceProfile, KernelClass};
@@ -48,8 +72,12 @@ pub struct KMeans {
 }
 
 impl KMeans {
-    /// Runs k-means on `samples` (`n × dim`), charging `device` for the
-    /// distance and update patterns.
+    /// Runs k-means on `samples` (`n × dim`, row-major), charging
+    /// `device` for the distance and update patterns. The samples are
+    /// transposed once into blocked columns; each iteration is then one
+    /// pass over them that assigns a block at a time and folds it into
+    /// the clusters' sums and counts, which are allocated once per run
+    /// (see the module docs).
     ///
     /// # Errors
     ///
@@ -78,30 +106,32 @@ impl KMeans {
             }
         }
 
+        let columns = Columns::of(samples);
         let mut assignments = vec![0usize; n];
+        let mut sums = vec![0.0; k * dim];
+        let mut counts = vec![0usize; k];
         let mut iterations = 0;
         for _ in 0..config.max_iters {
             iterations += 1;
             // Pattern 1 — map over samples: nearest-centroid assignment
-            // (`kMeans.mapRows(mean => dist(sample, mean)).minIndex`).
-            // A sample of no columns is nearest the first centroid,
-            // where `assignments` starts.
-            let rows = samples.as_slice().chunks_exact(dim.max(1));
-            for (slot, sample) in assignments.iter_mut().zip(rows) {
-                *slot = nearest(sample, centroids.as_slice());
+            // (`kMeans.mapRows(mean => dist(sample, mean)).minIndex`),
+            // with pattern 2's per-cluster counts and sums folded into
+            // the same pass.
+            sums.fill(0.0);
+            counts.fill(0);
+            let to = (&mut assignments[..], &mut sums[..], &mut counts[..]);
+            let means = centroids.as_slice();
+            match dim {
+                1 => pass(&columns, 1, to, |b| assign_block::<1>(&columns, b, means)),
+                2 => pass(&columns, 2, to, |b| assign_block::<2>(&columns, b, means)),
+                3 => pass(&columns, 3, to, |b| assign_block::<3>(&columns, b, means)),
+                4 => pass(&columns, 4, to, |b| assign_block::<4>(&columns, b, means)),
+                _ => pass(&columns, dim, to, |b| {
+                    assign_block_any(&columns, b, means, k)
+                }),
             }
             // Pattern 2 — groupBy + average: new centroids
             // (`clusters.map(e => e.sum / e.length)`).
-            let mut sums = Matrix::zeros(k, dim);
-            let mut counts = vec![0usize; k];
-            for (i, &c) in assignments.iter().enumerate() {
-                counts[c] += 1;
-                let row = samples.row(i);
-                let acc = sums.row_mut(c);
-                for (a, b) in acc.iter_mut().zip(row) {
-                    *a += b;
-                }
-            }
             let mut movement = 0.0;
             #[allow(clippy::needless_range_loop)] // c indexes counts, sums and centroids alike
             for c in 0..k {
@@ -109,7 +139,9 @@ impl KMeans {
                     continue; // empty cluster keeps its centroid
                 }
                 for d in 0..dim {
-                    let new = sums.get(c, d) / counts[c] as f64;
+                    let new = sums[c * dim + d] / counts[c] as f64;
+                    // Every NaN stored as the one NaN (module docs).
+                    let new = if new.is_nan() { f64::NAN } else { new };
                     movement += (new - centroids.get(c, d)).abs();
                     centroids.set(c, d, new);
                 }
@@ -169,56 +201,165 @@ impl KMeans {
     }
 }
 
-/// The first of `centroids` — rows of `sample.len()` values, one after
-/// another — nearest `sample` by squared distance: each distance the sum
-/// of `(a - b) * (a - b)` in column order, and the minimum kept with a
-/// select, not a branch. Only a strictly smaller distance replaces it,
-/// so of equal ones the first wins and a NaN never does (none at all:
-/// the first centroid).
-///
-/// Samples of one to four columns take a body with the width fixed, so
-/// the distance is unrolled: the same additions in the same order, and
-/// none of the loop's overhead per column, which otherwise is most of a
-/// distance over a few columns (and most of `hetero_ml`'s k-means ops).
-#[inline]
-fn nearest(sample: &[f64], centroids: &[f64]) -> usize {
-    match sample.len() {
-        1 => nearest_of::<1>(sample, centroids),
-        2 => nearest_of::<2>(sample, centroids),
-        3 => nearest_of::<3>(sample, centroids),
-        4 => nearest_of::<4>(sample, centroids),
-        _ => nearest_of_any(sample, centroids),
-    }
+/// Samples per pair: the `f64` lanes of one 128-bit vector register,
+/// which every x86-64 target has.
+const PAIR: usize = 2;
+/// Samples per block of the assignment: two pairs.
+const BLOCK: usize = 2 * PAIR;
+
+/// One column's values over one block of samples, pair by pair:
+/// sample `j` of the block at `[j / PAIR][j % PAIR]`.
+type Block = [[f64; PAIR]; 2];
+
+/// The samples a column at a time, each column cut into blocks of
+/// [`BLOCK`] samples in sample order; the last block of each column is
+/// padded with `0.0`.
+struct Columns {
+    /// Column `d`'s block `b` at `d * blocks + b`.
+    lanes: Vec<Block>,
+    /// Blocks per column.
+    blocks: usize,
 }
 
-/// [`nearest`] over samples of `D` columns.
-#[inline]
-fn nearest_of<const D: usize>(sample: &[f64], centroids: &[f64]) -> usize {
-    let (mut best, mut best_d2) = (0, f64::INFINITY);
-    for (c, centroid) in centroids.chunks_exact(D).enumerate() {
-        let mut d2 = 0.0;
-        for d in 0..D {
-            d2 += (centroid[d] - sample[d]) * (centroid[d] - sample[d]);
+impl Columns {
+    /// `samples` (`n × dim`, row-major) transposed.
+    fn of(samples: &Matrix) -> Self {
+        let (n, dim) = (samples.rows(), samples.cols());
+        let blocks = n.div_ceil(BLOCK);
+        let mut lanes = vec![[[0.0; PAIR]; 2]; dim * blocks];
+        for (d, column) in lanes.chunks_exact_mut(blocks).enumerate() {
+            for (i, row) in samples.as_slice().chunks_exact(dim).enumerate() {
+                column[i / BLOCK][i % BLOCK / PAIR][i % PAIR] = row[d];
+            }
         }
-        let closer = d2 < best_d2;
-        best = if closer { c } else { best };
-        best_d2 = if closer { d2 } else { best_d2 };
+        Columns { lanes, blocks }
     }
-    best
+
+    /// Column `d`'s values in block `b`.
+    #[inline(always)]
+    fn block(&self, d: usize, b: usize) -> &Block {
+        &self.lanes[d * self.blocks + b]
+    }
 }
 
-/// [`nearest`] over samples of any width.
-fn nearest_of_any(sample: &[f64], centroids: &[f64]) -> usize {
-    let (mut best, mut best_d2) = (0, f64::INFINITY);
-    for (c, centroid) in centroids.chunks_exact(sample.len()).enumerate() {
-        let d2: f64 = (centroid.iter().zip(sample))
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum();
-        let closer = d2 < best_d2;
-        best = if closer { c } else { best };
-        best_d2 = if closer { d2 } else { best_d2 };
+/// One pass over `columns`' samples of `dim` columns, a block at a time
+/// in sample order: `assign(b)` picks block `b`'s nearest centroids,
+/// each sample's pick goes to `assignments`, and the sample is counted
+/// in `counts` and added into its cluster's row of `sums` in sample
+/// order. Every sum therefore sees the additions a separate groupBy loop
+/// over the assignments makes, in its order, starting from what it held.
+/// The padded lanes of the last block get picks too; they are never
+/// read. Callers pass `dim` as a constant where they can: inlined, the
+/// fold over a sample's columns is then unrolled.
+#[inline(always)]
+fn pass(
+    columns: &Columns,
+    dim: usize,
+    (assignments, sums, counts): (&mut [usize], &mut [f64], &mut [usize]),
+    assign: impl Fn(usize) -> Block,
+) {
+    for (b, slots) in assignments.chunks_mut(BLOCK).enumerate() {
+        let picks = assign(b);
+        for (j, slot) in slots.iter_mut().enumerate() {
+            let (h, j) = (j / PAIR, j % PAIR);
+            let c = picks[h][j] as usize;
+            *slot = c;
+            counts[c] += 1;
+            for (d, sum) in sums[c * dim..][..dim].iter_mut().enumerate() {
+                *sum += columns.block(d, b)[h][j];
+            }
+        }
     }
-    best
+}
+
+/// Block `b`'s nearest of `centroids` (rows of `D` values, one after
+/// another), samples of one to four columns. The width fixed, each
+/// distance is unrolled: the same additions in the same order as the
+/// loop over columns, and none of its overhead, which otherwise is most
+/// of a distance over a few columns (and most of `hetero_ml`'s k-means
+/// ops).
+#[inline(always)]
+fn assign_block<const D: usize>(columns: &Columns, b: usize, centroids: &[f64]) -> Block {
+    let xs: [Block; D] = std::array::from_fn(|d| *columns.block(d, b));
+    let (mut lo, mut hi) = (ArgMin::FIRST, ArgMin::FIRST);
+    for (c, centroid) in centroids.chunks_exact(D).enumerate() {
+        let (mut d2_lo, mut d2_hi) = ([0.0; PAIR], [0.0; PAIR]);
+        for d in 0..D {
+            for j in 0..PAIR {
+                let t = centroid[d] - xs[d][0][j];
+                d2_lo[j] += t * t;
+                let t = centroid[d] - xs[d][1][j];
+                d2_hi[j] += t * t;
+            }
+        }
+        lo.keep(c, &d2_lo);
+        hi.keep(c, &d2_hi);
+    }
+    [lo.index, hi.index]
+}
+
+/// Block `b`'s nearest of the `k` `centroids`, samples of any width:
+/// zero columns too, where every distance is `0.0` and the first
+/// centroid is every sample's.
+fn assign_block_any(columns: &Columns, b: usize, centroids: &[f64], k: usize) -> Block {
+    let dim = centroids.len() / k;
+    let (mut lo, mut hi) = (ArgMin::FIRST, ArgMin::FIRST);
+    for c in 0..k {
+        let (mut d2_lo, mut d2_hi) = ([0.0; PAIR], [0.0; PAIR]);
+        for (d, &mean) in centroids[c * dim..][..dim].iter().enumerate() {
+            let xs = columns.block(d, b);
+            for j in 0..PAIR {
+                let t = mean - xs[0][j];
+                d2_lo[j] += t * t;
+                let t = mean - xs[1][j];
+                d2_hi[j] += t * t;
+            }
+        }
+        lo.keep(c, &d2_lo);
+        hi.keep(c, &d2_hi);
+    }
+    [lo.index, hi.index]
+}
+
+/// A pair's nearest centroid so far and its squared distance, per lane.
+///
+/// A block keeps one of these per pair, in variables of their own, not
+/// one over all four lanes: the compiler then blends each pair with one
+/// compare and one select over a vector register, where a select over
+/// four lanes is lowered, on a two-lane target, through a chain of
+/// shuffles that costs more than the distances.
+struct ArgMin {
+    /// The centroid's index, an `f64` so that it blends with the
+    /// distances.
+    index: [f64; PAIR],
+    distance: [f64; PAIR],
+}
+
+impl ArgMin {
+    /// The first centroid at an infinite distance: a lane whose every
+    /// distance is NaN keeps it.
+    const FIRST: ArgMin = ArgMin {
+        index: [0.0; PAIR],
+        distance: [f64::INFINITY; PAIR],
+    };
+
+    /// Centroid `c`, at `d2`, replaces the best of every lane it is
+    /// strictly nearer, by a select and not a branch: of equal
+    /// distances the first wins, and a NaN never does.
+    ///
+    /// Written over lane indices: the same loop over zipped iterators
+    /// compiles, after inlining, to the four-lane select the type's docs
+    /// describe.
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)]
+    fn keep(&mut self, c: usize, d2: &[f64; PAIR]) {
+        let c = c as f64;
+        for j in 0..PAIR {
+            let closer = d2[j] < self.distance[j];
+            self.index[j] = if closer { c } else { self.index[j] };
+            self.distance[j] = if closer { d2[j] } else { self.distance[j] };
+        }
+    }
 }
 
 #[cfg(test)]
@@ -227,16 +368,37 @@ mod tests {
     use crate::dataset::Dataset;
 
     /// A distance adds its columns' squares in column order, in the
-    /// unrolled bodies and the generic one alike: `1 + 1 + 1e16` is
-    /// `1e16 + 2`, while `1e16 + 1 + 1` rounds to `1e16`, so the second
-    /// centroid is the nearer only when the sums run in that order.
+    /// bodies of a fixed width and the generic one alike: `1 + 1 + 1e16`
+    /// is `1e16 + 2`, while `1e16 + 1 + 1` rounds to `1e16`, so the
+    /// second centroid is the nearer only when the sums run in that
+    /// order. Every lane of the block sees it.
     #[test]
     fn a_distance_adds_its_columns_in_order() {
-        for width in 3..=5 {
-            let pad = |row: [f64; 3]| row.into_iter().chain([0.0; 2]).take(width);
+        for width in 3..=6 {
+            let pad = |row: [f64; 3]| row.into_iter().chain([0.0; 3]).take(width);
             let centroids: Vec<f64> = pad([1.0, 1.0, 1e8]).chain(pad([1e8, 1.0, 1.0])).collect();
-            assert_eq!(nearest(&vec![0.0; width], &centroids), 1, "width {width}");
+            let columns = Columns::of(&Matrix::zeros(BLOCK, width));
+            let nearest = match width {
+                3 => assign_block::<3>(&columns, 0, &centroids),
+                4 => assign_block::<4>(&columns, 0, &centroids),
+                _ => assign_block_any(&columns, 0, &centroids, 2),
+            };
+            assert_eq!(nearest, [[1.0; PAIR]; 2], "width {width}");
         }
+    }
+
+    /// Samples of no columns take the generic body: every distance is
+    /// `0.0`, so every sample goes to the first centroid.
+    #[test]
+    fn samples_of_no_columns_go_to_the_first_centroid() {
+        let samples = Matrix::zeros(7, 0);
+        let config = KMeansConfig {
+            k: 3,
+            ..Default::default()
+        };
+        let got = KMeans::run(&DeviceProfile::cpu(), &samples, &config, None).unwrap();
+        assert_eq!(got.assignments, vec![0; 7]);
+        assert_eq!((got.iterations, got.inertia), (1, 0.0));
     }
 
     #[test]

@@ -1,18 +1,27 @@
 //! `KMeans::run` against the loop it replaced, bit for bit.
 //!
-//! The assignment step keeps the nearest centroid with a select instead
-//! of a branch, reading samples and centroids as contiguous rows. The
-//! reference below is the whole clustering as it was written before:
-//! the same initialization and update, and an assignment that computes
-//! each distance as `(a - b) * (a - b)` summed in column order and
-//! replaces the best on a strictly smaller one, in a branch. Assignments,
-//! centroid bits, inertia bits and the iteration count must be the
-//! reference's.
+//! The kernel reads the samples a column at a time, picks a block's
+//! nearest centroids with a select instead of a branch, and sums each
+//! block into its clusters in the same pass. The reference below is the
+//! whole clustering as it was written before: the same initialization,
+//! an assignment that reads samples and centroids as contiguous rows,
+//! computes each distance as `(a - b) * (a - b)` summed in column order
+//! and replaces the best on a strictly smaller one, in a branch, and
+//! then a separate groupBy loop that sums the samples in sample order.
+//! Assignments, centroid bits, inertia bits and the iteration count must
+//! be the reference's. Both store a centroid coordinate that comes out
+//! NaN as [`f64::NAN`]: a NaN sum's sign and payload follow which operand
+//! code generation puts first, which two compilations of one fold need
+//! not agree on.
 //!
-//! The samples come from a few small values, so two centroids are often
-//! exactly as far from a sample (the first must win), and now and then
-//! hold a NaN or an infinity, whose distances are NaN or infinite and
-//! must never win.
+//! Samples have 1–8 columns (the widths with a body of their own and
+//! the generic one) and 1–100 rows (several blocks, the last one often
+//! short). Their cells come from a few small values, so two centroids
+//! are often exactly as far from a sample (the first must win); now and
+//! then a NaN or an infinity, whose distances are NaN or infinite and
+//! must never win; and now and then `±1e8`, whose square swamps the
+//! small ones', so that a distance summed in another column order, or a
+//! cluster summed in another sample order, rounds to other bits.
 
 use proptest::prelude::*;
 use pspp_accel::kernels::Matrix;
@@ -72,6 +81,7 @@ fn reference(samples: &Matrix, config: &KMeansConfig) -> Clustering {
             }
             for d in 0..dim {
                 let new = sums.get(c, d) / counts[c] as f64;
+                let new = if new.is_nan() { f64::NAN } else { new };
                 movement += (new - centroids.get(c, d)).abs();
                 centroids.set(c, d, new);
             }
@@ -91,8 +101,8 @@ fn reference(samples: &Matrix, config: &KMeansConfig) -> Clustering {
     (assignments, centroids, iterations, inertia)
 }
 
-/// A cell: mostly one of a few small values (ties), now and then a NaN
-/// or an infinity.
+/// A cell: mostly one of a few small values (ties), now and then a NaN,
+/// an infinity or `±1e8`.
 fn arb_cell() -> impl Strategy<Value = f64> {
     let small = || (-3i8..4).prop_map(f64::from);
     prop_oneof![
@@ -104,17 +114,18 @@ fn arb_cell() -> impl Strategy<Value = f64> {
         small(),
         (-300i16..300).prop_map(|v| f64::from(v) / 7.0),
         prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)],
+        prop_oneof![Just(1e8), Just(-1e8)],
     ]
 }
 
-/// Samples of 1–4 columns and 1–40 rows, `k` in `1..=min(rows, 6)`,
+/// Samples of 1–8 columns and 1–100 rows, `k` in `1..=min(rows, 9)`,
 /// 1–8 iterations, any seed; the tolerance `0.0` now and then, so that
 /// every iteration runs.
 fn arb_case() -> impl Strategy<Value = (Matrix, KMeansConfig)> {
     (
-        (1usize..5, 1usize..41),
-        prop::collection::vec(arb_cell(), 160..161),
-        (0usize..6, 1usize..9),
+        (1usize..9, 1usize..101),
+        prop::collection::vec(arb_cell(), 800..801),
+        (0usize..9, 1usize..9),
         any::<u64>(),
         any::<bool>(),
     )
@@ -122,7 +133,7 @@ fn arb_case() -> impl Strategy<Value = (Matrix, KMeansConfig)> {
             let cells = cells[..rows * dim].to_vec();
             let samples = Matrix::from_vec(rows, dim, cells).expect("rows × dim cells");
             let config = KMeansConfig {
-                k: 1 + k % rows.min(6),
+                k: 1 + k % rows.min(9),
                 max_iters,
                 tol: if exact { 0.0 } else { 1e-6 },
                 seed,

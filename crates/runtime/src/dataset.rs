@@ -490,13 +490,14 @@ pub fn output_digest(outputs: &[Dataset]) -> u64 {
 
 /// A producer's output split for a shuffle: each destination's rows in
 /// the order the gathered output would hold them, their payload bytes,
-/// and where each row sits in that gathered output. Partials are pushed
-/// in gather (shard) order, so destination `d` holds exactly the rows
-/// [`pspp_common::Distribution::route_indices`] picks out of the
-/// gathered rows for `d`, and its origins are that index list. A
-/// destination pushed only scans' selections holds a selection over
-/// their snapshots, and no row is built; its bucket's known byte size is
-/// the routes' sum, which a debug build checks against the selection's.
+/// and each row's destination in that gathered output's order. Partials
+/// are pushed in gather (shard) order, so destination `d` holds exactly
+/// the rows [`pspp_common::Distribution::route_indices`] picks out of the
+/// gathered rows for `d`, and [`origins`] of the destinations is that
+/// index list. A destination pushed only scans' selections holds a
+/// selection over their snapshots, and no row is built; its bucket's
+/// known byte size is the routes' sum, which a debug build checks
+/// against the selection's.
 #[derive(Debug)]
 pub(crate) struct Routed {
     schema: Schema,
@@ -505,9 +506,8 @@ pub(crate) struct Routed {
     /// Each destination's rows so far, appended partial by partial.
     buckets: Vec<RowBuf>,
     bytes: Vec<u64>,
-    origins: Vec<Vec<usize>>,
-    /// Rows pushed so far: the next partial's offset in gather order.
-    len: usize,
+    /// Each row pushed so far, its destination, in gather order.
+    dests: Vec<u32>,
 }
 
 impl Routed {
@@ -523,8 +523,7 @@ impl Routed {
             location: like.location.clone(),
             buckets: vec![RowBuf::default(); width],
             bytes: vec![0; width],
-            origins: vec![Vec::new(); width],
-            len: 0,
+            dests: Vec::new(),
         })
     }
 
@@ -555,14 +554,7 @@ impl Routed {
         for &d in &routes.dests {
             *counts.get_mut(d as usize).ok_or_else(mismatch)? += 1;
         }
-        let offset = self.len;
-        self.len += rows.len();
-        for (origins, &n) in self.origins.iter_mut().zip(&counts) {
-            origins.reserve(n);
-        }
-        for (i, &d) in routes.dests.iter().enumerate() {
-            self.origins[d as usize].push(offset + i);
-        }
+        self.dests.extend_from_slice(&routes.dests);
         let parts: Vec<RowBuf> = match rows.as_selection() {
             Some(selection) => (selection.split(&routes.dests, width)?.into_iter())
                 .zip(&routes.bytes)
@@ -587,7 +579,7 @@ impl Routed {
 
     /// Rows over every destination.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.dests.len()
     }
 
     /// Payload bytes over every destination.
@@ -595,17 +587,16 @@ impl Routed {
         self.bytes.iter().sum()
     }
 
-    /// One sized dataset per destination, and each destination's
-    /// origins.
-    pub(crate) fn into_buckets(self) -> (Vec<Dataset>, Vec<Vec<usize>>) {
+    /// One sized dataset per destination, and each row's destination
+    /// in gather order (read by [`origins`] where they are wanted).
+    pub(crate) fn into_buckets(self) -> (Vec<Dataset>, Vec<u32>) {
         let Routed {
             schema,
             model,
             location,
             buckets,
             bytes,
-            origins,
-            ..
+            dests,
         } = self;
         let buckets = buckets
             .into_iter()
@@ -614,8 +605,23 @@ impl Routed {
                 Dataset::from_buf(schema.clone(), rows.sized(bytes), model, location.clone())
             })
             .collect();
-        (buckets, origins)
+        (buckets, dests)
     }
+}
+
+/// Each of `buckets`' origins: the gather-order indices of the rows
+/// `dests` sends there, ascending. `buckets` and `dests` are what
+/// [`Routed::into_buckets`] returns; each bucket's length sizes its
+/// origins.
+pub(crate) fn origins(buckets: &[Dataset], dests: &[u32]) -> Vec<Vec<usize>> {
+    let mut origins: Vec<Vec<usize>> = buckets
+        .iter()
+        .map(|b| Vec::with_capacity(b.len()))
+        .collect();
+    for (i, &d) in dests.iter().enumerate() {
+        origins[d as usize].push(i);
+    }
+    origins
 }
 
 #[cfg(test)]

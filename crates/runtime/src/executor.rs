@@ -775,24 +775,29 @@ impl Executor {
             }
         };
         let (rows, bytes) = (split.len() as u64, split.byte_size());
-        let (buckets, origins) = split.into_buckets();
+        let (buckets, dests) = split.into_buckets();
         if buckets.len() != tasks {
             return Err(Error::Execution(format!(
                 "shuffled node {id}: input {idx} routes to {} destinations, the plan has {tasks}",
                 buckets.len()
             )));
         }
+        // Origins are read by the splice (the probe edge) and by a
+        // layout that may persist; a build edge's are not built.
+        let copy = copy.filter(|_| !served);
+        let origins =
+            (idx == 0 || copy.is_some()).then(|| crate::dataset::origins(&buckets, &dests));
         if served {
             barrier.served_rows += rows;
             barrier.served_bytes += bytes;
         } else {
             barrier.routed_rows += rows;
             barrier.bytes += bytes;
-            if let Some(k) = copy {
-                barrier.copies.push((k, origins.clone(), bytes));
-            }
         }
-        if idx == 0 {
+        if let (Some(k), Some(origins)) = (copy, &origins) {
+            barrier.copies.push((k, origins.clone(), bytes));
+        }
+        if let (0, Some(origins)) = (idx, origins) {
             barrier.probe_origins = origins;
         }
         Ok(buckets)
@@ -3129,7 +3134,9 @@ mod tests {
         let routes = Routes::of_rows(d.schema().unwrap(), rows, "k", width).unwrap();
         let mut split = Routed::new(d, width as usize).unwrap();
         split.push(d.row_buf().unwrap().clone(), &routes).unwrap();
-        split.into_buckets()
+        let (buckets, dests) = split.into_buckets();
+        let origins = crate::dataset::origins(&buckets, &dests);
+        (buckets, origins)
     }
 
     proptest::proptest! {

@@ -5,25 +5,48 @@
 //! [`Gemm`] kernel charged by shape, so the same training loop can be
 //! costed on the CPU model or offloaded to the TPU model — the paper's
 //! Fig. 3 scenario. One `Workspace` per run holds every intermediate;
-//! the loop itself allocates nothing. `Mlp::bill_step` is the one place
-//! a step's GEMM shapes are billed: the arithmetic charges nothing, so
-//! what the ledger sees does not depend on what the host computed.
+//! the loop itself allocates nothing. `Mlp::step_events` is the one
+//! place a step's GEMM shapes are billed: `Mlp::train` builds its event
+//! list once per batch shape (the full batch and the ragged last one)
+//! and posts it for every step under one ledger lock. The arithmetic
+//! charges nothing, so what the ledger sees does not depend on what the
+//! host computed.
 //!
-//! # Epochs that cannot change the model
+//! # Steps that cannot change the model
 //!
 //! A step is a deterministic function of the parameters, the batch and
 //! the learning rate: every workspace buffer it reads, it first wrote in
-//! that step. An epoch runs the same batches in the same order, so it is
-//! a deterministic function of the parameters it starts from. When one
-//! epoch ends on the bits it started from, every later epoch starts
-//! there too and repeats it exactly, loss included. `Mlp::train` keeps
-//! each epoch's starting bits in the workspace; once an epoch returns
-//! them unchanged, the remaining epochs are billed batch by batch (the
-//! ragged last one included) and given that epoch's loss, without being
-//! computed. The test is on `to_bits()`, so `NaN` payloads and `±0.0`
-//! compare exactly; there is no tolerance. A saturated training (every
-//! output delta `0.0` once its first steps have moved the model)
-//! computes one epoch that changes nothing and bills the rest.
+//! that step. `Mlp::train` counts a parameter *version*: the steps so
+//! far that changed at least one parameter's bits, which the SGD update
+//! reports by comparing each parameter's bits as it writes it. For each
+//! batch it keeps the version its last step ran at and the loss that
+//! step returned. A batch whose recorded version is the current one
+//! would run on the bits it ran on before and change nothing again, so
+//! it is billed and given the recorded loss without being computed. The
+//! comparison is on `to_bits()`, so `NaN` payloads and `±0.0` count;
+//! there is no tolerance.
+//!
+//! Once a whole epoch changes nothing, every later batch is reused, and
+//! so is the tail of the epoch before it, after its last change. A
+//! saturated training (every output delta `0.0` once its first step has
+//! moved the model) computes that first step, the other batches once,
+//! and the first batch once more. The one case this misses is an epoch
+//! that returns to its starting bits through steps that did change them:
+//! each such step bumps the version, so the next epoch is computed.
+//!
+//! The epoch loss is the mean of its batch losses in batch order. Of two
+//! `NaN` operands `+` may return either, so the sum keeps the first
+//! `NaN` it meets.
+//!
+//! # Dead steps
+//!
+//! A step with no live example (below) computes `dW` and `db` as `+0.0`
+//! throughout and subtracts `learning_rate · +0.0` from every parameter.
+//! When that product is `+0.0`, `p - 0.0` is `p` for every `p`, `-0.0`
+//! and `NaN` included, so the step skips backward and the update and
+//! does not bump the version. A negative learning rate (`-0.0`
+//! included) makes the product `-0.0`, and `-0.0 - -0.0` is `+0.0`: such
+//! a step runs its update.
 //!
 //! # Which examples backward visits
 //!
@@ -35,9 +58,9 @@
 //! workspace — their deltas, hidden activations and pre-activations in
 //! place, their input rows into a buffer sized with the workspace — in
 //! their original order, and the one backward loop runs over that
-//! prefix. A batch with no zero delta pays one scan of its deltas.
-//! `Mlp::bill_step` still bills the whole batch's shape, so the ledger,
-//! the simulated clock and the energy do not see the shortcut.
+//! prefix. A batch with no zero delta pays one scan of its deltas. The
+//! bill is still the whole batch's shape, so the ledger, the simulated
+//! clock and the energy do not see the shortcut.
 //!
 //! The result is the full batch's, bit for bit, under the kernels' order
 //! contract:
@@ -54,9 +77,20 @@
 //!   reach `dW`. The check reads one pre-activation per layer, because a
 //!   non-finite entry in a layer's input row leaves no pre-activation of
 //!   that row finite.
+//!
+//! # The one-wide layer's backward
+//!
+//! The output layer is one wide (as is any one-wide hidden layer), so
+//! its `dA = δ · Wᵀ` is an outer product: one term per entry. The GEMM
+//! skips that term when `δ` is `0.0` and otherwise adds it to `0.0`, and
+//! the ReLU gate then zeroes the entries over pre-activations `<= 0`.
+//! `Mlp::step` writes the same in one pass, with no transpose and no
+//! GEMM call: `0.0` where `z <= 0` or `δ == 0`, else `0.0 + δ · w`. A
+//! `NaN` pre-activation passes the gate, and a zero `δ` leaves `0.0`
+//! even where `w` is infinite or `NaN`.
 
 use pspp_accel::kernels::{Gemm, Matrix};
-use pspp_accel::{CostLedger, DeviceProfile};
+use pspp_accel::{CostEvent, CostLedger, DeviceProfile};
 use pspp_common::{Error, Result, SplitMix64};
 
 use crate::dataset::Dataset;
@@ -196,26 +230,22 @@ impl Mlp {
         }
     }
 
-    /// Bills one training step over a `rows`-example batch, in the order
-    /// the step runs its GEMMs: the forward pass, then from the top layer
-    /// down `dW` at `(in, rows, out)` and, below the first layer, `dA` at
-    /// `(rows, out, in)`. The one place a step's shapes are billed.
-    fn bill_step(&self, device: &DeviceProfile, rows: usize, ledger: Option<&CostLedger>) {
-        self.bill_forward(device, rows, ledger);
+    /// The events one training step over a `rows`-example batch posts,
+    /// in the order the step runs its GEMMs: the forward pass, then from
+    /// the top layer down `dW` at `(in, rows, out)` and, below the first
+    /// layer, `dA` at `(rows, out, in)`. The one place a step's shapes are
+    /// billed.
+    fn step_events(&self, device: &DeviceProfile, rows: usize) -> Vec<CostEvent> {
+        let bill = CostLedger::new();
+        self.bill_forward(device, rows, Some(&bill));
         for (l, w) in self.weights.iter().enumerate().rev() {
             let (in_w, out_w) = (w.rows(), w.cols());
-            Gemm::charge(device, in_w, rows, out_w, ledger, "mlengine.backward");
+            Gemm::charge(device, in_w, rows, out_w, Some(&bill), "mlengine.backward");
             if l > 0 {
-                Gemm::charge(device, rows, out_w, in_w, ledger, "mlengine.backward");
+                Gemm::charge(device, rows, out_w, in_w, Some(&bill), "mlengine.backward");
             }
         }
-    }
-
-    /// Every parameter's bits, weights before biases layer by layer.
-    fn parameter_bits(&self) -> impl Iterator<Item = u64> + '_ {
-        self.layers()
-            .flat_map(|(w, b)| w.as_slice().iter().chain(b))
-            .map(|v| v.to_bits())
+        bill.take_events()
     }
 
     /// Forward pass over the `rows` examples of `x` (row-major,
@@ -310,38 +340,33 @@ impl Mlp {
         ledger: Option<&CostLedger>,
     ) -> Result<f64> {
         let probs = self.predict_proba(device, data.features(), ledger)?;
-        let eps = 1e-12;
         let total: f64 = probs
             .iter()
             .zip(data.labels())
-            .map(|(p, y)| -(y * (p + eps).ln() + (1.0 - y) * (1.0 - p + eps).ln()))
+            .map(|(&p, &y)| cross_entropy(p, y))
             .sum();
         Ok(total / data.len().max(1) as f64)
     }
 
     /// Forward, loss, backward and update on the examples `x` (row-major)
-    /// with targets `labels`, billed by [`Mlp::bill_step`]; the batch
-    /// loss is the one before the update.
+    /// with targets `labels`; returns the batch loss (the one before the
+    /// update) and whether any parameter's bits changed. The caller bills
+    /// the step, with [`Mlp::step_events`].
     fn step(
         &mut self,
-        device: &DeviceProfile,
         x: &[f64],
         labels: &[f64],
         learning_rate: f64,
         ws: &mut Workspace,
-        ledger: Option<&CostLedger>,
-    ) -> f64 {
+    ) -> (f64, bool) {
         let rows = labels.len();
         let n = rows as f64;
-        self.bill_step(device, rows, ledger);
         self.forward(x, rows, ws);
         let probs = &ws.acts[self.depth() - 1][..rows];
-
-        let eps = 1e-12;
         let loss = probs
             .iter()
             .zip(labels)
-            .map(|(p, y)| -(y * (p + eps).ln() + (1.0 - y) * (1.0 - p + eps).ln()))
+            .map(|(&p, &y)| cross_entropy(p, y))
             .sum::<f64>()
             / n;
 
@@ -350,14 +375,19 @@ impl Mlp {
             *d = (p - y) / n;
         }
 
-        // Backward visits the `live` examples only (see the module docs);
-        // the bill above is the whole batch's.
+        // Backward visits the `live` examples only, and a step with none
+        // changes nothing unless `learning_rate · 0.0` is `-0.0` (see the
+        // module docs).
         let live = ws.compact(&self.weights, x, rows);
+        if live == 0 && (learning_rate * 0.0).to_bits() == 0.0f64.to_bits() {
+            return (loss, false);
+        }
         let x = if live < rows {
             &ws.inputs[..live * self.input_dim()]
         } else {
             x
         };
+        let mut changed = false;
         for l in (0..self.depth()).rev() {
             let (in_w, out_w) = (self.weights[l].rows(), self.weights[l].cols());
             let delta = &ws.delta[..live * out_w];
@@ -376,46 +406,58 @@ impl Mlp {
                     *acc += d;
                 }
             }
-            // Propagate before updating weights: dA = delta · W_lᵀ.
+            // Propagate before updating weights: dA = delta · W_lᵀ, gated
+            // by ReLU on the saved pre-activations.
             if l > 0 {
                 let w = self.weights[l].as_slice();
-                let w_t = &mut ws.w_t[..out_w * in_w];
-                for (r, w_row) in w.chunks_exact(out_w).enumerate() {
-                    for (c, &v) in w_row.iter().enumerate() {
-                        w_t[c * in_w + r] = v;
-                    }
-                }
                 let da = &mut ws.delta_below[..live * in_w];
-                Gemm::multiply_into(delta, w_t, da, live, out_w, in_w);
-                // ReLU gate from the saved pre-activations.
-                for (d, z) in da.iter_mut().zip(&ws.zs[l - 1]) {
-                    if *z <= 0.0 {
-                        *d = 0.0;
+                let zs = &ws.zs[l - 1][..live * in_w];
+                if out_w == 1 {
+                    // The outer product δ · wᵀ, each entry what the GEMM's
+                    // one term leaves: skipped at δ = 0, else added to 0.0.
+                    let rows = da.chunks_exact_mut(in_w).zip(zs.chunks_exact(in_w));
+                    for ((da_row, z_row), &d) in rows.zip(delta) {
+                        for ((a, &z), &wv) in da_row.iter_mut().zip(z_row).zip(w) {
+                            *a = if z <= 0.0 || d == 0.0 {
+                                0.0
+                            } else {
+                                0.0 + d * wv
+                            };
+                        }
+                    }
+                } else {
+                    let w_t = &mut ws.w_t[..out_w * in_w];
+                    for (r, w_row) in w.chunks_exact(out_w).enumerate() {
+                        for (c, &v) in w_row.iter().enumerate() {
+                            w_t[c * in_w + r] = v;
+                        }
+                    }
+                    Gemm::multiply_into(delta, w_t, da, live, out_w, in_w);
+                    for (d, z) in da.iter_mut().zip(zs) {
+                        if *z <= 0.0 {
+                            *d = 0.0;
+                        }
                     }
                 }
             }
-            // SGD update.
-            for (w, g) in self.weights[l].as_mut_slice().iter_mut().zip(&*dw) {
-                *w -= learning_rate * g;
-            }
-            for (b, g) in self.biases[l].iter_mut().zip(&*db) {
-                *b -= learning_rate * g;
-            }
+            changed |= descend(self.weights[l].as_mut_slice(), dw, learning_rate);
+            changed |= descend(&mut self.biases[l], db, learning_rate);
             std::mem::swap(&mut ws.delta, &mut ws.delta_below);
         }
-        loss
+        (loss, changed)
     }
 
     /// Full SGD training; returns the per-epoch mean batch loss.
     /// Mini-batches are consecutive row ranges of `data`, the last one
-    /// shorter when `batch_size` does not divide the row count. Once an
-    /// epoch leaves every parameter's bits as they were, the remaining
-    /// epochs are billed and not computed (see the module docs).
+    /// shorter when `batch_size` does not divide the row count. A batch
+    /// whose last step ran at the parameters it would run at now is
+    /// billed and given that step's loss without being computed (see the
+    /// module docs).
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Invalid`] for a zero `batch_size` or when `data`
-    /// is not `input_dim()` wide.
+    /// Returns [`Error::Invalid`] for a zero `batch_size`, a non-finite
+    /// `learning_rate`, or when `data` is not `input_dim()` wide.
     pub fn train(
         &mut self,
         device: &DeviceProfile,
@@ -426,47 +468,56 @@ impl Mlp {
         if config.batch_size == 0 {
             return Err(Error::Invalid("batch size must be positive".into()));
         }
+        if !config.learning_rate.is_finite() {
+            return Err(Error::Invalid(format!(
+                "learning rate must be finite, got {}",
+                config.learning_rate
+            )));
+        }
         self.check_width(data.dim())?;
         Self::charge_launch(device, ledger);
         let queued = Self::queued(device);
         let (len, dim) = (data.len(), data.dim());
-        let batch = config.batch_size.min(len);
+        let batch = config.batch_size.min(len).max(1);
         let mut ws = Workspace::new(&self.weights, batch, true);
         let features = data.features().as_slice();
-        let batches = move || {
-            (0..len)
-                .step_by(batch.max(1))
-                .map(move |s| s..(s + batch).min(len))
-        };
-        let mut losses = Vec::new();
-        for epoch in 0..config.epochs {
-            for (saved, bits) in ws.start.iter_mut().zip(self.parameter_bits()) {
-                *saved = bits;
-            }
-            let mut epoch_loss = 0.0;
-            let mut n_batches = 0usize;
-            for rows in batches() {
-                epoch_loss += self.step(
-                    &queued,
-                    &features[rows.start * dim..rows.end * dim],
-                    &data.labels()[rows],
-                    config.learning_rate,
-                    &mut ws,
-                    ledger,
-                );
-                n_batches += 1;
-            }
-            let loss = epoch_loss / n_batches.max(1) as f64;
-            losses.push(loss);
-            if self.parameter_bits().eq(ws.start.iter().copied()) {
-                for _ in epoch + 1..config.epochs {
-                    for rows in batches() {
-                        self.bill_step(&queued, rows.len(), ledger);
-                    }
-                    losses.push(loss);
+        // Each batch shape's events, built once: the full batch's, then
+        // the ragged last one's.
+        let bills =
+            ledger.map(|_| [batch, len % batch].map(|rows| self.step_events(&queued, rows)));
+        // Per batch, the parameter version its last step ran at and that
+        // step's loss. The version counts steps that changed a bit.
+        let mut ran: Vec<Option<(u64, f64)>> = vec![None; len.div_ceil(batch)];
+        let mut version = 0u64;
+        let mut losses = Vec::with_capacity(config.epochs);
+        for _ in 0..config.epochs {
+            let mut epoch_loss = 0.0f64;
+            for (start, last) in (0..len).step_by(batch).zip(&mut ran) {
+                let rows = start..(start + batch).min(len);
+                if let (Some(ledger), Some(bills)) = (ledger, &bills) {
+                    let shape = &bills[usize::from(rows.len() < batch)];
+                    ledger.post_events(shape.iter().cloned());
                 }
-                break;
+                let loss = match *last {
+                    Some((at, loss)) if at == version => loss,
+                    _ => {
+                        let (loss, changed) = self.step(
+                            &features[rows.start * dim..rows.end * dim],
+                            &data.labels()[rows],
+                            config.learning_rate,
+                            &mut ws,
+                        );
+                        *last = Some((version, loss));
+                        version += u64::from(changed);
+                        loss
+                    }
+                };
+                // Of two NaNs, `+` may return either: keep the first.
+                if !epoch_loss.is_nan() {
+                    epoch_loss += loss;
+                }
             }
+            losses.push(epoch_loss / ran.len().max(1) as f64);
         }
         Ok(losses)
     }
@@ -489,8 +540,6 @@ struct Workspace {
     w_t: Vec<f64>,
     /// The input rows of a compacted batch's live examples.
     inputs: Vec<f64>,
-    /// Every parameter's bits as the current epoch started.
-    start: Vec<u64>,
 }
 
 impl Workspace {
@@ -506,7 +555,6 @@ impl Workspace {
             .max()
             .unwrap_or(0);
         let input_dim = trained.first().map_or(0, Matrix::rows);
-        let all_params = trained.iter().map(|w| (w.rows() + 1) * w.cols()).sum();
         Workspace {
             zs: weights.iter().map(layer).collect(),
             acts: weights.iter().map(layer).collect(),
@@ -516,7 +564,6 @@ impl Workspace {
             db: vec![0.0; width],
             w_t: vec![0.0; params],
             inputs: vec![0.0; rows * input_dim],
-            start: vec![0; all_params],
         }
     }
 
@@ -562,6 +609,36 @@ impl Workspace {
     }
 }
 
+/// `p -= learning_rate · g` for every parameter `p` and its gradient
+/// `g`; whether any parameter's bits changed.
+fn descend(params: &mut [f64], grads: &[f64], learning_rate: f64) -> bool {
+    let mut changed = false;
+    for (p, g) in params.iter_mut().zip(grads) {
+        let next = *p - learning_rate * g;
+        changed |= next.to_bits() != p.to_bits();
+        *p = next;
+    }
+    changed
+}
+
+/// Binary cross-entropy of the probability `p` against the label `y`,
+/// `-(y·ln(p + ε) + (1 - y)·ln(1 - p + ε))`. For a 0/1 label and `p` in
+/// `[0, 1]` both logs are finite, so the term the label zeroes is a
+/// signed zero, and adding it leaves the other term (never `-0.0`) as it
+/// is: one `ln` gives the two-term sum's bits.
+fn cross_entropy(p: f64, y: f64) -> f64 {
+    const EPS: f64 = 1e-12;
+    if (0.0..=1.0).contains(&p) {
+        if y == 1.0 {
+            return -(p + EPS).ln();
+        }
+        if y == 0.0 {
+            return -(1.0 - p + EPS).ln();
+        }
+    }
+    -(y * (p + EPS).ln() + (1.0 - y) * (1.0 - p + EPS).ln())
+}
+
 fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
@@ -601,8 +678,49 @@ mod tests {
             mlp.predict_proba(&cpu, narrow.features(), Some(&ledger)),
             Err(Error::Invalid(_))
         ));
+        // An `LR` literal past `f64`'s range lexes as infinite.
+        for learning_rate in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let config = TrainConfig {
+                learning_rate,
+                ..TrainConfig::default()
+            };
+            assert!(matches!(
+                mlp.train(&cpu, &data, &config, Some(&ledger)),
+                Err(Error::Invalid(_))
+            ));
+        }
         // Rejected before anything ran or was charged.
         assert!(ledger.is_empty());
+        let untouched = Mlp::new(&[4, 8, 1], 1).unwrap();
+        assert_eq!(format!("{mlp:?}"), format!("{untouched:?}"));
+    }
+
+    /// A step with no live example adds `learning_rate · +0.0` to every
+    /// parameter. At a negative rate that is `-0.0`, which turns a `-0.0`
+    /// parameter into `+0.0`, so the step must still run its update.
+    #[test]
+    fn a_dead_step_updates_a_negative_zero_only_at_a_negative_rate() {
+        let x = Matrix::from_vec(2, 1, vec![1e6, 2e6]).unwrap();
+        let saturated = Dataset::new(x, vec![1.0, 1.0]).unwrap();
+        for (learning_rate, bias) in [(0.3, -0.0f64), (0.0, -0.0), (-0.3, 0.0), (-0.0, 0.0)] {
+            let mut mlp = Mlp {
+                weights: vec![Matrix::from_vec(1, 1, vec![1.0]).unwrap()],
+                biases: vec![vec![-0.0]],
+            };
+            let config = TrainConfig {
+                epochs: 2,
+                batch_size: 2,
+                learning_rate,
+            };
+            mlp.train(&DeviceProfile::cpu(), &saturated, &config, None)
+                .unwrap();
+            assert_eq!(mlp.weights[0].as_slice(), [1.0]);
+            assert_eq!(
+                mlp.biases[0][0].to_bits(),
+                bias.to_bits(),
+                "learning rate {learning_rate}"
+            );
+        }
     }
 
     #[test]

@@ -2,13 +2,16 @@
 //!
 //! `Mlp::step` runs backward over the live examples of a batch only —
 //! nonzero output delta, or a non-finite feature or hidden activation —
-//! and still charges every GEMM at the whole batch's shape, and
-//! `Mlp::train` bills without computing the epochs after one that left
-//! the parameters' bits unchanged (see the `mlp` module docs). The
-//! reference below is the training loop before either change, written
+//! skips backward and the update when none is live and the learning rate
+//! times `0.0` is `+0.0`, writes a one-wide layer's `δ · Wᵀ` as an outer
+//! product without the GEMM, and takes one `ln` per 0/1 label; it still
+//! charges every GEMM at the whole batch's shape. `Mlp::train` reuses a
+//! batch's last step, billed but not computed, while no step has changed
+//! a parameter's bits since it ran (see the `mlp` module docs). The
+//! reference below is the training loop before those changes, written
 //! over the same public kernels ([`Gemm::multiply_into`],
 //! [`Gemm::multiply_at_into`], [`Gemm::charge`]) with fresh buffers,
-//! every example in every GEMM and every epoch computed. The trained
+//! every example in every GEMM and every step computed. The trained
 //! model's `Debug`, the per-epoch loss bits and the ledger's event list
 //! must be the reference's.
 //!
@@ -17,9 +20,14 @@
 //! and to carry the hazards the compaction must not lose: a zero-delta
 //! example with an infinite or `NaN` feature, or with finite features
 //! whose hidden activations overflow — `inf × 0 = NaN` must still reach
-//! `dW` from those. Driven data (and a learning rate of `0.0`) reaches
-//! an epoch that changes nothing, whose successors must be billed and
-//! given its loss.
+//! `dW` from those. Overflowing rows also put `±inf` and `NaN` into the
+//! output layer's `W` and `NaN` into the pre-activations below it, where
+//! the outer product must skip a zero `δ` as the GEMM does. Driven data
+//! stops moving the model, often in the middle of an epoch: the next
+//! epoch reuses the batches after that point, and later ones reuse every
+//! batch. At learning rates `-0.3` and `-0.0`, `learning_rate · 0.0` is
+//! `-0.0`, so dead steps run their update; soft labels (neither 0 nor 1)
+//! keep both logs.
 
 use proptest::prelude::*;
 use pspp_accel::kernels::{Gemm, Matrix};
@@ -48,10 +56,21 @@ mod reference {
         /// Of those, examples with finite features and a non-finite
         /// hidden activation.
         pub non_finite_activations: usize,
-        /// Epochs that ended on the parameter bits they started from,
-        /// with a later epoch after them: `Mlp::train` bills that later
-        /// epoch without computing it.
-        pub unchanged_epochs: usize,
+        /// Zero-delta examples where the output layer's `W` holds a
+        /// non-finite entry whose ReLU gate below is open (a positive or
+        /// `NaN` pre-activation): `0 · W` there is `NaN`, and `δ · Wᵀ`
+        /// must skip it as the GEMM does.
+        pub zero_deltas_at_non_finite_weights: usize,
+        /// Examples with a `NaN` pre-activation below the output layer:
+        /// the gate `z <= 0` lets `δ · Wᵀ` through there.
+        pub nan_pre_activations: usize,
+        /// Epochs, after the first, whose every step is *reused*: its
+        /// batch's last step ran at the bits it starts from, and no step
+        /// has changed a bit since. `Mlp::train` gives a reused step that
+        /// run's loss without computing it.
+        pub reused_epochs: usize,
+        /// Epochs holding both a reused step and a computed one.
+        pub part_reused_epochs: usize,
     }
 
     fn sigmoid(x: f64) -> f64 {
@@ -134,18 +153,31 @@ mod reference {
                 / n;
             let mut delta: Vec<f64> = probs.iter().zip(labels).map(|(p, y)| (p - y) / n).collect();
             let dim = self.weights[0].rows();
+            let top = &self.weights[depth - 1];
             for (r, d) in delta.iter().enumerate() {
-                if *d == 0.0 {
-                    seen.zero_deltas += 1;
-                    if !finite(&x[r * dim..(r + 1) * dim]) {
-                        seen.non_finite_features += 1;
-                    } else if self.weights[..depth - 1]
-                        .iter()
-                        .zip(&acts)
-                        .any(|(w, a)| !finite(&a[r * w.cols()..(r + 1) * w.cols()]))
-                    {
-                        seen.non_finite_activations += 1;
-                    }
+                let below =
+                    (depth > 1).then(|| &zs[depth - 2][r * top.rows()..(r + 1) * top.rows()]);
+                if below.is_some_and(|z| z.iter().any(|v| v.is_nan())) {
+                    seen.nan_pre_activations += 1;
+                }
+                if *d != 0.0 {
+                    continue;
+                }
+                seen.zero_deltas += 1;
+                if !finite(&x[r * dim..(r + 1) * dim]) {
+                    seen.non_finite_features += 1;
+                } else if self.weights[..depth - 1]
+                    .iter()
+                    .zip(&acts)
+                    .any(|(w, a)| !finite(&a[r * w.cols()..(r + 1) * w.cols()]))
+                {
+                    seen.non_finite_activations += 1;
+                } else {
+                    continue;
+                }
+                let open = |(z, w): (&f64, &f64)| (*z > 0.0 || z.is_nan()) && !w.is_finite();
+                if below.is_some_and(|z| z.iter().zip(top.as_slice()).any(open)) {
+                    seen.zero_deltas_at_non_finite_weights += 1;
                 }
             }
             for l in (0..depth).rev() {
@@ -223,12 +255,21 @@ mod reference {
             let x = data.features().as_slice();
             let mut seen = Seen::default();
             let mut losses = Vec::new();
-            for epoch in 0..config.epochs {
-                let before = self.bits();
-                let (mut total, mut batches) = (0.0, 0usize);
+            // Per batch, the number of bit-changing steps before its last
+            // step; the engine's parameter version.
+            let mut ran: Vec<Option<usize>> = vec![None; len.div_ceil(batch.max(1))];
+            let mut changes = 0;
+            for _ in 0..config.epochs {
+                let (mut total, mut batches) = (0.0f64, 0usize);
+                let (mut reused, mut computed) = (false, false);
                 for start in (0..len).step_by(batch.max(1)) {
                     let end = (start + batch).min(len);
-                    total += self.step(
+                    let before = self.bits();
+                    let last = &mut ran[batches];
+                    let repeat = *last == Some(changes);
+                    (reused, computed) = (reused || repeat, computed || !repeat);
+                    *last = Some(changes);
+                    let loss = self.step(
                         &queued,
                         &x[start * dim..end * dim],
                         &data.labels()[start..end],
@@ -236,12 +277,16 @@ mod reference {
                         ledger,
                         &mut seen,
                     );
+                    // Of two NaNs, `+` may return either: keep the first.
+                    if !total.is_nan() {
+                        total += loss;
+                    }
+                    changes += usize::from(self.bits() != before);
                     batches += 1;
                 }
                 losses.push(total / batches.max(1) as f64);
-                if epoch + 1 < config.epochs && self.bits() == before {
-                    seen.unchanged_epochs += 1;
-                }
+                seen.reused_epochs += usize::from(reused && !computed);
+                seen.part_reused_epochs += usize::from(reused && computed);
             }
             (losses, seen)
         }
@@ -266,13 +311,16 @@ enum Kind {
     /// All-zero features and a random label: no ReLU ever opens, so only
     /// the output bias learns.
     Blank,
+    /// Plain features and a label in `[-0.5, 1.5]`, not 0 or 1: the loss
+    /// takes both logs.
+    Soft,
 }
 
 fn features(kind: Kind, dim: usize, rng: &mut SplitMix64) -> Vec<f64> {
     let signed = |v: f64, rng: &mut SplitMix64| if rng.next_bool(0.5) { v } else { -v };
     let mut f: Vec<f64> = (0..dim)
         .map(|_| match kind {
-            Kind::Plain => rng.next_range(-1.0, 1.0),
+            Kind::Plain | Kind::Soft => rng.next_range(-1.0, 1.0),
             Kind::Saturated | Kind::NonFiniteFeature => {
                 let v = rng.next_range(1e3, 1e6);
                 signed(v, rng)
@@ -292,8 +340,9 @@ fn features(kind: Kind, dim: usize, rng: &mut SplitMix64) -> Vec<f64> {
     f
 }
 
-/// `rows` examples drawn by `pick`; every kind but `Plain` is labelled
-/// by what the untrained `mlp` predicts for it.
+/// `rows` examples drawn by `pick`; saturated, non-finite and
+/// overflowing ones are labelled by what the untrained `mlp` predicts
+/// for them.
 fn dataset(
     mlp: &Mlp,
     rows: usize,
@@ -313,6 +362,7 @@ fn dataset(
         .map(|(k, s)| match k {
             Kind::Plain | Kind::Blank => f64::from(u8::from(rng.next_bool(0.5))),
             Kind::Driven => 0.0,
+            Kind::Soft => rng.next_range(-0.5, 1.5),
             _ => s,
         })
         .collect();
@@ -365,7 +415,7 @@ proptest! {
         rows in 1usize..90,
         batch in 1usize..40,
         epochs in 1usize..8,
-        mix in 0u8..6,
+        mix in 0u8..8,
     ) {
         let sizes: Vec<usize> = std::iter::once(dim).chain(hidden).chain([1]).collect();
         let mut rng = SplitMix64::new(seed);
@@ -374,7 +424,11 @@ proptest! {
         // mixed in; 2: that plus the non-finite hazards; 3: saturated
         // only (whole batches with nothing live); 4: driven only (the
         // model moves, then often stops); 5: blank only (the weights
-        // stop, the output bias does not).
+        // stop, the output bias does not); 6: driven only, in batches of
+        // at most a third of the rows (the model often stops in the
+        // middle of an epoch, and the next epoch reuses the batches after
+        // that point);
+        // 7: plain rows, half with a label that is neither 0 nor 1.
         let data = dataset(&start, rows, dim, &mut rng, |rng| {
             let u = rng.next_f64();
             match mix {
@@ -383,15 +437,18 @@ proptest! {
                 2 if u < 0.15 => Kind::Plain,
                 2 if u < 0.3 => Kind::NonFiniteFeature,
                 2 if u < 0.45 => Kind::Overflowing,
-                4 => Kind::Driven,
+                4 | 6 => Kind::Driven,
                 5 => Kind::Blank,
+                7 if u < 0.5 => Kind::Soft,
+                7 => Kind::Plain,
                 _ => Kind::Saturated,
             }
         });
+        let batch = if mix == 6 { 1 + batch % (rows / 3).max(1) } else { batch };
         let config = TrainConfig {
             epochs,
             batch_size: batch,
-            learning_rate: [0.3, 0.05, 1.0, 0.0][rng.next_index(4)],
+            learning_rate: [0.3, 0.05, 1.0, 0.0, -0.3, -0.0][rng.next_index(6)],
         };
         same_training(&sizes, seed, &data, &device(seed >> 7), &config)?;
     }
@@ -455,11 +512,11 @@ fn saturated_batches_train_as_the_full_batch_does() {
 }
 
 /// Driven rows only, five epochs in batches of 7 (a ragged last batch
-/// of 3). Once an epoch ends where it started, `Mlp::train` bills the
-/// rest without computing them; the model, every loss and every ledger
-/// event must still be the reference's, which computes each epoch. The
-/// hit is an epoch that moved the model followed by one that did not,
-/// with a later epoch after it (1 to 3 of the 4 that have one).
+/// of 3). Once no step changes a bit, `Mlp::train` reuses every batch's
+/// last step without computing it; the model, every loss and every
+/// ledger event must still be the reference's, which computes each
+/// step. The hit is a training that moved the model and then stopped:
+/// 1 to 3 of the 4 epochs after the first reused whole.
 #[test]
 fn an_epoch_that_changes_nothing_repeats_to_the_end() {
     let config = TrainConfig {
@@ -468,7 +525,37 @@ fn an_epoch_that_changes_nothing_repeats_to_the_end() {
         learning_rate: 0.3,
     };
     let kinds = (Kind::Driven, Kind::Driven);
-    let hit = |s: &reference::Seen| usize::from((1..4).contains(&s.unchanged_epochs));
+    let hit = |s: &reference::Seen| usize::from((1..4).contains(&s.reused_epochs));
     hazard(&[3, 4, 1], kinds, &config, hit);
     hazard(&[2, 3, 3, 1], kinds, &config, hit);
+}
+
+/// Driven rows only, in three batches an epoch. When the model stops
+/// moving after the first batch of an epoch, the next epoch computes its
+/// first batch again (the model has moved since it ran) and reuses the
+/// rest. The hit is such an epoch.
+#[test]
+fn a_step_is_reused_inside_an_epoch_that_computes_others() {
+    let kinds = (Kind::Driven, Kind::Driven);
+    let hit = |s: &reference::Seen| s.part_reused_epochs;
+    hazard(&[3, 4, 1], kinds, &TWO_EPOCHS, hit);
+    hazard(&[2, 3, 3, 1], kinds, &TWO_EPOCHS, hit);
+}
+
+/// Overflowing rows among driven ones: the first step writes `±inf` or
+/// `NaN` into the output layer's `W`, and overflowed hidden layers give
+/// `NaN` pre-activations. A one-wide layer's `δ · Wᵀ` must leave `+0.0`
+/// at a zero `δ` whatever `W` holds, and let `δ · W` through a `NaN`
+/// pre-activation, as the GEMM and the ReLU gate do. The hits are a live
+/// zero-delta example with an open gate at a non-finite weight, and a
+/// `NaN` pre-activation below the output layer.
+#[test]
+fn the_output_layer_backward_skips_zero_deltas_at_non_finite_weights() {
+    let kinds = (Kind::Overflowing, Kind::Driven);
+    for sizes in [&[2, 4, 1][..], &[2, 3, 3, 1]] {
+        hazard(sizes, kinds, &TWO_EPOCHS, |s| {
+            s.zero_deltas_at_non_finite_weights
+        });
+        hazard(sizes, kinds, &TWO_EPOCHS, |s| s.nan_pre_activations);
+    }
 }

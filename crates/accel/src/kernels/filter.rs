@@ -65,7 +65,7 @@ impl StreamFilter {
         elem_bytes: u64,
         pred: F,
         ledger: Option<&CostLedger>,
-        component: &str,
+        component: &'static str,
     ) -> (Vec<T>, FilterOutcome) {
         let kept: Vec<T> = data.iter().filter(pred).cloned().collect();
         let n = data.len() as u64;

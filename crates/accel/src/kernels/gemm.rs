@@ -168,7 +168,7 @@ impl Gemm {
         a: &Matrix,
         b: &Matrix,
         ledger: Option<&CostLedger>,
-        component: &str,
+        component: &'static str,
     ) -> Result<(Matrix, KernelReport)> {
         let c = Self::multiply_host(a, b)?;
         let report = Self::charge(profile, a.rows(), a.cols(), b.cols(), ledger, component);
@@ -184,7 +184,7 @@ impl Gemm {
         k: usize,
         n: usize,
         ledger: Option<&CostLedger>,
-        component: &str,
+        component: &'static str,
     ) -> KernelReport {
         let (m, k, n) = (m as u64, k as u64, n as u64);
         let cycles = Self::cycles(profile, m, k, n);

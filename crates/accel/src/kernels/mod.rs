@@ -50,7 +50,7 @@ impl KernelReport {
         bytes: u64,
         busy_cycles: u64,
         ledger: Option<&CostLedger>,
-        component: &str,
+        component: &'static str,
     ) -> KernelReport {
         let cycles = busy_cycles + profile.launch_overhead_cycles;
         let duration = SimDuration::from_secs(profile.cycles_to_s(cycles));
@@ -66,7 +66,7 @@ impl KernelReport {
         };
         if let Some(ledger) = ledger {
             ledger.post(
-                component.to_owned(),
+                component,
                 profile.kind(),
                 EventKind::Compute,
                 bytes,

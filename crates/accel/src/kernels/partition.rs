@@ -36,7 +36,7 @@ impl HashPartitioner {
         parts: usize,
         mut key: F,
         ledger: Option<&CostLedger>,
-        component: &str,
+        component: &'static str,
     ) -> (Vec<Vec<T>>, KernelReport) {
         assert!(parts > 0, "parts must be positive");
         let n = data.len() as u64;

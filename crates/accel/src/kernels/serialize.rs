@@ -69,7 +69,7 @@ impl SerializerModel {
         payload_bytes: u64,
         format: WireFormat,
         ledger: Option<&CostLedger>,
-        component: &str,
+        component: &'static str,
     ) -> KernelReport {
         let cycles = Self::cycles(profile, payload_bytes, format.encode_cycles_per_byte());
         KernelReport::charge(
@@ -89,7 +89,7 @@ impl SerializerModel {
         payload_bytes: u64,
         format: WireFormat,
         ledger: Option<&CostLedger>,
-        component: &str,
+        component: &'static str,
     ) -> KernelReport {
         let cycles = Self::cycles(profile, payload_bytes, format.decode_cycles_per_byte());
         KernelReport::charge(
@@ -113,7 +113,7 @@ impl SerializerModel {
         format: WireFormat,
         decode: bool,
         ledger: Option<&CostLedger>,
-        component: &str,
+        component: &'static str,
     ) -> KernelReport {
         let cpb = if decode {
             format.decode_cycles_per_byte()

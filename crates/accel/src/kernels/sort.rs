@@ -45,7 +45,7 @@ impl BitonicSorter {
         profile: &DeviceProfile,
         data: &mut [T],
         ledger: Option<&CostLedger>,
-        component: &str,
+        component: &'static str,
     ) -> KernelReport {
         Self::sort_host(data);
         let n = data.len() as u64;

@@ -4,7 +4,16 @@
 //! [`CostEvent`]. Reports aggregate the ledger in total, by event kind
 //! and by component prefix. Simulated time never reads the wall clock,
 //! so all numbers are reproducible bit-for-bit.
+//!
+//! Posting costs no allocation per event. A component name is a
+//! `Cow<'static, str>`: the kernels' literal names stay borrowed, so
+//! cloning a prebuilt event (a training step's event list, posted once
+//! per step) is a copy and dropping it frees nothing; only a name built
+//! at run time (the executor's `executor.{op}@{node}`) owns its string.
+//! The per-kind totals are a fixed array, one slot per [`EventKind`],
+//! so an event's accounting is an index, not a map entry.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -106,6 +115,18 @@ pub enum EventKind {
     Storage,
 }
 
+impl EventKind {
+    /// Every kind, in declaration order: `ALL[kind as usize] == kind`.
+    const ALL: [EventKind; 6] = [
+        EventKind::Compute,
+        EventKind::Transfer,
+        EventKind::Transform,
+        EventKind::Reconfigure,
+        EventKind::Launch,
+        EventKind::Storage,
+    ];
+}
+
 impl fmt::Display for EventKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -123,8 +144,9 @@ impl fmt::Display for EventKind {
 /// One unit of simulated work posted to the [`CostLedger`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostEvent {
-    /// Logical component posting the event (e.g. `"relstore.sort"`).
-    pub component: String,
+    /// Logical component posting the event (e.g. `"relstore.sort"`):
+    /// borrowed for a literal name, owned for one built at run time.
+    pub component: Cow<'static, str>,
     /// Device the work ran on.
     pub device: DeviceKind,
     /// Work category.
@@ -171,29 +193,26 @@ impl fmt::Display for CostSummary {
 }
 
 /// The ledger's shared interior: the event log plus the per-kind totals
-/// maintained incrementally alongside it. Keeping both behind one mutex
-/// is what makes the cache trustworthy — every mutation path updates the
-/// log and the totals under the same lock, so observers can never see
-/// them drift apart.
+/// maintained incrementally alongside it (slot `kind as usize`). Keeping
+/// both behind one mutex is what makes the cache trustworthy — every
+/// mutation path updates the log and the totals under the same lock, so
+/// observers can never see them drift apart.
 #[derive(Debug, Default)]
 struct LedgerState {
     events: Vec<CostEvent>,
-    kind_totals: BTreeMap<EventKind, CostSummary>,
+    kind_totals: [CostSummary; EventKind::ALL.len()],
 }
 
 impl LedgerState {
     fn push(&mut self, event: CostEvent) {
-        self.kind_totals
-            .entry(event.kind)
-            .or_default()
-            .absorb(&event);
+        self.kind_totals[event.kind as usize].absorb(&event);
         self.events.push(event);
     }
 
     fn rebuild_totals(&mut self) {
-        self.kind_totals.clear();
+        self.kind_totals = Default::default();
         for e in &self.events {
-            self.kind_totals.entry(e.kind).or_default().absorb(e);
+            self.kind_totals[e.kind as usize].absorb(e);
         }
     }
 }
@@ -236,10 +255,11 @@ impl CostLedger {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Posts an event.
+    /// Posts an event. A `&'static str` name is kept borrowed; a
+    /// `String` (a name built at run time) is kept owned.
     pub fn post(
         &self,
-        component: impl Into<String>,
+        component: impl Into<Cow<'static, str>>,
         device: DeviceKind,
         kind: EventKind,
         bytes: u64,
@@ -261,9 +281,12 @@ impl CostLedger {
         self.state_guard().push(event);
     }
 
-    /// Posts prebuilt events, in order, under one lock acquisition.
+    /// Posts prebuilt events, in order, under one lock acquisition,
+    /// growing the log once by the iterator's lower size bound.
     pub fn post_events(&self, events: impl IntoIterator<Item = CostEvent>) {
+        let events = events.into_iter();
         let mut state = self.state_guard();
+        state.events.reserve(events.size_hint().0);
         for event in events {
             state.push(event);
         }
@@ -284,7 +307,7 @@ impl CostLedger {
     pub fn reset(&self) {
         let mut state = self.state_guard();
         state.events.clear();
-        state.kind_totals.clear();
+        state.kind_totals = Default::default();
     }
 
     /// Atomically replaces the event log with `events` (one lock
@@ -308,7 +331,7 @@ impl CostLedger {
     /// hands its events on once nobody reads it any more.
     pub fn take_events(&self) -> Vec<CostEvent> {
         let mut state = self.state_guard();
-        state.kind_totals.clear();
+        state.kind_totals = Default::default();
         std::mem::take(&mut state.events)
     }
 
@@ -321,10 +344,15 @@ impl CostLedger {
         s
     }
 
-    /// Aggregates grouped by event kind — served from the incrementally
-    /// maintained cache, not a log scan.
+    /// Aggregates grouped by event kind, for the kinds that have events —
+    /// served from the incrementally maintained totals, not a log scan.
     pub fn by_kind(&self) -> BTreeMap<EventKind, CostSummary> {
-        self.state_guard().kind_totals.clone()
+        let totals = self.state_guard().kind_totals;
+        EventKind::ALL
+            .into_iter()
+            .zip(totals)
+            .filter(|(_, summary)| summary.events > 0)
+            .collect()
     }
 
     /// Sum of busy time for events whose component starts with `prefix`.
@@ -435,6 +463,37 @@ mod tests {
         post_some(&ledger);
         assert_eq!(ledger.by_kind(), recomputed_by_kind(&ledger));
         assert_eq!(ledger.by_kind()[&EventKind::Transfer].events, 2);
+    }
+
+    #[test]
+    fn every_kind_has_its_own_slot_in_declaration_order() {
+        for (slot, kind) in EventKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, slot);
+        }
+        let ledger = CostLedger::new();
+        for (i, kind) in EventKind::ALL.into_iter().enumerate().rev() {
+            let name = if i % 2 == 0 { "kernel" } else { "op" };
+            ledger.post(
+                name,
+                DeviceKind::Cpu,
+                kind,
+                i as u64,
+                SimDuration::ZERO,
+                0.0,
+            );
+        }
+        ledger.post(
+            String::from("executor.scan@3"),
+            DeviceKind::Cpu,
+            EventKind::Storage,
+            1,
+            SimDuration::ZERO,
+            0.0,
+        );
+        assert_eq!(ledger.by_kind(), recomputed_by_kind(&ledger));
+        assert_eq!(ledger.by_kind().len(), EventKind::ALL.len());
+        assert_eq!(ledger.by_kind()[&EventKind::Storage].bytes, 6);
+        assert_eq!(ledger.events()[6].component, "executor.scan@3");
     }
 
     #[test]

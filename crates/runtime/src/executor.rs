@@ -331,7 +331,7 @@ impl Accounts {
 
     /// Posts a migration-class transfer event: `component` moved `bytes`
     /// on `device` in `seconds`.
-    fn transfer(&mut self, component: &str, device: DeviceKind, bytes: u64, seconds: f64) {
+    fn transfer(&mut self, component: &'static str, device: DeviceKind, bytes: u64, seconds: f64) {
         self.events.push(CostEvent {
             component: component.into(),
             device,

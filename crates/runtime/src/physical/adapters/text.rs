@@ -21,32 +21,32 @@ pub(crate) fn search(
         )));
     };
     let term_refs: Vec<&str> = terms.iter().map(String::as_str).collect();
+    // Each answer is one slab of rows, filled in place.
     let (schema, rows) = match mode {
-        TextSearchMode::All => {
-            let ids = t.search_all(&term_refs);
-            (
-                Schema::new(vec![("doc_id", DataType::Int)]),
-                ids.into_iter()
-                    .map(|d| Row::from(vec![Value::Int(d as i64)]))
-                    .collect::<Vec<Row>>(),
-            )
-        }
-        TextSearchMode::Any => {
-            let ids = t.search_any(&term_refs);
-            (
-                Schema::new(vec![("doc_id", DataType::Int)]),
-                ids.into_iter()
-                    .map(|d| Row::from(vec![Value::Int(d as i64)]))
-                    .collect::<Vec<Row>>(),
-            )
+        TextSearchMode::All | TextSearchMode::Any => {
+            let ids = if mode == TextSearchMode::All {
+                t.search_all(&term_refs)
+            } else {
+                t.search_any(&term_refs)
+            };
+            let rows = Row::slab_with(ids.len(), 1, |slab| {
+                for (slot, d) in slab.iter_mut().zip(ids) {
+                    *slot = Value::Int(d as i64);
+                }
+            });
+            (Schema::new(vec![("doc_id", DataType::Int)]), rows)
         }
         TextSearchMode::Ranked(k) => {
             let hits = t.search_ranked(&terms.join(" "), k);
+            let rows = Row::slab_with(hits.len(), 2, |slab| {
+                for (row, (d, s)) in slab.chunks_exact_mut(2).zip(hits) {
+                    row[0] = Value::Int(d as i64);
+                    row[1] = Value::Float(s);
+                }
+            });
             (
                 Schema::new(vec![("doc_id", DataType::Int), ("score", DataType::Float)]),
-                hits.into_iter()
-                    .map(|(d, s)| Row::from(vec![Value::Int(d as i64), Value::Float(s)]))
-                    .collect::<Vec<Row>>(),
+                rows,
             )
         }
     };

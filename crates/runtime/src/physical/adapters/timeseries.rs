@@ -30,10 +30,12 @@ pub(crate) fn range(
         ("ts", DataType::Timestamp),
         ("value", DataType::Float),
     ]);
-    let rows = pts
-        .iter()
-        .map(|&(t, v)| Row::from(vec![Value::Timestamp(t), Value::Float(v)]))
-        .collect();
+    let rows = Row::slab_with(pts.len(), 2, |slab| {
+        for (row, &(t, v)) in slab.chunks_exact_mut(2).zip(pts) {
+            row[0] = Value::Timestamp(t);
+            row[1] = Value::Float(v);
+        }
+    });
     Ok(Dataset::rows(
         schema,
         rows,
@@ -63,16 +65,13 @@ pub(crate) fn window(
         ("window_start", DataType::Int),
         ("value", DataType::Float),
     ]);
-    let rows = windows
-        .into_iter()
-        .map(|(t, v)| {
-            Row::from(vec![
-                Value::Int(t.div_euclid(width.max(1))),
-                Value::Int(t),
-                Value::Float(v),
-            ])
-        })
-        .collect();
+    let rows = Row::slab_with(windows.len(), 3, |slab| {
+        for (row, (t, v)) in slab.chunks_exact_mut(3).zip(windows) {
+            row[0] = Value::Int(t.div_euclid(width.max(1)));
+            row[1] = Value::Int(t);
+            row[2] = Value::Float(v);
+        }
+    });
     Ok(Dataset::rows(
         schema,
         rows,

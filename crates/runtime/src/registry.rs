@@ -141,8 +141,15 @@ impl ShardedRegistry {
     /// `rebalance`, `set_partition`, fleet changes) increments this
     /// counter. Caches that key entries by `(digest, epoch)` — the
     /// service's plan and result caches, the materialized-repartition
-    /// store — therefore self-invalidate on any engine-state change
-    /// without scanning their contents.
+    /// store — therefore self-invalidate on any change made through
+    /// those APIs without scanning their contents.
+    ///
+    /// The mutable accessors ([`ShardedRegistry::get_mut`],
+    /// [`ShardedRegistry::shard_mut`], [`ShardedRegistry::relational_mut`])
+    /// do **not** increment it: they hand out an engine, not a change.
+    /// A write made through one of them must be followed by
+    /// [`ShardedRegistry::bump_epoch`], or every epoch-keyed cache keeps
+    /// serving what the engine held before the write.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
     }
@@ -205,7 +212,9 @@ impl ShardedRegistry {
         self.shard(id, ShardId::ZERO)
     }
 
-    /// Mutable primary-replica lookup.
+    /// Mutable primary-replica lookup. Does not bump the epoch: follow a
+    /// write through it with [`ShardedRegistry::bump_epoch`] (see
+    /// [`ShardedRegistry::epoch`]).
     ///
     /// # Errors
     ///
@@ -233,7 +242,9 @@ impl ShardedRegistry {
         })
     }
 
-    /// Mutable shard-replica lookup.
+    /// Mutable shard-replica lookup. Does not bump the epoch: follow a
+    /// write through it with [`ShardedRegistry::bump_epoch`] (see
+    /// [`ShardedRegistry::epoch`]).
     ///
     /// # Errors
     ///
@@ -280,7 +291,9 @@ impl ShardedRegistry {
         }
     }
 
-    /// Mutable primary relational accessor.
+    /// Mutable primary relational accessor. Does not bump the epoch:
+    /// follow a write through it with [`ShardedRegistry::bump_epoch`]
+    /// (see [`ShardedRegistry::epoch`]).
     ///
     /// # Errors
     ///

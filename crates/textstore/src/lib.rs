@@ -5,6 +5,14 @@
 //! and TF-IDF ranked search, and bag-of-words feature extraction for the
 //! ML pipeline.
 //!
+//! A term's postings are one `Vec` in ascending document order, and each
+//! posting carries its document's token count beside the term frequency,
+//! so no search looks anything up per posting. Boolean searches merge
+//! the lists; the ranked search merges the query tokens' lists in
+//! document order and sums a document's contributions in query-token
+//! order from `0.0` — the additions a per-document accumulator made, in
+//! the same order, so every score keeps its bits.
+//!
 //! # Examples
 //!
 //! ```
@@ -19,22 +27,30 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use pspp_common::{EngineId, Error, Result};
 
 /// A document id.
 pub type DocId = u64;
 
+/// One document's entry in a term's postings.
+#[derive(Debug, Clone, Copy)]
+struct Posting {
+    doc: DocId,
+    /// How often the term occurs in the document.
+    tf: u32,
+    /// The document's token count.
+    len: u32,
+}
+
 /// The text engine.
 #[derive(Debug, Clone)]
 pub struct TextStore {
     id: EngineId,
     docs: BTreeMap<DocId, String>,
-    /// term -> (doc -> term frequency)
-    index: HashMap<String, BTreeMap<DocId, u32>>,
-    /// doc -> token count
-    doc_len: BTreeMap<DocId, u32>,
+    /// term -> its postings, in ascending document order
+    index: HashMap<String, Vec<Posting>>,
 }
 
 impl TextStore {
@@ -44,7 +60,6 @@ impl TextStore {
             id: id.into(),
             docs: BTreeMap::new(),
             index: HashMap::new(),
-            doc_len: BTreeMap::new(),
         }
     }
 
@@ -67,16 +82,20 @@ impl TextStore {
         if self.docs.contains_key(&id) {
             self.remove_document(id);
         }
-        let tokens = Self::tokenize(&text);
-        for t in &tokens {
-            *self
-                .index
-                .entry(t.clone())
-                .or_default()
-                .entry(id)
-                .or_insert(0) += 1;
+        let mut tokens = Self::tokenize(&text);
+        let len = tokens.len() as u32;
+        tokens.sort_unstable();
+        for run in tokens.chunk_by(|a, b| a == b) {
+            let posting = Posting {
+                doc: id,
+                tf: run.len() as u32,
+                len,
+            };
+            let postings = self.index.entry(run[0].clone()).or_default();
+            // Documents usually arrive in id order: then this is a push.
+            let at = postings.partition_point(|p| p.doc < id);
+            postings.insert(at, posting);
         }
-        self.doc_len.insert(id, tokens.len() as u32);
         self.docs.insert(id, text);
     }
 
@@ -87,13 +106,14 @@ impl TextStore {
         };
         for t in Self::tokenize(&text) {
             if let Some(postings) = self.index.get_mut(&t) {
-                postings.remove(&id);
+                if let Ok(at) = postings.binary_search_by_key(&id, |p| p.doc) {
+                    postings.remove(at);
+                }
                 if postings.is_empty() {
                     self.index.remove(&t);
                 }
             }
         }
-        self.doc_len.remove(&id);
         true
     }
 
@@ -112,50 +132,80 @@ impl TextStore {
         self.docs.is_empty()
     }
 
+    /// The postings of `term`, matched case-insensitively; empty for an
+    /// unknown term.
+    fn postings(&self, term: &str) -> &[Posting] {
+        self.index
+            .get(&term.to_lowercase())
+            .map_or(&[], Vec::as_slice)
+    }
+
     /// Documents containing **all** the given terms (boolean AND).
     pub fn search_all(&self, terms: &[&str]) -> Vec<DocId> {
-        let mut result: Option<BTreeSet<DocId>> = None;
-        for term in terms {
-            let docs: BTreeSet<DocId> = self
-                .index
-                .get(&term.to_lowercase())
-                .map(|p| p.keys().copied().collect())
-                .unwrap_or_default();
-            result = Some(match result {
-                None => docs,
-                Some(acc) => acc.intersection(&docs).copied().collect(),
+        let Some((first, rest)) = terms.split_first() else {
+            return Vec::new();
+        };
+        let mut out: Vec<DocId> = self.postings(first).iter().map(|p| p.doc).collect();
+        for term in rest {
+            let mut postings = self.postings(term).iter().map(|p| p.doc).peekable();
+            // Both lists ascend: drop each kept doc the next list skips.
+            out.retain(|&doc| {
+                while postings.next_if(|&d| d < doc).is_some() {}
+                postings.next_if_eq(&doc).is_some()
             });
         }
-        result.unwrap_or_default().into_iter().collect()
+        out
     }
 
     /// Documents containing **any** of the given terms (boolean OR).
     pub fn search_any(&self, terms: &[&str]) -> Vec<DocId> {
-        let mut out = BTreeSet::new();
-        for term in terms {
-            if let Some(p) = self.index.get(&term.to_lowercase()) {
-                out.extend(p.keys().copied());
-            }
-        }
-        out.into_iter().collect()
+        let mut out: Vec<DocId> = terms
+            .iter()
+            .flat_map(|term| self.postings(term).iter().map(|p| p.doc))
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
-    /// TF-IDF ranked search: top `k` documents for a free-text query.
+    /// TF-IDF ranked search: top `k` documents for a free-text query,
+    /// by score (highest first), ties by ascending document id.
+    ///
+    /// A document's score sums, over the query's tokens in order (a
+    /// repeated token counts again, an unknown one adds nothing),
+    /// `tf / max(len, 1) · idf`, starting from `0.0`, with
+    /// `idf = max(ln(n_docs / df), 0) + 1`.
     pub fn search_ranked(&self, query: &str, k: usize) -> Vec<(DocId, f64)> {
         let n_docs = self.docs.len() as f64;
-        let mut scores: HashMap<DocId, f64> = HashMap::new();
-        for term in Self::tokenize(query) {
-            let Some(p) = self.index.get(&term) else {
-                continue;
-            };
-            let idf = (n_docs / p.len() as f64).ln().max(0.0) + 1.0;
-            for (&doc, &tf) in p {
-                let dl = f64::from(self.doc_len[&doc]).max(1.0);
-                *scores.entry(doc).or_insert(0.0) += (f64::from(tf) / dl) * idf;
+        // Each known token's postings not yet merged, and its idf, in
+        // query order.
+        let mut lists: Vec<(&[Posting], f64)> = Self::tokenize(query)
+            .iter()
+            .filter_map(|term| self.index.get(term))
+            .map(|p| (p.as_slice(), (n_docs / p.len() as f64).ln().max(0.0) + 1.0))
+            .collect();
+        let longest = lists.iter().map(|(p, _)| p.len()).max().unwrap_or(0);
+        let mut ranked: Vec<(DocId, f64)> = Vec::with_capacity(longest);
+        // Every list ascends, so the least head is the next document.
+        while let Some(doc) = lists
+            .iter()
+            .filter_map(|(p, _)| p.first())
+            .map(|p| p.doc)
+            .min()
+        {
+            let mut score = 0.0f64;
+            for (rest, idf) in &mut lists {
+                if let Some((posting, tail)) = rest.split_first().filter(|(p, _)| p.doc == doc) {
+                    let dl = f64::from(posting.len).max(1.0);
+                    score += (f64::from(posting.tf) / dl) * *idf;
+                    *rest = tail;
+                }
             }
+            ranked.push((doc, score));
         }
-        let mut ranked: Vec<(DocId, f64)> = scores.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        // `ranked` ascends by document, so a stable sort by score alone
+        // breaks ties by ascending document.
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
         ranked.truncate(k);
         ranked
     }
@@ -171,11 +221,12 @@ impl TextStore {
             .docs
             .get(&id)
             .ok_or_else(|| Error::TableNotFound(format!("document {id}")))?;
+        let tokens = Self::tokenize(text);
+        let total = tokens.len().max(1) as f64;
         let mut counts: HashMap<String, u32> = HashMap::new();
-        for t in Self::tokenize(text) {
+        for t in tokens {
             *counts.entry(t).or_insert(0) += 1;
         }
-        let total = self.doc_len[&id].max(1) as f64;
         Ok(vocabulary
             .iter()
             .map(|v| f64::from(counts.get(&v.to_lowercase()).copied().unwrap_or(0)) / total)
@@ -251,10 +302,9 @@ mod tests {
     #[test]
     fn feature_extraction() {
         let s = corpus();
-        let f = s.features(2, &["patient", "icu", "stable"]).unwrap();
-        assert_eq!(f.len(), 3);
-        assert!(f[0] > 0.0 && f[1] > 0.0);
-        assert_eq!(f[2], 0.0);
+        // Doc 2 has five tokens.
+        let f = s.features(2, &["patient", "ICU", "stable"]).unwrap();
+        assert_eq!(f, [1.0 / 5.0, 1.0 / 5.0, 0.0]);
         assert!(s.features(99, &["x"]).is_err());
     }
 }

@@ -13,7 +13,7 @@ pub mod serialize;
 pub mod sort;
 
 use crate::device::{DeviceKind, DeviceProfile, KernelClass};
-use crate::ledger::{CostLedger, EventKind, SimDuration};
+use crate::ledger::{CostEvent, CostLedger, EventKind, SimDuration};
 
 pub use filter::StreamFilter;
 pub use gemm::{Gemm, Matrix};
@@ -65,16 +65,21 @@ impl KernelReport {
             energy_j,
         };
         if let Some(ledger) = ledger {
-            ledger.post(
-                component,
-                profile.kind(),
-                EventKind::Compute,
-                bytes,
-                duration,
-                energy_j,
-            );
+            ledger.post_event(report.event(component));
         }
         report
+    }
+
+    /// The compute event this kernel run posts as `component`.
+    pub fn event(&self, component: &'static str) -> CostEvent {
+        CostEvent {
+            component: component.into(),
+            device: self.device,
+            kind: EventKind::Compute,
+            bytes: self.bytes,
+            duration: self.duration,
+            energy_j: self.energy_j,
+        }
     }
 }
 

@@ -312,8 +312,8 @@ impl CostLedger {
 
     /// Atomically replaces the event log with `events` (one lock
     /// acquisition, so concurrent observers never see a half-written
-    /// log) and rebuilds the per-kind totals to match. Used to publish a
-    /// per-run scoped ledger into a shared one.
+    /// log) and rebuilds the per-kind totals to match. How a system
+    /// publishes a finished run's ledger as its own.
     pub fn replace_events(&self, events: Vec<CostEvent>) {
         let mut state = self.state_guard();
         state.events = events;
@@ -327,7 +327,7 @@ impl CostLedger {
 
     /// Moves every event out, leaving the ledger empty (per-kind totals
     /// included): [`CostLedger::events`] then [`CostLedger::reset`] in
-    /// one lock acquisition, without a copy. How a run's scoped ledger
+    /// one lock acquisition, without a copy. How a finished run's ledger
     /// hands its events on once nobody reads it any more.
     pub fn take_events(&self) -> Vec<CostEvent> {
         let mut state = self.state_guard();
@@ -363,6 +363,13 @@ impl CostLedger {
             .filter(|e| e.component.starts_with(prefix))
             .map(|e| e.duration)
             .sum()
+    }
+
+    /// Sum of busy time for the events posted after the first `mark`
+    /// (a [`CostLedger::len`] read earlier), in posting order.
+    pub fn busy_since(&self, mark: usize) -> SimDuration {
+        let state = self.state_guard();
+        state.events.iter().skip(mark).map(|e| e.duration).sum()
     }
 }
 
@@ -517,6 +524,18 @@ mod tests {
         let ledger = CostLedger::new();
         post_some(&ledger);
         assert!((ledger.busy_for("relstore").as_secs() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn busy_since_sums_the_events_posted_after_the_mark() {
+        let ledger = CostLedger::new();
+        post_some(&ledger);
+        let mark = ledger.len();
+        assert_eq!(ledger.busy_since(mark), SimDuration::ZERO);
+        post_some(&ledger);
+        assert_eq!(ledger.busy_since(mark).as_secs(), 1.5);
+        assert_eq!(ledger.busy_since(0).as_secs(), 3.0);
+        assert_eq!(ledger.busy_since(ledger.len() + 1), SimDuration::ZERO);
     }
 
     #[test]

@@ -236,16 +236,18 @@ impl Mlp {
     /// layer, `dA` at `(rows, out, in)`. The one place a step's shapes are
     /// billed.
     fn step_events(&self, device: &DeviceProfile, rows: usize) -> Vec<CostEvent> {
-        let bill = CostLedger::new();
-        self.bill_forward(device, rows, Some(&bill));
+        let gemm = |m, k, n, name| Gemm::charge(device, m, k, n, None, name).event(name);
+        let mut events: Vec<CostEvent> = (self.weights.iter())
+            .map(|w| gemm(rows, w.rows(), w.cols(), "mlengine.forward"))
+            .collect();
         for (l, w) in self.weights.iter().enumerate().rev() {
             let (in_w, out_w) = (w.rows(), w.cols());
-            Gemm::charge(device, in_w, rows, out_w, Some(&bill), "mlengine.backward");
+            events.push(gemm(in_w, rows, out_w, "mlengine.backward"));
             if l > 0 {
-                Gemm::charge(device, rows, out_w, in_w, Some(&bill), "mlengine.backward");
+                events.push(gemm(rows, out_w, in_w, "mlengine.backward"));
             }
         }
-        bill.take_events()
+        events
     }
 
     /// Forward pass over the `rows` examples of `x` (row-major,

@@ -4,7 +4,7 @@
 //! Every operator runs through [`physical::run`]; the [`Placer`]
 //! resolves where each node runs and migrates foreign inputs there;
 //! each task's bill is the price list's ([`price::task`]), posted to
-//! the task's ledger. The loop walks the program's topological stages
+//! the run's ledger. The loop walks the program's topological stages
 //! and runs each stage's tasks on the calling thread, in task order.
 //! Shard parallelism lives where the paper puts it, on the simulated
 //! clock: a node's time is its slowest shard task's, as if each shard's
@@ -64,25 +64,27 @@
 //!   column is *demoted* to one gathered task, since merging would
 //!   re-associate the additions.
 //!
-//! Exchange rows are charged to the ledger as migration-class transfer
-//! events on the node's critical path. Every task executes against a
-//! private scoped ledger, and the loop merges shard runs in shard order
-//! and node results in node-id order after each stage, so a node's bill
-//! does not depend on what else shared its stage. Byte sizes travel with
-//! the rows: a gather of sized partials, a routed bucket and a spliced
-//! output all know their size when they are built, and the charge never
-//! walks one to price it. Rows move rather than being copied wherever
-//! their holder is the only one: a gather takes each partial nobody
-//! retained, a routed merge each task's rows, a shuffle its routed
-//! producer's buckets, and the splice each destination's output. Scans'
-//! selections are never rows at either match: a gather appends them into
-//! one selection over every shard's snapshot, and a routed merge splits
-//! their positions.
+//! Every bill posts once, straight to the run's ledger, in the order the
+//! loop runs it: a stage's nodes in node-id order, each to completion —
+//! its tasks in task (shard) order, each posting its migrations, its
+//! operator's charge and its queue wait, then the exchange its merge
+//! charges as migration-class transfer events on the node's critical
+//! path. A node's bill does not depend on what else shared its stage.
+//!
+//! Byte sizes travel with the rows: a gather of sized partials, a routed
+//! bucket and a spliced output all know their size when they are built,
+//! and the charge never walks one to price it. Rows move rather than
+//! being copied wherever their holder is the only one: a gather takes
+//! each partial nobody retained, a routed merge each task's rows, a
+//! shuffle its routed producer's buckets, and the splice each
+//! destination's output. Scans' selections are never rows at either
+//! match: a gather appends them into one selection over every shard's
+//! snapshot, and a routed merge splits their positions.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use pspp_accel::{AcceleratorFleet, CostEvent, CostLedger, EventKind, SimDuration};
+use pspp_accel::{AcceleratorFleet, CostLedger, EventKind, SimDuration};
 use pspp_common::{CopyKey, DataType, DeviceKind, Error, Result, Routes, ShardId};
 use pspp_ir::{
     AggFn, AggSpec, ColumnDemand, ExchangeKind, NodeId, Operator, Program, ShardPlan, Stage,
@@ -284,8 +286,8 @@ enum Reported {
     Routes(Routes),
 }
 
-/// One task's run — or a node's runs folded into one — staged for
-/// deterministic merging after its stage joins.
+/// One task's run — or a node's runs folded into one — staged for its
+/// node's merge.
 #[derive(Debug)]
 struct NodeRun {
     id: NodeId,
@@ -306,8 +308,6 @@ struct Accounts {
     /// execution *plus its own* migration (per-shard migrations run
     /// concurrently with the other shards' tasks, so they overlap).
     critical_seconds: f64,
-    /// Cost events from the tasks' scoped ledgers, in posting order.
-    events: Vec<CostEvent>,
     /// Per-task traces folded into this run, in task (gather) order.
     tasks: Vec<TaskTrace>,
     /// Exchange edges charged while merging this run.
@@ -319,27 +319,13 @@ impl Accounts {
     /// execution and critical-path time are the slowest replica's
     /// (shards run on distinct engine replicas in parallel on the
     /// simulated clock, each migrating its own partial), total
-    /// migration work, cost events and traces accumulate in task order.
+    /// migration work and traces accumulate in task order.
     fn fold(&mut self, next: Accounts) {
         self.exec_seconds = self.exec_seconds.max(next.exec_seconds);
         self.migration_seconds += next.migration_seconds;
         self.critical_seconds = self.critical_seconds.max(next.critical_seconds);
-        self.events.extend(next.events);
         self.tasks.extend(next.tasks);
         self.exchanges.extend(next.exchanges);
-    }
-
-    /// Posts a migration-class transfer event: `component` moved `bytes`
-    /// on `device` in `seconds`.
-    fn transfer(&mut self, component: &'static str, device: DeviceKind, bytes: u64, seconds: f64) {
-        self.events.push(CostEvent {
-            component: component.into(),
-            device,
-            kind: EventKind::Transfer,
-            bytes,
-            duration: SimDuration::from_secs(seconds),
-            energy_j: 0.0,
-        });
     }
 
     /// Traces an exchange edge of `kind` that moved `rows` (`bytes`) on
@@ -397,8 +383,8 @@ impl Executor {
     /// task, exchange barrier and partial merge runs and bills on it.
     pub fn new(ledger: CostLedger) -> Self {
         Executor {
+            placer: Placer::new(ledger.clone()),
             ledger,
-            placer: Placer::default(),
             level: OptLevel::L2,
             metrics: None,
         }
@@ -409,6 +395,7 @@ impl Executor {
     /// simulated durations, so observation never perturbs execution and
     /// snapshots are deterministic.
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
+        self.placer = self.placer.with_metrics(metrics.clone());
         self.metrics = Some(metrics);
         self
     }
@@ -437,7 +424,10 @@ impl Executor {
     /// plan or a plan of another length, [`Error::StalePlan`] when the
     /// plan was made at an epoch other than the registry's, and
     /// [`Error::Execution`] (and engine-specific errors) when an
-    /// operator cannot run.
+    /// operator cannot run. A run that fails leaves in the ledger the
+    /// events of every node that finished before the failing one, its
+    /// own stage's included, and whatever the failing task posted
+    /// before its error; nothing reads a failed run's ledger.
     pub fn execute(&self, program: &Program, registry: &EngineRegistry) -> Result<ExecutionReport> {
         program.validate()?;
         let plan = program.shard_plan()?;
@@ -452,7 +442,6 @@ impl Executor {
         for (stage_idx, stage) in stages.iter().enumerate() {
             let runs = self.run_stage(program, &stage.compute, plan, registry, &mut outputs)?;
             for (id, run) in runs {
-                self.ledger.post_events(run.events);
                 // Trace appended in merge order — the same order
                 // `makespans` sums node times, so a span tree built
                 // over these traces reproduces the sequential makespan
@@ -585,12 +574,13 @@ impl Executor {
         }
     }
 
-    /// The stage step: builds every compute node's tasks at the task
-    /// boundary ([`Executor::node_tasks`]), runs them one after another
-    /// on the calling thread in task order (node-major, shard-minor) —
-    /// the first task to fail ends the stage with its error — and merges
-    /// each node's runs at the merge point ([`Executor::merge`]) into its
-    /// entry of `outputs`. Returns each node's accounts in node-id order.
+    /// The stage step: runs each compute node to completion, in node-id
+    /// order — builds its tasks at the task boundary
+    /// ([`Executor::node_tasks`]), runs them one after another on the
+    /// calling thread in task (shard) order, and merges their runs at
+    /// the merge point ([`Executor::merge`]) into its entry of `outputs`.
+    /// The first task to fail ends the stage with its error. Returns each
+    /// node's accounts in node-id order.
     fn run_stage(
         &self,
         program: &Program,
@@ -599,22 +589,15 @@ impl Executor {
         registry: &EngineRegistry,
         outputs: &mut HashMap<NodeId, NodeOutput>,
     ) -> Result<Vec<(NodeId, Accounts)>> {
-        let mut tasks = Vec::new();
-        let mut merges = Vec::with_capacity(compute.len());
-        for &id in compute {
-            let (node_tasks, merge) = self.node_tasks(program, id, plan, registry, outputs)?;
-            merges.push((id, merge, node_tasks.len()));
-            tasks.extend(node_tasks);
-        }
-        let runs = tasks
-            .into_iter()
-            .map(|task| self.run_node(program, task, registry));
-        let mut runs = runs.collect::<Result<Vec<_>>>()?.into_iter();
-        merges
-            .into_iter()
-            .map(|(id, merge, n)| {
-                let group = runs.by_ref().take(n).collect();
-                let (acc, output) = Self::merge(program, id, merge, group, registry)?;
+        compute
+            .iter()
+            .map(|&id| {
+                let (tasks, merge) = self.node_tasks(program, id, plan, registry, outputs)?;
+                let runs = tasks
+                    .into_iter()
+                    .map(|task| self.run_node(program, task, registry))
+                    .collect::<Result<_>>()?;
+                let (acc, output) = self.merge(program, id, merge, runs, registry)?;
                 outputs.insert(id, output);
                 Ok((id, acc))
             })
@@ -854,8 +837,10 @@ impl Executor {
     }
 
     /// The merge point's one dispatch: node `id`'s task runs, in task
-    /// order, become its accounts and its output.
+    /// order, become its accounts and its output; an exchange it charges
+    /// posts to the run's ledger.
     fn merge(
+        &self,
         program: &Program,
         id: NodeId,
         merge: Merge,
@@ -877,8 +862,8 @@ impl Executor {
                 let (acc, split) = Self::route_runs(id, group, width)?;
                 (acc, NodeOutput::Routed(split))
             }
-            Merge::Splice(barrier) => gathered(Self::splice_shuffle(id, group, &barrier)?),
-            Merge::Partials => gathered(Self::merge_partial_runs(program, id, group, registry)?),
+            Merge::Splice(barrier) => gathered(self.splice_shuffle(id, group, &barrier)?),
+            Merge::Partials => gathered(self.merge_partial_runs(program, id, group, registry)?),
         })
     }
 
@@ -963,6 +948,7 @@ impl Executor {
     /// destinations' chunk streams on their global probe index
     /// reproduces the gathered plan's bytes exactly.
     fn splice_shuffle(
+        &self,
         id: NodeId,
         group: Vec<NodeRun>,
         barrier: &ShuffleBarrier,
@@ -1034,11 +1020,11 @@ impl Executor {
         acc.migration_seconds += barrier.seconds + barrier.store_seconds;
         acc.critical_seconds += barrier.seconds + barrier.store_seconds;
         let (device, rows, bytes) = (barrier.device, barrier.routed_rows, barrier.bytes);
-        acc.transfer("exchange.shuffle", device, bytes, barrier.seconds);
+        self.transfer("exchange.shuffle", device, bytes, barrier.seconds);
         acc.trace("shuffle", device, rows, bytes, barrier.seconds);
         if barrier.stored_bytes > 0 {
             let (bytes, seconds) = (barrier.stored_bytes, barrier.store_seconds);
-            acc.transfer("exchange.materialize", DeviceKind::Cpu, bytes, seconds);
+            self.transfer("exchange.materialize", DeviceKind::Cpu, bytes, seconds);
         }
         if barrier.served_rows > 0 {
             // Served edges replay stored buckets — no wire crossing, no
@@ -1054,6 +1040,7 @@ impl Executor {
     /// into the final aggregate rows (see
     /// [`pspp_relstore::ops::merge_group_partials`]).
     fn merge_partial_runs(
+        &self,
         program: &Program,
         id: NodeId,
         group: Vec<NodeRun>,
@@ -1086,18 +1073,26 @@ impl Executor {
         let acc = &mut run.acc;
         acc.migration_seconds += seconds;
         acc.critical_seconds += seconds;
-        acc.transfer("exchange.merge", DeviceKind::Cpu, partial_bytes, seconds);
+        self.transfer("exchange.merge", DeviceKind::Cpu, partial_bytes, seconds);
         let rows = run.output.len() as u64;
         acc.trace("merge", DeviceKind::Cpu, rows, partial_bytes, seconds);
         Ok(run)
     }
 
-    /// Executes one (node, shard) task against a private scoped ledger:
-    /// placement, input migration, the operator's run, and cost
-    /// attribution — migration and kernel charges post per shard task.
-    /// The task's role picks the operator (the node's own, or the
-    /// per-shard partial of a merged aggregation) and what the task
-    /// reports beside its rows.
+    /// Posts a migration-class transfer event: `component` moved `bytes`
+    /// on `device` in `seconds`.
+    fn transfer(&self, component: &'static str, device: DeviceKind, bytes: u64, seconds: f64) {
+        let duration = SimDuration::from_secs(seconds);
+        self.ledger
+            .post(component, device, EventKind::Transfer, bytes, duration, 0.0);
+    }
+
+    /// Executes one (node, shard) task: placement, input migration, the
+    /// operator's run, and cost attribution — its migrations, its
+    /// operator's charge and its queue wait post to the run's ledger as
+    /// they happen. The task's role picks the operator (the node's own,
+    /// or the per-shard partial of a merged aggregation) and what the
+    /// task reports beside its rows.
     fn run_node(
         &self,
         program: &Program,
@@ -1115,11 +1110,6 @@ impl Executor {
                 "shuffle planned for non-hash-join {id}"
             )));
         }
-        let scoped_ledger = CostLedger::new();
-        let mut placer = self.placer.scoped(scoped_ledger.clone());
-        if let Some(metrics) = &self.metrics {
-            placer = placer.with_metrics(metrics.clone());
-        }
         let target = Placer::target_engine_of(node, &task.inputs);
         // An input that crosses engines goes through the codec, the
         // columns its producer's consumers read and no others, and
@@ -1133,7 +1123,8 @@ impl Executor {
         };
         let demands: Vec<Option<&ColumnDemand>> = node.inputs.iter().map(demand).collect();
         let (inputs, bill) =
-            placer.stage_datasets(task.inputs, &demands, target.as_ref(), registry)?;
+            self.placer
+                .stage_datasets(task.inputs, &demands, target.as_ref(), registry)?;
 
         // The device is *consumed* from the plan's per-slot pick —
         // never re-derived here — falling back to the node-wide
@@ -1158,7 +1149,7 @@ impl Executor {
         // when it can say (a relational scan), else from the rows it
         // returned.
         let (probe_counts, routes) = (OnceLock::new(), OnceLock::new());
-        let ctx = ExecCtx::new(fleet, &scoped_ledger, offload)
+        let ctx = ExecCtx::new(fleet, &self.ledger, offload)
             .at_shard(shard)
             .demanding(node.annotations.demand.as_ref());
         let mut ctx = match role {
@@ -1173,6 +1164,8 @@ impl Executor {
         if let Some(n) = Self::kept_by_limit(program, id, op) {
             ctx = ctx.ordering_only(n);
         }
+        // An ML operator's seconds are the busy time of what it posts.
+        let mark = self.ledger.len();
         let output = physical::run(op, &inputs, target.as_ref(), registry, &ctx)?;
         let reported = match (role, routes.into_inner()) {
             (Role::Count, _) => probe_counts
@@ -1209,7 +1202,7 @@ impl Executor {
         let resident = fused.is_some_and(|tag| tag.pos > 0);
         let (exec_seconds, fused_saved_seconds) = self.charge(
             fleet,
-            &scoped_ledger,
+            mark,
             op,
             id,
             device,
@@ -1223,12 +1216,12 @@ impl Executor {
         let wait = waits.and_then(|w| w.get(slot).copied()).unwrap_or(0.0);
         let queue_seconds = if on_planned_device { wait } else { 0.0 };
         if queue_seconds > 0.0 {
-            scoped_ledger.post(
+            self.ledger.post(
                 format!("executor.queue_wait@{id}"),
                 device,
-                pspp_accel::EventKind::Launch,
+                EventKind::Launch,
                 0,
-                pspp_accel::SimDuration::from_secs(queue_seconds),
+                SimDuration::from_secs(queue_seconds),
                 0.0,
             );
         }
@@ -1250,7 +1243,6 @@ impl Executor {
             exec_seconds,
             migration_seconds: bill.seconds,
             critical_seconds,
-            events: scoped_ledger.take_events(),
             tasks: vec![task_trace],
             exchanges: Vec::new(),
         };
@@ -1263,7 +1255,7 @@ impl Executor {
     }
 
     /// Posts the executed `op`'s [`price::task`] — planned on `device`
-    /// of `fleet`, over `work` (rows, bytes) — to the task's `ledger` as
+    /// of `fleet`, over `work` (rows, bytes) — to the run's ledger as
     /// `executor.{op}@{node}` and counts the charge per serving device;
     /// returns its seconds and the transfer seconds a device-resident
     /// input saved (zero unless `resident`: a fused-chain member after
@@ -1273,13 +1265,13 @@ impl Executor {
     /// run (or has zero efficiency for) the operator's kernel class;
     /// attached accelerators also pay their transfer. An ML operator is
     /// accounted by the ML engine itself — its kernels posted their own
-    /// `mlengine.*` events to the task's ledger while running — so its
-    /// cost is their busy seconds and nothing is posted.
+    /// `mlengine.*` events while running, after the ledger's length was
+    /// `mark` — so its cost is their busy seconds and nothing is posted.
     #[allow(clippy::too_many_arguments)]
     fn charge(
         &self,
         fleet: &AcceleratorFleet,
-        ledger: &CostLedger,
+        mark: usize,
         op: &Operator,
         node: NodeId,
         device: DeviceKind,
@@ -1290,11 +1282,11 @@ impl Executor {
             op,
             Operator::TrainMlp { .. } | Operator::Predict | Operator::KMeansCluster { .. }
         ) {
-            return (ledger.busy_for("mlengine").as_secs(), 0.0);
+            return (self.ledger.busy_since(mark).as_secs(), 0.0);
         }
         let price = price::task(fleet, op, device, rows, bytes, resident);
         let served_by = price.profile.kind();
-        ledger.post(
+        self.ledger.post(
             format!("executor.{}@{node}", op.name()),
             served_by,
             EventKind::Compute,
@@ -1566,6 +1558,100 @@ mod tests {
     #[test]
     fn scoring_a_table_that_still_holds_the_label_is_a_width_error() {
         assert!(matches!(train_and_predict(None), Err(Error::Invalid(_))));
+    }
+
+    /// A scan of `admissions` read by one `TrainMlp` per hidden width,
+    /// `los` the label, each an output: the trainings share a stage.
+    fn trainings(widths: &[usize]) -> Program {
+        let mut p = Program::new();
+        let scan = p.add_source(Operator::scan(TableRef::new("db1", "admissions")), "sql");
+        for &width in widths {
+            let train = Operator::TrainMlp {
+                label_column: "los".into(),
+                hidden: vec![width],
+                epochs: 2,
+                batch_size: 32,
+                learning_rate: 0.1,
+            };
+            let t = p.add_node(train, vec![scan], "ml");
+            p.mark_output(t);
+        }
+        p
+    }
+
+    #[test]
+    fn ml_nodes_sharing_a_stage_are_billed_as_each_is_alone() {
+        let r = registry();
+        let billed = |p: &Program| {
+            let e = exec();
+            let report = run(&e, p, &r).unwrap();
+            (report, e.ledger().events())
+        };
+        let twin = trainings(&[8, 4]);
+        let both = [NodeId(1), NodeId(2)];
+        assert_eq!(twin.execution_stages().unwrap()[1].compute, both);
+        let (report, events) = billed(&twin);
+        // Past the scan's events, the ledger holds each training's events
+        // in node order, each as that training posts them alone, and each
+        // training's seconds are the bits it has alone.
+        let mut at = 0;
+        for (id, width) in both.into_iter().zip([8, 4]) {
+            let (alone, alone_events) = billed(&trainings(&[width]));
+            let seconds = alone.node_seconds[&NodeId(1)];
+            assert!(seconds > 0.0);
+            assert_eq!(report.node_seconds[&id].to_bits(), seconds.to_bits());
+            let scan = (alone_events.iter())
+                .take_while(|e| !e.component.starts_with("mlengine"))
+                .count();
+            if at == 0 {
+                assert_eq!(events[..scan], alone_events[..scan]);
+                at = scan;
+            }
+            let own = &alone_events[scan..];
+            assert_eq!(events[at..at + own.len()], *own, "training {id}");
+            at += own.len();
+        }
+        assert_eq!(at, events.len());
+    }
+
+    #[test]
+    fn a_stage_failing_at_its_second_node_keeps_the_first_nodes_events() {
+        // One model scores a projection of `admissions` that leaves the
+        // label out and, when `failing`, the whole table too: a width
+        // error in the same stage, after the first scoring finished.
+        let program = |failing: bool| {
+            let mut p = trainings(&[8]);
+            let (scan, t) = (NodeId(0), NodeId(1));
+            let features = p.add_source(
+                Operator::Scan {
+                    table: TableRef::new("db1", "admissions"),
+                    predicate: Predicate::True,
+                    projection: Some(vec!["pid".into(), "age".into()]),
+                },
+                "sql",
+            );
+            let scored = p.add_node(Operator::Predict, vec![features, t], "ml");
+            p.mark_output(scored);
+            if failing {
+                let unscorable = p.add_node(Operator::Predict, vec![scan, t], "ml");
+                p.mark_output(unscorable);
+                let last = p.execution_stages().unwrap().pop().unwrap();
+                assert_eq!(last.compute, [scored, unscorable]);
+            }
+            p
+        };
+        let r = registry();
+        let whole = exec();
+        run(&whole, &program(false), &r).unwrap();
+        let failed = exec();
+        let err = run(&failed, &program(true), &r).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "got {err:?}");
+        // The scoring that finished posted its launch and forward GEMMs,
+        // and the failed run's ledger keeps them: it is the whole run's.
+        let events = whole.ledger().events();
+        assert_eq!(events.last().unwrap().component, "mlengine.forward");
+        assert_eq!(failed.ledger().len(), events.len());
+        assert_eq!(failed.ledger().events(), events);
     }
 
     #[test]
@@ -1997,7 +2083,7 @@ mod tests {
         // decoded, its bytes known from the batch's widths. Hash-joined
         // at db2 (the federated join's shape), it is read where it lies:
         // never built, and the join is the one over built rows.
-        let placer = Placer::default().scoped(CostLedger::new());
+        let placer = Placer::new(CostLedger::new());
         let target = EngineId::new("db2");
         let (mut staged, _) = placer
             .stage_datasets(vec![admissions.clone()], &[], Some(&target), &registry)
@@ -2326,7 +2412,7 @@ mod tests {
                 acc: Accounts::default(),
             });
             let built_runs: Vec<NodeRun> = built_runs.collect();
-            let merged = |runs| Executor::merge(&p, scan, Merge::Route(width), runs, &sharded);
+            let merged = |runs| e.merge(&p, scan, Merge::Route(width), runs, &sharded);
             routed.insert(scan, merged(runs).unwrap().1);
             from_rows.insert(scan, merged(built_runs).unwrap().1);
         }
@@ -2353,7 +2439,7 @@ mod tests {
             }
         }
         let (runs, built) = run_both(&p, tasks, want_tasks);
-        let spliced = |runs, barrier| Executor::splice_shuffle(j, runs, barrier).unwrap();
+        let spliced = |runs, barrier| exec().splice_shuffle(j, runs, barrier).unwrap();
         let (got, want) = (spliced(runs, &barrier), spliced(built, &want));
         assert_eq!(
             got.output.try_rows().unwrap(),
@@ -2886,7 +2972,7 @@ mod tests {
         let id = NodeId(7);
         assert!(execution_error(Executor::gather_runs(id, Vec::new())).contains("n7"));
         let barrier = barrier_of(vec![Vec::new()]);
-        assert!(execution_error(Executor::splice_shuffle(id, Vec::new(), &barrier)).contains("n7"));
+        assert!(execution_error(exec().splice_shuffle(id, Vec::new(), &barrier)).contains("n7"));
         assert!(execution_error(Executor::route_runs(id, Vec::new(), 2)).contains("n7"));
         // A routed producer's task that reported no routes is typed too.
         let silent = vec![run_of(id, &[1], None)];
@@ -2902,7 +2988,7 @@ mod tests {
             vec![s],
             "sql",
         );
-        let msg = execution_error(Executor::merge_partial_runs(&p, g, Vec::new(), &registry()));
+        let msg = execution_error(exec().merge_partial_runs(&p, g, Vec::new(), &registry()));
         assert!(msg.contains(&g.to_string()), "got {msg}");
     }
 
@@ -3057,7 +3143,9 @@ mod tests {
                 run_of(id, &[20], Some(vec![1])),
             ]
         };
-        let spliced = Executor::splice_shuffle(id, group(vec![2, 0]), &barrier).unwrap();
+        let spliced = exec()
+            .splice_shuffle(id, group(vec![2, 0]), &barrier)
+            .unwrap();
         assert_eq!(
             spliced.output.try_rows().unwrap(),
             [row![10i64], row![11i64], row![20i64]]
@@ -3067,7 +3155,7 @@ mod tests {
         // One count for two probe rows: `zip` would stop early and the
         // offsets would still add up (2 of 2 rows), so the length is
         // checked first and the error names the node and destination.
-        let msg = execution_error(Executor::splice_shuffle(id, group(vec![2]), &barrier));
+        let msg = execution_error(exec().splice_shuffle(id, group(vec![2]), &barrier));
         assert!(
             msg.contains("n3") && msg.contains("destination 0"),
             "got {msg}"
@@ -3075,12 +3163,12 @@ mod tests {
         // More runs than the barrier routed to is the same error.
         let mut extra = group(vec![2, 0]);
         extra.push(run_of(id, &[], Some(vec![0])));
-        let msg = execution_error(Executor::splice_shuffle(id, extra, &barrier));
+        let msg = execution_error(exec().splice_shuffle(id, extra, &barrier));
         assert!(msg.contains("destination 2"), "got {msg}");
         // A task whose join reported nothing is typed too.
         let mut silent = group(vec![2, 0]);
         silent[1].reported = Reported::Nothing;
-        let msg = execution_error(Executor::splice_shuffle(id, silent, &barrier));
+        let msg = execution_error(exec().splice_shuffle(id, silent, &barrier));
         assert!(msg.contains("no match counts"), "got {msg}");
     }
 
@@ -3191,7 +3279,7 @@ mod tests {
                 run.output = Dataset::rows(schema, rows, l.model, l.location.clone());
                 group.push(run);
             }
-            let spliced = Executor::splice_shuffle(id, group, &barrier_of(origins)).unwrap();
+            let spliced = exec().splice_shuffle(id, group, &barrier_of(origins)).unwrap();
             prop_assert_eq!(spliced.output.try_rows().unwrap(), &expect[..]);
             prop_assert_eq!(spliced.output.byte_size(), walked_bytes(&spliced.output));
 

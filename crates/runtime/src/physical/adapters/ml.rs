@@ -2,7 +2,8 @@
 //!
 //! Kernels run on the fleet's best matrix engine when offload is
 //! enabled (via [`ExecCtx::training_profile`]), posting their cycles to
-//! the task's ledger under the `mlengine` component.
+//! the run's ledger under the `mlengine` component; the executor bills
+//! an ML task the busy time of what it posted.
 
 use pspp_accel::kernels::Matrix;
 use pspp_common::{DataModel, DataType, EngineId, Error, Field, Result, Schema, Value};

@@ -14,14 +14,14 @@
 //!   foreign input and accounting the migration cost.
 //! * The executor's charge — *what* an operator costs. It posts the
 //!   price list's bill for the task ([`pspp_optimizer::price`], the
-//!   formulas the planner estimated with) and its energy to the task's
+//!   formulas the planner estimated with) and its energy to the run's
 //!   [`CostLedger`].
 //!
 //! One executor runs a query's tasks one after another on its caller's
-//! thread, giving each task a private scoped ledger and merging events
-//! back in node order, so outputs, makespans and the executor's ledger
-//! repeat exactly; the query service runs many such queries at once,
-//! one per worker thread, over a shared registry.
+//! thread, every bill posting to the run's one ledger as the task runs,
+//! so outputs, makespans and the ledger repeat exactly; the query
+//! service runs many such queries at once, one per worker thread, each
+//! on a ledger of its own, over a shared registry.
 
 mod adapters;
 pub mod placer;
@@ -43,7 +43,7 @@ use adapters::{graph, ml, relational, text, timeseries};
 ///
 /// `target` is the engine the [`Placer`] resolved for the node (inputs
 /// have already been migrated there); `registry` resolves engine ids to
-/// live instances; `ctx` carries the fleet, the task's ledger and what
+/// live instances; `ctx` carries the fleet, the run's ledger and what
 /// the executor asks of this task.
 ///
 /// # Errors
@@ -121,7 +121,7 @@ pub fn run(
 }
 
 /// Everything an operator may consult while it runs: the
-/// accelerator fleet, the (task-scoped) cost ledger, whether device
+/// accelerator fleet, the run's cost ledger, whether device
 /// offload is enabled for this run, which shard replica the task
 /// addresses, which of the node's output columns its consumers read,
 /// for a shuffled-join bucket where to leave the join's per-probe-row
@@ -239,7 +239,7 @@ impl<'a> ExecCtx<'a> {
         self.demand.map(|d| &d.columns[..])
     }
 
-    /// The ledger this node's costs post to.
+    /// The run's ledger, which this task's costs post to.
     pub fn ledger(&self) -> &'a CostLedger {
         self.ledger
     }
@@ -466,7 +466,7 @@ mod tests {
             }
         }
 
-        let placer = Placer::default().scoped(CostLedger::new());
+        let placer = Placer::new(CostLedger::new());
         let target = EngineId::new("db1");
         let shipped = demand(&["w", "k"], 3);
         for demand in [None, Some(&shipped)] {

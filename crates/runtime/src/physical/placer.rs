@@ -34,29 +34,28 @@ pub struct MigrationBill {
 /// target, the placer invokes the migrator exactly once for that input,
 /// charging the transfer to its ledger and rehoming the dataset. Every
 /// migration runs over the binary pipe ([`MigrationPath::BinaryPipe`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Placer {
     migrator: Migrator,
     metrics: Option<MetricsRegistry>,
 }
 
 impl Placer {
+    /// A placer posting migration costs to `ledger` — the executor
+    /// builds one per run, over the run's ledger.
+    pub fn new(ledger: CostLedger) -> Self {
+        Placer {
+            migrator: Migrator::new().with_ledger(ledger),
+            metrics: None,
+        }
+    }
+
     /// Records per-input migration counts and simulated durations into
     /// `metrics`. Histogram observations are commutative, so recording
     /// from queries running at the same time stays deterministic.
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
         self.metrics = Some(metrics);
         self
-    }
-
-    /// A copy of this placer posting migration costs to `ledger` — the
-    /// executor scopes one per task, so a task's migration events merge
-    /// back with the rest of its bill, in node order.
-    pub fn scoped(&self, ledger: CostLedger) -> Placer {
-        Placer {
-            migrator: self.migrator.clone().with_ledger(ledger),
-            metrics: self.metrics.clone(),
-        }
     }
 
     /// The engine `node` executes on, given its already-resolved input
@@ -312,7 +311,7 @@ mod tests {
         let (p, j) = join_program();
         let registry = two_engine_registry();
         let ledger = CostLedger::new();
-        let placer = Placer::default().scoped(ledger.clone());
+        let placer = Placer::new(ledger.clone());
         let inputs = vec![dataset_at("db1", 50), dataset_at("db2", 50)];
 
         // Annotated target db1: only the db2 input is foreign.
@@ -338,7 +337,7 @@ mod tests {
     fn a_demand_narrows_what_the_codec_ships_and_nothing_else() {
         let registry = two_engine_registry();
         let ledger = CostLedger::new();
-        let placer = Placer::default().scoped(ledger.clone());
+        let placer = Placer::new(ledger.clone());
         let wide = |engine: &str| {
             Dataset::rows(
                 Schema::new(vec![("k", DataType::Int), ("v", DataType::Int)]),
@@ -387,7 +386,7 @@ mod tests {
     fn data_gravity_migrates_only_the_second_input() {
         let (p, j) = join_program();
         let registry = two_engine_registry();
-        let placer = Placer::default().scoped(CostLedger::new());
+        let placer = Placer::new(CostLedger::new());
         let inputs = vec![dataset_at("db1", 50), dataset_at("db2", 50)];
 
         // No annotation: data gravity pulls the join to the first
@@ -405,7 +404,7 @@ mod tests {
         let (p, j) = join_program();
         let registry = two_engine_registry();
         let ledger = CostLedger::new();
-        let placer = Placer::default().scoped(ledger.clone());
+        let placer = Placer::new(ledger.clone());
         let inputs = vec![dataset_at("db1", 50), dataset_at("db1", 50)];
 
         let target = Placer::target_engine_of(p.node(j), &inputs);

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use pspp_accel::{CostLedger, DeviceKind, EventKind, SimDuration};
+use pspp_accel::{CostSummary, SimDuration};
 use pspp_common::{Error, Result};
 use pspp_core::{Polystore, RunReport};
 use pspp_frontend::HeterogeneousProgram;
@@ -26,10 +26,6 @@ use crate::cache::{CacheStats, Caches, Dialect, ResultCache, ResultCacheStats};
 use crate::lock;
 use crate::serve::{self, RESULT_HIT_SECONDS};
 use crate::stats::{ServiceReport, SessionReport};
-
-/// The ledger component a result-cache hit bills its lookup under, so
-/// traces and `EXPLAIN ANALYZE` show the hit instead of a free run.
-const RESULT_CACHE_COMPONENT: &str = "service.result_cache";
 
 /// A query a session can submit.
 #[derive(Debug, Clone)]
@@ -157,10 +153,9 @@ impl ServiceInner {
     /// Serves one query down [`serve::serve`] — plan through the
     /// cache, execute on a private per-run ledger. With the result
     /// cache on, a `(plan digest, epoch)` hit bypasses the executor
-    /// entirely: the memoized report is returned with its costs
-    /// replaced by a single lookup event, so the ledger (and
-    /// everything built from it — traces, `EXPLAIN ANALYZE`, the cost
-    /// summary) reflects what actually ran.
+    /// entirely: the memoized report is returned with its cost summary
+    /// replaced by one lookup's (a single event of `RESULT_HIT_SECONDS`
+    /// busy time), so the summary reflects what actually ran.
     fn run_query(&self, query: &Query) -> Result<QueryResponse> {
         // Write/DDL-shaped queries advance the engine-state epoch
         // before planning: the epoch is part of every plan- and
@@ -177,16 +172,12 @@ impl ServiceInner {
         // hit always was), and this query's alone otherwise (a move).
         let mut report = Arc::unwrap_or_clone(served.result).report;
         if served.result_hit {
-            let hit_ledger = CostLedger::new();
-            hit_ledger.post(
-                RESULT_CACHE_COMPONENT,
-                DeviceKind::Cpu,
-                EventKind::Compute,
-                0,
-                SimDuration::from_secs(RESULT_HIT_SECONDS),
-                0.0,
-            );
-            report.costs = hit_ledger.total();
+            report.costs = CostSummary {
+                events: 1,
+                bytes: 0,
+                busy: SimDuration::from_secs(RESULT_HIT_SECONDS),
+                energy_j: 0.0,
+            };
         }
         self.count_query(query, served.plan_hit, service_seconds);
         Ok(QueryResponse {
